@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub scrub-baseline bench experiments examples telemetry-smoke trace-smoke tracing-baseline scaling-smoke scaling-baseline parallel-race multitenant-race multitenant-smoke multitenant-baseline failover-baseline clean
+.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub scrub-baseline bench experiments examples telemetry-smoke trace-smoke tracing-baseline scaling-smoke scaling-baseline parallel-race multitenant-race multitenant-smoke multitenant-baseline failover-baseline bench-cell bench-align clean
 
 all: build vet test
 
@@ -82,6 +82,28 @@ scrub-baseline:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Cell-path micro-benchmarks: what the Sort engine does to one fetched block
+# (obsort compare-exchange block, a whole 4096-record sort with allocations
+# per comparator) and the AEAD calls under it (seal into a reused buffer,
+# seal a block into one slab, open). CI runs them with BENCHTIME=1x so they
+# keep compiling and running; for numbers, run them on a quiet machine.
+BENCHTIME ?= 1s
+bench-cell:
+	$(GO) test -run '^$$' -bench 'CompareExchangeBlock|Sort4096' -benchmem -benchtime $(BENCHTIME) ./internal/obsort/
+	$(GO) test -run '^$$' -bench 'Cipher' -benchmem -benchtime $(BENCHTIME) ./internal/crypto/
+
+# The benchmark (go run ./benchmark) multiplies every time it reports by its
+# speedometer's reading, and the speedometer's inner loop runs about a third
+# slower, and far less steadily, when the linker happens to lay it across a
+# 64-byte line. Where it lands depends on the size of everything linked ahead
+# of the benchmark's main package, so any change to the program can move it
+# by 32 bytes. bench-align prints the address and fails unless
+# main.(*speedometer).sample starts on a multiple of 64, where it has been
+# since the benchmark was written (PR 15's CHANGES.md line has the story).
+bench-align:
+	@bin=$$(mktemp) && $(GO) build -o $$bin ./benchmark && \
+	$(GO) tool nm $$bin | grep -E '[048c]0 T main\.\(\*speedometer\)\.sample$$'; s=$$?; rm -f $$bin; exit $$s
 
 # Regenerate every table and figure at quick sizes; raise the flags toward
 # the paper's scales for closer comparison (see EXPERIMENTS.md).

@@ -105,7 +105,7 @@ func main() {
 	flag.Float64Var(&cfg.faultRate, "fault-rate", 0, "inject transient storage errors at this rate (0..1), for resilience testing")
 	flag.Float64Var(&cfg.spikeRate, "spike-rate", 0, "inject latency spikes at this rate (0..1)")
 	flag.DurationVar(&cfg.spike, "spike", 5*time.Millisecond, "latency spike magnitude for -spike-rate")
-	flag.Float64Var(&cfg.dropRate, "drop-rate", 0, "sever live connections mid-call at this per-I/O rate (0..1)")
+	flag.Float64Var(&cfg.dropRate, "drop-rate", 0, "sever live connections mid-call at this per-frame rate (0..1)")
 	flag.Float64Var(&cfg.corruptRate, "corrupt-rate", 0, "corrupt read payloads at this rate (0..1), modeling a Byzantine server; clients must detect every hit")
 	flag.Int64Var(&cfg.faultSeed, "fault-seed", 1, "seed for the deterministic fault/drop schedules")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "if set, serve Prometheus /metrics, /metrics.json, and /debug/pprof/ on this address")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -21,9 +22,9 @@ import (
 //     card_X counter (branchless, every cell rewritten),
 //  4. ObliviousSort back by r[ID].
 //
-// The method needs O(1) client memory (one record in flight), is static
-// only, and parallelizes inside the bitonic network — Workers controls the
-// degree (Fig. 6a).
+// The method needs O(1) client memory (one obsort.ChunkCells block in flight
+// per worker), is static only, and parallelizes inside the bitonic network —
+// Workers controls the degree (Fig. 6a).
 type SortEngine struct {
 	edb      *EncryptedDB
 	instance string
@@ -95,18 +96,17 @@ func (e *SortEngine) materialize(arr *obsort.Array) (*sortState, error) {
 	}
 	// Lines 2–8: one oblivious pass assigns dense labels. The pass reads
 	// and rewrites every cell whether or not the label changed.
-	var tmp []byte
-	var card uint64
+	var tmp, card uint64
 	err := arr.Scan(func(i int, rec []byte) ([]byte, error) {
-		key := append([]byte(nil), rec[:8]...)
+		key := decodeUint64(rec)
 		if i == 0 {
 			tmp = key
 		}
-		if !bytes.Equal(key, tmp) {
+		if key != tmp {
 			card++
 			tmp = key
 		}
-		copy(rec[:8], encodeUint64(card))
+		binary.BigEndian.PutUint64(rec, card)
 		return rec, nil
 	})
 	if err != nil {
@@ -132,6 +132,7 @@ func (e *SortEngine) nextName() string {
 func (e *SortEngine) buildSingle(attr int, name string) (*sortState, error) {
 	var vals []string
 	var base int
+	rec := make([]byte, sortRecWidth) // CreateStreamed copies each record out
 	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, name, e.n, sortRecWidth,
 		func(i int) ([]byte, error) {
 			if i%obsort.ChunkCells == 0 {
@@ -145,9 +146,8 @@ func (e *SortEngine) buildSingle(attr int, name string) (*sortState, error) {
 				}
 				vals, base = v, i
 			}
-			rec := make([]byte, sortRecWidth)
-			copy(rec, encodeUint64(singleKey(e.edb.cipher, vals[i-base])))
-			copy(rec[8:], encodeUint64(uint64(i)))
+			binary.BigEndian.PutUint64(rec, singleKey(e.edb.cipher, vals[i-base]))
+			binary.BigEndian.PutUint64(rec[8:], uint64(i))
 			return rec, nil
 		})
 	if err != nil {
@@ -164,6 +164,8 @@ func (e *SortEngine) buildSingle(attr int, name string) (*sortState, error) {
 func (e *SortEngine) buildUnion(x relation.AttrSet, st1, st2 *sortState, name string) (*sortState, error) {
 	var recs [][][]byte
 	var base int
+	covers := []*obsort.Array{st1.arr, st2.arr}
+	rec := make([]byte, sortRecWidth) // CreateStreamed copies each record out
 	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, name, e.n, sortRecWidth,
 		func(i int) ([]byte, error) {
 			if i%obsort.ChunkCells == 0 {
@@ -171,15 +173,14 @@ func (e *SortEngine) buildUnion(x relation.AttrSet, st1, st2 *sortState, name st
 				if hi > e.n {
 					hi = e.n
 				}
-				r, err := obsort.GetRanges([]*obsort.Array{st1.arr, st2.arr}, i, hi)
+				r, err := obsort.GetRanges(covers, i, hi)
 				if err != nil {
 					return nil, err
 				}
 				recs, base = r, i
 			}
 			r1, r2 := recs[0][i-base], recs[1][i-base]
-			rec := make([]byte, sortRecWidth)
-			copy(rec, encodeUint64(unionKey(decodeUint64(r1), decodeUint64(r2))))
+			binary.BigEndian.PutUint64(rec, unionKey(decodeUint64(r1), decodeUint64(r2)))
 			copy(rec[8:], r1[8:16]) // r[ID], identical in both inputs
 			return rec, nil
 		})
@@ -454,8 +455,12 @@ func (e *SortEngine) Release(x relation.AttrSet) error {
 	return nil
 }
 
-// ClientMemoryBytes implements Engine: the sorting client holds only the
-// encryption key and one in-flight record pair (§VII-C reports a constant).
+// ClientMemoryBytes implements Engine. §VII-C reports a constant, and the
+// figure returned is that accounting: the encryption key and one in-flight
+// record pair. What a worker of this client really holds is one block,
+// obsort.ChunkCells × (sortRecWidth + 1 + crypto.Overhead) bytes of
+// ciphertext, plus its scratch (the block's positions, two plaintexts, one
+// associated-data string) — larger, but just as independent of n.
 func (e *SortEngine) ClientMemoryBytes() int {
 	return 16 /* AES key */ + 2*(sortRecWidth+1)
 }

@@ -23,6 +23,22 @@ func BenchmarkCipher(b *testing.B) {
 			buf = ct[:0]
 		}
 	})
+	// The obsort block path: one op seals a block's 64 cells back to back
+	// into a slab allocated for that block, as ciphertexts headed for the
+	// in-process server must be.
+	b.Run("SealToSlab64", func(b *testing.B) {
+		const cells = 64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			slab := make([]byte, 0, cells*(len(pt)+Overhead))
+			for k := 0; k < cells; k++ {
+				var err error
+				if slab, err = c.SealTo(slab, pt, ad); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 	b.Run("OpenTo", func(b *testing.B) {
 		ct, err := c.Seal(pt, ad)
 		if err != nil {

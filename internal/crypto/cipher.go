@@ -15,6 +15,11 @@
 // logical location (array name, cell index, ORAM tree); a ciphertext moved
 // to a different location fails to open even though it authenticates under
 // the same key.
+//
+// Nonces are 96 uniform bits from crypto/rand, drawn through a small
+// per-Cipher buffer (nonceSource) so a seal costs a copy instead of a
+// getrandom call. SealTo and OpenTo work in caller-owned memory, which is
+// what lets the engines process a fetched block without allocating per cell.
 package crypto
 
 import (
@@ -27,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
@@ -81,16 +87,51 @@ func MustNewKey() Key {
 	return k
 }
 
+// nonceBufSize is how many random bytes one refill draws: a multiple of
+// NonceSize, so no nonce straddles two refills, and a few KB, so the cost of
+// the read is spread over a few hundred seals.
+const nonceBufSize = 256 * NonceSize
+
+// nonceSource hands out nonces from a buffer refilled from a CSPRNG. Every
+// byte is handed out at most once: the offset only moves forward, the buffer
+// lives in client memory only (a checkpoint carries the key, never this), and
+// a failed refill discards whatever the reader left behind, so the seal that
+// hit the failure and every later one go back to the reader.
+type nonceSource struct {
+	mu   sync.Mutex
+	r    io.Reader
+	buf  [nonceBufSize]byte
+	left int // unused bytes at the tail of buf
+}
+
+// next writes a fresh nonce into dst, which must be NonceSize bytes. It runs
+// once per seal, so it unlocks by hand instead of deferring.
+func (s *nonceSource) next(dst []byte) error {
+	s.mu.Lock()
+	if s.left == 0 {
+		if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		s.left = nonceBufSize
+	}
+	copy(dst, s.buf[nonceBufSize-s.left:][:NonceSize])
+	s.left -= NonceSize
+	s.mu.Unlock()
+	return nil
+}
+
 // Cipher encrypts and decrypts individual cells. It is safe for concurrent
-// use: the AEAD is stateless after construction and every encryption draws
-// its own nonce. SetTelemetry must not race with Seal/Open (attach the
-// registry before handing the cipher to worker goroutines, as
-// securefd.Outsource and the engine SetTelemetry paths do).
+// use: the AEAD is stateless after construction and nonces come from a
+// mutex-guarded source. It must not be copied after first use. SetTelemetry
+// must not race with Seal/Open (attach the registry before handing the
+// cipher to worker goroutines, as securefd.Outsource and the engine
+// SetTelemetry paths do).
 type Cipher struct {
-	key  Key // retained so client-side checkpoints can rebuild the cipher
-	aead cipher.AEAD
-	mac  []byte // HMAC key derived from the AES key, for PRF use
-	rand io.Reader
+	key    Key // retained so client-side checkpoints can rebuild the cipher
+	aead   cipher.AEAD
+	mac    []byte // HMAC key derived from the AES key, for PRF use
+	nonces nonceSource
 
 	// Integrity telemetry: one check per Open, one failure per rejected
 	// ciphertext. Nil counters no-op, so an un-instrumented cipher pays an
@@ -110,7 +151,9 @@ func NewCipher(key Key) (*Cipher, error) {
 		return nil, fmt.Errorf("crypto: building GCM: %w", err)
 	}
 	h := sha256.Sum256(append([]byte("oblivfd-prf-v1"), key[:]...))
-	return &Cipher{key: key, aead: aead, mac: h[:], rand: rand.Reader}, nil
+	c := &Cipher{key: key, aead: aead, mac: h[:]}
+	c.nonces.r = rand.Reader
+	return c, nil
 }
 
 // Key returns the key the cipher was built from. It exists so a client-side
@@ -137,26 +180,28 @@ func (c *Cipher) SetTelemetry(reg *telemetry.Registry) {
 	c.failures = reg.Counter("oblivfd_integrity_failures_total")
 }
 
-// Seal produces nonce ∥ GCM(plaintext, ad) with a fresh random nonce, so two
+// Seal produces nonce ∥ GCM(plaintext, ad) with a fresh random nonce (96
+// uniform bits of crypto/rand output, taken from the cipher's buffer), so two
 // encryptions of equal plaintexts are unlinkable. The associated data is
 // authenticated but not transmitted: Open must present the same ad, which is
-// how ciphertexts are bound to their logical location. The result is
-// len(plaintext)+Overhead bytes.
+// how ciphertexts are bound to their logical location. The result is a fresh
+// allocation of len(plaintext)+Overhead bytes.
 func (c *Cipher) Seal(plaintext, ad []byte) ([]byte, error) {
 	return c.SealTo(make([]byte, 0, NonceSize+len(plaintext)+TagSize), plaintext, ad)
 }
 
 // SealTo is Seal appending to dst, reusing dst's capacity when it suffices.
-// The per-call output allocation disappears once the caller recycles the
-// returned slice — but only callers that own the buffer may do so: the
-// in-process server retains the exact ciphertext slice it is handed, so
-// ciphertexts headed for storage must come from Seal (a fresh allocation)
-// or from a buffer that is never reused afterwards.
+// Who may recycle the result depends on where it goes. A caller that keeps
+// the ciphertext to itself may seal into the same buffer again and again.
+// Ciphertexts headed for storage may share one slab — seal cell after cell
+// onto the same dst and hand out sub-slices — but the slab must be allocated
+// for that one storage call and never written again: the in-process server
+// retains the exact slices it is handed.
 func (c *Cipher) SealTo(dst, plaintext, ad []byte) ([]byte, error) {
 	off := len(dst)
 	var zero [NonceSize]byte
 	dst = append(dst, zero[:]...)
-	if _, err := io.ReadFull(c.rand, dst[off:off+NonceSize]); err != nil {
+	if err := c.nonces.next(dst[off : off+NonceSize]); err != nil {
 		return nil, fmt.Errorf("crypto: drawing nonce: %w", err)
 	}
 	return c.aead.Seal(dst, dst[off:off+NonceSize], plaintext, ad), nil

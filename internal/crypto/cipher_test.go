@@ -3,6 +3,8 @@ package crypto
 import (
 	"bytes"
 	"errors"
+	mathrand "math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -334,5 +336,101 @@ func TestPadEqualWidths(t *testing.T) {
 	}
 	if len(a) != len(b) {
 		t.Errorf("padded widths differ: %d vs %d", len(a), len(b))
+	}
+}
+
+// TestBufferedNoncesNeverRepeat seals from several goroutines across more
+// than three refills of the nonce buffer and requires every nonce to be
+// distinct: no byte of a refill is handed out twice, whichever goroutine
+// triggers the refill (run under -race, this also covers the mutex).
+func TestBufferedNoncesNeverRepeat(t *testing.T) {
+	const goroutines = 4
+	const perGoroutine = 4*(nonceBufSize/NonceSize)/goroutines + 7
+	c := newTestCipher(t)
+	nonces := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range nonces {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, 0, 8+Overhead)
+			for i := 0; i < perGoroutine; i++ {
+				ct, err := c.SealTo(buf[:0], []byte("12345678"), nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				nonces[g] = append(nonces[g], string(ct[:NonceSize]))
+			}
+		}(g)
+	}
+	wg.Wait()
+	seen := make(map[string]bool)
+	for _, ns := range nonces {
+		for _, n := range ns {
+			if seen[n] {
+				t.Fatalf("nonce %x handed out twice", n)
+			}
+			seen[n] = true
+		}
+	}
+	if refills := len(seen) * NonceSize / nonceBufSize; refills < 3 {
+		t.Fatalf("test drew %d nonces, only %d refills", len(seen), refills)
+	}
+}
+
+// flakyReader serves reads from a seeded stream until failAfter bytes have
+// been delivered, then fails every read — including the tail of a read that
+// straddles the limit, which is how a refill ends up half written.
+type flakyReader struct {
+	failAfter int
+	stream    *mathrand.Rand
+}
+
+var errEntropy = errors.New("entropy source down")
+
+func (r *flakyReader) Read(p []byte) (int, error) {
+	n := len(p)
+	if n > r.failAfter {
+		n = r.failAfter
+	}
+	r.stream.Read(p[:n])
+	r.failAfter -= n
+	if n < len(p) {
+		return n, errEntropy
+	}
+	return n, nil
+}
+
+// TestFailedRefillSurfacesAndDiscards: when the entropy source fails during
+// a refill, that seal reports the error, so does the next one, and once the
+// source is back no byte of the abandoned refill appears in a nonce.
+func TestFailedRefillSurfacesAndDiscards(t *testing.T) {
+	c := newTestCipher(t)
+	// One good refill, then a failure half-way through the second.
+	src := &flakyReader{failAfter: nonceBufSize + nonceBufSize/2, stream: mathrand.New(mathrand.NewSource(1))}
+	c.nonces.r = src
+	for i := 0; i < nonceBufSize/NonceSize; i++ {
+		if _, err := c.Seal([]byte("x"), nil); err != nil {
+			t.Fatalf("seal %d from the good refill: %v", i, err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Seal([]byte("x"), nil); !errors.Is(err, errEntropy) {
+			t.Fatalf("seal %d after the source failed: err = %v, want the source's error", i, err)
+		}
+	}
+	// The failed ReadFull left fresh bytes at the head of the buffer.
+	abandoned := append([]byte(nil), c.nonces.buf[:NonceSize]...)
+	src.failAfter = 1 << 20
+	ct, err := c.Seal([]byte("x"), nil)
+	if err != nil {
+		t.Fatalf("seal after the source recovered: %v", err)
+	}
+	if bytes.Equal(ct[:NonceSize], abandoned) {
+		t.Fatal("nonce taken from the abandoned refill")
+	}
+	if _, err := c.Open(ct, nil); err != nil {
+		t.Fatalf("ciphertext sealed after recovery does not open: %v", err)
 	}
 }

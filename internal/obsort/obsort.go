@@ -9,6 +9,13 @@
 // Comparators within one stage of the network touch disjoint cells, which is
 // what gives the algorithm its n/2 parallelism degree (§IV-D, Fig. 6a). Sort
 // accepts a worker count to exploit it.
+//
+// Cells move in blocks of ChunkCells, and what the client does to a fetched
+// block is compute on memory it already holds: each worker opens cells into
+// a reused scratch and seals the block's fresh ciphertexts into one slab
+// allocated for that block's write (the in-process server keeps the slices
+// it is handed, so a slab is never written twice). What is transferred, in
+// which order, and what is authenticated does not depend on any of this.
 package obsort
 
 import (
@@ -30,8 +37,10 @@ type Less func(a, b []byte) bool
 // ChunkCells bounds how many cells one storage call carries. Sequential
 // passes (Scan, CreateStreamed, ReadAll) and sort stages coalesce up to this
 // many cells per ReadCells/WriteCells, so round-trip count scales with
-// n/ChunkCells instead of n while client memory stays O(1): the chunk size
-// is a fixed constant, not a function of n. The cells touched and their
+// n/ChunkCells instead of n while client memory stays O(1): a worker holds
+// one block, ChunkCells × (recWidth + 1 + crypto.Overhead) bytes of
+// ciphertext plus its scratch (the block's positions, two plaintexts and
+// one associated-data string), whatever n is. The cells touched and their
 // per-cell server-visible accesses are identical to the one-at-a-time
 // schedule — only the call framing changes (DESIGN.md §11).
 //
@@ -89,30 +98,31 @@ func Create(svc store.Service, cipher *crypto.Cipher, name string, records [][]b
 	if err := svc.CreateArray(name, p); err != nil {
 		return nil, fmt.Errorf("obsort: %w", err)
 	}
+	sc := a.newScratch()
 	idx := make([]int64, p)
-	cts := make([][]byte, p)
-	for i := 0; i < p; i++ {
+	out := a.newFreshCells(p)
+	for i := range idx {
 		idx[i] = int64(i)
-		var rec []byte
+		pt := sc.padding()
 		if i < len(records) {
-			rec = records[i]
+			pt = sc.plaintext(records[i])
 		}
-		ct, err := a.encrypt(rec, i >= len(records), int64(i))
-		if err != nil {
+		if err := a.seal(sc, &out, pt, idx[i]); err != nil {
 			return nil, err
 		}
-		cts[i] = ct
 	}
-	if err := svc.WriteCells(name, idx, cts); err != nil {
+	if err := svc.WriteCells(name, idx, out.cts); err != nil {
 		return nil, fmt.Errorf("obsort: %w", err)
 	}
 	return a, nil
 }
 
 // CreateStreamed builds an encrypted array of n records of the given width,
-// obtaining records one at a time from next and uploading each immediately,
-// so the client never holds more than one record — the O(1) client memory
-// property the sorting protocol claims (§IV-D).
+// obtaining records one at a time from next and uploading them a block of
+// ChunkCells at a time, so the client never holds more than one block — the
+// O(1) client memory property the sorting protocol claims (§IV-D). A record
+// is copied out before next is called again, so next may return the same
+// buffer every time.
 func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, width int, next func(i int) ([]byte, error)) (*Array, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("obsort: empty input")
@@ -128,18 +138,17 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 	if err := svc.CreateArray(name, p); err != nil {
 		return nil, fmt.Errorf("obsort: %w", err)
 	}
-	idx := make([]int64, 0, ChunkCells)
-	cts := make([][]byte, 0, ChunkCells)
+	sc := a.newScratch()
 	for lo := 0; lo < p; lo += ChunkCells {
 		hi := lo + ChunkCells
 		if hi > p {
 			hi = p
 		}
-		idx, cts = idx[:0], cts[:0]
-		for i := lo; i < hi; i++ {
-			var rec []byte
-			pad := i >= n
-			if !pad {
+		idx := sc.span(lo, hi)
+		out := a.newFreshCells(len(idx))
+		for _, pos := range idx {
+			pt := sc.padding()
+			if i := int(pos); i < n {
 				r, err := next(i)
 				if err != nil {
 					return nil, err
@@ -147,16 +156,13 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 				if len(r) != width {
 					return nil, fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), width)
 				}
-				rec = r
+				pt = sc.plaintext(r)
 			}
-			ct, err := a.encrypt(rec, pad, int64(i))
-			if err != nil {
+			if err := a.seal(sc, &out, pt, pos); err != nil {
 				return nil, err
 			}
-			idx = append(idx, int64(i))
-			cts = append(cts, ct)
 		}
-		if err := svc.WriteCells(name, idx, cts); err != nil {
+		if err := svc.WriteCells(name, idx, out.cts); err != nil {
 			return nil, fmt.Errorf("obsort: %w", err)
 		}
 	}
@@ -168,49 +174,34 @@ func (a *Array) Get(i int) ([]byte, error) {
 	if i < 0 || i >= a.n {
 		return nil, fmt.Errorf("obsort: index %d out of range [0,%d)", i, a.n)
 	}
-	cts, err := a.svc.ReadCells(a.name, []int64{int64(i)})
-	if err != nil {
-		return nil, fmt.Errorf("obsort: %w", err)
-	}
-	rec, pad, err := a.decrypt(cts[0], int64(i))
+	recs, err := a.GetRange(i, i+1)
 	if err != nil {
 		return nil, err
 	}
-	if pad {
-		return nil, fmt.Errorf("obsort: padding record inside logical range at %d", i)
-	}
-	return append([]byte(nil), rec...), nil
+	return recs[0], nil
 }
 
 // GetRange decrypts and returns the logical records in [lo, hi), fetching
-// at most ChunkCells cells per storage call.
+// at most ChunkCells cells per storage call. The records are the caller's:
+// those of one chunk share an allocation but do not overlap.
 func (a *Array) GetRange(lo, hi int) ([][]byte, error) {
 	if lo < 0 || hi > a.n || lo > hi {
 		return nil, fmt.Errorf("obsort: range [%d,%d) out of [0,%d)", lo, hi, a.n)
 	}
+	sc := a.newScratch()
 	out := make([][]byte, 0, hi-lo)
 	for start := lo; start < hi; start += ChunkCells {
 		end := start + ChunkCells
 		if end > hi {
 			end = hi
 		}
-		idx := make([]int64, end-start)
-		for k := range idx {
-			idx[k] = int64(start + k)
-		}
+		idx := sc.span(start, end)
 		cts, err := a.svc.ReadCells(a.name, idx)
 		if err != nil {
 			return nil, fmt.Errorf("obsort: %w", err)
 		}
-		for k, ct := range cts {
-			rec, pad, err := a.decrypt(ct, idx[k])
-			if err != nil {
-				return nil, err
-			}
-			if pad {
-				return nil, fmt.Errorf("obsort: padding record inside logical range at %d", idx[k])
-			}
-			out = append(out, append([]byte(nil), rec...))
+		if out, err = a.openRecords(sc, out, cts, idx); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -242,17 +233,29 @@ func GetRanges(arrays []*Array, lo, hi int) ([][][]byte, error) {
 	}
 	out := make([][][]byte, len(arrays))
 	for j, a := range arrays {
-		out[j] = make([][]byte, len(idx))
-		for k, ct := range res[j] {
-			rec, pad, err := a.decrypt(ct, idx[k])
-			if err != nil {
-				return nil, err
-			}
-			if pad {
-				return nil, fmt.Errorf("obsort: padding record inside logical range at %d", idx[k])
-			}
-			out[j][k] = append([]byte(nil), rec...)
+		out[j], err = a.openRecords(a.newScratch(), make([][]byte, 0, len(idx)), res[j], idx)
+		if err != nil {
+			return nil, err
 		}
+	}
+	return out, nil
+}
+
+// openRecords opens the logical cells cts, fetched from positions idx, into
+// one allocation and appends the records to out.
+func (a *Array) openRecords(sc *scratch, out [][]byte, cts [][]byte, idx []int64) ([][]byte, error) {
+	w := 1 + a.recWidth
+	slab := make([]byte, 0, len(cts)*w)
+	for k, ct := range cts {
+		pt, err := a.open(sc, slab[len(slab):], ct, idx[k])
+		if err != nil {
+			return nil, err
+		}
+		if pt[0] == 1 {
+			return nil, fmt.Errorf("obsort: padding record inside logical range at %d", idx[k])
+		}
+		slab = slab[:len(slab)+w]
+		out = append(out, pt[1:w:w])
 	}
 	return out, nil
 }
@@ -275,36 +278,106 @@ func (a *Array) Comparisons() int64 { return a.comparisons.Load() }
 // Destroy deletes the server-side array.
 func (a *Array) Destroy() error { return a.svc.Delete(a.name) }
 
+// scratch is the client memory one worker reuses from block to block: the
+// block's positions, the plaintexts (flag byte, then the record) of the
+// comparator or scanned cell at hand, and the associated data of the cell
+// being opened or sealed. It is not safe for concurrent use.
+type scratch struct {
+	idx      []int64
+	pt       [2][]byte
+	ad       []byte // "sort:<name>:" followed by the decimal position
+	adPrefix int
+}
+
+func (a *Array) newScratch() *scratch {
+	ad := make([]byte, 0, len("sort:")+len(a.name)+len(":")+20)
+	ad = append(append(append(ad, "sort:"...), a.name...), ':')
+	w := 1 + a.recWidth
+	return &scratch{
+		idx:      make([]int64, 0, ChunkCells),
+		pt:       [2][]byte{make([]byte, w), make([]byte, w)},
+		ad:       ad,
+		adPrefix: len(ad),
+	}
+}
+
 // cellAD binds a record ciphertext to (array, position). Every read and
 // write addresses a cell by its current position and compare-exchange
 // re-encrypts both cells it moves, so position binding holds across the
 // whole sort: a server that swaps two cells is detected at the next read.
 // (Replaying an *old* ciphertext of the same cell is the one substitution
 // this layer cannot see — the sort protocols have no per-cell version state;
-// DESIGN.md §10 discusses the residual window.)
-func (a *Array) cellAD(i int64) []byte {
-	return []byte("sort:" + a.name + ":" + strconv.FormatInt(i, 10))
+// DESIGN.md §10 discusses the residual window.) The result is valid until
+// the next call.
+func (sc *scratch) cellAD(i int64) []byte {
+	sc.ad = strconv.AppendInt(sc.ad[:sc.adPrefix], i, 10)
+	return sc.ad
 }
 
-func (a *Array) encrypt(rec []byte, pad bool, i int64) ([]byte, error) {
-	pt := make([]byte, 1+a.recWidth)
-	if pad {
-		pt[0] = 1
-	} else {
-		copy(pt[1:], rec)
+// span sets the scratch's position list to lo..hi-1 and returns it.
+func (sc *scratch) span(lo, hi int) []int64 {
+	sc.idx = sc.idx[:0]
+	for i := lo; i < hi; i++ {
+		sc.idx = append(sc.idx, int64(i))
 	}
-	return a.cipher.Seal(pt, a.cellAD(i))
+	return sc.idx
 }
 
-func (a *Array) decrypt(ct []byte, i int64) (rec []byte, pad bool, err error) {
-	pt, err := a.cipher.Open(ct, a.cellAD(i))
+// plaintext lays rec out for sealing as a real record: a zero flag byte, then
+// the record. The result is valid until the scratch's plaintexts are next
+// written.
+func (sc *scratch) plaintext(rec []byte) []byte {
+	sc.pt[0][0] = 0
+	copy(sc.pt[0][1:], rec)
+	return sc.pt[0]
+}
+
+// padding is plaintext for a padding record: flag byte 1, then zeros.
+func (sc *scratch) padding() []byte {
+	clear(sc.pt[1])
+	sc.pt[1][0] = 1
+	return sc.pt[1]
+}
+
+// open authenticates ct as the cell at position i and decrypts it into the
+// memory of buf, returning the flag byte followed by the record.
+func (a *Array) open(sc *scratch, buf, ct []byte, i int64) ([]byte, error) {
+	pt, err := a.cipher.OpenTo(buf[:0], ct, sc.cellAD(i))
 	if err != nil {
-		return nil, false, fmt.Errorf("obsort %q: cell %d authentication failed: %v: %w", a.name, i, err, store.ErrIntegrity)
+		return nil, fmt.Errorf("obsort %q: cell %d authentication failed: %v: %w", a.name, i, err, store.ErrIntegrity)
 	}
 	if len(pt) != 1+a.recWidth {
-		return nil, false, fmt.Errorf("obsort %q: cell %d has %d plaintext bytes, want %d: %w", a.name, i, len(pt), 1+a.recWidth, store.ErrIntegrity)
+		return nil, fmt.Errorf("obsort %q: cell %d has %d plaintext bytes, want %d: %w", a.name, i, len(pt), 1+a.recWidth, store.ErrIntegrity)
 	}
-	return pt[1:], pt[0] == 1, nil
+	return pt, nil
+}
+
+// freshCells collects the ciphertexts of one WriteCells call. They share a
+// slab allocated for that call and never written afterwards, because the
+// in-process server retains the slices it is handed.
+type freshCells struct {
+	slab []byte
+	cts  [][]byte
+}
+
+func (a *Array) newFreshCells(n int) freshCells {
+	return freshCells{
+		slab: make([]byte, 0, n*(1+a.recWidth+crypto.Overhead)),
+		cts:  make([][]byte, 0, n),
+	}
+}
+
+// seal encrypts pt (flag byte, then the record) under a fresh nonce as the
+// cell at position i and adds the ciphertext to out.
+func (a *Array) seal(sc *scratch, out *freshCells, pt []byte, i int64) error {
+	start := len(out.slab)
+	slab, err := a.cipher.SealTo(out.slab, pt, sc.cellAD(i))
+	if err != nil {
+		return err
+	}
+	out.slab = slab
+	out.cts = append(out.cts, slab[start:len(slab):len(slab)])
+	return nil
 }
 
 // Stages enumerates the bitonic network for a power-of-two length p: fn is
@@ -406,11 +479,15 @@ func (a *Array) SortNetwork(less Less, workers int, network Network) error {
 		sortSpan = a.reg.StartSpan("sort/odd-even")
 	}
 	defer sortSpan.End()
+	scs := make([]*scratch, workers)
+	for w := range scs {
+		scs[w] = a.newScratch()
+	}
 	stage := func(pairs [][2]int64) error {
 		a.stageCtr.Inc()
 		sp := a.reg.StartSpan("sort/stage")
 		defer sp.End()
-		return a.runStage(pairs, less, workers)
+		return a.runStage(pairs, less, scs)
 	}
 	switch network {
 	case Bitonic:
@@ -422,16 +499,18 @@ func (a *Array) SortNetwork(less Less, workers int, network Network) error {
 	}
 }
 
-// runStage executes one network stage; all pairs are disjoint, so workers
-// can process them concurrently. Pairs are split into contiguous chunks —
-// one per worker — so dispatch overhead is per stage, not per comparator,
-// and each worker coalesces its pairs into ChunkCells-sized storage calls.
-func (a *Array) runStage(pairs [][2]int64, less Less, workers int) error {
+// runStage executes one network stage with one worker per scratch; all pairs
+// are disjoint, so workers can process them concurrently. Pairs are split
+// into contiguous chunks — one per worker — so dispatch overhead is per
+// stage, not per comparator, and each worker coalesces its pairs into
+// ChunkCells-sized storage calls.
+func (a *Array) runStage(pairs [][2]int64, less Less, scs []*scratch) error {
+	workers := len(scs)
 	if workers > len(pairs) {
 		workers = len(pairs)
 	}
 	if workers <= 1 {
-		return a.compareExchangeBlocks(pairs, less)
+		return a.compareExchangeBlocks(scs[0], pairs, less)
 	}
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
@@ -446,15 +525,15 @@ func (a *Array) runStage(pairs [][2]int64, less Less, workers int) error {
 			hi = len(pairs)
 		}
 		wg.Add(1)
-		go func(part [][2]int64) {
+		go func(sc *scratch, part [][2]int64) {
 			defer wg.Done()
-			if err := a.compareExchangeBlocks(part, less); err != nil {
+			if err := a.compareExchangeBlocks(sc, part, less); err != nil {
 				select {
 				case errs <- err:
 				default:
 				}
 			}
-		}(pairs[lo:hi])
+		}(scs[w], pairs[lo:hi])
 	}
 	wg.Wait()
 	select {
@@ -469,7 +548,7 @@ func (a *Array) runStage(pairs [][2]int64, less Less, workers int) error {
 // ChunkCells/2 comparators: one ReadCells for the block's cells, the
 // compare decisions in client memory, one WriteCells with every cell
 // re-encrypted fresh — 2 rounds per block instead of 2 per comparator.
-func (a *Array) compareExchangeBlocks(pairs [][2]int64, less Less) error {
+func (a *Array) compareExchangeBlocks(sc *scratch, pairs [][2]int64, less Less) error {
 	blockPairs := ChunkCells / 2
 	if blockPairs < 1 {
 		blockPairs = 1 // ChunkCells 1 degenerates to one comparator per round pair
@@ -479,7 +558,7 @@ func (a *Array) compareExchangeBlocks(pairs [][2]int64, less Less) error {
 		if hi > len(pairs) {
 			hi = len(pairs)
 		}
-		if err := a.compareExchangeBlock(pairs[lo:hi], less); err != nil {
+		if err := a.compareExchangeBlock(sc, pairs[lo:hi], less); err != nil {
 			return err
 		}
 	}
@@ -489,49 +568,47 @@ func (a *Array) compareExchangeBlocks(pairs [][2]int64, less Less) error {
 // compareExchangeBlock orders the records of each (lo, hi) pair so that the
 // record at lo sorts before the one at hi. Every cell is rewritten with a
 // fresh ciphertext regardless of the comparison outcomes.
-func (a *Array) compareExchangeBlock(pairs [][2]int64, less Less) error {
-	idx := make([]int64, 0, 2*len(pairs))
+func (a *Array) compareExchangeBlock(sc *scratch, pairs [][2]int64, less Less) error {
+	sc.idx = sc.idx[:0]
 	for _, pr := range pairs {
-		idx = append(idx, pr[0], pr[1])
+		sc.idx = append(sc.idx, pr[0], pr[1])
 	}
-	cts, err := a.svc.ReadCells(a.name, idx)
+	cts, err := a.svc.ReadCells(a.name, sc.idx)
 	if err != nil {
 		return fmt.Errorf("obsort: %w", err)
 	}
-	out := make([][]byte, 0, len(idx))
+	out := a.newFreshCells(len(sc.idx))
 	for k, pr := range pairs {
-		a.comparisons.Add(1)
-		a.compCtr.Inc()
-		rec0, pad0, err := a.decrypt(cts[2*k], pr[0])
+		pt0, err := a.open(sc, sc.pt[0], cts[2*k], pr[0])
 		if err != nil {
 			return err
 		}
-		rec1, pad1, err := a.decrypt(cts[2*k+1], pr[1])
+		pt1, err := a.open(sc, sc.pt[1], cts[2*k+1], pr[1])
 		if err != nil {
 			return err
 		}
 		// Padding sorts after every real record; two paddings are equal.
+		pad0, pad1 := pt0[0] == 1, pt1[0] == 1
 		swap := false
 		switch {
 		case pad0 && !pad1:
 			swap = true
 		case !pad0 && !pad1:
-			swap = less(rec1, rec0)
+			swap = less(pt1[1:], pt0[1:])
 		}
 		if swap {
-			rec0, pad0, rec1, pad1 = rec1, pad1, rec0, pad0
+			pt0, pt1 = pt1, pt0
 		}
-		ct0, err := a.encrypt(rec0, pad0, pr[0])
-		if err != nil {
+		if err := a.seal(sc, &out, pt0, pr[0]); err != nil {
 			return err
 		}
-		ct1, err := a.encrypt(rec1, pad1, pr[1])
-		if err != nil {
+		if err := a.seal(sc, &out, pt1, pr[1]); err != nil {
 			return err
 		}
-		out = append(out, ct0, ct1)
 	}
-	if err := a.svc.WriteCells(a.name, idx, out); err != nil {
+	a.comparisons.Add(int64(len(pairs)))
+	a.compCtr.Add(int64(len(pairs)))
+	if err := a.svc.WriteCells(a.name, sc.idx, out.cts); err != nil {
 		return fmt.Errorf("obsort: %w", err)
 	}
 	return nil
@@ -540,48 +617,44 @@ func (a *Array) compareExchangeBlock(pairs [][2]int64, less Less) error {
 // Scan performs a sequential oblivious pass over the logical records: every
 // cell is read, handed to fn, and rewritten with a fresh ciphertext whether
 // or not fn changed it. Algorithm 3's labeling loop (lines 3–8) is exactly
-// such a pass. fn must return a record of the array's width. Cells move in
-// ChunkCells-sized calls: each chunk is one read round and one write round.
+// such a pass. fn must return a record of the array's width; it may change
+// rec in place and return it, and must not keep rec after it returns. Cells
+// move in ChunkCells-sized calls: each chunk is one read round and one write
+// round.
 func (a *Array) Scan(fn func(i int, rec []byte) ([]byte, error)) error {
-	idx := make([]int64, 0, ChunkCells)
-	wcts := make([][]byte, 0, ChunkCells)
+	sc := a.newScratch()
 	for lo := 0; lo < a.n; lo += ChunkCells {
 		hi := lo + ChunkCells
 		if hi > a.n {
 			hi = a.n
 		}
-		idx = idx[:0]
-		for i := lo; i < hi; i++ {
-			idx = append(idx, int64(i))
-		}
+		idx := sc.span(lo, hi)
 		cts, err := a.svc.ReadCells(a.name, idx)
 		if err != nil {
 			return fmt.Errorf("obsort: %w", err)
 		}
-		wcts = wcts[:0]
+		out := a.newFreshCells(len(idx))
 		for k, ct := range cts {
-			i := int(idx[k])
-			rec, pad, err := a.decrypt(ct, idx[k])
+			pt, err := a.open(sc, sc.pt[0], ct, idx[k])
 			if err != nil {
 				return err
 			}
-			if pad {
-				return fmt.Errorf("obsort: padding record inside logical range at %d", i)
+			if pt[0] == 1 {
+				return fmt.Errorf("obsort: padding record inside logical range at %d", idx[k])
 			}
-			out, err := fn(i, rec)
+			rec, err := fn(int(idx[k]), pt[1:])
 			if err != nil {
 				return err
 			}
-			if len(out) != a.recWidth {
-				return fmt.Errorf("obsort: Scan fn returned %d bytes, want %d", len(out), a.recWidth)
+			if len(rec) != a.recWidth {
+				return fmt.Errorf("obsort: Scan fn returned %d bytes, want %d", len(rec), a.recWidth)
 			}
-			wct, err := a.encrypt(out, false, idx[k])
-			if err != nil {
+			copy(pt[1:], rec)
+			if err := a.seal(sc, &out, pt, idx[k]); err != nil {
 				return err
 			}
-			wcts = append(wcts, wct)
 		}
-		if err := a.svc.WriteCells(a.name, idx, wcts); err != nil {
+		if err := a.svc.WriteCells(a.name, idx, out.cts); err != nil {
 			return fmt.Errorf("obsort: %w", err)
 		}
 	}

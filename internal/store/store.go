@@ -335,7 +335,6 @@ func (s *Server) ReadCells(name string, idx []int64) ([][]byte, error) {
 		return nil, fmt.Errorf("%w: array %q", ErrUnknownObject, name)
 	}
 	out := make([][]byte, len(idx))
-	total := 0
 	var bad []int64
 	for k, i := range idx {
 		if i < 0 || i >= int64(len(a.cells)) {
@@ -346,7 +345,6 @@ func (s *Server) ReadCells(name string, idx []int64) ([][]byte, error) {
 			bad = append(bad, i)
 		}
 		out[k] = a.cells[i]
-		total += len(out[k])
 	}
 	s.mu.RUnlock()
 	if len(bad) > 0 {
@@ -355,7 +353,6 @@ func (s *Server) ReadCells(name string, idx []int64) ([][]byte, error) {
 	for k, i := range idx {
 		s.rec.Record(trace.Event{Op: trace.OpReadCell, Object: name, Index: i, Bytes: len(out[k])})
 	}
-	_ = total
 	return out, nil
 }
 
