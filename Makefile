@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub scrub-baseline bench experiments examples telemetry-smoke trace-smoke tracing-baseline scaling-smoke scaling-baseline parallel-race multitenant-race multitenant-smoke multitenant-baseline failover-baseline bench-cell bench-align clean
+.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub scrub-baseline bench experiments examples telemetry-smoke trace-smoke tracing-baseline scaling-smoke scaling-baseline parallel-race multitenant-race multitenant-smoke multitenant-baseline failover-baseline bench-cell bench-wire fuzz-smoke bench-align clean
 
 all: build vet test
 
@@ -92,6 +92,24 @@ BENCHTIME ?= 1s
 bench-cell:
 	$(GO) test -run '^$$' -bench 'CompareExchangeBlock|Sort4096' -benchmem -benchtime $(BENCHTIME) ./internal/obsort/
 	$(GO) test -run '^$$' -bench 'Cipher' -benchmem -benchtime $(BENCHTIME) ./internal/crypto/
+
+# Wire-path micro-benchmarks: what one round trip and one logged mutation
+# cost in the codec (frame encode + decode of a 2.5 KB ORAM path response and
+# of a 64-cell batch, WAL record encode and verify + decode) and what a whole
+# round trip costs over a loopback socket. Run like bench-cell.
+bench-wire:
+	$(GO) test -run '^$$' -bench 'FrameRoundTrip|LoopbackRTT' -benchmem -benchtime $(BENCHTIME) ./internal/transport/
+	$(GO) test -run '^$$' -bench 'WALRecord' -benchmem -benchtime $(BENCHTIME) ./internal/store/
+
+# The three decoders that read bytes from outside the process, fuzzed briefly:
+# error or exact round trip, never a panic, never an allocation the bytes
+# present cannot back. The seed corpora (every kind and op, bit-flipped and
+# cut) also run as plain tests under `go test`.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
 
 # The benchmark (go run ./benchmark) multiplies every time it reports by its
 # speedometer's reading, and the speedometer's inner loop runs about a third

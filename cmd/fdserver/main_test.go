@@ -127,7 +127,7 @@ func TestRunBadAddress(t *testing.T) {
 // TestSnapshotPersistence: state written before shutdown is visible after a
 // restart with the same -snapshot path.
 func TestSnapshotPersistence(t *testing.T) {
-	path := t.TempDir() + "/state.gob"
+	path := t.TempDir() + "/state.snap"
 
 	l1, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -155,8 +155,11 @@ func TestSnapshotPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	go func() { _ = serve(l2, config{snapshotPath: path}) }()
+	done2 := make(chan struct{})
+	go func() { defer close(done2); _ = serve(l2, config{snapshotPath: path}) }()
+	// The second server saves its snapshot on the way out; wait for that
+	// before TempDir's cleanup removes the directory under it.
+	defer func() { l2.Close(); <-done2 }()
 	c2, err := transport.Dial(l2.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -149,12 +149,25 @@ func TestFig6aTiny(t *testing.T) {
 }
 
 func TestFig6bTiny(t *testing.T) {
-	res, err := Fig6b([]int{64}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
+	// Each column's fastest of three runs: one sample of a millisecond-sized
+	// interval orders by scheduler luck under a loaded `go test ./...`.
+	var res *Fig6bResult
+	for rep := 0; rep < 3; rep++ {
+		r, err := Fig6b([]int{64}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Points) != 2 {
+			t.Fatalf("points = %d", len(r.Points))
+		}
+		if res == nil {
+			res = r
+			continue
+		}
+		for i, p := range r.Points {
+			res.Points[i].Enclave = min(res.Points[i].Enclave, p.Enclave)
+			res.Points[i].Outside = min(res.Points[i].Outside, p.Outside)
+		}
 	}
 	for _, p := range res.Points {
 		if p.Enclave >= p.Outside {
@@ -315,20 +328,26 @@ func TestSecurityLevelsTiny(t *testing.T) {
 	if len(res.Points) != 5 {
 		t.Fatalf("points = %d, want 5 levels", len(res.Points))
 	}
-	times := map[string]time.Duration{}
+	ops := map[string]int64{}
 	for _, p := range res.Points {
 		if p.Runtime <= 0 {
 			t.Errorf("%s runtime %v", p.Level, p.Runtime)
 		}
-		times[p.Level] = p.Runtime
+		ops[p.Level] = p.Ops
 	}
 	// The ordering claim: oblivious protocols cost more than the leaky
-	// deterministic baseline.
-	if times["sort"] <= times["deterministic"] {
-		t.Errorf("sort (%v) not above deterministic (%v)", times["sort"], times["deterministic"])
+	// deterministic baseline. Asserted on the storage operations the server
+	// saw, which the run determines; one wall-clock sample each at n=32
+	// orders by scheduler luck (sort 3.05ms against deterministic 8.06ms
+	// has been seen under a loaded `go test ./...`).
+	if ops["sort"] <= ops["deterministic"] {
+		t.Errorf("sort (%d ops) not above deterministic (%d ops)", ops["sort"], ops["deterministic"])
 	}
-	if times["or-oram"] <= times["deterministic"] {
-		t.Errorf("or-oram (%v) not above deterministic (%v)", times["or-oram"], times["deterministic"])
+	if ops["or-oram"] <= ops["deterministic"] {
+		t.Errorf("or-oram (%d ops) not above deterministic (%d ops)", ops["or-oram"], ops["deterministic"])
+	}
+	if ops["plaintext"] != 0 || ops["enclave"] != 0 {
+		t.Errorf("plaintext (%d ops) and enclave (%d ops) should not touch the server", ops["plaintext"], ops["enclave"])
 	}
 	if out := res.Render(); !strings.Contains(out, "Price of security") {
 		t.Errorf("render:\n%s", out)

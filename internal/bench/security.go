@@ -19,6 +19,10 @@ type SecurityLevelPoint struct {
 	Leakage string
 	N       int
 	Runtime time.Duration
+	// Ops is how many storage operations the server saw during the
+	// discovery (the upload excluded) — unlike Runtime, a function of the
+	// run alone.
+	Ops int64
 }
 
 // SecurityLevelsResult quantifies the price of security: full FD discovery
@@ -69,12 +73,14 @@ func SecurityLevels(sizes []int, maxLHS int, seed int64) (*SecurityLevelsResult,
 				return nil, err
 			}
 			eng := level.mk(rel, edb)
+			opsBefore := srv.Trace().TotalOps()
 			start := time.Now()
 			if _, err := core.Discover(eng, rel.NumAttrs(), &core.Options{MaxLHS: maxLHS}); err != nil {
 				return nil, fmt.Errorf("bench: security %s n=%d: %w", level.name, n, err)
 			}
 			res.Points = append(res.Points, SecurityLevelPoint{
 				Level: level.name, Leakage: level.leakage, N: n, Runtime: time.Since(start),
+				Ops: srv.Trace().TotalOps() - opsBefore,
 			})
 			_ = eng.Close()
 		}

@@ -84,8 +84,8 @@ func TracingOverhead(sizes []int, seed int64) (*TracingResult, error) {
 				})
 			}
 			clientTr, serverTr := newTracer("fdbench"), newTracer("fdserver")
-			// One untimed warmup settles lazily-initialized state (gob type
-			// registries, listener machinery) before either side is timed.
+			// One untimed warmup settles lazily-initialized state (listener
+			// machinery, buffers) before either side is timed.
 			if _, err := tracingRun(rel, method, m, nil, nil); err != nil {
 				return nil, fmt.Errorf("bench: tracing %s n=%d (warmup): %w", method, n, err)
 			}

@@ -200,7 +200,7 @@ func duplicateBlobCount(t *testing.T, srv *store.Server) int {
 	if err := srv.SaveSnapshot(&snapBuf); err != nil {
 		t.Fatal(err)
 	}
-	// The snapshot serializes every stored blob. Rather than parse gob,
+	// The snapshot serializes every stored blob. Rather than parse it,
 	// count repeated fixed-size windows: ciphertexts are ≥ 24 bytes of
 	// high-entropy data, so identical aligned 24-byte windows only arise
 	// from identical blobs (a conservative detector).

@@ -67,16 +67,11 @@ const (
 )
 
 // Wire encodes the context into the fixed-size frame header: always exactly
-// WireSize bytes, never nil, with a non-zero version byte even for the zero
-// context. The frame codec (gob) encodes byte strings as a length prefix
-// plus raw bytes, so a constant-length, always-present header encodes to a
-// constant number of frame bytes no matter what IDs it carries: frame
-// lengths are identical with tracing on or off, sampled or not. (A fixed
-// [26]byte array would NOT have that property — gob encodes array elements
-// as per-element varints, so ID bytes ≥ 0x80 would each cost an extra wire
-// byte and frame lengths would leak tracing state.)
-func (c SpanContext) Wire() []byte {
-	b := make([]byte, WireSize)
+// WireSize bytes, with a non-zero version byte even for the zero context.
+// The frame codec copies the array in verbatim, so frame lengths are
+// identical with tracing on or off, sampled or not, whatever the IDs.
+func (c SpanContext) Wire() [WireSize]byte {
+	var b [WireSize]byte
 	b[0] = wireVersion
 	copy(b[1:17], c.Trace[:])
 	copy(b[17:25], c.Span[:])
@@ -86,11 +81,10 @@ func (c SpanContext) Wire() []byte {
 	return b
 }
 
-// FromWire decodes a frame header produced by Wire. Headers of the wrong
-// length, unknown versions, and contexts with a zero trace ID decode to the
-// zero (invalid) context.
-func FromWire(b []byte) SpanContext {
-	if len(b) != WireSize || b[0] != wireVersion {
+// FromWire decodes a frame header produced by Wire. Unknown versions and
+// contexts with a zero trace ID decode to the zero (invalid) context.
+func FromWire(b [WireSize]byte) SpanContext {
+	if b[0] != wireVersion {
 		return SpanContext{}
 	}
 	var c SpanContext

@@ -57,12 +57,12 @@ type DurableServer struct {
 	// write) where continuing could acknowledge writes that never become
 	// durable.
 	failed error
-	// parked holds records applied to memory whose WAL append was refused
-	// with ErrDiskFull. While any are parked the server is degraded
+	// parked holds the frames of records applied to memory whose WAL append
+	// was refused with ErrDiskFull. While any are parked the server is degraded
 	// (read-only): writes shed with a retryable error, reads proceed. Later
 	// appends drain the queue first (preserving log order), and a successful
 	// snapshot absorbs the parked effects wholesale and clears it.
-	parked   []*walRecord
+	parked   [][]byte
 	degraded bool
 
 	walAppendLat  *telemetry.Histogram
@@ -328,7 +328,9 @@ func b2i(b bool) int64 {
 }
 
 // replayWALFile replays every complete record of the log at path into mem
-// and truncates a torn tail in place. A missing log is a no-op.
+// and truncates a torn tail in place. A missing log is a no-op. A log holding
+// a checksummed frame that does not decode is refused untouched: truncating
+// there would discard every acknowledged record behind it.
 func replayWALFile(fsys FS, mem *Server, path string, info *RecoveryInfo) error {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -337,8 +339,11 @@ func replayWALFile(fsys FS, mem *Server, path string, info *RecoveryInfo) error 
 		}
 		return err
 	}
-	records, validEnd, torn := scanWAL(f)
+	records, validEnd, torn, err := scanWAL(f)
 	f.Close()
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	if err := replayWAL(mem, records); err != nil {
 		return err
 	}
@@ -368,12 +373,12 @@ func (d *DurableServer) Epoch() int64 { return d.mem.Epoch() }
 // Dir returns the data directory path.
 func (d *DurableServer) Dir() string { return d.dir }
 
-// logMutation appends a record after the in-memory apply succeeded. With
-// SyncEvery=1 an acknowledged mutation is durable; a crash between apply
+// logFrame appends a record's frame after the in-memory apply succeeded.
+// With SyncEvery=1 an acknowledged mutation is durable; a crash between apply
 // and append loses only an operation that was never acknowledged, which is
 // indistinguishable (to the client) from crashing before the call. When the
-// kill point fires the record is written torn and the server plays dead.
-func (d *DurableServer) logMutation(rec *walRecord) error {
+// kill point fires the frame is written torn and the server plays dead.
+func (d *DurableServer) logFrame(frame []byte) error {
 	if d.walAppendLat != nil {
 		defer d.walAppendLat.ObserveSince(time.Now())
 	}
@@ -382,39 +387,54 @@ func (d *DurableServer) logMutation(rec *walRecord) error {
 		d.kills--
 		if d.kills == 0 {
 			d.killed = true
-			if err := d.wal.appendTorn(rec); err != nil {
+			if err := d.wal.appendTorn(frame); err != nil {
 				return err
 			}
 			return fmt.Errorf("%w: kill point at WAL append %d", ErrServerKilled, d.wal.appended+1)
 		}
 	}
-	return d.wal.append(rec)
+	return d.wal.append(frame)
 }
 
-// mutate runs apply against memory and logs the record on success. A WAL
-// append refused for lack of disk space parks the record (memory already
-// holds the effect) and returns a retryable error wrapping ErrDiskFull;
-// while anything is parked the server is degraded and sheds further writes
-// up front. Fail-stop WAL errors latch the server dead.
-func (d *DurableServer) mutate(apply func() error, rec *walRecord) error {
+// mutate encodes rec, applies it to memory and logs it.
+func (d *DurableServer) mutate(rec *walRecord) error {
+	frame, err := encodeWALRecord(rec)
+	if err != nil {
+		return err
+	}
+	return d.applyFramed(rec, frame, false)
+}
+
+// applyFramed applies rec to memory (rec.apply gives replay its meaning) and,
+// on success, appends frame — rec's encoding, made once by whoever built or
+// received the record — to the log. A root checkpoint is the exception: it is
+// made durable as a snapshot, which absorbs the log, not as a record in it.
+// A WAL append refused for lack of disk space parks the frame (memory already
+// holds the effect) and returns a retryable error wrapping ErrDiskFull; while
+// anything is parked the server is degraded and sheds further writes up
+// front. Fail-stop WAL errors latch the server dead.
+func (d *DurableServer) applyFramed(rec *walRecord, frame []byte, replay bool) error {
+	if rec.Op == walCheckpoint && rec.Name == "" {
+		return d.Checkpoint(rec.N)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.aliveLocked(); err != nil {
 		return err
 	}
-	// Drain parked records first so the log stays in apply order; if the
+	// Drain parked frames first so the log stays in apply order; if the
 	// disk is still full, shed this write before touching memory.
 	if err := d.flushParkedLocked(); err != nil {
 		d.sheds.Inc()
 		return err
 	}
-	if err := apply(); err != nil {
+	if err := rec.apply(d.mem, replay); err != nil {
 		return err
 	}
-	if err := d.logMutation(rec); err != nil {
+	if err := d.logFrame(frame); err != nil {
 		switch {
 		case errors.Is(err, ErrDiskFull):
-			d.parked = append(d.parked, rec)
+			d.parked = append(d.parked, frame)
 			d.setDegradedLocked(true)
 			d.sheds.Inc()
 			return err
@@ -452,7 +472,7 @@ func (d *DurableServer) failStopLocked(cause error) error {
 	return d.failed
 }
 
-// flushParkedLocked appends parked records in order; on success the server
+// flushParkedLocked appends parked frames in order; on success the server
 // leaves degraded mode. An ErrDiskFull return means the disk is still full.
 func (d *DurableServer) flushParkedLocked() error {
 	for len(d.parked) > 0 {
@@ -499,8 +519,7 @@ func (d *DurableServer) readGuard() error {
 
 // CreateArray implements Service.
 func (d *DurableServer) CreateArray(name string, n int) error {
-	return d.mutate(func() error { return d.mem.CreateArray(name, n) },
-		&walRecord{Op: walCreateArray, Name: name, N: int64(n)})
+	return d.mutate(&walRecord{Op: walCreateArray, Name: name, N: int64(n)})
 }
 
 // ArrayLen implements Service.
@@ -521,14 +540,12 @@ func (d *DurableServer) ReadCells(name string, idx []int64) ([][]byte, error) {
 
 // WriteCells implements Service.
 func (d *DurableServer) WriteCells(name string, idx []int64, cts [][]byte) error {
-	return d.mutate(func() error { return d.mem.WriteCells(name, idx, cts) },
-		&walRecord{Op: walWriteCells, Name: name, Idx: idx, Cts: cts})
+	return d.mutate(&walRecord{Op: walWriteCells, Name: name, Idx: idx, Cts: cts})
 }
 
 // CreateTree implements Service.
 func (d *DurableServer) CreateTree(name string, levels, slotsPerBucket int) error {
-	return d.mutate(func() error { return d.mem.CreateTree(name, levels, slotsPerBucket) },
-		&walRecord{Op: walCreateTree, Name: name, Levels: levels, Slots: slotsPerBucket})
+	return d.mutate(&walRecord{Op: walCreateTree, Name: name, Levels: levels, Slots: slotsPerBucket})
 }
 
 // ReadPath implements Service.
@@ -541,20 +558,17 @@ func (d *DurableServer) ReadPath(name string, leaf uint32) ([][]byte, error) {
 
 // WritePath implements Service.
 func (d *DurableServer) WritePath(name string, leaf uint32, slots [][]byte) error {
-	return d.mutate(func() error { return d.mem.WritePath(name, leaf, slots) },
-		&walRecord{Op: walWritePath, Name: name, Leaf: leaf, Cts: slots})
+	return d.mutate(&walRecord{Op: walWritePath, Name: name, Leaf: leaf, Cts: slots})
 }
 
 // WriteBuckets implements Service.
 func (d *DurableServer) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	return d.mutate(func() error { return d.mem.WriteBuckets(name, bucketStart, slots) },
-		&walRecord{Op: walWriteBuckets, Name: name, N: int64(bucketStart), Cts: slots})
+	return d.mutate(&walRecord{Op: walWriteBuckets, Name: name, N: int64(bucketStart), Cts: slots})
 }
 
 // Delete implements Service.
 func (d *DurableServer) Delete(name string) error {
-	return d.mutate(func() error { return d.mem.Delete(name) },
-		&walRecord{Op: walDelete, Name: name})
+	return d.mutate(&walRecord{Op: walDelete, Name: name})
 }
 
 // Reveal implements Service. Reveals are part of the adversary's trace, not
@@ -591,11 +605,7 @@ func (d *DurableServer) Checkpoint(epoch int64) error {
 // records and persist the marks in the snapshot payload) still happen on
 // root checkpoints and graceful shutdown.
 func (d *DurableServer) CheckpointNS(db string, epoch int64) error {
-	if db == "" {
-		return d.Checkpoint(epoch)
-	}
-	return d.mutate(func() error { return d.mem.CheckpointNS(db, epoch) },
-		&walRecord{Op: walCheckpoint, Name: db, N: epoch})
+	return d.mutate(&walRecord{Op: walCheckpoint, Name: db, N: epoch})
 }
 
 // StatsNS implements NamespaceService.
@@ -642,13 +652,6 @@ func (d *DurableServer) ResetFromSnapshot(r io.Reader) error {
 		return err
 	}
 	return d.snapshotLocked()
-}
-
-// appendRecord logs a record that has no in-memory mutation to apply (the
-// replication layer's fencing marks). It respects the kill point exactly
-// like a mutation.
-func (d *DurableServer) appendRecord(rec *walRecord) error {
-	return d.mutate(func() error { return nil }, rec)
 }
 
 // Snapshot writes a snapshot of the current state (whatever the epoch) and
@@ -762,15 +765,6 @@ func (d *DurableServer) Stats() (Stats, error) {
 		return Stats{}, err
 	}
 	return d.mem.Stats()
-}
-
-// ApplyRepair installs repaired ciphertexts (a walRepairCells/walRepairSlots
-// record) into memory and logs the record, so the self-heal survives a
-// restart. Like any mutation it is shed while the disk is full — the
-// in-memory install still lands, which is what foreground reads see.
-func (d *DurableServer) ApplyRepair(rec *walRecord) error {
-	isTree := rec.Op == walRepairSlots
-	return d.mutate(func() error { return d.mem.InstallStored(rec.Name, isTree, rec.Idx, rec.Cts) }, rec)
 }
 
 // ObjectNames lists live objects in the scrubber's fixed sweep order.

@@ -311,7 +311,7 @@ func Replicated(d *DurableServer, cfg ReplicationConfig) (*ReplicatedServer, err
 	if err := saveFence(d.fsys, d.Dir(), fence, primary); err != nil {
 		return nil, err
 	}
-	if err := d.appendRecord(fenceRecord(fence, primary)); err != nil && !errors.Is(err, ErrServerKilled) {
+	if err := d.mutate(fenceRecord(fence, primary)); err != nil && !errors.Is(err, ErrServerKilled) {
 		return nil, err
 	}
 	return r, nil
@@ -376,7 +376,7 @@ func (r *ReplicatedServer) adoptFenceLocked(fence int64, becomePrimary bool) err
 	} else if wasPrimary {
 		r.deposed = true
 	}
-	if err := r.d.appendRecord(fenceRecord(fence, becomePrimary)); err != nil && !errors.Is(err, ErrServerKilled) {
+	if err := r.d.mutate(fenceRecord(fence, becomePrimary)); err != nil && !errors.Is(err, ErrServerKilled) {
 		return err
 	}
 	r.publishRoleLocked()
@@ -478,50 +478,14 @@ func (r *ReplicatedServer) acceptFenceLocked(fence int64) error {
 	return nil
 }
 
-// applyRecord applies one shipped WAL record through the replica's durable
-// layer, so the record lands in the replica's own WAL and the idempotent
-// create-as-replace semantics of recovery replay hold here too.
-func applyRecord(d *DurableServer, rec *walRecord) error {
-	switch rec.Op {
-	case walCreateArray:
-		if err := d.Delete(rec.Name); err != nil && !errors.Is(err, ErrUnknownObject) {
-			return err
-		}
-		return d.CreateArray(rec.Name, int(rec.N))
-	case walWriteCells:
-		return d.WriteCells(rec.Name, rec.Idx, rec.Cts)
-	case walCreateTree:
-		if err := d.Delete(rec.Name); err != nil && !errors.Is(err, ErrUnknownObject) {
-			return err
-		}
-		return d.CreateTree(rec.Name, rec.Levels, rec.Slots)
-	case walWritePath:
-		return d.WritePath(rec.Name, rec.Leaf, rec.Cts)
-	case walWriteBuckets:
-		return d.WriteBuckets(rec.Name, int(rec.N), rec.Cts)
-	case walDelete:
-		if err := d.Delete(rec.Name); err != nil && !errors.Is(err, ErrUnknownObject) {
-			return err
-		}
-		return nil
-	case walCheckpoint:
-		return d.CheckpointNS(rec.Name, rec.N)
-	case walRepairCells, walRepairSlots:
-		// A primary-side repair replays here as an install: same bytes, no
-		// dirty bump, no trace event — the replica stays byte-identical.
-		return d.ApplyRepair(rec)
-	case walFence:
-		return nil // roles are not replicated
-	default:
-		return fmt.Errorf("%w: unknown replicated op %v", ErrIntegrity, rec.Op)
-	}
-}
-
-// ApplyReplicated implements Replicator. The whole batch is CRC-verified
-// before any record applies: a torn or bit-flipped stream yields
+// ApplyReplicated implements Replicator. The whole batch is CRC-verified and
+// decoded before any record applies: a torn or bit-flipped stream yields
 // ErrIntegrity with zero state change, and the primary responds by pushing
 // a snapshot resync. A sequence gap (seq != watermark) is handled the same
-// way — the replica never guesses at missing records.
+// way — the replica never guesses at missing records. Each record then goes
+// through the replica's durable layer with replay semantics (a create
+// replaces, a delete of nothing succeeds), and what lands in the replica's
+// log is the verified frame as received, byte for byte the primary's.
 func (r *ReplicatedServer) ApplyReplicated(fence, seq int64, frames [][]byte) (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -533,18 +497,24 @@ func (r *ReplicatedServer) ApplyReplicated(fence, seq int64, frames [][]byte) (i
 	}
 	records := make([]*walRecord, 0, len(frames))
 	for i, frame := range frames {
-		rec, n, err := readWALRecord(bytes.NewReader(frame))
-		if err != nil || n != int64(len(frame)) {
+		payload, err := checkWALFrame(frame)
+		if err != nil {
 			return r.watermark, fmt.Errorf("%w: replication frame %d of %d failed CRC validation", ErrIntegrity, i, len(frames))
+		}
+		rec, err := decodeWALPayload(payload)
+		if err != nil {
+			return r.watermark, fmt.Errorf("%w: replication frame %d of %d: %v", ErrIntegrity, i, len(frames), err)
 		}
 		records = append(records, rec)
 	}
 	asp := r.cfg.Trace.Start("repl/apply")
 	defer asp.End()
-	for _, rec := range records {
-		if err := applyRecord(r.d, rec); err != nil {
-			r.publishRoleLocked()
-			return r.watermark, err
+	for i, rec := range records {
+		if rec.Op != walFence { // roles are not replicated
+			if err := r.d.applyFramed(rec, frames[i], true); err != nil {
+				r.publishRoleLocked()
+				return r.watermark, err
+			}
 		}
 		r.watermark++
 		r.applied.Inc()
@@ -645,7 +615,7 @@ func (r *ReplicatedServer) repairStoredLocked(name string, isTree bool, idx []in
 		if err != nil {
 			return err
 		}
-		if aerr := r.d.ApplyRepair(rec); aerr != nil {
+		if aerr := r.d.applyFramed(rec, frame, false); aerr != nil {
 			// A full disk parks the record rather than appending it; the
 			// in-memory install may still have landed, in which case the
 			// repair stands for readers now and becomes durable when the
@@ -825,11 +795,12 @@ func (r *ReplicatedServer) ReplicaLag() int64 {
 // every reachable replica, the invariant the failover harness leans on.
 // shipMu spans the whole call so the stream order is the WAL order; mu is
 // released before the network calls so a slow peer stalls only writers.
-// The frame is encoded before apply: an encoding failure rejects the
-// operation outright, rather than applying a record that could never ship —
-// a divergence the stream position check would never see, since shipped
-// would not advance either.
-func (r *ReplicatedServer) mutate(rec *walRecord, apply func() error) error {
+// The record is encoded once, here, before it applies: the durable layer
+// appends these bytes and every peer is sent them, and an encoding failure
+// rejects the operation outright rather than applying a record that could
+// never ship — a divergence the stream position check would never see, since
+// shipped would not advance either.
+func (r *ReplicatedServer) mutate(rec *walRecord) error {
 	r.shipMu.Lock()
 	defer r.shipMu.Unlock()
 	r.mu.Lock()
@@ -842,7 +813,7 @@ func (r *ReplicatedServer) mutate(rec *walRecord, apply func() error) error {
 		r.mu.Unlock()
 		return err
 	}
-	if err := apply(); err != nil {
+	if err := r.d.applyFramed(rec, frame, false); err != nil {
 		r.mu.Unlock()
 		return err
 	}
@@ -867,8 +838,7 @@ func (r *ReplicatedServer) read(fn func() error) error {
 
 // CreateArray implements Service.
 func (r *ReplicatedServer) CreateArray(name string, n int) error {
-	return r.mutate(&walRecord{Op: walCreateArray, Name: name, N: int64(n)},
-		func() error { return r.d.CreateArray(name, n) })
+	return r.mutate(&walRecord{Op: walCreateArray, Name: name, N: int64(n)})
 }
 
 // ArrayLen implements Service.
@@ -897,14 +867,12 @@ func (r *ReplicatedServer) ReadCells(name string, idx []int64) (cts [][]byte, er
 
 // WriteCells implements Service.
 func (r *ReplicatedServer) WriteCells(name string, idx []int64, cts [][]byte) error {
-	return r.mutate(&walRecord{Op: walWriteCells, Name: name, Idx: idx, Cts: cts},
-		func() error { return r.d.WriteCells(name, idx, cts) })
+	return r.mutate(&walRecord{Op: walWriteCells, Name: name, Idx: idx, Cts: cts})
 }
 
 // CreateTree implements Service.
 func (r *ReplicatedServer) CreateTree(name string, levels, slotsPerBucket int) error {
-	return r.mutate(&walRecord{Op: walCreateTree, Name: name, Levels: levels, Slots: slotsPerBucket},
-		func() error { return r.d.CreateTree(name, levels, slotsPerBucket) })
+	return r.mutate(&walRecord{Op: walCreateTree, Name: name, Levels: levels, Slots: slotsPerBucket})
 }
 
 // ReadPath implements Service. Corruption on the path repairs from a
@@ -926,20 +894,17 @@ func (r *ReplicatedServer) ReadPath(name string, leaf uint32) (cts [][]byte, err
 
 // WritePath implements Service.
 func (r *ReplicatedServer) WritePath(name string, leaf uint32, slots [][]byte) error {
-	return r.mutate(&walRecord{Op: walWritePath, Name: name, Leaf: leaf, Cts: slots},
-		func() error { return r.d.WritePath(name, leaf, slots) })
+	return r.mutate(&walRecord{Op: walWritePath, Name: name, Leaf: leaf, Cts: slots})
 }
 
 // WriteBuckets implements Service.
 func (r *ReplicatedServer) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	return r.mutate(&walRecord{Op: walWriteBuckets, Name: name, N: int64(bucketStart), Cts: slots},
-		func() error { return r.d.WriteBuckets(name, bucketStart, slots) })
+	return r.mutate(&walRecord{Op: walWriteBuckets, Name: name, N: int64(bucketStart), Cts: slots})
 }
 
 // Delete implements Service.
 func (r *ReplicatedServer) Delete(name string) error {
-	return r.mutate(&walRecord{Op: walDelete, Name: name},
-		func() error { return r.d.Delete(name) })
+	return r.mutate(&walRecord{Op: walDelete, Name: name})
 }
 
 // Reveal implements Service. Reveals are part of the adversary's trace at
@@ -953,17 +918,12 @@ func (r *ReplicatedServer) Reveal(tag string, value int64) error {
 // record, so a replica snapshots at the same epochs the primary does — the
 // "last epoch snapshot" a resync falls back to exists on both sides.
 func (r *ReplicatedServer) Checkpoint(epoch int64) error {
-	return r.mutate(&walRecord{Op: walCheckpoint, Name: "", N: epoch},
-		func() error { return r.d.Checkpoint(epoch) })
+	return r.mutate(&walRecord{Op: walCheckpoint, N: epoch})
 }
 
 // CheckpointNS implements NamespaceService.
 func (r *ReplicatedServer) CheckpointNS(db string, epoch int64) error {
-	if db == "" {
-		return r.Checkpoint(epoch)
-	}
-	return r.mutate(&walRecord{Op: walCheckpoint, Name: db, N: epoch},
-		func() error { return r.d.CheckpointNS(db, epoch) })
+	return r.mutate(&walRecord{Op: walCheckpoint, Name: db, N: epoch})
 }
 
 // Batch implements Batcher: ops apply one by one through the durable layer
@@ -988,13 +948,13 @@ func (r *ReplicatedServer) Batch(ops []BatchOp) ([][][]byte, error) {
 	}
 	for i, op := range ops {
 		if op.Write {
-			// Encode first, as in mutate: a frame that cannot ship must not
-			// apply.
-			frame, err := encodeWALRecord(&walRecord{Op: walWriteCells, Name: op.Name, Idx: op.Idx, Cts: op.Cts})
+			// Encode first, and once, as in mutate.
+			rec := &walRecord{Op: walWriteCells, Name: op.Name, Idx: op.Idx, Cts: op.Cts}
+			frame, err := encodeWALRecord(rec)
 			if err != nil {
 				return fail(err)
 			}
-			if err := r.d.WriteCells(op.Name, op.Idx, op.Cts); err != nil {
+			if err := r.d.applyFramed(rec, frame, false); err != nil {
 				return fail(err)
 			}
 			frames = append(frames, frame)

@@ -285,7 +285,7 @@ func (sc *Scrubber) sweepWAL() error {
 	}
 	// Scan exactly the frames the writer considers complete; bytes past
 	// size belong to appends racing this scan and are not judged.
-	_, validEnd, torn := scanWAL(io.LimitReader(f, size))
+	_, validEnd, torn, scanErr := scanWAL(io.LimitReader(f, size))
 	f.Close()
 	sc.filesC.Inc()
 	sc.pace(size / 1024)
@@ -293,7 +293,7 @@ func (sc *Scrubber) sweepWAL() error {
 	if truncsAfter != truncsBefore {
 		return nil // compacted mid-scan; next sweep sees the new log
 	}
-	if !torn && validEnd == size {
+	if !torn && scanErr == nil && validEnd == size {
 		return nil
 	}
 	// Damage inside the acknowledged prefix: every one of those records is

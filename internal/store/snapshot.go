@@ -3,11 +3,13 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sort"
+
+	"github.com/oblivfd/oblivfd/internal/wire"
 )
 
 // Snapshot persistence: the server can serialize its entire encrypted state
@@ -16,41 +18,45 @@ import (
 // sensitive as the server's live memory (which the threat model already
 // hands to the adversary).
 //
-// Wire format (version 2): an 8-byte magic, the recovery epoch and the
-// mutations-since-epoch count, then a CRC32-framed gob payload:
+// Format (version 3): an 8-byte magic, the recovery epoch and the
+// mutations-since-epoch count, then a CRC32-framed payload in the
+// internal/wire layout:
 //
-//	"OFDSNAP2" | epoch int64 | dirty int64 | payloadLen uint64 | crc32 uint32 | gob(snapshot)
+//	"OFDSNAP3" | epoch int64 | dirty int64 | payloadLen uint64 | crc32 uint32 | payload
+//	payload = count { name run(cells) }                          arrays
+//	          count { name varint(levels) varint(slots) run(slots) }  trees
+//	          count { name varint(epoch) varint(dirty) }         non-root marks
 //
-// All integers are little-endian. The CRC covers the epoch and dirty header
-// fields followed by the gob payload — a flipped epoch must not verify, or a
+// each table in ascending name order, so equal states are equal bytes. Header
+// integers are little-endian. The CRC covers the epoch and dirty header
+// fields followed by the payload — a flipped epoch must not verify, or a
 // resumed client could pass the epoch-match check against the wrong state.
 // The rest of the header is validated structurally (magic, sane length). Any
 // truncation, bit flip, or shape violation surfaces as ErrCorruptSnapshot —
-// never a raw gob error and never a panic — so callers can classify it as
+// never a raw decode error and never a panic — so callers can classify it as
 // fatal (see DefaultRetryable).
 
 // snapshotMagic identifies the framed snapshot format. Version bumps change
-// the trailing digit so an old binary fails loudly instead of misparsing.
-var snapshotMagic = [8]byte{'O', 'F', 'D', 'S', 'N', 'A', 'P', '2'}
+// the trailing digit so a binary of another version fails loudly instead of
+// misparsing; there is no migration, and the gob-era OFDSNAP2 is refused by
+// name.
+var snapshotMagic = [8]byte{'O', 'F', 'D', 'S', 'N', 'A', 'P', '3'}
 
 // maxSnapshotPayload bounds the declared payload length so a corrupted
 // header cannot trigger a huge allocation before the CRC check.
 const maxSnapshotPayload = 1 << 40
 
-// snapshot is the gob wire form of a server's storage. Marks carries the
+// snapshot is the decoded form of a server's storage. Marks carries the
 // recovery marks of every non-root namespace (the root namespace's mark
-// rides in the framed header for compatibility with pre-multi-tenant
-// snapshots); it lives inside the CRC-covered payload, so a flipped tenant
-// epoch fails verification exactly like a flipped root epoch. Snapshots
-// written before multi-tenancy decode with a nil Marks map, which restores
-// as "no non-root namespaces" — correct, since such servers had none.
+// rides in the framed header); it lives inside the CRC-covered payload, so a
+// flipped tenant epoch fails verification exactly like a flipped root epoch.
 type snapshot struct {
 	Arrays map[string]arraySnapshot
 	Trees  map[string]treeSnapshot
 	Marks  map[string]markSnapshot
 }
 
-// markSnapshot is the wire form of one namespace's recovery mark.
+// markSnapshot is one namespace's recovery mark.
 type markSnapshot struct {
 	Epoch int64
 	Dirty int64
@@ -74,6 +80,7 @@ func (s *Server) SaveSnapshot(w io.Writer) error {
 	snap := snapshot{
 		Arrays: make(map[string]arraySnapshot, len(s.arrays)),
 		Trees:  make(map[string]treeSnapshot, len(s.trees)),
+		Marks:  make(map[string]markSnapshot, len(s.marks)),
 	}
 	for name, a := range s.arrays {
 		snap.Arrays[name] = arraySnapshot{Cells: a.cells}
@@ -87,48 +94,130 @@ func (s *Server) SaveSnapshot(w io.Writer) error {
 			epoch, dirty = m.epoch, m.dirty
 			continue
 		}
-		if snap.Marks == nil {
-			snap.Marks = make(map[string]markSnapshot)
-		}
 		snap.Marks[db] = markSnapshot{Epoch: m.epoch, Dirty: m.dirty}
 	}
+	// Encode under the lock: the maps share the live cell slices.
+	payload := snap.encode()
 	s.mu.RUnlock()
-	return writeSnapshotStream(w, epoch, dirty, &snap)
+	return writeSnapshotStream(w, epoch, dirty, payload)
 }
 
-func writeSnapshotStream(w io.Writer, epoch, dirty int64, snap *snapshot) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", err)
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	return keys
+}
+
+// encode renders the payload.
+func (sn *snapshot) encode() []byte {
+	// One allocation for the whole payload: growing by doubling would leave
+	// up to the snapshot's size again in garbage.
+	size := 3 * binary.MaxVarintLen64
+	for name, a := range sn.Arrays {
+		size += wire.SizeBytes(len(name)) + wire.SizeRun(a.Cells)
+	}
+	for name, t := range sn.Trees {
+		size += wire.SizeBytes(len(name)) + 2*binary.MaxVarintLen64 + wire.SizeRun(t.Data)
+	}
+	for db := range sn.Marks {
+		size += wire.SizeBytes(len(db)) + 2*binary.MaxVarintLen64
+	}
+	b := make([]byte, 0, size)
+	b = binary.AppendUvarint(b, uint64(len(sn.Arrays)))
+	for _, name := range sortedKeys(sn.Arrays) {
+		b = wire.PutString(b, name)
+		b = wire.PutRun(b, sn.Arrays[name].Cells)
+	}
+	b = binary.AppendUvarint(b, uint64(len(sn.Trees)))
+	for _, name := range sortedKeys(sn.Trees) {
+		t := sn.Trees[name]
+		b = wire.PutString(b, name)
+		b = binary.AppendVarint(b, int64(t.Levels))
+		b = binary.AppendVarint(b, int64(t.Slots))
+		b = wire.PutRun(b, t.Data)
+	}
+	b = binary.AppendUvarint(b, uint64(len(sn.Marks)))
+	for _, db := range sortedKeys(sn.Marks) {
+		m := sn.Marks[db]
+		b = wire.PutString(b, db)
+		b = binary.AppendVarint(b, m.Epoch)
+		b = binary.AppendVarint(b, m.Dirty)
+	}
+	return b
+}
+
+// decodeSnapshot parses a payload whose CRC already verified. Every stored
+// ciphertext gets its own allocation: the server keeps them cell by cell.
+func decodeSnapshot(payload []byte) (*snapshot, error) {
+	r := wire.NewReader(payload)
+	sn := &snapshot{
+		Arrays: make(map[string]arraySnapshot),
+		Trees:  make(map[string]treeSnapshot),
+		Marks:  make(map[string]markSnapshot),
+	}
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		name := r.String()
+		if _, dup := sn.Arrays[name]; dup {
+			r.Fail("array %q appears twice", name)
+		}
+		sn.Arrays[name] = arraySnapshot{Cells: r.Run(false)}
+	}
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		name := r.String()
+		if _, dup := sn.Trees[name]; dup {
+			r.Fail("tree %q appears twice", name)
+		}
+		sn.Trees[name] = treeSnapshot{Levels: r.Int(), Slots: r.Int(), Data: r.Run(false)}
+	}
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		db := r.String()
+		if _, dup := sn.Marks[db]; dup {
+			r.Fail("namespace %q marked twice", db)
+		}
+		sn.Marks[db] = markSnapshot{Epoch: r.Varint(), Dirty: r.Varint()}
+	}
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	return sn, nil
+}
+
+func writeSnapshotStream(w io.Writer, epoch, dirty int64, payload []byte) error {
 	header := make([]byte, 8+8+8+8+4)
 	copy(header, snapshotMagic[:])
 	binary.LittleEndian.PutUint64(header[8:], uint64(epoch))
 	binary.LittleEndian.PutUint64(header[16:], uint64(dirty))
-	binary.LittleEndian.PutUint64(header[24:], uint64(payload.Len()))
+	binary.LittleEndian.PutUint64(header[24:], uint64(len(payload)))
 	crc := crc32.NewIEEE()
 	crc.Write(header[8:24]) // epoch | dirty
-	crc.Write(payload.Bytes())
+	crc.Write(payload)
 	binary.LittleEndian.PutUint32(header[32:], crc.Sum32())
 	if _, err := w.Write(header); err != nil {
 		return fmt.Errorf("store: writing snapshot header: %w", err)
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		return fmt.Errorf("store: writing snapshot payload: %w", err)
 	}
 	return nil
 }
 
 // readSnapshotStream parses and validates a framed snapshot. Every failure
-// mode — short read, bad magic, CRC mismatch, gob decode error (including
-// decoder panics on hostile input), shape violations — wraps
-// ErrCorruptSnapshot.
+// mode — short read, bad magic, CRC mismatch, payload that does not decode,
+// shape violations — wraps ErrCorruptSnapshot.
 func readSnapshotStream(r io.Reader) (epoch, dirty int64, snap *snapshot, err error) {
 	header := make([]byte, 8+8+8+8+4)
 	if _, rerr := io.ReadFull(r, header); rerr != nil {
 		return 0, 0, nil, fmt.Errorf("%w: short header: %v", ErrCorruptSnapshot, rerr)
 	}
 	if !bytes.Equal(header[:8], snapshotMagic[:]) {
+		if string(header[:8]) == "OFDSNAP2" {
+			return 0, 0, nil, fmt.Errorf("%w: format OFDSNAP2 (gob payload) is not readable by this build, which reads only %s",
+				ErrCorruptSnapshot, snapshotMagic[:])
+		}
 		return 0, 0, nil, fmt.Errorf("%w: bad magic %q", ErrCorruptSnapshot, header[:8])
 	}
 	epoch = int64(binary.LittleEndian.Uint64(header[8:]))
@@ -141,33 +230,21 @@ func readSnapshotStream(r io.Reader) (epoch, dirty int64, snap *snapshot, err er
 	// Read incrementally: a corrupted length field must not provoke a huge
 	// up-front allocation — a short stream fails here after reading only
 	// what actually exists.
-	var payloadBuf bytes.Buffer
-	if n, rerr := io.CopyN(&payloadBuf, r, int64(plen)); rerr != nil || n != int64(plen) {
-		return 0, 0, nil, fmt.Errorf("%w: short payload (%d of %d bytes): %v", ErrCorruptSnapshot, n, plen, rerr)
+	payload, rerr := wire.AppendN(r, nil, plen)
+	if rerr != nil {
+		return 0, 0, nil, fmt.Errorf("%w: short payload (%d of %d bytes): %v", ErrCorruptSnapshot, len(payload), plen, rerr)
 	}
-	payload := payloadBuf.Bytes()
 	crc := crc32.NewIEEE()
 	crc.Write(header[8:24]) // epoch | dirty
 	crc.Write(payload)
 	if got := crc.Sum32(); got != want {
 		return 0, 0, nil, fmt.Errorf("%w: CRC mismatch (got %08x, want %08x)", ErrCorruptSnapshot, got, want)
 	}
-	snap = new(snapshot)
-	if derr := safeGobDecode(payload, snap); derr != nil {
+	snap, derr := decodeSnapshot(payload)
+	if derr != nil {
 		return 0, 0, nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, derr)
 	}
 	return epoch, dirty, snap, nil
-}
-
-// safeGobDecode decodes gob data into v, converting decoder panics (which
-// crafted streams can still trigger) into errors.
-func safeGobDecode(data []byte, v any) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("gob decode panicked: %v", p)
-		}
-	}()
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
 // restore converts the wire form back into live objects, validating shapes.

@@ -1,15 +1,15 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"syscall"
+
+	"github.com/oblivfd/oblivfd/internal/wire"
 )
 
 // Write-ahead log: every mutating storage operation is appended as one
@@ -18,13 +18,33 @@ import (
 // (partial frame from a crash mid-append) is detected by the framing and
 // truncated, never replayed and never a panic.
 //
-// Frame format, all little-endian:
+// Frame format (integers little-endian, payload in the internal/wire
+// layout — uvarint, zigzag varint, `bytes`, delta-coded `indices`, `run`):
 //
-//	payloadLen uint32 | crc32 uint32 | gob(walRecord)
+//	frame   = payloadLen uint32 | crc32(payload) uint32 | payload
+//	payload = walVersion op fields(op)
 //
-// Each record uses a fresh gob encoder so frames decode independently —
-// replay can start from any snapshot boundary and a torn frame cannot
-// poison its successors.
+// fields(op) are the fields the walRecord comment lists for that op, in
+// that order. Frames decode independently — replay can start from any
+// snapshot boundary and a torn frame cannot poison its successors — and the
+// same frame bytes are what the primary appends, what it ships, and what the
+// replica appends: a mutation is encoded once per node.
+//
+// Version rule: the first payload byte is walVersion; there is one format
+// and no migration. Torn and corrupt are different verdicts. A frame that
+// ends early or fails its CRC is a torn tail: expected after a crash,
+// truncated, recovery continues. A frame whose length and CRC verify but
+// whose payload does not parse — a wrong version byte (a gob-era log), a
+// short field, trailing bytes — was written that way, so nothing after it
+// can be trusted to extend the snapshot and nothing is thrown away on a
+// guess: ErrCorruptWAL, OpenDir fails, the file is left as found.
+//
+// Ownership: a decoded record owns its bytes. Each ciphertext is its own
+// allocation, because replay and replication hand them to the store, which
+// keeps them cell by cell.
+
+// walVersion is the payload format this build reads and writes.
+const walVersion = 1
 
 // walOp enumerates the mutations the log can carry. Reads are not logged:
 // they change nothing the snapshot+log must reconstruct.
@@ -64,8 +84,8 @@ func (o walOp) String() string {
 //	WriteBuckets: Name, N (bucketStart), Cts
 //	Delete:       Name
 //	Checkpoint:   Name (database namespace, "" = root), N (epoch)
-//	Fence:        N (fencing epoch), Name ("primary" or "replica" — the role
-//	              adopted with it)
+//	Fence:        Name ("primary" or "replica" — the role adopted with it),
+//	              N (fencing epoch)
 //	RepairCells:  Name, Idx, Cts (array self-heal; replays as an install —
 //	              no dirty bump, no trace event)
 //	RepairSlots:  Name, Idx (flat slot indices), Cts (tree self-heal)
@@ -80,72 +100,130 @@ type walRecord struct {
 	Cts    [][]byte
 }
 
-// maxWALPayload bounds a declared frame length so a corrupted length field
-// cannot trigger a huge allocation before the CRC check.
-const maxWALPayload = 1 << 32
+// walHeaderLen is the frame header: payload length and CRC.
+const walHeaderLen = 8
 
-// encodeWALRecord renders one framed record.
+// encodeWALRecord renders one framed record in a single allocation.
 func encodeWALRecord(rec *walRecord) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
-		return nil, fmt.Errorf("store: encoding WAL record: %w", err)
+	// Exact but for the scalars, which are bounded instead of measured.
+	size := walHeaderLen + 2 + wire.SizeBytes(len(rec.Name)) + 2*binary.MaxVarintLen64 +
+		wire.SizeIndices(rec.Idx) + wire.SizeRun(rec.Cts)
+	b := make([]byte, walHeaderLen, size)
+	b = append(b, walVersion, byte(rec.Op))
+	b = wire.PutString(b, rec.Name)
+	switch rec.Op {
+	case walCreateArray, walCheckpoint, walFence:
+		b = binary.AppendVarint(b, rec.N)
+	case walWriteCells, walRepairCells, walRepairSlots:
+		b = wire.PutIndices(b, rec.Idx)
+		b = wire.PutRun(b, rec.Cts)
+	case walCreateTree:
+		b = binary.AppendVarint(b, int64(rec.Levels))
+		b = binary.AppendVarint(b, int64(rec.Slots))
+	case walWritePath:
+		b = binary.AppendUvarint(b, uint64(rec.Leaf))
+		b = wire.PutRun(b, rec.Cts)
+	case walWriteBuckets:
+		b = binary.AppendVarint(b, rec.N)
+		b = wire.PutRun(b, rec.Cts)
+	case walDelete:
+	default:
+		return nil, fmt.Errorf("store: encoding WAL record: unknown op %v", rec.Op)
 	}
-	frame := make([]byte, 8+payload.Len())
-	binary.LittleEndian.PutUint32(frame[0:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload.Bytes()))
-	copy(frame[8:], payload.Bytes())
-	return frame, nil
+	payload := b[walHeaderLen:]
+	if uint64(len(payload)) > maxWALPayload {
+		return nil, fmt.Errorf("store: encoding WAL record: %d-byte payload exceeds the frame's 32-bit length", len(payload))
+	}
+	binary.LittleEndian.PutUint32(b[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(payload))
+	return b, nil
 }
 
-// errTornFrame distinguishes an incomplete/garbled tail (expected after a
-// crash; truncate and continue) from corruption in the middle of the log.
+// decodeWALPayload parses a payload whose CRC already verified. Any failure
+// wraps ErrCorruptWAL: these bytes are what was written.
+func decodeWALPayload(payload []byte) (*walRecord, error) {
+	r := wire.NewReader(payload)
+	if v := r.Byte(); r.Err() == nil && v != walVersion {
+		return nil, fmt.Errorf("%w: record has format version %#02x, this build reads only version %d (logs written by gob-era builds are not readable)",
+			ErrCorruptWAL, v, walVersion)
+	}
+	rec := &walRecord{Op: walOp(r.Byte())}
+	rec.Name = r.String()
+	switch rec.Op {
+	case walCreateArray, walCheckpoint, walFence:
+		rec.N = r.Varint()
+	case walWriteCells, walRepairCells, walRepairSlots:
+		rec.Idx = r.Indices()
+		rec.Cts = r.Run(false)
+	case walCreateTree:
+		rec.Levels = r.Int()
+		rec.Slots = r.Int()
+	case walWritePath:
+		rec.Leaf = r.Uint32()
+		rec.Cts = r.Run(false)
+	case walWriteBuckets:
+		rec.N = r.Varint()
+		rec.Cts = r.Run(false)
+	case walDelete:
+	default:
+		r.Fail("unknown op %v", rec.Op)
+	}
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: checksummed %v record does not decode: %v", ErrCorruptWAL, rec.Op, err)
+	}
+	return rec, nil
+}
+
+// maxWALPayload is the largest payload the frame's length field can declare.
+const maxWALPayload = 1<<32 - 1
+
+// errTornFrame marks bytes that do not form a complete frame with a matching
+// checksum — the tail a crash mid-append leaves behind.
 var errTornFrame = errors.New("torn frame")
 
-// readWALRecord reads one frame from r. io.EOF means a clean end;
-// errTornFrame means the bytes at the current offset do not form a complete
-// valid frame.
-func readWALRecord(r io.Reader) (*walRecord, int64, error) {
-	header := make([]byte, 8)
-	if _, err := io.ReadFull(r, header); err != nil {
-		if err == io.EOF {
-			return nil, 0, io.EOF
-		}
-		return nil, 0, errTornFrame // partial header
+// checkWALFrame verifies that frame is exactly one record frame — header,
+// declared length, CRC — and returns its payload.
+func checkWALFrame(frame []byte) ([]byte, error) {
+	if len(frame) < walHeaderLen {
+		return nil, errTornFrame
 	}
-	plen := binary.LittleEndian.Uint32(header[0:])
-	want := binary.LittleEndian.Uint32(header[4:])
-	if uint64(plen) > maxWALPayload {
-		return nil, 0, errTornFrame
+	payload := frame[walHeaderLen:]
+	if uint64(binary.LittleEndian.Uint32(frame[0:])) != uint64(len(payload)) ||
+		binary.LittleEndian.Uint32(frame[4:]) != crc32.ChecksumIEEE(payload) {
+		return nil, errTornFrame
 	}
-	var payloadBuf bytes.Buffer
-	if n, err := io.CopyN(&payloadBuf, r, int64(plen)); err != nil || n != int64(plen) {
-		return nil, 0, errTornFrame // partial payload
-	}
-	payload := payloadBuf.Bytes()
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, 0, errTornFrame
-	}
-	rec := new(walRecord)
-	if err := safeGobDecode(payload, rec); err != nil {
-		return nil, 0, errTornFrame
-	}
-	return rec, int64(8 + len(payload)), nil
+	return payload, nil
 }
 
-// scanWAL reads every complete frame from r and reports the byte offset of
-// the end of the last valid frame. A torn tail stops the scan without error;
-// the caller truncates the file to validEnd.
-func scanWAL(r io.Reader) (records []*walRecord, validEnd int64, torn bool) {
+// scanWAL reads frames from r until the stream ends and reports the byte
+// offset of the end of the last valid one. A torn tail stops the scan without
+// error; the caller truncates the file to validEnd. A checksummed frame that
+// does not decode stops it with ErrCorruptWAL, validEnd at that frame's
+// start; the caller must not truncate.
+func scanWAL(r io.Reader) (records []*walRecord, validEnd int64, torn bool, err error) {
+	var header [walHeaderLen]byte
+	var frame []byte
 	for {
-		rec, n, err := readWALRecord(r)
-		if err == io.EOF {
-			return records, validEnd, false
+		if _, rerr := io.ReadFull(r, header[:]); rerr != nil {
+			return records, validEnd, rerr != io.EOF, nil // partial header unless a clean end
 		}
-		if err != nil {
-			return records, validEnd, true
+		// A garbled length must not size an allocation: AppendN grows with
+		// the bytes that are there.
+		var rerr error
+		frame, rerr = wire.AppendN(r, append(frame[:0], header[:]...), uint64(binary.LittleEndian.Uint32(header[0:])))
+		if rerr != nil {
+			return records, validEnd, true, nil // partial payload
+		}
+		payload, ferr := checkWALFrame(frame)
+		if ferr != nil {
+			return records, validEnd, true, nil
+		}
+		rec, derr := decodeWALPayload(payload)
+		if derr != nil {
+			return records, validEnd, false, fmt.Errorf("%w (frame at byte %d)", derr, validEnd)
 		}
 		records = append(records, rec)
-		validEnd += n
+		validEnd += int64(len(frame))
 	}
 }
 
@@ -159,45 +237,57 @@ func scanWAL(r io.Reader) (records []*walRecord, validEnd int64, torn bool) {
 // corruption, not a torn tail.
 func replayWAL(s *Server, records []*walRecord) error {
 	for i, rec := range records {
-		var err error
-		switch rec.Op {
-		case walCreateArray:
-			_ = s.Delete(rec.Name) // create-as-replace for idempotent replay
-			err = s.CreateArray(rec.Name, int(rec.N))
-		case walWriteCells:
-			err = s.WriteCells(rec.Name, rec.Idx, rec.Cts)
-		case walCreateTree:
-			_ = s.Delete(rec.Name)
-			err = s.CreateTree(rec.Name, rec.Levels, rec.Slots)
-		case walWritePath:
-			err = s.WritePath(rec.Name, rec.Leaf, rec.Cts)
-		case walWriteBuckets:
-			err = s.WriteBuckets(rec.Name, int(rec.N), rec.Cts)
-		case walDelete:
-			if derr := s.Delete(rec.Name); derr != nil && !errors.Is(derr, ErrUnknownObject) {
-				err = derr
-			}
-		case walCheckpoint:
-			// Name carries the database namespace; records written before
-			// multi-tenancy have Name == "" and replay as root checkpoints,
-			// exactly as they always did.
-			err = s.CheckpointNS(rec.Name, rec.N)
-		case walFence:
-			// Fencing epochs are an audit trail in the log; the FENCE file
-			// (see replicate.go) is the authoritative durable copy, so
-			// replay has nothing to apply to the in-memory state.
-		case walRepairCells:
-			err = s.InstallStored(rec.Name, false, rec.Idx, rec.Cts)
-		case walRepairSlots:
-			err = s.InstallStored(rec.Name, true, rec.Idx, rec.Cts)
-		default:
-			err = fmt.Errorf("unknown op %v", rec.Op)
-		}
-		if err != nil {
+		if err := rec.apply(s, true); err != nil {
 			return fmt.Errorf("%w: record %d (%v %q): %v", ErrCorruptWAL, i, rec.Op, rec.Name, err)
 		}
 	}
 	return nil
+}
+
+// apply runs the record against the in-memory server. With replay set it has
+// the idempotent semantics recovery and replication need — a create replaces
+// whatever holds the name, a delete of nothing succeeds — because the state
+// underneath may already include the record; without it, the strict ones a
+// client's own call gets.
+func (rec *walRecord) apply(s *Server, replay bool) error {
+	switch rec.Op {
+	case walCreateArray:
+		if replay {
+			_ = s.Delete(rec.Name)
+		}
+		return s.CreateArray(rec.Name, int(rec.N))
+	case walWriteCells:
+		return s.WriteCells(rec.Name, rec.Idx, rec.Cts)
+	case walCreateTree:
+		if replay {
+			_ = s.Delete(rec.Name)
+		}
+		return s.CreateTree(rec.Name, rec.Levels, rec.Slots)
+	case walWritePath:
+		return s.WritePath(rec.Name, rec.Leaf, rec.Cts)
+	case walWriteBuckets:
+		return s.WriteBuckets(rec.Name, int(rec.N), rec.Cts)
+	case walDelete:
+		err := s.Delete(rec.Name)
+		if replay && errors.Is(err, ErrUnknownObject) {
+			return nil
+		}
+		return err
+	case walCheckpoint:
+		// Name carries the database namespace; "" is the root.
+		return s.CheckpointNS(rec.Name, rec.N)
+	case walFence:
+		// Fencing epochs are an audit trail in the log; the FENCE file
+		// (see replicate.go) is the authoritative durable copy, so there
+		// is nothing to apply to the in-memory state.
+		return nil
+	case walRepairCells:
+		return s.InstallStored(rec.Name, false, rec.Idx, rec.Cts)
+	case walRepairSlots:
+		return s.InstallStored(rec.Name, true, rec.Idx, rec.Cts)
+	default:
+		return fmt.Errorf("unknown op %v", rec.Op)
+	}
 }
 
 // errWALFailStop classifies WAL failures the durable layer must treat as
@@ -232,16 +322,12 @@ func openWALWriter(fsys FS, path string, syncEvery int) (*walWriter, error) {
 	return &walWriter{f: f, syncEvery: syncEvery, size: info.Size()}, nil
 }
 
-// append frames and writes one record, fsyncing per the cadence. A failed
+// append writes one encoded frame, fsyncing per the cadence. A failed
 // write (ENOSPC) is rolled back by truncating to the pre-append size so the
 // log never carries a torn frame the next recovery would mistake for a
 // crash; only if that rollback itself fails does the error escalate to
 // fail-stop.
-func (w *walWriter) append(rec *walRecord) error {
-	frame, err := encodeWALRecord(rec)
-	if err != nil {
-		return err
-	}
+func (w *walWriter) append(frame []byte) error {
 	if _, err := w.f.Write(frame); err != nil {
 		if terr := w.f.Truncate(w.size); terr != nil {
 			return fmt.Errorf("%w: append failed (%v) and rollback truncate failed: %v", errWALFailStop, err, terr)
@@ -276,11 +362,7 @@ func isENOSPC(err error) bool {
 // writes only a prefix of the frame (at least the header plus one payload
 // byte when possible, never the whole frame) and syncs, leaving exactly the
 // torn tail a real SIGKILL between write and completion would.
-func (w *walWriter) appendTorn(rec *walRecord) error {
-	frame, err := encodeWALRecord(rec)
-	if err != nil {
-		return err
-	}
+func (w *walWriter) appendTorn(frame []byte) error {
 	cut := len(frame) / 2
 	if cut < 9 && len(frame) > 9 {
 		cut = 9

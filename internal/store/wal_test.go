@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -43,15 +44,15 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, n, err := readWALRecord(bytes.NewReader(frame))
-		if err != nil {
-			t.Fatalf("%v: %v", rec.Op, err)
+		got, validEnd, torn, err := scanWAL(bytes.NewReader(frame))
+		if err != nil || torn || len(got) != 1 {
+			t.Fatalf("%v: scan = %d records, torn %v, err %v", rec.Op, len(got), torn, err)
 		}
-		if n != int64(len(frame)) {
-			t.Errorf("%v: consumed %d bytes, frame is %d", rec.Op, n, len(frame))
+		if validEnd != int64(len(frame)) {
+			t.Errorf("%v: consumed %d bytes, frame is %d", rec.Op, validEnd, len(frame))
 		}
-		if got.Op != rec.Op || got.Name != rec.Name || got.N != rec.N {
-			t.Errorf("round trip: got %+v, want %+v", got, rec)
+		if !reflect.DeepEqual(got[0], rec) {
+			t.Errorf("round trip: got %+v, want %+v", got[0], rec)
 		}
 	}
 }
@@ -66,7 +67,10 @@ func TestScanWALStopsAtTornTail(t *testing.T) {
 	}
 	torn := append(append([]byte(nil), data...), extra[:len(extra)/2]...)
 
-	got, validEnd, isTorn := scanWAL(bytes.NewReader(torn))
+	got, validEnd, isTorn, err := scanWAL(bytes.NewReader(torn))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !isTorn {
 		t.Error("torn tail not detected")
 	}
@@ -79,9 +83,9 @@ func TestScanWALStopsAtTornTail(t *testing.T) {
 }
 
 func TestScanWALGarbage(t *testing.T) {
-	recs, validEnd, torn := scanWAL(bytes.NewReader([]byte("this is not a log")))
-	if len(recs) != 0 || validEnd != 0 || !torn {
-		t.Errorf("garbage scan = %d records, end %d, torn %v", len(recs), validEnd, torn)
+	recs, validEnd, torn, err := scanWAL(bytes.NewReader([]byte("this is not a log")))
+	if len(recs) != 0 || validEnd != 0 || !torn || err != nil {
+		t.Errorf("garbage scan = %d records, end %d, torn %v, err %v", len(recs), validEnd, torn, err)
 	}
 }
 
@@ -144,11 +148,11 @@ func TestWALWriterTornAppendRecoverable(t *testing.T) {
 	}
 	recs := testRecords()
 	for _, rec := range recs {
-		if err := w.append(rec); err != nil {
+		if err := w.append(encodeAll(t, []*walRecord{rec})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.appendTorn(&walRecord{Op: walDelete, Name: "a"}); err != nil {
+	if err := w.appendTorn(encodeAll(t, []*walRecord{{Op: walDelete, Name: "a"}})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -160,7 +164,10 @@ func TestWALWriterTornAppendRecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, _, torn := scanWAL(f)
+	got, _, torn, err := scanWAL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !torn {
 		t.Error("torn append not detected on disk")
 	}

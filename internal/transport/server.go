@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
+	"github.com/oblivfd/oblivfd/internal/wire"
 )
 
 // Server accepts transport connections and dispatches requests to a
@@ -122,7 +122,7 @@ func (s *Server) SetTracer(tr *otrace.Tracer) { s.tracer = tr }
 // Tracer returns the installed span recorder (nil when tracing is off).
 func (s *Server) Tracer() *otrace.Tracer { return s.tracer }
 
-// countingConn counts wire bytes as they cross the gob codecs.
+// countingConn counts wire bytes as they cross the frame codec.
 type countingConn struct {
 	net.Conn
 	in, out *telemetry.Counter
@@ -291,8 +291,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if s.rpcLat != nil {
 		rw = &countingConn{Conn: conn, in: s.bytesIn, out: s.bytesOut}
 	}
-	dec := gob.NewDecoder(rw)
-	enc := gob.NewEncoder(rw)
+	fc := newFrameConn(rw)
 	needToken := s.registry.Limits().Token != ""
 	// One goroutine-local binding for the whole connection: each request
 	// points it at its span with a single atomic store, so store/WAL/
@@ -304,8 +303,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	for {
 		var req request
-		if err := dec.Decode(&req); err != nil {
-			return // io.EOF on clean shutdown; anything else also ends the conn
+		body, err := fc.next()
+		if err == nil {
+			err = decodeRequest(body, &req)
+		}
+		if err != nil {
+			// io.EOF on clean shutdown; anything else also ends the conn. A
+			// peer whose bytes arrived but do not parse — another wire
+			// format, a damaged frame — is told why before it is dropped.
+			if errors.Is(err, errFrameVersion) || errors.Is(err, wire.ErrMalformed) {
+				_ = fc.flush(appendResponse(fc.begin(), &response{Err: err.Error(), Code: codeGeneric}))
+			}
+			return
 		}
 		s.inflight.Add(1)
 		s.inflightGauge.Add(1)
@@ -359,7 +368,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if cs.tenantLat != nil && req.Kind != kindHello {
 			cs.tenantLat.ObserveSince(t0)
 		}
-		err := enc.Encode(resp)
+		err = fc.flush(appendResponse(fc.begin(), resp))
 		s.inflight.Add(-1)
 		s.inflightGauge.Add(-1)
 		if err != nil {

@@ -2,8 +2,8 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,35 +12,42 @@ import (
 	"github.com/oblivfd/oblivfd/internal/store"
 )
 
-// encodeSession gob-encodes a fixed request sequence, stamping every request
-// with the given trace context, and returns the total encoded length. A
-// fresh encoder per call keeps the type-definition preamble identical across
-// variants, so any length difference comes from the context bytes alone.
-func encodeSession(t *testing.T, ctx otrace.SpanContext) int {
+// sessionFrameSizes sends a fixed request sequence through a connection's
+// real encoder, every request stamped with the given trace context, and
+// returns the length of each frame as written.
+func sessionFrameSizes(t *testing.T, ctx otrace.SpanContext) []int {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	var out bytes.Buffer
+	fc := newFrameConn(&out)
 	reqs := []request{
 		{Kind: kindHello, Name: "db", Token: "secret"},
 		{Kind: kindCreateArray, Name: "a", N: 64},
 		{Kind: kindWriteCells, Name: "a", Idx: []int64{0, 1}, Cts: [][]byte{{0xAB}, {0xCD}}},
 		{Kind: kindReadCells, Name: "a", Idx: []int64{0, 1}},
-		{Kind: kindBatch, Ops: []store.BatchOp{{Name: "a", Idx: []int64{2}, Cts: [][]byte{{0xEF}}}}},
+		{Kind: kindBatch, Ops: []store.BatchOp{{Write: true, Name: "a", Idx: []int64{2}, Cts: [][]byte{{0xEF}}}}},
+		{Kind: kindReadPath, Name: "t", Leaf: 300},
 	}
+	sizes := make([]int, len(reqs))
 	for i := range reqs {
 		reqs[i].Ctx = ctx.Wire()
-		if err := enc.Encode(&reqs[i]); err != nil {
+		before := out.Len()
+		if err := fc.flush(appendRequest(fc.begin(), &reqs[i])); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
+		sizes[i] = out.Len() - before
+		if want := frameLen(&reqs[i]); sizes[i] != want {
+			t.Errorf("%s frame is %d bytes on the wire, closed form says %d", kindName(reqs[i].Kind), sizes[i], want)
+		}
 	}
-	return buf.Len()
+	return sizes
 }
 
 // TestFrameSizeTraceNeutral is the codec half of the leakage argument
-// (DESIGN.md §14): the encoded length of every request is identical whether
-// the context is zero (tracing off), sampled, or unsampled — and identical
-// across different ID values, including IDs whose bytes are all ≥ 0x80
-// (which a varint-per-element encoding would inflate).
+// (DESIGN.md §14): the length of every frame the real encoder writes is
+// identical whether the context is zero (tracing off), sampled, or unsampled
+// — and identical across different ID values, including IDs whose bytes are
+// all ≥ 0x80 (which a varint-per-element encoding would inflate) — and equals
+// the closed form frameLen, which never looks at the context.
 func TestFrameSizeTraceNeutral(t *testing.T) {
 	high := otrace.SpanContext{Sampled: true}
 	low := otrace.SpanContext{Sampled: false}
@@ -53,11 +60,11 @@ func TestFrameSizeTraceNeutral(t *testing.T) {
 		low.Span[i] = byte(i + 1)
 	}
 
-	off := encodeSession(t, otrace.SpanContext{})
-	sampledHigh := encodeSession(t, high)
-	unsampledLow := encodeSession(t, low)
-	if off != sampledHigh || off != unsampledLow {
-		t.Fatalf("frame bytes leak tracing state: off=%d sampled(high IDs)=%d unsampled(low IDs)=%d",
+	off := sessionFrameSizes(t, otrace.SpanContext{})
+	sampledHigh := sessionFrameSizes(t, high)
+	unsampledLow := sessionFrameSizes(t, low)
+	if !reflect.DeepEqual(off, sampledHigh) || !reflect.DeepEqual(off, unsampledLow) {
+		t.Fatalf("frame bytes leak tracing state: off=%v sampled(high IDs)=%v unsampled(low IDs)=%v",
 			off, sampledHigh, unsampledLow)
 	}
 }

@@ -4,9 +4,10 @@
 //
 //   - in-process: use a *store.Server directly (it implements the interface)
 //   - TCP: Serve exposes a store.Service on a listener, Dial returns a
-//     store.Service proxy that forwards every call over a gob-encoded,
-//     length-delimited stream — the deployment shape of the paper's
-//     evaluation (client and server on separate machines, §VII-A).
+//     store.Service proxy that forwards every call as one length-prefixed
+//     binary frame (grammar, version rule and ownership of decoded bytes:
+//     codec.go) — the deployment shape of the paper's evaluation (client
+//     and server on separate machines, §VII-A).
 //
 // The TCP client is self-healing: every call runs under an optional
 // read/write deadline, and a broken connection is re-dialed with backoff
@@ -33,7 +34,7 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -121,18 +122,10 @@ type request struct {
 	Seq    int64 // replication stream position (kindReplicate/kindSync)
 	Ops    []store.BatchOp
 	Token  string // session auth token (kindHello and replication kinds)
-	// Ctx is the distributed-tracing context header. It is fixed-size and
-	// always present: otrace.Wire returns exactly WireSize bytes with a
-	// non-zero version byte even for the zero context, so gob never elides
-	// the field, and gob's byte-string encoding (length prefix + raw
-	// bytes) costs the same number of frame bytes no matter what IDs the
-	// header carries. Every frame of a given request therefore has exactly
-	// the same length whether tracing is off, on, sampled, or unsampled:
-	// the adversary's view is independent of tracing state (DESIGN.md
-	// §14). Deliberately a byte string, not a [WireSize]byte array — gob
-	// encodes array elements as per-element varints, which would make
-	// frame length depend on the ID bytes' values.
-	Ctx []byte
+	// Ctx is the distributed-tracing context header: present on every
+	// frame, copied in verbatim, the zero context when tracing is off — so
+	// a frame's length says nothing about tracing state (DESIGN.md §14).
+	Ctx [otrace.WireSize]byte
 }
 
 // errCode identifies a store sentinel error on the wire, so errors.Is keeps
@@ -398,8 +391,7 @@ type Client struct {
 
 	mu     sync.Mutex
 	conn   net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
+	fc     *frameConn // nil exactly when conn is
 	closed bool
 
 	// reconnects is registry-backed (shared across all clients built from
@@ -485,8 +477,7 @@ func NewClient(conn net.Conn) *Client {
 	return &Client{
 		cfg:        ClientConfig{CallTimeout: -1, Redials: -1},
 		conn:       conn,
-		enc:        gob.NewEncoder(conn),
-		dec:        gob.NewDecoder(conn),
+		fc:         newFrameConn(conn),
 		reconnects: telemetry.NewCounter(),
 	}
 }
@@ -524,7 +515,7 @@ func (c *Client) dropConnLocked() {
 	if c.conn != nil {
 		_ = c.conn.Close()
 	}
-	c.conn, c.enc, c.dec = nil, nil, nil
+	c.conn, c.fc = nil, nil
 }
 
 // redialLocked re-establishes the connection. Caller holds c.mu.
@@ -533,9 +524,7 @@ func (c *Client) redialLocked() error {
 	if err != nil {
 		return err
 	}
-	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
-	c.dec = gob.NewDecoder(conn)
+	c.conn, c.fc = conn, newFrameConn(conn)
 	c.reconnects.Inc()
 	return nil
 }
@@ -558,11 +547,11 @@ func (c *Client) handshakeLocked() error {
 	}
 	req := request{Kind: kindHello, Name: c.cfg.Database, Token: c.cfg.Token, Value: c.cfg.Fence}
 	req.Ctx = otrace.SpanContext{}.Wire() // constant-size header, like every frame
-	if err := c.enc.Encode(&req); err != nil {
+	if err := c.fc.flush(appendRequest(c.fc.begin(), &req)); err != nil {
 		return fmt.Errorf("transport: handshake send: %w", err)
 	}
 	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.receive(&resp); err != nil {
 		return fmt.Errorf("transport: handshake receive: %w", err)
 	}
 	return decodeErr(resp.Code, resp.Err)
@@ -585,6 +574,15 @@ func reconcileResend(k kind, err error) bool {
 		return errors.Is(err, store.ErrUnknownObject)
 	}
 	return false
+}
+
+// receive reads and decodes the next response frame. Caller holds c.mu.
+func (c *Client) receive(resp *response) error {
+	body, err := c.fc.next()
+	if err != nil {
+		return err
+	}
+	return decodeResponse(body, resp)
 }
 
 func (c *Client) call(req *request) (*response, error) {
@@ -643,14 +641,14 @@ func (c *Client) call(req *request) (*response, error) {
 		if c.cfg.CallTimeout > 0 {
 			_ = c.conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 		}
-		if err := c.enc.Encode(req); err != nil {
+		if err := c.fc.flush(appendRequest(c.fc.begin(), req)); err != nil {
 			c.dropConnLocked()
 			lastErr = fmt.Errorf("transport: send: %w", err)
 			resent = true
 			continue
 		}
 		var resp response
-		if err := c.dec.Decode(&resp); err != nil {
+		if err := c.receive(&resp); err != nil {
 			c.dropConnLocked()
 			if errors.Is(err, io.EOF) {
 				lastErr = fmt.Errorf("transport: server closed connection: %w", err)
@@ -833,6 +831,12 @@ func (c *Client) FetchRepair(fence int64, name string, isTree bool, idx []int64)
 	resp, err := c.call(&request{Kind: kindRepair, Value: fence, Name: name, N: treeFlag, Idx: idx, Token: c.cfg.Token})
 	if err != nil {
 		return nil, err
+	}
+	// The caller installs these into its store, which keeps them cell by
+	// cell: unlike a response a client decrypts and drops, they must not
+	// share the response's slab.
+	for i, ct := range resp.Cts {
+		resp.Cts[i] = bytes.Clone(ct)
 	}
 	return resp.Cts, nil
 }
