@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub scrub-baseline bench experiments examples telemetry-smoke trace-smoke tracing-baseline scaling-smoke scaling-baseline parallel-race multitenant-race multitenant-smoke multitenant-baseline failover-baseline bench-cell bench-wire fuzz-smoke bench-align clean
+.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub scrub-baseline bench experiments examples telemetry-smoke trace-smoke tracing-baseline scaling-smoke scaling-baseline parallel-race multitenant-race multitenant-smoke multitenant-baseline failover-baseline bench-cell bench-wire bench-oram fuzz-smoke bench-align clean
 
 all: build vet test
 
@@ -100,6 +100,14 @@ bench-cell:
 bench-wire:
 	$(GO) test -run '^$$' -bench 'FrameRoundTrip|LoopbackRTT' -benchmem -benchtime $(BENCHTIME) ./internal/transport/
 	$(GO) test -run '^$$' -bench 'WALRecord' -benchmem -benchtime $(BENCHTIME) ./internal/store/
+
+# ORAM access-path micro-benchmarks: one whole oblivious access (path read,
+# one open per bucket, eviction, one seal per bucket, path write) against the
+# in-process server, on a full 256-key tree and on the two shapes the engines
+# build in the benchmark's ORAM workloads (Ex-ORAM with insert headroom and
+# 16-byte values, Or-ORAM with 8-byte values). Run like bench-cell.
+bench-oram:
+	$(GO) test -run '^$$' -bench 'PathAccess' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
 
 # The three decoders that read bytes from outside the process, fuzzed briefly:
 # error or exact round trip, never a panic, never an allocation the bytes

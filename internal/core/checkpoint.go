@@ -44,8 +44,12 @@ var (
 	ErrEpochMismatch = errors.New("core: server state does not match checkpoint epoch")
 )
 
-// checkpointMagic identifies the framed checkpoint format.
-var checkpointMagic = [8]byte{'O', 'F', 'D', 'C', 'K', 'P', 'T', '1'}
+// checkpointMagic identifies the framed checkpoint format — and, because a
+// checkpoint is only half of a resumable state, what its ORAM handles expect
+// to find on the server. OFDCKPT1 checkpoints belong to trees that hold one
+// ciphertext per block; from OFDCKPT2 on a tree holds one per bucket
+// (internal/oram). There is no migration: the older file is refused by name.
+var checkpointMagic = [8]byte{'O', 'F', 'D', 'C', 'K', 'P', 'T', '2'}
 
 const maxCheckpointPayload = 1 << 40
 
@@ -212,6 +216,10 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorruptCheckpoint, err)
 	}
 	if !bytes.Equal(header[:8], checkpointMagic[:]) {
+		if string(header[:8]) == "OFDCKPT1" {
+			return nil, fmt.Errorf("%w: format OFDCKPT1 (ORAM trees sealed per block) is not resumable by this build, which reads only %s",
+				ErrCorruptCheckpoint, checkpointMagic[:])
+		}
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptCheckpoint, header[:8])
 	}
 	plen := binary.LittleEndian.Uint64(header[8:])

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -110,6 +111,25 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		}
 		if _, err := ReadCheckpointFile(tmp); err == nil {
 			t.Fatalf("byte %d flipped: checkpoint accepted", i)
+		}
+	}
+}
+
+// TestPerBlockEraCheckpointIsRefused: a checkpoint written by the last build
+// whose PathORAM sealed every block separately (testdata, generated at commit
+// 53bc857 by `fddiscover -protocol or-oram -data-dir d -checkpoint f` over an
+// 8×3 relation; it holds six live PathORAM states) is refused before anything
+// is decoded, with an error naming both formats. Its server-side trees hold
+// levels×Z block ciphertexts where this build expects one per bucket, so
+// resuming it could only fail later and less clearly, in the first access.
+func TestPerBlockEraCheckpointIsRefused(t *testing.T) {
+	_, err := ReadCheckpointFile(filepath.Join("testdata", "pre-bucket-seal.ckpt"))
+	if !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("ReadCheckpointFile = %v, want ErrCorruptCheckpoint", err)
+	}
+	for _, want := range []string{"OFDCKPT1", "OFDCKPT2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
 }

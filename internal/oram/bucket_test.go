@@ -1,0 +1,272 @@
+package oram
+
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"testing"
+
+	"github.com/oblivfd/oblivfd/internal/crypto"
+	"github.com/oblivfd/oblivfd/internal/store"
+)
+
+// pathTap remembers the last path the client read and the last it wrote.
+type pathTap struct {
+	store.Service
+	readLeaf  uint32
+	writeLeaf uint32
+	written   [][]byte
+}
+
+func (p *pathTap) ReadPath(name string, leaf uint32) ([][]byte, error) {
+	p.readLeaf = leaf
+	return p.Service.ReadPath(name, leaf)
+}
+
+func (p *pathTap) WritePath(name string, leaf uint32, slots [][]byte) error {
+	p.writeLeaf = leaf
+	p.written = append(p.written[:0], slots...)
+	return p.Service.WritePath(name, leaf, slots)
+}
+
+// realKeys opens the bucket written at level l of the path to leaf and
+// returns the keys of its real blocks.
+func realKeys(t *testing.T, o *ORAM, ct []byte, leaf uint32, l int) []string {
+	t.Helper()
+	pt, err := o.cipher.Open(ct, o.bucketAD(o.pathBucket(leaf, l)))
+	if err != nil {
+		t.Fatalf("level %d of the path to leaf %d does not open at its own place: %v", l, leaf, err)
+	}
+	if len(pt) != o.z*o.blockSize {
+		t.Fatalf("bucket plaintext has %d bytes, want %d", len(pt), o.z*o.blockSize)
+	}
+	var keys []string
+	for ; len(pt) > 0; pt = pt[o.blockSize:] {
+		k, _, _, real, err := o.parseBlock(pt[:o.blockSize])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if real {
+			keys = append(keys, string(k))
+		}
+	}
+	return keys
+}
+
+// deepestLevel is the deepest level at which the path assigned to a block
+// and the path to leaf share a bucket, computed the slow way.
+func deepestLevel(o *ORAM, assigned, leaf uint32) int {
+	l := 0
+	for l+1 < o.levels && assigned>>(o.levels-2-l) == leaf>>(o.levels-2-l) {
+		l++
+	}
+	return l
+}
+
+// TestEvictionIsGreedy: after every access of a seeded random workload, every
+// block the written path holds may sit where it was put (its assigned path
+// runs through that bucket), and no block left in the stash could have been
+// put anywhere on that path: every bucket it was eligible for is full.
+func TestEvictionIsGreedy(t *testing.T) {
+	for _, z := range []int{2, 4} {
+		t.Run(fmt.Sprintf("Z=%d", z), func(t *testing.T) {
+			tap := &pathTap{Service: store.NewServer()}
+			o, err := Setup(tap, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+				Capacity: 64, KeyWidth: 8, ValueWidth: 4, Z: z, StashFactor: 20, Seed: 13,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(17))
+			stranded := 0
+			for i := 0; i < 1500; i++ {
+				k := fmt.Sprintf("k%d", rng.Intn(64))
+				switch r := rng.Intn(10); {
+				case i < 64 || r < 4:
+					err = o.Write(k, val(4, byte(i)))
+				case r < 9:
+					_, _, err = o.Read(k)
+				default:
+					err = o.Remove(k)
+				}
+				if err != nil {
+					t.Fatalf("access %d: %v", i, err)
+				}
+				leaf := tap.writeLeaf
+				if leaf != tap.readLeaf || len(tap.written) != o.levels {
+					t.Fatalf("access %d read leaf %d, wrote %d buckets to leaf %d", i, tap.readLeaf, len(tap.written), leaf)
+				}
+				free := make([]int, o.levels)
+				for l, ct := range tap.written {
+					keys := realKeys(t, o, ct, leaf, l)
+					free[l] = o.z - len(keys)
+					for _, key := range keys {
+						if d := deepestLevel(o, o.posMap[key], leaf); l > d {
+							t.Fatalf("access %d: block %q placed at level %d, eligible only down to %d", i, key, l, d)
+						}
+						if _, also := o.stash[key]; also {
+							t.Fatalf("access %d: block %q both placed and stashed", i, key)
+						}
+					}
+				}
+				for key := range o.stash {
+					stranded++
+					for l := deepestLevel(o, o.posMap[key], leaf); l >= 0; l-- {
+						if free[l] > 0 {
+							t.Fatalf("access %d: block %q left in the stash with %d free places at level %d of its path", i, key, free[l], l)
+						}
+					}
+				}
+			}
+			if z == 2 && stranded == 0 {
+				t.Error("no block ever stayed in the stash: the workload never tested the overflow")
+			}
+		})
+	}
+}
+
+// TestEvictMatchesLevelByLevelGreedy: on random stashes, the one-pass
+// eviction fills every level of the path with exactly as many blocks as the
+// eviction it replaced — walk the levels leaf to root and, at each, take up
+// to Z of the still-stashed blocks eligible there — and so leaves exactly as
+// many behind. (How many a greedy fill places at a level does not depend on
+// which eligible blocks it picks, so the counts are comparable although both
+// pick arbitrarily.)
+func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
+	tap := &pathTap{Service: store.NewServer()}
+	o, err := Setup(tap, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+		Capacity: 64, KeyWidth: 8, ValueWidth: 4, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	leafLevel := o.levels - 1
+	for trial := 0; trial < 300; trial++ {
+		clear(o.stash)
+		clear(o.posMap)
+		clear(o.vers)
+		n := rng.Intn(3 * o.levels * o.z / 2) // from empty to more than a path holds
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("k%d", i)
+			o.stash[k] = val(4, byte(i))
+			// Half the blocks cluster near leaf 0 so deep levels overflow.
+			o.posMap[k] = uint32(rng.Intn(o.numLeaves))
+			if i%2 == 0 {
+				o.posMap[k] &= 3
+			}
+		}
+		leaf := uint32(rng.Intn(4))
+
+		want := make([]int, o.levels)
+		placed := make(map[string]bool)
+		for l := leafLevel; l >= 0; l-- {
+			for k := range o.stash {
+				if want[l] == o.z {
+					break
+				}
+				if !placed[k] && o.posMap[k]>>(leafLevel-l) == leaf>>(leafLevel-l) {
+					placed[k] = true
+					want[l]++
+				}
+			}
+		}
+
+		if err := o.evict(leaf); err != nil {
+			t.Fatal(err)
+		}
+		for l, ct := range tap.written {
+			if got := len(realKeys(t, o, ct, leaf, l)); got != want[l] {
+				t.Fatalf("trial %d (%d stashed, leaf %d): level %d holds %d blocks, level-by-level greedy places %d",
+					trial, n, leaf, l, got, want[l])
+			}
+		}
+		if got, want := len(o.stash), n-len(placed); got != want {
+			t.Fatalf("trial %d: %d blocks left in the stash, want %d", trial, got, want)
+		}
+	}
+}
+
+// TestDeepestLevelClosedForm pins the expression evict sorts the stash by
+// against the definition, over every pair of leaves.
+func TestDeepestLevelClosedForm(t *testing.T) {
+	o, _ := newTestORAM(t, 32, 4)
+	for a := uint32(0); a < 32; a++ {
+		for b := uint32(0); b < 32; b++ {
+			if got, want := o.levels-1-bits.Len32(a^b), deepestLevel(o, a, b); got != want {
+				t.Fatalf("leaves %d, %d: closed form %d, definition %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestBucketSwapDetected: a server that exchanges two authentic, current
+// buckets of one tree — nothing stale, nothing forged, nothing from another
+// tree — is refused on the first access whose path runs through either,
+// because each bucket is sealed to its own place. Accesses that touch
+// neither are unaffected until then.
+func TestBucketSwapDetected(t *testing.T) {
+	for _, swap := range [][2]int{
+		{0, 1},   // root and its left child: two levels of the same paths
+		{15, 16}, // sibling leaf buckets (leaves 0 and 1)
+		{3, 12},  // different levels, disjoint paths
+	} {
+		t.Run(fmt.Sprintf("buckets %d and %d", swap[0], swap[1]), func(t *testing.T) {
+			srv := store.NewServer()
+			tap := &pathTap{Service: srv}
+			o, err := Setup(tap, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+				Capacity: 16, KeyWidth: 8, ValueWidth: 8, Seed: 21,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 16; i++ {
+				if err := o.Write(fmt.Sprintf("k%d", i), val(8, byte(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, b := stored(t, srv, o, swap[0]), stored(t, srv, o, swap[1])
+			if err := srv.WriteBuckets("t", swap[0], [][]byte{b}); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.WriteBuckets("t", swap[1], [][]byte{a}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 200; i++ {
+				_, _, err := o.Read(fmt.Sprintf("k%d", i%16))
+				touched := false
+				for l := 0; l < o.levels; l++ {
+					if n := o.pathBucket(tap.readLeaf, l); n == swap[0] || n == swap[1] {
+						touched = true
+					}
+				}
+				switch {
+				case touched && !errors.Is(err, store.ErrIntegrity):
+					t.Fatalf("access %d read a swapped bucket (path to leaf %d): err = %v, want ErrIntegrity", i, tap.readLeaf, err)
+				case touched:
+					return
+				case err != nil:
+					t.Fatalf("access %d touched neither swapped bucket: %v", i, err)
+				}
+			}
+			t.Fatal("200 accesses never touched a swapped bucket")
+		})
+	}
+}
+
+// stored fetches the ciphertext the server holds for one bucket (heap index)
+// by reading a path that runs through it.
+func stored(t *testing.T, srv *store.Server, o *ORAM, bucket int) []byte {
+	t.Helper()
+	l := bits.Len(uint(bucket+1)) - 1
+	leaf := uint32(bucket-(1<<l-1)) << (o.levels - 1 - l)
+	if o.pathBucket(leaf, l) != bucket {
+		t.Fatalf("bucket %d: level %d, leaf %d maps to %d", bucket, l, leaf, o.pathBucket(leaf, l))
+	}
+	path, err := srv.ReadPath("t", leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path[l]
+}

@@ -91,16 +91,15 @@ func Resume(svc store.Service, cipher *crypto.Cipher, st *State) (*ORAM, error) 
 		numLeaves:  st.NumLeaves,
 		keyWidth:   st.KeyWidth,
 		valueWidth: st.ValueWidth,
-		blockSize:  1 + verWidth + crypto.PadWidth(st.KeyWidth) + st.ValueWidth,
 		posMap:     make(map[string]uint32, len(st.PosMap)),
 		stash:      make(map[string][]byte, len(st.Stash)),
 		vers:       make(map[string]uint64, len(st.Vers)),
-		ad:         treeAD(st.Name),
 		stashLimit: st.StashLimit,
 		maxStash:   st.MaxStash,
 		accesses:   st.Accesses,
 		rng:        newRNG(st.Seed),
 	}
+	o.initScratch()
 	for k, v := range st.PosMap {
 		o.posMap[k] = v
 	}

@@ -66,8 +66,9 @@ func (r *nonceRecorder) stats() (total, reused int) {
 }
 
 // TestPathORAMNeverReusesNonce: across setup plus hundreds of accesses (each
-// re-encrypting a full tree path of real and dummy blocks), no two
-// ciphertexts under the tree's key ever share a nonce.
+// re-encrypting every bucket of a full tree path), no two ciphertexts under
+// the tree's key ever share a nonce — and there is exactly one ciphertext, so
+// one nonce, per bucket written.
 func TestPathORAMNeverReusesNonce(t *testing.T) {
 	rec := newNonceRecorder(store.NewServer())
 	o, err := Setup(rec, crypto.MustNewCipher(crypto.MustNewKey()), "nonce", Config{
@@ -92,8 +93,10 @@ func TestPathORAMNeverReusesNonce(t *testing.T) {
 	if reused != 0 {
 		t.Errorf("nonce reused %d times across %d ciphertexts", reused, total)
 	}
-	if total < 1000 {
-		t.Errorf("recorder saw only %d ciphertexts; wiring broken?", total)
+	// 32 leaves → 6 levels, 63 buckets: Setup seals each once, each of the
+	// 600 accesses seals the 6 on its path.
+	if want := 63 + 600*6; total != want {
+		t.Errorf("recorder saw %d ciphertexts, want %d (one per bucket written)", total, want)
 	}
 }
 

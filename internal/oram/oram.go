@@ -9,14 +9,20 @@
 //
 // Obliviousness: every operation — Read, Write, and Remove alike, hit or
 // miss — performs exactly one ReadPath and one WritePath on a uniformly
-// random leaf, re-encrypting every slot it writes. The server cannot
+// random leaf, re-encrypting every bucket it writes. The server cannot
 // distinguish the three operations (Definition 4 requires Read and Write to
 // be mutually indistinguishable).
 //
-// Setup populates the entire tree with individually encrypted dummy blocks
-// (one linear WriteBuckets pass), exactly as the textbook construction
-// requires: every slot the server ever holds is a same-sized semantically
-// secure ciphertext, so path-read sizes are constant and carry nothing.
+// The bucket is the unit of encryption, as in Stefanov et al.: a bucket's Z
+// blocks — real and dummy side by side, each flag ∥ version ∥ padded key ∥
+// value — are sealed as one ciphertext bound to the bucket's place in the
+// tree, and the server stores one such ciphertext per bucket. Its length is
+// Z·blockSize plus the AEAD's 28 bytes, a function of Config alone: how many
+// of a bucket's blocks are real changes the plaintext's content, never its
+// size. Setup fills the entire tree with sealed all-dummy buckets (one linear
+// WriteBuckets pass), exactly as the textbook construction requires, so
+// everything the server ever holds is a same-sized semantically secure
+// ciphertext and path-read sizes are constant and carry nothing.
 package oram
 
 import (
@@ -26,6 +32,7 @@ import (
 	"fmt"
 	"math/bits"
 	mrand "math/rand"
+	"strconv"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -56,9 +63,13 @@ var ErrKeyWidth = errors.New("oram: key too long")
 // zero version, so real and dummy plaintexts stay the same length.
 const verWidth = 8
 
-// treeAD is the associated-data slot for every ciphertext in a tree: blocks
-// authenticate only within the tree they were written to.
-func treeAD(name string) []byte { return []byte("oram:" + name) }
+// treeAD returns the associated-data prefix shared by every bucket of a tree,
+// "oram:<name>:", with room behind it for a bucket index. bucketAD completes
+// it; a handle builds it once.
+func treeAD(name string) []byte {
+	ad := make([]byte, 0, len("oram:")+len(name)+len(":")+10)
+	return append(append(append(ad, "oram:"...), name...), ':')
+}
 
 // Config parameterizes Setup.
 type Config struct {
@@ -110,25 +121,33 @@ type ORAM struct {
 	stash  map[string][]byte
 	vers   map[string]uint64
 
-	// ad binds every ciphertext of this tree to the tree's name, so blocks
-	// cannot be transplanted between ORAMs sharing a key.
-	ad []byte
+	// ad is "oram:<name>:" followed by the heap index of the bucket being
+	// sealed or opened (bucketAD rewrites the tail in place): a bucket
+	// authenticates only at its own place in its own tree, so it can be
+	// transplanted neither between ORAMs sharing a key nor within one.
+	ad       []byte
+	adPrefix int
 
 	stashLimit int
 	maxStash   int
 	accesses   int64
 	rng        *mrand.Rand
 
-	// Scratch buffers reused across accesses so the steady-state path
-	// read/write loop allocates only what must escape: ciphertexts headed
-	// for the server (the in-process server retains the exact slices it is
-	// handed, so those must stay fresh Seal outputs) and values entering
-	// the stash. Lazily initialized so checkpoint-restored handles get them
-	// too. Their reuse is another reason an ORAM handle is not safe for
+	// Scratch reused across accesses so the steady-state path read/write
+	// loop allocates only what must escape: one ciphertext per bucket headed
+	// for the server, and keys and values entering the stash. Each ciphertext
+	// is its own allocation on purpose: the in-process server retains the
+	// exact slices it is handed, and a leaf bucket outlives the root bucket
+	// written beside it by about numLeaves accesses, so buckets carved from
+	// one slab would pin the whole slab for as long as its longest-lived
+	// member. The scratch is a constant per handle, outside
+	// ClientMemoryBytes, and another reason a handle is not safe for
 	// concurrent use.
-	ptBuf    []byte   // decryptBlock plaintext scratch (via OpenTo)
-	blockPt  []byte   // encryptBlock/encryptDummy plaintext staging
-	evictBuf [][]byte // evict's outgoing slots; every entry overwritten per call
+	openBuf  []byte     // the bucket plaintext being parsed (via OpenTo)
+	sealBuf  []byte     // the bucket plaintext being staged for sealBucket
+	evictBuf [][]byte   // evict's outgoing buckets; every entry overwritten per call
+	byLevel  [][]string // evict: stashed keys by deepest bucket they may enter
+	pending  []string   // evict: keys eligible at the level being filled, not yet placed
 
 	// Telemetry handles, nil when disabled. stashGauge is shared across
 	// every ORAM on the registry and updated by delta, so it reads as the
@@ -185,21 +204,22 @@ func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*
 		numLeaves:  numLeaves,
 		keyWidth:   cfg.KeyWidth,
 		valueWidth: cfg.ValueWidth,
-		blockSize:  1 + verWidth + crypto.PadWidth(cfg.KeyWidth) + cfg.ValueWidth,
 		posMap:     make(map[string]uint32),
 		stash:      make(map[string][]byte),
 		vers:       make(map[string]uint64),
-		ad:         treeAD(name),
 		stashLimit: sf * ceilLog2(cfg.Capacity),
 		rng:        newRNG(cfg.Seed),
 	}
+	o.initScratch()
 	if o.stashLimit < sf {
 		o.stashLimit = sf // capacity 1 still gets a usable stash
 	}
 	if cfg.Metrics != nil {
 		o.SetTelemetry(cfg.Metrics)
 	}
-	if err := svc.CreateTree(name, levels, z); err != nil {
+	// One stored slot per bucket: the server sees a bucket as one opaque
+	// ciphertext.
+	if err := svc.CreateTree(name, levels, 1); err != nil {
 		return nil, fmt.Errorf("oram: creating tree: %w", err)
 	}
 	if err := o.initTree(); err != nil {
@@ -208,26 +228,60 @@ func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*
 	return o, nil
 }
 
-// initTree fills every bucket with individually encrypted dummy blocks, as
-// in the textbook construction, so the initial state is indistinguishable
-// from any later state and path-read sizes never depend on access history.
+// initScratch derives the block layout from the handle's shape and sizes the
+// per-handle scratch; Setup and Resume both finish construction with it.
+func (o *ORAM) initScratch() {
+	o.blockSize = 1 + verWidth + crypto.PadWidth(o.keyWidth) + o.valueWidth
+	o.ad = treeAD(o.name)
+	o.adPrefix = len(o.ad)
+	o.openBuf = make([]byte, 0, o.z*o.blockSize)
+	o.sealBuf = make([]byte, o.z*o.blockSize)
+	o.evictBuf = make([][]byte, o.levels)
+	o.byLevel = make([][]string, o.levels)
+}
+
+// bucketAD binds a ciphertext to one bucket of this tree, named by its index
+// in the server's heap layout (root = 0). The result is valid until the next
+// call.
+func (o *ORAM) bucketAD(bucket int) []byte {
+	o.ad = strconv.AppendInt(o.ad[:o.adPrefix], int64(bucket), 10)
+	return o.ad
+}
+
+// pathBucket returns the heap index of the level-l bucket on the path to
+// leaf.
+func (o *ORAM) pathBucket(leaf uint32, l int) int {
+	return 1<<l - 1 + int(leaf>>(o.levels-1-l))
+}
+
+// sealBucket seals the staged bucket plaintext for the given place in the
+// tree. The ciphertext is an allocation of its own (see the scratch comment
+// on ORAM).
+func (o *ORAM) sealBucket(bucket int) ([]byte, error) {
+	return o.cipher.Seal(o.sealBuf, o.bucketAD(bucket))
+}
+
+// initTree fills every bucket with sealed dummy blocks, as in the textbook
+// construction, so the initial state is indistinguishable from any later
+// state and path-read sizes never depend on access history.
 func (o *ORAM) initTree() error {
 	const bucketsPerBatch = 256
 	totalBuckets := (1 << o.levels) - 1
+	clear(o.sealBuf) // Z dummies
 	for start := 0; start < totalBuckets; start += bucketsPerBatch {
 		count := bucketsPerBatch
 		if start+count > totalBuckets {
 			count = totalBuckets - start
 		}
-		slots := make([][]byte, count*o.z)
-		for i := range slots {
-			ct, err := o.encryptDummy()
+		buckets := make([][]byte, count)
+		for i := range buckets {
+			ct, err := o.sealBucket(start + i)
 			if err != nil {
 				return err
 			}
-			slots[i] = ct
+			buckets[i] = ct
 		}
-		if err := o.svc.WriteBuckets(o.name, start, slots); err != nil {
+		if err := o.svc.WriteBuckets(o.name, start, buckets); err != nil {
 			return fmt.Errorf("oram: initializing tree: %w", err)
 		}
 	}
@@ -363,42 +417,58 @@ func (o *ORAM) access(key string, newValue []byte, kind opKind) ([]byte, bool, e
 	}
 
 	// 1. Read the path and move its real blocks into the stash.
-	slots, err := o.svc.ReadPath(o.name, leaf)
+	buckets, err := o.svc.ReadPath(o.name, leaf)
 	if err != nil {
 		return nil, false, fmt.Errorf("oram: %w", err)
 	}
 	o.pathReads.Inc()
-	for i, ct := range slots {
+	if len(buckets) != o.levels {
+		return nil, false, o.integrityErr(fmt.Sprintf("path to leaf %d has %d buckets, want %d", leaf, len(buckets), o.levels), nil)
+	}
+	for l, ct := range buckets {
 		if len(ct) == 0 {
-			// Setup leaves no empty slots; an empty one means the server
+			// Setup leaves no empty buckets; an empty one means the server
 			// dropped a ciphertext.
-			return nil, false, o.integrityErr(fmt.Sprintf("empty slot %d on path to leaf %d", i, leaf), nil)
+			return nil, false, o.integrityErr(fmt.Sprintf("empty bucket at level %d on path to leaf %d", l, leaf), nil)
 		}
-		blk, err := o.decryptBlock(ct)
+		pt, err := o.cipher.OpenTo(o.openBuf[:0], ct, o.bucketAD(o.pathBucket(leaf, l)))
 		if err != nil {
-			return nil, false, err
+			return nil, false, o.integrityErr(fmt.Sprintf("bucket authentication failed at level %d on path to leaf %d", l, leaf), err)
 		}
-		if blk == nil {
-			continue // encrypted dummy
+		o.openBuf = pt // keep the (possibly grown) scratch for the next bucket
+		if len(pt) != o.z*o.blockSize {
+			return nil, false, o.integrityErr(fmt.Sprintf("bucket has %d bytes, want %d", len(pt), o.z*o.blockSize), nil)
 		}
-		// Honest invariant: each live key has exactly one copy, in the
-		// stash or in one tree bucket on its assigned path. A tree block
-		// violating that is a replayed, duplicated, or rolled-back copy.
-		if _, inStash := o.stash[blk.key]; inStash {
-			return nil, false, o.integrityErr(fmt.Sprintf("duplicate copy of block %q (already stashed)", blk.key), nil)
+		for ; len(pt) > 0; pt = pt[o.blockSize:] {
+			k, v, ver, real, err := o.parseBlock(pt[:o.blockSize])
+			if err != nil {
+				return nil, false, err
+			}
+			if !real {
+				continue
+			}
+			// Honest invariant: each live key has exactly one copy, in the
+			// stash or in one tree bucket on its assigned path. A tree block
+			// violating that is a replayed, duplicated, or rolled-back copy.
+			// k and v still point into the scratch: the lookups convert
+			// without allocating, and only a block that passes every check
+			// is copied out.
+			if _, inStash := o.stash[string(k)]; inStash {
+				return nil, false, o.integrityErr(fmt.Sprintf("duplicate copy of block %q (already stashed)", k), nil)
+			}
+			if _, live := o.posMap[string(k)]; !live {
+				return nil, false, o.integrityErr(fmt.Sprintf("replayed block %q (key not live)", k), nil)
+			}
+			if want := o.vers[string(k)]; ver != want {
+				return nil, false, o.integrityErr(fmt.Sprintf("stale block %q: version %d, want %d", k, ver, want), nil)
+			}
+			o.stash[string(k)] = append([]byte(nil), v...)
 		}
-		if _, live := o.posMap[blk.key]; !live {
-			return nil, false, o.integrityErr(fmt.Sprintf("replayed block %q (key not live)", blk.key), nil)
-		}
-		if want := o.vers[blk.key]; blk.ver != want {
-			return nil, false, o.integrityErr(fmt.Sprintf("stale block %q: version %d, want %d", blk.key, blk.ver, want), nil)
-		}
-		o.stash[blk.key] = blk.value
 	}
 	// Freshness of the path as a whole: a key the position map assigns to
 	// this path must now be in the stash; otherwise the server suppressed
-	// the real block (e.g. substituted an authenticated dummy from another
-	// slot of the same tree).
+	// the real block (e.g. replayed an authentic older copy of its bucket
+	// from before the block was placed there).
 	if known {
 		if _, inStash := o.stash[key]; !inStash {
 			return nil, false, o.integrityErr(fmt.Sprintf("block %q missing from its assigned path (leaf %d)", key, leaf), nil)
@@ -410,11 +480,8 @@ func (o *ORAM) access(key string, newValue []byte, kind opKind) ([]byte, bool, e
 	value, found := o.stash[key]
 	switch kind {
 	case opWrite:
-		stored := append([]byte(nil), newValue...)
-		o.stash[key] = stored
+		o.stash[key] = append([]byte(nil), newValue...)
 		o.posMap[key] = uint32(o.rng.Intn(o.numLeaves))
-		found = true
-		value = stored
 	case opRemove:
 		delete(o.stash, key)
 		delete(o.posMap, key)
@@ -431,7 +498,7 @@ func (o *ORAM) access(key string, newValue []byte, kind opKind) ([]byte, bool, e
 	}
 
 	// 3. Evict: greedily push stash blocks as deep as possible along the
-	// path just read, then write every slot back re-encrypted.
+	// path just read, then write every bucket back re-encrypted.
 	if err := o.evict(leaf); err != nil {
 		return nil, false, err
 	}
@@ -443,67 +510,60 @@ func (o *ORAM) access(key string, newValue []byte, kind opKind) ([]byte, bool, e
 	if len(o.stash) > o.stashLimit {
 		return nil, false, fmt.Errorf("%w: %d blocks > limit %d", ErrStashOverflow, len(o.stash), o.stashLimit)
 	}
-	if kind == opRead && !found {
-		return nil, false, nil
+	if kind != opRead || !found {
+		return nil, false, nil // only Read has a value to hand back
 	}
-	return append([]byte(nil), value...), found, nil
+	return append([]byte(nil), value...), true, nil
 }
 
 // evict builds fresh bucket contents for the path to leaf and writes them
-// back. Buckets are filled leaf-to-root with eligible stash blocks.
+// back. Buckets are filled leaf-to-root with eligible stash blocks: a block
+// may enter the buckets its assigned path shares with this one, the deepest
+// being at level leafLevel − bits.Len32(assigned ^ leaf). One pass over the
+// stash sorts the keys by that level; filling then walks up from the leaf,
+// each bucket taking up to Z of the keys that became eligible at its level
+// or overflowed from below — the greedy placement of the textbook
+// construction in O(stash + levels·Z).
 func (o *ORAM) evict(leaf uint32) error {
-	if o.evictBuf == nil {
-		o.evictBuf = make([][]byte, o.levels*o.z)
-	}
-	// Safe to reuse: every slot is overwritten below (real blocks then dummy
-	// fill), and the server keeps only the fresh per-slot ciphertexts, never
-	// the outer slice.
-	out := o.evictBuf
 	leafLevel := o.levels - 1
+	for l := range o.byLevel {
+		o.byLevel[l] = o.byLevel[l][:0]
+	}
+	for k := range o.stash {
+		l := leafLevel - bits.Len32(o.posMap[k]^leaf)
+		o.byLevel[l] = append(o.byLevel[l], k)
+	}
+	// Safe to reuse: every entry is overwritten below, and the server keeps
+	// only the fresh per-bucket ciphertexts, never the outer slice.
+	out := o.evictBuf
+	pending := o.pending[:0]
 	for l := leafLevel; l >= 0; l-- {
-		placed := 0
-		for k, v := range o.stash {
-			if placed == o.z {
-				break
-			}
-			blockLeaf := o.posMap[k]
-			// Eligible iff the block's assigned path shares this
-			// bucket: equal leaf prefixes down to level l.
-			if (blockLeaf >> uint(leafLevel-l)) != (leaf >> uint(leafLevel-l)) {
-				continue
-			}
+		pending = append(pending, o.byLevel[l]...)
+		clear(o.sealBuf) // places left unfilled are dummies
+		for pt := o.sealBuf; len(pt) > 0 && len(pending) > 0; pt = pt[o.blockSize:] {
+			k := pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
 			// Stamp a fresh version into the outgoing copy; the client-held
 			// tag is what later reads are checked against.
-			o.vers[k]++
-			ct, err := o.encryptBlock(&block{key: k, value: v, ver: o.vers[k]})
-			if err != nil {
+			ver := o.vers[k] + 1
+			o.vers[k] = ver
+			if err := o.putBlock(pt[:o.blockSize], k, o.stash[k], ver); err != nil {
 				return err
 			}
-			out[l*o.z+placed] = ct
-			placed++
 			delete(o.stash, k)
 		}
-		for ; placed < o.z; placed++ {
-			ct, err := o.encryptDummy()
-			if err != nil {
-				return err
-			}
-			out[l*o.z+placed] = ct
+		ct, err := o.sealBucket(o.pathBucket(leaf, l))
+		if err != nil {
+			return err
 		}
+		out[l] = ct
 	}
+	o.pending = pending
 	if err := o.svc.WritePath(o.name, leaf, out); err != nil {
 		return fmt.Errorf("oram: %w", err)
 	}
 	o.pathWrites.Inc()
 	return nil
-}
-
-// block is a decrypted real block. ver is the freshness tag checked against
-// the client-held version map.
-type block struct {
-	key   string
-	value []byte
-	ver   uint64
 }
 
 // integrityErr wraps a verification failure in store.ErrIntegrity so the
@@ -515,59 +575,29 @@ func (o *ORAM) integrityErr(what string, cause error) error {
 	return fmt.Errorf("oram %q: %s: %w", o.name, what, store.ErrIntegrity)
 }
 
-// encryptBlock serializes and encrypts a real block to the fixed block size:
-// flag(1) ∥ version(8) ∥ padded key ∥ value, sealed with the tree's
-// associated data.
-func (o *ORAM) encryptBlock(b *block) ([]byte, error) {
-	pt := o.stagePlaintext()
+// putBlock serializes a real block into its zeroed place in a staged bucket:
+// flag(1) ∥ version(8) ∥ padded key ∥ value. A dummy is the place left zero.
+func (o *ORAM) putBlock(pt []byte, key string, value []byte, ver uint64) error {
 	pt[0] = 1
-	binary.BigEndian.PutUint64(pt[1:1+verWidth], b.ver)
-	padWidth := crypto.PadWidth(o.keyWidth)
-	if err := crypto.PadInto(pt[1+verWidth:1+verWidth+padWidth], b.key, o.keyWidth); err != nil {
-		return nil, fmt.Errorf("oram: padding key: %w", err)
-	}
-	copy(pt[1+verWidth+padWidth:], b.value)
-	return o.cipher.Seal(pt, o.ad)
-}
-
-// encryptDummy encrypts a dummy block of the same size as a real one.
-func (o *ORAM) encryptDummy() ([]byte, error) {
-	return o.cipher.Seal(o.stagePlaintext(), o.ad)
-}
-
-// stagePlaintext returns the zeroed staging buffer for one block plaintext.
-// Seal copies out of it, so handing the same buffer to consecutive
-// encryptions is safe; the returned ciphertexts are always fresh.
-func (o *ORAM) stagePlaintext() []byte {
-	if o.blockPt == nil {
-		o.blockPt = make([]byte, o.blockSize)
-	}
-	clear(o.blockPt)
-	return o.blockPt
-}
-
-// decryptBlock authenticates and decrypts a slot; it returns nil for
-// dummies and an ErrIntegrity-wrapped error for anything that fails to
-// verify.
-func (o *ORAM) decryptBlock(ct []byte) (*block, error) {
-	pt, err := o.cipher.OpenTo(o.ptBuf[:0], ct, o.ad)
-	if err != nil {
-		return nil, o.integrityErr("block authentication failed", err)
-	}
-	o.ptBuf = pt // keep the (possibly grown) scratch for the next block
-	if len(pt) != o.blockSize {
-		return nil, o.integrityErr(fmt.Sprintf("block has %d bytes, want %d", len(pt), o.blockSize), nil)
-	}
-	if pt[0] == 0 {
-		return nil, nil
-	}
-	ver := binary.BigEndian.Uint64(pt[1 : 1+verWidth])
+	binary.BigEndian.PutUint64(pt[1:1+verWidth], ver)
 	keyEnd := 1 + verWidth + crypto.PadWidth(o.keyWidth)
-	key, err := crypto.Unpad(pt[1+verWidth : keyEnd])
-	if err != nil {
-		return nil, o.integrityErr("unpadding key", err)
+	if err := crypto.PadInto(pt[1+verWidth:keyEnd], key, o.keyWidth); err != nil {
+		return fmt.Errorf("oram: padding key: %w", err)
 	}
-	value := make([]byte, o.valueWidth)
-	copy(value, pt[keyEnd:])
-	return &block{key: string(key), value: value, ver: ver}, nil
+	copy(pt[keyEnd:], value)
+	return nil
+}
+
+// parseBlock reads one block of an opened bucket. real is false for a dummy;
+// key and value alias pt.
+func (o *ORAM) parseBlock(pt []byte) (key, value []byte, ver uint64, real bool, err error) {
+	if pt[0] == 0 {
+		return nil, nil, 0, false, nil
+	}
+	keyEnd := 1 + verWidth + crypto.PadWidth(o.keyWidth)
+	key, err = crypto.Unpad(pt[1+verWidth : keyEnd])
+	if err != nil {
+		return nil, nil, 0, false, o.integrityErr("unpadding key", err)
+	}
+	return key, pt[keyEnd:], binary.BigEndian.Uint64(pt[1 : 1+verWidth]), true, nil
 }

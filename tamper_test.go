@@ -146,9 +146,10 @@ func TestTamperBitFlipDetected(t *testing.T) {
 
 // TestTamperBlockSwapNeverSilentlyWrong: swapping two blocks within a read
 // batch must be detected (position-bound associated data, slot versions) or
-// be provably harmless. The one absorbing case is PathORAM: the client
-// collects a path's blocks into the stash as a set, so reordering a path
-// read changes nothing — the run must then still match the oracle exactly.
+// be provably harmless. PathORAM used to be the absorbing case — blocks were
+// sealed to the tree, not to a place in it, and the client collects a path
+// into the stash as a set — but its buckets are now sealed to their heap
+// index like every other surface, so there a swap must be refused outright.
 func TestTamperBlockSwapNeverSilentlyWrong(t *testing.T) {
 	for _, tc := range tamperConfigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -168,6 +169,8 @@ func TestTamperBlockSwapNeverSilentlyWrong(t *testing.T) {
 					if !errors.Is(err, securefd.ErrIntegrity) {
 						t.Errorf("swap@%d/%d: err = %v, want errors.Is(ErrIntegrity)", k, n, err)
 					}
+				case tc.name == "or-oram-path":
+					t.Errorf("swap@%d/%d: two buckets of a path exchanged and the run completed; want ErrIntegrity", k, n)
 				case !relation.FDSetEqual(report.Minimal, want):
 					t.Errorf("swap@%d/%d: SILENT WRONG RESULT: FDs = %v, want %v",
 						k, n, report.Minimal, want)
