@@ -96,10 +96,14 @@ bench-cell:
 # Wire-path micro-benchmarks: what one round trip and one logged mutation
 # cost in the codec (frame encode + decode of a 2.5 KB ORAM path response and
 # of a 64-cell batch, WAL record encode and verify + decode) and what a whole
-# round trip costs over a loopback socket. Run like bench-cell.
+# round trip costs over a loopback socket; and what the decorator stack
+# fdserver and fddiscover build (retry over metrics over a silent fault
+# injector) adds to a 64-cell read, a 64-cell write and an 8-op batch — no
+# workload of `go run ./benchmark` passes through a decorator, so that is the
+# only number for the seam itself. Run like bench-cell.
 bench-wire:
 	$(GO) test -run '^$$' -bench 'FrameRoundTrip|LoopbackRTT' -benchmem -benchtime $(BENCHTIME) ./internal/transport/
-	$(GO) test -run '^$$' -bench 'WALRecord' -benchmem -benchtime $(BENCHTIME) ./internal/store/
+	$(GO) test -run '^$$' -bench 'WALRecord|ServiceStack' -benchmem -benchtime $(BENCHTIME) ./internal/store/
 
 # ORAM access-path micro-benchmarks: one whole oblivious access (path read,
 # one open per bucket, eviction, one seal per bucket, path write) against the

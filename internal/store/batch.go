@@ -22,49 +22,21 @@ type BatchOp struct {
 	Cts   [][]byte // writes only
 }
 
-// Batcher is the optional extension a Service implements when it can apply
-// a whole batch in one round trip. Results are per-op: reads return their
-// ciphertexts, writes return nil. Decorators that cannot preserve their
-// semantics across a fused call (e.g. the per-op fault injector) simply
-// don't implement it, and DoBatch degrades to per-op calls through them.
+// Batcher is the optional extension a Service implements when it can take a
+// whole batch in one call. Results are per-op: reads return their
+// ciphertexts, writes return nil. Every Handler-backed service is one (a
+// layer that must see each cell operation on its own splits the batch
+// itself, see eachBatchOp); DoBatch degrades to per-op calls through a
+// service that is not.
 type Batcher interface {
 	Batch(ops []BatchOp) ([][][]byte, error)
-}
-
-// DoBatch applies ops through svc, fused into one call when svc implements
-// Batcher and op by op otherwise. The first error aborts the batch;
-// previously applied writes remain applied (same as serial issuance).
-func DoBatch(svc Service, ops []BatchOp) ([][][]byte, error) {
-	if b, ok := svc.(Batcher); ok {
-		return b.Batch(ops)
-	}
-	return batchFallback(svc, ops)
-}
-
-// batchFallback applies ops one by one through svc.
-func batchFallback(svc Service, ops []BatchOp) ([][][]byte, error) {
-	out := make([][][]byte, len(ops))
-	for i, op := range ops {
-		if op.Write {
-			if err := svc.WriteCells(op.Name, op.Idx, op.Cts); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		cts, err := svc.ReadCells(op.Name, op.Idx)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = cts
-	}
-	return out, nil
 }
 
 // Batch implements Batcher for the in-memory server: ops apply in order
 // under the server's own per-call locking. Trace events are recorded per
 // cell index by ReadCells/WriteCells exactly as for unbatched calls.
 func (s *Server) Batch(ops []BatchOp) ([][][]byte, error) {
-	return batchFallback(s, ops)
+	return eachBatchOp(ops, func(op *Op, res *Result) error { return Invoke(s, op, res) })
 }
 
 // RoundCounter counts logical storage round trips: every Service call is
@@ -72,102 +44,32 @@ func (s *Server) Batch(ops []BatchOp) ([][][]byte, error) {
 // carries. The scaling benchmark uses it to report how many rounds (and
 // hence how much injected RTT) a discovery run pays.
 type RoundCounter struct {
+	Adapter
 	svc    Service
 	rounds atomic.Int64
 }
 
 // WithRoundCounter wraps svc with a round counter; safe for concurrent
 // workers.
-func WithRoundCounter(svc Service) *RoundCounter { return &RoundCounter{svc: svc} }
+func WithRoundCounter(svc Service) *RoundCounter {
+	c := &RoundCounter{svc: svc}
+	c.Adapter = Adapt(c.handle)
+	return c
+}
 
 // Rounds returns the number of logical round trips counted so far.
 func (c *RoundCounter) Rounds() int64 { return c.rounds.Load() }
 
-// Batch implements Batcher. If the inner service cannot fuse the batch,
-// each op is its own round and is counted as such — the counter never
-// reports fewer rounds than the backend actually served.
-func (c *RoundCounter) Batch(ops []BatchOp) ([][][]byte, error) {
-	if b, ok := c.svc.(Batcher); ok {
-		c.rounds.Add(1)
-		return b.Batch(ops)
+// handle counts op as one round. If the inner service cannot fuse a batch,
+// each of its ops is its own round and is counted as such — the counter
+// never reports fewer rounds than the backend actually served.
+func (c *RoundCounter) handle(op *Op, res *Result) (err error) {
+	if op.Kind == KindBatch {
+		if _, fuses := c.svc.(Batcher); !fuses {
+			res.Batch, err = eachBatchOp(op.Ops, c.handle)
+			return err
+		}
 	}
-	return batchFallback(c, ops)
-}
-
-// CreateArray implements Service.
-func (c *RoundCounter) CreateArray(name string, n int) error {
 	c.rounds.Add(1)
-	return c.svc.CreateArray(name, n)
+	return Invoke(c.svc, op, res)
 }
-
-// ArrayLen implements Service.
-func (c *RoundCounter) ArrayLen(name string) (int, error) {
-	c.rounds.Add(1)
-	return c.svc.ArrayLen(name)
-}
-
-// ReadCells implements Service.
-func (c *RoundCounter) ReadCells(name string, idx []int64) ([][]byte, error) {
-	c.rounds.Add(1)
-	return c.svc.ReadCells(name, idx)
-}
-
-// WriteCells implements Service.
-func (c *RoundCounter) WriteCells(name string, idx []int64, cts [][]byte) error {
-	c.rounds.Add(1)
-	return c.svc.WriteCells(name, idx, cts)
-}
-
-// CreateTree implements Service.
-func (c *RoundCounter) CreateTree(name string, levels, slotsPerBucket int) error {
-	c.rounds.Add(1)
-	return c.svc.CreateTree(name, levels, slotsPerBucket)
-}
-
-// ReadPath implements Service.
-func (c *RoundCounter) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	c.rounds.Add(1)
-	return c.svc.ReadPath(name, leaf)
-}
-
-// WritePath implements Service.
-func (c *RoundCounter) WritePath(name string, leaf uint32, slots [][]byte) error {
-	c.rounds.Add(1)
-	return c.svc.WritePath(name, leaf, slots)
-}
-
-// WriteBuckets implements Service.
-func (c *RoundCounter) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	c.rounds.Add(1)
-	return c.svc.WriteBuckets(name, bucketStart, slots)
-}
-
-// Delete implements Service.
-func (c *RoundCounter) Delete(name string) error {
-	c.rounds.Add(1)
-	return c.svc.Delete(name)
-}
-
-// Reveal implements Service.
-func (c *RoundCounter) Reveal(tag string, value int64) error {
-	c.rounds.Add(1)
-	return c.svc.Reveal(tag, value)
-}
-
-// Checkpoint implements Service.
-func (c *RoundCounter) Checkpoint(epoch int64) error {
-	c.rounds.Add(1)
-	return c.svc.Checkpoint(epoch)
-}
-
-// Stats implements Service.
-func (c *RoundCounter) Stats() (Stats, error) {
-	c.rounds.Add(1)
-	return c.svc.Stats()
-}
-
-var (
-	_ Service = (*RoundCounter)(nil)
-	_ Batcher = (*RoundCounter)(nil)
-	_ Batcher = (*Server)(nil)
-)

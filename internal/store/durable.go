@@ -38,6 +38,7 @@ import (
 // ciphertexts and public structure. Persisting it gives the adversary
 // nothing the threat model's full-memory view did not already include.
 type DurableServer struct {
+	Adapter
 	mu   sync.Mutex
 	mem  *Server
 	dir  string
@@ -74,11 +75,6 @@ type DurableServer struct {
 	degradedGauge *telemetry.Gauge
 	otr           *otrace.Tracer // nil-safe span recorder (wal/append, store/snapshot)
 }
-
-var (
-	_ Service          = (*DurableServer)(nil)
-	_ NamespaceService = (*DurableServer)(nil)
-)
 
 // DurableOptions tunes the durable backend.
 type DurableOptions struct {
@@ -306,6 +302,7 @@ func openDir(dir string, opts DurableOptions, wantEpoch int64) (*DurableServer, 
 		degradedGauge: opts.Metrics.Gauge("oblivfd_store_degraded"),
 		otr:           opts.Trace,
 	}
+	ds.Adapter = Adapt(ds.handle)
 	if opts.KillAfterAppends > 0 {
 		ds.armed = true
 		ds.kills = opts.KillAfterAppends
@@ -415,7 +412,7 @@ func (d *DurableServer) mutate(rec *walRecord) error {
 // front. Fail-stop WAL errors latch the server dead.
 func (d *DurableServer) applyFramed(rec *walRecord, frame []byte, replay bool) error {
 	if rec.Op == walCheckpoint && rec.Name == "" {
-		return d.Checkpoint(rec.N)
+		return d.checkpointRoot(rec.N)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -517,75 +514,37 @@ func (d *DurableServer) readGuard() error {
 	return d.aliveLocked()
 }
 
-// CreateArray implements Service.
-func (d *DurableServer) CreateArray(name string, n int) error {
-	return d.mutate(&walRecord{Op: walCreateArray, Name: name, N: int64(n)})
-}
-
-// ArrayLen implements Service.
-func (d *DurableServer) ArrayLen(name string) (int, error) {
-	if err := d.readGuard(); err != nil {
-		return 0, err
+// handle serves one operation. A mutation becomes a WAL record (a Batch one
+// record per write, in order). A root Checkpoint marks the epoch, writes an
+// epoch-tagged snapshot atomically, compacts the WAL, and prunes snapshots
+// beyond KeepSnapshots; a non-root tenant's epoch mark is made durable as a
+// WAL record rather than a full snapshot — with SyncEvery=1 the mark survives
+// any crash the moment the call returns, and per-tenant checkpoints stay
+// cheap even with many tenants checkpointing at every level of their
+// traversals (full snapshots, which absorb these records and persist the
+// marks in the snapshot payload, still happen on root checkpoints and
+// graceful shutdown). Everything else is answered from memory; reveals are
+// part of the adversary's trace, not the recoverable storage state, so they
+// are not logged.
+func (d *DurableServer) handle(op *Op, res *Result) (err error) {
+	switch {
+	case op.Kind == KindBatch:
+		res.Batch, err = eachBatchOp(op.Ops, d.handle)
+		return err
+	case op.Kind.info().mutates:
+		return d.mutate(walRecordOf(op))
 	}
-	return d.mem.ArrayLen(name)
-}
-
-// ReadCells implements Service.
-func (d *DurableServer) ReadCells(name string, idx []int64) ([][]byte, error) {
-	if err := d.readGuard(); err != nil {
-		return nil, err
-	}
-	return d.mem.ReadCells(name, idx)
-}
-
-// WriteCells implements Service.
-func (d *DurableServer) WriteCells(name string, idx []int64, cts [][]byte) error {
-	return d.mutate(&walRecord{Op: walWriteCells, Name: name, Idx: idx, Cts: cts})
-}
-
-// CreateTree implements Service.
-func (d *DurableServer) CreateTree(name string, levels, slotsPerBucket int) error {
-	return d.mutate(&walRecord{Op: walCreateTree, Name: name, Levels: levels, Slots: slotsPerBucket})
-}
-
-// ReadPath implements Service.
-func (d *DurableServer) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	if err := d.readGuard(); err != nil {
-		return nil, err
-	}
-	return d.mem.ReadPath(name, leaf)
-}
-
-// WritePath implements Service.
-func (d *DurableServer) WritePath(name string, leaf uint32, slots [][]byte) error {
-	return d.mutate(&walRecord{Op: walWritePath, Name: name, Leaf: leaf, Cts: slots})
-}
-
-// WriteBuckets implements Service.
-func (d *DurableServer) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	return d.mutate(&walRecord{Op: walWriteBuckets, Name: name, N: int64(bucketStart), Cts: slots})
-}
-
-// Delete implements Service.
-func (d *DurableServer) Delete(name string) error {
-	return d.mutate(&walRecord{Op: walDelete, Name: name})
-}
-
-// Reveal implements Service. Reveals are part of the adversary's trace, not
-// the recoverable storage state, so they are not logged.
-func (d *DurableServer) Reveal(tag string, value int64) error {
 	if err := d.readGuard(); err != nil {
 		return err
 	}
-	return d.mem.Reveal(tag, value)
+	return Invoke(d.mem, op, res)
 }
 
-// Checkpoint implements Service: it marks the epoch, writes an epoch-tagged
-// snapshot atomically, compacts the WAL, and prunes snapshots beyond
-// KeepSnapshots. When it returns, the mark is durable: a crash at any later
-// point recovers to a state at or after this epoch, and OpenDirAtEpoch can
-// roll back to exactly it while retained.
-func (d *DurableServer) Checkpoint(epoch int64) error {
+// checkpointRoot marks the root namespace's epoch and snapshots. When it
+// returns, the mark is durable: a crash at any later point recovers to a
+// state at or after this epoch, and OpenDirAtEpoch can roll back to exactly
+// it while retained.
+func (d *DurableServer) checkpointRoot(epoch int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.aliveLocked(); err != nil {
@@ -595,25 +554,6 @@ func (d *DurableServer) Checkpoint(epoch int64) error {
 		return err
 	}
 	return d.snapshotLocked()
-}
-
-// CheckpointNS implements NamespaceService: a non-root tenant's epoch mark
-// is made durable as a WAL record rather than a full snapshot — with
-// SyncEvery=1 the mark survives any crash the moment the call returns, and
-// per-tenant checkpoints stay cheap even with many tenants checkpointing at
-// every level of their traversals. Full snapshots (which absorb these
-// records and persist the marks in the snapshot payload) still happen on
-// root checkpoints and graceful shutdown.
-func (d *DurableServer) CheckpointNS(db string, epoch int64) error {
-	return d.mutate(&walRecord{Op: walCheckpoint, Name: db, N: epoch})
-}
-
-// StatsNS implements NamespaceService.
-func (d *DurableServer) StatsNS(db string) (Stats, error) {
-	if err := d.readGuard(); err != nil {
-		return Stats{}, err
-	}
-	return d.mem.StatsNS(db)
 }
 
 // SnapshotBytes serializes the current state into memory (the same framed
@@ -757,14 +697,6 @@ func syncDir(fsys FS, dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// Stats implements Service.
-func (d *DurableServer) Stats() (Stats, error) {
-	if err := d.readGuard(); err != nil {
-		return Stats{}, err
-	}
-	return d.mem.Stats()
 }
 
 // ObjectNames lists live objects in the scrubber's fixed sweep order.

@@ -66,11 +66,10 @@ const (
 //     request lost on the way to the server;
 //   - fail-after: the backend applies the operation and then the call
 //     errors, like a response lost on the way back. This is the case that
-//     exercises idempotent retries. Non-idempotent operations (CreateArray,
-//     CreateTree, Delete) are only ever failed before applying, because a
-//     lost acknowledgement for those is the transport layer's reconcile
-//     problem (see transport.Client), not the fault model's.
+//     exercises idempotent retries. Which operations may be failed this
+//     way is the failAfter column of the kind table (op.go).
 type FaultService struct {
+	Adapter
 	svc Service
 	cfg FaultConfig
 
@@ -100,6 +99,7 @@ func WithFaults(svc Service, cfg FaultConfig) *FaultService {
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		crng: rand.New(rand.NewSource(cfg.Seed ^ 0x1e35a7bd1e35a7bd)),
 	}
+	f.Adapter = Adapt(f.handle)
 	if cfg.Metrics != nil {
 		f.errors = cfg.Metrics.Counter("oblivfd_faults_injected_total")
 		f.spikes = cfg.Metrics.Counter("oblivfd_fault_spikes_total")
@@ -195,137 +195,52 @@ func (f *FaultService) next(idempotent bool) decision {
 	return d
 }
 
-// call runs one operation under the schedule. do must capture its results
-// in the caller's scope; on a fail-after the results are discarded by the
-// caller returning the injected error.
-func (f *FaultService) call(op string, idempotent bool, do func() error) error {
-	d := f.next(idempotent)
+// handle runs one operation under the schedule; on a fail-after the
+// backend's results are discarded with the injected error. Two kinds are
+// special. Stats is exempt from injection so that monitoring stays reliable
+// even under heavy chaos, and reports the injected-fault count. A Batch is
+// split here, each cell op drawing its own slot exactly as if issued alone —
+// the schedule is indexed by cell operations, not by how a caller grouped
+// them. Everything else follows its kind's failAfter row; a Reveal failed
+// after applying leaves a duplicate log entry on retry, which carries the
+// same already-public value, and re-marking an epoch is idempotent (the
+// durable backend writes a fresh snapshot of the same state).
+func (f *FaultService) handle(op *Op, res *Result) (err error) {
+	switch op.Kind {
+	case KindStats:
+		if err := Invoke(f.svc, op, res); err != nil {
+			return err
+		}
+		// With a shared registry counter the value is the stack-wide total, so
+		// it replaces rather than accumulates — stacking two registry-backed
+		// fault layers must not double-count. Faults are a property of the
+		// shared backend, so a tenant's namespaced Stats reports the same.
+		if f.shared {
+			res.Stats.FaultsInjected = f.errors.Value()
+		} else {
+			res.Stats.FaultsInjected += f.errors.Value()
+		}
+		return nil
+	case KindBatch:
+		res.Batch, err = eachBatchOp(op.Ops, f.handle)
+		return err
+	}
+	d := f.next(op.Kind.info().failAfter)
 	if d.spike && f.cfg.Spike > 0 {
 		f.spikes.Inc()
 		time.Sleep(f.cfg.Spike)
 	}
 	if d.fail && !d.after {
 		f.errors.Inc()
-		return fmt.Errorf("%w: injected before %s (call %d)", ErrTransient, op, d.seq)
+		return fmt.Errorf("%w: injected before %v (call %d)", ErrTransient, op.Kind, d.seq)
 	}
-	err := do()
+	err = Invoke(f.svc, op, res)
 	if d.fail && d.after {
 		f.errors.Inc()
-		return fmt.Errorf("%w: injected after %s (call %d)", ErrTransient, op, d.seq)
+		return fmt.Errorf("%w: injected after %v (call %d)", ErrTransient, op.Kind, d.seq)
+	}
+	if err == nil && (op.Kind == KindReadCells || op.Kind == KindReadPath) {
+		res.Cts = f.maybeCorrupt(res.Cts)
 	}
 	return err
 }
-
-// CreateArray implements Service.
-func (f *FaultService) CreateArray(name string, n int) error {
-	return f.call("CreateArray", false, func() error { return f.svc.CreateArray(name, n) })
-}
-
-// ArrayLen implements Service.
-func (f *FaultService) ArrayLen(name string) (n int, err error) {
-	err = f.call("ArrayLen", true, func() error { n, err = f.svc.ArrayLen(name); return err })
-	return n, err
-}
-
-// ReadCells implements Service.
-func (f *FaultService) ReadCells(name string, idx []int64) (cts [][]byte, err error) {
-	err = f.call("ReadCells", true, func() error { cts, err = f.svc.ReadCells(name, idx); return err })
-	if err != nil {
-		return nil, err
-	}
-	return f.maybeCorrupt(cts), nil
-}
-
-// WriteCells implements Service.
-func (f *FaultService) WriteCells(name string, idx []int64, cts [][]byte) error {
-	return f.call("WriteCells", true, func() error { return f.svc.WriteCells(name, idx, cts) })
-}
-
-// CreateTree implements Service.
-func (f *FaultService) CreateTree(name string, levels, slotsPerBucket int) error {
-	return f.call("CreateTree", false, func() error { return f.svc.CreateTree(name, levels, slotsPerBucket) })
-}
-
-// ReadPath implements Service.
-func (f *FaultService) ReadPath(name string, leaf uint32) (cts [][]byte, err error) {
-	err = f.call("ReadPath", true, func() error { cts, err = f.svc.ReadPath(name, leaf); return err })
-	if err != nil {
-		return nil, err
-	}
-	return f.maybeCorrupt(cts), nil
-}
-
-// WritePath implements Service.
-func (f *FaultService) WritePath(name string, leaf uint32, slots [][]byte) error {
-	return f.call("WritePath", true, func() error { return f.svc.WritePath(name, leaf, slots) })
-}
-
-// WriteBuckets implements Service.
-func (f *FaultService) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	return f.call("WriteBuckets", true, func() error { return f.svc.WriteBuckets(name, bucketStart, slots) })
-}
-
-// Delete implements Service.
-func (f *FaultService) Delete(name string) error {
-	return f.call("Delete", false, func() error { return f.svc.Delete(name) })
-}
-
-// Reveal implements Service. Reveal appends to a public log, so a
-// fail-after followed by a retry produces a duplicate entry; the duplicate
-// carries the same already-public value, so it leaks nothing new.
-func (f *FaultService) Reveal(tag string, value int64) error {
-	return f.call("Reveal", true, func() error { return f.svc.Reveal(tag, value) })
-}
-
-// Checkpoint implements Service. Re-marking an epoch is idempotent (the
-// durable backend writes a fresh snapshot of the same state), so fail-after
-// injection is allowed.
-func (f *FaultService) Checkpoint(epoch int64) error {
-	return f.call("Checkpoint", true, func() error { return f.svc.Checkpoint(epoch) })
-}
-
-// Stats implements Service, adding the injected-fault count to the report.
-// Stats itself is exempt from injection so that monitoring stays reliable
-// even under heavy chaos. With a shared registry counter the value is the
-// stack-wide total, so it replaces rather than accumulates — stacking two
-// registry-backed fault layers must not double-count.
-func (f *FaultService) Stats() (Stats, error) {
-	st, err := f.svc.Stats()
-	if err != nil {
-		return st, err
-	}
-	if f.shared {
-		st.FaultsInjected = f.errors.Value()
-	} else {
-		st.FaultsInjected += f.errors.Value()
-	}
-	return st, nil
-}
-
-// CheckpointNS implements NamespaceService, injecting faults on the same
-// schedule slot a root Checkpoint would use (re-marking a tenant epoch is
-// idempotent, so fail-after is allowed).
-func (f *FaultService) CheckpointNS(db string, epoch int64) error {
-	return f.call("Checkpoint", true, func() error { return CheckpointIn(f.svc, db, epoch) })
-}
-
-// StatsNS implements NamespaceService. Like Stats it is exempt from
-// injection; the fault counter it reports is the stack-wide total (faults
-// are a property of the shared backend, visible to every tenant's retries).
-func (f *FaultService) StatsNS(db string) (Stats, error) {
-	st, err := StatsIn(f.svc, db)
-	if err != nil {
-		return st, err
-	}
-	if f.shared {
-		st.FaultsInjected = f.errors.Value()
-	} else {
-		st.FaultsInjected += f.errors.Value()
-	}
-	return st, nil
-}
-
-var (
-	_ Service          = (*FaultService)(nil)
-	_ NamespaceService = (*FaultService)(nil)
-)

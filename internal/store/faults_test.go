@@ -138,3 +138,61 @@ func TestFaultFailAfterApplies(t *testing.T) {
 		t.Error("no fail-after write applied in 50 attempts at 100% error rate")
 	}
 }
+
+// TestFaultScheduleSlotPerBatchedCellOp: the schedule is indexed by cell
+// operations, however a caller groups them. The same ops issued one by one
+// and as one Batch through the injector's typed facade draw the same slots:
+// the batch fails at the op the serial run first failed at, naming the same
+// call number, and has consumed exactly the slots up to it.
+func TestFaultScheduleSlotPerBatchedCellOp(t *testing.T) {
+	cfg := FaultConfig{Seed: 11, ErrorRate: 0.15}
+	ops := make([]BatchOp, 40)
+	for i := range ops {
+		ops[i] = BatchOp{Write: i%2 == 0, Name: "a", Idx: []int64{int64(i % 8)}}
+		if ops[i].Write {
+			ops[i].Cts = [][]byte{{byte(i)}}
+		}
+	}
+	backend := func() *Server {
+		s := NewServer()
+		if err := s.CreateArray("a", 8); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	serial := WithFaults(backend(), cfg)
+	first, want := -1, error(nil)
+	for i, op := range ops {
+		var err error
+		if op.Write {
+			err = serial.WriteCells(op.Name, op.Idx, op.Cts)
+		} else {
+			_, err = serial.ReadCells(op.Name, op.Idx)
+		}
+		if err != nil {
+			first, want = i, err
+			break
+		}
+	}
+	if first < 1 {
+		t.Fatalf("first serial fault at op %d; the seed must let a few ops through and then fail one", first)
+	}
+
+	batched := WithFaults(backend(), cfg)
+	_, err := batched.Batch(ops)
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("batch of the same ops: %v, want the serial run's %v", err, want)
+	}
+	if batched.seq != int64(first+1) {
+		t.Errorf("batch consumed %d schedule slots, want %d (one per cell op up to the fault)", batched.seq, first+1)
+	}
+
+	clean := WithFaults(backend(), FaultConfig{Seed: 11})
+	if _, err := DoBatch(clean, ops); err != nil {
+		t.Fatal(err)
+	}
+	if clean.seq != int64(len(ops)) {
+		t.Errorf("a clean batch of %d ops consumed %d slots", len(ops), clean.seq)
+	}
+}

@@ -9,114 +9,15 @@ import (
 // (two machines on a 1 Gbps LAN, §VII-A). Concurrent calls are delayed
 // independently, so latency — unlike CPU work — is overlappable: this is
 // the effect the sorting protocol's parallelism exploits (Fig. 6a), and
-// injecting it lets single-machine runs reproduce that behaviour.
+// injecting it lets single-machine runs reproduce that behaviour. A whole
+// batch pays one delay, which is the point of batching — RTT cost scales
+// with rounds, not cells.
 func WithLatency(svc Service, rtt time.Duration) Service {
 	if rtt <= 0 {
 		return svc
 	}
-	return &latencyService{svc: svc, rtt: rtt}
+	return Adapt(func(op *Op, res *Result) error {
+		time.Sleep(rtt)
+		return Invoke(svc, op, res)
+	})
 }
-
-type latencyService struct {
-	svc Service
-	rtt time.Duration
-}
-
-func (l *latencyService) delay() { time.Sleep(l.rtt) }
-
-// CreateArray implements Service.
-func (l *latencyService) CreateArray(name string, n int) error {
-	l.delay()
-	return l.svc.CreateArray(name, n)
-}
-
-// ArrayLen implements Service.
-func (l *latencyService) ArrayLen(name string) (int, error) {
-	l.delay()
-	return l.svc.ArrayLen(name)
-}
-
-// ReadCells implements Service.
-func (l *latencyService) ReadCells(name string, idx []int64) ([][]byte, error) {
-	l.delay()
-	return l.svc.ReadCells(name, idx)
-}
-
-// WriteCells implements Service.
-func (l *latencyService) WriteCells(name string, idx []int64, cts [][]byte) error {
-	l.delay()
-	return l.svc.WriteCells(name, idx, cts)
-}
-
-// CreateTree implements Service.
-func (l *latencyService) CreateTree(name string, levels, slotsPerBucket int) error {
-	l.delay()
-	return l.svc.CreateTree(name, levels, slotsPerBucket)
-}
-
-// ReadPath implements Service.
-func (l *latencyService) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	l.delay()
-	return l.svc.ReadPath(name, leaf)
-}
-
-// WritePath implements Service.
-func (l *latencyService) WritePath(name string, leaf uint32, slots [][]byte) error {
-	l.delay()
-	return l.svc.WritePath(name, leaf, slots)
-}
-
-// WriteBuckets implements Service.
-func (l *latencyService) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	l.delay()
-	return l.svc.WriteBuckets(name, bucketStart, slots)
-}
-
-// Delete implements Service.
-func (l *latencyService) Delete(name string) error {
-	l.delay()
-	return l.svc.Delete(name)
-}
-
-// Reveal implements Service.
-func (l *latencyService) Reveal(tag string, value int64) error {
-	l.delay()
-	return l.svc.Reveal(tag, value)
-}
-
-// Checkpoint implements Service.
-func (l *latencyService) Checkpoint(epoch int64) error {
-	l.delay()
-	return l.svc.Checkpoint(epoch)
-}
-
-// Stats implements Service.
-func (l *latencyService) Stats() (Stats, error) {
-	l.delay()
-	return l.svc.Stats()
-}
-
-// CheckpointNS implements NamespaceService, forwarding to the backend so
-// per-tenant epoch marks survive the decorator stack.
-func (l *latencyService) CheckpointNS(db string, epoch int64) error {
-	l.delay()
-	return CheckpointIn(l.svc, db, epoch)
-}
-
-// StatsNS implements NamespaceService.
-func (l *latencyService) StatsNS(db string) (Stats, error) {
-	l.delay()
-	return StatsIn(l.svc, db)
-}
-
-// Batch implements Batcher: the whole batch pays one round-trip delay, which
-// is the point of batching — RTT cost scales with rounds, not cells.
-func (l *latencyService) Batch(ops []BatchOp) ([][][]byte, error) {
-	l.delay()
-	return DoBatch(l.svc, ops)
-}
-
-var (
-	_ Batcher          = (*latencyService)(nil)
-	_ NamespaceService = (*latencyService)(nil)
-)

@@ -6,38 +6,14 @@ import (
 	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
 
-// opNames is every Service operation, used to pre-create metric handles so
-// the hot path never touches the registry map.
-var opNames = []string{
-	"CreateArray", "ArrayLen", "ReadCells", "WriteCells",
-	"CreateTree", "ReadPath", "WritePath", "WriteBuckets",
-	"Delete", "Reveal", "Checkpoint", "Stats", "Batch",
-}
-
-// Op indices into metricsService handle slices.
-const (
-	opCreateArray = iota
-	opArrayLen
-	opReadCells
-	opWriteCells
-	opCreateTree
-	opReadPath
-	opWritePath
-	opWriteBuckets
-	opDelete
-	opReveal
-	opCheckpoint
-	opStats
-	opBatch
-	numOps
-)
-
 // WithMetrics wraps a Service so every call is timed into a per-operation
 // latency histogram (oblivfd_store_op_seconds{op=...}), errors are counted
 // (oblivfd_store_op_errors_total{op=...}), and ciphertext payload volume
-// is accumulated (oblivfd_store_bytes_{read,written}_total). A nil
-// registry returns svc unchanged — the zero-telemetry path has no wrapper
-// at all.
+// is accumulated (oblivfd_store_bytes_{read,written}_total). A fused Batch
+// is timed as one operation and its payload attributed to the read/write
+// totals per inner op; a namespaced Checkpoint or Stats is timed as a
+// Checkpoint or Stats. A nil registry returns svc unchanged — the
+// zero-telemetry path has no wrapper at all.
 //
 // Leakage note: everything observed here (operation kind, latency, payload
 // size) is already visible to the server and the persistent adversary; see
@@ -46,32 +22,40 @@ func WithMetrics(svc Service, reg *telemetry.Registry) Service {
 	if reg == nil {
 		return svc
 	}
-	m := &metricsService{
-		svc:          svc,
-		bytesRead:    reg.Counter("oblivfd_store_bytes_read_total"),
-		bytesWritten: reg.Counter("oblivfd_store_bytes_written_total"),
+	// Handles are pre-created so the hot path never touches the registry map.
+	var lat [NumKinds]*telemetry.Histogram
+	var errs [NumKinds]*telemetry.Counter
+	for k, info := range kinds {
+		if info.service {
+			lat[k] = reg.Histogram("oblivfd_store_op_seconds", "op", info.name)
+			errs[k] = reg.Counter("oblivfd_store_op_errors_total", "op", info.name)
+		}
 	}
-	for i, op := range opNames {
-		m.lat[i] = reg.Histogram("oblivfd_store_op_seconds", "op", op)
-		m.errs[i] = reg.Counter("oblivfd_store_op_errors_total", "op", op)
-	}
-	return m
-}
-
-type metricsService struct {
-	svc          Service
-	lat          [numOps]*telemetry.Histogram
-	errs         [numOps]*telemetry.Counter
-	bytesRead    *telemetry.Counter
-	bytesWritten *telemetry.Counter
-}
-
-// observe records one finished call.
-func (m *metricsService) observe(op int, t0 time.Time, err error) {
-	m.lat[op].ObserveSince(t0)
-	if err != nil {
-		m.errs[op].Inc()
-	}
+	bytesRead := reg.Counter("oblivfd_store_bytes_read_total")
+	bytesWritten := reg.Counter("oblivfd_store_bytes_written_total")
+	return Adapt(func(op *Op, res *Result) error {
+		if !op.Kind.info().service {
+			return Invoke(svc, op, res) // which refuses it
+		}
+		t0 := time.Now()
+		err := Invoke(svc, op, res)
+		lat[op.Kind].ObserveSince(t0)
+		if err != nil {
+			errs[op.Kind].Inc()
+			return err
+		}
+		// Only reads return ciphertexts and only writes carry them.
+		read, written := payloadBytes(res.Cts), payloadBytes(op.Cts)
+		for i, b := range op.Ops {
+			written += payloadBytes(b.Cts)
+			if i < len(res.Batch) {
+				read += payloadBytes(res.Batch[i])
+			}
+		}
+		bytesRead.Add(read)
+		bytesWritten.Add(written)
+		return nil
+	})
 }
 
 func payloadBytes(cts [][]byte) int64 {
@@ -81,154 +65,3 @@ func payloadBytes(cts [][]byte) int64 {
 	}
 	return n
 }
-
-// CreateArray implements Service.
-func (m *metricsService) CreateArray(name string, n int) error {
-	t0 := time.Now()
-	err := m.svc.CreateArray(name, n)
-	m.observe(opCreateArray, t0, err)
-	return err
-}
-
-// ArrayLen implements Service.
-func (m *metricsService) ArrayLen(name string) (int, error) {
-	t0 := time.Now()
-	n, err := m.svc.ArrayLen(name)
-	m.observe(opArrayLen, t0, err)
-	return n, err
-}
-
-// ReadCells implements Service.
-func (m *metricsService) ReadCells(name string, idx []int64) ([][]byte, error) {
-	t0 := time.Now()
-	cts, err := m.svc.ReadCells(name, idx)
-	m.observe(opReadCells, t0, err)
-	if err == nil {
-		m.bytesRead.Add(payloadBytes(cts))
-	}
-	return cts, err
-}
-
-// WriteCells implements Service.
-func (m *metricsService) WriteCells(name string, idx []int64, cts [][]byte) error {
-	t0 := time.Now()
-	err := m.svc.WriteCells(name, idx, cts)
-	m.observe(opWriteCells, t0, err)
-	if err == nil {
-		m.bytesWritten.Add(payloadBytes(cts))
-	}
-	return err
-}
-
-// CreateTree implements Service.
-func (m *metricsService) CreateTree(name string, levels, slotsPerBucket int) error {
-	t0 := time.Now()
-	err := m.svc.CreateTree(name, levels, slotsPerBucket)
-	m.observe(opCreateTree, t0, err)
-	return err
-}
-
-// ReadPath implements Service.
-func (m *metricsService) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	t0 := time.Now()
-	cts, err := m.svc.ReadPath(name, leaf)
-	m.observe(opReadPath, t0, err)
-	if err == nil {
-		m.bytesRead.Add(payloadBytes(cts))
-	}
-	return cts, err
-}
-
-// WritePath implements Service.
-func (m *metricsService) WritePath(name string, leaf uint32, slots [][]byte) error {
-	t0 := time.Now()
-	err := m.svc.WritePath(name, leaf, slots)
-	m.observe(opWritePath, t0, err)
-	if err == nil {
-		m.bytesWritten.Add(payloadBytes(slots))
-	}
-	return err
-}
-
-// WriteBuckets implements Service.
-func (m *metricsService) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	t0 := time.Now()
-	err := m.svc.WriteBuckets(name, bucketStart, slots)
-	m.observe(opWriteBuckets, t0, err)
-	if err == nil {
-		m.bytesWritten.Add(payloadBytes(slots))
-	}
-	return err
-}
-
-// Delete implements Service.
-func (m *metricsService) Delete(name string) error {
-	t0 := time.Now()
-	err := m.svc.Delete(name)
-	m.observe(opDelete, t0, err)
-	return err
-}
-
-// Reveal implements Service.
-func (m *metricsService) Reveal(tag string, value int64) error {
-	t0 := time.Now()
-	err := m.svc.Reveal(tag, value)
-	m.observe(opReveal, t0, err)
-	return err
-}
-
-// Checkpoint implements Service.
-func (m *metricsService) Checkpoint(epoch int64) error {
-	t0 := time.Now()
-	err := m.svc.Checkpoint(epoch)
-	m.observe(opCheckpoint, t0, err)
-	return err
-}
-
-// Stats implements Service.
-func (m *metricsService) Stats() (Stats, error) {
-	t0 := time.Now()
-	st, err := m.svc.Stats()
-	m.observe(opStats, t0, err)
-	return st, err
-}
-
-// Batch implements Batcher, timing the fused call as one operation and
-// attributing payload bytes to the read/write totals per inner op.
-func (m *metricsService) Batch(ops []BatchOp) ([][][]byte, error) {
-	t0 := time.Now()
-	res, err := DoBatch(m.svc, ops)
-	m.observe(opBatch, t0, err)
-	if err == nil {
-		for i, op := range ops {
-			if op.Write {
-				m.bytesWritten.Add(payloadBytes(op.Cts))
-			} else if i < len(res) {
-				m.bytesRead.Add(payloadBytes(res[i]))
-			}
-		}
-	}
-	return res, err
-}
-
-// CheckpointNS implements NamespaceService, timed as a Checkpoint.
-func (m *metricsService) CheckpointNS(db string, epoch int64) error {
-	t0 := time.Now()
-	err := CheckpointIn(m.svc, db, epoch)
-	m.observe(opCheckpoint, t0, err)
-	return err
-}
-
-// StatsNS implements NamespaceService, timed as a Stats.
-func (m *metricsService) StatsNS(db string) (Stats, error) {
-	t0 := time.Now()
-	st, err := StatsIn(m.svc, db)
-	m.observe(opStats, t0, err)
-	return st, err
-}
-
-var (
-	_ Service          = (*metricsService)(nil)
-	_ Batcher          = (*metricsService)(nil)
-	_ NamespaceService = (*metricsService)(nil)
-)

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Database namespaces: a multi-tenant server hosts several databases on one
 // Service by prefixing every object name with "<db>/". Engine-generated
@@ -49,9 +46,11 @@ func ValidDBName(db string) bool {
 
 // NamespaceService is the optional per-namespace surface a multi-tenant
 // backend exposes alongside Service. Checkpoint/Stats on Service itself act
-// on the root namespace; these act on a named one. Decorators that wrap a
-// NamespaceService forward both methods so per-tenant marks survive the
-// whole fdserver stack (latency → faults → metrics → backend).
+// on the root namespace; these act on a named one. On a Handler-backed
+// service both pairs are one Op whose DB field names the namespace, so
+// per-tenant marks survive the whole fdserver stack (latency → faults →
+// metrics → backend) without any layer forwarding them; CheckpointIn and
+// StatsIn reach them on any Service.
 type NamespaceService interface {
 	// CheckpointNS marks a recovery epoch for one database namespace.
 	CheckpointNS(db string, epoch int64) error
@@ -59,132 +58,39 @@ type NamespaceService interface {
 	StatsNS(db string) (Stats, error)
 }
 
-// CheckpointIn marks an epoch in the given namespace on any Service: through
-// NamespaceService when the backend (or its decorators) support it, falling
-// back to the plain Checkpoint for the root namespace. A non-root namespace
-// on a backend without NamespaceService is an error rather than a silent
-// cross-tenant checkpoint.
-func CheckpointIn(svc Service, db string, epoch int64) error {
-	if db == "" {
-		return svc.Checkpoint(epoch)
-	}
-	if ns, ok := svc.(NamespaceService); ok {
-		return ns.CheckpointNS(db, epoch)
-	}
-	return fmt.Errorf("store: backend %T cannot checkpoint namespace %q", svc, db)
-}
-
-// StatsIn reports namespace-scoped stats on any Service, with the same
-// fallback rules as CheckpointIn.
-func StatsIn(svc Service, db string) (Stats, error) {
-	if db == "" {
-		return svc.Stats()
-	}
-	if ns, ok := svc.(NamespaceService); ok {
-		return ns.StatsNS(db)
-	}
-	return Stats{}, fmt.Errorf("store: backend %T cannot report namespace %q", svc, db)
-}
-
-// namespacedService scopes a Service to one database: every object name is
-// prefixed with "<db>/", reveals are tagged per-tenant, and
-// Checkpoint/Stats act on the tenant's own recovery mark. It is what the
-// transport server interposes once a session handshake has bound a
-// connection to a database, so N tenants share one backend without key
-// collisions.
-type namespacedService struct {
-	svc Service
-	db  string
-}
-
-// Namespaced returns svc scoped to the given database namespace. An empty db
-// returns svc unchanged (the root namespace needs no prefixing).
+// Namespaced returns svc scoped to the given database namespace: every
+// object name is prefixed with "<db>/", reveals are tagged per-tenant (the
+// reveal log is part of the adversary's trace, and per-tenant tags keep the
+// union-of-traces leakage argument syntactic — each logged disclosure names
+// the tenant that made it), and Checkpoint/Stats act on the tenant's own
+// recovery mark. It is what the transport server interposes once a session
+// handshake has bound a connection to a database, so N tenants share one
+// backend without key collisions. An empty db returns svc unchanged (the root
+// namespace needs no prefixing).
 func Namespaced(svc Service, db string) Service {
 	if db == "" {
 		return svc
 	}
-	return &namespacedService{svc: svc, db: db}
+	prefix := db + "/"
+	return Adapt(func(op *Op, res *Result) error {
+		// The op is scoped in place and restored: a layer above (retry) may
+		// issue the same Op again.
+		name, outer, ops := op.Name, op.DB, op.Ops
+		switch op.Kind {
+		case KindCheckpoint, KindStats:
+			op.DB = db
+		case KindBatch:
+			// A backend Batcher still gets the whole batch in one call.
+			op.Ops = make([]BatchOp, len(ops))
+			for i, b := range ops {
+				b.Name = prefix + b.Name
+				op.Ops[i] = b
+			}
+		default:
+			op.Name = prefix + name
+		}
+		err := Invoke(svc, op, res)
+		op.Name, op.DB, op.Ops = name, outer, ops
+		return err
+	})
 }
-
-func (n *namespacedService) prefix(name string) string { return n.db + "/" + name }
-
-// CreateArray implements Service.
-func (n *namespacedService) CreateArray(name string, size int) error {
-	return n.svc.CreateArray(n.prefix(name), size)
-}
-
-// ArrayLen implements Service.
-func (n *namespacedService) ArrayLen(name string) (int, error) {
-	return n.svc.ArrayLen(n.prefix(name))
-}
-
-// ReadCells implements Service.
-func (n *namespacedService) ReadCells(name string, idx []int64) ([][]byte, error) {
-	return n.svc.ReadCells(n.prefix(name), idx)
-}
-
-// WriteCells implements Service.
-func (n *namespacedService) WriteCells(name string, idx []int64, cts [][]byte) error {
-	return n.svc.WriteCells(n.prefix(name), idx, cts)
-}
-
-// CreateTree implements Service.
-func (n *namespacedService) CreateTree(name string, levels, slotsPerBucket int) error {
-	return n.svc.CreateTree(n.prefix(name), levels, slotsPerBucket)
-}
-
-// ReadPath implements Service.
-func (n *namespacedService) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	return n.svc.ReadPath(n.prefix(name), leaf)
-}
-
-// WritePath implements Service.
-func (n *namespacedService) WritePath(name string, leaf uint32, slots [][]byte) error {
-	return n.svc.WritePath(n.prefix(name), leaf, slots)
-}
-
-// WriteBuckets implements Service.
-func (n *namespacedService) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	return n.svc.WriteBuckets(n.prefix(name), bucketStart, slots)
-}
-
-// Delete implements Service.
-func (n *namespacedService) Delete(name string) error {
-	return n.svc.Delete(n.prefix(name))
-}
-
-// Reveal implements Service. The tag is prefixed too: the reveal log is part
-// of the adversary's trace, and per-tenant tags keep the union-of-traces
-// leakage argument syntactic — each logged disclosure names the tenant that
-// made it.
-func (n *namespacedService) Reveal(tag string, value int64) error {
-	return n.svc.Reveal(n.prefix(tag), value)
-}
-
-// Checkpoint implements Service, marking the epoch in this database's
-// namespace only.
-func (n *namespacedService) Checkpoint(epoch int64) error {
-	return CheckpointIn(n.svc, n.db, epoch)
-}
-
-// Stats implements Service, reporting this database's namespace only.
-func (n *namespacedService) Stats() (Stats, error) {
-	return StatsIn(n.svc, n.db)
-}
-
-// Batch implements Batcher by prefixing each op and delegating through
-// DoBatch, so a backend Batcher still gets the whole batch in one call and a
-// plain backend falls back to per-op dispatch.
-func (n *namespacedService) Batch(ops []BatchOp) ([][][]byte, error) {
-	scoped := make([]BatchOp, len(ops))
-	for i, op := range ops {
-		op.Name = n.prefix(op.Name)
-		scoped[i] = op
-	}
-	return DoBatch(n.svc, scoped)
-}
-
-var (
-	_ Service = (*namespacedService)(nil)
-	_ Batcher = (*namespacedService)(nil)
-)

@@ -158,6 +158,7 @@ type replicaPeer struct {
 // reads proceed while a shipment is in flight. Lock order is shipMu before
 // mu; the durable layer's own locks nest innermost.
 type ReplicatedServer struct {
+	Adapter
 	d   *DurableServer
 	cfg ReplicationConfig
 
@@ -187,12 +188,7 @@ type ReplicatedServer struct {
 	watermarkGauge *telemetry.Gauge
 }
 
-var (
-	_ Service          = (*ReplicatedServer)(nil)
-	_ Batcher          = (*ReplicatedServer)(nil)
-	_ NamespaceService = (*ReplicatedServer)(nil)
-	_ Replicator       = (*ReplicatedServer)(nil)
-)
+var _ Replicator = (*ReplicatedServer)(nil)
 
 const fenceFile = "FENCE"
 
@@ -304,6 +300,7 @@ func Replicated(d *DurableServer, cfg ReplicationConfig) (*ReplicatedServer, err
 		fenceGauge:     cfg.Metrics.Gauge("oblivfd_replication_fence"),
 		watermarkGauge: cfg.Metrics.Gauge("oblivfd_replication_watermark"),
 	}
+	r.Adapter = Adapt(r.handle)
 	r.publishRoleLocked()
 	for _, addr := range cfg.Peers {
 		r.peers = append(r.peers, &replicaPeer{addr: addr, downAt: -int64(cfg.RedialEvery)})
@@ -567,8 +564,8 @@ func (r *ReplicatedServer) RepairStored(name string, isTree bool, idx []int64) e
 	return r.repairStoredLocked(name, isTree, idx)
 }
 
-// repairStoredLocked is RepairStored with shipMu already held (Batch repairs
-// mid-batch without releasing the stream order lock).
+// repairStoredLocked is RepairStored with shipMu already held (a Batch
+// repairs mid-batch without releasing the stream order lock).
 func (r *ReplicatedServer) repairStoredLocked(name string, isTree bool, idx []int64) error {
 	r.mu.Lock()
 	if err := r.gateLocked(); err != nil {
@@ -659,23 +656,6 @@ func (r *ReplicatedServer) MarkDiverged() {
 	r.watermark = -1
 	r.publishRoleLocked()
 	slog.Warn("store: replica marked diverged — awaiting snapshot resync from primary")
-}
-
-// tryRepair attempts a repair-from-replica for a foreground read that hit
-// corruption. It returns nil when the repair landed (retry the read), the
-// original error when repair does not apply here (no corruption detail, no
-// peers), and the repair's own error otherwise — which keeps a disk-full
-// shed retryable (ErrDiskFull) instead of laundering it into the fatal
-// ErrIntegrity the caller started with.
-func (r *ReplicatedServer) tryRepair(err error) error {
-	var cce *CorruptCellsError
-	if !errors.As(err, &cce) || len(r.peers) == 0 {
-		return err
-	}
-	if rerr := r.RepairStored(cce.Object, cce.Tree, cce.Idx); rerr != nil {
-		return rerr
-	}
-	return nil
 }
 
 // ship sends frames to every peer at the fence they were applied under
@@ -790,227 +770,144 @@ func (r *ReplicatedServer) ReplicaLag() int64 {
 	return r.maxLag()
 }
 
-// mutate gates, applies through the durable layer, and synchronously ships
-// the record before acknowledging the client — an acknowledged write is on
-// every reachable replica, the invariant the failover harness leans on.
-// shipMu spans the whole call so the stream order is the WAL order; mu is
-// released before the network calls so a slow peer stalls only writers.
+// handle serves one client operation. Stats answers on any role — the
+// failover layer probes it to find the primary and the freshest replica;
+// everything else only on the live primary. Mutations (an epoch mark
+// included, so a replica snapshots at the same epochs the primary does and
+// the "last epoch snapshot" a resync falls back to exists on both sides) are
+// logged and shipped; reveals are part of the adversary's trace at the server
+// that observed them, not recoverable state, so they are served like reads
+// and not replicated.
+func (r *ReplicatedServer) handle(op *Op, res *Result) error {
+	switch {
+	case op.Kind == KindStats:
+		if err := r.d.Do(op, res); err != nil {
+			return err
+		}
+		r.annotate(&res.Stats)
+		return nil
+	case op.Kind == KindBatch:
+		return r.batch(op, res)
+	case op.Kind.info().mutates:
+		return r.mutate(walRecordOf(op))
+	}
+	return r.read(op, res, r.RepairStored)
+}
+
+// apply gates one record onto the live primary and applies it through the
+// durable layer, returning the frame to ship and the fence it applied under.
 // The record is encoded once, here, before it applies: the durable layer
 // appends these bytes and every peer is sent them, and an encoding failure
 // rejects the operation outright rather than applying a record that could
 // never ship — a divergence the stream position check would never see, since
-// shipped would not advance either.
+// shipped would not advance either. Caller holds shipMu.
+func (r *ReplicatedServer) apply(rec *walRecord) (frame []byte, fence int64, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.gateLocked(); err != nil {
+		return nil, 0, err
+	}
+	if frame, err = encodeWALRecord(rec); err != nil {
+		return nil, 0, err
+	}
+	if err := r.d.applyFramed(rec, frame, false); err != nil {
+		return nil, 0, err
+	}
+	return frame, r.fence, nil
+}
+
+// mutate applies a record and synchronously ships it before acknowledging
+// the client — an acknowledged write is on every reachable replica, the
+// invariant the failover harness leans on. shipMu spans the whole call so the
+// stream order is the WAL order; mu is released before the network calls so a
+// slow peer stalls only writers.
 func (r *ReplicatedServer) mutate(rec *walRecord) error {
 	r.shipMu.Lock()
 	defer r.shipMu.Unlock()
-	r.mu.Lock()
-	if err := r.gateLocked(); err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	frame, err := encodeWALRecord(rec)
+	frame, fence, err := r.apply(rec)
 	if err != nil {
-		r.mu.Unlock()
 		return err
 	}
-	if err := r.d.applyFramed(rec, frame, false); err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	fence := r.fence
-	r.mu.Unlock()
 	r.ship(fence, [][]byte{frame})
 	return nil
 }
 
-// read gates reads onto the primary: a replica's state may be mid-batch
-// relative to the primary's, and the client's ORAM position map is coupled
-// to the single linearized history only the primary serves.
-func (r *ReplicatedServer) read(fn func() error) error {
-	r.mu.Lock()
-	if err := r.gateLocked(); err != nil {
+// maxReadRepairs bounds how often one read repairs and reads again. One
+// round heals whatever the first read reported; a further round is only
+// needed when cells rot again — or others on the same path do — between a
+// repair and its re-read, which takes an injector, so a handful is plenty and
+// a store that rots faster than that deserves the loud failure.
+const maxReadRepairs = 4
+
+// read serves a non-mutating operation, gated onto the primary: a replica's
+// state may be mid-batch relative to the primary's, and the client's ORAM
+// position map is coupled to the single linearized history only the primary
+// serves. A read that hits corrupt stored cells heals them from a peer
+// (repair is RepairStored, or its shipMu-held form inside a batch) and reads
+// again, for as long as each repair succeeds and the re-read reports fresh
+// corruption, up to maxReadRepairs. The client sees ErrIntegrity only when no
+// healthy copy exists (the PR 4 fail-loudly contract): with no peers the
+// read's own error is returned, and a failed repair returns the repair's
+// error — which keeps a disk-full shed retryable (ErrDiskFull) instead of
+// laundering it into the fatal ErrIntegrity the read started with.
+func (r *ReplicatedServer) read(op *Op, res *Result, repair func(name string, isTree bool, idx []int64) error) error {
+	for repairs := 0; ; repairs++ {
+		r.mu.Lock()
+		err := r.gateLocked()
 		r.mu.Unlock()
-		return err
-	}
-	r.mu.Unlock()
-	return fn()
-}
-
-// CreateArray implements Service.
-func (r *ReplicatedServer) CreateArray(name string, n int) error {
-	return r.mutate(&walRecord{Op: walCreateArray, Name: name, N: int64(n)})
-}
-
-// ArrayLen implements Service.
-func (r *ReplicatedServer) ArrayLen(name string) (n int, err error) {
-	err = r.read(func() error { n, err = r.d.ArrayLen(name); return err })
-	return n, err
-}
-
-// ReadCells implements Service. A read that hits corruption triggers one
-// repair-from-replica attempt and retries; only if no healthy copy exists
-// does the client see ErrIntegrity (the PR 4 fail-loudly contract).
-func (r *ReplicatedServer) ReadCells(name string, idx []int64) (cts [][]byte, err error) {
-	err = r.read(func() error { cts, err = r.d.ReadCells(name, idx); return err })
-	if err != nil {
-		if rerr := r.tryRepair(err); rerr == nil {
-			err = r.read(func() error { cts, err = r.d.ReadCells(name, idx); return err })
-		} else {
-			err = rerr
+		if err != nil {
+			return err
+		}
+		err = r.d.Do(op, res)
+		var cce *CorruptCellsError
+		if !errors.As(err, &cce) || len(r.peers) == 0 || repairs == maxReadRepairs {
+			return err
+		}
+		if err := repair(cce.Object, cce.Tree, cce.Idx); err != nil {
+			return err
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return cts, nil
 }
 
-// WriteCells implements Service.
-func (r *ReplicatedServer) WriteCells(name string, idx []int64, cts [][]byte) error {
-	return r.mutate(&walRecord{Op: walWriteCells, Name: name, Idx: idx, Cts: cts})
-}
-
-// CreateTree implements Service.
-func (r *ReplicatedServer) CreateTree(name string, levels, slotsPerBucket int) error {
-	return r.mutate(&walRecord{Op: walCreateTree, Name: name, Levels: levels, Slots: slotsPerBucket})
-}
-
-// ReadPath implements Service. Corruption on the path repairs from a
-// replica and retries, like ReadCells.
-func (r *ReplicatedServer) ReadPath(name string, leaf uint32) (cts [][]byte, err error) {
-	err = r.read(func() error { cts, err = r.d.ReadPath(name, leaf); return err })
-	if err != nil {
-		if rerr := r.tryRepair(err); rerr == nil {
-			err = r.read(func() error { cts, err = r.d.ReadPath(name, leaf); return err })
-		} else {
-			err = rerr
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return cts, nil
-}
-
-// WritePath implements Service.
-func (r *ReplicatedServer) WritePath(name string, leaf uint32, slots [][]byte) error {
-	return r.mutate(&walRecord{Op: walWritePath, Name: name, Leaf: leaf, Cts: slots})
-}
-
-// WriteBuckets implements Service.
-func (r *ReplicatedServer) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	return r.mutate(&walRecord{Op: walWriteBuckets, Name: name, N: int64(bucketStart), Cts: slots})
-}
-
-// Delete implements Service.
-func (r *ReplicatedServer) Delete(name string) error {
-	return r.mutate(&walRecord{Op: walDelete, Name: name})
-}
-
-// Reveal implements Service. Reveals are part of the adversary's trace at
-// the server that observed them, not recoverable state, so they are not
-// replicated.
-func (r *ReplicatedServer) Reveal(tag string, value int64) error {
-	return r.read(func() error { return r.d.Reveal(tag, value) })
-}
-
-// Checkpoint implements Service. The epoch mark replicates like any other
-// record, so a replica snapshots at the same epochs the primary does — the
-// "last epoch snapshot" a resync falls back to exists on both sides.
-func (r *ReplicatedServer) Checkpoint(epoch int64) error {
-	return r.mutate(&walRecord{Op: walCheckpoint, N: epoch})
-}
-
-// CheckpointNS implements NamespaceService.
-func (r *ReplicatedServer) CheckpointNS(db string, epoch int64) error {
-	return r.mutate(&walRecord{Op: walCheckpoint, Name: db, N: epoch})
-}
-
-// Batch implements Batcher: ops apply one by one through the durable layer
-// (each landing in the WAL) and ship to every replica as a single
-// Replicate call, so batching cuts replication round trips exactly as it
-// cuts client round trips.
-func (r *ReplicatedServer) Batch(ops []BatchOp) ([][][]byte, error) {
+// batch applies a Batch's ops one by one through the durable layer (each
+// write landing in the WAL) and ships the writes to every replica as a single
+// Replicate call, so batching cuts replication round trips exactly as it cuts
+// client round trips. Whatever applied before a failing op still ships, to
+// keep replicas aligned with what applied.
+func (r *ReplicatedServer) batch(op *Op, res *Result) (err error) {
 	r.shipMu.Lock()
 	defer r.shipMu.Unlock()
-	r.mu.Lock()
-	if err := r.gateLocked(); err != nil {
-		r.mu.Unlock()
-		return nil, err
+	var (
+		fence  int64
+		frames [][]byte
+	)
+	flush := func() {
+		r.ship(fence, frames)
+		frames = nil
 	}
-	fence := r.fence
-	out := make([][][]byte, len(ops))
-	var frames [][]byte
-	fail := func(err error) ([][][]byte, error) {
-		r.mu.Unlock()
-		r.ship(fence, frames) // keep replicas aligned with what applied
-		return nil, err
-	}
-	for i, op := range ops {
-		if op.Write {
-			// Encode first, and once, as in mutate.
-			rec := &walRecord{Op: walWriteCells, Name: op.Name, Idx: op.Idx, Cts: op.Cts}
-			frame, err := encodeWALRecord(rec)
-			if err != nil {
-				return fail(err)
-			}
-			if err := r.d.applyFramed(rec, frame, false); err != nil {
-				return fail(err)
-			}
-			frames = append(frames, frame)
-			continue
+	defer flush()
+	res.Batch, err = eachBatchOp(op.Ops, func(sub *Op, subres *Result) error {
+		if sub.Kind != KindWriteCells {
+			// Mid-batch corruption repairs inline (shipMu is already held).
+			// The batch's pending frames ship first so the donor replica
+			// reflects every write this batch already applied — repairing
+			// against a peer that lags the unshipped writes could install
+			// stale bytes.
+			return r.read(sub, subres, func(name string, isTree bool, idx []int64) error {
+				flush()
+				return r.repairStoredLocked(name, isTree, idx)
+			})
 		}
-		cts, err := r.d.ReadCells(op.Name, op.Idx)
+		frame, f, err := r.apply(walRecordOf(sub))
 		if err != nil {
-			// Mid-batch corruption: repair inline (shipMu is already held)
-			// and retry the read once before giving up. The batch's pending
-			// frames ship first so the donor replica reflects every write
-			// this batch already applied — repairing against a peer that
-			// lags the unshipped writes could install stale bytes.
-			var cce *CorruptCellsError
-			if errors.As(err, &cce) && len(r.peers) > 0 {
-				r.mu.Unlock()
-				r.ship(fence, frames)
-				frames = nil
-				rerr := r.repairStoredLocked(cce.Object, cce.Tree, cce.Idx)
-				r.mu.Lock()
-				if rerr == nil {
-					cts, err = r.d.ReadCells(op.Name, op.Idx)
-				} else {
-					err = rerr // keeps a disk-full shed retryable
-				}
-			}
-			if err != nil {
-				return fail(err)
-			}
+			return err
 		}
-		out[i] = cts
-	}
-	r.mu.Unlock()
-	r.ship(fence, frames)
-	return out, nil
-}
-
-// Stats implements Service. Unlike data operations, Stats answers on any
-// role — the failover layer probes it to find the primary and the freshest
-// replica.
-func (r *ReplicatedServer) Stats() (Stats, error) {
-	st, err := r.d.Stats()
-	if err != nil {
-		return Stats{}, err
-	}
-	r.annotate(&st)
-	return st, nil
-}
-
-// StatsNS implements NamespaceService; like Stats it answers on any role.
-func (r *ReplicatedServer) StatsNS(db string) (Stats, error) {
-	st, err := r.d.StatsNS(db)
-	if err != nil {
-		return Stats{}, err
-	}
-	r.annotate(&st)
-	return st, nil
+		// Every write of one batch applies under one fence: adopting another
+		// deposes this server, and the next op's gate ends the batch.
+		fence, frames = f, append(frames, frame)
+		return nil
+	})
+	return err
 }
 
 func (r *ReplicatedServer) annotate(st *Stats) {

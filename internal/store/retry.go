@@ -139,12 +139,12 @@ func DefaultRetryable(err error) bool {
 // not idempotent at the server, but a retried create that answers "already
 // exists" (or a retried delete answering "unknown object") after a
 // transient failure can only mean the earlier attempt applied — so the
-// retry layer reconciles those verdicts to success. That reasoning is
-// scoped to the session's own database namespace: on a multi-tenant server
-// every object name a session touches is prefixed with its database (see
-// Namespaced), so no other tenant can create or delete the objects this
-// client names, and within one namespace there is still a single writer.
-// Two clients sharing one database namespace would break the
+// retry layer reconciles those verdicts to success (Kind.Applied). That
+// reasoning is scoped to the session's own database namespace: on a
+// multi-tenant server every object name a session touches is prefixed with
+// its database (see Namespaced), so no other tenant can create or delete the
+// objects this client names, and within one namespace there is still a single
+// writer. Two clients sharing one database namespace would break the
 // reconciliation, which is why the transport binds each session to exactly
 // one database and documents one-writer-per-database as the deployment
 // contract.
@@ -158,6 +158,7 @@ func DefaultRetryable(err error) bool {
 // property of the network, not of the database. The leakage profile
 // L(DB) = {Size(DB), FD(DB)} is unchanged.
 type RetryService struct {
+	Adapter
 	svc    Service
 	policy RetryPolicy
 
@@ -199,6 +200,7 @@ func WithRetry(svc Service, policy RetryPolicy) *RetryService {
 		seed = rand.Int63() // independent schedule per client (see Seed)
 	}
 	rs := &RetryService{svc: svc, policy: policy, rng: rand.New(rand.NewSource(seed))}
+	rs.Adapter = Adapt(rs.handle)
 	if policy.Metrics != nil {
 		rs.retries = policy.Metrics.Counter("oblivfd_retries_total")
 		rs.shared = true
@@ -242,163 +244,45 @@ func (r *RetryService) backoff(n int) time.Duration {
 	return time.Duration(d)
 }
 
-// reconciled reports whether an error on a retried call proves the earlier
-// attempt applied (see the type comment).
-func reconciled(appliedErr error, err error) bool {
-	return appliedErr != nil && errors.Is(err, appliedErr)
-}
-
-// do runs one logical call. appliedErr, when non-nil, is the sentinel that
-// a retry of this operation returns once the operation has already applied.
-func (r *RetryService) do(op string, appliedErr error, fn func() error) error {
+// handle runs one logical call: the op is issued until it succeeds, fails on
+// its merits, or the policy gives up. A failed Batch is retried whole — every
+// op in it is a cell read or an idempotent cell write, so re-applying a
+// partially applied batch converges to the same state as one clean pass — and
+// a Stats answer carries the retry count.
+func (r *RetryService) handle(op *Op, res *Result) error {
 	var deadline time.Time
 	if r.policy.CallTimeout > 0 {
 		deadline = time.Now().Add(r.policy.CallTimeout)
 	}
-	var err error
 	for attempt := 1; ; attempt++ {
-		err = fn()
-		if err == nil {
-			return nil
-		}
-		if attempt > 1 && reconciled(appliedErr, err) {
-			return nil
+		err := Invoke(r.svc, op, res)
+		if err == nil || attempt > 1 && op.Kind.Applied(err) {
+			break
 		}
 		if !r.policy.Retryable(err) {
 			return err
 		}
 		if attempt >= r.policy.MaxAttempts {
-			return fmt.Errorf("store: %s failed after %d attempts: %w", op, attempt, err)
+			return fmt.Errorf("store: %v failed after %d attempts: %w", op.Kind, attempt, err)
 		}
 		if r.policy.Budget > 0 && r.spent.Add(1) > r.policy.Budget {
-			return fmt.Errorf("%w: %s: %v", ErrRetryBudgetExhausted, op, err)
+			return fmt.Errorf("%w: %v: %v", ErrRetryBudgetExhausted, op.Kind, err)
 		}
 		wait := r.backoff(attempt)
 		if !deadline.IsZero() && time.Now().Add(wait).After(deadline) {
-			return fmt.Errorf("store: %s deadline exceeded after %d attempts: %w", op, attempt, err)
+			return fmt.Errorf("store: %v deadline exceeded after %d attempts: %w", op.Kind, attempt, err)
 		}
 		r.policy.sleep(wait)
 		r.retries.Inc()
 	}
-}
-
-// CreateArray implements Service.
-func (r *RetryService) CreateArray(name string, n int) error {
-	return r.do("CreateArray", ErrObjectExists, func() error { return r.svc.CreateArray(name, n) })
-}
-
-// ArrayLen implements Service.
-func (r *RetryService) ArrayLen(name string) (n int, err error) {
-	err = r.do("ArrayLen", nil, func() error { n, err = r.svc.ArrayLen(name); return err })
-	return n, err
-}
-
-// ReadCells implements Service.
-func (r *RetryService) ReadCells(name string, idx []int64) (cts [][]byte, err error) {
-	err = r.do("ReadCells", nil, func() error { cts, err = r.svc.ReadCells(name, idx); return err })
-	if err != nil {
-		return nil, err
+	if op.Kind == KindStats {
+		// With a shared registry counter the value is the stack-wide total, so
+		// it replaces rather than accumulates (see FaultService.handle).
+		if r.shared {
+			res.Stats.Retries = r.retries.Value()
+		} else {
+			res.Stats.Retries += r.retries.Value()
+		}
 	}
-	return cts, nil
+	return nil
 }
-
-// WriteCells implements Service.
-func (r *RetryService) WriteCells(name string, idx []int64, cts [][]byte) error {
-	return r.do("WriteCells", nil, func() error { return r.svc.WriteCells(name, idx, cts) })
-}
-
-// CreateTree implements Service.
-func (r *RetryService) CreateTree(name string, levels, slotsPerBucket int) error {
-	return r.do("CreateTree", ErrObjectExists, func() error { return r.svc.CreateTree(name, levels, slotsPerBucket) })
-}
-
-// ReadPath implements Service.
-func (r *RetryService) ReadPath(name string, leaf uint32) (cts [][]byte, err error) {
-	err = r.do("ReadPath", nil, func() error { cts, err = r.svc.ReadPath(name, leaf); return err })
-	if err != nil {
-		return nil, err
-	}
-	return cts, nil
-}
-
-// WritePath implements Service.
-func (r *RetryService) WritePath(name string, leaf uint32, slots [][]byte) error {
-	return r.do("WritePath", nil, func() error { return r.svc.WritePath(name, leaf, slots) })
-}
-
-// WriteBuckets implements Service.
-func (r *RetryService) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	return r.do("WriteBuckets", nil, func() error { return r.svc.WriteBuckets(name, bucketStart, slots) })
-}
-
-// Delete implements Service.
-func (r *RetryService) Delete(name string) error {
-	return r.do("Delete", ErrUnknownObject, func() error { return r.svc.Delete(name) })
-}
-
-// Reveal implements Service. A retried Reveal may append a duplicate entry
-// to the public log; the value is already public, so nothing new leaks.
-func (r *RetryService) Reveal(tag string, value int64) error {
-	return r.do("Reveal", nil, func() error { return r.svc.Reveal(tag, value) })
-}
-
-// Checkpoint implements Service. Marking the same epoch twice is harmless
-// (the durable backend just snapshots again), so retries are safe.
-func (r *RetryService) Checkpoint(epoch int64) error {
-	return r.do("Checkpoint", nil, func() error { return r.svc.Checkpoint(epoch) })
-}
-
-// Stats implements Service, adding the retry count to the report. With a
-// shared registry counter the value is the stack-wide total, so it
-// replaces rather than accumulates (see FaultService.Stats).
-func (r *RetryService) Stats() (Stats, error) {
-	var st Stats
-	err := r.do("Stats", nil, func() error { var e error; st, e = r.svc.Stats(); return e })
-	if err != nil {
-		return Stats{}, err
-	}
-	if r.shared {
-		st.Retries = r.retries.Value()
-	} else {
-		st.Retries += r.retries.Value()
-	}
-	return st, nil
-}
-
-// Batch implements Batcher. A failed batch is retried whole: every op in a
-// batch is a cell read or an idempotent cell write, so re-applying a
-// partially applied batch converges to the same state as one clean pass.
-func (r *RetryService) Batch(ops []BatchOp) (res [][][]byte, err error) {
-	err = r.do("Batch", nil, func() error { res, err = DoBatch(r.svc, ops); return err })
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// CheckpointNS implements NamespaceService with the same retry semantics as
-// Checkpoint.
-func (r *RetryService) CheckpointNS(db string, epoch int64) error {
-	return r.do("Checkpoint", nil, func() error { return CheckpointIn(r.svc, db, epoch) })
-}
-
-// StatsNS implements NamespaceService, adding the retry count like Stats.
-func (r *RetryService) StatsNS(db string) (Stats, error) {
-	var st Stats
-	err := r.do("Stats", nil, func() error { var e error; st, e = StatsIn(r.svc, db); return e })
-	if err != nil {
-		return Stats{}, err
-	}
-	if r.shared {
-		st.Retries = r.retries.Value()
-	} else {
-		st.Retries += r.retries.Value()
-	}
-	return st, nil
-}
-
-var (
-	_ Service          = (*RetryService)(nil)
-	_ Batcher          = (*RetryService)(nil)
-	_ NamespaceService = (*RetryService)(nil)
-)

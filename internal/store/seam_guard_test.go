@@ -1,0 +1,89 @@
+package store
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestOnlyServerAndAdapterSpellOutTheMethodSet keeps the forwarders from
+// growing back: in the two packages that implement the storage seam, the
+// in-memory Server and the Adapter are the only types that declare the typed
+// method set (WriteBuckets stands for it — no other interface has one).
+// Everything else is a Handler behind an Adapter; see CONTRIBUTING.md,
+// "Adding a decorator".
+func TestOnlyServerAndAdapterSpellOutTheMethodSet(t *testing.T) {
+	allowed := map[string]bool{"store.Server": true, "store.Adapter": true}
+	for _, dir := range []string{".", "../transport"} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed := 0
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed++
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || fn.Name.Name != "WriteBuckets" {
+					continue
+				}
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if typ := file.Name.Name + "." + recv.(*ast.Ident).Name; !allowed[typ] {
+					t.Errorf("%s declares WriteBuckets: write it as a store.Handler behind store.Adapt instead of forwarding the method set by hand", typ)
+				}
+			}
+		}
+		if parsed == 0 {
+			t.Fatalf("no Go source found in %s", dir)
+		}
+	}
+}
+
+// TestEveryKindHasItsRow: a kind appended without a row in the table would
+// report under an empty op label, never be failed after applying, and never
+// be logged or shipped.
+func TestEveryKindHasItsRow(t *testing.T) {
+	seen := map[string]Kind{}
+	for k := Kind(0); k < NumKinds; k++ {
+		name := kinds[k].name
+		if name == "" {
+			t.Errorf("kind %d has no row in the kinds table", k)
+			continue
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
+		}
+		seen[name] = k
+	}
+	if got := Kind(NumKinds).String(); got != "kind(19)" {
+		t.Errorf("a kind past the table prints as %q", got)
+	}
+	// The mutates column and the WAL agree on what is logged.
+	for k := Kind(0); k < NumKinds; k++ {
+		if logged := walRecordOf(&Op{Kind: k}).Op != numWALOps; logged != kinds[k].mutates {
+			t.Errorf("%v: mutates column says %v, the WAL has a record for it: %v", k, kinds[k].mutates, logged)
+		}
+	}
+	// The service column and Invoke's switch agree on what a Service runs.
+	for k := Kind(0); k <= NumKinds; k++ {
+		err := Invoke(NewServer(), &Op{Kind: k}, &Result{})
+		refused := err != nil && strings.Contains(err.Error(), "is not a Service operation")
+		if refused == k.info().service {
+			t.Errorf("%v: service column says %v, Invoke answered %v", k, k.info().service, err)
+		}
+	}
+}

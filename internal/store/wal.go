@@ -61,18 +61,50 @@ const (
 	walFence
 	walRepairCells
 	walRepairSlots
+	numWALOps
 )
 
-var walOpNames = [...]string{
-	"CreateArray", "WriteCells", "CreateTree", "WritePath", "WriteBuckets", "Delete", "Checkpoint", "Fence",
-	"RepairCells", "RepairSlots",
+// walOpKind is the Service operation each record logs: the name it prints
+// under, and how a mutating Op finds its record. The last three ops log
+// something no Service call asks for and name themselves.
+var walOpKind = [...]Kind{
+	walCreateArray:  KindCreateArray,
+	walWriteCells:   KindWriteCells,
+	walCreateTree:   KindCreateTree,
+	walWritePath:    KindWritePath,
+	walWriteBuckets: KindWriteBuckets,
+	walDelete:       KindDelete,
+	walCheckpoint:   KindCheckpoint,
 }
 
 func (o walOp) String() string {
-	if int(o) < len(walOpNames) {
-		return walOpNames[o]
+	switch {
+	case int(o) < len(walOpKind):
+		return walOpKind[o].String()
+	case o == walFence:
+		return "Fence"
+	case o == walRepairCells:
+		return "RepairCells"
+	case o == walRepairSlots:
+		return "RepairSlots"
 	}
 	return fmt.Sprintf("walOp(%d)", uint8(o))
+}
+
+// walRecordOf is the record that logs a mutating Service operation. Any other
+// kind gets an op outside the table, which encodeWALRecord refuses.
+func walRecordOf(op *Op) *walRecord {
+	rec := &walRecord{Op: numWALOps, Name: op.Name, N: int64(op.N), Levels: op.Levels, Slots: op.Slots,
+		Leaf: op.Leaf, Idx: op.Idx, Cts: op.Cts}
+	for o, k := range walOpKind {
+		if k == op.Kind {
+			rec.Op = walOp(o)
+		}
+	}
+	if op.Kind == KindCheckpoint {
+		rec.Name, rec.N = op.DB, op.Value
+	}
+	return rec
 }
 
 // walRecord is one logged mutation. Field use depends on Op:

@@ -63,40 +63,40 @@ func appendRequest(b []byte, req *request) []byte {
 	b = append(b, byte(req.Kind))
 	b = append(b, req.Ctx[:]...)
 	switch req.Kind {
-	case kindCreateArray:
+	case store.KindCreateArray:
 		b = wire.PutString(b, req.Name)
 		b = binary.AppendVarint(b, int64(req.N))
-	case kindArrayLen, kindDelete:
+	case store.KindArrayLen, store.KindDelete:
 		b = wire.PutString(b, req.Name)
-	case kindReadCells:
+	case store.KindReadCells:
 		b = wire.PutString(b, req.Name)
 		b = wire.PutIndices(b, req.Idx)
-	case kindWriteCells:
+	case store.KindWriteCells:
 		b = wire.PutString(b, req.Name)
 		b = wire.PutIndices(b, req.Idx)
 		b = wire.PutRun(b, req.Cts)
-	case kindCreateTree:
+	case store.KindCreateTree:
 		b = wire.PutString(b, req.Name)
 		b = binary.AppendVarint(b, int64(req.Levels))
 		b = binary.AppendVarint(b, int64(req.Slots))
-	case kindReadPath:
+	case store.KindReadPath:
 		b = wire.PutString(b, req.Name)
 		b = binary.AppendUvarint(b, uint64(req.Leaf))
-	case kindWritePath:
+	case store.KindWritePath:
 		b = wire.PutString(b, req.Name)
 		b = binary.AppendUvarint(b, uint64(req.Leaf))
 		b = wire.PutRun(b, req.Cts)
-	case kindWriteBuckets:
+	case store.KindWriteBuckets:
 		b = wire.PutString(b, req.Name)
 		b = binary.AppendVarint(b, int64(req.N))
 		b = wire.PutRun(b, req.Cts)
-	case kindReveal:
+	case store.KindReveal:
 		b = wire.PutString(b, req.Name)
 		b = binary.AppendVarint(b, req.Value)
-	case kindStats:
-	case kindCheckpoint:
+	case store.KindStats:
+	case store.KindCheckpoint:
 		b = binary.AppendVarint(b, req.Value)
-	case kindBatch:
+	case store.KindBatch:
 		b = binary.AppendUvarint(b, uint64(len(req.Ops)))
 		for i := range req.Ops {
 			op := &req.Ops[i]
@@ -111,22 +111,22 @@ func appendRequest(b []byte, req *request) []byte {
 				b = wire.PutRun(b, op.Cts)
 			}
 		}
-	case kindHello:
+	case store.KindHello:
 		b = wire.PutString(b, req.Name)
 		b = wire.PutString(b, req.Token)
 		b = binary.AppendVarint(b, req.Value)
-	case kindReplicate, kindSync:
+	case store.KindReplicate, store.KindSync:
 		b = wire.PutString(b, req.Token)
 		b = binary.AppendVarint(b, req.Value)
 		b = binary.AppendVarint(b, req.Seq)
 		b = wire.PutRun(b, req.Cts)
-	case kindPromote:
+	case store.KindPromote:
 		b = wire.PutString(b, req.Token)
 		b = binary.AppendVarint(b, req.Value)
-	case kindTraceDump:
+	case store.KindTraceDump:
 		b = wire.PutString(b, req.Name)
 		b = wire.PutString(b, req.Token)
-	case kindRepair:
+	case store.KindRepair:
 		b = wire.PutString(b, req.Token)
 		b = binary.AppendVarint(b, req.Value)
 		b = wire.PutString(b, req.Name)
@@ -141,43 +141,43 @@ func appendRequest(b []byte, req *request) []byte {
 // decodeRequest parses one request body into req, which must be zero.
 func decodeRequest(body []byte, req *request) error {
 	r := wire.NewReader(body)
-	req.Kind = kind(r.Byte())
+	req.Kind = store.Kind(r.Byte())
 	copy(req.Ctx[:], r.Fixed(otrace.WireSize))
 	switch req.Kind {
-	case kindCreateArray:
+	case store.KindCreateArray:
 		req.Name = r.String()
 		req.N = r.Int()
-	case kindArrayLen, kindDelete:
+	case store.KindArrayLen, store.KindDelete:
 		req.Name = r.String()
-	case kindReadCells:
+	case store.KindReadCells:
 		req.Name = r.String()
 		req.Idx = r.Indices()
-	case kindWriteCells:
+	case store.KindWriteCells:
 		req.Name = r.String()
 		req.Idx = r.Indices()
 		req.Cts = r.Run(false)
-	case kindCreateTree:
+	case store.KindCreateTree:
 		req.Name = r.String()
 		req.Levels = r.Int()
 		req.Slots = r.Int()
-	case kindReadPath:
+	case store.KindReadPath:
 		req.Name = r.String()
 		req.Leaf = r.Uint32()
-	case kindWritePath:
+	case store.KindWritePath:
 		req.Name = r.String()
 		req.Leaf = r.Uint32()
 		req.Cts = r.Run(false)
-	case kindWriteBuckets:
+	case store.KindWriteBuckets:
 		req.Name = r.String()
 		req.N = r.Int()
 		req.Cts = r.Run(false)
-	case kindReveal:
+	case store.KindReveal:
 		req.Name = r.String()
 		req.Value = r.Varint()
-	case kindStats:
-	case kindCheckpoint:
+	case store.KindStats:
+	case store.KindCheckpoint:
 		req.Value = r.Varint()
-	case kindBatch:
+	case store.KindBatch:
 		// An op is at least its flag byte, a name length and an index count.
 		if n := r.Count(); n > r.Len()/3 {
 			r.Fail("%d batch ops in %d bytes", n, r.Len())
@@ -198,22 +198,22 @@ func decodeRequest(body []byte, req *request) error {
 				op.Cts = r.Run(false)
 			}
 		}
-	case kindHello:
+	case store.KindHello:
 		req.Name = r.String()
 		req.Token = r.String()
 		req.Value = r.Varint()
-	case kindReplicate, kindSync:
+	case store.KindReplicate, store.KindSync:
 		req.Token = r.String()
 		req.Value = r.Varint()
 		req.Seq = r.Varint()
 		req.Cts = r.Run(false)
-	case kindPromote:
+	case store.KindPromote:
 		req.Token = r.String()
 		req.Value = r.Varint()
-	case kindTraceDump:
+	case store.KindTraceDump:
 		req.Name = r.String()
 		req.Token = r.String()
-	case kindRepair:
+	case store.KindRepair:
 		req.Token = r.String()
 		req.Value = r.Varint()
 		req.Name = r.String()
@@ -223,16 +223,9 @@ func decodeRequest(body []byte, req *request) error {
 		r.Fail("unknown request kind %d", req.Kind)
 	}
 	if err := r.Finish(); err != nil {
-		return fmt.Errorf("transport: decoding %s request: %w", kindName(req.Kind), err)
+		return fmt.Errorf("transport: decoding %v request: %w", req.Kind, err)
 	}
 	return nil
-}
-
-func kindName(k kind) string {
-	if k < numKinds {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // appendResponse appends resp's body.

@@ -21,35 +21,35 @@ func codecRequests() []request {
 	cell := bytes.Repeat([]byte{0xC7}, 45)
 	big := bytes.Repeat([]byte{0x11}, 300)
 	reqs := []request{
-		{Kind: kindCreateArray, Name: "db:sort:col0", N: 4096},
-		{Kind: kindCreateArray, Name: "", N: -1},
-		{Kind: kindArrayLen, Name: "a"},
-		{Kind: kindReadCells, Name: "a", Idx: []int64{0, 1, 2, 3, 200, 100}},
-		{Kind: kindReadCells, Name: "a"},
-		{Kind: kindWriteCells, Name: "a", Idx: []int64{64, 65, 66}, Cts: [][]byte{cell, big, cell}},
-		{Kind: kindWriteCells, Name: "a", Idx: []int64{}, Cts: [][]byte{}},
-		{Kind: kindWriteCells, Name: "a", Idx: []int64{-5, 1 << 62}, Cts: [][]byte{nil, {}}},
-		{Kind: kindCreateTree, Name: "t", Levels: 11, Slots: 4},
-		{Kind: kindReadPath, Name: "t", Leaf: 1023},
-		{Kind: kindReadPath, Name: "t", Leaf: 1<<32 - 1},
-		{Kind: kindWritePath, Name: "t", Leaf: 7, Cts: [][]byte{cell, nil, cell, nil}},
-		{Kind: kindWriteBuckets, Name: "t", N: 512, Cts: [][]byte{cell, cell}},
-		{Kind: kindDelete, Name: "a"},
-		{Kind: kindReveal, Name: "fd:0,1->2", Value: -1},
-		{Kind: kindStats},
-		{Kind: kindCheckpoint, Value: 9},
-		{Kind: kindBatch, Ops: []store.BatchOp{
+		{Op: store.Op{Kind: store.KindCreateArray, Name: "db:sort:col0", N: 4096}},
+		{Op: store.Op{Kind: store.KindCreateArray, Name: "", N: -1}},
+		{Op: store.Op{Kind: store.KindArrayLen, Name: "a"}},
+		{Op: store.Op{Kind: store.KindReadCells, Name: "a", Idx: []int64{0, 1, 2, 3, 200, 100}}},
+		{Op: store.Op{Kind: store.KindReadCells, Name: "a"}},
+		{Op: store.Op{Kind: store.KindWriteCells, Name: "a", Idx: []int64{64, 65, 66}, Cts: [][]byte{cell, big, cell}}},
+		{Op: store.Op{Kind: store.KindWriteCells, Name: "a", Idx: []int64{}, Cts: [][]byte{}}},
+		{Op: store.Op{Kind: store.KindWriteCells, Name: "a", Idx: []int64{-5, 1 << 62}, Cts: [][]byte{nil, {}}}},
+		{Op: store.Op{Kind: store.KindCreateTree, Name: "t", Levels: 11, Slots: 4}},
+		{Op: store.Op{Kind: store.KindReadPath, Name: "t", Leaf: 1023}},
+		{Op: store.Op{Kind: store.KindReadPath, Name: "t", Leaf: 1<<32 - 1}},
+		{Op: store.Op{Kind: store.KindWritePath, Name: "t", Leaf: 7, Cts: [][]byte{cell, nil, cell, nil}}},
+		{Op: store.Op{Kind: store.KindWriteBuckets, Name: "t", N: 512, Cts: [][]byte{cell, cell}}},
+		{Op: store.Op{Kind: store.KindDelete, Name: "a"}},
+		{Op: store.Op{Kind: store.KindReveal, Name: "fd:0,1->2", Value: -1}},
+		{Op: store.Op{Kind: store.KindStats}},
+		{Op: store.Op{Kind: store.KindCheckpoint, Value: 9}},
+		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{
 			{Name: "a", Idx: []int64{0, 1}},
 			{Write: true, Name: "a", Idx: []int64{0, 1}, Cts: [][]byte{cell, nil}},
 			{Write: true, Name: "b"},
-		}},
-		{Kind: kindBatch},
-		{Kind: kindHello, Name: "tenant", Token: "hunter2", Value: 3},
-		{Kind: kindReplicate, Token: "hunter2", Value: 2, Seq: 1 << 40, Cts: [][]byte{big, cell}},
-		{Kind: kindSync, Value: 2, Seq: 17, Cts: [][]byte{big}},
-		{Kind: kindPromote, Token: "t", Value: 5},
-		{Kind: kindTraceDump, Name: "0123456789abcdef0123456789abcdef", Token: "t"},
-		{Kind: kindRepair, Token: "t", Value: 4, Name: "t", N: 1, Idx: []int64{40, 41}},
+		}}},
+		{Op: store.Op{Kind: store.KindBatch}},
+		{Op: store.Op{Kind: store.KindHello, Name: "tenant", Value: 3}, Token: "hunter2"},
+		{Op: store.Op{Kind: store.KindReplicate, Value: 2, Cts: [][]byte{big, cell}}, Token: "hunter2", Seq: 1 << 40},
+		{Op: store.Op{Kind: store.KindSync, Value: 2, Cts: [][]byte{big}}, Seq: 17},
+		{Op: store.Op{Kind: store.KindPromote, Value: 5}, Token: "t"},
+		{Op: store.Op{Kind: store.KindTraceDump, Name: "0123456789abcdef0123456789abcdef"}, Token: "t"},
+		{Op: store.Op{Kind: store.KindRepair, Value: 4, Name: "t", N: 1, Idx: []int64{40, 41}}, Token: "t"},
 	}
 	ctx := otrace.SpanContext{Sampled: true}
 	for i := range ctx.Trace {
@@ -73,16 +73,16 @@ func codecResponses() []response {
 	return []response{
 		{},
 		{Err: "store: unknown object: \"a\"", Code: codeUnknownObject},
-		{N: 4096},
-		{N: -1},
-		{Cts: path},
-		{Cts: [][]byte{nil, {1}, {}, {2, 3}}},
-		{Stats: store.Stats{Objects: 3, StoredBytes: 1 << 33, FaultsInjected: 1, Retries: 2, Reconnects: 3,
-			Epoch: 4, MutationsSinceEpoch: 5, Primary: true, Fence: 6, ReplicaLag: 7, Watermark: -1, Failovers: 8}},
-		{Stats: store.Stats{Objects: 1}},
+		{Result: store.Result{N: 4096}},
+		{Result: store.Result{N: -1}},
+		{Result: store.Result{Cts: path}},
+		{Result: store.Result{Cts: [][]byte{nil, {1}, {}, {2, 3}}}},
+		{Result: store.Result{Stats: store.Stats{Objects: 3, StoredBytes: 1 << 33, FaultsInjected: 1, Retries: 2, Reconnects: 3,
+			Epoch: 4, MutationsSinceEpoch: 5, Primary: true, Fence: 6, ReplicaLag: 7, Watermark: -1, Failovers: 8}}},
+		{Result: store.Result{Stats: store.Stats{Objects: 1}}},
 		{Fence: 3, Seq: 99},
 		{Err: "store: fenced", Code: codeFenced, Fence: 4, Seq: -1},
-		{Err: "x", Code: codeGeneric, N: 1, Cts: [][]byte{{1}}, Stats: store.Stats{Primary: true}, Fence: 1, Seq: 1},
+		{Err: "x", Code: codeGeneric, Result: store.Result{N: 1, Cts: [][]byte{{1}}, Stats: store.Stats{Primary: true}}, Fence: 1, Seq: 1},
 	}
 }
 
@@ -124,28 +124,28 @@ func normalizedRequest(req request) request {
 }
 
 func TestRequestRoundTripEveryKind(t *testing.T) {
-	seen := map[kind]bool{}
+	seen := map[store.Kind]bool{}
 	for _, req := range codecRequests() {
 		seen[req.Kind] = true
 		body := appendRequest(nil, &req)
 		var got request
 		if err := decodeRequest(body, &got); err != nil {
-			t.Fatalf("%s: %v", kindName(req.Kind), err)
+			t.Fatalf("%s: %v", req.Kind, err)
 		}
 		if want := normalizedRequest(req); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s round trip:\n got %+v\nwant %+v", kindName(req.Kind), got, want)
+			t.Errorf("%s round trip:\n got %+v\nwant %+v", req.Kind, got, want)
 		}
 		if got, want := 1+uvarintLen(uint64(len(body)))+len(body), frameLen(&req); got != want {
-			t.Errorf("%s: frame is %d bytes, closed form says %d", kindName(req.Kind), got, want)
+			t.Errorf("%s: frame is %d bytes, closed form says %d", req.Kind, got, want)
 		}
 	}
-	for k := kind(0); k < numKinds; k++ {
+	for k := store.Kind(0); k < store.NumKinds; k++ {
 		if !seen[k] {
-			t.Errorf("no round-trip case for %s", kindName(k))
+			t.Errorf("no round-trip case for %s", k)
 		}
 	}
 	var req request
-	err := decodeRequest(appendRequest(nil, &request{Kind: numKinds}), &req)
+	err := decodeRequest(appendRequest(nil, &request{Op: store.Op{Kind: store.NumKinds}}), &req)
 	if !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "unknown request kind") {
 		t.Errorf("a kind outside the table decoded: %v", err)
 	}
@@ -171,26 +171,26 @@ func TestResponseRoundTrip(t *testing.T) {
 
 // The closed form, written against the grammar in codec.go and not against
 // the encoder: which fields each kind carries, in order.
-var requestLayout = [numKinds]string{
-	kindCreateArray:  "name n",
-	kindArrayLen:     "name",
-	kindReadCells:    "name idx",
-	kindWriteCells:   "name idx cts",
-	kindCreateTree:   "name levels slots",
-	kindReadPath:     "name leaf",
-	kindWritePath:    "name leaf cts",
-	kindWriteBuckets: "name n cts",
-	kindDelete:       "name",
-	kindReveal:       "name value",
-	kindStats:        "",
-	kindCheckpoint:   "value",
-	kindBatch:        "ops",
-	kindHello:        "name token value",
-	kindReplicate:    "token value seq cts",
-	kindSync:         "token value seq cts",
-	kindPromote:      "token value",
-	kindTraceDump:    "name token",
-	kindRepair:       "token value name n idx",
+var requestLayout = [store.NumKinds]string{
+	store.KindCreateArray:  "name n",
+	store.KindArrayLen:     "name",
+	store.KindReadCells:    "name idx",
+	store.KindWriteCells:   "name idx cts",
+	store.KindCreateTree:   "name levels slots",
+	store.KindReadPath:     "name leaf",
+	store.KindWritePath:    "name leaf cts",
+	store.KindWriteBuckets: "name n cts",
+	store.KindDelete:       "name",
+	store.KindReveal:       "name value",
+	store.KindStats:        "",
+	store.KindCheckpoint:   "value",
+	store.KindBatch:        "ops",
+	store.KindHello:        "name token value",
+	store.KindReplicate:    "token value seq cts",
+	store.KindSync:         "token value seq cts",
+	store.KindPromote:      "token value",
+	store.KindTraceDump:    "name token",
+	store.KindRepair:       "token value name n idx",
 }
 
 func uvarintLen(v uint64) int {
@@ -446,7 +446,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range codecRequests() {
 		addMangled(f, appendRequest(nil, &req))
 	}
-	f.Add(append(appendRequest(nil, &request{Kind: kindReadCells})[:1+otrace.WireSize], 0, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Add(append(appendRequest(nil, &request{Op: store.Op{Kind: store.KindReadCells}})[:1+otrace.WireSize], 0, 0xff, 0xff, 0xff, 0xff, 0x0f))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req request
 		if err := decodeRequest(body, &req); err != nil {
@@ -505,7 +505,7 @@ func FuzzDecodeResponse(f *testing.F) {
 // workloads are made of.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	path := codecResponses()[4] // 44 slots × 57 bytes ≈ 2.5 KB
-	batch := request{Kind: kindBatch, Ops: make([]store.BatchOp, 2)}
+	batch := request{Op: store.Op{Kind: store.KindBatch, Ops: make([]store.BatchOp, 2)}}
 	batch.Ctx = otrace.SpanContext{}.Wire()
 	for i := range batch.Ops {
 		op := store.BatchOp{Write: true, Name: "db:sort:col1", Idx: make([]int64, 32), Cts: make([][]byte, 32)}

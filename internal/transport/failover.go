@@ -42,6 +42,7 @@ import (
 // the new primary's verdict — the replica applied the primary's WAL record
 // before the crash, or the op never happened anywhere.
 type FailoverPool struct {
+	store.Adapter
 	addrs []string
 	size  int
 	cfg   ClientConfig
@@ -55,11 +56,6 @@ type FailoverPool struct {
 	failovers *telemetry.Counter
 }
 
-var (
-	_ store.Service = (*FailoverPool)(nil)
-	_ store.Batcher = (*FailoverPool)(nil)
-)
-
 // DialFailover opens a failover pool of size connections against the first
 // usable server in addrs (the primary, when the cluster has one).
 func DialFailover(addrs []string, size int, cfg ClientConfig) (*FailoverPool, error) {
@@ -67,6 +63,7 @@ func DialFailover(addrs []string, size int, cfg ClientConfig) (*FailoverPool, er
 		return nil, errors.New("transport: no server addresses")
 	}
 	f := &FailoverPool{addrs: addrs, size: size, cfg: cfg.withDefaults()}
+	f.Adapter = store.Adapt(f.handle)
 	if f.cfg.Metrics != nil {
 		f.failovers = f.cfg.Metrics.Counter("oblivfd_failovers_total")
 	} else {
@@ -141,15 +138,16 @@ func (f *FailoverPool) connectLocked(avoid string) error {
 			lastErr = err
 			continue
 		}
-		st, err := c.statsRaw()
+		var res store.Result
+		err = c.roundTrip(&store.Op{Kind: store.KindStats}, &res)
 		c.Close()
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		probes = append(probes, probe{addr, st})
-		if st.Fence > maxFence {
-			maxFence = st.Fence
+		probes = append(probes, probe{addr, res.Stats})
+		if res.Stats.Fence > maxFence {
+			maxFence = res.Stats.Fence
 		}
 	}
 	if len(probes) == 0 {
@@ -253,11 +251,13 @@ func failoverClass(err error) bool {
 	return false
 }
 
-// do runs one logical call, failing over between attempts. appliedErr is
-// the create/delete reconciliation sentinel (see FailoverPool's type
-// comment); it only applies after at least one failover, mirroring the
-// resend rule in Client.call.
-func (f *FailoverPool) do(appliedErr error, fn func(p *Pool) error) error {
+// handle runs one logical call, failing over between attempts. A create or
+// delete whose acknowledgement was lost to the failover is reconciled from the
+// new primary's verdict (see FailoverPool's type comment), but only after at
+// least one failover, mirroring the resend rule in Client.call; a re-issued
+// write or batch re-applies idempotent cell ops, same as a redial resend. A
+// Stats report carries the failover count.
+func (f *FailoverPool) handle(op *store.Op, res *store.Result) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		f.mu.Lock()
@@ -267,11 +267,11 @@ func (f *FailoverPool) do(appliedErr error, fn func(p *Pool) error) error {
 		}
 		p := f.pool
 		f.mu.Unlock()
-		err = fn(p)
-		if err == nil {
-			return nil
-		}
-		if attempt > 0 && appliedErr != nil && errors.Is(err, appliedErr) {
+		err = p.Do(op, res)
+		if err == nil || attempt > 0 && op.Kind.Applied(err) {
+			if op.Kind == store.KindStats {
+				res.Stats.Failovers = f.failovers.Value()
+			}
 			return nil
 		}
 		if !failoverClass(err) {
@@ -307,80 +307,6 @@ func (f *FailoverPool) failoverFrom(old *Pool) {
 	_ = f.connectLocked(avoid)
 }
 
-// CreateArray implements store.Service.
-func (f *FailoverPool) CreateArray(name string, n int) error {
-	return f.do(store.ErrObjectExists, func(p *Pool) error { return p.CreateArray(name, n) })
-}
-
-// ArrayLen implements store.Service.
-func (f *FailoverPool) ArrayLen(name string) (n int, err error) {
-	err = f.do(nil, func(p *Pool) error { n, err = p.ArrayLen(name); return err })
-	return n, err
-}
-
-// ReadCells implements store.Service.
-func (f *FailoverPool) ReadCells(name string, idx []int64) (cts [][]byte, err error) {
-	err = f.do(nil, func(p *Pool) error { cts, err = p.ReadCells(name, idx); return err })
-	if err != nil {
-		return nil, err
-	}
-	return cts, nil
-}
-
-// WriteCells implements store.Service.
-func (f *FailoverPool) WriteCells(name string, idx []int64, cts [][]byte) error {
-	return f.do(nil, func(p *Pool) error { return p.WriteCells(name, idx, cts) })
-}
-
-// CreateTree implements store.Service.
-func (f *FailoverPool) CreateTree(name string, levels, slotsPerBucket int) error {
-	return f.do(store.ErrObjectExists, func(p *Pool) error { return p.CreateTree(name, levels, slotsPerBucket) })
-}
-
-// ReadPath implements store.Service.
-func (f *FailoverPool) ReadPath(name string, leaf uint32) (cts [][]byte, err error) {
-	err = f.do(nil, func(p *Pool) error { cts, err = p.ReadPath(name, leaf); return err })
-	if err != nil {
-		return nil, err
-	}
-	return cts, nil
-}
-
-// WritePath implements store.Service.
-func (f *FailoverPool) WritePath(name string, leaf uint32, slots [][]byte) error {
-	return f.do(nil, func(p *Pool) error { return p.WritePath(name, leaf, slots) })
-}
-
-// WriteBuckets implements store.Service.
-func (f *FailoverPool) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	return f.do(nil, func(p *Pool) error { return p.WriteBuckets(name, bucketStart, slots) })
-}
-
-// Delete implements store.Service.
-func (f *FailoverPool) Delete(name string) error {
-	return f.do(store.ErrUnknownObject, func(p *Pool) error { return p.Delete(name) })
-}
-
-// Reveal implements store.Service.
-func (f *FailoverPool) Reveal(tag string, value int64) error {
-	return f.do(nil, func(p *Pool) error { return p.Reveal(tag, value) })
-}
-
-// Checkpoint implements store.Service.
-func (f *FailoverPool) Checkpoint(epoch int64) error {
-	return f.do(nil, func(p *Pool) error { return p.Checkpoint(epoch) })
-}
-
-// Batch implements store.Batcher. A batch re-issued on the new primary
-// re-applies idempotent cell ops, same as a redial resend.
-func (f *FailoverPool) Batch(ops []store.BatchOp) (res [][][]byte, err error) {
-	err = f.do(nil, func(p *Pool) error { res, err = p.Batch(ops); return err })
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // TraceDump gathers buffered span records from every reachable server in
 // the cluster, not just the current primary: replication-ship spans live
 // on the primary, but apply spans live on the replicas, and a merged
@@ -412,15 +338,4 @@ func (f *FailoverPool) TraceDump(traceFilter string) ([]otrace.Record, error) {
 		return nil, fmt.Errorf("transport: trace dump: no server reachable: %w", lastErr)
 	}
 	return recs, nil
-}
-
-// Stats implements store.Service, adding the failover count to the report.
-func (f *FailoverPool) Stats() (store.Stats, error) {
-	var st store.Stats
-	err := f.do(nil, func(p *Pool) error { var e error; st, e = p.Stats(); return e })
-	if err != nil {
-		return store.Stats{}, err
-	}
-	st.Failovers = f.failovers.Value()
-	return st, nil
 }

@@ -21,6 +21,7 @@ import (
 // connection is replaced by a freshly dialed one, so one dead connection
 // never poisons the other workers.
 type Pool struct {
+	store.Adapter
 	addr string
 	cfg  ClientConfig
 
@@ -34,8 +35,6 @@ type Pool struct {
 	replacements     *telemetry.Counter
 	sharedReconnects *telemetry.Counter
 }
-
-var _ store.Service = (*Pool)(nil)
 
 // DialPool opens size connections to a transport server with the default
 // self-healing configuration.
@@ -54,6 +53,7 @@ func DialPoolWith(addr string, size int, cfg ClientConfig) (*Pool, error) {
 		conns: make(chan *Client, size),
 		all:   make(map[*Client]struct{}, size),
 	}
+	p.Adapter = store.Adapt(p.handle)
 	if p.cfg.Metrics != nil {
 		p.replacements = p.cfg.Metrics.Counter("oblivfd_pool_replacements_total")
 		p.sharedReconnects = p.cfg.Metrics.Counter("oblivfd_client_reconnects_total")
@@ -143,88 +143,23 @@ func (p *Pool) maybeReplace(c *Client) *Client {
 	return fresh
 }
 
-// CreateArray implements store.Service.
-func (p *Pool) CreateArray(name string, n int) error {
-	return p.with(func(c *Client) error { return c.CreateArray(name, n) })
+// handle sends one operation over one borrowed connection — a whole batch
+// as a single framed request, so it costs one round trip while other workers'
+// calls proceed on the remaining connections — and adds the pool-wide
+// reconnection count to a Stats report.
+func (p *Pool) handle(op *store.Op, res *store.Result) error {
+	if err := p.with(func(c *Client) error { return c.roundTrip(op, res) }); err != nil {
+		return err
+	}
+	if op.Kind == store.KindStats {
+		res.Stats.Reconnects += p.Reconnects()
+	}
+	return nil
 }
-
-// ArrayLen implements store.Service.
-func (p *Pool) ArrayLen(name string) (n int, err error) {
-	err = p.with(func(c *Client) error { n, err = c.ArrayLen(name); return err })
-	return n, err
-}
-
-// ReadCells implements store.Service.
-func (p *Pool) ReadCells(name string, idx []int64) (cts [][]byte, err error) {
-	err = p.with(func(c *Client) error { cts, err = c.ReadCells(name, idx); return err })
-	return cts, err
-}
-
-// WriteCells implements store.Service.
-func (p *Pool) WriteCells(name string, idx []int64, cts [][]byte) error {
-	return p.with(func(c *Client) error { return c.WriteCells(name, idx, cts) })
-}
-
-// CreateTree implements store.Service.
-func (p *Pool) CreateTree(name string, levels, slotsPerBucket int) error {
-	return p.with(func(c *Client) error { return c.CreateTree(name, levels, slotsPerBucket) })
-}
-
-// ReadPath implements store.Service.
-func (p *Pool) ReadPath(name string, leaf uint32) (cts [][]byte, err error) {
-	err = p.with(func(c *Client) error { cts, err = c.ReadPath(name, leaf); return err })
-	return cts, err
-}
-
-// WritePath implements store.Service.
-func (p *Pool) WritePath(name string, leaf uint32, slots [][]byte) error {
-	return p.with(func(c *Client) error { return c.WritePath(name, leaf, slots) })
-}
-
-// WriteBuckets implements store.Service.
-func (p *Pool) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	return p.with(func(c *Client) error { return c.WriteBuckets(name, bucketStart, slots) })
-}
-
-// Delete implements store.Service.
-func (p *Pool) Delete(name string) error {
-	return p.with(func(c *Client) error { return c.Delete(name) })
-}
-
-// Reveal implements store.Service.
-func (p *Pool) Reveal(tag string, value int64) error {
-	return p.with(func(c *Client) error { return c.Reveal(tag, value) })
-}
-
-// Checkpoint implements store.Service.
-func (p *Pool) Checkpoint(epoch int64) error {
-	return p.with(func(c *Client) error { return c.Checkpoint(epoch) })
-}
-
-// Batch implements store.Batcher: the whole batch is sent over one borrowed
-// connection as a single framed request, so it costs one round trip while
-// other workers' calls proceed on the remaining connections.
-func (p *Pool) Batch(ops []store.BatchOp) (res [][][]byte, err error) {
-	err = p.with(func(c *Client) error { res, err = c.Batch(ops); return err })
-	return res, err
-}
-
-var _ store.Batcher = (*Pool)(nil)
 
 // TraceDump fetches the server's buffered span records over one borrowed
 // connection (see Client.TraceDump).
 func (p *Pool) TraceDump(traceFilter string) (recs []otrace.Record, err error) {
 	err = p.with(func(c *Client) error { recs, err = c.TraceDump(traceFilter); return err })
 	return recs, err
-}
-
-// Stats implements store.Service, adding the pool-wide reconnection count
-// to the server-side report.
-func (p *Pool) Stats() (st store.Stats, err error) {
-	err = p.with(func(c *Client) error { st, err = c.statsRaw(); return err })
-	if err != nil {
-		return store.Stats{}, err
-	}
-	st.Reconnects += p.Reconnects()
-	return st, nil
 }

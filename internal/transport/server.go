@@ -49,7 +49,7 @@ type Server struct {
 	// Telemetry handles, all nil until SetMetrics; serveConn checks rpcLat
 	// once per connection so the metrics-off path is a single nil test.
 	telReg        *telemetry.Registry
-	rpcLat        *[numKinds]*telemetry.Histogram
+	rpcLat        *[store.NumKinds]*telemetry.Histogram
 	inflightGauge *telemetry.Gauge
 	bytesIn       *telemetry.Counter
 	bytesOut      *telemetry.Counter
@@ -78,7 +78,7 @@ func (s *Server) SetSessionLimits(limits store.SessionLimits) {
 func (s *Server) Sessions() *store.SessionRegistry { return s.registry }
 
 // SetReplicator installs the replication role manager: replication RPCs
-// (kindReplicate/kindSync/kindPromote) are routed to it, and session
+// (store.KindReplicate/store.KindSync/store.KindPromote) are routed to it, and session
 // handshakes become fence-aware (see handleHello). Call before Serve.
 func (s *Server) SetReplicator(rep store.Replicator) { s.replicator = rep }
 
@@ -177,7 +177,10 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return fmt.Errorf("transport: accept: %w", err)
 		}
-		s.track(conn, true)
+		if !s.admit(conn) {
+			conn.Close()
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -186,14 +189,22 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-func (s *Server) track(conn net.Conn, add bool) {
+// admit starts tracking an accepted connection, unless a drain has begun:
+// Shutdown has then already closed the tracked connections, and nobody else
+// would ever close this one.
+func (s *Server) admit(conn net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if add {
+	if !s.draining {
 		s.conns[conn] = struct{}{}
-	} else {
-		delete(s.conns, conn)
 	}
+	return !s.draining
+}
+
+func (s *Server) untrack(conn net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.conns, conn)
 }
 
 // ActiveConns returns the number of currently open client connections.
@@ -282,7 +293,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if cs.sess != nil {
 			cs.sess.Close()
 		}
-		s.track(conn, false)
+		s.untrack(conn)
 		conn.Close()
 		s.connsGauge.Add(-1)
 	}()
@@ -326,20 +337,20 @@ func (s *Server) serveConn(conn net.Conn) {
 		// frame's constant-size context header. An invalid header (untraced
 		// client) starts a fresh server-local root instead.
 		var span *otrace.Span
-		if s.tracer != nil && req.Kind < numKinds {
+		if s.tracer != nil && req.Kind < store.NumKinds {
 			span = s.tracer.StartChild(serverSpanNames[req.Kind], otrace.FromWire(req.Ctx))
 			bind.Set(span)
 		}
 		var resp *response
 		switch {
-		case req.Kind == kindHello:
+		case req.Kind == store.KindHello:
 			resp = s.handleHello(conn, &cs, &req)
-		case req.Kind == kindReplicate || req.Kind == kindSync || req.Kind == kindPromote || req.Kind == kindRepair:
+		case req.Kind == store.KindReplicate || req.Kind == store.KindSync || req.Kind == store.KindPromote || req.Kind == store.KindRepair:
 			// Replication RPCs bypass sessions and namespacing: they carry
 			// whole WAL records (already namespaced at the primary) and role
 			// changes, authenticated by the shared session token.
 			resp = s.handleReplication(&req)
-		case req.Kind == kindTraceDump:
+		case req.Kind == store.KindTraceDump:
 			resp = s.handleTraceDump(&req)
 		case cs.sess != nil:
 			// Admission: budget overruns and rate-limit hits are shed with
@@ -362,10 +373,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		bind.Set(nil)
 		span.End()
-		if s.rpcLat != nil && req.Kind < numKinds {
+		if s.rpcLat != nil && req.Kind < store.NumKinds {
 			s.rpcLat[req.Kind].ObserveSince(t0)
 		}
-		if cs.tenantLat != nil && req.Kind != kindHello {
+		if cs.tenantLat != nil && req.Kind != store.KindHello {
 			cs.tenantLat.ObserveSince(t0)
 		}
 		err = fc.flush(appendResponse(fc.begin(), resp))
@@ -406,20 +417,20 @@ func (s *Server) handleReplication(req *request) *response {
 		return fail(fmt.Errorf("%w: bad replication token", store.ErrUnauthorized))
 	}
 	switch req.Kind {
-	case kindReplicate:
+	case store.KindReplicate:
 		wm, err := s.replicator.ApplyReplicated(req.Value, req.Seq, req.Cts)
 		resp.Seq = wm
 		return fail(err)
-	case kindSync:
+	case store.KindSync:
 		if len(req.Cts) != 1 {
 			return fail(fmt.Errorf("%w: sync carries %d snapshots, want 1", store.ErrIntegrity, len(req.Cts)))
 		}
 		return fail(s.replicator.ApplySync(req.Value, req.Seq, req.Cts[0]))
-	case kindRepair:
+	case store.KindRepair:
 		cts, err := s.replicator.FetchRepair(req.Value, req.Name, req.N == 1, req.Idx)
 		resp.Cts = cts
 		return fail(err)
-	default: // kindPromote
+	default: // store.KindPromote
 		fence, err := s.replicator.Promote(req.Value)
 		resp.Fence = fence
 		return fail(err)

@@ -20,12 +20,12 @@ func sessionFrameSizes(t *testing.T, ctx otrace.SpanContext) []int {
 	var out bytes.Buffer
 	fc := newFrameConn(&out)
 	reqs := []request{
-		{Kind: kindHello, Name: "db", Token: "secret"},
-		{Kind: kindCreateArray, Name: "a", N: 64},
-		{Kind: kindWriteCells, Name: "a", Idx: []int64{0, 1}, Cts: [][]byte{{0xAB}, {0xCD}}},
-		{Kind: kindReadCells, Name: "a", Idx: []int64{0, 1}},
-		{Kind: kindBatch, Ops: []store.BatchOp{{Write: true, Name: "a", Idx: []int64{2}, Cts: [][]byte{{0xEF}}}}},
-		{Kind: kindReadPath, Name: "t", Leaf: 300},
+		{Op: store.Op{Kind: store.KindHello, Name: "db"}, Token: "secret"},
+		{Op: store.Op{Kind: store.KindCreateArray, Name: "a", N: 64}},
+		{Op: store.Op{Kind: store.KindWriteCells, Name: "a", Idx: []int64{0, 1}, Cts: [][]byte{{0xAB}, {0xCD}}}},
+		{Op: store.Op{Kind: store.KindReadCells, Name: "a", Idx: []int64{0, 1}}},
+		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{{Write: true, Name: "a", Idx: []int64{2}, Cts: [][]byte{{0xEF}}}}}},
+		{Op: store.Op{Kind: store.KindReadPath, Name: "t", Leaf: 300}},
 	}
 	sizes := make([]int, len(reqs))
 	for i := range reqs {
@@ -36,7 +36,7 @@ func sessionFrameSizes(t *testing.T, ctx otrace.SpanContext) []int {
 		}
 		sizes[i] = out.Len() - before
 		if want := frameLen(&reqs[i]); sizes[i] != want {
-			t.Errorf("%s frame is %d bytes on the wire, closed form says %d", kindName(reqs[i].Kind), sizes[i], want)
+			t.Errorf("%s frame is %d bytes on the wire, closed form says %d", reqs[i].Kind, sizes[i], want)
 		}
 	}
 	return sizes

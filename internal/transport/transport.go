@@ -22,7 +22,7 @@
 // ciphertexts.
 //
 // Multi-tenancy: a client configured with a Database (and optionally a
-// Token) opens its connection with a session handshake (kindHello). The
+// Token) opens its connection with a session handshake (store.KindHello). The
 // server authenticates it, admits it against the session budget, and scopes
 // every subsequent request on that connection to the database's namespace —
 // object names are prefixed server-side, so N clients on M databases share
@@ -50,78 +50,41 @@ import (
 // ErrClosed is returned by calls on a closed client.
 var ErrClosed = errors.New("transport: connection closed")
 
-type kind uint8
-
-const (
-	kindCreateArray kind = iota
-	kindArrayLen
-	kindReadCells
-	kindWriteCells
-	kindCreateTree
-	kindReadPath
-	kindWritePath
-	kindWriteBuckets
-	kindDelete
-	kindReveal
-	kindStats
-	kindCheckpoint
-	kindBatch
-	kindHello     // session handshake: Name = database namespace, Token = auth
-	kindReplicate // primary -> replica: framed WAL records (Value = fence, Seq, Cts)
-	kindSync      // primary -> replica: full snapshot resync (Value = fence, Seq, Cts[0])
-	kindPromote   // failover client -> replica: adopt fence and primary role (Value = fence)
-	kindTraceDump // operator: fetch the server's span ring (Name = trace-ID filter)
-	kindRepair    // peer -> peer: fetch verified ciphertexts for self-healing (Value = fence, Name, N = tree flag, Idx)
-	numKinds
-)
-
-// kindNames maps wire kinds to the Service method names used as metric
-// labels.
-var kindNames = [numKinds]string{
-	"CreateArray", "ArrayLen", "ReadCells", "WriteCells",
-	"CreateTree", "ReadPath", "WritePath", "WriteBuckets",
-	"Delete", "Reveal", "Stats", "Checkpoint", "Batch", "Hello",
-	"Replicate", "Sync", "Promote", "TraceDump", "Repair",
-}
-
 // rpcSpanNames and serverSpanNames pre-build the per-kind span names so the
 // per-call path never concatenates strings.
-var rpcSpanNames, serverSpanNames [numKinds]string
+var rpcSpanNames, serverSpanNames [store.NumKinds]string
 
 func init() {
-	for k, op := range kindNames {
-		rpcSpanNames[k] = "rpc/" + op
-		serverSpanNames[k] = "server/" + op
+	for k := range rpcSpanNames {
+		rpcSpanNames[k] = "rpc/" + store.Kind(k).String()
+		serverSpanNames[k] = "server/" + store.Kind(k).String()
 	}
 }
 
 // rpcHistograms pre-creates one latency histogram per RPC kind so the
 // per-call path never touches the registry map.
-func rpcHistograms(reg *telemetry.Registry, name string) *[numKinds]*telemetry.Histogram {
-	var h [numKinds]*telemetry.Histogram
-	for k, op := range kindNames {
-		h[k] = reg.Histogram(name, "op", op)
+func rpcHistograms(reg *telemetry.Registry, name string) *[store.NumKinds]*telemetry.Histogram {
+	var h [store.NumKinds]*telemetry.Histogram
+	for k := range h {
+		h[k] = reg.Histogram(name, "op", store.Kind(k).String())
 	}
 	return &h
 }
 
-// request is the wire format for one Service call. A kindBatch request
-// carries its cell operations in Ops; the response flattens every read's
-// ciphertexts into Cts in op order (writes contribute nothing), and the
-// client splits them back apart by each read op's index count.
+// request is the wire format for one call: the operation, whose Kind is the
+// first byte of the body and whose other fields travel as that kind's grammar
+// says (codec.go), plus what only the wire needs. The control kinds reuse the
+// Op's fields — Value carries a fence, Cts framed WAL records or a snapshot,
+// Name a database or a trace filter — as store.Kind documents. Op.DB has no
+// wire form: a connection's namespace is bound by its session handshake.
+//
+// A Batch's response flattens every read's ciphertexts into Cts in op order
+// (writes contribute nothing), and the client splits them back apart by each
+// read op's index count.
 type request struct {
-	Kind   kind
-	Name   string
-	N      int
-	Levels int
-	Slots  int
-	Idx    []int64
-	Cts    [][]byte
-	Leaf   uint32
-	Value  int64
-	Seq    int64 // replication stream position (kindReplicate/kindSync)
-	Ops    []store.BatchOp
-	Token  string // session auth token (kindHello and replication kinds)
+	store.Op
+	Seq   int64  // replication stream position (KindReplicate/KindSync)
+	Token string // session auth token (KindHello and replication kinds)
 	// Ctx is the distributed-tracing context header: present on every
 	// frame, copied in verbatim, the zero context when tracing is off — so
 	// a frame's length says nothing about tracing state (DESIGN.md §14).
@@ -233,69 +196,29 @@ func decodeErr(code errCode, msg string) error {
 	return errors.New(msg)
 }
 
-// response is the wire format for one Service result.
+// response is the wire format for one result. Result.Batch has no wire form
+// (see request).
 type response struct {
-	Err   string
-	Code  errCode
-	N     int
-	Cts   [][]byte
-	Stats store.Stats
+	Err  string
+	Code errCode
+	store.Result
 	Fence int64 // replication responses: the responder's fencing epoch
 	Seq   int64 // replication responses: the responder's watermark
 }
 
+// dispatch runs a decoded Service request against svc.
 func dispatch(svc store.Service, req *request) *response {
 	var resp response
-	fail := func(err error) *response {
-		resp.Err, resp.Code = encodeErr(err)
-		return &resp
+	err := store.Invoke(svc, &req.Op, &resp.Result)
+	if err != nil {
+		resp.Result = store.Result{}
 	}
-	switch req.Kind {
-	case kindCreateArray:
-		return fail(svc.CreateArray(req.Name, req.N))
-	case kindArrayLen:
-		n, err := svc.ArrayLen(req.Name)
-		resp.N = n
-		return fail(err)
-	case kindReadCells:
-		cts, err := svc.ReadCells(req.Name, req.Idx)
-		resp.Cts = cts
-		return fail(err)
-	case kindWriteCells:
-		return fail(svc.WriteCells(req.Name, req.Idx, req.Cts))
-	case kindCreateTree:
-		return fail(svc.CreateTree(req.Name, req.Levels, req.Slots))
-	case kindReadPath:
-		cts, err := svc.ReadPath(req.Name, req.Leaf)
-		resp.Cts = cts
-		return fail(err)
-	case kindWritePath:
-		return fail(svc.WritePath(req.Name, req.Leaf, req.Cts))
-	case kindWriteBuckets:
-		return fail(svc.WriteBuckets(req.Name, req.N, req.Cts))
-	case kindDelete:
-		return fail(svc.Delete(req.Name))
-	case kindReveal:
-		return fail(svc.Reveal(req.Name, req.Value))
-	case kindStats:
-		st, err := svc.Stats()
-		resp.Stats = st
-		return fail(err)
-	case kindCheckpoint:
-		return fail(svc.Checkpoint(req.Value))
-	case kindBatch:
-		res, err := store.DoBatch(svc, req.Ops)
-		if err == nil {
-			for _, cts := range res {
-				resp.Cts = append(resp.Cts, cts...)
-			}
-		}
-		return fail(err)
-	default:
-		resp.Err = fmt.Sprintf("transport: unknown request kind %d", req.Kind)
-		resp.Code = codeGeneric
-		return &resp
+	for _, cts := range resp.Batch {
+		resp.Cts = append(resp.Cts, cts...)
 	}
+	resp.Batch = nil
+	resp.Err, resp.Code = encodeErr(err)
+	return &resp
 }
 
 // ClientConfig tunes the self-healing behaviour of a TCP client. The zero
@@ -386,6 +309,7 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 // Dial it self-heals: a broken connection is re-dialed and the in-flight
 // call re-sent.
 type Client struct {
+	store.Adapter
 	addr string // empty when wrapped around a raw conn (no re-dial)
 	cfg  ClientConfig
 
@@ -398,11 +322,11 @@ type Client struct {
 	// the same config) when cfg.Metrics is set, standalone otherwise.
 	reconnects *telemetry.Counter
 	shared     bool
-	lat        *[numKinds]*telemetry.Histogram // nil when metrics are off
+	lat        *[store.NumKinds]*telemetry.Histogram // nil when metrics are off
 }
 
 var (
-	_ store.Service       = (*Client)(nil)
+	_ store.ReplicaConn   = (*Client)(nil)
 	_ store.RepairFetcher = (*Client)(nil)
 )
 
@@ -474,12 +398,14 @@ func (c *Client) dialHandshake() error {
 // connection fails the call (this is the seed behaviour, kept for tests
 // and custom conn types).
 func NewClient(conn net.Conn) *Client {
-	return &Client{
+	c := &Client{
 		cfg:        ClientConfig{CallTimeout: -1, Redials: -1},
 		conn:       conn,
 		fc:         newFrameConn(conn),
 		reconnects: telemetry.NewCounter(),
 	}
+	c.Adapter = store.Adapt(c.handle)
+	return c
 }
 
 // Close shuts the connection down.
@@ -545,7 +471,7 @@ func (c *Client) handshakeLocked() error {
 	if c.cfg.CallTimeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 	}
-	req := request{Kind: kindHello, Name: c.cfg.Database, Token: c.cfg.Token, Value: c.cfg.Fence}
+	req := request{Op: store.Op{Kind: store.KindHello, Name: c.cfg.Database, Value: c.cfg.Fence}, Token: c.cfg.Token}
 	req.Ctx = otrace.SpanContext{}.Wire() // constant-size header, like every frame
 	if err := c.fc.flush(appendRequest(c.fc.begin(), &req)); err != nil {
 		return fmt.Errorf("transport: handshake send: %w", err)
@@ -555,25 +481,6 @@ func (c *Client) handshakeLocked() error {
 		return fmt.Errorf("transport: handshake receive: %w", err)
 	}
 	return decodeErr(resp.Code, resp.Err)
-}
-
-// reconcileResend resolves the create/delete ambiguity after a resend: if
-// the first attempt's acknowledgement was lost but the operation applied,
-// the resend's semantic error proves it. The inference is scoped to the
-// session's database namespace — the handshake binds this connection to one
-// database, every name it sends is prefixed into that namespace
-// server-side, and each database has a single writing client (see
-// store.RetryService) — so a concurrent tenant in another namespace can
-// never be the one that created or deleted the object and the verdict is
-// unambiguous.
-func reconcileResend(k kind, err error) bool {
-	switch k {
-	case kindCreateArray, kindCreateTree:
-		return errors.Is(err, store.ErrObjectExists)
-	case kindDelete:
-		return errors.Is(err, store.ErrUnknownObject)
-	}
-	return false
 }
 
 // receive reads and decodes the next response frame. Caller holds c.mu.
@@ -593,7 +500,7 @@ func (c *Client) call(req *request) (*response, error) {
 	// c.mu so it parents under the calling goroutine's bound span, not
 	// under whatever was bound when the lock became free.
 	var span *otrace.Span
-	if c.cfg.Trace != nil && req.Kind < numKinds {
+	if c.cfg.Trace != nil && req.Kind < store.NumKinds {
 		span = c.cfg.Trace.Start(rpcSpanNames[req.Kind])
 		defer span.End()
 	}
@@ -603,7 +510,7 @@ func (c *Client) call(req *request) (*response, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
-	if c.lat != nil && req.Kind < numKinds {
+	if c.lat != nil && req.Kind < store.NumKinds {
 		defer c.lat[req.Kind].ObserveSince(time.Now())
 	}
 	redials := 0
@@ -659,7 +566,9 @@ func (c *Client) call(req *request) (*response, error) {
 			continue
 		}
 		if err := decodeErr(resp.Code, resp.Err); err != nil {
-			if resent && reconcileResend(req.Kind, err) {
+			// A create or delete whose first acknowledgement was lost answers
+			// the resend with the verdict that proves it applied.
+			if resent && req.Kind.Applied(err) {
 				return &resp, nil
 			}
 			return &resp, err
@@ -672,151 +581,73 @@ func (c *Client) call(req *request) (*response, error) {
 	return nil, fmt.Errorf("transport: connection lost (%d redials): %w: %w", redials, store.ErrUnavailable, lastErr)
 }
 
-// CreateArray implements store.Service.
-func (c *Client) CreateArray(name string, n int) error {
-	_, err := c.call(&request{Kind: kindCreateArray, Name: name, N: n})
-	return err
-}
-
-// ArrayLen implements store.Service.
-func (c *Client) ArrayLen(name string) (int, error) {
-	resp, err := c.call(&request{Kind: kindArrayLen, Name: name})
-	if err != nil {
-		return 0, err
+// roundTrip sends one Service operation and fills res from the answer. The
+// whole op crosses the wire as one framed request and one framed response, a
+// Batch of B cell operations included — one round trip instead of B. A resend
+// after a broken connection re-applies the op, which is safe because writes
+// carry their exact ciphertexts and re-marking an epoch is idempotent.
+func (c *Client) roundTrip(op *store.Op, res *store.Result) error {
+	if op.DB != "" {
+		return fmt.Errorf("transport: %v in namespace %q: a connection's namespace is bound by its handshake (ClientConfig.Database), not per call", op.Kind, op.DB)
 	}
-	return resp.N, nil
-}
-
-// ReadCells implements store.Service.
-func (c *Client) ReadCells(name string, idx []int64) ([][]byte, error) {
-	resp, err := c.call(&request{Kind: kindReadCells, Name: name, Idx: idx})
+	resp, err := c.call(&request{Op: *op})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return resp.Cts, nil
-}
-
-// WriteCells implements store.Service.
-func (c *Client) WriteCells(name string, idx []int64, cts [][]byte) error {
-	_, err := c.call(&request{Kind: kindWriteCells, Name: name, Idx: idx, Cts: cts})
-	return err
-}
-
-// CreateTree implements store.Service.
-func (c *Client) CreateTree(name string, levels, slotsPerBucket int) error {
-	_, err := c.call(&request{Kind: kindCreateTree, Name: name, Levels: levels, Slots: slotsPerBucket})
-	return err
-}
-
-// ReadPath implements store.Service.
-func (c *Client) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	resp, err := c.call(&request{Kind: kindReadPath, Name: name, Leaf: leaf})
-	if err != nil {
-		return nil, err
+	*res = resp.Result
+	if op.Kind != store.KindBatch {
+		return nil
 	}
-	return resp.Cts, nil
-}
-
-// WritePath implements store.Service.
-func (c *Client) WritePath(name string, leaf uint32, slots [][]byte) error {
-	_, err := c.call(&request{Kind: kindWritePath, Name: name, Leaf: leaf, Cts: slots})
-	return err
-}
-
-// WriteBuckets implements store.Service.
-func (c *Client) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	_, err := c.call(&request{Kind: kindWriteBuckets, Name: name, N: bucketStart, Cts: slots})
-	return err
-}
-
-// Delete implements store.Service.
-func (c *Client) Delete(name string) error {
-	_, err := c.call(&request{Kind: kindDelete, Name: name})
-	return err
-}
-
-// Reveal implements store.Service.
-func (c *Client) Reveal(tag string, value int64) error {
-	_, err := c.call(&request{Kind: kindReveal, Name: tag, Value: value})
-	return err
-}
-
-// Checkpoint implements store.Service. A resend after a lost
-// acknowledgement just re-marks the same epoch, which is idempotent.
-func (c *Client) Checkpoint(epoch int64) error {
-	_, err := c.call(&request{Kind: kindCheckpoint, Value: epoch})
-	return err
-}
-
-// Batch implements store.Batcher: the whole op list crosses the wire as one
-// framed request and one framed response, so a batch of B cell operations
-// costs one round trip instead of B. A resend after a broken connection
-// re-applies the whole batch, which is safe because batches carry only cell
-// reads and idempotent cell writes.
-func (c *Client) Batch(ops []store.BatchOp) ([][][]byte, error) {
-	resp, err := c.call(&request{Kind: kindBatch, Ops: ops})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][][]byte, len(ops))
+	res.Batch = make([][][]byte, len(op.Ops))
 	flat := resp.Cts
-	for i, op := range ops {
-		if op.Write {
+	res.Cts = nil
+	for i, b := range op.Ops {
+		if b.Write {
 			continue
 		}
-		n := len(op.Idx)
+		n := len(b.Idx)
 		if n > len(flat) {
-			return nil, fmt.Errorf("transport: batch response short: %d cells left, op wants %d", len(flat), n)
+			return fmt.Errorf("transport: batch response short: %d cells left, op wants %d", len(flat), n)
 		}
-		out[i], flat = flat[:n:n], flat[n:]
+		res.Batch[i], flat = flat[:n:n], flat[n:]
 	}
 	if len(flat) != 0 {
-		return nil, fmt.Errorf("transport: batch response has %d extra cells", len(flat))
+		return fmt.Errorf("transport: batch response has %d extra cells", len(flat))
 	}
-	return out, nil
+	return nil
 }
 
-var _ store.Batcher = (*Client)(nil)
-
-// statsRaw fetches server-side stats without adding this client's own
-// reconnect count (the pool aggregates counts across all its clients).
-func (c *Client) statsRaw() (store.Stats, error) {
-	resp, err := c.call(&request{Kind: kindStats})
-	if err != nil {
-		return store.Stats{}, err
+// handle is the client as a store.Service: roundTrip, with this client's
+// reconnect count added to a Stats report (a pool aggregates the counts of
+// all its clients itself and uses roundTrip). With a shared registry counter
+// the value is the config-wide total, so it replaces rather than accumulates
+// — stacking would double-count what other sharers already reported.
+func (c *Client) handle(op *store.Op, res *store.Result) error {
+	if err := c.roundTrip(op, res); err != nil {
+		return err
 	}
-	return resp.Stats, nil
-}
-
-// Stats implements store.Service, adding this client's reconnect count to
-// the server-side report. With a shared registry counter the value is the
-// config-wide total, so it replaces rather than accumulates — stacking
-// would double-count what other sharers already reported.
-func (c *Client) Stats() (store.Stats, error) {
-	st, err := c.statsRaw()
-	if err != nil {
-		return store.Stats{}, err
+	if op.Kind == store.KindStats {
+		if c.shared {
+			res.Stats.Reconnects = c.reconnects.Value()
+		} else {
+			res.Stats.Reconnects += c.reconnects.Value()
+		}
 	}
-	if c.shared {
-		st.Reconnects = c.reconnects.Value()
-	} else {
-		st.Reconnects += c.reconnects.Value()
-	}
-	return st, nil
+	return nil
 }
 
 // Replicate implements store.ReplicaConn: ship framed WAL records to a
 // replica. seq is the shipper's stream position before this batch; the
 // replica refuses (store.ErrIntegrity) unless it matches its watermark.
 func (c *Client) Replicate(fence, seq int64, frames [][]byte) error {
-	_, err := c.call(&request{Kind: kindReplicate, Value: fence, Seq: seq, Cts: frames, Token: c.cfg.Token})
+	_, err := c.call(&request{Op: store.Op{Kind: store.KindReplicate, Value: fence, Cts: frames}, Seq: seq, Token: c.cfg.Token})
 	return err
 }
 
 // SyncSnapshot implements store.ReplicaConn: replace the replica's whole
 // state with a snapshot and reposition its stream cursor at seq.
 func (c *Client) SyncSnapshot(fence, seq int64, snap []byte) error {
-	_, err := c.call(&request{Kind: kindSync, Value: fence, Seq: seq, Cts: [][]byte{snap}, Token: c.cfg.Token})
+	_, err := c.call(&request{Op: store.Op{Kind: store.KindSync, Value: fence, Cts: [][]byte{snap}}, Seq: seq, Token: c.cfg.Token})
 	return err
 }
 
@@ -828,7 +659,7 @@ func (c *Client) FetchRepair(fence int64, name string, isTree bool, idx []int64)
 	if isTree {
 		treeFlag = 1
 	}
-	resp, err := c.call(&request{Kind: kindRepair, Value: fence, Name: name, N: treeFlag, Idx: idx, Token: c.cfg.Token})
+	resp, err := c.call(&request{Op: store.Op{Kind: store.KindRepair, Value: fence, Name: name, N: treeFlag, Idx: idx}, Token: c.cfg.Token})
 	if err != nil {
 		return nil, err
 	}
@@ -845,7 +676,7 @@ func (c *Client) FetchRepair(fence int64, name string, isTree bool, idx []int64)
 // role; it returns the server's resulting fence. The failover layer calls it
 // on the freshest reachable replica once no primary answers.
 func (c *Client) Promote(fence int64) (int64, error) {
-	resp, err := c.call(&request{Kind: kindPromote, Value: fence, Token: c.cfg.Token})
+	resp, err := c.call(&request{Op: store.Op{Kind: store.KindPromote, Value: fence}, Token: c.cfg.Token})
 	if err != nil {
 		return 0, err
 	}
@@ -858,7 +689,7 @@ func (c *Client) Promote(fence int64) (int64, error) {
 // the client's configured Token must match. fddiscover -trace-out uses it
 // to merge server-side spans into the per-run flight-recorder artifact.
 func (c *Client) TraceDump(traceFilter string) ([]otrace.Record, error) {
-	resp, err := c.call(&request{Kind: kindTraceDump, Name: traceFilter, Token: c.cfg.Token})
+	resp, err := c.call(&request{Op: store.Op{Kind: store.KindTraceDump, Name: traceFilter}, Token: c.cfg.Token})
 	if err != nil {
 		return nil, err
 	}
@@ -867,5 +698,3 @@ func (c *Client) TraceDump(traceFilter string) ([]otrace.Record, error) {
 	}
 	return otrace.UnmarshalRecords(resp.Cts[0])
 }
-
-var _ store.ReplicaConn = (*Client)(nil)
