@@ -62,13 +62,8 @@ func Telemetry(sizes []int, seed int64) (*TelemetryResult, error) {
 				return nil, err
 			}
 			reg := telemetry.New()
-			switch eng := s.eng.(type) {
-			case *core.SortEngine:
-				eng.Telemetry = reg
-			case *core.OrEngine:
-				eng.Telemetry = reg
-			case *core.ExEngine:
-				eng.Telemetry = reg
+			if eng, ok := s.eng.(interface{ SetTelemetry(*telemetry.Registry) }); ok {
+				eng.SetTelemetry(reg)
 			}
 			start := time.Now()
 			dres, err := core.Discover(s.eng, m, &core.Options{Telemetry: reg})

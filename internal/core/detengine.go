@@ -20,19 +20,22 @@ import (
 // It exists as the insecure-but-fast comparator the secure protocols
 // replace. DO NOT use it for sensitive data.
 type DetEngine struct {
+	setTable[*detState]
 	edb      *EncryptedDB
 	instance string
 	n        int
-	sets     map[relation.AttrSet]*detState
-	// detTags caches the per-record deterministic tag of each
-	// materialized set, exactly the view the server has.
-	tags map[relation.AttrSet][]uint64
 }
 
 type detState struct {
+	x relation.AttrSet
+	// tags is the per-record deterministic tag of the set, exactly the
+	// view the server has.
+	tags   []uint64
 	labels []uint64
 	card   uint64
 }
+
+func (st *detState) cardinality() int { return int(st.card) }
 
 var detEngines atomic.Int64
 
@@ -44,13 +47,13 @@ var detEngines atomic.Int64
 // secure cells leaks the same information and keeps the upload format
 // shared with the other engines).
 func NewDetEngine(edb *EncryptedDB) *DetEngine {
-	return &DetEngine{
+	e := &DetEngine{
 		edb:      edb,
 		instance: fmt.Sprintf("det%d", detEngines.Add(1)),
 		n:        edb.NumRows(),
-		sets:     make(map[relation.AttrSet]*detState),
-		tags:     make(map[relation.AttrSet][]uint64),
 	}
+	e.setTable = newSetTable[*detState](e)
+	return e
 }
 
 // NumRows implements Engine.
@@ -61,15 +64,21 @@ func (e *DetEngine) tagArrayName(x relation.AttrSet) string {
 	return fmt.Sprintf("%s:%x:TAGS", e.instance, uint64(x))
 }
 
+func (e *DetEngine) prepare(x relation.AttrSet, _ [2]relation.AttrSet) (*detState, error) {
+	return &detState{x: x}, nil
+}
+
+func (e *DetEngine) destroy(st *detState) error { return e.edb.svc.Delete(e.tagArrayName(st.x)) }
+
 // materialize publishes the tag column to the server (the leakage!) and
 // groups it into a partition.
-func (e *DetEngine) materialize(x relation.AttrSet, tags []uint64) (*detState, error) {
+func (e *DetEngine) materialize(st *detState, tags []uint64) error {
 	// Publish: the server stores the deterministic tags in the clear.
 	// (They are PRF images, but equal values collide — that equality
 	// pattern IS the frequency leakage.)
-	name := e.tagArrayName(x)
+	name := e.tagArrayName(st.x)
 	if err := e.edb.svc.CreateArray(name, len(tags)); err != nil {
-		return nil, fmt.Errorf("core: publishing tags for %v: %w", x, err)
+		return fmt.Errorf("core: publishing tags for %v: %w", st.x, err)
 	}
 	idx := make([]int64, len(tags))
 	cts := make([][]byte, len(tags))
@@ -78,12 +87,12 @@ func (e *DetEngine) materialize(x relation.AttrSet, tags []uint64) (*detState, e
 		cts[i] = []byte(encodeUint64(tag))
 	}
 	if err := e.edb.svc.WriteCells(name, idx, cts); err != nil {
-		return nil, fmt.Errorf("core: publishing tags for %v: %w", x, err)
+		return fmt.Errorf("core: publishing tags for %v: %w", st.x, err)
 	}
 
 	// Group — this is exactly the computation the server could run by
 	// itself on the published tags.
-	st := &detState{labels: make([]uint64, len(tags))}
+	st.tags, st.labels = tags, make([]uint64, len(tags))
 	seen := make(map[uint64]uint64, len(tags))
 	for i, tag := range tags {
 		lbl, ok := seen[tag]
@@ -94,91 +103,37 @@ func (e *DetEngine) materialize(x relation.AttrSet, tags []uint64) (*detState, e
 		}
 		st.labels[i] = lbl
 	}
-	e.tags[x] = tags
-	return st, nil
+	return nil
 }
 
-// CardinalitySingle implements Engine.
-func (e *DetEngine) CardinalitySingle(attr int) (int, error) {
-	x := relation.SingleAttr(attr)
-	if st, ok := e.sets[x]; ok {
-		return int(st.card), nil
-	}
+func (e *DetEngine) fillSingle(st *detState, attr int) error {
 	tags := make([]uint64, e.n)
 	for i := 0; i < e.n; i++ {
 		v, err := e.edb.CellValue(i, attr)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		tags[i] = singleKey(e.edb.cipher, v) // deterministic PRF tag
 	}
-	st, err := e.materialize(x, tags)
-	if err != nil {
-		return 0, err
-	}
-	e.sets[x] = st
-	return int(st.card), nil
+	return e.materialize(st, tags)
 }
 
-// CardinalityUnion implements Engine.
-func (e *DetEngine) CardinalityUnion(x1, x2 relation.AttrSet) (int, error) {
-	x, err := validateUnion(x1, x2)
-	if err != nil {
-		return 0, err
-	}
-	if st, ok := e.sets[x]; ok {
-		return int(st.card), nil
-	}
-	st1, ok := e.sets[x1]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrNotMaterialized, x1)
-	}
-	st2, ok := e.sets[x2]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrNotMaterialized, x2)
-	}
+func (e *DetEngine) fillUnion(st *detState, _ relation.AttrSet, st1, st2 *detState) error {
 	tags := make([]uint64, e.n)
 	for i := 0; i < e.n; i++ {
 		tags[i] = unionKey(st1.labels[i], st2.labels[i])
 	}
-	st, err := e.materialize(x, tags)
-	if err != nil {
-		return 0, err
-	}
-	e.sets[x] = st
-	return int(st.card), nil
-}
-
-// Cardinality implements Engine.
-func (e *DetEngine) Cardinality(x relation.AttrSet) (int, bool) {
-	st, ok := e.sets[x]
-	if !ok {
-		return 0, false
-	}
-	return int(st.card), true
+	return e.materialize(st, tags)
 }
 
 // PublishedTags returns the deterministic tags of a materialized set — the
 // adversary's view of that column. Frequency-attack tests consume this.
 func (e *DetEngine) PublishedTags(x relation.AttrSet) ([]uint64, bool) {
-	tags, ok := e.tags[x]
+	st, ok := e.sets[x]
 	if !ok {
 		return nil, false
 	}
-	return append([]uint64(nil), tags...), true
-}
-
-// Release implements Engine.
-func (e *DetEngine) Release(x relation.AttrSet) error {
-	if _, ok := e.sets[x]; !ok {
-		return fmt.Errorf("%w: %v", ErrNotMaterialized, x)
-	}
-	if err := e.edb.svc.Delete(e.tagArrayName(x)); err != nil {
-		return err
-	}
-	delete(e.sets, x)
-	delete(e.tags, x)
-	return nil
+	return append([]uint64(nil), st.tags...), true
 }
 
 // ClientMemoryBytes implements Engine.
@@ -188,14 +143,4 @@ func (e *DetEngine) ClientMemoryBytes() int {
 		total += 8 * len(st.labels)
 	}
 	return total
-}
-
-// Close implements Engine.
-func (e *DetEngine) Close() error {
-	for x := range e.sets {
-		if err := e.Release(x); err != nil {
-			return err
-		}
-	}
-	return nil
 }

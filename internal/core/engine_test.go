@@ -202,27 +202,37 @@ func TestEngineCachingAndRelease(t *testing.T) {
 }
 
 func TestEngineCloseFreesServerStorage(t *testing.T) {
-	rel := testRelation()
-	srv := store.NewServer()
-	edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := srv.Stats()
-	eng := NewOrEngine(edb)
-	if _, err := eng.CardinalitySingle(0); err != nil {
-		t.Fatal(err)
-	}
-	mid, _ := srv.Stats()
-	if mid.StoredBytes <= base.StoredBytes {
-		t.Error("materialization did not grow server storage")
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	end, _ := srv.Stats()
-	if end.Objects != base.Objects || end.StoredBytes != base.StoredBytes {
-		t.Errorf("Close did not restore storage: %+v vs %+v", end, base)
+	// failAt 0 is the clean run; 20 fails the materialization's 20th storage
+	// operation, mid-traversal, after both ORAM trees were set up.
+	for _, failAt := range []int{0, 20} {
+		rel := testRelation()
+		srv := store.NewServer()
+		svc := newFailNth(srv, func(*store.Op) bool { return true })
+		edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, _ := srv.Stats()
+		eng := NewOrEngine(edb)
+		svc.arm(failAt)
+		_, err = eng.CardinalitySingle(0)
+		if failAt == 0 && err != nil {
+			t.Fatal(err)
+		}
+		if failAt != 0 && !errors.Is(err, errInjected) {
+			t.Fatalf("failAt %d: CardinalitySingle = %v, want the injected failure", failAt, err)
+		}
+		mid, _ := srv.Stats()
+		if failAt == 0 && mid.StoredBytes <= base.StoredBytes {
+			t.Error("materialization did not grow server storage")
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		end, _ := srv.Stats()
+		if end.Objects != base.Objects || end.StoredBytes != base.StoredBytes {
+			t.Errorf("failAt %d: Close did not restore storage: %+v vs %+v", failAt, end, base)
+		}
 	}
 }
 

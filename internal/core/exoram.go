@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/relation"
-	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
 
 // ExEngine is the extended ORAM-based method of §V (Algorithms 4 and 5),
@@ -33,33 +31,9 @@ import (
 // construction depends on; card_X is tracked separately and still equals
 // |π_X| at all times.
 type ExEngine struct {
-	edb      *EncryptedDB
-	instance string
-	// Factory builds the oblivious key-value stores backing each
-	// partition; nil means the paper's PathORAM (oram.PathFactory).
-	Factory oram.Factory
-	// Telemetry, if non-nil, instruments every ORAM the engine builds
-	// (path read/write counters, access spans, stash gauge). Set it before
-	// the first materialization, or call SetTelemetry to also cover
-	// already-built stores (the resume path does).
-	Telemetry *telemetry.Registry
-	capacity  int
-	liveIDs   map[int]bool
-	sets      map[relation.AttrSet]*exState
-	seq       atomic.Int64
-	timing    func(x relation.AttrSet, d time.Duration)
-}
-
-// SetTelemetry attaches a metrics registry to the engine and re-instruments
-// every already-materialized ORAM handle (checkpoint resume rebuilds the
-// handles without telemetry; this wires them back up).
-func (e *ExEngine) SetTelemetry(reg *telemetry.Registry) {
-	e.Telemetry = reg
-	e.edb.cipher.SetTelemetry(reg)
-	for _, st := range e.sets {
-		st.klf.SetTelemetry(reg)
-		st.ikl.SetTelemetry(reg)
-	}
+	oramCore
+	liveIDs map[int]bool
+	timing  func(x relation.AttrSet, d time.Duration)
 }
 
 // SetTimingHook installs a callback receiving the duration of each
@@ -69,14 +43,17 @@ func (e *ExEngine) SetTimingHook(fn func(x relation.AttrSet, d time.Duration)) {
 	e.timing = fn
 }
 
-type exState struct {
-	klf, ikl  oram.Store
-	card      uint64 // |π_X|
-	nextLabel uint64 // monotone label source
-	cover     [2]relation.AttrSet
-}
-
 var exEngines atomic.Int64
+
+func newExEngine(live []int) *ExEngine {
+	e := &ExEngine{liveIDs: make(map[int]bool, len(live))}
+	for _, id := range live {
+		e.liveIDs[id] = true
+	}
+	e.step = exStep
+	e.ids = e.liveOrdered
+	return e
+}
 
 // NewExEngine builds a dynamic engine over an uploaded database. The
 // database's capacity bounds total insertions over the engine's lifetime.
@@ -84,24 +61,19 @@ func NewExEngine(edb *EncryptedDB) (*ExEngine, error) {
 	if edb.Capacity() >= maxLabel {
 		return nil, fmt.Errorf("core: capacity %d exceeds label space", edb.Capacity())
 	}
-	live := make(map[int]bool, edb.NumRows())
-	for i := 0; i < edb.NumRows(); i++ {
-		live[i] = true
+	live := make([]int, edb.NumRows())
+	for i := range live {
+		live[i] = i
 	}
-	return &ExEngine{
-		edb:      edb,
-		instance: fmt.Sprintf("ex%d", exEngines.Add(1)),
-		capacity: edb.Capacity(),
-		liveIDs:  live,
-		sets:     make(map[relation.AttrSet]*exState),
-	}, nil
+	e := newExEngine(live)
+	e.init(edb, fmt.Sprintf("ex%d", exEngines.Add(1)), exLayout)
+	return e, nil
 }
 
 // NumRows implements Engine.
 func (e *ExEngine) NumRows() int { return len(e.liveIDs) }
 
-// liveOrdered returns live ids in ascending order (the traversal order of
-// Algorithms 4's loop; ids are public row numbers).
+// liveOrdered returns live ids in ascending order.
 func (e *ExEngine) liveOrdered() []int {
 	ids := make([]int, 0, len(e.liveIDs))
 	for id := range e.liveIDs {
@@ -111,29 +83,7 @@ func (e *ExEngine) liveOrdered() []int {
 	return ids
 }
 
-func (e *ExEngine) newState(x relation.AttrSet, cover [2]relation.AttrSet) (*exState, error) {
-	seq := e.seq.Add(1)
-	factory := e.Factory
-	if factory == nil {
-		factory = oram.PathFactory
-	}
-	mk := func(kind string) (oram.Store, error) {
-		return factory(e.edb.svc, e.edb.cipher,
-			fmt.Sprintf("%s:%d:%s", e.instance, seq, kind),
-			oram.Config{Capacity: e.capacity, KeyWidth: keyWidth, ValueWidth: 2 * labelWidth, Metrics: e.Telemetry})
-	}
-	klf, err := mk("KLF")
-	if err != nil {
-		return nil, fmt.Errorf("core: setting up O^KLF for %v: %w", x, err)
-	}
-	ikl, err := mk("IKL")
-	if err != nil {
-		return nil, fmt.Errorf("core: setting up O^IKL for %v: %w", x, err)
-	}
-	return &exState{klf: klf, ikl: ikl, cover: cover}, nil
-}
-
-// pair16 packs two uint64s into the engines' fixed 16-byte ORAM value.
+// pair16 packs two uint64s into the engine's fixed 16-byte ORAM value.
 func pair16(a, b uint64) []byte {
 	out := make([]byte, 16)
 	copy(out, encodeUint64(a))
@@ -141,12 +91,12 @@ func pair16(a, b uint64) []byte {
 	return out
 }
 
-// step executes Algorithm 4's loop body: read O^KLF, update label and
+// exStep executes Algorithm 4's loop body: read O^KLF, update label and
 // frequency branchlessly, write both ORAMs. Exactly three ORAM accesses
 // regardless of data.
-func (st *exState) step(id int, key uint64) error {
+func exStep(st *oramState, id int, key uint64) error {
 	keyStr := encodeUint64(key)
-	v, found, err := st.klf.Read(keyStr)
+	v, found, err := st.primary.Read(keyStr)
 	if err != nil {
 		return fmt.Errorf("core: O^KLF read: %w", err)
 	}
@@ -155,10 +105,10 @@ func (st *exState) step(id int, key uint64) error {
 		label, fre = decodeUint64(v), decodeUint64(v[8:])
 	}
 	fre++
-	if err := st.ikl.Write(idKey(id), pair16(key, label)); err != nil {
+	if err := st.secondary.Write(idKey(id), pair16(key, label)); err != nil {
 		return fmt.Errorf("core: O^IKL write: %w", err)
 	}
-	if err := st.klf.Write(keyStr, pair16(label, fre)); err != nil {
+	if err := st.primary.Write(keyStr, pair16(label, fre)); err != nil {
 		return fmt.Errorf("core: O^KLF write: %w", err)
 	}
 	if !found {
@@ -168,21 +118,20 @@ func (st *exState) step(id int, key uint64) error {
 	return nil
 }
 
-// remove executes Algorithm 5 for one record: find the record's key via
+// exRemove executes Algorithm 5 for one record: find the record's key via
 // O^IKL, decrement or remove its O^KLF pair, and remove its O^IKL pair.
 // Both branches perform one O^KLF operation and one O^IKL operation, and
 // Remove ≡ Write on the wire, so the trace is fixed: 2 reads + 2 updates.
-func (st *exState) remove(id int) error {
-	v, found, err := st.ikl.Read(idKey(id))
+func exRemove(st *oramState, id int) error {
+	v, found, err := st.secondary.Read(idKey(id))
 	if err != nil {
 		return fmt.Errorf("core: O^IKL read: %w", err)
 	}
 	if !found {
 		return fmt.Errorf("%w: id %d", ErrUnknownID, id)
 	}
-	key := decodeUint64(v)
-	keyStr := encodeUint64(key)
-	lf, found, err := st.klf.Read(keyStr)
+	keyStr := encodeUint64(decodeUint64(v))
+	lf, found, err := st.primary.Read(keyStr)
 	if err != nil {
 		return fmt.Errorf("core: O^KLF read: %w", err)
 	}
@@ -191,262 +140,31 @@ func (st *exState) remove(id int) error {
 	}
 	label, fre := decodeUint64(lf), decodeUint64(lf[8:])
 	if fre == 1 {
-		if err := st.klf.Remove(keyStr); err != nil {
+		if err := st.primary.Remove(keyStr); err != nil {
 			return fmt.Errorf("core: O^KLF remove: %w", err)
 		}
 		st.card--
 	} else {
-		if err := st.klf.Write(keyStr, pair16(label, fre-1)); err != nil {
+		if err := st.primary.Write(keyStr, pair16(label, fre-1)); err != nil {
 			return fmt.Errorf("core: O^KLF write: %w", err)
 		}
 	}
-	if err := st.ikl.Remove(idKey(id)); err != nil {
+	if err := st.secondary.Remove(idKey(id)); err != nil {
 		return fmt.Errorf("core: O^IKL remove: %w", err)
 	}
 	return nil
 }
 
-// singleKeyFor compresses record id's value under a single attribute.
-func (e *ExEngine) singleKeyFor(id, attr int) (uint64, error) {
-	v, err := e.edb.CellValue(id, attr)
-	if err != nil {
-		return 0, err
-	}
-	return singleKey(e.edb.cipher, v), nil
-}
-
-// unionKeyFor builds key_X for record id from the covering subsets'
-// ID-(Key,Label) ORAMs.
-func (e *ExEngine) unionKeyFor(id int, st1, st2 *exState) (uint64, error) {
-	v1, found, err := st1.ikl.Read(idKey(id))
-	if err != nil {
-		return 0, fmt.Errorf("core: O^IKL read: %w", err)
-	}
-	if !found {
-		return 0, fmt.Errorf("%w: id %d missing from subset partition", ErrNotMaterialized, id)
-	}
-	v2, found, err := st2.ikl.Read(idKey(id))
-	if err != nil {
-		return 0, fmt.Errorf("core: O^IKL read: %w", err)
-	}
-	if !found {
-		return 0, fmt.Errorf("%w: id %d missing from subset partition", ErrNotMaterialized, id)
-	}
-	return unionKey(decodeUint64(v1[8:]), decodeUint64(v2[8:])), nil
-}
-
-// CardinalitySingle implements Engine (Algorithm 4).
-func (e *ExEngine) CardinalitySingle(attr int) (int, error) {
-	x := relation.SingleAttr(attr)
-	if st, ok := e.sets[x]; ok {
-		return int(st.card), nil
-	}
-	st, err := e.newState(x, [2]relation.AttrSet{})
-	if err != nil {
-		return 0, err
-	}
-	for _, id := range e.liveOrdered() {
-		key, err := e.singleKeyFor(id, attr)
-		if err != nil {
-			return 0, err
-		}
-		if err := st.step(id, key); err != nil {
-			return 0, err
-		}
-	}
-	e.sets[x] = st
-	return int(st.card), nil
-}
-
-// CardinalityUnion implements Engine (Algorithm 4's multi-attribute variant,
-// which obtains key_X as in Algorithm 2 lines 4–6).
-func (e *ExEngine) CardinalityUnion(x1, x2 relation.AttrSet) (int, error) {
-	x, err := validateUnion(x1, x2)
-	if err != nil {
-		return 0, err
-	}
-	if st, ok := e.sets[x]; ok {
-		return int(st.card), nil
-	}
-	st1, ok := e.sets[x1]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrNotMaterialized, x1)
-	}
-	st2, ok := e.sets[x2]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrNotMaterialized, x2)
-	}
-	st, err := e.newState(x, [2]relation.AttrSet{x1, x2})
-	if err != nil {
-		return 0, err
-	}
-	for _, id := range e.liveOrdered() {
-		key, err := e.unionKeyFor(id, st1, st2)
-		if err != nil {
-			return 0, err
-		}
-		if err := st.step(id, key); err != nil {
-			return 0, err
-		}
-	}
-	e.sets[x] = st
-	return int(st.card), nil
-}
-
-// CardinalitySingleBatch implements ParallelEngine; see the OrEngine
-// counterpart. ORAM pairs are created serially in job order, traversals run
-// concurrently over a shared snapshot of the live-id order.
-func (e *ExEngine) CardinalitySingleBatch(attrs []int, workers int) ([]int, error) {
-	results := make([]int, len(attrs))
-	jobs := make([]batchJob, len(attrs))
-	ids := e.liveOrdered()
-	pendingTarget := make(map[relation.AttrSet]bool, len(attrs))
-	for k, attr := range attrs {
-		k, attr := k, attr
-		x := relation.SingleAttr(attr)
-		var st *exState
-		if _, cached := e.sets[x]; !cached && !pendingTarget[x] {
-			var err error
-			st, err = e.newState(x, [2]relation.AttrSet{})
-			if err != nil {
-				return nil, err
-			}
-		}
-		pendingTarget[x] = true
-		jobs[k] = batchJob{
-			resources: []relation.AttrSet{x},
-			run: func() error {
-				if cached, ok := e.sets[x]; ok {
-					st = cached
-					return nil
-				}
-				for _, id := range ids {
-					key, err := e.singleKeyFor(id, attr)
-					if err != nil {
-						return err
-					}
-					if err := st.step(id, key); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			commit: func() {
-				e.sets[x] = st
-				results[k] = int(st.card)
-			},
-		}
-	}
-	if err := runBatch(jobs, workers); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// CardinalityUnionBatch implements ParallelEngine. As with OrEngine, jobs
-// sharing a cover are serialized into different waves: reading a cover's
-// O^IKL is a mutating access on a handle that is not goroutine-safe.
-func (e *ExEngine) CardinalityUnionBatch(jobs []UnionJob, workers int) ([]int, error) {
-	results := make([]int, len(jobs))
-	bjobs := make([]batchJob, len(jobs))
-	ids := e.liveOrdered()
-	pendingTarget := make(map[relation.AttrSet]bool, len(jobs))
-	for k, uj := range jobs {
-		k, x1, x2 := k, uj.X1, uj.X2
-		x, err := validateUnion(x1, x2)
-		if err != nil {
-			return nil, err
-		}
-		var st *exState
-		if _, cached := e.sets[x]; !cached && !pendingTarget[x] {
-			st, err = e.newState(x, [2]relation.AttrSet{x1, x2})
-			if err != nil {
-				return nil, err
-			}
-		}
-		pendingTarget[x] = true
-		bjobs[k] = batchJob{
-			resources: []relation.AttrSet{x1, x2, x},
-			run: func() error {
-				if cached, ok := e.sets[x]; ok {
-					st = cached
-					return nil
-				}
-				st1, ok := e.sets[x1]
-				if !ok {
-					return fmt.Errorf("%w: %v", ErrNotMaterialized, x1)
-				}
-				st2, ok := e.sets[x2]
-				if !ok {
-					return fmt.Errorf("%w: %v", ErrNotMaterialized, x2)
-				}
-				for _, id := range ids {
-					key, err := e.unionKeyFor(id, st1, st2)
-					if err != nil {
-						return err
-					}
-					if err := st.step(id, key); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			commit: func() {
-				e.sets[x] = st
-				results[k] = int(st.card)
-			},
-		}
-	}
-	if err := runBatch(bjobs, workers); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 var _ ParallelEngine = (*ExEngine)(nil)
-
-// Cardinality implements Engine.
-func (e *ExEngine) Cardinality(x relation.AttrSet) (int, bool) {
-	st, ok := e.sets[x]
-	if !ok {
-		return 0, false
-	}
-	return int(st.card), true
-}
 
 // Insert implements DynamicEngine: the new record is an untraversed record,
 // processed by one Algorithm 4 step per materialized set, covers first.
 func (e *ExEngine) Insert(row relation.Row) (int, error) {
-	id, err := e.edb.AppendRow(row)
-	if err != nil {
-		return 0, err
+	id, err := e.insert(row, e.timing)
+	if err == nil {
+		e.liveIDs[id] = true
 	}
-	for _, x := range e.setsBySize() {
-		st := e.sets[x]
-		start := time.Now()
-		var key uint64
-		if x.Size() == 1 {
-			key, err = e.singleKeyFor(id, x.First())
-		} else {
-			st1, ok1 := e.sets[st.cover[0]]
-			st2, ok2 := e.sets[st.cover[1]]
-			if !ok1 || !ok2 {
-				return 0, fmt.Errorf("%w: cover of %v was released; dynamic use requires keeping partitions", ErrNotMaterialized, x)
-			}
-			key, err = e.unionKeyFor(id, st1, st2)
-		}
-		if err != nil {
-			return 0, err
-		}
-		if err := st.step(id, key); err != nil {
-			return 0, err
-		}
-		if e.timing != nil {
-			e.timing(x, time.Since(start))
-		}
-	}
-	e.liveIDs[id] = true
-	return id, nil
+	return id, err
 }
 
 // Delete implements DynamicEngine: one Algorithm 5 pass per materialized
@@ -455,116 +173,32 @@ func (e *ExEngine) Delete(id int) error {
 	if !e.liveIDs[id] {
 		return fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
-	for _, x := range e.setsBySize() {
-		start := time.Now()
-		if err := e.sets[x].remove(id); err != nil {
-			return err
-		}
-		if e.timing != nil {
-			e.timing(x, time.Since(start))
-		}
+	err := e.eachSet(e.timing, func(_ relation.AttrSet, st *oramState) error { return exRemove(st, id) })
+	if err == nil {
+		delete(e.liveIDs, id)
 	}
-	delete(e.liveIDs, id)
-	return nil
-}
-
-func (e *ExEngine) setsBySize() []relation.AttrSet {
-	out := make([]relation.AttrSet, 0, len(e.sets))
-	for x := range e.sets {
-		out = append(out, x)
-	}
-	sortSets(out)
-	return out
+	return err
 }
 
 // CheckpointState implements CheckpointableEngine.
 func (e *ExEngine) CheckpointState() *EngineState {
-	es := &EngineState{
-		Kind:     engineKindEx,
-		Instance: e.instance,
-		Seq:      e.seq.Load(),
-		LiveIDs:  e.liveOrdered(),
-	}
-	for _, x := range e.setsBySize() {
-		st := e.sets[x]
-		es.Sets = append(es.Sets, SetState{
-			Set:       x,
-			Card:      st.card,
-			NextLabel: st.nextLabel,
-			Cover:     st.cover,
-			Primary:   st.klf.CheckpointState(),
-			Secondary: st.ikl.CheckpointState(),
-		})
-	}
+	es := e.checkpointState()
+	es.LiveIDs = e.liveOrdered()
 	return es
 }
 
-// ResumeExEngine rebuilds an ExEngine from checkpointed state, reattaching
-// every set's ORAM handles to their existing server-side objects. The
-// server must hold exactly the storage state it had at capture time (see
-// the consistency contract in checkpoint.go).
+// ResumeExEngine rebuilds an ExEngine from checkpointed state; see
+// oramCore.resume for what the server must hold.
 func ResumeExEngine(edb *EncryptedDB, st *EngineState) (*ExEngine, error) {
-	if st.Kind != engineKindEx {
-		return nil, fmt.Errorf("%w: engine kind %q, want %q", ErrCorruptCheckpoint, st.Kind, engineKindEx)
-	}
-	live := make(map[int]bool, len(st.LiveIDs))
-	for _, id := range st.LiveIDs {
-		live[id] = true
-	}
-	e := &ExEngine{
-		edb:      edb,
-		instance: st.Instance,
-		Factory:  factoryFromSets(st.Sets),
-		capacity: edb.Capacity(),
-		liveIDs:  live,
-		sets:     make(map[relation.AttrSet]*exState, len(st.Sets)),
-	}
-	e.seq.Store(st.Seq)
-	for _, s := range st.Sets {
-		klf, err := oram.ResumeStore(edb.svc, edb.cipher, s.Primary)
-		if err != nil {
-			return nil, fmt.Errorf("core: resuming O^KLF for %v: %w", s.Set, err)
-		}
-		ikl, err := oram.ResumeStore(edb.svc, edb.cipher, s.Secondary)
-		if err != nil {
-			return nil, fmt.Errorf("core: resuming O^IKL for %v: %w", s.Set, err)
-		}
-		e.sets[s.Set] = &exState{klf: klf, ikl: ikl, card: s.Card, nextLabel: s.NextLabel, cover: s.Cover}
+	e := newExEngine(st.LiveIDs)
+	if err := e.resume(edb, st, exLayout); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-// Release implements Engine.
-func (e *ExEngine) Release(x relation.AttrSet) error {
-	st, ok := e.sets[x]
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNotMaterialized, x)
-	}
-	if err := st.klf.Destroy(); err != nil {
-		return err
-	}
-	if err := st.ikl.Destroy(); err != nil {
-		return err
-	}
-	delete(e.sets, x)
-	return nil
-}
-
-// ClientMemoryBytes implements Engine.
+// ClientMemoryBytes implements Engine: the ORAM client states plus the set
+// of live ids.
 func (e *ExEngine) ClientMemoryBytes() int {
-	total := 8 * len(e.liveIDs)
-	for _, st := range e.sets {
-		total += st.klf.ClientMemoryBytes() + st.ikl.ClientMemoryBytes()
-	}
-	return total
-}
-
-// Close implements Engine.
-func (e *ExEngine) Close() error {
-	for x := range e.sets {
-		if err := e.Release(x); err != nil {
-			return err
-		}
-	}
-	return nil
+	return 8*len(e.liveIDs) + e.oramCore.ClientMemoryBytes()
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/relation"
-	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
 
 // OrEngine is the original ORAM-based method of §IV-C (Algorithms 1 and 2).
@@ -19,88 +17,44 @@ import (
 // one by one, so appended records are simply untraversed records, §IV-C(c)).
 // Deletion is not supported — that is ExEngine's job.
 type OrEngine struct {
-	edb      *EncryptedDB
-	instance string
-	// Factory builds the oblivious key-value stores backing each
-	// partition; the default is the paper's PathORAM
-	// (oram.PathFactory). Set before the first materialization to use an
-	// alternative such as oram.LinearFactory.
-	Factory oram.Factory
-	// Telemetry, if non-nil, instruments every ORAM the engine builds
-	// (path read/write counters, access spans, stash gauge). Set it before
-	// the first materialization, or call SetTelemetry to also cover
-	// already-built stores (the resume path does).
-	Telemetry *telemetry.Registry
-	capacity  int
-	n         int // live rows, ids 0..n-1 (insert-only keeps ids contiguous)
-	sets      map[relation.AttrSet]*orState
-	seq       atomic.Int64 // unique ORAM-name counter across the engine's life
-}
-
-// SetTelemetry attaches a metrics registry to the engine and re-instruments
-// every already-materialized ORAM handle (checkpoint resume rebuilds the
-// handles without telemetry; this wires them back up).
-func (e *OrEngine) SetTelemetry(reg *telemetry.Registry) {
-	e.Telemetry = reg
-	e.edb.cipher.SetTelemetry(reg)
-	for _, st := range e.sets {
-		st.kl.SetTelemetry(reg)
-		st.il.SetTelemetry(reg)
-	}
-}
-
-type orState struct {
-	kl, il oram.Store
-	card   uint64
-	cover  [2]relation.AttrSet // the Property 1 subsets; zero for singletons
+	oramCore
+	n int // live rows, ids 0..n-1 (insert-only keeps ids contiguous)
 }
 
 // orEngines is a package-level counter so two engines over the same service
 // never collide on object names.
 var orEngines atomic.Int64
 
+func newOrEngine(n int) *OrEngine {
+	e := &OrEngine{n: n}
+	e.step = orStep
+	e.ids = func() []int {
+		ids := make([]int, e.n)
+		for i := range ids {
+			ids[i] = i
+		}
+		return ids
+	}
+	return e
+}
+
 // NewOrEngine builds an engine over an uploaded database.
 func NewOrEngine(edb *EncryptedDB) *OrEngine {
-	return &OrEngine{
-		edb:      edb,
-		instance: fmt.Sprintf("or%d", orEngines.Add(1)),
-		capacity: edb.Capacity(),
-		n:        edb.NumRows(),
-		sets:     make(map[relation.AttrSet]*orState),
-	}
+	e := newOrEngine(edb.NumRows())
+	e.init(edb, fmt.Sprintf("or%d", orEngines.Add(1)), orLayout)
+	return e
 }
 
 // NumRows implements Engine.
 func (e *OrEngine) NumRows() int { return e.n }
 
-func (e *OrEngine) newState(x relation.AttrSet, cover [2]relation.AttrSet) (*orState, error) {
-	seq := e.seq.Add(1)
-	factory := e.Factory
-	if factory == nil {
-		factory = oram.PathFactory
-	}
-	mk := func(kind string) (oram.Store, error) {
-		return factory(e.edb.svc, e.edb.cipher,
-			fmt.Sprintf("%s:%d:%s", e.instance, seq, kind),
-			oram.Config{Capacity: e.capacity, KeyWidth: keyWidth, ValueWidth: labelWidth, Metrics: e.Telemetry})
-	}
-	kl, err := mk("KL")
-	if err != nil {
-		return nil, fmt.Errorf("core: setting up O^KL for %v: %w", x, err)
-	}
-	il, err := mk("IL")
-	if err != nil {
-		return nil, fmt.Errorf("core: setting up O^IL for %v: %w", x, err)
-	}
-	return &orState{kl: kl, il: il, cover: cover}, nil
-}
-
-// step executes one iteration of Algorithm 1/2's loop body for record id
+// orStep executes one iteration of Algorithm 1/2's loop body for record id
 // with the already-constructed key_X. The ORAM access sequence — one Read
 // and two Writes — is identical regardless of whether the key was seen
 // before (the branchless flag arithmetic of the paper's lines 6–10).
-func (st *orState) step(id int, key string) error {
-	labelBytes, found, err := st.kl.Read(key)
+func orStep(st *oramState, id int, key uint64) error {
+	keyStr := encodeUint64(key)
+	labelBytes, found, err := st.primary.Read(keyStr)
 	if err != nil {
 		return fmt.Errorf("core: O^KL read: %w", err)
 	}
@@ -109,10 +63,10 @@ func (st *orState) step(id int, key string) error {
 		label = decodeUint64(labelBytes)
 	}
 	enc := encodeUint64(label)
-	if err := st.il.Write(idKey(id), []byte(enc)); err != nil {
+	if err := st.secondary.Write(idKey(id), []byte(enc)); err != nil {
 		return fmt.Errorf("core: O^IL write: %w", err)
 	}
-	if err := st.kl.Write(key, []byte(enc)); err != nil {
+	if err := st.primary.Write(keyStr, []byte(enc)); err != nil {
 		return fmt.Errorf("core: O^KL write: %w", err)
 	}
 	if !found {
@@ -121,344 +75,32 @@ func (st *orState) step(id int, key string) error {
 	return nil
 }
 
-// singleKeyFor compresses record id's value under a single attribute.
-func (e *OrEngine) singleKeyFor(id, attr int) (string, error) {
-	v, err := e.edb.CellValue(id, attr)
-	if err != nil {
-		return "", err
-	}
-	return encodeUint64(singleKey(e.edb.cipher, v)), nil
-}
-
-// unionKeyFor builds key_X for record id from the two covering subsets'
-// ID-Label ORAMs (Algorithm 2, lines 4–6).
-func (e *OrEngine) unionKeyFor(id int, st1, st2 *orState) (string, error) {
-	l1b, found, err := st1.il.Read(idKey(id))
-	if err != nil {
-		return "", fmt.Errorf("core: O^IL read: %w", err)
-	}
-	if !found {
-		return "", fmt.Errorf("%w: id %d missing from subset partition", ErrNotMaterialized, id)
-	}
-	l2b, found, err := st2.il.Read(idKey(id))
-	if err != nil {
-		return "", fmt.Errorf("core: O^IL read: %w", err)
-	}
-	if !found {
-		return "", fmt.Errorf("%w: id %d missing from subset partition", ErrNotMaterialized, id)
-	}
-	return encodeUint64(unionKey(decodeUint64(l1b), decodeUint64(l2b))), nil
-}
-
-// CardinalitySingle implements Engine (Algorithm 1).
-func (e *OrEngine) CardinalitySingle(attr int) (int, error) {
-	x := relation.SingleAttr(attr)
-	if st, ok := e.sets[x]; ok {
-		return int(st.card), nil
-	}
-	st, err := e.newState(x, [2]relation.AttrSet{})
-	if err != nil {
-		return 0, err
-	}
-	for id := 0; id < e.n; id++ {
-		key, err := e.singleKeyFor(id, attr)
-		if err != nil {
-			return 0, err
-		}
-		if err := st.step(id, key); err != nil {
-			return 0, err
-		}
-	}
-	e.sets[x] = st
-	return int(st.card), nil
-}
-
-// CardinalityUnion implements Engine (Algorithm 2).
-func (e *OrEngine) CardinalityUnion(x1, x2 relation.AttrSet) (int, error) {
-	x, err := validateUnion(x1, x2)
-	if err != nil {
-		return 0, err
-	}
-	if st, ok := e.sets[x]; ok {
-		return int(st.card), nil
-	}
-	st1, ok := e.sets[x1]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrNotMaterialized, x1)
-	}
-	st2, ok := e.sets[x2]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrNotMaterialized, x2)
-	}
-	st, err := e.newState(x, [2]relation.AttrSet{x1, x2})
-	if err != nil {
-		return 0, err
-	}
-	for id := 0; id < e.n; id++ {
-		key, err := e.unionKeyFor(id, st1, st2)
-		if err != nil {
-			return 0, err
-		}
-		if err := st.step(id, key); err != nil {
-			return 0, err
-		}
-	}
-	e.sets[x] = st
-	return int(st.card), nil
-}
-
-// CardinalitySingleBatch implements ParallelEngine. ORAM pairs are created
-// serially in job order (tree setup is a deterministic linear pass), then
-// the per-record traversals run concurrently: each traversal touches only
-// its own attribute column and its own KL/IL pair, so all jobs share a
-// wave.
-func (e *OrEngine) CardinalitySingleBatch(attrs []int, workers int) ([]int, error) {
-	results := make([]int, len(attrs))
-	jobs := make([]batchJob, len(attrs))
-	pendingTarget := make(map[relation.AttrSet]bool, len(attrs))
-	for k, attr := range attrs {
-		k, attr := k, attr
-		x := relation.SingleAttr(attr)
-		var st *orState
-		if _, cached := e.sets[x]; !cached && !pendingTarget[x] {
-			var err error
-			st, err = e.newState(x, [2]relation.AttrSet{})
-			if err != nil {
-				return nil, err
-			}
-		}
-		pendingTarget[x] = true
-		jobs[k] = batchJob{
-			resources: []relation.AttrSet{x},
-			run: func() error {
-				if cached, ok := e.sets[x]; ok {
-					st = cached
-					return nil
-				}
-				for id := 0; id < e.n; id++ {
-					key, err := e.singleKeyFor(id, attr)
-					if err != nil {
-						return err
-					}
-					if err := st.step(id, key); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			commit: func() {
-				e.sets[x] = st
-				results[k] = int(st.card)
-			},
-		}
-	}
-	if err := runBatch(jobs, workers); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// CardinalityUnionBatch implements ParallelEngine. Reading a cover's
-// ID-Label ORAM is a mutating PathORAM access and the handles are not
-// goroutine-safe, so jobs sharing a cover are serialized into different
-// waves — which also keeps every tree's access sequence identical to the
-// serial run's. ORAM pairs are created serially in job order before any
-// traversal starts.
-func (e *OrEngine) CardinalityUnionBatch(jobs []UnionJob, workers int) ([]int, error) {
-	results := make([]int, len(jobs))
-	bjobs := make([]batchJob, len(jobs))
-	pendingTarget := make(map[relation.AttrSet]bool, len(jobs))
-	for k, uj := range jobs {
-		k, x1, x2 := k, uj.X1, uj.X2
-		x, err := validateUnion(x1, x2)
-		if err != nil {
-			return nil, err
-		}
-		var st *orState
-		if _, cached := e.sets[x]; !cached && !pendingTarget[x] {
-			st, err = e.newState(x, [2]relation.AttrSet{x1, x2})
-			if err != nil {
-				return nil, err
-			}
-		}
-		pendingTarget[x] = true
-		bjobs[k] = batchJob{
-			resources: []relation.AttrSet{x1, x2, x},
-			run: func() error {
-				if cached, ok := e.sets[x]; ok {
-					st = cached
-					return nil
-				}
-				st1, ok := e.sets[x1]
-				if !ok {
-					return fmt.Errorf("%w: %v", ErrNotMaterialized, x1)
-				}
-				st2, ok := e.sets[x2]
-				if !ok {
-					return fmt.Errorf("%w: %v", ErrNotMaterialized, x2)
-				}
-				for id := 0; id < e.n; id++ {
-					key, err := e.unionKeyFor(id, st1, st2)
-					if err != nil {
-						return err
-					}
-					if err := st.step(id, key); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			commit: func() {
-				e.sets[x] = st
-				results[k] = int(st.card)
-			},
-		}
-	}
-	if err := runBatch(bjobs, workers); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 var _ ParallelEngine = (*OrEngine)(nil)
 
-// Cardinality implements Engine.
-func (e *OrEngine) Cardinality(x relation.AttrSet) (int, bool) {
-	st, ok := e.sets[x]
-	if !ok {
-		return 0, false
-	}
-	return int(st.card), true
-}
-
 // Insert continues the traversal for one appended record across every
-// materialized attribute set, in subset-before-superset order so Algorithm
-// 2's key construction finds fresh labels (§IV-C(c)).
+// materialized attribute set. OrEngine is deliberately not a DynamicEngine:
+// it has no Delete.
 func (e *OrEngine) Insert(row relation.Row) (int, error) {
-	id, err := e.edb.AppendRow(row)
-	if err != nil {
-		return 0, err
+	id, err := e.insert(row, nil)
+	if err == nil {
+		e.n++
 	}
-	for _, x := range e.setsBySize() {
-		st := e.sets[x]
-		var key string
-		if x.Size() == 1 {
-			key, err = e.singleKeyFor(id, x.First())
-		} else {
-			st1, ok1 := e.sets[st.cover[0]]
-			st2, ok2 := e.sets[st.cover[1]]
-			if !ok1 || !ok2 {
-				return 0, fmt.Errorf("%w: cover of %v was released; dynamic use requires keeping partitions", ErrNotMaterialized, x)
-			}
-			key, err = e.unionKeyFor(id, st1, st2)
-		}
-		if err != nil {
-			return 0, err
-		}
-		if err := st.step(id, key); err != nil {
-			return 0, err
-		}
-	}
-	e.n++
-	return id, nil
+	return id, err
 }
 
-// setsBySize returns the materialized sets ordered by |X| then value, so
-// covers always precede their unions.
-func (e *OrEngine) setsBySize() []relation.AttrSet {
-	out := make([]relation.AttrSet, 0, len(e.sets))
-	for x := range e.sets {
-		out = append(out, x)
-	}
-	sortSets(out)
-	return out
-}
-
-// CheckpointState implements CheckpointableEngine: it deep-captures every
-// materialized set's cardinality, cover, and ORAM client states, in
-// cover-before-union order so resume can rebuild dependencies in sequence.
+// CheckpointState implements CheckpointableEngine.
 func (e *OrEngine) CheckpointState() *EngineState {
-	es := &EngineState{
-		Kind:     engineKindOr,
-		Instance: e.instance,
-		Seq:      e.seq.Load(),
-		N:        e.n,
-	}
-	for _, x := range e.setsBySize() {
-		st := e.sets[x]
-		es.Sets = append(es.Sets, SetState{
-			Set:       x,
-			Card:      st.card,
-			Cover:     st.cover,
-			Primary:   st.kl.CheckpointState(),
-			Secondary: st.il.CheckpointState(),
-		})
-	}
+	es := e.checkpointState()
+	es.N = e.n
 	return es
 }
 
-// ResumeOrEngine rebuilds an OrEngine from checkpointed state, reattaching
-// every set's ORAM handles to their existing server-side objects. The
-// server must hold exactly the storage state it had at capture time (see
-// the consistency contract in checkpoint.go).
+// ResumeOrEngine rebuilds an OrEngine from checkpointed state; see
+// oramCore.resume for what the server must hold.
 func ResumeOrEngine(edb *EncryptedDB, st *EngineState) (*OrEngine, error) {
-	if st.Kind != engineKindOr {
-		return nil, fmt.Errorf("%w: engine kind %q, want %q", ErrCorruptCheckpoint, st.Kind, engineKindOr)
-	}
-	e := &OrEngine{
-		edb:      edb,
-		instance: st.Instance,
-		Factory:  factoryFromSets(st.Sets),
-		capacity: edb.Capacity(),
-		n:        st.N,
-		sets:     make(map[relation.AttrSet]*orState, len(st.Sets)),
-	}
-	e.seq.Store(st.Seq)
-	for _, s := range st.Sets {
-		kl, err := oram.ResumeStore(edb.svc, edb.cipher, s.Primary)
-		if err != nil {
-			return nil, fmt.Errorf("core: resuming O^KL for %v: %w", s.Set, err)
-		}
-		il, err := oram.ResumeStore(edb.svc, edb.cipher, s.Secondary)
-		if err != nil {
-			return nil, fmt.Errorf("core: resuming O^IL for %v: %w", s.Set, err)
-		}
-		e.sets[s.Set] = &orState{kl: kl, il: il, card: s.Card, cover: s.Cover}
+	e := newOrEngine(st.N)
+	if err := e.resume(edb, st, orLayout); err != nil {
+		return nil, err
 	}
 	return e, nil
-}
-
-// Release implements Engine.
-func (e *OrEngine) Release(x relation.AttrSet) error {
-	st, ok := e.sets[x]
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNotMaterialized, x)
-	}
-	if err := st.kl.Destroy(); err != nil {
-		return err
-	}
-	if err := st.il.Destroy(); err != nil {
-		return err
-	}
-	delete(e.sets, x)
-	return nil
-}
-
-// ClientMemoryBytes implements Engine.
-func (e *OrEngine) ClientMemoryBytes() int {
-	total := 0
-	for _, st := range e.sets {
-		total += st.kl.ClientMemoryBytes() + st.il.ClientMemoryBytes()
-	}
-	return total
-}
-
-// Close implements Engine.
-func (e *OrEngine) Close() error {
-	for x := range e.sets {
-		if err := e.Release(x); err != nil {
-			return err
-		}
-	}
-	return nil
 }

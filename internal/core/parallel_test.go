@@ -280,6 +280,25 @@ func TestParallelBatchDirect(t *testing.T) {
 		}
 	}
 
+	// One batch naming a cached attribute and the same new attribute twice
+	// builds one array and draws one name, as three serial calls would (the
+	// sort engine's batch path used to draw a name per job).
+	se := NewSortEngine(edb, 1)
+	defer se.Close()
+	if _, err := se.CardinalitySingle(0); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := srv.Stats()
+	dup, err := se.CardinalitySingleBatch([]int{0, 1, 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _ := srv.Stats()
+	if dup[1] != dup[2] || after.Objects != before.Objects+1 || se.seq.Load() != 2 {
+		t.Errorf("duplicate attribute in one batch: cards %v, %d new objects, %d names drawn; want equal cards, 1 object, 2 names",
+			dup, after.Objects-before.Objects, se.seq.Load())
+	}
+
 	// A union whose operands were never materialized must fail cleanly —
 	// use a fresh engine so nothing is cached.
 	eng2 := NewOrEngine(edb)

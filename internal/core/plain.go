@@ -14,9 +14,9 @@ import (
 // recomputation, which is exactly the Ω(n)-per-operation "trivial" dynamic
 // solution of Definition 5 that ExEngine improves upon.
 type PlainEngine struct {
+	setTable[*plainState]
 	rel  *relation.Relation
 	live map[int]bool
-	sets map[relation.AttrSet]*plainState
 }
 
 type plainState struct {
@@ -25,6 +25,8 @@ type plainState struct {
 	cover  [2]relation.AttrSet
 }
 
+func (st *plainState) cardinality() int { return st.card }
+
 // NewPlainEngine builds a plaintext engine over a relation. The relation is
 // cloned, so later mutations of rel do not affect the engine.
 func NewPlainEngine(rel *relation.Relation) *PlainEngine {
@@ -32,18 +34,23 @@ func NewPlainEngine(rel *relation.Relation) *PlainEngine {
 	for i := 0; i < rel.NumRows(); i++ {
 		live[i] = true
 	}
-	return &PlainEngine{
-		rel:  rel.Clone(),
-		live: live,
-		sets: make(map[relation.AttrSet]*plainState),
-	}
+	e := &PlainEngine{rel: rel.Clone(), live: live}
+	e.setTable = newSetTable[*plainState](e)
+	return e
 }
 
 // NumRows implements Engine.
 func (e *PlainEngine) NumRows() int { return len(e.live) }
 
-func (e *PlainEngine) computeSingle(attr int) *plainState {
-	st := &plainState{labels: make(map[int]int, len(e.live))}
+func (e *PlainEngine) prepare(_ relation.AttrSet, cover [2]relation.AttrSet) (*plainState, error) {
+	return &plainState{cover: cover}, nil
+}
+
+// destroy has nothing to free: the partitions live in client memory.
+func (e *PlainEngine) destroy(*plainState) error { return nil }
+
+func (e *PlainEngine) fillSingle(st *plainState, attr int) error {
+	st.labels, st.card = make(map[int]int, len(e.live)), 0
 	seen := make(map[string]int)
 	for id := 0; id < e.rel.NumRows(); id++ {
 		if !e.live[id] {
@@ -58,11 +65,11 @@ func (e *PlainEngine) computeSingle(attr int) *plainState {
 		}
 		st.labels[id] = lbl
 	}
-	return st
+	return nil
 }
 
-func (e *PlainEngine) computeUnion(st1, st2 *plainState, cover [2]relation.AttrSet) *plainState {
-	st := &plainState{labels: make(map[int]int, len(e.live)), cover: cover}
+func (e *PlainEngine) fillUnion(st *plainState, _ relation.AttrSet, st1, st2 *plainState) error {
+	st.labels, st.card = make(map[int]int, len(e.live)), 0
 	seen := make(map[[2]int]int)
 	for id := 0; id < e.rel.NumRows(); id++ {
 		if !e.live[id] {
@@ -77,49 +84,7 @@ func (e *PlainEngine) computeUnion(st1, st2 *plainState, cover [2]relation.AttrS
 		}
 		st.labels[id] = lbl
 	}
-	return st
-}
-
-// CardinalitySingle implements Engine.
-func (e *PlainEngine) CardinalitySingle(attr int) (int, error) {
-	x := relation.SingleAttr(attr)
-	if st, ok := e.sets[x]; ok {
-		return st.card, nil
-	}
-	st := e.computeSingle(attr)
-	e.sets[x] = st
-	return st.card, nil
-}
-
-// CardinalityUnion implements Engine.
-func (e *PlainEngine) CardinalityUnion(x1, x2 relation.AttrSet) (int, error) {
-	x, err := validateUnion(x1, x2)
-	if err != nil {
-		return 0, err
-	}
-	if st, ok := e.sets[x]; ok {
-		return st.card, nil
-	}
-	st1, ok := e.sets[x1]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrNotMaterialized, x1)
-	}
-	st2, ok := e.sets[x2]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrNotMaterialized, x2)
-	}
-	st := e.computeUnion(st1, st2, [2]relation.AttrSet{x1, x2})
-	e.sets[x] = st
-	return st.card, nil
-}
-
-// Cardinality implements Engine.
-func (e *PlainEngine) Cardinality(x relation.AttrSet) (int, bool) {
-	st, ok := e.sets[x]
-	if !ok {
-		return 0, false
-	}
-	return st.card, true
+	return nil
 }
 
 // Insert implements DynamicEngine by full recomputation (the trivial
@@ -144,31 +109,16 @@ func (e *PlainEngine) Delete(id int) error {
 	return nil
 }
 
+// recomputeAll fills every materialized set again, covers first.
 func (e *PlainEngine) recomputeAll() {
-	order := make([]relation.AttrSet, 0, len(e.sets))
-	for x := range e.sets {
-		order = append(order, x)
-	}
-	sortSets(order)
-	for _, x := range order {
-		old := e.sets[x]
+	for _, x := range e.setsBySize() {
+		st := e.sets[x]
 		if x.Size() == 1 {
-			e.sets[x] = e.computeSingle(x.First())
+			_ = e.fillSingle(st, x.First()) // PlainEngine's fills cannot fail
 		} else {
-			st1 := e.sets[old.cover[0]]
-			st2 := e.sets[old.cover[1]]
-			e.sets[x] = e.computeUnion(st1, st2, old.cover)
+			_ = e.fillUnion(st, x, e.sets[st.cover[0]], e.sets[st.cover[1]])
 		}
 	}
-}
-
-// Release implements Engine.
-func (e *PlainEngine) Release(x relation.AttrSet) error {
-	if _, ok := e.sets[x]; !ok {
-		return fmt.Errorf("%w: %v", ErrNotMaterialized, x)
-	}
-	delete(e.sets, x)
-	return nil
 }
 
 // ClientMemoryBytes implements Engine: the plaintext baseline holds all
@@ -179,10 +129,4 @@ func (e *PlainEngine) ClientMemoryBytes() int {
 		total += 16 * len(st.labels)
 	}
 	return total
-}
-
-// Close implements Engine.
-func (e *PlainEngine) Close() error {
-	e.sets = make(map[relation.AttrSet]*plainState)
-	return nil
 }

@@ -26,6 +26,7 @@ import (
 // per worker), is static only, and parallelizes inside the bitonic network —
 // Workers controls the degree (Fig. 6a).
 type SortEngine struct {
+	parallelTable[*sortState]
 	edb      *EncryptedDB
 	instance string
 	// Workers is the parallelism degree for the bitonic network; minimum 1.
@@ -40,7 +41,6 @@ type SortEngine struct {
 	// arrays that already exist.
 	Telemetry *telemetry.Registry
 	n         int
-	sets      map[relation.AttrSet]*sortState
 	seq       atomic.Int64
 }
 
@@ -55,9 +55,12 @@ func (e *SortEngine) SetTelemetry(reg *telemetry.Registry) {
 }
 
 type sortState struct {
+	name string        // drawn by prepare, before the array exists
 	arr  *obsort.Array // (label_X, r[ID]) records, ordered by r[ID]
 	card uint64
 }
+
+func (st *sortState) cardinality() int { return int(st.card) }
 
 var sortEngines atomic.Int64
 
@@ -69,13 +72,14 @@ func NewSortEngine(edb *EncryptedDB, workers int) *SortEngine {
 	if workers < 1 {
 		workers = 1
 	}
-	return &SortEngine{
+	e := &SortEngine{
 		edb:      edb,
 		instance: fmt.Sprintf("sort%d", sortEngines.Add(1)),
 		Workers:  workers,
 		n:        edb.NumRows(),
-		sets:     make(map[relation.AttrSet]*sortState),
 	}
+	e.setTable = newSetTable[*sortState](e)
+	return e
 }
 
 // NumRows implements Engine.
@@ -87,17 +91,17 @@ func lessByKey(a, b []byte) bool { return bytes.Compare(a[:8], b[:8]) < 0 }
 // lessByID orders records by their trailing 8-byte r[ID].
 func lessByID(a, b []byte) bool { return bytes.Compare(a[8:16], b[8:16]) < 0 }
 
-// materialize runs Algorithm 3 on the array A (already holding
-// (key_X, r[ID]) records) and returns the final state.
-func (e *SortEngine) materialize(arr *obsort.Array) (*sortState, error) {
+// materialize runs Algorithm 3 on st.arr, which already holds the
+// (key_X, r[ID]) records.
+func (e *SortEngine) materialize(st *sortState) error {
 	// Line 1: sort by key_X so equal keys are consecutive.
-	if err := arr.SortNetwork(lessByKey, e.Workers, e.Network); err != nil {
-		return nil, fmt.Errorf("core: sorting by key: %w", err)
+	if err := st.arr.SortNetwork(lessByKey, e.Workers, e.Network); err != nil {
+		return fmt.Errorf("core: sorting by key: %w", err)
 	}
 	// Lines 2–8: one oblivious pass assigns dense labels. The pass reads
 	// and rewrites every cell whether or not the label changed.
 	var tmp, card uint64
-	err := arr.Scan(func(i int, rec []byte) ([]byte, error) {
+	err := st.arr.Scan(func(i int, rec []byte) ([]byte, error) {
 		key := decodeUint64(rec)
 		if i == 0 {
 			tmp = key
@@ -110,30 +114,41 @@ func (e *SortEngine) materialize(arr *obsort.Array) (*sortState, error) {
 		return rec, nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: labeling pass: %w", err)
+		return fmt.Errorf("core: labeling pass: %w", err)
 	}
 	// Line 9: restore r[ID] order so B_X aligns with every other B_Y.
-	if err := arr.SortNetwork(lessByID, e.Workers, e.Network); err != nil {
-		return nil, fmt.Errorf("core: sorting by id: %w", err)
+	if err := st.arr.SortNetwork(lessByID, e.Workers, e.Network); err != nil {
+		return fmt.Errorf("core: sorting by id: %w", err)
 	}
-	return &sortState{arr: arr, card: card + 1}, nil
+	st.card = card + 1
+	return nil
 }
 
-// nextName draws a unique server-side array name. Batch calls draw names
-// up front, in job order, so naming is deterministic under any worker count.
-func (e *SortEngine) nextName() string {
-	return fmt.Sprintf("%s:%d:B", e.instance, e.seq.Add(1))
+// prepare draws the set's unique server-side array name. Names are drawn
+// serially, in job order and only for sets that get built, so naming is
+// deterministic under any worker count.
+func (e *SortEngine) prepare(relation.AttrSet, [2]relation.AttrSet) (*sortState, error) {
+	return &sortState{name: fmt.Sprintf("%s:%d:B", e.instance, e.seq.Add(1))}, nil
 }
 
-// buildSingle materializes B_{attr} under the given array name. Cell values
-// are prefetched one ChunkCells-sized column range per storage round; the
-// per-cell accesses the server records are the same ascending scan as a
-// one-at-a-time read.
-func (e *SortEngine) buildSingle(attr int, name string) (*sortState, error) {
+// destroy frees the set's array. A state whose fill never got as far as a
+// handle has nothing on the server: obsort.CreateStreamed removes what it
+// could not finish.
+func (e *SortEngine) destroy(st *sortState) error {
+	if st.arr == nil {
+		return nil
+	}
+	return st.arr.Destroy()
+}
+
+// fillSingle materializes B_{attr}. Cell values are prefetched one
+// ChunkCells-sized column range per storage round; the per-cell accesses the
+// server records are the same ascending scan as a one-at-a-time read.
+func (e *SortEngine) fillSingle(st *sortState, attr int) error {
 	var vals []string
 	var base int
 	rec := make([]byte, sortRecWidth) // CreateStreamed copies each record out
-	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, name, e.n, sortRecWidth,
+	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, st.name, e.n, sortRecWidth,
 		func(i int) ([]byte, error) {
 			if i%obsort.ChunkCells == 0 {
 				hi := i + obsort.ChunkCells
@@ -151,22 +166,24 @@ func (e *SortEngine) buildSingle(attr int, name string) (*sortState, error) {
 			return rec, nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("core: building A for attr %d: %w", attr, err)
+		return fmt.Errorf("core: building A for attr %d: %w", attr, err)
 	}
 	arr.SetTelemetry(e.Telemetry)
-	return e.materialize(arr)
+	st.arr = arr
+	return e.materialize(st)
 }
 
-// buildUnion materializes B_{x1∪x2} from the covers' arrays under the given
-// name. Both covers' label records are prefetched one ChunkCells-sized range
-// at a time, fused into a single batched round when the storage service
-// supports it.
-func (e *SortEngine) buildUnion(x relation.AttrSet, st1, st2 *sortState, name string) (*sortState, error) {
+// fillUnion materializes B_{x1∪x2} from the covers' arrays. Labels are
+// extracted positionally: both B arrays are ordered by r[ID], so B_X1[i] and
+// B_X2[i] describe the same record (§IV-D's extraction). Both covers' label
+// records are prefetched one ChunkCells-sized range at a time, fused into a
+// single batched round when the storage service supports it.
+func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sortState) error {
 	var recs [][][]byte
 	var base int
 	covers := []*obsort.Array{st1.arr, st2.arr}
 	rec := make([]byte, sortRecWidth) // CreateStreamed copies each record out
-	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, name, e.n, sortRecWidth,
+	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, st.name, e.n, sortRecWidth,
 		func(i int) ([]byte, error) {
 			if i%obsort.ChunkCells == 0 {
 				hi := i + obsort.ChunkCells
@@ -185,131 +202,11 @@ func (e *SortEngine) buildUnion(x relation.AttrSet, st1, st2 *sortState, name st
 			return rec, nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("core: building A for %v: %w", x, err)
+		return fmt.Errorf("core: building A for %v: %w", x, err)
 	}
 	arr.SetTelemetry(e.Telemetry)
-	return e.materialize(arr)
-}
-
-// CardinalitySingle implements Engine.
-func (e *SortEngine) CardinalitySingle(attr int) (int, error) {
-	x := relation.SingleAttr(attr)
-	if st, ok := e.sets[x]; ok {
-		return int(st.card), nil
-	}
-	st, err := e.buildSingle(attr, e.nextName())
-	if err != nil {
-		return 0, err
-	}
-	e.sets[x] = st
-	return int(st.card), nil
-}
-
-// CardinalityUnion implements Engine. Labels are extracted positionally:
-// both B arrays are ordered by r[ID], so B_X1[i] and B_X2[i] describe the
-// same record (§IV-D's extraction).
-func (e *SortEngine) CardinalityUnion(x1, x2 relation.AttrSet) (int, error) {
-	x, err := validateUnion(x1, x2)
-	if err != nil {
-		return 0, err
-	}
-	if st, ok := e.sets[x]; ok {
-		return int(st.card), nil
-	}
-	st1, ok := e.sets[x1]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrNotMaterialized, x1)
-	}
-	st2, ok := e.sets[x2]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrNotMaterialized, x2)
-	}
-	st, err := e.buildUnion(x, st1, st2, e.nextName())
-	if err != nil {
-		return 0, err
-	}
-	e.sets[x] = st
-	return int(st.card), nil
-}
-
-// CardinalitySingleBatch implements ParallelEngine. Partition builds are
-// embarrassingly parallel here: each job touches only its own attribute
-// column and its own fresh array, so all jobs share a wave and the sorting
-// work overlaps across candidates as well as inside each bitonic network.
-func (e *SortEngine) CardinalitySingleBatch(attrs []int, workers int) ([]int, error) {
-	results := make([]int, len(attrs))
-	jobs := make([]batchJob, len(attrs))
-	for k, attr := range attrs {
-		k, attr := k, attr
-		x := relation.SingleAttr(attr)
-		name := e.nextName()
-		var st *sortState
-		jobs[k] = batchJob{
-			resources: []relation.AttrSet{x},
-			run: func() error {
-				if cached, ok := e.sets[x]; ok {
-					st = cached
-					return nil
-				}
-				var err error
-				st, err = e.buildSingle(attr, name)
-				return err
-			},
-			commit: func() {
-				e.sets[x] = st
-				results[k] = int(st.card)
-			},
-		}
-	}
-	if err := runBatch(jobs, workers); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// CardinalityUnionBatch implements ParallelEngine. Jobs sharing a cover run
-// in different waves so each cover array's read sequence stays in serial
-// order; everything else proceeds concurrently.
-func (e *SortEngine) CardinalityUnionBatch(jobs []UnionJob, workers int) ([]int, error) {
-	results := make([]int, len(jobs))
-	bjobs := make([]batchJob, len(jobs))
-	for k, uj := range jobs {
-		k, x1, x2 := k, uj.X1, uj.X2
-		x, err := validateUnion(x1, x2)
-		if err != nil {
-			return nil, err
-		}
-		name := e.nextName()
-		var st *sortState
-		bjobs[k] = batchJob{
-			resources: []relation.AttrSet{x1, x2, x},
-			run: func() error {
-				if cached, ok := e.sets[x]; ok {
-					st = cached
-					return nil
-				}
-				st1, ok := e.sets[x1]
-				if !ok {
-					return fmt.Errorf("%w: %v", ErrNotMaterialized, x1)
-				}
-				st2, ok := e.sets[x2]
-				if !ok {
-					return fmt.Errorf("%w: %v", ErrNotMaterialized, x2)
-				}
-				var err error
-				st, err = e.buildUnion(x, st1, st2, name)
-				return err
-			},
-			commit: func() {
-				e.sets[x] = st
-				results[k] = int(st.card)
-			},
-		}
-	}
-	if err := runBatch(bjobs, workers); err != nil {
-		return nil, err
-	}
-	return results, nil
+	st.arr = arr
+	return e.materialize(st)
 }
 
 var _ ParallelEngine = (*SortEngine)(nil)
@@ -433,28 +330,6 @@ func (e *SortEngine) CardinalityRaw(x relation.AttrSet) (int, error) {
 	return int(card + 1), nil
 }
 
-// Cardinality implements Engine.
-func (e *SortEngine) Cardinality(x relation.AttrSet) (int, bool) {
-	st, ok := e.sets[x]
-	if !ok {
-		return 0, false
-	}
-	return int(st.card), true
-}
-
-// Release implements Engine.
-func (e *SortEngine) Release(x relation.AttrSet) error {
-	st, ok := e.sets[x]
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNotMaterialized, x)
-	}
-	if err := st.arr.Destroy(); err != nil {
-		return err
-	}
-	delete(e.sets, x)
-	return nil
-}
-
 // ClientMemoryBytes implements Engine. §VII-C reports a constant, and the
 // figure returned is that accounting: the encryption key and one in-flight
 // record pair. What a worker of this client really holds is one block,
@@ -463,14 +338,4 @@ func (e *SortEngine) Release(x relation.AttrSet) error {
 // associated-data string) — larger, but just as independent of n.
 func (e *SortEngine) ClientMemoryBytes() int {
 	return 16 /* AES key */ + 2*(sortRecWidth+1)
-}
-
-// Close implements Engine.
-func (e *SortEngine) Close() error {
-	for x := range e.sets {
-		if err := e.Release(x); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,0 +1,271 @@
+package core
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/oblivfd/oblivfd/internal/crypto"
+	"github.com/oblivfd/oblivfd/internal/oram"
+	"github.com/oblivfd/oblivfd/internal/relation"
+	"github.com/oblivfd/oblivfd/internal/store"
+	"github.com/oblivfd/oblivfd/internal/trace"
+)
+
+// engineTraceGolden holds, for every secure engine at Workers 1 and 4, one
+// line per server object a scripted run touched: the object's name, how many
+// events it saw, and a digest of its own event sequence (operation, index,
+// ciphertext bytes; ORAM leaves blanked by trace.ShapeOf). It was written by
+// the engines of commit 76ffe46, the parent of the PR that put all of them on
+// one scaffold, and is not regenerated: a line that changes means a server
+// can tell the two builds apart. Lines are only ever appended, with a new
+// case.
+const engineTraceGolden = "engine-trace-golden.txt"
+
+// instanceNumber is the per-process engine counter inside an object name. It
+// depends on how many engines earlier tests built, so it is blanked; the
+// prefix, the per-set sequence number and the suffix stay.
+var instanceNumber = regexp.MustCompile(`^(or|ex|sort)[0-9]+:`)
+
+// structureDigests renders a trace as the golden file's lines: events are
+// grouped per object as trace.Shape.CanonicalPerStructure groups them (each
+// object keeps its own order, the interleaving across objects is dropped),
+// but the objects keep their names.
+func structureDigests(events []trace.Event) []string {
+	type group struct {
+		n int
+		b strings.Builder
+	}
+	groups := make(map[string]*group)
+	for _, e := range trace.ShapeOf(events) {
+		name := instanceNumber.ReplaceAllString(e.Object, "$1#:")
+		g := groups[name]
+		if g == nil {
+			g = &group{}
+			groups[name] = g
+		}
+		e.Object = ""
+		g.n++
+		g.b.WriteString(e.String())
+		g.b.WriteByte('\n')
+	}
+	lines := make([]string, 0, len(groups))
+	for name, g := range groups {
+		lines = append(lines, fmt.Sprintf("%s %d %x", name, g.n, sha256.Sum256([]byte(g.b.String()))))
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// goldenTailRows are the records the dynamic tails insert: one that joins
+// existing groups in every column and one that opens a new group in each.
+var goldenTailRows = []relation.Row{
+	{"000001", "000001", "000099", "000001"},
+	{"000077", "000077", "000077", "000077"},
+}
+
+func TestEngineTraceGolden(t *testing.T) {
+	rel := parallelTestRel(24)
+	m := rel.NumAttrs()
+
+	// revalidate checks every cached cardinality against the plaintext
+	// engine that was given the same script.
+	revalidate := func(t *testing.T, eng Engine, oracle *PlainEngine, sets map[relation.AttrSet]int) {
+		t.Helper()
+		for x := range sets {
+			if _, err := materializeChain(oracle, x, new([]relation.AttrSet)); err != nil {
+				t.Fatal(err)
+			}
+			got, ok := eng.Cardinality(x)
+			want, _ := oracle.Cardinality(x)
+			if !ok || got != want {
+				t.Errorf("after the tail |π_%v| = %d (cached=%v), want %d", x, got, ok, want)
+			}
+		}
+	}
+	type inserter interface {
+		Insert(relation.Row) (int, error)
+	}
+	insertTail := func(t *testing.T, eng inserter, oracle *PlainEngine) {
+		t.Helper()
+		for _, row := range goldenTailRows {
+			if _, err := eng.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := oracle.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	cases := []struct {
+		name string
+		keep bool
+		make func(t *testing.T, edb *EncryptedDB) Engine
+		tail func(t *testing.T, eng Engine, res *Result)
+	}{
+		{name: "sort", make: func(t *testing.T, edb *EncryptedDB) Engine { return NewSortEngine(edb, 1) }},
+		{name: "or", keep: true,
+			make: func(t *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) },
+			tail: func(t *testing.T, eng Engine, res *Result) {
+				oracle := NewPlainEngine(rel)
+				insertTail(t, eng.(*OrEngine), oracle)
+				revalidate(t, eng, oracle, res.Cardinalities)
+			}},
+		{name: "ex", keep: true,
+			make: func(t *testing.T, edb *EncryptedDB) Engine {
+				eng, err := NewExEngine(edb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng
+			},
+			tail: func(t *testing.T, eng Engine, res *Result) {
+				oracle := NewPlainEngine(rel)
+				ex := eng.(*ExEngine)
+				insertTail(t, ex, oracle)
+				for _, id := range []int{3, rel.NumRows()} { // an original record, then the first inserted one
+					if err := ex.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+					if err := oracle.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				revalidate(t, eng, oracle, res.Cardinalities)
+			}},
+		{name: "or-linear", make: func(t *testing.T, edb *EncryptedDB) Engine {
+			eng := NewOrEngine(edb)
+			eng.Factory = oram.LinearFactory
+			return eng
+		}},
+	}
+
+	var got []string
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			srv := store.NewServer()
+			edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+len(goldenTailRows))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := c.make(t, edb)
+			srv.Trace().Reset()
+			srv.Trace().Enable()
+			res, err := Discover(eng, m, &Options{Workers: workers, KeepPartitions: c.keep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.tail != nil {
+				c.tail(t, eng, res)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, fmt.Sprintf("# %s workers=%d", c.name, workers))
+			got = append(got, structureDigests(srv.Trace().Events())...)
+		}
+	}
+
+	path := filepath.Join("testdata", engineTraceGolden)
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s did not exist and was written from this build; check it in only if this build is the reference", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Errorf("%d lines, golden file has %d", len(got), len(want))
+	}
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], want[i])
+		}
+	}
+}
+
+// TestParentCheckpointResumes: a checkpoint file and server directory written
+// by commit 76ffe46 (testdata/pr18; a 6×3 relation crashed after lattice level
+// 1, one fixture per ORAM engine) resume on this build, finish discovery with
+// the plaintext engine's FD set, and keep accepting mutations — the
+// EngineState / SetState layout, the Kind tags and the object names the
+// handles reattach to are all still what that build wrote.
+func TestParentCheckpointResumes(t *testing.T) {
+	rel := relation.MustFromRows(relation.MustNewSchema("A", "B", "C"), []relation.Row{
+		{"a1", "b1", "c1"}, {"a1", "b1", "c2"}, {"a2", "b2", "c1"}, {"a2", "b2", "c3"}, {"a3", "b1", "c2"}, {"a3", "b1", "c1"},
+	})
+	want, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"or", "ex"} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir() // opening at an epoch discards what is newer, so work on a copy
+			src := filepath.Join("testdata", "pr18", "parent-"+kind+"-state")
+			files, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				data, err := os.ReadFile(filepath.Join(src, f.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o600); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cp, err := ReadCheckpointFile(filepath.Join("testdata", "pr18", "parent-"+kind+".ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := store.OpenDirAtEpoch(dir, cp.Epoch, store.DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if err := VerifyEpoch(srv, cp.Epoch); err != nil {
+				t.Fatal(err)
+			}
+			edb, err := AttachEDB(srv, cp.EDB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := ResumeEngine(edb, cp.Engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Discover(eng, cp.Lattice.M, &Options{Resume: cp.Lattice})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relation.FDSetEqual(got.Minimal, want.Minimal) {
+				t.Errorf("resumed FDs = %v, want %v", got.Minimal, want.Minimal)
+			}
+			id, err := eng.(interface {
+				Insert(relation.Row) (int, error)
+			}).Insert(relation.Row{"a9", "b9", "c9"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dyn, ok := eng.(DynamicEngine); ok {
+				if err := dyn.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -108,13 +108,21 @@ func Create(svc store.Service, cipher *crypto.Cipher, name string, records [][]b
 			pt = sc.plaintext(records[i])
 		}
 		if err := a.seal(sc, &out, pt, idx[i]); err != nil {
-			return nil, err
+			return a.abandon(err)
 		}
 	}
 	if err := svc.WriteCells(name, idx, out.cts); err != nil {
-		return nil, fmt.Errorf("obsort: %w", err)
+		return a.abandon(fmt.Errorf("obsort: %w", err))
 	}
 	return a, nil
+}
+
+// abandon is how Create and CreateStreamed fail once the server array exists:
+// it is theirs, no handle to it will ever be returned, so they delete it —
+// best effort — and report the failure that stopped them.
+func (a *Array) abandon(err error) (*Array, error) {
+	_ = a.svc.Delete(a.name)
+	return nil, err
 }
 
 // CreateStreamed builds an encrypted array of n records of the given width,
@@ -151,19 +159,19 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 			if i := int(pos); i < n {
 				r, err := next(i)
 				if err != nil {
-					return nil, err
+					return a.abandon(err)
 				}
 				if len(r) != width {
-					return nil, fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), width)
+					return a.abandon(fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), width))
 				}
 				pt = sc.plaintext(r)
 			}
 			if err := a.seal(sc, &out, pt, pos); err != nil {
-				return nil, err
+				return a.abandon(err)
 			}
 		}
 		if err := svc.WriteCells(name, idx, out.cts); err != nil {
-			return nil, fmt.Errorf("obsort: %w", err)
+			return a.abandon(fmt.Errorf("obsort: %w", err))
 		}
 	}
 	return a, nil

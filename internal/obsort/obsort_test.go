@@ -469,10 +469,13 @@ func TestCreateStreamedErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("source error swallowed")
 	}
-	// Name collision with the half-created array "c"/"d" objects.
-	if _, err := CreateStreamed(srv, c, "c", 2, 8, func(i int) ([]byte, error) {
-		return u64rec(1), nil
-	}); err == nil {
+	// The failed creations above removed what they had half-created, so
+	// their names are free again; a live array's name is not.
+	ones := func(i int) ([]byte, error) { return u64rec(1), nil }
+	if _, err := CreateStreamed(srv, c, "c", 2, 8, ones); err != nil {
+		t.Errorf("a failed creation left its name taken: %v", err)
+	}
+	if _, err := CreateStreamed(srv, c, "c", 2, 8, ones); err == nil {
 		t.Error("name collision accepted")
 	}
 }

@@ -134,13 +134,19 @@ func SetupLinear(svc store.Service, cipher *crypto.Cipher, name string, cfg Conf
 	if err := svc.CreateArray(name, cfg.Capacity); err != nil {
 		return nil, fmt.Errorf("oram: creating linear array: %w", err)
 	}
+	// From here on the array is ours, and on failure no handle to it will
+	// ever exist: delete it, best effort, and report the failure itself.
+	fail := func(err error) (*Linear, error) {
+		_ = svc.Delete(name)
+		return nil, err
+	}
 	for i := 0; i < cfg.Capacity; i++ {
 		ct, err := l.encrypt("", nil, false, 0, i)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if err := svc.WriteCells(name, []int64{int64(i)}, [][]byte{ct}); err != nil {
-			return nil, fmt.Errorf("oram: initializing linear array: %w", err)
+			return fail(fmt.Errorf("oram: initializing linear array: %w", err))
 		}
 	}
 	return l, nil

@@ -223,6 +223,7 @@ func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*
 		return nil, fmt.Errorf("oram: creating tree: %w", err)
 	}
 	if err := o.initTree(); err != nil {
+		_ = svc.Delete(name) // best effort: the tree is ours and no handle to it will ever exist
 		return nil, err
 	}
 	return o, nil

@@ -171,14 +171,11 @@ func resumeFrom(svc Service, cp *core.Checkpoint) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("securefd: %w", err)
 	}
-	var proto Protocol
-	switch eng.(type) {
-	case *core.OrEngine:
-		proto = ProtocolORAM
-	case *core.ExEngine:
-		proto = ProtocolDynamicORAM
-	default:
-		return nil, fmt.Errorf("%w: unexpected engine %T", ErrCorruptCheckpoint, eng)
+	// An engine's checkpoint Kind tag is its protocol's name; ResumeEngine
+	// has already refused every tag but the two ORAM protocols'.
+	proto, err := ParseProtocol(cp.Engine.Kind)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
 	kind := ORAMPath
 	if len(cp.Engine.Sets) > 0 && cp.Engine.Sets[0].Primary != nil && cp.Engine.Sets[0].Primary.Linear != nil {

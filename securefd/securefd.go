@@ -582,14 +582,11 @@ func (db *Database) Validate(x, y AttrSet) (bool, error) {
 // partition. Supported by ProtocolORAM, ProtocolDynamicORAM, and
 // ProtocolPlaintext.
 func (db *Database) Insert(row Row) (int, error) {
-	switch eng := db.engine.(type) {
-	case core.DynamicEngine:
-		return eng.Insert(row)
-	case *core.OrEngine:
-		return eng.Insert(row)
-	default:
+	eng, ok := db.engine.(interface{ Insert(Row) (int, error) })
+	if !ok {
 		return 0, fmt.Errorf("%w: Insert with %v", ErrStatic, db.opts.Protocol)
 	}
+	return eng.Insert(row)
 }
 
 // Delete removes the record with the given id. Supported by
