@@ -109,9 +109,13 @@ bench-wire:
 # one open per bucket, eviction, one seal per bucket, path write) against the
 # in-process server, on a full 256-key tree and on the two shapes the engines
 # build in the benchmark's ORAM workloads (Ex-ORAM with insert headroom and
-# 16-byte values, Or-ORAM with 8-byte values). Run like bench-cell.
+# 16-byte values, Or-ORAM with 8-byte values); then one record of an ORAM
+# engine's traversal over a loopback TCP connection, single-attribute and
+# union, Or and Ex, reporting the rounds and accesses it costs (2 / 2 and
+# 3 / 4 — counts, not timings). Run like bench-cell.
 bench-oram:
 	$(GO) test -run '^$$' -bench 'PathAccess' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
+	$(GO) test -run '^$$' -bench 'EngineStepLoopback' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 
 # The three decoders that read bytes from outside the process, fuzzed briefly:
 # error or exact round trip, never a panic, never an allocation the bytes

@@ -196,6 +196,7 @@ type ORAMPoint struct {
 	Construction string
 	N            int
 	Runtime      time.Duration
+	ServerOps    int64 // cells and paths the server was asked to read or write
 	ServerBytes  int64
 	ClientBytes  int
 }
@@ -229,6 +230,7 @@ func AblationORAM(sizes []int, seed int64) (*AblationORAMResult, error) {
 			eng := core.NewOrEngine(edb)
 			eng.Factory = c.factory
 			before, _ := srv.Stats()
+			ops := srv.Trace().TotalOps()
 			start := time.Now()
 			if _, err := eng.CardinalitySingle(0); err != nil {
 				return nil, fmt.Errorf("bench: oram ablation %s n=%d: %w", c.name, n, err)
@@ -238,6 +240,7 @@ func AblationORAM(sizes []int, seed int64) (*AblationORAMResult, error) {
 				Construction: c.name,
 				N:            n,
 				Runtime:      time.Since(start),
+				ServerOps:    srv.Trace().TotalOps() - ops,
 				ServerBytes:  after.StoredBytes - before.StoredBytes,
 				ClientBytes:  eng.ClientMemoryBytes(),
 			})
@@ -251,10 +254,10 @@ func AblationORAM(sizes []int, seed int64) (*AblationORAMResult, error) {
 func (r *AblationORAMResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Ablation: ORAM construction (PathORAM — the paper's choice — vs linear scan)\n")
-	fmt.Fprintf(&b, "%8s %10s %12s %12s %12s\n", "n", "oram", "runtime", "server-sto", "client-mem")
+	fmt.Fprintf(&b, "%8s %10s %12s %12s %12s %12s\n", "n", "oram", "runtime", "server-ops", "server-sto", "client-mem")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%8d %10s %12s %12s %12s\n", p.N, p.Construction,
-			fmtDur(p.Runtime), fmtBytes(p.ServerBytes), fmtBytes(int64(p.ClientBytes)))
+		fmt.Fprintf(&b, "%8d %10s %12s %12d %12s %12s\n", p.N, p.Construction,
+			fmtDur(p.Runtime), p.ServerOps, fmtBytes(p.ServerBytes), fmtBytes(int64(p.ClientBytes)))
 	}
 	b.WriteString("Expected shape: linear wins only at very small n and has O(1) client memory;\nPathORAM's O(log n) accesses dominate beyond the crossover — the paper's choice.\n")
 	return b.String()

@@ -138,8 +138,12 @@ func fmtBytes(b int64) string {
 	}
 }
 
-// fmtDur renders a duration compactly with ms precision below 10 s.
+// fmtDur renders a duration compactly: whole µs below 1 ms, tenths of a ms
+// below 10 s.
 func fmtDur(d time.Duration) string {
+	if d < time.Millisecond {
+		return fmt.Sprintf("%dµs", d.Microseconds())
+	}
 	if d < 10*time.Second {
 		return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
 	}

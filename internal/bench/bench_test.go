@@ -310,10 +310,14 @@ func TestAblationORAMTiny(t *testing.T) {
 	if byKey["path-oram/128"].ServerBytes <= byKey["linear/128"].ServerBytes {
 		t.Error("path-oram server storage not above linear")
 	}
-	// At n=128 PathORAM must already be faster than the linear scan.
-	if byKey["path-oram/128"].Runtime >= byKey["linear/128"].Runtime {
-		t.Errorf("path-oram (%v) not faster than linear (%v) at n=128",
-			byKey["path-oram/128"].Runtime, byKey["linear/128"].Runtime)
+	// Why PathORAM is faster beyond the crossover, as a count and not as one
+	// pair of timings: an access touches a path of log₂ n + 1 buckets twice,
+	// the linear scan all n slots three times.
+	for _, n := range []int{16, 128} {
+		path, linear := byKey[fmt.Sprintf("path-oram/%d", n)].ServerOps, byKey[fmt.Sprintf("linear/%d", n)].ServerOps
+		if accesses := int64(2 * n); linear < accesses*3*int64(n) || path < 2*accesses || path >= linear {
+			t.Errorf("n=%d: %d server ops with path-oram, %d with linear, for %d accesses and %d cell reads", n, path, linear, accesses, n)
+		}
 	}
 	if out := res.Render(); !strings.Contains(out, "ORAM construction") {
 		t.Errorf("render:\n%s", out)

@@ -147,15 +147,22 @@ func (e *EncryptedDB) CellValues(lo, hi, j int) ([]string, error) {
 	for k := range idx {
 		idx[k] = int64(lo + k)
 	}
-	cts, err := e.svc.ReadCells(e.columnName(j), idx)
+	return e.CellValuesAt(idx, j)
+}
+
+// CellValuesAt is CellValues for the listed rows of column j, which need not
+// be adjacent.
+func (e *EncryptedDB) CellValuesAt(rows []int64, j int) ([]string, error) {
+	cts, err := e.svc.ReadCells(e.columnName(j), rows)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading cells [%d,%d) of column %d: %w", lo, hi, j, err)
+		return nil, fmt.Errorf("core: reading %d cells of column %d: %w", len(rows), j, err)
 	}
 	out := make([]string, len(cts))
 	for k, ct := range cts {
-		pt, err := e.cipher.Open(ct, e.cellAD(lo+k, j))
+		i := int(rows[k])
+		pt, err := e.cipher.Open(ct, e.cellAD(i, j))
 		if err != nil {
-			return nil, fmt.Errorf("core: cell (%d,%d) of %q failed verification: %v: %w", lo+k, j, e.name, err, store.ErrIntegrity)
+			return nil, fmt.Errorf("core: cell (%d,%d) of %q failed verification: %v: %w", i, j, e.name, err, store.ErrIntegrity)
 		}
 		out[k] = string(pt)
 	}

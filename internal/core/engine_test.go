@@ -202,9 +202,10 @@ func TestEngineCachingAndRelease(t *testing.T) {
 }
 
 func TestEngineCloseFreesServerStorage(t *testing.T) {
-	// failAt 0 is the clean run; 20 fails the materialization's 20th storage
-	// operation, mid-traversal, after both ORAM trees were set up.
-	for _, failAt := range []int{0, 20} {
+	// failAt 0 is the clean run; 10 fails the materialization's 10th storage
+	// call, mid-traversal, after both ORAM trees were set up (four calls) and
+	// the column was fetched (one): a record is two calls, its fused rounds.
+	for _, failAt := range []int{0, 10} {
 		rel := testRelation()
 		srv := store.NewServer()
 		svc := newFailNth(srv, func(*store.Op) bool { return true })

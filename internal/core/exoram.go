@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/relation"
 )
 
@@ -51,7 +52,7 @@ func newExEngine(live []int) *ExEngine {
 		e.liveIDs[id] = true
 	}
 	e.step = exStep
-	e.ids = e.liveOrdered
+	e.live = func(id int) bool { return e.liveIDs[id] }
 	return e
 }
 
@@ -83,74 +84,84 @@ func (e *ExEngine) liveOrdered() []int {
 	return ids
 }
 
-// pair16 packs two uint64s into the engine's fixed 16-byte ORAM value.
-func pair16(a, b uint64) []byte {
-	out := make([]byte, 16)
-	copy(out, encodeUint64(a))
-	copy(out[8:], encodeUint64(b))
-	return out
-}
-
-// exStep executes Algorithm 4's loop body: read O^KLF, update label and
-// frequency branchlessly, write both ORAMs. Exactly three ORAM accesses
-// regardless of data.
-func exStep(st *oramState, id int, key uint64) error {
-	keyStr := encodeUint64(key)
-	v, found, err := st.primary.Read(keyStr)
+// exStep executes Algorithm 4's loop body: one access to O^KLF that takes the
+// key's label (the next fresh one for a key not seen before) and leaves its
+// frequency one higher, and one write of (key_X, label) to O^IKL. Exactly two
+// ORAM accesses regardless of data.
+func exStep(st *oramState, id string, key uint64) error {
+	var label uint64
+	var fresh bool
+	err := st.pipe.Do(
+		oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
+			fresh = !found
+			fre := uint64(0)
+			if found {
+				label, fre = decodeUint64(old), decodeUint64(old[8:])
+			} else {
+				label = st.nextLabel
+			}
+			return st.pair(label, fre+1), true
+		}},
+		oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.pair(key, label), true }})
+	if err == nil {
+		err = st.pipe.Flush()
+	}
 	if err != nil {
-		return fmt.Errorf("core: O^KLF read: %w", err)
+		return fmt.Errorf("core: O^KLF/O^IKL step: %w", err)
 	}
-	label, fre := st.nextLabel, uint64(0)
-	if found {
-		label, fre = decodeUint64(v), decodeUint64(v[8:])
-	}
-	fre++
-	if err := st.secondary.Write(idKey(id), pair16(key, label)); err != nil {
-		return fmt.Errorf("core: O^IKL write: %w", err)
-	}
-	if err := st.primary.Write(keyStr, pair16(label, fre)); err != nil {
-		return fmt.Errorf("core: O^KLF write: %w", err)
-	}
-	if !found {
+	// Both write-backs are on the server; only now do card_X and the label
+	// source move.
+	if fresh {
 		st.card++
 		st.nextLabel++
 	}
 	return nil
 }
 
-// exRemove executes Algorithm 5 for one record: find the record's key via
-// O^IKL, decrement or remove its O^KLF pair, and remove its O^IKL pair.
-// Both branches perform one O^KLF operation and one O^IKL operation, and
-// Remove ≡ Write on the wire, so the trace is fixed: 2 reads + 2 updates.
+// exRemove executes Algorithm 5 for one record: one access takes the record's
+// pair out of O^IKL, which names its key, and one access to O^KLF decrements
+// that key's frequency or, at 1, removes the pair. Keeping and removing are
+// the same access on the wire, so the trace is fixed: two accesses, the
+// second's fetch sharing a round with the first's write-back.
 func exRemove(st *oramState, id int) error {
-	v, found, err := st.secondary.Read(idKey(id))
-	if err != nil {
-		return fmt.Errorf("core: O^IKL read: %w", err)
+	var key uint64
+	var known, counted, last bool
+	err := st.pipe.Do(oram.Access{Store: st.secondary, Key: idKey(id), Fn: func(old []byte, found bool) ([]byte, bool) {
+		known = found
+		if found {
+			key = decodeUint64(old)
+		}
+		return nil, false
+	}})
+	if err == nil {
+		// An id O^IKL does not know makes this a miss on an arbitrary key:
+		// the access count stays what it is for every record.
+		err = st.pipe.Do(oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
+			counted = found && known
+			if !counted {
+				return old, found
+			}
+			label, fre := decodeUint64(old), decodeUint64(old[8:])
+			last = fre == 1
+			if last {
+				return nil, false
+			}
+			return st.pair(label, fre-1), true
+		}})
 	}
-	if !found {
+	if err == nil {
+		err = st.pipe.Flush()
+	}
+	switch {
+	case err != nil:
+		return fmt.Errorf("core: O^IKL/O^KLF removal: %w", err)
+	case !known:
 		return fmt.Errorf("%w: id %d", ErrUnknownID, id)
-	}
-	keyStr := encodeUint64(decodeUint64(v))
-	lf, found, err := st.primary.Read(keyStr)
-	if err != nil {
-		return fmt.Errorf("core: O^KLF read: %w", err)
-	}
-	if !found {
+	case !counted:
 		return fmt.Errorf("core: O^KLF missing key for live id %d", id)
 	}
-	label, fre := decodeUint64(lf), decodeUint64(lf[8:])
-	if fre == 1 {
-		if err := st.primary.Remove(keyStr); err != nil {
-			return fmt.Errorf("core: O^KLF remove: %w", err)
-		}
+	if last {
 		st.card--
-	} else {
-		if err := st.primary.Write(keyStr, pair16(label, fre-1)); err != nil {
-			return fmt.Errorf("core: O^KLF write: %w", err)
-		}
-	}
-	if err := st.secondary.Remove(idKey(id)); err != nil {
-		return fmt.Errorf("core: O^IKL remove: %w", err)
 	}
 	return nil
 }

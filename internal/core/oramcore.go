@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
+	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
@@ -37,15 +39,43 @@ type oramState struct {
 	card               uint64              // |π_X|
 	nextLabel          uint64              // ExEngine's monotone label source
 	cover              [2]relation.AttrSet // the Property 1 subsets; zero for singletons
+	// pipe fuses the server calls of one record's accesses — to this set's
+	// two ORAMs and, for a union, its covers' — into one round per phase.
+	pipe *oram.Pipeline
+	// val is where a step builds the value an access stores; a store copies
+	// it before the next one is built.
+	val [keyWidth + labelWidth]byte
 }
 
 func (st *oramState) cardinality() int { return int(st.card) }
 
+// pair packs two uint64s into the state's scratch as ExEngine's fixed
+// 16-byte ORAM value.
+func (st *oramState) pair(a, b uint64) []byte {
+	binary.BigEndian.PutUint64(st.val[:8], a)
+	binary.BigEndian.PutUint64(st.val[8:], b)
+	return st.val[:]
+}
+
 // oramCore is everything OrEngine and ExEngine have in common: Algorithm 4
 // is Algorithm 2 "with frequencies", so the two engines differ in the layout
-// above, in the loop body (step), and in which record ids are live (ids).
-// Both traverse records one by one, which is also why both take insertions:
-// an appended record is simply an untraversed one (§IV-C(c)).
+// above, in the loop body (step), and in which record ids are live. Both
+// traverse records one by one, which is also why both take insertions: an
+// appended record is simply an untraversed one (§IV-C(c)).
+//
+// One record costs a number of ORAM accesses and of round trips that depend
+// on |X| alone. Where Algorithms 1, 2 and 4 read key_X's pair and then write
+// it, the step makes one read-modify-write access (oram.Store.Update), and the
+// accesses of a record — different trees, leaves known to the client before
+// anything is fetched — share their round trips (oram.Pipeline):
+//
+//	|X| = 1   [ReadPath P, ReadPath S] → [WritePath P, WritePath S]
+//	|X| ≥ 2   [ReadPath c1, ReadPath c2]
+//	          → [WritePath c1, WritePath c2, ReadPath P, ReadPath S]
+//	          → [WritePath P, WritePath S]
+//
+// with P and S the set's primary and secondary ORAM and c1, c2 its covers'
+// secondaries: 2 accesses in 2 rounds, or 4 in 3.
 type oramCore struct {
 	parallelTable[*oramState]
 	edb      *EncryptedDB
@@ -63,14 +93,17 @@ type oramCore struct {
 	capacity  int
 	seq       atomic.Int64 // unique ORAM-name counter across the engine's life
 	layout    oramLayout
-	// ids returns the live record ids in ascending order, the traversal
-	// order of Algorithms 1, 2 and 4 (ids are public row numbers).
-	ids func() []int
-	// step is the loop body for one record with its key_X already built.
-	step func(st *oramState, id int, key uint64) error
+	// live reports whether a record id is one to traverse. Ids are public
+	// row numbers, and Algorithms 1, 2 and 4 visit the live ones in ascending
+	// order.
+	live func(id int) bool
+	// step is the loop body for one record with its key_X already built: the
+	// primary's read-modify-write and the secondary's write in one round, the
+	// write-backs in the next, and only then the set's card_X.
+	step func(st *oramState, id string, key uint64) error
 }
 
-// init wires a core that is embedded in its engine; the engine sets ids and
+// init wires a core that is embedded in its engine; the engine sets live and
 // step itself.
 func (c *oramCore) init(edb *EncryptedDB, instance string, layout oramLayout) {
 	c.setTable = newSetTable[*oramState](c)
@@ -116,7 +149,7 @@ func (c *oramCore) prepare(x relation.AttrSet, cover [2]relation.AttrSet) (*oram
 		_ = primary.Destroy() // best effort; the set-up error is the one to report
 		return nil, err
 	}
-	return &oramState{primary: primary, secondary: secondary, cover: cover}, nil
+	return &oramState{primary: primary, secondary: secondary, cover: cover, pipe: oram.NewPipeline(c.edb.svc)}, nil
 }
 
 func (c *oramCore) destroy(st *oramState) error {
@@ -132,50 +165,88 @@ func (c *oramCore) singleKeyFor(id, attr int) (uint64, error) {
 	return singleKey(c.edb.cipher, v), nil
 }
 
-// unionKeyFor builds key_X for record id from the labels in the two covering
-// subsets' ID ORAMs (Algorithm 2, lines 4–6).
-func (c *oramCore) unionKeyFor(id int, cover1, cover2 *oramState) (uint64, error) {
+// unionStep builds key_X for record id from the labels in the two covering
+// subsets' ID ORAMs (Algorithm 2, lines 4–6) and runs the step with it. The
+// covers' write-backs travel with the step's own fetches.
+func (c *oramCore) unionStep(st *oramState, id int, cover1, cover2 *oramState) error {
+	rid := idKey(id)
 	var labels [2]uint64
-	for i, cover := range [2]*oramState{cover1, cover2} {
-		v, found, err := cover.secondary.Read(idKey(id))
-		if err != nil {
-			return 0, fmt.Errorf("core: O^%s read: %w", c.layout.secondary, err)
+	var found [2]bool
+	label := func(i int) oram.UpdateFunc {
+		return func(old []byte, ok bool) ([]byte, bool) {
+			found[i] = ok
+			if ok {
+				labels[i] = decodeUint64(old[c.layout.labelAt:])
+			}
+			return old, ok
 		}
-		if !found {
-			return 0, fmt.Errorf("%w: id %d missing from subset partition", ErrNotMaterialized, id)
-		}
-		labels[i] = decodeUint64(v[c.layout.labelAt:])
 	}
-	return unionKey(labels[0], labels[1]), nil
+	err := st.pipe.Do(
+		oram.Access{Store: cover1.secondary, Key: rid, Fn: label(0)},
+		oram.Access{Store: cover2.secondary, Key: rid, Fn: label(1)})
+	if err != nil {
+		return fmt.Errorf("core: O^%s read: %w", c.layout.secondary, err)
+	}
+	if !found[0] || !found[1] {
+		return errors.Join(fmt.Errorf("%w: id %d missing from subset partition", ErrNotMaterialized, id), st.pipe.Flush())
+	}
+	return c.step(st, rid, unionKey(labels[0], labels[1]))
 }
 
-// fillSingle is Algorithm 1 (Algorithm 4 with |X| = 1).
+// eachLive visits the live record ids in ascending order, at most
+// obsort.ChunkCells of them per call — the bound on what a fill holds of a
+// column at a time. The slice is reused between calls.
+func (c *oramCore) eachLive(visit func(ids []int64) error) error {
+	ids := make([]int64, 0, obsort.ChunkCells)
+	for id, n := 0, c.edb.NumRows(); id < n; id++ {
+		if !c.live(id) {
+			continue
+		}
+		ids = append(ids, int64(id))
+		if len(ids) < cap(ids) {
+			continue
+		}
+		if err := visit(ids); err != nil {
+			return err
+		}
+		ids = ids[:0]
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	return visit(ids)
+}
+
+// fillSingle is Algorithm 1 (Algorithm 4 with |X| = 1). The column is
+// fetched a chunk of cells per round, as the sort engine fetches it; the
+// server records the same one access per cell, in the same ascending order,
+// as it does for a round per record.
 func (c *oramCore) fillSingle(st *oramState, attr int) error {
-	for _, id := range c.ids() {
-		key, err := c.singleKeyFor(id, attr)
+	return c.eachLive(func(ids []int64) error {
+		vals, err := c.edb.CellValuesAt(ids, attr)
 		if err != nil {
 			return err
 		}
-		if err := c.step(st, id, key); err != nil {
-			return err
+		for k, id := range ids {
+			if err := c.step(st, idKey(int(id)), singleKey(c.edb.cipher, vals[k])); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // fillUnion is Algorithm 2 (Algorithm 4's multi-attribute variant, which
 // obtains key_X the same way).
 func (c *oramCore) fillUnion(st *oramState, _ relation.AttrSet, cover1, cover2 *oramState) error {
-	for _, id := range c.ids() {
-		key, err := c.unionKeyFor(id, cover1, cover2)
-		if err != nil {
-			return err
+	return c.eachLive(func(ids []int64) error {
+		for _, id := range ids {
+			if err := c.unionStep(st, int(id), cover1, cover2); err != nil {
+				return err
+			}
 		}
-		if err := c.step(st, id, key); err != nil {
-			return err
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // eachSet runs fn on every materialized set, covers before their unions, and
@@ -203,22 +274,19 @@ func (c *oramCore) insert(row relation.Row, hook func(relation.AttrSet, time.Dur
 		return 0, err
 	}
 	err = c.eachSet(hook, func(x relation.AttrSet, st *oramState) error {
-		var key uint64
-		var err error
 		if x.Size() == 1 {
-			key, err = c.singleKeyFor(id, x.First())
-		} else {
-			cover1, ok1 := c.sets[st.cover[0]]
-			cover2, ok2 := c.sets[st.cover[1]]
-			if !ok1 || !ok2 {
-				return fmt.Errorf("%w: cover of %v was released; dynamic use requires keeping partitions", ErrNotMaterialized, x)
+			key, err := c.singleKeyFor(id, x.First())
+			if err != nil {
+				return err
 			}
-			key, err = c.unionKeyFor(id, cover1, cover2)
+			return c.step(st, idKey(id), key)
 		}
-		if err != nil {
-			return err
+		cover1, ok1 := c.sets[st.cover[0]]
+		cover2, ok2 := c.sets[st.cover[1]]
+		if !ok1 || !ok2 {
+			return fmt.Errorf("%w: cover of %v was released; dynamic use requires keeping partitions", ErrNotMaterialized, x)
 		}
-		return c.step(st, id, key)
+		return c.unionStep(st, id, cover1, cover2)
 	})
 	if err != nil {
 		return 0, err
@@ -266,7 +334,7 @@ func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout) 
 		if err != nil {
 			return fmt.Errorf("core: resuming O^%s for %v: %w", layout.secondary, s.Set, err)
 		}
-		c.sets[s.Set] = &oramState{primary: primary, secondary: secondary, card: s.Card, nextLabel: s.NextLabel, cover: s.Cover}
+		c.sets[s.Set] = &oramState{primary: primary, secondary: secondary, card: s.Card, nextLabel: s.NextLabel, cover: s.Cover, pipe: oram.NewPipeline(edb.svc)}
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
+	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/relation"
 )
 
@@ -28,13 +30,7 @@ var orEngines atomic.Int64
 func newOrEngine(n int) *OrEngine {
 	e := &OrEngine{n: n}
 	e.step = orStep
-	e.ids = func() []int {
-		ids := make([]int, e.n)
-		for i := range ids {
-			ids[i] = i
-		}
-		return ids
-	}
+	e.live = func(id int) bool { return id < e.n }
 	return e
 }
 
@@ -49,27 +45,31 @@ func NewOrEngine(edb *EncryptedDB) *OrEngine {
 func (e *OrEngine) NumRows() int { return e.n }
 
 // orStep executes one iteration of Algorithm 1/2's loop body for record id
-// with the already-constructed key_X. The ORAM access sequence — one Read
-// and two Writes — is identical regardless of whether the key was seen
-// before (the branchless flag arithmetic of the paper's lines 6–10).
-func orStep(st *oramState, id int, key uint64) error {
-	keyStr := encodeUint64(key)
-	labelBytes, found, err := st.primary.Read(keyStr)
+// with the already-constructed key_X: one access to O^KL that hands back the
+// key's label or, for a key not seen before, leaves card_X there as its label
+// (the paper's lines 6–10 as a single read-modify-write), and one write of
+// that label to O^IL. Two accesses, whether or not the key was seen before.
+func orStep(st *oramState, id string, key uint64) error {
+	label, fresh := st.val[:labelWidth], false
+	err := st.pipe.Do(
+		oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
+			fresh = !found
+			if found {
+				copy(label, old)
+			} else {
+				binary.BigEndian.PutUint64(label, st.card)
+			}
+			return label, true
+		}},
+		oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return label, true }})
+	if err == nil {
+		err = st.pipe.Flush()
+	}
 	if err != nil {
-		return fmt.Errorf("core: O^KL read: %w", err)
+		return fmt.Errorf("core: O^KL/O^IL step: %w", err)
 	}
-	label := st.card
-	if found {
-		label = decodeUint64(labelBytes)
-	}
-	enc := encodeUint64(label)
-	if err := st.secondary.Write(idKey(id), []byte(enc)); err != nil {
-		return fmt.Errorf("core: O^IL write: %w", err)
-	}
-	if err := st.primary.Write(keyStr, []byte(enc)); err != nil {
-		return fmt.Errorf("core: O^KL write: %w", err)
-	}
-	if !found {
+	// Both write-backs are on the server; only now does card_X move.
+	if fresh {
 		st.card++
 	}
 	return nil

@@ -22,9 +22,13 @@ import (
 // events it saw, and a digest of its own event sequence (operation, index,
 // ciphertext bytes; ORAM leaves blanked by trace.ShapeOf). It was written by
 // the engines of commit 76ffe46, the parent of the PR that put all of them on
-// one scaffold, and is not regenerated: a line that changes means a server
-// can tell the two builds apart. Lines are only ever appended, with a new
-// case.
+// one scaffold, and a line that changes means a server can tell two builds
+// apart, so a line changes only with a PR that sets out to change the trace
+// and says so. One has: when the ORAM steps went from Read-then-Write to one
+// read-modify-write access, the primary ORAMs' lines (or#:N:KL, ex#:N:KLF —
+// half the events) and Ex-ORAM's secondaries' (ex#:N:IKL — a deletion is one
+// access there, not two) were regenerated. The Sort lines, the column lines
+// and or#:N:IL are still the parent's.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It

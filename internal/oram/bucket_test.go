@@ -173,10 +173,11 @@ func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 			}
 		}
 
-		if err := o.evict(leaf); err != nil {
+		written, err := o.evict(leaf)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for l, ct := range tap.written {
+		for l, ct := range written {
 			if got := len(realKeys(t, o, ct, leaf, l)); got != want[l] {
 				t.Fatalf("trial %d (%d stashed, leaf %d): level %d holds %d blocks, level-by-level greedy places %d",
 					trial, n, leaf, l, got, want[l])

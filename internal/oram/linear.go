@@ -10,8 +10,9 @@ import (
 )
 
 // Store is the oblivious key-value interface the protocols consume
-// (Definition 4's Read/Write plus the Remove needed by Algorithm 5). Two
-// implementations exist:
+// (Definition 4's Read/Write, the Remove needed by Algorithm 5, and the
+// read-modify-write Update all three are instances of). Two implementations
+// exist:
 //
 //   - ORAM — non-recursive PathORAM: O(log n) per access, O(n) client
 //     memory (position map + stash). The paper's choice.
@@ -29,6 +30,9 @@ type Store interface {
 	Write(key string, value []byte) error
 	// Remove deletes key if present, indistinguishably from Read/Write.
 	Remove(key string) error
+	// Update hands fn the value under key (or its absence) and keeps what
+	// fn returns, in one access that is indistinguishable from the others.
+	Update(key string, fn UpdateFunc) error
 	// Len returns the number of live keys.
 	Len() int
 	// Accesses counts oblivious accesses performed.
@@ -195,22 +199,14 @@ func (l *Linear) decrypt(ct []byte, idx int, wantVer uint64) (key string, value 
 	return string(rawKey), v, true, nil
 }
 
-type linearOp uint8
-
-const (
-	linRead linearOp = iota
-	linWrite
-	linRemove
-)
-
 // access performs two full scans: a read pass that locates the key (and
 // the first free slot), then a write pass that rewrites every slot under
-// fresh encryption, applying the operation at exactly one position. The
-// trace is always capacity reads followed by capacity writes, in order —
+// fresh encryption, applying what fn decided at no more than one position.
+// The trace is always capacity reads followed by capacity writes, in order —
 // independent of the operation, its outcome, and the data.
-func (l *Linear) access(key string, newValue []byte, kind linearOp) ([]byte, bool, error) {
+func (l *Linear) access(key string, fn UpdateFunc) error {
 	if len(key) > l.keyWidth {
-		return nil, false, fmt.Errorf("%w: %d bytes, max %d", ErrKeyWidth, len(key), l.keyWidth)
+		return fmt.Errorf("%w: %d bytes, max %d", ErrKeyWidth, len(key), l.keyWidth)
 	}
 	l.accesses++
 	l.accessCtr.Inc()
@@ -219,29 +215,33 @@ func (l *Linear) access(key string, newValue []byte, kind linearOp) ([]byte, boo
 
 	// Read pass: one block of client memory at a time.
 	matchIdx, firstFree := -1, -1
-	var result []byte
+	var old []byte
 	for i := 0; i < l.capacity; i++ {
 		cts, err := l.svc.ReadCells(l.name, []int64{int64(i)})
 		if err != nil {
-			return nil, false, fmt.Errorf("oram: %w", err)
+			return fmt.Errorf("oram: %w", err)
 		}
 		k, v, real, err := l.decrypt(cts[0], i, l.ver)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		switch {
 		case real && k == key && matchIdx == -1:
 			matchIdx = i
-			result = v
+			old = v
 		case !real && firstFree == -1:
 			firstFree = i
 		}
 	}
 	found := matchIdx != -1
+	value, keep := fn(old, found)
 	insertAt := -1
-	if kind == linWrite && !found {
+	switch {
+	case keep && len(value) != l.valueWidth:
+		return fmt.Errorf("%w: got %d bytes, want %d", ErrValueWidth, len(value), l.valueWidth)
+	case keep && !found:
 		if firstFree == -1 {
-			return nil, false, fmt.Errorf("oram: linear ORAM full (%d keys)", l.capacity)
+			return fmt.Errorf("oram: linear ORAM full (%d keys)", l.capacity)
 		}
 		insertAt = firstFree
 	}
@@ -253,66 +253,65 @@ func (l *Linear) access(key string, newValue []byte, kind linearOp) ([]byte, boo
 	for i := 0; i < l.capacity; i++ {
 		cts, err := l.svc.ReadCells(l.name, []int64{int64(i)})
 		if err != nil {
-			return nil, false, fmt.Errorf("oram: %w", err)
+			return fmt.Errorf("oram: %w", err)
 		}
 		k, v, real, err := l.decrypt(cts[0], i, l.ver)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		switch {
-		case i == matchIdx && kind == linWrite:
-			v = newValue
-		case i == matchIdx && kind == linRemove:
+		case i == matchIdx && keep:
+			v = value
+		case i == matchIdx:
 			k, v, real = "", nil, false
 		case i == insertAt:
-			k, v, real = key, newValue, true
+			k, v, real = key, value, true
 		}
 		ct, err := l.encrypt(k, v, real, l.ver+1, i)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		if err := l.svc.WriteCells(l.name, []int64{int64(i)}, [][]byte{ct}); err != nil {
-			return nil, false, fmt.Errorf("oram: %w", err)
+			return fmt.Errorf("oram: %w", err)
 		}
 	}
 	l.ver++
-
-	switch kind {
-	case linWrite:
-		if !found {
-			l.live++
-		}
-		return append([]byte(nil), newValue...), true, nil
-	case linRemove:
-		if found {
-			l.live--
-		}
-		return nil, found, nil
-	default:
-		if !found {
-			return nil, false, nil
-		}
-		return append([]byte(nil), result...), true, nil
+	switch {
+	case keep && !found:
+		l.live++
+	case !keep && found:
+		l.live--
 	}
+	return nil
 }
 
 // Read implements Store.
-func (l *Linear) Read(key string) ([]byte, bool, error) { return l.access(key, nil, linRead) }
+func (l *Linear) Read(key string) (value []byte, found bool, err error) {
+	err = l.access(key, func(old []byte, ok bool) ([]byte, bool) {
+		value, found = old, ok // old is this access's own copy
+		return old, ok
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return value, found, nil
+}
 
 // Write implements Store.
 func (l *Linear) Write(key string, value []byte) error {
 	if len(value) != l.valueWidth {
 		return fmt.Errorf("%w: got %d bytes, want %d", ErrValueWidth, len(value), l.valueWidth)
 	}
-	_, _, err := l.access(key, value, linWrite)
-	return err
+	return l.access(key, func([]byte, bool) ([]byte, bool) { return value, true })
 }
 
 // Remove implements Store.
 func (l *Linear) Remove(key string) error {
-	_, _, err := l.access(key, nil, linRemove)
-	return err
+	return l.access(key, func([]byte, bool) ([]byte, bool) { return nil, false })
 }
+
+// Update implements Store.
+func (l *Linear) Update(key string, fn UpdateFunc) error { return l.access(key, fn) }
 
 // Len implements Store.
 func (l *Linear) Len() int { return l.live }

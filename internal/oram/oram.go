@@ -7,11 +7,17 @@
 // Parameters follow the paper's evaluation (§VII-A): Z = 4 blocks per
 // bucket and a stash capped at 7·log₂(n) blocks.
 //
-// Obliviousness: every operation — Read, Write, and Remove alike, hit or
-// miss — performs exactly one ReadPath and one WritePath on a uniformly
-// random leaf, re-encrypting every bucket it writes. The server cannot
-// distinguish the three operations (Definition 4 requires Read and Write to
-// be mutually indistinguishable).
+// There is one access, Stefanov et al.'s Access(op, a, data*): fetch the
+// key's path, hand the value found there (or its absence) to the caller's
+// UpdateFunc, keep what that returns, write the path back. Read, Write and
+// Remove are its three trivial functions, and Update gives a caller the
+// general one — a read-modify-write for the price of a single access.
+//
+// Obliviousness: every access — whatever its function, hit or miss —
+// performs exactly one ReadPath and one WritePath on a uniformly random
+// leaf, re-encrypting every bucket it writes. The server cannot distinguish
+// the operations (Definition 4 requires Read and Write to be mutually
+// indistinguishable).
 //
 // The bucket is the unit of encryption, as in Stefanov et al.: a bucket's Z
 // blocks — real and dummy side by side, each flag ∥ version ∥ padded key ∥
@@ -132,6 +138,13 @@ type ORAM struct {
 	maxStash   int
 	accesses   int64
 	rng        *mrand.Rand
+
+	// cur is the access in flight, between begin and end; a handle runs one
+	// at a time. failed, once set, refuses every further access: an access
+	// stopped after its path was absorbed into the stash and before its
+	// write-back reached the server leaves the two out of step for good.
+	cur    inflight
+	failed error
 
 	// Scratch reused across accesses so the steady-state path read/write
 	// loop allocates only what must escape: one ciphertext per bucket headed
@@ -359,11 +372,29 @@ func (o *ORAM) ClientMemoryBytes() int {
 	return total
 }
 
+// UpdateFunc is what an access does with the value it finds. It is handed
+// the value stored under the key (nil and found=false when there is none) and
+// returns the value to leave there, or keep=false to leave the key absent —
+// removing it if it was present. old is the store's own copy: it is valid
+// until the function returns and must not be modified. value may alias old,
+// must have the store's value width, and is copied before the access goes on.
+type UpdateFunc func(old []byte, found bool) (value []byte, keep bool)
+
 // Read retrieves the value stored under key, or found=false if absent
 // (Definition 4 returns ⊥). The access pattern is identical for hits and
 // misses.
 func (o *ORAM) Read(key string) (value []byte, found bool, err error) {
-	return o.access(key, nil, opRead)
+	err = o.access(key, func(old []byte, ok bool) ([]byte, bool) {
+		if ok {
+			// Copied, so callers can never alias stash-internal storage.
+			value, found = append([]byte(nil), old...), true
+		}
+		return old, ok
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return value, found, nil
 }
 
 // Write stores (key, value), inserting or overwriting.
@@ -371,16 +402,19 @@ func (o *ORAM) Write(key string, value []byte) error {
 	if len(value) != o.valueWidth {
 		return fmt.Errorf("%w: got %d bytes, want %d", ErrValueWidth, len(value), o.valueWidth)
 	}
-	_, _, err := o.access(key, value, opWrite)
-	return err
+	return o.access(key, func([]byte, bool) ([]byte, bool) { return value, true })
 }
 
 // Remove deletes key if present. Its access pattern is indistinguishable
 // from Read and Write.
 func (o *ORAM) Remove(key string) error {
-	_, _, err := o.access(key, nil, opRemove)
-	return err
+	return o.access(key, func([]byte, bool) ([]byte, bool) { return nil, false })
 }
+
+// Update replaces whatever is stored under key with what fn makes of it, in
+// one access: the read-modify-write that a Read followed by a Write or Remove
+// of the same key would take two for.
+func (o *ORAM) Update(key string, fn UpdateFunc) error { return o.access(key, fn) }
 
 // Destroy deletes the server-side tree. The handle must not be used after.
 func (o *ORAM) Destroy() error {
@@ -392,58 +426,119 @@ func (o *ORAM) Destroy() error {
 	return o.svc.Delete(o.name)
 }
 
-type opKind uint8
+// inflight is one access between its two server calls.
+type inflight struct {
+	stage stage
+	key   string
+	leaf  uint32
+	known bool // key had a position-map entry when the access began
+	span  telemetry.Span
+}
+
+type stage uint8
 
 const (
-	opRead opKind = iota
-	opWrite
-	opRemove
+	idle   stage = iota
+	begun        // leaf chosen; nothing fetched has been taken in
+	served       // path absorbed, function applied, write-back built but not known to have landed
 )
 
-// access is the single PathORAM access routine shared by Read, Write, and
-// Remove so their server-visible behaviour is identical by construction.
-func (o *ORAM) access(key string, newValue []byte, kind opKind) ([]byte, bool, error) {
+// access is the single PathORAM access routine behind Read, Write, Remove and
+// Update, so their server-visible behaviour is identical by construction. Its
+// three steps — begin, serve, end — are also what a Pipeline runs, with the
+// two server calls between them fused with other handles'.
+func (o *ORAM) access(key string, fn UpdateFunc) (err error) {
+	leaf, err := o.begin(key)
+	if err != nil {
+		return err
+	}
+	defer func() { o.end(err) }()
+	buckets, err := o.svc.ReadPath(o.name, leaf)
+	if err != nil {
+		return fmt.Errorf("oram: %w", err)
+	}
+	out, err := o.serve(buckets, fn)
+	if err != nil {
+		return err
+	}
+	if err := o.svc.WritePath(o.name, leaf, out); err != nil {
+		return fmt.Errorf("oram: %w", err)
+	}
+	return nil
+}
+
+// begin opens an access to key and returns the leaf whose path it needs. The
+// leaf is the key's position-map entry or, for a key that has none, a fresh
+// uniform draw: it is fixed before anything about the key is fetched.
+func (o *ORAM) begin(key string) (uint32, error) {
+	if o.failed != nil {
+		return 0, fmt.Errorf("oram %q: unusable since an access failed midway: %w", o.name, o.failed)
+	}
+	if o.cur.stage != idle {
+		return 0, fmt.Errorf("oram %q: access to %q while another is in flight", o.name, key)
+	}
 	if len(key) > o.keyWidth {
-		return nil, false, fmt.Errorf("%w: %d bytes, max %d", ErrKeyWidth, len(key), o.keyWidth)
+		return 0, fmt.Errorf("%w: %d bytes, max %d", ErrKeyWidth, len(key), o.keyWidth)
 	}
 	o.accesses++
 	o.accessCtr.Inc()
-	sp := o.reg.StartSpan("oram/access")
-	defer sp.End()
-
 	leaf, known := o.posMap[key]
 	if !known {
 		// Dummy path: uniformly random, like any remapped leaf.
 		leaf = uint32(o.rng.Intn(o.numLeaves))
 	}
+	o.cur = inflight{stage: begun, key: key, leaf: leaf, known: known, span: o.reg.StartSpan("oram/access")}
+	return leaf, nil
+}
 
-	// 1. Read the path and move its real blocks into the stash.
-	buckets, err := o.svc.ReadPath(o.name, leaf)
-	if err != nil {
-		return nil, false, fmt.Errorf("oram: %w", err)
+// end closes the access in flight. err is what stopped it, nil once its
+// write-back is on the server. An access stopped before serve took the path
+// in has changed nothing; one stopped later has emptied the stash into a
+// write-back the server may never have seen, and the handle is refused from
+// then on rather than left to diverge silently.
+func (o *ORAM) end(err error) {
+	switch {
+	case o.cur.stage == idle:
+		return
+	case o.cur.stage == served && err != nil:
+		o.failed = err
+	case o.cur.stage == served:
+		o.pathWrites.Inc()
 	}
+	o.cur.span.End()
+	o.cur = inflight{}
+}
+
+// serve takes the fetched path of the access in flight into the stash,
+// applies fn to the key's value, and returns the re-encrypted path to write
+// back. The slice is the handle's own and is valid until its next access.
+func (o *ORAM) serve(buckets [][]byte, fn UpdateFunc) ([][]byte, error) {
+	key, leaf := o.cur.key, o.cur.leaf
+	o.cur.stage = served
 	o.pathReads.Inc()
+
+	// 1. Move the path's real blocks into the stash.
 	if len(buckets) != o.levels {
-		return nil, false, o.integrityErr(fmt.Sprintf("path to leaf %d has %d buckets, want %d", leaf, len(buckets), o.levels), nil)
+		return nil, o.integrityErr(fmt.Sprintf("path to leaf %d has %d buckets, want %d", leaf, len(buckets), o.levels), nil)
 	}
 	for l, ct := range buckets {
 		if len(ct) == 0 {
 			// Setup leaves no empty buckets; an empty one means the server
 			// dropped a ciphertext.
-			return nil, false, o.integrityErr(fmt.Sprintf("empty bucket at level %d on path to leaf %d", l, leaf), nil)
+			return nil, o.integrityErr(fmt.Sprintf("empty bucket at level %d on path to leaf %d", l, leaf), nil)
 		}
 		pt, err := o.cipher.OpenTo(o.openBuf[:0], ct, o.bucketAD(o.pathBucket(leaf, l)))
 		if err != nil {
-			return nil, false, o.integrityErr(fmt.Sprintf("bucket authentication failed at level %d on path to leaf %d", l, leaf), err)
+			return nil, o.integrityErr(fmt.Sprintf("bucket authentication failed at level %d on path to leaf %d", l, leaf), err)
 		}
 		o.openBuf = pt // keep the (possibly grown) scratch for the next bucket
 		if len(pt) != o.z*o.blockSize {
-			return nil, false, o.integrityErr(fmt.Sprintf("bucket has %d bytes, want %d", len(pt), o.z*o.blockSize), nil)
+			return nil, o.integrityErr(fmt.Sprintf("bucket has %d bytes, want %d", len(pt), o.z*o.blockSize), nil)
 		}
 		for ; len(pt) > 0; pt = pt[o.blockSize:] {
 			k, v, ver, real, err := o.parseBlock(pt[:o.blockSize])
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if !real {
 				continue
@@ -455,13 +550,13 @@ func (o *ORAM) access(key string, newValue []byte, kind opKind) ([]byte, bool, e
 			// without allocating, and only a block that passes every check
 			// is copied out.
 			if _, inStash := o.stash[string(k)]; inStash {
-				return nil, false, o.integrityErr(fmt.Sprintf("duplicate copy of block %q (already stashed)", k), nil)
+				return nil, o.integrityErr(fmt.Sprintf("duplicate copy of block %q (already stashed)", k), nil)
 			}
 			if _, live := o.posMap[string(k)]; !live {
-				return nil, false, o.integrityErr(fmt.Sprintf("replayed block %q (key not live)", k), nil)
+				return nil, o.integrityErr(fmt.Sprintf("replayed block %q (key not live)", k), nil)
 			}
 			if want := o.vers[string(k)]; ver != want {
-				return nil, false, o.integrityErr(fmt.Sprintf("stale block %q: version %d, want %d", k, ver, want), nil)
+				return nil, o.integrityErr(fmt.Sprintf("stale block %q: version %d, want %d", k, ver, want), nil)
 			}
 			o.stash[string(k)] = append([]byte(nil), v...)
 		}
@@ -470,28 +565,28 @@ func (o *ORAM) access(key string, newValue []byte, kind opKind) ([]byte, bool, e
 	// this path must now be in the stash; otherwise the server suppressed
 	// the real block (e.g. replayed an authentic older copy of its bucket
 	// from before the block was placed there).
-	if known {
-		if _, inStash := o.stash[key]; !inStash {
-			return nil, false, o.integrityErr(fmt.Sprintf("block %q missing from its assigned path (leaf %d)", key, leaf), nil)
-		}
+	old, found := o.stash[key]
+	if o.cur.known && !found {
+		return nil, o.integrityErr(fmt.Sprintf("block %q missing from its assigned path (leaf %d)", key, leaf), nil)
 	}
 
-	// 2. Serve the operation from the stash. Values are copied on both
-	// store and return so callers can never alias stash-internal storage.
-	value, found := o.stash[key]
-	switch kind {
-	case opWrite:
-		o.stash[key] = append([]byte(nil), newValue...)
-		o.posMap[key] = uint32(o.rng.Intn(o.numLeaves))
-	case opRemove:
+	// 2. Serve the operation from the stash. A key left present is remapped,
+	// the standard PathORAM remap on every touch; one left absent has nothing
+	// to remap, so a miss and a removal draw no leaf.
+	switch value, keep := fn(old, found); {
+	case !keep:
 		delete(o.stash, key)
 		delete(o.posMap, key)
 		delete(o.vers, key)
-	case opRead:
+	case len(value) != o.valueWidth:
+		return nil, fmt.Errorf("%w: got %d bytes, want %d", ErrValueWidth, len(value), o.valueWidth)
+	default:
 		if found {
-			// Standard PathORAM remap on every touch.
-			o.posMap[key] = uint32(o.rng.Intn(o.numLeaves))
+			copy(old, value)
+		} else {
+			o.stash[key] = append([]byte(nil), value...)
 		}
+		o.posMap[key] = uint32(o.rng.Intn(o.numLeaves))
 	}
 
 	if len(o.stash) > o.maxStash {
@@ -499,33 +594,30 @@ func (o *ORAM) access(key string, newValue []byte, kind opKind) ([]byte, bool, e
 	}
 
 	// 3. Evict: greedily push stash blocks as deep as possible along the
-	// path just read, then write every bucket back re-encrypted.
-	if err := o.evict(leaf); err != nil {
-		return nil, false, err
+	// path just read, every bucket re-encrypted.
+	out, err := o.evict(leaf)
+	if err != nil {
+		return nil, err
 	}
 	if o.stashGauge != nil {
 		o.stashGauge.Add(int64(len(o.stash) - o.prevStash))
 		o.prevStash = len(o.stash)
 	}
-
 	if len(o.stash) > o.stashLimit {
-		return nil, false, fmt.Errorf("%w: %d blocks > limit %d", ErrStashOverflow, len(o.stash), o.stashLimit)
+		return nil, fmt.Errorf("%w: %d blocks > limit %d", ErrStashOverflow, len(o.stash), o.stashLimit)
 	}
-	if kind != opRead || !found {
-		return nil, false, nil // only Read has a value to hand back
-	}
-	return append([]byte(nil), value...), true, nil
+	return out, nil
 }
 
-// evict builds fresh bucket contents for the path to leaf and writes them
-// back. Buckets are filled leaf-to-root with eligible stash blocks: a block
+// evict builds fresh bucket contents for the path to leaf and returns them
+// sealed, root first. Buckets are filled leaf-to-root with eligible stash blocks: a block
 // may enter the buckets its assigned path shares with this one, the deepest
 // being at level leafLevel − bits.Len32(assigned ^ leaf). One pass over the
 // stash sorts the keys by that level; filling then walks up from the leaf,
 // each bucket taking up to Z of the keys that became eligible at its level
 // or overflowed from below — the greedy placement of the textbook
 // construction in O(stash + levels·Z).
-func (o *ORAM) evict(leaf uint32) error {
+func (o *ORAM) evict(leaf uint32) ([][]byte, error) {
 	leafLevel := o.levels - 1
 	for l := range o.byLevel {
 		o.byLevel[l] = o.byLevel[l][:0]
@@ -549,22 +641,18 @@ func (o *ORAM) evict(leaf uint32) error {
 			ver := o.vers[k] + 1
 			o.vers[k] = ver
 			if err := o.putBlock(pt[:o.blockSize], k, o.stash[k], ver); err != nil {
-				return err
+				return nil, err
 			}
 			delete(o.stash, k)
 		}
 		ct, err := o.sealBucket(o.pathBucket(leaf, l))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out[l] = ct
 	}
 	o.pending = pending
-	if err := o.svc.WritePath(o.name, leaf, out); err != nil {
-		return fmt.Errorf("oram: %w", err)
-	}
-	o.pathWrites.Inc()
-	return nil
+	return out, nil
 }
 
 // integrityErr wraps a verification failure in store.ErrIntegrity so the

@@ -1,0 +1,134 @@
+package oram
+
+import (
+	"fmt"
+
+	"github.com/oblivfd/oblivfd/internal/store"
+)
+
+// An Access is one oblivious access for a Pipeline to run: Fn is handed the
+// value stored under Key in Store and decides what stays there.
+type Access struct {
+	Store Store
+	Key   string
+	Fn    UpdateFunc
+}
+
+// Pipeline runs accesses to different stores with their server calls fused.
+// A PathORAM access is two calls with client work between them — fetch a
+// path, write it back — and the leaf is known before the fetch, so the
+// fetches of accesses to different trees can share one round trip, and the
+// write-backs can share the next, along with the fetches of whatever the
+// caller does next:
+//
+//	p.Do(a, b)   one round: ReadPath a, ReadPath b
+//	p.Do(c, d)   one round: WritePath a, WritePath b, ReadPath c, ReadPath d
+//	p.Flush()    one round: WritePath c, WritePath d
+//
+// What the server sees of each tree is what it sees when the same accesses
+// run one after the other — ReadPath(leaf), then WritePath(leaf) of freshly
+// sealed buckets, per access — and the ops of a round apply in the order
+// given; only the framing differs, and what a round holds is decided by the
+// caller's sequence of Do and Flush, never by anything fetched. Through a
+// service that cannot take a batch every op is its own call, in that same
+// order.
+//
+// A store whose access is not one fetch and one write-back (Linear) takes
+// part as itself: its whole access runs where its turn to be served comes.
+//
+// When a round fails — after whatever retrying the service itself does; a
+// batch of fetches and of write-backs carrying their exact ciphertexts is
+// safe to send again — every handle with a write-back in it is left refusing
+// further accesses (see ORAM.end), the error names the cause, and the
+// pipeline is empty again. A pipeline is not safe for concurrent use, and a
+// handle takes part in one access at a time.
+type Pipeline struct {
+	svc    store.Service
+	staged []*ORAM         // served; their write-backs lead the next round
+	begun  []*ORAM         // this round's fetches, in order
+	ops    []store.BatchOp // the next round: staged write-backs, then fetches
+}
+
+// NewPipeline returns an empty pipeline over the service its stores live on.
+func NewPipeline(svc store.Service) *Pipeline { return &Pipeline{svc: svc} }
+
+// Do runs one round — the write-backs still owed by earlier accesses and the
+// fetches of these — and then serves the accesses in the order given, so a
+// later one's function may use what an earlier one's found. Their own
+// write-backs wait for the next Do or Flush.
+func (p *Pipeline) Do(accesses ...Access) error {
+	for _, a := range accesses {
+		o, ok := a.Store.(*ORAM)
+		if !ok {
+			continue
+		}
+		leaf, err := o.begin(a.Key)
+		if err != nil {
+			return p.abandon(err)
+		}
+		p.begun = append(p.begun, o)
+		p.ops = append(p.ops, store.BatchOp{Path: true, Name: o.name, Leaf: leaf, N: o.levels})
+	}
+	fetched, err := p.round()
+	if err != nil {
+		return err
+	}
+	for _, a := range accesses {
+		o, ok := a.Store.(*ORAM)
+		if !ok {
+			if err := a.Store.Update(a.Key, a.Fn); err != nil {
+				return p.abandon(err)
+			}
+			continue
+		}
+		out, err := o.serve(fetched[0], a.Fn)
+		if err != nil {
+			return p.abandon(err)
+		}
+		fetched = fetched[1:]
+		p.staged = append(p.staged, o)
+		p.ops = append(p.ops, store.BatchOp{Write: true, Path: true, Name: o.name, Leaf: o.cur.leaf, Cts: out})
+	}
+	p.begun = p.begun[:0]
+	return nil
+}
+
+// Flush sends the write-backs still owed. After it the stores are as a serial
+// run of the same accesses leaves them.
+func (p *Pipeline) Flush() error {
+	_, err := p.round()
+	return err
+}
+
+// round sends p.ops as one batch, closes the accesses whose write-backs it
+// carried and returns the fetched paths, in the order begun.
+func (p *Pipeline) round() ([][][]byte, error) {
+	if len(p.ops) == 0 {
+		return nil, nil
+	}
+	res, err := store.DoBatch(p.svc, p.ops)
+	if err != nil {
+		return nil, p.abandon(fmt.Errorf("oram: %w", err))
+	}
+	if len(res) != len(p.ops) {
+		return nil, p.abandon(fmt.Errorf("oram: batch of %d ops answered with %d results", len(p.ops), len(res)))
+	}
+	for _, o := range p.staged {
+		o.end(nil)
+	}
+	res = res[len(p.staged):]
+	p.staged, p.ops = p.staged[:0], p.ops[:0]
+	return res, nil
+}
+
+// abandon closes every access in flight with err and returns it.
+func (p *Pipeline) abandon(err error) error {
+	for _, o := range p.staged {
+		o.end(err)
+	}
+	for _, o := range p.begun {
+		o.end(err) // a no-op for one already served, which is in staged too
+	}
+	p.staged, p.begun, p.ops = p.staged[:0], p.begun[:0], p.ops[:0]
+	return err
+}

@@ -1,0 +1,419 @@
+package oram
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/oblivfd/oblivfd/internal/crypto"
+	"github.com/oblivfd/oblivfd/internal/store"
+	"github.com/oblivfd/oblivfd/internal/trace"
+)
+
+// TestUpdateIndistinguishable: whatever an Update's function finds and
+// decides — hit or miss, leave alone, insert, overwrite, remove — the server
+// sees the events of a Read, byte for byte, on both stores.
+func TestUpdateIndistinguishable(t *testing.T) {
+	keep := func(old []byte, found bool) ([]byte, bool) { return old, found }
+	put := func([]byte, bool) ([]byte, bool) { return val(8, 7), true }
+	drop := func([]byte, bool) ([]byte, bool) { return nil, false }
+	increment := func(old []byte, found bool) ([]byte, bool) {
+		if !found {
+			return val(8, 1), true
+		}
+		return val(8, old[7]+1), true
+	}
+	for name, factory := range storeFactories() {
+		t.Run(name, func(t *testing.T) {
+			shape := func(access func(Store) error) trace.Shape {
+				srv := store.NewServer()
+				s, err := factory(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+					Capacity: 32, KeyWidth: 16, ValueWidth: 8, Seed: 11,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Write("present", val(8, 1)); err != nil {
+					t.Fatal(err)
+				}
+				srv.Trace().Reset()
+				srv.Trace().Enable()
+				if err := access(s); err != nil {
+					t.Fatal(err)
+				}
+				return trace.ShapeOf(srv.Trace().Events())
+			}
+			want := shape(func(s Store) error { _, _, err := s.Read("present"); return err })
+			for _, c := range []struct {
+				name, key string
+				fn        UpdateFunc
+			}{
+				{"hit, left alone", "present", keep},
+				{"miss, left alone", "absent", keep},
+				{"insert", "absent", put},
+				{"overwrite", "present", put},
+				{"remove", "present", drop},
+				{"remove a miss", "absent", drop},
+				{"count up", "present", increment},
+				{"count from nothing", "absent", increment},
+			} {
+				if got := shape(func(s Store) error { return s.Update(c.key, c.fn) }); !got.Equal(want) {
+					t.Errorf("Update (%s) is distinguishable from a Read:\n%s", c.name, want.Diff(got))
+				}
+			}
+		})
+	}
+}
+
+// TestStoreModel runs a random mix of Update, Read, Write and Remove on each
+// store against a map. Update's functions cover what a caller can decide from
+// what it is shown: count up from nothing, remove at a threshold, leave alone.
+func TestStoreModel(t *testing.T) {
+	for name, factory := range storeFactories() {
+		t.Run(name, func(t *testing.T) {
+			const capacity = 24
+			s, _ := newStore(t, factory, capacity, 4)
+			model := make(map[string][]byte)
+			rng := rand.New(rand.NewSource(17))
+			for step := 0; step < 600; step++ {
+				k := fmt.Sprintf("k%d", rng.Intn(capacity))
+				want, had := model[k]
+				switch rng.Intn(6) {
+				case 0:
+					v := []byte{byte(step), byte(step >> 8), 0, 1}
+					if err := s.Write(k, v); err != nil {
+						t.Fatalf("step %d Write: %v", step, err)
+					}
+					model[k] = v
+				case 1:
+					v, found, err := s.Read(k)
+					if err != nil {
+						t.Fatalf("step %d Read: %v", step, err)
+					}
+					if found != had || !bytes.Equal(v, want) {
+						t.Fatalf("step %d: Read(%s) = %v,%v want %v,%v", step, k, v, found, want, had)
+					}
+				case 2:
+					if err := s.Remove(k); err != nil {
+						t.Fatalf("step %d Remove: %v", step, err)
+					}
+					delete(model, k)
+				default:
+					// A counter in byte 3: start at 1, count up, vanish at 3.
+					var saw []byte
+					var sawFound bool
+					err := s.Update(k, func(old []byte, found bool) ([]byte, bool) {
+						saw, sawFound = append([]byte(nil), old...), found
+						switch {
+						case !found:
+							return []byte{0, 0, 0, 1}, true
+						case old[3] >= 3:
+							return nil, false
+						case step%5 == 0:
+							return old, true
+						}
+						return []byte{old[0], old[1], old[2], old[3] + 1}, true
+					})
+					if err != nil {
+						t.Fatalf("step %d Update: %v", step, err)
+					}
+					if sawFound != had || !bytes.Equal(saw, want) {
+						t.Fatalf("step %d: Update(%s) was shown %v,%v want %v,%v", step, k, saw, sawFound, want, had)
+					}
+					switch {
+					case !had:
+						model[k] = []byte{0, 0, 0, 1}
+					case want[3] >= 3:
+						delete(model, k)
+					case step%5 != 0:
+						model[k] = []byte{want[0], want[1], want[2], want[3] + 1}
+					}
+				}
+				if s.Len() != len(model) {
+					t.Fatalf("step %d: Len = %d, model %d", step, s.Len(), len(model))
+				}
+			}
+		})
+	}
+}
+
+func TestUpdateValueWidthEnforced(t *testing.T) {
+	for name, factory := range storeFactories() {
+		t.Run(name, func(t *testing.T) {
+			s, _ := newStore(t, factory, 8, 4)
+			err := s.Update("k", func([]byte, bool) ([]byte, bool) { return []byte{1}, true })
+			if !errors.Is(err, ErrValueWidth) {
+				t.Errorf("one-byte value into a 4-byte store: %v, want ErrValueWidth", err)
+			}
+		})
+	}
+}
+
+// pipelineRig is three stores on one server behind a round counter.
+type pipelineRig struct {
+	srv    *store.Server
+	rounds *store.RoundCounter
+	stores [3]Store
+}
+
+func newPipelineRig(t *testing.T, factory Factory, wrap func(store.Service) store.Service) *pipelineRig {
+	t.Helper()
+	r := &pipelineRig{srv: store.NewServer()}
+	r.rounds = store.WithRoundCounter(wrap(r.srv))
+	cipher := crypto.MustNewCipher(crypto.MustNewKey())
+	for i := range r.stores {
+		s, err := factory(r.rounds, cipher, fmt.Sprintf("s%d", i), Config{Capacity: 32, KeyWidth: 8, ValueWidth: 4, Seed: int64(3 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.stores[i] = s
+	}
+	r.srv.Trace().Reset()
+	r.srv.Trace().Enable()
+	return r
+}
+
+// unionRecord is the shape of an engine's multi-attribute step: read a value
+// from each of two stores, then a read-modify-write of the third keyed by
+// what was read. It returns what the third held before.
+func unionRecord(p *Pipeline, s [3]Store, key string) (before []byte, err error) {
+	var got [2][]byte
+	read := func(i int) UpdateFunc {
+		return func(old []byte, found bool) ([]byte, bool) {
+			got[i] = append([]byte(nil), old...)
+			return old, found
+		}
+	}
+	if err := p.Do(Access{s[0], key, read(0)}, Access{s[1], key, read(1)}); err != nil {
+		return nil, err
+	}
+	err = p.Do(Access{s[2], joinKey(got), func(old []byte, found bool) ([]byte, bool) {
+		before = append([]byte(nil), old...)
+		return []byte{1, 2, 3, byte(len(old))}, true
+	}})
+	if err != nil {
+		return nil, err
+	}
+	return before, p.Flush()
+}
+
+// joinKey makes the third store's key of what the first two held.
+func joinKey(got [2][]byte) string { return (fmt.Sprintf("%x%x", got[0], got[1]) + "--------")[:8] }
+
+func perObject(events []trace.Event) map[string][]trace.Event {
+	out := make(map[string][]trace.Event)
+	for _, e := range events {
+		out[e.Object] = append(out[e.Object], e)
+	}
+	return out
+}
+
+// TestPipelineIsFramingOnly: the same accesses through a Pipeline over a
+// service that fuses batches, over one that cannot, and one by one through
+// Update leave every store with the same contents and every tree with the
+// same event sequence, leaves included (the seeds are the same); only the
+// number of round trips differs.
+func TestPipelineIsFramingOnly(t *testing.T) {
+	hideBatch := func(s store.Service) store.Service { return struct{ store.Service }{s} }
+	asIs := func(s store.Service) store.Service { return s }
+	keys := []string{"a", "b", "a", "c", "b", "a"}
+	seed := func(t *testing.T, r *pipelineRig) {
+		for i, k := range []string{"a", "b"} {
+			for j, s := range r.stores[:2] {
+				if err := s.Write(k, []byte{byte(i), byte(j), 0, 0}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		r.srv.Trace().Reset()
+	}
+	for name, factory := range storeFactories() {
+		t.Run(name, func(t *testing.T) {
+			serial := newPipelineRig(t, factory, asIs)
+			seed(t, serial)
+			base := serial.rounds.Rounds()
+			var wantBefore [][]byte
+			for _, k := range keys {
+				var got [2][]byte
+				for i := range got {
+					v, _, err := serial.stores[i].Read(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[i] = v
+				}
+				var before []byte
+				err := serial.stores[2].Update(joinKey(got), func(old []byte, found bool) ([]byte, bool) {
+					before = append([]byte(nil), old...)
+					return []byte{1, 2, 3, byte(len(old))}, true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantBefore = append(wantBefore, before)
+			}
+			serialRounds := serial.rounds.Rounds() - base
+			want := perObject(serial.srv.Trace().Events())
+
+			for _, c := range []struct {
+				name   string
+				wrap   func(store.Service) store.Service
+				rounds int64
+			}{
+				{"fused", asIs, 3 * int64(len(keys))},
+				{"unfused", hideBatch, serialRounds},
+			} {
+				rig := newPipelineRig(t, factory, c.wrap)
+				seed(t, rig)
+				base := rig.rounds.Rounds()
+				p := NewPipeline(rig.rounds)
+				for i, k := range keys {
+					before, err := unionRecord(p, rig.stores, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(before, wantBefore[i]) {
+						t.Errorf("%s record %d: third store held %v, serially %v", c.name, i, before, wantBefore[i])
+					}
+				}
+				if got := perObject(rig.srv.Trace().Events()); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: per-object event sequences differ from the serial run's", c.name)
+				}
+				got := rig.rounds.Rounds() - base
+				if name == "linear" {
+					// The scan ORAM has no path to fuse: it runs as itself.
+					if got != serialRounds {
+						t.Errorf("%s: %d rounds, serially %d", c.name, got, serialRounds)
+					}
+				} else if got != c.rounds {
+					t.Errorf("%s: %d rounds, want %d (serially %d)", c.name, got, c.rounds, serialRounds)
+				}
+			}
+		})
+	}
+}
+
+// failBatches fails every Batch carrying a path write while armed, before it
+// reaches the backend.
+type failBatches struct {
+	store.Adapter
+	armed bool
+}
+
+var errRoundLost = errors.New("round lost")
+
+func newFailBatches(svc store.Service) *failBatches {
+	f := &failBatches{}
+	f.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
+		if f.armed && op.Kind == store.KindBatch {
+			for i := range op.Ops {
+				if op.Ops[i].Kind() == store.KindWritePath {
+					return errRoundLost
+				}
+			}
+		}
+		return store.Invoke(svc, op, res)
+	})
+	return f
+}
+
+// TestPipelineFailedRoundLeavesNoHalfAccess: when the round carrying
+// write-backs fails, the handles whose paths were absorbed refuse further
+// accesses, naming the cause, and a handle that had only chosen its leaf
+// carries on; nothing is left half done in silence.
+func TestPipelineFailedRoundLeavesNoHalfAccess(t *testing.T) {
+	srv := store.NewServer()
+	svc := newFailBatches(srv)
+	cipher := crypto.MustNewCipher(crypto.MustNewKey())
+	var o [3]*ORAM
+	for i := range o {
+		var err error
+		if o[i], err = Setup(svc, cipher, fmt.Sprintf("s%d", i), Config{Capacity: 16, KeyWidth: 8, ValueWidth: 4, Seed: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := o[i].Write("k", val(4, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := func(old []byte, found bool) ([]byte, bool) { return old, found }
+	p := NewPipeline(svc)
+	if err := p.Do(Access{o[0], "k", keep}, Access{o[1], "k", keep}); err != nil {
+		t.Fatal(err)
+	}
+	svc.armed = true
+	err := p.Do(Access{o[2], "k", keep}) // carries the write-backs of the first two
+	if !errors.Is(err, errRoundLost) {
+		t.Fatalf("round with a failing batch: %v", err)
+	}
+	svc.armed = false
+	for i := 0; i < 2; i++ {
+		_, _, err := o[i].Read("k")
+		if !errors.Is(err, errRoundLost) || !strings.Contains(err.Error(), "unusable") {
+			t.Errorf("store %d after losing its write-back: %v, want a refusal naming the lost round", i, err)
+		}
+		if o[i].cur.stage != idle {
+			t.Errorf("store %d is left mid-access", i)
+		}
+	}
+	if v, found, err := o[2].Read("k"); err != nil || !found || !bytes.Equal(v, val(4, 2)) {
+		t.Errorf("store that had only begun: Read = %v, %v, %v", v, found, err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Errorf("pipeline after the failure is not empty: %v", err)
+	}
+	if err := p.Do(Access{o[2], "k", keep}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Do(Access{o[2], "k", keep}); err == nil || !strings.Contains(err.Error(), "in flight") {
+		t.Errorf("second access to a store whose write-back is still owed: %v", err)
+	}
+}
+
+// TestPipelineRetriedRoundIsInvisible: under a retrying service a round that
+// fails once before reaching the backend is sent again whole, the accesses
+// complete, and the backend's trace is the fault-free one.
+func TestPipelineRetriedRoundIsInvisible(t *testing.T) {
+	run := func(fail bool) trace.Shape {
+		srv := store.NewServer()
+		flaky := newFailBatches(srv)
+		once := store.Adapt(func(op *store.Op, res *store.Result) error {
+			err := store.Invoke(flaky, op, res)
+			if err != nil {
+				flaky.armed = false
+				return fmt.Errorf("%w: %v", store.ErrTransient, err)
+			}
+			return nil
+		})
+		svc := store.WithRetry(once, store.RetryPolicy{MaxAttempts: 3})
+		cipher := crypto.MustNewCipher(crypto.MustNewKey())
+		var s [3]Store
+		for i := range s {
+			o, err := Setup(svc, cipher, fmt.Sprintf("s%d", i), Config{Capacity: 16, KeyWidth: 8, ValueWidth: 4, Seed: int64(i + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.Write("k", val(4, byte(i+1))); err != nil {
+				t.Fatal(err)
+			}
+			s[i] = o
+		}
+		srv.Trace().Reset()
+		srv.Trace().Enable()
+		flaky.armed = fail
+		if _, err := unionRecord(NewPipeline(svc), s, "k"); err != nil {
+			t.Fatal(err)
+		}
+		if fail && (flaky.armed || svc.Retries() != 1) {
+			t.Fatalf("the fault did not fire exactly once (%d retries)", svc.Retries())
+		}
+		return trace.ShapeOf(srv.Trace().Events())
+	}
+	clean, faulted := run(false), run(true)
+	if !clean.Equal(faulted) {
+		t.Errorf("a retried round shows in the trace:\n%s", clean.Diff(faulted))
+	}
+}

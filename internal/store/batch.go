@@ -2,30 +2,56 @@ package store
 
 import "sync/atomic"
 
-// Batching lets concurrent protocol workers coalesce independent cell
-// operations into one logical round trip. A batch is a flat list of
-// ReadCells/WriteCells operations; the semantics are exactly "apply the ops
-// in order", so a batch is observationally identical to issuing its ops one
-// by one — only the number of wire round trips (and injected latency
-// delays) changes.
+// Batching lets a caller coalesce independent operations into one logical
+// round trip: concurrent protocol workers their cell reads, an ORAM client
+// the path reads and write-backs of accesses to different trees. A batch is a
+// flat list of ReadCells/WriteCells/ReadPath/WritePath operations; the
+// semantics are exactly "apply the ops in order", so a batch is
+// observationally identical to issuing its ops one by one — only the number
+// of wire round trips (and injected latency delays) changes.
 //
-// Leakage note: the server sees the same per-cell accesses either way — the
-// in-memory Server records one trace event per cell index regardless of
-// call granularity — so batching changes timing, never the access trace.
+// Leakage note: the server sees the same per-cell and per-path accesses
+// either way — the in-memory Server records one trace event per cell index
+// and per path regardless of call granularity — so batching changes timing,
+// never the access trace.
 
-// BatchOp is one cell operation inside a batch. Write selects WriteCells
-// (Cts carries the ciphertexts); otherwise the op is a ReadCells.
+// BatchOp is one operation inside a batch: on an array's cells (Idx), or with
+// Path set on one root-to-leaf path of a tree (Leaf). Write selects the
+// writing form, whose ciphertexts Cts carries; otherwise the op is a read.
 type BatchOp struct {
 	Write bool
+	Path  bool
+	Leaf  uint32 // path ops
 	Name  string
-	Idx   []int64
-	Cts   [][]byte // writes only
+	Idx   []int64 // cell ops
+	// N is, for a path read, how many slots the path holds (levels × slots
+	// per bucket, which whoever created the tree knows). A batch answer
+	// crosses the wire as one flat run of ciphertexts and is cut back into
+	// per-op results by lengths the asker already has: len(Idx) for a cell
+	// read, N for a path read. A path that answers with another count is
+	// refused (ErrBadPath).
+	N   int
+	Cts [][]byte // writes only
+}
+
+// Kind is the Service operation b stands for.
+func (b *BatchOp) Kind() Kind {
+	if b.Path {
+		if b.Write {
+			return KindWritePath
+		}
+		return KindReadPath
+	}
+	if b.Write {
+		return KindWriteCells
+	}
+	return KindReadCells
 }
 
 // Batcher is the optional extension a Service implements when it can take a
 // whole batch in one call. Results are per-op: reads return their
 // ciphertexts, writes return nil. Every Handler-backed service is one (a
-// layer that must see each cell operation on its own splits the batch
+// layer that must see each operation on its own splits the batch
 // itself, see eachBatchOp); DoBatch degrades to per-op calls through a
 // service that is not.
 type Batcher interface {
@@ -34,7 +60,7 @@ type Batcher interface {
 
 // Batch implements Batcher for the in-memory server: ops apply in order
 // under the server's own per-call locking. Trace events are recorded per
-// cell index by ReadCells/WriteCells exactly as for unbatched calls.
+// cell index and per path by the typed methods exactly as for unbatched calls.
 func (s *Server) Batch(ops []BatchOp) ([][][]byte, error) {
 	return eachBatchOp(ops, func(op *Op, res *Result) error { return Invoke(s, op, res) })
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -47,6 +49,70 @@ func TestDoBatchMatchesSerial(t *testing.T) {
 		t.Errorf("in-batch read-after-write got %v, want [EE]", res[2][0])
 	}
 }
+
+// TestBatchedPathOpsMatchSerial: path reads and writes ride in a batch beside
+// cell ops, fused or through the per-op fallback, apply in order, and leave
+// the trace the same calls leave one by one. A path read that misstates how
+// many slots a path holds is refused: a TCP client cuts the flat answer by
+// that number.
+func TestBatchedPathOpsMatchSerial(t *testing.T) {
+	path := func(b byte) [][]byte { return [][]byte{{b}, {b + 1}, {b + 2}} }
+	ops := []BatchOp{
+		{Write: true, Path: true, Name: "t", Leaf: 1, Cts: path(10)},
+		{Path: true, Name: "t", Leaf: 0, N: 3}, // shares the root and the next bucket
+		{Name: "a", Idx: []int64{1}},
+		{Write: true, Path: true, Name: "t", Leaf: 3, Cts: path(20)},
+		{Path: true, Name: "t", Leaf: 3, N: 3},
+	}
+	build := func() *Server {
+		srv := NewServer()
+		batchFixture(t, srv, "a", 2)
+		if err := srv.CreateTree("t", 3, 1); err != nil {
+			t.Fatal(err)
+		}
+		srv.Trace().Reset()
+		srv.Trace().Enable()
+		return srv
+	}
+
+	serial := build()
+	for _, err := range []error{
+		serial.WritePath("t", 1, path(10)),
+		second(serial.ReadPath("t", 0)),
+		second(serial.ReadCells("a", []int64{1})),
+		serial.WritePath("t", 3, path(20)),
+		second(serial.ReadPath("t", 3)),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := serial.Trace().Events()
+
+	for name, view := range map[string]func(*Server) Service{
+		"fused":    func(s *Server) Service { return s },
+		"fallback": func(s *Server) Service { return nonBatcher{s} },
+	} {
+		srv := build()
+		res, err := DoBatch(view(srv), ops)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res[0] != nil || res[3] != nil || len(res[1]) != 3 || !bytes.Equal(res[1][0], []byte{10}) ||
+			!bytes.Equal(res[1][1], []byte{11}) || res[1][2] != nil || !bytes.Equal(res[4][2], []byte{22}) {
+			t.Errorf("%s: results %v", name, res)
+		}
+		if got := srv.Trace().Events(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: trace %v, want the serial calls' %v", name, got, want)
+		}
+	}
+
+	if _, err := DoBatch(build(), []BatchOp{{Path: true, Name: "t", Leaf: 0, N: 4}}); !errors.Is(err, ErrBadPath) {
+		t.Errorf("path read expecting 4 slots of 3: %v, want ErrBadPath", err)
+	}
+}
+
+func second[T any](_ T, err error) error { return err }
 
 // nonBatcher hides the Batcher extension so DoBatch exercises the per-op
 // fallback path.

@@ -67,6 +67,46 @@ func TestOpenDirRecoversFromWALAlone(t *testing.T) {
 	checkSample(t, d2)
 }
 
+// TestBatchedPathWriteIsOneWALRecord: a Batch logs one record per write it
+// carries, a path write like a cell write and reads none, and recovery replays
+// them.
+func TestBatchedPathWriteIsOneWALRecord(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDir(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutateSample(t, d)
+	before := d.WALAppends()
+	out, err := d.Batch([]BatchOp{
+		{Path: true, Name: "t", Leaf: 2, N: 6},
+		{Write: true, Path: true, Name: "t", Leaf: 2, Cts: [][]byte{{19}, {18}, {17}, {16}, {15}, {14}}},
+		{Write: true, Name: "a", Idx: []int64{1}, Cts: [][]byte{{42}}},
+		{Name: "a", Idx: []int64{1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[0][5], []byte{4}) || !bytes.Equal(out[3][0], []byte{42}) {
+		t.Errorf("batch reads = %v, %v", out[0], out[3])
+	}
+	if got := d.WALAppends() - before; got != 2 {
+		t.Errorf("batch appended %d WAL records, want 2 (one per write)", got)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenDir(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	path, err := d2.ReadPath("t", 2)
+	if err != nil || !bytes.Equal(path[0], []byte{19}) || !bytes.Equal(path[5], []byte{14}) {
+		t.Errorf("path after recovery = %v, %v", path, err)
+	}
+}
+
 func TestCheckpointSnapshotsAndCompacts(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir, DurableOptions{})

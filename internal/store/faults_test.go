@@ -139,8 +139,8 @@ func TestFaultFailAfterApplies(t *testing.T) {
 	}
 }
 
-// TestFaultScheduleSlotPerBatchedCellOp: the schedule is indexed by cell
-// operations, however a caller groups them. The same ops issued one by one
+// TestFaultScheduleSlotPerBatchedCellOp: the schedule is indexed by cell and
+// path operations, however a caller groups them. The same ops issued one by one
 // and as one Batch through the injector's typed facade draw the same slots:
 // the batch fails at the op the serial run first failed at, naming the same
 // call number, and has consumed exactly the slots up to it.
@@ -152,10 +152,19 @@ func TestFaultScheduleSlotPerBatchedCellOp(t *testing.T) {
 		if ops[i].Write {
 			ops[i].Cts = [][]byte{{byte(i)}}
 		}
+		if i%4 >= 2 { // every other pair is a path write and a path read
+			ops[i].Path, ops[i].Name, ops[i].Idx, ops[i].Leaf, ops[i].N = true, "t", nil, uint32(i%4), 3
+			if ops[i].Write {
+				ops[i].Cts = [][]byte{{byte(i)}, {byte(i)}, {byte(i)}}
+			}
+		}
 	}
 	backend := func() *Server {
 		s := NewServer()
 		if err := s.CreateArray("a", 8); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CreateTree("t", 3, 1); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -165,10 +174,15 @@ func TestFaultScheduleSlotPerBatchedCellOp(t *testing.T) {
 	first, want := -1, error(nil)
 	for i, op := range ops {
 		var err error
-		if op.Write {
+		switch op.Kind() {
+		case KindWriteCells:
 			err = serial.WriteCells(op.Name, op.Idx, op.Cts)
-		} else {
+		case KindReadCells:
 			_, err = serial.ReadCells(op.Name, op.Idx)
+		case KindWritePath:
+			err = serial.WritePath(op.Name, op.Leaf, op.Cts)
+		case KindReadPath:
+			_, err = serial.ReadPath(op.Name, op.Leaf)
 		}
 		if err != nil {
 			first, want = i, err
@@ -185,7 +199,7 @@ func TestFaultScheduleSlotPerBatchedCellOp(t *testing.T) {
 		t.Errorf("batch of the same ops: %v, want the serial run's %v", err, want)
 	}
 	if batched.seq != int64(first+1) {
-		t.Errorf("batch consumed %d schedule slots, want %d (one per cell op up to the fault)", batched.seq, first+1)
+		t.Errorf("batch consumed %d schedule slots, want %d (one per op up to the fault)", batched.seq, first+1)
 	}
 
 	clean := WithFaults(backend(), FaultConfig{Seed: 11})

@@ -357,10 +357,11 @@ func Invoke(svc Service, op *Op, res *Result) (err error) {
 	return err
 }
 
-// eachBatchOp applies a batch's ops in order, each as its own ReadCells or
-// WriteCells through h, and collects the per-op results. It is what a layer
-// that must see every cell operation singly (the fault injector's schedule,
-// the WAL's one record per write) does with a Batch.
+// eachBatchOp applies a batch's ops in order, each as the ReadCells,
+// WriteCells, ReadPath or WritePath it stands for through h, and collects the
+// per-op results. It is what a layer that must see every operation singly (the
+// fault injector's schedule, the WAL's one record per write) does with a
+// Batch.
 func eachBatchOp(ops []BatchOp, h Handler) ([][][]byte, error) {
 	out := make([][][]byte, len(ops))
 	c := calls.Get().(*call)
@@ -370,14 +371,17 @@ func eachBatchOp(ops []BatchOp, h Handler) ([][][]byte, error) {
 	}()
 	for i := range ops {
 		b := &ops[i]
-		// Only these fields differ from one cell op to the next.
-		c.op.Kind, c.op.Name, c.op.Idx, c.op.Cts = KindReadCells, b.Name, b.Idx, nil
+		// Only these fields differ from one batched op to the next.
+		c.op.Kind, c.op.Name, c.op.Idx, c.op.Leaf, c.op.Cts = b.Kind(), b.Name, b.Idx, b.Leaf, nil
 		if b.Write {
-			c.op.Kind, c.op.Cts = KindWriteCells, b.Cts
+			c.op.Cts = b.Cts
 		}
 		c.res.Cts = nil
 		if err := h(&c.op, &c.res); err != nil {
 			return nil, err
+		}
+		if c.op.Kind == KindReadPath && len(c.res.Cts) != b.N {
+			return nil, fmt.Errorf("%w: tree %q: path holds %d slots, batch op expects %d", ErrBadPath, b.Name, len(c.res.Cts), b.N)
 		}
 		out[i] = c.res.Cts
 	}

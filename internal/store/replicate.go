@@ -887,7 +887,7 @@ func (r *ReplicatedServer) batch(op *Op, res *Result) (err error) {
 	}
 	defer flush()
 	res.Batch, err = eachBatchOp(op.Ops, func(sub *Op, subres *Result) error {
-		if sub.Kind != KindWriteCells {
+		if !sub.Kind.info().mutates {
 			// Mid-batch corruption repairs inline (shipMu is already held).
 			// The batch's pending frames ship first so the donor replica
 			// reflects every write this batch already applied — repairing

@@ -96,20 +96,29 @@ func TestReplicationBatchShipsOnce(t *testing.T) {
 	if err := primary.CreateArray("b", 8); err != nil {
 		t.Fatal(err)
 	}
+	if err := primary.CreateTree("u", 2, 1); err != nil {
+		t.Fatal(err)
+	}
 	before := replica.Watermark()
 	out, err := primary.Batch([]BatchOp{
 		{Write: true, Name: "b", Idx: []int64{0}, Cts: [][]byte{{1}}},
 		{Name: "b", Idx: []int64{0}},
 		{Write: true, Name: "b", Idx: []int64{1}, Cts: [][]byte{{2}}},
+		{Write: true, Path: true, Name: "u", Leaf: 1, Cts: [][]byte{{3}, {4}}},
+		{Path: true, Name: "u", Leaf: 1, N: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out[1][0], []byte{1}) {
-		t.Fatalf("batch read = %v", out[1])
+	if !bytes.Equal(out[1][0], []byte{1}) || !bytes.Equal(out[4][1], []byte{4}) {
+		t.Fatalf("batch reads = %v, %v", out[1], out[4])
 	}
-	if got := replica.Watermark() - before; got != 2 {
-		t.Errorf("replica applied %d records for the batch, want 2 (writes only)", got)
+	if got := replica.Watermark() - before; got != 3 {
+		t.Errorf("replica applied %d records for the batch, want 3 (writes only)", got)
+	}
+	path, err := replica.Durable().ReadPath("u", 1)
+	if err != nil || !bytes.Equal(path[0], []byte{3}) || !bytes.Equal(path[1], []byte{4}) {
+		t.Errorf("replica path = %v, %v", path, err)
 	}
 	cts, err := replica.Durable().ReadCells("b", []int64{0, 1})
 	if err != nil {

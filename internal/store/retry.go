@@ -246,9 +246,9 @@ func (r *RetryService) backoff(n int) time.Duration {
 
 // handle runs one logical call: the op is issued until it succeeds, fails on
 // its merits, or the policy gives up. A failed Batch is retried whole — every
-// op in it is a cell read or an idempotent cell write, so re-applying a
-// partially applied batch converges to the same state as one clean pass — and
-// a Stats answer carries the retry count.
+// op in it is a read or a write carrying its exact ciphertexts, so re-applying
+// a partially applied batch converges to the same state as one clean pass —
+// and a Stats answer carries the retry count.
 func (r *RetryService) handle(op *Op, res *Result) error {
 	var deadline time.Time
 	if r.policy.CallTimeout > 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -184,15 +185,23 @@ func TestBatchReadRepairsMidBatch(t *testing.T) {
 	if err := primary.Durable().CorruptStored("a", false, 0, 1); err != nil {
 		t.Fatal(err)
 	}
+	if err := primary.Durable().CorruptStored("t", true, 4, 6); err != nil {
+		t.Fatal(err)
+	}
 	out, err := primary.Batch([]BatchOp{
 		{Write: true, Name: "a", Idx: []int64{1}, Cts: [][]byte{{42}}},
 		{Name: "a", Idx: []int64{0, 1}},
+		{Write: true, Path: true, Name: "t", Leaf: 3, Cts: [][]byte{{19}, {18}, {17}, {16}, {15}, {14}}},
+		{Path: true, Name: "t", Leaf: 2, N: 6}, // over the rot, and over two buckets the write before it replaced
 	})
 	if err != nil {
 		t.Fatalf("batch across rot = %v", err)
 	}
 	if !bytes.Equal(out[1][0], []byte{1}) || !bytes.Equal(out[1][1], []byte{42}) {
 		t.Fatalf("batch read = %v", out[1])
+	}
+	if want := [][]byte{{19}, {18}, {17}, {16}, {5}, {4}}; !reflect.DeepEqual(out[3], want) {
+		t.Fatalf("batch path read = %v, want %v", out[3], want)
 	}
 	// Replica converged: the pre-repair write shipped before the repair.
 	cts, err := replica.Durable().ReadCells("a", []int64{0, 1})

@@ -48,6 +48,15 @@ const maxFrame = 1 << 32
 
 var errFrameVersion = errors.New("transport: peer does not speak frame version 1 (no other wire format, gob included, is supported)")
 
+// A batched op's flag byte: bit 0 selects the writing form, bit 1 a path of a
+// tree over cells of an array (0 and 1 are the cell ops batches began with).
+// A cell op then carries its indices, a path op its leaf — a path read also
+// the slot count its answer is cut by (store.BatchOp.N) — and a write its run.
+const (
+	batchWrite = 1 << iota
+	batchPath
+)
+
 // Response flags: which optional parts follow.
 const (
 	flagErr = 1 << iota
@@ -100,15 +109,25 @@ func appendRequest(b []byte, req *request) []byte {
 		b = binary.AppendUvarint(b, uint64(len(req.Ops)))
 		for i := range req.Ops {
 			op := &req.Ops[i]
+			var flag byte
 			if op.Write {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
+				flag |= batchWrite
 			}
+			if op.Path {
+				flag |= batchPath
+			}
+			b = append(b, flag)
 			b = wire.PutString(b, op.Name)
-			b = wire.PutIndices(b, op.Idx)
-			if op.Write {
+			if op.Path {
+				b = binary.AppendUvarint(b, uint64(op.Leaf))
+			} else {
+				b = wire.PutIndices(b, op.Idx)
+			}
+			switch {
+			case op.Write:
 				b = wire.PutRun(b, op.Cts)
+			case op.Path:
+				b = binary.AppendVarint(b, int64(op.N))
 			}
 		}
 	case store.KindHello:
@@ -186,16 +205,22 @@ func decodeRequest(body []byte, req *request) error {
 		}
 		for i := range req.Ops {
 			op := &req.Ops[i]
-			switch flag := r.Byte(); flag {
-			case 0, 1:
-				op.Write = flag == 1
-			default:
+			flag := r.Byte()
+			if flag&^(batchWrite|batchPath) != 0 {
 				r.Fail("batch op flag %d", flag)
 			}
+			op.Write, op.Path = flag&batchWrite != 0, flag&batchPath != 0
 			op.Name = r.String()
-			op.Idx = r.Indices()
-			if op.Write {
+			if op.Path {
+				op.Leaf = r.Uint32()
+			} else {
+				op.Idx = r.Indices()
+			}
+			switch {
+			case op.Write:
 				op.Cts = r.Run(false)
+			case op.Path:
+				op.N = r.Int()
 			}
 		}
 	case store.KindHello:

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -50,6 +51,14 @@ func codecRequests() []request {
 		{Op: store.Op{Kind: store.KindPromote, Value: 5}, Token: "t"},
 		{Op: store.Op{Kind: store.KindTraceDump, Name: "0123456789abcdef0123456789abcdef"}, Token: "t"},
 		{Op: store.Op{Kind: store.KindRepair, Value: 4, Name: "t", N: 1, Idx: []int64{40, 41}}, Token: "t"},
+		// A fused ORAM round: write-backs, then fetches (appended with the
+		// path forms of the batch op; the cases above keep their places).
+		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{
+			{Write: true, Path: true, Name: "or1:1:IL", Leaf: 1<<32 - 1, Cts: [][]byte{cell, cell, big}},
+			{Path: true, Name: "or1:2:KL", Leaf: 700, N: 11},
+			{Path: true, Name: "or1:2:IL", N: 0},
+			{Name: "a", Idx: []int64{7}},
+		}}},
 	}
 	ctx := otrace.SpanContext{Sampled: true}
 	for i := range ctx.Trace {
@@ -257,9 +266,17 @@ func frameLen(req *request) int {
 		case "ops":
 			body += uvarintLen(uint64(len(req.Ops)))
 			for _, op := range req.Ops {
-				body += 1 + bytesLen(len(op.Name)) + idxLen(op.Idx)
-				if op.Write {
+				body += 1 + bytesLen(len(op.Name))
+				if op.Path {
+					body += uvarintLen(uint64(op.Leaf))
+				} else {
+					body += idxLen(op.Idx)
+				}
+				switch {
+				case op.Write:
 					body += runLen(op.Cts)
+				case op.Path:
+					body += varintLen(int64(op.N))
 				}
 			}
 		}
@@ -447,6 +464,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		addMangled(f, appendRequest(nil, &req))
 	}
 	f.Add(append(appendRequest(nil, &request{Op: store.Op{Kind: store.KindReadCells}})[:1+otrace.WireSize], 0, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	// One batched op whose flag byte has a bit beyond write and path.
+	f.Add(append(appendRequest(nil, &request{Op: store.Op{Kind: store.KindBatch}})[:1+otrace.WireSize], 1, 4, 1, 't', 9))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req request
 		if err := decodeRequest(body, &req); err != nil {
@@ -457,9 +476,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		size := footprint(req.Name, req.Token, req.Idx, req.Cts)
 		for _, op := range req.Ops {
-			size += 72 + footprint(op.Name, "", op.Idx, op.Cts)
+			size += int(unsafe.Sizeof(op)) + footprint(op.Name, "", op.Idx, op.Cts)
 		}
-		if size > 25*len(body) {
+		// The densest decoding is a batch of empty ops: 80 bytes of BatchOp
+		// for the 3 each takes on the wire.
+		if size > 30*len(body) {
 			t.Fatalf("%d-byte body decoded into %d bytes", len(body), size)
 		}
 		var again request

@@ -35,10 +35,10 @@ func typed(t *testing.T, svc store.Service) typedOnly {
 }
 
 // conformanceScript is every Service operation at least once, with the
-// failures each can answer, a Batch that reads what it wrote, and a
-// Checkpoint/Stats pair. Names carry prefix and Checkpoint/Stats carry db:
-// the same script runs un-prefixed through a tenant's view of a stack and
-// spelled out ("tenant/…", DB "tenant") against the bare server.
+// failures each can answer, a Batch that reads what it wrote — cells and tree
+// paths — and a Checkpoint/Stats pair. Names carry prefix and Checkpoint/Stats
+// carry db: the same script runs un-prefixed through a tenant's view of a
+// stack and spelled out ("tenant/…", DB "tenant") against the bare server.
 func conformanceScript(prefix, db string) []store.Op {
 	cell := func(b byte) []byte { return []byte{b, b, b} }
 	slots := func(n int, b byte) [][]byte {
@@ -74,7 +74,15 @@ func conformanceScript(prefix, db string) []store.Op {
 			{Name: a, Idx: []int64{4}},
 			{Write: true, Name: a, Idx: []int64{0}, Cts: slots(1, 0x70)},
 			{Name: a, Idx: []int64{0, 5}},
+			{Path: true, Name: tr, Leaf: 1, N: 6},
+			{Write: true, Path: true, Name: tr, Leaf: 3, Cts: slots(6, 0x50)},
+			{Path: true, Name: tr, Leaf: 2, N: 6}, // shares the root and a level-1 bucket with leaf 3
 		}},
+		{Kind: store.KindBatch, Ops: []store.BatchOp{
+			{Write: true, Path: true, Name: tr, Leaf: 0, Cts: slots(6, 0x58)},
+			{Path: true, Name: tr, Leaf: 0, N: 5}, // a path here holds 6 slots; the write before it stays
+		}},
+		{Kind: store.KindReadPath, Name: tr, Leaf: 0},
 		{Kind: store.KindBatch, Ops: []store.BatchOp{
 			{Write: true, Name: a, Idx: []int64{6}, Cts: slots(1, 0x7a)},
 			{Name: prefix + "nope", Idx: []int64{0}}, // aborts; the write before it stays

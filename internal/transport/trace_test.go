@@ -26,6 +26,10 @@ func sessionFrameSizes(t *testing.T, ctx otrace.SpanContext) []int {
 		{Op: store.Op{Kind: store.KindReadCells, Name: "a", Idx: []int64{0, 1}}},
 		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{{Write: true, Name: "a", Idx: []int64{2}, Cts: [][]byte{{0xEF}}}}}},
 		{Op: store.Op{Kind: store.KindReadPath, Name: "t", Leaf: 300}},
+		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{
+			{Write: true, Path: true, Name: "t", Leaf: 300, Cts: [][]byte{{0xAB}, {0xCD}, {0xEF}}},
+			{Path: true, Name: "u", Leaf: 5, N: 3},
+		}}},
 	}
 	sizes := make([]int, len(reqs))
 	for i := range reqs {

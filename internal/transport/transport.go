@@ -583,7 +583,7 @@ func (c *Client) call(req *request) (*response, error) {
 
 // roundTrip sends one Service operation and fills res from the answer. The
 // whole op crosses the wire as one framed request and one framed response, a
-// Batch of B cell operations included — one round trip instead of B. A resend
+// Batch of B cell or path operations included — one round trip instead of B. A resend
 // after a broken connection re-applies the op, which is safe because writes
 // carry their exact ciphertexts and re-marking an epoch is idempotent.
 func (c *Client) roundTrip(op *store.Op, res *store.Result) error {
@@ -601,12 +601,16 @@ func (c *Client) roundTrip(op *store.Op, res *store.Result) error {
 	res.Batch = make([][][]byte, len(op.Ops))
 	flat := resp.Cts
 	res.Cts = nil
-	for i, b := range op.Ops {
+	for i := range op.Ops {
+		b := &op.Ops[i]
 		if b.Write {
 			continue
 		}
 		n := len(b.Idx)
-		if n > len(flat) {
+		if b.Path {
+			n = b.N
+		}
+		if n < 0 || n > len(flat) {
 			return fmt.Errorf("transport: batch response short: %d cells left, op wants %d", len(flat), n)
 		}
 		res.Batch[i], flat = flat[:n:n], flat[n:]
