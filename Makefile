@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub scrub-baseline bench experiments examples telemetry-smoke trace-smoke tracing-baseline scaling-smoke scaling-baseline parallel-race multitenant-race multitenant-smoke multitenant-baseline failover-baseline bench-cell bench-wire bench-oram fuzz-smoke bench-align clean
+.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub bench experiments examples telemetry-smoke trace-smoke parallel-race multitenant-race multitenant-smoke multitenant-baseline bench-cell bench-wire bench-oram fuzz-smoke bench-align clean
 
 all: build vet test
 
@@ -60,11 +60,6 @@ failover:
 	$(GO) test -race -count=1 -run 'Replic|Fenc|Shipping|DownReplica|MalformedFence' ./internal/store/
 	$(GO) test -race -count=1 -run 'Failover|Repl' ./internal/transport/
 
-# Regenerate the committed failover baseline (replica-count sweep and
-# kill-the-primary recovery timings) at the recorded settings.
-failover-baseline:
-	$(GO) run ./cmd/fdbench -exp failover -failover-out BENCH_failover.json
-
 # Self-healing chaos suite: seeded corruption (array cells, ORAM tree slots,
 # WAL bytes, snapshot files) and an ENOSPC window injected mid-discovery on a
 # replicated cluster over TCP, requiring identical FD sets with at least one
@@ -74,11 +69,6 @@ scrub:
 	$(GO) test -race -count=1 -run 'TestScrub' .
 	$(GO) test -race -count=1 -run 'Scrub|Repair|SelfHeal|DiskFull|Fsync|ShortWrite|Corrupt' ./internal/store/
 	$(GO) test -race -count=1 -run 'Scrub|Repair|DiskFull' ./internal/transport/
-
-# Regenerate the committed scrubbing baseline (overhead and time-to-repair
-# axes) at the recorded settings.
-scrub-baseline:
-	$(GO) run ./cmd/fdbench -exp scrub -scrub-out BENCH_scrub.json
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -96,7 +86,8 @@ bench-cell:
 # Wire-path micro-benchmarks: what one round trip and one logged mutation
 # cost in the codec (frame encode + decode of a 2.5 KB ORAM path response and
 # of a 64-cell batch, WAL record encode and verify + decode) and what a whole
-# round trip costs over a loopback socket; and what the decorator stack
+# round trip costs over a loopback socket, without tracing and with a span
+# recorded at each end; and what the decorator stack
 # fdserver and fddiscover build (retry over metrics over a silent fault
 # injector) adds to a 64-cell read, a 64-cell write and an 8-op batch — no
 # workload of `go run ./benchmark` passes through a decorator, so that is the
@@ -139,8 +130,9 @@ bench-align:
 	@bin=$$(mktemp) && $(GO) build -o $$bin ./benchmark && \
 	$(GO) tool nm $$bin | grep -E '[048c]0 T main\.\(\*speedometer\)\.sample$$'; s=$$?; rm -f $$bin; exit $$s
 
-# Regenerate every table and figure at quick sizes; raise the flags toward
-# the paper's scales for closer comparison (see EXPERIMENTS.md).
+# Regenerate every table and figure, the ablations and the multi-tenant
+# sweep at quick sizes; raise the flags toward the paper's scales for closer
+# comparison (see EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/fdbench -exp all
 
@@ -156,20 +148,6 @@ telemetry-smoke:
 trace-smoke:
 	$(GO) test -race -count=1 -run 'TestDistributedTraceCausalTree' .
 	./scripts/trace_smoke.sh
-
-# Regenerate the committed tracing-overhead baseline at the recorded settings.
-tracing-baseline:
-	$(GO) run ./cmd/fdbench -exp telemetry -tracing-out BENCH_tracing.json
-
-# Quick scaling check: a small worker sweep plus the batched-vs-unbatched
-# rounds comparison. Sizes are CI-friendly; BENCH_scaling.json (the
-# committed baseline) is regenerated with scaling-baseline instead.
-scaling-smoke:
-	$(GO) run ./cmd/fdbench -exp scaling -minn 64 -rtt 200us -threads 1,4
-
-# Regenerate the committed performance baseline at the recorded settings.
-scaling-baseline:
-	$(GO) run ./cmd/fdbench -exp scaling -minn 128 -rtt 1ms -threads 1,2,4,8 -scaling-out BENCH_scaling.json
 
 # Serial-vs-parallel equivalence suite under the race detector, at one and
 # four schedulable cores (GOMAXPROCS=1 hides interleavings; 4 exposes them).

@@ -12,12 +12,6 @@ import (
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/bench"
-	"github.com/oblivfd/oblivfd/internal/core"
-	"github.com/oblivfd/oblivfd/internal/crypto"
-	"github.com/oblivfd/oblivfd/internal/dataset"
-	"github.com/oblivfd/oblivfd/internal/oram"
-	"github.com/oblivfd/oblivfd/internal/store"
-	"github.com/oblivfd/oblivfd/securefd"
 )
 
 // BenchmarkTable1Datasets regenerates the Table I dataset summary (sampled
@@ -146,104 +140,4 @@ func BenchmarkFig7Dynamic(b *testing.B) {
 	}
 	b.ReportMetric(float64(ins.Microseconds()), "insert-us")
 	b.ReportMetric(float64(del.Microseconds()), "delete-us")
-}
-
-// --- micro-benchmarks for the substrates ---
-
-// BenchmarkORAMAccess measures one oblivious key-value access.
-func BenchmarkORAMAccess(b *testing.B) {
-	srv := store.NewServer()
-	o, err := oram.Setup(srv, crypto.MustNewCipher(crypto.MustNewKey()), "b", oram.Config{
-		Capacity: 1024, KeyWidth: 8, ValueWidth: 8, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	val := make([]byte, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := o.Write(fmt.Sprintf("k%d", i%1024), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCellEncryption measures one cell encrypt+decrypt round trip.
-func BenchmarkCellEncryption(b *testing.B) {
-	c := crypto.MustNewCipher(crypto.MustNewKey())
-	cell := []byte("employee-record-value")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct, err := c.Encrypt(cell)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Decrypt(ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFullDiscovery measures end-to-end secure discovery on a small
-// Adult sample with every protocol.
-func BenchmarkFullDiscovery(b *testing.B) {
-	rel := dataset.Adult(100, 1)
-	for _, p := range []securefd.Protocol{
-		securefd.ProtocolSort, securefd.ProtocolORAM,
-		securefd.ProtocolDynamicORAM, securefd.ProtocolPlaintext,
-		securefd.ProtocolEnclave,
-	} {
-		b.Run(p.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				db, err := securefd.Outsource(securefd.NewServer(), rel, securefd.Options{
-					Protocol: p, Workers: 2, MaxLHS: 2,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := db.Discover(); err != nil {
-					b.Fatal(err)
-				}
-				db.Close()
-			}
-		})
-	}
-}
-
-// BenchmarkPartitionSingle measures one Algorithm 1/3/4 run per engine at a
-// fixed n, the core primitive every experiment builds on.
-func BenchmarkPartitionSingle(b *testing.B) {
-	rel := dataset.RND(2, 256, 1)
-	for _, method := range bench.AllMethods {
-		b.Run(string(method), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				srv := store.NewServer()
-				cipher := crypto.MustNewCipher(crypto.MustNewKey())
-				edb, err := core.Upload(srv, cipher, fmt.Sprintf("p%d", i), rel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var eng core.Engine
-				switch method {
-				case bench.MethodOrORAM:
-					eng = core.NewOrEngine(edb)
-				case bench.MethodExORAM:
-					eng, err = core.NewExEngine(edb)
-					if err != nil {
-						b.Fatal(err)
-					}
-				case bench.MethodSort:
-					eng = core.NewSortEngine(edb, 1)
-				}
-				b.StartTimer()
-				if _, err := eng.CardinalitySingle(0); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				eng.Close()
-				b.StartTimer()
-			}
-		})
-	}
 }

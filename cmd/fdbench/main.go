@@ -16,56 +16,73 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/bench"
 )
 
+// params is what the flags set; every experiment reads its sizes from it.
+type params struct {
+	exp                          string
+	rows, runs, minn, maxn, fign int
+	threads, clients             []int
+	rtt, t2rtt                   time.Duration
+	seed                         int64
+	dbs, mtInflight              int
+	mtOut                        string
+}
+
+// registerFlags binds fdbench's flags to p.
+func registerFlags(fs *flag.FlagSet, p *params) {
+	fs.StringVar(&p.exp, "exp", "all", "experiment: "+experimentNames()+"|all")
+	fs.IntVar(&p.rows, "rows", 512, "rows sampled per dataset (table2); paper uses 8192")
+	fs.IntVar(&p.runs, "runs", 9, "runs per group (table2); paper uses 9")
+	fs.IntVar(&p.maxn, "maxn", 2048, "largest n in scalability sweeps (fig4/fig5/fig6b/fig7)")
+	fs.IntVar(&p.minn, "minn", 128, "smallest n in scalability sweeps")
+	fs.IntVar(&p.fign, "fig6a-n", 512, "n for the fig6a thread sweep; paper uses 32768")
+	intsVar(fs, &p.threads, "threads", []int{1, 2, 4, 8, 16}, "comma-separated thread counts for fig6a")
+	fs.DurationVar(&p.rtt, "rtt", 200*time.Microsecond, "modeled network RTT per storage op (fig6a)")
+	fs.DurationVar(&p.t2rtt, "table2-rtt", 0, "modeled network RTT for table2 (0 = in-process timings)")
+	fs.Int64Var(&p.seed, "seed", 1, "base RNG seed")
+	intsVar(fs, &p.clients, "clients", []int{1, 2, 4, 8}, "comma-separated concurrent client counts for the multitenant experiment")
+	fs.IntVar(&p.dbs, "dbs", 2, "database namespaces the multitenant experiment's clients spread over")
+	fs.IntVar(&p.mtInflight, "mt-inflight", 4, "global in-flight request budget for the multitenant experiment's server")
+	fs.StringVar(&p.mtOut, "mt-out", "", "write the multitenant experiment's client sweep to this JSON file (e.g. BENCH_multitenant.json)")
+}
+
 func main() {
-	var (
-		exp     = flag.String("exp", "all", "experiment: table1|table2|table3|fig4|fig5|fig6a|fig6b|fig7|ablation-compression|ablation-network|faults|recovery|telemetry|scaling|multitenant|failover|scrub|all")
-		rows    = flag.Int("rows", 512, "rows sampled per dataset (table2); paper uses 8192")
-		runs    = flag.Int("runs", 9, "runs per group (table2); paper uses 9")
-		maxn    = flag.Int("maxn", 2048, "largest n in scalability sweeps (fig4/fig5/fig6b/fig7)")
-		minn    = flag.Int("minn", 128, "smallest n in scalability sweeps")
-		fign    = flag.Int("fig6a-n", 512, "n for the fig6a thread sweep; paper uses 32768")
-		threads = flag.String("threads", "1,2,4,8,16", "comma-separated thread counts for fig6a")
-		rtt     = flag.Duration("rtt", 200*time.Microsecond, "modeled network RTT per storage op (fig6a)")
-		t2rtt   = flag.Duration("table2-rtt", 0, "modeled network RTT for table2 (0 = in-process timings)")
-		seed    = flag.Int64("seed", 1, "base RNG seed")
-		frate   = flag.Float64("fault-rate", 0.02, "transient error and spike rate for the faults experiment")
-		crate   = flag.Float64("corrupt-rate", 0.01, "per-read payload corruption rate for the faults experiment's detection axis (0 disables)")
-		telOut  = flag.String("telemetry", "", "write the telemetry experiment's per-phase breakdown to this JSON file (e.g. BENCH_telemetry.json)")
-		trcOut  = flag.String("tracing-out", "", "write the telemetry experiment's tracing-overhead axis to this JSON file (e.g. BENCH_tracing.json)")
-		sclOut  = flag.String("scaling-out", "", "write the scaling experiment's worker sweep and rounds comparison to this JSON file (e.g. BENCH_scaling.json)")
-		clients = flag.String("clients", "1,2,4,8", "comma-separated concurrent client counts for the multitenant experiment")
-		dbs     = flag.Int("dbs", 2, "database namespaces the multitenant experiment's clients spread over")
-		mtInfl  = flag.Int("mt-inflight", 4, "global in-flight request budget for the multitenant experiment's server")
-		mtOut   = flag.String("mt-out", "", "write the multitenant experiment's client sweep to this JSON file (e.g. BENCH_multitenant.json)")
-		foOut   = flag.String("failover-out", "", "write the failover experiment's replica sweep and recovery timings to this JSON file (e.g. BENCH_failover.json)")
-		scOut   = flag.String("scrub-out", "", "write the scrub experiment's overhead and time-to-repair axes to this JSON file (e.g. BENCH_scrub.json)")
-	)
+	var p params
+	registerFlags(flag.CommandLine, &p)
 	flag.Parse()
 
-	if err := run(*exp, *rows, *runs, *minn, *maxn, *fign, parseInts(*threads), *rtt, *t2rtt, *frate, *crate, *seed, *telOut, *trcOut, *sclOut, parseInts(*clients), *dbs, *mtInfl, *mtOut, *foOut, *scOut); err != nil {
+	if err := run(p); err != nil {
 		fmt.Fprintln(os.Stderr, "fdbench:", err)
 		os.Exit(1)
 	}
 }
 
-func parseInts(s string) []int {
+// intsVar registers a list flag whose value stays def unless it is set.
+func intsVar(fs *flag.FlagSet, dst *[]int, name string, def []int, usage string) {
+	*dst = def
+	fs.Func(name, fmt.Sprintf("%s (default %v)", usage, def), func(s string) (err error) {
+		*dst, err = parseInts(s)
+		return err
+	})
+}
+
+// parseInts reads a comma-separated list of positive integers.
+func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &v); err == nil && v > 0 {
-			out = append(out, v)
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("%q is not a positive integer", part)
 		}
+		out = append(out, v)
 	}
-	if len(out) == 0 {
-		out = []int{1, 2, 4, 8, 16}
-	}
-	return out
+	return out, nil
 }
 
 func sweep(minn, maxn int) []int {
@@ -78,130 +95,66 @@ func sweep(minn, maxn int) []int {
 
 type renderer interface{ Render() string }
 
-// joined concatenates two experiment renderings — the telemetry breakdown
-// followed by its tracing-overhead axis.
-type joined struct{ a, b renderer }
-
-func (j joined) Render() string { return j.a.Render() + "\n" + j.b.Render() }
-
-func run(exp string, rows, runs, minn, maxn, fign int, threads []int, rtt, t2rtt time.Duration, faultRate, corruptRate float64, seed int64, telemetryOut, tracingOut, scalingOut string, clients []int, dbs, mtInflight int, mtOut, failoverOut, scrubOut string) error {
-	// The telemetry experiment covers the fig4/fig5 sizes and the smaller
-	// fig7 dynamics range; its JSON artifact lands wherever -telemetry says.
-	var telemetryResult *bench.TelemetryResult
-	var tracingResult *bench.TracingResult
-	var scalingResult *bench.ScalingResult
-	var mtResult *bench.MultiTenantResult
-	var foResult *bench.FailoverResult
-	var scResult *bench.ScrubResult
-	experiments := []struct {
-		name string
-		run  func() (renderer, error)
-	}{
-		{"table1", func() (renderer, error) { return bench.Table1(0, seed) }},
-		{"table2", func() (renderer, error) {
-			return bench.Table2(bench.Table2Config{Rows: rows, Runs: runs, Seed: seed, RTT: t2rtt})
-		}},
-		{"table3", func() (renderer, error) { return bench.Table3(sweep(minn, maxn), seed) }},
-		{"fig4", func() (renderer, error) { return bench.Fig4(sweep(minn, maxn), seed) }},
-		{"fig5", func() (renderer, error) { return bench.Fig5(sweep(minn, maxn), seed) }},
-		{"fig6a", func() (renderer, error) { return bench.Fig6a(fign, threads, rtt, seed) }},
-		{"fig6b", func() (renderer, error) { return bench.Fig6b(sweep(minn, maxn), seed) }},
-		{"fig7", func() (renderer, error) { return bench.Fig7(sweep(minn, maxn/2), seed) }},
-		{"ablation-compression", func() (renderer, error) { return bench.AblationCompression(minn*4, 6, seed) }},
-		{"ablation-network", func() (renderer, error) { return bench.AblationNetwork(sweep(minn, maxn/2), seed) }},
-		{"security-levels", func() (renderer, error) { return bench.SecurityLevels(sweep(minn, maxn/4), 2, seed) }},
-		{"ablation-oram", func() (renderer, error) { return bench.AblationORAM(sweep(16, minn*4), seed) }},
-		{"comm", func() (renderer, error) { return bench.Comm(sweep(minn, maxn/2), seed) }},
-		{"faults", func() (renderer, error) {
-			return bench.FaultTolerance(sweep(minn, maxn/2), faultRate, faultRate, corruptRate, seed)
-		}},
-		{"recovery", func() (renderer, error) { return bench.Recovery(sweep(minn, maxn/4), seed) }},
-		{"telemetry", func() (renderer, error) {
-			r, err := bench.Telemetry(sweep(minn, maxn/2), seed)
-			telemetryResult = r
-			if err != nil {
-				return r, err
+// experiments is everything fdbench runs, in the order -exp all runs it: the
+// paper's tables and figures, the ablations behind them, and multitenant.
+var experiments = []struct {
+	name string
+	run  func(p params) (renderer, error)
+}{
+	{"table1", func(p params) (renderer, error) { return bench.Table1(0, p.seed) }},
+	{"table2", func(p params) (renderer, error) {
+		return bench.Table2(bench.Table2Config{Rows: p.rows, Runs: p.runs, Seed: p.seed, RTT: p.t2rtt})
+	}},
+	{"table3", func(p params) (renderer, error) { return bench.Table3(sweep(p.minn, p.maxn), p.seed) }},
+	{"fig4", func(p params) (renderer, error) { return bench.Fig4(sweep(p.minn, p.maxn), p.seed) }},
+	{"fig5", func(p params) (renderer, error) { return bench.Fig5(sweep(p.minn, p.maxn), p.seed) }},
+	{"fig6a", func(p params) (renderer, error) { return bench.Fig6a(p.fign, p.threads, p.rtt, p.seed) }},
+	{"fig6b", func(p params) (renderer, error) { return bench.Fig6b(sweep(p.minn, p.maxn), p.seed) }},
+	{"fig7", func(p params) (renderer, error) { return bench.Fig7(sweep(p.minn, p.maxn/2), p.seed) }},
+	{"ablation-compression", func(p params) (renderer, error) { return bench.AblationCompression(p.minn*4, 6, p.seed) }},
+	{"ablation-network", func(p params) (renderer, error) { return bench.AblationNetwork(sweep(p.minn, p.maxn/2), p.seed) }},
+	{"security-levels", func(p params) (renderer, error) { return bench.SecurityLevels(sweep(p.minn, p.maxn/4), 2, p.seed) }},
+	{"ablation-oram", func(p params) (renderer, error) { return bench.AblationORAM(sweep(16, p.minn*4), p.seed) }},
+	{"comm", func(p params) (renderer, error) { return bench.Comm(sweep(p.minn, p.maxn/2), p.seed) }},
+	{"multitenant", func(p params) (renderer, error) {
+		r, err := bench.MultiTenant(p.minn/2, 5, p.clients, p.dbs, p.mtInflight, p.seed)
+		if err != nil {
+			return nil, err
+		}
+		if p.mtOut != "" {
+			if err := r.WriteFile(p.mtOut); err != nil {
+				return nil, fmt.Errorf("writing %s: %w", p.mtOut, err)
 			}
-			tr, err := bench.TracingOverhead(sweep(minn, maxn/2), seed)
-			tracingResult = tr
-			if err != nil {
-				return r, err
-			}
-			return joined{r, tr}, nil
-		}},
-		{"scaling", func() (renderer, error) {
-			r, err := bench.Scaling(minn, 6, threads, rtt, seed)
-			scalingResult = r
-			return r, err
-		}},
-		{"multitenant", func() (renderer, error) {
-			r, err := bench.MultiTenant(minn/2, 5, clients, dbs, mtInflight, seed)
-			mtResult = r
-			return r, err
-		}},
-		{"failover", func() (renderer, error) {
-			r, err := bench.Failover(minn*2, []int{0, 1, 2}, seed)
-			foResult = r
-			return r, err
-		}},
-		{"scrub", func() (renderer, error) {
-			r, err := bench.Scrub(minn*2, 8, seed)
-			scResult = r
-			return r, err
-		}},
+			fmt.Printf("wrote %s (%d points)\n", p.mtOut, len(r.Points))
+		}
+		return r, nil
+	}},
+}
+
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
+	return strings.Join(names, "|")
+}
 
+func run(p params) error {
 	ran := 0
 	for _, e := range experiments {
-		if exp != "all" && exp != e.name {
+		if p.exp != "all" && p.exp != e.name {
 			continue
 		}
 		ran++
 		start := time.Now()
-		res, err := e.run()
+		res, err := e.run(p)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		fmt.Printf("=== %s (took %s) ===\n%s\n", e.name, time.Since(start).Round(time.Millisecond), res.Render())
 	}
 	if ran == 0 {
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	if telemetryOut != "" && telemetryResult != nil {
-		if err := telemetryResult.WriteFile(telemetryOut); err != nil {
-			return fmt.Errorf("writing %s: %w", telemetryOut, err)
-		}
-		fmt.Printf("wrote %s (%d points)\n", telemetryOut, len(telemetryResult.Points))
-	}
-	if tracingOut != "" && tracingResult != nil {
-		if err := tracingResult.WriteFile(tracingOut); err != nil {
-			return fmt.Errorf("writing %s: %w", tracingOut, err)
-		}
-		fmt.Printf("wrote %s (%d points)\n", tracingOut, len(tracingResult.Points))
-	}
-	if scalingOut != "" && scalingResult != nil {
-		if err := scalingResult.WriteFile(scalingOut); err != nil {
-			return fmt.Errorf("writing %s: %w", scalingOut, err)
-		}
-		fmt.Printf("wrote %s (%d points)\n", scalingOut, len(scalingResult.Points))
-	}
-	if mtOut != "" && mtResult != nil {
-		if err := mtResult.WriteFile(mtOut); err != nil {
-			return fmt.Errorf("writing %s: %w", mtOut, err)
-		}
-		fmt.Printf("wrote %s (%d points)\n", mtOut, len(mtResult.Points))
-	}
-	if failoverOut != "" && foResult != nil {
-		if err := foResult.WriteFile(failoverOut); err != nil {
-			return fmt.Errorf("writing %s: %w", failoverOut, err)
-		}
-		fmt.Printf("wrote %s (%d points)\n", failoverOut, len(foResult.Points))
-	}
-	if scrubOut != "" && scResult != nil {
-		if err := scResult.WriteFile(scrubOut); err != nil {
-			return fmt.Errorf("writing %s: %w", scrubOut, err)
-		}
-		fmt.Printf("wrote %s\n", scrubOut)
+		return fmt.Errorf("unknown experiment %q (want %s|all)", p.exp, experimentNames())
 	}
 	return nil
 }

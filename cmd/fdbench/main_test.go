@@ -2,37 +2,58 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"github.com/oblivfd/oblivfd/internal/bench"
 )
 
+// tiny is the smallest parameter set every experiment still runs end to end on.
+func tiny(exp string) params {
+	return params{exp: exp, rows: 16, runs: 2, minn: 16, maxn: 32, fign: 16,
+		threads: []int{1}, clients: []int{1}, seed: 1, dbs: 2, mtInflight: 2}
+}
+
 func TestParseInts(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []int
-	}{
-		{"1,2,4", []int{1, 2, 4}},
-		{" 8 , 16 ", []int{8, 16}},
-		{"", []int{1, 2, 4, 8, 16}},     // default
-		{"x,y", []int{1, 2, 4, 8, 16}},  // unparseable → default
-		{"0,-3", []int{1, 2, 4, 8, 16}}, // non-positive rejected
-		{"3,zz,5", []int{3, 5}},         // partial
-	}
-	for _, c := range cases {
-		got := parseInts(c.in)
-		if len(got) != len(c.want) {
-			t.Errorf("parseInts(%q) = %v, want %v", c.in, got, c.want)
-			continue
+	for in, want := range map[string][]int{"1,2,4": {1, 2, 4}, " 8 , 16 ": {8, 16}} {
+		if got, err := parseInts(in); err != nil || !slices.Equal(got, want) {
+			t.Errorf("parseInts(%q) = %v, %v; want %v", in, got, err, want)
 		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("parseInts(%q) = %v, want %v", c.in, got, c.want)
-				break
-			}
+	}
+	// A bad entry is an error that names it, never a silent default or drop.
+	for in, bad := range map[string]string{"": `""`, "x,y": `"x"`, "4,0": `"0"`, "-3": `"-3"`, "3,zz,5": `"zz"`} {
+		if got, err := parseInts(in); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("parseInts(%q) = %v, %v; want an error naming %s", in, got, err, bad)
+		}
+	}
+}
+
+// TestListFlags: -threads and -clients each keep their own default when
+// unset, and a bad entry stops the parse with the flag and the entry named.
+func TestListFlags(t *testing.T) {
+	parse := func(args ...string) (params, error) {
+		var p params
+		fs := flag.NewFlagSet("fdbench", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs, &p)
+		return p, fs.Parse(args)
+	}
+	p, err := parse("-threads", "2,3")
+	if err != nil || !slices.Equal(p.threads, []int{2, 3}) || !slices.Equal(p.clients, []int{1, 2, 4, 8}) {
+		t.Errorf("threads = %v, clients = %v, err = %v", p.threads, p.clients, err)
+	}
+	if p, err = parse(); err != nil || !slices.Equal(p.threads, []int{1, 2, 4, 8, 16}) {
+		t.Errorf("default threads = %v, err = %v", p.threads, err)
+	}
+	for _, c := range []struct{ name, arg, bad string }{{"-clients", "x", `"x"`}, {"-threads", "1,foo,4", `"foo"`}} {
+		_, err := parse(c.name, c.arg)
+		if err == nil || !strings.Contains(err.Error(), c.name) || !strings.Contains(err.Error(), c.bad) {
+			t.Errorf("%s %s: err = %v", c.name, c.arg, err)
 		}
 	}
 }
@@ -50,112 +71,31 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestRunSingleExperiments: every entry of the experiment table runs end to
+// end at tiny sizes, and the -exp help names it.
 func TestRunSingleExperiments(t *testing.T) {
-	// Tiny parameters: every experiment must run end to end.
-	for _, exp := range []string{"table1", "fig5", "fig7", "faults", "telemetry", "multitenant"} {
-		if err := run(exp, 16, 2, 16, 32, 16, []int{1}, 0, 0, 0.05, 0.05, 1, "", "", "", []int{1}, 2, 2, "", "", ""); err != nil {
-			t.Errorf("run(%s): %v", exp, err)
+	fs := flag.NewFlagSet("fdbench", flag.ContinueOnError)
+	registerFlags(fs, new(params))
+	help := fs.Lookup("exp").Usage
+	for _, e := range experiments {
+		if !strings.Contains(help, e.name+"|") {
+			t.Errorf("-exp help %q does not name %s", help, e.name)
+		}
+		if err := run(tiny(e.name)); err != nil {
+			t.Errorf("run(%s): %v", e.name, err)
 		}
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("bogus", 16, 2, 16, 32, 16, []int{1}, time.Millisecond, 0, 0.05, 0.05, 1, "", "", "", []int{1}, 2, 2, "", "", ""); err == nil {
-		t.Error("unknown experiment accepted")
+	err := run(tiny("bogus"))
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
 	}
-}
-
-// TestRunTelemetryArtifact: -telemetry writes a JSON artifact with one point
-// per (method, n) containing phase and access-count data.
-func TestRunTelemetryArtifact(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_telemetry.json")
-	if err := run("telemetry", 16, 2, 16, 32, 16, []int{1}, 0, 0, 0.05, 0.05, 1, out, "", "", []int{1}, 2, 2, "", "", ""); err != nil {
-		t.Fatalf("run(telemetry): %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var res bench.TelemetryResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(res.Points) != 3 { // 3 methods × sweep(16, 16) = one size
-		t.Fatalf("artifact has %d points, want 3", len(res.Points))
-	}
-	for _, pt := range res.Points {
-		if pt.WallNS <= 0 || len(pt.Phases) == 0 {
-			t.Errorf("point %s/%d missing wall time or phases", pt.Method, pt.N)
+	for _, e := range experiments {
+		if !strings.Contains(err.Error(), e.name) {
+			t.Errorf("error %q does not name %s", err, e.name)
 		}
-		if pt.Method != "Sort" && pt.ORAMAccesses == 0 {
-			t.Errorf("point %s/%d recorded no ORAM accesses", pt.Method, pt.N)
-		}
-		if pt.Method == "Sort" && pt.SortComparisons == 0 {
-			t.Errorf("point %s/%d recorded no comparisons", pt.Method, pt.N)
-		}
-	}
-}
-
-// TestRunTracingArtifact: -tracing-out writes the telemetry experiment's
-// tracing-overhead axis — an off/on wall-time pair per (method, n), with
-// spans actually recorded on the traced side.
-func TestRunTracingArtifact(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_tracing.json")
-	if err := run("telemetry", 16, 2, 16, 32, 16, []int{1}, 0, 0, 0.05, 0.05, 1, "", out, "", []int{1}, 2, 2, "", "", ""); err != nil {
-		t.Fatalf("run(telemetry): %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var res bench.TracingResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(res.Points) != 3 { // 3 methods × sweep(16, 16) = one size
-		t.Fatalf("artifact has %d points, want 3", len(res.Points))
-	}
-	if res.SampleEvery != 1 {
-		t.Errorf("sample_every = %d, want 1 (worst-case sampling)", res.SampleEvery)
-	}
-	for _, pt := range res.Points {
-		if pt.WallOffNS <= 0 || pt.WallOnNS <= 0 {
-			t.Errorf("point %s/%d missing wall times", pt.Method, pt.N)
-		}
-		if pt.Spans == 0 {
-			t.Errorf("point %s/%d recorded no spans on the traced side", pt.Method, pt.N)
-		}
-	}
-}
-
-// TestRunScalingArtifact: -scaling-out writes the worker sweep and the
-// batched-vs-unbatched rounds comparison.
-func TestRunScalingArtifact(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_scaling.json")
-	if err := run("scaling", 16, 2, 16, 32, 16, []int{1, 2}, 0, 0, 0.05, 0.05, 1, "", "", out, []int{1}, 2, 2, "", "", ""); err != nil {
-		t.Fatalf("run(scaling): %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var res bench.ScalingResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(res.Points) != 6 { // 3 methods × 2 worker counts
-		t.Fatalf("artifact has %d points, want 6", len(res.Points))
-	}
-	for _, pt := range res.Points {
-		if pt.WallNS <= 0 || pt.Speedup <= 0 {
-			t.Errorf("point %s/%d missing wall time or speedup", pt.Method, pt.Workers)
-		}
-	}
-	if len(res.Rounds) != 2 || res.Rounds[0].Rounds <= res.Rounds[1].Rounds {
-		t.Errorf("rounds comparison = %+v, want unbatched > batched", res.Rounds)
-	}
-	if res.RoundsFactor < 2 {
-		t.Errorf("rounds factor = %.1f, want ≥ 2 (batching must at least halve rounds)", res.RoundsFactor)
 	}
 }
 
@@ -163,7 +103,9 @@ func TestRunScalingArtifact(t *testing.T) {
 // and shed accounting per point.
 func TestRunMultiTenantArtifact(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_multitenant.json")
-	if err := run("multitenant", 16, 2, 16, 32, 16, []int{1}, 0, 0, 0.05, 0.05, 1, "", "", "", []int{1, 2}, 2, 2, out, "", ""); err != nil {
+	p := tiny("multitenant")
+	p.clients, p.mtOut = []int{1, 2}, out
+	if err := run(p); err != nil {
 		t.Fatalf("run(multitenant): %v", err)
 	}
 	data, err := os.ReadFile(out)
@@ -184,63 +126,5 @@ func TestRunMultiTenantArtifact(t *testing.T) {
 		if pt.Shed > 0 && pt.ShedRate <= 0 {
 			t.Errorf("point clients=%d shed %d but rate %f", pt.Clients, pt.Shed, pt.ShedRate)
 		}
-	}
-}
-
-// TestRunFailoverArtifact: -failover-out writes the replica-count sweep and
-// the kill-the-primary recovery timings.
-func TestRunFailoverArtifact(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_failover.json")
-	if err := run("failover", 16, 2, 16, 32, 16, []int{1}, 0, 0, 0.05, 0.05, 1, "", "", "", []int{1}, 2, 2, "", out, ""); err != nil {
-		t.Fatalf("run(failover): %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var res bench.FailoverResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(res.Points) != 3 { // replica counts 0, 1, 2
-		t.Fatalf("artifact has %d points, want 3", len(res.Points))
-	}
-	for _, pt := range res.Points {
-		if pt.WallNS <= 0 || pt.Slowdown <= 0 {
-			t.Errorf("point replicas=%d missing wall time or slowdown", pt.Replicas)
-		}
-	}
-	if res.CleanWallNS <= 0 || res.KillWallNS <= 0 || res.RecoveryNS <= 0 {
-		t.Errorf("cluster timings = clean %d, killed %d, recovery %d; want all > 0",
-			res.CleanWallNS, res.KillWallNS, res.RecoveryNS)
-	}
-	if res.Failovers < 1 {
-		t.Errorf("failovers = %d, want >= 1 (the kill point must have fired)", res.Failovers)
-	}
-}
-
-// TestRunScrubArtifact: -scrub-out writes the scrubbing-overhead and
-// time-to-repair axes.
-func TestRunScrubArtifact(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_scrub.json")
-	if err := run("scrub", 16, 2, 16, 32, 16, []int{1}, 0, 0, 0.05, 0.05, 1, "", "", "", []int{1}, 2, 2, "", "", out); err != nil {
-		t.Fatalf("run(scrub): %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var res bench.ScrubResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if res.BaseWallNS <= 0 || res.ScrubWallNS <= 0 {
-		t.Errorf("wall times = base %d, scrubbed %d; want both > 0", res.BaseWallNS, res.ScrubWallNS)
-	}
-	if res.RepairSamples <= 0 || res.MeanRepairNS <= 0 || res.MaxRepairNS < res.MeanRepairNS {
-		t.Errorf("repair axis = %d samples, mean %d, max %d", res.RepairSamples, res.MeanRepairNS, res.MaxRepairNS)
-	}
-	if res.ScrubRepairs < int64(res.RepairSamples) {
-		t.Errorf("scrub repairs = %d, want >= %d", res.ScrubRepairs, res.RepairSamples)
 	}
 }

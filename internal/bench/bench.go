@@ -1,11 +1,16 @@
 // Package bench implements the paper's evaluation (§VII): one experiment
-// per table and figure, shared by the fdbench command and the repository's
-// testing.B benchmarks. Each experiment returns a typed result with a
-// Render method that prints the same rows/series the paper reports.
+// per table and figure, the ablations behind the paper's design choices, and
+// the multi-tenant degradation sweep. The fdbench command runs all of them;
+// the repository's testing.B benchmarks wrap the tables and figures. Each
+// experiment returns a typed result with a Render method that prints the
+// same rows/series the paper reports.
 //
 // Absolute numbers differ from the paper (Go in-process vs Python over a
 // 1 Gbps LAN); the shapes — who wins, by roughly what factor, where the
-// crossovers fall — are the reproduction target (see EXPERIMENTS.md).
+// crossovers fall — are the reproduction target (see EXPERIMENTS.md). Speed
+// outside §VII is not measured here: `go run ./benchmark` owns the
+// end-to-end and per-layer numbers, `make bench-cell`, `bench-wire` and
+// `bench-oram` the unit costs.
 package bench
 
 import (
@@ -15,7 +20,6 @@ import (
 
 	"github.com/oblivfd/oblivfd/internal/core"
 	"github.com/oblivfd/oblivfd/internal/crypto"
-	"github.com/oblivfd/oblivfd/internal/dataset"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
@@ -117,12 +121,6 @@ func (s *setup) serverBytes() int64 {
 
 // setupSeq uniquifies database names across setups sharing one server.
 var setupSeq atomic.Int64
-
-// rndRelation builds the standard RND workload (wrapper for experiments in
-// other files of this package).
-func rndRelation(m, n int, seed int64) *relation.Relation {
-	return dataset.RND(m, n, seed)
-}
 
 func (s *setup) close() { _ = s.eng.Close() }
 

@@ -383,82 +383,3 @@ func TestNewSetupUnknownMethod(t *testing.T) {
 		t.Error("unknown method accepted")
 	}
 }
-
-// TestFaultToleranceTiny: the faults experiment completes, injects faults,
-// retries them, and agrees with the clean run (enforced inside).
-func TestFaultToleranceTiny(t *testing.T) {
-	res, err := FaultTolerance([]int{32, 64}, 0.05, 0.05, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
-	}
-	var injected, retries int64
-	for _, p := range res.Points {
-		injected += p.Injected
-		retries += p.Retries
-		if p.Clean <= 0 || p.Faulty <= 0 {
-			t.Errorf("n=%d: non-positive timings %v / %v", p.N, p.Clean, p.Faulty)
-		}
-	}
-	if injected == 0 {
-		t.Error("no faults injected at 5% over two sizes")
-	}
-	if retries < injected {
-		t.Errorf("retries (%d) < injected faults (%d)", retries, injected)
-	}
-	if out := res.Render(); !strings.Contains(out, "Fault tolerance overhead") {
-		t.Errorf("render:\n%s", out)
-	}
-}
-
-// TestFaultToleranceCorruption: with the corruption axis on, every size
-// either detects an injected corruption (aborting with ErrIntegrity) or
-// injects none; a 5% per-read rate over these workloads always fires.
-func TestFaultToleranceCorruption(t *testing.T) {
-	res, err := FaultTolerance([]int{32, 64}, 0, 0, 0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var corruptions, detected int64
-	for _, p := range res.Points {
-		corruptions += p.Corruptions
-		detected += p.Detected
-	}
-	if corruptions == 0 {
-		t.Error("no corruptions injected at 5% over two sizes")
-	}
-	if detected == 0 {
-		t.Error("no run detected its corruption")
-	}
-	if out := res.Render(); !strings.Contains(out, "detected") {
-		t.Errorf("render missing the detection column:\n%s", out)
-	}
-}
-
-// TestRecoveryTiny: the recovery experiment completes, checkpoints at least
-// one epoch, resumes after the injected crash, and agrees with the clean
-// run (enforced inside).
-func TestRecoveryTiny(t *testing.T) {
-	res, err := Recovery([]int{32}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 {
-		t.Fatalf("points = %d", len(res.Points))
-	}
-	p := res.Points[0]
-	if p.Epochs < 1 {
-		t.Errorf("no checkpoint epochs in a full discovery")
-	}
-	if p.Clean <= 0 || p.Durable <= 0 || p.Reopen <= 0 || p.Finish <= 0 {
-		t.Errorf("non-positive timings: %+v", p)
-	}
-	if p.SnapBytes <= 0 || p.CkptBytes <= 0 {
-		t.Errorf("no on-disk footprint measured: %+v", p)
-	}
-	if out := res.Render(); !strings.Contains(out, "Crash recovery") {
-		t.Errorf("render:\n%s", out)
-	}
-}

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"strings"
+
+	"github.com/oblivfd/oblivfd/internal/dataset"
 )
 
 // CommPoint is one (method, case, n) communication measurement: the number
@@ -31,7 +33,7 @@ func Comm(sizes []int, seed int64) (*CommResult, error) {
 	for _, n := range sizes {
 		for _, method := range AllMethods {
 			for _, multi := range []bool{false, true} {
-				s, err := newSetup(rndRelation(4, n, seed+int64(n)), method, 1, 0)
+				s, err := newSetup(dataset.RND(4, n, seed+int64(n)), method, 1, 0)
 				if err != nil {
 					return nil, err
 				}

@@ -43,11 +43,7 @@ type Less func(a, b []byte) bool
 // one associated-data string), whatever n is. The cells touched and their
 // per-cell server-visible accesses are identical to the one-at-a-time
 // schedule — only the call framing changes (DESIGN.md §11).
-//
-// It is a variable only so the scaling benchmark can set it to 1 and measure
-// the unbatched round-trip baseline; it must not be mutated while any sort
-// or scan is in flight.
-var ChunkCells = 64
+const ChunkCells = 64
 
 // Array is a client-side handle to a server-resident encrypted array of
 // fixed-width records, padded to a power of two so the bitonic network is
@@ -557,10 +553,7 @@ func (a *Array) runStage(pairs [][2]int64, less Less, scs []*scratch) error {
 // compare decisions in client memory, one WriteCells with every cell
 // re-encrypted fresh — 2 rounds per block instead of 2 per comparator.
 func (a *Array) compareExchangeBlocks(sc *scratch, pairs [][2]int64, less Less) error {
-	blockPairs := ChunkCells / 2
-	if blockPairs < 1 {
-		blockPairs = 1 // ChunkCells 1 degenerates to one comparator per round pair
-	}
+	const blockPairs = ChunkCells / 2
 	for lo := 0; lo < len(pairs); lo += blockPairs {
 		hi := lo + blockPairs
 		if hi > len(pairs) {

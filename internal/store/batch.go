@@ -67,8 +67,8 @@ func (s *Server) Batch(ops []BatchOp) ([][][]byte, error) {
 
 // RoundCounter counts logical storage round trips: every Service call is
 // one round, and a fused Batch is one round regardless of how many ops it
-// carries. The scaling benchmark uses it to report how many rounds (and
-// hence how much injected RTT) a discovery run pays.
+// carries. The round-count tests and BenchmarkEngineStepLoopback use it as
+// their round meter.
 type RoundCounter struct {
 	Adapter
 	svc    Service

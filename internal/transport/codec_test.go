@@ -578,37 +578,68 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 func frameBytes(body []byte) int { return 1 + uvarintLen(uint64(len(body))) + len(body) }
 
 // BenchmarkLoopbackRTT is one whole round trip: a 32-cell ReadCells through
-// a Client, a loopback socket and a Server into an in-memory store.
+// a Client, a loopback socket and a Server into an in-memory store — first
+// with no tracer at either end, then with an always-sampling otrace tracer
+// on both and the calls made under a bound root span, so every round trip
+// records a client RPC span and a server span parented under it. The
+// difference is what tracing costs per round trip; times a discovery's
+// rounds, it is that discovery's tracing overhead at any n.
 func BenchmarkLoopbackRTT(b *testing.B) {
-	backend := store.NewServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := NewServer(backend)
-	go func() { _ = srv.Serve(l) }()
-	defer srv.Shutdown(0)
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	idx, cts := make([]int64, 32), make([][]byte, 32)
-	for i := range idx {
-		idx[i] = int64(i)
-		cts[i] = bytes.Repeat([]byte{byte(i)}, 45)
-	}
-	if err := c.CreateArray("a", 32); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.WriteCells("a", idx, cts); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.ReadCells("a", idx); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range []string{"untraced", "traced"} {
+		traced := name == "traced"
+		b.Run(name, func(b *testing.B) {
+			// Rings are preallocated here, outside the timed region, as a
+			// long-lived process has them.
+			newTracer := func(service string) *otrace.Tracer {
+				if !traced {
+					return nil
+				}
+				return otrace.New(otrace.Config{Service: service, Capacity: 1 << 14, SampleEvery: 1})
+			}
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := NewServer(store.NewServer())
+			srv.SetTracer(newTracer("fdserver"))
+			go func() { _ = srv.Serve(l) }()
+			defer srv.Shutdown(0)
+			cfg := DefaultClientConfig()
+			cfg.Trace = newTracer("fdbench")
+			c, err := DialWith(l.Addr().String(), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			idx, cts := make([]int64, 32), make([][]byte, 32)
+			for i := range idx {
+				idx[i] = int64(i)
+				cts[i] = bytes.Repeat([]byte{byte(i)}, 45)
+			}
+			if err := c.CreateArray("a", 32); err != nil {
+				b.Fatal(err)
+			}
+			if err := c.WriteCells("a", idx, cts); err != nil {
+				b.Fatal(err)
+			}
+			var before uint64
+			if traced {
+				root := cfg.Trace.StartRoot("discover")
+				defer root.End()
+				defer root.Bind()()
+				before = cfg.Trace.Recorded()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.ReadCells("a", idx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if traced && cfg.Trace.Recorded()-before != uint64(b.N) {
+				b.Fatalf("%d round trips recorded %d client spans", b.N, cfg.Trace.Recorded()-before)
+			}
+		})
 	}
 }
