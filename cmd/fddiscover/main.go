@@ -92,7 +92,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.protoName, "protocol", "sort", "sort|or-oram|ex-oram|plaintext|enclave")
+	flag.StringVar(&o.protoName, "protocol", "sort", securefd.ProtocolNames())
 	flag.IntVar(&o.workers, "workers", 1, "parallelism degree: sorting-network workers and concurrent partition materializations per lattice level")
 	flag.StringVar(&o.network, "network", "bitonic", "sorting network: bitonic|odd-even")
 	flag.IntVar(&o.maxLHS, "max-lhs", 0, "bound determinant size (0 = unbounded)")
@@ -309,6 +309,11 @@ func run(path string, o options) error {
 	var dumpTrace func(string) ([]securefd.SpanRecord, error)
 	var svc securefd.Service
 	var durable *securefd.DurableServer
+	cfg := securefd.DefaultClientConfig() // for the two remote arms
+	cfg.Metrics = reg
+	cfg.Database = o.db
+	cfg.Token = o.token
+	cfg.Trace = tr
 	switch {
 	case o.servers != "":
 		if o.connect != "" {
@@ -317,11 +322,6 @@ func run(path string, o options) error {
 		if o.dataDir != "" {
 			return fmt.Errorf("-servers and -data-dir are mutually exclusive (the remote fdservers own their storage)")
 		}
-		cfg := securefd.DefaultClientConfig()
-		cfg.Metrics = reg
-		cfg.Database = o.db
-		cfg.Token = o.token
-		cfg.Trace = tr
 		addrs := splitAddrs(o.servers)
 		if len(addrs) == 0 {
 			return fmt.Errorf("-servers: no addresses given")
@@ -342,11 +342,6 @@ func run(path string, o options) error {
 		if o.dataDir != "" {
 			return fmt.Errorf("-connect and -data-dir are mutually exclusive (the remote fdserver owns its storage)")
 		}
-		cfg := securefd.DefaultClientConfig()
-		cfg.Metrics = reg
-		cfg.Database = o.db
-		cfg.Token = o.token
-		cfg.Trace = tr
 		pool, err := securefd.DialTCPPool(o.connect, o.workers, cfg)
 		if err != nil {
 			return fmt.Errorf("connecting to %s: %w", o.connect, err)

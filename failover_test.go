@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"net"
 	"testing"
-	"time"
 
 	"github.com/oblivfd/oblivfd/internal/baseline"
 	"github.com/oblivfd/oblivfd/internal/relation"
@@ -25,92 +24,20 @@ import (
 
 var failoverOpts = securefd.Options{Protocol: securefd.ProtocolSort, Workers: 2, MaxLHS: 2}
 
-// failNode is one member of the chaos cluster.
-type failNode struct {
-	addr string
-	dir  string
-	rep  *store.ReplicatedServer
-	ts   *transport.Server
-}
-
-// failCluster boots 1 primary + (n-1) replicas over real TCP sockets, every
-// node configured with all others as replication peers. kills arms the
-// primary's crash-injection point (0 = never killed).
-func failCluster(t *testing.T, n int, kills int64) []*failNode {
-	t.Helper()
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		listeners[i] = l
-		addrs[i] = l.Addr().String()
-	}
-	dial := func(addr string) (store.ReplicaConn, error) {
-		return transport.DialWith(addr, transport.ClientConfig{
-			DialTimeout: time.Second, Redials: -1,
-		})
-	}
-	nodes := make([]*failNode, n)
-	for i := range nodes {
-		var peers []string
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		opts := store.DurableOptions{}
+// failCluster boots a cluster whose primary's crash-injection point is armed
+// at kills WAL appends (0 = never killed).
+func failCluster(t *testing.T, n int, kills int64) []*clusterNode {
+	return newCluster(t, n, func(i int, s *nodeSetup) {
 		if i == 0 {
-			opts.KillAfterAppends = kills
+			s.durable.KillAfterAppends = kills
 		}
-		dir := t.TempDir()
-		d, err := store.OpenDir(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := store.Replicated(d, store.ReplicationConfig{
-			Primary:     i == 0,
-			Peers:       peers,
-			RedialEvery: 1,
-			Dial:        dial,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := transport.NewServer(rep)
-		ts.SetReplicator(rep)
-		go func(l net.Listener) { _ = ts.Serve(l) }(listeners[i])
-		nodes[i] = &failNode{addr: addrs[i], dir: dir, rep: rep, ts: ts}
-		t.Cleanup(func() { ts.Shutdown(0); rep.Close() })
-	}
-	return nodes
+	})
 }
 
-// failoverService dials the whole cluster and layers the retry policy a real
-// deployment would use, so a promotion mid-call looks like one more
-// transient fault.
-func failoverService(t *testing.T, nodes []*failNode) (*transport.FailoverPool, securefd.Service) {
-	t.Helper()
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = n.addr
-	}
-	cfg := securefd.DefaultClientConfig()
-	cfg.DialTimeout = time.Second
-	cfg.Redials = 1
-	f, err := securefd.DialTCPFailover(addrs, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	svc := securefd.WithRetry(f, securefd.RetryPolicy{
-		MaxAttempts:    6,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-	})
-	return f, svc
+// failoverService dials the cluster; a promotion mid-call is ridden out by
+// the retry policy.
+func failoverService(t *testing.T, nodes []*clusterNode) (*transport.FailoverPool, securefd.Service) {
+	return dial(t, nodes, 6)
 }
 
 // cleanReplicatedRun discovers over an unkilled cluster and returns the

@@ -80,21 +80,21 @@ func AblationCompression(n, maxSetSize int, seed int64) (*AblationCompressionRes
 			return nil, err
 		}
 		for a := 0; a < size; a++ {
-			if _, err := s.eng.CardinalitySingle(a); err != nil {
+			if _, err := core.CardinalitySingle(s.eng, a); err != nil {
 				s.close()
 				return nil, err
 			}
 		}
 		cur := relation.SingleAttr(0)
 		for a := 1; a < size-1; a++ {
-			if _, err := s.eng.CardinalityUnion(cur, relation.SingleAttr(a)); err != nil {
+			if _, err := core.CardinalityUnion(s.eng, cur, relation.SingleAttr(a)); err != nil {
 				s.close()
 				return nil, err
 			}
 			cur = cur.Add(a)
 		}
 		start := time.Now()
-		if _, err := s.eng.CardinalityUnion(cur, relation.SingleAttr(size-1)); err != nil {
+		if _, err := core.CardinalityUnion(s.eng, cur, relation.SingleAttr(size-1)); err != nil {
 			s.close()
 			return nil, err
 		}
@@ -111,19 +111,91 @@ func AblationCompression(n, maxSetSize int, seed int64) (*AblationCompressionRes
 		if err != nil {
 			return nil, err
 		}
-		raw := core.NewSortEngine(edb, 1)
 		start = time.Now()
-		if _, err := raw.CardinalityRaw(relation.FullSet(size)); err != nil {
+		if _, err := rawCardinality(srv, cipher, edb, relation.FullSet(size)); err != nil {
 			return nil, err
 		}
 		rawDur := time.Since(start)
-		_ = raw.Close()
 
 		res.Points = append(res.Points, CompressionPoint{
 			SetSize: size, Compressed: compressed, Raw: rawDur,
 		})
 	}
 	return res, nil
+}
+
+// rawCardinality computes |π_X| without attribute compression: Algorithm 3
+// with the full projected value r[X] as the sort key, so every record fetches
+// and decrypts |X| cells and every compare-exchange ships |X| cells' worth of
+// ciphertext. This is the baseline §IV-B's optimization replaces — its cost
+// grows with |X|, where a compressed union's is constant.
+func rawCardinality(svc store.Service, cipher *crypto.Cipher, edb *core.EncryptedDB, x relation.AttrSet) (int, error) {
+	if x.IsEmpty() {
+		return 0, fmt.Errorf("bench: raw partition of the empty set")
+	}
+	n, attrs := edb.NumRows(), x.Attrs()
+	projFor := func(i int) ([]byte, error) {
+		var proj []byte
+		for _, a := range attrs {
+			v, err := edb.CellValue(i, a)
+			if err != nil {
+				return nil, err
+			}
+			// Length-prefixed so ("ab","c") ≠ ("a","bc").
+			proj = binary.BigEndian.AppendUint64(proj, uint64(len(v)))
+			proj = append(proj, v...)
+		}
+		return proj, nil
+	}
+	// Fixed record geometry needs the widest projection (cell lengths are
+	// public size metadata, but the uncompressed algorithm still has to scan
+	// them).
+	projWidth := 0
+	for i := 0; i < n; i++ {
+		proj, err := projFor(i)
+		if err != nil {
+			return 0, err
+		}
+		if len(proj) > projWidth {
+			projWidth = len(proj)
+		}
+	}
+	// A = [r[X] | pad | r[ID]].
+	wide, err := obsort.CreateStreamed(svc, cipher, fmt.Sprintf("raw:%x", uint64(x)), n, projWidth+8,
+		func(i int) ([]byte, error) {
+			proj, err := projFor(i)
+			if err != nil {
+				return nil, err
+			}
+			rec := make([]byte, projWidth+8)
+			copy(rec, proj)
+			binary.BigEndian.PutUint64(rec[projWidth:], uint64(i))
+			return rec, nil
+		})
+	if err != nil {
+		return 0, fmt.Errorf("bench: building raw A for %v: %w", x, err)
+	}
+	// Sort by the raw key, count the distinct keys in one pass that rewrites
+	// every record, sort back by id.
+	if err := wide.SortNetwork(func(a, b []byte) bool { return bytes.Compare(a[:projWidth], b[:projWidth]) < 0 }, 1, obsort.Bitonic); err != nil {
+		return 0, err
+	}
+	var prev []byte
+	card := 0
+	err = wide.Scan(func(i int, rec []byte) ([]byte, error) {
+		if i == 0 || !bytes.Equal(rec[:projWidth], prev) {
+			card++
+			prev = append(prev[:0], rec[:projWidth]...)
+		}
+		return rec, nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	if err := wide.SortNetwork(func(a, b []byte) bool { return bytes.Compare(a[projWidth:], b[projWidth:]) < 0 }, 1, obsort.Bitonic); err != nil {
+		return 0, err
+	}
+	return card, wide.Destroy()
 }
 
 // Render prints the comparison.
@@ -232,7 +304,7 @@ func AblationORAM(sizes []int, seed int64) (*AblationORAMResult, error) {
 			before, _ := srv.Stats()
 			ops := srv.Trace().TotalOps()
 			start := time.Now()
-			if _, err := eng.CardinalitySingle(0); err != nil {
+			if _, err := core.CardinalitySingle(eng, 0); err != nil {
 				return nil, fmt.Errorf("bench: oram ablation %s n=%d: %w", c.name, n, err)
 			}
 			after, _ := srv.Stats()

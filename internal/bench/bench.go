@@ -87,7 +87,7 @@ func newSetupOn(svc store.Service, rel *relation.Relation, method Method, worker
 // timeSingle measures one CardinalitySingle materialization.
 func (s *setup) timeSingle(attr int) (time.Duration, error) {
 	start := time.Now()
-	if _, err := s.eng.CardinalitySingle(attr); err != nil {
+	if _, err := core.CardinalitySingle(s.eng, attr); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil
@@ -97,14 +97,14 @@ func (s *setup) timeSingle(attr int) (time.Duration, error) {
 // the paper's |X| ≥ 2 case, whose cost is independent of |X| by attribute
 // compression.
 func (s *setup) timePair(a, b int) (time.Duration, error) {
-	if _, err := s.eng.CardinalitySingle(a); err != nil {
+	if _, err := core.CardinalitySingle(s.eng, a); err != nil {
 		return 0, err
 	}
-	if _, err := s.eng.CardinalitySingle(b); err != nil {
+	if _, err := core.CardinalitySingle(s.eng, b); err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	if _, err := s.eng.CardinalityUnion(relation.SingleAttr(a), relation.SingleAttr(b)); err != nil {
+	if _, err := core.CardinalityUnion(s.eng, relation.SingleAttr(a), relation.SingleAttr(b)); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil

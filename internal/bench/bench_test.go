@@ -6,7 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/oblivfd/oblivfd/internal/core"
+	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/dataset"
+	"github.com/oblivfd/oblivfd/internal/relation"
+	"github.com/oblivfd/oblivfd/internal/store"
 )
 
 func TestTable1SmallSample(t *testing.T) {
@@ -219,6 +223,53 @@ func TestAblationCompressionTiny(t *testing.T) {
 	}
 	if out := res.Render(); !strings.Contains(out, "attribute compression") {
 		t.Errorf("render:\n%s", out)
+	}
+}
+
+// TestRawCardinalityMatchesCompressed cross-checks the ablation baseline: the
+// uncompressed direct computation must agree with the compressed engine and
+// the plaintext oracle for every set size, and leave nothing on the server.
+func TestRawCardinalityMatchesCompressed(t *testing.T) {
+	rel := dataset.Letter(30, 17) // small domains: every |π_X| below is well under n
+	srv := store.NewServer()
+	cipher := crypto.MustNewCipher(crypto.MustNewKey())
+	edb, err := core.Upload(srv, cipher, "raw", rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _ := srv.Stats()
+	compressed := core.NewSortEngine(edb, 1)
+	for a := 0; a < 4; a++ {
+		if _, err := core.CardinalitySingle(compressed, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for size := 1; size <= 4; size++ {
+		x := relation.FullSet(size)
+		got, err := rawCardinality(srv, cipher, edb, x)
+		if err != nil {
+			t.Fatalf("rawCardinality(%v): %v", x, err)
+		}
+		if want := relation.PartitionOf(rel, x).Classes; got != want {
+			t.Errorf("raw |π_%v| = %d, want %d", x, got, want)
+		}
+		if size > 1 {
+			if _, err := core.CardinalityUnion(compressed, relation.FullSet(size-1), relation.SingleAttr(size-1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want, _ := compressed.Cardinality(x); got != want {
+			t.Errorf("raw |π_%v| = %d, the compressed engine has %d", x, got, want)
+		}
+	}
+	if err := compressed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if end, _ := srv.Stats(); end.Objects != base.Objects {
+		t.Errorf("%d objects outlive the raw computations", end.Objects-base.Objects)
+	}
+	if _, err := rawCardinality(srv, cipher, edb, 0); err == nil {
+		t.Error("rawCardinality on the empty set accepted")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"github.com/oblivfd/oblivfd/internal/core"
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/dataset"
-	"github.com/oblivfd/oblivfd/internal/enclave"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
@@ -107,23 +106,23 @@ func Fig6b(sizes []int, seed int64) (*Fig6bResult, error) {
 				return nil, err
 			}
 
-			enc := enclave.NewSortEngine(rel, 1)
+			enc := core.NewEnclaveEngine(rel, 1)
 			var inside time.Duration
 			if multi {
-				if _, err := enc.CardinalitySingle(0); err != nil {
+				if _, err := core.CardinalitySingle(enc, 0); err != nil {
 					return nil, err
 				}
-				if _, err := enc.CardinalitySingle(1); err != nil {
+				if _, err := core.CardinalitySingle(enc, 1); err != nil {
 					return nil, err
 				}
 				start := time.Now()
-				if _, err := enc.CardinalityUnion(relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
+				if _, err := core.CardinalityUnion(enc, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
 					return nil, err
 				}
 				inside = time.Since(start)
 			} else {
 				start := time.Now()
-				if _, err := enc.CardinalitySingle(0); err != nil {
+				if _, err := core.CardinalitySingle(enc, 0); err != nil {
 					return nil, err
 				}
 				inside = time.Since(start)
@@ -197,14 +196,14 @@ func Fig7(sizes []int, seed int64) (*Fig7Result, error) {
 		}
 		// Materialize the tracked partitions on the empty database; all
 		// maintenance cost is then incremental.
-		if _, err := eng.CardinalitySingle(0); err != nil {
+		if _, err := core.CardinalitySingle(eng, 0); err != nil {
 			return nil, fmt.Errorf("bench: fig7 n=%d: %w", n, err)
 		}
-		if _, err := eng.CardinalitySingle(1); err != nil {
+		if _, err := core.CardinalitySingle(eng, 1); err != nil {
 			return nil, fmt.Errorf("bench: fig7 n=%d: %w", n, err)
 		}
 		pair := relation.NewAttrSet(0, 1)
-		if _, err := eng.CardinalityUnion(relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
+		if _, err := core.CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
 			return nil, fmt.Errorf("bench: fig7 n=%d: %w", n, err)
 		}
 

@@ -8,7 +8,6 @@ import (
 	"github.com/oblivfd/oblivfd/internal/core"
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/dataset"
-	"github.com/oblivfd/oblivfd/internal/enclave"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
@@ -49,7 +48,7 @@ func SecurityLevels(sizes []int, maxLHS int, seed int64) (*SecurityLevelsResult,
 			return core.NewDetEngine(edb)
 		}},
 		{"enclave", "size+FDs (SGX)", func(rel *relation.Relation, edb *core.EncryptedDB) core.Engine {
-			return enclave.NewSortEngine(rel, 1)
+			return core.NewEnclaveEngine(rel, 1)
 		}},
 		{"sort", "size+FDs", func(rel *relation.Relation, edb *core.EncryptedDB) core.Engine {
 			return core.NewSortEngine(edb, 1)

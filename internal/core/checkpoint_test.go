@@ -53,7 +53,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	rel := ckptRelation(t)
 	edb := ckptUpload(t, svc, rel)
 	eng := NewOrEngine(edb)
-	if _, err := eng.CardinalitySingle(0); err != nil {
+	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)
 	}
 	cp := &Checkpoint{

@@ -8,6 +8,8 @@
 //   - ExEngine  — the extended ORAM method of §V (fully dynamic)
 //   - SortEngine — the oblivious-sorting method of §IV-D (static, parallel)
 //   - PlainEngine — the insecure plaintext comparator used as a baseline
+//   - DetEngine — the deterministic-tag comparator (the prior work's leakage)
+//   - EnclaveEngine — Algorithm 3 replayed in simulated enclave memory (§VII-D)
 //
 // All engines share one Engine interface so the lattice (database level) is
 // written once and every protocol inherits identical leakage there.

@@ -52,7 +52,7 @@ func NewDetEngine(edb *EncryptedDB) *DetEngine {
 		instance: fmt.Sprintf("det%d", detEngines.Add(1)),
 		n:        edb.NumRows(),
 	}
-	e.setTable = newSetTable[*detState](e)
+	e.setTable = newSetTable[*detState](e, oneSetAtATime)
 	return e
 }
 

@@ -30,13 +30,13 @@ func newDynamicEx(t *testing.T, rel *relation.Relation, capacity int) *ExEngine 
 func materializeAll(t *testing.T, eng Engine, m int) {
 	t.Helper()
 	for a := 0; a < m; a++ {
-		if _, err := eng.CardinalitySingle(a); err != nil {
+		if _, err := CardinalitySingle(eng, a); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for a := 0; a < m; a++ {
 		for b := a + 1; b < m; b++ {
-			if _, err := eng.CardinalityUnion(relation.SingleAttr(a), relation.SingleAttr(b)); err != nil {
+			if _, err := CardinalityUnion(eng, relation.SingleAttr(a), relation.SingleAttr(b)); err != nil {
 				t.Fatal(err)
 			}
 		}

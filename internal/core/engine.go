@@ -19,14 +19,13 @@ import (
 type Engine interface {
 	// NumRows returns n, the number of live records.
 	NumRows() int
-	// CardinalitySingle materializes π_{attr} for a single attribute and
-	// returns |π_{attr}| (Algorithm 1 / 3 / 4 with |X| = 1).
-	CardinalitySingle(attr int) (int, error)
-	// CardinalityUnion materializes π_{x1∪x2} from the materialized
-	// partitions of x1 and x2 and returns its cardinality (Algorithm 2 /
-	// 3 / 4 with |X| ≥ 2). Both inputs must be materialized and distinct
-	// proper subsets of the union.
-	CardinalityUnion(x1, x2 relation.AttrSet) (int, error)
+	// Materialize answers the requests in order with |π_Set| of each,
+	// building the partitions that are not cached (Algorithms 1–4). At most
+	// workers of them are built at a time; with workers ≤ 1, or on an engine
+	// that builds one set at a time, they are built one by one in request
+	// order. A request's covers must be materialized, before the call or by
+	// an earlier request of it.
+	Materialize(reqs []Request, workers int) ([]int, error)
 	// Cardinality returns the cached |π_x| of a materialized set.
 	Cardinality(x relation.AttrSet) (int, bool)
 	// Release frees the server-side state backing π_x.
@@ -35,6 +34,40 @@ type Engine interface {
 	ClientMemoryBytes() int
 	// Close releases all remaining server-side state.
 	Close() error
+}
+
+// Request asks an engine for π_Set. A single attribute is built from its
+// column and has a zero Cover; a larger set names the two distinct proper
+// subsets whose union it is (Property 1).
+type Request struct {
+	Set   relation.AttrSet
+	Cover [2]relation.AttrSet
+}
+
+// Single is the request for π_{attr}.
+func Single(attr int) Request { return Request{Set: relation.SingleAttr(attr)} }
+
+// Union is the request for π_{x1∪x2} from the partitions of x1 and x2.
+func Union(x1, x2 relation.AttrSet) Request {
+	return Request{Set: x1.Union(x2), Cover: [2]relation.AttrSet{x1, x2}}
+}
+
+// CardinalitySingle materializes π_{attr} alone and returns |π_{attr}|.
+func CardinalitySingle(e Engine, attr int) (int, error) {
+	return materializeOne(e, Single(attr))
+}
+
+// CardinalityUnion materializes π_{x1∪x2} alone and returns its cardinality.
+func CardinalityUnion(e Engine, x1, x2 relation.AttrSet) (int, error) {
+	return materializeOne(e, Union(x1, x2))
+}
+
+func materializeOne(e Engine, r Request) (int, error) {
+	cards, err := e.Materialize([]Request{r}, 1)
+	if err != nil {
+		return 0, err
+	}
+	return cards[0], nil
 }
 
 // DynamicEngine extends Engine with incremental maintenance: every
@@ -56,8 +89,8 @@ var (
 	// not been computed yet (a Property 1 ordering violation by the
 	// caller).
 	ErrNotMaterialized = errors.New("core: partition not materialized")
-	// ErrBadUnion is returned when CardinalityUnion arguments do not form
-	// a valid two-subset cover.
+	// ErrBadUnion is returned for a request whose Cover is not a valid
+	// two-subset cover of its Set.
 	ErrBadUnion = errors.New("core: invalid union cover")
 	// ErrRowWidth is returned by Insert when the row width does not match
 	// the schema.
@@ -78,17 +111,22 @@ func sortSets(sets []relation.AttrSet) {
 	})
 }
 
-// validateUnion checks the Property 1 contract shared by all engines.
-func validateUnion(x1, x2 relation.AttrSet) (relation.AttrSet, error) {
-	if x1.IsEmpty() || x2.IsEmpty() {
-		return 0, fmt.Errorf("%w: empty subset", ErrBadUnion)
+// validateCover checks the Property 1 contract shared by all engines.
+func validateCover(r Request) error {
+	x1, x2 := r.Cover[0], r.Cover[1]
+	switch {
+	case r.Cover == [2]relation.AttrSet{}:
+		if r.Set.Size() != 1 {
+			return fmt.Errorf("%w: %v is not a single attribute and names no cover", ErrBadUnion, r.Set)
+		}
+	case x1.IsEmpty() || x2.IsEmpty():
+		return fmt.Errorf("%w: empty subset", ErrBadUnion)
+	case x1 == x2:
+		return fmt.Errorf("%w: identical subsets %v", ErrBadUnion, x1)
+	case r.Set != x1.Union(x2):
+		return fmt.Errorf("%w: %v is not the union of %v and %v", ErrBadUnion, r.Set, x1, x2)
+	case r.Set == x1 || r.Set == x2:
+		return fmt.Errorf("%w: %v and %v are not proper subsets of %v", ErrBadUnion, x1, x2, r.Set)
 	}
-	if x1 == x2 {
-		return 0, fmt.Errorf("%w: identical subsets %v", ErrBadUnion, x1)
-	}
-	x := x1.Union(x2)
-	if x == x1 || x == x2 {
-		return 0, fmt.Errorf("%w: %v and %v are not proper subsets of %v", ErrBadUnion, x1, x2, x)
-	}
-	return x, nil
+	return nil
 }

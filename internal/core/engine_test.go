@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -79,7 +80,7 @@ func TestEngineCardinalitiesMatchOracle(t *testing.T) {
 					t.Fatalf("NumRows = %d, want %d", eng.NumRows(), rel.NumRows())
 				}
 				for a := 0; a < m; a++ {
-					got, err := eng.CardinalitySingle(a)
+					got, err := CardinalitySingle(eng, a)
 					if err != nil {
 						t.Fatalf("CardinalitySingle(%d): %v", a, err)
 					}
@@ -91,7 +92,7 @@ func TestEngineCardinalitiesMatchOracle(t *testing.T) {
 				for a := 0; a < m; a++ {
 					for b := a + 1; b < m; b++ {
 						x1, x2 := relation.SingleAttr(a), relation.SingleAttr(b)
-						got, err := eng.CardinalityUnion(x1, x2)
+						got, err := CardinalityUnion(eng, x1, x2)
 						if err != nil {
 							t.Fatalf("CardinalityUnion(%d,%d): %v", a, b, err)
 						}
@@ -114,19 +115,19 @@ func TestEngineTripleUnions(t *testing.T) {
 			eng := ef.make(t, rel)
 			defer eng.Close()
 			for a := 0; a < 3; a++ {
-				if _, err := eng.CardinalitySingle(a); err != nil {
+				if _, err := CardinalitySingle(eng, a); err != nil {
 					t.Fatal(err)
 				}
 			}
-			ab, err := eng.CardinalityUnion(relation.SingleAttr(0), relation.SingleAttr(1))
+			ab, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			_ = ab
-			if _, err := eng.CardinalityUnion(relation.SingleAttr(1), relation.SingleAttr(2)); err != nil {
+			if _, err := CardinalityUnion(eng, relation.SingleAttr(1), relation.SingleAttr(2)); err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.CardinalityUnion(relation.NewAttrSet(0, 1), relation.NewAttrSet(1, 2))
+			got, err := CardinalityUnion(eng, relation.NewAttrSet(0, 1), relation.NewAttrSet(1, 2))
 			if err != nil {
 				t.Fatalf("triple union: %v", err)
 			}
@@ -144,23 +145,23 @@ func TestEngineUnionValidation(t *testing.T) {
 		t.Run(ef.name, func(t *testing.T) {
 			eng := ef.make(t, rel)
 			defer eng.Close()
-			if _, err := eng.CardinalitySingle(0); err != nil {
+			if _, err := CardinalitySingle(eng, 0); err != nil {
 				t.Fatal(err)
 			}
 			// Same set twice.
-			if _, err := eng.CardinalityUnion(relation.SingleAttr(0), relation.SingleAttr(0)); !errors.Is(err, ErrBadUnion) {
+			if _, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(0)); !errors.Is(err, ErrBadUnion) {
 				t.Errorf("identical subsets err = %v", err)
 			}
 			// Empty subset.
-			if _, err := eng.CardinalityUnion(0, relation.SingleAttr(0)); !errors.Is(err, ErrBadUnion) {
+			if _, err := CardinalityUnion(eng, 0, relation.SingleAttr(0)); !errors.Is(err, ErrBadUnion) {
 				t.Errorf("empty subset err = %v", err)
 			}
 			// Non-proper subset (x1 ⊇ x1 ∪ x2).
-			if _, err := eng.CardinalityUnion(relation.NewAttrSet(0, 1), relation.SingleAttr(1)); !errors.Is(err, ErrBadUnion) {
+			if _, err := CardinalityUnion(eng, relation.NewAttrSet(0, 1), relation.SingleAttr(1)); !errors.Is(err, ErrBadUnion) {
 				t.Errorf("non-proper subset err = %v", err)
 			}
 			// Unmaterialized input.
-			if _, err := eng.CardinalityUnion(relation.SingleAttr(1), relation.SingleAttr(2)); !errors.Is(err, ErrNotMaterialized) {
+			if _, err := CardinalityUnion(eng, relation.SingleAttr(1), relation.SingleAttr(2)); !errors.Is(err, ErrNotMaterialized) {
 				t.Errorf("unmaterialized err = %v", err)
 			}
 		})
@@ -176,7 +177,7 @@ func TestEngineCachingAndRelease(t *testing.T) {
 			if _, ok := eng.Cardinality(relation.SingleAttr(0)); ok {
 				t.Error("Cardinality reported before materialization")
 			}
-			c1, err := eng.CardinalitySingle(0)
+			c1, err := CardinalitySingle(eng, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +185,7 @@ func TestEngineCachingAndRelease(t *testing.T) {
 				t.Errorf("cached Cardinality = %d,%v; want %d,true", c, ok, c1)
 			}
 			// Second call must hit the cache (same value, no error).
-			c2, err := eng.CardinalitySingle(0)
+			c2, err := CardinalitySingle(eng, 0)
 			if err != nil || c2 != c1 {
 				t.Errorf("re-materialization = %d, %v", c2, err)
 			}
@@ -196,6 +197,86 @@ func TestEngineCachingAndRelease(t *testing.T) {
 			}
 			if err := eng.Release(relation.SingleAttr(0)); !errors.Is(err, ErrNotMaterialized) {
 				t.Errorf("double Release err = %v", err)
+			}
+		})
+	}
+}
+
+// TestEngineContract holds all six engines to what the table promises the
+// lattice, whatever a partition is made of: a cached set is answered without
+// touching the server, a bad cover is ErrBadUnion, a cover or a released set
+// that is not there is ErrNotMaterialized, and Close leaves nothing behind.
+func TestEngineContract(t *testing.T) {
+	rel := testRelation()
+	a, b, c := relation.SingleAttr(0), relation.SingleAttr(1), relation.SingleAttr(2)
+	ab := a.Union(b)
+	for name, mk := range map[string]func(t *testing.T, edb *EncryptedDB) Engine{
+		"plain":         func(*testing.T, *EncryptedDB) Engine { return NewPlainEngine(rel) },
+		"deterministic": func(_ *testing.T, edb *EncryptedDB) Engine { return NewDetEngine(edb) },
+		"enclave":       func(*testing.T, *EncryptedDB) Engine { return NewEnclaveEngine(rel, 1) },
+		"sort":          func(_ *testing.T, edb *EncryptedDB) Engine { return NewSortEngine(edb, 1) },
+		"or-oram":       func(_ *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) },
+		"ex-oram": func(t *testing.T, edb *EncryptedDB) Engine {
+			e, err := NewExEngine(edb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := store.NewServer()
+			edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, _ := srv.Stats()
+			eng := mk(t, edb)
+			reqs := []Request{Single(0), Single(1), Union(a, b)}
+			first, err := eng.Materialize(reqs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			srv.Trace().Reset()
+			srv.Trace().Enable()
+			again, err := eng.Materialize(reqs, 1)
+			if err != nil || !reflect.DeepEqual(again, first) {
+				t.Errorf("cached sets requested again = %v, %v; want %v", again, err, first)
+			}
+			if n := len(srv.Trace().Events()); n != 0 {
+				t.Errorf("answering cached sets cost %d server operations", n)
+			}
+
+			for what, r := range map[string]Request{
+				"identical subsets":  Union(a, a),
+				"empty subset":       Union(0, a),
+				"improper subset":    Union(ab, b),
+				"cover of another":   {Set: ab.Union(c), Cover: [2]relation.AttrSet{a, b}},
+				"pair without cover": {Set: ab},
+				"empty set":          {},
+			} {
+				if _, err := eng.Materialize([]Request{r}, 1); !errors.Is(err, ErrBadUnion) {
+					t.Errorf("%s: err = %v, want ErrBadUnion", what, err)
+				}
+			}
+			if _, err := CardinalityUnion(eng, b, c); !errors.Is(err, ErrNotMaterialized) {
+				t.Errorf("unmaterialized cover: err = %v, want ErrNotMaterialized", err)
+			}
+			if err := eng.Release(c); !errors.Is(err, ErrNotMaterialized) {
+				t.Errorf("Release of an unknown set: err = %v, want ErrNotMaterialized", err)
+			}
+
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range []relation.AttrSet{a, b, ab} {
+				if _, ok := eng.Cardinality(x); ok {
+					t.Errorf("π_%v survives Close", x)
+				}
+			}
+			if end, _ := srv.Stats(); end.Objects != base.Objects {
+				t.Errorf("%d server objects survive Close", end.Objects-base.Objects)
 			}
 		})
 	}
@@ -216,7 +297,7 @@ func TestEngineCloseFreesServerStorage(t *testing.T) {
 		base, _ := srv.Stats()
 		eng := NewOrEngine(edb)
 		svc.arm(failAt)
-		_, err = eng.CardinalitySingle(0)
+		_, err = CardinalitySingle(eng, 0)
 		if failAt == 0 && err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +327,7 @@ func TestClientMemoryShapes(t *testing.T) {
 	mem := func(ef engineFactory, rel *relation.Relation) int {
 		eng := ef.make(t, rel)
 		defer eng.Close()
-		if _, err := eng.CardinalitySingle(0); err != nil {
+		if _, err := CardinalitySingle(eng, 0); err != nil {
 			t.Fatal(err)
 		}
 		return eng.ClientMemoryBytes()
@@ -278,7 +359,7 @@ func TestEnginesWithLinearORAM(t *testing.T) {
 		eng.Factory = oram.LinearFactory
 		defer eng.Close()
 		for a := 0; a < 3; a++ {
-			got, err := eng.CardinalitySingle(a)
+			got, err := CardinalitySingle(eng, a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +367,7 @@ func TestEnginesWithLinearORAM(t *testing.T) {
 				t.Errorf("|π_%d| = %d, want %d", a, got, want)
 			}
 		}
-		got, err := eng.CardinalityUnion(relation.SingleAttr(0), relation.SingleAttr(1))
+		got, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +387,7 @@ func TestEnginesWithLinearORAM(t *testing.T) {
 		}
 		eng.Factory = oram.LinearFactory
 		defer eng.Close()
-		if _, err := eng.CardinalitySingle(0); err != nil {
+		if _, err := CardinalitySingle(eng, 0); err != nil {
 			t.Fatal(err)
 		}
 		id, err := eng.Insert(relation.Row{"a", "a", "a"})
@@ -331,7 +412,7 @@ func TestSortEngineOddEvenNetwork(t *testing.T) {
 	eng.Network = obsort.OddEvenMerge
 	defer eng.Close()
 	for a := 0; a < 3; a++ {
-		got, err := eng.CardinalitySingle(a)
+		got, err := CardinalitySingle(eng, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,46 +421,12 @@ func TestSortEngineOddEvenNetwork(t *testing.T) {
 			t.Errorf("odd-even |π_%d| = %d, want %d", a, got, want)
 		}
 	}
-	got, err := eng.CardinalityUnion(relation.SingleAttr(0), relation.SingleAttr(1))
+	got, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := relation.PartitionOf(rel, relation.NewAttrSet(0, 1)).Classes; got != want {
 		t.Errorf("odd-even union = %d, want %d", got, want)
-	}
-}
-
-// TestCardinalityRawMatchesCompressed cross-checks the ablation baseline:
-// the uncompressed direct computation must agree with the compressed path
-// and the plaintext oracle for every set size.
-func TestCardinalityRawMatchesCompressed(t *testing.T) {
-	rel := randomRel(4, 30, 2, 17)
-	raw := NewSortEngine(uploadFor(t, rel), 1)
-	defer raw.Close()
-	for size := 1; size <= 4; size++ {
-		x := relation.FullSet(size)
-		got, err := raw.CardinalityRaw(x)
-		if err != nil {
-			t.Fatalf("CardinalityRaw(%v): %v", x, err)
-		}
-		want := relation.PartitionOf(rel, x).Classes
-		if got != want {
-			t.Errorf("raw |π_%v| = %d, want %d", x, got, want)
-		}
-	}
-	// Raw-materialized partitions are cached and reusable as union covers.
-	if _, err := raw.CardinalityRaw(relation.NewAttrSet(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := raw.CardinalityUnion(relation.NewAttrSet(0, 1), relation.NewAttrSet(1, 2))
-	if err != nil {
-		t.Fatalf("union over raw-materialized covers: %v", err)
-	}
-	if want := relation.PartitionOf(rel, relation.NewAttrSet(0, 1, 2)).Classes; got != want {
-		t.Errorf("union over raw covers = %d, want %d", got, want)
-	}
-	if _, err := raw.CardinalityRaw(0); err == nil {
-		t.Error("CardinalityRaw on empty set accepted")
 	}
 }
 

@@ -166,8 +166,6 @@ func exRemove(st *oramState, id int) error {
 	return nil
 }
 
-var _ ParallelEngine = (*ExEngine)(nil)
-
 // Insert implements DynamicEngine: the new record is an untraversed record,
 // processed by one Algorithm 4 step per materialized set, covers first.
 func (e *ExEngine) Insert(row relation.Row) (int, error) {

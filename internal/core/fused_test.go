@@ -222,7 +222,7 @@ func TestFailedStepLeavesSetUnusable(t *testing.T) {
 	}
 	eng := NewOrEngine(edb)
 	defer eng.Close()
-	if _, err := eng.CardinalitySingle(0); err != nil {
+	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := eng.Cardinality(relation.SingleAttr(0))

@@ -14,23 +14,19 @@ import (
 
 // describeIntegrity annotates an engine error that originated in failed
 // verification with the lattice coordinates that tripped it, so the operator
-// sees *where* in the search the store returned tampered data. Non-integrity
-// errors pass through unchanged.
-func describeIntegrity(err error, level int, x relation.AttrSet) error {
-	if errors.Is(err, store.ErrIntegrity) {
-		return fmt.Errorf("core: integrity failure at lattice level %d, attribute set %v: %w", level, x, err)
-	}
-	return err
-}
-
-// describeIntegrityLevel is describeIntegrity for batched materializations,
-// where the failing set is not known at this layer (the engines wrap their
-// own per-set context into the error).
-func describeIntegrityLevel(err error, level int) error {
-	if errors.Is(err, store.ErrIntegrity) {
+// sees *where* in the search the store returned tampered data: the level, and
+// the attribute set when the failed call asked for one (for a whole level the
+// engines wrap their own per-set context into the error). Non-integrity errors
+// pass through unchanged.
+func describeIntegrity(err error, level int, reqs []Request) error {
+	switch {
+	case !errors.Is(err, store.ErrIntegrity):
+		return err
+	case len(reqs) == 1:
+		return fmt.Errorf("core: integrity failure at lattice level %d, attribute set %v: %w", level, reqs[0].Set, err)
+	default:
 		return fmt.Errorf("core: integrity failure at lattice level %d: %w", level, err)
 	}
-	return err
 }
 
 // This file is the database level (§IV-A): the top-down levelwise search of
@@ -73,30 +69,30 @@ type Options struct {
 	Resume *LatticeState
 	// Telemetry, if non-nil, receives phase spans for the traversal: one
 	// "lattice/level-NN" span per lattice level plus "candidate/single" /
-	// "candidate/union" spans around each partition materialization (or
+	// "candidate/union" spans around each partition materialization (or one
 	// "candidate/single-batch" / "candidate/union-batch" per level when
-	// running parallel). Spans record only wall time and counts —
+	// Workers > 1). Spans record only wall time and counts —
 	// quantities the server already observes — so attaching a registry does
 	// not change the leakage profile, and the span calls issue no oblivious
 	// accesses of their own.
 	Telemetry *telemetry.Registry
 	// Trace, if non-nil, records causal spans for the traversal into the
 	// distributed-tracing ring: one root "discover" span, a child
-	// "lattice/level-NN" per level, and per-candidate children on the
-	// serial path. The level span is bound to the traversal goroutine
-	// while its level runs, so transport RPC spans (and, through the wire
-	// context, server-side store and replication spans) nest causally
-	// under it. Like Telemetry, spans observe only wall time over
-	// server-visible work — no oblivious accesses of their own and no
-	// change to any frame's size (DESIGN.md §14).
+	// "lattice/level-NN" per level, and under it the same candidate spans
+	// as Telemetry. The running span is bound to the traversal goroutine,
+	// so transport RPC spans (and, through the wire context, server-side
+	// store and replication spans) nest causally under it. Like Telemetry,
+	// spans observe only wall time over server-visible work — no oblivious
+	// accesses of their own and no change to any frame's size (DESIGN.md
+	// §14).
 	Trace *otrace.Tracer
 	// Workers bounds how many of one level's partition materializations
-	// proceed concurrently when the engine supports it (ParallelEngine).
-	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial per-candidate
-	// path, whose access trace is byte-identical to previous releases.
-	// Parallelism changes only the interleaving of accesses across
-	// structures, never any single structure's sequence — see DESIGN.md
-	// §11.
+	// proceed concurrently: above 1 the engine is asked for a whole level
+	// in one Materialize call, otherwise for one set per call, in lattice
+	// order — the serial path, whose access trace is byte-identical to
+	// previous releases. 0 means runtime.GOMAXPROCS(0). Parallelism
+	// changes only the interleaving of accesses across structures, never
+	// any single structure's sequence — see DESIGN.md §11.
 	Workers int
 }
 
@@ -168,12 +164,37 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pe, parallel := engine.(ParallelEngine)
-	if workers <= 1 {
-		parallel = false // serial path: per-candidate calls, unchanged trace
-	}
 
 	res := &Result{Cardinalities: make(map[relation.AttrSet]int)}
+
+	// materializeLevel asks the engine for a level's partitions and records
+	// their cardinalities: in one call when workers > 1, otherwise one call
+	// per set, which is the serial algorithm. kind is "single" or "union".
+	materializeLevel := func(l int, kind string, reqs []Request) error {
+		chunk, name := 1, "candidate/"+kind
+		if workers > 1 {
+			chunk, name = len(reqs), name+"-batch"
+		}
+		for ; len(reqs) > 0; reqs = reqs[chunk:] {
+			part := reqs[:chunk]
+			csp := reg.StartSpan(name)
+			ocsp := otr.Start(name)
+			creleased := ocsp.Bind()
+			cards, err := engine.Materialize(part, workers)
+			creleased()
+			ocsp.End()
+			csp.End()
+			if err != nil {
+				return describeIntegrity(err, l, part)
+			}
+			for i, r := range part {
+				res.Cardinalities[r.Set] = cards[i]
+				res.SetsMaterialized++
+			}
+		}
+		return nil
+	}
+
 	universe := relation.FullSet(m)
 	cplus := map[relation.AttrSet]relation.AttrSet{0: universe}
 
@@ -257,38 +278,12 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		lsp := reg.StartSpan("lattice/level-01")
 		beginLevel("lattice/level-01")
 		level = relation.AllSingletons(m)
-		if parallel {
-			attrs := make([]int, len(level))
-			for i, x := range level {
-				attrs[i] = x.First()
-			}
-			csp := reg.StartSpan("candidate/single-batch")
-			ocsp := otr.Start("candidate/single-batch")
-			cards, err := pe.CardinalitySingleBatch(attrs, workers)
-			ocsp.End()
-			csp.End()
-			if err != nil {
-				return nil, describeIntegrityLevel(err, 1)
-			}
-			for i, x := range level {
-				res.Cardinalities[x] = cards[i]
-				res.SetsMaterialized++
-			}
-		} else {
-			for _, x := range level {
-				csp := reg.StartSpan("candidate/single")
-				ocsp := otr.Start("candidate/single")
-				creleased := ocsp.Bind()
-				card, err := engine.CardinalitySingle(x.First())
-				creleased()
-				ocsp.End()
-				csp.End()
-				if err != nil {
-					return nil, describeIntegrity(err, 1, x)
-				}
-				res.Cardinalities[x] = card
-				res.SetsMaterialized++
-			}
+		reqs := make([]Request, len(level))
+		for i, x := range level {
+			reqs[i] = Request{Set: x}
+		}
+		if err := materializeLevel(1, "single", reqs); err != nil {
+			return nil, err
 		}
 		endLevel()
 		lsp.End()
@@ -409,10 +404,8 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		// Deterministic traversal order: the access pattern must be a
 		// function of (m, n, FD(DB)) alone, never of map iteration.
 		sort.Slice(prefixes, func(i, j int) bool { return prefixes[i] < prefixes[j] })
-		type cand struct {
-			z, x1, x2 relation.AttrSet
-		}
-		var cands []cand
+		var next []relation.AttrSet
+		var reqs []Request
 		for _, prefix := range prefixes {
 			group := buckets[prefix]
 			for i := 0; i < len(group); i++ {
@@ -428,45 +421,13 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 						continue
 					}
 					x1, x2 := z.SplitCover()
-					cands = append(cands, cand{z: z, x1: x1, x2: x2})
+					next = append(next, z)
+					reqs = append(reqs, Union(x1, x2))
 				}
 			}
 		}
-		var next []relation.AttrSet
-		if parallel && len(cands) > 0 {
-			jobs := make([]UnionJob, len(cands))
-			for i, c := range cands {
-				jobs[i] = UnionJob{X1: c.x1, X2: c.x2}
-			}
-			usp := reg.StartSpan("candidate/union-batch")
-			ousp := otr.Start("candidate/union-batch")
-			cards, err := pe.CardinalityUnionBatch(jobs, workers)
-			ousp.End()
-			usp.End()
-			if err != nil {
-				return nil, describeIntegrityLevel(err, l+1)
-			}
-			for i, c := range cands {
-				res.Cardinalities[c.z] = cards[i]
-				res.SetsMaterialized++
-				next = append(next, c.z)
-			}
-		} else {
-			for _, c := range cands {
-				usp := reg.StartSpan("candidate/union")
-				ousp := otr.Start("candidate/union")
-				ureleased := ousp.Bind()
-				card, err := engine.CardinalityUnion(c.x1, c.x2)
-				ureleased()
-				ousp.End()
-				usp.End()
-				if err != nil {
-					return nil, describeIntegrity(err, l+1, c.z)
-				}
-				res.Cardinalities[c.z] = card
-				res.SetsMaterialized++
-				next = append(next, c.z)
-			}
+		if err := materializeLevel(l+1, "union", reqs); err != nil {
+			return nil, err
 		}
 		// Sets two levels down are no longer anyone's cover.
 		if !opts.KeepPartitions {
@@ -560,7 +521,7 @@ func materializeChain(engine Engine, x relation.AttrSet, created *[]relation.Att
 	attrs := x.Attrs()
 	first := relation.SingleAttr(attrs[0])
 	_, pre := engine.Cardinality(first)
-	card, err := engine.CardinalitySingle(attrs[0])
+	card, err := CardinalitySingle(engine, attrs[0])
 	if err != nil {
 		return 0, err
 	}
@@ -569,13 +530,13 @@ func materializeChain(engine Engine, x relation.AttrSet, created *[]relation.Att
 	for _, a := range attrs[1:] {
 		single := relation.SingleAttr(a)
 		_, pre := engine.Cardinality(single)
-		if _, err := engine.CardinalitySingle(a); err != nil {
+		if _, err := CardinalitySingle(engine, a); err != nil {
 			return 0, err
 		}
 		track(single, pre)
 		next := cur.Add(a)
 		_, pre = engine.Cardinality(next)
-		card, err = engine.CardinalityUnion(cur, single)
+		card, err = CardinalityUnion(engine, cur, single)
 		if err != nil {
 			return 0, err
 		}

@@ -72,13 +72,13 @@ func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) 
 
 	srv.Trace().Reset()
 	srv.Trace().Enable()
-	if _, err := eng.CardinalitySingle(0); err != nil {
+	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.CardinalitySingle(1); err != nil {
+	if _, err := CardinalitySingle(eng, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.CardinalityUnion(relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
+	if _, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
 		t.Fatal(err)
 	}
 	return trace.ShapeOf(srv.Trace().Events()).Canonical()
@@ -175,7 +175,7 @@ func TestDeletionBranchesIndistinguishable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.CardinalitySingle(0); err != nil {
+		if _, err := CardinalitySingle(eng, 0); err != nil {
 			t.Fatal(err)
 		}
 		return eng, srv
@@ -352,7 +352,7 @@ func TestOrStepAccessCountFixed(t *testing.T) {
 	eng := NewOrEngine(edb)
 	defer eng.Close()
 	srv.Trace().Reset()
-	if _, err := eng.CardinalitySingle(0); err != nil {
+	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)
 	}
 	n := int64(rel.NumRows())

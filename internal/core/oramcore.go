@@ -77,7 +77,7 @@ func (st *oramState) pair(a, b uint64) []byte {
 // with P and S the set's primary and secondary ORAM and c1, c2 its covers'
 // secondaries: 2 accesses in 2 rounds, or 4 in 3.
 type oramCore struct {
-	parallelTable[*oramState]
+	setTable[*oramState]
 	edb      *EncryptedDB
 	instance string
 	// Factory builds the oblivious key-value stores backing each
@@ -106,7 +106,7 @@ type oramCore struct {
 // init wires a core that is embedded in its engine; the engine sets live and
 // step itself.
 func (c *oramCore) init(edb *EncryptedDB, instance string, layout oramLayout) {
-	c.setTable = newSetTable[*oramState](c)
+	c.setTable = newSetTable[*oramState](c, setsInParallel)
 	c.edb, c.instance, c.capacity, c.layout = edb, instance, edb.Capacity(), layout
 }
 

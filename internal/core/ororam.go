@@ -75,8 +75,6 @@ func orStep(st *oramState, id string, key uint64) error {
 	return nil
 }
 
-var _ ParallelEngine = (*OrEngine)(nil)
-
 // Insert continues the traversal for one appended record across every
 // materialized attribute set. OrEngine is deliberately not a DynamicEngine:
 // it has no Delete.

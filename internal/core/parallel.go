@@ -21,32 +21,7 @@ import (
 // and trace.Shape.CanonicalPerStructure, which the equivalence tests use to
 // compare runs under different worker counts.
 
-// UnionJob is one Property 1 union materialization request: compute
-// |π_{X1∪X2}| from the materialized partitions of X1 and X2.
-type UnionJob struct {
-	X1, X2 relation.AttrSet
-}
-
-// ParallelEngine is implemented by engines that can materialize several
-// partitions of one lattice level concurrently. Both batch methods preserve
-// the serial semantics exactly: results arrive in job order, every
-// partition ends up cached as if the jobs had run one by one in order, and
-// with workers <= 1 the execution *is* the serial one. Engines that cannot
-// parallelize simply don't implement the interface and the lattice falls
-// back to per-candidate calls.
-type ParallelEngine interface {
-	Engine
-	// CardinalitySingleBatch materializes the singleton partitions for
-	// attrs, returning cardinalities in input order.
-	CardinalitySingleBatch(attrs []int, workers int) ([]int, error)
-	// CardinalityUnionBatch materializes the union partitions for jobs,
-	// returning cardinalities in input order. Each job's covers must be
-	// materialized (before the batch, or by an earlier job of the same
-	// batch).
-	CardinalityUnionBatch(jobs []UnionJob, workers int) ([]int, error)
-}
-
-// batchJob is one schedulable unit inside an engine batch call.
+// batchJob is one schedulable unit inside a Materialize call.
 type batchJob struct {
 	// resources names the structures the job touches: the target set plus,
 	// for unions, both covers. Jobs sharing a resource never run in the

@@ -255,11 +255,11 @@ func TestParallelBatchDirect(t *testing.T) {
 	defer eng.Close()
 
 	// Pre-materialize attribute 0 so the batch sees a cache hit.
-	card0, err := eng.CardinalitySingle(0)
+	card0, err := CardinalitySingle(eng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cards, err := eng.CardinalitySingleBatch([]int{0, 1, 2}, 4)
+	cards, err := eng.Materialize([]Request{Single(0), Single(1), Single(2)}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,15 +268,15 @@ func TestParallelBatchDirect(t *testing.T) {
 	}
 
 	a, b, c := relation.SingleAttr(0), relation.SingleAttr(1), relation.SingleAttr(2)
-	jobs := []UnionJob{{X1: a, X2: b}, {X1: a, X2: c}, {X1: b, X2: c}}
-	got, err := eng.CardinalityUnionBatch(jobs, 4)
+	jobs := []Request{Union(a, b), Union(a, c), Union(b, c)}
+	got, err := eng.Materialize(jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, j := range jobs {
-		want, ok := eng.Cardinality(j.X1.Union(j.X2))
+		want, ok := eng.Cardinality(j.Set)
 		if !ok || got[i] != want {
-			t.Errorf("union %v∪%v: batch=%d cached=%d ok=%v", j.X1, j.X2, got[i], want, ok)
+			t.Errorf("union %v: batch=%d cached=%d ok=%v", j.Set, got[i], want, ok)
 		}
 	}
 
@@ -285,11 +285,11 @@ func TestParallelBatchDirect(t *testing.T) {
 	// sort engine's batch path used to draw a name per job).
 	se := NewSortEngine(edb, 1)
 	defer se.Close()
-	if _, err := se.CardinalitySingle(0); err != nil {
+	if _, err := CardinalitySingle(se, 0); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := srv.Stats()
-	dup, err := se.CardinalitySingleBatch([]int{0, 1, 1}, 4)
+	dup, err := se.Materialize([]Request{Single(0), Single(1), Single(1)}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +303,7 @@ func TestParallelBatchDirect(t *testing.T) {
 	// use a fresh engine so nothing is cached.
 	eng2 := NewOrEngine(edb)
 	defer eng2.Close()
-	if _, err := eng2.CardinalityUnionBatch([]UnionJob{
-		{X1: a, X2: b},
-	}, 4); !errors.Is(err, ErrNotMaterialized) {
+	if _, err := eng2.Materialize([]Request{Union(a, b)}, 4); !errors.Is(err, ErrNotMaterialized) {
 		t.Errorf("union of unmaterialized parents: err = %v, want ErrNotMaterialized", err)
 	}
 }
@@ -337,7 +335,7 @@ func TestValidateReleasesPartitions(t *testing.T) {
 
 			// Pre-materialize π_0: Validate must not release state it
 			// did not create.
-			if _, err := eng.CardinalitySingle(0); err != nil {
+			if _, err := CardinalitySingle(eng, 0); err != nil {
 				t.Fatal(err)
 			}
 			base, err := srv.Stats()

@@ -35,7 +35,7 @@ func NewPlainEngine(rel *relation.Relation) *PlainEngine {
 		live[i] = true
 	}
 	e := &PlainEngine{rel: rel.Clone(), live: live}
-	e.setTable = newSetTable[*plainState](e)
+	e.setTable = newSetTable[*plainState](e, oneSetAtATime)
 	return e
 }
 

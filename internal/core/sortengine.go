@@ -26,7 +26,7 @@ import (
 // per worker), is static only, and parallelizes inside the bitonic network —
 // Workers controls the degree (Fig. 6a).
 type SortEngine struct {
-	parallelTable[*sortState]
+	setTable[*sortState]
 	edb      *EncryptedDB
 	instance string
 	// Workers is the parallelism degree for the bitonic network; minimum 1.
@@ -78,7 +78,7 @@ func NewSortEngine(edb *EncryptedDB, workers int) *SortEngine {
 		Workers:  workers,
 		n:        edb.NumRows(),
 	}
-	e.setTable = newSetTable[*sortState](e)
+	e.setTable = newSetTable[*sortState](e, setsInParallel)
 	return e
 }
 
@@ -207,127 +207,6 @@ func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sort
 	arr.SetTelemetry(e.Telemetry)
 	st.arr = arr
 	return e.materialize(st)
-}
-
-var _ ParallelEngine = (*SortEngine)(nil)
-
-// CardinalityRaw materializes π_X without attribute compression: the sort
-// key is the full projected value r[X] itself, so every record fetches and
-// decrypts |X| cells and every compare-exchange ships |X| cells' worth of
-// ciphertext. This is the pre-compression baseline the paper's §IV-B
-// optimization replaces — its cost grows with |X|, whereas
-// CardinalityUnion's is constant. The final partition is compacted to the
-// standard (label, id) form, so raw-materialized sets remain usable as
-// union covers. It exists for the ablation benchmark and as an independent
-// correctness cross-check.
-func (e *SortEngine) CardinalityRaw(x relation.AttrSet) (int, error) {
-	if x.IsEmpty() {
-		return 0, fmt.Errorf("core: CardinalityRaw on empty set")
-	}
-	if st, ok := e.sets[x]; ok {
-		return int(st.card), nil
-	}
-	attrs := x.Attrs()
-
-	// First pass: fixed record geometry needs the widest projection
-	// (cell lengths are public size metadata, but the uncompressed
-	// algorithm still has to scan them).
-	projWidth := 0
-	projFor := func(i int) ([]byte, error) {
-		var proj []byte
-		for _, a := range attrs {
-			v, err := e.edb.CellValue(i, a)
-			if err != nil {
-				return nil, err
-			}
-			// Length-prefixed so ("ab","c") ≠ ("a","bc").
-			proj = append(proj, encodeUint64(uint64(len(v)))...)
-			proj = append(proj, v...)
-		}
-		return proj, nil
-	}
-	for i := 0; i < e.n; i++ {
-		proj, err := projFor(i)
-		if err != nil {
-			return 0, err
-		}
-		if len(proj) > projWidth {
-			projWidth = len(proj)
-		}
-	}
-
-	// Second pass: build the wide array [proj | pad | id].
-	recWidth := projWidth + 8
-	wideName := fmt.Sprintf("%s:%d:RAW", e.instance, e.seq.Add(1))
-	wide, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, wideName, e.n, recWidth,
-		func(i int) ([]byte, error) {
-			proj, err := projFor(i)
-			if err != nil {
-				return nil, err
-			}
-			rec := make([]byte, recWidth)
-			copy(rec, proj)
-			copy(rec[projWidth:], encodeUint64(uint64(i)))
-			return rec, nil
-		})
-	if err != nil {
-		return 0, fmt.Errorf("core: building raw A for %v: %w", x, err)
-	}
-	wide.SetTelemetry(e.Telemetry)
-
-	// Algorithm 3 on wide records: sort by the raw key, assign dense
-	// labels into the record head, sort back by id.
-	lessRawKey := func(a, b []byte) bool { return bytes.Compare(a[:projWidth], b[:projWidth]) < 0 }
-	lessRawID := func(a, b []byte) bool { return bytes.Compare(a[projWidth:], b[projWidth:]) < 0 }
-	if err := wide.SortNetwork(lessRawKey, e.Workers, e.Network); err != nil {
-		return 0, fmt.Errorf("core: raw key sort: %w", err)
-	}
-	var tmp []byte
-	var card uint64
-	err = wide.Scan(func(i int, rec []byte) ([]byte, error) {
-		key := append([]byte(nil), rec[:projWidth]...)
-		if i == 0 {
-			tmp = key
-		}
-		if !bytes.Equal(key, tmp) {
-			card++
-			tmp = key
-		}
-		for j := 8; j < projWidth; j++ {
-			rec[j] = 0
-		}
-		copy(rec[:8], encodeUint64(card))
-		return rec, nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("core: raw labeling pass: %w", err)
-	}
-	if err := wide.SortNetwork(lessRawID, e.Workers, e.Network); err != nil {
-		return 0, fmt.Errorf("core: raw id sort: %w", err)
-	}
-
-	// Compact to the standard 16-byte (label, id) form for reuse.
-	name := fmt.Sprintf("%s:%d:B", e.instance, e.seq.Add(1))
-	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, name, e.n, sortRecWidth,
-		func(i int) ([]byte, error) {
-			r, err := wide.Get(i)
-			if err != nil {
-				return nil, err
-			}
-			rec := make([]byte, sortRecWidth)
-			copy(rec, r[:8])
-			copy(rec[8:], r[projWidth:])
-			return rec, nil
-		})
-	if err != nil {
-		return 0, fmt.Errorf("core: compacting raw B for %v: %w", x, err)
-	}
-	arr.SetTelemetry(e.Telemetry)
-	if err := wide.Destroy(); err != nil {
-		return 0, err
-	}
-	e.sets[x] = &sortState{arr: arr, card: card + 1}
-	return int(card + 1), nil
 }
 
 // ClientMemoryBytes implements Engine. §VII-C reports a constant, and the

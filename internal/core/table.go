@@ -36,27 +36,30 @@ type fills[S setState] interface {
 }
 
 // setTable is the map of materialized partitions and every operation on it
-// that does not depend on how a partition is represented.
+// that does not depend on how a partition is represented. Embedding it is
+// what makes a type an Engine, apart from NumRows and ClientMemoryBytes.
 type setTable[S setState] struct {
 	sets  map[relation.AttrSet]S
 	fills fills[S]
+	// concurrent says the engine's fills keep the promise in fills' comment;
+	// without it the table builds one set at a time whatever workers is.
+	concurrent bool
 }
 
-func newSetTable[S setState](f fills[S]) setTable[S] {
-	return setTable[S]{sets: make(map[relation.AttrSet]S), fills: f}
+// How many sets an engine lets the table build at a time.
+const (
+	oneSetAtATime  = false
+	setsInParallel = true
+)
+
+func newSetTable[S setState](f fills[S], concurrent bool) setTable[S] {
+	return setTable[S]{sets: make(map[relation.AttrSet]S), fills: f, concurrent: concurrent}
 }
 
-// request is one partition asked of the table. A singleton column has a zero
-// cover and is the only kind of request with |x| = 1.
-type request struct {
-	x     relation.AttrSet
-	cover [2]relation.AttrSet
-}
-
-// materialize answers the requests in order. Each set that has to be built is
-// prepared up front, filled under runBatch's wave schedule and committed in
-// request order, so with workers ≤ 1 this *is* the serial algorithm: prepare,
-// fill, cache, next.
+// Materialize implements Engine. Each set that has to be built is prepared up
+// front, filled under runBatch's wave schedule and committed in request order,
+// so with workers ≤ 1 and one request this *is* the serial algorithm: prepare,
+// fill, cache.
 //
 // Jobs sharing a target or a cover never share a wave. For the ORAM engines
 // that is a correctness requirement (reading a cover's ID ORAM is a mutating
@@ -66,15 +69,23 @@ type request struct {
 // When the batch stops on an error, every state that was prepared and not
 // committed is destroyed, best effort: it is in no map, so nothing else could
 // ever free it, and the caller is owed the error that stopped the batch.
-func (t *setTable[S]) materialize(reqs []request, workers int) ([]int, error) {
+func (t *setTable[S]) Materialize(reqs []Request, workers int) ([]int, error) {
+	for _, r := range reqs {
+		if err := validateCover(r); err != nil {
+			return nil, err
+		}
+	}
+	if !t.concurrent {
+		workers = 1
+	}
 	cards := make([]int, len(reqs))
 	jobs := make([]batchJob, len(reqs))
 	pending := make(map[relation.AttrSet]S) // prepared here, not yet committed
 	abandon := func(err error) ([]int, error) {
 		for _, r := range reqs {
-			if st, ok := pending[r.x]; ok {
+			if st, ok := pending[r.Set]; ok {
 				_ = t.fills.destroy(st)
-				delete(pending, r.x)
+				delete(pending, r.Set)
 			}
 		}
 		return nil, err
@@ -85,40 +96,40 @@ func (t *setTable[S]) materialize(reqs []request, workers int) ([]int, error) {
 		return cached || requested
 	}
 	for k, r := range reqs {
-		single := r.x.Size() == 1
+		single := r.Set.Size() == 1
 		job := batchJob{
-			resources: []relation.AttrSet{r.x},
+			resources: []relation.AttrSet{r.Set},
 			run:       func() error { return nil },
-			commit:    func() { cards[k] = t.sets[r.x].cardinality() },
+			commit:    func() { cards[k] = t.sets[r.Set].cardinality() },
 		}
 		if !single {
-			job.resources = []relation.AttrSet{r.cover[0], r.cover[1], r.x}
+			job.resources = []relation.AttrSet{r.Cover[0], r.Cover[1], r.Set}
 		}
-		if !known(r.x) {
+		if !known(r.Set) {
 			if !single {
-				for _, c := range r.cover {
+				for _, c := range r.Cover {
 					if !known(c) { // a Property 1 ordering violation by the caller
 						return abandon(fmt.Errorf("%w: %v", ErrNotMaterialized, c))
 					}
 				}
 			}
-			st, err := t.fills.prepare(r.x, r.cover)
+			st, err := t.fills.prepare(r.Set, r.Cover)
 			if err != nil {
 				return abandon(err)
 			}
-			pending[r.x] = st
+			pending[r.Set] = st
 			job.run = func() error {
 				if single {
-					return t.fills.fillSingle(st, r.x.First())
+					return t.fills.fillSingle(st, r.Set.First())
 				}
 				// Both covers are committed by now: one requested in this
 				// batch shares a resource with this job, so it ran — and
 				// succeeded, or the batch stopped — in an earlier wave.
-				return t.fills.fillUnion(st, r.x, t.sets[r.cover[0]], t.sets[r.cover[1]])
+				return t.fills.fillUnion(st, r.Set, t.sets[r.Cover[0]], t.sets[r.Cover[1]])
 			}
 			job.commit = func() {
-				t.sets[r.x] = st
-				delete(pending, r.x)
+				t.sets[r.Set] = st
+				delete(pending, r.Set)
 				cards[k] = st.cardinality()
 			}
 		}
@@ -128,43 +139,6 @@ func (t *setTable[S]) materialize(reqs []request, workers int) ([]int, error) {
 		return abandon(err)
 	}
 	return cards, nil
-}
-
-func (t *setTable[S]) singles(attrs []int, workers int) ([]int, error) {
-	reqs := make([]request, len(attrs))
-	for k, attr := range attrs {
-		reqs[k] = request{x: relation.SingleAttr(attr)}
-	}
-	return t.materialize(reqs, workers)
-}
-
-func (t *setTable[S]) unions(jobs []UnionJob, workers int) ([]int, error) {
-	reqs := make([]request, len(jobs))
-	for k, j := range jobs {
-		x, err := validateUnion(j.X1, j.X2)
-		if err != nil {
-			return nil, err
-		}
-		reqs[k] = request{x: x, cover: [2]relation.AttrSet{j.X1, j.X2}}
-	}
-	return t.materialize(reqs, workers)
-}
-
-func only(cards []int, err error) (int, error) {
-	if err != nil {
-		return 0, err
-	}
-	return cards[0], nil
-}
-
-// CardinalitySingle implements Engine: a batch of one.
-func (t *setTable[S]) CardinalitySingle(attr int) (int, error) {
-	return only(t.singles([]int{attr}, 1))
-}
-
-// CardinalityUnion implements Engine: a batch of one.
-func (t *setTable[S]) CardinalityUnion(x1, x2 relation.AttrSet) (int, error) {
-	return only(t.unions([]UnionJob{{X1: x1, X2: x2}}, 1))
 }
 
 // Cardinality implements Engine.
@@ -208,19 +182,4 @@ func (t *setTable[S]) setsBySize() []relation.AttrSet {
 	}
 	sortSets(out)
 	return out
-}
-
-// parallelTable is a setTable whose engine's fills are safe to run
-// concurrently; embedding it makes the engine a ParallelEngine.
-type parallelTable[S setState] struct{ setTable[S] }
-
-// CardinalitySingleBatch implements ParallelEngine. Singleton fills touch
-// only their own column and their own fresh structure, so all share a wave.
-func (t *parallelTable[S]) CardinalitySingleBatch(attrs []int, workers int) ([]int, error) {
-	return t.singles(attrs, workers)
-}
-
-// CardinalityUnionBatch implements ParallelEngine.
-func (t *parallelTable[S]) CardinalityUnionBatch(jobs []UnionJob, workers int) ([]int, error) {
-	return t.unions(jobs, workers)
 }

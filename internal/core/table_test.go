@@ -46,22 +46,22 @@ func (f *failNth) fired() bool { return f.left.Load() <= 0 }
 var secureEngines = []struct {
 	name   string
 	stride int
-	make   func(t *testing.T, edb *EncryptedDB) ParallelEngine
+	make   func(t *testing.T, edb *EncryptedDB) Engine
 }{
-	{"or", 3, func(t *testing.T, edb *EncryptedDB) ParallelEngine { return NewOrEngine(edb) }},
-	{"or-linear", 31, func(t *testing.T, edb *EncryptedDB) ParallelEngine {
+	{"or", 3, func(t *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) }},
+	{"or-linear", 31, func(t *testing.T, edb *EncryptedDB) Engine {
 		eng := NewOrEngine(edb)
 		eng.Factory = oram.LinearFactory
 		return eng
 	}},
-	{"ex", 3, func(t *testing.T, edb *EncryptedDB) ParallelEngine {
+	{"ex", 3, func(t *testing.T, edb *EncryptedDB) Engine {
 		eng, err := NewExEngine(edb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return eng
 	}},
-	{"sort", 3, func(t *testing.T, edb *EncryptedDB) ParallelEngine { return NewSortEngine(edb, 1) }},
+	{"sort", 3, func(t *testing.T, edb *EncryptedDB) Engine { return NewSortEngine(edb, 1) }},
 }
 
 // TestFailedMaterializationLeavesNoOrphans: whichever storage operation of a
@@ -74,35 +74,36 @@ var secureEngines = []struct {
 func TestFailedMaterializationLeavesNoOrphans(t *testing.T) {
 	rel := fixedWidthRel(3, 8, 4, 3)
 	a, b, c := relation.SingleAttr(0), relation.SingleAttr(1), relation.SingleAttr(2)
-	unions := []UnionJob{{X1: a, X2: b}, {X1: a, X2: c}, {X1: b, X2: c}}
-	singles := func(eng ParallelEngine) error {
-		_, err := eng.CardinalitySingleBatch([]int{0, 1, 2}, 1)
+	singleReqs := []Request{Single(0), Single(1), Single(2)}
+	unionReqs := []Request{Union(a, b), Union(a, c), Union(b, c)}
+	singles := func(eng Engine) error {
+		_, err := eng.Materialize(singleReqs, 1)
 		return err
 	}
 	scenarios := []struct {
 		name  string
-		setup func(eng ParallelEngine) error // runs before the fault is armed
-		run   func(eng ParallelEngine) error
+		setup func(eng Engine) error // runs before the fault is armed
+		run   func(eng Engine) error
 	}{
-		{"single", nil, func(eng ParallelEngine) error {
-			_, err := eng.CardinalitySingle(0)
+		{"single", nil, func(eng Engine) error {
+			_, err := CardinalitySingle(eng, 0)
 			return err
 		}},
-		{"union", singles, func(eng ParallelEngine) error {
-			_, err := eng.CardinalityUnion(a, b)
+		{"union", singles, func(eng Engine) error {
+			_, err := CardinalityUnion(eng, a, b)
 			return err
 		}},
 		{"single-batch/workers=1", nil, singles},
-		{"single-batch/workers=4", nil, func(eng ParallelEngine) error {
-			_, err := eng.CardinalitySingleBatch([]int{0, 1, 2}, 4)
+		{"single-batch/workers=4", nil, func(eng Engine) error {
+			_, err := eng.Materialize(singleReqs, 4)
 			return err
 		}},
-		{"union-batch/workers=1", singles, func(eng ParallelEngine) error {
-			_, err := eng.CardinalityUnionBatch(unions, 1)
+		{"union-batch/workers=1", singles, func(eng Engine) error {
+			_, err := eng.Materialize(unionReqs, 1)
 			return err
 		}},
-		{"union-batch/workers=4", singles, func(eng ParallelEngine) error {
-			_, err := eng.CardinalityUnionBatch(unions, 4)
+		{"union-batch/workers=4", singles, func(eng Engine) error {
+			_, err := eng.Materialize(unionReqs, 4)
 			return err
 		}},
 	}
@@ -165,7 +166,7 @@ func TestCloseAttemptsEverySet(t *testing.T) {
 			}
 			base, _ := srv.Stats()
 			eng := e.make(t, edb)
-			if _, err := eng.CardinalitySingleBatch([]int{0, 1, 2}, 1); err != nil {
+			if _, err := eng.Materialize([]Request{Single(0), Single(1), Single(2)}, 1); err != nil {
 				t.Fatal(err)
 			}
 			svc.arm(1)
@@ -181,18 +182,20 @@ func TestCloseAttemptsEverySet(t *testing.T) {
 }
 
 // TestOnlyTheTableDrivesMaterialization keeps the per-engine drivers from
-// growing back. In this package's non-test sources, table.go alone calls
-// runBatch, declares the two batch entry points and calls validateUnion — so
-// the cached/pending logic, the cover look-ups and the orphan clean-up exist
-// once — and setsBySize is declared in one file. An engine is a state type
-// and a fills implementation; see CONTRIBUTING.md, "Adding an engine".
+// growing back. In this package's non-test sources, table.go alone declares
+// Materialize, calls runBatch and calls validateCover — so the cached/pending
+// logic, the cover checks and look-ups and the orphan clean-up exist once —
+// no type has an entry point of its own beside it, setsBySize is declared in
+// one file, and the lattice asks nothing of an engine but the interface. An
+// engine is a state type and a fills implementation; see CONTRIBUTING.md,
+// "Adding an engine".
 func TestOnlyTheTableDrivesMaterialization(t *testing.T) {
 	const table = "table.go"
 	entries, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var setsBySize, validateUnionCalls []string
+	var materialize, setsBySize, validateCoverCalls []string
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -208,33 +211,39 @@ func TestOnlyTheTableDrivesMaterialization(t *testing.T) {
 				continue
 			}
 			switch fn.Name.Name {
-			case "CardinalitySingleBatch", "CardinalityUnionBatch":
-				if name != table {
-					t.Errorf("%s declares %s: embed parallelTable and supply fills instead", name, fn.Name.Name)
-				}
+			case "Materialize":
+				materialize = append(materialize, name)
+			case "CardinalitySingle", "CardinalityUnion", "CardinalitySingleBatch", "CardinalityUnionBatch":
+				t.Errorf("%s declares method %s: Materialize is the one entry point", name, fn.Name.Name)
 			case "setsBySize":
 				setsBySize = append(setsBySize, name)
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch id, _ := call.Fun.(*ast.Ident); {
-			case id == nil:
-			case id.Name == "runBatch" && name != table:
-				t.Errorf("%s calls runBatch: only the table schedules fills", name)
-			case id.Name == "validateUnion":
-				validateUnionCalls = append(validateUnionCalls, name)
+			switch n := n.(type) {
+			case *ast.TypeAssertExpr:
+				if name == "lattice.go" {
+					t.Errorf("%s asserts a type: the lattice asks the Engine interface and nothing else", name)
+				}
+			case *ast.CallExpr:
+				switch id, _ := n.Fun.(*ast.Ident); {
+				case id == nil:
+				case id.Name == "runBatch" && name != table:
+					t.Errorf("%s calls runBatch: only the table schedules fills", name)
+				case id.Name == "validateCover":
+					validateCoverCalls = append(validateCoverCalls, name)
+				}
 			}
 			return true
 		})
 	}
-	if len(setsBySize) != 1 {
-		t.Errorf("setsBySize is declared in %v, want one declaration", setsBySize)
-	}
-	if len(validateUnionCalls) != 1 || validateUnionCalls[0] != table {
-		t.Errorf("validateUnion is called from %v, want one call, in %s", validateUnionCalls, table)
+	for what, files := range map[string][]string{
+		"Materialize is declared":   materialize,
+		"validateCover is called":   validateCoverCalls,
+		"setsBySize is declared in": setsBySize,
+	} {
+		if len(files) != 1 || files[0] != table {
+			t.Errorf("%s in %v, want only %s", what, files, table)
+		}
 	}
 }

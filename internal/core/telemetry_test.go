@@ -114,10 +114,10 @@ func TestEngineSetTelemetryCoversExistingState(t *testing.T) {
 	}
 	eng := NewOrEngine(edb)
 	defer eng.Close()
-	if _, err := eng.CardinalitySingle(0); err != nil {
+	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.CardinalitySingle(1); err != nil {
+	if _, err := CardinalitySingle(eng, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,7 +125,7 @@ func TestEngineSetTelemetryCoversExistingState(t *testing.T) {
 	eng.SetTelemetry(reg)
 	accesses := reg.Counter("oblivfd_oram_accesses_total")
 	before := accesses.Value()
-	if _, err := eng.CardinalityUnion(relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
+	if _, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
 		t.Fatal(err)
 	}
 	if accesses.Value() <= before {

@@ -31,6 +31,14 @@ import (
 // and or#:N:IL are still the parent's.
 const engineTraceGolden = "engine-trace-golden.txt"
 
+// engineTraceOrderGolden holds what the per-object lines deliberately drop:
+// one line per secure engine with the digest of the whole trace.ShapeOf
+// sequence of the same scripted run at Workers = 1, interleaving across objects
+// included. It was written by commit d6561f2, the parent of the PR that gave
+// the lattice one Engine.Materialize call site per level, and pins that the
+// serial path still issues the parent's engine calls in the parent's order.
+const engineTraceOrderGolden = "engine-trace-order-golden.txt"
+
 // instanceNumber is the per-process engine counter inside an object name. It
 // depends on how many engines earlier tests built, so it is blanked; the
 // prefix, the per-set sequence number and the suffix stay.
@@ -64,6 +72,43 @@ func structureDigests(events []trace.Event) []string {
 	}
 	sort.Strings(lines)
 	return lines
+}
+
+// sequenceDigest renders a whole trace, cross-object order included, as one
+// golden line.
+func sequenceDigest(name string, events []trace.Event) string {
+	h := sha256.New()
+	for _, e := range trace.ShapeOf(events) {
+		e.Object = instanceNumber.ReplaceAllString(e.Object, "$1#:")
+		fmt.Fprintln(h, e.String())
+	}
+	return fmt.Sprintf("%s %d %x", name, len(events), h.Sum(nil))
+}
+
+// compareGolden checks lines against testdata/<file>, writing the file (and
+// failing) when it does not exist.
+func compareGolden(t *testing.T, file string, got []string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s did not exist and was written from this build; check it in only if this build is the reference", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Errorf("%s: %d lines, golden file has %d", file, len(got), len(want))
+	}
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Errorf("%s line %d:\n got  %s\n want %s", file, i+1, got[i], want[i])
+		}
+	}
 }
 
 // goldenTailRows are the records the dynamic tails insert: one that joins
@@ -150,7 +195,7 @@ func TestEngineTraceGolden(t *testing.T) {
 		}},
 	}
 
-	var got []string
+	var got, order []string
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
 			srv := store.NewServer()
@@ -168,6 +213,9 @@ func TestEngineTraceGolden(t *testing.T) {
 			if c.tail != nil {
 				c.tail(t, eng, res)
 			}
+			if workers == 1 { // before Close, which releases kept sets in map order
+				order = append(order, sequenceDigest(c.name, srv.Trace().Events()))
+			}
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -175,27 +223,8 @@ func TestEngineTraceGolden(t *testing.T) {
 			got = append(got, structureDigests(srv.Trace().Events())...)
 		}
 	}
-
-	path := filepath.Join("testdata", engineTraceGolden)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Fatalf("%s did not exist and was written from this build; check it in only if this build is the reference", path)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(got) != len(want) {
-		t.Errorf("%d lines, golden file has %d", len(got), len(want))
-	}
-	for i := 0; i < len(got) && i < len(want); i++ {
-		if got[i] != want[i] {
-			t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], want[i])
-		}
-	}
+	compareGolden(t, engineTraceGolden, got)
+	compareGolden(t, engineTraceOrderGolden, order)
 }
 
 // TestParentCheckpointResumes: a checkpoint file and server directory written

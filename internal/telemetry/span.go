@@ -16,8 +16,9 @@ import (
 // phases are included in their enclosing phase — exactly what a cost
 // breakdown wants ("of the 12s in level 3, 11s were ORAM accesses").
 //
-// Start/End are two atomic adds plus two clock reads; the map lookup is
-// amortized by a per-name stat cache. A nil *Tracer no-ops.
+// Start takes the tracer's mutex and looks the name up in its map on every
+// span ("oram/access" included) and reads the clock; End is a clock read and
+// two atomic adds. A nil *Tracer no-ops.
 type Tracer struct {
 	mu    sync.Mutex
 	stats map[string]*phaseStat

@@ -11,7 +11,6 @@ package oblivfd
 
 import (
 	"errors"
-	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,104 +19,28 @@ import (
 	"github.com/oblivfd/oblivfd/internal/baseline"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
-	"github.com/oblivfd/oblivfd/internal/transport"
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
 var scrubSortOpts = securefd.Options{Protocol: securefd.ProtocolSort, Workers: 2, MaxLHS: 2}
 var scrubORAMOpts = securefd.Options{Protocol: securefd.ProtocolORAM, Workers: 2, MaxLHS: 2}
 
-// scrubNode is one member of the self-healing cluster.
-type scrubNode struct {
-	addr string
-	dir  string
-	rep  *store.ReplicatedServer
-	ts   *transport.Server
-	sc   *store.Scrubber
-}
-
-// scrubCluster boots n nodes (node 0 primary) over real TCP, the primary on
-// primaryFS (nil = the real filesystem), each running a background scrubber
-// on an aggressive interval when scrub is set.
-func scrubCluster(t *testing.T, n int, primaryFS store.FS, scrub bool) []*scrubNode {
-	t.Helper()
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		listeners[i] = l
-		addrs[i] = l.Addr().String()
-	}
-	dial := func(addr string) (store.ReplicaConn, error) {
-		return transport.DialWith(addr, transport.ClientConfig{
-			DialTimeout: time.Second, Redials: -1,
-		})
-	}
-	nodes := make([]*scrubNode, n)
-	for i := range nodes {
-		var peers []string
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		opts := store.DurableOptions{}
+// scrubCluster boots n nodes, the primary on primaryFS (nil = the real
+// filesystem), each running a background scrubber when scrub is set.
+func scrubCluster(t *testing.T, n int, primaryFS store.FS, scrub bool) []*clusterNode {
+	return newCluster(t, n, func(i int, s *nodeSetup) {
 		if i == 0 {
-			opts.FS = primaryFS
+			s.durable.FS = primaryFS
 		}
-		dir := t.TempDir()
-		d, err := store.OpenDir(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := store.Replicated(d, store.ReplicationConfig{
-			Primary:     i == 0,
-			Peers:       peers,
-			RedialEvery: 1,
-			Dial:        dial,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := transport.NewServer(rep)
-		ts.SetReplicator(rep)
-		go func(l net.Listener) { _ = ts.Serve(l) }(listeners[i])
-		nodes[i] = &scrubNode{addr: addrs[i], dir: dir, rep: rep, ts: ts}
-		if scrub {
-			sc := store.NewScrubber(d, rep, store.ScrubConfig{Interval: 200 * time.Millisecond})
-			sc.Start()
-			nodes[i].sc = sc
-			t.Cleanup(sc.Close)
-		}
-		t.Cleanup(func() { ts.Shutdown(0); rep.Close() })
-	}
-	return nodes
+		s.scrub = scrub
+	})
 }
 
-// scrubService dials the cluster with the retry policy a real deployment
-// would run: repairs and disk-full sheds look like transient faults.
-func scrubService(t *testing.T, nodes []*scrubNode) securefd.Service {
-	t.Helper()
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = n.addr
-	}
-	cfg := securefd.DefaultClientConfig()
-	cfg.DialTimeout = time.Second
-	cfg.Redials = 1
-	f, err := securefd.DialTCPFailover(addrs, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	return securefd.WithRetry(f, securefd.RetryPolicy{
-		MaxAttempts:    10,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-	})
+// scrubService dials the cluster; repairs and disk-full sheds are ridden out
+// by the retry policy.
+func scrubService(t *testing.T, nodes []*clusterNode) securefd.Service {
+	_, svc := dial(t, nodes, 10)
+	return svc
 }
 
 // corruptLiveCells flips a bit in up to k populated stored cells of the
@@ -256,7 +179,7 @@ func TestScrubChaosTreeRot(t *testing.T) {
 
 // waitForScrubRepair polls the node's scrubber until it has healed at least
 // one finding.
-func waitForScrubRepair(t *testing.T, n *scrubNode) {
+func waitForScrubRepair(t *testing.T, n *clusterNode) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

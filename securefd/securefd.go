@@ -37,12 +37,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/core"
 	"github.com/oblivfd/oblivfd/internal/crypto"
-	"github.com/oblivfd/oblivfd/internal/enclave"
 	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/otrace"
@@ -320,34 +320,36 @@ const (
 	ProtocolDeterministic
 )
 
+// protocolNames is the one table of protocol names, in declaration order.
+var protocolNames = [...]string{
+	ProtocolSort:          "sort",
+	ProtocolORAM:          "or-oram",
+	ProtocolDynamicORAM:   "ex-oram",
+	ProtocolPlaintext:     "plaintext",
+	ProtocolEnclave:       "enclave",
+	ProtocolDeterministic: "deterministic",
+}
+
+// ProtocolNames lists every name ParseProtocol accepts, separated by "|", for
+// help and error texts.
+func ProtocolNames() string { return strings.Join(protocolNames[:], "|") }
+
 // String names the protocol.
 func (p Protocol) String() string {
-	switch p {
-	case ProtocolSort:
-		return "sort"
-	case ProtocolORAM:
-		return "or-oram"
-	case ProtocolDynamicORAM:
-		return "ex-oram"
-	case ProtocolPlaintext:
-		return "plaintext"
-	case ProtocolEnclave:
-		return "enclave"
-	case ProtocolDeterministic:
-		return "deterministic"
-	default:
+	if p < 0 || int(p) >= len(protocolNames) {
 		return fmt.Sprintf("Protocol(%d)", int(p))
 	}
+	return protocolNames[p]
 }
 
 // ParseProtocol parses a protocol name as printed by String.
 func ParseProtocol(s string) (Protocol, error) {
-	for _, p := range []Protocol{ProtocolSort, ProtocolORAM, ProtocolDynamicORAM, ProtocolPlaintext, ProtocolEnclave, ProtocolDeterministic} {
-		if p.String() == s {
-			return p, nil
+	for p, name := range protocolNames {
+		if name == s {
+			return Protocol(p), nil
 		}
 	}
-	return 0, fmt.Errorf("securefd: unknown protocol %q (want sort|or-oram|ex-oram|plaintext|enclave|deterministic)", s)
+	return 0, fmt.Errorf("securefd: unknown protocol %q (want %s)", s, ProtocolNames())
 }
 
 // SortNetwork selects the comparison network used by ProtocolSort.
@@ -457,7 +459,7 @@ func Outsource(svc Service, rel *Relation, opts Options) (*Database, error) {
 	case ProtocolPlaintext:
 		db.engine = core.NewPlainEngine(rel)
 	case ProtocolEnclave:
-		db.engine = enclave.NewSortEngine(rel, opts.Workers)
+		db.engine = core.NewEnclaveEngine(rel, opts.Workers)
 	case ProtocolSort, ProtocolORAM, ProtocolDynamicORAM, ProtocolDeterministic:
 		key, err := crypto.NewKey()
 		if err != nil {

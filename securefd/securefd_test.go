@@ -3,6 +3,7 @@ package securefd
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/baseline"
@@ -185,8 +186,18 @@ func TestProtocolParseAndString(t *testing.T) {
 			t.Errorf("round trip %v: %v, %v", p, got, err)
 		}
 	}
-	if _, err := ParseProtocol("nope"); err == nil {
-		t.Error("unknown name parsed")
+	// The names help and error texts print are exactly the ones that parse.
+	names := strings.Split(ProtocolNames(), "|")
+	if len(names) != len(allProtocols()) {
+		t.Errorf("ProtocolNames() = %q, want one name per protocol", ProtocolNames())
+	}
+	for i, name := range names {
+		if p, err := ParseProtocol(name); err != nil || p != allProtocols()[i] {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", name, p, err, allProtocols()[i])
+		}
+	}
+	if _, err := ParseProtocol("nope"); err == nil || !strings.Contains(err.Error(), ProtocolNames()) {
+		t.Errorf("unknown name: err = %v, want one listing %s", err, ProtocolNames())
 	}
 	if Protocol(99).String() == "" {
 		t.Error("unknown protocol renders empty")

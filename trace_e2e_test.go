@@ -11,79 +11,24 @@ package oblivfd
 // check that the halves actually join into one causal tree.
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/otrace"
-	"github.com/oblivfd/oblivfd/internal/store"
-	"github.com/oblivfd/oblivfd/internal/transport"
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
-// tracedNode is one member of the traced replicated pair.
-type tracedNode struct {
-	addr string
-	otr  *otrace.Tracer
-}
-
-// tracedPair boots a primary and one replica over TCP, each fully
-// instrumented the way fdserver wires a process tracer: store, replication,
-// and RPC dispatch all share it.
-func tracedPair(t *testing.T) []*tracedNode {
-	t.Helper()
-	listeners := make([]net.Listener, 2)
-	addrs := make([]string, 2)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		listeners[i] = l
-		addrs[i] = l.Addr().String()
-	}
-	nodes := make([]*tracedNode, 2)
-	for i := range nodes {
-		otr := otrace.New(otrace.Config{
+// tracedPair boots a primary and one replica, each with a process tracer of
+// its own.
+func tracedPair(t *testing.T) []*clusterNode {
+	return newCluster(t, 2, func(i int, s *nodeSetup) {
+		s.trace = otrace.New(otrace.Config{
 			Service:     "fdserver-" + string(rune('0'+i)),
 			Capacity:    1 << 16,
 			SampleEvery: 1,
 		})
-		// Shipments carry the primary's span context, as in fdserver.
-		dial := func(addr string) (store.ReplicaConn, error) {
-			return transport.DialWith(addr, transport.ClientConfig{
-				DialTimeout: time.Second, Redials: -1, Trace: otr,
-			})
-		}
-		d, err := store.OpenDir(t.TempDir(), store.DurableOptions{Trace: otr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var peers []string
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		rep, err := store.Replicated(d, store.ReplicationConfig{
-			Primary:     i == 0,
-			Peers:       peers,
-			RedialEvery: 1,
-			Dial:        dial,
-			Trace:       otr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := transport.NewServer(rep)
-		ts.SetReplicator(rep)
-		ts.SetTracer(otr)
-		go func(l net.Listener) { _ = ts.Serve(l) }(listeners[i])
-		nodes[i] = &tracedNode{addr: addrs[i], otr: otr}
-		t.Cleanup(func() { ts.Shutdown(0); rep.Close() })
-	}
-	return nodes
+	})
 }
 
 func TestDistributedTraceCausalTree(t *testing.T) {
