@@ -80,7 +80,10 @@ func TestFailoverPrimaryKilledMidDiscovery(t *testing.T) {
 	}
 	for i := int64(1); i <= 5; i++ {
 		kill := afterUpload + i*(total-afterUpload)/6
-		t.Run(fmt.Sprintf("kill@%d", kill), func(t *testing.T) {
+		// Named by position, not by offset: the offset moves with every
+		// change to how much a discovery writes.
+		t.Run(fmt.Sprintf("kill-%d-of-5", i), func(t *testing.T) {
+			t.Logf("primary dies at WAL append %d of %d (upload ends at %d)", kill, total, afterUpload)
 			nodes := failCluster(t, 3, kill)
 			f, svc := failoverService(t, nodes)
 			db, err := securefd.Outsource(svc, crashRelation(t), failoverOpts)

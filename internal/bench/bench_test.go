@@ -320,6 +320,14 @@ func TestCommTiny(t *testing.T) {
 	if sort64.Bytes >= or64.Bytes {
 		t.Errorf("Sort bytes (%d) not below ORAM bytes (%d)", sort64.Bytes, or64.Bytes)
 	}
+	// Sort's |X| ≥ 2 partition costs what |X| = 1 costs (Fig. 4): the same
+	// network and passes, reading 2n cover cells where the single read n
+	// column cells. A cover's own by-ID network, run when its first union
+	// reads it, must not be charged to the union measured here.
+	sortPair64, _ := res.Point(MethodSort, true, 64)
+	if got := sortPair64.Ops - sort64.Ops; got != 64 {
+		t.Errorf("Sort pair ops − single ops = %d, want n = 64", got)
+	}
 	// Communication is a fixed function of the database size — re-running
 	// the same workload must reproduce ops and bytes exactly. (A
 	// different seed would change cell digit counts, which is Size(DB)

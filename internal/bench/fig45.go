@@ -92,7 +92,7 @@ func (r *Fig4Result) Render() string {
 				fmtDur(seen[n][MethodOrORAM]), fmtDur(seen[n][MethodExORAM]), fmtDur(seen[n][MethodSort]))
 		}
 	}
-	b.WriteString("Expected shape: Sort grows ~n·log²n and overtakes the ORAM methods as n grows;\nEx-ORAM > Or-ORAM; the |X|>=2 case costs ORAM methods extra subset reads.\n")
+	b.WriteString("Expected shape: Sort grows ~n·log²n and overtakes the ORAM methods as n grows;\nEx-ORAM > Or-ORAM; the |X|>=2 case costs ORAM methods extra subset reads.\n" + sortCoverNote)
 	return b.String()
 }
 

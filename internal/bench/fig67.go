@@ -67,7 +67,7 @@ func (r *Fig6aResult) Render() string {
 		}
 		fmt.Fprintf(&b, "%8d %12s %9.2fx\n", p.Threads, fmtDur(p.Runtime), float64(base)/float64(p.Runtime))
 	}
-	b.WriteString("Expected shape: near-2x from 1 to 2 threads, diminishing returns by 8 to 16.\n")
+	b.WriteString("Expected shape: near-2x from 1 to 2 threads, diminishing returns by 8 to 16.\n" + sortCoverNote)
 	return b.String()
 }
 
@@ -106,26 +106,15 @@ func Fig6b(sizes []int, seed int64) (*Fig6bResult, error) {
 				return nil, err
 			}
 
-			enc := core.NewEnclaveEngine(rel, 1)
+			enc := &setup{eng: core.NewEnclaveEngine(rel, 1)}
 			var inside time.Duration
 			if multi {
-				if _, err := core.CardinalitySingle(enc, 0); err != nil {
-					return nil, err
-				}
-				if _, err := core.CardinalitySingle(enc, 1); err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				if _, err := core.CardinalityUnion(enc, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
-					return nil, err
-				}
-				inside = time.Since(start)
+				inside, err = enc.timePair(0, 1)
 			} else {
-				start := time.Now()
-				if _, err := core.CardinalitySingle(enc, 0); err != nil {
-					return nil, err
-				}
-				inside = time.Since(start)
+				inside, err = enc.timeSingle(0)
+			}
+			if err != nil {
+				return nil, err
 			}
 			res.Points = append(res.Points, Fig6bPoint{N: n, MultiAttr: multi, Outside: outside, Enclave: inside})
 		}
@@ -146,7 +135,7 @@ func (r *Fig6bResult) Render() string {
 		speed := float64(p.Outside) / float64(maxDur(p.Enclave, time.Microsecond))
 		fmt.Fprintf(&b, "%8d %6s %14s %14s %9.0fx\n", p.N, caseName, fmtDur(p.Outside), fmtDur(p.Enclave), speed)
 	}
-	b.WriteString("Expected shape: enclave runs orders of magnitude faster; |X|=1 and |X|>=2 curves overlap inside the enclave.\n")
+	b.WriteString("Expected shape: enclave runs orders of magnitude faster; |X|=1 and |X|>=2 curves overlap inside the enclave.\n" + sortCoverNote)
 	return b.String()
 }
 

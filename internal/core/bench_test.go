@@ -93,3 +93,50 @@ func BenchmarkEngineStepLoopback(b *testing.B) {
 		srv.Shutdown(0)
 	}
 }
+
+// BenchmarkSortPartition is what one B_X array costs the Sort engine over an
+// in-process server at n = 4096: never-cover is a set no union reads (key
+// sort, labelling pass), cover is one that a union reads (the same, then the
+// by-ID network on its first read). comparators/partition and
+// rounds/partition are counts, the same on every run: 1 : 2 in networks, so
+// 159 744 : 319 488 comparators, and 10 242 : 20 226 rounds (a network is
+// 9 984 of them; creation, the column read, the pass and the delete are 258).
+func BenchmarkSortPartition(b *testing.B) {
+	const n = 4096
+	rounds := store.WithRoundCounter(store.NewServer())
+	edb, err := Upload(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", fixedWidthRel(1, n, 7, 64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := NewSortEngine(edb, 1)
+	x := relation.SingleAttr(0)
+	for _, c := range []struct {
+		name  string
+		cover bool
+	}{{"never-cover", false}, {"cover", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			var comparators int64
+			r0 := rounds.Rounds()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := CardinalitySingle(eng, 0); err != nil {
+					b.Fatal(err)
+				}
+				st := eng.sets[x]
+				if c.cover {
+					if err := eng.restoreOrder(st); err != nil {
+						b.Fatal(err)
+					}
+				}
+				comparators += st.arr.Comparisons()
+				if err := eng.Release(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(rounds.Rounds()-r0)/float64(b.N), "rounds/partition")
+			b.ReportMetric(float64(comparators)/float64(b.N), "comparators/partition")
+		})
+	}
+}

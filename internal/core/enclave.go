@@ -32,7 +32,10 @@ type EnclaveEngine struct {
 }
 
 type enclaveState struct {
-	labels []uint64 // label per r[ID]
+	// recs is the padded array of (label, id) records as the labelling pass
+	// left it, in label order; restoreOrder turns it into labels.
+	recs   []enclaveRec
+	labels []uint64 // label per r[ID]; nil until the set is first read as a cover
 	card   uint64
 }
 
@@ -74,10 +77,32 @@ func (e *EnclaveEngine) fillSingle(st *enclaveState, attr int) error {
 }
 
 func (e *EnclaveEngine) fillUnion(st *enclaveState, _ relation.AttrSet, st1, st2 *enclaveState) error {
+	for _, c := range []*enclaveState{st1, st2} {
+		if err := e.restoreOrder(c); err != nil {
+			return err
+		}
+	}
 	return e.materialize(st, func(i int) uint64 { return unionKey(st1.labels[i], st2.labels[i]) })
 }
 
-// materialize runs Algorithm 3's three phases on the records (key(i), i).
+// restoreOrder is Algorithm 3's last phase, run like SortEngine's when st is
+// first read as a cover: bitonic sort back by id, then keep the labels alone.
+func (e *EnclaveEngine) restoreOrder(st *enclaveState) error {
+	if st.labels != nil {
+		return nil
+	}
+	if err := e.bitonic(st.recs, func(a, b enclaveRec) bool { return a.id < b.id }); err != nil {
+		return err
+	}
+	labels := make([]uint64, e.rel.NumRows())
+	for i := range labels {
+		labels[i] = st.recs[i].key
+	}
+	st.labels, st.recs = labels, nil
+	return nil
+}
+
+// materialize runs Algorithm 3's first two phases on the records (key(i), i).
 func (e *EnclaveEngine) materialize(st *enclaveState, key func(i int) uint64) error {
 	n := e.rel.NumRows()
 	if n == 0 {
@@ -110,14 +135,7 @@ func (e *EnclaveEngine) materialize(st *enclaveState, key func(i int) uint64) er
 		}
 		arr[i].key = card
 	}
-	// Phase 3: bitonic sort back by id.
-	if err := e.bitonic(arr, func(a, b enclaveRec) bool { return a.id < b.id }); err != nil {
-		return err
-	}
-	st.labels, st.card = make([]uint64, n), card+1
-	for i := 0; i < n; i++ {
-		st.labels[i] = arr[i].key
-	}
+	st.recs, st.card = arr, card+1
 	return nil
 }
 
@@ -173,11 +191,12 @@ func (e *EnclaveEngine) bitonic(arr []enclaveRec, less func(a, b enclaveRec) boo
 func (e *EnclaveEngine) ClientMemoryBytes() int { return 0 }
 
 // SecureMemoryBytes estimates enclave-resident memory: the relation plus
-// materialized label arrays.
+// materialized label arrays, or the (label, id) records of a set no union has
+// read yet.
 func (e *EnclaveEngine) SecureMemoryBytes() int {
 	total := e.rel.ByteSize()
 	for _, st := range e.sets {
-		total += 8 * len(st.labels)
+		total += 8*len(st.labels) + 16*len(st.recs)
 	}
 	return total
 }

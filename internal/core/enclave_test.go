@@ -60,6 +60,14 @@ func TestEnclaveTripleUnion(t *testing.T) {
 	if got != want {
 		t.Errorf("|π_{0,1,2}| = %d, want %d", got, want)
 	}
+	// Like SortEngine, the enclave sorts a set back by id when a union first
+	// reads it and not before: the top set was read by nothing.
+	for x, st := range e.sets {
+		if cover := x.Size() < 3; (st.labels != nil) != cover || (st.recs == nil) != cover {
+			t.Errorf("set %v: labels present = %v, labelled records dropped = %v; want both %v",
+				x, st.labels != nil, st.recs == nil, cover)
+		}
+	}
 }
 
 func TestEnclaveIsolatedFromCallerMutation(t *testing.T) {

@@ -36,10 +36,12 @@ func fixedWidthRel(m, n int, seed int64, distinct int) *relation.Relation {
 	return rel
 }
 
-// traceOfPartitionRun records the server-visible trace of materializing one
-// single-attribute partition and one pair partition with the given engine
-// kind, on the given relation. ORAM leaf choices are seeded identically; the
-// shapes must match regardless because ShapeOf strips leaves.
+// traceOfPartitionRun records the server-visible trace of materializing
+// three single-attribute partitions and one pair partition with the given
+// engine kind, on the given relation: two singles are read as the pair's
+// covers, the third single and the pair are read by nothing (the sort engine
+// restores r[ID] order for the first two only). ORAM leaf choices are seeded
+// identically; the shapes must match regardless because ShapeOf strips leaves.
 type engineKind int
 
 const (
@@ -76,6 +78,9 @@ func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) 
 		t.Fatal(err)
 	}
 	if _, err := CardinalitySingle(eng, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CardinalitySingle(eng, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
@@ -211,10 +216,19 @@ func TestDeletionBranchesIndistinguishable(t *testing.T) {
 // leakage — must produce identical server-visible trace shapes for a full
 // discovery run, reveals included, however the client's calls are framed.
 func TestFullDiscoveryTraceEquality(t *testing.T) {
-	// Same size, same FD structure (all columns near-distinct ⇒ same
-	// lattice), different contents.
-	relA := fixedWidthRel(3, 24, 101, 1_000_000)
-	relB := fixedWidthRel(3, 24, 202, 1_000_000)
+	pairs := []struct {
+		name string
+		a, b *relation.Relation
+	}{
+		// Same size, same FD structure (all columns near-distinct ⇒ same
+		// lattice, pruned after level 1), different contents.
+		{"keys", fixedWidthRel(3, 24, 101, 1_000_000), fixedWidthRel(3, 24, 202, 1_000_000)},
+		// Same size, same non-trivial FD set (C0→C1, C2 a key: the lattice
+		// goes on to level 2, where C0 and C1 are read as covers and C2 is
+		// not), very different value histograms: C0's four groups are
+		// 6/6/6/6 in one relation and 12/1/10/1 in the other.
+		{"histograms", histogramRel([4]int{6, 6, 6, 6}), histogramRel([4]int{12, 1, 10, 1})},
+	}
 
 	run := func(rel *relation.Relation, kind engineKind, wrap func(store.Service) store.Service) trace.Shape {
 		srv := store.NewServer()
@@ -255,18 +269,26 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 		return trace.ShapeOf(srv.Trace().Events()).Canonical()
 	}
 
-	// Sanity: the two relations must actually have identical FD sets, or
-	// the divergence would be allowed leakage, not a bug.
-	fdsA, err := Discover(NewPlainEngine(relA), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fdsB, err := Discover(NewPlainEngine(relB), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relation.FDSetEqual(fdsA.Minimal, fdsB.Minimal) {
-		t.Skipf("seeds produced different FD sets (%v vs %v); pick new seeds", fdsA.Minimal, fdsB.Minimal)
+	// Sanity: the two relations of a pair must actually have identical FD
+	// sets, or the divergence would be allowed leakage, not a bug. With
+	// different FD sets the lattices differ, and with them which structures
+	// exist (a pruned set's children are never built), how many times each is
+	// read as a cover and, for the sort engine, which B_X arrays get their
+	// second network — the ones that are read as a cover at all. Every one of
+	// those is a function of (m, FDs), which is L(DB);
+	// TestSortRestoresOrderOnlyForCovers checks that nothing else decides it.
+	for _, p := range pairs {
+		fdsA, err := Discover(NewPlainEngine(p.a), 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fdsB, err := Discover(NewPlainEngine(p.b), 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relation.FDSetEqual(fdsA.Minimal, fdsB.Minimal) {
+			t.Fatalf("%s: the relations have different FD sets (%v vs %v); pick new ones", p.name, fdsA.Minimal, fdsB.Minimal)
+		}
 	}
 
 	for _, kind := range []struct {
@@ -274,21 +296,39 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 		k    engineKind
 	}{{"or-oram", kindOr}, {"ex-oram", kindEx}, {"sort", kindSort}} {
 		t.Run(kind.name, func(t *testing.T) {
-			sA := run(relA, kind.k, fusing)
-			sB := run(relB, kind.k, fusing)
-			if !sA.Equal(sB) {
-				t.Errorf("full-discovery traces differ:\n%s", sA.Diff(sB))
-			}
-			// The ORAM engines fuse a record's path reads and write-backs
-			// into rounds; what a round holds must be no more a function of
-			// the data than the events are. The other database through a
-			// service that takes every op of a round as a call of its own
-			// still shows the same trace.
-			if sC := run(relB, kind.k, unfusing); !sA.Equal(sC) {
-				t.Errorf("full-discovery trace with rounds unfused differs:\n%s", sA.Diff(sC))
+			for _, p := range pairs {
+				sA := run(p.a, kind.k, fusing)
+				sB := run(p.b, kind.k, fusing)
+				if !sA.Equal(sB) {
+					t.Errorf("%s: full-discovery traces differ:\n%s", p.name, sA.Diff(sB))
+				}
+				// The ORAM engines fuse a record's path reads and write-backs
+				// into rounds; what a round holds must be no more a function of
+				// the data than the events are. The other database through a
+				// service that takes every op of a round as a call of its own
+				// still shows the same trace.
+				if sC := run(p.b, kind.k, unfusing); !sA.Equal(sC) {
+					t.Errorf("%s: full-discovery trace with rounds unfused differs:\n%s", p.name, sA.Diff(sC))
+				}
 			}
 		})
 	}
+}
+
+// histogramRel builds a 24×3 fixed-width relation in which C0 takes four
+// values with the given group sizes, C1 = C0 mod 2 and C2 is the row number,
+// so the FD set is the same whatever the sizes are.
+func histogramRel(groups [4]int) *relation.Relation {
+	rel := relation.New(relation.MustNewSchema("C0", "C1", "C2"))
+	for v, size := range groups {
+		for k := 0; k < size; k++ {
+			row := relation.Row{fmt.Sprintf("%06d", v), fmt.Sprintf("%06d", v%2), fmt.Sprintf("%06d", rel.NumRows())}
+			if err := rel.Append(row); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return rel
 }
 
 // TestDynamicAccessCounts pins §VII-E's cost model as this implementation

@@ -13,14 +13,18 @@ import (
 
 // SortEngine is the oblivious-sorting method of §IV-D (Algorithm 3). For
 // each attribute set X it materializes the array B_X of (label_X, r[ID])
-// records ordered by r[ID]:
+// records:
 //
 //  1. build A = {(key_X, r[ID])} — key_X from the cell value (|X|=1) or
 //     from the covering subsets' labels (|X|≥2, Property 1),
 //  2. ObliviousSort A by key_X,
 //  3. one sequential pass replaces each key with a dense label via the
-//     card_X counter (branchless, every cell rewritten),
-//  4. ObliviousSort back by r[ID].
+//     card_X counter (branchless, every cell rewritten) — |π_X| is known here,
+//  4. ObliviousSort back by r[ID], the first time X is read as a Property 1
+//     cover and never otherwise: r[ID] order exists only so that B_X lines up
+//     positionally with the other cover's array, and a set that no union is
+//     built from is released without it (DESIGN.md §11, "Deferred order
+//     restoration").
 //
 // The method needs O(1) client memory (one obsort.ChunkCells block in flight
 // per worker), is static only, and parallelizes inside the bitonic network —
@@ -55,8 +59,11 @@ func (e *SortEngine) SetTelemetry(reg *telemetry.Registry) {
 }
 
 type sortState struct {
-	name string        // drawn by prepare, before the array exists
-	arr  *obsort.Array // (label_X, r[ID]) records, ordered by r[ID]
+	name string // drawn by prepare, before the array exists
+	// arr holds the (label_X, r[ID]) records: ordered by label_X as the
+	// labelling pass left them until byID, ordered by r[ID] from then on.
+	arr  *obsort.Array
+	byID bool // set only once a whole by-ID network has returned nil
 	card uint64
 }
 
@@ -91,8 +98,8 @@ func lessByKey(a, b []byte) bool { return bytes.Compare(a[:8], b[:8]) < 0 }
 // lessByID orders records by their trailing 8-byte r[ID].
 func lessByID(a, b []byte) bool { return bytes.Compare(a[8:16], b[8:16]) < 0 }
 
-// materialize runs Algorithm 3 on st.arr, which already holds the
-// (key_X, r[ID]) records.
+// materialize runs Algorithm 3's lines 1–8 on st.arr, which already holds
+// the (key_X, r[ID]) records; line 9 is restoreOrder's.
 func (e *SortEngine) materialize(st *sortState) error {
 	// Line 1: sort by key_X so equal keys are consecutive.
 	if err := st.arr.SortNetwork(lessByKey, e.Workers, e.Network); err != nil {
@@ -116,11 +123,25 @@ func (e *SortEngine) materialize(st *sortState) error {
 	if err != nil {
 		return fmt.Errorf("core: labeling pass: %w", err)
 	}
-	// Line 9: restore r[ID] order so B_X aligns with every other B_Y.
-	if err := st.arr.SortNetwork(lessByID, e.Workers, e.Network); err != nil {
-		return fmt.Errorf("core: sorting by id: %w", err)
-	}
 	st.card = card + 1
+	return nil
+}
+
+// restoreOrder is Algorithm 3's line 9, run when st is first read as a cover:
+// sort back by r[ID] so B_X aligns with every other B_Y. The table never runs
+// two jobs sharing a cover in one wave, so no lock is needed. A network that
+// fails half-way leaves some permutation of the labelled records (a block
+// write rewrites both cells of each of its comparators); byID stays false and
+// the next reader runs the whole network again.
+func (e *SortEngine) restoreOrder(st *sortState) error {
+	if st.byID {
+		return nil
+	}
+	if err := st.arr.SortNetwork(lessByID, e.Workers, e.Network); err != nil {
+		return fmt.Errorf("core: sorting %s by id: %w", st.name, err)
+	}
+	st.byID = true
+	e.Telemetry.Counter("oblivfd_sort_restores_total").Inc()
 	return nil
 }
 
@@ -174,11 +195,17 @@ func (e *SortEngine) fillSingle(st *sortState, attr int) error {
 }
 
 // fillUnion materializes B_{x1∪x2} from the covers' arrays. Labels are
-// extracted positionally: both B arrays are ordered by r[ID], so B_X1[i] and
-// B_X2[i] describe the same record (§IV-D's extraction). Both covers' label
-// records are prefetched one ChunkCells-sized range at a time, fused into a
-// single batched round when the storage service supports it.
+// extracted positionally: both B arrays are put in r[ID] order, if no earlier
+// union has done so, and then B_X1[i] and B_X2[i] describe the same record
+// (§IV-D's extraction). Both covers' label records are prefetched one
+// ChunkCells-sized range at a time, fused into a single batched round when
+// the storage service supports it.
 func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sortState) error {
+	for _, c := range []*sortState{st1, st2} {
+		if err := e.restoreOrder(c); err != nil {
+			return err
+		}
+	}
 	var recs [][][]byte
 	var base int
 	covers := []*obsort.Array{st1.arr, st2.arr}

@@ -27,7 +27,9 @@ type fills[S setState] interface {
 	prepare(x relation.AttrSet, cover [2]relation.AttrSet) (S, error)
 	// fillSingle and fillUnion do the work proportional to n. A fill may
 	// run concurrently with fills whose target and covers are all different
-	// from its own, and must not write engine-wide state.
+	// from its own — its covers' states are its own to write for as long as
+	// it runs (the sort engine puts a cover in r[ID] order there) — and must
+	// not write engine-wide state.
 	fillSingle(st S, attr int) error
 	fillUnion(st S, x relation.AttrSet, cover1, cover2 S) error
 	// destroy frees what prepare and a fill — complete, partial or failed —
@@ -64,7 +66,8 @@ func newSetTable[S setState](f fills[S], concurrent bool) setTable[S] {
 // Jobs sharing a target or a cover never share a wave. For the ORAM engines
 // that is a correctness requirement (reading a cover's ID ORAM is a mutating
 // access on a handle that is not goroutine-safe); for the sort engine it keeps
-// each cover array's read sequence in serial order.
+// each cover array's read sequence in serial order, and makes the first
+// reader's by-ID sort of the cover a step no other job can be in the middle of.
 //
 // When the batch stops on an error, every state that was prepared and not
 // committed is destroyed, best effort: it is in no map, so nothing else could

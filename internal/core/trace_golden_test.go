@@ -24,11 +24,17 @@ import (
 // the engines of commit 76ffe46, the parent of the PR that put all of them on
 // one scaffold, and a line that changes means a server can tell two builds
 // apart, so a line changes only with a PR that sets out to change the trace
-// and says so. One has: when the ORAM steps went from Read-then-Write to one
+// and says so. Two have. When the ORAM steps went from Read-then-Write to one
 // read-modify-write access, the primary ORAMs' lines (or#:N:KL, ex#:N:KLF —
 // half the events) and Ex-ORAM's secondaries' (ex#:N:IKL — a deletion is one
-// access there, not two) were regenerated. The Sort lines, the column lines
-// and or#:N:IL are still the parent's.
+// access there, not two) were regenerated. When the Sort engine stopped
+// sorting back by r[ID] any set that no union reads as a cover, the lines of
+// the four sets the scripted run never names in a Cover (sort#:3:B, :5:B,
+// :6:B, :7:B) went from 2002 events to 1042: create, one network, the
+// labelling scan, delete. The three sets that are read as covers (sort#:1:B,
+// :2:B, :4:B) do their second network later in the run but at the same place
+// in their own sequence — after the scan, before the first read — so their
+// lines, like the column lines and or#:N:IL, are still the parent's.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -37,6 +43,10 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // included. It was written by commit d6561f2, the parent of the PR that gave
 // the lattice one Engine.Materialize call site per level, and pins that the
 // serial path still issues the parent's engine calls in the parent's order.
+// Its sort line was regenerated with the deferred by-ID sort (14 252 → 10 412
+// events: four networks fewer, and a cover's second network now sits in front
+// of its first child's reads instead of behind its own scan); the other three
+// are d6561f2's.
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It

@@ -220,15 +220,17 @@ func GetRanges(arrays []*Array, lo, hi int) ([][][]byte, error) {
 	if len(arrays) == 0 {
 		return nil, nil
 	}
+	for _, a := range arrays {
+		if lo < 0 || hi > a.n || lo > hi {
+			return nil, fmt.Errorf("obsort: range [%d,%d) out of [0,%d)", lo, hi, a.n)
+		}
+	}
 	idx := make([]int64, hi-lo)
 	for k := range idx {
 		idx[k] = int64(lo + k)
 	}
 	ops := make([]store.BatchOp, len(arrays))
 	for j, a := range arrays {
-		if lo < 0 || hi > a.n || lo > hi {
-			return nil, fmt.Errorf("obsort: range [%d,%d) out of [0,%d)", lo, hi, a.n)
-		}
 		ops[j] = store.BatchOp{Name: a.name, Idx: idx}
 	}
 	res, err := store.DoBatch(arrays[0].svc, ops)

@@ -503,6 +503,46 @@ func TestGet(t *testing.T) {
 	}
 }
 
+// TestRangeValidation: GetRange and GetRanges refuse the same ranges, with an
+// error and before anything is allocated or fetched (an inverted range used
+// to reach make([]int64, hi-lo) in GetRanges and panic).
+func TestRangeValidation(t *testing.T) {
+	a, srv := newArray(t, []uint64{10, 20, 30})
+	for _, c := range []struct {
+		name   string
+		lo, hi int
+		ok     bool
+	}{
+		{"whole", 0, 3, true},
+		{"empty", 2, 2, true},
+		{"lo < 0", -1, 2, false},
+		{"hi > n", 1, 4, false}, // the padded length is 4; cell 3 is padding
+		{"lo > hi", 3, 1, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := srv.Trace().TotalOps()
+			one, err1 := a.GetRange(c.lo, c.hi)
+			many, err2 := GetRanges([]*Array{a, a}, c.lo, c.hi)
+			if (err1 == nil) != c.ok || (err2 == nil) != c.ok {
+				t.Fatalf("GetRange err = %v, GetRanges err = %v; want ok = %v", err1, err2, c.ok)
+			}
+			if !c.ok {
+				if got := srv.Trace().TotalOps(); got != before {
+					t.Errorf("a refused range reached the server: %d events", got-before)
+				}
+				return
+			}
+			if len(one) != c.hi-c.lo || len(many) != 2 || len(many[0]) != len(one) || len(many[1]) != len(one) {
+				t.Errorf("got %d records and %v, want %d from each", len(one), many, c.hi-c.lo)
+			}
+		})
+	}
+	// No arrays: nothing to read, whatever the range.
+	if out, err := GetRanges(nil, 3, 1); out != nil || err != nil {
+		t.Errorf("GetRanges(nil) = %v, %v; want nil, nil", out, err)
+	}
+}
+
 func TestDestroy(t *testing.T) {
 	a, srv := newArray(t, []uint64{1, 2})
 	if err := a.Destroy(); err != nil {

@@ -17,11 +17,14 @@ type FaultFSConfig struct {
 	Seed int64
 	// DiskFullAfterBytes arms the ENOSPC window: once this many bytes have
 	// been written through the FS, further writes fail with ErrDiskFull
-	// until another DiskFullBytes of writes have been *attempted* (modeling
-	// space freed elsewhere); 0 disables, and DiskFullBytes 0 makes the
-	// window permanent.
+	// until DiskFullWrites of them have been refused (modeling space freed
+	// elsewhere); 0 disables, and DiskFullWrites 0 makes the window
+	// permanent. The window is counted in refusals, not bytes, because every
+	// retry of a parked record spends that record's length again: a byte
+	// budget asks for a number of retries that depends on which frame the
+	// window happens to open on.
 	DiskFullAfterBytes int64
-	DiskFullBytes      int64
+	DiskFullWrites     int64
 	// ShortWrites makes each ENOSPC-failing write land a random prefix
 	// before erroring, the torn-write shape a real ENOSPC can leave.
 	ShortWrites bool
@@ -90,10 +93,10 @@ func (f *FaultFS) RotInjected() int64 {
 	return f.injectedRot
 }
 
-// admitWrite charges n attempted bytes against the ENOSPC window and reports
-// whether the write may proceed; when refused with ShortWrites armed, cut is
-// the prefix length to land before erroring. The counters advance whether or
-// not the write is admitted, so the schedule depends only on the workload.
+// admitWrite places a write of n attempted bytes against the ENOSPC window
+// and reports whether it may proceed; when refused with ShortWrites armed, cut
+// is the prefix length to land before erroring. The counters advance whether
+// or not the write is admitted, so the schedule depends only on the workload.
 func (f *FaultFS) admitWrite(n int) (ok bool, cut int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -102,7 +105,7 @@ func (f *FaultFS) admitWrite(n int) (ok bool, cut int) {
 	if f.cfg.DiskFullAfterBytes <= 0 || pos < f.cfg.DiskFullAfterBytes {
 		return true, 0
 	}
-	if f.cfg.DiskFullBytes > 0 && pos >= f.cfg.DiskFullAfterBytes+f.cfg.DiskFullBytes {
+	if f.cfg.DiskFullWrites > 0 && f.injectedFull >= f.cfg.DiskFullWrites {
 		return true, 0 // window passed: space was freed
 	}
 	f.injectedFull++

@@ -368,7 +368,7 @@ func TestScrubCleanStoreFindsNothing(t *testing.T) {
 // with a retryable error while reads keep serving; when space frees, retried
 // writes drain the parked log and the server leaves degraded mode on its own.
 func TestDiskFullDegradesToReadOnly(t *testing.T) {
-	ffs := NewFaultFS(nil, FaultFSConfig{Seed: 1, DiskFullAfterBytes: 300, DiskFullBytes: 3000})
+	ffs := NewFaultFS(nil, FaultFSConfig{Seed: 1, DiskFullAfterBytes: 300, DiskFullWrites: 20})
 	d, err := OpenDir(t.TempDir(), DurableOptions{FS: ffs})
 	if err != nil {
 		t.Fatal(err)
@@ -408,8 +408,8 @@ func TestDiskFullDegradesToReadOnly(t *testing.T) {
 		t.Fatalf("degraded read = %v, %v", cts, err)
 	}
 
-	// Retry until the window passes (attempted bytes advance it): the parked
-	// record drains, the write lands, degraded clears.
+	// Retry until the window passes (each refused write advances it): the
+	// parked record drains, the write lands, degraded clears.
 	var recovered bool
 	for i := 0; i < 500; i++ {
 		if err := d.WriteCells("a", []int64{63}, [][]byte{payload}); err == nil {

@@ -294,7 +294,7 @@ func TestScrubChaosDiskFullMidDiscovery(t *testing.T) {
 	ffs := store.NewFaultFS(nil, store.FaultFSConfig{
 		Seed:               11,
 		DiskFullAfterBytes: afterUpload + (total-afterUpload)/2,
-		DiskFullBytes:      8192,
+		DiskFullWrites:     6, // inside one retry budget of 10, whichever frame it opens on
 		ShortWrites:        true,
 	})
 	nodes2 := scrubCluster(t, 2, ffs, true)
