@@ -105,12 +105,14 @@ bench-wire:
 # in-process server, on a full 256-key tree and on the two shapes the engines
 # build in the benchmark's ORAM workloads (Ex-ORAM with insert headroom and
 # 16-byte values, Or-ORAM with 8-byte values); then one record of an ORAM
-# engine's traversal over a loopback TCP connection, single-attribute and
-# union, Or and Ex, reporting the rounds and accesses it costs (2 / 2 and
-# 3 / 4 — counts, not timings). Run like bench-cell.
+# engine's traversal over a loopback TCP connection, Or and Ex, reporting the
+# rounds and accesses it costs as counts beside ns/op: of one set,
+# single-attribute and union (2 / 2 and 3 / 4), and of a lattice level of
+# w = 1, 3, 6 unions over their c = 2, 3, 4 covers (3 rounds and 2w + c
+# accesses: 4, 9, 16). Run like bench-cell.
 bench-oram:
 	$(GO) test -run '^$$' -bench 'PathAccess' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
-	$(GO) test -run '^$$' -bench 'EngineStepLoopback' -benchmem -benchtime $(BENCHTIME) ./internal/core/
+	$(GO) test -run '^$$' -bench 'EngineStepLoopback|EngineLevelLoopback' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 
 # The three decoders that read bytes from outside the process, fuzzed briefly:
 # error or exact round trip, never a panic, never an allocation the bytes
@@ -154,9 +156,12 @@ trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Serial-vs-parallel equivalence suite under the race detector, at one and
-# four schedulable cores (GOMAXPROCS=1 hides interleavings; 4 exposes them).
+# four schedulable cores (GOMAXPROCS=1 hides interleavings; 4 exposes them):
+# the sort engine's set-level waves, and the ORAM engines' level-at-a-time
+# traversal (whole-trace equality across worker counts, the closed form of a
+# level, a level wider than one group, a round lost in the middle of one).
 parallel-race:
-	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|RunBatch|Batch' ./internal/core/ ./internal/store/ ./internal/transport/
+	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|RunBatch|Batch|Level|FailedStep' ./internal/core/ ./internal/store/ ./internal/transport/
 
 # Multi-tenant suite under the race detector: session registry admission,
 # namespace isolation, concurrent tenants under chaos faults, overload

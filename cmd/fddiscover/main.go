@@ -93,7 +93,7 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.protoName, "protocol", "sort", securefd.ProtocolNames())
-	flag.IntVar(&o.workers, "workers", 1, "parallelism degree: sorting-network workers and concurrent partition materializations per lattice level")
+	flag.IntVar(&o.workers, "workers", 1, "parallelism degree of the sort protocol: sorting-network workers and partitions of one lattice level built concurrently (the ORAM protocols take a level at a time on one goroutine whatever it is)")
 	flag.StringVar(&o.network, "network", "bitonic", "sorting network: bitonic|odd-even")
 	flag.IntVar(&o.maxLHS, "max-lhs", 0, "bound determinant size (0 = unbounded)")
 	flag.BoolVar(&o.aggregate, "aggregate", false, "merge FDs per determinant")

@@ -303,12 +303,12 @@ func TestCommTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 12 {
+	if len(res.Points) != 18 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
-	or32, _ := res.Point(MethodOrORAM, false, 32)
-	or64, _ := res.Point(MethodOrORAM, false, 64)
-	sort64, _ := res.Point(MethodSort, false, 64)
+	or32, _ := res.Point(MethodOrORAM, 0, 32)
+	or64, _ := res.Point(MethodOrORAM, 0, 64)
+	sort64, _ := res.Point(MethodSort, 0, 64)
 	if or64.Ops <= or32.Ops || or64.Bytes <= or32.Bytes {
 		t.Error("ORAM communication does not grow with n")
 	}
@@ -324,9 +324,23 @@ func TestCommTiny(t *testing.T) {
 	// network and passes, reading 2n cover cells where the single read n
 	// column cells. A cover's own by-ID network, run when its first union
 	// reads it, must not be charged to the union measured here.
-	sortPair64, _ := res.Point(MethodSort, true, 64)
+	sortPair64, _ := res.Point(MethodSort, 1, 64)
 	if got := sortPair64.Ops - sort64.Ops; got != 64 {
 		t.Errorf("Sort pair ops − single ops = %d, want n = 64", got)
+	}
+	// A level of three unions over three covers: Sort builds them one by one,
+	// three times the union alone; an ORAM method steps them together and
+	// reads each cover once a record — 2·3 + 3 accesses where three unions
+	// alone make 4·3, each a path read and a path write-back.
+	if level, _ := res.Point(MethodSort, 3, 64); level.Ops != 3*sortPair64.Ops {
+		t.Errorf("Sort level of three: %d ops, want three unions' %d", level.Ops, 3*sortPair64.Ops)
+	}
+	for _, m := range []Method{MethodOrORAM, MethodExORAM} {
+		union, _ := res.Point(m, 1, 64)
+		level, _ := res.Point(m, 3, 64)
+		if got, want := 3*union.Ops-level.Ops, int64(2*3*64); got != want {
+			t.Errorf("%s: three unions alone − a level of three = %d ops, want 3 accesses a record = %d", m, got, want)
+		}
 	}
 	// Communication is a fixed function of the database size — re-running
 	// the same workload must reproduce ops and bytes exactly. (A
@@ -336,7 +350,7 @@ func TestCommTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, _ := res2.Point(MethodOrORAM, false, 64)
+	again, _ := res2.Point(MethodOrORAM, 0, 64)
 	if again.Ops != or64.Ops || again.Bytes != or64.Bytes {
 		t.Errorf("communication not deterministic: %d/%d vs %d/%d ops/bytes",
 			again.Ops, again.Bytes, or64.Ops, or64.Bytes)

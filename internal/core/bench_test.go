@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"net"
 	"testing"
 
@@ -10,31 +11,20 @@ import (
 	"github.com/oblivfd/oblivfd/internal/transport"
 )
 
-// BenchmarkEngineStepLoopback is one record of an ORAM engine's traversal
-// over a loopback TCP connection — the unit the oram-tcp and exoram-dynamic
-// workloads are made of: the |X| = 1 step (2 accesses, 2 rounds) and the
-// |X| ≥ 2 one with its two cover reads (4 accesses, 3 rounds), for the trees
-// of a 1024-record relation. rounds/record and accesses/record are counts,
-// the same on every run; ns/op is mostly the round trips.
-func BenchmarkEngineStepLoopback(b *testing.B) {
-	const n = 1024
-	rel := fixedWidthRel(2, n, 7, 64)
-	for _, kind := range []struct {
-		name string
-		make func(*EncryptedDB) (Engine, *oramCore)
-	}{
-		{"Or", func(edb *EncryptedDB) (Engine, *oramCore) {
-			e := NewOrEngine(edb)
-			return e, &e.oramCore
-		}},
-		{"Ex", func(edb *EncryptedDB) (Engine, *oramCore) {
-			e, err := NewExEngine(edb)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return e, &e.oramCore
-		}},
-	} {
+// loopbackRig is an ORAM engine over a loopback TCP connection, behind a round
+// counter.
+type loopbackRig struct {
+	name   string
+	edb    *EncryptedDB
+	eng    Engine
+	core   *oramCore
+	rounds *store.RoundCounter
+}
+
+// overLoopback uploads rel over a fresh loopback connection for Or-ORAM and
+// then for Ex-ORAM and hands each engine to fn.
+func overLoopback(b *testing.B, rel *relation.Relation, fn func(r *loopbackRig)) {
+	for _, kind := range oramEngines {
 		backend := store.NewServer()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -46,52 +36,106 @@ func BenchmarkEngineStepLoopback(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rounds := store.WithRoundCounter(client)
-		edb, err := Upload(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-		if err != nil {
+		r := &loopbackRig{name: kind.name, rounds: store.WithRoundCounter(client)}
+		if r.edb, err = Upload(r.rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel); err != nil {
 			b.Fatal(err)
 		}
-		eng, c := kind.make(edb)
-		a0, a1 := relation.SingleAttr(0), relation.SingleAttr(1)
-		for _, attr := range []int{0, 1} {
-			if _, err := CardinalitySingle(eng, attr); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := CardinalityUnion(eng, a0, a1); err != nil {
-			b.Fatal(err)
-		}
-		single, union := c.sets[a0], c.sets[a0.Union(a1)]
-		accesses := func() (total int64) {
-			for _, st := range c.sets {
-				total += st.primary.Accesses() + st.secondary.Accesses()
-			}
-			return total
-		}
-		run := func(name string, record func(id int) error) {
-			b.Run(kind.name+"/"+name, func(b *testing.B) {
-				r0, acc0 := rounds.Rounds(), accesses()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := record(i % n); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(rounds.Rounds()-r0)/float64(b.N), "rounds/record")
-				b.ReportMetric(float64(accesses()-acc0)/float64(b.N), "accesses/record")
-			})
-		}
-		// Re-running a traversed record's step finds its key: the same
-		// accesses as a first visit, and the partition is none the worse.
-		run("Single", func(id int) error { return c.step(single, idKey(id), singleKey(edb.cipher, rel.Value(id, 0))) })
-		run("Union", func(id int) error { return c.unionStep(union, id, c.sets[a0], c.sets[a1]) })
-
-		_ = eng.Close()
+		r.eng, r.core = kind.make(b, r.edb)
+		fn(r)
+		_ = r.eng.Close()
 		_ = client.Close()
 		srv.Shutdown(0)
 	}
+}
+
+// run times record over the relation's n ids, round and round, and reports
+// the rounds and ORAM accesses one call cost: counts, the same on every run.
+func (r *loopbackRig) run(b *testing.B, name string, n int, record func(id int) error) {
+	accesses := func() (total int64) {
+		for _, st := range r.core.sets {
+			total += st.primary.Accesses() + st.secondary.Accesses()
+		}
+		return total
+	}
+	b.Run(r.name+"/"+name, func(b *testing.B) {
+		r0, acc0 := r.rounds.Rounds(), accesses()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := record(i % n); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(r.rounds.Rounds()-r0)/float64(b.N), "rounds/record")
+		b.ReportMetric(float64(accesses()-acc0)/float64(b.N), "accesses/record")
+	})
+}
+
+// levelOf lays out the committed sets xs as a level, as a fill of them would:
+// re-running a traversed record's step finds its keys — the same accesses as
+// a first visit, and the partitions are none the worse.
+func (r *loopbackRig) levelOf(xs ...relation.AttrSet) *level {
+	group := make([]target[*oramState], len(xs))
+	for i, x := range xs {
+		st := r.core.sets[x]
+		group[i] = target[*oramState]{set: x, st: st, cover: [2]*oramState{r.core.sets[st.cover[0]], r.core.sets[st.cover[1]]}}
+	}
+	return r.core.lay(new(level), group)
+}
+
+// BenchmarkEngineStepLoopback is one record of one set of an ORAM engine's
+// traversal over a loopback TCP connection — what an insertion pays per set,
+// and the unit the exoram-dynamic workload's updates are made of: the |X| = 1
+// step (2 accesses, 2 rounds) and the |X| ≥ 2 one with its two cover reads
+// (4 accesses, 3 rounds), for the trees of a 1024-record relation.
+// rounds/record and accesses/record are counts, the same on every run; ns/op
+// is mostly the round trips.
+func BenchmarkEngineStepLoopback(b *testing.B) {
+	const n = 1024
+	rel := fixedWidthRel(2, n, 7, 64)
+	overLoopback(b, rel, func(r *loopbackRig) {
+		a0, a1 := relation.SingleAttr(0), relation.SingleAttr(1)
+		if _, err := r.eng.Materialize([]Request{Single(0), Single(1), Union(a0, a1)}, 1); err != nil {
+			b.Fatal(err)
+		}
+		single, union := r.levelOf(a0), r.levelOf(a0.Union(a1))
+		r.run(b, "Single", n, func(id int) error {
+			return r.core.levelStep(single, id, []uint64{singleKey(r.edb.cipher, rel.Value(id, 0))})
+		})
+		r.run(b, "Union", n, func(id int) error { return r.core.levelStep(union, id, nil) })
+	})
+}
+
+// BenchmarkEngineLevelLoopback is one record of a whole lattice level — what
+// the oram-tcp and exoram-dynamic discoveries are made of: w two-attribute
+// sets over their c distinct covers (w = 1: c = 2; w = 3: the three pairs of
+// three attributes, c = 3; w = 6: the six pairs of four, c = 4) cost 2w + c
+// accesses in 3 rounds whatever w is, where a set at a time cost 4w in 3w.
+// w = 1 reads what BenchmarkEngineStepLoopback's Union does: 4 and 3.
+func BenchmarkEngineLevelLoopback(b *testing.B) {
+	const n, m = 1024, 4
+	rel := fixedWidthRel(m, n, 7, 64)
+	overLoopback(b, rel, func(r *loopbackRig) {
+		var reqs []Request
+		var pairs []relation.AttrSet
+		for i := 0; i < m; i++ {
+			reqs = append(reqs, Single(i))
+		}
+		for j := 1; j < m; j++ { // {0,1} · {0,2} {1,2} · {0,3} {1,3} {2,3}
+			for i := 0; i < j; i++ {
+				u := Union(relation.SingleAttr(i), relation.SingleAttr(j))
+				reqs, pairs = append(reqs, u), append(pairs, u.Set)
+			}
+		}
+		if _, err := r.eng.Materialize(reqs, 1); err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range []int{1, 3, 6} {
+			lv := r.levelOf(pairs[:w]...)
+			r.run(b, fmt.Sprintf("w=%d", w), n, func(id int) error { return r.core.levelStep(lv, id, nil) })
+		}
+	})
 }
 
 // BenchmarkSortPartition is what one B_X array costs the Sort engine over an

@@ -106,6 +106,11 @@ func (e *DetEngine) materialize(st *detState, tags []uint64) error {
 	return nil
 }
 
+// fill builds one set at a time (see fillEach).
+func (e *DetEngine) fill(group []target[*detState]) error {
+	return fillEach(group, e.fillSingle, e.fillUnion)
+}
+
 func (e *DetEngine) fillSingle(st *detState, attr int) error {
 	tags := make([]uint64, e.n)
 	for i := 0; i < e.n; i++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -313,3 +314,97 @@ var _ DynamicEngine = (*ExEngine)(nil)
 var _ DynamicEngine = (*PlainEngine)(nil)
 var _ Engine = (*OrEngine)(nil)
 var _ Engine = (*SortEngine)(nil)
+
+// TestFailedInsertIsNeverTraversed: one transient read failure during an
+// insertion — the new cell is read back from the server to build its single
+// key, after the row has been appended — must not shift which records are live.
+// Or-ORAM used to leave its row count behind the database's, so the next
+// insertion's id stood in for the failed one's: every later union answered
+// "id 6 missing from subset partition", and a later single counted the orphan
+// and skipped the record really inserted. Now the failed id is never traversed
+// and the later one is, NumRows counts live records, and the hole survives a
+// checkpoint. Ex-ORAM kept live ids as a set and always skipped the orphan:
+// pinned here too.
+func TestFailedInsertIsNeverTraversed(t *testing.T) {
+	rel := fixedWidthRel(3, 6, 21, 3)
+	orphan := relation.Row{"999991", "999992", "999993"} // values nothing shares: counting it shows
+	good := relation.Row{"000001", "888882", "000002"}
+	a, b := relation.SingleAttr(0), relation.SingleAttr(1)
+
+	after := relation.New(rel.Schema())
+	for i := 0; i < rel.NumRows(); i++ {
+		if err := after.Append(rel.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := after.Append(good); err != nil {
+		t.Fatal(err)
+	}
+	want := func(x relation.AttrSet) int { return relation.PartitionOf(after, x).Classes }
+
+	type inserter interface {
+		Engine
+		Insert(relation.Row) (int, error)
+		CheckpointState() *EngineState
+	}
+	for _, e := range oramEngines {
+		t.Run(e.name, func(t *testing.T) {
+			srv := store.NewServer()
+			svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindReadCells })
+			edb, err := UploadWithCapacity(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			made, _ := e.make(t, edb)
+			eng := made.(inserter)
+			if _, err := eng.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
+				t.Fatal(err)
+			}
+			svc.arm(1)
+			if _, err := eng.Insert(orphan); !errors.Is(err, errInjected) {
+				t.Fatalf("insert whose read-back failed: %v", err)
+			}
+			id, err := eng.Insert(good)
+			if err != nil || id != 7 || eng.NumRows() != 7 || edb.NumRows() != 8 {
+				t.Fatalf("second insert: id %d, err %v, NumRows %d, rows in the database %d; want 7, nil, 7, 8", id, err, eng.NumRows(), edb.NumRows())
+			}
+			for _, x := range []relation.AttrSet{a, b} {
+				if got, _ := eng.Cardinality(x); got != want(x) {
+					t.Errorf("|π_%v| = %d after the inserts, want %d", x, got, want(x))
+				}
+			}
+			if got, err := CardinalityUnion(eng, a, b); err != nil || got != want(a.Union(b)) {
+				t.Errorf("union after the inserts: %d, %v; want %d", got, err, want(a.Union(b)))
+			}
+			if got, err := CardinalitySingle(eng, 2); err != nil || got != want(relation.SingleAttr(2)) {
+				t.Errorf("a single built after the inserts: %d, %v; want %d (the orphan counted, or record 7 skipped)", got, err, want(relation.SingleAttr(2)))
+			}
+
+			// The hole round-trips through a checkpoint.
+			es := eng.CheckpointState()
+			if want := []int{0, 1, 2, 3, 4, 5, 7}; !reflect.DeepEqual(es.LiveIDs, want) {
+				t.Errorf("checkpointed live ids %v, want %v", es.LiveIDs, want)
+			}
+			resumed, err := ResumeEngine(edb, es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.NumRows() != 7 {
+				t.Errorf("resumed NumRows = %d, want 7", resumed.NumRows())
+			}
+			if err := resumed.Release(relation.SingleAttr(2)); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := CardinalitySingle(resumed, 2); err != nil || got != want(relation.SingleAttr(2)) {
+				t.Errorf("a single built after resuming: %d, %v; want %d", got, err, want(relation.SingleAttr(2)))
+			}
+			if id, err := resumed.(inserter).Insert(good); err != nil || id != 8 {
+				t.Errorf("insert after resuming: id %d, %v; want 8", id, err)
+			}
+			// eng's handles are stale now; resumed owns the server objects.
+			if err := resumed.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -72,6 +72,11 @@ func (e *EnclaveEngine) prepare(relation.AttrSet, [2]relation.AttrSet) (*enclave
 // destroy has nothing to free: the label arrays live in enclave memory.
 func (e *EnclaveEngine) destroy(*enclaveState) error { return nil }
 
+// fill builds one set at a time (see fillEach).
+func (e *EnclaveEngine) fill(group []target[*enclaveState]) error {
+	return fillEach(group, e.fillSingle, e.fillUnion)
+}
+
 func (e *EnclaveEngine) fillSingle(st *enclaveState, attr int) error {
 	return e.materialize(st, func(i int) uint64 { return hashValue(e.rel.Value(i, attr)) })
 }

@@ -20,11 +20,12 @@ type Engine interface {
 	// NumRows returns n, the number of live records.
 	NumRows() int
 	// Materialize answers the requests in order with |π_Set| of each,
-	// building the partitions that are not cached (Algorithms 1–4). At most
-	// workers of them are built at a time; with workers ≤ 1, or on an engine
-	// that builds one set at a time, they are built one by one in request
-	// order. A request's covers must be materialized, before the call or by
-	// an earlier request of it.
+	// building the partitions that are not cached (Algorithms 1–4). The sort
+	// engine builds at most workers of them at a time, one by one in request
+	// order with workers ≤ 1; the ORAM engines build the sets of one lattice
+	// level together, a group at a time, whatever workers is; the others
+	// build one set at a time. A request's covers must be materialized,
+	// before the call or by an earlier request of it.
 	Materialize(reqs []Request, workers int) ([]int, error)
 	// Cardinality returns the cached |π_x| of a materialized set.
 	Cardinality(x relation.AttrSet) (int, bool)

@@ -84,38 +84,31 @@ func (e *ExEngine) liveOrdered() []int {
 	return ids
 }
 
-// exStep executes Algorithm 4's loop body: one access to O^KLF that takes the
-// key's label (the next fresh one for a key not seen before) and leaves its
+// exStep is Algorithm 4's loop body: one access to O^KLF that takes the key's
+// label (the next fresh one for a key not seen before) and leaves its
 // frequency one higher, and one write of (key_X, label) to O^IKL. Exactly two
-// ORAM accesses regardless of data.
-func exStep(st *oramState, id string, key uint64) error {
+// ORAM accesses regardless of data; card_X and the label source move in
+// commit, once both write-backs are on the server.
+func exStep(st *oramState, id string, key uint64) (primary, secondary oram.Access, commit func()) {
 	var label uint64
 	var fresh bool
-	err := st.pipe.Do(
-		oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
-			fresh = !found
-			fre := uint64(0)
-			if found {
-				label, fre = decodeUint64(old), decodeUint64(old[8:])
-			} else {
-				label = st.nextLabel
-			}
-			return st.pair(label, fre+1), true
-		}},
-		oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.pair(key, label), true }})
-	if err == nil {
-		err = st.pipe.Flush()
+	primary = oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
+		fresh = !found
+		fre := uint64(0)
+		if found {
+			label, fre = decodeUint64(old), decodeUint64(old[8:])
+		} else {
+			label = st.nextLabel
+		}
+		return st.pair(label, fre+1), true
+	}}
+	secondary = oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.pair(key, label), true }}
+	return primary, secondary, func() {
+		if fresh {
+			st.card++
+			st.nextLabel++
+		}
 	}
-	if err != nil {
-		return fmt.Errorf("core: O^KLF/O^IKL step: %w", err)
-	}
-	// Both write-backs are on the server; only now do card_X and the label
-	// source move.
-	if fresh {
-		st.card++
-		st.nextLabel++
-	}
-	return nil
 }
 
 // exRemove executes Algorithm 5 for one record: one access takes the record's
@@ -123,10 +116,10 @@ func exStep(st *oramState, id string, key uint64) error {
 // that key's frequency or, at 1, removes the pair. Keeping and removing are
 // the same access on the wire, so the trace is fixed: two accesses, the
 // second's fetch sharing a round with the first's write-back.
-func exRemove(st *oramState, id int) error {
+func exRemove(pipe *oram.Pipeline, st *oramState, id int) error {
 	var key uint64
 	var known, counted, last bool
-	err := st.pipe.Do(oram.Access{Store: st.secondary, Key: idKey(id), Fn: func(old []byte, found bool) ([]byte, bool) {
+	err := pipe.Do(oram.Access{Store: st.secondary, Key: idKey(id), Fn: func(old []byte, found bool) ([]byte, bool) {
 		known = found
 		if found {
 			key = decodeUint64(old)
@@ -136,7 +129,7 @@ func exRemove(st *oramState, id int) error {
 	if err == nil {
 		// An id O^IKL does not know makes this a miss on an arbitrary key:
 		// the access count stays what it is for every record.
-		err = st.pipe.Do(oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
+		err = pipe.Do(oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
 			counted = found && known
 			if !counted {
 				return old, found
@@ -150,7 +143,7 @@ func exRemove(st *oramState, id int) error {
 		}})
 	}
 	if err == nil {
-		err = st.pipe.Flush()
+		err = pipe.Flush()
 	}
 	switch {
 	case err != nil:
@@ -168,12 +161,23 @@ func exRemove(st *oramState, id int) error {
 
 // Insert implements DynamicEngine: the new record is an untraversed record,
 // processed by one Algorithm 4 step per materialized set, covers first.
+//
+// When an insertion fails after the row has been appended, the id stays taken
+// and is never traversed or counted, and the next insertion gets the next id.
+// The sets stepped before the failure have counted the record, a set stepped
+// after has not, and a set whose write-back round was lost refuses further
+// use — so the partitions no longer describe one relation: release them and
+// materialize again.
 func (e *ExEngine) Insert(row relation.Row) (int, error) {
-	id, err := e.insert(row, e.timing)
-	if err == nil {
-		e.liveIDs[id] = true
+	id, err := e.edb.AppendRow(row)
+	if err != nil {
+		return 0, err
 	}
-	return id, err
+	if err := e.insert(id, e.timing); err != nil {
+		return 0, err
+	}
+	e.liveIDs[id] = true
+	return id, nil
 }
 
 // Delete implements DynamicEngine: one Algorithm 5 pass per materialized
@@ -182,7 +186,7 @@ func (e *ExEngine) Delete(id int) error {
 	if !e.liveIDs[id] {
 		return fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
-	err := e.eachSet(e.timing, func(_ relation.AttrSet, st *oramState) error { return exRemove(st, id) })
+	err := e.eachSet(e.timing, func(_ relation.AttrSet, st *oramState) error { return exRemove(e.pipe, st, id) })
 	if err == nil {
 		delete(e.liveIDs, id)
 	}

@@ -81,7 +81,8 @@ func unfusing(s store.Service) store.Service { return struct{ store.Service }{s}
 // a service that takes a fused round in one call and through one that cannot
 // gives the same FDs and cardinalities and shows the backend the same events in
 // the same order — per object and as a whole — and only the count of round
-// trips differs, by the closed form of EXPERIMENTS.md ("ORAM rounds").
+// trips differs, by the closed form of EXPERIMENTS.md ("ORAM rounds"): a
+// level's rounds per record, not a set's.
 func TestFusedRoundsAreFramingOnly(t *testing.T) {
 	rel := parallelTestRel(24)
 	want, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), nil)
@@ -110,9 +111,12 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 			}
 
 			// Rounds. Unfused, every path read and path write is its own
-			// call; fused, a record is 2 rounds (|X| = 1) or 3 (|X| ≥ 2) and a
-			// deletion 3 per set. Everything that is not a path op costs the
-			// same both ways, so the difference is a function of the counts.
+			// call; fused, a record of the discovery is 2 rounds for a whole
+			// group of single attributes or 3 for a group of larger sets —
+			// ⌈w / levelWidth⌉ groups for a level of w — an inserted record is
+			// 2 or 3 per set, and a deletion 3 per set. Everything that is not
+			// a path op costs the same both ways, so the difference is a
+			// function of the counts.
 			var paths int64
 			for _, e := range fused.events {
 				if e.Op == trace.OpReadPath || e.Op == trace.OpWritePath {
@@ -120,17 +124,21 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 				}
 			}
 			n, tail := int64(rel.NumRows()), int64(len(goldenTailRows))
-			var singles, unions int64
+			width := make(map[int]int64) // |X| → sets of that lattice level
 			for x := range fused.cards {
-				if x.Size() == 1 {
-					singles++
-				} else {
-					unions++
-				}
+				width[x.Size()]++
 			}
-			fusedPathRounds := (n + tail) * (2*singles + 3*unions)
+			var fusedPathRounds, sets int64
+			for size, w := range width {
+				groups, perRecord := (w+levelWidth-1)/levelWidth, int64(3)
+				if size == 1 {
+					perRecord = 2
+				}
+				fusedPathRounds += n*groups*perRecord + tail*w*perRecord
+				sets += w
+			}
 			if kind.k == kindEx {
-				fusedPathRounds += 2 * 3 * (singles + unions) // two deletions
+				fusedPathRounds += 2 * 3 * sets // two deletions
 			}
 			if got := split.rounds - fused.rounds; got != paths-fusedPathRounds {
 				t.Errorf("unfused − fused = %d rounds, want %d path ops − %d fused rounds = %d",
@@ -209,8 +217,10 @@ func TestFusedRoundRetriedWhole(t *testing.T) {
 // TestFailedStepLeavesSetUnusable: a step whose write-back round is lost for
 // good surfaces the error, does not move card_X, and leaves the set's ORAMs
 // refusing further accesses rather than serving from a stash the tree never
-// caught up with.
+// caught up with — for the one set an insertion is stepping, and (failedLevel)
+// for a group of a level's sets and the covers they share.
 func TestFailedStepLeavesSetUnusable(t *testing.T) {
+	t.Run("level", failedLevel)
 	rel := fixedWidthRel(1, 8, 9, 3)
 	srv := store.NewServer()
 	svc := newFailNth(srv, func(op *store.Op) bool {

@@ -13,20 +13,25 @@ import (
 )
 
 // describeIntegrity annotates an engine error that originated in failed
-// verification with the lattice coordinates that tripped it, so the operator
-// sees *where* in the search the store returned tampered data: the level, and
-// the attribute set when the failed call asked for one (for a whole level the
-// engines wrap their own per-set context into the error). Non-integrity errors
-// pass through unchanged.
-func describeIntegrity(err error, level int, reqs []Request) error {
-	switch {
-	case !errors.Is(err, store.ErrIntegrity):
+// verification with the lattice level that tripped it, so the operator sees
+// *where* in the search the store returned tampered data; the engines have put
+// the attribute set in already (describeSet). Non-integrity errors pass through
+// unchanged.
+func describeIntegrity(err error, level int) error {
+	if !errors.Is(err, store.ErrIntegrity) {
 		return err
-	case len(reqs) == 1:
-		return fmt.Errorf("core: integrity failure at lattice level %d, attribute set %v: %w", level, reqs[0].Set, err)
-	default:
-		return fmt.Errorf("core: integrity failure at lattice level %d: %w", level, err)
 	}
+	return fmt.Errorf("core: integrity failure at lattice level %d: %w", level, err)
+}
+
+// describeSet is the engines' half of that: where a verification failure
+// arises, it is given the structure it arose in — the attribute set being
+// built or the cover being read.
+func describeSet(err error, where string) error {
+	if !errors.Is(err, store.ErrIntegrity) {
+		return err
+	}
+	return fmt.Errorf("%s: %w", where, err)
 }
 
 // This file is the database level (§IV-A): the top-down levelwise search of
@@ -68,10 +73,9 @@ type Options struct {
 	// Options value, so the resumed run cannot diverge from the original.
 	Resume *LatticeState
 	// Telemetry, if non-nil, receives phase spans for the traversal: one
-	// "lattice/level-NN" span per lattice level plus "candidate/single" /
-	// "candidate/union" spans around each partition materialization (or one
-	// "candidate/single-batch" / "candidate/union-batch" per level when
-	// Workers > 1). Spans record only wall time and counts —
+	// "lattice/level-NN" span per lattice level plus one "candidate/single"
+	// or "candidate/union" span around each Materialize call — a whole
+	// level's partitions. Spans record only wall time and counts —
 	// quantities the server already observes — so attaching a registry does
 	// not change the leakage profile, and the span calls issue no oblivious
 	// accesses of their own.
@@ -86,13 +90,13 @@ type Options struct {
 	// accesses of their own and no change to any frame's size (DESIGN.md
 	// §14).
 	Trace *otrace.Tracer
-	// Workers bounds how many of one level's partition materializations
-	// proceed concurrently: above 1 the engine is asked for a whole level
-	// in one Materialize call, otherwise for one set per call, in lattice
-	// order — the serial path, whose access trace is byte-identical to
-	// previous releases. 0 means runtime.GOMAXPROCS(0). Parallelism
-	// changes only the interleaving of accesses across structures, never
-	// any single structure's sequence — see DESIGN.md §11.
+	// Workers is passed to the engine with every level: the sort engine
+	// builds up to that many of the level's partitions concurrently, which
+	// changes only the interleaving of accesses across arrays, never any
+	// single array's sequence — see DESIGN.md §11. The ORAM engines take a
+	// level at a time on one goroutine and show the server the same ordered
+	// trace whatever it is; plain, deterministic and enclave build a set at a
+	// time. 0 means runtime.GOMAXPROCS(0).
 	Workers int
 }
 
@@ -167,30 +171,25 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 
 	res := &Result{Cardinalities: make(map[relation.AttrSet]int)}
 
-	// materializeLevel asks the engine for a level's partitions and records
-	// their cardinalities: in one call when workers > 1, otherwise one call
-	// per set, which is the serial algorithm. kind is "single" or "union".
+	// materializeLevel asks the engine for a level's partitions, in one call,
+	// and records their cardinalities. kind is "single" or "union".
 	materializeLevel := func(l int, kind string, reqs []Request) error {
-		chunk, name := 1, "candidate/"+kind
-		if workers > 1 {
-			chunk, name = len(reqs), name+"-batch"
+		if len(reqs) == 0 {
+			return nil
 		}
-		for ; len(reqs) > 0; reqs = reqs[chunk:] {
-			part := reqs[:chunk]
-			csp := reg.StartSpan(name)
-			ocsp := otr.Start(name)
-			creleased := ocsp.Bind()
-			cards, err := engine.Materialize(part, workers)
-			creleased()
-			ocsp.End()
-			csp.End()
-			if err != nil {
-				return describeIntegrity(err, l, part)
-			}
-			for i, r := range part {
-				res.Cardinalities[r.Set] = cards[i]
-				res.SetsMaterialized++
-			}
+		csp := reg.StartSpan("candidate/" + kind)
+		ocsp := otr.Start("candidate/" + kind)
+		creleased := ocsp.Bind()
+		cards, err := engine.Materialize(reqs, workers)
+		creleased()
+		ocsp.End()
+		csp.End()
+		if err != nil {
+			return describeIntegrity(err, l)
+		}
+		for i, r := range reqs {
+			res.Cardinalities[r.Set] = cards[i]
+			res.SetsMaterialized++
 		}
 		return nil
 	}

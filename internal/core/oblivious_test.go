@@ -36,12 +36,15 @@ func fixedWidthRel(m, n int, seed int64, distinct int) *relation.Relation {
 	return rel
 }
 
-// traceOfPartitionRun records the server-visible trace of materializing
-// three single-attribute partitions and one pair partition with the given
-// engine kind, on the given relation: two singles are read as the pair's
-// covers, the third single and the pair are read by nothing (the sort engine
-// restores r[ID] order for the first two only). ORAM leaf choices are seeded
-// identically; the shapes must match regardless because ShapeOf strips leaves.
+// traceOfPartitionRun records the server-visible trace of materializing, with
+// the given engine kind on the given relation, three single-attribute
+// partitions and one pair partition a set per call — two singles are read as
+// the pair's covers, the third single and the pair by nothing so far — and
+// then the other two pairs in one call: a level of width two over three
+// distinct covers, which the ORAM engines step together (the third single is
+// read as a cover for the first time there, and the sort engine restores its
+// r[ID] order there). ORAM leaf choices are seeded identically; the shapes
+// must match regardless because ShapeOf strips leaves.
 type engineKind int
 
 const (
@@ -83,7 +86,11 @@ func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) 
 	if _, err := CardinalitySingle(eng, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
+	a0, a1, a2 := relation.SingleAttr(0), relation.SingleAttr(1), relation.SingleAttr(2)
+	if _, err := CardinalityUnion(eng, a0, a1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Materialize([]Request{Union(a0, a2), Union(a1, a2)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	return trace.ShapeOf(srv.Trace().Events()).Canonical()
@@ -217,17 +224,22 @@ func TestDeletionBranchesIndistinguishable(t *testing.T) {
 // discovery run, reveals included, however the client's calls are framed.
 func TestFullDiscoveryTraceEquality(t *testing.T) {
 	pairs := []struct {
-		name string
-		a, b *relation.Relation
+		name   string
+		a, b   *relation.Relation
+		level2 int // sets at lattice level 2
 	}{
 		// Same size, same FD structure (all columns near-distinct ⇒ same
 		// lattice, pruned after level 1), different contents.
-		{"keys", fixedWidthRel(3, 24, 101, 1_000_000), fixedWidthRel(3, 24, 202, 1_000_000)},
+		{"keys", fixedWidthRel(3, 24, 101, 1_000_000), fixedWidthRel(3, 24, 202, 1_000_000), 0},
 		// Same size, same non-trivial FD set (C0→C1, C2 a key: the lattice
 		// goes on to level 2, where C0 and C1 are read as covers and C2 is
 		// not), very different value histograms: C0's four groups are
 		// 6/6/6/6 in one relation and 12/1/10/1 in the other.
-		{"histograms", histogramRel([4]int{6, 6, 6, 6}), histogramRel([4]int{12, 1, 10, 1})},
+		{"histograms", histogramRel([4]int{6, 6, 6, 6}, false), histogramRel([4]int{12, 1, 10, 1}, false), 1},
+		// The same with a fourth column that neither determines nor is
+		// determined by the others: level 2 is three sets over three covers,
+		// which the ORAM engines step together, each cover read once a record.
+		{"histograms, wide level", histogramRel([4]int{6, 6, 6, 6}, true), histogramRel([4]int{12, 1, 10, 1}, true), 3},
 	}
 
 	run := func(rel *relation.Relation, kind engineKind, wrap func(store.Service) store.Service) trace.Shape {
@@ -272,22 +284,34 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 	// Sanity: the two relations of a pair must actually have identical FD
 	// sets, or the divergence would be allowed leakage, not a bug. With
 	// different FD sets the lattices differ, and with them which structures
-	// exist (a pruned set's children are never built), how many times each is
-	// read as a cover and, for the sort engine, which B_X arrays get their
+	// exist (a pruned set's children are never built), which sets of a level
+	// share a group and so how many times a record's label is read from each
+	// cover's ID ORAM (once per group that names the cover, whatever number of
+	// its targets do) and, for the sort engine, which B_X arrays get their
 	// second network — the ones that are read as a cover at all. Every one of
-	// those is a function of (m, FDs), which is L(DB);
-	// TestSortRestoresOrderOnlyForCovers checks that nothing else decides it.
+	// those is a function of the request lists = the lattice = (m, FDs), which
+	// is L(DB); TestSortRestoresOrderOnlyForCovers and TestLevelClosedForm
+	// check that nothing else decides it.
 	for _, p := range pairs {
-		fdsA, err := Discover(NewPlainEngine(p.a), 3, nil)
+		fdsA, err := Discover(NewPlainEngine(p.a), p.a.NumAttrs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fdsB, err := Discover(NewPlainEngine(p.b), 3, nil)
+		fdsB, err := Discover(NewPlainEngine(p.b), p.b.NumAttrs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !relation.FDSetEqual(fdsA.Minimal, fdsB.Minimal) {
 			t.Fatalf("%s: the relations have different FD sets (%v vs %v); pick new ones", p.name, fdsA.Minimal, fdsB.Minimal)
+		}
+		level2 := 0
+		for x := range fdsA.Cardinalities {
+			if x.Size() == 2 {
+				level2++
+			}
+		}
+		if level2 != p.level2 {
+			t.Fatalf("%s: %d sets at level 2, want %d; pick new relations", p.name, level2, p.level2)
 		}
 	}
 
@@ -315,15 +339,24 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 	}
 }
 
-// histogramRel builds a 24×3 fixed-width relation in which C0 takes four
-// values with the given group sizes, C1 = C0 mod 2 and C2 is the row number,
-// so the FD set is the same whatever the sizes are.
-func histogramRel(groups [4]int) *relation.Relation {
-	rel := relation.New(relation.MustNewSchema("C0", "C1", "C2"))
+// histogramRel builds a 24-row fixed-width relation in which C0 takes four
+// values with the given group sizes, C1 = C0 mod 2 and the last column is the
+// row number, so the FD set is the same whatever the sizes are. With free,
+// there is a column between them that counts 0, 1, 2 through every C0 group —
+// tied to nothing, so level 2 holds all three pairs of C0, C1 and it.
+func histogramRel(groups [4]int, free bool) *relation.Relation {
+	names := []string{"C0", "C1", "C2"}
+	if free {
+		names = append(names, "C3")
+	}
+	rel := relation.New(relation.MustNewSchema(names...))
 	for v, size := range groups {
 		for k := 0; k < size; k++ {
-			row := relation.Row{fmt.Sprintf("%06d", v), fmt.Sprintf("%06d", v%2), fmt.Sprintf("%06d", rel.NumRows())}
-			if err := rel.Append(row); err != nil {
+			row := relation.Row{fmt.Sprintf("%06d", v), fmt.Sprintf("%06d", v%2)}
+			if free {
+				row = append(row, fmt.Sprintf("%06d", k%3))
+			}
+			if err := rel.Append(append(row, fmt.Sprintf("%06d", rel.NumRows()))); err != nil {
 				panic(err)
 			}
 		}

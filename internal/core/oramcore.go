@@ -39,9 +39,6 @@ type oramState struct {
 	card               uint64              // |π_X|
 	nextLabel          uint64              // ExEngine's monotone label source
 	cover              [2]relation.AttrSet // the Property 1 subsets; zero for singletons
-	// pipe fuses the server calls of one record's accesses — to this set's
-	// two ORAMs and, for a union, its covers' — into one round per phase.
-	pipe *oram.Pipeline
 	// val is where a step builds the value an access stores; a store copies
 	// it before the next one is built.
 	val [keyWidth + labelWidth]byte
@@ -57,25 +54,46 @@ func (st *oramState) pair(a, b uint64) []byte {
 	return st.val[:]
 }
 
+// levelWidth is the most sets of one lattice level the ORAM engines step
+// together. A record's round then holds at most 2·levelWidth + c paths of
+// ≈ 2.5 KB (c ≤ 2·levelWidth distinct covers), which keeps what the client
+// buffers per round independent of n and of C(m, m/2); a wider level is cut
+// into groups of this many, in request order. The value is from the sweep in
+// EXPERIMENTS.md ("ORAM rounds"): a level's rounds fall as 1/width, and at 16
+// a round's ≈ 50 paths already take five times the paper's LAN round trip to
+// transfer, so each further doubling buys under a tenth of the level's time
+// for twice the buffer.
+const levelWidth = 16
+
+// levelAtATime is the ORAM engines' grouping: up to levelWidth targets of one
+// level per fill, fills one after the other because the groups of a level
+// share their covers.
+var levelAtATime = grouping{width: levelWidth}
+
 // oramCore is everything OrEngine and ExEngine have in common: Algorithm 4
 // is Algorithm 2 "with frequencies", so the two engines differ in the layout
 // above, in the loop body (step), and in which record ids are live. Both
 // traverse records one by one, which is also why both take insertions: an
 // appended record is simply an untraversed one (§IV-C(c)).
 //
-// One record costs a number of ORAM accesses and of round trips that depend
-// on |X| alone. Where Algorithms 1, 2 and 4 read key_X's pair and then write
-// it, the step makes one read-modify-write access (oram.Store.Update), and the
-// accesses of a record — different trees, leaves known to the client before
-// anything is fetched — share their round trips (oram.Pipeline):
+// Where Algorithm 2 runs its loop over the records once per set, the engines
+// run it once per group of w sets of one lattice level (levelStep): record by
+// record, each of the c distinct covers the group names is read once, however
+// many targets name it, and the accesses of a record — different trees, leaves
+// known to the client before anything is fetched — share their round trips
+// (oram.Pipeline). Where Algorithms 1, 2 and 4 read key_X's pair and then
+// write it, a step makes one read-modify-write access (oram.Store.Update):
 //
-//	|X| = 1   [ReadPath P, ReadPath S] → [WritePath P, WritePath S]
-//	|X| ≥ 2   [ReadPath c1, ReadPath c2]
-//	          → [WritePath c1, WritePath c2, ReadPath P, ReadPath S]
-//	          → [WritePath P, WritePath S]
+//	|X| = 1   [ReadPath P₁, ReadPath S₁, … P_w, S_w]
+//	          → [WritePath P₁, WritePath S₁, … P_w, S_w]
+//	|X| ≥ 2   [ReadPath c₁, … c_c]
+//	          → [WritePath c₁, … c_c, ReadPath P₁, ReadPath S₁, … P_w, S_w]
+//	          → [WritePath P₁, WritePath S₁, … P_w, S_w]
 //
-// with P and S the set's primary and secondary ORAM and c1, c2 its covers'
-// secondaries: 2 accesses in 2 rounds, or 4 in 3.
+// with P and S a target's primary and secondary ORAM and c₁ … the covers'
+// secondaries: 2w accesses in 2 rounds, or 2w + c in 3. What w and c are, and
+// which structures stand where in a round, follows from the request list —
+// the lattice, a function of (m, FDs) — and from nothing fetched.
 type oramCore struct {
 	setTable[*oramState]
 	edb      *EncryptedDB
@@ -93,21 +111,27 @@ type oramCore struct {
 	capacity  int
 	seq       atomic.Int64 // unique ORAM-name counter across the engine's life
 	layout    oramLayout
+	// pipe fuses the server calls of one record's accesses into one round per
+	// phase. The engine steps one group, or one set of an insertion or a
+	// deletion, at a time, so one pipeline serves them all.
+	pipe *oram.Pipeline
 	// live reports whether a record id is one to traverse. Ids are public
 	// row numbers, and Algorithms 1, 2 and 4 visit the live ones in ascending
 	// order.
 	live func(id int) bool
 	// step is the loop body for one record with its key_X already built: the
-	// primary's read-modify-write and the secondary's write in one round, the
-	// write-backs in the next, and only then the set's card_X.
-	step func(st *oramState, id string, key uint64) error
+	// primary's read-modify-write and the secondary's write, and what moves
+	// the set's card_X once both write-backs are on the server. levelStep
+	// sends them.
+	step func(st *oramState, id string, key uint64) (primary, secondary oram.Access, commit func())
 }
 
 // init wires a core that is embedded in its engine; the engine sets live and
 // step itself.
 func (c *oramCore) init(edb *EncryptedDB, instance string, layout oramLayout) {
-	c.setTable = newSetTable[*oramState](c, setsInParallel)
+	c.setTable = newSetTable[*oramState](c, levelAtATime)
 	c.edb, c.instance, c.capacity, c.layout = edb, instance, edb.Capacity(), layout
+	c.pipe = oram.NewPipeline(edb.svc)
 }
 
 // SetTelemetry attaches a metrics registry to the engine and re-instruments
@@ -149,7 +173,7 @@ func (c *oramCore) prepare(x relation.AttrSet, cover [2]relation.AttrSet) (*oram
 		_ = primary.Destroy() // best effort; the set-up error is the one to report
 		return nil, err
 	}
-	return &oramState{primary: primary, secondary: secondary, cover: cover, pipe: oram.NewPipeline(c.edb.svc)}, nil
+	return &oramState{primary: primary, secondary: secondary, cover: cover}, nil
 }
 
 func (c *oramCore) destroy(st *oramState) error {
@@ -165,32 +189,116 @@ func (c *oramCore) singleKeyFor(id, attr int) (uint64, error) {
 	return singleKey(c.edb.cipher, v), nil
 }
 
-// unionStep builds key_X for record id from the labels in the two covering
-// subsets' ID ORAMs (Algorithm 2, lines 4–6) and runs the step with it. The
-// covers' write-backs travel with the step's own fetches.
-func (c *oramCore) unionStep(st *oramState, id int, cover1, cover2 *oramState) error {
-	rid := idKey(id)
-	var labels [2]uint64
-	var found [2]bool
-	label := func(i int) oram.UpdateFunc {
-		return func(old []byte, ok bool) ([]byte, bool) {
-			found[i] = ok
-			if ok {
-				labels[i] = decodeUint64(old[c.layout.labelAt:])
+// level is a group of targets of one lattice level being stepped together:
+// the distinct covers they name, and one record's worth of scratch.
+type level struct {
+	size      int // |X| of every target, the lattice level
+	targets   []target[*oramState]
+	reads     []oram.Access      // the cover round: one per distinct cover, in order of first mention; keys aside
+	coverSets []relation.AttrSet // the covers' names, for errors
+	at        [][2]int           // targets[i]'s covers are reads[at[i][0]] and reads[at[i][1]]
+	labels    []uint64           // label_c(record), per cover
+	found     []bool
+	readers   []oram.UpdateFunc // readers[k] notes what reads[k] found in labels[k], found[k]
+	accesses  []oram.Access     // the target round
+	commits   []func()
+}
+
+// lay lays a group out in lv for levelStep. It reuses what lv holds from an
+// earlier group, which is how an insertion steps one set after another
+// without building a level for each.
+func (c *oramCore) lay(lv *level, group []target[*oramState]) *level {
+	lv.size, lv.targets = group[0].set.Size(), group
+	lv.reads, lv.coverSets, lv.at = lv.reads[:0], lv.coverSets[:0], lv.at[:0]
+	if lv.size == 1 {
+		return lv
+	}
+	for _, t := range group {
+		var at [2]int
+		for j, cv := range t.cover {
+			k := 0
+			for k < len(lv.reads) && lv.reads[k].Store != cv.secondary {
+				k++
 			}
-			return old, ok
+			if k == len(lv.readers) {
+				lv.labels, lv.found = append(lv.labels, 0), append(lv.found, false)
+				lv.readers = append(lv.readers, func(old []byte, ok bool) ([]byte, bool) {
+					lv.found[k] = ok
+					if ok {
+						lv.labels[k] = decodeUint64(old[c.layout.labelAt:])
+					}
+					return old, ok
+				})
+			}
+			if k == len(lv.reads) {
+				lv.coverSets = append(lv.coverSets, t.st.cover[j])
+				lv.reads = append(lv.reads, oram.Access{Store: cv.secondary, Fn: lv.readers[k]})
+			}
+			at[j] = k
+		}
+		lv.at = append(lv.at, at)
+	}
+	return lv
+}
+
+// levelStep runs the loop body of Algorithms 1, 2 and 4 for record id on every
+// target of the level, and is the one place a record's accesses are sent from
+// — a fill's with its group, an insertion's with the single set it is
+// stepping. Each distinct cover's ID ORAM hands over the record's label in one
+// round (Algorithm 2, lines 4–6); the covers' write-backs travel with the
+// targets' own fetches, keyed by singleKeys or by the pair of labels; the
+// targets' write-backs are the last round, and only then does any card_X move.
+func (c *oramCore) levelStep(lv *level, id int, singleKeys []uint64) error {
+	rid := idKey(id)
+	if len(lv.reads) > 0 {
+		for k := range lv.reads {
+			lv.reads[k].Key = rid
+		}
+		if err := c.pipe.Do(lv.reads...); err != nil {
+			return inAccess(fmt.Errorf("core: O^%s read: %w", c.layout.secondary, err), func(i int) string {
+				return fmt.Sprintf("attribute set %v as cover of level %d", lv.coverSets[i], lv.size)
+			})
+		}
+		for k, ok := range lv.found[:len(lv.reads)] {
+			if !ok { // no target has been touched
+				return errors.Join(fmt.Errorf("%w: id %d missing from subset partition %v", ErrNotMaterialized, id, lv.coverSets[k]), c.pipe.Flush())
+			}
 		}
 	}
-	err := st.pipe.Do(
-		oram.Access{Store: cover1.secondary, Key: rid, Fn: label(0)},
-		oram.Access{Store: cover2.secondary, Key: rid, Fn: label(1)})
+	lv.accesses, lv.commits = lv.accesses[:0], lv.commits[:0]
+	for i, t := range lv.targets {
+		var key uint64
+		if lv.size == 1 {
+			key = singleKeys[i]
+		} else {
+			key = unionKey(lv.labels[lv.at[i][0]], lv.labels[lv.at[i][1]])
+		}
+		primary, secondary, commit := c.step(t.st, rid, key)
+		lv.accesses, lv.commits = append(lv.accesses, primary, secondary), append(lv.commits, commit)
+	}
+	err := c.pipe.Do(lv.accesses...)
+	if err == nil {
+		err = c.pipe.Flush()
+	}
 	if err != nil {
-		return fmt.Errorf("core: O^%s read: %w", c.layout.secondary, err)
+		return inAccess(fmt.Errorf("core: O^%s/O^%s step: %w", c.layout.primary, c.layout.secondary, err), func(i int) string {
+			return fmt.Sprintf("attribute set %v", lv.targets[i/2].set)
+		})
 	}
-	if !found[0] || !found[1] {
-		return errors.Join(fmt.Errorf("%w: id %d missing from subset partition", ErrNotMaterialized, id), st.pipe.Flush())
+	for _, commit := range lv.commits {
+		commit()
 	}
-	return c.step(st, rid, unionKey(labels[0], labels[1]))
+	return nil
+}
+
+// inAccess names the structure a round's error arose in, when the pipeline
+// says which of the round's accesses it was.
+func inAccess(err error, where func(i int) string) error {
+	var at *oram.AccessError
+	if !errors.As(err, &at) {
+		return err
+	}
+	return describeSet(err, where(at.Index))
 }
 
 // eachLive visits the live record ids in ascending order, at most
@@ -217,31 +325,34 @@ func (c *oramCore) eachLive(visit func(ids []int64) error) error {
 	return visit(ids)
 }
 
-// fillSingle is Algorithm 1 (Algorithm 4 with |X| = 1). The column is
-// fetched a chunk of cells per round, as the sort engine fetches it; the
-// server records the same one access per cell, in the same ascending order,
-// as it does for a round per record.
-func (c *oramCore) fillSingle(st *oramState, attr int) error {
+// fill is Algorithm 1 (|X| = 1) or Algorithm 2 (Algorithm 4 and its
+// multi-attribute variant, which obtains key_X the same way) for a group of
+// sets, with the loop over the records outermost. The columns of a group of
+// single attributes are fetched a chunk of cells per round each, as the sort
+// engine fetches them; the server records the same one access per cell, in the
+// same ascending order, as it does for a round per record.
+func (c *oramCore) fill(group []target[*oramState]) error {
+	lv := c.lay(new(level), group)
+	if g, w := c.Telemetry.Gauge("oblivfd_level_width"), int64(len(group)); w > g.Value() {
+		g.Set(w)
+	}
+	var vals [][]string
+	var keys []uint64
+	if lv.size == 1 {
+		vals, keys = make([][]string, len(group)), make([]uint64, len(group))
+	}
 	return c.eachLive(func(ids []int64) error {
-		vals, err := c.edb.CellValuesAt(ids, attr)
-		if err != nil {
-			return err
-		}
-		for k, id := range ids {
-			if err := c.step(st, idKey(int(id)), singleKey(c.edb.cipher, vals[k])); err != nil {
+		for i := range vals {
+			var err error
+			if vals[i], err = c.edb.CellValuesAt(ids, group[i].set.First()); err != nil {
 				return err
 			}
 		}
-		return nil
-	})
-}
-
-// fillUnion is Algorithm 2 (Algorithm 4's multi-attribute variant, which
-// obtains key_X the same way).
-func (c *oramCore) fillUnion(st *oramState, _ relation.AttrSet, cover1, cover2 *oramState) error {
-	return c.eachLive(func(ids []int64) error {
-		for _, id := range ids {
-			if err := c.unionStep(st, int(id), cover1, cover2); err != nil {
+		for k, id := range ids {
+			for i := range keys {
+				keys[i] = singleKey(c.edb.cipher, vals[i][k])
+			}
+			if err := c.levelStep(lv, int(id), keys); err != nil {
 				return err
 			}
 		}
@@ -264,34 +375,30 @@ func (c *oramCore) eachSet(hook func(relation.AttrSet, time.Duration), fn func(x
 	return nil
 }
 
-// insert continues the traversal for one appended record across every
-// materialized set, in subset-before-superset order so Algorithm 2's key
-// construction finds fresh labels (§IV-C(c)). The engine records the id as
-// live afterwards.
-func (c *oramCore) insert(row relation.Row, hook func(relation.AttrSet, time.Duration)) (int, error) {
-	id, err := c.edb.AppendRow(row)
-	if err != nil {
-		return 0, err
-	}
-	err = c.eachSet(hook, func(x relation.AttrSet, st *oramState) error {
+// insert continues the traversal for record id, which the engine has just
+// appended to the database, across every materialized set: a set at a time
+// and in subset-before-superset order, so Algorithm 2's key construction finds
+// fresh labels (§IV-C(c)). The engine records the id as live when every set
+// has been stepped and as one never to traverse otherwise.
+func (c *oramCore) insert(id int, hook func(relation.AttrSet, time.Duration)) error {
+	lv, group, key := new(level), make([]target[*oramState], 1), make([]uint64, 1)
+	return c.eachSet(hook, func(x relation.AttrSet, st *oramState) error {
+		group[0] = target[*oramState]{set: x, st: st}
 		if x.Size() == 1 {
-			key, err := c.singleKeyFor(id, x.First())
-			if err != nil {
+			var err error
+			if key[0], err = c.singleKeyFor(id, x.First()); err != nil {
 				return err
 			}
-			return c.step(st, idKey(id), key)
+		} else {
+			for j, cv := range st.cover {
+				var ok bool
+				if group[0].cover[j], ok = c.sets[cv]; !ok {
+					return fmt.Errorf("%w: cover of %v was released; dynamic use requires keeping partitions", ErrNotMaterialized, x)
+				}
+			}
 		}
-		cover1, ok1 := c.sets[st.cover[0]]
-		cover2, ok2 := c.sets[st.cover[1]]
-		if !ok1 || !ok2 {
-			return fmt.Errorf("%w: cover of %v was released; dynamic use requires keeping partitions", ErrNotMaterialized, x)
-		}
-		return c.unionStep(st, id, cover1, cover2)
+		return c.levelStep(c.lay(lv, group), id, key)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return id, nil
 }
 
 // checkpointState deep-captures every materialized set's cardinality, cover
@@ -334,7 +441,7 @@ func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout) 
 		if err != nil {
 			return fmt.Errorf("core: resuming O^%s for %v: %w", layout.secondary, s.Set, err)
 		}
-		c.sets[s.Set] = &oramState{primary: primary, secondary: secondary, card: s.Card, nextLabel: s.NextLabel, cover: s.Cover, pipe: oram.NewPipeline(edb.svc)}
+		c.sets[s.Set] = &oramState{primary: primary, secondary: secondary, card: s.Card, nextLabel: s.NextLabel, cover: s.Cover}
 	}
 	return nil
 }

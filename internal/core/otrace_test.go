@@ -109,8 +109,8 @@ func TestTracingDoesNotPerturbTrace(t *testing.T) {
 					}
 				}
 			}
-			if len(byName["candidate/single"]) != 4 {
-				t.Errorf("candidate/single count = %d, want 4", len(byName["candidate/single"]))
+			if len(byName["candidate/single"]) != 1 { // one per Materialize call: a whole level
+				t.Errorf("candidate/single count = %d, want 1", len(byName["candidate/single"]))
 			}
 			for _, r := range byName["candidate/single"] {
 				parent, ok := spans[r.Parent]

@@ -10,25 +10,27 @@ import (
 // lattice level are independent of each other (each depends only on
 // previous-level partitions), so their materializations can proceed
 // concurrently — the coarse-grained counterpart of the sorting network's
-// intra-sort parallelism (§IV-D).
+// intra-sort parallelism (§IV-D). It is the sort engine that runs its fills
+// side by side; the ORAM engines take a level a group at a time on one
+// goroutine (oramCore.fill) and every other engine a set at a time, and for
+// them runBatch is its serial loop.
 //
 // Obliviousness is preserved structure by structure, not globally: the
-// multiset of per-structure access sequences (each ORAM tree's and each
-// sort array's own read/write order) is identical to the serial run's, and
-// each sequence was already a function of public quantities alone. Only the
-// interleaving *across* structures changes, and that interleaving is a
-// function of goroutine scheduling, never of the data — see DESIGN.md §11
-// and trace.Shape.CanonicalPerStructure, which the equivalence tests use to
-// compare runs under different worker counts.
+// multiset of per-structure access sequences (each sort array's own
+// read/write order) is identical to the serial run's, and each sequence was
+// already a function of public quantities alone. Only the interleaving
+// *across* structures changes, and that interleaving is a function of
+// goroutine scheduling, never of the data — see DESIGN.md §11 and
+// trace.Shape.CanonicalPerStructure, which the equivalence tests use to
+// compare sort runs under different worker counts.
 
-// batchJob is one schedulable unit inside a Materialize call.
+// batchJob is one schedulable unit inside a Materialize call: a group of sets
+// to fill, or a request the table can already answer.
 type batchJob struct {
-	// resources names the structures the job touches: the target set plus,
-	// for unions, both covers. Jobs sharing a resource never run in the
-	// same wave. For the ORAM engines this is a hard correctness
-	// requirement (reading a cover's ID-Label ORAM is a mutating access and
-	// the handles are not goroutine-safe); for the sort engine it preserves
-	// each cover array's access sequence.
+	// resources names the structures the job touches: the target sets plus,
+	// for unions, their covers. Jobs sharing a resource never run in the same
+	// wave, which preserves each cover array's access sequence and lets the
+	// first reader of a cover sort it by r[ID] undisturbed.
 	resources []relation.AttrSet
 	// run does the expensive concurrent work. It must not touch engine
 	// maps for writing; state to publish goes into the closure until

@@ -49,6 +49,11 @@ func (e *PlainEngine) prepare(_ relation.AttrSet, cover [2]relation.AttrSet) (*p
 // destroy has nothing to free: the partitions live in client memory.
 func (e *PlainEngine) destroy(*plainState) error { return nil }
 
+// fill builds one set at a time (see fillEach).
+func (e *PlainEngine) fill(group []target[*plainState]) error {
+	return fillEach(group, e.fillSingle, e.fillUnion)
+}
+
 func (e *PlainEngine) fillSingle(st *plainState, attr int) error {
 	st.labels, st.card = make(map[int]int, len(e.live)), 0
 	seen := make(map[string]int)

@@ -162,6 +162,11 @@ func (e *SortEngine) destroy(st *sortState) error {
 	return st.arr.Destroy()
 }
 
+// fill builds one set at a time (see fillEach).
+func (e *SortEngine) fill(group []target[*sortState]) error {
+	return fillEach(group, e.fillSingle, e.fillUnion)
+}
+
 // fillSingle materializes B_{attr}. Cell values are prefetched one
 // ChunkCells-sized column range per storage round; the per-cell accesses the
 // server records are the same ascending scan as a one-at-a-time read.

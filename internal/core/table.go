@@ -17,6 +17,14 @@ import (
 // setState is what the table reads from an engine's per-set state.
 type setState interface{ cardinality() int }
 
+// target is one set a fill is to build: its prepared state and, for |X| ≥ 2,
+// the committed states of its two covers.
+type target[S setState] struct {
+	set   relation.AttrSet
+	st    S
+	cover [2]S // zero for a single attribute
+}
+
 // fills is the part of materializing π_X that differs between engines.
 type fills[S setState] interface {
 	// prepare runs serially, in request order, and only for a set that is
@@ -25,16 +33,51 @@ type fills[S setState] interface {
 	// is decided here (an array name, a freshly set-up pair of ORAM trees),
 	// so names and set-up order are the same under every worker count.
 	prepare(x relation.AttrSet, cover [2]relation.AttrSet) (S, error)
-	// fillSingle and fillUnion do the work proportional to n. A fill may
-	// run concurrently with fills whose target and covers are all different
-	// from its own — its covers' states are its own to write for as long as
-	// it runs (the sort engine puts a cover in r[ID] order there) — and must
-	// not write engine-wide state.
-	fillSingle(st S, attr int) error
-	fillUnion(st S, x relation.AttrSet, cover1, cover2 S) error
+	// fill does the work proportional to n for a group of prepared sets: as
+	// many as the engine's grouping allows, all of one |X|, in request order,
+	// every cover committed. Where the grouping lets fills run side by side, a
+	// fill may run concurrently with fills whose targets and covers are all
+	// different from its own — its covers' states are its own to write for as
+	// long as it runs (the sort engine puts a cover in r[ID] order there) —
+	// and must not write engine-wide state.
+	fill(group []target[S]) error
 	// destroy frees what prepare and a fill — complete, partial or failed —
 	// left on the server.
 	destroy(st S) error
+}
+
+// group is the targets of one fill and the request each one answers.
+type group[S setState] struct {
+	targets []target[S]
+	reqs    []int
+}
+
+// grouping is how an engine lets the table hand it the sets of one call.
+type grouping struct {
+	width      int  // the most targets one fill takes
+	concurrent bool // fills of disjoint groups may run at the same time
+}
+
+var (
+	oneSetAtATime  = grouping{width: 1}
+	setsInParallel = grouping{width: 1, concurrent: true}
+)
+
+// fillEach is fill for an engine that builds a set at a time, and where an
+// integrity failure of such an engine gets its attribute set.
+func fillEach[S setState](group []target[S], single func(st S, attr int) error, union func(st S, x relation.AttrSet, cover1, cover2 S) error) error {
+	for _, t := range group {
+		var err error
+		if t.set.Size() == 1 {
+			err = single(t.st, t.set.First())
+		} else {
+			err = union(t.st, t.set, t.cover[0], t.cover[1])
+		}
+		if err != nil {
+			return describeSet(err, fmt.Sprintf("attribute set %v", t.set))
+		}
+	}
+	return nil
 }
 
 // setTable is the map of materialized partitions and every operation on it
@@ -43,31 +86,28 @@ type fills[S setState] interface {
 type setTable[S setState] struct {
 	sets  map[relation.AttrSet]S
 	fills fills[S]
-	// concurrent says the engine's fills keep the promise in fills' comment;
-	// without it the table builds one set at a time whatever workers is.
-	concurrent bool
+	grouping
 }
 
-// How many sets an engine lets the table build at a time.
-const (
-	oneSetAtATime  = false
-	setsInParallel = true
-)
-
-func newSetTable[S setState](f fills[S], concurrent bool) setTable[S] {
-	return setTable[S]{sets: make(map[relation.AttrSet]S), fills: f, concurrent: concurrent}
+func newSetTable[S setState](f fills[S], g grouping) setTable[S] {
+	return setTable[S]{sets: make(map[relation.AttrSet]S), fills: f, grouping: g}
 }
 
 // Materialize implements Engine. Each set that has to be built is prepared up
-// front, filled under runBatch's wave schedule and committed in request order,
-// so with workers ≤ 1 and one request this *is* the serial algorithm: prepare,
-// fill, cache.
+// front, in request order, and joins the group being gathered if that group
+// has sets of its size and room for one more; otherwise it opens the next
+// group. A cover is a proper subset, so never in its target's group. The
+// groups are filled under runBatch's wave schedule and committed in request
+// order, so with groups of one, workers ≤ 1 and one request this *is* the
+// serial algorithm: prepare, fill, cache.
 //
-// Jobs sharing a target or a cover never share a wave. For the ORAM engines
-// that is a correctness requirement (reading a cover's ID ORAM is a mutating
-// access on a handle that is not goroutine-safe); for the sort engine it keeps
-// each cover array's read sequence in serial order, and makes the first
-// reader's by-ID sort of the cover a step no other job can be in the middle of.
+// Jobs sharing a target or a cover never share a wave. For the sort engine
+// that keeps each cover array's read sequence in serial order, and makes the
+// first reader's by-ID sort of the cover a step no other job can be in the
+// middle of. An engine whose fills are not concurrent (the ORAM engines:
+// reading a cover's ID ORAM is a mutating access on a handle that is not
+// goroutine-safe, and the groups of a level share their covers) has its
+// groups run one after the other whatever workers is.
 //
 // When the batch stops on an error, every state that was prepared and not
 // committed is destroyed, best effort: it is in no map, so nothing else could
@@ -82,7 +122,7 @@ func (t *setTable[S]) Materialize(reqs []Request, workers int) ([]int, error) {
 		workers = 1
 	}
 	cards := make([]int, len(reqs))
-	jobs := make([]batchJob, len(reqs))
+	var jobs []batchJob
 	pending := make(map[relation.AttrSet]S) // prepared here, not yet committed
 	abandon := func(err error) ([]int, error) {
 		for _, r := range reqs {
@@ -98,45 +138,58 @@ func (t *setTable[S]) Materialize(reqs []Request, workers int) ([]int, error) {
 		_, requested := pending[x]
 		return cached || requested
 	}
+	var open *group[S] // the group being gathered
+	var openJob int    // and its place in jobs
 	for k, r := range reqs {
-		single := r.Set.Size() == 1
-		job := batchJob{
-			resources: []relation.AttrSet{r.Set},
-			run:       func() error { return nil },
-			commit:    func() { cards[k] = t.sets[r.Set].cardinality() },
+		if known(r.Set) {
+			jobs = append(jobs, batchJob{
+				resources: []relation.AttrSet{r.Set},
+				run:       func() error { return nil },
+				commit:    func() { cards[k] = t.sets[r.Set].cardinality() },
+			})
+			continue
 		}
-		if !single {
-			job.resources = []relation.AttrSet{r.Cover[0], r.Cover[1], r.Set}
+		for _, c := range r.Cover {
+			if !c.IsEmpty() && !known(c) { // a Property 1 ordering violation by the caller
+				return abandon(fmt.Errorf("%w: %v", ErrNotMaterialized, c))
+			}
 		}
-		if !known(r.Set) {
-			if !single {
-				for _, c := range r.Cover {
-					if !known(c) { // a Property 1 ordering violation by the caller
-						return abandon(fmt.Errorf("%w: %v", ErrNotMaterialized, c))
+		st, err := t.fills.prepare(r.Set, r.Cover)
+		if err != nil {
+			return abandon(err)
+		}
+		pending[r.Set] = st
+		if open == nil || len(open.targets) == t.width || open.targets[0].set.Size() != r.Set.Size() {
+			g := &group[S]{}
+			open, openJob = g, len(jobs)
+			jobs = append(jobs, batchJob{
+				run: func() error {
+					// The covers are committed by now: one requested in this
+					// call is in an earlier group, which shares a resource with
+					// this one, so it ran — and succeeded, or the batch
+					// stopped — in an earlier wave.
+					for i, k := range g.reqs {
+						for j, c := range reqs[k].Cover {
+							g.targets[i].cover[j] = t.sets[c] // the zero S for a single
+						}
 					}
-				}
-			}
-			st, err := t.fills.prepare(r.Set, r.Cover)
-			if err != nil {
-				return abandon(err)
-			}
-			pending[r.Set] = st
-			job.run = func() error {
-				if single {
-					return t.fills.fillSingle(st, r.Set.First())
-				}
-				// Both covers are committed by now: one requested in this
-				// batch shares a resource with this job, so it ran — and
-				// succeeded, or the batch stopped — in an earlier wave.
-				return t.fills.fillUnion(st, r.Set, t.sets[r.Cover[0]], t.sets[r.Cover[1]])
-			}
-			job.commit = func() {
-				t.sets[r.Set] = st
-				delete(pending, r.Set)
-				cards[k] = st.cardinality()
-			}
+					return t.fills.fill(g.targets)
+				},
+				commit: func() {
+					for i, tg := range g.targets {
+						t.sets[tg.set] = tg.st
+						delete(pending, tg.set)
+						cards[g.reqs[i]] = tg.st.cardinality()
+					}
+				},
+			})
 		}
-		jobs[k] = job
+		open.targets, open.reqs = append(open.targets, target[S]{set: r.Set, st: st}), append(open.reqs, k)
+		job := &jobs[openJob]
+		job.resources = append(job.resources, r.Set)
+		if r.Set.Size() > 1 {
+			job.resources = append(job.resources, r.Cover[0], r.Cover[1])
+		}
 	}
 	if err := runBatch(jobs, workers); err != nil {
 		return abandon(err)

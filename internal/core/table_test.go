@@ -188,7 +188,10 @@ func TestCloseAttemptsEverySet(t *testing.T) {
 // no type has an entry point of its own beside it, setsBySize is declared in
 // one file, and the lattice asks nothing of an engine but the interface. An
 // engine is a state type and a fills implementation; see CONTRIBUTING.md,
-// "Adding an engine".
+// "Adding an engine". And a record's accesses have one sender: in the ORAM
+// engines' files a pipeline's Do is called from levelStep — for fills and
+// insertions alike — and from exRemove, nowhere else, so no per-set loop can
+// grow back beside the level step.
 func TestOnlyTheTableDrivesMaterialization(t *testing.T) {
 	const table = "table.go"
 	entries, err := os.ReadDir(".")
@@ -196,6 +199,7 @@ func TestOnlyTheTableDrivesMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	var materialize, setsBySize, validateCoverCalls []string
+	senders := make(map[string]bool) // functions that call <pipeline>.Do
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -207,7 +211,18 @@ func TestOnlyTheTableDrivesMaterialization(t *testing.T) {
 		}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil {
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Do" {
+						senders[name+":"+fn.Name.Name] = true
+					}
+				}
+				return true
+			})
+			if fn.Recv == nil {
 				continue
 			}
 			switch fn.Name.Name {
@@ -236,6 +251,15 @@ func TestOnlyTheTableDrivesMaterialization(t *testing.T) {
 			}
 			return true
 		})
+	}
+	for _, want := range []string{"oramcore.go:levelStep", "exoram.go:exRemove"} {
+		if !senders[want] {
+			t.Errorf("%s does not call a pipeline's Do: the test no longer sees the senders", want)
+		}
+		delete(senders, want)
+	}
+	for fn := range senders {
+		t.Errorf("%s calls Do: a record's accesses are sent by levelStep (and a removal's by exRemove) alone", fn)
 	}
 	for what, files := range map[string][]string{
 		"Materialize is declared":   materialize,

@@ -467,18 +467,27 @@ func (o *ORAM) access(key string, fn UpdateFunc) (err error) {
 	return nil
 }
 
+// ready says why an access to key cannot begin, and changes nothing: the
+// handle has lost a write-back, is in the middle of another access, or the key
+// does not fit.
+func (o *ORAM) ready(key string) error {
+	switch {
+	case o.failed != nil:
+		return fmt.Errorf("oram %q: unusable since an access failed midway: %w", o.name, o.failed)
+	case o.cur.stage != idle:
+		return fmt.Errorf("oram %q: access to %q while another is in flight", o.name, key)
+	case len(key) > o.keyWidth:
+		return fmt.Errorf("%w: %d bytes, max %d", ErrKeyWidth, len(key), o.keyWidth)
+	}
+	return nil
+}
+
 // begin opens an access to key and returns the leaf whose path it needs. The
 // leaf is the key's position-map entry or, for a key that has none, a fresh
 // uniform draw: it is fixed before anything about the key is fetched.
 func (o *ORAM) begin(key string) (uint32, error) {
-	if o.failed != nil {
-		return 0, fmt.Errorf("oram %q: unusable since an access failed midway: %w", o.name, o.failed)
-	}
-	if o.cur.stage != idle {
-		return 0, fmt.Errorf("oram %q: access to %q while another is in flight", o.name, key)
-	}
-	if len(key) > o.keyWidth {
-		return 0, fmt.Errorf("%w: %d bytes, max %d", ErrKeyWidth, len(key), o.keyWidth)
+	if err := o.ready(key); err != nil {
+		return 0, err
 	}
 	o.accesses++
 	o.accessCtr.Inc()

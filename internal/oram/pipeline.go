@@ -52,18 +52,47 @@ type Pipeline struct {
 // NewPipeline returns an empty pipeline over the service its stores live on.
 func NewPipeline(svc store.Service) *Pipeline { return &Pipeline{svc: svc} }
 
+// An AccessError is a Do error that one of the call's accesses caused: it was
+// refused before anything was sent, or its fetched path did not verify. Index
+// says which, so a caller that built the call from a list can name the
+// structure; the message is the cause's.
+type AccessError struct {
+	Index int
+	Err   error
+}
+
+func (e *AccessError) Error() string { return e.Err.Error() }
+func (e *AccessError) Unwrap() error { return e.Err }
+
 // Do runs one round — the write-backs still owed by earlier accesses and the
 // fetches of these — and then serves the accesses in the order given, so a
 // later one's function may use what an earlier one's found. Their own
 // write-backs wait for the next Do or Flush.
+//
+// A call that cannot be sent — a store named twice, a handle that is unusable
+// or still owed a write-back, a key too wide — is refused whole before any
+// access begins: nothing has touched the wire, so the pipeline is exactly as
+// it was and what it owes can still be flushed.
 func (p *Pipeline) Do(accesses ...Access) error {
+	for i, a := range accesses {
+		for _, b := range accesses[:i] {
+			if a.Store == b.Store {
+				return &AccessError{i, fmt.Errorf("oram: one store named twice in a round (keys %q and %q)", b.Key, a.Key)}
+			}
+		}
+		if o, ok := a.Store.(*ORAM); ok {
+			if err := o.ready(a.Key); err != nil {
+				return &AccessError{i, err}
+			}
+		}
+	}
 	for _, a := range accesses {
 		o, ok := a.Store.(*ORAM)
 		if !ok {
 			continue
 		}
 		leaf, err := o.begin(a.Key)
-		if err != nil {
+		if err != nil { // ready said it could
 			return p.abandon(err)
 		}
 		p.begun = append(p.begun, o)
@@ -73,17 +102,17 @@ func (p *Pipeline) Do(accesses ...Access) error {
 	if err != nil {
 		return err
 	}
-	for _, a := range accesses {
+	for i, a := range accesses {
 		o, ok := a.Store.(*ORAM)
 		if !ok {
 			if err := a.Store.Update(a.Key, a.Fn); err != nil {
-				return p.abandon(err)
+				return p.abandon(&AccessError{i, err})
 			}
 			continue
 		}
 		out, err := o.serve(fetched[0], a.Fn)
 		if err != nil {
-			return p.abandon(err)
+			return p.abandon(&AccessError{i, err})
 		}
 		fetched = fetched[1:]
 		p.staged = append(p.staged, o)

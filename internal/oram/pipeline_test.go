@@ -373,6 +373,86 @@ func TestPipelineFailedRoundLeavesNoHalfAccess(t *testing.T) {
 	}
 }
 
+// TestPipelineRefusedDoPoisonsNothing: a Do that can be seen to be wrong
+// before anything is sent — one store named twice, a store still owed its
+// write-back, a key wider than the store takes, a handle that has already
+// failed — is refused whole, names the access at fault, sends nothing, and
+// leaves the pipeline as it was: the write-backs the earlier Do owes are still
+// owed, Flush lands them, and every earlier handle still answers. Before the
+// call was validated up front, the handles begun ahead of the bad access and
+// every handle awaiting its write-back were ended with the caller's mistake
+// and refused all further use.
+func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
+	srv := store.NewServer()
+	svc := newFailBatches(srv)
+	cipher := crypto.MustNewCipher(crypto.MustNewKey())
+	var o [4]*ORAM
+	for i := range o {
+		var err error
+		if o[i], err = Setup(svc, cipher, fmt.Sprintf("s%d", i), Config{Capacity: 16, KeyWidth: 8, ValueWidth: 4, Seed: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := o[i].Write("k", val(4, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := func(old []byte, found bool) ([]byte, bool) { return old, found }
+	// o[3] loses a write-back for good: the handle that "has already failed".
+	dead := NewPipeline(svc)
+	if err := dead.Do(Access{o[3], "k", keep}); err != nil {
+		t.Fatal(err)
+	}
+	svc.armed = true
+	if err := dead.Flush(); !errors.Is(err, errRoundLost) {
+		t.Fatalf("Flush through a failing service: %v", err)
+	}
+	svc.armed = false
+
+	rounds := store.WithRoundCounter(svc)
+	p := NewPipeline(rounds)
+	if err := p.Do(Access{o[0], "k", keep}); err != nil { // o[0] is served and owed a write-back
+		t.Fatal(err)
+	}
+	sent := rounds.Rounds()
+	for _, c := range []struct {
+		name     string
+		accesses []Access
+		at       int
+		want     string
+	}{
+		{"store named twice", []Access{{o[1], "k", keep}, {o[2], "k", keep}, {o[1], "j", keep}}, 2, "named twice"},
+		{"store still owed its write-back", []Access{{o[1], "k", keep}, {o[0], "k", keep}}, 1, "in flight"},
+		{"over-wide key", []Access{{o[1], "k", keep}, {o[2], "123456789", keep}}, 1, "key too long"},
+		{"failed handle", []Access{{o[1], "k", keep}, {o[3], "k", keep}}, 1, "unusable"},
+	} {
+		err := p.Do(c.accesses...)
+		var ae *AccessError
+		if !errors.As(err, &ae) || ae.Index != c.at || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Do = %v, want a refusal of access %d saying %q", c.name, err, c.at, c.want)
+		}
+		if c.name == "over-wide key" && !errors.Is(err, ErrKeyWidth) {
+			t.Errorf("%s: %v does not wrap ErrKeyWidth", c.name, err)
+		}
+	}
+	if got := rounds.Rounds(); got != sent {
+		t.Errorf("refused calls sent %d rounds", got-sent)
+	}
+	if len(p.staged) != 1 || p.staged[0] != o[0] || len(p.begun) != 0 || len(p.ops) != 1 {
+		t.Fatalf("pipeline after refusals: %d staged, %d begun, %d ops; want o[0]'s write-back alone", len(p.staged), len(p.begun), len(p.ops))
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush of what was owed before the refusals: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if o[i].failed != nil || o[i].cur.stage != idle {
+			t.Errorf("store %d: failed = %v, stage %d after refused calls", i, o[i].failed, o[i].cur.stage)
+		}
+		if v, found, err := o[i].Read("k"); err != nil || !found || !bytes.Equal(v, val(4, byte(i))) {
+			t.Errorf("store %d after refused calls: Read = %v, %v, %v", i, v, found, err)
+		}
+	}
+}
+
 // TestPipelineRetriedRoundIsInvisible: under a retrying service a round that
 // fails once before reaching the backend is sent again whole, the accesses
 // complete, and the backend's trace is the fault-free one.

@@ -116,41 +116,26 @@ func TestScrubChaosArrayRot(t *testing.T) {
 }
 
 // TestScrubChaosTreeRot: under the ORAM protocol the bucket trees only live
-// during discovery, so the rot injector runs concurrently — every live
-// tree's root bucket gets a slot rotted (the root is on every ReadPath, so
-// the next access must hit it) until a repair lands mid-run.
+// during discovery, so the rot injector rides with it: ahead of each round
+// that fetches a path, every live tree's root bucket gets a slot rotted (the
+// root is on every ReadPath, so that round must hit it) until a repair lands
+// mid-run. (An injector on a timer of its own raced the write-backs, which
+// rewrite the root and heal the rot unseen; once a level's records cost a
+// third of the rounds, a run was often over before a rotted root was read.)
 func TestScrubChaosTreeRot(t *testing.T) {
 	nodes := scrubCluster(t, 2, nil, true)
-	svc := scrubService(t, nodes)
-	db, err := securefd.Outsource(svc, crashRelation(t), scrubORAMOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	done := make(chan struct{})
-	var report *securefd.Report
-	var derr error
-	go func() {
-		defer close(done)
-		report, derr = db.Discover()
-	}()
-
 	d := nodes[0].rep.Durable()
 	rotted := 0
-	for injecting := true; injecting; {
-		select {
-		case <-done:
-			injecting = false
-		default:
-			if nodes[0].rep.Repairs() >= 1 {
-				injecting = false // damage healed; let discovery finish clean
-				break
-			}
+	remote := scrubService(t, nodes)
+	svc := store.Adapt(func(op *store.Op, res *store.Result) error {
+		fetches := op.Kind == store.KindReadPath
+		for i := range op.Ops {
+			fetches = fetches || op.Ops[i].Kind() == store.KindReadPath
+		}
+		if fetches && nodes[0].rep.Repairs() == 0 {
 			names, err := d.ObjectNames()
 			if err != nil {
-				injecting = false
-				break
+				return err
 			}
 			for _, name := range names {
 				if n, isTree, err := d.ObjectExtent(name); err == nil && isTree && n > 0 {
@@ -159,12 +144,17 @@ func TestScrubChaosTreeRot(t *testing.T) {
 					}
 				}
 			}
-			time.Sleep(time.Millisecond)
 		}
+		return store.Invoke(remote, op, res)
+	})
+	db, err := securefd.Outsource(svc, crashRelation(t), scrubORAMOpts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	<-done
-	if derr != nil {
-		t.Fatalf("discovery across ORAM rot: %v", derr)
+	defer db.Close()
+	report, err := db.Discover()
+	if err != nil {
+		t.Fatalf("discovery across ORAM rot: %v", err)
 	}
 	if rotted == 0 {
 		t.Fatal("no tree slot was ever rotted — injector never saw a live tree")

@@ -380,14 +380,16 @@ const (
 type Options struct {
 	// Protocol selects the secure method; default ProtocolSort.
 	Protocol Protocol
-	// Workers is the parallelism degree: the sorting-network worker count
-	// (ProtocolSort and ProtocolEnclave) and the number of partitions of
-	// one lattice level materialized concurrently (all secure protocols).
-	// Default 1, the fully serial schedule. Values above 1 change only the
-	// interleaving of accesses across server-side structures, never any
-	// single structure's access sequence (see DESIGN.md §11). With a
-	// transport-backed service, size the connection pool to at least this
-	// value so concurrent materializations actually overlap round trips.
+	// Workers is the parallelism degree of ProtocolSort (and ProtocolEnclave):
+	// the sorting-network worker count and the number of partitions of one
+	// lattice level built concurrently. Default 1, the fully serial schedule;
+	// values above 1 change only the interleaving of accesses across
+	// server-side arrays, never any single array's access sequence (see
+	// DESIGN.md §11), and with a transport-backed service the connection pool
+	// should be at least this large so concurrent builds overlap round trips.
+	// The ORAM protocols do not use it: they take a lattice level at a time on
+	// one goroutine, every set's accesses for a record in the same round
+	// trips, and show the server the same ordered trace whatever it is.
 	Workers int
 	// Network selects ProtocolSort's comparison network; the zero value
 	// is the paper's bitonic network.

@@ -215,21 +215,27 @@ func TestTamperDetectedOverTCP(t *testing.T) {
 }
 
 // TestTamperErrorNamesLatticePosition: a mid-run verification failure must
-// tell the operator where discovery died — the lattice level and attribute
-// set being checked — not just that "authentication failed" somewhere.
+// tell the operator where discovery died — the lattice level and the attribute
+// set being built or read as a cover — not just that "authentication failed"
+// somewhere, under every worker count: the engine is asked for a whole level
+// at a time, so it is the engine that names the set.
 func TestTamperErrorNamesLatticePosition(t *testing.T) {
-	opts := securefd.Options{Protocol: securefd.ProtocolORAM, ORAM: securefd.ORAMLinear}
-	_, n := cleanTamperRun(t, opts)
-	fs := securefd.WithFaults(securefd.NewServer(), securefd.FaultConfig{
-		Seed:              42,
-		CorruptAfterReads: n / 2,
-	})
-	_, err := tamperedDiscover(t, fs, opts)
-	if !errors.Is(err, securefd.ErrIntegrity) {
-		t.Fatalf("err = %v, want errors.Is(ErrIntegrity)", err)
-	}
-	if !strings.Contains(err.Error(), "lattice level") {
-		t.Errorf("error does not name the lattice position: %v", err)
+	for _, workers := range []int{1, 4} {
+		opts := securefd.Options{Protocol: securefd.ProtocolORAM, ORAM: securefd.ORAMLinear, Workers: workers}
+		_, n := cleanTamperRun(t, opts)
+		fs := securefd.WithFaults(securefd.NewServer(), securefd.FaultConfig{
+			Seed:              42,
+			CorruptAfterReads: n / 2,
+		})
+		_, err := tamperedDiscover(t, fs, opts)
+		if !errors.Is(err, securefd.ErrIntegrity) {
+			t.Fatalf("workers=%d: err = %v, want errors.Is(ErrIntegrity)", workers, err)
+		}
+		for _, part := range []string{"lattice level", "attribute set {"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("workers=%d: error does not say %q: %v", workers, part, err)
+			}
+		}
 	}
 }
 
