@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub bench experiments examples telemetry-smoke trace-smoke parallel-race multitenant-race multitenant-smoke multitenant-baseline bench-cell bench-wire bench-oram fuzz-smoke bench-align clean
+.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub bench experiments examples telemetry-smoke trace-smoke parallel-race multitenant-race multitenant-smoke multitenant-baseline bench-cell bench-wire bench-oram fuzz-smoke bench-align ledger clean
 
 all: build vet test
 
@@ -36,15 +36,17 @@ test-race:
 	$(GO) test -race -shuffle=on ./...
 
 # Crash-injection suite: kill the server at seeded WAL offsets and the
-# client between lattice levels, recover, and require identical results.
+# client between lattice levels of an Or-ORAM run over PathORAM, recover, and
+# require identical results.
 # -count=1 forces real (uncached) runs — these tests exercise the filesystem.
 crash:
 	$(GO) test -count=1 -run 'CrashRecovery' .
 	$(GO) test -count=1 ./internal/store/ ./internal/core/ ./internal/oram/
 
-# Tamper-injection suite: corrupt ciphertexts at seeded read offsets —
-# in-process and over TCP — plus WAL frames and snapshots at rest, and
-# require every corruption to be detected (never a silent wrong FD set).
+# Tamper-injection suite: corrupt ciphertexts at seeded read offsets — Sort's
+# cell batches and the PathORAM paths of Or-ORAM and Ex-ORAM, in-process and
+# over TCP — plus WAL frames and snapshots at rest, and require every
+# corruption to be detected (never a silent wrong FD set).
 # -race because detection paths cross the fault injector's locks.
 tamper:
 	$(GO) test -race -count=1 -run 'Tamper' .
@@ -136,8 +138,17 @@ bench-align:
 	@bin=$$(mktemp) && $(GO) build -o $$bin ./benchmark && \
 	$(GO) tool nm $$bin | grep -E '[048c]0 T main\.\(\*speedometer\)\.sample$$'; s=$$?; rm -f $$bin; exit $$s
 
-# Regenerate every table and figure, the ablations and the multi-tenant
-# sweep at quick sizes; raise the flags toward the paper's scales for closer
+# Non-test Go lines per package directory, and their total: run it on the
+# parent commit and on the change to report what a PR added or removed
+# (ROADMAP item 9's running total).
+ledger:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# Regenerate every table and figure, the compression ablation, the
+# security-level and communication comparisons and the multi-tenant sweep at
+# quick sizes; raise the flags toward the paper's scales for closer
 # comparison (see EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/fdbench -exp all

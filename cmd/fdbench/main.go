@@ -96,7 +96,8 @@ func sweep(minn, maxn int) []int {
 type renderer interface{ Render() string }
 
 // experiments is everything fdbench runs, in the order -exp all runs it: the
-// paper's tables and figures, the ablations behind them, and multitenant.
+// paper's tables and figures, the ablation and the comparisons behind them,
+// and multitenant.
 var experiments = []struct {
 	name string
 	run  func(p params) (renderer, error)
@@ -112,9 +113,7 @@ var experiments = []struct {
 	{"fig6b", func(p params) (renderer, error) { return bench.Fig6b(sweep(p.minn, p.maxn), p.seed) }},
 	{"fig7", func(p params) (renderer, error) { return bench.Fig7(sweep(p.minn, p.maxn/2), p.seed) }},
 	{"ablation-compression", func(p params) (renderer, error) { return bench.AblationCompression(p.minn*4, 6, p.seed) }},
-	{"ablation-network", func(p params) (renderer, error) { return bench.AblationNetwork(sweep(p.minn, p.maxn/2), p.seed) }},
 	{"security-levels", func(p params) (renderer, error) { return bench.SecurityLevels(sweep(p.minn, p.maxn/4), 2, p.seed) }},
-	{"ablation-oram", func(p params) (renderer, error) { return bench.AblationORAM(sweep(16, p.minn*4), p.seed) }},
 	{"comm", func(p params) (renderer, error) { return bench.Comm(sweep(p.minn, p.maxn/2), p.seed) }},
 	{"multitenant", func(p params) (renderer, error) {
 		r, err := bench.MultiTenant(p.minn/2, 5, p.clients, p.dbs, p.mtInflight, p.seed)

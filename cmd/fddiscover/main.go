@@ -68,7 +68,6 @@ func splitAddrs(s string) []string {
 // options collects the run knobs so flags extend without churn.
 type options struct {
 	protoName   string
-	network     string
 	workers     int
 	maxLHS      int
 	aggregate   bool
@@ -94,7 +93,6 @@ func main() {
 	var o options
 	flag.StringVar(&o.protoName, "protocol", "sort", securefd.ProtocolNames())
 	flag.IntVar(&o.workers, "workers", 1, "parallelism degree of the sort protocol: sorting-network workers and partitions of one lattice level built concurrently (the ORAM protocols take a level at a time on one goroutine whatever it is)")
-	flag.StringVar(&o.network, "network", "bitonic", "sorting network: bitonic|odd-even")
 	flag.IntVar(&o.maxLHS, "max-lhs", 0, "bound determinant size (0 = unbounded)")
 	flag.BoolVar(&o.aggregate, "aggregate", false, "merge FDs per determinant")
 	flag.BoolVar(&o.quiet, "quiet", false, "print only the FDs")
@@ -285,15 +283,6 @@ func run(path string, o options) error {
 	if err != nil {
 		return err
 	}
-	var network securefd.SortNetwork
-	switch o.network {
-	case "bitonic", "":
-		network = securefd.NetworkBitonic
-	case "odd-even":
-		network = securefd.NetworkOddEven
-	default:
-		return fmt.Errorf("unknown network %q (want bitonic|odd-even)", o.network)
-	}
 	rel, err := securefd.ReadCSVFile(path)
 	if err != nil {
 		return err
@@ -387,7 +376,6 @@ func run(path string, o options) error {
 	db, err := securefd.Outsource(svc, rel, securefd.Options{
 		Protocol:  protocol,
 		Workers:   o.workers,
-		Network:   network,
 		MaxLHS:    o.maxLHS,
 		Telemetry: reg,
 		Trace:     tr,

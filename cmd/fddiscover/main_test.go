@@ -22,7 +22,7 @@ func writeCSV(t *testing.T) string {
 
 // quietOpts returns a baseline options value for tests.
 func quietOpts(proto string) options {
-	return options{protoName: proto, network: "bitonic", workers: 2, quiet: true}
+	return options{protoName: proto, workers: 2, quiet: true}
 }
 
 func TestRunAllProtocols(t *testing.T) {
@@ -36,7 +36,7 @@ func TestRunAllProtocols(t *testing.T) {
 
 func TestRunAggregateAndMaxLHS(t *testing.T) {
 	path := writeCSV(t)
-	o := options{protoName: "plaintext", network: "odd-even", workers: 1, maxLHS: 1, aggregate: true}
+	o := options{protoName: "plaintext", workers: 1, maxLHS: 1, aggregate: true}
 	if err := run(path, o); err != nil {
 		t.Errorf("run with aggregate: %v", err)
 	}
@@ -100,13 +100,5 @@ func TestRunConnect(t *testing.T) {
 	o.dataDir = t.TempDir()
 	if err := run(writeCSV(t), o); err == nil {
 		t.Error("-connect with -data-dir accepted; want mutual-exclusion error")
-	}
-}
-
-func TestRunUnknownNetwork(t *testing.T) {
-	o := quietOpts("sort")
-	o.network = "zigzag"
-	if err := run(writeCSV(t), o); err == nil {
-		t.Error("unknown network accepted")
 	}
 }

@@ -20,8 +20,8 @@ import (
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
-// crashRelation is small enough for ORAMLinear but deep enough to cross
-// several lattice levels (several checkpoint epochs).
+// crashRelation is small but deep enough to cross several lattice levels
+// (several checkpoint epochs).
 func crashRelation(t *testing.T) *securefd.Relation {
 	t.Helper()
 	schema, err := securefd.NewSchema("A", "B", "C", "D")
@@ -44,7 +44,7 @@ func crashRelation(t *testing.T) *securefd.Relation {
 	return rel
 }
 
-var crashOpts = securefd.Options{Protocol: securefd.ProtocolORAM, ORAM: securefd.ORAMLinear}
+var crashOpts = securefd.Options{Protocol: securefd.ProtocolORAM}
 
 // meterSvc wraps the durable server to observe where, in WAL-append and
 // client-write counts, each checkpoint epoch lands. The crash tests use a
@@ -70,6 +70,11 @@ func newMeter(srv *securefd.DurableServer) *meterSvc {
 func (m *meterSvc) WriteCells(name string, idx []int64, cts [][]byte) error {
 	m.writes++
 	return m.Service.WriteCells(name, idx, cts)
+}
+
+func (m *meterSvc) WritePath(name string, leaf uint32, slots [][]byte) error {
+	m.writes++
+	return m.Service.WritePath(name, leaf, slots)
 }
 
 func (m *meterSvc) Checkpoint(epoch int64) error {
@@ -171,10 +176,10 @@ func TestCrashRecoveryServerKill(t *testing.T) {
 	}
 }
 
-// dyingSvc simulates a client crash: the Nth WriteCells is forwarded to the
-// server (the mutation lands, as it would if the process died after the
-// server applied the op but before the ack was processed) and then reported
-// as a failure, aborting the discovery loop.
+// dyingSvc simulates a client crash: the Nth write meterSvc counts is
+// forwarded to the server (the mutation lands, as it would if the process died
+// after the server applied the op but before the ack was processed) and then
+// reported as a failure, aborting the discovery loop.
 type dyingSvc struct {
 	store.Service
 	remaining int64
@@ -183,7 +188,16 @@ type dyingSvc struct {
 var errClientCrash = errors.New("simulated client crash")
 
 func (d *dyingSvc) WriteCells(name string, idx []int64, cts [][]byte) error {
-	if err := d.Service.WriteCells(name, idx, cts); err != nil {
+	return d.after(d.Service.WriteCells(name, idx, cts))
+}
+
+func (d *dyingSvc) WritePath(name string, leaf uint32, slots [][]byte) error {
+	return d.after(d.Service.WritePath(name, leaf, slots))
+}
+
+// after counts a write the server has applied and reports the Nth as failed.
+func (d *dyingSvc) after(err error) error {
+	if err != nil {
 		return err
 	}
 	d.remaining--

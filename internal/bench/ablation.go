@@ -11,19 +11,13 @@ import (
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/dataset"
 	"github.com/oblivfd/oblivfd/internal/obsort"
-	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
 
-// Two ablations for the design choices DESIGN.md calls out:
-//
-//   - attribute compression (§IV-B): with it, materializing π_X for any
-//     |X| ≥ 2 costs the same as |X| = 2; without it, every record fetches
-//     and decrypts |X| cells.
-//   - the comparison network: the paper picks bitonic sorting for its
-//     regularity and parallelism; Batcher's odd-even merge network needs
-//     fewer comparators. AblationNetwork quantifies the gap.
+// The ablation for the design choice DESIGN.md calls out, attribute
+// compression (§IV-B): with it, materializing π_X for any |X| ≥ 2 costs the
+// same as |X| = 2; without it, every record fetches and decrypts |X| cells.
 
 // CompressionPoint is one (|X|, variant) measurement.
 type CompressionPoint struct {
@@ -177,7 +171,7 @@ func rawCardinality(svc store.Service, cipher *crypto.Cipher, edb *core.Encrypte
 	}
 	// Sort by the raw key, count the distinct keys in one pass that rewrites
 	// every record, sort back by id.
-	if err := wide.SortNetwork(func(a, b []byte) bool { return bytes.Compare(a[:projWidth], b[:projWidth]) < 0 }, 1, obsort.Bitonic); err != nil {
+	if err := wide.Sort(func(a, b []byte) bool { return bytes.Compare(a[:projWidth], b[:projWidth]) < 0 }, 1); err != nil {
 		return 0, err
 	}
 	var prev []byte
@@ -192,7 +186,7 @@ func rawCardinality(svc store.Service, cipher *crypto.Cipher, edb *core.Encrypte
 	if err != nil {
 		return 0, err
 	}
-	if err := wide.SortNetwork(func(a, b []byte) bool { return bytes.Compare(a[projWidth:], b[projWidth:]) < 0 }, 1, obsort.Bitonic); err != nil {
+	if err := wide.Sort(func(a, b []byte) bool { return bytes.Compare(a[projWidth:], b[projWidth:]) < 0 }, 1); err != nil {
 		return 0, err
 	}
 	return card, wide.Destroy()
@@ -208,144 +202,5 @@ func (r *AblationCompressionResult) Render() string {
 			fmtDur(p.Compressed), fmtDur(p.Raw), float64(p.Raw)/float64(p.Compressed))
 	}
 	b.WriteString("Expected shape: compressed cost is flat in |X|; raw cost grows with |X|\n(every record fetches and decrypts |X| cells).\n")
-	return b.String()
-}
-
-// NetworkPoint is one (n, network) comparator-and-runtime measurement.
-type NetworkPoint struct {
-	N           int
-	Network     string
-	Comparators int64
-	Runtime     time.Duration
-}
-
-// AblationNetworkResult compares the two comparison networks.
-type AblationNetworkResult struct {
-	Points []NetworkPoint
-}
-
-// AblationNetwork sorts the same encrypted arrays with both networks.
-func AblationNetwork(sizes []int, seed int64) (*AblationNetworkResult, error) {
-	res := &AblationNetworkResult{}
-	for _, n := range sizes {
-		rel := dataset.RND(1, n, seed+int64(n))
-		for _, network := range []struct {
-			name string
-			net  obsort.Network
-		}{{"bitonic", obsort.Bitonic}, {"odd-even", obsort.OddEvenMerge}} {
-			srv := store.NewServer()
-			cipher, err := crypto.NewCipher(crypto.MustNewKey())
-			if err != nil {
-				return nil, err
-			}
-			recs := make([][]byte, n)
-			for i := 0; i < n; i++ {
-				rec := make([]byte, 16)
-				binary.BigEndian.PutUint64(rec, cipher.PRF([]byte(rel.Value(i, 0))))
-				binary.BigEndian.PutUint64(rec[8:], uint64(i))
-				recs[i] = rec
-			}
-			arr, err := obsort.Create(srv, cipher, "abl", recs)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			if err := arr.SortNetwork(lessFirst8, 1, network.net); err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, NetworkPoint{
-				N: n, Network: network.name,
-				Comparators: arr.Comparisons(), Runtime: time.Since(start),
-			})
-		}
-	}
-	return res, nil
-}
-
-// ORAMPoint is one (construction, n) measurement of a full partition
-// computation with the Or-ORAM method.
-type ORAMPoint struct {
-	Construction string
-	N            int
-	Runtime      time.Duration
-	ServerOps    int64 // cells and paths the server was asked to read or write
-	ServerBytes  int64
-	ClientBytes  int
-}
-
-// AblationORAMResult compares PathORAM (the paper's choice) with the
-// trivial linear-scan ORAM backing the same Or-ORAM algorithm.
-type AblationORAMResult struct {
-	Points []ORAMPoint
-}
-
-// AblationORAM measures one single-attribute partition per construction
-// per n. Linear wins below a small crossover (no tree bookkeeping, O(1)
-// client memory) and loses badly as n grows (O(n) per access vs O(log n)).
-func AblationORAM(sizes []int, seed int64) (*AblationORAMResult, error) {
-	res := &AblationORAMResult{}
-	for _, n := range sizes {
-		rel := dataset.RND(1, n, seed+int64(n))
-		for _, c := range []struct {
-			name    string
-			factory oram.Factory
-		}{{"path-oram", oram.PathFactory}, {"linear", oram.LinearFactory}} {
-			srv := store.NewServer()
-			cipher, err := crypto.NewCipher(crypto.MustNewKey())
-			if err != nil {
-				return nil, err
-			}
-			edb, err := core.Upload(srv, cipher, fmt.Sprintf("oa-%s-%d", c.name, n), rel)
-			if err != nil {
-				return nil, err
-			}
-			eng := core.NewOrEngine(edb)
-			eng.Factory = c.factory
-			before, _ := srv.Stats()
-			ops := srv.Trace().TotalOps()
-			start := time.Now()
-			if _, err := core.CardinalitySingle(eng, 0); err != nil {
-				return nil, fmt.Errorf("bench: oram ablation %s n=%d: %w", c.name, n, err)
-			}
-			after, _ := srv.Stats()
-			res.Points = append(res.Points, ORAMPoint{
-				Construction: c.name,
-				N:            n,
-				Runtime:      time.Since(start),
-				ServerOps:    srv.Trace().TotalOps() - ops,
-				ServerBytes:  after.StoredBytes - before.StoredBytes,
-				ClientBytes:  eng.ClientMemoryBytes(),
-			})
-			_ = eng.Close()
-		}
-	}
-	return res, nil
-}
-
-// Render prints the construction comparison.
-func (r *AblationORAMResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Ablation: ORAM construction (PathORAM — the paper's choice — vs linear scan)\n")
-	fmt.Fprintf(&b, "%8s %10s %12s %12s %12s %12s\n", "n", "oram", "runtime", "server-ops", "server-sto", "client-mem")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%8d %10s %12s %12d %12s %12s\n", p.N, p.Construction,
-			fmtDur(p.Runtime), p.ServerOps, fmtBytes(p.ServerBytes), fmtBytes(int64(p.ClientBytes)))
-	}
-	b.WriteString("Expected shape: linear wins only at very small n and has O(1) client memory;\nPathORAM's O(log n) accesses dominate beyond the crossover — the paper's choice.\n")
-	return b.String()
-}
-
-// lessFirst8 orders records by their leading 8 bytes.
-func lessFirst8(a, b []byte) bool { return bytes.Compare(a[:8], b[:8]) < 0 }
-
-// Render prints the network comparison.
-func (r *AblationNetworkResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Ablation: comparison network (bitonic — the paper's choice — vs odd-even merge)\n")
-	fmt.Fprintf(&b, "%8s %10s %12s %12s\n", "n", "network", "comparators", "runtime")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%8d %10s %12d %12s\n", p.N, p.Network, p.Comparators, fmtDur(p.Runtime))
-	}
-	b.WriteString("Expected shape: odd-even uses ~25% fewer comparators; both are O(n log² n).\nThe paper prefers bitonic for its regular, fully balanced stages.\n")
 	return b.String()
 }

@@ -147,17 +147,6 @@ func ResumeEngine(edb *EncryptedDB, st *EngineState) (Engine, error) {
 	}
 }
 
-// factoryFromSets infers the ORAM construction for post-resume
-// materializations from the checkpointed stores: every set uses the same
-// construction, so the first one decides. nil means the default
-// (oram.PathFactory).
-func factoryFromSets(sets []SetState) oram.Factory {
-	if len(sets) > 0 && sets[0].Primary != nil && sets[0].Primary.Linear != nil {
-		return oram.LinearFactory
-	}
-	return nil
-}
-
 // LatticeState is the serializable frontier of a Discover run, captured at
 // a level boundary: the sets whose partitions are live, the pruning state
 // (C⁺), and the results so far. NextLevel is the loop index the resumed run
@@ -243,6 +232,14 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	if cp.EDB == nil || cp.Engine == nil || cp.Lattice == nil {
 		return nil, fmt.Errorf("%w: missing section", ErrCorruptCheckpoint)
+	}
+	for _, s := range cp.Engine.Sets {
+		for _, st := range [...]*oram.StoreState{s.Primary, s.Secondary} {
+			if st != nil && st.Linear != nil {
+				return nil, fmt.Errorf("%w: ORAM %q was written for the scan ORAM, which this build does not have; commit 56f5a87 was the last to resume such a file",
+					ErrCorruptCheckpoint, st.Linear.Name)
+			}
+		}
 	}
 	return cp, nil
 }

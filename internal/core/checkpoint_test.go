@@ -134,6 +134,24 @@ func TestPerBlockEraCheckpointIsRefused(t *testing.T) {
 	}
 }
 
+// TestScanORAMCheckpointIsRefused: a checkpoint whose ORAM states are the scan
+// ORAM's (testdata, generated at commit 56f5a87 by securefd.DiscoverResumable
+// with Options{Protocol: ProtocolORAM, ORAM: ORAMLinear, KeepPartitions: true}
+// over an 8×3 relation; six sets) carries the current magic, and gob would
+// decode it to states with nothing in them. It is refused when read, with an
+// error that says what it was written for and which commit can still resume it.
+func TestScanORAMCheckpointIsRefused(t *testing.T) {
+	_, err := ReadCheckpointFile(filepath.Join("testdata", "scan-oram.ckpt"))
+	if !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("ReadCheckpointFile = %v, want ErrCorruptCheckpoint", err)
+	}
+	for _, want := range []string{"scan ORAM", "56f5a87"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
 // crashAfter aborts a discovery run from inside the checkpoint callback once
 // the requested level boundary is reached, capturing the full checkpoint the
 // way securefd.DiscoverResumable does.

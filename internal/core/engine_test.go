@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
-	"github.com/oblivfd/oblivfd/internal/obsort"
-	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
@@ -347,86 +345,6 @@ func TestClientMemoryShapes(t *testing.T) {
 				t.Errorf("%s client memory did not grow with n: %d -> %d", ef.name, sm, bm)
 			}
 		}
-	}
-}
-
-// TestEnginesWithLinearORAM: both ORAM engines stay correct when backed by
-// the trivial scan ORAM instead of PathORAM.
-func TestEnginesWithLinearORAM(t *testing.T) {
-	rel := randomRel(3, 12, 2, 29)
-	t.Run("or", func(t *testing.T) {
-		eng := NewOrEngine(uploadFor(t, rel))
-		eng.Factory = oram.LinearFactory
-		defer eng.Close()
-		for a := 0; a < 3; a++ {
-			got, err := CardinalitySingle(eng, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := relation.PartitionOf(rel, relation.SingleAttr(a)).Classes; got != want {
-				t.Errorf("|π_%d| = %d, want %d", a, got, want)
-			}
-		}
-		got, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := relation.PartitionOf(rel, relation.NewAttrSet(0, 1)).Classes; got != want {
-			t.Errorf("union = %d, want %d", got, want)
-		}
-	})
-	t.Run("ex-dynamic", func(t *testing.T) {
-		srv := store.NewServer()
-		edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "lin", rel, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := NewExEngine(edb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Factory = oram.LinearFactory
-		defer eng.Close()
-		if _, err := CardinalitySingle(eng, 0); err != nil {
-			t.Fatal(err)
-		}
-		id, err := eng.Insert(relation.Row{"a", "a", "a"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-		got, _ := eng.Cardinality(relation.SingleAttr(0))
-		if want := relation.PartitionOf(rel, relation.SingleAttr(0)).Classes; got != want {
-			t.Errorf("after insert+delete: |π_0| = %d, want %d", got, want)
-		}
-	})
-}
-
-// TestSortEngineOddEvenNetwork: the engine produces identical results with
-// either comparison network.
-func TestSortEngineOddEvenNetwork(t *testing.T) {
-	rel := randomRel(3, 25, 2, 19)
-	eng := NewSortEngine(uploadFor(t, rel), 2)
-	eng.Network = obsort.OddEvenMerge
-	defer eng.Close()
-	for a := 0; a < 3; a++ {
-		got, err := CardinalitySingle(eng, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := relation.PartitionOf(rel, relation.SingleAttr(a)).Classes
-		if got != want {
-			t.Errorf("odd-even |π_%d| = %d, want %d", a, got, want)
-		}
-	}
-	got, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := relation.PartitionOf(rel, relation.NewAttrSet(0, 1)).Classes; got != want {
-		t.Errorf("odd-even union = %d, want %d", got, want)
 	}
 }
 

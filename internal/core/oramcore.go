@@ -35,7 +35,7 @@ var (
 
 // oramState is one materialized set of an ORAM engine.
 type oramState struct {
-	primary, secondary oram.Store
+	primary, secondary *oram.ORAM
 	card               uint64              // |π_X|
 	nextLabel          uint64              // ExEngine's monotone label source
 	cover              [2]relation.AttrSet // the Property 1 subsets; zero for singletons
@@ -82,7 +82,7 @@ var levelAtATime = grouping{width: levelWidth}
 // many targets name it, and the accesses of a record — different trees, leaves
 // known to the client before anything is fetched — share their round trips
 // (oram.Pipeline). Where Algorithms 1, 2 and 4 read key_X's pair and then
-// write it, a step makes one read-modify-write access (oram.Store.Update):
+// write it, a step makes one read-modify-write access (oram.ORAM.Update):
 //
 //	|X| = 1   [ReadPath P₁, ReadPath S₁, … P_w, S_w]
 //	          → [WritePath P₁, WritePath S₁, … P_w, S_w]
@@ -98,11 +98,6 @@ type oramCore struct {
 	setTable[*oramState]
 	edb      *EncryptedDB
 	instance string
-	// Factory builds the oblivious key-value stores backing each
-	// partition; nil means the paper's PathORAM (oram.PathFactory). Set it
-	// before the first materialization to use an alternative such as
-	// oram.LinearFactory.
-	Factory oram.Factory
 	// Telemetry, if non-nil, instruments every ORAM the engine builds
 	// (path read/write counters, access spans, stash gauge). Set it before
 	// the first materialization, or call SetTelemetry to also cover
@@ -151,14 +146,9 @@ func (c *oramCore) SetTelemetry(reg *telemetry.Registry) {
 // the object names and sequence numbers of the serial run.
 func (c *oramCore) prepare(x relation.AttrSet, cover [2]relation.AttrSet) (*oramState, error) {
 	seq := c.seq.Add(1)
-	factory := c.Factory
-	if factory == nil {
-		factory = oram.PathFactory
-	}
-	mk := func(suffix string) (oram.Store, error) {
-		s, err := factory(c.edb.svc, c.edb.cipher,
-			fmt.Sprintf("%s:%d:%s", c.instance, seq, suffix),
-			oram.Config{Capacity: c.capacity, KeyWidth: keyWidth, ValueWidth: c.layout.valueWidth, Metrics: c.Telemetry})
+	cfg := oram.Config{Capacity: c.capacity, KeyWidth: keyWidth, ValueWidth: c.layout.valueWidth, Metrics: c.Telemetry}
+	mk := func(suffix string) (*oram.ORAM, error) {
+		s, err := oram.Setup(c.edb.svc, c.edb.cipher, fmt.Sprintf("%s:%d:%s", c.instance, seq, suffix), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: setting up O^%s for %v: %w", suffix, x, err)
 		}
@@ -430,7 +420,6 @@ func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout) 
 		return fmt.Errorf("%w: engine kind %q, want %q", ErrCorruptCheckpoint, es.Kind, layout.kind)
 	}
 	c.init(edb, es.Instance, layout)
-	c.Factory = factoryFromSets(es.Sets)
 	c.seq.Store(es.Seq)
 	for _, s := range es.Sets {
 		primary, err := oram.ResumeStore(edb.svc, edb.cipher, s.Primary)

@@ -35,10 +35,6 @@ type SortEngine struct {
 	instance string
 	// Workers is the parallelism degree for the bitonic network; minimum 1.
 	Workers int
-	// Network selects the comparison network; the zero value is the
-	// paper's bitonic sorter, obsort.OddEvenMerge saves ~20% of the
-	// comparators (see the network ablation).
-	Network obsort.Network
 	// Telemetry, if non-nil, instruments every working array the engine
 	// creates (comparison/stage counters and sort-pass spans). Set it
 	// before the first materialization, or call SetTelemetry to cover
@@ -102,7 +98,7 @@ func lessByID(a, b []byte) bool { return bytes.Compare(a[8:16], b[8:16]) < 0 }
 // the (key_X, r[ID]) records; line 9 is restoreOrder's.
 func (e *SortEngine) materialize(st *sortState) error {
 	// Line 1: sort by key_X so equal keys are consecutive.
-	if err := st.arr.SortNetwork(lessByKey, e.Workers, e.Network); err != nil {
+	if err := st.arr.Sort(lessByKey, e.Workers); err != nil {
 		return fmt.Errorf("core: sorting by key: %w", err)
 	}
 	// Lines 2–8: one oblivious pass assigns dense labels. The pass reads
@@ -137,7 +133,7 @@ func (e *SortEngine) restoreOrder(st *sortState) error {
 	if st.byID {
 		return nil
 	}
-	if err := st.arr.SortNetwork(lessByID, e.Workers, e.Network); err != nil {
+	if err := st.arr.Sort(lessByID, e.Workers); err != nil {
 		return fmt.Errorf("core: sorting %s by id: %w", st.name, err)
 	}
 	st.byID = true

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
-	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/trace"
@@ -37,11 +36,11 @@ import (
 // lines, like the column lines, are still the parent's. When the ORAM engines
 // began to step a lattice level's sets together, record by record, the ID
 // ORAMs of the sets the scripted run reads as covers (or#:1:IL, :2:IL, :4:IL;
-// ex#:1:IKL, :2:IKL, :4:IKL) went from 159 to 111 events, 163 to 115, and on
-// the scan ORAM 5 644 to 3 772: a record's label is read once for the group
-// of targets that names the cover — the run's level 2 is the three pairs of
-// three attributes — where it was read once per target, twice: 24 records × one
-// access fewer × (ReadPath, WritePath) = 48 events. Nothing else on those lines
+// ex#:1:IKL, :2:IKL, :4:IKL) went from 159 to 111 events and 163 to 115: a
+// record's label is read once for the group of targets that names the cover —
+// the run's level 2 is the three pairs of three attributes — where it was read
+// once per target, twice: 24 records × one access fewer × (ReadPath, WritePath)
+// = 48 events. Nothing else on those lines
 // moved (the set's own traversal, the inserted records' steps, Ex-ORAM's
 // deletions), and every line of a target's own trees — KL, KLF, and the IL /
 // IKL of the sets no union reads — is byte for byte what it was: a target is
@@ -56,12 +55,12 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // serial path still issues the parent's engine calls in the parent's order.
 // Its sort line was regenerated with the deferred by-ID sort (14 252 → 10 412
 // events: four networks fewer, and a cover's second network now sits in front
-// of its first child's reads instead of behind its own scan). Its or, ex and
-// or-linear lines were regenerated when the lattice began to hand the engine a
-// whole level at every worker count and the ORAM engines to step the level
-// record-major (1 180 → 1 036, 1 236 → 1 092 and 37 924 → 32 308 events: the
-// cover reads no longer made, and the sets of a level interleaved record by
-// record where they followed one another). That retires, for those three, the
+// of its first child's reads instead of behind its own scan). Its or and ex
+// lines were regenerated when the lattice began to hand the engine a whole
+// level at every worker count and the ORAM engines to step the level
+// record-major (1 180 → 1 036 and 1 236 → 1 092 events: the cover reads no
+// longer made, and the sets of a level interleaved record by record where they
+// followed one another). That retires, for those two, the
 // pin this file was written for — a Workers = 1 run as the per-candidate loop
 // it replaced; what holds instead is that the same ordered trace comes out
 // under every worker count (TestSerialParallelEquivalence).
@@ -216,11 +215,6 @@ func TestEngineTraceGolden(t *testing.T) {
 				}
 				revalidate(t, eng, oracle, res.Cardinalities)
 			}},
-		{name: "or-linear", make: func(t *testing.T, edb *EncryptedDB) Engine {
-			eng := NewOrEngine(edb)
-			eng.Factory = oram.LinearFactory
-			return eng
-		}},
 	}
 
 	var got, order []string

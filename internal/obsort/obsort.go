@@ -419,90 +419,25 @@ func Stages(p int, fn func(pairs [][2]int64) error) error {
 	return nil
 }
 
-// OddEvenStages enumerates Batcher's odd-even merge sorting network for a
-// power-of-two length p — the other classic O(n log² n) oblivious network.
-// It uses slightly fewer comparators than the bitonic network
-// (the ablation benchmark quantifies the gap) but its stages are less
-// regular. Pairs within a stage are disjoint.
-func OddEvenStages(p int, fn func(pairs [][2]int64) error) error {
-	if p&(p-1) != 0 || p < 1 {
-		return fmt.Errorf("obsort: stage enumeration needs a power-of-two length, got %d", p)
-	}
-	pairs := make([][2]int64, 0, p/2)
-	for k := 1; k < p; k <<= 1 {
-		for j := k; j >= 1; j >>= 1 {
-			pairs = pairs[:0]
-			for i := j % k; i+j < p; i += 2 * j {
-				for l := 0; l < j; l++ {
-					lo := i + l
-					hi := lo + j
-					if hi >= p {
-						break
-					}
-					// Comparators only within one 2k-block.
-					if lo/(2*k) == hi/(2*k) {
-						pairs = append(pairs, [2]int64{int64(lo), int64(hi)})
-					}
-				}
-			}
-			if err := fn(pairs); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Network selects the oblivious comparison network used by Sort.
-type Network int
-
-// Available networks.
-const (
-	// Bitonic is Batcher's bitonic sorter — the paper's choice (§III-C).
-	Bitonic Network = iota
-	// OddEvenMerge is Batcher's odd-even merge sorter, provided as an
-	// ablation alternative; same asymptotics, fewer comparators.
-	OddEvenMerge
-)
-
 // Sort obliviously sorts the array in ascending order of less using the
 // bitonic network, with the given number of parallel workers (minimum 1).
 // The compare-exchange positions are a pure function of the padded length.
 func (a *Array) Sort(less Less, workers int) error {
-	return a.SortNetwork(less, workers, Bitonic)
-}
-
-// SortNetwork is Sort with an explicit choice of comparison network.
-func (a *Array) SortNetwork(less Less, workers int, network Network) error {
 	if workers < 1 {
 		workers = 1
 	}
-	var sortSpan telemetry.Span
-	switch network {
-	case Bitonic:
-		sortSpan = a.reg.StartSpan("sort/bitonic")
-	case OddEvenMerge:
-		sortSpan = a.reg.StartSpan("sort/odd-even")
-	}
+	sortSpan := a.reg.StartSpan("sort/bitonic")
 	defer sortSpan.End()
 	scs := make([]*scratch, workers)
 	for w := range scs {
 		scs[w] = a.newScratch()
 	}
-	stage := func(pairs [][2]int64) error {
+	return Stages(a.p, func(pairs [][2]int64) error {
 		a.stageCtr.Inc()
 		sp := a.reg.StartSpan("sort/stage")
 		defer sp.End()
 		return a.runStage(pairs, less, scs)
-	}
-	switch network {
-	case Bitonic:
-		return Stages(a.p, stage)
-	case OddEvenMerge:
-		return OddEvenStages(a.p, stage)
-	default:
-		return fmt.Errorf("obsort: unknown network %d", network)
-	}
+	})
 }
 
 // runStage executes one network stage with one worker per scratch; all pairs

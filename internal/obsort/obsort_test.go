@@ -268,134 +268,34 @@ func TestScanWidthEnforced(t *testing.T) {
 	}
 }
 
-func TestOddEvenSorts(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 13, 16, 33, 64} {
-		rng := rand.New(rand.NewSource(int64(n) + 99))
-		values := make([]uint64, n)
-		for i := range values {
-			values[i] = uint64(rng.Intn(40))
-		}
-		a, _ := newArray(t, values)
-		if err := a.SortNetwork(u64less, 2, OddEvenMerge); err != nil {
-			t.Fatalf("SortNetwork(odd-even, n=%d): %v", n, err)
-		}
-		got := readU64s(t, a)
-		want := append([]uint64(nil), values...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("odd-even n=%d: got %v, want %v", n, got, want)
-			}
-		}
-	}
-}
-
-func TestOddEvenPropertySorts(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 || len(raw) > 48 {
-			return true
-		}
-		values := make([]uint64, len(raw))
-		for i, v := range raw {
-			values[i] = uint64(v)
-		}
-		srv := store.NewServer()
-		recs := make([][]byte, len(values))
-		for i, v := range values {
-			recs[i] = u64rec(v)
-		}
-		a, err := Create(srv, crypto.MustNewCipher(crypto.MustNewKey()), "arr", recs)
-		if err != nil {
-			return false
-		}
-		if err := a.SortNetwork(u64less, 1, OddEvenMerge); err != nil {
-			return false
-		}
-		got, err := a.ReadAll()
-		if err != nil {
-			return false
-		}
-		prev := uint64(0)
-		for i, r := range got {
-			v := binary.BigEndian.Uint64(r)
-			if i > 0 && v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestOddEvenFewerComparators documents the ablation claim: Batcher's
-// odd-even network uses fewer comparators than the bitonic network at the
-// same size.
-func TestOddEvenFewerComparators(t *testing.T) {
-	count := func(network Network) int64 {
-		a, _ := newArray(t, []uint64{7, 3, 9, 1, 5, 2, 8, 4})
-		if err := a.SortNetwork(u64less, 1, network); err != nil {
-			t.Fatal(err)
-		}
-		return a.Comparisons()
-	}
-	bitonic := count(Bitonic)
-	oddEven := count(OddEvenMerge)
-	if oddEven >= bitonic {
-		t.Errorf("odd-even comparators (%d) not below bitonic (%d)", oddEven, bitonic)
-	}
-	// n=8: odd-even merge sort uses 19 comparators, bitonic 24.
-	if oddEven != 19 {
-		t.Errorf("odd-even comparators = %d, want 19", oddEven)
-	}
-}
-
-// TestStagesDisjointPairs: within any stage of either network, positions
-// must be touched at most once (the parallelism safety property).
+// TestStagesDisjointPairs: within any stage of the network, positions must be
+// touched at most once (the parallelism safety property).
 func TestStagesDisjointPairs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		run  func(p int, fn func([][2]int64) error) error
-	}{
-		{"bitonic", Stages},
-		{"odd-even", OddEvenStages},
-	} {
-		for _, p := range []int{2, 8, 32, 128} {
-			err := tc.run(p, func(pairs [][2]int64) error {
-				seen := make(map[int64]bool)
-				for _, pr := range pairs {
-					for _, pos := range []int64{pr[0], pr[1]} {
-						if pos < 0 || pos >= int64(p) {
-							t.Fatalf("%s p=%d: position %d out of range", tc.name, p, pos)
-						}
-						if seen[pos] {
-							t.Fatalf("%s p=%d: position %d touched twice in one stage", tc.name, p, pos)
-						}
-						seen[pos] = true
+	for _, p := range []int{2, 8, 32, 128} {
+		err := Stages(p, func(pairs [][2]int64) error {
+			seen := make(map[int64]bool)
+			for _, pr := range pairs {
+				for _, pos := range []int64{pr[0], pr[1]} {
+					if pos < 0 || pos >= int64(p) {
+						t.Fatalf("p=%d: position %d out of range", p, pos)
 					}
+					if seen[pos] {
+						t.Fatalf("p=%d: position %d touched twice in one stage", p, pos)
+					}
+					seen[pos] = true
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", tc.name, p, err)
 			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
 		}
 	}
 }
 
 func TestStagesRejectNonPowerOfTwo(t *testing.T) {
-	noop := func([][2]int64) error { return nil }
-	if err := Stages(6, noop); err == nil {
+	if err := Stages(6, func([][2]int64) error { return nil }); err == nil {
 		t.Error("bitonic stages accepted non-power-of-two")
-	}
-	if err := OddEvenStages(12, noop); err == nil {
-		t.Error("odd-even stages accepted non-power-of-two")
-	}
-	a, _ := newArray(t, []uint64{1, 2})
-	if err := a.SortNetwork(u64less, 1, Network(9)); err == nil {
-		t.Error("unknown network accepted")
 	}
 }
 

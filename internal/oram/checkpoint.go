@@ -135,82 +135,25 @@ func (st *State) validate() error {
 	return nil
 }
 
-// LinearState is the serializable client state of a Linear handle — just
-// parameters and counters; the construction keeps no per-key client state.
-type LinearState struct {
-	Name       string
-	Capacity   int
-	KeyWidth   int
-	ValueWidth int
-	Live       int
-	Accesses   int64
-	// Ver is the global freshness version all slots currently carry; a
-	// resumed handle rejects any slot at a different version (rollback).
-	Ver uint64
-}
-
-// State captures the client state of a linear ORAM.
-func (l *Linear) State() *LinearState {
-	return &LinearState{
-		Name:       l.name,
-		Capacity:   l.capacity,
-		KeyWidth:   l.keyWidth,
-		ValueWidth: l.valueWidth,
-		Live:       l.live,
-		Accesses:   l.accesses,
-		Ver:        l.ver,
-	}
-}
-
-// ResumeLinear rebuilds a Linear handle attached to the existing server
-// array.
-func ResumeLinear(svc store.Service, cipher *crypto.Cipher, st *LinearState) (*Linear, error) {
-	if st.Name == "" {
-		return nil, fmt.Errorf("oram: resume: empty object name")
-	}
-	if st.Capacity < 1 || st.KeyWidth < 1 || st.ValueWidth < 1 {
-		return nil, fmt.Errorf("oram: resume %q: invalid shape (capacity %d, widths %d/%d)",
-			st.Name, st.Capacity, st.KeyWidth, st.ValueWidth)
-	}
-	return &Linear{
-		svc:        svc,
-		cipher:     cipher,
-		name:       st.Name,
-		capacity:   st.Capacity,
-		keyWidth:   st.KeyWidth,
-		valueWidth: st.ValueWidth,
-		blockSize:  1 + verWidth + crypto.PadWidth(st.KeyWidth) + st.ValueWidth,
-		live:       st.Live,
-		accesses:   st.Accesses,
-		ver:        st.Ver,
-	}, nil
-}
-
-// StoreState is the checkpoint form of any Store implementation: exactly one
-// field is set, selecting the construction to resume.
+// StoreState is the checkpoint form of a handle as the checkpoint file lays it
+// out: the PathORAM state under Path.
 type StoreState struct {
-	Path   *State
-	Linear *LinearState
+	Path *State
+	// Linear is set only in files written for the scan ORAM, which commit
+	// 56f5a87 was the last to resume. gob drops what the receiver has no
+	// field for, so without this one such a file would decode to an empty
+	// state; with it the reader can refuse the file by name.
+	Linear *struct{ Name string }
 }
 
-// CheckpointState implements Store.
+// CheckpointState captures the client-held state for a client-local
+// checkpoint file; ResumeStore rebuilds the handle from it.
 func (o *ORAM) CheckpointState() *StoreState { return &StoreState{Path: o.State()} }
 
-// CheckpointState implements Store.
-func (l *Linear) CheckpointState() *StoreState { return &StoreState{Linear: l.State()} }
-
-// ResumeStore rebuilds whichever construction the state describes.
-func ResumeStore(svc store.Service, cipher *crypto.Cipher, st *StoreState) (Store, error) {
-	switch {
-	case st == nil:
-		return nil, fmt.Errorf("oram: resume: nil store state")
-	case st.Path != nil && st.Linear != nil:
-		return nil, fmt.Errorf("oram: resume: ambiguous store state (both constructions set)")
-	case st.Path != nil:
-		return Resume(svc, cipher, st.Path)
-	case st.Linear != nil:
-		return ResumeLinear(svc, cipher, st.Linear)
-	default:
-		return nil, fmt.Errorf("oram: resume: empty store state")
+// ResumeStore rebuilds the handle the state describes.
+func ResumeStore(svc store.Service, cipher *crypto.Cipher, st *StoreState) (*ORAM, error) {
+	if st == nil || st.Path == nil {
+		return nil, fmt.Errorf("oram: resume: no PathORAM state")
 	}
+	return Resume(svc, cipher, st.Path)
 }

@@ -93,41 +93,6 @@ func TestPathORAMStateResume(t *testing.T) {
 	}
 }
 
-func TestLinearStateResume(t *testing.T) {
-	svc := store.NewServer()
-	cipher := newTestCipher(t)
-	l, err := SetupLinear(svc, cipher, "lin", Config{Capacity: 8, KeyWidth: 4, ValueWidth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := l.Write(fmt.Sprintf("k%d", i), []byte{byte(i), 7}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := l.CheckpointState()
-	if st.Linear == nil || st.Path != nil {
-		t.Fatalf("linear checkpoint = %+v, want Linear set", st)
-	}
-
-	r, err := ResumeStore(svc, cipher, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 5 || r.Accesses() != l.Accesses() {
-		t.Errorf("resumed len/accesses = %d/%d, want %d/%d", r.Len(), r.Accesses(), 5, l.Accesses())
-	}
-	for i := 0; i < 5; i++ {
-		v, found, err := r.Read(fmt.Sprintf("k%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !found || v[0] != byte(i) {
-			t.Errorf("k%d after resume = %v (found %v)", i, v, found)
-		}
-	}
-}
-
 func TestResumeStateValidation(t *testing.T) {
 	svc := store.NewServer()
 	cipher := newTestCipher(t)
@@ -137,11 +102,10 @@ func TestResumeStateValidation(t *testing.T) {
 	}{
 		{"nil state", nil},
 		{"empty state", &StoreState{}},
-		{"both set", &StoreState{Path: &State{}, Linear: &LinearState{}}},
 		{"bad leaves", &StoreState{Path: &State{Name: "x", Capacity: 4, Z: 4, Levels: 3, NumLeaves: 5, KeyWidth: 1, ValueWidth: 1, StashLimit: 10}}},
 		{"leaf out of range", &StoreState{Path: &State{Name: "x", Capacity: 4, Z: 4, Levels: 2, NumLeaves: 2, KeyWidth: 1, ValueWidth: 1, StashLimit: 10,
 			PosMap: map[string]uint32{"k": 7}}}},
-		{"linear no name", &StoreState{Linear: &LinearState{Capacity: 4, KeyWidth: 1, ValueWidth: 1}}},
+		{"scan-ORAM state", &StoreState{Linear: &struct{ Name string }{"x"}}},
 	}
 	for _, c := range cases {
 		if _, err := ResumeStore(svc, cipher, c.st); err == nil {

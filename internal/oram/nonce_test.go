@@ -99,34 +99,3 @@ func TestPathORAMNeverReusesNonce(t *testing.T) {
 		t.Errorf("recorder saw %d ciphertexts, want %d (one per bucket written)", total, want)
 	}
 }
-
-// TestLinearORAMNeverReusesNonce: the linear ORAM rewrites every slot on
-// every access, the densest re-encryption pattern in the system.
-func TestLinearORAMNeverReusesNonce(t *testing.T) {
-	rec := newNonceRecorder(store.NewServer())
-	l, err := SetupLinear(rec, crypto.MustNewCipher(crypto.MustNewKey()), "nonce", Config{
-		Capacity:   16,
-		KeyWidth:   16,
-		ValueWidth: 8,
-		Seed:       7,
-	})
-	if err != nil {
-		t.Fatalf("SetupLinear: %v", err)
-	}
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("k%d", i%16)
-		if err := l.Write(k, val(8, byte(i))); err != nil {
-			t.Fatalf("Write %d: %v", i, err)
-		}
-		if _, _, err := l.Read(k); err != nil {
-			t.Fatalf("Read %d: %v", i, err)
-		}
-	}
-	total, reused := rec.stats()
-	if reused != 0 {
-		t.Errorf("nonce reused %d times across %d ciphertexts", reused, total)
-	}
-	if total < 1000 {
-		t.Errorf("recorder saw only %d ciphertexts; wiring broken?", total)
-	}
-}

@@ -649,3 +649,93 @@ func TestDestroyFreesServerObject(t *testing.T) {
 		t.Errorf("objects after Destroy = %d", st.Objects)
 	}
 }
+
+// TestStoreConformance runs the key-value contract the protocols consume
+// (Definition 4's Read/Write, and the Remove Algorithm 5 needs).
+func TestStoreConformance(t *testing.T) {
+	t.Run("path", func(t *testing.T) {
+		s, _ := newTestORAM(t, 16, 4)
+
+		if _, found, err := s.Read("ghost"); err != nil || found {
+			t.Errorf("Read(ghost) = %v, %v", found, err)
+		}
+		if err := s.Write("a", []byte{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+		v, found, err := s.Read("a")
+		if err != nil || !found || !bytes.Equal(v, []byte{1, 2, 3, 4}) {
+			t.Fatalf("Read(a) = %v, %v, %v", v, found, err)
+		}
+		if err := s.Write("a", []byte{9, 9, 9, 9}); err != nil {
+			t.Fatal(err)
+		}
+		v, _, _ = s.Read("a")
+		if !bytes.Equal(v, []byte{9, 9, 9, 9}) {
+			t.Errorf("overwrite lost: %v", v)
+		}
+		if s.Len() != 1 {
+			t.Errorf("Len = %d", s.Len())
+		}
+		if err := s.Remove("a"); err != nil {
+			t.Fatal(err)
+		}
+		if _, found, _ := s.Read("a"); found {
+			t.Error("key survives Remove")
+		}
+		if err := s.Remove("never"); err != nil {
+			t.Errorf("Remove(absent): %v", err)
+		}
+		if err := s.Write("w", []byte{1, 2}); !errors.Is(err, ErrValueWidth) {
+			t.Errorf("short value err = %v", err)
+		}
+		long := string(bytes.Repeat([]byte("x"), 33))
+		if _, _, err := s.Read(long); !errors.Is(err, ErrKeyWidth) {
+			t.Errorf("long key err = %v", err)
+		}
+		if s.Accesses() == 0 {
+			t.Error("Accesses not counted")
+		}
+		if s.ClientMemoryBytes() < 0 {
+			t.Error("negative client memory")
+		}
+	})
+}
+
+// TestStoreConformanceRandomWorkload cross-checks the store against a map
+// oracle under a random op sequence.
+func TestStoreConformanceRandomWorkload(t *testing.T) {
+	t.Run("path", func(t *testing.T) {
+		const capacity = 24
+		s, _ := newTestORAM(t, capacity, 4)
+		oracle := make(map[string][]byte)
+		rng := rand.New(rand.NewSource(5))
+		for step := 0; step < 250; step++ {
+			k := fmt.Sprintf("k%d", rng.Intn(capacity))
+			switch rng.Intn(3) {
+			case 0:
+				v := []byte{byte(step), byte(step >> 8), 0, 1}
+				if err := s.Write(k, v); err != nil {
+					t.Fatalf("step %d Write: %v", step, err)
+				}
+				oracle[k] = v
+			case 1:
+				v, found, err := s.Read(k)
+				if err != nil {
+					t.Fatalf("step %d Read: %v", step, err)
+				}
+				want, ok := oracle[k]
+				if found != ok || (ok && !bytes.Equal(v, want)) {
+					t.Fatalf("step %d: Read(%s) = %v,%v want %v,%v", step, k, v, found, want, ok)
+				}
+			case 2:
+				if err := s.Remove(k); err != nil {
+					t.Fatalf("step %d Remove: %v", step, err)
+				}
+				delete(oracle, k)
+			}
+			if s.Len() != len(oracle) {
+				t.Fatalf("step %d: Len = %d, oracle %d", step, s.Len(), len(oracle))
+			}
+		}
+	})
+}

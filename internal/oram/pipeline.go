@@ -9,17 +9,16 @@ import (
 // An Access is one oblivious access for a Pipeline to run: Fn is handed the
 // value stored under Key in Store and decides what stays there.
 type Access struct {
-	Store Store
+	Store *ORAM
 	Key   string
 	Fn    UpdateFunc
 }
 
 // Pipeline runs accesses to different stores with their server calls fused.
-// A PathORAM access is two calls with client work between them — fetch a
-// path, write it back — and the leaf is known before the fetch, so the
-// fetches of accesses to different trees can share one round trip, and the
-// write-backs can share the next, along with the fetches of whatever the
-// caller does next:
+// An access is two calls with client work between them — fetch a path, write
+// it back — and the leaf is known before the fetch, so the fetches of accesses
+// to different trees can share one round trip, and the write-backs can share
+// the next, along with the fetches of whatever the caller does next:
 //
 //	p.Do(a, b)   one round: ReadPath a, ReadPath b
 //	p.Do(c, d)   one round: WritePath a, WritePath b, ReadPath c, ReadPath d
@@ -32,9 +31,6 @@ type Access struct {
 // caller's sequence of Do and Flush, never by anything fetched. Through a
 // service that cannot take a batch every op is its own call, in that same
 // order.
-//
-// A store whose access is not one fetch and one write-back (Linear) takes
-// part as itself: its whole access runs where its turn to be served comes.
 //
 // When a round fails — after whatever retrying the service itself does; a
 // batch of fetches and of write-backs carrying their exact ciphertexts is
@@ -80,17 +76,12 @@ func (p *Pipeline) Do(accesses ...Access) error {
 				return &AccessError{i, fmt.Errorf("oram: one store named twice in a round (keys %q and %q)", b.Key, a.Key)}
 			}
 		}
-		if o, ok := a.Store.(*ORAM); ok {
-			if err := o.ready(a.Key); err != nil {
-				return &AccessError{i, err}
-			}
+		if err := a.Store.ready(a.Key); err != nil {
+			return &AccessError{i, err}
 		}
 	}
 	for _, a := range accesses {
-		o, ok := a.Store.(*ORAM)
-		if !ok {
-			continue
-		}
+		o := a.Store
 		leaf, err := o.begin(a.Key)
 		if err != nil { // ready said it could
 			return p.abandon(err)
@@ -103,18 +94,11 @@ func (p *Pipeline) Do(accesses ...Access) error {
 		return err
 	}
 	for i, a := range accesses {
-		o, ok := a.Store.(*ORAM)
-		if !ok {
-			if err := a.Store.Update(a.Key, a.Fn); err != nil {
-				return p.abandon(&AccessError{i, err})
-			}
-			continue
-		}
-		out, err := o.serve(fetched[0], a.Fn)
+		o := a.Store
+		out, err := o.serve(fetched[i], a.Fn)
 		if err != nil {
 			return p.abandon(&AccessError{i, err})
 		}
-		fetched = fetched[1:]
 		p.staged = append(p.staged, o)
 		p.ops = append(p.ops, store.BatchOp{Write: true, Path: true, Name: o.name, Leaf: o.cur.leaf, Cts: out})
 	}

@@ -16,7 +16,7 @@ import (
 
 // TestUpdateIndistinguishable: whatever an Update's function finds and
 // decides — hit or miss, leave alone, insert, overwrite, remove — the server
-// sees the events of a Read, byte for byte, on both stores.
+// sees the events of a Read, byte for byte.
 func TestUpdateIndistinguishable(t *testing.T) {
 	keep := func(old []byte, found bool) ([]byte, bool) { return old, found }
 	put := func([]byte, bool) ([]byte, bool) { return val(8, 7), true }
@@ -27,146 +27,140 @@ func TestUpdateIndistinguishable(t *testing.T) {
 		}
 		return val(8, old[7]+1), true
 	}
-	for name, factory := range storeFactories() {
-		t.Run(name, func(t *testing.T) {
-			shape := func(access func(Store) error) trace.Shape {
-				srv := store.NewServer()
-				s, err := factory(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
-					Capacity: 32, KeyWidth: 16, ValueWidth: 8, Seed: 11,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Write("present", val(8, 1)); err != nil {
-					t.Fatal(err)
-				}
-				srv.Trace().Reset()
-				srv.Trace().Enable()
-				if err := access(s); err != nil {
-					t.Fatal(err)
-				}
-				return trace.ShapeOf(srv.Trace().Events())
+	t.Run("path", func(t *testing.T) {
+		shape := func(access func(*ORAM) error) trace.Shape {
+			srv := store.NewServer()
+			s, err := Setup(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+				Capacity: 32, KeyWidth: 16, ValueWidth: 8, Seed: 11,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := shape(func(s Store) error { _, _, err := s.Read("present"); return err })
-			for _, c := range []struct {
-				name, key string
-				fn        UpdateFunc
-			}{
-				{"hit, left alone", "present", keep},
-				{"miss, left alone", "absent", keep},
-				{"insert", "absent", put},
-				{"overwrite", "present", put},
-				{"remove", "present", drop},
-				{"remove a miss", "absent", drop},
-				{"count up", "present", increment},
-				{"count from nothing", "absent", increment},
-			} {
-				if got := shape(func(s Store) error { return s.Update(c.key, c.fn) }); !got.Equal(want) {
-					t.Errorf("Update (%s) is distinguishable from a Read:\n%s", c.name, want.Diff(got))
-				}
+			if err := s.Write("present", val(8, 1)); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			srv.Trace().Reset()
+			srv.Trace().Enable()
+			if err := access(s); err != nil {
+				t.Fatal(err)
+			}
+			return trace.ShapeOf(srv.Trace().Events())
+		}
+		want := shape(func(s *ORAM) error { _, _, err := s.Read("present"); return err })
+		for _, c := range []struct {
+			name, key string
+			fn        UpdateFunc
+		}{
+			{"hit, left alone", "present", keep},
+			{"miss, left alone", "absent", keep},
+			{"insert", "absent", put},
+			{"overwrite", "present", put},
+			{"remove", "present", drop},
+			{"remove a miss", "absent", drop},
+			{"count up", "present", increment},
+			{"count from nothing", "absent", increment},
+		} {
+			if got := shape(func(s *ORAM) error { return s.Update(c.key, c.fn) }); !got.Equal(want) {
+				t.Errorf("Update (%s) is distinguishable from a Read:\n%s", c.name, want.Diff(got))
+			}
+		}
+	})
 }
 
-// TestStoreModel runs a random mix of Update, Read, Write and Remove on each
+// TestStoreModel runs a random mix of Update, Read, Write and Remove on a
 // store against a map. Update's functions cover what a caller can decide from
 // what it is shown: count up from nothing, remove at a threshold, leave alone.
 func TestStoreModel(t *testing.T) {
-	for name, factory := range storeFactories() {
-		t.Run(name, func(t *testing.T) {
-			const capacity = 24
-			s, _ := newStore(t, factory, capacity, 4)
-			model := make(map[string][]byte)
-			rng := rand.New(rand.NewSource(17))
-			for step := 0; step < 600; step++ {
-				k := fmt.Sprintf("k%d", rng.Intn(capacity))
-				want, had := model[k]
-				switch rng.Intn(6) {
-				case 0:
-					v := []byte{byte(step), byte(step >> 8), 0, 1}
-					if err := s.Write(k, v); err != nil {
-						t.Fatalf("step %d Write: %v", step, err)
-					}
-					model[k] = v
-				case 1:
-					v, found, err := s.Read(k)
-					if err != nil {
-						t.Fatalf("step %d Read: %v", step, err)
-					}
-					if found != had || !bytes.Equal(v, want) {
-						t.Fatalf("step %d: Read(%s) = %v,%v want %v,%v", step, k, v, found, want, had)
-					}
-				case 2:
-					if err := s.Remove(k); err != nil {
-						t.Fatalf("step %d Remove: %v", step, err)
-					}
-					delete(model, k)
-				default:
-					// A counter in byte 3: start at 1, count up, vanish at 3.
-					var saw []byte
-					var sawFound bool
-					err := s.Update(k, func(old []byte, found bool) ([]byte, bool) {
-						saw, sawFound = append([]byte(nil), old...), found
-						switch {
-						case !found:
-							return []byte{0, 0, 0, 1}, true
-						case old[3] >= 3:
-							return nil, false
-						case step%5 == 0:
-							return old, true
-						}
-						return []byte{old[0], old[1], old[2], old[3] + 1}, true
-					})
-					if err != nil {
-						t.Fatalf("step %d Update: %v", step, err)
-					}
-					if sawFound != had || !bytes.Equal(saw, want) {
-						t.Fatalf("step %d: Update(%s) was shown %v,%v want %v,%v", step, k, saw, sawFound, want, had)
-					}
-					switch {
-					case !had:
-						model[k] = []byte{0, 0, 0, 1}
-					case want[3] >= 3:
-						delete(model, k)
-					case step%5 != 0:
-						model[k] = []byte{want[0], want[1], want[2], want[3] + 1}
-					}
+	t.Run("path", func(t *testing.T) {
+		const capacity = 24
+		s, _ := newTestORAM(t, capacity, 4)
+		model := make(map[string][]byte)
+		rng := rand.New(rand.NewSource(17))
+		for step := 0; step < 600; step++ {
+			k := fmt.Sprintf("k%d", rng.Intn(capacity))
+			want, had := model[k]
+			switch rng.Intn(6) {
+			case 0:
+				v := []byte{byte(step), byte(step >> 8), 0, 1}
+				if err := s.Write(k, v); err != nil {
+					t.Fatalf("step %d Write: %v", step, err)
 				}
-				if s.Len() != len(model) {
-					t.Fatalf("step %d: Len = %d, model %d", step, s.Len(), len(model))
+				model[k] = v
+			case 1:
+				v, found, err := s.Read(k)
+				if err != nil {
+					t.Fatalf("step %d Read: %v", step, err)
+				}
+				if found != had || !bytes.Equal(v, want) {
+					t.Fatalf("step %d: Read(%s) = %v,%v want %v,%v", step, k, v, found, want, had)
+				}
+			case 2:
+				if err := s.Remove(k); err != nil {
+					t.Fatalf("step %d Remove: %v", step, err)
+				}
+				delete(model, k)
+			default:
+				// A counter in byte 3: start at 1, count up, vanish at 3.
+				var saw []byte
+				var sawFound bool
+				err := s.Update(k, func(old []byte, found bool) ([]byte, bool) {
+					saw, sawFound = append([]byte(nil), old...), found
+					switch {
+					case !found:
+						return []byte{0, 0, 0, 1}, true
+					case old[3] >= 3:
+						return nil, false
+					case step%5 == 0:
+						return old, true
+					}
+					return []byte{old[0], old[1], old[2], old[3] + 1}, true
+				})
+				if err != nil {
+					t.Fatalf("step %d Update: %v", step, err)
+				}
+				if sawFound != had || !bytes.Equal(saw, want) {
+					t.Fatalf("step %d: Update(%s) was shown %v,%v want %v,%v", step, k, saw, sawFound, want, had)
+				}
+				switch {
+				case !had:
+					model[k] = []byte{0, 0, 0, 1}
+				case want[3] >= 3:
+					delete(model, k)
+				case step%5 != 0:
+					model[k] = []byte{want[0], want[1], want[2], want[3] + 1}
 				}
 			}
-		})
-	}
+			if s.Len() != len(model) {
+				t.Fatalf("step %d: Len = %d, model %d", step, s.Len(), len(model))
+			}
+		}
+	})
 }
 
 func TestUpdateValueWidthEnforced(t *testing.T) {
-	for name, factory := range storeFactories() {
-		t.Run(name, func(t *testing.T) {
-			s, _ := newStore(t, factory, 8, 4)
-			err := s.Update("k", func([]byte, bool) ([]byte, bool) { return []byte{1}, true })
-			if !errors.Is(err, ErrValueWidth) {
-				t.Errorf("one-byte value into a 4-byte store: %v, want ErrValueWidth", err)
-			}
-		})
-	}
+	t.Run("path", func(t *testing.T) {
+		s, _ := newTestORAM(t, 8, 4)
+		err := s.Update("k", func([]byte, bool) ([]byte, bool) { return []byte{1}, true })
+		if !errors.Is(err, ErrValueWidth) {
+			t.Errorf("one-byte value into a 4-byte store: %v, want ErrValueWidth", err)
+		}
+	})
 }
 
 // pipelineRig is three stores on one server behind a round counter.
 type pipelineRig struct {
 	srv    *store.Server
 	rounds *store.RoundCounter
-	stores [3]Store
+	stores [3]*ORAM
 }
 
-func newPipelineRig(t *testing.T, factory Factory, wrap func(store.Service) store.Service) *pipelineRig {
+func newPipelineRig(t *testing.T, wrap func(store.Service) store.Service) *pipelineRig {
 	t.Helper()
 	r := &pipelineRig{srv: store.NewServer()}
 	r.rounds = store.WithRoundCounter(wrap(r.srv))
 	cipher := crypto.MustNewCipher(crypto.MustNewKey())
 	for i := range r.stores {
-		s, err := factory(r.rounds, cipher, fmt.Sprintf("s%d", i), Config{Capacity: 32, KeyWidth: 8, ValueWidth: 4, Seed: int64(3 + i)})
+		s, err := Setup(r.rounds, cipher, fmt.Sprintf("s%d", i), Config{Capacity: 32, KeyWidth: 8, ValueWidth: 4, Seed: int64(3 + i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +174,7 @@ func newPipelineRig(t *testing.T, factory Factory, wrap func(store.Service) stor
 // unionRecord is the shape of an engine's multi-attribute step: read a value
 // from each of two stores, then a read-modify-write of the third keyed by
 // what was read. It returns what the third held before.
-func unionRecord(p *Pipeline, s [3]Store, key string) (before []byte, err error) {
+func unionRecord(p *Pipeline, s [3]*ORAM, key string) (before []byte, err error) {
 	var got [2][]byte
 	read := func(i int) UpdateFunc {
 		return func(old []byte, found bool) ([]byte, bool) {
@@ -231,70 +225,62 @@ func TestPipelineIsFramingOnly(t *testing.T) {
 		}
 		r.srv.Trace().Reset()
 	}
-	for name, factory := range storeFactories() {
-		t.Run(name, func(t *testing.T) {
-			serial := newPipelineRig(t, factory, asIs)
-			seed(t, serial)
-			base := serial.rounds.Rounds()
-			var wantBefore [][]byte
-			for _, k := range keys {
-				var got [2][]byte
-				for i := range got {
-					v, _, err := serial.stores[i].Read(k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got[i] = v
-				}
-				var before []byte
-				err := serial.stores[2].Update(joinKey(got), func(old []byte, found bool) ([]byte, bool) {
-					before = append([]byte(nil), old...)
-					return []byte{1, 2, 3, byte(len(old))}, true
-				})
+	t.Run("path", func(t *testing.T) {
+		serial := newPipelineRig(t, asIs)
+		seed(t, serial)
+		base := serial.rounds.Rounds()
+		var wantBefore [][]byte
+		for _, k := range keys {
+			var got [2][]byte
+			for i := range got {
+				v, _, err := serial.stores[i].Read(k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantBefore = append(wantBefore, before)
+				got[i] = v
 			}
-			serialRounds := serial.rounds.Rounds() - base
-			want := perObject(serial.srv.Trace().Events())
+			var before []byte
+			err := serial.stores[2].Update(joinKey(got), func(old []byte, found bool) ([]byte, bool) {
+				before = append([]byte(nil), old...)
+				return []byte{1, 2, 3, byte(len(old))}, true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBefore = append(wantBefore, before)
+		}
+		serialRounds := serial.rounds.Rounds() - base
+		want := perObject(serial.srv.Trace().Events())
 
-			for _, c := range []struct {
-				name   string
-				wrap   func(store.Service) store.Service
-				rounds int64
-			}{
-				{"fused", asIs, 3 * int64(len(keys))},
-				{"unfused", hideBatch, serialRounds},
-			} {
-				rig := newPipelineRig(t, factory, c.wrap)
-				seed(t, rig)
-				base := rig.rounds.Rounds()
-				p := NewPipeline(rig.rounds)
-				for i, k := range keys {
-					before, err := unionRecord(p, rig.stores, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(before, wantBefore[i]) {
-						t.Errorf("%s record %d: third store held %v, serially %v", c.name, i, before, wantBefore[i])
-					}
+		for _, c := range []struct {
+			name   string
+			wrap   func(store.Service) store.Service
+			rounds int64
+		}{
+			{"fused", asIs, 3 * int64(len(keys))},
+			{"unfused", hideBatch, serialRounds},
+		} {
+			rig := newPipelineRig(t, c.wrap)
+			seed(t, rig)
+			base := rig.rounds.Rounds()
+			p := NewPipeline(rig.rounds)
+			for i, k := range keys {
+				before, err := unionRecord(p, rig.stores, k)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got := perObject(rig.srv.Trace().Events()); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: per-object event sequences differ from the serial run's", c.name)
-				}
-				got := rig.rounds.Rounds() - base
-				if name == "linear" {
-					// The scan ORAM has no path to fuse: it runs as itself.
-					if got != serialRounds {
-						t.Errorf("%s: %d rounds, serially %d", c.name, got, serialRounds)
-					}
-				} else if got != c.rounds {
-					t.Errorf("%s: %d rounds, want %d (serially %d)", c.name, got, c.rounds, serialRounds)
+				if !bytes.Equal(before, wantBefore[i]) {
+					t.Errorf("%s record %d: third store held %v, serially %v", c.name, i, before, wantBefore[i])
 				}
 			}
-		})
-	}
+			if got := perObject(rig.srv.Trace().Events()); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: per-object event sequences differ from the serial run's", c.name)
+			}
+			if got := rig.rounds.Rounds() - base; got != c.rounds {
+				t.Errorf("%s: %d rounds, want %d (serially %d)", c.name, got, c.rounds, serialRounds)
+			}
+		}
+	})
 }
 
 // failBatches fails every Batch carrying a path write while armed, before it
@@ -470,7 +456,7 @@ func TestPipelineRetriedRoundIsInvisible(t *testing.T) {
 		})
 		svc := store.WithRetry(once, store.RetryPolicy{MaxAttempts: 3})
 		cipher := crypto.MustNewCipher(crypto.MustNewKey())
-		var s [3]Store
+		var s [3]*ORAM
 		for i := range s {
 			o, err := Setup(svc, cipher, fmt.Sprintf("s%d", i), Config{Capacity: 16, KeyWidth: 8, ValueWidth: 4, Seed: int64(i + 1)})
 			if err != nil {

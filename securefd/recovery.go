@@ -177,16 +177,11 @@ func resumeFrom(svc Service, cp *core.Checkpoint) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
-	kind := ORAMPath
-	if len(cp.Engine.Sets) > 0 && cp.Engine.Sets[0].Primary != nil && cp.Engine.Sets[0].Primary.Linear != nil {
-		kind = ORAMLinear
-	}
 	return &Database{
 		svc:    svc,
 		schema: edb.Schema(),
 		opts: Options{
 			Protocol:       proto,
-			ORAM:           kind,
 			MaxLHS:         cp.Lattice.MaxLHS,
 			KeepPartitions: cp.Lattice.KeepPartitions,
 		},

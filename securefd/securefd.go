@@ -43,8 +43,6 @@ import (
 
 	"github.com/oblivfd/oblivfd/internal/core"
 	"github.com/oblivfd/oblivfd/internal/crypto"
-	"github.com/oblivfd/oblivfd/internal/obsort"
-	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -352,30 +350,6 @@ func ParseProtocol(s string) (Protocol, error) {
 	return 0, fmt.Errorf("securefd: unknown protocol %q (want %s)", s, ProtocolNames())
 }
 
-// SortNetwork selects the comparison network used by ProtocolSort.
-type SortNetwork = obsort.Network
-
-// Available sorting networks.
-const (
-	// NetworkBitonic is the paper's choice (§III-C): fully regular,
-	// balanced stages.
-	NetworkBitonic SortNetwork = obsort.Bitonic
-	// NetworkOddEven is Batcher's odd-even merge network: ~20% fewer
-	// comparators, less regular stages.
-	NetworkOddEven SortNetwork = obsort.OddEvenMerge
-)
-
-// ORAMKind selects the oblivious key-value construction.
-type ORAMKind int
-
-// Available ORAM constructions.
-const (
-	// ORAMPath is the paper's non-recursive PathORAM (Z=4).
-	ORAMPath ORAMKind = iota
-	// ORAMLinear is the trivial full-scan ORAM.
-	ORAMLinear
-)
-
 // Options configures Outsource.
 type Options struct {
 	// Protocol selects the secure method; default ProtocolSort.
@@ -391,15 +365,6 @@ type Options struct {
 	// one goroutine, every set's accesses for a record in the same round
 	// trips, and show the server the same ordered trace whatever it is.
 	Workers int
-	// Network selects ProtocolSort's comparison network; the zero value
-	// is the paper's bitonic network.
-	Network SortNetwork
-	// ORAM selects the oblivious key-value construction backing
-	// ProtocolORAM and ProtocolDynamicORAM; the zero value is the
-	// paper's PathORAM. ORAMLinear is the trivial scan ORAM: O(1) client
-	// memory but O(n) per access — only sensible for very small
-	// databases (see the ablation-oram experiment).
-	ORAM ORAMKind
 	// InsertHeadroom reserves capacity for that many future insertions
 	// (ProtocolORAM and ProtocolDynamicORAM).
 	InsertHeadroom int
@@ -479,24 +444,13 @@ func Outsource(svc Service, rel *Relation, opts Options) (*Database, error) {
 			return nil, fmt.Errorf("securefd: %w", err)
 		}
 		db.edb = edb
-		var factory oram.Factory
-		switch opts.ORAM {
-		case ORAMPath:
-			factory = oram.PathFactory
-		case ORAMLinear:
-			factory = oram.LinearFactory
-		default:
-			return nil, fmt.Errorf("securefd: unknown ORAM kind %d", opts.ORAM)
-		}
 		switch opts.Protocol {
 		case ProtocolSort:
 			eng := core.NewSortEngine(edb, opts.Workers)
-			eng.Network = opts.Network
 			eng.Telemetry = opts.Telemetry
 			db.engine = eng
 		case ProtocolORAM:
 			eng := core.NewOrEngine(edb)
-			eng.Factory = factory
 			eng.Telemetry = opts.Telemetry
 			db.engine = eng
 		case ProtocolDynamicORAM:
@@ -504,7 +458,6 @@ func Outsource(svc Service, rel *Relation, opts Options) (*Database, error) {
 			if err != nil {
 				return nil, fmt.Errorf("securefd: %w", err)
 			}
-			eng.Factory = factory
 			eng.Telemetry = opts.Telemetry
 			db.engine = eng
 		case ProtocolDeterministic:

@@ -78,29 +78,6 @@ func TestUpdateErrors(t *testing.T) {
 	}
 }
 
-func TestLinearORAMOption(t *testing.T) {
-	rel := employeeRelation(t)
-	for _, p := range []Protocol{ProtocolORAM, ProtocolDynamicORAM} {
-		db, err := Outsource(NewServer(), rel, Options{
-			Protocol: p, ORAM: ORAMLinear, InsertHeadroom: 2,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		report, err := db.Discover()
-		if err != nil {
-			t.Fatalf("%v: Discover: %v", p, err)
-		}
-		if len(report.Minimal) == 0 {
-			t.Errorf("%v: no FDs over linear ORAM", p)
-		}
-		db.Close()
-	}
-	if _, err := Outsource(NewServer(), rel, Options{ORAM: ORAMKind(9), Protocol: ProtocolORAM}); err == nil {
-		t.Error("unknown ORAM kind accepted")
-	}
-}
-
 func TestDatabaseAccessors(t *testing.T) {
 	rel := employeeRelation(t)
 	db, err := Outsource(NewServer(), rel, Options{Protocol: ProtocolPlaintext})

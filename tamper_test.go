@@ -26,17 +26,15 @@ import (
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
-// tamperConfigs covers all three secure engines; the ORAM engines run over
-// the linear ORAM (batch cell reads) and or-oram additionally over PathORAM
-// (tree path reads), so both read shapes see corruption.
+// tamperConfigs covers all three secure engines, so both read shapes see
+// corruption: cell-batch reads are Sort's, tree path reads the ORAMs'.
 var tamperConfigs = []struct {
 	name string
 	opts securefd.Options
 }{
 	{"sort", securefd.Options{Protocol: securefd.ProtocolSort}},
-	{"or-oram-linear", securefd.Options{Protocol: securefd.ProtocolORAM, ORAM: securefd.ORAMLinear}},
-	{"or-oram-path", securefd.Options{Protocol: securefd.ProtocolORAM, ORAM: securefd.ORAMPath}},
-	{"ex-oram-linear", securefd.Options{Protocol: securefd.ProtocolDynamicORAM, ORAM: securefd.ORAMLinear}},
+	{"or-oram", securefd.Options{Protocol: securefd.ProtocolORAM}},
+	{"ex-oram", securefd.Options{Protocol: securefd.ProtocolDynamicORAM}},
 }
 
 // readCounter counts successful payload reads so tamper points can be placed
@@ -221,7 +219,7 @@ func TestTamperDetectedOverTCP(t *testing.T) {
 // at a time, so it is the engine that names the set.
 func TestTamperErrorNamesLatticePosition(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		opts := securefd.Options{Protocol: securefd.ProtocolORAM, ORAM: securefd.ORAMLinear, Workers: workers}
+		opts := securefd.Options{Protocol: securefd.ProtocolORAM, Workers: workers}
 		_, n := cleanTamperRun(t, opts)
 		fs := securefd.WithFaults(securefd.NewServer(), securefd.FaultConfig{
 			Seed:              42,
@@ -244,7 +242,7 @@ func TestTamperErrorNamesLatticePosition(t *testing.T) {
 // both the steady-state verification volume and the exact moment tampering
 // was caught.
 func TestTamperTelemetryCounters(t *testing.T) {
-	opts := securefd.Options{Protocol: securefd.ProtocolORAM, ORAM: securefd.ORAMLinear}
+	opts := securefd.Options{Protocol: securefd.ProtocolORAM}
 	_, n := cleanTamperRun(t, opts)
 	reg := securefd.NewRegistry()
 	opts.Telemetry = reg
