@@ -97,24 +97,29 @@ func TestEvictionIsGreedy(t *testing.T) {
 				if leaf != tap.readLeaf || len(tap.written) != o.levels {
 					t.Fatalf("access %d read leaf %d, wrote %d buckets to leaf %d", i, tap.readLeaf, len(tap.written), leaf)
 				}
+				checkSlots(t, o)
 				free := make([]int, o.levels)
 				for l, ct := range tap.written {
 					keys := realKeys(t, o, ct, leaf, l)
 					free[l] = o.z - len(keys)
 					for _, key := range keys {
-						if d := deepestLevel(o, o.posMap[key], leaf); l > d {
+						s, live := o.index[key]
+						if !live {
+							t.Fatalf("access %d: block %q placed at level %d but not live", i, key, l)
+						}
+						if d := deepestLevel(o, o.slots[s].leaf, leaf); l > d {
 							t.Fatalf("access %d: block %q placed at level %d, eligible only down to %d", i, key, l, d)
 						}
-						if _, also := o.stash[key]; also {
+						if o.slots[s].stashed {
 							t.Fatalf("access %d: block %q both placed and stashed", i, key)
 						}
 					}
 				}
-				for key := range o.stash {
+				for _, s := range o.stash {
 					stranded++
-					for l := deepestLevel(o, o.posMap[key], leaf); l >= 0; l-- {
+					for l := deepestLevel(o, o.slots[s].leaf, leaf); l >= 0; l-- {
 						if free[l] > 0 {
-							t.Fatalf("access %d: block %q left in the stash with %d free places at level %d of its path", i, key, free[l], l)
+							t.Fatalf("access %d: block %q left in the stash with %d free places at level %d of its path", i, o.slots[s].key, free[l], l)
 						}
 					}
 				}
@@ -144,30 +149,28 @@ func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	leafLevel := o.levels - 1
 	for trial := 0; trial < 300; trial++ {
-		clear(o.stash)
-		clear(o.posMap)
-		clear(o.vers)
+		clear(o.index)
+		o.slots, o.values, o.stash = o.slots[:0], o.values[:0], o.stash[:0]
 		n := rng.Intn(3 * o.levels * o.z / 2) // from empty to more than a path holds
 		for i := 0; i < n; i++ {
-			k := fmt.Sprintf("k%d", i)
-			o.stash[k] = val(4, byte(i))
 			// Half the blocks cluster near leaf 0 so deep levels overflow.
-			o.posMap[k] = uint32(rng.Intn(o.numLeaves))
+			leaf := uint32(rng.Intn(o.numLeaves))
 			if i%2 == 0 {
-				o.posMap[k] &= 3
+				leaf &= 3
 			}
+			o.add(fmt.Sprintf("k%d", i), leaf, val(4, byte(i)), true)
 		}
 		leaf := uint32(rng.Intn(4))
 
 		want := make([]int, o.levels)
-		placed := make(map[string]bool)
+		placed := make(map[int32]bool)
 		for l := leafLevel; l >= 0; l-- {
-			for k := range o.stash {
+			for _, i := range o.stash {
 				if want[l] == o.z {
 					break
 				}
-				if !placed[k] && o.posMap[k]>>(leafLevel-l) == leaf>>(leafLevel-l) {
-					placed[k] = true
+				if !placed[i] && o.slots[i].leaf>>(leafLevel-l) == leaf>>(leafLevel-l) {
+					placed[i] = true
 					want[l]++
 				}
 			}
@@ -186,6 +189,45 @@ func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 		if got, want := len(o.stash), n-len(placed); got != want {
 			t.Fatalf("trial %d: %d blocks left in the stash, want %d", trial, got, want)
 		}
+		checkSlots(t, o)
+	}
+}
+
+// checkSlots fails unless the handle's client state is consistent: index and
+// slots name the same keys, each slot's value has its place in the slab, and
+// the stash list names every stashed slot exactly once and nothing else.
+func checkSlots(t *testing.T, o *ORAM) {
+	t.Helper()
+	if len(o.index) != len(o.slots) {
+		t.Fatalf("%d keys indexed, %d slots", len(o.index), len(o.slots))
+	}
+	if len(o.values) != len(o.slots)*o.valueWidth {
+		t.Fatalf("value slab has %d bytes for %d slots of %d", len(o.values), len(o.slots), o.valueWidth)
+	}
+	stashed := 0
+	for i, s := range o.slots {
+		if j, ok := o.index[s.key]; !ok || int(j) != i {
+			t.Fatalf("slot %d holds %q, which the index puts at %d (%v)", i, s.key, j, ok)
+		}
+		if int(s.leaf) >= o.numLeaves {
+			t.Fatalf("slot %d (%q) is assigned leaf %d of %d", i, s.key, s.leaf, o.numLeaves)
+		}
+		if !s.tagged && s.ver != 0 {
+			t.Fatalf("slot %d (%q) is untagged at version %d", i, s.key, s.ver)
+		}
+		if s.stashed {
+			stashed++
+		}
+	}
+	listed := make(map[int32]bool)
+	for _, i := range o.stash {
+		if int(i) >= len(o.slots) || !o.slots[i].stashed || listed[i] {
+			t.Fatalf("stash list %v names slot %d wrongly (%d slots)", o.stash, i, len(o.slots))
+		}
+		listed[i] = true
+	}
+	if len(listed) != stashed {
+		t.Fatalf("stash list has %d slots, %d are stashed", len(listed), stashed)
 	}
 }
 

@@ -35,8 +35,9 @@ type State struct {
 	Vers map[string]uint64
 }
 
-// State captures the client state. Maps are deep-copied so later accesses on
-// the live handle cannot mutate the checkpoint. The resumed handle gets a
+// State captures the client state as three maps built from the handle's
+// slots, stashed values copied, so later accesses on the live handle cannot
+// mutate the checkpoint. The resumed handle gets a
 // fresh RNG seed drawn from the live one; leaf choices after resume differ
 // from the uninterrupted run's, which is invisible to the adversary (both
 // are uniform) and irrelevant to correctness.
@@ -57,18 +58,18 @@ func (o *ORAM) State() *State {
 		MaxStash:   o.maxStash,
 		Accesses:   o.accesses,
 		Seed:       seed,
-		PosMap:     make(map[string]uint32, len(o.posMap)),
+		PosMap:     make(map[string]uint32, len(o.slots)),
 		Stash:      make(map[string][]byte, len(o.stash)),
-		Vers:       make(map[string]uint64, len(o.vers)),
+		Vers:       make(map[string]uint64, len(o.slots)),
 	}
-	for k, v := range o.posMap {
-		st.PosMap[k] = v
-	}
-	for k, v := range o.stash {
-		st.Stash[k] = append([]byte(nil), v...)
-	}
-	for k, v := range o.vers {
-		st.Vers[k] = v
+	for i, s := range o.slots {
+		st.PosMap[s.key] = s.leaf
+		if s.tagged {
+			st.Vers[s.key] = s.ver
+		}
+		if s.stashed {
+			st.Stash[s.key] = append([]byte(nil), o.value(int32(i))...)
+		}
 	}
 	return st
 }
@@ -91,23 +92,21 @@ func Resume(svc store.Service, cipher *crypto.Cipher, st *State) (*ORAM, error) 
 		numLeaves:  st.NumLeaves,
 		keyWidth:   st.KeyWidth,
 		valueWidth: st.ValueWidth,
-		posMap:     make(map[string]uint32, len(st.PosMap)),
-		stash:      make(map[string][]byte, len(st.Stash)),
-		vers:       make(map[string]uint64, len(st.Vers)),
+		index:      make(map[string]int32, len(st.PosMap)),
 		stashLimit: st.StashLimit,
 		maxStash:   st.MaxStash,
 		accesses:   st.Accesses,
 		rng:        newRNG(st.Seed),
 	}
 	o.initScratch()
-	for k, v := range st.PosMap {
-		o.posMap[k] = v
-	}
-	for k, v := range st.Stash {
-		o.stash[k] = append([]byte(nil), v...)
-	}
-	for k, v := range st.Vers {
-		o.vers[k] = v
+	blank := make([]byte, o.valueWidth)
+	for k, leaf := range st.PosMap {
+		v, stashed := st.Stash[k]
+		if !stashed {
+			v = blank
+		}
+		i := o.add(k, leaf, v, stashed)
+		o.slots[i].ver, o.slots[i].tagged = st.Vers[k]
 	}
 	return o, nil
 }
@@ -130,6 +129,24 @@ func (st *State) validate() error {
 	for k, leaf := range st.PosMap {
 		if int(leaf) >= st.NumLeaves {
 			return fmt.Errorf("oram: resume %q: key %q maps to leaf %d of %d", st.Name, k, leaf, st.NumLeaves)
+		}
+		if len(k) > st.KeyWidth {
+			return fmt.Errorf("oram: resume %q: key %q has %d bytes, max %d", st.Name, k, len(k), st.KeyWidth)
+		}
+	}
+	// A stashed block or a freshness tag belongs to a live key: the live
+	// keys are the position map's.
+	for k, v := range st.Stash {
+		if _, live := st.PosMap[k]; !live {
+			return fmt.Errorf("oram: resume %q: stashed key %q has no position", st.Name, k)
+		}
+		if len(v) != st.ValueWidth {
+			return fmt.Errorf("oram: resume %q: stashed key %q has a %d-byte value, want %d", st.Name, k, len(v), st.ValueWidth)
+		}
+	}
+	for k := range st.Vers {
+		if _, live := st.PosMap[k]; !live {
+			return fmt.Errorf("oram: resume %q: tagged key %q has no position", st.Name, k)
 		}
 	}
 	return nil

@@ -3,6 +3,10 @@ package oram
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -47,10 +51,17 @@ func TestPathORAMStateResume(t *testing.T) {
 	// The checkpoint must be a deep copy: further accesses on the live
 	// handle change server state, so from here on only the resumed handle
 	// may touch svc. Mutating the live handle's maps must not leak in.
-	for k := range st.Path.PosMap {
-		if _, ok := o.posMap[k]; !ok {
+	for k, leaf := range st.Path.PosMap {
+		i, ok := o.index[k]
+		if !ok {
 			t.Fatalf("posMap key %q in state but not live handle", k)
 		}
+		if o.slots[i].leaf != leaf {
+			t.Fatalf("posMap key %q at leaf %d in state, %d in the live handle", k, leaf, o.slots[i].leaf)
+		}
+	}
+	if len(st.Path.PosMap) != o.Len() {
+		t.Fatalf("state has %d live keys, handle %d", len(st.Path.PosMap), o.Len())
 	}
 
 	r, err := ResumeStore(svc, cipher, st)
@@ -111,5 +122,150 @@ func TestResumeStateValidation(t *testing.T) {
 		if _, err := ResumeStore(svc, cipher, c.st); err == nil {
 			t.Errorf("%s: resume accepted", c.name)
 		}
+	}
+}
+
+// TestResumeRefusesStateSlotsCannotHold: a state whose stash or tags name a
+// key with no position, whose stashed value is not ValueWidth wide, or whose
+// key is wider than KeyWidth describes no handle an access ever left behind.
+// Each was accepted until the client state moved into slots, and failed only
+// accesses later — as a server integrity fault, or silently. Resume refuses
+// it and names the key.
+func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
+	svc := store.NewServer()
+	cipher := newTestCipher(t)
+	base := func() *State {
+		return &State{Name: "x", Capacity: 4, Z: 4, Levels: 3, NumLeaves: 4, KeyWidth: 2, ValueWidth: 2, StashLimit: 10,
+			PosMap: map[string]uint32{"k": 1, "j": 2},
+			Stash:  map[string][]byte{"k": {1, 2}},
+			Vers:   map[string]uint64{"j": 3},
+		}
+	}
+	if _, err := Resume(svc, cipher, base()); err != nil {
+		t.Fatalf("well-formed state refused: %v", err)
+	}
+	cases := []struct {
+		name, key string
+		spoil     func(*State)
+	}{
+		{"stashed key with no position", "s", func(st *State) { st.Stash["s"] = []byte{1, 2} }},
+		{"tagged key with no position", "v", func(st *State) { st.Vers["v"] = 1 }},
+		{"short stashed value", "k", func(st *State) { st.Stash["k"] = []byte{1} }},
+		{"long stashed value", "k", func(st *State) { st.Stash["k"] = []byte{1, 2, 3} }},
+		{"key wider than KeyWidth", "wide", func(st *State) { st.PosMap["wide"] = 0 }},
+	}
+	for _, c := range cases {
+		st := base()
+		c.spoil(st)
+		_, err := Resume(svc, cipher, st)
+		switch {
+		case err == nil:
+			t.Errorf("%s: resume accepted", c.name)
+		case !strings.Contains(err.Error(), fmt.Sprintf("%q", c.key)):
+			t.Errorf("%s: error does not name key %q: %v", c.name, c.key, err)
+		}
+	}
+}
+
+// mapEraBytes is ClientMemoryBytes as it was computed when the client state
+// was the three maps of State: per live key its length and a 4-byte leaf, per
+// tagged key its length and an 8-byte version, per stashed key its length and
+// its value.
+func mapEraBytes(st *State) int {
+	total := 0
+	for k := range st.PosMap {
+		total += len(k) + 4
+	}
+	for k := range st.Vers {
+		total += len(k) + verWidth
+	}
+	for k, v := range st.Stash {
+		total += len(k) + len(v)
+	}
+	return total
+}
+
+// TestClientStateMatchesMapEra: over a seeded random Write / Read / Remove /
+// Update mix on both engine shapes, ClientMemoryBytes equals the map-era
+// formula computed from State's maps after every access, the slots stay
+// consistent, and State → Resume → State gives equal maps (the resumed handle
+// then carries on with the mix). This pins client_mem_kb and Fig. 5's
+// client-memory column.
+func TestClientStateMatchesMapEra(t *testing.T) {
+	for _, shape := range []struct{ capacity, valueWidth int }{{2048 + 2000, 16}, {1024, 8}} {
+		t.Run(fmt.Sprintf("%d×%dB", shape.capacity, shape.valueWidth), func(t *testing.T) {
+			svc := store.NewServer()
+			cipher := newTestCipher(t)
+			o, err := Setup(svc, cipher, "mem", Config{Capacity: shape.capacity, KeyWidth: 8, ValueWidth: shape.valueWidth, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const keys, steps = 300, 1500
+			oracle := make(map[string][]byte)
+			rng := rand.New(rand.NewSource(int64(shape.capacity)))
+			for step := 0; step < steps; step++ {
+				k := strconv.Itoa(rng.Intn(keys))
+				v := val(shape.valueWidth, byte(step))
+				switch r := rng.Intn(10); {
+				case r < 4:
+					err = o.Write(k, v)
+					oracle[k] = v
+				case r < 6:
+					var got []byte
+					var found bool
+					got, found, err = o.Read(k)
+					if want, ok := oracle[k]; err == nil && (found != ok || !bytes.Equal(got, want)) {
+						t.Fatalf("step %d: Read(%s) = %v, %v; oracle %v, %v", step, k, got, found, want, ok)
+					}
+				case r < 7:
+					err = o.Remove(k)
+					delete(oracle, k)
+				default: // bump the first byte of a present value, insert v otherwise, drop one in five
+					drop := r == 9 && rng.Intn(2) == 0
+					err = o.Update(k, func(old []byte, found bool) ([]byte, bool) {
+						switch {
+						case drop:
+							return nil, false
+						case found:
+							bumped := append([]byte(nil), old...)
+							bumped[0]++
+							return bumped, true
+						}
+						return v, true
+					})
+					switch want, ok := oracle[k]; {
+					case drop:
+						delete(oracle, k)
+					case ok:
+						want[0]++
+					default:
+						oracle[k] = v
+					}
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				checkSlots(t, o)
+				st := o.State()
+				if got, want := o.ClientMemoryBytes(), mapEraBytes(st); got != want {
+					t.Fatalf("step %d: ClientMemoryBytes = %d, map-era formula over State gives %d", step, got, want)
+				}
+				if len(st.PosMap) != len(oracle) {
+					t.Fatalf("step %d: %d live keys, oracle %d", step, len(st.PosMap), len(oracle))
+				}
+				if step%250 == 249 {
+					r, err := Resume(svc, cipher, st)
+					if err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					again := r.State()
+					if !reflect.DeepEqual(st.PosMap, again.PosMap) || !reflect.DeepEqual(st.Stash, again.Stash) || !reflect.DeepEqual(st.Vers, again.Vers) {
+						t.Fatalf("step %d: State → Resume → State changed the maps", step)
+					}
+					checkSlots(t, r)
+					o = r // the live handle is abandoned: only r may touch svc from here on
+				}
+			}
+		})
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math/bits"
 	mrand "math/rand"
+	"slices"
 	"strconv"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -119,13 +120,15 @@ type ORAM struct {
 	blockSize  int
 
 	// Client-held state: position map, stash, and freshness tags (§VII-C
-	// discusses their O(n) memory cost). vers[k] is the version stamped
-	// into the tree copy of block k when it was last evicted; a decrypted
-	// block whose version differs is a replayed or rolled-back copy
-	// (DESIGN.md §10).
-	posMap map[string]uint32
-	stash  map[string][]byte
-	vers   map[string]uint64
+	// discusses their O(n) memory cost), kept per live key in one slot.
+	// index maps a live key to its slot; values holds valueWidth bytes per
+	// slot, meaningful while the slot is stashed; stash lists the stashed
+	// slots. Slots are dense: removing a key moves the last slot into its
+	// place. State converts to and from the three maps a checkpoint holds.
+	index  map[string]int32
+	slots  []slot
+	values []byte
+	stash  []int32
 
 	// ad is "oram:<name>:" followed by the heap index of the bucket being
 	// sealed or opened (bucketAD rewrites the tail in place): a bucket
@@ -148,19 +151,19 @@ type ORAM struct {
 
 	// Scratch reused across accesses so the steady-state path read/write
 	// loop allocates only what must escape: one ciphertext per bucket headed
-	// for the server, and keys and values entering the stash. Each ciphertext
-	// is its own allocation on purpose: the in-process server retains the
+	// for the server (a block entering the stash is copied into its slot).
+	// Each ciphertext is its own allocation on purpose: the in-process server retains the
 	// exact slices it is handed, and a leaf bucket outlives the root bucket
 	// written beside it by about numLeaves accesses, so buckets carved from
 	// one slab would pin the whole slab for as long as its longest-lived
 	// member. The scratch is a constant per handle, outside
 	// ClientMemoryBytes, and another reason a handle is not safe for
 	// concurrent use.
-	openBuf  []byte     // the bucket plaintext being parsed (via OpenTo)
-	sealBuf  []byte     // the bucket plaintext being staged for sealBucket
-	evictBuf [][]byte   // evict's outgoing buckets; every entry overwritten per call
-	byLevel  [][]string // evict: stashed keys by deepest bucket they may enter
-	pending  []string   // evict: keys eligible at the level being filled, not yet placed
+	openBuf  []byte    // the bucket plaintext being parsed (via OpenTo)
+	sealBuf  []byte    // the bucket plaintext being staged for sealBucket
+	evictBuf [][]byte  // evict's outgoing buckets; every entry overwritten per call
+	byLevel  [][]int32 // evict: stashed slots by deepest bucket they may enter
+	pending  []int32   // evict: slots eligible at the level being filled, not yet placed
 
 	// Telemetry handles, nil when disabled. stashGauge is shared across
 	// every ORAM on the registry and updated by delta, so it reads as the
@@ -217,9 +220,7 @@ func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*
 		numLeaves:  numLeaves,
 		keyWidth:   cfg.KeyWidth,
 		valueWidth: cfg.ValueWidth,
-		posMap:     make(map[string]uint32),
-		stash:      make(map[string][]byte),
-		vers:       make(map[string]uint64),
+		index:      make(map[string]int32),
 		stashLimit: sf * ceilLog2(cfg.Capacity),
 		rng:        newRNG(cfg.Seed),
 	}
@@ -251,7 +252,61 @@ func (o *ORAM) initScratch() {
 	o.openBuf = make([]byte, 0, o.z*o.blockSize)
 	o.sealBuf = make([]byte, o.z*o.blockSize)
 	o.evictBuf = make([][]byte, o.levels)
-	o.byLevel = make([][]string, o.levels)
+	o.byLevel = make([][]int32, o.levels)
+}
+
+// A slot is one live key's client state: the leaf its block is assigned to,
+// the version stamped into its tree copy when it was last evicted (tagged is
+// false until it first is; a decrypted block whose version differs is a
+// replayed or rolled-back copy, DESIGN.md §10), and whether the block is in
+// the stash, its value then in the slot's part of values.
+type slot struct {
+	key     string
+	leaf    uint32
+	ver     uint64
+	tagged  bool
+	stashed bool
+}
+
+// value is slot i's part of the value slab.
+func (o *ORAM) value(i int32) []byte {
+	off := int(i) * o.valueWidth
+	return o.values[off : off+o.valueWidth : off+o.valueWidth]
+}
+
+// add gives a new live key a slot holding value (stashed or not) and
+// returns its number.
+func (o *ORAM) add(key string, leaf uint32, value []byte, stashed bool) int32 {
+	i := int32(len(o.slots))
+	o.slots = append(o.slots, slot{key: key, leaf: leaf, stashed: stashed})
+	o.values = append(o.values, value...)
+	o.index[key] = i
+	if stashed {
+		o.stash = append(o.stash, i)
+	}
+	return i
+}
+
+// drop forgets the key of slot i, taking it off the stash list, and moves the
+// last slot into its place.
+func (o *ORAM) drop(i int32) {
+	last := int32(len(o.slots) - 1)
+	delete(o.index, o.slots[i].key)
+	if j := slices.Index(o.stash, i); j >= 0 {
+		o.stash[j] = o.stash[len(o.stash)-1]
+		o.stash = o.stash[:len(o.stash)-1]
+	}
+	if i != last {
+		o.slots[i] = o.slots[last]
+		copy(o.value(i), o.value(last))
+		o.index[o.slots[i].key] = i
+		if j := slices.Index(o.stash, last); j >= 0 {
+			o.stash[j] = i
+		}
+	}
+	o.slots[last] = slot{} // let the key string go
+	o.slots = o.slots[:last]
+	o.values = o.values[:int(last)*o.valueWidth]
 }
 
 // bucketAD binds a ciphertext to one bucket of this tree, named by its index
@@ -335,7 +390,7 @@ func ceilLog2(n int) int {
 func (o *ORAM) Name() string { return o.name }
 
 // Len returns the number of live keys.
-func (o *ORAM) Len() int { return len(o.posMap) }
+func (o *ORAM) Len() int { return len(o.slots) }
 
 // Capacity returns the configured capacity.
 func (o *ORAM) Capacity() int { return o.capacity }
@@ -357,17 +412,19 @@ func (o *ORAM) StashLimit() int { return o.stashLimit }
 func (o *ORAM) Accesses() int64 { return o.accesses }
 
 // ClientMemoryBytes estimates the client-held state size: position map
-// entries plus stashed blocks. This backs the client-memory curve of Fig. 5.
+// entries, freshness tags and stashed blocks, each a key plus its datum, as
+// the three maps of State hold them. This backs the client-memory curve of
+// Fig. 5.
 func (o *ORAM) ClientMemoryBytes() int {
 	total := 0
-	for k := range o.posMap {
-		total += len(k) + 4
-	}
-	for k := range o.vers {
-		total += len(k) + verWidth // freshness tags are client state too
-	}
-	for k, v := range o.stash {
-		total += len(k) + len(v)
+	for _, s := range o.slots {
+		total += len(s.key) + 4
+		if s.tagged {
+			total += len(s.key) + verWidth // freshness tags are client state too
+		}
+		if s.stashed {
+			total += len(s.key) + o.valueWidth
+		}
 	}
 	return total
 }
@@ -431,7 +488,7 @@ type inflight struct {
 	stage stage
 	key   string
 	leaf  uint32
-	known bool // key had a position-map entry when the access began
+	slot  int32 // the key's slot, or -1 when it was not live as the access began
 	span  telemetry.Span
 }
 
@@ -491,12 +548,15 @@ func (o *ORAM) begin(key string) (uint32, error) {
 	}
 	o.accesses++
 	o.accessCtr.Inc()
-	leaf, known := o.posMap[key]
-	if !known {
+	var leaf uint32
+	i, known := o.index[key]
+	if known {
+		leaf = o.slots[i].leaf
+	} else {
 		// Dummy path: uniformly random, like any remapped leaf.
-		leaf = uint32(o.rng.Intn(o.numLeaves))
+		i, leaf = -1, uint32(o.rng.Intn(o.numLeaves))
 	}
-	o.cur = inflight{stage: begun, key: key, leaf: leaf, known: known, span: o.reg.StartSpan("oram/access")}
+	o.cur = inflight{stage: begun, key: key, leaf: leaf, slot: i, span: o.reg.StartSpan("oram/access")}
 	return leaf, nil
 }
 
@@ -555,28 +615,37 @@ func (o *ORAM) serve(buckets [][]byte, fn UpdateFunc) ([][]byte, error) {
 			// Honest invariant: each live key has exactly one copy, in the
 			// stash or in one tree bucket on its assigned path. A tree block
 			// violating that is a replayed, duplicated, or rolled-back copy.
-			// k and v still point into the scratch: the lookups convert
+			// k and v still point into the scratch: the lookup converts
 			// without allocating, and only a block that passes every check
-			// is copied out.
-			if _, inStash := o.stash[string(k)]; inStash {
-				return nil, o.integrityErr(fmt.Sprintf("duplicate copy of block %q (already stashed)", k), nil)
-			}
-			if _, live := o.posMap[string(k)]; !live {
+			// is copied into its slot.
+			i, live := o.index[string(k)]
+			if !live {
 				return nil, o.integrityErr(fmt.Sprintf("replayed block %q (key not live)", k), nil)
 			}
-			if want := o.vers[string(k)]; ver != want {
-				return nil, o.integrityErr(fmt.Sprintf("stale block %q: version %d, want %d", k, ver, want), nil)
+			s := &o.slots[i]
+			if s.stashed {
+				return nil, o.integrityErr(fmt.Sprintf("duplicate copy of block %q (already stashed)", k), nil)
 			}
-			o.stash[string(k)] = append([]byte(nil), v...)
+			if ver != s.ver {
+				return nil, o.integrityErr(fmt.Sprintf("stale block %q: version %d, want %d", k, ver, s.ver), nil)
+			}
+			s.stashed = true
+			copy(o.value(i), v)
+			o.stash = append(o.stash, i)
 		}
 	}
 	// Freshness of the path as a whole: a key the position map assigns to
 	// this path must now be in the stash; otherwise the server suppressed
 	// the real block (e.g. replayed an authentic older copy of its bucket
 	// from before the block was placed there).
-	old, found := o.stash[key]
-	if o.cur.known && !found {
-		return nil, o.integrityErr(fmt.Sprintf("block %q missing from its assigned path (leaf %d)", key, leaf), nil)
+	i := o.cur.slot
+	var old []byte
+	found := i >= 0
+	if found {
+		if !o.slots[i].stashed {
+			return nil, o.integrityErr(fmt.Sprintf("block %q missing from its assigned path (leaf %d)", key, leaf), nil)
+		}
+		old = o.value(i)
 	}
 
 	// 2. Serve the operation from the stash. A key left present is remapped,
@@ -584,23 +653,21 @@ func (o *ORAM) serve(buckets [][]byte, fn UpdateFunc) ([][]byte, error) {
 	// to remap, so a miss and a removal draw no leaf.
 	switch value, keep := fn(old, found); {
 	case !keep:
-		delete(o.stash, key)
-		delete(o.posMap, key)
-		delete(o.vers, key)
+		if found {
+			o.drop(i)
+		}
 	case len(value) != o.valueWidth:
 		return nil, fmt.Errorf("%w: got %d bytes, want %d", ErrValueWidth, len(value), o.valueWidth)
 	default:
 		if found {
 			copy(old, value)
 		} else {
-			o.stash[key] = append([]byte(nil), value...)
+			i = o.add(key, 0, value, true)
 		}
-		o.posMap[key] = uint32(o.rng.Intn(o.numLeaves))
+		o.slots[i].leaf = uint32(o.rng.Intn(o.numLeaves))
 	}
 
-	if len(o.stash) > o.maxStash {
-		o.maxStash = len(o.stash)
-	}
+	o.maxStash = max(o.maxStash, len(o.stash))
 
 	// 3. Evict: greedily push stash blocks as deep as possible along the
 	// path just read, every bucket re-encrypted.
@@ -622,18 +689,19 @@ func (o *ORAM) serve(buckets [][]byte, fn UpdateFunc) ([][]byte, error) {
 // sealed, root first. Buckets are filled leaf-to-root with eligible stash blocks: a block
 // may enter the buckets its assigned path shares with this one, the deepest
 // being at level leafLevel − bits.Len32(assigned ^ leaf). One pass over the
-// stash sorts the keys by that level; filling then walks up from the leaf,
-// each bucket taking up to Z of the keys that became eligible at its level
-// or overflowed from below — the greedy placement of the textbook
-// construction in O(stash + levels·Z).
+// stash list sorts the slots by that level; filling then walks up from the
+// leaf, each bucket taking up to Z of the slots that became eligible at its
+// level or overflowed from below — the greedy placement of the textbook
+// construction in O(stash + levels·Z). What is left over is the new stash
+// list.
 func (o *ORAM) evict(leaf uint32) ([][]byte, error) {
 	leafLevel := o.levels - 1
 	for l := range o.byLevel {
 		o.byLevel[l] = o.byLevel[l][:0]
 	}
-	for k := range o.stash {
-		l := leafLevel - bits.Len32(o.posMap[k]^leaf)
-		o.byLevel[l] = append(o.byLevel[l], k)
+	for _, i := range o.stash {
+		l := leafLevel - bits.Len32(o.slots[i].leaf^leaf)
+		o.byLevel[l] = append(o.byLevel[l], i)
 	}
 	// Safe to reuse: every entry is overwritten below, and the server keeps
 	// only the fresh per-bucket ciphertexts, never the outer slice.
@@ -643,16 +711,15 @@ func (o *ORAM) evict(leaf uint32) ([][]byte, error) {
 		pending = append(pending, o.byLevel[l]...)
 		clear(o.sealBuf) // places left unfilled are dummies
 		for pt := o.sealBuf; len(pt) > 0 && len(pending) > 0; pt = pt[o.blockSize:] {
-			k := pending[len(pending)-1]
+			i := pending[len(pending)-1]
 			pending = pending[:len(pending)-1]
 			// Stamp a fresh version into the outgoing copy; the client-held
 			// tag is what later reads are checked against.
-			ver := o.vers[k] + 1
-			o.vers[k] = ver
-			if err := o.putBlock(pt[:o.blockSize], k, o.stash[k], ver); err != nil {
+			s := &o.slots[i]
+			if err := o.putBlock(pt[:o.blockSize], s.key, o.value(i), s.ver+1); err != nil {
 				return nil, err
 			}
-			delete(o.stash, k)
+			s.ver, s.tagged, s.stashed = s.ver+1, true, false
 		}
 		ct, err := o.sealBucket(o.pathBucket(leaf, l))
 		if err != nil {
@@ -660,7 +727,9 @@ func (o *ORAM) evict(leaf uint32) ([][]byte, error) {
 		}
 		out[l] = ct
 	}
-	o.pending = pending
+	// The stash list was copied out into byLevel: its array takes the next
+	// call's pending.
+	o.stash, o.pending = pending, o.stash[:0]
 	return out, nil
 }
 
