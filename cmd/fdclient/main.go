@@ -15,9 +15,11 @@
 // and transient server failures are retried (-retries) — so a long run
 // survives restarts and flaky networks. Counters are reported at the end.
 //
-// -telemetry <file> writes the run's phase/metric snapshot — per-level
-// wall time, RPC latency quantiles, retry counters — as JSON, the same
-// breakdown fddiscover prints with its -telemetry flag.
+// -telemetry <file> writes the run's phase/metric snapshot as JSON: span
+// totals by name from the run's tracer (per lattice level, per candidate
+// materialization, per RPC kind) next to the registry's counters and
+// latency histograms — the same breakdown fddiscover prints with its
+// -telemetry flag.
 package main
 
 import (
@@ -82,10 +84,13 @@ func run(server string, o options, path string) error {
 	}
 
 	// The registry instruments every layer — transport RPC latency, retry
-	// counters, lattice phases — exactly like fddiscover's -telemetry.
+	// counters, ORAM and sort counts — and the tracer times the lattice
+	// phases and RPCs, exactly like fddiscover's -telemetry.
 	var reg *securefd.Registry
+	var tr *securefd.Tracer
 	if o.telemetry != "" {
 		reg = securefd.NewRegistry()
+		tr = securefd.NewTracer(securefd.TracerConfig{Service: "fdclient", SampleEvery: 1})
 	}
 
 	cfg := securefd.DefaultClientConfig()
@@ -98,6 +103,7 @@ func run(server string, o options, path string) error {
 	cfg.Database = o.db
 	cfg.Token = o.token
 	cfg.Metrics = reg
+	cfg.Trace = tr
 	poolSize := o.pool
 	if poolSize <= 0 {
 		poolSize = o.workers
@@ -139,6 +145,7 @@ func run(server string, o options, path string) error {
 		Workers:   o.workers,
 		MaxLHS:    o.maxLHS,
 		Telemetry: reg,
+		Trace:     tr,
 	})
 	if err != nil {
 		return err
@@ -160,7 +167,7 @@ func run(server string, o options, path string) error {
 		fmt.Printf("fault tolerance: %d retries, %d reconnects\n", st.Retries, st.Reconnects)
 	}
 	if reg != nil {
-		b, err := reg.MarshalBreakdownJSON(time.Since(wallStart))
+		b, err := reg.MarshalBreakdownJSON(time.Since(wallStart), tr.Phases())
 		if err != nil {
 			return err
 		}

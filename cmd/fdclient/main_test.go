@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,6 +61,53 @@ func TestClientAgainstFaultyServer(t *testing.T) {
 	o := options{protoName: "sort", workers: 2, retries: 8, callTimeout: 5 * time.Second, redials: 8}
 	if err := run(l.Addr().String(), o, writeCSV(t)); err != nil {
 		t.Errorf("run against faulty server: %v", err)
+	}
+}
+
+// TestClientTelemetrySnapshot: -telemetry writes the run's tracer phases —
+// lattice levels, candidates and the client's RPCs — next to the registry's
+// counters and latency histograms.
+func TestClientTelemetrySnapshot(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() { _ = transport.Serve(l, store.NewServer()) }()
+
+	o := options{protoName: "sort", workers: 1, telemetry: filepath.Join(t.TempDir(), "tel.json")}
+	if err := run(l.Addr().String(), o, writeCSV(t)); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	b, err := os.ReadFile(o.telemetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		WallNS     int64                      `json:"wall_ns"`
+		Counters   map[string]int64           `json:"counters"`
+		Histograms map[string]json.RawMessage `json:"histograms"`
+		Phases     []struct {
+			Name  string `json:"name"`
+			Count int64  `json:"count"`
+		} `json:"phases"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("invalid snapshot: %v\n%s", err, b)
+	}
+	phases := map[string]int64{}
+	rpcs := 0
+	for _, p := range doc.Phases {
+		phases[p.Name] = p.Count
+		if strings.HasPrefix(p.Name, "rpc/") {
+			rpcs++
+		}
+	}
+	if phases["lattice/level-00"] != 1 || phases["candidate/single"] != 1 || rpcs == 0 {
+		t.Errorf("phases = %v, want lattice/level-00, candidate/single and rpc/* rows", phases)
+	}
+	if doc.WallNS <= 0 || doc.Counters["oblivfd_sort_stages_total"] == 0 || len(doc.Histograms) == 0 {
+		t.Errorf("snapshot lacks wall time, sort stage counter or histograms:\n%s", b)
 	}
 }
 

@@ -22,10 +22,12 @@
 // failures that the client rides out with -retries (demonstrating the
 // fault-tolerance stack without a network).
 //
-// -telemetry prints a per-phase breakdown after discovery — wall time per
-// lattice level, candidate materializations, ORAM access counts, and (with
-// -connect) client-side RPC latency quantiles. -log-json switches the
-// informational log lines to JSON; the FD lines themselves stay plain.
+// -telemetry prints a per-phase breakdown after discovery: the run's span
+// totals by name — wall time per lattice level, per candidate
+// materialization and (over TCP) per RPC kind — then the counters
+// (ORAM accesses, sort stages, retries) and latency quantiles. -log-json
+// switches the informational log lines to JSON; the FD lines themselves
+// stay plain.
 //
 // -trace-out records the run as a distributed trace and writes a Chrome
 // trace-event JSON artifact (open it at https://ui.perfetto.dev). With
@@ -51,6 +53,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
@@ -84,7 +87,7 @@ type options struct {
 	servers     string // comma-separated replicated fdserver addresses (failover)
 	db          string // database namespace on a multi-tenant server
 	token       string // session auth token
-	telemetry   bool   // print a per-phase breakdown after discovery
+	telemetry   bool   // print the phase table, counters and latencies after discovery
 	traceOut    string // write a merged Chrome trace-event artifact here
 	logJSON     bool
 }
@@ -189,7 +192,7 @@ func runResume(o options) error {
 		return err
 	}
 	printReport(db, report, o, start, log)
-	printBreakdown(reg, time.Since(start))
+	printBreakdown(o, reg, tr, time.Since(start))
 	if err := writeTrace(o, tr, nil, log); err != nil {
 		return err
 	}
@@ -215,18 +218,20 @@ func printReport(db *securefd.Database, report *securefd.Report, o options, star
 	}
 }
 
-// printBreakdown renders the per-phase telemetry table (no-op without -telemetry).
-func printBreakdown(reg *securefd.Registry, wall time.Duration) {
-	if reg == nil {
+// printBreakdown renders the tracer's phase table and the registry's
+// counters and latencies (no-op without -telemetry).
+func printBreakdown(o options, reg *securefd.Registry, tr *securefd.Tracer, wall time.Duration) {
+	if !o.telemetry {
 		return
 	}
-	fmt.Print(reg.Breakdown(wall))
+	fmt.Print(otrace.RenderPhases(tr.Phases(), wall))
+	fmt.Print(reg.Breakdown())
 }
 
-// newTracer returns the run's span recorder, or nil when -trace-out is off
-// (a nil tracer turns every span point into a no-op).
+// newTracer returns the run's span recorder, or nil when neither -trace-out
+// nor -telemetry is on (a nil tracer turns every span point into a no-op).
 func (o options) newTracer() *securefd.Tracer {
-	if o.traceOut == "" {
+	if o.traceOut == "" && !o.telemetry {
 		return nil
 	}
 	return securefd.NewTracer(securefd.TracerConfig{Service: "fddiscover", SampleEvery: 1})
@@ -234,13 +239,19 @@ func (o options) newTracer() *securefd.Tracer {
 
 // writeTrace merges this process's spans with the server-side spans sharing
 // their trace IDs (fetched over the TraceDump RPC when dump is non-nil) and
-// writes the Chrome trace-event artifact. An unreachable server degrades to
-// a client-only artifact rather than failing the run.
+// writes the Chrome trace-event artifact (no-op without -trace-out). An
+// unreachable server degrades to a client-only artifact rather than failing
+// the run; a ring that wrapped is written as what it still holds, with a
+// warning that names how many spans were lost.
 func writeTrace(o options, tr *securefd.Tracer, dump func(string) ([]securefd.SpanRecord, error), log *slog.Logger) error {
-	if tr == nil {
+	if o.traceOut == "" {
 		return nil
 	}
 	recs := tr.Records()
+	if n := tr.Recorded(); n > uint64(len(recs)) {
+		log.Warn("trace ring wrapped; the artifact holds only the most recent client spans",
+			"recorded", n, "kept", len(recs))
+	}
 	ids := make(map[string]bool, len(recs))
 	for _, r := range recs {
 		ids[r.Trace] = true
@@ -404,7 +415,7 @@ func run(path string, o options) error {
 			}
 		}
 	}
-	printBreakdown(reg, time.Since(start))
+	printBreakdown(o, reg, tr, time.Since(start))
 	if err := writeTrace(o, tr, dumpTrace, log); err != nil {
 		return err
 	}

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,5 +103,41 @@ func TestRunConnect(t *testing.T) {
 	o.dataDir = t.TempDir()
 	if err := run(writeCSV(t), o); err == nil {
 		t.Error("-connect with -data-dir accepted; want mutual-exclusion error")
+	}
+}
+
+// TestWriteTraceWarnsWhenRingWrapped: when the tracer recorded more spans
+// than its ring still holds, writeTrace writes what is left and logs a
+// warning naming both numbers, instead of a bare span count that hides the
+// loss.
+func TestWriteTraceWarnsWhenRingWrapped(t *testing.T) {
+	for _, tc := range []struct {
+		spans int
+		warn  bool
+	}{{10, true}, {4, false}} {
+		tr := securefd.NewTracer(securefd.TracerConfig{Service: "fddiscover", Capacity: 4, SampleEvery: 1})
+		for i := 0; i < tc.spans; i++ {
+			tr.StartRoot("rpc/ReadPath").End()
+		}
+		var logged bytes.Buffer
+		o := options{quiet: true, traceOut: filepath.Join(t.TempDir(), "run.trace.json")}
+		if err := writeTrace(o, tr, nil, slog.New(slog.NewTextHandler(&logged, nil))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(o.traceOut); err != nil {
+			t.Fatalf("%d spans: artifact not written: %v", tc.spans, err)
+		}
+		out := logged.String()
+		if !tc.warn {
+			if out != "" {
+				t.Errorf("%d spans in a 4-record ring: unexpected log %q", tc.spans, out)
+			}
+			continue
+		}
+		for _, want := range []string{"level=WARN", "recorded=10", "kept=4"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%d spans in a 4-record ring: log %q lacks %q", tc.spans, out, want)
+			}
+		}
 	}
 }

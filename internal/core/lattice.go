@@ -9,7 +9,6 @@ import (
 	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
-	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
 
 // describeIntegrity annotates an engine error that originated in failed
@@ -72,23 +71,17 @@ type Options struct {
 	// MaxLHS and KeepPartitions are taken from the state, not from this
 	// Options value, so the resumed run cannot diverge from the original.
 	Resume *LatticeState
-	// Telemetry, if non-nil, receives phase spans for the traversal: one
-	// "lattice/level-NN" span per lattice level plus one "candidate/single"
-	// or "candidate/union" span around each Materialize call — a whole
-	// level's partitions. Spans record only wall time and counts —
-	// quantities the server already observes — so attaching a registry does
-	// not change the leakage profile, and the span calls issue no oblivious
-	// accesses of their own.
-	Telemetry *telemetry.Registry
-	// Trace, if non-nil, records causal spans for the traversal into the
-	// distributed-tracing ring: one root "discover" span, a child
-	// "lattice/level-NN" per level, and under it the same candidate spans
-	// as Telemetry. The running span is bound to the traversal goroutine,
-	// so transport RPC spans (and, through the wire context, server-side
-	// store and replication spans) nest causally under it. Like Telemetry,
-	// spans observe only wall time over server-visible work — no oblivious
-	// accesses of their own and no change to any frame's size (DESIGN.md
-	// §14).
+	// Trace, if non-nil, records causal spans for the traversal: one root
+	// "discover" span, a child "lattice/level-NN" per level, and under it
+	// one "candidate/single" or "candidate/union" span around each
+	// Materialize call — a whole level's partitions. Span NN covers the
+	// ascent from level NN: level-00 builds the singletons from ∅, level-NN
+	// checks level NN and builds level NN+1. The running span is bound to
+	// the traversal goroutine, so transport RPC spans (and, through the wire
+	// context, server-side store and replication spans) nest causally under
+	// it; the tracer's Phases total them per name. Spans observe only wall
+	// time over server-visible work — no oblivious accesses of their own and
+	// no change to any frame's size (DESIGN.md §9, §14).
 	Trace *otrace.Tracer
 	// Workers is passed to the engine with every level: the sort engine
 	// builds up to that many of the level's partitions concurrently, which
@@ -129,32 +122,30 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: empty database")
 	}
-	reg := opts.Telemetry // nil registry: every span below is a no-op
 
 	// Causal spans: one root for the whole traversal, one child per level.
 	// The running level's span stays bound to this goroutine so everything
 	// the engine does for it — client RPC spans, and through the wire
 	// context the server's own spans — links under it. Nil tracer: every
 	// call below is a no-op. An aborting error path leaves the running
-	// level's span unrecorded (mirroring the telemetry spans) while the
-	// deferred cleanup still ends the root and keeps the goroutine
-	// binding balanced.
+	// level's span unrecorded while the deferred cleanup still ends the
+	// root and keeps the goroutine binding balanced.
 	otr := opts.Trace
 	dsp := otr.Start("discover")
 	releaseRoot := dsp.Bind()
-	var olsp *otrace.Span
+	var lsp *otrace.Span
 	var releaseLevel func()
 	beginLevel := func(name string) {
-		olsp = otr.Start(name)
-		releaseLevel = olsp.Bind()
+		lsp = otr.Start(name)
+		releaseLevel = lsp.Bind()
 	}
 	endLevel := func() {
 		if releaseLevel != nil {
 			releaseLevel()
 			releaseLevel = nil
 		}
-		olsp.End()
-		olsp = nil
+		lsp.End()
+		lsp = nil
 	}
 	defer func() {
 		if releaseLevel != nil {
@@ -177,12 +168,10 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		if len(reqs) == 0 {
 			return nil
 		}
-		csp := reg.StartSpan("candidate/" + kind)
-		ocsp := otr.Start("candidate/" + kind)
-		creleased := ocsp.Bind()
+		csp := otr.Start("candidate/" + kind)
+		creleased := csp.Bind()
 		cards, err := engine.Materialize(reqs, workers)
 		creleased()
-		ocsp.End()
 		csp.End()
 		if err != nil {
 			return describeIntegrity(err, l)
@@ -273,9 +262,8 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 			}
 		}
 	} else {
-		// Level 1: materialize every singleton partition.
-		lsp := reg.StartSpan("lattice/level-01")
-		beginLevel("lattice/level-01")
+		// Level 1: materialize every singleton partition, ascending from ∅.
+		beginLevel("lattice/level-00")
 		level = relation.AllSingletons(m)
 		reqs := make([]Request, len(level))
 		for i, x := range level {
@@ -285,7 +273,6 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 			return nil, err
 		}
 		endLevel()
-		lsp.End()
 		if opts.Checkpoint != nil {
 			if err := opts.Checkpoint(snapshotState(1)); err != nil {
 				return nil, fmt.Errorf("core: checkpoint after level 1: %w", err)
@@ -298,7 +285,6 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		// level l+1 from them (GenerateNextLevel), so span NN's time is the
 		// cost of ascending from level NN. Error paths return without End;
 		// the run aborts and the partial breakdown is never reported.
-		lsp := reg.StartSpan(fmt.Sprintf("lattice/level-%02d", l))
 		beginLevel(fmt.Sprintf("lattice/level-%02d", l))
 
 		// ComputeDependencies: refresh C⁺ for this level.
@@ -381,7 +367,6 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 
 		if opts.MaxLHS > 0 && l >= opts.MaxLHS+1 {
 			endLevel()
-			lsp.End()
 			break // LHS at the next level would exceed the bound
 		}
 
@@ -439,7 +424,6 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		prevLevel = kept
 		level = next
 		endLevel()
-		lsp.End()
 
 		// Level boundary: partitions for `level` are materialized, obsolete
 		// ones released — the engine state matches the frontier exactly, so

@@ -1,20 +1,23 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
+	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
 	"github.com/oblivfd/oblivfd/internal/trace"
 )
 
-// discoverWithTelemetry runs a full Discover over a small fixed relation
-// with the given engine kind and registry (nil = telemetry off), returning
-// the canonical server-visible trace shape and the discovered FDs.
-func discoverWithTelemetry(t *testing.T, kind engineKind, reg *telemetry.Registry) (trace.Shape, []relation.FD) {
+// discoverObserved runs a full Discover over a small fixed relation with the
+// given engine kind, registry and tracer (nil = off), returning the
+// canonical server-visible trace shape and the discovered FDs.
+func discoverObserved(t *testing.T, kind engineKind, reg *telemetry.Registry, otr *otrace.Tracer) (trace.Shape, []relation.FD) {
 	t.Helper()
 	rel := fixedWidthRel(4, 16, 7, 3)
 	srv := store.NewServer()
@@ -45,10 +48,9 @@ func discoverWithTelemetry(t *testing.T, kind engineKind, reg *telemetry.Registr
 
 	srv.Trace().Reset()
 	srv.Trace().Enable()
-	// Workers: 1 pins the serial path: the span-count assertions below name
-	// the serial spans (candidate/single, candidate/union), and full trace
-	// shapes are only deterministic without concurrent materialization.
-	res, err := Discover(eng, 4, &Options{Telemetry: reg, Workers: 1})
+	// Workers: 1 pins the serial path: full trace shapes are only
+	// deterministic without concurrent materialization.
+	res, err := Discover(eng, 4, &Options{Trace: otr, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,55 +58,155 @@ func discoverWithTelemetry(t *testing.T, kind engineKind, reg *telemetry.Registr
 }
 
 // TestTelemetryDoesNotPerturbTrace is the leakage regression for the
-// observability layer: attaching a registry must leave the server-visible
-// access pattern and the discovered FDs bit-identical to a telemetry-off
-// run. Telemetry only ever observes sizes and timings; if instrumenting a
-// code path ever issues an extra storage operation, this test catches it.
+// metrics layer: attaching a registry, alone or together with a span
+// recorder, must leave the server-visible access pattern and the discovered
+// FDs bit-identical to an unobserved run. Instruments only ever observe
+// sizes and timings; if one ever issues an extra storage operation, this
+// test catches it.
 func TestTelemetryDoesNotPerturbTrace(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		kind engineKind
-	}{
-		{"sort", kindSort},
-		{"or-oram", kindOr},
-		{"ex-oram", kindEx},
-	} {
+	for _, tc := range perturbCases {
 		t.Run(tc.name, func(t *testing.T) {
-			offShape, offFDs := discoverWithTelemetry(t, tc.kind, nil)
-			reg := telemetry.New()
-			onShape, onFDs := discoverWithTelemetry(t, tc.kind, reg)
-
-			if !reflect.DeepEqual(offFDs, onFDs) {
-				t.Fatalf("FD sets diverge: off=%v on=%v", offFDs, onFDs)
-			}
-			if !reflect.DeepEqual(offShape, onShape) {
-				t.Fatalf("trace shapes diverge with telemetry attached (off=%d events, on=%d events)",
-					len(offShape), len(onShape))
-			}
-
-			// The instrumented run must actually have recorded something:
-			// per-level lattice spans and candidate spans.
-			phases := map[string]int64{}
-			for _, p := range reg.Tracer().Phases() {
-				phases[p.Name] = p.Count
-			}
-			if phases["lattice/level-01"] == 0 {
-				t.Errorf("no lattice/level-01 spans recorded; phases: %v", phases)
-			}
-			if phases["candidate/single"] != 1 { // one per Materialize call: a whole level
-				t.Errorf("candidate/single count = %d, want 1", phases["candidate/single"])
-			}
-			if phases["candidate/union"] == 0 {
-				t.Errorf("no candidate/union spans recorded")
-			}
-			// The widest group an ORAM engine stepped together: the four
-			// single attributes of level 1, or a wider level above it. The
-			// sort engine builds a set at a time and never sets it.
-			width := reg.Gauge("oblivfd_level_width").Value()
-			if tc.kind == kindSort && width != 0 || tc.kind != kindSort && (width < 4 || width > levelWidth) {
-				t.Errorf("oblivfd_level_width = %d", width)
+			offShape, offFDs := discoverObserved(t, tc.kind, nil, nil)
+			for _, obs := range []struct {
+				name string
+				otr  bool
+			}{
+				{"registry", false},
+				{"both", true},
+			} {
+				t.Run(obs.name, func(t *testing.T) {
+					checkObservedRun(t, tc.kind, offShape, offFDs, true, obs.otr)
+				})
 			}
 		})
+	}
+}
+
+// TestTracingDoesNotPerturbTrace is the same regression for the span
+// recorder alone: spans only ever observe identities and timings, and the
+// traced run must still produce the full causal tree.
+func TestTracingDoesNotPerturbTrace(t *testing.T) {
+	for _, tc := range perturbCases {
+		t.Run(tc.name, func(t *testing.T) {
+			offShape, offFDs := discoverObserved(t, tc.kind, nil, nil)
+			checkObservedRun(t, tc.kind, offShape, offFDs, false, true)
+		})
+	}
+}
+
+var perturbCases = []struct {
+	name string
+	kind engineKind
+}{
+	{"sort", kindSort},
+	{"or-oram", kindOr},
+	{"ex-oram", kindEx},
+}
+
+// checkObservedRun repeats the discovery with a registry and/or a tracer
+// attached and asserts it matches the unobserved run, then checks what the
+// attached observers recorded.
+func checkObservedRun(t *testing.T, kind engineKind, offShape trace.Shape, offFDs []relation.FD, registry, tracer bool) {
+	t.Helper()
+	var reg *telemetry.Registry
+	var otr *otrace.Tracer
+	if registry {
+		reg = telemetry.New()
+	}
+	if tracer {
+		otr = otrace.New(otrace.Config{Service: "test", SampleEvery: 1})
+	}
+	onShape, onFDs := discoverObserved(t, kind, reg, otr)
+	if !reflect.DeepEqual(offFDs, onFDs) {
+		t.Fatalf("FD sets diverge: off=%v on=%v", offFDs, onFDs)
+	}
+	if !reflect.DeepEqual(offShape, onShape) {
+		t.Fatalf("trace shapes diverge with observers attached (off=%d events, on=%d events)",
+			len(offShape), len(onShape))
+	}
+	if reg != nil {
+		// The widest group an ORAM engine stepped together: the four
+		// single attributes of level 1, or a wider level above it. The
+		// sort engine builds a set at a time and never sets it.
+		width := reg.Gauge("oblivfd_level_width").Value()
+		if kind == kindSort && width != 0 || kind != kindSort && (width < 4 || width > levelWidth) {
+			t.Errorf("oblivfd_level_width = %d", width)
+		}
+	}
+	if otr != nil {
+		checkDiscoverSpans(t, otr)
+	}
+}
+
+// checkDiscoverSpans asserts the span counts and the causal tree of one
+// traced discovery: one discover root, one span per lattice level under it,
+// one candidate span per Materialize call (a whole level) under a level.
+func checkDiscoverSpans(t *testing.T, otr *otrace.Tracer) {
+	t.Helper()
+	phases := map[string]int64{}
+	for _, p := range otr.Phases() {
+		phases[p.Name] = p.Count
+	}
+	for name, want := range map[string]int64{"discover": 1, "lattice/level-00": 1, "candidate/single": 1} {
+		if phases[name] != want {
+			t.Errorf("%s count = %d, want %d; phases: %v", name, phases[name], want, phases)
+		}
+	}
+	if phases["candidate/union"] == 0 {
+		t.Errorf("no candidate/union spans recorded; phases: %v", phases)
+	}
+
+	recs := otr.Records()
+	spans := map[string]otrace.Record{}
+	var root otrace.Record
+	for _, r := range recs {
+		spans[r.Span] = r
+		if r.Name == "discover" {
+			root = r
+		}
+	}
+	if root.Parent != "" {
+		t.Errorf("discover root has parent %q", root.Parent)
+	}
+	for _, r := range recs {
+		switch {
+		case strings.HasPrefix(r.Name, "lattice/level-"):
+			if r.Trace != root.Trace || r.Parent != root.Span {
+				t.Errorf("%s is not a child of the discover root", r.Name)
+			}
+		case strings.HasPrefix(r.Name, "candidate/"):
+			if p, ok := spans[r.Parent]; !ok || !strings.HasPrefix(p.Name, "lattice/level-") {
+				t.Errorf("%s parent is %q, want a lattice level", r.Name, p.Name)
+			}
+		}
+	}
+}
+
+// TestLevelSpanOncePerLevel: a discovery opens each lattice/level-NN span
+// once, numbered from 00 (the singletons, built from ∅) without a gap — the
+// singleton pass and the loop's first level used to share level-01.
+func TestLevelSpanOncePerLevel(t *testing.T) {
+	otr := otrace.New(otrace.Config{Service: "test", SampleEvery: 1})
+	if _, err := Discover(NewPlainEngine(fixedWidthRel(5, 32, 3, 4)), 5, &Options{Trace: otr}); err != nil {
+		t.Fatal(err)
+	}
+	var levels []string
+	for _, p := range otr.Phases() {
+		if !strings.HasPrefix(p.Name, "lattice/level-") {
+			continue
+		}
+		if p.Count != 1 {
+			t.Errorf("%s opened %d times in one discovery, want 1", p.Name, p.Count)
+		}
+		levels = append(levels, p.Name)
+	}
+	if len(levels) < 2 {
+		t.Fatalf("level spans = %v, want at least two levels", levels)
+	}
+	for i, name := range levels {
+		if want := fmt.Sprintf("lattice/level-%02d", i); name != want {
+			t.Errorf("level span %d = %s, want %s (all: %v)", i, name, want, levels)
+		}
 	}
 }
 

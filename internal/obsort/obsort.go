@@ -60,16 +60,14 @@ type Array struct {
 	comparisons atomic.Int64
 
 	// Telemetry, nil when disabled. The comparison positions are a pure
-	// function of the padded length, so counting and timing them observes
-	// only Size(DB) (DESIGN.md §9).
-	reg      *telemetry.Registry
+	// function of the padded length, so counting them observes only
+	// Size(DB) (DESIGN.md §9).
 	compCtr  *telemetry.Counter
 	stageCtr *telemetry.Counter
 }
 
 // SetTelemetry attaches (or, with nil, detaches) a metrics registry.
 func (a *Array) SetTelemetry(reg *telemetry.Registry) {
-	a.reg = reg
 	a.compCtr = reg.Counter("oblivfd_sort_comparisons_total")
 	a.stageCtr = reg.Counter("oblivfd_sort_stages_total")
 }
@@ -426,16 +424,12 @@ func (a *Array) Sort(less Less, workers int) error {
 	if workers < 1 {
 		workers = 1
 	}
-	sortSpan := a.reg.StartSpan("sort/bitonic")
-	defer sortSpan.End()
 	scs := make([]*scratch, workers)
 	for w := range scs {
 		scs[w] = a.newScratch()
 	}
 	return Stages(a.p, func(pairs [][2]int64) error {
 		a.stageCtr.Inc()
-		sp := a.reg.StartSpan("sort/stage")
-		defer sp.End()
 		return a.runStage(pairs, less, scs)
 	})
 }

@@ -169,7 +169,6 @@ type ORAM struct {
 	// every ORAM on the registry and updated by delta, so it reads as the
 	// total stashed blocks across all live ORAMs; prevStash tracks this
 	// handle's last contribution.
-	reg        *telemetry.Registry
 	pathReads  *telemetry.Counter
 	pathWrites *telemetry.Counter
 	accessCtr  *telemetry.Counter
@@ -180,7 +179,6 @@ type ORAM struct {
 // SetTelemetry attaches (or, with nil, detaches) a telemetry registry.
 // core.Resume uses it to re-instrument handles rebuilt from checkpoints.
 func (o *ORAM) SetTelemetry(reg *telemetry.Registry) {
-	o.reg = reg
 	o.pathReads = reg.Counter("oblivfd_oram_path_reads_total")
 	o.pathWrites = reg.Counter("oblivfd_oram_path_writes_total")
 	o.accessCtr = reg.Counter("oblivfd_oram_accesses_total")
@@ -489,7 +487,6 @@ type inflight struct {
 	key   string
 	leaf  uint32
 	slot  int32 // the key's slot, or -1 when it was not live as the access began
-	span  telemetry.Span
 }
 
 type stage uint8
@@ -556,7 +553,7 @@ func (o *ORAM) begin(key string) (uint32, error) {
 		// Dummy path: uniformly random, like any remapped leaf.
 		i, leaf = -1, uint32(o.rng.Intn(o.numLeaves))
 	}
-	o.cur = inflight{stage: begun, key: key, leaf: leaf, slot: i, span: o.reg.StartSpan("oram/access")}
+	o.cur = inflight{stage: begun, key: key, leaf: leaf, slot: i}
 	return leaf, nil
 }
 
@@ -574,7 +571,6 @@ func (o *ORAM) end(err error) {
 	case o.cur.stage == served:
 		o.pathWrites.Inc()
 	}
-	o.cur.span.End()
 	o.cur = inflight{}
 }
 

@@ -10,17 +10,24 @@
 // message shape therefore never depends on tracing state (see DESIGN.md
 // §14 for the leakage argument).
 //
+// Besides the ring, a Tracer keeps a running count and total duration per
+// span name (Phases), exact however often the ring has wrapped: that is the
+// per-phase table fddiscover and fdclient print under -telemetry.
+//
 // otrace is distinct from internal/trace (the adversary-view recorder used
-// by the security tests) and from internal/telemetry (aggregate phase
-// timers). Those answer "what does the server see" and "where did the time
-// go in total"; otrace answers "what happened, causally, on this request".
+// by the security tests) and from internal/telemetry (counters, gauges and
+// latency histograms). Those answer "what does the server see" and "how
+// many, how slow"; otrace answers "what happened, causally, on this
+// request" and "where did the time go, by phase".
 package otrace
 
 import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-
+	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,16 +164,24 @@ type ringRec struct {
 	dur    int64
 }
 
-// Tracer records finished spans into a bounded ring. A nil *Tracer is a
-// valid no-op tracer: every method is safe and free on nil.
+// Tracer records finished spans into a bounded ring and into per-name
+// totals. A nil *Tracer is a valid no-op tracer: every method is safe and
+// free on nil.
 type Tracer struct {
 	cfg   Config
 	roots atomic.Uint64
 
-	mu    sync.Mutex
-	ring  []ringRec
-	next  int
-	total uint64
+	mu     sync.Mutex
+	ring   []ringRec
+	next   int
+	total  uint64
+	phases map[string]*phaseStat
+}
+
+// phaseStat is the running total of one span name.
+type phaseStat struct {
+	Phase
+	first int64 // earliest start, unix ns: the order Phases reports in
 }
 
 // New builds a tracer. See Config for defaults.
@@ -174,7 +189,7 @@ func New(cfg Config) *Tracer {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = defaultCapacity
 	}
-	return &Tracer{cfg: cfg, ring: make([]ringRec, 0, cfg.Capacity)}
+	return &Tracer{cfg: cfg, ring: make([]ringRec, 0, cfg.Capacity), phases: make(map[string]*phaseStat)}
 }
 
 // Service returns the configured service label ("" on nil).
@@ -202,6 +217,14 @@ func (t *Tracer) record(r ringRec) {
 	}
 	t.next = (t.next + 1) % cap(t.ring)
 	t.total++
+	st := t.phases[r.name]
+	if st == nil {
+		st = &phaseStat{Phase: Phase{Name: r.name}, first: r.start}
+		t.phases[r.name] = st
+	}
+	st.Count++
+	st.Total += time.Duration(r.dur)
+	st.first = min(st.first, r.start)
 	t.mu.Unlock()
 }
 
@@ -255,7 +278,8 @@ func (t *Tracer) Recorded() uint64 {
 	return t.total
 }
 
-// Reset drops all buffered records (mainly for tests and per-run reuse).
+// Reset drops all buffered records and phase totals (mainly for tests and
+// per-run reuse).
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
@@ -264,7 +288,74 @@ func (t *Tracer) Reset() {
 	t.ring = t.ring[:0]
 	t.next = 0
 	t.total = 0
+	clear(t.phases)
 	t.mu.Unlock()
+}
+
+// Phase is the running total of one span name in a Tracer.
+type Phase struct {
+	Name  string        `json:"name"`
+	Count int64         `json:"count"`
+	Total time.Duration `json:"total_ns"`
+}
+
+// Mean returns the average span duration (0 when empty).
+func (p Phase) Mean() time.Duration {
+	if p.Count == 0 {
+		return 0
+	}
+	return p.Total / time.Duration(p.Count)
+}
+
+// Phases returns the count and summed duration of every span name recorded
+// (sampled spans only, like the ring), ordered by each name's earliest
+// start, so an enclosing span precedes the spans it contains. The totals
+// cover every span since New or Reset, including those the ring has since
+// overwritten. Spans nest, so an outer phase's total includes its inner
+// phases' time. Nil on a nil tracer.
+func (t *Tracer) Phases() []Phase {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	all := make([]phaseStat, 0, len(t.phases))
+	for _, st := range t.phases {
+		all = append(all, *st)
+	}
+	t.mu.Unlock()
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		return a.first < b.first || a.first == b.first && a.Name < b.Name
+	})
+	out := make([]Phase, len(all))
+	for i := range all {
+		out[i] = all[i].Phase
+	}
+	return out
+}
+
+// RenderPhases formats phases as an aligned breakdown table, with each
+// phase's total as a percentage of wall (0 when wall is not positive).
+func RenderPhases(phases []Phase, wall time.Duration) string {
+	if len(phases) == 0 {
+		return "(no phases recorded)\n"
+	}
+	nameW := len("phase")
+	for _, p := range phases {
+		nameW = max(nameW, len(p.Name))
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-*s %10s %14s %14s %7s\n", nameW, "phase", "count", "total", "mean", "%wall")
+	for _, p := range phases {
+		pct := 0.0
+		if wall > 0 {
+			pct = 100 * float64(p.Total) / float64(wall)
+		}
+		fmt.Fprintf(&b, "%-*s %10d %14s %14s %6.1f%%\n",
+			nameW, p.Name, p.Count,
+			p.Total.Round(time.Microsecond), p.Mean().Round(time.Microsecond), pct)
+	}
+	return b.String()
 }
 
 func newTraceID() TraceID {

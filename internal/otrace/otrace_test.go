@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -173,7 +174,7 @@ func TestNilSafety(t *testing.T) {
 	if sp.Context().Valid() {
 		t.Fatal("nil span has a valid context")
 	}
-	if tr.Records() != nil || tr.Recorded() != 0 {
+	if tr.Records() != nil || tr.Recorded() != 0 || tr.Phases() != nil {
 		t.Fatal("nil tracer has records")
 	}
 	tr.Reset()
@@ -240,12 +241,22 @@ func TestConcurrentRecording(t *testing.T) {
 				release()
 				root.End()
 				tr.Records()
+				tr.Phases()
 			}
 		}(g)
 	}
 	wg.Wait()
 	if got := tr.Recorded(); got != 8*200*2 {
 		t.Fatalf("Recorded() = %d, want %d", got, 8*200*2)
+	}
+	for _, p := range tr.Phases() {
+		want := int64(200) // each goroutine's roots, "g0".."g7"
+		if p.Name == "child" {
+			want = 8 * 200
+		}
+		if p.Count != want {
+			t.Fatalf("phase %s counted %d, want %d", p.Name, p.Count, want)
+		}
 	}
 	if len(tr.Records()) != 64 {
 		t.Fatalf("ring holds %d, want capacity 64", len(tr.Records()))
@@ -270,5 +281,114 @@ func TestRecordsJSONRoundTrip(t *testing.T) {
 	}
 	if len(back) != 2 || back[0].Name != "sub" || back[0].Service != "svc" {
 		t.Fatalf("bad roundtrip: %+v", back)
+	}
+}
+
+func TestSpanAccumulation(t *testing.T) {
+	tr := New(Config{Service: "test"})
+	for i := 0; i < 3; i++ {
+		sp := tr.Start("lattice/level-01")
+		time.Sleep(time.Millisecond)
+		sp.End()
+	}
+	ph := tr.Phases()
+	if len(ph) != 1 {
+		t.Fatalf("phases = %d, want 1", len(ph))
+	}
+	if ph[0].Count != 3 {
+		t.Fatalf("count = %d, want 3", ph[0].Count)
+	}
+	if ph[0].Total < 3*time.Millisecond {
+		t.Fatalf("total = %v, want >= 3ms", ph[0].Total)
+	}
+	if m := ph[0].Mean(); m < time.Millisecond {
+		t.Fatalf("mean = %v, want >= 1ms", m)
+	}
+}
+
+// TestPhaseOrderIsFirstStart: phases are ordered by each name's earliest
+// start, not by when a span was recorded, so an enclosing span (recorded
+// last) is listed before the spans it contains.
+func TestPhaseOrderIsFirstStart(t *testing.T) {
+	tr := New(Config{Service: "test"})
+	root := tr.StartRoot("discover")
+	release := root.Bind()
+	for _, n := range []string{"setup", "lattice/level-01", "lattice/level-02", "setup"} {
+		time.Sleep(time.Microsecond) // distinct start times
+		tr.Start(n).End()
+	}
+	release()
+	root.End()
+	ph := tr.Phases()
+	want := []string{"discover", "setup", "lattice/level-01", "lattice/level-02"}
+	if len(ph) != len(want) {
+		t.Fatalf("phases = %+v, want %v", ph, want)
+	}
+	for i, w := range want {
+		if ph[i].Name != w {
+			t.Fatalf("phase[%d] = %s, want %s", i, ph[i].Name, w)
+		}
+	}
+	if ph[1].Count != 2 {
+		t.Fatalf("setup count = %d, want 2", ph[1].Count)
+	}
+}
+
+// TestPhasesSurviveRingWrap: the per-name totals count every recorded span,
+// not just the ones the ring still holds.
+func TestPhasesSurviveRingWrap(t *testing.T) {
+	tr := New(Config{Service: "test", Capacity: 4})
+	for i := 0; i < 10; i++ {
+		tr.StartRoot("rpc/ReadPath").End()
+	}
+	if n := len(tr.Records()); n != 4 {
+		t.Fatalf("ring holds %d records, want 4", n)
+	}
+	ph := tr.Phases()
+	if len(ph) != 1 || ph[0].Name != "rpc/ReadPath" || ph[0].Count != 10 {
+		t.Fatalf("phases = %+v, want rpc/ReadPath counted 10 times", ph)
+	}
+}
+
+// TestPhasesSampledOnly: an unsampled span reaches neither the ring nor the
+// totals, even when the slow-span hook sees it.
+func TestPhasesSampledOnly(t *testing.T) {
+	tr := New(Config{Service: "test", SampleEvery: 2, SlowSpan: time.Nanosecond, OnSlowSpan: func(Record) {}})
+	for i := 0; i < 4; i++ {
+		tr.StartRoot("root").End()
+	}
+	if ph := tr.Phases(); len(ph) != 1 || ph[0].Count != 2 {
+		t.Fatalf("phases = %+v, want root counted twice", ph)
+	}
+}
+
+func TestResetClearsPhases(t *testing.T) {
+	tr := New(Config{Service: "test"})
+	tr.StartRoot("a").End()
+	tr.Reset()
+	if ph := tr.Phases(); len(ph) != 0 {
+		t.Fatalf("phases after Reset = %+v, want none", ph)
+	}
+	tr.StartRoot("b").End()
+	if ph := tr.Phases(); len(ph) != 1 || ph[0].Name != "b" || ph[0].Count != 1 {
+		t.Fatalf("phases = %+v, want b once", ph)
+	}
+}
+
+func TestRenderPhasesEmpty(t *testing.T) {
+	if got := RenderPhases(nil, 0); !strings.Contains(got, "no phases") {
+		t.Fatalf("empty render = %q", got)
+	}
+}
+
+func TestRenderPhases(t *testing.T) {
+	out := RenderPhases([]Phase{
+		{Name: "lattice/level-00", Count: 1, Total: 2 * time.Second},
+		{Name: "candidate/single", Count: 1, Total: time.Second},
+	}, 4*time.Second)
+	for _, want := range []string{"phase", "%wall", "lattice/level-00", "2s", "50.0%", "candidate/single", "25.0%"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("render missing %q:\n%s", want, out)
+		}
 	}
 }

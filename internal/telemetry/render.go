@@ -77,8 +77,7 @@ func writeSeries(w io.Writer, name, labels, extra, value string) {
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4). Histograms emit the conventional
-// _bucket{le=...}/_sum/_count triple; tracer phases are exported as the
-// oblivfd_phase_seconds_total / oblivfd_phase_spans_total counter pair.
+// _bucket{le=...}/_sum/_count triple.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
@@ -118,22 +117,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			}
 		}
 	}
-	phases := r.Tracer().Phases()
-	if len(phases) == 0 {
-		return
-	}
-	sorted := append([]Phase(nil), phases...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	fmt.Fprintf(w, "# TYPE oblivfd_phase_seconds_total counter\n")
-	for _, p := range sorted {
-		writeSeries(w, "oblivfd_phase_seconds_total", `phase="`+escapeLabel(p.Name)+`"`, "",
-			fmtFloat(p.Total.Seconds()))
-	}
-	fmt.Fprintf(w, "# TYPE oblivfd_phase_spans_total counter\n")
-	for _, p := range sorted {
-		writeSeries(w, "oblivfd_phase_spans_total", `phase="`+escapeLabel(p.Name)+`"`, "",
-			strconv.FormatInt(p.Count, 10))
-	}
 }
 
 // jsonSnapshot is the /metrics.json document shape.
@@ -141,7 +124,6 @@ type jsonSnapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Phases     []Phase                      `json:"phases,omitempty"`
 }
 
 // snapshotJSON builds the JSON view of the registry. Histogram bucket
@@ -162,7 +144,6 @@ func (r *Registry) snapshotJSON() jsonSnapshot {
 			doc.Histograms[key] = v.Snapshot()
 		}
 	})
-	doc.Phases = r.Tracer().Phases()
 	return doc
 }
 
@@ -177,21 +158,51 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.snapshotJSON())
 }
 
-// MarshalBreakdownJSON returns the per-phase breakdown plus key counters
-// as JSON, the artifact fdbench writes next to its bench output.
-func (r *Registry) MarshalBreakdownJSON(wall time.Duration) ([]byte, error) {
-	if r == nil {
-		return []byte("{}\n"), nil
-	}
+// MarshalBreakdownJSON returns the registry's counters, gauges and
+// histograms as JSON, with the run's wall time and the caller's phase table
+// (an otrace Tracer's Phases, say) under "phases": the snapshot fdclient
+// -telemetry writes.
+func (r *Registry) MarshalBreakdownJSON(wall time.Duration, phases any) ([]byte, error) {
 	doc := struct {
 		WallNS int64 `json:"wall_ns"`
 		jsonSnapshot
-	}{WallNS: int64(wall), jsonSnapshot: r.snapshotJSON()}
-	var b strings.Builder
-	enc := json.NewEncoder(&b)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+		Phases any `json:"phases,omitempty"`
+	}{int64(wall), r.snapshotJSON(), phases}
+	b, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
 		return nil, err
 	}
-	return []byte(b.String()), nil
+	return append(b, '\n'), nil
+}
+
+// Breakdown renders the registry's operator view: non-zero counters and
+// gauges, and latency histogram quantiles. fddiscover -telemetry prints it
+// under the phase table its tracer renders.
+func (r *Registry) Breakdown() string {
+	if r == nil {
+		return "(telemetry disabled)\n"
+	}
+	var counters, hists strings.Builder
+	r.visit(func(key string, m any) {
+		switch v := m.(type) {
+		case interface{ Value() int64 }: // *Counter, *Gauge
+			if n := v.Value(); n != 0 {
+				fmt.Fprintf(&counters, "  %-52s %d\n", key, n)
+			}
+		case *Histogram:
+			if s := v.Snapshot(); s.Count > 0 {
+				fmt.Fprintf(&hists, "  %-52s count=%d p50=%s p95=%s p99=%s max=%s\n", key, s.Count,
+					s.P50.Round(time.Microsecond), s.P95.Round(time.Microsecond),
+					s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
+			}
+		}
+	})
+	var b strings.Builder
+	if counters.Len() > 0 {
+		b.WriteString("\ncounters:\n" + counters.String())
+	}
+	if hists.Len() > 0 {
+		b.WriteString("\nlatency:\n" + hists.String())
+	}
+	return b.String()
 }

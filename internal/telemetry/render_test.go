@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// buildTestRegistry populates a registry with one of each metric kind plus
-// a phase, with deterministic values, for golden rendering tests.
+// buildTestRegistry populates a registry with one of each metric kind, with
+// deterministic values, for golden rendering tests.
 func buildTestRegistry() *Registry {
 	r := New()
 	r.Counter("oblivfd_retries_total").Add(3)
@@ -20,11 +20,6 @@ func buildTestRegistry() *Registry {
 	h := r.Histogram("oblivfd_rpc_seconds", "op", "ReadPath")
 	h.Observe(15 * time.Microsecond)
 	h.Observe(15 * time.Microsecond)
-	tr := r.Tracer()
-	st := tr.Start("lattice/level-01")
-	st.stat.total.Store(int64(2 * time.Second)) // deterministic total
-	st.stat.count.Store(0)
-	st.End() // count=1, total=2s+ε
 	return r
 }
 
@@ -46,9 +41,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 		`oblivfd_rpc_seconds_bucket{op="ReadPath",le="2e-05"} 2` + "\n",
 		`oblivfd_rpc_seconds_bucket{op="ReadPath",le="+Inf"} 2` + "\n",
 		`oblivfd_rpc_seconds_count{op="ReadPath"} 2` + "\n",
-		"# TYPE oblivfd_phase_seconds_total counter\n",
-		`oblivfd_phase_seconds_total{phase="lattice/level-01"} `,
-		`oblivfd_phase_spans_total{phase="lattice/level-01"} 1` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in output:\n%s", want, out)
@@ -73,7 +65,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		Counters   map[string]int64             `json:"counters"`
 		Gauges     map[string]int64             `json:"gauges"`
 		Histograms map[string]HistogramSnapshot `json:"histograms"`
-		Phases     []Phase                      `json:"phases"`
 	}
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
@@ -87,9 +78,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	hs, ok := doc.Histograms[`oblivfd_rpc_seconds{op="ReadPath"}`]
 	if !ok || hs.Count != 2 {
 		t.Fatalf("histograms = %+v", doc.Histograms)
-	}
-	if len(doc.Phases) != 1 || doc.Phases[0].Name != "lattice/level-01" {
-		t.Fatalf("phases = %+v", doc.Phases)
 	}
 }
 
@@ -133,8 +121,8 @@ func TestMuxEndpoints(t *testing.T) {
 
 func TestBreakdownRendering(t *testing.T) {
 	r := buildTestRegistry()
-	out := r.Breakdown(4 * time.Second)
-	for _, want := range []string{"lattice/level-01", "oblivfd_retries_total", "oblivfd_rpc_seconds", "p95="} {
+	out := r.Breakdown()
+	for _, want := range []string{"oblivfd_retries_total", "oblivfd_rpc_seconds", "p95="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("breakdown missing %q:\n%s", want, out)
 		}
@@ -143,18 +131,27 @@ func TestBreakdownRendering(t *testing.T) {
 
 func TestMarshalBreakdownJSON(t *testing.T) {
 	r := buildTestRegistry()
-	b, err := r.MarshalBreakdownJSON(3 * time.Second)
+	phases := []struct {
+		Name  string `json:"name"`
+		Count int64  `json:"count"`
+	}{{"lattice/level-01", 1}}
+	b, err := r.MarshalBreakdownJSON(3*time.Second, phases)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		WallNS int64   `json:"wall_ns"`
-		Phases []Phase `json:"phases"`
+		WallNS   int64            `json:"wall_ns"`
+		Counters map[string]int64 `json:"counters"`
+		Phases   []struct {
+			Name  string `json:"name"`
+			Count int64  `json:"count"`
+		} `json:"phases"`
 	}
 	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if doc.WallNS != int64(3*time.Second) || len(doc.Phases) != 1 {
+	if doc.WallNS != int64(3*time.Second) || doc.Counters["oblivfd_retries_total"] != 3 ||
+		len(doc.Phases) != 1 || doc.Phases[0] != phases[0] {
 		t.Fatalf("doc = %+v", doc)
 	}
 }

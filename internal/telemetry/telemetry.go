@@ -1,8 +1,8 @@
 // Package telemetry is the operator's view of a run: a dependency-free
 // metrics registry (atomic counters, gauges, and fixed-bucket latency
-// histograms with quantile snapshots) plus lightweight span tracing for
-// per-phase wall-time breakdowns (lattice level → candidate check → ORAM
-// access).
+// histograms with quantile snapshots). Where the time went by phase
+// (lattice level → candidate check → RPC) is internal/otrace's to answer:
+// its Tracer keeps the per-span-name totals next to the causal ring.
 //
 // It is deliberately distinct from internal/trace, which records the
 // *adversary's* view for obliviousness proofs. Telemetry observes only
@@ -10,10 +10,10 @@
 // counts, sizes, and timings of server-visible events — never plaintexts,
 // keys, or which branch a comparison took (see DESIGN.md §9).
 //
-// Everything is nil-safe: a nil *Registry hands out nil metrics and zero
-// Spans whose methods are no-ops, so instrumented code needs no "is
-// telemetry on?" branches and the zero-telemetry path costs one nil check
-// per site — no clock reads, no allocations.
+// Everything is nil-safe: a nil *Registry hands out nil metrics whose
+// methods are no-ops, so instrumented code needs no "is telemetry on?"
+// branches and the zero-telemetry path costs one nil check per site — no
+// clock reads, no allocations.
 package telemetry
 
 import (
@@ -158,27 +158,21 @@ func escapeLabel(v string) string {
 	return b.String()
 }
 
-// Registry is a concurrency-safe collection of metrics plus one span
-// Tracer. Metrics are created on first use and live for the registry's
-// lifetime; handles are cached by callers, so the map lookup happens at
-// construction time, not on the hot path.
+// Registry is a concurrency-safe collection of metrics. Metrics are created
+// on first use and live for the registry's lifetime; handles are cached by
+// callers, so the map lookup happens at construction time, not on the hot
+// path.
 //
 // A nil *Registry is the "telemetry off" state: every accessor returns a
-// nil metric (or zero Span) whose methods no-op.
+// nil metric whose methods no-op.
 type Registry struct {
-	mu     sync.Mutex
-	byKey  map[string]any
-	order  []string // registration order, for stable human-facing output
-	tracer *Tracer
+	mu    sync.Mutex
+	byKey map[string]any
+	order []string // registration order, for stable human-facing output
 }
 
 // New creates an empty registry.
-func New() *Registry {
-	return &Registry{
-		byKey:  make(map[string]any),
-		tracer: NewTracer(),
-	}
-}
+func New() *Registry { return &Registry{byKey: make(map[string]any)} }
 
 // Counter returns the counter for name and optional alternating label
 // key/value pairs, creating it on first use. It panics if the series
@@ -248,22 +242,6 @@ func (r *Registry) Histogram(name string, kv ...string) *Histogram {
 	r.byKey[key] = h
 	r.order = append(r.order, key)
 	return h
-}
-
-// Tracer returns the registry's span tracer (nil for a nil registry).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
-}
-
-// StartSpan opens a span on the registry's tracer; see Tracer.Start.
-func (r *Registry) StartSpan(name string) Span {
-	if r == nil {
-		return Span{}
-	}
-	return r.tracer.Start(name)
 }
 
 // visit walks every registered metric sorted by (name, labels), which is

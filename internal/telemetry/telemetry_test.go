@@ -30,17 +30,12 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Fatalf("nil histogram Count = %d, want 0", s.Count)
 	}
-	sp := r.StartSpan("phase")
-	sp.End() // must not panic
-	if ph := r.Tracer().Phases(); ph != nil {
-		t.Fatalf("nil tracer Phases = %v, want nil", ph)
-	}
 	var buf strings.Builder
 	r.WritePrometheus(&buf)
 	if buf.Len() != 0 {
 		t.Fatalf("nil registry WritePrometheus wrote %q", buf.String())
 	}
-	if got := r.Breakdown(time.Second); !strings.Contains(got, "disabled") {
+	if got := r.Breakdown(); !strings.Contains(got, "disabled") {
 		t.Fatalf("nil registry Breakdown = %q", got)
 	}
 }
@@ -97,8 +92,6 @@ func TestConcurrentRegistry(t *testing.T) {
 				r.Counter("c_total", "op", "x").Inc()
 				r.Gauge("g").Add(1)
 				r.Histogram("h_seconds").Observe(time.Duration(j) * time.Microsecond)
-				sp := r.StartSpan("p")
-				sp.End()
 			}
 		}()
 	}
@@ -110,7 +103,7 @@ func TestConcurrentRegistry(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				var buf strings.Builder
 				r.WritePrometheus(&buf)
-				_ = r.Breakdown(0)
+				_ = r.Breakdown()
 			}
 		}()
 	}
@@ -123,54 +116,5 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 	if got := r.Histogram("h_seconds").Snapshot().Count; got != 1600 {
 		t.Fatalf("histogram count = %d, want 1600", got)
-	}
-	ph := r.Tracer().Phases()
-	if len(ph) != 1 || ph[0].Count != 1600 {
-		t.Fatalf("phases = %+v, want one phase with 1600 spans", ph)
-	}
-}
-
-func TestSpanAccumulation(t *testing.T) {
-	tr := NewTracer()
-	for i := 0; i < 3; i++ {
-		sp := tr.Start("lattice/level-01")
-		time.Sleep(time.Millisecond)
-		sp.End()
-	}
-	ph := tr.Phases()
-	if len(ph) != 1 {
-		t.Fatalf("phases = %d, want 1", len(ph))
-	}
-	if ph[0].Count != 3 {
-		t.Fatalf("count = %d, want 3", ph[0].Count)
-	}
-	if ph[0].Total < 3*time.Millisecond {
-		t.Fatalf("total = %v, want >= 3ms", ph[0].Total)
-	}
-	if m := ph[0].Mean(); m < time.Millisecond {
-		t.Fatalf("mean = %v, want >= 1ms", m)
-	}
-}
-
-func TestPhaseOrderIsFirstStart(t *testing.T) {
-	tr := NewTracer()
-	for _, n := range []string{"setup", "lattice/level-01", "lattice/level-02", "setup"} {
-		tr.Start(n).End()
-	}
-	ph := tr.Phases()
-	want := []string{"setup", "lattice/level-01", "lattice/level-02"}
-	if len(ph) != len(want) {
-		t.Fatalf("phases = %d, want %d", len(ph), len(want))
-	}
-	for i, w := range want {
-		if ph[i].Name != w {
-			t.Fatalf("phase[%d] = %s, want %s", i, ph[i].Name, w)
-		}
-	}
-}
-
-func TestRenderPhasesEmpty(t *testing.T) {
-	if got := RenderPhases(nil, 0); !strings.Contains(got, "no phases") {
-		t.Fatalf("empty render = %q", got)
 	}
 }

@@ -66,7 +66,9 @@ check() { # check <file> <pattern> <what>
 }
 
 echo "== asserting client-side breakdown"
-check "$TMP/discover.out" "lattice/level-01" "per-level lattice span in -telemetry breakdown"
+check "$TMP/discover.out" "lattice/level-00" "per-level lattice span in -telemetry breakdown"
+check "$TMP/discover.out" "^rpc/" "per-RPC span row: the phase table is the run's otrace totals"
+check "$TMP/discover.out" "oblivfd_sort_stages_total" "sort stage counter in breakdown"
 check "$TMP/discover.out" "oblivfd_rpc_client_seconds" "client RPC latency histogram in breakdown"
 
 echo "== asserting server /metrics"

@@ -185,14 +185,14 @@ func WithFaults(svc Service, cfg FaultConfig) *store.FaultService { return store
 // exponential backoff, deadlines, and a retry budget.
 func WithRetry(svc Service, p RetryPolicy) *store.RetryService { return store.WithRetry(svc, p) }
 
-// Telemetry. A Registry collects counters, gauges, latency histograms, and
-// phase spans from every instrumented layer it is attached to; it observes
-// only operation counts, byte sizes, and wall-clock timings — quantities
-// within the protocol's leakage profile L(DB) — and never plaintext or key
+// Telemetry. A Registry collects counters, gauges, and latency histograms
+// from every instrumented layer it is attached to; it observes only
+// operation counts, byte sizes, and wall-clock timings — quantities within
+// the protocol's leakage profile L(DB) — and never plaintext or key
 // material. One registry may be shared by the storage decorators, the TCP
-// client, the engines, and the lattice traversal; fdserver additionally
-// serves a registry over HTTP (/metrics, /metrics.json, /debug/pprof/).
-// A nil *Registry disables all instrumentation at zero cost.
+// client, and the engines; fdserver additionally serves a registry over
+// HTTP (/metrics, /metrics.json, /debug/pprof/). A nil *Registry disables
+// all instrumentation at zero cost.
 type Registry = telemetry.Registry
 
 // NewRegistry creates an empty metrics registry.
@@ -203,8 +203,9 @@ func NewRegistry() *Registry { return telemetry.New() }
 // contexts ride the TCP frames in a fixed-size, always-present header, so
 // enabling tracing never changes any frame's length (DESIGN.md §14). Share
 // one tracer between Options.Trace and ClientConfig.Trace to get a single
-// causal tree from lattice level down to the server's WAL. A nil *Tracer
-// disables recording at near-zero cost.
+// causal tree from lattice level down to the server's WAL; its Phases total
+// the spans per name, the phase table of -telemetry. A nil *Tracer disables
+// recording at near-zero cost.
 type (
 	Tracer       = otrace.Tracer
 	TracerConfig = otrace.Config
@@ -375,10 +376,11 @@ type Options struct {
 	// required before calling Insert/Delete. ProtocolDynamicORAM sets it
 	// implicitly.
 	KeepPartitions bool
-	// Telemetry, if non-nil, instruments the protocol engine and the
-	// lattice traversal: ORAM access counters, sort-pass spans, per-level
-	// lattice spans. It is honored by the secure protocols (sort, or-oram,
-	// ex-oram); the benchmarking baselines ignore it.
+	// Telemetry, if non-nil, instruments the protocol engine: ORAM access
+	// and path counters, sort comparison and stage counters, integrity
+	// checks. It is honored by the secure protocols (sort, or-oram,
+	// ex-oram); the benchmarking baselines ignore it. Per-level wall time
+	// is Trace's.
 	Telemetry *Registry
 	// Trace, if non-nil, records causal distributed-tracing spans for the
 	// lattice traversal (see core.Options.Trace). Share the tracer with
@@ -490,7 +492,6 @@ func (db *Database) discoverOptions() *core.Options {
 		KeepPartitions: keep,
 		MaxLHS:         db.opts.MaxLHS,
 		Resume:         db.resume,
-		Telemetry:      db.opts.Telemetry,
 		Trace:          db.opts.Trace,
 		Workers:        db.opts.Workers,
 		Reveal: func(fd relation.FD, holds bool) {
