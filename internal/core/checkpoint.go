@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/oram"
@@ -46,10 +45,18 @@ var (
 
 // checkpointMagic identifies the framed checkpoint format — and, because a
 // checkpoint is only half of a resumable state, what its ORAM handles expect
-// to find on the server. OFDCKPT1 checkpoints belong to trees that hold one
-// ciphertext per block; from OFDCKPT2 on a tree holds one per bucket
-// (internal/oram). There is no migration: the older file is refused by name.
-var checkpointMagic = [8]byte{'O', 'F', 'D', 'C', 'K', 'P', 'T', '2'}
+// to find on the server. OFDCKPT3 holds each ORAM's client state as the handle
+// holds it: slots, value slab, counters (oram.State). The payload stays gob:
+// gob drops what the reader has no field for, which is why every change of
+// layout bumps the magic and the older files are refused by name, from
+// retiredCheckpoints. There is no migration.
+var checkpointMagic = [8]byte{'O', 'F', 'D', 'C', 'K', 'P', 'T', '3'}
+
+// retiredCheckpoints says what each refused magic was written for.
+var retiredCheckpoints = map[string]string{
+	"OFDCKPT1": "ORAM trees sealed per block",
+	"OFDCKPT2": "ORAM client state as three maps; commit 07fe223 was the last to resume it, 56f5a87 for the scan ORAM's",
+}
 
 const maxCheckpointPayload = 1 << 40
 
@@ -107,8 +114,8 @@ type SetState struct {
 	Card      uint64
 	NextLabel uint64 // ExEngine's monotone label source; unused by OrEngine
 	Cover     [2]relation.AttrSet
-	Primary   *oram.StoreState // KL or KLF
-	Secondary *oram.StoreState // IL or IKL
+	Primary   *oram.State // KL or KLF
+	Secondary *oram.State // IL or IKL
 }
 
 // Engine kind tags used in EngineState.Kind.
@@ -122,8 +129,7 @@ type EngineState struct {
 	Kind     string // engineKindOr or engineKindEx
 	Instance string // ORAM name prefix; preserved so names keep matching
 	Seq      int64  // ORAM-name counter; preserved so new names stay unique
-	N        int    // OrEngine: live row count
-	LiveIDs  []int  // ExEngine: live record ids, ascending
+	Dead     []int  // ids of the database's rows never to traverse, ascending
 	Sets     []SetState
 }
 
@@ -135,34 +141,51 @@ type CheckpointableEngine interface {
 }
 
 // ResumeEngine rebuilds whichever engine the state describes, attached to
-// the given database handle.
+// the given database handle; see oramCore.resume for what the server must
+// hold.
 func ResumeEngine(edb *EncryptedDB, st *EngineState) (Engine, error) {
+	var e interface {
+		Engine
+		resume(*EncryptedDB, *EngineState, oramLayout) error
+	}
+	var layout oramLayout
 	switch st.Kind {
-	case engineKindOr:
-		return ResumeOrEngine(edb, st)
-	case engineKindEx:
-		return ResumeExEngine(edb, st)
+	case orLayout.kind:
+		e, layout = new(OrEngine), orLayout
+	case exLayout.kind:
+		e, layout = new(ExEngine), exLayout
 	default:
 		return nil, fmt.Errorf("%w: unknown engine kind %q", ErrCorruptCheckpoint, st.Kind)
 	}
+	if err := e.resume(edb, st, layout); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // LatticeState is the serializable frontier of a Discover run, captured at
 // a level boundary: the sets whose partitions are live, the pruning state
 // (C⁺), and the results so far. NextLevel is the loop index the resumed run
-// starts at.
+// starts at. Its tables are slices, not maps: gob sizes a decoded map by the
+// length the bytes claim, and a slice by the bytes present.
 type LatticeState struct {
 	M                int
 	NextLevel        int
 	Level            []relation.AttrSet
 	PrevLevel        []relation.AttrSet
-	CPlus            map[relation.AttrSet]relation.AttrSet
+	CPlus            [][2]relation.AttrSet // {X, C⁺(X)}
 	Minimal          []relation.FD
-	Cardinalities    map[relation.AttrSet]int
+	Cardinalities    []SetCard
 	SetsMaterialized int
 	Checks           int
 	MaxLHS           int
 	KeepPartitions   bool
+}
+
+// SetCard is |π_X| for one set X.
+type SetCard struct {
+	Set  relation.AttrSet
+	Card int
 }
 
 // Checkpoint is a complete client-side recovery point. Epoch is the value
@@ -205,9 +228,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorruptCheckpoint, err)
 	}
 	if !bytes.Equal(header[:8], checkpointMagic[:]) {
-		if string(header[:8]) == "OFDCKPT1" {
-			return nil, fmt.Errorf("%w: format OFDCKPT1 (ORAM trees sealed per block) is not resumable by this build, which reads only %s",
-				ErrCorruptCheckpoint, checkpointMagic[:])
+		if what, ok := retiredCheckpoints[string(header[:8])]; ok {
+			return nil, fmt.Errorf("%w: format %s (%s) is not resumable by this build, which reads only %s",
+				ErrCorruptCheckpoint, header[:8], what, checkpointMagic[:])
 		}
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptCheckpoint, header[:8])
 	}
@@ -226,63 +249,32 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, fmt.Errorf("%w: CRC mismatch (got %08x, want %08x)", ErrCorruptCheckpoint, got, want)
 	}
-	cp := new(Checkpoint)
-	if err := safeCheckpointDecode(payload, cp); err != nil {
+	return decodeCheckpoint(payload)
+}
+
+// decodeCheckpoint decodes a payload whose CRC has been checked. Any failure
+// wraps ErrCorruptCheckpoint.
+func decodeCheckpoint(payload []byte) (cp *Checkpoint, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			cp, err = nil, fmt.Errorf("%w: gob decode panicked: %v", ErrCorruptCheckpoint, p)
+		}
+	}()
+	cp = new(Checkpoint)
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(cp); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
 	if cp.EDB == nil || cp.Engine == nil || cp.Lattice == nil {
 		return nil, fmt.Errorf("%w: missing section", ErrCorruptCheckpoint)
 	}
-	for _, s := range cp.Engine.Sets {
-		for _, st := range [...]*oram.StoreState{s.Primary, s.Secondary} {
-			if st != nil && st.Linear != nil {
-				return nil, fmt.Errorf("%w: ORAM %q was written for the scan ORAM, which this build does not have; commit 56f5a87 was the last to resume such a file",
-					ErrCorruptCheckpoint, st.Linear.Name)
-			}
-		}
-	}
 	return cp, nil
 }
 
-func safeCheckpointDecode(data []byte, cp *Checkpoint) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("gob decode panicked: %v", p)
-		}
-	}()
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(cp)
-}
-
-// WriteCheckpointFile writes a checkpoint atomically (temp + fsync +
-// rename) so a crash mid-write can never leave a torn file where a previous
-// good checkpoint was.
+// WriteCheckpointFile writes a checkpoint atomically (store.ReplaceFile), so
+// a crash mid-write can never leave a torn file where a previous good
+// checkpoint was, nor bring the previous one back once this call returns.
 func WriteCheckpointFile(path string, cp *Checkpoint) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := WriteCheckpoint(tmp, cp); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
+	return store.ReplaceFile(store.OSFS, path, ".ckpt-*.tmp", func(w io.Writer) error { return WriteCheckpoint(w, cp) })
 }
 
 // ReadCheckpointFile loads a checkpoint from a file.

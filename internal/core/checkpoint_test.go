@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 )
 
 // ckptRelation returns a small relation with a known FD structure.
-func ckptRelation(t *testing.T) *relation.Relation {
+func ckptRelation(t testing.TB) *relation.Relation {
 	t.Helper()
 	schema, err := relation.NewSchema("A", "B", "C", "D")
 	if err != nil {
@@ -61,13 +63,11 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		EDB:    edb.State(),
 		Engine: eng.CheckpointState(),
 		Lattice: &LatticeState{
-			M:         4,
-			NextLevel: 1,
-			Level:     relation.AllSingletons(4),
-			CPlus:     map[relation.AttrSet]relation.AttrSet{0: relation.FullSet(4)},
-			Cardinalities: map[relation.AttrSet]int{
-				relation.SingleAttr(0): 4,
-			},
+			M:             4,
+			NextLevel:     1,
+			Level:         relation.AllSingletons(4),
+			CPlus:         [][2]relation.AttrSet{{0, relation.FullSet(4)}},
+			Cardinalities: []SetCard{{relation.SingleAttr(0), 4}},
 		},
 	}
 
@@ -115,40 +115,44 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPerBlockEraCheckpointIsRefused: a checkpoint written by the last build
-// whose PathORAM sealed every block separately (testdata, generated at commit
-// 53bc857 by `fddiscover -protocol or-oram -data-dir d -checkpoint f` over an
-// 8×3 relation; it holds six live PathORAM states) is refused before anything
-// is decoded, with an error naming both formats. Its server-side trees hold
-// levels×Z block ciphertexts where this build expects one per bucket, so
-// resuming it could only fail later and less clearly, in the first access.
-func TestPerBlockEraCheckpointIsRefused(t *testing.T) {
-	_, err := ReadCheckpointFile(filepath.Join("testdata", "pre-bucket-seal.ckpt"))
+// requireRetiredCheckpointRefused: a checkpoint in a format this build no
+// longer reads is refused before anything is decoded, with an error naming the
+// magic found and the one this build reads.
+func requireRetiredCheckpointRefused(t *testing.T, file, magic string) {
+	t.Helper()
+	_, err := ReadCheckpointFile(filepath.Join("testdata", file))
 	if !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("ReadCheckpointFile = %v, want ErrCorruptCheckpoint", err)
+		t.Errorf("%s: ReadCheckpointFile = %v, want ErrCorruptCheckpoint", file, err)
+		return
 	}
-	for _, want := range []string{"OFDCKPT1", "OFDCKPT2"} {
+	for _, want := range []string{magic, string(checkpointMagic[:])} {
 		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+			t.Errorf("%s: error %q does not mention %q", file, err, want)
 		}
 	}
 }
 
-// TestScanORAMCheckpointIsRefused: a checkpoint whose ORAM states are the scan
-// ORAM's (testdata, generated at commit 56f5a87 by securefd.DiscoverResumable
-// with Options{Protocol: ProtocolORAM, ORAM: ORAMLinear, KeepPartitions: true}
-// over an 8×3 relation; six sets) carries the current magic, and gob would
-// decode it to states with nothing in them. It is refused when read, with an
-// error that says what it was written for and which commit can still resume it.
+// TestPerBlockEraCheckpointIsRefused: pre-bucket-seal.ckpt (OFDCKPT1) was
+// written at commit 53bc857 by `fddiscover -protocol or-oram -data-dir d
+// -checkpoint f` over an 8×3 relation; its trees hold levels×Z block
+// ciphertexts where PathORAM now keeps one per bucket.
+func TestPerBlockEraCheckpointIsRefused(t *testing.T) {
+	requireRetiredCheckpointRefused(t, "pre-bucket-seal.ckpt", "OFDCKPT1")
+}
+
+// TestScanORAMCheckpointIsRefused: scan-oram.ckpt (OFDCKPT2) was written at
+// commit 56f5a87 by securefd.DiscoverResumable with the scan ORAM; gob would
+// decode its states to ones with nothing in them.
 func TestScanORAMCheckpointIsRefused(t *testing.T) {
-	_, err := ReadCheckpointFile(filepath.Join("testdata", "scan-oram.ckpt"))
-	if !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("ReadCheckpointFile = %v, want ErrCorruptCheckpoint", err)
-	}
-	for _, want := range []string{"scan ORAM", "56f5a87"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
+	requireRetiredCheckpointRefused(t, "scan-oram.ckpt", "OFDCKPT2")
+}
+
+// TestMapEraCheckpointIsRefused: pr18/parent-{or,ex}.ckpt (OFDCKPT2) were
+// written by commit 76ffe46, with ORAM client state kept as three maps; gob
+// would decode them to slot-native states with nothing in them.
+func TestMapEraCheckpointIsRefused(t *testing.T) {
+	for _, file := range []string{"pr18/parent-or.ckpt", "pr18/parent-ex.ckpt"} {
+		requireRetiredCheckpointRefused(t, file, "OFDCKPT2")
 	}
 }
 
@@ -296,10 +300,11 @@ func TestResumeExEngine(t *testing.T) {
 		t.Fatalf("kind = %q", st.Kind)
 	}
 
-	eng2, err := ResumeExEngine(edb, st)
+	resumed, err := ResumeEngine(edb, st)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng2 := resumed.(*ExEngine)
 	if eng2.NumRows() != eng.NumRows() {
 		t.Errorf("resumed rows = %d, want %d", eng2.NumRows(), eng.NumRows())
 	}
@@ -319,18 +324,109 @@ func TestResumeExEngine(t *testing.T) {
 	}
 }
 
-// TestResumeEngineKindMismatch: a checkpoint may only resume as the engine
-// that wrote it.
+// TestResumeEngineKindMismatch: a checkpoint resumes only as an engine this
+// build has, and only over the rows its dead ids can name.
 func TestResumeEngineKindMismatch(t *testing.T) {
 	svc := store.NewServer()
 	edb := ckptUpload(t, svc, ckptRelation(t))
-	if _, err := ResumeOrEngine(edb, &EngineState{Kind: engineKindEx}); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Errorf("or-from-ex = %v, want ErrCorruptCheckpoint", err)
+	for _, es := range []*EngineState{
+		{Kind: "bogus"},
+		{Kind: "sort"},
+		{Kind: engineKindOr, Dead: []int{edb.NumRows()}},
+		{Kind: engineKindEx, Dead: []int{-1}},
+		{Kind: engineKindEx, Dead: []int{2, 1}},
+		{Kind: engineKindOr, Dead: []int{3, 3}},
+	} {
+		if _, err := ResumeEngine(edb, es); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("%+v: err = %v, want ErrCorruptCheckpoint", es, err)
+		}
 	}
-	if _, err := ResumeExEngine(edb, &EngineState{Kind: engineKindOr}); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Errorf("ex-from-or = %v, want ErrCorruptCheckpoint", err)
+}
+
+// FuzzDecodeCheckpoint: the decoder behind ReadCheckpoint, past the CRC,
+// either refuses a payload with an error wrapping ErrCorruptCheckpoint or
+// returns a checkpoint that survives WriteCheckpoint → ReadCheckpoint
+// unchanged; it never panics. Seeded with real Or- and Ex-ORAM checkpoints
+// (whole, bit-flipped and cut) and the payloads of every fixture under
+// testdata, the refused formats' included.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	const header = 8 + 8 + 4 // magic, payload length, CRC
+	for _, cp := range fuzzCheckpoints(f) {
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, cp); err != nil {
+			f.Fatal(err)
+		}
+		payload := buf.Bytes()[header:]
+		f.Add(payload)
+		for i := 0; i < len(payload); i += len(payload)/16 + 1 {
+			flipped := bytes.Clone(payload)
+			flipped[i] ^= 0x40
+			f.Add(flipped)
+		}
+		for _, cut := range []int{0, 1, len(payload) / 4, len(payload) / 2, len(payload) - 1} {
+			f.Add(payload[:cut])
+		}
 	}
-	if _, err := ResumeEngine(edb, &EngineState{Kind: "bogus"}); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Errorf("unknown kind = %v, want ErrCorruptCheckpoint", err)
+	for _, file := range []string{"pre-bucket-seal.ckpt", "scan-oram.ckpt", "pr18/parent-or.ckpt", "pr18/parent-ex.ckpt", "pr31/or.ckpt", "pr31/ex.ckpt"} {
+		data, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data[header:])
 	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		cp, err := decodeCheckpoint(payload)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Fatalf("error does not wrap ErrCorruptCheckpoint: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, cp); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadCheckpoint(&buf)
+		if err != nil {
+			t.Fatalf("a decoded checkpoint does not read back: %v", err)
+		}
+		if !reflect.DeepEqual(cp, again) {
+			t.Fatalf("round trip changed the checkpoint:\n%+v\n%+v", cp, again)
+		}
+	})
+}
+
+// fuzzCheckpoints returns an Or-ORAM and an Ex-ORAM checkpoint taken after a
+// full discovery and an insertion (and, in Ex, the deletion of the inserted
+// record), so both carry slots, stashes, unions and the Ex one a dead id.
+func fuzzCheckpoints(f *testing.F) []*Checkpoint {
+	rel := ckptRelation(f)
+	var cps []*Checkpoint
+	for _, kind := range []string{engineKindOr, engineKindEx} {
+		edb, err := UploadWithCapacity(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "fuzz", rel, rel.NumRows()+1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var eng CheckpointableEngine = NewOrEngine(edb)
+		if kind == engineKindEx {
+			if eng, err = NewExEngine(edb); err != nil {
+				f.Fatal(err)
+			}
+		}
+		var ls *LatticeState
+		if _, err := Discover(eng, rel.NumAttrs(), &Options{KeepPartitions: true, Checkpoint: func(s *LatticeState) error { ls = s; return nil }}); err != nil {
+			f.Fatal(err)
+		}
+		id, err := eng.(interface {
+			Insert(relation.Row) (int, error)
+		}).Insert(relation.Row{"a9", "b9", "c9", "d9"})
+		if dyn, ok := eng.(DynamicEngine); ok && err == nil {
+			err = dyn.Delete(id)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		cps = append(cps, &Checkpoint{Epoch: 1, EDB: edb.State(), Engine: eng.CheckpointState(), Lattice: ls})
+	}
+	return cps
 }

@@ -133,8 +133,10 @@ func TestExEngineDeleteErrors(t *testing.T) {
 	rel := randomRel(2, 4, 2, 3)
 	eng := newDynamicEx(t, rel, 4)
 	defer eng.Close()
-	if err := eng.Delete(99); !errors.Is(err, ErrUnknownID) {
-		t.Errorf("unknown id err = %v", err)
+	for _, id := range []int{99, -1} {
+		if err := eng.Delete(id); !errors.Is(err, ErrUnknownID) {
+			t.Errorf("Delete(%d) err = %v", id, err)
+		}
 	}
 	if err := eng.Delete(1); err != nil {
 		t.Fatal(err)
@@ -382,8 +384,8 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 
 			// The hole round-trips through a checkpoint.
 			es := eng.CheckpointState()
-			if want := []int{0, 1, 2, 3, 4, 5, 7}; !reflect.DeepEqual(es.LiveIDs, want) {
-				t.Errorf("checkpointed live ids %v, want %v", es.LiveIDs, want)
+			if want := []int{6}; !reflect.DeepEqual(es.Dead, want) {
+				t.Errorf("checkpointed dead ids %v, want %v", es.Dead, want)
 			}
 			resumed, err := ResumeEngine(edb, es)
 			if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -33,8 +32,7 @@ import (
 // |π_X| at all times.
 type ExEngine struct {
 	oramCore
-	liveIDs map[int]bool
-	timing  func(x relation.AttrSet, d time.Duration)
+	timing func(x relation.AttrSet, d time.Duration)
 }
 
 // SetTimingHook installs a callback receiving the duration of each
@@ -46,42 +44,15 @@ func (e *ExEngine) SetTimingHook(fn func(x relation.AttrSet, d time.Duration)) {
 
 var exEngines atomic.Int64
 
-func newExEngine(live []int) *ExEngine {
-	e := &ExEngine{liveIDs: make(map[int]bool, len(live))}
-	for _, id := range live {
-		e.liveIDs[id] = true
-	}
-	e.step = exStep
-	e.live = func(id int) bool { return e.liveIDs[id] }
-	return e
-}
-
 // NewExEngine builds a dynamic engine over an uploaded database. The
 // database's capacity bounds total insertions over the engine's lifetime.
 func NewExEngine(edb *EncryptedDB) (*ExEngine, error) {
 	if edb.Capacity() >= maxLabel {
 		return nil, fmt.Errorf("core: capacity %d exceeds label space", edb.Capacity())
 	}
-	live := make([]int, edb.NumRows())
-	for i := range live {
-		live[i] = i
-	}
-	e := newExEngine(live)
+	e := new(ExEngine)
 	e.init(edb, fmt.Sprintf("ex%d", exEngines.Add(1)), exLayout)
 	return e, nil
-}
-
-// NumRows implements Engine.
-func (e *ExEngine) NumRows() int { return len(e.liveIDs) }
-
-// liveOrdered returns live ids in ascending order.
-func (e *ExEngine) liveOrdered() []int {
-	ids := make([]int, 0, len(e.liveIDs))
-	for id := range e.liveIDs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // exStep is Algorithm 4's loop body: one access to O^KLF that takes the key's
@@ -160,58 +131,25 @@ func exRemove(pipe *oram.Pipeline, st *oramState, id int) error {
 }
 
 // Insert implements DynamicEngine: the new record is an untraversed record,
-// processed by one Algorithm 4 step per materialized set, covers first.
-//
-// When an insertion fails after the row has been appended, the id stays taken
-// and is never traversed or counted, and the next insertion gets the next id.
-// The sets stepped before the failure have counted the record, a set stepped
-// after has not, and a set whose write-back round was lost refuses further
-// use — so the partitions no longer describe one relation: release them and
-// materialize again.
-func (e *ExEngine) Insert(row relation.Row) (int, error) {
-	id, err := e.edb.AppendRow(row)
-	if err != nil {
-		return 0, err
-	}
-	if err := e.insert(id, e.timing); err != nil {
-		return 0, err
-	}
-	e.liveIDs[id] = true
-	return id, nil
-}
+// processed by one Algorithm 4 step per materialized set, covers first. See
+// oramCore.insert for a failed insertion.
+func (e *ExEngine) Insert(row relation.Row) (int, error) { return e.insert(row, e.timing) }
 
 // Delete implements DynamicEngine: one Algorithm 5 pass per materialized
 // set. Deletions across sets are order-independent (§V-C).
 func (e *ExEngine) Delete(id int) error {
-	if !e.liveIDs[id] {
+	if !e.live(id) {
 		return fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
 	err := e.eachSet(e.timing, func(_ relation.AttrSet, st *oramState) error { return exRemove(e.pipe, st, id) })
 	if err == nil {
-		delete(e.liveIDs, id)
+		e.dead[id] = true
 	}
 	return err
 }
 
-// CheckpointState implements CheckpointableEngine.
-func (e *ExEngine) CheckpointState() *EngineState {
-	es := e.checkpointState()
-	es.LiveIDs = e.liveOrdered()
-	return es
-}
-
-// ResumeExEngine rebuilds an ExEngine from checkpointed state; see
-// oramCore.resume for what the server must hold.
-func ResumeExEngine(edb *EncryptedDB, st *EngineState) (*ExEngine, error) {
-	e := newExEngine(st.LiveIDs)
-	if err := e.resume(edb, st, exLayout); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// ClientMemoryBytes implements Engine: the ORAM client states plus the set
-// of live ids.
+// ClientMemoryBytes implements Engine: the ORAM client states plus 8 bytes
+// per live record id.
 func (e *ExEngine) ClientMemoryBytes() int {
-	return 8*len(e.liveIDs) + e.oramCore.ClientMemoryBytes()
+	return 8*e.NumRows() + e.oramCore.ClientMemoryBytes()
 }

@@ -214,19 +214,19 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 			NextLevel:        nextLevel,
 			Level:            append([]relation.AttrSet(nil), level...),
 			PrevLevel:        append([]relation.AttrSet(nil), prevLevel...),
-			CPlus:            make(map[relation.AttrSet]relation.AttrSet, len(cplus)),
+			CPlus:            make([][2]relation.AttrSet, 0, len(cplus)),
 			Minimal:          append([]relation.FD(nil), res.Minimal...),
-			Cardinalities:    make(map[relation.AttrSet]int, len(res.Cardinalities)),
+			Cardinalities:    make([]SetCard, 0, len(res.Cardinalities)),
 			SetsMaterialized: res.SetsMaterialized,
 			Checks:           res.Checks,
 			MaxLHS:           opts.MaxLHS,
 			KeepPartitions:   opts.KeepPartitions,
 		}
 		for k, v := range cplus {
-			ls.CPlus[k] = v
+			ls.CPlus = append(ls.CPlus, [2]relation.AttrSet{k, v})
 		}
 		for k, v := range res.Cardinalities {
-			ls.Cardinalities[k] = v
+			ls.Cardinalities = append(ls.Cardinalities, SetCard{k, v})
 		}
 		return ls
 	}
@@ -246,12 +246,12 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		opts.KeepPartitions = rs.KeepPartitions
 		level = append([]relation.AttrSet(nil), rs.Level...)
 		prevLevel = append([]relation.AttrSet(nil), rs.PrevLevel...)
-		for k, v := range rs.CPlus {
-			cplus[k] = v
+		for _, kv := range rs.CPlus {
+			cplus[kv[0]] = kv[1]
 		}
 		res.Minimal = append([]relation.FD(nil), rs.Minimal...)
-		for k, v := range rs.Cardinalities {
-			res.Cardinalities[k] = v
+		for _, c := range rs.Cardinalities {
+			res.Cardinalities[c.Set] = c.Card
 		}
 		res.SetsMaterialized = rs.SetsMaterialized
 		res.Checks = rs.Checks

@@ -57,7 +57,7 @@ func countPathRounds(svc store.Service) *pathRounds {
 
 // treeNames returns the server-side names of a set's primary and secondary.
 func treeNames(st *oramState) (primary, secondary string) {
-	return st.primary.CheckpointState().Path.Name, st.secondary.CheckpointState().Path.Name
+	return st.primary.Name(), st.secondary.Name()
 }
 
 // pathEvents counts (ReadPath, WritePath) events per object.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -26,11 +27,16 @@ type oramLayout struct {
 	primary, secondary string // object-name suffixes, also used in error wording
 	valueWidth         int    // bytes per value, the same in both ORAMs
 	labelAt            int    // where label_X sits inside the secondary's value
+	// step is the loop body for one record with its key_X already built: the
+	// primary's read-modify-write and the secondary's write, and what moves
+	// the set's card_X once both write-backs are on the server. levelStep
+	// sends them.
+	step func(st *oramState, id string, key uint64) (primary, secondary oram.Access, commit func())
 }
 
 var (
-	orLayout = oramLayout{kind: engineKindOr, primary: "KL", secondary: "IL", valueWidth: labelWidth}
-	exLayout = oramLayout{kind: engineKindEx, primary: "KLF", secondary: "IKL", valueWidth: keyWidth + labelWidth, labelAt: keyWidth}
+	orLayout = oramLayout{kind: engineKindOr, primary: "KL", secondary: "IL", valueWidth: labelWidth, step: orStep}
+	exLayout = oramLayout{kind: engineKindEx, primary: "KLF", secondary: "IKL", valueWidth: keyWidth + labelWidth, labelAt: keyWidth, step: exStep}
 )
 
 // oramState is one materialized set of an ORAM engine.
@@ -72,9 +78,9 @@ var levelAtATime = grouping{width: levelWidth}
 
 // oramCore is everything OrEngine and ExEngine have in common: Algorithm 4
 // is Algorithm 2 "with frequencies", so the two engines differ in the layout
-// above, in the loop body (step), and in which record ids are live. Both
-// traverse records one by one, which is also why both take insertions: an
-// appended record is simply an untraversed one (§IV-C(c)).
+// above, loop body included, and in Ex-ORAM's deletion. Both traverse records
+// one by one, which is also why both take insertions: an appended record is
+// simply an untraversed one (§IV-C(c)).
 //
 // Where Algorithm 2 runs its loop over the records once per set, the engines
 // run it once per group of w sets of one lattice level (levelStep): record by
@@ -110,24 +116,26 @@ type oramCore struct {
 	// phase. The engine steps one group, or one set of an insertion or a
 	// deletion, at a time, so one pipeline serves them all.
 	pipe *oram.Pipeline
-	// live reports whether a record id is one to traverse. Ids are public
-	// row numbers, and Algorithms 1, 2 and 4 visit the live ones in ascending
-	// order.
-	live func(id int) bool
-	// step is the loop body for one record with its key_X already built: the
-	// primary's read-modify-write and the secondary's write, and what moves
-	// the set's card_X once both write-backs are on the server. levelStep
-	// sends them.
-	step func(st *oramState, id string, key uint64) (primary, secondary oram.Access, commit func())
+	// dead holds the ids of the database's rows that are not to be traversed:
+	// insertions that failed after their row was appended and, in ExEngine,
+	// deleted records. Ids are public row numbers, and Algorithms 1, 2 and 4
+	// visit the others in ascending order.
+	dead map[int]bool
 }
 
-// init wires a core that is embedded in its engine; the engine sets live and
-// step itself.
+// init wires a core that is embedded in its engine.
 func (c *oramCore) init(edb *EncryptedDB, instance string, layout oramLayout) {
 	c.setTable = newSetTable[*oramState](c, levelAtATime)
 	c.edb, c.instance, c.capacity, c.layout = edb, instance, edb.Capacity(), layout
 	c.pipe = oram.NewPipeline(edb.svc)
+	c.dead = make(map[int]bool)
 }
+
+// NumRows implements Engine: the records traversed.
+func (c *oramCore) NumRows() int { return c.edb.NumRows() - len(c.dead) }
+
+// live reports whether id names a record to traverse.
+func (c *oramCore) live(id int) bool { return id >= 0 && id < c.edb.NumRows() && !c.dead[id] }
 
 // SetTelemetry attaches a metrics registry to the engine and re-instruments
 // every already-materialized ORAM handle (checkpoint resume rebuilds the
@@ -263,7 +271,7 @@ func (c *oramCore) levelStep(lv *level, id int, singleKeys []uint64) error {
 		} else {
 			key = unionKey(lv.labels[lv.at[i][0]], lv.labels[lv.at[i][1]])
 		}
-		primary, secondary, commit := c.step(t.st, rid, key)
+		primary, secondary, commit := c.layout.step(t.st, rid, key)
 		lv.accesses, lv.commits = append(lv.accesses, primary, secondary), append(lv.commits, commit)
 	}
 	err := c.pipe.Do(lv.accesses...)
@@ -297,7 +305,7 @@ func inAccess(err error, where func(i int) string) error {
 func (c *oramCore) eachLive(visit func(ids []int64) error) error {
 	ids := make([]int64, 0, obsort.ChunkCells)
 	for id, n := 0, c.edb.NumRows(); id < n; id++ {
-		if !c.live(id) {
+		if c.dead[id] {
 			continue
 		}
 		ids = append(ids, int64(id))
@@ -365,14 +373,23 @@ func (c *oramCore) eachSet(hook func(relation.AttrSet, time.Duration), fn func(x
 	return nil
 }
 
-// insert continues the traversal for record id, which the engine has just
-// appended to the database, across every materialized set: a set at a time
-// and in subset-before-superset order, so Algorithm 2's key construction finds
-// fresh labels (§IV-C(c)). The engine records the id as live when every set
-// has been stepped and as one never to traverse otherwise.
-func (c *oramCore) insert(id int, hook func(relation.AttrSet, time.Duration)) error {
+// insert appends row to the database and continues the traversal for it
+// across every materialized set: a set at a time and in subset-before-superset
+// order, so Algorithm 2's key construction finds fresh labels (§IV-C(c)).
+//
+// When an insertion fails after the row has been appended, the id stays taken
+// and is dead: never traversed or counted, and the next insertion gets the
+// next id. The sets stepped before the failure have counted the record, a set
+// stepped after has not, and a set whose write-back round was lost refuses
+// further use — so the partitions no longer describe one relation: release
+// them and materialize again.
+func (c *oramCore) insert(row relation.Row, hook func(relation.AttrSet, time.Duration)) (int, error) {
+	id, err := c.edb.AppendRow(row)
+	if err != nil {
+		return 0, err
+	}
 	lv, group, key := new(level), make([]target[*oramState], 1), make([]uint64, 1)
-	return c.eachSet(hook, func(x relation.AttrSet, st *oramState) error {
+	err = c.eachSet(hook, func(x relation.AttrSet, st *oramState) error {
 		group[0] = target[*oramState]{set: x, st: st}
 		if x.Size() == 1 {
 			var err error
@@ -389,14 +406,22 @@ func (c *oramCore) insert(id int, hook func(relation.AttrSet, time.Duration)) er
 		}
 		return c.levelStep(c.lay(lv, group), id, key)
 	})
+	if err != nil {
+		c.dead[id] = true
+		return 0, err
+	}
+	return id, nil
 }
 
-// checkpointState deep-captures every materialized set's cardinality, cover
-// and ORAM client states, in cover-before-union order so resume can rebuild
-// dependencies in sequence. The engine adds its own record of which ids are
-// live.
-func (c *oramCore) checkpointState() *EngineState {
+// CheckpointState implements CheckpointableEngine: every materialized set's
+// cardinality, cover and ORAM client states, deep-captured in cover-before-union
+// order so resume can rebuild dependencies in sequence, and the dead ids.
+func (c *oramCore) CheckpointState() *EngineState {
 	es := &EngineState{Kind: c.layout.kind, Instance: c.instance, Seq: c.seq.Load()}
+	for id := range c.dead {
+		es.Dead = append(es.Dead, id)
+	}
+	sort.Ints(es.Dead)
 	for _, x := range c.setsBySize() {
 		st := c.sets[x]
 		es.Sets = append(es.Sets, SetState{
@@ -404,8 +429,8 @@ func (c *oramCore) checkpointState() *EngineState {
 			Card:      st.card,
 			NextLabel: st.nextLabel,
 			Cover:     st.cover,
-			Primary:   st.primary.CheckpointState(),
-			Secondary: st.secondary.CheckpointState(),
+			Primary:   st.primary.State(),
+			Secondary: st.secondary.State(),
 		})
 	}
 	return es
@@ -416,17 +441,20 @@ func (c *oramCore) checkpointState() *EngineState {
 // exactly the storage state it had at capture time (see the consistency
 // contract in checkpoint.go).
 func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout) error {
-	if es.Kind != layout.kind {
-		return fmt.Errorf("%w: engine kind %q, want %q", ErrCorruptCheckpoint, es.Kind, layout.kind)
-	}
 	c.init(edb, es.Instance, layout)
 	c.seq.Store(es.Seq)
+	for i, id := range es.Dead {
+		if !c.live(id) || i > 0 && id <= es.Dead[i-1] {
+			return fmt.Errorf("%w: dead ids %v are not ascending row numbers below %d", ErrCorruptCheckpoint, es.Dead, edb.NumRows())
+		}
+		c.dead[id] = true
+	}
 	for _, s := range es.Sets {
-		primary, err := oram.ResumeStore(edb.svc, edb.cipher, s.Primary)
+		primary, err := oram.Resume(edb.svc, edb.cipher, s.Primary)
 		if err != nil {
 			return fmt.Errorf("core: resuming O^%s for %v: %w", layout.primary, s.Set, err)
 		}
-		secondary, err := oram.ResumeStore(edb.svc, edb.cipher, s.Secondary)
+		secondary, err := oram.Resume(edb.svc, edb.cipher, s.Secondary)
 		if err != nil {
 			return fmt.Errorf("core: resuming O^%s for %v: %w", layout.secondary, s.Set, err)
 		}

@@ -20,32 +20,18 @@ import (
 // Deletion is not supported — that is ExEngine's job.
 type OrEngine struct {
 	oramCore
-	n int // ids 0..n-1 have been handed out (insert-only keeps them contiguous)
-	// orphans are the ids below n whose insertion failed: the row is in the
-	// database, some set was not stepped, and the record is never traversed.
-	orphans map[int]bool
 }
 
 // orEngines is a package-level counter so two engines over the same service
 // never collide on object names.
 var orEngines atomic.Int64
 
-func newOrEngine(n int) *OrEngine {
-	e := &OrEngine{n: n, orphans: make(map[int]bool)}
-	e.step = orStep
-	e.live = func(id int) bool { return id < e.n && !e.orphans[id] }
-	return e
-}
-
 // NewOrEngine builds an engine over an uploaded database.
 func NewOrEngine(edb *EncryptedDB) *OrEngine {
-	e := newOrEngine(edb.NumRows())
+	e := new(OrEngine)
 	e.init(edb, fmt.Sprintf("or%d", orEngines.Add(1)), orLayout)
 	return e
 }
-
-// NumRows implements Engine.
-func (e *OrEngine) NumRows() int { return e.n - len(e.orphans) }
 
 // orStep is one iteration of Algorithm 1/2's loop body for record id with the
 // already-constructed key_X: one access to O^KL that hands back the key's label
@@ -73,57 +59,6 @@ func orStep(st *oramState, id string, key uint64) (primary, secondary oram.Acces
 }
 
 // Insert continues the traversal for one appended record across every
-// materialized attribute set. OrEngine is deliberately not a DynamicEngine:
-// it has no Delete.
-//
-// When an insertion fails after the row has been appended, the id stays taken
-// and is never traversed: NumRows does not count it and the next insertion gets
-// the next id. The sets stepped before the failure have counted the record —
-// their card_X and ID ORAM include it, a set stepped after has not, and a set
-// whose write-back round was lost refuses further use — so the partitions no
-// longer describe one relation: release them and materialize again.
-func (e *OrEngine) Insert(row relation.Row) (int, error) {
-	id, err := e.edb.AppendRow(row)
-	if err != nil {
-		return 0, err
-	}
-	e.n = id + 1
-	if err := e.insert(id, nil); err != nil {
-		e.orphans[id] = true
-		return 0, err
-	}
-	return id, nil
-}
-
-// CheckpointState implements CheckpointableEngine. The live ids are spelt out
-// only once a failed insertion has left a hole in 0..N-1.
-func (e *OrEngine) CheckpointState() *EngineState {
-	es := e.checkpointState()
-	es.N = e.n
-	if len(e.orphans) > 0 {
-		for id := 0; id < e.n; id++ {
-			if !e.orphans[id] {
-				es.LiveIDs = append(es.LiveIDs, id)
-			}
-		}
-	}
-	return es
-}
-
-// ResumeOrEngine rebuilds an OrEngine from checkpointed state; see
-// oramCore.resume for what the server must hold.
-func ResumeOrEngine(edb *EncryptedDB, st *EngineState) (*OrEngine, error) {
-	e := newOrEngine(st.N)
-	if len(st.LiveIDs) > 0 {
-		for id := 0; id < st.N; id++ {
-			e.orphans[id] = true
-		}
-		for _, id := range st.LiveIDs {
-			delete(e.orphans, id)
-		}
-	}
-	if err := e.resume(edb, st, orLayout); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
+// materialized attribute set; see oramCore.insert for a failed one. OrEngine
+// is deliberately not a DynamicEngine: it has no Delete.
+func (e *OrEngine) Insert(row relation.Row) (int, error) { return e.insert(row, nil) }

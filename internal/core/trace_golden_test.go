@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -249,12 +250,17 @@ func TestEngineTraceGolden(t *testing.T) {
 	compareGolden(t, engineTraceOrderGolden, order)
 }
 
-// TestParentCheckpointResumes: a checkpoint file and server directory written
-// by commit 76ffe46 (testdata/pr18; a 6×3 relation crashed after lattice level
-// 1, one fixture per ORAM engine) resume on this build, finish discovery with
+// TestParentCheckpointResumes: a checkpoint file and server directory per ORAM
+// engine in the OFDCKPT3 format (testdata/pr31: the 6×3 relation below,
+// crashed after lattice level 1) resume on this build, finish discovery with
 // the plaintext engine's FD set, and keep accepting mutations — the
-// EngineState / SetState layout, the Kind tags and the object names the
-// handles reattach to are all still what that build wrote.
+// EngineState / SetState / oram.State layout, the Kind tags and the object
+// names the handles reattach to are all still what the build that wrote them
+// wrote. They were written, by writeResumeFixture, with
+//
+//	rm -r internal/core/testdata/pr31 && go test -run TestParentCheckpointResumes ./internal/core/
+//
+// which writes a missing pair and fails.
 func TestParentCheckpointResumes(t *testing.T) {
 	rel := relation.MustFromRows(relation.MustNewSchema("A", "B", "C"), []relation.Row{
 		{"a1", "b1", "c1"}, {"a1", "b1", "c2"}, {"a2", "b2", "c1"}, {"a2", "b2", "c3"}, {"a3", "b1", "c2"}, {"a3", "b1", "c1"},
@@ -263,10 +269,17 @@ func TestParentCheckpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fixtures := filepath.Join("testdata", "pr31")
+	if _, err := os.Stat(fixtures); errors.Is(err, os.ErrNotExist) {
+		for _, kind := range []string{"or", "ex"} {
+			writeResumeFixture(t, rel, fixtures, kind)
+		}
+		t.Fatalf("wrote %s; run the test again", fixtures)
+	}
 	for _, kind := range []string{"or", "ex"} {
 		t.Run(kind, func(t *testing.T) {
 			dir := t.TempDir() // opening at an epoch discards what is newer, so work on a copy
-			src := filepath.Join("testdata", "pr18", "parent-"+kind+"-state")
+			src := filepath.Join(fixtures, kind+"-state")
 			files, err := os.ReadDir(src)
 			if err != nil {
 				t.Fatal(err)
@@ -280,7 +293,7 @@ func TestParentCheckpointResumes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			cp, err := ReadCheckpointFile(filepath.Join("testdata", "pr18", "parent-"+kind+".ckpt"))
+			cp, err := ReadCheckpointFile(filepath.Join(fixtures, kind+".ckpt"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,5 +335,43 @@ func TestParentCheckpointResumes(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// writeResumeFixture writes one engine's half of testdata/pr31 into dir: a
+// durable server directory (<kind>-state) and a checkpoint file (<kind>.ckpt)
+// as a discovery that marked epoch 2, after lattice level 1, and then crashed
+// leaves them.
+func writeResumeFixture(t *testing.T, rel *relation.Relation, dir, kind string) {
+	srv, err := store.OpenDir(filepath.Join(dir, kind+"-state"), store.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "fixture-"+kind, rel, rel.NumRows()+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eng CheckpointableEngine = NewOrEngine(edb)
+	if kind == "ex" {
+		if eng, err = NewExEngine(edb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = Discover(eng, rel.NumAttrs(), &Options{KeepPartitions: true, Checkpoint: func(ls *LatticeState) error {
+		if ls.NextLevel < 2 {
+			return nil
+		}
+		if err := srv.Checkpoint(int64(ls.NextLevel)); err != nil {
+			return err
+		}
+		cp := &Checkpoint{Epoch: int64(ls.NextLevel), EDB: edb.State(), Engine: eng.CheckpointState(), Lattice: ls}
+		if err := WriteCheckpointFile(filepath.Join(dir, kind+".ckpt"), cp); err != nil {
+			return err
+		}
+		return errSimulatedCrash
+	}})
+	if !errors.Is(err, errSimulatedCrash) {
+		t.Fatalf("writing the %s fixture: %v", kind, err)
 	}
 }

@@ -107,19 +107,19 @@ func TestEvictionIsGreedy(t *testing.T) {
 						if !live {
 							t.Fatalf("access %d: block %q placed at level %d but not live", i, key, l)
 						}
-						if d := deepestLevel(o, o.slots[s].leaf, leaf); l > d {
+						if d := deepestLevel(o, o.slots[s].Leaf, leaf); l > d {
 							t.Fatalf("access %d: block %q placed at level %d, eligible only down to %d", i, key, l, d)
 						}
-						if o.slots[s].stashed {
+						if o.slots[s].Stashed {
 							t.Fatalf("access %d: block %q both placed and stashed", i, key)
 						}
 					}
 				}
 				for _, s := range o.stash {
 					stranded++
-					for l := deepestLevel(o, o.slots[s].leaf, leaf); l >= 0; l-- {
+					for l := deepestLevel(o, o.slots[s].Leaf, leaf); l >= 0; l-- {
 						if free[l] > 0 {
-							t.Fatalf("access %d: block %q left in the stash with %d free places at level %d of its path", i, o.slots[s].key, free[l], l)
+							t.Fatalf("access %d: block %q left in the stash with %d free places at level %d of its path", i, o.slots[s].Key, free[l], l)
 						}
 					}
 				}
@@ -169,7 +169,7 @@ func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 				if want[l] == o.z {
 					break
 				}
-				if !placed[i] && o.slots[i].leaf>>(leafLevel-l) == leaf>>(leafLevel-l) {
+				if !placed[i] && o.slots[i].Leaf>>(leafLevel-l) == leaf>>(leafLevel-l) {
 					placed[i] = true
 					want[l]++
 				}
@@ -206,22 +206,22 @@ func checkSlots(t *testing.T, o *ORAM) {
 	}
 	stashed := 0
 	for i, s := range o.slots {
-		if j, ok := o.index[s.key]; !ok || int(j) != i {
-			t.Fatalf("slot %d holds %q, which the index puts at %d (%v)", i, s.key, j, ok)
+		if j, ok := o.index[s.Key]; !ok || int(j) != i {
+			t.Fatalf("slot %d holds %q, which the index puts at %d (%v)", i, s.Key, j, ok)
 		}
-		if int(s.leaf) >= o.numLeaves {
-			t.Fatalf("slot %d (%q) is assigned leaf %d of %d", i, s.key, s.leaf, o.numLeaves)
+		if int(s.Leaf) >= o.numLeaves {
+			t.Fatalf("slot %d (%q) is assigned leaf %d of %d", i, s.Key, s.Leaf, o.numLeaves)
 		}
-		if !s.tagged && s.ver != 0 {
-			t.Fatalf("slot %d (%q) is untagged at version %d", i, s.key, s.ver)
+		if !s.Tagged && s.Ver != 0 {
+			t.Fatalf("slot %d (%q) is untagged at version %d", i, s.Key, s.Ver)
 		}
-		if s.stashed {
+		if s.Stashed {
 			stashed++
 		}
 	}
 	listed := make(map[int32]bool)
 	for _, i := range o.stash {
-		if int(i) >= len(o.slots) || !o.slots[i].stashed || listed[i] {
+		if int(i) >= len(o.slots) || !o.slots[i].Stashed || listed[i] {
 			t.Fatalf("stash list %v names slot %d wrongly (%d slots)", o.stash, i, len(o.slots))
 		}
 		listed[i] = true

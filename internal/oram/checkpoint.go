@@ -2,6 +2,7 @@ package oram
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -15,63 +16,48 @@ import (
 // server whose storage matches the moment the state was captured (the
 // engines enforce that with recovery epochs).
 
-// State is the serializable client state of a PathORAM handle.
+// State is the serializable client state of a PathORAM handle, laid out as the
+// handle holds it: one Slot per live key and the value slab beside them. The
+// tree's shape is not stored; it follows from Capacity as it does in Setup.
 type State struct {
 	Name       string
 	Capacity   int
 	Z          int
-	Levels     int
-	NumLeaves  int
 	KeyWidth   int
 	ValueWidth int
 	StashLimit int
 	MaxStash   int
 	Accesses   int64
 	Seed       int64 // seeds the resumed handle's leaf-choice RNG
-	PosMap     map[string]uint32
-	Stash      map[string][]byte
-	// Vers holds the freshness tags (block versions) — without them a
-	// resumed handle could not detect rollback of the server-side tree.
-	Vers map[string]uint64
+	Slots      []Slot
+	// Values holds ValueWidth bytes per slot, meaningful while the slot is
+	// stashed.
+	Values []byte
 }
 
-// State captures the client state as three maps built from the handle's
-// slots, stashed values copied, so later accesses on the live handle cannot
-// mutate the checkpoint. The resumed handle gets a
-// fresh RNG seed drawn from the live one; leaf choices after resume differ
-// from the uninterrupted run's, which is invisible to the adversary (both
-// are uniform) and irrelevant to correctness.
+// State captures the client state, copied, so later accesses on the live
+// handle cannot mutate the checkpoint. The resumed handle gets a fresh RNG
+// seed drawn from the live one; leaf choices after resume differ from the
+// uninterrupted run's, which is invisible to the adversary (both are uniform)
+// and irrelevant to correctness.
 func (o *ORAM) State() *State {
 	seed := o.rng.Int63()
 	if seed == 0 {
 		seed = 1
 	}
-	st := &State{
+	return &State{
 		Name:       o.name,
 		Capacity:   o.capacity,
 		Z:          o.z,
-		Levels:     o.levels,
-		NumLeaves:  o.numLeaves,
 		KeyWidth:   o.keyWidth,
 		ValueWidth: o.valueWidth,
 		StashLimit: o.stashLimit,
 		MaxStash:   o.maxStash,
 		Accesses:   o.accesses,
 		Seed:       seed,
-		PosMap:     make(map[string]uint32, len(o.slots)),
-		Stash:      make(map[string][]byte, len(o.stash)),
-		Vers:       make(map[string]uint64, len(o.slots)),
+		Slots:      slices.Clone(o.slots),
+		Values:     slices.Clone(o.values),
 	}
-	for i, s := range o.slots {
-		st.PosMap[s.key] = s.leaf
-		if s.tagged {
-			st.Vers[s.key] = s.ver
-		}
-		if s.stashed {
-			st.Stash[s.key] = append([]byte(nil), o.value(int32(i))...)
-		}
-	}
-	return st
 }
 
 // Resume rebuilds a PathORAM handle from captured state, attaching to the
@@ -88,89 +74,54 @@ func Resume(svc store.Service, cipher *crypto.Cipher, st *State) (*ORAM, error) 
 		name:       st.Name,
 		capacity:   st.Capacity,
 		z:          st.Z,
-		levels:     st.Levels,
-		numLeaves:  st.NumLeaves,
 		keyWidth:   st.KeyWidth,
 		valueWidth: st.ValueWidth,
-		index:      make(map[string]int32, len(st.PosMap)),
+		index:      make(map[string]int32, len(st.Slots)),
+		slots:      slices.Clone(st.Slots),
+		values:     slices.Clone(st.Values),
 		stashLimit: st.StashLimit,
 		maxStash:   st.MaxStash,
 		accesses:   st.Accesses,
 		rng:        newRNG(st.Seed),
 	}
 	o.initScratch()
-	blank := make([]byte, o.valueWidth)
-	for k, leaf := range st.PosMap {
-		v, stashed := st.Stash[k]
-		if !stashed {
-			v = blank
+	for i, s := range st.Slots {
+		o.index[s.Key] = int32(i)
+		if s.Stashed {
+			o.stash = append(o.stash, int32(i))
 		}
-		i := o.add(k, leaf, v, stashed)
-		o.slots[i].ver, o.slots[i].tagged = st.Vers[k]
 	}
 	return o, nil
 }
 
+// validate refuses a state that describes no handle an access ever left
+// behind, naming the key at fault where there is one.
 func (st *State) validate() error {
-	if st.Name == "" {
+	switch {
+	case st == nil:
+		return fmt.Errorf("oram: resume: no state")
+	case st.Name == "":
 		return fmt.Errorf("oram: resume: empty object name")
-	}
-	if st.Capacity < 1 || st.KeyWidth < 1 || st.ValueWidth < 1 {
+	case st.Capacity < 1 || st.Capacity > 1<<32 || st.KeyWidth < 1 || st.ValueWidth < 1:
 		return fmt.Errorf("oram: resume %q: invalid shape (capacity %d, widths %d/%d)",
 			st.Name, st.Capacity, st.KeyWidth, st.ValueWidth)
+	case st.Z < 1 || st.StashLimit < 1:
+		return fmt.Errorf("oram: resume %q: bucket size %d, stash limit %d: both must be ≥ 1", st.Name, st.Z, st.StashLimit)
+	case len(st.Values) != len(st.Slots)*st.ValueWidth:
+		return fmt.Errorf("oram: resume %q: %d value bytes for %d slots of %d", st.Name, len(st.Values), len(st.Slots), st.ValueWidth)
 	}
-	if st.Z < 1 || st.Levels < 1 || st.NumLeaves != 1<<(st.Levels-1) {
-		return fmt.Errorf("oram: resume %q: inconsistent tree shape (Z %d, %d levels, %d leaves)",
-			st.Name, st.Z, st.Levels, st.NumLeaves)
-	}
-	if st.StashLimit < 1 {
-		return fmt.Errorf("oram: resume %q: stash limit %d < 1", st.Name, st.StashLimit)
-	}
-	for k, leaf := range st.PosMap {
-		if int(leaf) >= st.NumLeaves {
-			return fmt.Errorf("oram: resume %q: key %q maps to leaf %d of %d", st.Name, k, leaf, st.NumLeaves)
+	_, numLeaves := shape(st.Capacity)
+	seen := make(map[string]bool, len(st.Slots))
+	for _, s := range st.Slots {
+		switch {
+		case int(s.Leaf) >= numLeaves:
+			return fmt.Errorf("oram: resume %q: key %q maps to leaf %d of %d", st.Name, s.Key, s.Leaf, numLeaves)
+		case len(s.Key) > st.KeyWidth:
+			return fmt.Errorf("oram: resume %q: key %q has %d bytes, max %d", st.Name, s.Key, len(s.Key), st.KeyWidth)
+		case seen[s.Key]:
+			return fmt.Errorf("oram: resume %q: key %q has two slots", st.Name, s.Key)
 		}
-		if len(k) > st.KeyWidth {
-			return fmt.Errorf("oram: resume %q: key %q has %d bytes, max %d", st.Name, k, len(k), st.KeyWidth)
-		}
-	}
-	// A stashed block or a freshness tag belongs to a live key: the live
-	// keys are the position map's.
-	for k, v := range st.Stash {
-		if _, live := st.PosMap[k]; !live {
-			return fmt.Errorf("oram: resume %q: stashed key %q has no position", st.Name, k)
-		}
-		if len(v) != st.ValueWidth {
-			return fmt.Errorf("oram: resume %q: stashed key %q has a %d-byte value, want %d", st.Name, k, len(v), st.ValueWidth)
-		}
-	}
-	for k := range st.Vers {
-		if _, live := st.PosMap[k]; !live {
-			return fmt.Errorf("oram: resume %q: tagged key %q has no position", st.Name, k)
-		}
+		seen[s.Key] = true
 	}
 	return nil
-}
-
-// StoreState is the checkpoint form of a handle as the checkpoint file lays it
-// out: the PathORAM state under Path.
-type StoreState struct {
-	Path *State
-	// Linear is set only in files written for the scan ORAM, which commit
-	// 56f5a87 was the last to resume. gob drops what the receiver has no
-	// field for, so without this one such a file would decode to an empty
-	// state; with it the reader can refuse the file by name.
-	Linear *struct{ Name string }
-}
-
-// CheckpointState captures the client-held state for a client-local
-// checkpoint file; ResumeStore rebuilds the handle from it.
-func (o *ORAM) CheckpointState() *StoreState { return &StoreState{Path: o.State()} }
-
-// ResumeStore rebuilds the handle the state describes.
-func ResumeStore(svc store.Service, cipher *crypto.Cipher, st *StoreState) (*ORAM, error) {
-	if st == nil || st.Path == nil {
-		return nil, fmt.Errorf("oram: resume: no PathORAM state")
-	}
-	return Resume(svc, cipher, st.Path)
 }

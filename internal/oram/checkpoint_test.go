@@ -42,29 +42,22 @@ func TestPathORAMStateResume(t *testing.T) {
 		}
 	}
 
-	st := o.CheckpointState()
-	if st.Path == nil || st.Linear != nil {
-		t.Fatalf("path ORAM checkpoint = %+v, want Path set", st)
-	}
+	st := o.State()
 	accesses := o.Accesses()
 
 	// The checkpoint must be a deep copy: further accesses on the live
 	// handle change server state, so from here on only the resumed handle
-	// may touch svc. Mutating the live handle's maps must not leak in.
-	for k, leaf := range st.Path.PosMap {
-		i, ok := o.index[k]
-		if !ok {
-			t.Fatalf("posMap key %q in state but not live handle", k)
-		}
-		if o.slots[i].leaf != leaf {
-			t.Fatalf("posMap key %q at leaf %d in state, %d in the live handle", k, leaf, o.slots[i].leaf)
-		}
+	// may touch svc. Mutating the live handle's slots must not leak in.
+	if !reflect.DeepEqual(st.Slots, o.slots) || !bytes.Equal(st.Values, o.values) {
+		t.Fatal("state's slots and slab differ from the live handle's")
 	}
-	if len(st.Path.PosMap) != o.Len() {
-		t.Fatalf("state has %d live keys, handle %d", len(st.Path.PosMap), o.Len())
+	o.slots[0].Leaf++
+	o.values[0]++
+	if st.Slots[0].Leaf == o.slots[0].Leaf || st.Values[0] == o.values[0] {
+		t.Fatal("state shares slots or slab with the live handle")
 	}
 
-	r, err := ResumeStore(svc, cipher, st)
+	r, err := Resume(svc, cipher, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +67,7 @@ func TestPathORAMStateResume(t *testing.T) {
 	if r.Len() != 20 {
 		t.Errorf("resumed len = %d, want 20", r.Len())
 	}
+	checkSlots(t, r)
 	for i := 0; i < 20; i++ {
 		v, found, err := r.Read(fmt.Sprintf("k%02d", i))
 		if err != nil {
@@ -109,50 +103,52 @@ func TestResumeStateValidation(t *testing.T) {
 	cipher := newTestCipher(t)
 	cases := []struct {
 		name string
-		st   *StoreState
+		st   *State
 	}{
 		{"nil state", nil},
-		{"empty state", &StoreState{}},
-		{"bad leaves", &StoreState{Path: &State{Name: "x", Capacity: 4, Z: 4, Levels: 3, NumLeaves: 5, KeyWidth: 1, ValueWidth: 1, StashLimit: 10}}},
-		{"leaf out of range", &StoreState{Path: &State{Name: "x", Capacity: 4, Z: 4, Levels: 2, NumLeaves: 2, KeyWidth: 1, ValueWidth: 1, StashLimit: 10,
-			PosMap: map[string]uint32{"k": 7}}}},
-		{"scan-ORAM state", &StoreState{Linear: &struct{ Name string }{"x"}}},
+		{"empty state", &State{}},
+		{"more leaves than a uint32 names", &State{Name: "x", Capacity: 1<<32 + 1, Z: 4, KeyWidth: 1, ValueWidth: 1, StashLimit: 10}},
+		{"no stash", &State{Name: "x", Capacity: 4, Z: 4, KeyWidth: 1, ValueWidth: 1}},
 	}
 	for _, c := range cases {
-		if _, err := ResumeStore(svc, cipher, c.st); err == nil {
+		if _, err := Resume(svc, cipher, c.st); err == nil {
 			t.Errorf("%s: resume accepted", c.name)
 		}
 	}
 }
 
-// TestResumeRefusesStateSlotsCannotHold: a state whose stash or tags name a
-// key with no position, whose stashed value is not ValueWidth wide, or whose
-// key is wider than KeyWidth describes no handle an access ever left behind.
-// Each was accepted until the client state moved into slots, and failed only
-// accesses later — as a server integrity fault, or silently. Resume refuses
-// it and names the key.
+// TestResumeRefusesStateSlotsCannotHold: a state whose slot points past the
+// tree's leaves, whose key is wider than KeyWidth or held by two slots, whose
+// slab is not one value per slot, which names no object, or whose buckets hold
+// no block, describes no handle an access ever left behind. Accepted, each
+// would fail only accesses later — as a server integrity fault, or silently.
+// Resume refuses it and says what is wrong, naming the key where there is one.
 func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 	svc := store.NewServer()
 	cipher := newTestCipher(t)
 	base := func() *State {
-		return &State{Name: "x", Capacity: 4, Z: 4, Levels: 3, NumLeaves: 4, KeyWidth: 2, ValueWidth: 2, StashLimit: 10,
-			PosMap: map[string]uint32{"k": 1, "j": 2},
-			Stash:  map[string][]byte{"k": {1, 2}},
-			Vers:   map[string]uint64{"j": 3},
+		return &State{Name: "x", Capacity: 4, Z: 4, KeyWidth: 2, ValueWidth: 2, StashLimit: 10,
+			Slots: []Slot{
+				{Key: "k", Leaf: 1, Stashed: true},
+				{Key: "j", Leaf: 3, Ver: 3, Tagged: true},
+			},
+			Values: []byte{1, 2, 0, 0},
 		}
 	}
 	if _, err := Resume(svc, cipher, base()); err != nil {
 		t.Fatalf("well-formed state refused: %v", err)
 	}
 	cases := []struct {
-		name, key string
-		spoil     func(*State)
+		name, want string
+		spoil      func(*State)
 	}{
-		{"stashed key with no position", "s", func(st *State) { st.Stash["s"] = []byte{1, 2} }},
-		{"tagged key with no position", "v", func(st *State) { st.Vers["v"] = 1 }},
-		{"short stashed value", "k", func(st *State) { st.Stash["k"] = []byte{1} }},
-		{"long stashed value", "k", func(st *State) { st.Stash["k"] = []byte{1, 2, 3} }},
-		{"key wider than KeyWidth", "wide", func(st *State) { st.PosMap["wide"] = 0 }},
+		{"leaf past the derived leaf count", `"j"`, func(st *State) { st.Slots[1].Leaf = 4 }},
+		{"key wider than KeyWidth", `"wide"`, func(st *State) { st.Slots[0].Key = "wide" }},
+		{"duplicate key", `"k"`, func(st *State) { st.Slots[1].Key = "k" }},
+		{"short slab", "3 value bytes for 2 slots", func(st *State) { st.Values = st.Values[:3] }},
+		{"long slab", "5 value bytes for 2 slots", func(st *State) { st.Values = append(st.Values, 0) }},
+		{"empty name", "empty object name", func(st *State) { st.Name = "" }},
+		{"Z < 1", "bucket size 0", func(st *State) { st.Z = 0 }},
 	}
 	for _, c := range cases {
 		st := base()
@@ -161,25 +157,35 @@ func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 		switch {
 		case err == nil:
 			t.Errorf("%s: resume accepted", c.name)
-		case !strings.Contains(err.Error(), fmt.Sprintf("%q", c.key)):
-			t.Errorf("%s: error does not name key %q: %v", c.name, c.key, err)
+		case !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error does not say %s: %v", c.name, c.want, err)
 		}
 	}
 }
 
 // mapEraBytes is ClientMemoryBytes as it was computed when the client state
-// was the three maps of State: per live key its length and a 4-byte leaf, per
-// tagged key its length and an 8-byte version, per stashed key its length and
-// its value.
+// was three maps, over those maps rebuilt from the slots: per live key its
+// length and a 4-byte leaf, per tagged key its length and an 8-byte version,
+// per stashed key its length and its value.
 func mapEraBytes(st *State) int {
+	posMap, vers, stash := make(map[string]uint32), make(map[string]uint64), make(map[string][]byte)
+	for i, s := range st.Slots {
+		posMap[s.Key] = s.Leaf
+		if s.Tagged {
+			vers[s.Key] = s.Ver
+		}
+		if s.Stashed {
+			stash[s.Key] = st.Values[i*st.ValueWidth : (i+1)*st.ValueWidth]
+		}
+	}
 	total := 0
-	for k := range st.PosMap {
+	for k := range posMap {
 		total += len(k) + 4
 	}
-	for k := range st.Vers {
+	for k := range vers {
 		total += len(k) + verWidth
 	}
-	for k, v := range st.Stash {
+	for k, v := range stash {
 		total += len(k) + len(v)
 	}
 	return total
@@ -187,9 +193,9 @@ func mapEraBytes(st *State) int {
 
 // TestClientStateMatchesMapEra: over a seeded random Write / Read / Remove /
 // Update mix on both engine shapes, ClientMemoryBytes equals the map-era
-// formula computed from State's maps after every access, the slots stay
-// consistent, and State → Resume → State gives equal maps (the resumed handle
-// then carries on with the mix). This pins client_mem_kb and Fig. 5's
+// formula over State after every access, the slots stay consistent, and
+// State → Resume → State gives equal slots and slab (the resumed handle then
+// carries on with the mix). This pins client_mem_kb and Fig. 5's
 // client-memory column.
 func TestClientStateMatchesMapEra(t *testing.T) {
 	for _, shape := range []struct{ capacity, valueWidth int }{{2048 + 2000, 16}, {1024, 8}} {
@@ -250,8 +256,8 @@ func TestClientStateMatchesMapEra(t *testing.T) {
 				if got, want := o.ClientMemoryBytes(), mapEraBytes(st); got != want {
 					t.Fatalf("step %d: ClientMemoryBytes = %d, map-era formula over State gives %d", step, got, want)
 				}
-				if len(st.PosMap) != len(oracle) {
-					t.Fatalf("step %d: %d live keys, oracle %d", step, len(st.PosMap), len(oracle))
+				if len(st.Slots) != len(oracle) {
+					t.Fatalf("step %d: %d live keys, oracle %d", step, len(st.Slots), len(oracle))
 				}
 				if step%250 == 249 {
 					r, err := Resume(svc, cipher, st)
@@ -259,8 +265,8 @@ func TestClientStateMatchesMapEra(t *testing.T) {
 						t.Fatalf("step %d: %v", step, err)
 					}
 					again := r.State()
-					if !reflect.DeepEqual(st.PosMap, again.PosMap) || !reflect.DeepEqual(st.Stash, again.Stash) || !reflect.DeepEqual(st.Vers, again.Vers) {
-						t.Fatalf("step %d: State → Resume → State changed the maps", step)
+					if !reflect.DeepEqual(st.Slots, again.Slots) || !bytes.Equal(st.Values, again.Values) {
+						t.Fatalf("step %d: State → Resume → State changed the slots", step)
 					}
 					checkSlots(t, r)
 					o = r // the live handle is abandoned: only r may touch svc from here on

@@ -124,9 +124,9 @@ type ORAM struct {
 	// index maps a live key to its slot; values holds valueWidth bytes per
 	// slot, meaningful while the slot is stashed; stash lists the stashed
 	// slots. Slots are dense: removing a key moves the last slot into its
-	// place. State converts to and from the three maps a checkpoint holds.
+	// place. State copies slots and slab as they are.
 	index  map[string]int32
-	slots  []slot
+	slots  []Slot
 	values []byte
 	stash  []int32
 
@@ -203,19 +203,12 @@ func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*
 	if sf == 0 {
 		sf = DefaultStashFactor
 	}
-	numLeaves := nextPow2(cfg.Capacity)
-	if numLeaves < 2 {
-		numLeaves = 2
-	}
-	levels := bits.TrailingZeros(uint(numLeaves)) + 1
 	o := &ORAM{
 		svc:        svc,
 		cipher:     cipher,
 		name:       name,
 		capacity:   cfg.Capacity,
 		z:          z,
-		levels:     levels,
-		numLeaves:  numLeaves,
 		keyWidth:   cfg.KeyWidth,
 		valueWidth: cfg.ValueWidth,
 		index:      make(map[string]int32),
@@ -223,15 +216,12 @@ func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*
 		rng:        newRNG(cfg.Seed),
 	}
 	o.initScratch()
-	if o.stashLimit < sf {
-		o.stashLimit = sf // capacity 1 still gets a usable stash
-	}
 	if cfg.Metrics != nil {
 		o.SetTelemetry(cfg.Metrics)
 	}
 	// One stored slot per bucket: the server sees a bucket as one opaque
 	// ciphertext.
-	if err := svc.CreateTree(name, levels, 1); err != nil {
+	if err := svc.CreateTree(name, o.levels, 1); err != nil {
 		return nil, fmt.Errorf("oram: creating tree: %w", err)
 	}
 	if err := o.initTree(); err != nil {
@@ -241,9 +231,11 @@ func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*
 	return o, nil
 }
 
-// initScratch derives the block layout from the handle's shape and sizes the
-// per-handle scratch; Setup and Resume both finish construction with it.
+// initScratch derives the tree shape and block layout from the handle's
+// capacity and widths and sizes the per-handle scratch; Setup and Resume both
+// finish construction with it.
 func (o *ORAM) initScratch() {
+	o.levels, o.numLeaves = shape(o.capacity)
 	o.blockSize = 1 + verWidth + crypto.PadWidth(o.keyWidth) + o.valueWidth
 	o.ad = treeAD(o.name)
 	o.adPrefix = len(o.ad)
@@ -253,17 +245,24 @@ func (o *ORAM) initScratch() {
 	o.byLevel = make([][]int32, o.levels)
 }
 
-// A slot is one live key's client state: the leaf its block is assigned to,
-// the version stamped into its tree copy when it was last evicted (tagged is
+// shape is the tree for a capacity: the next power of two ≥ capacity leaves,
+// at least two, and the levels from root to leaf.
+func shape(capacity int) (levels, numLeaves int) {
+	d := ceilLog2(capacity)
+	return d + 1, 1 << d
+}
+
+// A Slot is one live key's client state: the leaf its block is assigned to,
+// the version stamped into its tree copy when it was last evicted (Tagged is
 // false until it first is; a decrypted block whose version differs is a
 // replayed or rolled-back copy, DESIGN.md §10), and whether the block is in
-// the stash, its value then in the slot's part of values.
-type slot struct {
-	key     string
-	leaf    uint32
-	ver     uint64
-	tagged  bool
-	stashed bool
+// the stash, its value then in the slot's part of the value slab.
+type Slot struct {
+	Key     string
+	Leaf    uint32
+	Ver     uint64
+	Tagged  bool
+	Stashed bool
 }
 
 // value is slot i's part of the value slab.
@@ -276,7 +275,7 @@ func (o *ORAM) value(i int32) []byte {
 // returns its number.
 func (o *ORAM) add(key string, leaf uint32, value []byte, stashed bool) int32 {
 	i := int32(len(o.slots))
-	o.slots = append(o.slots, slot{key: key, leaf: leaf, stashed: stashed})
+	o.slots = append(o.slots, Slot{Key: key, Leaf: leaf, Stashed: stashed})
 	o.values = append(o.values, value...)
 	o.index[key] = i
 	if stashed {
@@ -289,7 +288,7 @@ func (o *ORAM) add(key string, leaf uint32, value []byte, stashed bool) int32 {
 // last slot into its place.
 func (o *ORAM) drop(i int32) {
 	last := int32(len(o.slots) - 1)
-	delete(o.index, o.slots[i].key)
+	delete(o.index, o.slots[i].Key)
 	if j := slices.Index(o.stash, i); j >= 0 {
 		o.stash[j] = o.stash[len(o.stash)-1]
 		o.stash = o.stash[:len(o.stash)-1]
@@ -297,12 +296,12 @@ func (o *ORAM) drop(i int32) {
 	if i != last {
 		o.slots[i] = o.slots[last]
 		copy(o.value(i), o.value(last))
-		o.index[o.slots[i].key] = i
+		o.index[o.slots[i].Key] = i
 		if j := slices.Index(o.stash, last); j >= 0 {
 			o.stash[j] = i
 		}
 	}
-	o.slots[last] = slot{} // let the key string go
+	o.slots[last] = Slot{} // let the key string go
 	o.slots = o.slots[:last]
 	o.values = o.values[:int(last)*o.valueWidth]
 }
@@ -369,14 +368,6 @@ func newRNG(seed int64) *mrand.Rand {
 	return mrand.New(mrand.NewSource(seed))
 }
 
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 func ceilLog2(n int) int {
 	if n <= 1 {
 		return 1
@@ -409,19 +400,21 @@ func (o *ORAM) StashLimit() int { return o.stashLimit }
 // have been performed. Protocol tests use it to verify fixed access counts.
 func (o *ORAM) Accesses() int64 { return o.accesses }
 
-// ClientMemoryBytes estimates the client-held state size: position map
-// entries, freshness tags and stashed blocks, each a key plus its datum, as
-// the three maps of State hold them. This backs the client-memory curve of
-// Fig. 5.
+// ClientMemoryBytes estimates the client-held state size: per live key its
+// length and a 4-byte leaf, per tagged key its length and an 8-byte version,
+// per stashed key its length and its value — a position map, a tag map and a
+// stash keyed by the key. It estimates what the client must hold, not the
+// slots and slab it does hold, and keeps the figure comparable across builds.
+// This backs the client-memory curve of Fig. 5.
 func (o *ORAM) ClientMemoryBytes() int {
 	total := 0
 	for _, s := range o.slots {
-		total += len(s.key) + 4
-		if s.tagged {
-			total += len(s.key) + verWidth // freshness tags are client state too
+		total += len(s.Key) + 4
+		if s.Tagged {
+			total += len(s.Key) + verWidth // freshness tags are client state too
 		}
-		if s.stashed {
-			total += len(s.key) + o.valueWidth
+		if s.Stashed {
+			total += len(s.Key) + o.valueWidth
 		}
 	}
 	return total
@@ -548,7 +541,7 @@ func (o *ORAM) begin(key string) (uint32, error) {
 	var leaf uint32
 	i, known := o.index[key]
 	if known {
-		leaf = o.slots[i].leaf
+		leaf = o.slots[i].Leaf
 	} else {
 		// Dummy path: uniformly random, like any remapped leaf.
 		i, leaf = -1, uint32(o.rng.Intn(o.numLeaves))
@@ -619,13 +612,13 @@ func (o *ORAM) serve(buckets [][]byte, fn UpdateFunc) ([][]byte, error) {
 				return nil, o.integrityErr(fmt.Sprintf("replayed block %q (key not live)", k), nil)
 			}
 			s := &o.slots[i]
-			if s.stashed {
+			if s.Stashed {
 				return nil, o.integrityErr(fmt.Sprintf("duplicate copy of block %q (already stashed)", k), nil)
 			}
-			if ver != s.ver {
-				return nil, o.integrityErr(fmt.Sprintf("stale block %q: version %d, want %d", k, ver, s.ver), nil)
+			if ver != s.Ver {
+				return nil, o.integrityErr(fmt.Sprintf("stale block %q: version %d, want %d", k, ver, s.Ver), nil)
 			}
-			s.stashed = true
+			s.Stashed = true
 			copy(o.value(i), v)
 			o.stash = append(o.stash, i)
 		}
@@ -638,7 +631,7 @@ func (o *ORAM) serve(buckets [][]byte, fn UpdateFunc) ([][]byte, error) {
 	var old []byte
 	found := i >= 0
 	if found {
-		if !o.slots[i].stashed {
+		if !o.slots[i].Stashed {
 			return nil, o.integrityErr(fmt.Sprintf("block %q missing from its assigned path (leaf %d)", key, leaf), nil)
 		}
 		old = o.value(i)
@@ -660,7 +653,7 @@ func (o *ORAM) serve(buckets [][]byte, fn UpdateFunc) ([][]byte, error) {
 		} else {
 			i = o.add(key, 0, value, true)
 		}
-		o.slots[i].leaf = uint32(o.rng.Intn(o.numLeaves))
+		o.slots[i].Leaf = uint32(o.rng.Intn(o.numLeaves))
 	}
 
 	o.maxStash = max(o.maxStash, len(o.stash))
@@ -696,7 +689,7 @@ func (o *ORAM) evict(leaf uint32) ([][]byte, error) {
 		o.byLevel[l] = o.byLevel[l][:0]
 	}
 	for _, i := range o.stash {
-		l := leafLevel - bits.Len32(o.slots[i].leaf^leaf)
+		l := leafLevel - bits.Len32(o.slots[i].Leaf^leaf)
 		o.byLevel[l] = append(o.byLevel[l], i)
 	}
 	// Safe to reuse: every entry is overwritten below, and the server keeps
@@ -712,10 +705,10 @@ func (o *ORAM) evict(leaf uint32) ([][]byte, error) {
 			// Stamp a fresh version into the outgoing copy; the client-held
 			// tag is what later reads are checked against.
 			s := &o.slots[i]
-			if err := o.putBlock(pt[:o.blockSize], s.key, o.value(i), s.ver+1); err != nil {
+			if err := o.putBlock(pt[:o.blockSize], s.Key, o.value(i), s.Ver+1); err != nil {
 				return nil, err
 			}
-			s.ver, s.tagged, s.stashed = s.ver+1, true, false
+			s.Ver, s.Tagged, s.Stashed = s.Ver+1, true, false
 		}
 		ct, err := o.sealBucket(o.pathBucket(leaf, l))
 		if err != nil {

@@ -3,6 +3,7 @@ package store
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // FS abstracts the filesystem operations the durable store performs, so the
@@ -68,3 +69,34 @@ func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 func (osFS) Remove(name string) error { return os.Remove(name) }
 
 func (osFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
+
+// ReplaceFile replaces path atomically with what write puts in it: write goes
+// to a temporary file beside path (named by pattern, as CreateTemp names
+// them), which is fsynced, closed and renamed over path, and then the
+// directory is fsynced, so that once ReplaceFile returns neither a crash nor a
+// power loss can bring the older file back. On failure the temporary file is
+// removed and the error returned; path is either the old file or, if only the
+// directory fsync failed, the new one.
+func ReplaceFile(fsys FS, path, pattern string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	name := tmp.Name()
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(name, path)
+	}
+	if err != nil {
+		_ = fsys.Remove(name) // best effort: err is the failure to report
+		return err
+	}
+	return syncDir(fsys, dir)
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -213,40 +214,18 @@ func loadFence(fsys FS, dir string) (fence int64, primary bool, ok bool, err err
 	return fence, fields[1] == "primary", true, nil
 }
 
-// saveFence durably records the fence and role via temp + fsync + rename +
-// dir sync, the same discipline as snapshots: the role change must not be
-// observable before it is durable, or a crash could resurrect a deposed
-// primary.
+// saveFence durably records the fence and role (ReplaceFile), the same
+// discipline as snapshots: the role change must not be observable before it
+// is durable, or a crash could resurrect a deposed primary.
 func saveFence(fsys FS, dir string, fence int64, primary bool) error {
 	role := "replica"
 	if primary {
 		role = "primary"
 	}
-	tmp, err := fsys.CreateTemp(dir, "fence-*.tmp")
-	if err != nil {
+	return ReplaceFile(fsys, filepath.Join(dir, fenceFile), "fence-*.tmp", func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d %s\n", fence, role)
 		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		fsys.Remove(tmpName)
-		return err
-	}
-	if _, err := fmt.Fprintf(tmp, "%d %s\n", fence, role); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmpName)
-		return err
-	}
-	if err := fsys.Rename(tmpName, filepath.Join(dir, fenceFile)); err != nil {
-		fsys.Remove(tmpName)
-		return err
-	}
-	return syncDir(fsys, dir)
+	})
 }
 
 // Replicated wraps d with the given replication role. The FENCE file in d's
