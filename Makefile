@@ -55,12 +55,16 @@ tamper:
 # Replication and failover chaos suite: kill the primary of a 3-node
 # cluster at seeded WAL offsets mid-discovery and require the failover
 # client to promote a replica and finish with the identical FD set; plus
-# the per-layer properties (stream integrity, fencing, promotion).
-# -race because promotion and WAL shipping cross the replication locks.
+# the per-layer properties (stream integrity, fencing, promotion), and the
+# client's re-dial path (a dropped call fails once, the next call re-dials,
+# Close never waits behind a failing call).
+# -race because promotion and WAL shipping cross the replication locks, and
+# a re-dial swaps the client's connection under its lock.
 failover:
 	$(GO) test -race -count=1 -run 'Failover' .
 	$(GO) test -race -count=1 -run 'Replic|Fenc|Shipping|DownReplica|MalformedFence' ./internal/store/
 	$(GO) test -race -count=1 -run 'Failover|Repl' ./internal/transport/
+	$(GO) test -race -count=1 -run 'Heal|Drop|Resen|Close|Session' ./internal/transport/
 
 # Self-healing chaos suite: seeded corruption (array cells, ORAM tree slots,
 # WAL bytes, snapshot files) and an ENOSPC window injected mid-discovery on a

@@ -3,7 +3,7 @@ package oblivfd
 // Chaos tests: end-to-end FD discovery over a transport that keeps
 // failing — transient server errors, latency spikes, and mid-call
 // connection drops, all on seeded schedules. The fault-tolerance stack
-// (self-healing transport.Client/Pool + store.WithRetry) must complete the
+// (store.WithRetry over re-dialing transport.Client/Pool) must complete the
 // run and produce exactly the FDs of a fault-free run; the seed transport
 // (no deadlines, no retries, no reconnection) must fail on the same
 // schedule, which is the gap this stack closes.
@@ -48,15 +48,9 @@ func startChaosServer(t *testing.T, seed int64) (*store.FaultService, *transport
 	return faulty, fl, l.Addr().String()
 }
 
-// chaosClientConfig keeps reconnection fast enough for tests.
+// chaosClientConfig keeps deadlines short enough for tests.
 func chaosClientConfig() transport.ClientConfig {
-	return transport.ClientConfig{
-		CallTimeout:      10 * time.Second,
-		DialTimeout:      2 * time.Second,
-		Redials:          10,
-		RedialBackoff:    time.Millisecond,
-		RedialMaxBackoff: 50 * time.Millisecond,
-	}
+	return transport.ClientConfig{CallTimeout: 10 * time.Second, DialTimeout: 2 * time.Second}
 }
 
 // referenceFDs runs fault-free in-process discovery.

@@ -35,6 +35,9 @@ type nodeSetup struct {
 	// store, replication (shipments carry the primary's span context) and RPC
 	// dispatch all share it.
 	trace *otrace.Tracer
+	// drops, when its DropRate is set, serves the node behind a listener
+	// that severs connections mid-call on that seeded schedule.
+	drops transport.FaultConfig
 }
 
 // newCluster boots 1 primary (node 0) + (n-1) replicas over real TCP sockets,
@@ -76,7 +79,7 @@ func newCluster(t *testing.T, n int, perNode func(i int, s *nodeSetup)) []*clust
 			RedialEvery: 1,
 			Dial: func(addr string) (store.ReplicaConn, error) {
 				return transport.DialWith(addr, transport.ClientConfig{
-					DialTimeout: time.Second, Redials: -1, Trace: s.trace,
+					DialTimeout: time.Second, Trace: s.trace,
 				})
 			},
 			Trace: s.trace,
@@ -87,7 +90,11 @@ func newCluster(t *testing.T, n int, perNode func(i int, s *nodeSetup)) []*clust
 		ts := transport.NewServer(rep)
 		ts.SetReplicator(rep)
 		ts.SetTracer(s.trace)
-		go func(l net.Listener) { _ = ts.Serve(l) }(listeners[i])
+		l := listeners[i]
+		if s.drops.DropRate > 0 {
+			l = transport.WithConnFaults(l, s.drops)
+		}
+		go func() { _ = ts.Serve(l) }()
 		nodes[i] = &clusterNode{addr: addrs[i], dir: dir, rep: rep, ts: ts}
 		if s.scrub {
 			sc := store.NewScrubber(d, rep, store.ScrubConfig{Interval: 200 * time.Millisecond})
@@ -111,7 +118,6 @@ func dial(t *testing.T, nodes []*clusterNode, maxAttempts int) (*transport.Failo
 	}
 	cfg := securefd.DefaultClientConfig()
 	cfg.DialTimeout = time.Second
-	cfg.Redials = 1
 	f, err := securefd.DialTCPFailover(addrs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)

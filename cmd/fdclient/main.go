@@ -10,10 +10,12 @@
 //
 //	fdclient -servers host1:7066,host2:7066,host3:7066 data.csv
 //
-// The transport is fault tolerant: every call carries a deadline
-// (-call-timeout), dropped connections re-dial with backoff (-redials),
-// and transient server failures are retried (-retries) — so a long run
-// survives restarts and flaky networks. Counters are reported at the end.
+// The run is fault tolerant: every call carries a deadline (-call-timeout);
+// a call that fails on a dropped connection, a restarting server or a
+// transient server fault is sent again with backoff, up to -retries attempts
+// (the one layer that re-sends); and the connection it failed on is re-dialed
+// by the next call. With -servers a lost primary is one more such failure.
+// Counters are reported at the end.
 //
 // -telemetry <file> writes the run's phase/metric snapshot as JSON: span
 // totals by name from the run's tracer (per lattice level, per candidate
@@ -40,7 +42,6 @@ type options struct {
 	pool        int           // parallel TCP connections
 	retries     int           // max attempts per storage call (0 = default)
 	callTimeout time.Duration // per-call deadline
-	redials     int           // reconnection attempts per call
 	db          string        // database namespace on a multi-tenant server
 	token       string        // session auth token
 	servers     string        // comma-separated replicated fdserver addresses
@@ -57,7 +58,6 @@ func main() {
 	flag.IntVar(&o.pool, "pool", 0, "parallel TCP connections (0 = one per worker)")
 	flag.IntVar(&o.retries, "retries", 0, "max attempts per storage call (0 = default policy, 1 = no retry)")
 	flag.DurationVar(&o.callTimeout, "call-timeout", 0, "per-call deadline (0 = default)")
-	flag.IntVar(&o.redials, "redials", 0, "reconnection attempts per call after a dropped connection (0 = default)")
 	flag.StringVar(&o.db, "db", "", "database namespace to bind the session to on a multi-tenant server (empty = root)")
 	flag.StringVar(&o.token, "token", "", "session auth token, required when the server runs with -session-token")
 	flag.StringVar(&o.telemetry, "telemetry", "", "write the run's phase/metric snapshot (per-level wall time, RPC latency quantiles) as JSON to this file")
@@ -96,9 +96,6 @@ func run(server string, o options, path string) error {
 	cfg := securefd.DefaultClientConfig()
 	if o.callTimeout > 0 {
 		cfg.CallTimeout = o.callTimeout
-	}
-	if o.redials > 0 {
-		cfg.Redials = o.redials
 	}
 	cfg.Database = o.db
 	cfg.Token = o.token

@@ -46,7 +46,7 @@ func TestClientAgainstServer(t *testing.T) {
 }
 
 // TestClientAgainstFaultyServer: the default fdclient stack (pooled
-// self-healing connections + retry) completes against a server injecting
+// re-dialing connections under the retry layer) completes against a server injecting
 // transient faults and connection drops.
 func TestClientAgainstFaultyServer(t *testing.T) {
 	backend := store.WithFaults(store.NewServer(), store.FaultConfig{Seed: 2, ErrorRate: 0.05})
@@ -58,7 +58,7 @@ func TestClientAgainstFaultyServer(t *testing.T) {
 	fl := transport.WithConnFaults(l, transport.FaultConfig{Seed: 3, DropRate: 0.01})
 	go func() { _ = transport.Serve(fl, backend) }()
 
-	o := options{protoName: "sort", workers: 2, retries: 8, callTimeout: 5 * time.Second, redials: 8}
+	o := options{protoName: "sort", workers: 2, retries: 8, callTimeout: 5 * time.Second}
 	if err := run(l.Addr().String(), o, writeCSV(t)); err != nil {
 		t.Errorf("run against faulty server: %v", err)
 	}

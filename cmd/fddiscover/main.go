@@ -17,6 +17,13 @@
 //
 //	fddiscover -servers host1:7066,host2:7066,host3:7066 data.csv
 //
+// With -connect or -servers every storage call runs under the retry layer,
+// the one layer that sends a call again: a call that fails on a dropped
+// connection, a restarting server or a transient fault is re-sent with
+// backoff, up to -retries attempts, and the connection it failed on is
+// re-dialed by the next call. A lost -servers primary is one more such
+// failure: the client fails over and the retry lands on the new primary.
+//
 // The in-process server can model a remote deployment: -rtt adds
 // per-operation latency, and -fault-rate injects seeded transient storage
 // failures that the client rides out with -retries (demonstrating the
@@ -376,7 +383,7 @@ func run(path string, o options) error {
 		svc = faulty
 	}
 	var retried *securefd.RetryService
-	if o.faultRate > 0 || o.retries > 0 {
+	if o.connect != "" || o.servers != "" || o.faultRate > 0 || o.retries > 0 {
 		retried = securefd.WithRetry(svc, securefd.RetryPolicy{MaxAttempts: o.retries, Metrics: reg})
 		svc = retried
 	}
@@ -411,7 +418,8 @@ func run(path string, o options) error {
 		if faulty != nil || retried != nil {
 			st, err := svc.Stats()
 			if err == nil {
-				log.Info("fault tolerance", "faults_injected", st.FaultsInjected, "retries", st.Retries)
+				log.Info("fault tolerance", "faults_injected", st.FaultsInjected, "retries", st.Retries,
+					"reconnects", st.Reconnects)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/oblivfd/oblivfd/internal/transport"
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
@@ -79,8 +81,30 @@ func TestRunWithTelemetry(t *testing.T) {
 	}
 }
 
+// captureStdout runs fn and returns what it printed to stdout (the FD lines).
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	err = fn()
+	os.Stdout = stdout
+	w.Close()
+	return <-out, err
+}
+
 // TestRunConnect: -connect drives discovery over the TCP transport against
-// a server in another goroutine, with telemetry recording RPC latency.
+// a server in another goroutine, with telemetry recording RPC latency; and
+// against a server whose listener severs 2 % of frames, the retry layer
+// -connect always runs under still returns the plaintext FD set.
 func TestRunConnect(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -103,6 +127,36 @@ func TestRunConnect(t *testing.T) {
 	o.dataDir = t.TempDir()
 	if err := run(writeCSV(t), o); err == nil {
 		t.Error("-connect with -data-dir accepted; want mutual-exclusion error")
+	}
+
+	csv := filepath.Join(t.TempDir(), "rnd.csv")
+	if err := securefd.WriteCSVFile(csv, securefd.GenerateRND(4, 64, 3)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := captureStdout(t, func() error { return run(csv, quietOpts("plaintext")) })
+	if err != nil || want == "" {
+		t.Fatalf("plaintext reference: %q, %v", want, err)
+	}
+	fl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	drops := transport.WithConnFaults(fl, transport.FaultConfig{Seed: 5, DropRate: 0.02})
+	fts := securefd.NewTCPServer(securefd.NewServer())
+	go func() { _ = fts.Serve(drops) }()
+	defer fts.Shutdown(time.Second)
+	o = quietOpts("sort")
+	o.connect = fl.Addr().String()
+	got, err := captureStdout(t, func() error { return run(csv, o) })
+	if err != nil {
+		t.Fatalf("run over a dropping connection: %v", err)
+	}
+	if got != want {
+		t.Errorf("FDs over a dropping connection:\n%s\nwant the plaintext set:\n%s", got, want)
+	}
+	if drops.Drops() == 0 {
+		t.Error("no connection was dropped; the retry path was not exercised")
 	}
 }
 

@@ -15,8 +15,8 @@
 // pre-crash state from the newest valid snapshot plus the log tail — kill -9
 // loses nothing. For resilience experiments, -fault-rate/-spike-rate
 // inject seeded transient storage faults and -drop-rate severs live
-// connections mid-call; a client built on securefd.WithRetry and the
-// self-healing DialTCP transport rides through all of them.
+// connections mid-call; a client that layers securefd.WithRetry over the
+// re-dialing DialTCP transport rides through all of them.
 //
 // With -metrics-addr the server additionally exposes operator telemetry:
 // Prometheus text at /metrics, the same snapshot as JSON at /metrics.json,
@@ -293,7 +293,6 @@ func serve(l net.Listener, cfg config) error {
 				// stall writers for at most one shipment before it is marked
 				// down and skipped until the redial cadence.
 				CallTimeout: shipTimeout,
-				Redials:     -1, // the shipper handles peer loss itself
 			})
 		}
 		r, err := store.Replicated(durable, store.ReplicationConfig{

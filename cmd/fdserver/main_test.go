@@ -87,8 +87,9 @@ func TestServeWithFaultInjection(t *testing.T) {
 	}
 }
 
-// TestServeWithConnDrops: -drop-rate severs connections mid-call; a
-// self-healing client still completes every operation.
+// TestServeWithConnDrops: -drop-rate severs connections mid-call; a client
+// under the retry layer — which sends a dropped call again while the client
+// re-dials for it — still completes every operation.
 func TestServeWithConnDrops(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -97,19 +98,17 @@ func TestServeWithConnDrops(t *testing.T) {
 	defer l.Close()
 	go func() { _ = serve(l, config{dropRate: 0.05, faultSeed: 9}) }()
 
-	cfg := transport.DefaultClientConfig()
-	cfg.RedialBackoff = time.Millisecond
-	cfg.RedialMaxBackoff = 20 * time.Millisecond
-	c, err := transport.DialWith(l.Addr().String(), cfg)
+	c, err := transport.Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.CreateArray("a", 16); err != nil {
+	svc := store.WithRetry(c, store.RetryPolicy{MaxAttempts: 8, InitialBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond})
+	if err := svc.CreateArray("a", 16); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := c.WriteCells("a", []int64{int64(i % 16)}, [][]byte{{byte(i)}}); err != nil {
+		if err := svc.WriteCells("a", []int64{int64(i % 16)}, [][]byte{{byte(i)}}); err != nil {
 			t.Fatalf("write %d through -drop-rate server: %v", i, err)
 		}
 	}

@@ -115,6 +115,45 @@ func TestFailoverPrimaryKilledMidDiscovery(t *testing.T) {
 	}
 }
 
+// TestFailoverPoolNoFailoverOnDrop: a connection dropped mid-call on a
+// primary that can still be dialed is not a failover. Discovery against a
+// healthy cluster whose primary severs 2 % of frames rides every drop out
+// through the retry layer and a re-dial of the same primary, and ends with
+// the plaintext FD set and no failover.
+func TestFailoverPoolNoFailoverOnDrop(t *testing.T) {
+	nodes := newCluster(t, 3, func(i int, s *nodeSetup) {
+		if i == 0 {
+			s.drops = transport.FaultConfig{Seed: 7, DropRate: 0.02}
+		}
+	})
+	f, svc := dial(t, nodes, 10)
+	db, err := securefd.Outsource(svc, crashRelation(t), failoverOpts)
+	if err != nil {
+		t.Fatalf("Outsource: %v", err)
+	}
+	defer db.Close()
+	report, err := db.Discover()
+	if err != nil {
+		t.Fatalf("discovery over a dropping primary: %v", err)
+	}
+	if want := baseline.MinimalFDs(crashRelation(t)); !relation.FDSetEqual(report.Minimal, want) {
+		t.Errorf("FDs = %v, want oracle %v", report.Minimal, want)
+	}
+	st, err := svc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Retries == 0 || st.Reconnects == 0 {
+		t.Errorf("Stats = %d retries, %d reconnects; the drops were not exercised", st.Retries, st.Reconnects)
+	}
+	if n := f.Failovers(); n != 0 {
+		t.Errorf("failovers = %d, want 0: a dropped connection is not a lost primary", n)
+	}
+	if addr, fence := f.Primary(); addr != nodes[0].addr || fence != 1 {
+		t.Errorf("serving %s at fence %d, want the original primary %s at fence 1", addr, fence, nodes[0].addr)
+	}
+}
+
 // TestFailoverExPrimaryRejoinsFenced: after a failover, the ex-primary's
 // directory is reopened with its original primary flags (an operator
 // restarting the crashed box unchanged). The FENCE file its successor's

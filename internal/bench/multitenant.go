@@ -136,9 +136,6 @@ func multiTenantPoint(n, m, clients, databases, maxInflight int, seed int64) (*M
 func multiTenantClient(addr, db string, n, m int, seed int64) error {
 	cfg := transport.DefaultClientConfig()
 	cfg.CallTimeout = 30 * time.Second
-	cfg.Redials = 5
-	cfg.RedialBackoff = time.Millisecond
-	cfg.RedialMaxBackoff = 50 * time.Millisecond
 	cfg.Database = db
 	pool, err := transport.DialPoolWith(addr, 2, cfg)
 	if err != nil {

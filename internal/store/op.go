@@ -111,11 +111,13 @@ func (k Kind) String() string {
 // Applied reports whether err, the verdict on an operation of this kind that
 // was sent again after a failure, proves the earlier attempt applied: a
 // re-sent create answering "already exists", a re-sent delete answering
-// "unknown object". Every layer that re-issues operations — the retry
-// decorator, the TCP client's redial, the failover pool — reconciles such a
-// verdict to success. The inference holds because each database namespace has
-// a single writing client (see RetryService), so nobody else can have created
-// or deleted the object in between.
+// "unknown object". RetryService is the only layer that sends an operation
+// again, so it is the only reader: it reconciles such a verdict to success.
+// The TCP client, the pool and the failover pool send each call once and
+// report a lost connection or server as the retryable ErrUnavailable. The
+// inference holds because each database namespace has a single writing
+// client (see RetryService), so nobody else can have created or deleted the
+// object in between.
 func (k Kind) Applied(err error) bool {
 	sentinel := k.info().applied
 	return sentinel != nil && errors.Is(err, sentinel)

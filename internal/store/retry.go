@@ -19,47 +19,25 @@ import (
 // transient blip.
 var ErrRetryBudgetExhausted = errors.New("store: retry budget exhausted")
 
-// JitterMode selects how WithRetry randomizes its exponential backoff.
-type JitterMode int
-
-const (
-	// JitterFull (the default): each delay is drawn uniformly from
-	// [0, ceiling], the "full jitter" strategy — maximum decorrelation
-	// between clients whose retry clocks started at the same failure.
-	JitterFull JitterMode = iota
-	// JitterPartial: the legacy ±(JitterFrac/2)·ceiling band around the
-	// exponential schedule.
-	JitterPartial
-	// JitterNone: the bare exponential schedule.
-	JitterNone
-)
-
 // RetryPolicy parameterizes WithRetry. The zero value of any field selects
 // the default noted on it.
+//
+// The schedule is "full jitter": the delay before retry n is drawn uniformly
+// from [0, ceiling(n)], where the ceiling starts at InitialBackoff and
+// doubles per retry up to MaxBackoff. That is the schedule that best
+// decorrelates retry storms: after a failover or a burst of ErrOverloaded
+// shedding every client's clock restarts at the same instant, and full
+// jitter spreads them across the whole window. Errors are classified by
+// DefaultRetryable.
 type RetryPolicy struct {
 	// MaxAttempts bounds the tries per call, including the first
 	// (default 5).
 	MaxAttempts int
-	// InitialBackoff is the delay before the first retry (default 5ms);
-	// each further retry doubles it (Multiplier) up to MaxBackoff.
+	// InitialBackoff is the ceiling of the delay before the first retry
+	// (default 5ms); each further retry doubles it up to MaxBackoff.
 	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 1s).
+	// MaxBackoff caps the doubling (default 1s).
 	MaxBackoff time.Duration
-	// Multiplier scales the backoff between attempts (default 2).
-	Multiplier float64
-	// Jitter selects the backoff randomization strategy. The default,
-	// JitterFull, draws each delay uniformly from [0, ceiling] where the
-	// ceiling grows exponentially — the strategy that best decorrelates
-	// retry storms: after a failover or a burst of ErrOverloaded shedding,
-	// every client's clock restarts at the same instant, and partial jitter
-	// keeps them marching in near-lockstep while full jitter spreads them
-	// across the whole window. JitterPartial preserves the legacy
-	// ±(JitterFrac/2)·ceiling behavior (monotone, tightly predictable
-	// delays); JitterNone disables jitter for exact-schedule tests.
-	Jitter JitterMode
-	// JitterFrac sizes JitterPartial's band: each backoff is randomized by
-	// ±(JitterFrac/2)·backoff (default 0.2). Ignored by the other modes.
-	JitterFrac float64
 	// CallTimeout is the deadline for one logical call including all its
 	// retries; 0 means no deadline.
 	CallTimeout time.Duration
@@ -71,8 +49,6 @@ type RetryPolicy struct {
 	// default) seeds from the process-global generator, so independent
 	// clients draw independent schedules — the whole point of jitter.
 	Seed int64
-	// Retryable classifies errors; nil selects DefaultRetryable.
-	Retryable func(error) bool
 	// Metrics, when set, backs the retry counter with the shared registry
 	// series oblivfd_retries_total instead of a per-instance counter.
 	Metrics *telemetry.Registry
@@ -130,8 +106,10 @@ func DefaultRetryable(err error) bool {
 }
 
 // RetryService is a Service decorator that re-issues failed calls with
-// exponential backoff, jitter, per-call deadlines, and a total retry
-// budget.
+// jittered exponential backoff, per-call deadlines, and a total retry
+// budget. It is the one layer of the stack that sends a call twice: the TCP
+// client, the pool and the failover pool each send a call once and answer a
+// lost connection or server with the retryable ErrUnavailable.
 //
 // Protocol safety: every write in the Service interface is idempotent — it
 // stores the exact ciphertexts carried by the request, so applying a write
@@ -183,15 +161,6 @@ func WithRetry(svc Service, policy RetryPolicy) *RetryService {
 	if policy.MaxBackoff <= 0 {
 		policy.MaxBackoff = time.Second
 	}
-	if policy.Multiplier <= 1 {
-		policy.Multiplier = 2
-	}
-	if policy.JitterFrac <= 0 {
-		policy.JitterFrac = 0.2
-	}
-	if policy.Retryable == nil {
-		policy.Retryable = DefaultRetryable
-	}
 	if policy.sleep == nil {
 		policy.sleep = time.Sleep
 	}
@@ -214,34 +183,22 @@ func WithRetry(svc Service, policy RetryPolicy) *RetryService {
 // Metrics registry configured this is the stack-wide total.
 func (r *RetryService) Retries() int64 { return r.retries.Value() }
 
-// backoff computes the jittered delay before retry number n (1-based). The
-// exponential schedule sets the ceiling; Jitter decides where under it the
-// delay lands.
+// ceiling is the largest delay before retry number n (1-based):
+// InitialBackoff doubled n-1 times, capped at MaxBackoff.
+func (p *RetryPolicy) ceiling(n int) time.Duration {
+	c := p.InitialBackoff
+	for i := 1; i < n && c < p.MaxBackoff; i++ {
+		c *= 2
+	}
+	return min(c, p.MaxBackoff)
+}
+
+// backoff draws the delay before retry number n uniformly from
+// [0, ceiling(n)].
 func (r *RetryService) backoff(n int) time.Duration {
-	d := float64(r.policy.InitialBackoff)
-	for i := 1; i < n; i++ {
-		d *= r.policy.Multiplier
-		if d >= float64(r.policy.MaxBackoff) {
-			d = float64(r.policy.MaxBackoff)
-			break
-		}
-	}
-	switch r.policy.Jitter {
-	case JitterFull:
-		r.mu.Lock()
-		d *= r.rng.Float64()
-		r.mu.Unlock()
-	case JitterPartial:
-		r.mu.Lock()
-		jitter := (r.rng.Float64() - 0.5) * r.policy.JitterFrac * d
-		r.mu.Unlock()
-		d += jitter
-	case JitterNone:
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return time.Duration(r.rng.Float64() * float64(r.policy.ceiling(n)))
 }
 
 // handle runs one logical call: the op is issued until it succeeds, fails on
@@ -259,7 +216,7 @@ func (r *RetryService) handle(op *Op, res *Result) error {
 		if err == nil || attempt > 1 && op.Kind.Applied(err) {
 			break
 		}
-		if !r.policy.Retryable(err) {
+		if !DefaultRetryable(err) {
 			return err
 		}
 		if attempt >= r.policy.MaxAttempts {

@@ -55,9 +55,7 @@ func TestRetryRecoversFromTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	var slept []time.Duration
-	// JitterPartial keeps the schedule near-exponential so the monotonicity
-	// assertion below holds; the full-jitter default is covered separately.
-	r := WithRetry(backend, fastPolicy(RetryPolicy{MaxAttempts: 5, Jitter: JitterPartial}, &slept))
+	r := WithRetry(backend, fastPolicy(RetryPolicy{MaxAttempts: 5, InitialBackoff: time.Millisecond, MaxBackoff: 3 * time.Millisecond}, &slept))
 	if err := r.WriteCells("a", []int64{0}, [][]byte{{1}}); err != nil {
 		t.Fatalf("WriteCells with 3 transient failures: %v", err)
 	}
@@ -67,11 +65,17 @@ func TestRetryRecoversFromTransient(t *testing.T) {
 	if len(slept) != 3 {
 		t.Fatalf("slept %d times, want 3", len(slept))
 	}
-	// Exponential growth: each backoff at least the previous (modulo the
-	// ±10% jitter at defaults, doubling always dominates).
-	for i := 1; i < len(slept); i++ {
-		if slept[i] <= slept[i-1] {
-			t.Errorf("backoff %d (%v) not greater than %d (%v)", i, slept[i], i-1, slept[i-1])
+	// The schedule grows: each sleep stays under its ceiling, and the
+	// ceilings double from InitialBackoff until MaxBackoff caps them.
+	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 3 * time.Millisecond}
+	for i, w := range want {
+		if c := r.policy.ceiling(i + 1); c != w {
+			t.Errorf("ceiling before retry %d = %v, want %v", i+1, c, w)
+		}
+	}
+	for i, d := range slept {
+		if c := r.policy.ceiling(i + 1); d < 0 || d > c {
+			t.Errorf("backoff %d = %v outside [0, %v]", i+1, d, c)
 		}
 	}
 	st, err := r.Stats()
@@ -180,8 +184,8 @@ func TestRetryJitterDeterministic(t *testing.T) {
 	}
 }
 
-// TestRetryFullJitterBounds: the default full-jitter mode draws every delay
-// from [0, ceiling] where the ceiling follows the exponential schedule.
+// TestRetryFullJitterBounds: every delay is drawn from [0, ceiling] where
+// the ceiling follows the doubling schedule of the default policy.
 func TestRetryFullJitterBounds(t *testing.T) {
 	backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 5}
 	_ = backend.Server.CreateArray("a", 4)

@@ -291,7 +291,7 @@ func (r *SessionRegistry) Evicted() int64 {
 
 // OnEvict registers a callback run when the registry evicts this session
 // (idle sweep). The transport server uses it to close the underlying
-// connection, which the self-healing client answers by re-dialing and
+// connection, which the client answers on its next call by re-dialing and
 // re-handshaking.
 func (s *Session) OnEvict(fn func()) {
 	s.reg.mu.Lock()

@@ -26,8 +26,9 @@ var (
 	// succeed. WithFaults produces it; WithRetry retries on it.
 	ErrTransient = errors.New("store: transient fault")
 	// ErrUnavailable marks a connection-level failure (dial refused,
-	// connection reset, deadline exceeded) after the transport exhausted
-	// its own reconnection attempts. WithRetry retries on it.
+	// connection reset, deadline exceeded) or a failover: the transport sent
+	// the call at most once and re-dials on the next one. WithRetry retries
+	// on it.
 	ErrUnavailable = errors.New("store: service unavailable")
 
 	// ErrIntegrity marks data that failed client-side verification: an
@@ -126,7 +127,7 @@ type Stats struct {
 
 	FaultsInjected int64 // transient errors injected by WithFaults
 	Retries        int64 // re-attempts performed by WithRetry
-	Reconnects     int64 // TCP re-dials and pool connection replacements
+	Reconnects     int64 // TCP re-dials
 
 	// Epoch is the most recent recovery epoch the client marked via
 	// Checkpoint, and MutationsSinceEpoch counts mutating operations

@@ -12,10 +12,11 @@ import (
 
 // FailoverPool is a store.Service over a *list* of servers. At any moment it
 // drives one of them — the primary — through an ordinary connection Pool;
-// when that server dies or answers with a role error, the pool re-probes the
-// list, finds (or creates, by promoting the freshest replica) a new primary,
-// and re-issues the failed call there. Layered under store.WithRetry it
-// makes an entire server loss look like one more transient fault.
+// when that server is lost (see handle), the pool re-probes the list, finds
+// (or creates, by promoting the freshest replica) a new primary, and fails
+// the call with the retryable store.ErrUnavailable. It sends each call once;
+// layered under store.WithRetry, which sends it again on the new primary,
+// an entire server loss looks like one more transient fault.
 //
 // Failover procedure:
 //
@@ -36,11 +37,11 @@ import (
 // history either — the loser's Promote arrives at-or-below the winner's
 // fence and is refused, and it re-probes into the winner's cluster view.
 //
-// Cross-server resend safety is the same argument as Client's redial path:
-// every write carries its exact ciphertexts (idempotent), and a create or
-// delete whose acknowledgement was lost to the failover is reconciled from
-// the new primary's verdict — the replica applied the primary's WAL record
-// before the crash, or the op never happened anywhere.
+// Cross-server resend safety is store.WithRetry's argument: every write
+// carries its exact ciphertexts (idempotent), and a create or delete whose
+// acknowledgement was lost to the failover is reconciled from the new
+// primary's verdict — the replica applied the primary's WAL record before
+// the crash, or the op never happened anywhere.
 type FailoverPool struct {
 	store.Adapter
 	addrs []string
@@ -106,7 +107,6 @@ func (f *FailoverPool) probeConfig() ClientConfig {
 	cfg := f.cfg
 	cfg.Database = ""
 	cfg.Fence = 0
-	cfg.Redials = -1 // a probe is itself the retry loop; fail fast
 	cfg.Metrics = nil
 	return cfg
 }
@@ -236,63 +236,53 @@ func (f *FailoverPool) openPoolLocked(addr string) error {
 	return nil
 }
 
-// failoverClass reports whether an error means "this server is no longer
-// usable" (fail over) as opposed to "this request failed on its merits"
-// (surface to the caller / the retry layer). ErrTransient and ErrOverloaded
-// are deliberately not failover triggers: the server answered, it just wants
-// the client to back off and retry *here*.
-func failoverClass(err error) bool {
+// lostServer reports whether an error means "this server is no longer
+// usable" — a role verdict, a server that cannot be dialed, or a pool closed
+// by an earlier failover — as opposed to "this request failed on its merits"
+// (surfaced to the caller). A connection dropped mid-call is not a lost
+// server: the next call re-dials the same primary. Neither are ErrTransient
+// and ErrOverloaded: the server answered, it just wants the client to back
+// off and retry *here*.
+func lostServer(err error) bool {
 	switch {
 	case errors.Is(err, store.ErrNotPrimary), errors.Is(err, store.ErrFenced),
-		errors.Is(err, store.ErrUnavailable), errors.Is(err, store.ErrServerKilled),
+		errors.Is(err, store.ErrServerKilled), errors.Is(err, errDialFailed),
 		errors.Is(err, ErrClosed):
 		return true
 	}
 	return false
 }
 
-// handle runs one logical call, failing over between attempts. A create or
-// delete whose acknowledgement was lost to the failover is reconciled from the
-// new primary's verdict (see FailoverPool's type comment), but only after at
-// least one failover, mirroring the resend rule in Client.call; a re-issued
-// write or batch re-applies idempotent cell ops, same as a redial resend. A
-// Stats report carries the failover count.
+// handle sends one call once to the current primary. When lostServer says
+// the primary is gone it fails over and returns store.ErrUnavailable with
+// the cause in its message but not in its error chain, so the retry layer
+// reads "retry" rather than the cause's own class (ErrServerKilled, for one,
+// is fatal). A Stats report carries the failover count.
 func (f *FailoverPool) handle(op *store.Op, res *store.Result) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			return ErrClosed
-		}
-		p := f.pool
+	f.mu.Lock()
+	if f.closed {
 		f.mu.Unlock()
-		err = p.Do(op, res)
-		if err == nil || attempt > 0 && op.Kind.Applied(err) {
-			if op.Kind == store.KindStats {
-				res.Stats.Failovers = f.failovers.Value()
-			}
-			return nil
-		}
-		if !failoverClass(err) {
-			return err
-		}
-		if attempt >= len(f.addrs) {
-			break
-		}
-		f.failoverFrom(p)
+		return ErrClosed
 	}
-	if errors.Is(err, store.ErrFenced) || errors.Is(err, store.ErrUnavailable) {
+	p, addr := f.pool, f.cur
+	f.mu.Unlock()
+	err := p.Do(op, res)
+	switch {
+	case err == nil:
+		if op.Kind == store.KindStats {
+			res.Stats.Failovers = f.failovers.Value()
+		}
+		return nil
+	case !lostServer(err):
 		return err
 	}
-	// Wrap so the retry layer classifies the exhaustion as retryable — the
-	// cluster may be mid-restart, and backoff-then-reprobe is the cure.
-	return fmt.Errorf("transport: every server failed: %w: %w", store.ErrUnavailable, err)
+	f.failoverFrom(p)
+	return fmt.Errorf("transport: failed over from %s (%v): %w", addr, err, store.ErrUnavailable)
 }
 
 // failoverFrom replaces the pool that just failed. Idempotent under
-// concurrency: the workers that lost the race see the pool already swapped
-// and simply retry on the new one.
+// concurrency: the workers that lost the race see the pool already swapped,
+// and their retries land on the new one.
 func (f *FailoverPool) failoverFrom(old *Pool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

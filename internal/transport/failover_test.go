@@ -38,7 +38,7 @@ func startReplCluster(t *testing.T, n int) []*replNode {
 		addrs[i] = l.Addr().String()
 	}
 	dial := func(addr string) (store.ReplicaConn, error) {
-		return DialWith(addr, ClientConfig{Redials: -1})
+		return DialWith(addr, ClientConfig{})
 	}
 	nodes := make([]*replNode, n)
 	for i := range nodes {
@@ -101,15 +101,17 @@ func TestFailoverPoolSurvivesPrimaryDeath(t *testing.T) {
 	nodes[0].kill()
 
 	// The next operations ride through the failover: the pool promotes the
-	// freshest replica at fence 2 and the replicated data is all there.
-	got, err := f.ReadCells("a", []int64{0, 5})
+	// freshest replica at fence 2, the retry layer sends the failed call
+	// again there, and the replicated data is all there.
+	svc := retried(f)
+	got, err := svc.ReadCells("a", []int64{0, 5})
 	if err != nil {
 		t.Fatalf("read after primary death: %v", err)
 	}
 	if !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
 		t.Fatalf("cells after failover = %v, want %v", got, want)
 	}
-	if err := f.WriteCells("a", []int64{7}, [][]byte{{9}}); err != nil {
+	if err := svc.WriteCells("a", []int64{7}, [][]byte{{9}}); err != nil {
 		t.Fatalf("write after failover: %v", err)
 	}
 	if n := f.Failovers(); n < 1 {
@@ -151,7 +153,7 @@ func TestFencedExPrimaryCannotServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[0].kill()
-	if err := f.WriteCells("a", []int64{0}, [][]byte{{1}}); err != nil {
+	if err := retried(f).WriteCells("a", []int64{0}, [][]byte{{1}}); err != nil {
 		t.Fatalf("write after failover: %v", err)
 	}
 	if err := nodes[0].rep.Close(); err != nil {
@@ -305,7 +307,7 @@ func TestUnauthenticatedHelloCannotFence(t *testing.T) {
 	}
 	addr := serveRep(t, rep, store.SessionLimits{Token: "s3cret"})
 
-	if _, err := DialWith(addr, ClientConfig{Fence: 99, Token: "wrong", Redials: -1}); !errors.Is(err, store.ErrUnauthorized) {
+	if _, err := DialWith(addr, ClientConfig{Fence: 99, Token: "wrong"}); !errors.Is(err, store.ErrUnauthorized) {
 		t.Fatalf("bad-token fence-bearing dial = %v, want ErrUnauthorized", err)
 	}
 	if !rep.IsPrimary() || rep.Fence() != 1 {
@@ -314,7 +316,7 @@ func TestUnauthenticatedHelloCannotFence(t *testing.T) {
 
 	// The genuine token still exercises the fence-aware handshake: a higher
 	// client fence deposes the stale primary exactly as before.
-	if _, err := DialWith(addr, ClientConfig{Fence: 99, Token: "s3cret", Redials: -1}); !errors.Is(err, store.ErrFenced) {
+	if _, err := DialWith(addr, ClientConfig{Fence: 99, Token: "s3cret"}); !errors.Is(err, store.ErrFenced) {
 		t.Fatalf("authenticated fence-bearing dial = %v, want ErrFenced", err)
 	}
 	if rep.IsPrimary() || rep.Fence() != 99 {

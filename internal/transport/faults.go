@@ -25,8 +25,8 @@ type FaultConfig struct {
 }
 
 // FaultyListener wraps a net.Listener so accepted connections drop on a
-// deterministic, seeded schedule. Pair it with a self-healing client (or
-// store.WithRetry) in chaos tests: the server side keeps killing
+// deterministic, seeded schedule. Pair it with store.WithRetry over a
+// re-dialing client in chaos tests: the server side keeps killing
 // connections, the client side must keep recovering.
 type FaultyListener struct {
 	net.Listener

@@ -24,22 +24,15 @@ func driveFaultyServer(t *testing.T, seed int64, rate float64) ([]bool, int64) {
 	go func() { _ = Serve(fl, backend) }()
 	t.Cleanup(func() { l.Close() })
 
-	cfg := fastConfig()
-	cfg.Redials = -1 // raw client: observe each drop as a failure
-	c, err := DialWith(l.Addr().String(), cfg)
+	// The client sends each call once and observes each drop as a failure;
+	// it re-dials only on the call after a break, so at most one connection
+	// is ever live and the shared drop schedule stays sequential.
+	c, err := DialWith(l.Addr().String(), fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pattern []bool
 	for i := 0; i < 60; i++ {
-		// Re-dial only after a break, so at most one connection is ever
-		// live and the shared drop schedule stays sequential.
-		if c.Broken() {
-			c.Close()
-			if c, err = DialWith(l.Addr().String(), cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
 		err := c.WriteCells("a", []int64{int64(i % 16)}, [][]byte{{byte(i)}})
 		pattern = append(pattern, err == nil)
 	}
@@ -65,7 +58,8 @@ func TestConnDropScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestSelfHealingClientSurvivesDrops: with re-dialing enabled, the same
+// TestSelfHealingClientSurvivesDrops: under the retry layer, which sends a
+// dropped call again while the client re-dials for it, the same
 // drop-riddled server is fully usable — every call eventually lands.
 func TestSelfHealingClientSurvivesDrops(t *testing.T) {
 	backend := store.NewServer()
@@ -85,11 +79,12 @@ func TestSelfHealingClientSurvivesDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	svc := retried(c)
 	for i := 0; i < 200; i++ {
-		if err := c.WriteCells("a", []int64{int64(i % 16)}, [][]byte{{byte(i)}}); err != nil {
+		if err := svc.WriteCells("a", []int64{int64(i % 16)}, [][]byte{{byte(i)}}); err != nil {
 			t.Fatalf("write %d through faulty transport: %v", i, err)
 		}
-		got, err := c.ReadCells("a", []int64{int64(i % 16)})
+		got, err := svc.ReadCells("a", []int64{int64(i % 16)})
 		if err != nil || got[0][0] != byte(i) {
 			t.Fatalf("read %d = %v, %v", i, got, err)
 		}

@@ -4,21 +4,21 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/store"
 )
 
-// fastConfig keeps reconnection snappy for tests.
+// fastConfig keeps deadlines short for tests.
 func fastConfig() ClientConfig {
-	return ClientConfig{
-		CallTimeout:      2 * time.Second,
-		DialTimeout:      time.Second,
-		Redials:          8,
-		RedialBackoff:    time.Millisecond,
-		RedialMaxBackoff: 20 * time.Millisecond,
-	}
+	return ClientConfig{CallTimeout: 2 * time.Second, DialTimeout: time.Second}
+}
+
+// retried layers the one re-sending layer over svc with test-sized backoff.
+func retried(svc store.Service) *store.RetryService {
+	return store.WithRetry(svc, store.RetryPolicy{MaxAttempts: 8, InitialBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond})
 }
 
 // TestSentinelErrorsSurviveTheWire: errors.Is must hold for every store
@@ -175,7 +175,8 @@ func TestDialNonListeningAddr(t *testing.T) {
 }
 
 // TestClientHealsAcrossServerRestart: the server dies mid-session and comes
-// back on the same address; the client's next call re-dials transparently.
+// back on the same address; the call that finds the connection dead fails,
+// the retry layer sends it again, and the client re-dials for it.
 func TestClientHealsAcrossServerRestart(t *testing.T) {
 	backend := store.NewServer()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -214,17 +215,18 @@ func TestClientHealsAcrossServerRestart(t *testing.T) {
 	defer l2.Close()
 	go func() { _ = Serve(l2, backend) }()
 
-	if err := c.WriteCells("a", []int64{1}, [][]byte{{9}}); err != nil {
+	svc := retried(c)
+	if err := svc.WriteCells("a", []int64{1}, [][]byte{{9}}); err != nil {
 		t.Fatalf("call after server restart: %v", err)
 	}
-	got, err := c.ReadCells("a", []int64{1})
+	got, err := svc.ReadCells("a", []int64{1})
 	if err != nil || len(got) != 1 || got[0][0] != 9 {
 		t.Fatalf("read after heal = %v, %v", got, err)
 	}
 	if c.Reconnects() == 0 {
 		t.Error("client healed without counting a reconnect")
 	}
-	st, err := c.Stats()
+	st, err := svc.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +235,9 @@ func TestClientHealsAcrossServerRestart(t *testing.T) {
 	}
 }
 
-// TestClientFailsWhenServerStaysDown: with the server gone for good, the
-// call fails with a typed error after the redial budget.
+// TestClientFailsWhenServerStaysDown: with the server gone for good, a call
+// is sent once on the dead connection and fails with the retryable
+// ErrUnavailable; the next call dials again, once, and fails the same way.
 func TestClientFailsWhenServerStaysDown(t *testing.T) {
 	backend := store.NewServer()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -243,9 +246,7 @@ func TestClientFailsWhenServerStaysDown(t *testing.T) {
 	}
 	srv := NewServer(backend)
 	go func() { _ = srv.Serve(l) }()
-	cfg := fastConfig()
-	cfg.Redials = 2
-	c, err := DialWith(l.Addr().String(), cfg)
+	c, err := DialWith(l.Addr().String(), fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,17 +255,20 @@ func TestClientFailsWhenServerStaysDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Shutdown(0)
-	if err := c.Reveal("x", 1); !errors.Is(err, store.ErrUnavailable) {
-		t.Errorf("err = %v, want errors.Is(ErrUnavailable)", err)
+	err = c.Reveal("x", 1)
+	if !errors.Is(err, store.ErrUnavailable) || errors.Is(err, errDialFailed) {
+		t.Errorf("call on the dead connection: err = %v, want ErrUnavailable from the lost connection", err)
 	}
-	if !c.Broken() {
-		t.Error("client not marked broken after exhausting redials")
+	err = c.Reveal("x", 1)
+	if !errors.Is(err, errDialFailed) || !store.DefaultRetryable(err) {
+		t.Errorf("next call: err = %v, want a retryable failed re-dial", err)
 	}
 }
 
 // TestPoolReplacesDeadConnections: every pooled connection dies with the
-// old server; borrowing from the pool against a new server on the same
-// address recovers, replacing dead connections as they fail.
+// old server; against a new server on the same address each slot fails its
+// first call, the retry layer sends it again, and the slot's client re-dials
+// on a later borrow — the pool replaces nothing and keeps its size.
 func TestPoolReplacesDeadConnections(t *testing.T) {
 	backend := store.NewServer()
 	if err := backend.CreateArray("a", 64); err != nil {
@@ -305,23 +309,136 @@ func TestPoolReplacesDeadConnections(t *testing.T) {
 	go func() { _ = Serve(l2, backend) }()
 
 	// Exercise every slot: all three dead connections must recover.
+	svc := retried(p)
 	for i := 0; i < 9; i++ {
-		if err := p.WriteCells("a", []int64{int64(i)}, [][]byte{{byte(i)}}); err != nil {
+		if err := svc.WriteCells("a", []int64{int64(i)}, [][]byte{{byte(i)}}); err != nil {
 			t.Fatalf("pooled write %d after restart: %v", i, err)
 		}
 	}
-	if p.Reconnects() == 0 {
-		t.Error("pool recovered without counting reconnects")
+	if n := p.Reconnects(); n != 3 {
+		t.Errorf("pool Reconnects() = %d, want 3 (one re-dial per slot)", n)
 	}
-	st, err := p.Stats()
+	st, err := svc.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Reconnects == 0 {
-		t.Error("Stats.Reconnects not surfaced through the pool")
+	if st.Reconnects != 3 || st.Retries != 3 {
+		t.Errorf("Stats = %d reconnects, %d retries; want 3 and 3", st.Reconnects, st.Retries)
 	}
 	if p.Size() != 3 {
 		t.Errorf("pool size changed to %d", p.Size())
+	}
+}
+
+// TestCloseDoesNotWaitOutAFailingCall: a call in flight against a killed
+// server fails on its own, with no backoff slept under the client's lock, so
+// Close — like every goroutine sharing the client — is not held up behind it.
+func TestCloseDoesNotWaitOutAFailingCall(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store.NewServer())
+	go func() { _ = srv.Serve(l) }()
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateArray("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	srv.Shutdown(0)
+
+	callErr := make(chan error, 1)
+	go func() { callErr <- c.Reveal("x", 1) }()
+	time.Sleep(20 * time.Millisecond) // let the call find the dead connection
+	start := time.Now()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Errorf("Close took %v behind a failing call, want < 200ms", d)
+	}
+	if err := <-callErr; !errors.Is(err, store.ErrUnavailable) && !errors.Is(err, ErrClosed) {
+		t.Errorf("call against the killed server = %v, want ErrUnavailable", err)
+	}
+}
+
+// severFirstResponse closes its first accepted connection instead of
+// writing the first response on it: the request was applied, and only its
+// acknowledgement is lost.
+type severFirstResponse struct {
+	net.Listener
+	once sync.Once
+}
+
+func (l *severFirstResponse) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	first := false
+	l.once.Do(func() { first = true })
+	if first {
+		return severOnWrite{conn}, nil
+	}
+	return conn, nil
+}
+
+type severOnWrite struct{ net.Conn }
+
+func (c severOnWrite) Write([]byte) (int, error) {
+	_ = c.Conn.Close()
+	return 0, net.ErrClosed
+}
+
+// TestLostAckResentOnceByRetry: exactly one layer sends a call again. A
+// CreateArray whose acknowledgement is lost fails at the pool with
+// ErrUnavailable; the retry layer sends it once more over a re-dialed
+// connection, and reconciles the server's "already exists" to success.
+func TestLostAckResentOnceByRetry(t *testing.T) {
+	srv := store.NewServer()
+	var (
+		mu      sync.Mutex
+		creates []error
+	)
+	backend := store.Adapt(func(op *store.Op, res *store.Result) error {
+		err := store.Invoke(srv, op, res)
+		if op.Kind == store.KindCreateArray {
+			mu.Lock()
+			creates = append(creates, err)
+			mu.Unlock()
+		}
+		return err
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = Serve(&severFirstResponse{Listener: l}, backend) }()
+	t.Cleanup(func() { l.Close() })
+	p, err := DialPoolWith(l.Addr().String(), 1, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	svc := retried(p)
+
+	if err := svc.CreateArray("a", 4); err != nil {
+		t.Fatalf("create with a lost acknowledgement = %v, want reconciled success", err)
+	}
+	mu.Lock()
+	got := creates
+	mu.Unlock()
+	if len(got) != 2 || got[0] != nil || !errors.Is(got[1], store.ErrObjectExists) {
+		t.Fatalf("backend saw creates %v, want [<nil> ErrObjectExists]", got)
+	}
+	st, err := svc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Retries != 1 || st.Reconnects != 1 {
+		t.Errorf("Stats = %d retries, %d reconnects; want 1 and 1", st.Retries, st.Reconnects)
 	}
 }
 
@@ -341,9 +458,7 @@ func TestServerGracefulShutdownDrains(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); _ = srv.Serve(l) }()
 
-	cfg := fastConfig()
-	cfg.Redials = -1 // observe the raw drain, no healing
-	c, err := DialWith(l.Addr().String(), cfg)
+	c, err := DialWith(l.Addr().String(), fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,9 +271,9 @@ func (s *Server) handleHello(conn net.Conn, cs *connState, req *request) *respon
 		resp.Err, resp.Code = encodeErr(err)
 		return &resp
 	}
-	// Eviction (idle sweep) closes the connection; the self-healing client
-	// answers by re-dialing and re-handshaking, so an evicted tenant that
-	// returns gets a fresh session transparently.
+	// Eviction (idle sweep) closes the connection; the client's next call
+	// re-dials and re-handshakes (after a retry, if a call was in flight), so
+	// an evicted tenant that returns gets a fresh session transparently.
 	sess.OnEvict(func() { conn.Close() })
 	cs.sess = sess
 	cs.svc = store.Namespaced(s.svc, sess.DB)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -26,14 +27,12 @@ func startSessionServer(t *testing.T, limits store.SessionLimits) (*Server, *sto
 	return srv, backend, l.Addr().String()
 }
 
-// sessionClientConfig returns fast-redial client settings bound to a tenant.
+// sessionClientConfig returns short-deadline client settings bound to a
+// tenant.
 func sessionClientConfig(db, token string) ClientConfig {
 	cfg := DefaultClientConfig()
 	cfg.CallTimeout = 5 * time.Second
 	cfg.DialTimeout = 2 * time.Second
-	cfg.Redials = 5
-	cfg.RedialBackoff = time.Millisecond
-	cfg.RedialMaxBackoff = 20 * time.Millisecond
 	cfg.Database = db
 	cfg.Token = token
 	return cfg
@@ -226,8 +225,9 @@ func TestSessionDrainRefusesNewcomers(t *testing.T) {
 }
 
 // TestSessionEvictionRehandshake: an idle-evicted session's connection is
-// closed server-side; the self-healing client re-dials, re-handshakes, and
-// continues in the same namespace without the caller noticing.
+// closed server-side; the call that finds it closed fails, the retry layer
+// sends it again, and the client re-dials and re-handshakes for it, so the
+// caller continues in the same namespace without noticing.
 func TestSessionEvictionRehandshake(t *testing.T) {
 	srv, backend, addr := startSessionServer(t, store.SessionLimits{IdleTimeout: 10 * time.Millisecond})
 
@@ -252,8 +252,8 @@ func TestSessionEvictionRehandshake(t *testing.T) {
 		t.Fatal("session never evicted")
 	}
 
-	// The next call rides the redial + re-handshake path transparently.
-	if n, err := c.ArrayLen("arr"); err != nil || n != 2 {
+	// The next call rides the retry + redial + re-handshake path.
+	if n, err := retried(c).ArrayLen("arr"); err != nil || n != 2 {
 		t.Fatalf("call after eviction = %d, %v; want 2", n, err)
 	}
 	if n, err := backend.ArrayLen("alpha/arr"); err != nil || n != 2 {
@@ -290,8 +290,9 @@ func (l *killFirstListener) Accept() (net.Conn, error) {
 }
 
 // TestSessionDialHandshakeRidesOutDrops: a connection severed during the
-// initial handshake consumes redial budget instead of failing the dial; the
-// server verdict path (bad token) still fails immediately.
+// session handshake leaves the client unconnected instead of failing
+// DialWith or DialPoolWith, and the first call re-dials; a server verdict on
+// the handshake still fails the dial at once.
 func TestSessionDialHandshakeRidesOutDrops(t *testing.T) {
 	backend := store.NewServer()
 	srv := NewServer(backend)
@@ -307,11 +308,13 @@ func TestSessionDialHandshakeRidesOutDrops(t *testing.T) {
 
 	c, err := DialWith(addr, sessionClientConfig("alpha", "secret"))
 	if err != nil {
-		t.Fatalf("dial through dropped handshakes: %v", err)
+		t.Fatalf("dial through a dropped handshake: %v", err)
 	}
 	defer c.Close()
-	if err := c.CreateArray("arr", 2); err != nil {
-		t.Fatalf("CreateArray after healed handshake: %v", err)
+	// The first call's re-dial is dropped too; the retry layer's second
+	// attempt re-dials again and lands.
+	if err := retried(c).CreateArray("arr", 2); err != nil {
+		t.Fatalf("CreateArray after dropped handshakes: %v", err)
 	}
 	if _, err := backend.ArrayLen("alpha/arr"); err != nil {
 		t.Errorf("namespace lost: %v", err)
@@ -320,8 +323,61 @@ func TestSessionDialHandshakeRidesOutDrops(t *testing.T) {
 		t.Errorf("Reconnects() = %d, want >= 2 (both kills should be redialed)", c.Reconnects())
 	}
 
-	// A server verdict must not burn redials: bad token fails at once.
+	l.mu.Lock()
+	l.n = 1
+	l.mu.Unlock()
+	p, err := DialPoolWith(addr, 2, sessionClientConfig("alpha", "secret"))
+	if err != nil {
+		t.Fatalf("pool dial through a dropped handshake: %v", err)
+	}
+	defer p.Close()
+	for i := 0; i < 2; i++ {
+		if n, err := retried(p).ArrayLen("arr"); err != nil || n != 2 {
+			t.Fatalf("pooled call %d = %d, %v; want 2", i, n, err)
+		}
+	}
+
+	// A server verdict is not a drop: it fails the dial at once.
 	if _, err := DialWith(addr, sessionClientConfig("alpha", "wrong")); !errors.Is(err, store.ErrUnauthorized) {
 		t.Fatalf("bad token dial = %v, want ErrUnauthorized", err)
 	}
+	for _, verdict := range []error{store.ErrUnauthorized, store.ErrOverloaded, store.ErrFenced, store.ErrNotPrimary} {
+		vaddr := verdictServer(t, verdict)
+		if _, err := DialWith(vaddr, sessionClientConfig("alpha", "secret")); !errors.Is(err, verdict) {
+			t.Errorf("DialWith against a %v handshake = %v", verdict, err)
+		}
+		if _, err := DialPoolWith(vaddr, 2, sessionClientConfig("alpha", "secret")); !errors.Is(err, verdict) {
+			t.Errorf("DialPoolWith against a %v handshake = %v", verdict, err)
+		}
+	}
+}
+
+// verdictServer answers the first frame of every connection — the session
+// handshake — with verdict, and returns its address.
+func verdictServer(t *testing.T, verdict error) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				fc := newFrameConn(conn)
+				if _, err := fc.next(); err != nil {
+					return
+				}
+				var resp response
+				resp.Err, resp.Code = encodeErr(fmt.Errorf("handshake refused: %w", verdict))
+				_ = fc.flush(appendResponse(fc.begin(), &resp))
+			}()
+		}
+	}()
+	return l.Addr().String()
 }

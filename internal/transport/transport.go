@@ -9,13 +9,13 @@
 //     codec.go) — the deployment shape of the paper's evaluation (client
 //     and server on separate machines, §VII-A).
 //
-// The TCP client is self-healing: every call runs under an optional
-// read/write deadline, and a broken connection is re-dialed with backoff
-// and the call re-sent. Re-sending is protocol-safe because every write
-// stores the exact ciphertexts carried by the request (see
-// store.RetryService for the idempotency and leakage argument); the one
-// ambiguity — a create or delete whose acknowledgement was lost — is
-// reconciled from the server's verdict on the resend.
+// The TCP client re-dials but never re-sends: every call runs under an
+// optional read/write deadline, a call whose connection breaks drops the
+// connection and fails at once with the retryable store.ErrUnavailable, and
+// the next call dials once (handshake included) before it is sent. Sending a
+// call again is store.WithRetry's job and nobody else's: it holds the
+// idempotency and leakage argument, and it alone reconciles a create or
+// delete whose acknowledgement was lost (store.Kind.Applied).
 //
 // Every request/response crossing the wire carries only what the persistent
 // adversary is allowed to see anyway: object names, indices, and
@@ -26,9 +26,9 @@
 // server authenticates it, admits it against the session budget, and scopes
 // every subsequent request on that connection to the database's namespace —
 // object names are prefixed server-side, so N clients on M databases share
-// one backend without key collisions. The handshake is replayed after every
-// re-dial, so a self-healed connection rejoins its namespace before any
-// request is re-sent. Connections that never handshake behave exactly as
+// one backend without key collisions. The handshake is replayed on every
+// re-dial, so a re-dialed connection rejoins its namespace before any
+// request is sent on it. Connections that never handshake behave exactly as
 // before (root namespace, no admission control) unless the server requires
 // a token.
 package transport
@@ -37,7 +37,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -49,6 +48,12 @@ import (
 
 // ErrClosed is returned by calls on a closed client.
 var ErrClosed = errors.New("transport: connection closed")
+
+// errDialFailed marks a call (or a Dial) that could not open a TCP
+// connection at all, as opposed to one whose connection broke mid-call: the
+// failover pool fails over on the first and not on the second. It is
+// retryable, like every store.ErrUnavailable.
+var errDialFailed = fmt.Errorf("cannot dial: %w", store.ErrUnavailable)
 
 // rpcSpanNames and serverSpanNames pre-build the per-kind span names so the
 // per-call path never concatenates strings.
@@ -221,24 +226,16 @@ func dispatch(svc store.Service, req *request) *response {
 	return &resp
 }
 
-// ClientConfig tunes the self-healing behaviour of a TCP client. The zero
-// value of any field selects the default noted on it.
+// ClientConfig tunes a TCP client. The zero value of any field selects the
+// default noted on it.
 type ClientConfig struct {
 	// CallTimeout is the read/write deadline applied to the connection for
 	// each call (default 2m; negative disables). A call that exceeds it
 	// fails with a timeout, the connection is torn down, and — when the
-	// client knows its dial address — re-dialed.
+	// client knows its dial address — the next call re-dials.
 	CallTimeout time.Duration
-	// DialTimeout bounds each (re-)dial attempt (default 10s).
+	// DialTimeout bounds each (re-)dial (default 10s).
 	DialTimeout time.Duration
-	// Redials is how many re-dial-and-resend attempts one call may make
-	// after its connection breaks (default 5; negative disables
-	// self-healing).
-	Redials int
-	// RedialBackoff is the delay before the first re-dial (default 50ms),
-	// doubling per attempt up to RedialMaxBackoff (default 2s).
-	RedialBackoff    time.Duration
-	RedialMaxBackoff time.Duration
 	// Metrics, when set, records client-side per-RPC latency
 	// (oblivfd_rpc_client_seconds{op=...}) and backs the reconnect counter
 	// with the shared series oblivfd_client_reconnects_total, so every
@@ -274,13 +271,7 @@ type ClientConfig struct {
 
 // DefaultClientConfig returns the defaults documented on ClientConfig.
 func DefaultClientConfig() ClientConfig {
-	return ClientConfig{
-		CallTimeout:      2 * time.Minute,
-		DialTimeout:      10 * time.Second,
-		Redials:          5,
-		RedialBackoff:    50 * time.Millisecond,
-		RedialMaxBackoff: 2 * time.Second,
-	}
+	return ClientConfig{CallTimeout: 2 * time.Minute, DialTimeout: 10 * time.Second}
 }
 
 // withDefaults fills zero fields.
@@ -292,22 +283,13 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = def.DialTimeout
 	}
-	if cfg.Redials == 0 {
-		cfg.Redials = def.Redials
-	}
-	if cfg.RedialBackoff == 0 {
-		cfg.RedialBackoff = def.RedialBackoff
-	}
-	if cfg.RedialMaxBackoff == 0 {
-		cfg.RedialMaxBackoff = def.RedialMaxBackoff
-	}
 	return cfg
 }
 
 // Client is a store.Service proxy over one TCP connection. It is safe for
 // concurrent use; calls are serialized on the connection. When created by
-// Dial it self-heals: a broken connection is re-dialed and the in-flight
-// call re-sent.
+// Dial it re-dials: a call that finds no live connection dials once before
+// it is sent. It never sends a call twice (see the package comment).
 type Client struct {
 	store.Adapter
 	addr string // empty when wrapped around a raw conn (no re-dial)
@@ -330,76 +312,37 @@ var (
 	_ store.RepairFetcher = (*Client)(nil)
 )
 
-// Dial connects to a transport server with the default self-healing
-// configuration.
+// Dial connects to a transport server with the default configuration.
 func Dial(addr string) (*Client, error) {
 	return DialWith(addr, DefaultClientConfig())
 }
 
 // DialWith connects to a transport server with an explicit configuration.
+// It fails when the address cannot be dialed and when the server refuses the
+// session handshake (store.ErrUnauthorized, ErrOverloaded, ErrFenced,
+// ErrNotPrimary). A handshake lost to a dropped connection does not fail it:
+// the client is returned unconnected and its first call re-dials.
 func DialWith(addr string, cfg ClientConfig) (*Client, error) {
-	cfg = cfg.withDefaults()
-	conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w: %w", addr, store.ErrUnavailable, err)
-	}
-	c := NewClient(conn)
-	c.addr = addr
-	c.cfg = cfg
+	c := &Client{addr: addr, cfg: cfg.withDefaults(), reconnects: telemetry.NewCounter()}
+	c.Adapter = store.Adapt(c.handle)
 	if cfg.Metrics != nil {
 		c.reconnects = cfg.Metrics.Counter("oblivfd_client_reconnects_total")
 		c.shared = true
 		c.lat = rpcHistograms(cfg.Metrics, "oblivfd_rpc_client_seconds")
 	}
-	if c.sessioned() {
-		if err := c.dialHandshake(); err != nil {
-			return nil, fmt.Errorf("transport: session handshake with %s: %w", addr, err)
-		}
+	if err := c.connectLocked(); err != nil && (errors.Is(err, errDialFailed) || !errors.Is(err, store.ErrUnavailable)) {
+		return nil, err
 	}
 	return c, nil
 }
 
-// dialHandshake runs the initial session handshake, re-dialing on transient
-// transport failures (an injected drop can land between connect and hello,
-// exactly like mid-call). Server verdicts — bad credentials, admission
-// refusal — return immediately: retrying those inside Dial would hide the
-// typed error the caller's retry layer is meant to see.
-func (c *Client) dialHandshake() error {
-	redials := 0
-	for {
-		err := c.handshakeLocked()
-		if err == nil {
-			return nil
-		}
-		c.dropConnLocked()
-		if errors.Is(err, store.ErrUnauthorized) || errors.Is(err, store.ErrOverloaded) ||
-			errors.Is(err, store.ErrFenced) || errors.Is(err, store.ErrNotPrimary) {
-			// Role verdicts included: re-dialing the same server cannot make
-			// it the primary — the failover layer must re-probe instead.
-			return err
-		}
-		if redials >= c.cfg.Redials || c.cfg.Redials < 0 {
-			return err
-		}
-		backoff := c.cfg.RedialBackoff << redials
-		if backoff > c.cfg.RedialMaxBackoff {
-			backoff = c.cfg.RedialMaxBackoff
-		}
-		time.Sleep(backoff)
-		redials++
-		if derr := c.redialLocked(); derr != nil {
-			return fmt.Errorf("transport: dial %s: %w: %w", c.addr, store.ErrUnavailable, derr)
-		}
-	}
-}
-
 // NewClient wraps an established connection. A client built this way does
-// not know its peer's address and therefore cannot re-dial: a broken
-// connection fails the call (this is the seed behaviour, kept for tests
-// and custom conn types).
+// not know its peer's address and therefore cannot re-dial: once its
+// connection breaks, every call fails (this is the seed behaviour, kept for
+// tests and custom conn types).
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
-		cfg:        ClientConfig{CallTimeout: -1, Redials: -1},
+		cfg:        ClientConfig{CallTimeout: -1},
 		conn:       conn,
 		fc:         newFrameConn(conn),
 		reconnects: telemetry.NewCounter(),
@@ -427,15 +370,6 @@ func (c *Client) Close() error {
 // across every client built from the same config.
 func (c *Client) Reconnects() int64 { return c.reconnects.Value() }
 
-// Broken reports whether the client currently has no live connection (its
-// last call tore the connection down and could not re-establish it). A
-// pool uses this to replace the client.
-func (c *Client) Broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn == nil && !c.closed
-}
-
 // dropConnLocked tears down a failed connection. Caller holds c.mu.
 func (c *Client) dropConnLocked() {
 	if c.conn != nil {
@@ -444,61 +378,67 @@ func (c *Client) dropConnLocked() {
 	c.conn, c.fc = nil, nil
 }
 
-// redialLocked re-establishes the connection. Caller holds c.mu.
-func (c *Client) redialLocked() error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
-	if err != nil {
-		return err
-	}
-	c.conn, c.fc = conn, newFrameConn(conn)
-	c.reconnects.Inc()
-	return nil
-}
-
 // sessioned reports whether this client opens a session handshake on each
 // connection.
 func (c *Client) sessioned() bool {
 	return c.cfg.Database != "" || c.cfg.Token != "" || c.cfg.Fence > 0
 }
 
-// handshakeLocked performs the session handshake on the current connection:
-// it announces the database namespace and auth token and waits for the
-// server's verdict. Called after the initial dial and after every re-dial,
-// so a self-healed connection always rejoins its namespace before any
-// request is re-sent. Caller holds c.mu (or has exclusive access during
-// dial).
-func (c *Client) handshakeLocked() error {
+// connectLocked makes one attempt to open a connection and, for a sessioned
+// client, to run the handshake on it: it announces the database namespace,
+// auth token and fence and waits for the server's verdict, so a re-dialed
+// connection rejoins its namespace before any request is sent on it. A
+// failed dial wraps errDialFailed; a handshake lost to a dropped connection
+// wraps store.ErrUnavailable and leaves the client unconnected; a refused
+// handshake returns the server's verdict. Caller holds c.mu (or has
+// exclusive access, in DialWith).
+func (c *Client) connectLocked() error {
+	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	if err != nil {
+		return fmt.Errorf("transport: dial %s: %w: %w", c.addr, errDialFailed, err)
+	}
+	c.conn, c.fc = conn, newFrameConn(conn)
+	if !c.sessioned() {
+		return nil
+	}
+	hello := request{Op: store.Op{Kind: store.KindHello, Name: c.cfg.Database, Value: c.cfg.Fence}, Token: c.cfg.Token}
+	hello.Ctx = otrace.SpanContext{}.Wire() // constant-size header, like every frame
+	if _, err := c.exchangeLocked(&hello); err != nil {
+		c.dropConnLocked()
+		return fmt.Errorf("transport: session handshake with %s: %w", c.addr, err)
+	}
+	return nil
+}
+
+// exchangeLocked sends req on the live connection and reads the answer. A
+// transport failure drops the connection and returns the retryable
+// store.ErrUnavailable; the request is not sent again. Caller holds c.mu.
+func (c *Client) exchangeLocked(req *request) (*response, error) {
 	if c.cfg.CallTimeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 	}
-	req := request{Op: store.Op{Kind: store.KindHello, Name: c.cfg.Database, Value: c.cfg.Fence}, Token: c.cfg.Token}
-	req.Ctx = otrace.SpanContext{}.Wire() // constant-size header, like every frame
-	if err := c.fc.flush(appendRequest(c.fc.begin(), &req)); err != nil {
-		return fmt.Errorf("transport: handshake send: %w", err)
-	}
 	var resp response
-	if err := c.receive(&resp); err != nil {
-		return fmt.Errorf("transport: handshake receive: %w", err)
+	err := c.fc.flush(appendRequest(c.fc.begin(), req))
+	if err == nil {
+		var body []byte
+		if body, err = c.fc.next(); err == nil {
+			err = decodeResponse(body, &resp)
+		}
 	}
-	return decodeErr(resp.Code, resp.Err)
-}
-
-// receive reads and decodes the next response frame. Caller holds c.mu.
-func (c *Client) receive(resp *response) error {
-	body, err := c.fc.next()
 	if err != nil {
-		return err
+		c.dropConnLocked()
+		return nil, fmt.Errorf("transport: connection lost: %w: %w", store.ErrUnavailable, err)
 	}
-	return decodeResponse(body, resp)
+	return &resp, decodeErr(resp.Code, resp.Err)
 }
 
 func (c *Client) call(req *request) (*response, error) {
-	// The RPC span covers the whole self-healing call (redials included)
-	// and its context rides in the constant-size frame header. With no
-	// tracer the header still goes out, carrying the zero context — frame
-	// bytes are identical either way. The span is started before taking
-	// c.mu so it parents under the calling goroutine's bound span, not
-	// under whatever was bound when the lock became free.
+	// The RPC span covers the call, a re-dial included, and its context
+	// rides in the constant-size frame header. With no tracer the header
+	// still goes out, carrying the zero context — frame bytes are identical
+	// either way. The span is started before taking c.mu so it parents under
+	// the calling goroutine's bound span, not under whatever was bound when
+	// the lock became free.
 	var span *otrace.Span
 	if c.cfg.Trace != nil && req.Kind < store.NumKinds {
 		span = c.cfg.Trace.Start(rpcSpanNames[req.Kind])
@@ -513,79 +453,24 @@ func (c *Client) call(req *request) (*response, error) {
 	if c.lat != nil && req.Kind < store.NumKinds {
 		defer c.lat[req.Kind].ObserveSince(time.Now())
 	}
-	redials := 0
-	resent := false
-	var lastErr error
-	for {
-		if c.conn == nil {
-			if c.addr == "" || redials >= c.cfg.Redials || c.cfg.Redials < 0 {
-				break
-			}
-			backoff := c.cfg.RedialBackoff << redials
-			if backoff > c.cfg.RedialMaxBackoff {
-				backoff = c.cfg.RedialMaxBackoff
-			}
-			time.Sleep(backoff)
-			redials++
-			if err := c.redialLocked(); err != nil {
-				lastErr = err
-				continue
-			}
-			if c.sessioned() {
-				if herr := c.handshakeLocked(); herr != nil {
-					c.dropConnLocked()
-					if errors.Is(herr, store.ErrUnauthorized) {
-						// Re-presenting the same credentials cannot
-						// succeed; fail the call instead of burning the
-						// redial budget.
-						return nil, fmt.Errorf("transport: session handshake: %w", herr)
-					}
-					lastErr = herr
-					continue
-				}
-			}
+	if c.conn == nil {
+		if c.addr == "" {
+			return nil, fmt.Errorf("transport: connection lost, no address to re-dial: %w", ErrClosed)
 		}
-		if c.cfg.CallTimeout > 0 {
-			_ = c.conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
+		err := c.connectLocked()
+		if !errors.Is(err, errDialFailed) {
+			c.reconnects.Inc()
 		}
-		if err := c.fc.flush(appendRequest(c.fc.begin(), req)); err != nil {
-			c.dropConnLocked()
-			lastErr = fmt.Errorf("transport: send: %w", err)
-			resent = true
-			continue
+		if err != nil {
+			return nil, err
 		}
-		var resp response
-		if err := c.receive(&resp); err != nil {
-			c.dropConnLocked()
-			if errors.Is(err, io.EOF) {
-				lastErr = fmt.Errorf("transport: server closed connection: %w", err)
-			} else {
-				lastErr = fmt.Errorf("transport: receive: %w", err)
-			}
-			resent = true
-			continue
-		}
-		if err := decodeErr(resp.Code, resp.Err); err != nil {
-			// A create or delete whose first acknowledgement was lost answers
-			// the resend with the verdict that proves it applied.
-			if resent && req.Kind.Applied(err) {
-				return &resp, nil
-			}
-			return &resp, err
-		}
-		return &resp, nil
 	}
-	if lastErr == nil {
-		lastErr = ErrClosed
-	}
-	return nil, fmt.Errorf("transport: connection lost (%d redials): %w: %w", redials, store.ErrUnavailable, lastErr)
+	return c.exchangeLocked(req)
 }
 
 // roundTrip sends one Service operation and fills res from the answer. The
 // whole op crosses the wire as one framed request and one framed response, a
-// Batch of B cell or path operations included — one round trip instead of B. A resend
-// after a broken connection re-applies the op, which is safe because writes
-// carry their exact ciphertexts and re-marking an epoch is idempotent.
+// Batch of B cell or path operations included — one round trip instead of B.
 func (c *Client) roundTrip(op *store.Op, res *store.Result) error {
 	if op.DB != "" {
 		return fmt.Errorf("transport: %v in namespace %q: a connection's namespace is bound by its handshake (ClientConfig.Database), not per call", op.Kind, op.DB)

@@ -111,8 +111,10 @@ func WithLatency(svc Service, rtt time.Duration) Service { return store.WithLate
 func ServeTCP(l net.Listener, svc Service) error { return transport.Serve(l, svc) }
 
 // DialTCP connects to a remote server started with ServeTCP and returns a
-// Service usable with Outsource. The connection is self-healing: calls
-// carry deadlines and a dropped connection is re-dialed with backoff.
+// Service usable with Outsource. Calls carry deadlines; a call whose
+// connection drops fails at once with the retryable ErrUnavailable, and the
+// next call re-dials. The client never sends a call twice: wrap it in
+// WithRetry for that.
 func DialTCP(addr string) (*transport.Client, error) { return transport.Dial(addr) }
 
 // Fault tolerance. Long oblivious runs make millions of storage calls, so
@@ -122,7 +124,11 @@ func DialTCP(addr string) (*transport.Client, error) { return transport.Dial(add
 //	svc, _ := securefd.DialTCPWith(addr, securefd.DefaultClientConfig())
 //	db, _ := securefd.Outsource(securefd.WithRetry(svc, securefd.RetryPolicy{}), rel, opts)
 //
-// Retrying a storage operation is safe for the security guarantee: every
+// WithRetry is the one layer that sends a call again. Below it the TCP
+// client, the pool and the failover pool each send a call once: a dropped
+// connection, an undialable server and a failover all surface as the
+// retryable ErrUnavailable, and the connection is re-dialed by the next
+// call. Retrying a storage operation is safe for the security guarantee: every
 // operation is idempotent or reconciled (see store.WithRetry), and a
 // retried access adds one re-encrypted access to the server's view —
 // indistinguishable from a slightly longer run, so the leakage profile
@@ -132,7 +138,8 @@ type (
 	FaultConfig = store.FaultConfig
 	// RetryPolicy configures retry/backoff (WithRetry).
 	RetryPolicy = store.RetryPolicy
-	// ClientConfig tunes the self-healing TCP client (DialTCPWith).
+	// ClientConfig tunes the TCP client's deadlines, session and
+	// instrumentation (DialTCPWith).
 	ClientConfig = transport.ClientConfig
 	// FaultService is a fault-injecting Service decorator.
 	FaultService = store.FaultService
@@ -146,8 +153,10 @@ var (
 	// ErrTransient marks an injected or otherwise momentary storage
 	// failure; WithRetry retries it.
 	ErrTransient = store.ErrTransient
-	// ErrUnavailable marks a connection that could not be established or
-	// re-established within the redial budget.
+	// ErrUnavailable marks a call that failed for want of a server: its
+	// connection dropped mid-call, the server could not be dialed, or the
+	// failover pool just moved to a new primary. The call was sent at most
+	// once, so WithRetry retries it.
 	ErrUnavailable = store.ErrUnavailable
 	// ErrIntegrity marks data the client refused because verification
 	// failed: a tampered or replayed ciphertext, a stale ORAM block, a
@@ -227,15 +236,15 @@ func WriteChromeTrace(w io.Writer, recs []SpanRecord) error {
 // returns svc unchanged.
 func WithTelemetry(svc Service, reg *Registry) Service { return store.WithMetrics(svc, reg) }
 
-// DefaultClientConfig returns the self-healing client defaults.
+// DefaultClientConfig returns the TCP client defaults.
 func DefaultClientConfig() ClientConfig { return transport.DefaultClientConfig() }
 
-// DialTCPWith is DialTCP with explicit timeout/redial tuning.
+// DialTCPWith is DialTCP with an explicit configuration.
 func DialTCPWith(addr string, cfg ClientConfig) (*transport.Client, error) {
 	return transport.DialWith(addr, cfg)
 }
 
-// DialTCPPool connects size independent self-healing connections to one
+// DialTCPPool connects size independent re-dialing connections to one
 // server, letting concurrent workers issue storage calls in parallel.
 func DialTCPPool(addr string, size int, cfg ClientConfig) (*transport.Pool, error) {
 	return transport.DialPoolWith(addr, size, cfg)
@@ -244,9 +253,10 @@ func DialTCPPool(addr string, size int, cfg ClientConfig) (*transport.Pool, erro
 // DialTCPFailover connects a pool of size connections against a *list* of
 // replicated fdservers (see fdserver -replicas): calls are served by the
 // current primary, and when it dies or is deposed the pool probes the list,
-// promotes the freshest replica if no primary answers, and re-issues the
-// failed call there. Layer WithRetry on top and an entire server loss looks
-// like one more transient fault:
+// promotes the freshest replica if no primary answers, and fails the call
+// with the retryable ErrUnavailable. Layer WithRetry on top — it sends the
+// call again to the new primary — and an entire server loss looks like one
+// more transient fault:
 //
 //	svc, _ := securefd.DialTCPFailover(addrs, workers, securefd.DefaultClientConfig())
 //	db, _ := securefd.Outsource(securefd.WithRetry(svc, securefd.RetryPolicy{}), rel, opts)
