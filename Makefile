@@ -44,9 +44,10 @@ crash:
 	$(GO) test -count=1 ./internal/store/ ./internal/core/ ./internal/oram/
 
 # Tamper-injection suite: corrupt ciphertexts at seeded read offsets — Sort's
-# cell batches and the PathORAM paths of Or-ORAM and Ex-ORAM, in-process and
-# over TCP — plus WAL frames and snapshots at rest, and require every
-# corruption to be detected (never a silent wrong FD set).
+# cell batches, Or-ORAM's label-array ranges and the PathORAM paths of Or-ORAM
+# and Ex-ORAM, in-process and over TCP — plus WAL frames and snapshots at
+# rest, and require every corruption to be detected (never a silent wrong FD
+# set; a bit flip or a swap within a read is always refused).
 # -race because detection paths cross the fault injector's locks.
 tamper:
 	$(GO) test -race -count=1 -run 'Tamper' .
@@ -112,10 +113,12 @@ bench-wire:
 # build in the benchmark's ORAM workloads (Ex-ORAM with insert headroom and
 # 16-byte values, Or-ORAM with 8-byte values); then one record of an ORAM
 # engine's traversal over a loopback TCP connection, Or and Ex, reporting the
-# rounds and accesses it costs as counts beside ns/op: of one set,
-# single-attribute and union (2 / 2 and 3 / 4), and of a lattice level of
-# w = 1, 3, 6 unions over their c = 2, 3, 4 covers (3 rounds and 2w + c
-# accesses: 4, 9, 16). Run like bench-cell.
+# rounds and accesses it costs as counts beside ns/op: of one set as an
+# insertion steps it, single-attribute and union (rounds / accesses: Or 3 / 1
+# and 4 / 1, the label cells included; Ex 2 / 2 and 3 / 4), and of a lattice
+# level of w = 1, 3, 6 unions over their c = 2, 3, 4 covers (Or: 2 rounds and
+# w accesses, its chunk's label cells aside; Ex: 3 rounds and 2w + c
+# accesses, 4, 9, 16). Run like bench-cell.
 bench-oram:
 	$(GO) test -run '^$$' -bench 'PathAccess' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
 	$(GO) test -run '^$$' -bench 'EngineStepLoopback|EngineLevelLoopback' -benchmem -benchtime $(BENCHTIME) ./internal/core/

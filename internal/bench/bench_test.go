@@ -304,16 +304,17 @@ func TestCommTiny(t *testing.T) {
 	}
 	// A level of three unions over three covers: Sort builds them one by one,
 	// three times the union alone; an ORAM method steps them together and
-	// reads each cover once a record — 2·3 + 3 accesses where three unions
-	// alone make 4·3, each a path read and a path write-back.
+	// reads each cover once a record. Ex-ORAM makes 2·3 + 3 accesses where
+	// three unions alone make 4·3, each a path read and a path write-back;
+	// Or-ORAM reads 3 cover label cells where three unions alone read 6.
 	if level, _ := res.Point(MethodSort, 3, 64); level.Ops != 3*sortPair64.Ops {
 		t.Errorf("Sort level of three: %d ops, want three unions' %d", level.Ops, 3*sortPair64.Ops)
 	}
-	for _, m := range []Method{MethodOrORAM, MethodExORAM} {
+	for m, want := range map[Method]int64{MethodOrORAM: 3 * 64, MethodExORAM: 2 * 3 * 64} {
 		union, _ := res.Point(m, 1, 64)
 		level, _ := res.Point(m, 3, 64)
-		if got, want := 3*union.Ops-level.Ops, int64(2*3*64); got != want {
-			t.Errorf("%s: three unions alone − a level of three = %d ops, want 3 accesses a record = %d", m, got, want)
+		if got := 3*union.Ops - level.Ops; got != want {
+			t.Errorf("%s: three unions alone − a level of three = %d ops, want 3 cover reads a record = %d", m, got, want)
 		}
 	}
 	// Communication is a fixed function of the database size — re-running

@@ -107,15 +107,18 @@ func AttachEDB(svc store.Service, st *EDBState) (*EncryptedDB, error) {
 }
 
 // SetState is the checkpoint form of one materialized attribute set:
-// cardinality, covering subsets, and the client states of its two ORAMs
-// (KL/IL for OrEngine, KLF/IKL for ExEngine).
+// cardinality, covering subsets, and the client states of its ORAMs — KL and
+// the name of the IL label array for OrEngine, KLF and IKL for ExEngine. An
+// Or-ORAM state with a Secondary was written by a build that kept IL as an
+// ORAM, and is refused.
 type SetState struct {
 	Set       relation.AttrSet
 	Card      uint64
 	NextLabel uint64 // ExEngine's monotone label source; unused by OrEngine
 	Cover     [2]relation.AttrSet
 	Primary   *oram.State // KL or KLF
-	Secondary *oram.State // IL or IKL
+	Secondary *oram.State // IKL; nil for OrEngine
+	Labels    string      // IL; empty for ExEngine
 }
 
 // Engine kind tags used in EngineState.Kind.

@@ -156,6 +156,26 @@ func TestMapEraCheckpointIsRefused(t *testing.T) {
 	}
 }
 
+// TestIDORAMCheckpointIsRefused: pr31/or.ckpt (OFDCKPT3) was written at
+// commit a6b2aef, the last to run Algorithms 1 and 2 with O^IL an ORAM. Its
+// frame and payload read as this build's, but its sets carry an ID ORAM's
+// client state where this build keeps a label array: resuming it is refused,
+// by name.
+func TestIDORAMCheckpointIsRefused(t *testing.T) {
+	cp, err := ReadCheckpointFile(filepath.Join("testdata", "pr31", "or.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb, err := AttachEDB(store.NewServer(), cp.EDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ResumeEngine(edb, cp.Engine)
+	if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), "a6b2aef") {
+		t.Errorf("ResumeEngine = %v, want ErrCorruptCheckpoint naming commit a6b2aef", err)
+	}
+}
+
 // crashAfter aborts a discovery run from inside the checkpoint callback once
 // the requested level boundary is reached, capturing the full checkpoint the
 // way securefd.DiscoverResumable does.
@@ -367,7 +387,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			f.Add(payload[:cut])
 		}
 	}
-	for _, file := range []string{"pre-bucket-seal.ckpt", "scan-oram.ckpt", "pr18/parent-or.ckpt", "pr18/parent-ex.ckpt", "pr31/or.ckpt", "pr31/ex.ckpt"} {
+	for _, file := range []string{"pre-bucket-seal.ckpt", "scan-oram.ckpt", "pr18/parent-or.ckpt", "pr18/parent-ex.ckpt", "pr31/or.ckpt", "pr31/ex.ckpt", "label-array/or.ckpt"} {
 		data, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			f.Fatal(err)

@@ -318,9 +318,10 @@ var _ Engine = (*OrEngine)(nil)
 var _ Engine = (*SortEngine)(nil)
 
 // TestFailedInsertIsNeverTraversed: one transient read failure during an
-// insertion — the new cell is read back from the server to build its single
-// key, after the row has been appended — must not shift which records are live.
-// Or-ORAM used to leave its row count behind the database's, so the next
+// insertion — the first set's path fetch, after the row has been appended —
+// must not shift which records are live. (The failure was once the read-back
+// of the new cell that built its single key; insertions take their keys from
+// the row now.) Or-ORAM used to leave its row count behind the database's, so the next
 // insertion's id stood in for the failed one's: every later union answered
 // "id 6 missing from subset partition", and a later single counted the orphan
 // and skipped the record really inserted. Now the failed id is never traversed
@@ -352,7 +353,9 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 	for _, e := range oramEngines {
 		t.Run(e.name, func(t *testing.T) {
 			srv := store.NewServer()
-			svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindReadCells })
+			svc := newFailNth(srv, func(op *store.Op) bool {
+				return op.Kind == store.KindBatch && op.Ops[0].Kind() == store.KindReadPath
+			})
 			edb, err := UploadWithCapacity(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 10)
 			if err != nil {
 				t.Fatal(err)
@@ -364,7 +367,7 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 			}
 			svc.arm(1)
 			if _, err := eng.Insert(orphan); !errors.Is(err, errInjected) {
-				t.Fatalf("insert whose read-back failed: %v", err)
+				t.Fatalf("insert whose first fetch failed: %v", err)
 			}
 			id, err := eng.Insert(good)
 			if err != nil || id != 7 || eng.NumRows() != 7 || edb.NumRows() != 8 {

@@ -73,7 +73,8 @@ func UploadWithCapacity(svc store.Service, cipher *crypto.Cipher, name string, r
 }
 
 // AppendRow encrypts and stores a new record, returning its id. The row
-// occupies the next free slot; capacity bounds total appends.
+// occupies the next free slot of every column, written in one round;
+// capacity bounds total appends.
 func (e *EncryptedDB) AppendRow(row relation.Row) (int, error) {
 	if len(row) != e.schema.Width() {
 		return 0, fmt.Errorf("%w: row has %d values, schema %d", ErrRowWidth, len(row), e.schema.Width())
@@ -82,14 +83,17 @@ func (e *EncryptedDB) AppendRow(row relation.Row) (int, error) {
 		return 0, fmt.Errorf("core: database full (%d rows, capacity %d)", e.n, e.capacity)
 	}
 	id := e.n
+	idx := []int64{int64(id)}
+	ops := make([]store.BatchOp, len(row))
 	for j, v := range row {
 		ct, err := e.cipher.Seal([]byte(v), e.cellAD(id, j))
 		if err != nil {
 			return 0, fmt.Errorf("core: encrypting appended cell %d: %w", j, err)
 		}
-		if err := e.svc.WriteCells(e.columnName(j), []int64{int64(id)}, [][]byte{ct}); err != nil {
-			return 0, fmt.Errorf("core: appending cell %d: %w", j, err)
-		}
+		ops[j] = store.BatchOp{Write: true, Name: e.columnName(j), Idx: idx, Cts: [][]byte{ct}}
+	}
+	if _, err := store.DoBatch(e.svc, ops); err != nil {
+		return 0, fmt.Errorf("core: appending row %d: %w", id, err)
 	}
 	e.n++
 	return id, nil
@@ -147,16 +151,16 @@ func (e *EncryptedDB) CellValues(lo, hi, j int) ([]string, error) {
 	for k := range idx {
 		idx[k] = int64(lo + k)
 	}
-	return e.CellValuesAt(idx, j)
+	cts, err := e.svc.ReadCells(e.columnName(j), idx)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading %d cells of column %d: %w", len(idx), j, err)
+	}
+	return e.openCells(cts, idx, j)
 }
 
-// CellValuesAt is CellValues for the listed rows of column j, which need not
-// be adjacent.
-func (e *EncryptedDB) CellValuesAt(rows []int64, j int) ([]string, error) {
-	cts, err := e.svc.ReadCells(e.columnName(j), rows)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading %d cells of column %d: %w", len(rows), j, err)
-	}
+// openCells opens the ciphertexts of the listed rows of column j, which need
+// not be adjacent.
+func (e *EncryptedDB) openCells(cts [][]byte, rows []int64, j int) ([]string, error) {
 	out := make([]string, len(cts))
 	for k, ct := range cts {
 		i := int(rows[k])

@@ -318,9 +318,11 @@ func TestEngineCloseFreesServerStorage(t *testing.T) {
 
 func TestClientMemoryShapes(t *testing.T) {
 	// Fig. 5's qualitative claim: Sort's client memory is O(1); ORAM
-	// methods grow with n.
-	small := randomRel(2, 16, 4, 1)
-	big := randomRel(2, 256, 4, 1)
+	// methods grow with n — Ex-ORAM with a position per record, Or-ORAM,
+	// whose record-indexed labels sit in an array on the server, with the
+	// distinct keys, which grow with n here.
+	small := randomRel(2, 16, 16, 1)
+	big := randomRel(2, 256, 256, 1)
 
 	mem := func(ef engineFactory, rel *relation.Relation) int {
 		eng := ef.make(t, rel)

@@ -60,20 +60,19 @@ func NewExEngine(edb *EncryptedDB) (*ExEngine, error) {
 // frequency one higher, and one write of (key_X, label) to O^IKL. Exactly two
 // ORAM accesses regardless of data; card_X and the label source move in
 // commit, once both write-backs are on the server.
-func exStep(st *oramState, id string, key uint64) (primary, secondary oram.Access, commit func()) {
-	var label uint64
+func exStep(st *oramState, id string, key uint64, label *uint64) (primary, secondary oram.Access, commit func()) {
 	var fresh bool
 	primary = oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
 		fresh = !found
 		fre := uint64(0)
 		if found {
-			label, fre = decodeUint64(old), decodeUint64(old[8:])
+			*label, fre = decodeUint64(old), decodeUint64(old[8:])
 		} else {
-			label = st.nextLabel
+			*label = st.nextLabel
 		}
-		return st.pair(label, fre+1), true
+		return st.pair(*label, fre+1), true
 	}}
-	secondary = oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.pair(key, label), true }}
+	secondary = oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.pair(key, *label), true }}
 	return primary, secondary, func() {
 		if fresh {
 			st.card++

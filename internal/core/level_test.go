@@ -32,43 +32,59 @@ var oramEngines = []struct {
 }
 
 // pathRounds counts the calls that carry a path operation — a record's
-// rounds — and the column reads. Tree set-up and deletes are calls of other
-// kinds.
+// rounds — and the batches of cell reads and of cell writes — a chunk's. The
+// upload, tree set-up and deletes are calls of other kinds.
 type pathRounds struct {
 	store.Adapter
-	n, columnReads int64
+	n, cellReads, cellWrites int64
 }
 
 func countPathRounds(svc store.Service) *pathRounds {
 	p := &pathRounds{}
 	p.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
+		batch := op.Kind == store.KindBatch && len(op.Ops) > 0
 		switch {
 		case op.Kind == store.KindReadPath, op.Kind == store.KindWritePath:
 			p.n++
-		case op.Kind == store.KindBatch && len(op.Ops) > 0 && op.Ops[0].Path:
+		case batch && op.Ops[0].Path:
 			p.n++
-		case op.Kind == store.KindReadCells:
-			p.columnReads++
+		case batch && op.Ops[0].Write:
+			p.cellWrites++
+		case batch, op.Kind == store.KindReadCells:
+			p.cellReads++
 		}
 		return store.Invoke(svc, op, res)
 	})
 	return p
 }
 
-// treeNames returns the server-side names of a set's primary and secondary.
+// treeNames returns the server-side names of a set's primary and secondary:
+// Ex-ORAM's ID ORAM, or Or-ORAM's label array.
 func treeNames(st *oramState) (primary, secondary string) {
+	if st.secondary == nil {
+		return st.primary.Name(), st.labels
+	}
 	return st.primary.Name(), st.secondary.Name()
 }
 
 // pathEvents counts (ReadPath, WritePath) events per object.
 func pathEvents(events []trace.Event) map[string][2]int {
+	return countEvents(events, trace.OpReadPath, trace.OpWritePath)
+}
+
+// cellEvents counts (ReadCell, WriteCell) events per object.
+func cellEvents(events []trace.Event) map[string][2]int {
+	return countEvents(events, trace.OpReadCell, trace.OpWriteCell)
+}
+
+func countEvents(events []trace.Event, read, write trace.Op) map[string][2]int {
 	out := make(map[string][2]int)
 	for _, e := range events {
 		c := out[e.Object]
 		switch e.Op {
-		case trace.OpReadPath:
+		case read:
 			c[0]++
-		case trace.OpWritePath:
+		case write:
 			c[1]++
 		default:
 			continue
@@ -99,15 +115,22 @@ func allSingles(m int) []Request {
 }
 
 // TestLevelClosedForm: what a level of w targets over c distinct covers on n
-// records shows the server, structure by structure. Each target's two trees
-// see n (ReadPath, WritePath) pairs; each cover's ID ORAM sees n pairs however
-// many of the targets name it; a record is 2 rounds at level 1 and 3 above,
-// carrying 2w and 2w + c accesses; the columns are read a chunk per round.
-// And a level of one — core.CardinalityUnion — is, event for event, the
-// sequence a set at a time always was: [c₁ c₂] → [c₁ c₂ P S] → [P S].
+// records shows the server, structure by structure. Each target's primary sees
+// n (ReadPath, WritePath) pairs, and so does Ex-ORAM's ID ORAM of each target,
+// and of each cover however many of the targets name it; Or-ORAM's label array
+// of a target has its n cells written, of a cover its n cells read. A record is
+// 2 rounds at level 1, carrying 2w accesses in Ex-ORAM and w in Or-ORAM, and 3
+// rounds carrying 2w + c above it in Ex-ORAM, 2 carrying w in Or-ORAM. The
+// columns are read a chunk per round, all of them together, and Or-ORAM's label
+// cells a chunk per round too: the covers' in one before the chunk's records,
+// the targets' in one after. And a level of one — core.CardinalityUnion — is,
+// event for event, the sequence a set at a time always was: in Ex-ORAM
+// [c₁ c₂] → [c₁ c₂ P S] → [P S] a record, in Or-ORAM a chunk's cells of c₁
+// and c₂, [P] → [P] a record, and the chunk's cells of S.
 func TestLevelClosedForm(t *testing.T) {
-	const m, n = 4, 70 // two column chunks: 64 + 6
+	const m, n = 4, 70 // two chunks: 64 + 6
 	rel := fixedWidthRel(m, n, 5, 3)
+	chunks := (n + obsort.ChunkCells - 1) / obsort.ChunkCells
 	for _, e := range oramEngines {
 		t.Run(e.name, func(t *testing.T) {
 			srv := store.NewServer()
@@ -118,66 +141,103 @@ func TestLevelClosedForm(t *testing.T) {
 			}
 			eng, core := e.make(t, edb)
 			defer eng.Close()
+			positional := core.layout.positional
 			srv.Trace().Enable()
 
-			// measure runs a Materialize call and returns its path rounds and
-			// per-object path events.
-			measure := func(reqs []Request) (int64, map[string][2]int, []trace.Event) {
+			// measure runs a Materialize call and returns its path rounds,
+			// cell read and write rounds, and per-object path and cell events.
+			measure := func(reqs []Request) (r, reads, writes int64, paths, cells map[string][2]int, events []trace.Event) {
 				t.Helper()
 				srv.Trace().Reset()
-				r0 := rounds.n
+				r0, reads0, writes0 := rounds.n, rounds.cellReads, rounds.cellWrites
 				if _, err := eng.Materialize(reqs, 4); err != nil {
 					t.Fatal(err)
 				}
-				events := srv.Trace().Events()
-				return rounds.n - r0, pathEvents(events), events
+				events = srv.Trace().Events()
+				return rounds.n - r0, rounds.cellReads - reads0, rounds.cellWrites - writes0, pathEvents(events), cellEvents(events), events
 			}
-			wantTrees := func(got map[string][2]int, what string, x relation.AttrSet, primary, secondary int) {
+			// wantSets checks a set's primary for primary pairs and its
+			// secondary for secondary pairs — path events of an ID ORAM, or
+			// (reads, writes) of a label array's cells.
+			wantSets := func(paths, cells map[string][2]int, what string, x relation.AttrSet, primary int, secondary [2]int) {
 				t.Helper()
 				p, s := treeNames(core.sets[x])
-				if got[p] != [2]int{primary, primary} || got[s] != [2]int{secondary, secondary} {
-					t.Errorf("%s %v: primary saw %v, secondary %v (ReadPath, WritePath); want %d and %d pairs", what, x, got[p], got[s], primary, secondary)
+				got := paths[s]
+				if positional {
+					got = cells[s]
 				}
+				if paths[p] != [2]int{primary, primary} || got != secondary {
+					t.Errorf("%s %v: primary saw %v (ReadPath, WritePath), want %d pairs; secondary %v, want %v", what, x, paths[p], primary, got, secondary)
+				}
+			}
+			accesses := func(paths map[string][2]int) (total int) {
+				for _, c := range paths {
+					total += c[0]
+				}
+				return total
 			}
 
 			// Level 1: w = m, no covers.
-			r, got, events := measure(allSingles(m))
-			if r != 2*n {
-				t.Errorf("level 1: %d path rounds, want 2n = %d", r, 2*n)
+			r, reads, writes, paths, cells, events := measure(allSingles(m))
+			perTarget := 2
+			if positional {
+				perTarget = 1
+			}
+			if r != 2*n || accesses(paths) != perTarget*m*n {
+				t.Errorf("level 1: %d accesses in %d path rounds, want %d·w·n = %d in 2n = %d", accesses(paths), r, perTarget, perTarget*m*n, 2*n)
 			}
 			for a := 0; a < m; a++ {
-				wantTrees(got, "level 1", relation.SingleAttr(a), n, n)
+				labels := [2]int{n, n}
+				if positional {
+					labels = [2]int{0, n}
+				}
+				wantSets(paths, cells, "level 1", relation.SingleAttr(a), n, labels)
 			}
-			var cells int
+			var columnCells int
 			for _, ev := range events {
 				if ev.Op == trace.OpReadCell {
-					cells++
+					columnCells++
 				}
 			}
-			chunks := (n + obsort.ChunkCells - 1) / obsort.ChunkCells
-			if cells != m*n || rounds.columnReads != int64(m*chunks) {
-				t.Errorf("level 1: %d cells read in %d rounds, want m·n = %d in m·⌈n/%d⌉ = %d", cells, rounds.columnReads, m*n, obsort.ChunkCells, m*chunks)
+			labelWrites := 0
+			if positional {
+				labelWrites = chunks
+			}
+			if columnCells != m*n || reads != int64(chunks) || writes != int64(labelWrites) {
+				t.Errorf("level 1: %d column cells read in %d rounds and %d rounds of label writes, want m·n = %d in ⌈n/%d⌉ = %d and %d",
+					columnCells, reads, writes, m*n, obsort.ChunkCells, chunks, labelWrites)
 			}
 
 			// Level 2: w = 6 over c = 4, each cover named by three targets.
 			pairs := allPairs(m)
-			r, got, _ = measure(pairs)
+			r, reads, writes, paths, cells, _ = measure(pairs)
 			groups := (len(pairs) + levelWidth - 1) / levelWidth
-			if r != int64(3*n*groups) {
-				t.Errorf("level 2: %d path rounds, want 3n·%d = %d", r, groups, 3*n*groups)
+			perRecord, wantAccesses := 3, (2*len(pairs)+m)*n*groups
+			if positional {
+				perRecord, wantAccesses = 2, len(pairs)*n
+			}
+			if r != int64(perRecord*n*groups) {
+				t.Errorf("level 2: %d path rounds, want %dn·%d = %d", r, perRecord, groups, perRecord*n*groups)
+			}
+			if groups == 1 && accesses(paths) != wantAccesses {
+				t.Errorf("level 2: %d accesses, want %d", accesses(paths), wantAccesses)
+			}
+			if positional && (reads != int64(chunks*groups) || writes != int64(chunks*groups)) {
+				t.Errorf("level 2: %d rounds of label reads and %d of label writes, want ⌈n/%d⌉·%d = %d each", reads, writes, obsort.ChunkCells, groups, chunks*groups)
 			}
 			for _, p := range pairs {
-				wantTrees(got, "level 2 target", p.Set, n, n)
-			}
-			var accesses int
-			for _, c := range got {
-				accesses += c[0]
-			}
-			if want := (2*len(pairs) + m) * n * groups; groups == 1 && accesses != want {
-				t.Errorf("level 2: %d accesses, want (2w + c)·n = %d", accesses, want)
+				labels := [2]int{n, n}
+				if positional {
+					labels = [2]int{0, n}
+				}
+				wantSets(paths, cells, "level 2 target", p.Set, n, labels)
 			}
 			for a := 0; a < m; a++ {
-				wantTrees(got, "level 2 cover", relation.SingleAttr(a), 0, n*groups)
+				labels := [2]int{n * groups, n * groups}
+				if positional {
+					labels = [2]int{n * groups, 0}
+				}
+				wantSets(paths, cells, "level 2 cover", relation.SingleAttr(a), 0, labels)
 			}
 
 			// A level of one is the set-at-a-time sequence.
@@ -189,29 +249,47 @@ func TestLevelClosedForm(t *testing.T) {
 			_, c1 := treeNames(core.sets[x1])
 			_, c2 := treeNames(core.sets[x2])
 			p, s := treeNames(core.sets[x1.Union(x2)])
+			type step struct {
+				op   trace.Op
+				objs []string
+			}
+			record := []step{{trace.OpReadPath, []string{c1, c2}}, {trace.OpWritePath, []string{c1, c2}}, {trace.OpReadPath, []string{p, s}}, {trace.OpWritePath, []string{p, s}}}
+			if positional {
+				record = []step{{trace.OpReadPath, []string{p}}, {trace.OpWritePath, []string{p}}}
+			}
 			var wantSeq, gotSeq []string
-			for i := 0; i < n; i++ {
-				for _, step := range []struct {
-					op   trace.Op
-					objs []string
-				}{
-					{trace.OpReadPath, []string{c1, c2}},
-					{trace.OpWritePath, []string{c1, c2}},
-					{trace.OpReadPath, []string{p, s}},
-					{trace.OpWritePath, []string{p, s}},
-				} {
-					for _, obj := range step.objs {
-						wantSeq = append(wantSeq, fmt.Sprintf("%v %s", step.op, obj))
+			cellRange := func(op trace.Op, obj string, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					wantSeq = append(wantSeq, fmt.Sprintf("%v %s %d", op, obj, i))
+				}
+			}
+			for lo := 0; lo < n; lo += obsort.ChunkCells {
+				hi := min(lo+obsort.ChunkCells, n)
+				if positional {
+					cellRange(trace.OpReadCell, c1, lo, hi)
+					cellRange(trace.OpReadCell, c2, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					for _, st := range record {
+						for _, obj := range st.objs {
+							wantSeq = append(wantSeq, fmt.Sprintf("%v %s", st.op, obj))
+						}
 					}
+				}
+				if positional {
+					cellRange(trace.OpWriteCell, s, lo, hi)
 				}
 			}
 			for _, ev := range srv.Trace().Events() {
-				if ev.Op == trace.OpReadPath || ev.Op == trace.OpWritePath {
+				switch ev.Op {
+				case trace.OpReadPath, trace.OpWritePath:
 					gotSeq = append(gotSeq, fmt.Sprintf("%v %s", ev.Op, ev.Object))
+				case trace.OpReadCell, trace.OpWriteCell:
+					gotSeq = append(gotSeq, fmt.Sprintf("%v %s %d", ev.Op, ev.Object, ev.Index))
 				}
 			}
 			if strings.Join(gotSeq, "\n") != strings.Join(wantSeq, "\n") {
-				t.Errorf("a level of one is not the set-at-a-time sequence: %d path events, want %d; first eight\n got  %v\n want %v",
+				t.Errorf("a level of one is not the set-at-a-time sequence: %d path and cell events, want %d; first eight\n got  %v\n want %v",
 					len(gotSeq), len(wantSeq), gotSeq[:min(8, len(gotSeq))], wantSeq[:8])
 			}
 		})
@@ -258,15 +336,21 @@ func TestLevelWiderThanGroup(t *testing.T) {
 					t.Errorf("|π_%v| = %d, want %d", p.Set, cards[i], want)
 				}
 			}
-			if got := rounds.n - r0; got != 3*n*2 {
-				t.Errorf("%d path rounds, want 3n per group = %d", got, 3*n*2)
+			perRecord := 3
+			if core.layout.positional {
+				perRecord = 2
+			}
+			if got := rounds.n - r0; got != int64(perRecord*n*2) {
+				t.Errorf("%d path rounds, want %dn per group = %d", got, perRecord, perRecord*n*2)
 			}
 
-			// Where in the trace each tree's path events lie.
+			// Where in the trace each structure's path and cell events lie.
 			first, last := make(map[string]int), make(map[string]int)
 			events := srv.Trace().Events()
 			for i, ev := range events {
-				if ev.Op != trace.OpReadPath && ev.Op != trace.OpWritePath {
+				switch ev.Op {
+				case trace.OpReadPath, trace.OpWritePath, trace.OpReadCell, trace.OpWriteCell:
+				default:
 					continue
 				}
 				if _, seen := first[ev.Object]; !seen {
@@ -287,7 +371,12 @@ func TestLevelWiderThanGroup(t *testing.T) {
 			if span[0][1] >= span[1][0] {
 				t.Errorf("groups are not in request order: the first %d targets are stepped until event %d, the rest from event %d", levelWidth, span[0][1], span[1][0])
 			}
-			got := pathEvents(events)
+			// A cover's ID ORAM sees a (ReadPath, WritePath) pair, its label
+			// array a ReadCell, per record and group that names it.
+			got, what := pathEvents(events), "(ReadPath, WritePath)"
+			if core.layout.positional {
+				got, what = cellEvents(events), "(ReadCell, WriteCell)"
+			}
 			for a := 0; a < m; a++ {
 				x := relation.SingleAttr(a)
 				naming := 0
@@ -299,9 +388,12 @@ func TestLevelWiderThanGroup(t *testing.T) {
 						}
 					}
 				}
-				_, s := treeNames(core.sets[x])
-				if got[s] != [2]int{naming * n, naming * n} {
-					t.Errorf("cover %v is named by %d groups and its ID ORAM saw %v (ReadPath, WritePath), want %d pairs", x, naming, got[s], naming*n)
+				want := [2]int{naming * n, naming * n}
+				if core.layout.positional {
+					want[1] = 0
+				}
+				if _, s := treeNames(core.sets[x]); got[s] != want {
+					t.Errorf("cover %v is named by %d groups and its secondary saw %v %s, want %v", x, naming, got[s], what, want)
 				}
 			}
 		})
@@ -314,8 +406,9 @@ func TestLevelWiderThanGroup(t *testing.T) {
 // destroyed (nothing of it is cached, and once the engine is closed the server
 // holds what it held after the upload); a cover whose write-back rode in the
 // lost round refuses loudly rather than serving from a stash its tree never
-// caught up with; the sets an earlier group committed stay usable; and after
-// releasing everything, asking again gives the oracle's cardinalities.
+// caught up with, and a cover whose labels are an array, which had no write in
+// flight, still answers; the sets an earlier group committed stay usable; and
+// after releasing everything, asking again gives the oracle's cardinalities.
 func failedLevel(t *testing.T) {
 	const m, n = 7, 12 // 21 pairs: a group of levelWidth, then one of 5
 	rel := fixedWidthRel(m, n, 13, 3)
@@ -324,13 +417,18 @@ func failedLevel(t *testing.T) {
 	if _, err := oracle.Materialize(append(allSingles(m), pairs...), 1); err != nil {
 		t.Fatal(err)
 	}
-	// The round of the second group's fifth record that carries the covers'
-	// write-backs with the targets' fetches: 3n rounds of the first group,
-	// 3·4 of the second, the fifth record's cover reads, and then it.
-	const lost = 3*n + 3*4 + 2
 	for _, e := range oramEngines {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", e.name, workers), func(t *testing.T) {
+				// Ex-ORAM: the round of the second group's fifth record that
+				// carries the covers' write-backs with the targets' fetches: 3n
+				// rounds of the first group, 3·4 of the second, the fifth
+				// record's cover reads, and then it. Or-ORAM: the fifth record's
+				// write-back round, after 2n and 2·4 and its fetch.
+				lost := 3*n + 3*4 + 2
+				if e.name == "or" {
+					lost = 2*n + 2*4 + 2
+				}
 				srv := store.NewServer()
 				svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindBatch && op.Ops[0].Path })
 				edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
@@ -363,7 +461,18 @@ func failedLevel(t *testing.T) {
 				}
 				for a := 0; a < m; a++ {
 					x := relation.SingleAttr(a)
-					_, _, err := core.sets[x].secondary.Read(idKey(0))
+					st := core.sets[x]
+					if st.secondary == nil {
+						cts, err := edb.svc.ReadCells(st.labels, []int64{0})
+						if err == nil {
+							_, err = edb.cipher.Open(cts[0], labelAD(st.labels, 0))
+						}
+						if err != nil {
+							t.Errorf("cover %v's label array had no write in flight and answers %v", x, err)
+						}
+						continue
+					}
+					_, _, err := st.secondary.Read(idKey(0))
 					switch {
 					case inFailed[x] && (!errors.Is(err, errInjected) || !strings.Contains(err.Error(), "unusable")):
 						t.Errorf("cover %v lost a write-back and answers %v", x, err)
@@ -400,21 +509,73 @@ func failedLevel(t *testing.T) {
 	}
 }
 
-// TestLevelErrorsSayWhere: a path that fails verification in the middle of a
-// level names the structure it belongs to — the cover being read, with the
-// level that reads it, or the set being stepped — though the call that failed
-// held a whole level's requests.
+// TestLabelCellsAreLocationBound: an Or-ORAM label cell is sealed to its array
+// and record id, so a server that moves one — onto another id of the same
+// array, or onto the same id of another set's array — is caught when a union
+// reads it, and never turns it into a wrong cardinality.
+func TestLabelCellsAreLocationBound(t *testing.T) {
+	rel := fixedWidthRel(2, 8, 23, 3)
+	srv := store.NewServer()
+	edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewOrEngine(edb)
+	defer eng.Close()
+	a, b := relation.SingleAttr(0), relation.SingleAttr(1)
+	if _, err := eng.Materialize(allSingles(2), 1); err != nil {
+		t.Fatal(err)
+	}
+	cell := func(name string, id int64) []byte {
+		cts, err := srv.ReadCells(name, []int64{id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cts[0]
+	}
+	put := func(name string, id int64, ct []byte) {
+		if err := srv.WriteCells(name, []int64{id}, [][]byte{ct}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim, other := eng.sets[a].labels, eng.sets[b].labels
+	original := cell(victim, 0)
+	for _, c := range []struct {
+		name string
+		from string
+		id   int64
+	}{
+		{"another id of the same array", victim, 1},
+		{"the same id of another set's array", other, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			put(victim, 0, cell(c.from, c.id))
+			defer put(victim, 0, original)
+			if card, err := CardinalityUnion(eng, a, b); !errors.Is(err, store.ErrIntegrity) {
+				t.Errorf("union over a moved label cell: |π| = %d, err = %v; want ErrIntegrity", card, err)
+			}
+		})
+	}
+	if card, err := CardinalityUnion(eng, a, b); err != nil || card != relation.PartitionOf(rel, a.Union(b)).Classes {
+		t.Errorf("union over the cells as written: |π| = %d, err = %v; want %d", card, err, relation.PartitionOf(rel, a.Union(b)).Classes)
+	}
+}
+
+// TestLevelErrorsSayWhere: a path or a label range that fails verification in
+// the middle of a level names the structure it belongs to — the cover being
+// read, with the level that reads it, or the set being stepped — though the
+// call that failed held a whole level's requests.
 func TestLevelErrorsSayWhere(t *testing.T) {
 	const m, n = 3, 8
 	rel := fixedWidthRel(m, n, 17, 3)
 	for _, e := range oramEngines {
 		t.Run(e.name, func(t *testing.T) {
 			srv := store.NewServer()
-			var victim string // the tree whose fetched paths arrive with a bit flipped
+			var victim string // the structure whose fetched paths or cells arrive with a bit flipped
 			tamper := store.Adapt(func(op *store.Op, res *store.Result) error {
 				err := store.Invoke(srv, op, res)
 				for i := range op.Ops {
-					if b := op.Ops[i]; err == nil && b.Path && !b.Write && b.Name == victim {
+					if b := op.Ops[i]; err == nil && !b.Write && b.Name == victim {
 						res.Batch[i][0] = append([]byte(nil), res.Batch[i][0]...)
 						res.Batch[i][0][5] ^= 4
 					}
@@ -439,7 +600,11 @@ func TestLevelErrorsSayWhere(t *testing.T) {
 			_, err = eng.(interface {
 				Insert(relation.Row) (int, error)
 			}).Insert(relation.Row{"000001", "000001", "000001"})
-			if want := "attribute set {0}: core: O^" + core.layout.primary + "/O^" + core.layout.secondary + " step"; !errors.Is(err, store.ErrIntegrity) || !strings.Contains(err.Error(), want) {
+			steps := "O^" + core.layout.primary // Or-ORAM's step is one access
+			if !core.layout.positional {
+				steps += "/O^" + core.layout.secondary
+			}
+			if want := "attribute set {0}: core: " + steps + " step"; !errors.Is(err, store.ErrIntegrity) || !strings.Contains(err.Error(), want) {
 				t.Errorf("insertion into a tampered set: %v; want an integrity failure saying %q", err, want)
 			}
 		})

@@ -43,8 +43,9 @@ func fixedWidthRel(m, n int, seed int64, distinct int) *relation.Relation {
 // then the other two pairs in one call: a level of width two over three
 // distinct covers, which the ORAM engines step together (the third single is
 // read as a cover for the first time there, and the sort engine restores its
-// r[ID] order there). ORAM leaf choices are seeded identically; the shapes
-// must match regardless because ShapeOf strips leaves.
+// r[ID] order there) — and, for the ORAM engines, one insertion across all
+// six sets. ORAM leaf choices are seeded identically; the shapes must match
+// regardless because ShapeOf strips leaves.
 type engineKind int
 
 const (
@@ -57,7 +58,7 @@ func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) 
 	t.Helper()
 	srv := store.NewServer()
 	cipher := crypto.MustNewCipher(crypto.MustNewKey())
-	edb, err := Upload(srv, cipher, "t", rel)
+	edb, err := UploadWithCapacity(srv, cipher, "t", rel, rel.NumRows()+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +93,13 @@ func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) 
 	}
 	if _, err := eng.Materialize([]Request{Union(a0, a2), Union(a1, a2)}, 1); err != nil {
 		t.Fatal(err)
+	}
+	if ins, ok := eng.(interface {
+		Insert(relation.Row) (int, error)
+	}); ok {
+		if _, err := ins.Insert(relation.Row{"111111", "222222", "333333"}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return trace.ShapeOf(srv.Trace().Events()).Canonical()
 }
@@ -413,8 +421,8 @@ func TestDynamicAccessCounts(t *testing.T) {
 }
 
 // TestOrStepAccessCountFixed: each Algorithm 1 iteration costs exactly one
-// cell read plus two ORAM accesses (a read-modify-write of O^KL and a write of
-// O^IL), independent of whether the key repeats.
+// cell read, one ORAM access (a read-modify-write of O^KL) and one label cell
+// written to O^IL, independent of whether the key repeats.
 func TestOrStepAccessCountFixed(t *testing.T) {
 	rel := fixedWidthRel(1, 16, 9, 2)
 	srv := store.NewServer()
@@ -432,10 +440,13 @@ func TestOrStepAccessCountFixed(t *testing.T) {
 	if got := srv.Trace().Count(trace.OpReadCell); got != n {
 		t.Errorf("cell reads = %d, want %d", got, n)
 	}
-	if got := srv.Trace().Count(trace.OpReadPath); got != 2*n {
-		t.Errorf("path reads = %d, want %d (2 per record)", got, 2*n)
+	if got := srv.Trace().Count(trace.OpReadPath); got != n {
+		t.Errorf("path reads = %d, want %d (1 per record)", got, n)
 	}
-	if got := srv.Trace().Count(trace.OpWritePath); got != 2*n {
-		t.Errorf("path writes = %d, want %d", got, 2*n)
+	if got := srv.Trace().Count(trace.OpWritePath); got != n {
+		t.Errorf("path writes = %d, want %d", got, n)
+	}
+	if got := srv.Trace().Count(trace.OpWriteCell); got != n {
+		t.Errorf("label cells written = %d, want %d", got, n)
 	}
 }

@@ -4,47 +4,61 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/relation"
+	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
 
-// oramLayout is what distinguishes §IV-C's pair of ORAMs from §V's, as data.
-// For each materialized attribute set X an ORAM engine keeps
+// oramLayout is what distinguishes §IV-C's pair of structures from §V's, as
+// data. For each materialized attribute set X an ORAM engine keeps
 //
 //	a primary   ORAM keyed by key_X  (it counts distinct keys), and
-//	a secondary ORAM keyed by r[ID]  (it feeds the supersets of X):
+//	a secondary map  keyed by r[ID]  (it feeds the supersets of X):
 //
-//	OrEngine  O_X^KL  : key_X → label_X            O_X^IL  : r[ID] → label_X
-//	ExEngine  O_X^KLF : key_X → (label_X, fre_X)   O_X^IKL : r[ID] → (key_X, label_X)
+//	OrEngine  O_X^KL  : key_X → label_X            O_X^IL  : r[ID] → label_X, an array
+//	ExEngine  O_X^KLF : key_X → (label_X, fre_X)   O_X^IKL : r[ID] → (key_X, label_X), an ORAM
+//
+// Or-ORAM addresses its secondary in a public order only — fills visit the
+// live ids ascending, an insertion appends id n, and nothing is deleted — so
+// O^IL is a sealed positional array, one label cell per record id, where
+// Algorithms 1 and 2 keep an ORAM (DESIGN.md §2, §11). Ex-ORAM deletes by an
+// id it has to hide (§V-C), so O^IKL stays an ORAM.
 type oramLayout struct {
 	kind               string // EngineState.Kind, and the checkpoint's claim on who may resume it
 	primary, secondary string // object-name suffixes, also used in error wording
 	valueWidth         int    // bytes per value, the same in both ORAMs
 	labelAt            int    // where label_X sits inside the secondary's value
+	// positional says the secondary is a label array: read and written a chunk
+	// of ids per round around the records' steps, never accessed in them.
+	positional bool
 	// step is the loop body for one record with its key_X already built: the
-	// primary's read-modify-write and the secondary's write, and what moves
-	// the set's card_X once both write-backs are on the server. levelStep
-	// sends them.
-	step func(st *oramState, id string, key uint64) (primary, secondary oram.Access, commit func())
+	// primary's read-modify-write, the secondary's write when the secondary is
+	// an ORAM, and what moves the set's card_X once the write-backs are on the
+	// server. The record's label_X is left in label. levelStep sends them.
+	step func(st *oramState, id string, key uint64, label *uint64) (primary, secondary oram.Access, commit func())
 }
 
 var (
-	orLayout = oramLayout{kind: engineKindOr, primary: "KL", secondary: "IL", valueWidth: labelWidth, step: orStep}
+	orLayout = oramLayout{kind: engineKindOr, primary: "KL", secondary: "IL", valueWidth: labelWidth, positional: true, step: orStep}
 	exLayout = oramLayout{kind: engineKindEx, primary: "KLF", secondary: "IKL", valueWidth: keyWidth + labelWidth, labelAt: keyWidth, step: exStep}
 )
 
 // oramState is one materialized set of an ORAM engine.
 type oramState struct {
-	primary, secondary *oram.ORAM
-	card               uint64              // |π_X|
-	nextLabel          uint64              // ExEngine's monotone label source
-	cover              [2]relation.AttrSet // the Property 1 subsets; zero for singletons
+	primary   *oram.ORAM
+	secondary *oram.ORAM          // O^IKL; nil in Or-ORAM, whose secondary is labels
+	labels    string              // O^IL: the name of Or-ORAM's label array
+	card      uint64              // |π_X|
+	nextLabel uint64              // ExEngine's monotone label source
+	cover     [2]relation.AttrSet // the Property 1 subsets; zero for singletons
 	// val is where a step builds the value an access stores; a store copies
 	// it before the next one is built.
 	val [keyWidth + labelWidth]byte
@@ -59,6 +73,12 @@ func (st *oramState) pair(a, b uint64) []byte {
 	binary.BigEndian.PutUint64(st.val[8:], b)
 	return st.val[:]
 }
+
+// labelAD binds label_X of record id to its cell of the label array name. A
+// cell is written once — by the fill that labels the record or by the
+// insertion that appends it — so, as with cellAD, binding the location
+// leaves the server no older ciphertext of the same cell to replay.
+func labelAD(name string, id int64) []byte { return fmt.Appendf(nil, "lab:%s:%d", name, id) }
 
 // levelWidth is the most sets of one lattice level the ORAM engines step
 // together. A record's round then holds at most 2·levelWidth + c paths of
@@ -83,23 +103,30 @@ var levelAtATime = grouping{width: levelWidth}
 // simply an untraversed one (§IV-C(c)).
 //
 // Where Algorithm 2 runs its loop over the records once per set, the engines
-// run it once per group of w sets of one lattice level (levelStep): record by
-// record, each of the c distinct covers the group names is read once, however
-// many targets name it, and the accesses of a record — different trees, leaves
-// known to the client before anything is fetched — share their round trips
-// (oram.Pipeline). Where Algorithms 1, 2 and 4 read key_X's pair and then
-// write it, a step makes one read-modify-write access (oram.ORAM.Update):
+// run it once per group of w sets of one lattice level, a chunk of at most
+// obsort.ChunkCells live ids at a time (stepChunk): what sits at public
+// addresses — the columns' cells, Or-ORAM's label arrays — moves a chunk per
+// round, and record by record each of the c distinct covers the group names is
+// read once, however many targets name it, and the accesses of a record —
+// different trees, leaves known to the client before anything is fetched —
+// share their round trips (oram.Pipeline). Where Algorithms 1, 2 and 4 read
+// key_X's pair and then write it, a step makes one read-modify-write access
+// (oram.ORAM.Update). Per chunk, with P a target's primary, S its secondary
+// and c₁ … the covers':
 //
-//	|X| = 1   [ReadPath P₁, ReadPath S₁, … P_w, S_w]
-//	          → [WritePath P₁, WritePath S₁, … P_w, S_w]
-//	|X| ≥ 2   [ReadPath c₁, … c_c]
+//	Or-ORAM   [cells of the columns | of c₁ … c_c]                  one round
+//	          per record: [ReadPath P₁, … P_w] → [WritePath P₁, … P_w]
+//	          [cells of S₁, … S_w]                                  one round
+//	Ex-ORAM   |X| = 1: [cells of the columns], then per record
+//	          [ReadPath P₁, ReadPath S₁, … P_w, S_w] → [WritePath P₁, WritePath S₁, … P_w, S_w]
+//	          |X| ≥ 2, per record: [ReadPath c₁, … c_c]
 //	          → [WritePath c₁, … c_c, ReadPath P₁, ReadPath S₁, … P_w, S_w]
 //	          → [WritePath P₁, WritePath S₁, … P_w, S_w]
 //
-// with P and S a target's primary and secondary ORAM and c₁ … the covers'
-// secondaries: 2w accesses in 2 rounds, or 2w + c in 3. What w and c are, and
-// which structures stand where in a round, follows from the request list —
-// the lattice, a function of (m, FDs) — and from nothing fetched.
+// w accesses in 2 rounds a record for Or-ORAM; 2w in 2 or 2w + c in 3 for
+// Ex-ORAM. What w and c are, and which structures stand where in a round,
+// follows from the request list — the lattice, a function of (m, FDs) — and
+// from nothing fetched.
 type oramCore struct {
 	setTable[*oramState]
 	edb      *EncryptedDB
@@ -145,109 +172,235 @@ func (c *oramCore) SetTelemetry(reg *telemetry.Registry) {
 	c.edb.cipher.SetTelemetry(reg)
 	for _, st := range c.sets {
 		st.primary.SetTelemetry(reg)
-		st.secondary.SetTelemetry(reg)
+		if st.secondary != nil {
+			st.secondary.SetTelemetry(reg)
+		}
 	}
 }
 
-// prepare sets up the set's two ORAMs. Tree set-up is a deterministic linear
+// prepare sets up the set's primary ORAM and its secondary: an ORAM, or a
+// label array of the database's capacity. Set-up is a deterministic linear
 // pass, and doing it here — serially, in job order — is what gives a batch
 // the object names and sequence numbers of the serial run.
 func (c *oramCore) prepare(x relation.AttrSet, cover [2]relation.AttrSet) (*oramState, error) {
 	seq := c.seq.Add(1)
+	name := func(suffix string) string { return fmt.Sprintf("%s:%d:%s", c.instance, seq, suffix) }
 	cfg := oram.Config{Capacity: c.capacity, KeyWidth: keyWidth, ValueWidth: c.layout.valueWidth, Metrics: c.Telemetry}
-	mk := func(suffix string) (*oram.ORAM, error) {
-		s, err := oram.Setup(c.edb.svc, c.edb.cipher, fmt.Sprintf("%s:%d:%s", c.instance, seq, suffix), cfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: setting up O^%s for %v: %w", suffix, x, err)
+	st := &oramState{cover: cover}
+	var err error
+	if st.primary, err = oram.Setup(c.edb.svc, c.edb.cipher, name(c.layout.primary), cfg); err != nil {
+		return nil, fmt.Errorf("core: setting up O^%s for %v: %w", c.layout.primary, x, err)
+	}
+	if c.layout.positional {
+		st.labels = name(c.layout.secondary)
+		if err = c.edb.svc.CreateArray(st.labels, c.capacity); err != nil {
+			_ = c.edb.svc.Delete(st.labels) // it may exist if only the answer was lost
 		}
-		return s, nil
+	} else {
+		st.secondary, err = oram.Setup(c.edb.svc, c.edb.cipher, name(c.layout.secondary), cfg)
 	}
-	primary, err := mk(c.layout.primary)
 	if err != nil {
-		return nil, err
+		_ = st.primary.Destroy() // best effort; the set-up error is the one to report
+		return nil, fmt.Errorf("core: setting up O^%s for %v: %w", c.layout.secondary, x, err)
 	}
-	secondary, err := mk(c.layout.secondary)
-	if err != nil {
-		_ = primary.Destroy() // best effort; the set-up error is the one to report
-		return nil, err
-	}
-	return &oramState{primary: primary, secondary: secondary, cover: cover}, nil
+	return st, nil
 }
 
 func (c *oramCore) destroy(st *oramState) error {
+	if st.secondary == nil {
+		return errors.Join(st.primary.Destroy(), c.edb.svc.Delete(st.labels))
+	}
 	return errors.Join(st.primary.Destroy(), st.secondary.Destroy())
 }
 
-// singleKeyFor compresses record id's value under a single attribute.
-func (c *oramCore) singleKeyFor(id, attr int) (uint64, error) {
-	v, err := c.edb.CellValue(id, attr)
-	if err != nil {
-		return 0, err
-	}
-	return singleKey(c.edb.cipher, v), nil
-}
-
 // level is a group of targets of one lattice level being stepped together:
-// the distinct covers they name, and one record's worth of scratch.
+// the distinct covers they name, and one chunk's worth of scratch. The
+// per-record buffers are obsort.ChunkCells wide, so what a fill holds is
+// independent of n: (c + w) labels and, at level 1, w keys per record.
 type level struct {
 	size      int // |X| of every target, the lattice level
 	targets   []target[*oramState]
-	reads     []oram.Access      // the cover round: one per distinct cover, in order of first mention; keys aside
+	covers    []*oramState       // the distinct covers the targets name, in order of first mention
 	coverSets []relation.AttrSet // the covers' names, for errors
-	at        [][2]int           // targets[i]'s covers are reads[at[i][0]] and reads[at[i][1]]
-	labels    []uint64           // label_c(record), per cover
+	at        [][2]int           // targets[i]'s covers are covers[at[i][0]] and covers[at[i][1]]
+	keys      [][]uint64         // key_X of each single-attribute target, per record of the chunk
+	labels    [][]uint64         // label_c of each cover, per record of the chunk
+	out       [][]uint64         // label_X the steps gave each target, per record of the chunk
+	rec       int                // the record of the chunk being stepped
+	reads     []oram.Access      // Ex-ORAM's cover round: one per cover; keys aside
 	found     []bool
-	readers   []oram.UpdateFunc // readers[k] notes what reads[k] found in labels[k], found[k]
+	readers   []oram.UpdateFunc // readers[k] notes what reads[k] found in labels[k][rec], found[k]
 	accesses  []oram.Access     // the target round
 	commits   []func()
 }
 
-// lay lays a group out in lv for levelStep. It reuses what lv holds from an
+// chunkRows returns n rows of obsort.ChunkCells values, reusing buf's.
+func chunkRows(buf [][]uint64, n int) [][]uint64 {
+	for len(buf) < n {
+		buf = append(buf, make([]uint64, obsort.ChunkCells))
+	}
+	return buf[:n]
+}
+
+// lay lays a group out in lv for stepChunk. It reuses what lv holds from an
 // earlier group, which is how an insertion steps one set after another
 // without building a level for each.
 func (c *oramCore) lay(lv *level, group []target[*oramState]) *level {
 	lv.size, lv.targets = group[0].set.Size(), group
-	lv.reads, lv.coverSets, lv.at = lv.reads[:0], lv.coverSets[:0], lv.at[:0]
+	lv.covers, lv.coverSets, lv.at, lv.reads = lv.covers[:0], lv.coverSets[:0], lv.at[:0], lv.reads[:0]
 	if lv.size == 1 {
+		lv.keys = chunkRows(lv.keys, len(group))
+	} else {
+		for _, t := range group {
+			var at [2]int
+			for j, cv := range t.cover {
+				k := slices.Index(lv.covers, cv)
+				if k < 0 {
+					k = len(lv.covers)
+					lv.covers, lv.coverSets = append(lv.covers, cv), append(lv.coverSets, t.st.cover[j])
+				}
+				at[j] = k
+			}
+			lv.at = append(lv.at, at)
+		}
+	}
+	lv.labels, lv.out = chunkRows(lv.labels, len(lv.covers)), chunkRows(lv.out, len(group))
+	if c.layout.positional {
 		return lv
 	}
-	for _, t := range group {
-		var at [2]int
-		for j, cv := range t.cover {
-			k := 0
-			for k < len(lv.reads) && lv.reads[k].Store != cv.secondary {
-				k++
-			}
-			if k == len(lv.readers) {
-				lv.labels, lv.found = append(lv.labels, 0), append(lv.found, false)
-				lv.readers = append(lv.readers, func(old []byte, ok bool) ([]byte, bool) {
-					lv.found[k] = ok
-					if ok {
-						lv.labels[k] = decodeUint64(old[c.layout.labelAt:])
-					}
-					return old, ok
-				})
-			}
-			if k == len(lv.reads) {
-				lv.coverSets = append(lv.coverSets, t.st.cover[j])
-				lv.reads = append(lv.reads, oram.Access{Store: cv.secondary, Fn: lv.readers[k]})
-			}
-			at[j] = k
+	for k, cv := range lv.covers {
+		if k == len(lv.readers) {
+			lv.found = append(lv.found, false)
+			lv.readers = append(lv.readers, func(old []byte, ok bool) ([]byte, bool) {
+				lv.found[k] = ok
+				if ok {
+					lv.labels[k][lv.rec] = decodeUint64(old[c.layout.labelAt:])
+				}
+				return old, ok
+			})
 		}
-		lv.at = append(lv.at, at)
+		lv.reads = append(lv.reads, oram.Access{Store: cv.secondary, Fn: lv.readers[k]})
 	}
 	return lv
 }
 
-// levelStep runs the loop body of Algorithms 1, 2 and 4 for record id on every
-// target of the level, and is the one place a record's accesses are sent from
-// — a fill's with its group, an insertion's with the single set it is
-// stepping. Each distinct cover's ID ORAM hands over the record's label in one
-// round (Algorithm 2, lines 4–6); the covers' write-backs travel with the
-// targets' own fetches, keyed by singleKeys or by the pair of labels; the
-// targets' write-backs are the last round, and only then does any card_X move.
-func (c *oramCore) levelStep(lv *level, id int, singleKeys []uint64) error {
+// stepChunk runs the loop body of Algorithms 1, 2 and 4 for the records ids
+// on every target of the level — a fill's chunk with its group, an insertion's
+// one record with the single set it is stepping: readChunk's round, each
+// record's levelStep, and writeLabels' round. An insertion passes its row,
+// which holds its single keys.
+func (c *oramCore) stepChunk(lv *level, ids []int64, row relation.Row) error {
+	if err := c.readChunk(lv, ids, row); err != nil {
+		return err
+	}
+	for rec, id := range ids {
+		if err := c.levelStep(lv, rec, int(id)); err != nil {
+			return err
+		}
+	}
+	return c.writeLabels(lv, ids)
+}
+
+// writeLabels writes, in one round, the labels the chunk's steps gave its
+// records to the targets' label arrays — Or-ORAM's; Ex-ORAM's steps wrote
+// theirs to O^IKL.
+func (c *oramCore) writeLabels(lv *level, ids []int64) error {
+	if !c.layout.positional {
+		return nil
+	}
+	ops := make([]store.BatchOp, len(lv.targets))
+	for i, t := range lv.targets {
+		slab := make([]byte, 0, len(ids)*(labelWidth+crypto.Overhead))
+		cts := make([][]byte, len(ids))
+		var pt [labelWidth]byte
+		for rec, id := range ids {
+			binary.BigEndian.PutUint64(pt[:], lv.out[i][rec])
+			off := len(slab)
+			var err error
+			if slab, err = c.edb.cipher.SealTo(slab, pt[:], labelAD(t.st.labels, id)); err != nil {
+				return err
+			}
+			cts[rec] = slab[off:len(slab):len(slab)]
+		}
+		ops[i] = store.BatchOp{Write: true, Name: t.st.labels, Idx: ids, Cts: cts}
+	}
+	if _, err := store.DoBatch(c.edb.svc, ops); err != nil {
+		return fmt.Errorf("core: O^%s write: %w", c.layout.secondary, err)
+	}
+	return nil
+}
+
+// readChunk fetches in one round what the chunk's steps need from public
+// addresses: the cells of a group of single attributes' columns, which give
+// their keys, or Or-ORAM covers' label cells. An insertion's single keys come
+// from its row and need no round; Ex-ORAM's covers are ORAMs, which levelStep
+// reads record by record.
+func (c *oramCore) readChunk(lv *level, ids []int64, row relation.Row) error {
+	var ops []store.BatchOp
+	switch {
+	case lv.size == 1 && row != nil:
+		for i, t := range lv.targets {
+			lv.keys[i][0] = singleKey(c.edb.cipher, row[t.set.First()])
+		}
+		return nil
+	case lv.size == 1:
+		for _, t := range lv.targets {
+			ops = append(ops, store.BatchOp{Name: c.edb.columnName(t.set.First()), Idx: ids})
+		}
+	case c.layout.positional:
+		for _, cv := range lv.covers {
+			ops = append(ops, store.BatchOp{Name: cv.labels, Idx: ids})
+		}
+	default:
+		return nil
+	}
+	res, err := store.DoBatch(c.edb.svc, ops)
+	if err == nil && len(res) != len(ops) {
+		err = fmt.Errorf("batch of %d reads answered with %d results", len(ops), len(res))
+	}
+	if err != nil {
+		return fmt.Errorf("core: reading %d records' cells: %w", len(ids), err)
+	}
+	for j, cts := range res {
+		if len(cts) != len(ids) {
+			return fmt.Errorf("core: %q answered %d cells for %d records", ops[j].Name, len(cts), len(ids))
+		}
+		if lv.size == 1 {
+			t := lv.targets[j]
+			vals, err := c.edb.openCells(cts, ids, t.set.First())
+			if err != nil {
+				return describeSet(err, fmt.Sprintf("attribute set %v", t.set))
+			}
+			for rec, v := range vals {
+				lv.keys[j][rec] = singleKey(c.edb.cipher, v)
+			}
+			continue
+		}
+		for rec, ct := range cts {
+			pt, err := c.edb.cipher.Open(ct, labelAD(ops[j].Name, ids[rec]))
+			if err == nil && len(pt) != labelWidth {
+				err = fmt.Errorf("%d-byte label", len(pt))
+			}
+			if err != nil {
+				return describeSet(fmt.Errorf("core: O^%s read: label of id %d failed verification: %v: %w", c.layout.secondary, ids[rec], err, store.ErrIntegrity),
+					fmt.Sprintf("attribute set %v as cover of level %d", lv.coverSets[j], lv.size))
+			}
+			lv.labels[j][rec] = decodeUint64(pt)
+		}
+	}
+	return nil
+}
+
+// levelStep sends the accesses of the chunk's record rec, id, on every target
+// of the level, and is the one place a record's accesses are sent from. In
+// Ex-ORAM each distinct cover's ID ORAM first hands over the record's label
+// (Algorithm 2, lines 4–6) and the covers' write-backs travel with the
+// targets' own fetches; Or-ORAM's cover labels came with the chunk. A target's
+// key is its single key or the pair of its covers' labels. The targets'
+// write-backs are the last round, and only then does any card_X move.
+func (c *oramCore) levelStep(lv *level, rec, id int) error {
 	rid := idKey(id)
+	lv.rec = rec
 	if len(lv.reads) > 0 {
 		for k := range lv.reads {
 			lv.reads[k].Key = rid
@@ -267,20 +420,27 @@ func (c *oramCore) levelStep(lv *level, id int, singleKeys []uint64) error {
 	for i, t := range lv.targets {
 		var key uint64
 		if lv.size == 1 {
-			key = singleKeys[i]
+			key = lv.keys[i][rec]
 		} else {
-			key = unionKey(lv.labels[lv.at[i][0]], lv.labels[lv.at[i][1]])
+			key = unionKey(lv.labels[lv.at[i][0]][rec], lv.labels[lv.at[i][1]][rec])
 		}
-		primary, secondary, commit := c.layout.step(t.st, rid, key)
-		lv.accesses, lv.commits = append(lv.accesses, primary, secondary), append(lv.commits, commit)
+		primary, secondary, commit := c.layout.step(t.st, rid, key, &lv.out[i][rec])
+		lv.accesses, lv.commits = append(lv.accesses, primary), append(lv.commits, commit)
+		if !c.layout.positional {
+			lv.accesses = append(lv.accesses, secondary)
+		}
 	}
 	err := c.pipe.Do(lv.accesses...)
 	if err == nil {
 		err = c.pipe.Flush()
 	}
 	if err != nil {
-		return inAccess(fmt.Errorf("core: O^%s/O^%s step: %w", c.layout.primary, c.layout.secondary, err), func(i int) string {
-			return fmt.Sprintf("attribute set %v", lv.targets[i/2].set)
+		structures, perTarget := "O^"+c.layout.primary, 1
+		if !c.layout.positional {
+			structures, perTarget = structures+"/O^"+c.layout.secondary, 2
+		}
+		return inAccess(fmt.Errorf("core: %s step: %w", structures, err), func(i int) string {
+			return fmt.Sprintf("attribute set %v", lv.targets[i/perTarget].set)
 		})
 	}
 	for _, commit := range lv.commits {
@@ -325,37 +485,15 @@ func (c *oramCore) eachLive(visit func(ids []int64) error) error {
 
 // fill is Algorithm 1 (|X| = 1) or Algorithm 2 (Algorithm 4 and its
 // multi-attribute variant, which obtains key_X the same way) for a group of
-// sets, with the loop over the records outermost. The columns of a group of
-// single attributes are fetched a chunk of cells per round each, as the sort
-// engine fetches them; the server records the same one access per cell, in the
-// same ascending order, as it does for a round per record.
+// sets, with the loop over the records outermost and the records taken a
+// chunk at a time. The server records the same one access per cell, in the
+// same ascending order per array, as it would for a round per record.
 func (c *oramCore) fill(group []target[*oramState]) error {
 	lv := c.lay(new(level), group)
 	if g, w := c.Telemetry.Gauge("oblivfd_level_width"), int64(len(group)); w > g.Value() {
 		g.Set(w)
 	}
-	var vals [][]string
-	var keys []uint64
-	if lv.size == 1 {
-		vals, keys = make([][]string, len(group)), make([]uint64, len(group))
-	}
-	return c.eachLive(func(ids []int64) error {
-		for i := range vals {
-			var err error
-			if vals[i], err = c.edb.CellValuesAt(ids, group[i].set.First()); err != nil {
-				return err
-			}
-		}
-		for k, id := range ids {
-			for i := range keys {
-				keys[i] = singleKey(c.edb.cipher, vals[i][k])
-			}
-			if err := c.levelStep(lv, int(id), keys); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return c.eachLive(func(ids []int64) error { return c.stepChunk(lv, ids, nil) })
 }
 
 // eachSet runs fn on every materialized set, covers before their unions, and
@@ -375,7 +513,8 @@ func (c *oramCore) eachSet(hook func(relation.AttrSet, time.Duration), fn func(x
 
 // insert appends row to the database and continues the traversal for it
 // across every materialized set: a set at a time and in subset-before-superset
-// order, so Algorithm 2's key construction finds fresh labels (§IV-C(c)).
+// order, so Algorithm 2's key construction finds fresh labels (§IV-C(c)). The
+// single keys come from row, never from reading back the cells just written.
 //
 // When an insertion fails after the row has been appended, the id stays taken
 // and is dead: never traversed or counted, and the next insertion gets the
@@ -388,15 +527,10 @@ func (c *oramCore) insert(row relation.Row, hook func(relation.AttrSet, time.Dur
 	if err != nil {
 		return 0, err
 	}
-	lv, group, key := new(level), make([]target[*oramState], 1), make([]uint64, 1)
+	lv, group, ids := new(level), make([]target[*oramState], 1), []int64{int64(id)}
 	err = c.eachSet(hook, func(x relation.AttrSet, st *oramState) error {
 		group[0] = target[*oramState]{set: x, st: st}
-		if x.Size() == 1 {
-			var err error
-			if key[0], err = c.singleKeyFor(id, x.First()); err != nil {
-				return err
-			}
-		} else {
+		if x.Size() > 1 {
 			for j, cv := range st.cover {
 				var ok bool
 				if group[0].cover[j], ok = c.sets[cv]; !ok {
@@ -404,7 +538,7 @@ func (c *oramCore) insert(row relation.Row, hook func(relation.AttrSet, time.Dur
 				}
 			}
 		}
-		return c.levelStep(c.lay(lv, group), id, key)
+		return c.stepChunk(c.lay(lv, group), ids, row)
 	})
 	if err != nil {
 		c.dead[id] = true
@@ -414,8 +548,9 @@ func (c *oramCore) insert(row relation.Row, hook func(relation.AttrSet, time.Dur
 }
 
 // CheckpointState implements CheckpointableEngine: every materialized set's
-// cardinality, cover and ORAM client states, deep-captured in cover-before-union
-// order so resume can rebuild dependencies in sequence, and the dead ids.
+// cardinality, cover, ORAM client states and label array, deep-captured in
+// cover-before-union order so resume can rebuild dependencies in sequence,
+// and the dead ids.
 func (c *oramCore) CheckpointState() *EngineState {
 	es := &EngineState{Kind: c.layout.kind, Instance: c.instance, Seq: c.seq.Load()}
 	for id := range c.dead {
@@ -424,14 +559,11 @@ func (c *oramCore) CheckpointState() *EngineState {
 	sort.Ints(es.Dead)
 	for _, x := range c.setsBySize() {
 		st := c.sets[x]
-		es.Sets = append(es.Sets, SetState{
-			Set:       x,
-			Card:      st.card,
-			NextLabel: st.nextLabel,
-			Cover:     st.cover,
-			Primary:   st.primary.State(),
-			Secondary: st.secondary.State(),
-		})
+		s := SetState{Set: x, Card: st.card, NextLabel: st.nextLabel, Cover: st.cover, Primary: st.primary.State(), Labels: st.labels}
+		if st.secondary != nil {
+			s.Secondary = st.secondary.State()
+		}
+		es.Sets = append(es.Sets, s)
 	}
 	return es
 }
@@ -439,7 +571,8 @@ func (c *oramCore) CheckpointState() *EngineState {
 // resume is init from checkpointed state: every set's ORAM handles are
 // reattached to their existing server-side objects. The server must hold
 // exactly the storage state it had at capture time (see the consistency
-// contract in checkpoint.go).
+// contract in checkpoint.go). An Or-ORAM state whose sets keep an ID ORAM was
+// written by a build that ran literal Algorithms 1 and 2 and is refused.
 func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout) error {
 	c.init(edb, es.Instance, layout)
 	c.seq.Store(es.Seq)
@@ -450,15 +583,23 @@ func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout) 
 		c.dead[id] = true
 	}
 	for _, s := range es.Sets {
-		primary, err := oram.Resume(edb.svc, edb.cipher, s.Primary)
-		if err != nil {
+		switch {
+		case layout.positional && s.Secondary != nil:
+			return fmt.Errorf("%w: %v keeps O^IL as an ORAM, where this build keeps a label array; commit a6b2aef was the last to resume such a state", ErrCorruptCheckpoint, s.Set)
+		case layout.positional && s.Labels == "":
+			return fmt.Errorf("%w: %v names no label array", ErrCorruptCheckpoint, s.Set)
+		}
+		st := &oramState{labels: s.Labels, card: s.Card, nextLabel: s.NextLabel, cover: s.Cover}
+		var err error
+		if st.primary, err = oram.Resume(edb.svc, edb.cipher, s.Primary); err != nil {
 			return fmt.Errorf("core: resuming O^%s for %v: %w", layout.primary, s.Set, err)
 		}
-		secondary, err := oram.Resume(edb.svc, edb.cipher, s.Secondary)
-		if err != nil {
-			return fmt.Errorf("core: resuming O^%s for %v: %w", layout.secondary, s.Set, err)
+		if !layout.positional {
+			if st.secondary, err = oram.Resume(edb.svc, edb.cipher, s.Secondary); err != nil {
+				return fmt.Errorf("core: resuming O^%s for %v: %w", layout.secondary, s.Set, err)
+			}
 		}
-		c.sets[s.Set] = &oramState{primary: primary, secondary: secondary, card: s.Card, nextLabel: s.NextLabel, cover: s.Cover}
+		c.sets[s.Set] = st
 	}
 	return nil
 }
@@ -467,7 +608,10 @@ func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout) 
 func (c *oramCore) ClientMemoryBytes() int {
 	total := 0
 	for _, st := range c.sets {
-		total += st.primary.ClientMemoryBytes() + st.secondary.ClientMemoryBytes()
+		total += st.primary.ClientMemoryBytes()
+		if st.secondary != nil {
+			total += st.secondary.ClientMemoryBytes()
+		}
 	}
 	return total
 }

@@ -10,14 +10,16 @@ import (
 )
 
 // OrEngine is the original ORAM-based method of §IV-C (Algorithms 1 and 2).
-// For each materialized attribute set X it maintains two ORAMs:
+// For each materialized attribute set X it maintains:
 //
-//	Key-Label ORAM  O_X^KL : key_X  → label_X   (counts distinct keys)
-//	ID-Label  ORAM  O_X^IL : r[ID]  → label_X   (feeds supersets of X)
+//	Key-Label ORAM   O_X^KL : key_X  → label_X   (counts distinct keys)
+//	ID-Label array   O_X^IL : r[ID]  → label_X   (feeds supersets of X)
 //
-// It supports static databases and insertions (the method traverses records
-// one by one, so appended records are simply untraversed records, §IV-C(c)).
-// Deletion is not supported — that is ExEngine's job.
+// The paper's O^IL is an ORAM; here it is a sealed positional array, because
+// its addresses are public: record ids in ascending order, then appended ids
+// (DESIGN.md §2). It supports static databases and insertions (the method
+// traverses records one by one, so appended records are simply untraversed
+// records, §IV-C(c)). Deletion is not supported — that is ExEngine's job.
 type OrEngine struct {
 	oramCore
 }
@@ -33,25 +35,26 @@ func NewOrEngine(edb *EncryptedDB) *OrEngine {
 	return e
 }
 
-// orStep is one iteration of Algorithm 1/2's loop body for record id with the
+// orStep is one iteration of Algorithm 1/2's loop body for a record with the
 // already-constructed key_X: one access to O^KL that hands back the key's label
 // or, for a key not seen before, leaves card_X there as its label (the paper's
-// lines 6–10 as a single read-modify-write), and one write of that label to
-// O^IL. Two accesses, whether or not the key was seen before; card_X moves in
-// commit, once both write-backs are on the server.
-func orStep(st *oramState, id string, key uint64) (primary, secondary oram.Access, commit func()) {
-	label, fresh := st.val[:labelWidth], false
+// lines 6–10 as a single read-modify-write). One access, whether or not the
+// key was seen before; the label goes to the record's O^IL cell with the rest
+// of its chunk's, and card_X moves in commit, once the write-back is on the
+// server.
+func orStep(st *oramState, _ string, key uint64, label *uint64) (primary, _ oram.Access, commit func()) {
+	fresh := false
 	primary = oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
 		fresh = !found
 		if found {
-			copy(label, old)
+			*label = decodeUint64(old)
 		} else {
-			binary.BigEndian.PutUint64(label, st.card)
+			*label = st.card
 		}
-		return label, true
+		binary.BigEndian.PutUint64(st.val[:labelWidth], *label)
+		return st.val[:labelWidth], true
 	}}
-	secondary = oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return label, true }}
-	return primary, secondary, func() {
+	return primary, oram.Access{}, func() {
 		if fresh {
 			st.card++
 		}

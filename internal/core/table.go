@@ -104,10 +104,11 @@ func newSetTable[S setState](f fills[S], g grouping) setTable[S] {
 // Jobs sharing a target or a cover never share a wave. For the sort engine
 // that keeps each cover array's read sequence in serial order, and makes the
 // first reader's by-ID sort of the cover a step no other job can be in the
-// middle of. An engine whose fills are not concurrent (the ORAM engines:
-// reading a cover's ID ORAM is a mutating access on a handle that is not
-// goroutine-safe, and the groups of a level share their covers) has its
-// groups run one after the other whatever workers is.
+// middle of. An engine whose fills are not concurrent (the ORAM engines: one
+// pipeline sends every group's rounds, reading a cover's ID ORAM in Ex-ORAM is
+// a mutating access on a handle that is not goroutine-safe, and the groups of
+// a level share their covers) has its groups run one after the other whatever
+// workers is.
 //
 // When the batch stops on an error, every state that was prepared and not
 // committed is destroyed, best effort: it is in no map, so nothing else could

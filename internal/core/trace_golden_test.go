@@ -45,7 +45,18 @@ import (
 // moved (the set's own traversal, the inserted records' steps, Ex-ORAM's
 // deletions), and every line of a target's own trees — KL, KLF, and the IL /
 // IKL of the sets no union reads — is byte for byte what it was: a target is
-// stepped once per record whichever sets are stepped beside it.
+// stepped once per record whichever sets are stepped beside it. When Or-ORAM's
+// O^IL became a sealed array of one label cell per record id, every or#:N:IL
+// line was regenerated: the object is an array now — created at the
+// database's capacity, its 24 cells written a chunk at a time by the fill and
+// one by each insertion, read a chunk at a time by the level that names the
+// set as a cover and by each inserted record's unions, deleted — 28 events,
+// 56 for the three covers, where the tree's were 55 and 111. Insertions
+// stopped reading back the cells they had just written to build their single
+// keys, and every insertion's row goes out in one batch: the or and ex column
+// lines lost their two read-backs (28 → 26 events); the sort column lines, no
+// insertion in them, are still the parent's. Every or#:N:KL, ex#:N:KLF and
+// ex#:N:IKL line is byte for byte what it was.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -64,7 +75,11 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // followed one another). That retires, for those two, the
 // pin this file was written for — a Workers = 1 run as the per-candidate loop
 // it replaced; what holds instead is that the same ordered trace comes out
-// under every worker count (TestSerialParallelEquivalence).
+// under every worker count (TestSerialParallelEquivalence). They were
+// regenerated again when insertions stopped reading their cells back (ex:
+// 1 092 → 1 084 events, two insertions × four single sets) and Or-ORAM's
+// O^IL became a label array (or: 1 036 → 755: no ID ORAM paths, a chunk's
+// label cells read before its records' steps and written after them).
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It
@@ -251,14 +266,17 @@ func TestEngineTraceGolden(t *testing.T) {
 }
 
 // TestParentCheckpointResumes: a checkpoint file and server directory per ORAM
-// engine in the OFDCKPT3 format (testdata/pr31: the 6×3 relation below,
-// crashed after lattice level 1) resume on this build, finish discovery with
-// the plaintext engine's FD set, and keep accepting mutations — the
-// EngineState / SetState / oram.State layout, the Kind tags and the object
-// names the handles reattach to are all still what the build that wrote them
-// wrote. They were written, by writeResumeFixture, with
+// engine in the OFDCKPT3 format (the 6×3 relation below, crashed after lattice
+// level 1) resume on this build, finish discovery with the plaintext engine's
+// FD set, and keep accepting mutations — the EngineState / SetState /
+// oram.State layout, the Kind tags and the object names the handles reattach
+// to are all still what the build that wrote them wrote. The Ex-ORAM pair is
+// testdata/pr31's; the Or-ORAM pair is testdata/label-array's, written by the
+// build that made O^IL a label array (pr31/or.ckpt keeps an ID ORAM and is
+// refused, TestIDORAMCheckpointIsRefused). They were written, by
+// writeResumeFixture, with
 //
-//	rm -r internal/core/testdata/pr31 && go test -run TestParentCheckpointResumes ./internal/core/
+//	rm -r internal/core/testdata/<dir> && go test -run TestParentCheckpointResumes ./internal/core/
 //
 // which writes a missing pair and fails.
 func TestParentCheckpointResumes(t *testing.T) {
@@ -269,14 +287,16 @@ func TestParentCheckpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixtures := filepath.Join("testdata", "pr31")
-	if _, err := os.Stat(fixtures); errors.Is(err, os.ErrNotExist) {
-		for _, kind := range []string{"or", "ex"} {
-			writeResumeFixture(t, rel, fixtures, kind)
+	fixtureDirs := map[string]string{"or": "label-array", "ex": "pr31"}
+	for _, kind := range []string{"or", "ex"} {
+		dir := filepath.Join("testdata", fixtureDirs[kind])
+		if _, err := os.Stat(filepath.Join(dir, kind+".ckpt")); errors.Is(err, os.ErrNotExist) {
+			writeResumeFixture(t, rel, dir, kind)
+			t.Fatalf("wrote %s's %s pair; run the test again", dir, kind)
 		}
-		t.Fatalf("wrote %s; run the test again", fixtures)
 	}
 	for _, kind := range []string{"or", "ex"} {
+		fixtures := filepath.Join("testdata", fixtureDirs[kind])
 		t.Run(kind, func(t *testing.T) {
 			dir := t.TempDir() // opening at an epoch discards what is newer, so work on a copy
 			src := filepath.Join(fixtures, kind+"-state")
@@ -338,7 +358,7 @@ func TestParentCheckpointResumes(t *testing.T) {
 	}
 }
 
-// writeResumeFixture writes one engine's half of testdata/pr31 into dir: a
+// writeResumeFixture writes one engine's resume fixture into dir: a
 // durable server directory (<kind>-state) and a checkpoint file (<kind>.ckpt)
 // as a discovery that marked epoch 2, after lattice level 1, and then crashed
 // leaves them.

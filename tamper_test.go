@@ -143,35 +143,29 @@ func TestTamperBitFlipDetected(t *testing.T) {
 }
 
 // TestTamperBlockSwapNeverSilentlyWrong: swapping two blocks within a read
-// batch must be detected (position-bound associated data, slot versions) or
-// be provably harmless. PathORAM used to be the absorbing case — blocks were
-// sealed to the tree, not to a place in it, and the client collects a path
-// into the stash as a set — but its buckets are now sealed to their heap
-// index like every other surface, so there a swap must be refused outright.
+// batch must be refused outright. Every surface binds a ciphertext to its
+// place — a column cell or a B_X cell to its array and index, an Or-ORAM
+// label to its array and record id, a PathORAM bucket to its tree and heap
+// index — so no swap is harmless any more and none may complete a run.
+// (PathORAM used to be the absorbing case: blocks were sealed to the tree,
+// not to a place in it, and the client collects a path into the stash as a
+// set.)
 func TestTamperBlockSwapNeverSilentlyWrong(t *testing.T) {
 	for _, tc := range tamperConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			want, n := cleanTamperRun(t, tc.opts)
+			_, n := cleanTamperRun(t, tc.opts)
 			for _, k := range tamperOffsets(n) {
 				fs := securefd.WithFaults(securefd.NewServer(), securefd.FaultConfig{
 					Seed:              42,
 					CorruptAfterReads: k,
 					CorruptMode:       store.CorruptSwap,
 				})
-				report, err := tamperedDiscover(t, fs, tc.opts)
+				_, err := tamperedDiscover(t, fs, tc.opts)
 				if fs.Corruptions() == 0 {
 					t.Fatalf("swap@%d/%d: schedule never fired (err = %v)", k, n, err)
 				}
-				switch {
-				case err != nil:
-					if !errors.Is(err, securefd.ErrIntegrity) {
-						t.Errorf("swap@%d/%d: err = %v, want errors.Is(ErrIntegrity)", k, n, err)
-					}
-				case tc.name == "or-oram-path":
-					t.Errorf("swap@%d/%d: two buckets of a path exchanged and the run completed; want ErrIntegrity", k, n)
-				case !relation.FDSetEqual(report.Minimal, want):
-					t.Errorf("swap@%d/%d: SILENT WRONG RESULT: FDs = %v, want %v",
-						k, n, report.Minimal, want)
+				if !errors.Is(err, securefd.ErrIntegrity) {
+					t.Errorf("swap@%d/%d: two blocks of a read exchanged: err = %v, want errors.Is(ErrIntegrity)", k, n, err)
 				}
 			}
 		})
