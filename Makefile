@@ -114,11 +114,12 @@ bench-wire:
 # 16-byte values, Or-ORAM with 8-byte values); then one record of an ORAM
 # engine's traversal over a loopback TCP connection, Or and Ex, reporting the
 # rounds and accesses it costs as counts beside ns/op: of one set as an
-# insertion steps it, single-attribute and union (rounds / accesses: Or 3 / 1
-# and 4 / 1, the label cells included; Ex 2 / 2 and 3 / 4), and of a lattice
-# level of w = 1, 3, 6 unions over their c = 2, 3, 4 covers (Or: 2 rounds and
-# w accesses, its chunk's label cells aside; Ex: 3 rounds and 2w + c
-# accesses, 4, 9, 16). Run like bench-cell.
+# insertion steps it, single-attribute and union (rounds / accesses: Or 2 / 1
+# and 3 / 1, the label cells included; Ex 2 / 2 and 3 / 4), and of a lattice
+# level of w = 1, 3, 6 unions over their c = 2, 3, 4 covers, a record's
+# write-backs riding with the next record's fetches (Or: 1 round and w
+# accesses, its chunk's label cells aside; Ex: 2 rounds and 2w + c accesses,
+# 4, 9, 16). Run like bench-cell.
 bench-oram:
 	$(GO) test -run '^$$' -bench 'PathAccess' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
 	$(GO) test -run '^$$' -bench 'EngineStepLoopback|EngineLevelLoopback' -benchmem -benchtime $(BENCHTIME) ./internal/core/
@@ -178,11 +179,12 @@ trace-smoke:
 
 # Serial-vs-parallel equivalence suite under the race detector, at one and
 # four schedulable cores (GOMAXPROCS=1 hides interleavings; 4 exposes them):
-# the sort engine's set-level waves, and the ORAM engines' level-at-a-time
+# the sort engine's set-level waves, the ORAM engines' level-at-a-time
 # traversal (whole-trace equality across worker counts, the closed form of a
-# level, a level wider than one group, a round lost in the middle of one).
+# level, a level wider than one group, a round lost in the middle of one), and
+# the ORAM pipeline's owed and begun handles, which pipelined records re-enter.
 parallel-race:
-	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|RunBatch|Batch|Level|FailedStep' ./internal/core/ ./internal/store/ ./internal/transport/
+	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|RunBatch|Batch|Level|FailedStep|Pipeline' ./internal/core/ ./internal/oram/ ./internal/store/ ./internal/transport/
 
 # Multi-tenant suite under the race detector: session registry admission,
 # namespace isolation, concurrent tenants under chaos faults, overload

@@ -49,8 +49,9 @@ func overLoopback(b *testing.B, rel *relation.Relation, fn func(r *loopbackRig))
 	}
 }
 
-// run times record over the relation's n ids, round and round, and reports
-// the rounds and ORAM accesses one call cost: counts, the same on every run.
+// run times record over the relation's n ids, round and round, then sends
+// what the last one left owed, and reports the rounds and ORAM accesses one
+// call cost: counts, the same on every run.
 func (r *loopbackRig) run(b *testing.B, name string, n int, record func(id int) error) {
 	accesses := func() (total int64) {
 		for _, st := range r.core.sets {
@@ -69,6 +70,9 @@ func (r *loopbackRig) run(b *testing.B, name string, n int, record func(id int) 
 			if err := record(i % n); err != nil {
 				b.Fatal(err)
 			}
+		}
+		if err := r.core.pipe.Flush(); err != nil {
+			b.Fatal(err)
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(r.rounds.Rounds()-r0)/float64(b.N), "rounds/record")
@@ -92,9 +96,9 @@ func (r *loopbackRig) levelOf(xs ...relation.AttrSet) *level {
 // traversal over a loopback TCP connection, as an insertion steps it with the
 // record's row in hand — what an insertion pays per set, and the unit the
 // exoram-dynamic workload's updates are made of. The |X| = 1 step is 1 access
-// in 3 rounds in Or-ORAM (fetch, write-back, the label cell) and 2 in 2 in
-// Ex-ORAM; the |X| ≥ 2 one is 1 access in 4 rounds in Or-ORAM (the two cover
-// cells first) and 4 in 3 in Ex-ORAM, for the trees of a 1024-record
+// in 2 rounds in Or-ORAM (fetch, then write-back with the label cell) and 2 in
+// 2 in Ex-ORAM; the |X| ≥ 2 one is 1 access in 3 rounds in Or-ORAM (the two
+// cover cells first) and 4 in 3 in Ex-ORAM, for the trees of a 1024-record
 // relation. rounds/record and accesses/record are counts, the same on every
 // run; ns/op is mostly the round trips.
 func BenchmarkEngineStepLoopback(b *testing.B) {
@@ -119,10 +123,12 @@ func BenchmarkEngineStepLoopback(b *testing.B) {
 // the oram-tcp and exoram-dynamic discoveries are made of: w two-attribute
 // sets over their c distinct covers (w = 1: c = 2; w = 3: the three pairs of
 // three attributes, c = 3; w = 6: the six pairs of four, c = 4) cost w
-// accesses in 2 rounds in Or-ORAM and 2w + c in 3 in Ex-ORAM whatever w is,
-// where a set at a time cost 4w in 3w. The records are those of one chunk,
-// whose cover labels are fetched before the timer starts: the chunk's two
-// rounds of label cells are not a record's.
+// accesses in 1 round in Or-ORAM and 2w + c in 2 in Ex-ORAM whatever w is —
+// a record's write-backs ride with the next record's fetches — where a set at
+// a time cost 4w in 3w. The records are those of one chunk, whose cover labels
+// are fetched before the timer starts: the chunk's round of cover label cells
+// is not a record's, and the one write-back round after the last record is
+// spread over all of them.
 func BenchmarkEngineLevelLoopback(b *testing.B) {
 	const n, m = 1024, 4
 	rel := fixedWidthRel(m, n, 7, 64)

@@ -281,10 +281,12 @@ func TestEngineContract(t *testing.T) {
 }
 
 func TestEngineCloseFreesServerStorage(t *testing.T) {
-	// failAt 0 is the clean run; 10 fails the materialization's 10th storage
-	// call, mid-traversal, after both ORAM trees were set up (four calls) and
-	// the column was fetched (one): a record is two calls, its fused rounds.
-	for _, failAt := range []int{0, 10} {
+	// failAt 0 is the clean run; 7 fails the materialization's 7th storage
+	// call, mid-traversal, after the ORAM tree and the label array were set up
+	// (three calls) and the column was fetched (one): a record is one call, its
+	// fetch fused with the previous record's write-back, so the 7th carries the
+	// second record's write-back and the third's fetch.
+	for _, failAt := range []int{0, 7} {
 		rel := testRelation()
 		srv := store.NewServer()
 		svc := newFailNth(srv, func(*store.Op) bool { return true })

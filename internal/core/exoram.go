@@ -58,9 +58,10 @@ func NewExEngine(edb *EncryptedDB) (*ExEngine, error) {
 // exStep is Algorithm 4's loop body: one access to O^KLF that takes the key's
 // label (the next fresh one for a key not seen before) and leaves its
 // frequency one higher, and one write of (key_X, label) to O^IKL. Exactly two
-// ORAM accesses regardless of data; card_X and the label source move in
-// commit, once both write-backs are on the server.
-func exStep(st *oramState, id string, key uint64, label *uint64) (primary, secondary oram.Access, commit func()) {
+// ORAM accesses regardless of data; card_X and the label source move when
+// the write-backs land, in one round, before the next record's access to
+// O^KLF draws a label.
+func exStep(st *oramState, id string, key uint64, label *uint64) (primary, secondary oram.Access) {
 	var fresh bool
 	primary = oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
 		fresh = !found
@@ -71,14 +72,14 @@ func exStep(st *oramState, id string, key uint64, label *uint64) (primary, secon
 			*label = st.nextLabel
 		}
 		return st.pair(*label, fre+1), true
-	}}
-	secondary = oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.pair(key, *label), true }}
-	return primary, secondary, func() {
+	}, Landed: func() {
 		if fresh {
 			st.card++
 			st.nextLabel++
 		}
-	}
+	}}
+	secondary = oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.pair(key, *label), true }}
+	return primary, secondary
 }
 
 // exRemove executes Algorithm 5 for one record: one access takes the record's

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
+	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/trace"
@@ -126,24 +127,28 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 			// Rounds. Unfused, every op of a batch is its own call, so the
 			// difference is what the fused batches carried beyond one op
 			// each. And the fused rounds that carry path ops follow the
-			// closed form: a record of the discovery is 2 rounds for a whole
-			// group of single attributes, and for a group of larger sets 2 in
-			// Or-ORAM or 3 in Ex-ORAM — ⌈w / levelWidth⌉ groups for a level of
-			// w — an inserted record is as many per set, and a deletion 3 per
-			// set. The column and label cells of a chunk move in batches of
-			// their own.
+			// closed form: a record's write-backs ride with the next record's
+			// fetches, so a record of the discovery is 1 round for a whole
+			// group of single attributes, and for a group of larger sets 1 in
+			// Or-ORAM or 2 in Ex-ORAM — ⌈w / levelWidth⌉ groups for a level of
+			// w — and each chunk of a group adds one round, its last
+			// write-backs; an inserted record is a chunk of one per set, and a
+			// deletion 3 rounds per set. The column and cover label cells of a
+			// chunk move in batches of their own; the targets' label cells ride
+			// in the chunk's last round.
 			n, tail := int64(rel.NumRows()), int64(len(goldenTailRows))
+			chunks := (n + obsort.ChunkCells - 1) / obsort.ChunkCells
 			width := make(map[int]int64) // |X| → sets of that lattice level
 			for x := range fused.cards {
 				width[x.Size()]++
 			}
 			var fusedPathRounds, sets int64
 			for size, w := range width {
-				groups, perRecord := (w+levelWidth-1)/levelWidth, int64(3)
+				groups, perRecord := (w+levelWidth-1)/levelWidth, int64(2)
 				if size == 1 || kind.k == kindOr {
-					perRecord = 2
+					perRecord = 1
 				}
-				fusedPathRounds += n*groups*perRecord + tail*w*perRecord
+				fusedPathRounds += groups*(n*perRecord+chunks) + tail*w*(perRecord+1)
 				sets += w
 			}
 			if kind.k == kindEx {
@@ -163,10 +168,10 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 	}
 }
 
-// TestFusedRoundRetriedWhole: the write-back round of some record fails once
-// before it reaches the backend, the retry layer sends it again whole, and the
-// run ends with the oracle's FDs and a backend trace equal to the fault-free
-// run's. Then the same under a seeded fault injector that also fails rounds
+// TestFusedRoundRetriedWhole: the write-back round of some record — which
+// carries the next record's fetches — fails once before it reaches the
+// backend, the retry layer sends it again whole, and the run ends with the
+// oracle's FDs and a backend trace equal to the fault-free run's. Then the same under a seeded fault injector that also fails rounds
 // part-way through and after they applied: repeats show in the trace (same
 // ciphertexts to the same places), the result does not change.
 func TestFusedRoundRetriedWhole(t *testing.T) {
@@ -189,7 +194,7 @@ func TestFusedRoundRetriedWhole(t *testing.T) {
 			var retry *store.RetryService
 			once := runFused(t, kind.k, rel, func(s store.Service) store.Service {
 				flaky = newFailNth(s, writeBack)
-				flaky.arm(40) // some record's write-backs, mid-discovery
+				flaky.arm(20) // some record's write-backs with the next one's fetches, mid-discovery
 				transient := store.Adapt(func(op *store.Op, res *store.Result) error {
 					if err := store.Invoke(flaky, op, res); err != nil {
 						return fmt.Errorf("%w: %v", store.ErrTransient, err)
@@ -201,6 +206,13 @@ func TestFusedRoundRetriedWhole(t *testing.T) {
 			})
 			if !flaky.fired() || retry.Retries() != 1 {
 				t.Fatalf("the fault fired %v, %d retries; want exactly one", flaky.fired(), retry.Retries())
+			}
+			kinds := make(map[store.Kind]bool)
+			for _, op := range flaky.lost {
+				kinds[op.Kind()] = true
+			}
+			if !kinds[store.KindWritePath] || !kinds[store.KindReadPath] {
+				t.Errorf("the failed round carried %v, want write-backs and the next record's fetches together", kinds)
 			}
 			if !relation.FDSetEqual(once.fds, want.Minimal) || !reflect.DeepEqual(once.cards, clean.cards) {
 				t.Errorf("after a retried round: FDs %v (oracle %v), cardinalities %v (clean %v)", once.fds, want.Minimal, once.cards, clean.cards)
@@ -254,7 +266,8 @@ func TestFailedStepLeavesSetUnusable(t *testing.T) {
 	if after, _ := eng.Cardinality(relation.SingleAttr(0)); after != before {
 		t.Errorf("card moved from %d to %d on a failed step", before, after)
 	}
-	// Or-ORAM's one ORAM per set; its label array had no write in flight.
+	// Or-ORAM's one ORAM per set. Its label cell rode in the lost round too,
+	// but a label array holds no client state to fall out of step with.
 	if _, _, err := eng.sets[relation.SingleAttr(0)].primary.Read(idKey(0)); err == nil {
 		t.Error("O^KL still serves accesses after losing a write-back")
 	}

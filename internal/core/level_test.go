@@ -32,8 +32,10 @@ var oramEngines = []struct {
 }
 
 // pathRounds counts the calls that carry a path operation — a record's
-// rounds — and the batches of cell reads and of cell writes — a chunk's. The
-// upload, tree set-up and deletes are calls of other kinds.
+// rounds, and a chunk's last — and the batches that carry cell writes and
+// those of cell reads alone — a chunk's. A batch of path ops and cell writes,
+// Or-ORAM's last round of a chunk, counts as both. The upload, tree set-up and
+// deletes are calls of other kinds.
 type pathRounds struct {
 	store.Adapter
 	n, cellReads, cellWrites int64
@@ -42,15 +44,24 @@ type pathRounds struct {
 func countPathRounds(svc store.Service) *pathRounds {
 	p := &pathRounds{}
 	p.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
-		batch := op.Kind == store.KindBatch && len(op.Ops) > 0
+		var path, cellWrite bool
+		for _, b := range op.Ops {
+			path, cellWrite = path || b.Path, cellWrite || b.Write && !b.Path
+		}
 		switch {
 		case op.Kind == store.KindReadPath, op.Kind == store.KindWritePath:
 			p.n++
-		case batch && op.Ops[0].Path:
-			p.n++
-		case batch && op.Ops[0].Write:
-			p.cellWrites++
-		case batch, op.Kind == store.KindReadCells:
+		case op.Kind == store.KindBatch && len(op.Ops) > 0:
+			if path {
+				p.n++
+			}
+			if cellWrite {
+				p.cellWrites++
+			}
+			if !path && !cellWrite {
+				p.cellReads++
+			}
+		case op.Kind == store.KindReadCells:
 			p.cellReads++
 		}
 		return store.Invoke(svc, op, res)
@@ -118,12 +129,14 @@ func allSingles(m int) []Request {
 // records shows the server, structure by structure. Each target's primary sees
 // n (ReadPath, WritePath) pairs, and so does Ex-ORAM's ID ORAM of each target,
 // and of each cover however many of the targets name it; Or-ORAM's label array
-// of a target has its n cells written, of a cover its n cells read. A record is
-// 2 rounds at level 1, carrying 2w accesses in Ex-ORAM and w in Or-ORAM, and 3
-// rounds carrying 2w + c above it in Ex-ORAM, 2 carrying w in Or-ORAM. The
-// columns are read a chunk per round, all of them together, and Or-ORAM's label
-// cells a chunk per round too: the covers' in one before the chunk's records,
-// the targets' in one after. And a level of one — core.CardinalityUnion — is,
+// of a target has its n cells written, of a cover its n cells read. A record's
+// write-backs ride with the next record's fetches, so a record is 1 path round
+// at level 1, carrying 2w accesses in Ex-ORAM and w in Or-ORAM, and 2 rounds
+// carrying 2w + c above it in Ex-ORAM, 1 carrying w in Or-ORAM, and each chunk
+// adds one path round for its last record's write-backs. The columns are read
+// a chunk per round, all of them together, and Or-ORAM's label cells a chunk
+// per round too: the covers' in one before the chunk's records, the targets'
+// in the chunk's last path round. And a level of one — core.CardinalityUnion — is,
 // event for event, the sequence a set at a time always was: in Ex-ORAM
 // [c₁ c₂] → [c₁ c₂ P S] → [P S] a record, in Or-ORAM a chunk's cells of c₁
 // and c₂, [P] → [P] a record, and the chunk's cells of S.
@@ -183,8 +196,8 @@ func TestLevelClosedForm(t *testing.T) {
 			if positional {
 				perTarget = 1
 			}
-			if r != 2*n || accesses(paths) != perTarget*m*n {
-				t.Errorf("level 1: %d accesses in %d path rounds, want %d·w·n = %d in 2n = %d", accesses(paths), r, perTarget, perTarget*m*n, 2*n)
+			if r != int64(n+chunks) || accesses(paths) != perTarget*m*n {
+				t.Errorf("level 1: %d accesses in %d path rounds, want %d·w·n = %d in n + ⌈n/%d⌉ = %d", accesses(paths), r, perTarget, perTarget*m*n, obsort.ChunkCells, n+chunks)
 			}
 			for a := 0; a < m; a++ {
 				labels := [2]int{n, n}
@@ -212,12 +225,12 @@ func TestLevelClosedForm(t *testing.T) {
 			pairs := allPairs(m)
 			r, reads, writes, paths, cells, _ = measure(pairs)
 			groups := (len(pairs) + levelWidth - 1) / levelWidth
-			perRecord, wantAccesses := 3, (2*len(pairs)+m)*n*groups
+			perRecord, wantAccesses := 2, (2*len(pairs)+m)*n*groups
 			if positional {
-				perRecord, wantAccesses = 2, len(pairs)*n
+				perRecord, wantAccesses = 1, len(pairs)*n
 			}
-			if r != int64(perRecord*n*groups) {
-				t.Errorf("level 2: %d path rounds, want %dn·%d = %d", r, perRecord, groups, perRecord*n*groups)
+			if want := (perRecord*n + chunks) * groups; r != int64(want) {
+				t.Errorf("level 2: %d path rounds, want (%dn + ⌈n/%d⌉)·%d = %d", r, perRecord, obsort.ChunkCells, groups, want)
 			}
 			if groups == 1 && accesses(paths) != wantAccesses {
 				t.Errorf("level 2: %d accesses, want %d", accesses(paths), wantAccesses)
@@ -336,12 +349,12 @@ func TestLevelWiderThanGroup(t *testing.T) {
 					t.Errorf("|π_%v| = %d, want %d", p.Set, cards[i], want)
 				}
 			}
-			perRecord := 3
+			perRecord := 2
 			if core.layout.positional {
-				perRecord = 2
+				perRecord = 1
 			}
-			if got := rounds.n - r0; got != int64(perRecord*n*2) {
-				t.Errorf("%d path rounds, want %dn per group = %d", got, perRecord, perRecord*n*2)
+			if got := rounds.n - r0; got != int64((perRecord*n+1)*2) {
+				t.Errorf("%d path rounds, want %dn + 1 per group = %d", got, perRecord, (perRecord*n+1)*2)
 			}
 
 			// Where in the trace each structure's path and cell events lie.
@@ -421,13 +434,14 @@ func failedLevel(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", e.name, workers), func(t *testing.T) {
 				// Ex-ORAM: the round of the second group's fifth record that
-				// carries the covers' write-backs with the targets' fetches: 3n
-				// rounds of the first group, 3·4 of the second, the fifth
-				// record's cover reads, and then it. Or-ORAM: the fifth record's
-				// write-back round, after 2n and 2·4 and its fetch.
-				lost := 3*n + 3*4 + 2
+				// carries the covers' write-backs with the targets' fetches:
+				// 2n + 1 rounds of the first group, 2·4 of the second, the fifth
+				// record's cover reads, and then it. Or-ORAM: the round that
+				// carries the fifth record's write-backs with the sixth's
+				// fetches, after n + 1 and the fetches of the first five.
+				lost := 2*n + 1 + 2*4 + 2
 				if e.name == "or" {
-					lost = 2*n + 2*4 + 2
+					lost = n + 1 + 5 + 1
 				}
 				srv := store.NewServer()
 				svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindBatch && op.Ops[0].Path })
@@ -606,6 +620,54 @@ func TestLevelErrorsSayWhere(t *testing.T) {
 			}
 			if want := "attribute set {0}: core: " + steps + " step"; !errors.Is(err, store.ErrIntegrity) || !strings.Contains(err.Error(), want) {
 				t.Errorf("insertion into a tampered set: %v; want an integrity failure saying %q", err, want)
+			}
+		})
+	}
+}
+
+// TestFreshLabelsAcrossPipelinedRecords: every record opens a new class in
+// every target, so every step draws a fresh label. A record's write-backs ride
+// with the next record's fetches, and its card_X (and Ex-ORAM's label source)
+// moves when they land — before that next record's access is served and draws
+// its own. Were the move deferred past it, two records would share a label and
+// the next level's keys would merge. n = 70 crosses a chunk boundary.
+func TestFreshLabelsAcrossPipelinedRecords(t *testing.T) {
+	const m, n = 3, 70
+	rel := relation.New(relation.MustNewSchema("C0", "C1", "C2"))
+	for i := 0; i < n; i++ {
+		v := fmt.Sprintf("%06d", i)
+		if err := rel.Append(relation.Row{v, v, v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracle := NewPlainEngine(rel)
+	for _, e := range oramEngines {
+		t.Run(e.name, func(t *testing.T) {
+			edb, err := Upload(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, core := e.make(t, edb)
+			defer eng.Close()
+			for level, reqs := range [][]Request{allSingles(m), allPairs(m)} {
+				cards, err := eng.Materialize(reqs, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := oracle.Materialize(reqs, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range reqs {
+					if cards[i] != want[i] {
+						t.Errorf("level %d: |π_%v| = %d, oracle %d", level+1, r.Set, cards[i], want[i])
+					}
+				}
+			}
+			for x, st := range core.sets {
+				if st.card != n || !core.layout.positional && st.nextLabel != n {
+					t.Errorf("%v: card %d, next label %d; want %d fresh labels drawn", x, st.card, st.nextLabel, n)
+				}
 			}
 		})
 	}

@@ -40,10 +40,11 @@ type oramLayout struct {
 	// of ids per round around the records' steps, never accessed in them.
 	positional bool
 	// step is the loop body for one record with its key_X already built: the
-	// primary's read-modify-write, the secondary's write when the secondary is
-	// an ORAM, and what moves the set's card_X once the write-backs are on the
-	// server. The record's label_X is left in label. levelStep sends them.
-	step func(st *oramState, id string, key uint64, label *uint64) (primary, secondary oram.Access, commit func())
+	// primary's read-modify-write, whose Landed moves the set's card_X once
+	// the record's write-backs are on the server, and the secondary's write
+	// when the secondary is an ORAM. The record's label_X is left in label.
+	// levelStep sends them.
+	step func(st *oramState, id string, key uint64, label *uint64) (primary, secondary oram.Access)
 }
 
 var (
@@ -109,24 +110,31 @@ var levelAtATime = grouping{width: levelWidth}
 // round, and record by record each of the c distinct covers the group names is
 // read once, however many targets name it, and the accesses of a record —
 // different trees, leaves known to the client before anything is fetched —
-// share their round trips (oram.Pipeline). Where Algorithms 1, 2 and 4 read
+// share their round trips (oram.Pipeline), and so do a record's write-backs
+// and the next record's fetches: each tree's write-back comes first in the
+// round, and the round applies in order. Where Algorithms 1, 2 and 4 read
 // key_X's pair and then write it, a step makes one read-modify-write access
-// (oram.ORAM.Update). Per chunk, with P a target's primary, S its secondary
-// and c₁ … the covers':
+// (oram.ORAM.Update). Per chunk of r records, with P a target's primary, S
+// its secondary, c₁ … the covers' and ′ marking the next record's:
 //
 //	Or-ORAM   [cells of the columns | of c₁ … c_c]                  one round
-//	          per record: [ReadPath P₁, … P_w] → [WritePath P₁, … P_w]
-//	          [cells of S₁, … S_w]                                  one round
+//	          per record: [WritePath P₁, … P_w, ReadPath P′₁, … P′_w]
+//	          [WritePath P₁, … P_w, cells of S₁, … S_w]             one round
 //	Ex-ORAM   |X| = 1: [cells of the columns], then per record
-//	          [ReadPath P₁, ReadPath S₁, … P_w, S_w] → [WritePath P₁, WritePath S₁, … P_w, S_w]
-//	          |X| ≥ 2, per record: [ReadPath c₁, … c_c]
-//	          → [WritePath c₁, … c_c, ReadPath P₁, ReadPath S₁, … P_w, S_w]
-//	          → [WritePath P₁, WritePath S₁, … P_w, S_w]
+//	          [WritePath P₁, WritePath S₁, … P_w, S_w, ReadPath P′₁, ReadPath S′₁, … P′_w, S′_w]
+//	          last: [WritePath P₁, WritePath S₁, … P_w, S_w]
+//	          |X| ≥ 2, per record:
+//	          [WritePath P₁, WritePath S₁, … P_w, S_w, ReadPath c′₁, … c′_c]
+//	          → [WritePath c′₁, … c′_c, ReadPath P′₁, ReadPath S′₁, … P′_w, S′_w]
+//	          last: [WritePath P₁, WritePath S₁, … P_w, S_w]
 //
-// w accesses in 2 rounds a record for Or-ORAM; 2w in 2 or 2w + c in 3 for
-// Ex-ORAM. What w and c are, and which structures stand where in a round,
-// follows from the request list — the lattice, a function of (m, FDs) — and
-// from nothing fetched.
+// (the first record's first round has no write-backs in it): w accesses in
+// 1 round a record for Or-ORAM; 2w in 1 or 2w + c in 2 for Ex-ORAM; r + 2,
+// r + 2 or 2r + 1 rounds a chunk. What w and c are, and which structures
+// stand where in a round, follows from the request list — the lattice, a
+// function of (m, FDs) — and from nothing fetched. A set's card_X moves when
+// its record's write-back lands (oram.Access.Landed), before anything fetched
+// in the same round is served, so the next record draws the next label.
 type oramCore struct {
 	setTable[*oramState]
 	edb      *EncryptedDB
@@ -231,7 +239,6 @@ type level struct {
 	found     []bool
 	readers   []oram.UpdateFunc // readers[k] notes what reads[k] found in labels[k][rec], found[k]
 	accesses  []oram.Access     // the target round
-	commits   []func()
 }
 
 // chunkRows returns n rows of obsort.ChunkCells values, reusing buf's.
@@ -287,29 +294,35 @@ func (c *oramCore) lay(lv *level, group []target[*oramState]) *level {
 // stepChunk runs the loop body of Algorithms 1, 2 and 4 for the records ids
 // on every target of the level — a fill's chunk with its group, an insertion's
 // one record with the single set it is stepping: readChunk's round, each
-// record's levelStep, and writeLabels' round. An insertion passes its row,
-// which holds its single keys.
+// record's levelStep, whose write-backs ride with the next record's first
+// round, and writeLabels' round, which carries the last record's. An insertion
+// passes its row, which holds its single keys. Whatever happens, the pipeline
+// owes nothing after it.
 func (c *oramCore) stepChunk(lv *level, ids []int64, row relation.Row) error {
-	if err := c.readChunk(lv, ids, row); err != nil {
-		return err
+	err := c.readChunk(lv, ids, row)
+	for rec := 0; err == nil && rec < len(ids); rec++ {
+		err = c.levelStep(lv, rec, int(ids[rec]))
 	}
-	for rec, id := range ids {
-		if err := c.levelStep(lv, rec, int(id)); err != nil {
-			return err
-		}
+	if err == nil {
+		err = c.writeLabels(lv, ids)
 	}
-	return c.writeLabels(lv, ids)
+	// Write-backs are still owed only when a call was refused before it was
+	// sent; flushing an empty pipeline sends nothing.
+	if ferr := c.pipe.Flush(); ferr != nil {
+		err = errors.Join(err, ferr)
+	}
+	return err
 }
 
-// writeLabels writes, in one round, the labels the chunk's steps gave its
-// records to the targets' label arrays — Or-ORAM's; Ex-ORAM's steps wrote
-// theirs to O^IKL.
+// writeLabels sends the chunk's last round: the write-backs its last record
+// still owes and, in Or-ORAM, the labels the chunk's steps gave its records,
+// to the targets' label arrays. Ex-ORAM's steps wrote theirs to O^IKL.
 func (c *oramCore) writeLabels(lv *level, ids []int64) error {
-	if !c.layout.positional {
-		return nil
+	var ops []store.BatchOp
+	if c.layout.positional {
+		ops = make([]store.BatchOp, len(lv.targets))
 	}
-	ops := make([]store.BatchOp, len(lv.targets))
-	for i, t := range lv.targets {
+	for i, t := range lv.targets[:len(ops)] {
 		slab := make([]byte, 0, len(ids)*(labelWidth+crypto.Overhead))
 		cts := make([][]byte, len(ids))
 		var pt [labelWidth]byte
@@ -324,8 +337,8 @@ func (c *oramCore) writeLabels(lv *level, ids []int64) error {
 		}
 		ops[i] = store.BatchOp{Write: true, Name: t.st.labels, Idx: ids, Cts: cts}
 	}
-	if _, err := store.DoBatch(c.edb.svc, ops); err != nil {
-		return fmt.Errorf("core: O^%s write: %w", c.layout.secondary, err)
+	if err := c.pipe.Flush(ops...); err != nil {
+		return fmt.Errorf("core: O^%s/O^%s write-back: %w", c.layout.primary, c.layout.secondary, err)
 	}
 	return nil
 }
@@ -397,7 +410,9 @@ func (c *oramCore) readChunk(lv *level, ids []int64, row relation.Row) error {
 // (Algorithm 2, lines 4–6) and the covers' write-backs travel with the
 // targets' own fetches; Or-ORAM's cover labels came with the chunk. A target's
 // key is its single key or the pair of its covers' labels. The targets'
-// write-backs are the last round, and only then does any card_X move.
+// write-backs stay owed: they lead the next record's first round, or the
+// chunk's last, and a target's card_X moves when its write-back lands, before
+// anything fetched beside it is served.
 func (c *oramCore) levelStep(lv *level, rec, id int) error {
 	rid := idKey(id)
 	lv.rec = rec
@@ -411,12 +426,12 @@ func (c *oramCore) levelStep(lv *level, rec, id int) error {
 			})
 		}
 		for k, ok := range lv.found[:len(lv.reads)] {
-			if !ok { // no target has been touched
-				return errors.Join(fmt.Errorf("%w: id %d missing from subset partition %v", ErrNotMaterialized, id, lv.coverSets[k]), c.pipe.Flush())
+			if !ok { // no target has been touched for this record
+				return fmt.Errorf("%w: id %d missing from subset partition %v", ErrNotMaterialized, id, lv.coverSets[k])
 			}
 		}
 	}
-	lv.accesses, lv.commits = lv.accesses[:0], lv.commits[:0]
+	lv.accesses = lv.accesses[:0]
 	for i, t := range lv.targets {
 		var key uint64
 		if lv.size == 1 {
@@ -424,17 +439,13 @@ func (c *oramCore) levelStep(lv *level, rec, id int) error {
 		} else {
 			key = unionKey(lv.labels[lv.at[i][0]][rec], lv.labels[lv.at[i][1]][rec])
 		}
-		primary, secondary, commit := c.layout.step(t.st, rid, key, &lv.out[i][rec])
-		lv.accesses, lv.commits = append(lv.accesses, primary), append(lv.commits, commit)
+		primary, secondary := c.layout.step(t.st, rid, key, &lv.out[i][rec])
+		lv.accesses = append(lv.accesses, primary)
 		if !c.layout.positional {
 			lv.accesses = append(lv.accesses, secondary)
 		}
 	}
-	err := c.pipe.Do(lv.accesses...)
-	if err == nil {
-		err = c.pipe.Flush()
-	}
-	if err != nil {
+	if err := c.pipe.Do(lv.accesses...); err != nil {
 		structures, perTarget := "O^"+c.layout.primary, 1
 		if !c.layout.positional {
 			structures, perTarget = structures+"/O^"+c.layout.secondary, 2
@@ -442,9 +453,6 @@ func (c *oramCore) levelStep(lv *level, rec, id int) error {
 		return inAccess(fmt.Errorf("core: %s step: %w", structures, err), func(i int) string {
 			return fmt.Sprintf("attribute set %v", lv.targets[i/perTarget].set)
 		})
-	}
-	for _, commit := range lv.commits {
-		commit()
 	}
 	return nil
 }

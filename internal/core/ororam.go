@@ -40,11 +40,11 @@ func NewOrEngine(edb *EncryptedDB) *OrEngine {
 // or, for a key not seen before, leaves card_X there as its label (the paper's
 // lines 6–10 as a single read-modify-write). One access, whether or not the
 // key was seen before; the label goes to the record's O^IL cell with the rest
-// of its chunk's, and card_X moves in commit, once the write-back is on the
-// server.
-func orStep(st *oramState, _ string, key uint64, label *uint64) (primary, _ oram.Access, commit func()) {
+// of its chunk's, and card_X moves when the write-back lands — before the next
+// record's access, fetched in the same round, draws a label.
+func orStep(st *oramState, _ string, key uint64, label *uint64) (primary, _ oram.Access) {
 	fresh := false
-	primary = oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
+	return oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
 		fresh = !found
 		if found {
 			*label = decodeUint64(old)
@@ -53,12 +53,11 @@ func orStep(st *oramState, _ string, key uint64, label *uint64) (primary, _ oram
 		}
 		binary.BigEndian.PutUint64(st.val[:labelWidth], *label)
 		return st.val[:labelWidth], true
-	}}
-	return primary, oram.Access{}, func() {
+	}, Landed: func() {
 		if fresh {
 			st.card++
 		}
-	}
+	}}, oram.Access{}
 }
 
 // Insert continues the traversal for one appended record across every

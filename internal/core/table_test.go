@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,12 +23,14 @@ var errInjected = errors.New("injected storage failure")
 type failNth struct {
 	store.Adapter
 	left atomic.Int64
+	lost []store.BatchOp // the ops of the batch it failed, if it was one
 }
 
 func newFailNth(svc store.Service, match func(*store.Op) bool) *failNth {
 	f := &failNth{}
 	f.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
 		if match(op) && f.left.Add(-1) == 0 {
+			f.lost = slices.Clone(op.Ops)
 			return errInjected
 		}
 		return store.Invoke(svc, op, res)

@@ -143,10 +143,14 @@ type ORAM struct {
 	rng        *mrand.Rand
 
 	// cur is the access in flight, between begin and end; a handle runs one
-	// at a time. failed, once set, refuses every further access: an access
-	// stopped after its path was absorbed into the stash and before its
-	// write-back reached the server leaves the two out of step for good.
+	// at a time. owedTo is the pipeline holding the handle's last write-back
+	// until it lands: only that pipeline may begin the next access, whose
+	// fetch it sends behind the write-back. failed, once set, refuses every
+	// further access: an access stopped after its path was absorbed into the
+	// stash and before its write-back reached the server leaves the two out of
+	// step for good.
 	cur    inflight
+	owedTo *Pipeline
 	failed error
 
 	// Scratch reused across accesses so the steady-state path read/write
@@ -493,9 +497,10 @@ const (
 // access is the single PathORAM access routine behind Read, Write, Remove and
 // Update, so their server-visible behaviour is identical by construction. Its
 // three steps — begin, serve, end — are also what a Pipeline runs, with the
-// two server calls between them fused with other handles'.
+// two server calls between them fused with other handles' and end split into
+// owe and settle around the write-back's round.
 func (o *ORAM) access(key string, fn UpdateFunc) (err error) {
-	leaf, err := o.begin(key)
+	leaf, err := o.begin(key, nil)
 	if err != nil {
 		return err
 	}
@@ -514,14 +519,15 @@ func (o *ORAM) access(key string, fn UpdateFunc) (err error) {
 	return nil
 }
 
-// ready says why an access to key cannot begin, and changes nothing: the
-// handle has lost a write-back, is in the middle of another access, or the key
-// does not fit.
-func (o *ORAM) ready(key string) error {
+// ready says why an access to key, asked for by pipeline p (nil for a direct
+// access), cannot begin, and changes nothing: the handle has lost a
+// write-back, is in the middle of another access or owes a write-back that p
+// does not hold, or the key does not fit.
+func (o *ORAM) ready(key string, p *Pipeline) error {
 	switch {
 	case o.failed != nil:
 		return fmt.Errorf("oram %q: unusable since an access failed midway: %w", o.name, o.failed)
-	case o.cur.stage != idle:
+	case o.cur.stage != idle, o.owedTo != nil && o.owedTo != p:
 		return fmt.Errorf("oram %q: access to %q while another is in flight", o.name, key)
 	case len(key) > o.keyWidth:
 		return fmt.Errorf("%w: %d bytes, max %d", ErrKeyWidth, len(key), o.keyWidth)
@@ -529,11 +535,12 @@ func (o *ORAM) ready(key string) error {
 	return nil
 }
 
-// begin opens an access to key and returns the leaf whose path it needs. The
-// leaf is the key's position-map entry or, for a key that has none, a fresh
-// uniform draw: it is fixed before anything about the key is fetched.
-func (o *ORAM) begin(key string) (uint32, error) {
-	if err := o.ready(key); err != nil {
+// begin opens an access to key for p and returns the leaf whose path it
+// needs. The leaf is the key's position-map entry or, for a key that has none,
+// a fresh uniform draw: it is fixed before anything about the key is fetched,
+// and a write-back still owed has already taken its remap into account.
+func (o *ORAM) begin(key string, p *Pipeline) (uint32, error) {
+	if err := o.ready(key, p); err != nil {
 		return 0, err
 	}
 	o.accesses++
@@ -556,15 +563,27 @@ func (o *ORAM) begin(key string) (uint32, error) {
 // write-back the server may never have seen, and the handle is refused from
 // then on rather than left to diverge silently.
 func (o *ORAM) end(err error) {
-	switch {
-	case o.cur.stage == idle:
-		return
-	case o.cur.stage == served && err != nil:
-		o.failed = err
-	case o.cur.stage == served:
-		o.pathWrites.Inc()
+	if o.cur.stage == served {
+		o.settle(err)
 	}
 	o.cur = inflight{}
+}
+
+// owe hands the served access's write-back to p, which sends it: the handle
+// is between accesses again, but only p may begin the next one until it
+// settles the write-back.
+func (o *ORAM) owe(p *Pipeline) { o.cur, o.owedTo = inflight{}, p }
+
+// settle closes the write-back the handle owes: err is nil once it is on the
+// server, and otherwise what lost it, which the handle refuses every further
+// access with.
+func (o *ORAM) settle(err error) {
+	if err != nil {
+		o.failed = err
+	} else {
+		o.pathWrites.Inc()
+	}
+	o.owedTo = nil
 }
 
 // serve takes the fetched path of the access in flight into the stash,

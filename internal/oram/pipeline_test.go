@@ -173,7 +173,8 @@ func newPipelineRig(t *testing.T, wrap func(store.Service) store.Service) *pipel
 
 // unionRecord is the shape of an engine's multi-attribute step: read a value
 // from each of two stores, then a read-modify-write of the third keyed by
-// what was read. It returns what the third held before.
+// what was read. It returns what the third held before, and leaves the third's
+// write-back owed.
 func unionRecord(p *Pipeline, s [3]*ORAM, key string) (before []byte, err error) {
 	var got [2][]byte
 	read := func(i int) UpdateFunc {
@@ -182,17 +183,14 @@ func unionRecord(p *Pipeline, s [3]*ORAM, key string) (before []byte, err error)
 			return old, found
 		}
 	}
-	if err := p.Do(Access{s[0], key, read(0)}, Access{s[1], key, read(1)}); err != nil {
+	if err := p.Do(Access{Store: s[0], Key: key, Fn: read(0)}, Access{Store: s[1], Key: key, Fn: read(1)}); err != nil {
 		return nil, err
 	}
-	err = p.Do(Access{s[2], joinKey(got), func(old []byte, found bool) ([]byte, bool) {
+	err = p.Do(Access{Store: s[2], Key: joinKey(got), Fn: func(old []byte, found bool) ([]byte, bool) {
 		before = append([]byte(nil), old...)
 		return []byte{1, 2, 3, byte(len(old))}, true
 	}})
-	if err != nil {
-		return nil, err
-	}
-	return before, p.Flush()
+	return before, err
 }
 
 // joinKey makes the third store's key of what the first two held.
@@ -209,8 +207,9 @@ func perObject(events []trace.Event) map[string][]trace.Event {
 // TestPipelineIsFramingOnly: the same accesses through a Pipeline over a
 // service that fuses batches, over one that cannot, and one by one through
 // Update leave every store with the same contents and every tree with the
-// same event sequence, leaves included (the seeds are the same); only the
-// number of round trips differs.
+// same event sequence, leaves included (the seeds are the same), whether each
+// record is flushed or its write-back rides with the next record's fetches;
+// only the number of round trips differs.
 func TestPipelineIsFramingOnly(t *testing.T) {
 	hideBatch := func(s store.Service) store.Service { return struct{ store.Service }{s} }
 	asIs := func(s store.Service) store.Service { return s }
@@ -253,12 +252,14 @@ func TestPipelineIsFramingOnly(t *testing.T) {
 		want := perObject(serial.srv.Trace().Events())
 
 		for _, c := range []struct {
-			name   string
-			wrap   func(store.Service) store.Service
-			rounds int64
+			name      string
+			wrap      func(store.Service) store.Service
+			flushEach bool
+			rounds    int64
 		}{
-			{"fused", asIs, 3 * int64(len(keys))},
-			{"unfused", hideBatch, serialRounds},
+			{"fused", asIs, true, 3 * int64(len(keys))},
+			{"fused, records pipelined", asIs, false, 2*int64(len(keys)) + 1},
+			{"unfused", hideBatch, true, serialRounds},
 		} {
 			rig := newPipelineRig(t, c.wrap)
 			seed(t, rig)
@@ -266,12 +267,18 @@ func TestPipelineIsFramingOnly(t *testing.T) {
 			p := NewPipeline(rig.rounds)
 			for i, k := range keys {
 				before, err := unionRecord(p, rig.stores, k)
+				if err == nil && c.flushEach {
+					err = p.Flush()
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(before, wantBefore[i]) {
 					t.Errorf("%s record %d: third store held %v, serially %v", c.name, i, before, wantBefore[i])
 				}
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
 			}
 			if got := perObject(rig.srv.Trace().Events()); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: per-object event sequences differ from the serial run's", c.name)
@@ -327,11 +334,11 @@ func TestPipelineFailedRoundLeavesNoHalfAccess(t *testing.T) {
 	}
 	keep := func(old []byte, found bool) ([]byte, bool) { return old, found }
 	p := NewPipeline(svc)
-	if err := p.Do(Access{o[0], "k", keep}, Access{o[1], "k", keep}); err != nil {
+	if err := p.Do(Access{Store: o[0], Key: "k", Fn: keep}, Access{Store: o[1], Key: "k", Fn: keep}); err != nil {
 		t.Fatal(err)
 	}
 	svc.armed = true
-	err := p.Do(Access{o[2], "k", keep}) // carries the write-backs of the first two
+	err := p.Do(Access{Store: o[2], Key: "k", Fn: keep}) // carries the write-backs of the first two
 	if !errors.Is(err, errRoundLost) {
 		t.Fatalf("round with a failing batch: %v", err)
 	}
@@ -351,18 +358,12 @@ func TestPipelineFailedRoundLeavesNoHalfAccess(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Errorf("pipeline after the failure is not empty: %v", err)
 	}
-	if err := p.Do(Access{o[2], "k", keep}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Do(Access{o[2], "k", keep}); err == nil || !strings.Contains(err.Error(), "in flight") {
-		t.Errorf("second access to a store whose write-back is still owed: %v", err)
-	}
 }
 
 // TestPipelineRefusedDoPoisonsNothing: a Do that can be seen to be wrong
-// before anything is sent — one store named twice, a store still owed its
-// write-back, a key wider than the store takes, a handle that has already
-// failed — is refused whole, names the access at fault, sends nothing, and
+// before anything is sent — one store named twice, a store that owes its
+// write-back to another pipeline, a key wider than the store takes, a handle
+// that has already failed — is refused whole, names the access at fault, sends nothing, and
 // leaves the pipeline as it was: the write-backs the earlier Do owes are still
 // owed, Flush lands them, and every earlier handle still answers. Before the
 // call was validated up front, the handles begun ahead of the bad access and
@@ -372,7 +373,7 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 	srv := store.NewServer()
 	svc := newFailBatches(srv)
 	cipher := crypto.MustNewCipher(crypto.MustNewKey())
-	var o [4]*ORAM
+	var o [5]*ORAM
 	for i := range o {
 		var err error
 		if o[i], err = Setup(svc, cipher, fmt.Sprintf("s%d", i), Config{Capacity: 16, KeyWidth: 8, ValueWidth: 4, Seed: int64(i + 1)}); err != nil {
@@ -383,9 +384,14 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 		}
 	}
 	keep := func(old []byte, found bool) ([]byte, bool) { return old, found }
+	// o[4] owes its write-back to another pipeline.
+	other := NewPipeline(svc)
+	if err := other.Do(Access{Store: o[4], Key: "k", Fn: keep}); err != nil {
+		t.Fatal(err)
+	}
 	// o[3] loses a write-back for good: the handle that "has already failed".
 	dead := NewPipeline(svc)
-	if err := dead.Do(Access{o[3], "k", keep}); err != nil {
+	if err := dead.Do(Access{Store: o[3], Key: "k", Fn: keep}); err != nil {
 		t.Fatal(err)
 	}
 	svc.armed = true
@@ -396,7 +402,7 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 
 	rounds := store.WithRoundCounter(svc)
 	p := NewPipeline(rounds)
-	if err := p.Do(Access{o[0], "k", keep}); err != nil { // o[0] is served and owed a write-back
+	if err := p.Do(Access{Store: o[0], Key: "k", Fn: keep}); err != nil { // o[0] is served and owed a write-back
 		t.Fatal(err)
 	}
 	sent := rounds.Rounds()
@@ -406,10 +412,10 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 		at       int
 		want     string
 	}{
-		{"store named twice", []Access{{o[1], "k", keep}, {o[2], "k", keep}, {o[1], "j", keep}}, 2, "named twice"},
-		{"store still owed its write-back", []Access{{o[1], "k", keep}, {o[0], "k", keep}}, 1, "in flight"},
-		{"over-wide key", []Access{{o[1], "k", keep}, {o[2], "123456789", keep}}, 1, "key too long"},
-		{"failed handle", []Access{{o[1], "k", keep}, {o[3], "k", keep}}, 1, "unusable"},
+		{"store named twice", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[2], Key: "k", Fn: keep}, {Store: o[1], Key: "j", Fn: keep}}, 2, "named twice"},
+		{"store owed to another pipeline", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[4], Key: "k", Fn: keep}}, 1, "in flight"},
+		{"over-wide key", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[2], Key: "123456789", Fn: keep}}, 1, "key too long"},
+		{"failed handle", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[3], Key: "k", Fn: keep}}, 1, "unusable"},
 	} {
 		err := p.Do(c.accesses...)
 		var ae *AccessError
@@ -423,13 +429,16 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 	if got := rounds.Rounds(); got != sent {
 		t.Errorf("refused calls sent %d rounds", got-sent)
 	}
-	if len(p.staged) != 1 || p.staged[0] != o[0] || len(p.begun) != 0 || len(p.ops) != 1 {
+	if len(p.staged) != 1 || p.staged[0].Store != o[0] || len(p.begun) != 0 || len(p.ops) != 1 {
 		t.Fatalf("pipeline after refusals: %d staged, %d begun, %d ops; want o[0]'s write-back alone", len(p.staged), len(p.begun), len(p.ops))
 	}
 	if err := p.Flush(); err != nil {
 		t.Fatalf("Flush of what was owed before the refusals: %v", err)
 	}
-	for i := 0; i < 3; i++ {
+	if err := other.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, 2, 4} {
 		if o[i].failed != nil || o[i].cur.stage != idle {
 			t.Errorf("store %d: failed = %v, stage %d after refused calls", i, o[i].failed, o[i].cur.stage)
 		}
@@ -470,7 +479,11 @@ func TestPipelineRetriedRoundIsInvisible(t *testing.T) {
 		srv.Trace().Reset()
 		srv.Trace().Enable()
 		flaky.armed = fail
-		if _, err := unionRecord(NewPipeline(svc), s, "k"); err != nil {
+		p := NewPipeline(svc)
+		if _, err := unionRecord(p, s, "k"); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if fail && (flaky.armed || svc.Retries() != 1) {
@@ -482,4 +495,126 @@ func TestPipelineRetriedRoundIsInvisible(t *testing.T) {
 	if !clean.Equal(faulted) {
 		t.Errorf("a retried round shows in the trace:\n%s", clean.Diff(faulted))
 	}
+}
+
+// TestPipelineReentersBehindWriteBack: a store whose write-back the pipeline
+// still owes may be named again. Its fetch rides behind the write-back in one
+// round — one round fewer than a Flush between them — the second access sees
+// what the first left, the first's Landed has run before the second's Fn, and
+// the server's trace is that of two serial accesses. Anyone else is still
+// refused the owed handle; when the combined round is lost the handle refuses
+// further use and the lost write-back's Landed never runs, while a handle that
+// had only begun in that round carries on.
+func TestPipelineReentersBehindWriteBack(t *testing.T) {
+	asIs := func(s store.Service) store.Service { return s }
+	count := func(old []byte, found bool) ([]byte, bool) {
+		if !found {
+			return val(4, 1), true
+		}
+		return val(4, old[3]+1), true
+	}
+	t.Run("rides behind its write-back", func(t *testing.T) {
+		serial := newPipelineRig(t, asIs)
+		for range 2 {
+			if err := serial.stores[0].Update("k", count); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := perObject(serial.srv.Trace().Events())
+
+		rig := newPipelineRig(t, asIs)
+		o, p, base := rig.stores[0], NewPipeline(rig.rounds), rig.rounds.Rounds()
+		landed := false
+		if err := p.Do(Access{Store: o, Key: "k", Fn: count, Landed: func() { landed = true }}); err != nil {
+			t.Fatal(err)
+		}
+		if landed {
+			t.Error("Landed ran before the write-back was sent")
+		}
+		var saw []byte
+		err := p.Do(Access{Store: o, Key: "k", Fn: func(old []byte, found bool) ([]byte, bool) {
+			if !landed {
+				t.Error("the second access was served before the first's write-back landed")
+			}
+			saw = append([]byte(nil), old...)
+			return count(old, found)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := rig.rounds.Rounds() - base; got != 3 {
+			t.Errorf("%d rounds, want 3: a fetch, the write-back with the next fetch, the last write-back", got)
+		}
+		if !bytes.Equal(saw, val(4, 1)) {
+			t.Errorf("the second access found %v, want what the first left, %v", saw, val(4, 1))
+		}
+		if got := perObject(rig.srv.Trace().Events()); !reflect.DeepEqual(got[o.Name()], want[o.Name()]) {
+			t.Errorf("the tree's events differ from two serial accesses':\n got  %v\n want %v", got[o.Name()], want[o.Name()])
+		}
+		if v, _, err := o.Read("k"); err != nil || !bytes.Equal(v, val(4, 2)) {
+			t.Errorf("after both: Read = %v, %v; want %v", v, err, val(4, 2))
+		}
+	})
+	t.Run("refused to anyone else", func(t *testing.T) {
+		rig := newPipelineRig(t, asIs)
+		o, p := rig.stores[0], NewPipeline(rig.rounds)
+		if err := p.Do(Access{Store: o, Key: "k", Fn: count}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := o.Read("k"); err == nil || !strings.Contains(err.Error(), "in flight") {
+			t.Errorf("direct Read of an owed handle: %v, want a refusal saying it is in flight", err)
+		}
+		var ae *AccessError
+		if err := NewPipeline(rig.rounds).Do(Access{Store: o, Key: "k", Fn: count}); !errors.As(err, &ae) || !strings.Contains(err.Error(), "in flight") {
+			t.Errorf("Do from another pipeline on an owed handle: %v, want a refusal saying it is in flight", err)
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if v, _, err := o.Read("k"); err != nil || !bytes.Equal(v, val(4, 1)) {
+			t.Errorf("after the write-back landed: Read = %v, %v", v, err)
+		}
+	})
+	t.Run("combined round lost", func(t *testing.T) {
+		svc := newFailBatches(store.NewServer())
+		cipher := crypto.MustNewCipher(crypto.MustNewKey())
+		var o [2]*ORAM
+		for i := range o {
+			var err error
+			if o[i], err = Setup(svc, cipher, fmt.Sprintf("s%d", i), Config{Capacity: 16, KeyWidth: 8, ValueWidth: 4, Seed: int64(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := o[i].Write("k", val(4, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, landed := NewPipeline(svc), 0
+		if err := p.Do(Access{Store: o[0], Key: "k", Fn: count, Landed: func() { landed++ }}); err != nil {
+			t.Fatal(err)
+		}
+		svc.armed = true
+		err := p.Do(Access{Store: o[0], Key: "k", Fn: count, Landed: func() { landed++ }}, Access{Store: o[1], Key: "k", Fn: count})
+		svc.armed = false
+		if !errors.Is(err, errRoundLost) {
+			t.Fatalf("combined round through a failing service: %v", err)
+		}
+		if landed != 0 {
+			t.Errorf("%d Landed hooks ran for write-backs that were lost", landed)
+		}
+		if _, _, err := o[0].Read("k"); !errors.Is(err, errRoundLost) || !strings.Contains(err.Error(), "unusable") {
+			t.Errorf("store whose write-back rode in the lost round: %v, want a refusal naming it", err)
+		}
+		if o[1].cur.stage != idle || o[1].owedTo != nil {
+			t.Error("the store that had only begun is left mid-access")
+		}
+		if v, found, err := o[1].Read("k"); err != nil || !found || !bytes.Equal(v, val(4, 1)) {
+			t.Errorf("store that had only begun: Read = %v, %v, %v", v, found, err)
+		}
+		if err := p.Flush(); err != nil {
+			t.Errorf("pipeline after the failure is not empty: %v", err)
+		}
+	})
 }
