@@ -111,15 +111,16 @@ bench-wire:
 # one open per bucket, eviction, one seal per bucket, path write) against the
 # in-process server, on a full 256-key tree and on the two shapes the engines
 # build in the benchmark's ORAM workloads (Ex-ORAM with insert headroom and
-# 16-byte values, Or-ORAM with 8-byte values); then one record of an ORAM
-# engine's traversal over a loopback TCP connection, Or and Ex, reporting the
-# rounds and accesses it costs as counts beside ns/op: of one set as an
-# insertion steps it, single-attribute and union (rounds / accesses: Or 2 / 1
-# and 3 / 1, the label cells included; Ex 2 / 2 and 3 / 4), and of a lattice
-# level of w = 1, 3, 6 unions over their c = 2, 3, 4 covers, a record's
-# write-backs riding with the next record's fetches (Or: 1 round and w
-# accesses, its chunk's label cells aside; Ex: 2 rounds and 2w + c accesses,
-# 4, 9, 16). Run like bench-cell.
+# 16-byte values, Or-ORAM with 8-byte values), and one batch of 64 accesses
+# on the Or-ORAM shape, reporting the bucket opens and seals an access costs
+# when the batch's paths share their buckets (11 alone); then one record or
+# one chunk of an ORAM engine's traversal over a loopback TCP connection, Or
+# and Ex, reporting the rounds and accesses it costs as counts beside ns/op:
+# of one set as an insertion steps it, single-attribute and union (rounds /
+# accesses a record: Or 2 / 1 and 3 / 1, the label cells included; Ex 2 / 2
+# and 3 / 4), and of a chunk of 64 records of a lattice level of w = 1, 3, 6
+# unions over their c = 2, 3, 4 covers (3 rounds a chunk; Or: 64w accesses,
+# Ex: 64·(2w + c)). Run like bench-cell.
 bench-oram:
 	$(GO) test -run '^$$' -bench 'PathAccess' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
 	$(GO) test -run '^$$' -bench 'EngineStepLoopback|EngineLevelLoopback' -benchmem -benchtime $(BENCHTIME) ./internal/core/

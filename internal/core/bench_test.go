@@ -49,10 +49,11 @@ func overLoopback(b *testing.B, rel *relation.Relation, fn func(r *loopbackRig))
 	}
 }
 
-// run times record over the relation's n ids, round and round, then sends
-// what the last one left owed, and reports the rounds and ORAM accesses one
-// call cost: counts, the same on every run.
-func (r *loopbackRig) run(b *testing.B, name string, n int, record func(id int) error) {
+// run times step over the relation's n ids, round and round — a record at a
+// time, or a chunk — then sends what the last one left owed, and reports the
+// rounds and ORAM accesses one call cost, per unit: counts, the same on every
+// run.
+func (r *loopbackRig) run(b *testing.B, name, unit string, n int, step func(id int) error) {
 	accesses := func() (total int64) {
 		for _, st := range r.core.sets {
 			total += st.primary.Accesses()
@@ -67,7 +68,7 @@ func (r *loopbackRig) run(b *testing.B, name string, n int, record func(id int) 
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := record(i % n); err != nil {
+			if err := step(i % n); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,8 +76,8 @@ func (r *loopbackRig) run(b *testing.B, name string, n int, record func(id int) 
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(r.rounds.Rounds()-r0)/float64(b.N), "rounds/record")
-		b.ReportMetric(float64(accesses()-acc0)/float64(b.N), "accesses/record")
+		b.ReportMetric(float64(r.rounds.Rounds()-r0)/float64(b.N), "rounds/"+unit)
+		b.ReportMetric(float64(accesses()-acc0)/float64(b.N), "accesses/"+unit)
 	})
 }
 
@@ -114,21 +115,23 @@ func BenchmarkEngineStepLoopback(b *testing.B) {
 			name string
 			lv   *level
 		}{{"Single", single}, {"Union", union}} {
-			r.run(b, c.name, n, func(id int) error { return r.core.stepChunk(c.lv, []int64{int64(id)}, rel.Row(id)) })
+			r.run(b, c.name, "record", n, func(id int) error { return r.core.stepChunk(c.lv, []int64{int64(id)}, rel.Row(id)) })
 		}
 	})
 }
 
-// BenchmarkEngineLevelLoopback is one record of a whole lattice level — what
+// BenchmarkEngineLevelLoopback is one chunk of a whole lattice level — what
 // the oram-tcp and exoram-dynamic discoveries are made of: w two-attribute
 // sets over their c distinct covers (w = 1: c = 2; w = 3: the three pairs of
-// three attributes, c = 3; w = 6: the six pairs of four, c = 4) cost w
-// accesses in 1 round in Or-ORAM and 2w + c in 2 in Ex-ORAM whatever w is —
-// a record's write-backs ride with the next record's fetches — where a set at
-// a time cost 4w in 3w. The records are those of one chunk, whose cover labels
-// are fetched before the timer starts: the chunk's round of cover label cells
-// is not a record's, and the one write-back round after the last record is
-// spread over all of them.
+// three attributes, c = 3; w = 6: the six pairs of four, c = 4) stepped over
+// obsort.ChunkCells records, r = 64. A chunk costs 3 rounds whatever w is: in
+// Or-ORAM the covers' label cells, the r·w fetches, the r·w write-backs with
+// the targets' label cells; in Ex-ORAM the r·c cover fetches, their
+// write-backs with the r·2w target fetches, the r·2w write-backs — where a
+// record at a time cost r + 2 and 2r + 1, and a set at a time 3r per set.
+// Accesses are r·w and r·(2w + c). Re-stepping a traversed chunk finds its
+// keys: the same accesses as a first visit, and the partitions are none the
+// worse.
 func BenchmarkEngineLevelLoopback(b *testing.B) {
 	const n, m = 1024, 4
 	rel := fixedWidthRel(m, n, 7, 64)
@@ -147,16 +150,16 @@ func BenchmarkEngineLevelLoopback(b *testing.B) {
 		if _, err := r.eng.Materialize(reqs, 1); err != nil {
 			b.Fatal(err)
 		}
-		ids := make([]int64, obsort.ChunkCells)
-		for i := range ids {
-			ids[i] = int64(i)
+		const chunks = n / obsort.ChunkCells
+		ids := make([][]int64, chunks)
+		for c := range ids {
+			for i := range obsort.ChunkCells {
+				ids[c] = append(ids[c], int64(c*obsort.ChunkCells+i))
+			}
 		}
 		for _, w := range []int{1, 3, 6} {
 			lv := r.levelOf(pairs[:w]...)
-			if err := r.core.readChunk(lv, ids, nil); err != nil {
-				b.Fatal(err)
-			}
-			r.run(b, fmt.Sprintf("w=%d", w), len(ids), func(id int) error { return r.core.levelStep(lv, id, id) })
+			r.run(b, fmt.Sprintf("w=%d", w), "chunk", chunks, func(c int) error { return r.core.stepChunk(lv, ids[c], nil) })
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -411,5 +412,56 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRefusedDeleteOwesNothing: a deletion whose second access is refused —
+// O^KLF lost a write-back in an earlier deletion — leaves no write-back owed.
+// The first access's, to O^IKL, is flushed before the error surfaces; when it
+// was not, it rode into the next operation's first round, and O^IKL answered
+// "access … while another is in flight" until then.
+func TestRefusedDeleteOwesNothing(t *testing.T) {
+	rel := fixedWidthRel(2, 8, 31, 3)
+	srv := store.NewServer()
+	klfOnly := func(op *store.Op) bool {
+		if op.Kind != store.KindBatch || len(op.Ops) == 0 {
+			return false
+		}
+		for _, b := range op.Ops {
+			if b.Kind() != store.KindWritePath || !strings.HasSuffix(b.Name, ":KLF") {
+				return false
+			}
+		}
+		return true
+	}
+	fail := newFailNth(srv, klfOnly)
+	rounds := store.WithRoundCounter(fail)
+	edb, err := UploadWithCapacity(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewExEngine(edb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	materializeAll(t, eng, 2)
+
+	fail.arm(1) // the first set's O^KLF write-back in Delete(0)
+	if err := eng.Delete(0); !errors.Is(err, errInjected) {
+		t.Fatalf("Delete(0) with its O^KLF write-back lost: %v", err)
+	}
+	err = eng.Delete(1)
+	if err == nil || !strings.Contains(err.Error(), "unusable") {
+		t.Fatalf("Delete(1) over a set whose O^KLF is unusable: %v, want a refusal", err)
+	}
+	sent := rounds.Rounds()
+	if err := eng.pipe.Flush(); err != nil || rounds.Rounds() != sent {
+		t.Errorf("after the refused deletion the pipeline still owed a round (Flush: %v, %d rounds)", err, rounds.Rounds()-sent)
+	}
+	for x, st := range eng.sets {
+		if _, _, err := st.secondary.Read(idKey(2)); err != nil {
+			t.Errorf("%v's O^IKL after the refused deletion: %v", x, err)
+		}
 	}
 }

@@ -281,12 +281,12 @@ func TestEngineContract(t *testing.T) {
 }
 
 func TestEngineCloseFreesServerStorage(t *testing.T) {
-	// failAt 0 is the clean run; 7 fails the materialization's 7th storage
-	// call, mid-traversal, after the ORAM tree and the label array were set up
-	// (three calls) and the column was fetched (one): a record is one call, its
-	// fetch fused with the previous record's write-back, so the 7th carries the
-	// second record's write-back and the third's fetch.
-	for _, failAt := range []int{0, 7} {
+	// failAt 0 is the clean run; 6 fails the materialization's 6th storage
+	// call, its last, after the ORAM tree and the label array were set up
+	// (three calls), the column was fetched (one) and the chunk's four paths
+	// were fetched and taken in (one): the 6th carries their write-backs with
+	// the chunk's label cells.
+	for _, failAt := range []int{0, 6} {
 		rel := testRelation()
 		srv := store.NewServer()
 		svc := newFailNth(srv, func(*store.Op) bool { return true })

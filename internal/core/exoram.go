@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -56,11 +57,10 @@ func NewExEngine(edb *EncryptedDB) (*ExEngine, error) {
 }
 
 // exStep is Algorithm 4's loop body: one access to O^KLF that takes the key's
-// label (the next fresh one for a key not seen before) and leaves its
-// frequency one higher, and one write of (key_X, label) to O^IKL. Exactly two
-// ORAM accesses regardless of data; card_X and the label source move when
-// the write-backs land, in one round, before the next record's access to
-// O^KLF draws a label.
+// label (for a key not seen before the next fresh one, counting those its
+// chunk's earlier records drew) and leaves its frequency one higher, and one
+// write of (key_X, label) to O^IKL. Exactly two ORAM accesses regardless of
+// data; card_X and the label source move when the write-backs land.
 func exStep(st *oramState, id string, key uint64, label *uint64) (primary, secondary oram.Access) {
 	var fresh bool
 	primary = oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
@@ -69,13 +69,15 @@ func exStep(st *oramState, id string, key uint64, label *uint64) (primary, secon
 		if found {
 			*label, fre = decodeUint64(old), decodeUint64(old[8:])
 		} else {
-			*label = st.nextLabel
+			*label = st.nextLabel + st.pending
+			st.pending++
 		}
 		return st.pair(*label, fre+1), true
 	}, Landed: func() {
 		if fresh {
 			st.card++
 			st.nextLabel++
+			st.pending--
 		}
 	}}
 	secondary = oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.pair(key, *label), true }}
@@ -113,8 +115,10 @@ func exRemove(pipe *oram.Pipeline, st *oramState, id int) error {
 			return st.pair(label, fre-1), true
 		}})
 	}
-	if err == nil {
-		err = pipe.Flush()
+	// Flushed whatever happened: a refused second access leaves the first's
+	// write-back owed, and it must not ride into the next operation's round.
+	if ferr := pipe.Flush(); ferr != nil {
+		err = errors.Join(err, ferr)
 	}
 	switch {
 	case err != nil:

@@ -96,7 +96,7 @@ func unfusing(s store.Service) store.Service { return struct{ store.Service }{s}
 // gives the same FDs and cardinalities and shows the backend the same events in
 // the same order — per object and as a whole — and only the count of round
 // trips differs, by the closed form of EXPERIMENTS.md ("ORAM rounds"): a
-// level's rounds per record, not a set's.
+// level's rounds per chunk, not per record or per set.
 func TestFusedRoundsAreFramingOnly(t *testing.T) {
 	rel := parallelTestRel(24)
 	want, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), nil)
@@ -127,15 +127,15 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 			// Rounds. Unfused, every op of a batch is its own call, so the
 			// difference is what the fused batches carried beyond one op
 			// each. And the fused rounds that carry path ops follow the
-			// closed form: a record's write-backs ride with the next record's
-			// fetches, so a record of the discovery is 1 round for a whole
-			// group of single attributes, and for a group of larger sets 1 in
-			// Or-ORAM or 2 in Ex-ORAM — ⌈w / levelWidth⌉ groups for a level of
-			// w — and each chunk of a group adds one round, its last
-			// write-backs; an inserted record is a chunk of one per set, and a
-			// deletion 3 rounds per set. The column and cover label cells of a
-			// chunk move in batches of their own; the targets' label cells ride
-			// in the chunk's last round.
+			// closed form: a chunk of a group is 3 rounds, all its reads
+			// before its write-backs — for a group of single attributes a
+			// round of column cells, then 2 path rounds; for a group of larger
+			// sets 2 path rounds behind a round of cover label cells in
+			// Or-ORAM, 3 in Ex-ORAM — ⌈w / levelWidth⌉ groups for a level of
+			// w; an inserted record is a chunk of one per set, and a deletion
+			// 3 rounds per set. The column and cover label cells of a chunk
+			// move in batches of their own; the targets' label cells ride in
+			// the chunk's last round.
 			n, tail := int64(rel.NumRows()), int64(len(goldenTailRows))
 			chunks := (n + obsort.ChunkCells - 1) / obsort.ChunkCells
 			width := make(map[int]int64) // |X| → sets of that lattice level
@@ -144,11 +144,11 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 			}
 			var fusedPathRounds, sets int64
 			for size, w := range width {
-				groups, perRecord := (w+levelWidth-1)/levelWidth, int64(2)
+				groups, perChunk := (w+levelWidth-1)/levelWidth, int64(3)
 				if size == 1 || kind.k == kindOr {
-					perRecord = 1
+					perChunk = 2
 				}
-				fusedPathRounds += groups*(n*perRecord+chunks) + tail*w*(perRecord+1)
+				fusedPathRounds += (groups*chunks + tail*w) * perChunk
 				sets += w
 			}
 			if kind.k == kindEx {
@@ -168,12 +168,15 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 	}
 }
 
-// TestFusedRoundRetriedWhole: the write-back round of some record — which
-// carries the next record's fetches — fails once before it reaches the
-// backend, the retry layer sends it again whole, and the run ends with the
-// oracle's FDs and a backend trace equal to the fault-free run's. Then the same under a seeded fault injector that also fails rounds
-// part-way through and after they applied: repeats show in the trace (same
-// ciphertexts to the same places), the result does not change.
+// TestFusedRoundRetriedWhole: a round carrying write-backs — lattice level
+// 2's second, which in Ex-ORAM carries the covers' write-backs with the
+// targets' fetches and in Or-ORAM the targets' write-backs with their label
+// cells — fails once before it reaches the backend, the retry layer sends all
+// of it again (in two halves, see store.RetryService), and the run ends with
+// the oracle's FDs and a backend trace equal to the fault-free run's. Then the
+// same under a seeded fault injector that also fails rounds part-way through
+// and after they applied: repeats show in the trace (same ciphertexts to the
+// same places), the result does not change.
 func TestFusedRoundRetriedWhole(t *testing.T) {
 	rel := parallelTestRel(16)
 	want, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), nil)
@@ -194,7 +197,7 @@ func TestFusedRoundRetriedWhole(t *testing.T) {
 			var retry *store.RetryService
 			once := runFused(t, kind.k, rel, func(s store.Service) store.Service {
 				flaky = newFailNth(s, writeBack)
-				flaky.arm(20) // some record's write-backs with the next one's fetches, mid-discovery
+				flaky.arm(2) // level 2's write-back round, mid-discovery
 				transient := store.Adapt(func(op *store.Op, res *store.Result) error {
 					if err := store.Invoke(flaky, op, res); err != nil {
 						return fmt.Errorf("%w: %v", store.ErrTransient, err)
@@ -211,8 +214,12 @@ func TestFusedRoundRetriedWhole(t *testing.T) {
 			for _, op := range flaky.lost {
 				kinds[op.Kind()] = true
 			}
-			if !kinds[store.KindWritePath] || !kinds[store.KindReadPath] {
-				t.Errorf("the failed round carried %v, want write-backs and the next record's fetches together", kinds)
+			with := store.KindReadPath // the targets' fetches
+			if kind.k == kindOr {
+				with = store.KindWriteCells // the targets' label cells
+			}
+			if !kinds[store.KindWritePath] || !kinds[with] {
+				t.Errorf("the failed round carried %v, want write-backs and %v together", kinds, with)
 			}
 			if !relation.FDSetEqual(once.fds, want.Minimal) || !reflect.DeepEqual(once.cards, clean.cards) {
 				t.Errorf("after a retried round: FDs %v (oracle %v), cardinalities %v (clean %v)", once.fds, want.Minimal, once.cards, clean.cards)

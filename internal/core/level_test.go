@@ -129,17 +129,17 @@ func allSingles(m int) []Request {
 // records shows the server, structure by structure. Each target's primary sees
 // n (ReadPath, WritePath) pairs, and so does Ex-ORAM's ID ORAM of each target,
 // and of each cover however many of the targets name it; Or-ORAM's label array
-// of a target has its n cells written, of a cover its n cells read. A record's
-// write-backs ride with the next record's fetches, so a record is 1 path round
-// at level 1, carrying 2w accesses in Ex-ORAM and w in Or-ORAM, and 2 rounds
-// carrying 2w + c above it in Ex-ORAM, 1 carrying w in Or-ORAM, and each chunk
-// adds one path round for its last record's write-backs. The columns are read
-// a chunk per round, all of them together, and Or-ORAM's label cells a chunk
-// per round too: the covers' in one before the chunk's records, the targets'
-// in the chunk's last path round. And a level of one — core.CardinalityUnion — is,
-// event for event, the sequence a set at a time always was: in Ex-ORAM
-// [c₁ c₂] → [c₁ c₂ P S] → [P S] a record, in Or-ORAM a chunk's cells of c₁
-// and c₂, [P] → [P] a record, and the chunk's cells of S.
+// of a target has its n cells written, of a cover its n cells read. A chunk of
+// r records is 3 rounds whatever w, c and r are, all of a chunk's reads before
+// its write-backs: at level 1 the columns' cells, the r·w fetches (2r·w in
+// Ex-ORAM), their write-backs; above it in Ex-ORAM the r·c cover fetches,
+// their write-backs with the 2r·w target fetches, the targets' write-backs,
+// and in Or-ORAM the covers' label cells, the r·w fetches, their write-backs
+// with the targets' label cells. And a level of one — core.CardinalityUnion —
+// is, event for event, the sequence of a set at a time with each phase taken
+// for the whole chunk: in Ex-ORAM [c₁ c₂]·r → [c₁ c₂]·r [P S]·r → [P S]·r, in
+// Or-ORAM a chunk's cells of c₁ and c₂, [P]·r → [P]·r and the chunk's cells
+// of S.
 func TestLevelClosedForm(t *testing.T) {
 	const m, n = 4, 70 // two chunks: 64 + 6
 	rel := fixedWidthRel(m, n, 5, 3)
@@ -196,8 +196,8 @@ func TestLevelClosedForm(t *testing.T) {
 			if positional {
 				perTarget = 1
 			}
-			if r != int64(n+chunks) || accesses(paths) != perTarget*m*n {
-				t.Errorf("level 1: %d accesses in %d path rounds, want %d·w·n = %d in n + ⌈n/%d⌉ = %d", accesses(paths), r, perTarget, perTarget*m*n, obsort.ChunkCells, n+chunks)
+			if r != int64(2*chunks) || accesses(paths) != perTarget*m*n {
+				t.Errorf("level 1: %d accesses in %d path rounds, want %d·w·n = %d in 2⌈n/%d⌉ = %d", accesses(paths), r, perTarget, perTarget*m*n, obsort.ChunkCells, 2*chunks)
 			}
 			for a := 0; a < m; a++ {
 				labels := [2]int{n, n}
@@ -225,12 +225,12 @@ func TestLevelClosedForm(t *testing.T) {
 			pairs := allPairs(m)
 			r, reads, writes, paths, cells, _ = measure(pairs)
 			groups := (len(pairs) + levelWidth - 1) / levelWidth
-			perRecord, wantAccesses := 2, (2*len(pairs)+m)*n*groups
+			perChunk, wantAccesses := 3, (2*len(pairs)+m)*n*groups
 			if positional {
-				perRecord, wantAccesses = 1, len(pairs)*n
+				perChunk, wantAccesses = 2, len(pairs)*n
 			}
-			if want := (perRecord*n + chunks) * groups; r != int64(want) {
-				t.Errorf("level 2: %d path rounds, want (%dn + ⌈n/%d⌉)·%d = %d", r, perRecord, obsort.ChunkCells, groups, want)
+			if want := perChunk * chunks * groups; r != int64(want) {
+				t.Errorf("level 2: %d path rounds, want %d⌈n/%d⌉·%d = %d", r, perChunk, obsort.ChunkCells, groups, want)
 			}
 			if groups == 1 && accesses(paths) != wantAccesses {
 				t.Errorf("level 2: %d accesses, want %d", accesses(paths), wantAccesses)
@@ -253,7 +253,7 @@ func TestLevelClosedForm(t *testing.T) {
 				wantSets(paths, cells, "level 2 cover", relation.SingleAttr(a), 0, labels)
 			}
 
-			// A level of one is the set-at-a-time sequence.
+			// A level of one is the set-at-a-time sequence, a phase a chunk.
 			x1, x2 := relation.SingleAttr(0).Add(1), relation.SingleAttr(2)
 			srv.Trace().Reset()
 			if _, err := CardinalityUnion(eng, x1, x2); err != nil {
@@ -282,8 +282,8 @@ func TestLevelClosedForm(t *testing.T) {
 					cellRange(trace.OpReadCell, c1, lo, hi)
 					cellRange(trace.OpReadCell, c2, lo, hi)
 				}
-				for i := lo; i < hi; i++ {
-					for _, st := range record {
+				for _, st := range record {
+					for i := lo; i < hi; i++ {
 						for _, obj := range st.objs {
 							wantSeq = append(wantSeq, fmt.Sprintf("%v %s", st.op, obj))
 						}
@@ -302,7 +302,7 @@ func TestLevelClosedForm(t *testing.T) {
 				}
 			}
 			if strings.Join(gotSeq, "\n") != strings.Join(wantSeq, "\n") {
-				t.Errorf("a level of one is not the set-at-a-time sequence: %d path and cell events, want %d; first eight\n got  %v\n want %v",
+				t.Errorf("a level of one is not the set-at-a-time sequence taken a chunk at a time: %d path and cell events, want %d; first eight\n got  %v\n want %v",
 					len(gotSeq), len(wantSeq), gotSeq[:min(8, len(gotSeq))], wantSeq[:8])
 			}
 		})
@@ -311,8 +311,9 @@ func TestLevelClosedForm(t *testing.T) {
 
 // TestLevelWiderThanGroup: a level of more sets than levelWidth is cut into
 // groups in request order. The cardinalities are the oracle's; a target's
-// trees are stepped in its own group's rounds and no other's; a cover is read
-// once a record per group that names it — shared within a group only.
+// trees are stepped in its own group's 3 rounds a chunk and no other's; a
+// cover is read once a record per group that names it — shared within a group
+// only.
 func TestLevelWiderThanGroup(t *testing.T) {
 	const m, n = 7, 12 // 21 pairs > levelWidth
 	rel := fixedWidthRel(m, n, 11, 3)
@@ -349,12 +350,12 @@ func TestLevelWiderThanGroup(t *testing.T) {
 					t.Errorf("|π_%v| = %d, want %d", p.Set, cards[i], want)
 				}
 			}
-			perRecord := 2
+			perChunk := 3 // n fits one chunk
 			if core.layout.positional {
-				perRecord = 1
+				perChunk = 2 // and one round of cover label cells
 			}
-			if got := rounds.n - r0; got != int64((perRecord*n+1)*2) {
-				t.Errorf("%d path rounds, want %dn + 1 per group = %d", got, perRecord, (perRecord*n+1)*2)
+			if got := rounds.n - r0; got != int64(perChunk*2) {
+				t.Errorf("%d path rounds, want %d per group = %d", got, perChunk, perChunk*2)
 			}
 
 			// Where in the trace each structure's path and cell events lie.
@@ -433,15 +434,16 @@ func failedLevel(t *testing.T) {
 	for _, e := range oramEngines {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", e.name, workers), func(t *testing.T) {
-				// Ex-ORAM: the round of the second group's fifth record that
-				// carries the covers' write-backs with the targets' fetches:
-				// 2n + 1 rounds of the first group, 2·4 of the second, the fifth
-				// record's cover reads, and then it. Or-ORAM: the round that
-				// carries the fifth record's write-backs with the sixth's
-				// fetches, after n + 1 and the fetches of the first five.
-				lost := 2*n + 1 + 2*4 + 2
+				// n fits one chunk, which is 3 rounds a group, 2 of them led
+				// by a path op. Ex-ORAM: the second group's round that carries
+				// the covers' write-backs with the targets' fetches — after the
+				// first group's 3 and the second's cover fetches. Or-ORAM: the
+				// second group's last, its targets' write-backs with their
+				// label cells — after the first group's 2 and the second's
+				// fetches.
+				lost := 3 + 2
 				if e.name == "or" {
-					lost = n + 1 + 5 + 1
+					lost = 2 + 2
 				}
 				srv := store.NewServer()
 				svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindBatch && op.Ops[0].Path })
@@ -625,50 +627,77 @@ func TestLevelErrorsSayWhere(t *testing.T) {
 	}
 }
 
-// TestFreshLabelsAcrossPipelinedRecords: every record opens a new class in
-// every target, so every step draws a fresh label. A record's write-backs ride
-// with the next record's fetches, and its card_X (and Ex-ORAM's label source)
-// moves when they land — before that next record's access is served and draws
-// its own. Were the move deferred past it, two records would share a label and
-// the next level's keys would merge. n = 70 crosses a chunk boundary.
+// TestFreshLabelsAcrossPipelinedRecords: records that open new classes draw
+// fresh labels, and a chunk's records are one batch whose write-backs land
+// after all of them are served. So a record's fresh label must count the
+// fresh labels its chunk's earlier records drew (oramState.pending), and
+// card_X (and Ex-ORAM's label source) moves when the write-backs land. Two
+// relations: every record a new class in every column, and columns that go
+// fresh, repeat, fresh within a chunk — where a label drawn from card_X alone
+// would hand the third record the first one's label. Either way two records
+// sharing a label merge the next level's keys, which the oracle's pair
+// cardinalities catch. n = 70 crosses a chunk boundary.
 func TestFreshLabelsAcrossPipelinedRecords(t *testing.T) {
 	const m, n = 3, 70
-	rel := relation.New(relation.MustNewSchema("C0", "C1", "C2"))
+	rels := []struct {
+		name string
+		cell func(i, col int) int
+	}{
+		{"all fresh", func(i, _ int) int { return i }},
+		{"fresh, repeat, fresh", func(i, col int) int { return i / (2 + col) }},
+	}
+	for _, e := range oramEngines {
+		t.Run(e.name, func(t *testing.T) {
+			for _, r := range rels {
+				t.Run(r.name, func(t *testing.T) { freshLabels(t, e.make, r.cell, m, n) })
+			}
+		})
+	}
+}
+
+// freshLabels steps a relation of n rows whose column col holds cell(i, col)
+// through levels 1 and 2 and checks every set against the oracle.
+func freshLabels(t *testing.T, build func(testing.TB, *EncryptedDB) (Engine, *oramCore), cell func(i, col int) int, m, n int) {
+	names := make([]string, m)
+	for col := range names {
+		names[col] = fmt.Sprintf("C%d", col)
+	}
+	rel := relation.New(relation.MustNewSchema(names...))
 	for i := 0; i < n; i++ {
-		v := fmt.Sprintf("%06d", i)
-		if err := rel.Append(relation.Row{v, v, v}); err != nil {
+		row := make(relation.Row, m)
+		for col := range row {
+			row[col] = fmt.Sprintf("%06d", cell(i, col))
+		}
+		if err := rel.Append(row); err != nil {
 			t.Fatal(err)
 		}
 	}
 	oracle := NewPlainEngine(rel)
-	for _, e := range oramEngines {
-		t.Run(e.name, func(t *testing.T) {
-			edb, err := Upload(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-			if err != nil {
-				t.Fatal(err)
+	edb, err := Upload(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, core := build(t, edb)
+	defer eng.Close()
+	for level, reqs := range [][]Request{allSingles(m), allPairs(m)} {
+		cards, err := eng.Materialize(reqs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.Materialize(reqs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range reqs {
+			if cards[i] != want[i] {
+				t.Errorf("level %d: |π_%v| = %d, oracle %d", level+1, r.Set, cards[i], want[i])
 			}
-			eng, core := e.make(t, edb)
-			defer eng.Close()
-			for level, reqs := range [][]Request{allSingles(m), allPairs(m)} {
-				cards, err := eng.Materialize(reqs, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := oracle.Materialize(reqs, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, r := range reqs {
-					if cards[i] != want[i] {
-						t.Errorf("level %d: |π_%v| = %d, oracle %d", level+1, r.Set, cards[i], want[i])
-					}
-				}
-			}
-			for x, st := range core.sets {
-				if st.card != n || !core.layout.positional && st.nextLabel != n {
-					t.Errorf("%v: card %d, next label %d; want %d fresh labels drawn", x, st.card, st.nextLabel, n)
-				}
-			}
-		})
+		}
+	}
+	for x, st := range core.sets {
+		want, _ := oracle.Cardinality(x)
+		if st.card != uint64(want) || !core.layout.positional && st.nextLabel != uint64(want) || st.pending != 0 {
+			t.Errorf("%v: card %d, next label %d, %d pending; want %d fresh labels drawn and landed", x, st.card, st.nextLabel, st.pending, want)
+		}
 	}
 }

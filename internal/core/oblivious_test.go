@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
+	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/trace"
@@ -448,5 +451,116 @@ func TestOrStepAccessCountFixed(t *testing.T) {
 	}
 	if got := srv.Trace().Count(trace.OpWriteCell); got != n {
 		t.Errorf("label cells written = %d, want %d", got, n)
+	}
+}
+
+// roundLog records every call that reaches the service as one line: its
+// kind, and for a batch every op's kind, object, cell indices, slot count and
+// ciphertext lengths — the framing a server sees. Leaves are left out (they
+// are uniform draws) and objects are named by first appearance, so two
+// uploads' logs compare.
+type roundLog struct {
+	store.Adapter
+	names  map[string]int
+	rounds []string
+}
+
+func newRoundLog(svc store.Service) *roundLog {
+	r := &roundLog{names: make(map[string]int)}
+	r.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%v %s", op.Kind, r.name(op.Name))
+		for i := range op.Ops {
+			o := &op.Ops[i]
+			fmt.Fprintf(&b, " [%v %s %v %d", o.Kind(), r.name(o.Name), o.Idx, o.N)
+			for _, ct := range o.Cts {
+				fmt.Fprintf(&b, " %d", len(ct))
+			}
+			b.WriteString("]")
+		}
+		r.rounds = append(r.rounds, b.String())
+		return store.Invoke(svc, op, res)
+	})
+	return r
+}
+
+func (r *roundLog) name(obj string) string {
+	if obj == "" {
+		return ""
+	}
+	k, ok := r.names[obj]
+	if !ok {
+		k = len(r.names)
+		r.names[obj] = k
+	}
+	return fmt.Sprintf("o%d", k)
+}
+
+// TestBatchFramingIgnoresDuplicates: a chunk's accesses to a tree are one
+// batch, and a key the batch names again — or a key it does not hold — costs
+// a fetch of a fresh uniform leaf, so what a round holds does not depend on
+// where a relation's duplicate keys fall. Two copies of one relation, the
+// same rows in two orders — the same L(DB) = (n, FDs) — one with every
+// group's three records side by side inside a chunk, the other with them one
+// per chunk, give the same list of rounds, op for op, for Or-ORAM and
+// Ex-ORAM: filling levels 1 and 2, an insertion and, in Ex-ORAM, deletions.
+func TestBatchFramingIgnoresDuplicates(t *testing.T) {
+	const chunks = 3
+	n := chunks * obsort.ChunkCells
+	row := func(i int) relation.Row { // group i/3 in C0, a key in C1, C0's parity in C2
+		return relation.Row{fmt.Sprintf("%06d", i/3), fmt.Sprintf("%06d", i), fmt.Sprintf("%06d", i/3%2)}
+	}
+	together := relation.New(relation.MustNewSchema("C0", "C1", "C2"))
+	apart := relation.New(relation.MustNewSchema("C0", "C1", "C2"))
+	for i := 0; i < n; i++ {
+		c, p := i/obsort.ChunkCells, i%obsort.ChunkCells
+		if err := errors.Join(together.Append(row(i)), apart.Append(row(chunks*p+c))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(t *testing.T, e func(testing.TB, *EncryptedDB) (Engine, *oramCore), rel *relation.Relation) []string {
+		log := newRoundLog(store.NewServer())
+		edb, err := UploadWithCapacity(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, _ := e(t, edb)
+		defer eng.Close()
+		log.rounds = log.rounds[:0]
+		for _, reqs := range [][]Request{allSingles(3), allPairs(3)} {
+			if _, err := eng.Materialize(reqs, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id, err := eng.(interface {
+			Insert(relation.Row) (int, error)
+		}).Insert(relation.Row{"000001", "999999", "000001"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dyn, ok := eng.(DynamicEngine); ok {
+			for _, id := range []int{5, id} {
+				if err := dyn.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return log.rounds
+	}
+	for _, e := range oramEngines {
+		t.Run(e.name, func(t *testing.T) {
+			a, b := run(t, e.make, together), run(t, e.make, apart)
+			if len(a) == 0 {
+				t.Fatal("no rounds recorded")
+			}
+			if len(a) != len(b) {
+				t.Fatalf("%d rounds with duplicates side by side, %d with them apart", len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("round %d differs:\n together %.300s\n apart    %.300s", i, a[i], b[i])
+				}
+			}
+		})
 	}
 }

@@ -41,7 +41,7 @@ type oramLayout struct {
 	positional bool
 	// step is the loop body for one record with its key_X already built: the
 	// primary's read-modify-write, whose Landed moves the set's card_X once
-	// the record's write-backs are on the server, and the secondary's write
+	// the chunk's write-backs are on the server, and the secondary's write
 	// when the secondary is an ORAM. The record's label_X is left in label.
 	// levelStep sends them.
 	step func(st *oramState, id string, key uint64, label *uint64) (primary, secondary oram.Access)
@@ -55,11 +55,16 @@ var (
 // oramState is one materialized set of an ORAM engine.
 type oramState struct {
 	primary   *oram.ORAM
-	secondary *oram.ORAM          // O^IKL; nil in Or-ORAM, whose secondary is labels
-	labels    string              // O^IL: the name of Or-ORAM's label array
-	card      uint64              // |π_X|
-	nextLabel uint64              // ExEngine's monotone label source
-	cover     [2]relation.AttrSet // the Property 1 subsets; zero for singletons
+	secondary *oram.ORAM // O^IKL; nil in Or-ORAM, whose secondary is labels
+	labels    string     // O^IL: the name of Or-ORAM's label array
+	card      uint64     // |π_X|
+	nextLabel uint64     // ExEngine's monotone label source
+	// pending counts the fresh labels drawn by accesses whose write-backs
+	// have not landed: the next fresh label is card + pending in OrEngine,
+	// nextLabel + pending in ExEngine, and each landing moves one from
+	// pending into card (and nextLabel).
+	pending uint64
+	cover   [2]relation.AttrSet // the Property 1 subsets; zero for singletons
 	// val is where a step builds the value an access stores; a store copies
 	// it before the next one is built.
 	val [keyWidth + labelWidth]byte
@@ -82,14 +87,17 @@ func (st *oramState) pair(a, b uint64) []byte {
 func labelAD(name string, id int64) []byte { return fmt.Appendf(nil, "lab:%s:%d", name, id) }
 
 // levelWidth is the most sets of one lattice level the ORAM engines step
-// together. A record's round then holds at most 2·levelWidth + c paths of
-// ≈ 2.5 KB (c ≤ 2·levelWidth distinct covers), which keeps what the client
-// buffers per round independent of n and of C(m, m/2); a wider level is cut
-// into groups of this many, in request order. The value is from the sweep in
-// EXPERIMENTS.md ("ORAM rounds"): a level's rounds fall as 1/width, and at 16
-// a round's ≈ 50 paths already take five times the paper's LAN round trip to
-// transfer, so each further doubling buys under a tenth of the level's time
-// for twice the buffer.
+// together. A chunk's round then holds at most r·(2·levelWidth + c) paths of
+// ≈ 2.5 KB (r ≤ obsort.ChunkCells records, c ≤ 2·levelWidth distinct covers),
+// which keeps what the client buffers per round independent of n and of
+// C(m, m/2); a wider level is cut into groups of this many, in request order.
+// The value is from the sweep in EXPERIMENTS.md ("ORAM rounds"), made when a
+// round held one record's 2w + c paths: a level's rounds fell as 1/width, and
+// at 16 a round's ≈ 50 paths already took five times the paper's LAN round
+// trip to transfer, so each further doubling bought under a tenth of the
+// level's time for twice the buffer. Since a chunk shares a round, a level's
+// rounds are 3 a chunk per group whatever the width, and the width only
+// bounds the round's size.
 const levelWidth = 16
 
 // levelAtATime is the ORAM engines' grouping: up to levelWidth targets of one
@@ -104,37 +112,37 @@ var levelAtATime = grouping{width: levelWidth}
 // simply an untraversed one (§IV-C(c)).
 //
 // Where Algorithm 2 runs its loop over the records once per set, the engines
-// run it once per group of w sets of one lattice level, a chunk of at most
+// run it once per group of w sets of one lattice level, a chunk of r ≤
 // obsort.ChunkCells live ids at a time (stepChunk): what sits at public
 // addresses — the columns' cells, Or-ORAM's label arrays — moves a chunk per
-// round, and record by record each of the c distinct covers the group names is
-// read once, however many targets name it, and the accesses of a record —
-// different trees, leaves known to the client before anything is fetched —
-// share their round trips (oram.Pipeline), and so do a record's write-backs
-// and the next record's fetches: each tree's write-back comes first in the
-// round, and the round applies in order. Where Algorithms 1, 2 and 4 read
-// key_X's pair and then write it, a step makes one read-modify-write access
-// (oram.ORAM.Update). Per chunk of r records, with P a target's primary, S
-// its secondary, c₁ … the covers' and ′ marking the next record's:
+// round, each of the c distinct covers the group names is read once a record,
+// however many targets name it, and a chunk's accesses to one tree are one
+// batch (oram.Pipeline): their leaves are known before anything is fetched,
+// so the chunk's fetches share one round and its write-backs the next, a key
+// the batch names again or does not hold fetching a fresh uniform leaf. The
+// records' functions run in record order on the client, so record i + 1 sees
+// what record i left and counts its fresh label (oramState.pending). Where
+// Algorithms 1, 2 and 4 read key_X's pair and then write it, a step makes one
+// read-modify-write access (oram.ORAM.Update). Per chunk, with P a target's
+// primary, S its secondary, c₁ … the covers' and ·r a phase taken for each of
+// the chunk's records in turn:
 //
-//	Or-ORAM   [cells of the columns | of c₁ … c_c]                  one round
-//	          per record: [WritePath P₁, … P_w, ReadPath P′₁, … P′_w]
-//	          [WritePath P₁, … P_w, cells of S₁, … S_w]             one round
-//	Ex-ORAM   |X| = 1: [cells of the columns], then per record
-//	          [WritePath P₁, WritePath S₁, … P_w, S_w, ReadPath P′₁, ReadPath S′₁, … P′_w, S′_w]
-//	          last: [WritePath P₁, WritePath S₁, … P_w, S_w]
-//	          |X| ≥ 2, per record:
-//	          [WritePath P₁, WritePath S₁, … P_w, S_w, ReadPath c′₁, … c′_c]
-//	          → [WritePath c′₁, … c′_c, ReadPath P′₁, ReadPath S′₁, … P′_w, S′_w]
-//	          last: [WritePath P₁, WritePath S₁, … P_w, S_w]
+//	Or-ORAM   [cells of the columns | of c₁ … c_c]
+//	          → [ReadPath P₁, … P_w]·r
+//	          → [WritePath P₁, … P_w]·r [cells of S₁, … S_w]
+//	Ex-ORAM   |X| = 1: [cells of the columns]
+//	          → [ReadPath P₁, ReadPath S₁, … P_w, S_w]·r
+//	          → [WritePath P₁, WritePath S₁, … P_w, S_w]·r
+//	          |X| ≥ 2: [ReadPath c₁, … c_c]·r
+//	          → [WritePath c₁, … c_c]·r [ReadPath P₁, ReadPath S₁, … P_w, S_w]·r
+//	          → [WritePath P₁, WritePath S₁, … P_w, S_w]·r
 //
-// (the first record's first round has no write-backs in it): w accesses in
-// 1 round a record for Or-ORAM; 2w in 1 or 2w + c in 2 for Ex-ORAM; r + 2,
-// r + 2 or 2r + 1 rounds a chunk. What w and c are, and which structures
-// stand where in a round, follows from the request list — the lattice, a
-// function of (m, FDs) — and from nothing fetched. A set's card_X moves when
-// its record's write-back lands (oram.Access.Landed), before anything fetched
-// in the same round is served, so the next record draws the next label.
+// 3 rounds a chunk, every one of them; r·w accesses for Or-ORAM, 2r·w or
+// r·(2w + c) for Ex-ORAM, and a round holds up to r·(2w + c) paths. What w, c
+// and r are, and which structures stand where in a round, follows from the
+// request list — the lattice, a function of (m, FDs) — and n, and from nothing
+// fetched. A set's card_X moves when the round carrying its records'
+// write-backs lands (oram.Access.Landed).
 type oramCore struct {
 	setTable[*oramState]
 	edb      *EncryptedDB
@@ -147,7 +155,7 @@ type oramCore struct {
 	capacity  int
 	seq       atomic.Int64 // unique ORAM-name counter across the engine's life
 	layout    oramLayout
-	// pipe fuses the server calls of one record's accesses into one round per
+	// pipe fuses the server calls of a chunk's accesses into one round per
 	// phase. The engine steps one group, or one set of an insertion or a
 	// deletion, at a time, so one pipeline serves them all.
 	pipe *oram.Pipeline
@@ -234,17 +242,19 @@ type level struct {
 	keys      [][]uint64         // key_X of each single-attribute target, per record of the chunk
 	labels    [][]uint64         // label_c of each cover, per record of the chunk
 	out       [][]uint64         // label_X the steps gave each target, per record of the chunk
-	rec       int                // the record of the chunk being stepped
-	reads     []oram.Access      // Ex-ORAM's cover round: one per cover; keys aside
-	found     []bool
-	readers   []oram.UpdateFunc // readers[k] notes what reads[k] found in labels[k][rec], found[k]
-	accesses  []oram.Access     // the target round
+	rids      []string           // the chunk's records' ID keys
+	// Ex-ORAM's cover round: readers[k][rec] notes what the access to cover
+	// k's ID ORAM for the chunk's record rec found in labels[k][rec] and
+	// found[k][rec] (oramCore.reader).
+	readers  [][]oram.UpdateFunc
+	found    [][]bool
+	accesses []oram.Access // the round being built
 }
 
 // chunkRows returns n rows of obsort.ChunkCells values, reusing buf's.
-func chunkRows(buf [][]uint64, n int) [][]uint64 {
+func chunkRows[T any](buf [][]T, n int) [][]T {
 	for len(buf) < n {
-		buf = append(buf, make([]uint64, obsort.ChunkCells))
+		buf = append(buf, make([]T, obsort.ChunkCells))
 	}
 	return buf[:n]
 }
@@ -254,7 +264,7 @@ func chunkRows(buf [][]uint64, n int) [][]uint64 {
 // without building a level for each.
 func (c *oramCore) lay(lv *level, group []target[*oramState]) *level {
 	lv.size, lv.targets = group[0].set.Size(), group
-	lv.covers, lv.coverSets, lv.at, lv.reads = lv.covers[:0], lv.coverSets[:0], lv.at[:0], lv.reads[:0]
+	lv.covers, lv.coverSets, lv.at = lv.covers[:0], lv.coverSets[:0], lv.at[:0]
 	if lv.size == 1 {
 		lv.keys = chunkRows(lv.keys, len(group))
 	} else {
@@ -272,36 +282,41 @@ func (c *oramCore) lay(lv *level, group []target[*oramState]) *level {
 		}
 	}
 	lv.labels, lv.out = chunkRows(lv.labels, len(lv.covers)), chunkRows(lv.out, len(group))
-	if c.layout.positional {
-		return lv
-	}
-	for k, cv := range lv.covers {
-		if k == len(lv.readers) {
-			lv.found = append(lv.found, false)
-			lv.readers = append(lv.readers, func(old []byte, ok bool) ([]byte, bool) {
-				lv.found[k] = ok
-				if ok {
-					lv.labels[k][lv.rec] = decodeUint64(old[c.layout.labelAt:])
-				}
-				return old, ok
-			})
-		}
-		lv.reads = append(lv.reads, oram.Access{Store: cv.secondary, Fn: lv.readers[k]})
+	if !c.layout.positional {
+		lv.found = chunkRows(lv.found, len(lv.covers))
 	}
 	return lv
 }
 
+// reader returns the function that notes what cover k's ID ORAM holds for
+// the chunk's record rec in lv.labels[k][rec] and lv.found[k][rec], made the
+// first time a level asks for it.
+func (c *oramCore) reader(lv *level, k, rec int) oram.UpdateFunc {
+	for len(lv.readers) <= k {
+		lv.readers = append(lv.readers, nil)
+	}
+	for r := len(lv.readers[k]); r <= rec; r++ {
+		lv.readers[k] = append(lv.readers[k], func(old []byte, ok bool) ([]byte, bool) {
+			lv.found[k][r] = ok
+			if ok {
+				lv.labels[k][r] = decodeUint64(old[c.layout.labelAt:])
+			}
+			return old, ok
+		})
+	}
+	return lv.readers[k][rec]
+}
+
 // stepChunk runs the loop body of Algorithms 1, 2 and 4 for the records ids
 // on every target of the level — a fill's chunk with its group, an insertion's
-// one record with the single set it is stepping: readChunk's round, each
-// record's levelStep, whose write-backs ride with the next record's first
-// round, and writeLabels' round, which carries the last record's. An insertion
-// passes its row, which holds its single keys. Whatever happens, the pipeline
-// owes nothing after it.
+// one record with the single set it is stepping: readChunk's round, levelStep's
+// one or two, and writeLabels' round, which carries the chunk's write-backs.
+// An insertion passes its row, which holds its single keys. Whatever happens,
+// the pipeline owes nothing after it.
 func (c *oramCore) stepChunk(lv *level, ids []int64, row relation.Row) error {
 	err := c.readChunk(lv, ids, row)
-	for rec := 0; err == nil && rec < len(ids); rec++ {
-		err = c.levelStep(lv, rec, int(ids[rec]))
+	if err == nil {
+		err = c.levelStep(lv, ids)
 	}
 	if err == nil {
 		err = c.writeLabels(lv, ids)
@@ -314,8 +329,8 @@ func (c *oramCore) stepChunk(lv *level, ids []int64, row relation.Row) error {
 	return err
 }
 
-// writeLabels sends the chunk's last round: the write-backs its last record
-// still owes and, in Or-ORAM, the labels the chunk's steps gave its records,
+// writeLabels sends the chunk's last round: the write-backs its records still
+// owe and, in Or-ORAM, the labels the chunk's steps gave its records,
 // to the targets' label arrays. Ex-ORAM's steps wrote theirs to O^IKL.
 func (c *oramCore) writeLabels(lv *level, ids []int64) error {
 	var ops []store.BatchOp
@@ -347,7 +362,7 @@ func (c *oramCore) writeLabels(lv *level, ids []int64) error {
 // addresses: the cells of a group of single attributes' columns, which give
 // their keys, or Or-ORAM covers' label cells. An insertion's single keys come
 // from its row and need no round; Ex-ORAM's covers are ORAMs, which levelStep
-// reads record by record.
+// reads.
 func (c *oramCore) readChunk(lv *level, ids []int64, row relation.Row) error {
 	var ops []store.BatchOp
 	switch {
@@ -404,45 +419,56 @@ func (c *oramCore) readChunk(lv *level, ids []int64, row relation.Row) error {
 	return nil
 }
 
-// levelStep sends the accesses of the chunk's record rec, id, on every target
-// of the level, and is the one place a record's accesses are sent from. In
-// Ex-ORAM each distinct cover's ID ORAM first hands over the record's label
-// (Algorithm 2, lines 4–6) and the covers' write-backs travel with the
+// levelStep sends the accesses of the chunk's records ids on every target of
+// the level, and is the one place they are sent from. In Ex-ORAM each
+// distinct cover's ID ORAM first hands over the records' labels (Algorithm 2,
+// lines 4–6) in one round, and the covers' write-backs travel with the
 // targets' own fetches; Or-ORAM's cover labels came with the chunk. A target's
-// key is its single key or the pair of its covers' labels. The targets'
-// write-backs stay owed: they lead the next record's first round, or the
-// chunk's last, and a target's card_X moves when its write-back lands, before
-// anything fetched beside it is served.
-func (c *oramCore) levelStep(lv *level, rec, id int) error {
-	rid := idKey(id)
-	lv.rec = rec
-	if len(lv.reads) > 0 {
-		for k := range lv.reads {
-			lv.reads[k].Key = rid
+// key is its single key or the pair of its covers' labels. All of a chunk's
+// accesses to a tree are one batch (oram.Pipeline), in record order: the
+// records' functions run in that order, so each sees what the records before
+// it left, and a fresh label drawn for one is counted by the next
+// (oramState.pending). The targets' write-backs stay owed: they lead the
+// chunk's last round, and card_X moves when they land.
+func (c *oramCore) levelStep(lv *level, ids []int64) error {
+	lv.rids = lv.rids[:0]
+	for _, id := range ids {
+		lv.rids = append(lv.rids, idKey(int(id)))
+	}
+	if !c.layout.positional && len(lv.covers) > 0 {
+		lv.accesses = lv.accesses[:0]
+		for rec, rid := range lv.rids {
+			for k, cv := range lv.covers {
+				lv.accesses = append(lv.accesses, oram.Access{Store: cv.secondary, Key: rid, Fn: c.reader(lv, k, rec)})
+			}
 		}
-		if err := c.pipe.Do(lv.reads...); err != nil {
+		if err := c.pipe.Do(lv.accesses...); err != nil {
 			return inAccess(fmt.Errorf("core: O^%s read: %w", c.layout.secondary, err), func(i int) string {
-				return fmt.Sprintf("attribute set %v as cover of level %d", lv.coverSets[i], lv.size)
+				return fmt.Sprintf("attribute set %v as cover of level %d", lv.coverSets[i%len(lv.covers)], lv.size)
 			})
 		}
-		for k, ok := range lv.found[:len(lv.reads)] {
-			if !ok { // no target has been touched for this record
-				return fmt.Errorf("%w: id %d missing from subset partition %v", ErrNotMaterialized, id, lv.coverSets[k])
+		for rec, id := range ids {
+			for k := range lv.covers {
+				if !lv.found[k][rec] { // no target has been touched for this chunk
+					return fmt.Errorf("%w: id %d missing from subset partition %v", ErrNotMaterialized, id, lv.coverSets[k])
+				}
 			}
 		}
 	}
 	lv.accesses = lv.accesses[:0]
-	for i, t := range lv.targets {
-		var key uint64
-		if lv.size == 1 {
-			key = lv.keys[i][rec]
-		} else {
-			key = unionKey(lv.labels[lv.at[i][0]][rec], lv.labels[lv.at[i][1]][rec])
-		}
-		primary, secondary := c.layout.step(t.st, rid, key, &lv.out[i][rec])
-		lv.accesses = append(lv.accesses, primary)
-		if !c.layout.positional {
-			lv.accesses = append(lv.accesses, secondary)
+	for rec, rid := range lv.rids {
+		for i, t := range lv.targets {
+			var key uint64
+			if lv.size == 1 {
+				key = lv.keys[i][rec]
+			} else {
+				key = unionKey(lv.labels[lv.at[i][0]][rec], lv.labels[lv.at[i][1]][rec])
+			}
+			primary, secondary := c.layout.step(t.st, rid, key, &lv.out[i][rec])
+			lv.accesses = append(lv.accesses, primary)
+			if !c.layout.positional {
+				lv.accesses = append(lv.accesses, secondary)
+			}
 		}
 	}
 	if err := c.pipe.Do(lv.accesses...); err != nil {
@@ -451,7 +477,7 @@ func (c *oramCore) levelStep(lv *level, rec, id int) error {
 			structures, perTarget = structures+"/O^"+c.layout.secondary, 2
 		}
 		return inAccess(fmt.Errorf("core: %s step: %w", structures, err), func(i int) string {
-			return fmt.Sprintf("attribute set %v", lv.targets[i/perTarget].set)
+			return fmt.Sprintf("attribute set %v", lv.targets[i/perTarget%len(lv.targets)].set)
 		})
 	}
 	return nil
@@ -495,7 +521,8 @@ func (c *oramCore) eachLive(visit func(ids []int64) error) error {
 // multi-attribute variant, which obtains key_X the same way) for a group of
 // sets, with the loop over the records outermost and the records taken a
 // chunk at a time. The server records the same one access per cell, in the
-// same ascending order per array, as it would for a round per record.
+// same ascending order per array, as it would for a round per record, and
+// the same accesses per tree, a chunk's fetches before its write-backs.
 func (c *oramCore) fill(group []target[*oramState]) error {
 	lv := c.lay(new(level), group)
 	if g, w := c.Telemetry.Gauge("oblivfd_level_width"), int64(len(group)); w > g.Value() {

@@ -37,11 +37,11 @@ func NewOrEngine(edb *EncryptedDB) *OrEngine {
 
 // orStep is one iteration of Algorithm 1/2's loop body for a record with the
 // already-constructed key_X: one access to O^KL that hands back the key's label
-// or, for a key not seen before, leaves card_X there as its label (the paper's
-// lines 6–10 as a single read-modify-write). One access, whether or not the
-// key was seen before; the label goes to the record's O^IL cell with the rest
-// of its chunk's, and card_X moves when the write-back lands — before the next
-// record's access, fetched in the same round, draws a label.
+// or, for a key not seen before, leaves the next fresh label there — card_X
+// counting the fresh labels of its chunk's earlier records — as its label (the
+// paper's lines 6–10 as a single read-modify-write). One access, whether or
+// not the key was seen before; the label goes to the record's O^IL cell with
+// the rest of its chunk's, and card_X moves when the write-back lands.
 func orStep(st *oramState, _ string, key uint64, label *uint64) (primary, _ oram.Access) {
 	fresh := false
 	return oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
@@ -49,13 +49,15 @@ func orStep(st *oramState, _ string, key uint64, label *uint64) (primary, _ oram
 		if found {
 			*label = decodeUint64(old)
 		} else {
-			*label = st.card
+			*label = st.card + st.pending
+			st.pending++
 		}
 		binary.BigEndian.PutUint64(st.val[:labelWidth], *label)
 		return st.val[:labelWidth], true
 	}, Landed: func() {
 		if fresh {
 			st.card++
+			st.pending--
 		}
 	}}, oram.Access{}
 }

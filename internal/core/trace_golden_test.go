@@ -56,7 +56,11 @@ import (
 // keys, and every insertion's row goes out in one batch: the or and ex column
 // lines lost their two read-backs (28 → 26 events); the sort column lines, no
 // insertion in them, are still the parent's. Every or#:N:KL, ex#:N:KLF and
-// ex#:N:IKL line is byte for byte what it was.
+// ex#:N:IKL line is byte for byte what it was. When the ORAM engines began to
+// step a chunk's records as one batch per tree, every or#:N:KL, ex#:N:KLF and
+// ex#:N:IKL line was regenerated, with the same event counts: reads of a
+// chunk precede its write-backs. The column, or#:N:IL and sort lines are still
+// what they were.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -79,7 +83,10 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // regenerated again when insertions stopped reading their cells back (ex:
 // 1 092 → 1 084 events, two insertions × four single sets) and Or-ORAM's
 // O^IL became a label array (or: 1 036 → 755: no ID ORAM paths, a chunk's
-// label cells read before its records' steps and written after them).
+// label cells read before its records' steps and written after them). They
+// were regenerated again when the ORAM engines began to step a chunk's records
+// as one batch per tree (or: 755 events, ex: 1 084, as before): reads of a
+// chunk precede its write-backs.
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It

@@ -8,6 +8,7 @@ import (
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/store"
+	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
 
 func benchORAM(tb testing.TB, capacity int) *ORAM {
@@ -103,6 +104,49 @@ func BenchmarkPathAccessExDynamic(b *testing.B) { benchEngineShape(b, 2048+2000,
 // BenchmarkPathAccessOrStatic is one access of an Or-ORAM partition store as
 // the oram-tcp workload sizes it: 1024 records (11 levels), 8-byte values.
 func BenchmarkPathAccessOrStatic(b *testing.B) { benchEngineShape(b, 1024, 8) }
+
+// BenchmarkPathAccessBatch is one batch of r = 64 accesses — a chunk's
+// accesses to one tree — through a pipeline, on the Or-ORAM shape of
+// BenchmarkPathAccessOrStatic: the engineMix of reads and writes over random
+// live keys, so keys repeat now and then. The 64 paths share their top
+// levels, and each distinct bucket is opened once and sealed once:
+// opens/access and seals/access are bucket counts per access (11 for a lone
+// access in this 11-level tree), the same on every run with the seed fixed.
+func BenchmarkPathAccessBatch(b *testing.B) {
+	const r = 64
+	o, keys := engineShape(b, 1024, 8)
+	reg := telemetry.New()
+	o.cipher.SetTelemetry(reg)
+	opens := reg.Counter("oblivfd_integrity_checks_total")
+	rng := rand.New(rand.NewSource(1))
+	v := make([]byte, 8)
+	write := func([]byte, bool) ([]byte, bool) { return v, true }
+	read := func(old []byte, found bool) ([]byte, bool) { return old, found }
+	p := NewPipeline(o.svc)
+	accesses := make([]Access, r)
+	var sealed int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	opens0 := opens.Value()
+	for i := 0; i < b.N; i++ {
+		for j := range accesses {
+			accesses[j] = Access{Store: o, Key: keys[rng.Intn(len(keys))], Fn: read}
+			if j%2 == 1 {
+				accesses[j].Fn = write
+			}
+		}
+		if err := p.Do(accesses...); err != nil {
+			b.Fatal(err)
+		}
+		sealed += int64(len(o.nodes)) // one seal per distinct bucket
+	}
+	if err := p.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(opens.Value()-opens0)/float64(r*b.N), "opens/access")
+	b.ReportMetric(float64(sealed)/float64(r*b.N), "seals/access")
+}
 
 // TestPathAccessAllocs pins the per-access allocation count in buckets, on a
 // full 256-key tree (Reads) and on the two engine shapes (engineMix). An

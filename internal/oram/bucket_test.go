@@ -131,13 +131,14 @@ func TestEvictionIsGreedy(t *testing.T) {
 	}
 }
 
-// TestEvictMatchesLevelByLevelGreedy: on random stashes, the one-pass
-// eviction fills every level of the path with exactly as many blocks as the
-// eviction it replaced — walk the levels leaf to root and, at each, take up
-// to Z of the still-stashed blocks eligible there — and so leaves exactly as
-// many behind. (How many a greedy fill places at a level does not depend on
-// which eligible blocks it picks, so the counts are comparable although both
-// pick arbitrarily.)
+// TestEvictMatchesLevelByLevelGreedy: on random stashes and batches of one
+// to four paths, the one-pass eviction fills every bucket of the union of the
+// paths with exactly as many blocks as the eviction it replaced — walk the
+// levels leaf to root and, at each, let every bucket of the union take up to
+// Z of the still-stashed blocks eligible there — and so leaves exactly as many
+// behind. (How many a greedy fill places in a bucket does not depend on which
+// eligible blocks it picks, so the counts are comparable although both pick
+// arbitrarily.)
 func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 	tap := &pathTap{Service: store.NewServer()}
 	o, err := Setup(tap, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
@@ -151,7 +152,8 @@ func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		clear(o.index)
 		o.slots, o.values, o.stash = o.slots[:0], o.values[:0], o.stash[:0]
-		n := rng.Intn(3 * o.levels * o.z / 2) // from empty to more than a path holds
+		r := 1 + trial%4
+		n := rng.Intn(3 * r * o.levels * o.z / 2) // from empty to more than the paths hold
 		for i := 0; i < n; i++ {
 			// Half the blocks cluster near leaf 0 so deep levels overflow.
 			leaf := uint32(rng.Intn(o.numLeaves))
@@ -160,30 +162,38 @@ func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 			}
 			o.add(fmt.Sprintf("k%d", i), leaf, val(4, byte(i)), true)
 		}
-		leaf := uint32(rng.Intn(4))
+		o.cur.ops = o.cur.ops[:0]
+		for range r {
+			o.cur.ops = append(o.cur.ops, batchOp{leaf: uint32(rng.Intn(8))})
+		}
+		o.layNodes()
 
-		want := make([]int, o.levels)
+		// want[j]: what the level-by-level greedy places in node j.
+		want := make([]int, len(o.nodes))
 		placed := make(map[int32]bool)
 		for l := leafLevel; l >= 0; l-- {
-			for _, i := range o.stash {
-				if want[l] == o.z {
-					break
-				}
-				if !placed[i] && o.slots[i].Leaf>>(leafLevel-l) == leaf>>(leafLevel-l) {
-					placed[i] = true
-					want[l]++
+			for j := o.levelAt[l]; j < o.levelAt[l+1]; j++ {
+				for _, i := range o.stash {
+					if want[j] == o.z {
+						break
+					}
+					if !placed[i] && o.slots[i].Leaf>>(leafLevel-l) == o.nodes[j].prefix {
+						placed[i] = true
+						want[j]++
+					}
 				}
 			}
 		}
 
-		written, err := o.evict(leaf)
-		if err != nil {
+		if err := o.evict(); err != nil {
 			t.Fatal(err)
 		}
-		for l, ct := range written {
-			if got := len(realKeys(t, o, ct, leaf, l)); got != want[l] {
-				t.Fatalf("trial %d (%d stashed, leaf %d): level %d holds %d blocks, level-by-level greedy places %d",
-					trial, n, leaf, l, got, want[l])
+		for j, nd := range o.nodes {
+			l := int(nd.level)
+			leaf := nd.prefix << (leafLevel - l) // a leaf below the bucket
+			if got := len(realKeys(t, o, o.outBuf[int(nd.opener)*o.levels+l], leaf, l)); got != want[j] {
+				t.Fatalf("trial %d (%d stashed, %d paths): level %d bucket %d holds %d blocks, level-by-level greedy places %d",
+					trial, n, r, l, nd.prefix, got, want[j])
 			}
 		}
 		if got, want := len(o.stash), n-len(placed); got != want {
@@ -191,6 +201,7 @@ func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 		}
 		checkSlots(t, o)
 	}
+	o.cur.ops = o.cur.ops[:0]
 }
 
 // checkSlots fails unless the handle's client state is consistent: index and

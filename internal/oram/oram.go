@@ -19,6 +19,15 @@
 // the operations (Definition 4 requires Read and Write to be mutually
 // indistinguishable).
 //
+// A Pipeline runs accesses in batches: r accesses to one tree fetch r paths in
+// one round — a key's path on its first access in the batch, a fresh uniform
+// leaf for a repeat or a miss, so r independent uniform leaves whatever the
+// keys — and the client takes the union of the paths in once, serves the r
+// functions in order, remaps each key it touched once, evicts along the union
+// and writes the r paths back, a shared bucket sealed once (Stefanov et al.,
+// CCS 2013; Sahin et al., "TaoStore", S&P 2016). A direct access is a
+// batch of one, draw for draw the textbook access.
+//
 // The bucket is the unit of encryption, as in Stefanov et al.: a bucket's Z
 // blocks — real and dummy side by side, each flag ∥ version ∥ padded key ∥
 // value — are sealed as one ciphertext bound to the bucket's place in the
@@ -32,6 +41,7 @@
 package oram
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -142,32 +152,38 @@ type ORAM struct {
 	accesses   int64
 	rng        *mrand.Rand
 
-	// cur is the access in flight, between begin and end; a handle runs one
-	// at a time. owedTo is the pipeline holding the handle's last write-back
-	// until it lands: only that pipeline may begin the next access, whose
-	// fetch it sends behind the write-back. failed, once set, refuses every
-	// further access: an access stopped after its path was absorbed into the
-	// stash and before its write-back reached the server leaves the two out of
-	// step for good.
+	// cur is the batch in flight, between begin and end; a handle runs one
+	// at a time, built by one pipeline (or one direct access). owedTo is the
+	// pipeline holding the handle's last write-back until it lands, owed the
+	// paths in it: only that pipeline may begin the next batch, whose fetches
+	// it sends behind the write-back. failed, once set, refuses every further
+	// access: a batch stopped after its paths were absorbed into the stash and
+	// before its write-back reached the server leaves the two out of step for
+	// good.
 	cur    inflight
 	owedTo *Pipeline
+	owed   int
 	failed error
 
-	// Scratch reused across accesses so the steady-state path read/write
+	// Scratch reused across batches so the steady-state path read/write
 	// loop allocates only what must escape: one ciphertext per bucket headed
 	// for the server (a block entering the stash is copied into its slot).
 	// Each ciphertext is its own allocation on purpose: the in-process server retains the
 	// exact slices it is handed, and a leaf bucket outlives the root bucket
 	// written beside it by about numLeaves accesses, so buckets carved from
 	// one slab would pin the whole slab for as long as its longest-lived
-	// member. The scratch is a constant per handle, outside
-	// ClientMemoryBytes, and another reason a handle is not safe for
-	// concurrent use.
-	openBuf  []byte    // the bucket plaintext being parsed (via OpenTo)
-	sealBuf  []byte    // the bucket plaintext being staged for sealBucket
-	evictBuf [][]byte  // evict's outgoing buckets; every entry overwritten per call
-	byLevel  [][]int32 // evict: stashed slots by deepest bucket they may enter
-	pending  []int32   // evict: slots eligible at the level being filled, not yet placed
+	// member. The scratch is a constant per handle for a batch of one and grows
+	// with the widest batch, outside ClientMemoryBytes, and another reason a
+	// handle is not safe for concurrent use.
+	openBuf []byte   // the bucket plaintext being parsed (via OpenTo)
+	sealBuf []byte   // the bucket plaintext being staged for sealBucket
+	nodes   []node   // the distinct buckets of the batch's paths (layNodes)
+	levelAt []int    // level l's nodes are nodes[levelAt[l]:levelAt[l+1]]
+	leaves  []uint32 // layNodes: the batch's distinct leaves, in order
+	pathBuf []int32  // absorb: a path's nodes, root first
+	next    []int32  // evict: the links of the lists of stash positions
+	spare   []int32  // evict: the stash list's other array, the next call's new list
+	outBuf  [][]byte // evict, finish: the batch's outgoing paths, levels entries each; every entry overwritten per batch
 
 	// Telemetry handles, nil when disabled. stashGauge is shared across
 	// every ORAM on the registry and updated by delta, so it reads as the
@@ -178,6 +194,9 @@ type ORAM struct {
 	accessCtr  *telemetry.Counter
 	stashGauge *telemetry.Gauge
 	prevStash  int
+	// integrityFailures counts what the cipher cannot see fail: a bucket
+	// answered twice in one round with two authentic ciphertexts.
+	integrityFailures *telemetry.Counter
 }
 
 // SetTelemetry attaches (or, with nil, detaches) a telemetry registry.
@@ -188,6 +207,7 @@ func (o *ORAM) SetTelemetry(reg *telemetry.Registry) {
 	o.accessCtr = reg.Counter("oblivfd_oram_accesses_total")
 	o.stashGauge = reg.Gauge("oblivfd_oram_stash_blocks")
 	o.prevStash = 0
+	o.integrityFailures = reg.Counter("oblivfd_integrity_failures_total")
 }
 
 // Setup creates an empty ORAM named name on the server (Definition 4's
@@ -245,8 +265,8 @@ func (o *ORAM) initScratch() {
 	o.adPrefix = len(o.ad)
 	o.openBuf = make([]byte, 0, o.z*o.blockSize)
 	o.sealBuf = make([]byte, o.z*o.blockSize)
-	o.evictBuf = make([][]byte, o.levels)
-	o.byLevel = make([][]int32, o.levels)
+	o.levelAt = make([]int, o.levels+1)
+	o.pathBuf = make([]int32, o.levels)
 }
 
 // shape is the tree for a capacity: the next power of two ≥ capacity leaves,
@@ -478,29 +498,72 @@ func (o *ORAM) Destroy() error {
 	return o.svc.Delete(o.name)
 }
 
-// inflight is one access between its two server calls.
+// inflight is the batch of accesses to the handle between its two rounds:
+// one access for Read, Write, Remove and Update, a chunk's through a
+// Pipeline.
 type inflight struct {
 	stage stage
+	by    *Pipeline // the pipeline building the batch; nil for a direct access
+	ops   []batchOp // the accesses, in call order
+}
+
+// A batchOp is one access of the batch in flight.
+type batchOp struct {
 	key   string
-	leaf  uint32
-	slot  int32 // the key's slot, or -1 when it was not live as the access began
+	leaf  uint32   // the leaf whose path the access fetches
+	at    int      // where that path sits in the round's answer
+	first bool     // the batch's first access to key
+	slot  int32    // key's slot if the access is first and key was live as the batch began, else -1
+	node  int32    // the path's leaf bucket among the batch's nodes, once absorbed
+	out   [][]byte // the path's write-back, root first, once finished
+}
+
+// A node is one distinct bucket on the union of a batch's paths.
+type node struct {
+	prefix uint32 // the bucket's place in its level: the top bits of every leaf below it
+	level  int32
+	parent int32 // the node one level up; -1 at the root
+	// opener is the batch's first access whose path runs through the
+	// bucket: the copy its path fetched is the one absorbed, and the
+	// bucket's write-back is sealed into that path's place in outBuf.
+	opener int32
+	// evict: the stashed blocks whose deepest eligible bucket this is, and
+	// those its children could not place.
+	enter, carry list
+}
+
+// A list is a chain of positions in the stash list, linked through
+// ORAM.next, kept last first so that evict takes from its head.
+type list struct{ head, tail int32 } // -1 when empty
+
+var empty = list{-1, -1}
+
+// then is a followed by b.
+func (a list) then(b list, next []int32) list {
+	if a.head < 0 {
+		return b
+	}
+	if b.head >= 0 {
+		next[a.tail], a.tail = b.head, b.tail
+	}
+	return a
 }
 
 type stage uint8
 
 const (
 	idle   stage = iota
-	begun        // leaf chosen; nothing fetched has been taken in
-	served       // path absorbed, function applied, write-back built but not known to have landed
+	begun        // leaves chosen; nothing fetched has been taken in
+	served       // paths absorbed, functions applied, write-back built but not known to have landed
 )
 
 // access is the single PathORAM access routine behind Read, Write, Remove and
-// Update, so their server-visible behaviour is identical by construction. Its
-// three steps — begin, serve, end — are also what a Pipeline runs, with the
-// two server calls between them fused with other handles' and end split into
-// owe and settle around the write-back's round.
+// Update, so their server-visible behaviour is identical by construction. It
+// is a Pipeline's batch at r = 1: begin, absorb, apply, finish, and end split
+// by a Pipeline into owe and settle around the write-back's round, with the
+// two server calls between them fused with other accesses'.
 func (o *ORAM) access(key string, fn UpdateFunc) (err error) {
-	leaf, err := o.begin(key, nil)
+	leaf, _, err := o.begin(key, nil, 0)
 	if err != nil {
 		return err
 	}
@@ -509,11 +572,16 @@ func (o *ORAM) access(key string, fn UpdateFunc) (err error) {
 	if err != nil {
 		return fmt.Errorf("oram: %w", err)
 	}
-	out, err := o.serve(buckets, fn)
-	if err != nil {
+	if _, err := o.absorb([][][]byte{buckets}); err != nil {
 		return err
 	}
-	if err := o.svc.WritePath(o.name, leaf, out); err != nil {
+	if err := o.apply(0, fn); err != nil {
+		return err
+	}
+	if err := o.finish(); err != nil {
+		return err
+	}
+	if err := o.svc.WritePath(o.name, leaf, o.cur.ops[0].out); err != nil {
 		return fmt.Errorf("oram: %w", err)
 	}
 	return nil
@@ -521,13 +589,13 @@ func (o *ORAM) access(key string, fn UpdateFunc) (err error) {
 
 // ready says why an access to key, asked for by pipeline p (nil for a direct
 // access), cannot begin, and changes nothing: the handle has lost a
-// write-back, is in the middle of another access or owes a write-back that p
-// does not hold, or the key does not fit.
+// write-back, is in the middle of another batch than the one p is building,
+// or owes a write-back that p does not hold, or the key does not fit.
 func (o *ORAM) ready(key string, p *Pipeline) error {
 	switch {
 	case o.failed != nil:
 		return fmt.Errorf("oram %q: unusable since an access failed midway: %w", o.name, o.failed)
-	case o.cur.stage != idle, o.owedTo != nil && o.owedTo != p:
+	case o.cur.stage == served, o.cur.stage == begun && (p == nil || o.cur.by != p), o.owedTo != nil && o.owedTo != p:
 		return fmt.Errorf("oram %q: access to %q while another is in flight", o.name, key)
 	case len(key) > o.keyWidth:
 		return fmt.Errorf("%w: %d bytes, max %d", ErrKeyWidth, len(key), o.keyWidth)
@@ -535,44 +603,54 @@ func (o *ORAM) ready(key string, p *Pipeline) error {
 	return nil
 }
 
-// begin opens an access to key for p and returns the leaf whose path it
-// needs. The leaf is the key's position-map entry or, for a key that has none,
-// a fresh uniform draw: it is fixed before anything about the key is fetched,
-// and a write-back still owed has already taken its remap into account.
-func (o *ORAM) begin(key string, p *Pipeline) (uint32, error) {
+// begin adds an access to key to the batch p (nil for a direct access) is
+// building, and returns the leaf whose path it fetches, to be answered at
+// place at of the round, and its place in the batch. The batch's first access
+// to a live key fetches the key's position-map entry; a repeat, or a key that
+// is not live, fetches a fresh uniform draw. So every leaf is fixed before
+// anything is fetched, a write-back still owed has already taken its remap
+// into account, and the r leaves of a batch are r independent uniform draws
+// whichever keys repeat.
+func (o *ORAM) begin(key string, p *Pipeline, at int) (leaf uint32, k int, err error) {
 	if err := o.ready(key, p); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	o.accesses++
 	o.accessCtr.Inc()
-	var leaf uint32
-	i, known := o.index[key]
-	if known {
-		leaf = o.slots[i].Leaf
+	op := batchOp{key: key, at: at, first: true, slot: -1}
+	for _, prev := range o.cur.ops {
+		if prev.key == key {
+			op.first = false
+			break
+		}
+	}
+	if i, live := o.index[key]; live && op.first {
+		op.leaf, op.slot = o.slots[i].Leaf, i
 	} else {
 		// Dummy path: uniformly random, like any remapped leaf.
-		i, leaf = -1, uint32(o.rng.Intn(o.numLeaves))
+		op.leaf = uint32(o.rng.Intn(o.numLeaves))
 	}
-	o.cur = inflight{stage: begun, key: key, leaf: leaf, slot: i}
-	return leaf, nil
+	o.cur.stage, o.cur.by = begun, p
+	o.cur.ops = append(o.cur.ops, op)
+	return op.leaf, len(o.cur.ops) - 1, nil
 }
 
-// end closes the access in flight. err is what stopped it, nil once its
-// write-back is on the server. An access stopped before serve took the path
-// in has changed nothing; one stopped later has emptied the stash into a
+// end closes the batch in flight. err is what stopped it, nil once its
+// write-back is on the server. A batch stopped before absorb took its paths in
+// has changed nothing; one stopped later has emptied the stash into a
 // write-back the server may never have seen, and the handle is refused from
 // then on rather than left to diverge silently.
 func (o *ORAM) end(err error) {
 	if o.cur.stage == served {
 		o.settle(err)
 	}
-	o.cur = inflight{}
+	o.cur = inflight{ops: o.cur.ops[:0]}
 }
 
-// owe hands the served access's write-back to p, which sends it: the handle
-// is between accesses again, but only p may begin the next one until it
-// settles the write-back.
-func (o *ORAM) owe(p *Pipeline) { o.cur, o.owedTo = inflight{}, p }
+// owe hands the served batch's write-back to p, which sends it: the handle is
+// between batches again, but only p may begin the next one until it settles
+// the write-back.
+func (o *ORAM) owe(p *Pipeline) { o.cur, o.owedTo = inflight{ops: o.cur.ops[:0]}, p }
 
 // settle closes the write-back the handle owes: err is nil once it is on the
 // server, and otherwise what lost it, which the handle refuses every further
@@ -581,164 +659,318 @@ func (o *ORAM) settle(err error) {
 	if err != nil {
 		o.failed = err
 	} else {
-		o.pathWrites.Inc()
+		o.pathWrites.Add(int64(o.owed))
 	}
-	o.owedTo = nil
+	o.owed, o.owedTo = 0, nil
+	clear(o.outBuf) // the client is done with the ciphertexts sent
 }
 
-// serve takes the fetched path of the access in flight into the stash,
-// applies fn to the key's value, and returns the re-encrypted path to write
-// back. The slice is the handle's own and is valid until its next access.
-func (o *ORAM) serve(buckets [][]byte, fn UpdateFunc) ([][]byte, error) {
-	key, leaf := o.cur.key, o.cur.leaf
+// absorb takes the batch's fetched paths — fetched[op.at] for each access —
+// into the stash, each distinct bucket once however many of the paths name
+// it, and checks that every key the batch names that was live as it began is
+// now there. A bucket named again must come back byte for byte as it did the
+// first time: two authentic ciphertexts for one bucket in one round are an
+// equivocating server. On an error, at is the place in the round of the
+// access whose path did not verify.
+func (o *ORAM) absorb(fetched [][][]byte) (at int, err error) {
 	o.cur.stage = served
-	o.pathReads.Inc()
-
-	// 1. Move the path's real blocks into the stash.
-	if len(buckets) != o.levels {
-		return nil, o.integrityErr(fmt.Sprintf("path to leaf %d has %d buckets, want %d", leaf, len(buckets), o.levels), nil)
-	}
-	for l, ct := range buckets {
-		if len(ct) == 0 {
-			// Setup leaves no empty buckets; an empty one means the server
-			// dropped a ciphertext.
-			return nil, o.integrityErr(fmt.Sprintf("empty bucket at level %d on path to leaf %d", l, leaf), nil)
+	o.pathReads.Add(int64(len(o.cur.ops)))
+	o.layNodes()
+	path := o.pathBuf
+	for k, op := range o.cur.ops {
+		buckets := fetched[op.at]
+		if len(buckets) != o.levels {
+			return op.at, o.integrityErr(fmt.Sprintf("path to leaf %d has %d buckets, want %d", op.leaf, len(buckets), o.levels), nil)
 		}
-		pt, err := o.cipher.OpenTo(o.openBuf[:0], ct, o.bucketAD(o.pathBucket(leaf, l)))
-		if err != nil {
-			return nil, o.integrityErr(fmt.Sprintf("bucket authentication failed at level %d on path to leaf %d", l, leaf), err)
+		for l, nd := o.levels-1, op.node; l >= 0; l, nd = l-1, o.nodes[nd].parent {
+			path[l] = nd
 		}
-		o.openBuf = pt // keep the (possibly grown) scratch for the next bucket
-		if len(pt) != o.z*o.blockSize {
-			return nil, o.integrityErr(fmt.Sprintf("bucket has %d bytes, want %d", len(pt), o.z*o.blockSize), nil)
-		}
-		for ; len(pt) > 0; pt = pt[o.blockSize:] {
-			k, v, ver, real, err := o.parseBlock(pt[:o.blockSize])
-			if err != nil {
-				return nil, err
-			}
-			if !real {
+		for l, ct := range buckets {
+			nd, bucket := &o.nodes[path[l]], o.pathBucket(op.leaf, l)
+			switch {
+			case len(ct) == 0:
+				// Setup leaves no empty buckets; an empty one means the
+				// server dropped a ciphertext.
+				return op.at, o.integrityErr(fmt.Sprintf("empty bucket at level %d on path to leaf %d", l, op.leaf), nil)
+			case int(nd.opener) != k && !bytes.Equal(fetched[o.cur.ops[nd.opener].at][l], ct):
+				return op.at, o.equivocation(ct, bucket, l, op.leaf)
+			case int(nd.opener) != k:
 				continue
 			}
-			// Honest invariant: each live key has exactly one copy, in the
-			// stash or in one tree bucket on its assigned path. A tree block
-			// violating that is a replayed, duplicated, or rolled-back copy.
-			// k and v still point into the scratch: the lookup converts
-			// without allocating, and only a block that passes every check
-			// is copied into its slot.
-			i, live := o.index[string(k)]
-			if !live {
-				return nil, o.integrityErr(fmt.Sprintf("replayed block %q (key not live)", k), nil)
+			if err := o.absorbBucket(ct, bucket, l, op.leaf); err != nil {
+				return op.at, err
 			}
-			s := &o.slots[i]
-			if s.Stashed {
-				return nil, o.integrityErr(fmt.Sprintf("duplicate copy of block %q (already stashed)", k), nil)
-			}
-			if ver != s.Ver {
-				return nil, o.integrityErr(fmt.Sprintf("stale block %q: version %d, want %d", k, ver, s.Ver), nil)
-			}
-			s.Stashed = true
-			copy(o.value(i), v)
-			o.stash = append(o.stash, i)
 		}
 	}
-	// Freshness of the path as a whole: a key the position map assigns to
-	// this path must now be in the stash; otherwise the server suppressed
+	// Freshness of the paths as a whole: a key the position map assigns to
+	// one of them must now be in the stash; otherwise the server suppressed
 	// the real block (e.g. replayed an authentic older copy of its bucket
-	// from before the block was placed there).
-	i := o.cur.slot
-	var old []byte
-	found := i >= 0
-	if found {
-		if !o.slots[i].Stashed {
-			return nil, o.integrityErr(fmt.Sprintf("block %q missing from its assigned path (leaf %d)", key, leaf), nil)
+	// from before the block was placed there). Nothing has changed which
+	// keys are live, or their slots, since the batch began.
+	for _, op := range o.cur.ops {
+		if op.slot >= 0 && !o.slots[op.slot].Stashed {
+			return op.at, o.integrityErr(fmt.Sprintf("block %q missing from its assigned path (leaf %d)", op.key, op.leaf), nil)
 		}
+	}
+	return 0, nil
+}
+
+// equivocation is the error for a bucket a round answered twice with
+// different ciphertexts, ct the second: an authentication failure if ct does
+// not open at the bucket's place, and otherwise a server that holds two
+// authentic versions of one bucket and showed both. Either way it counts as an
+// integrity failure.
+func (o *ORAM) equivocation(ct []byte, bucket, l int, leaf uint32) error {
+	if _, err := o.cipher.OpenTo(o.openBuf[:0], ct, o.bucketAD(bucket)); err != nil {
+		return o.integrityErr(fmt.Sprintf("bucket authentication failed at level %d on path to leaf %d", l, leaf), err)
+	}
+	o.integrityFailures.Inc()
+	return o.integrityErr(fmt.Sprintf("bucket %d answered twice in one round with different authentic ciphertexts", bucket), nil)
+}
+
+// absorbBucket opens the ciphertext fetched for a bucket — at level l on the
+// path to leaf, for errors — and moves its real blocks into the stash.
+func (o *ORAM) absorbBucket(ct []byte, bucket, l int, leaf uint32) error {
+	pt, err := o.cipher.OpenTo(o.openBuf[:0], ct, o.bucketAD(bucket))
+	if err != nil {
+		return o.integrityErr(fmt.Sprintf("bucket authentication failed at level %d on path to leaf %d", l, leaf), err)
+	}
+	o.openBuf = pt // keep the (possibly grown) scratch for the next bucket
+	if len(pt) != o.z*o.blockSize {
+		return o.integrityErr(fmt.Sprintf("bucket has %d bytes, want %d", len(pt), o.z*o.blockSize), nil)
+	}
+	for ; len(pt) > 0; pt = pt[o.blockSize:] {
+		k, v, ver, real, err := o.parseBlock(pt[:o.blockSize])
+		if err != nil {
+			return err
+		}
+		if !real {
+			continue
+		}
+		// Honest invariant: each live key has exactly one copy, in the
+		// stash or in one tree bucket on its assigned path. A tree block
+		// violating that is a replayed, duplicated, or rolled-back copy.
+		// k and v still point into the scratch: the lookup converts
+		// without allocating, and only a block that passes every check
+		// is copied into its slot.
+		i, live := o.index[string(k)]
+		if !live {
+			return o.integrityErr(fmt.Sprintf("replayed block %q (key not live)", k), nil)
+		}
+		s := &o.slots[i]
+		if s.Stashed {
+			return o.integrityErr(fmt.Sprintf("duplicate copy of block %q (already stashed)", k), nil)
+		}
+		if ver != s.Ver {
+			return o.integrityErr(fmt.Sprintf("stale block %q: version %d, want %d", k, ver, s.Ver), nil)
+		}
+		s.Stashed = true
+		copy(o.value(i), v)
+		o.stash = append(o.stash, i)
+	}
+	return nil
+}
+
+// apply serves access k of the batch from the stash: fn is shown the key's
+// value as the batch's earlier accesses left it, and what it returns stays. A
+// key is remapped once the whole batch is applied (finish), so a miss and a
+// removal draw no leaf here.
+func (o *ORAM) apply(k int, fn UpdateFunc) error {
+	key := o.cur.ops[k].key
+	i, found := o.index[key]
+	var old []byte
+	if found {
 		old = o.value(i)
 	}
-
-	// 2. Serve the operation from the stash. A key left present is remapped,
-	// the standard PathORAM remap on every touch; one left absent has nothing
-	// to remap, so a miss and a removal draw no leaf.
 	switch value, keep := fn(old, found); {
 	case !keep:
 		if found {
 			o.drop(i)
 		}
 	case len(value) != o.valueWidth:
-		return nil, fmt.Errorf("%w: got %d bytes, want %d", ErrValueWidth, len(value), o.valueWidth)
+		return fmt.Errorf("%w: got %d bytes, want %d", ErrValueWidth, len(value), o.valueWidth)
+	case found:
+		copy(old, value)
 	default:
-		if found {
-			copy(old, value)
-		} else {
-			i = o.add(key, 0, value, true)
-		}
-		o.slots[i].Leaf = uint32(o.rng.Intn(o.numLeaves))
+		o.add(key, 0, value, true)
 	}
+	return nil
+}
 
+// finish ends the batch's client work. Every key it touched that is still
+// live takes a fresh uniform leaf, once, in the order first touched — the
+// standard PathORAM remap on every touch; then the stash is evicted along the
+// union of the batch's paths and each access's path is left, re-sealed, in
+// its out.
+func (o *ORAM) finish() error {
+	for _, op := range o.cur.ops {
+		if i, live := o.index[op.key]; op.first && live {
+			o.slots[i].Leaf = uint32(o.rng.Intn(o.numLeaves))
+		}
+	}
 	o.maxStash = max(o.maxStash, len(o.stash))
-
-	// 3. Evict: greedily push stash blocks as deep as possible along the
-	// path just read, every bucket re-encrypted.
-	out, err := o.evict(leaf)
-	if err != nil {
-		return nil, err
+	if err := o.evict(); err != nil {
+		return err
 	}
 	if o.stashGauge != nil {
 		o.stashGauge.Add(int64(len(o.stash) - o.prevStash))
 		o.prevStash = len(o.stash)
 	}
 	if len(o.stash) > o.stashLimit {
-		return nil, fmt.Errorf("%w: %d blocks > limit %d", ErrStashOverflow, len(o.stash), o.stashLimit)
+		return fmt.Errorf("%w: %d blocks > limit %d", ErrStashOverflow, len(o.stash), o.stashLimit)
 	}
-	return out, nil
+	for k := range o.cur.ops {
+		op := &o.cur.ops[k]
+		op.out = o.outBuf[k*o.levels : (k+1)*o.levels : (k+1)*o.levels]
+		// A bucket's ciphertext sits in its first path's place, which no
+		// other node's is; the first path's are all in place.
+		for l, nd := o.levels-1, op.node; k > 0 && l >= 0; l, nd = l-1, o.nodes[nd].parent {
+			op.out[l] = o.outBuf[int(o.nodes[nd].opener)*o.levels+l]
+		}
+	}
+	o.owed = len(o.cur.ops)
+	return nil
 }
 
-// evict builds fresh bucket contents for the path to leaf and returns them
-// sealed, root first. Buckets are filled leaf-to-root with eligible stash blocks: a block
-// may enter the buckets its assigned path shares with this one, the deepest
-// being at level leafLevel − bits.Len32(assigned ^ leaf). One pass over the
-// stash list sorts the slots by that level; filling then walks up from the
-// leaf, each bucket taking up to Z of the slots that became eligible at its
-// level or overflowed from below — the greedy placement of the textbook
-// construction in O(stash + levels·Z). What is left over is the new stash
-// list.
-func (o *ORAM) evict(leaf uint32) ([][]byte, error) {
+// layNodes lays out the union of the batch's paths as nodes, a level at a
+// time from the root, each level's in the order of their place in it — so a
+// node's children come after it and a level's leaves below it are a run —
+// and notes each access's leaf node and each node's first access. A batch of
+// one, every direct access, is one path: a node a level, each the parent of
+// the next, laid out without sorting or searching.
+func (o *ORAM) layNodes() {
 	leafLevel := o.levels - 1
-	for l := range o.byLevel {
-		o.byLevel[l] = o.byLevel[l][:0]
+	o.nodes = o.nodes[:0]
+	if len(o.cur.ops) == 1 {
+		leaf := o.cur.ops[0].leaf
+		o.nodes = slices.Grow(o.nodes, o.levels)[:o.levels]
+		for l := range o.nodes {
+			o.levelAt[l] = l
+			o.nodes[l] = node{prefix: leaf >> (leafLevel - l), level: int32(l), parent: int32(l - 1), enter: empty, carry: empty}
+		}
+		o.levelAt[o.levels] = o.levels
+		o.cur.ops[0].node = int32(leafLevel)
+		return
 	}
-	for _, i := range o.stash {
-		l := leafLevel - bits.Len32(o.slots[i].Leaf^leaf)
-		o.byLevel[l] = append(o.byLevel[l], i)
+	o.leaves = o.leaves[:0]
+	for _, op := range o.cur.ops {
+		o.leaves = append(o.leaves, op.leaf)
 	}
-	// Safe to reuse: every entry is overwritten below, and the server keeps
-	// only the fresh per-bucket ciphertexts, never the outer slice.
-	out := o.evictBuf
-	pending := o.pending[:0]
-	for l := leafLevel; l >= 0; l-- {
-		pending = append(pending, o.byLevel[l]...)
-		clear(o.sealBuf) // places left unfilled are dummies
-		for pt := o.sealBuf; len(pt) > 0 && len(pending) > 0; pt = pt[o.blockSize:] {
-			i := pending[len(pending)-1]
-			pending = pending[:len(pending)-1]
+	slices.Sort(o.leaves)
+	o.leaves = slices.Compact(o.leaves)
+	for l := 0; l < o.levels; l++ {
+		o.levelAt[l] = len(o.nodes)
+		parent := int32(-1)
+		if l > 0 {
+			parent = int32(o.levelAt[l-1])
+		}
+		for _, leaf := range o.leaves {
+			prefix := leaf >> (leafLevel - l)
+			if len(o.nodes) > o.levelAt[l] && o.nodes[len(o.nodes)-1].prefix == prefix {
+				continue
+			}
+			for l > 0 && o.nodes[parent].prefix != prefix>>1 {
+				parent++
+			}
+			o.nodes = append(o.nodes, node{prefix: prefix, level: int32(l), parent: parent, opener: -1, enter: empty, carry: empty})
+		}
+	}
+	o.levelAt[o.levels] = len(o.nodes)
+	for k := range o.cur.ops {
+		op := &o.cur.ops[k]
+		op.node = o.nodeAt(leafLevel, op.leaf)
+		// An earlier access that reached a node reached its ancestors too.
+		for nd := op.node; nd >= 0 && o.nodes[nd].opener < 0; nd = o.nodes[nd].parent {
+			o.nodes[nd].opener = int32(k)
+		}
+	}
+}
+
+// nodeAt returns the node of the level-l bucket whose place is prefix, the
+// first after it when the batch's paths do not pass there.
+func (o *ORAM) nodeAt(l int, prefix uint32) int32 {
+	lo, hi := o.levelAt[l], o.levelAt[l+1]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if o.nodes[mid].prefix < prefix {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return int32(lo)
+}
+
+// evict builds fresh contents for every bucket of the batch's nodes, seals
+// each once, and leaves the ciphertext in outBuf at its first path's place. A
+// stashed block may enter the buckets its assigned path shares with the
+// union; the deepest is on the path of the fetched leaf nearest its own in
+// order, leafLevel − bits.Len32(assigned ^ leaf) deep. One pass over the stash
+// list sorts the blocks by that bucket; filling then walks the nodes from the
+// leaves up, each bucket taking up to Z of the blocks that became eligible at
+// it or that its children could not place, the last of them first — the
+// greedy placement of the textbook construction, deepest first, in
+// O(stash·log r + nodes·Z). What is left over at the root is the new stash
+// list. At r = 1 the nodes are one path and this is the single-path eviction,
+// block for block.
+func (o *ORAM) evict() error {
+	leafLevel := o.levels - 1
+	lo, hi := o.levelAt[leafLevel], o.levelAt[o.levels] // the leaf buckets
+	o.next = slices.Grow(o.next[:0], len(o.stash))[:len(o.stash)]
+	for p, i := range o.stash {
+		a, nd := o.slots[i].Leaf, int32(lo)
+		if hi-lo > 1 {
+			nd = min(o.nodeAt(leafLevel, a), int32(hi-1))
+		}
+		depth := bits.Len32(a ^ o.nodes[nd].prefix)
+		if int(nd) > lo {
+			depth = min(depth, bits.Len32(a^o.nodes[nd-1].prefix))
+		}
+		at := int32(o.levelAt[leafLevel-depth]) // a path's only node at that level
+		if hi-lo > 1 {
+			at = o.nodeAt(leafLevel-depth, a>>depth)
+		}
+		e := &o.nodes[at].enter
+		e.head, o.next[p] = int32(p), e.head
+		if e.tail < 0 {
+			e.tail = e.head
+		}
+	}
+	n := len(o.cur.ops) * o.levels
+	o.outBuf = slices.Grow(o.outBuf[:0], n)[:n]
+	left := o.spare[:0]
+	for j := len(o.nodes) - 1; j >= 0; j-- {
+		nd := &o.nodes[j]
+		pending := nd.enter.then(nd.carry, o.next) // the carried blocks, then the entering ones, last first
+		clear(o.sealBuf)                           // places left unfilled are dummies
+		for pt := o.sealBuf; len(pt) > 0 && pending.head >= 0; pt = pt[o.blockSize:] {
+			i := o.stash[pending.head]
+			pending.head = o.next[pending.head]
 			// Stamp a fresh version into the outgoing copy; the client-held
 			// tag is what later reads are checked against.
 			s := &o.slots[i]
 			if err := o.putBlock(pt[:o.blockSize], s.Key, o.value(i), s.Ver+1); err != nil {
-				return nil, err
+				return err
 			}
 			s.Ver, s.Tagged, s.Stashed = s.Ver+1, true, false
 		}
-		ct, err := o.sealBucket(o.pathBucket(leaf, l))
+		ct, err := o.sealBucket(1<<nd.level - 1 + int(nd.prefix))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[l] = ct
+		o.outBuf[int(nd.opener)*o.levels+int(nd.level)] = ct
+		if nd.parent >= 0 {
+			up := &o.nodes[nd.parent]
+			up.carry = pending.then(up.carry, o.next)
+			continue
+		}
+		for p := pending.head; p >= 0; p = o.next[p] {
+			left = append(left, o.stash[p])
+		}
 	}
-	// The stash list was copied out into byLevel: its array takes the next
-	// call's pending.
-	o.stash, o.pending = pending, o.stash[:0]
-	return out, nil
+	slices.Reverse(left)
+	o.stash, o.spare = left, o.stash[:0]
+	return nil
 }
 
 // integrityErr wraps a verification failure in store.ErrIntegrity so the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -738,4 +739,66 @@ func TestStoreConformanceRandomWorkload(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBatchedStashBound: batches of r = 64 accesses — the engines' chunk —
+// evict along the union of their paths, and the stash left after each batch
+// must stay within StashLimit (7·log₂ n) at every tree size the engines
+// build, n = 2^10 … 2^15, over 20 seeds each: fill the tree a batch of fresh
+// keys at a time, then n accesses in batches of random live keys, half reads
+// and half writes. That is most of a minute of AES; under -short, and under the race
+// detector, which has no goroutines to watch here, it stops at 2^11. The
+// high-water marks are in DESIGN.md §10.
+func TestBatchedStashBound(t *testing.T) {
+	const r, seeds = 64, 20
+	top := 15
+	if testing.Short() || raceEnabled {
+		top = 11
+	}
+	for lg := 10; lg <= top; lg++ {
+		n := 1 << lg
+		high, inBatch := 0, 0
+		for seed := int64(1); seed <= seeds; seed++ {
+			o, err := Setup(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+				Capacity: n, KeyWidth: 8, ValueWidth: 8, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			p := NewPipeline(o.svc)
+			accesses := make([]Access, r)
+			v := val(8, 1)
+			write := func([]byte, bool) ([]byte, bool) { return v, true }
+			read := func(old []byte, found bool) ([]byte, bool) { return old, found }
+			for i := 0; i < 2*n; i += r {
+				for j := range accesses {
+					k := i + j // a fresh key while filling
+					if i >= n {
+						k = rng.Intn(n)
+					}
+					accesses[j] = Access{Store: o, Key: strconv.Itoa(k), Fn: write}
+					if i >= n && j%2 == 0 {
+						accesses[j].Fn = read
+					}
+				}
+				if err := p.Do(accesses...); err != nil {
+					t.Fatalf("n = %d, seed %d, access %d: %v", n, seed, i, err)
+				}
+				high = max(high, o.StashSize())
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if o.Len() != n {
+				t.Fatalf("n = %d, seed %d: %d keys live", n, seed, o.Len())
+			}
+			inBatch = max(inBatch, o.MaxStashSize())
+		}
+		limit := DefaultStashFactor * lg
+		if high > limit {
+			t.Errorf("n = 2^%d: stash after a batch of %d reached %d, over the limit %d", lg, r, high, limit)
+		}
+		t.Logf("n = 2^%d: stash after a batch of %d at most %d over %d seeds (limit %d); before eviction at most %d", lg, r, high, seeds, limit, inBatch)
+	}
 }

@@ -18,36 +18,43 @@ type Access struct {
 	Landed func()
 }
 
-// Pipeline runs accesses to different stores with their server calls fused.
-// An access is two calls with client work between them — fetch a path, write
-// it back — and the leaf is known before the fetch, so the fetches of accesses
-// to different trees can share one round trip, and the write-backs can share
-// the next, along with the fetches of whatever the caller does next — the
-// next accesses to the same trees included:
+// Pipeline runs batches of accesses with their server calls fused. An access
+// is two calls with client work between them — fetch a path, write it back —
+// and the leaf is known before the fetch, so the fetches of a Do share one
+// round trip, and the write-backs share the next, along with the fetches of
+// whatever the caller does next — the next accesses to the same trees
+// included:
 //
-//	p.Do(a, b)   one round: ReadPath a, ReadPath b
-//	p.Do(c, a)   one round: WritePath a, WritePath b, ReadPath c, ReadPath a
-//	p.Flush()    one round: WritePath c, WritePath a
+//	p.Do(a, b, a)   one round: ReadPath a, ReadPath b, ReadPath a
+//	p.Do(c, b)      one round: WritePath a, WritePath b, WritePath a, ReadPath c, ReadPath b
+//	p.Flush()       one round: WritePath c, WritePath b
 //
-// What the server sees of each tree is what it sees when the same accesses
-// run one after the other — ReadPath(leaf), then WritePath(leaf) of freshly
-// sealed buckets, per access — and the ops of a round apply in the order
+// The accesses of one Do to one tree are a batch (Stefanov et al., "Path
+// ORAM", CCS 2013; Sahin et al., "TaoStore", S&P 2016): the batch's first
+// access to a live key fetches the key's path, a repeat or a miss a fresh
+// uniform leaf, so the server sees r independent uniform leaves per tree per
+// round whatever keys repeat; the client takes the union of the r paths in
+// once, runs the functions in call order, remaps each key it touched once,
+// evicts along the union and owes r write-backs, a bucket that r paths share
+// sealed once and written by each. A batch of one is a serial access, draw
+// for draw. What a round holds is decided by the caller's sequence of Do and
+// Flush, never by anything fetched, and the ops of a round apply in the order
 // given, so a tree's write-back lands before its next fetch in the same round
-// reads it; only the framing differs, and what a round holds is decided by
-// the caller's sequence of Do and Flush, never by anything fetched. Through a
-// service that cannot take a batch every op is its own call, in that same
-// order.
+// reads it. Through a service that cannot take a batch every op is its own
+// call, in that same order.
 //
 // When a round fails — after whatever retrying the service itself does; a
 // batch of fetches and of write-backs carrying their exact ciphertexts is
 // safe to send again — every handle with a write-back in it is left refusing
 // further accesses (see ORAM.settle), the error names the cause, and the
 // pipeline is empty again. A pipeline is not safe for concurrent use, and a
-// handle takes part in one access at a time.
+// handle takes part in one batch at a time.
 type Pipeline struct {
 	svc    store.Service
-	staged []Access        // served; their write-backs lead the next round
-	begun  []*ORAM         // this round's fetches, in order
+	staged []Access        // served; their write-backs lead the next round, one each
+	owing  []*ORAM         // the handles whose write-backs those are
+	begun  []*ORAM         // the handles this Do's fetches are for, in order of first mention
+	index  []int           // this Do's accesses' places in their handles' batches
 	ops    []store.BatchOp // the next round: staged write-backs, then fetches
 }
 
@@ -68,51 +75,62 @@ func (e *AccessError) Unwrap() error { return e.Err }
 
 // Do runs one round — the write-backs still owed by earlier accesses and the
 // fetches of these — and then serves the accesses in the order given, so a
-// later one's function may use what an earlier one's found. Their own
-// write-backs wait for the next Do or Flush. A store whose write-back this
-// pipeline still owes may be named: its fetch follows the write-back in the
-// round, and the earlier access's Landed runs before this one's Fn.
+// later one's function may use what an earlier one's found, or left, in the
+// same store or another. Their own write-backs wait for the next Do or Flush.
+// A store may be named any number of times; a store whose write-back this
+// pipeline still owes may be named too: its fetches follow the write-back in
+// the round, and the earlier accesses' Landed hooks run before these Fns.
 //
-// A call that cannot be sent — a store named twice, a handle that is unusable
-// or owes a write-back to another pipeline or to a direct access, a key too
-// wide — is refused whole before any access begins: nothing has touched the
-// wire, so the pipeline is exactly as it was and what it owes can still be
-// flushed.
+// A call that cannot be sent — a handle that is unusable or owes a write-back
+// to another pipeline or to a direct access, a key too wide — is refused
+// whole before any access begins: nothing has touched the wire, so the
+// pipeline is exactly as it was and what it owes can still be flushed.
 func (p *Pipeline) Do(accesses ...Access) error {
 	for i, a := range accesses {
-		for _, b := range accesses[:i] {
-			if a.Store == b.Store {
-				return &AccessError{i, fmt.Errorf("oram: one store named twice in a round (keys %q and %q)", b.Key, a.Key)}
-			}
-		}
 		if err := a.Store.ready(a.Key, p); err != nil {
 			return &AccessError{i, err}
 		}
 	}
-	for _, a := range accesses {
+	p.index = p.index[:0]
+	for i, a := range accesses {
 		o := a.Store
-		leaf, err := o.begin(a.Key, p)
+		if o.cur.stage == idle {
+			p.begun = append(p.begun, o)
+		}
+		leaf, k, err := o.begin(a.Key, p, i)
 		if err != nil { // ready said it could
 			return p.abandon(err)
 		}
-		p.begun = append(p.begun, o)
+		p.index = append(p.index, k)
 		p.ops = append(p.ops, store.BatchOp{Path: true, Name: o.name, Leaf: leaf, N: o.levels})
 	}
 	fetched, err := p.round()
 	if err != nil {
 		return err
 	}
+	for _, o := range p.begun {
+		if at, err := o.absorb(fetched); err != nil {
+			return p.abandon(&AccessError{at, err})
+		}
+	}
 	for i, a := range accesses {
-		o := a.Store
-		out, err := o.serve(fetched[i], a.Fn)
-		if err != nil {
+		if err := a.Store.apply(p.index[i], a.Fn); err != nil {
 			return p.abandon(&AccessError{i, err})
 		}
-		p.ops = append(p.ops, store.BatchOp{Write: true, Path: true, Name: o.name, Leaf: o.cur.leaf, Cts: out})
-		p.staged = append(p.staged, a)
+	}
+	for _, o := range p.begun {
+		if err := o.finish(); err != nil {
+			return p.abandon(&AccessError{o.cur.ops[0].at, err})
+		}
+	}
+	for i, a := range accesses {
+		op := &a.Store.cur.ops[p.index[i]]
+		p.ops = append(p.ops, store.BatchOp{Write: true, Path: true, Name: a.Store.name, Leaf: op.leaf, Cts: op.out})
+	}
+	for _, o := range p.begun {
 		o.owe(p)
 	}
-	p.begun = p.begun[:0]
+	p.staged, p.owing, p.begun = append(p.staged, accesses...), append(p.owing, p.begun...), p.begun[:0]
 	return nil
 }
 
@@ -139,26 +157,37 @@ func (p *Pipeline) round() ([][][]byte, error) {
 	if len(res) != len(p.ops) {
 		return nil, p.abandon(fmt.Errorf("oram: batch of %d ops answered with %d results", len(p.ops), len(res)))
 	}
+	for _, o := range p.owing {
+		o.settle(nil)
+	}
 	for _, a := range p.staged {
-		a.Store.settle(nil)
 		if a.Landed != nil {
 			a.Landed()
 		}
 	}
 	res = res[len(p.staged):]
-	p.staged, p.ops = p.staged[:0], p.ops[:0]
+	p.reset()
 	return res, nil
 }
 
-// abandon closes every access in flight with err and returns it. No Landed
+// abandon closes every batch in flight with err and returns it. No Landed
 // hook runs.
 func (p *Pipeline) abandon(err error) error {
-	for _, a := range p.staged {
-		a.Store.settle(err)
+	for _, o := range p.owing {
+		o.settle(err)
 	}
 	for _, o := range p.begun {
-		o.end(err) // a no-op for one already served, which is in staged too
+		o.end(err) // a handle that has only begun carries on
 	}
-	p.staged, p.begun, p.ops = p.staged[:0], p.begun[:0], p.ops[:0]
+	p.reset()
+	p.begun = p.begun[:0]
 	return err
+}
+
+// reset empties the next round, dropping what it referenced: the
+// ciphertexts sent and the accesses' functions.
+func (p *Pipeline) reset() {
+	clear(p.staged)
+	clear(p.ops)
+	p.staged, p.owing, p.ops = p.staged[:0], p.owing[:0], p.ops[:0]
 }

@@ -11,6 +11,7 @@ import (
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/store"
+	"github.com/oblivfd/oblivfd/internal/telemetry"
 	"github.com/oblivfd/oblivfd/internal/trace"
 )
 
@@ -70,7 +71,28 @@ func TestUpdateIndistinguishable(t *testing.T) {
 // TestStoreModel runs a random mix of Update, Read, Write and Remove on a
 // store against a map. Update's functions cover what a caller can decide from
 // what it is shown: count up from nothing, remove at a threshold, leave alone.
+// Then the same as batches through a pipeline (batchModel) — repeats, misses,
+// removes and re-inserts of one key in one batch — on a tree of 32 leaves and
+// on one of two, where every batch of three or more paths collides on a leaf
+// and every two paths share the root.
 func TestStoreModel(t *testing.T) {
+	for _, c := range []struct {
+		name                     string
+		capacity, keys, steps, r int
+	}{
+		{"batched", 24, 24, 300, 16},
+		{"batched, 2 leaves", 2, 3, 400, 6},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o, err := Setup(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+				Capacity: c.capacity, KeyWidth: 8, ValueWidth: 4, Seed: 19,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batchModel(t, o, c.keys, c.steps, c.r, 23)
+		})
+	}
 	t.Run("path", func(t *testing.T) {
 		const capacity = 24
 		s, _ := newTestORAM(t, capacity, 4)
@@ -361,9 +383,9 @@ func TestPipelineFailedRoundLeavesNoHalfAccess(t *testing.T) {
 }
 
 // TestPipelineRefusedDoPoisonsNothing: a Do that can be seen to be wrong
-// before anything is sent — one store named twice, a store that owes its
-// write-back to another pipeline, a key wider than the store takes, a handle
-// that has already failed — is refused whole, names the access at fault, sends nothing, and
+// before anything is sent — a store that owes its write-back to another
+// pipeline, a key wider than the store takes (on a store's first mention in
+// the call or a later one), a handle that has already failed — is refused whole, names the access at fault, sends nothing, and
 // leaves the pipeline as it was: the write-backs the earlier Do owes are still
 // owed, Flush lands them, and every earlier handle still answers. Before the
 // call was validated up front, the handles begun ahead of the bad access and
@@ -412,7 +434,7 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 		at       int
 		want     string
 	}{
-		{"store named twice", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[2], Key: "k", Fn: keep}, {Store: o[1], Key: "j", Fn: keep}}, 2, "named twice"},
+		{"store named again with an over-wide key", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[2], Key: "k", Fn: keep}, {Store: o[1], Key: "123456789", Fn: keep}}, 2, "key too long"},
 		{"store owed to another pipeline", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[4], Key: "k", Fn: keep}}, 1, "in flight"},
 		{"over-wide key", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[2], Key: "123456789", Fn: keep}}, 1, "key too long"},
 		{"failed handle", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[3], Key: "k", Fn: keep}}, 1, "unusable"},
@@ -422,7 +444,7 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 		if !errors.As(err, &ae) || ae.Index != c.at || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Do = %v, want a refusal of access %d saying %q", c.name, err, c.at, c.want)
 		}
-		if c.name == "over-wide key" && !errors.Is(err, ErrKeyWidth) {
+		if c.want == "key too long" && !errors.Is(err, ErrKeyWidth) {
 			t.Errorf("%s: %v does not wrap ErrKeyWidth", c.name, err)
 		}
 	}
@@ -617,4 +639,143 @@ func TestPipelineReentersBehindWriteBack(t *testing.T) {
 			t.Errorf("pipeline after the failure is not empty: %v", err)
 		}
 	})
+}
+
+// batchModel runs steps random batches of one to maxR accesses to o through
+// one pipeline — keys drawn from keys names, so a batch repeats keys, misses
+// and removes — and checks every function is shown what a map applying the
+// same accesses in call order holds, and that the store holds what the map
+// does once each batch's write-back has landed.
+func batchModel(t *testing.T, o *ORAM, keys, steps, maxR int, seed int64) {
+	t.Helper()
+	model := make(map[string][]byte)
+	rng := rand.New(rand.NewSource(seed))
+	p := NewPipeline(o.svc)
+	for step := 0; step < steps; step++ {
+		accesses := make([]Access, 1+rng.Intn(maxR))
+		for i := range accesses {
+			k := fmt.Sprintf("k%d", rng.Intn(keys))
+			kind := rng.Intn(4)
+			v := []byte{byte(step), byte(i), byte(kind), 1}
+			accesses[i] = Access{Store: o, Key: k, Fn: func(old []byte, found bool) ([]byte, bool) {
+				want, had := model[k]
+				if found != had || !bytes.Equal(old, want) {
+					t.Fatalf("step %d access %d (%s): shown %v, %v; the model holds %v, %v", step, i, k, old, found, want, had)
+				}
+				switch kind {
+				case 0: // read
+					return old, found
+				case 1: // remove
+					delete(model, k)
+					return nil, false
+				case 2: // count up from nothing
+					if !found {
+						model[k] = []byte{0, 0, 0, 1}
+						return model[k], true
+					}
+					model[k] = []byte{old[0], old[1], old[2], old[3] + 1}
+					return model[k], true
+				}
+				model[k] = v
+				return v, true
+			}}
+		}
+		if err := p.Do(accesses...); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if rng.Intn(3) == 0 { // otherwise the write-back rides with the next batch's fetches
+			if err := p.Flush(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if o.Len() != len(model) {
+		t.Fatalf("Len = %d, model %d", o.Len(), len(model))
+	}
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("k%d", i)
+		v, found, err := o.Read(k)
+		if want, had := model[k]; err != nil || found != had || !bytes.Equal(v, want) {
+			t.Fatalf("after the batches: Read(%s) = %v, %v, %v; the model holds %v, %v", k, v, found, err, want, had)
+		}
+	}
+	checkSlots(t, o)
+}
+
+// equivocator answers the second fetch of a tree's root in one round with the
+// first root it ever answered for that tree — an authentic ciphertext of the
+// same bucket, and no longer the current one — once armed.
+type equivocator struct {
+	store.Adapter
+	armed bool
+	old   map[string][]byte
+	fired bool
+}
+
+func newEquivocator(svc store.Service) *equivocator {
+	e := &equivocator{old: make(map[string][]byte)}
+	e.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
+		if err := store.Invoke(svc, op, res); err != nil || op.Kind != store.KindBatch {
+			return err
+		}
+		seen := make(map[string]bool)
+		for i := range op.Ops {
+			b := &op.Ops[i]
+			if b.Kind() != store.KindReadPath {
+				continue
+			}
+			root := res.Batch[i][0]
+			old, ok := e.old[b.Name]
+			if !ok {
+				e.old[b.Name] = root
+			}
+			if e.armed && !e.fired && seen[b.Name] && ok && !bytes.Equal(old, root) {
+				res.Batch[i] = append([][]byte{old}, res.Batch[i][1:]...)
+				e.fired = true
+			}
+			seen[b.Name] = true
+		}
+		return nil
+	})
+	return e
+}
+
+// TestBatchEquivocationDetected: a server that shows one round two different
+// authentic ciphertexts of one bucket — the current root to one path and an
+// older root to another — is caught: the round fails with ErrIntegrity, counts
+// as an integrity failure, and leaves the handle refusing further use.
+func TestBatchEquivocationDetected(t *testing.T) {
+	svc := newEquivocator(store.NewServer())
+	reg := telemetry.New()
+	o, err := Setup(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+		Capacity: 32, KeyWidth: 8, ValueWidth: 4, Seed: 5, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := func(old []byte, found bool) ([]byte, bool) { return val(4, 1), true }
+	p := NewPipeline(svc)
+	if err := p.Do(Access{Store: o, Key: "a", Fn: keep}, Access{Store: o, Key: "b", Fn: keep}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	svc.armed = true
+	err = p.Do(Access{Store: o, Key: "a", Fn: keep}, Access{Store: o, Key: "b", Fn: keep})
+	if !svc.fired {
+		t.Fatal("the server never equivocated")
+	}
+	if !errors.Is(err, store.ErrIntegrity) || !strings.Contains(err.Error(), "different authentic ciphertexts") {
+		t.Fatalf("round with two authentic roots: %v, want an integrity failure naming the equivocation", err)
+	}
+	if got := reg.Counter("oblivfd_integrity_failures_total").Value(); got != 1 {
+		t.Errorf("integrity failures counted: %d, want 1", got)
+	}
+	if _, _, err := o.Read("a"); !errors.Is(err, store.ErrIntegrity) || !strings.Contains(err.Error(), "unusable") {
+		t.Errorf("handle after the equivocation: %v, want a refusal", err)
+	}
 }

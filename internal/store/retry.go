@@ -31,7 +31,8 @@ var ErrRetryBudgetExhausted = errors.New("store: retry budget exhausted")
 // DefaultRetryable.
 type RetryPolicy struct {
 	// MaxAttempts bounds the tries per call, including the first
-	// (default 5).
+	// (default 5); for a Batch, the tries in a row that get no piece of it
+	// through (see RetryService.batch).
 	MaxAttempts int
 	// InitialBackoff is the ceiling of the delay before the first retry
 	// (default 5ms); each further retry doubles it up to MaxBackoff.
@@ -202,35 +203,24 @@ func (r *RetryService) backoff(n int) time.Duration {
 }
 
 // handle runs one logical call: the op is issued until it succeeds, fails on
-// its merits, or the policy gives up. A failed Batch is retried whole — every
-// op in it is a read or a write carrying its exact ciphertexts, so re-applying
-// a partially applied batch converges to the same state as one clean pass —
-// and a Stats answer carries the retry count.
+// its merits, or the policy gives up, and a Stats answer carries the retry
+// count. A Batch goes through batch.
 func (r *RetryService) handle(op *Op, res *Result) error {
 	var deadline time.Time
 	if r.policy.CallTimeout > 0 {
 		deadline = time.Now().Add(r.policy.CallTimeout)
+	}
+	if op.Kind == KindBatch {
+		return r.batch(op, res, deadline)
 	}
 	for attempt := 1; ; attempt++ {
 		err := Invoke(r.svc, op, res)
 		if err == nil || attempt > 1 && op.Kind.Applied(err) {
 			break
 		}
-		if !DefaultRetryable(err) {
+		if err := r.again(op.Kind, attempt, err, deadline); err != nil {
 			return err
 		}
-		if attempt >= r.policy.MaxAttempts {
-			return fmt.Errorf("store: %v failed after %d attempts: %w", op.Kind, attempt, err)
-		}
-		if r.policy.Budget > 0 && r.spent.Add(1) > r.policy.Budget {
-			return fmt.Errorf("%w: %v: %v", ErrRetryBudgetExhausted, op.Kind, err)
-		}
-		wait := r.backoff(attempt)
-		if !deadline.IsZero() && time.Now().Add(wait).After(deadline) {
-			return fmt.Errorf("store: %v deadline exceeded after %d attempts: %w", op.Kind, attempt, err)
-		}
-		r.policy.sleep(wait)
-		r.retries.Inc()
 	}
 	if op.Kind == KindStats {
 		// With a shared registry counter the value is the stack-wide total, so
@@ -242,4 +232,65 @@ func (r *RetryService) handle(op *Op, res *Result) error {
 		}
 	}
 	return nil
+}
+
+// again follows failed try number attempt of a call of the given kind: it
+// returns the error to give up with, or nil once it has waited out the
+// backoff before the next try.
+func (r *RetryService) again(kind Kind, attempt int, err error, deadline time.Time) error {
+	if !DefaultRetryable(err) {
+		return err
+	}
+	if attempt >= r.policy.MaxAttempts {
+		return fmt.Errorf("store: %v failed after %d attempts: %w", kind, attempt, err)
+	}
+	if r.policy.Budget > 0 && r.spent.Add(1) > r.policy.Budget {
+		return fmt.Errorf("%w: %v: %v", ErrRetryBudgetExhausted, kind, err)
+	}
+	wait := r.backoff(attempt)
+	if !deadline.IsZero() && time.Now().Add(wait).After(deadline) {
+		return fmt.Errorf("store: %v deadline exceeded after %d attempts: %w", kind, attempt, err)
+	}
+	r.policy.sleep(wait)
+	r.retries.Inc()
+	return nil
+}
+
+// batch runs a Batch. Every op in it is a read or a write carrying its exact
+// ciphertexts, so re-applying a partially applied batch converges to the same
+// state as one clean pass, and so does applying its ops in consecutive
+// pieces. The first try sends it whole; each failed try is followed by one
+// that starts at the first op not yet answered and carries half as many ops
+// as the one that failed. Faults strike ops — the injector of FaultService
+// draws one per op — so a batch of k ops gets through whole with only
+// (1 − p)^k, but its pieces shrink until they get through: a round of a few
+// hundred ops at p = 2 % needs a handful of tries, not thousands. The attempt
+// count runs from the last piece that got through, so MaxAttempts bounds the
+// tries in a row that make no progress, as it bounds a single op's. The
+// server sees the batch's ops in their order, some of them again, framed by a
+// schedule that depends only on the batch's length and on when faults struck.
+func (r *RetryService) batch(op *Op, res *Result, deadline time.Time) error {
+	err := Invoke(r.svc, op, res)
+	if err == nil {
+		return nil
+	}
+	piece, size := *op, len(op.Ops)
+	answers := make([][][]byte, len(op.Ops))
+	for at, attempt := 0, 1; ; {
+		if err != nil {
+			if err := r.again(KindBatch, attempt, err, deadline); err != nil {
+				return err
+			}
+			attempt, size = attempt+1, (size+1)/2
+		}
+		piece.Ops = op.Ops[at:min(at+size, len(op.Ops))]
+		if err = Invoke(r.svc, &piece, res); err == nil {
+			copy(answers[at:], res.Batch)
+			if at += len(piece.Ops); at == len(op.Ops) {
+				res.Batch = answers
+				return nil
+			}
+			attempt = 1
+		}
+	}
 }

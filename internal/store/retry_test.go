@@ -284,3 +284,92 @@ func TestRetryOverFaults(t *testing.T) {
 		t.Errorf("retries (%d) < injected faults (%d): some fault was never retried", st.Retries, st.FaultsInjected)
 	}
 }
+
+// TestRetryBatchInPieces: after a failed try, a Batch is sent on from its
+// first unanswered op in pieces half the size of the one that failed, and
+// the caller gets the answers of one clean pass. The attempt count runs from
+// the last piece that got through; a batch that never does gives up after
+// MaxAttempts tries in a row.
+func TestRetryBatchInPieces(t *testing.T) {
+	srv := NewServer()
+	if err := srv.CreateArray("a", 64); err != nil {
+		t.Fatal(err)
+	}
+	var ops []BatchOp
+	for i := range 32 {
+		ops = append(ops, BatchOp{Write: true, Name: "a", Idx: []int64{int64(i)}, Cts: [][]byte{{byte(i)}}})
+		ops = append(ops, BatchOp{Name: "a", Idx: []int64{int64(i)}})
+	}
+	var sizes []int
+	failures := 2
+	backend := Adapt(func(op *Op, res *Result) error {
+		if op.Kind == KindBatch {
+			sizes = append(sizes, len(op.Ops))
+			if failures > 0 {
+				failures--
+				return fmt.Errorf("%w: test", ErrTransient)
+			}
+		}
+		return Invoke(srv, op, res)
+	})
+	r := WithRetry(backend, fastPolicy(RetryPolicy{MaxAttempts: 3}, nil))
+	got, err := DoBatch(r, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{64, 32, 16, 16, 16, 16}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Errorf("tries carried %v ops, want %v", sizes, want)
+	}
+	if len(got) != len(ops) {
+		t.Fatalf("%d answers for %d ops", len(got), len(ops))
+	}
+	for i := range 32 {
+		if got[2*i] != nil || len(got[2*i+1]) != 1 || got[2*i+1][0][0] != byte(i) {
+			t.Fatalf("answers %d, %d = %v, %v; want nil, [[%d]]", 2*i, 2*i+1, got[2*i], got[2*i+1], i)
+		}
+	}
+	if r.Retries() != 2 {
+		t.Errorf("Retries() = %d, want 2", r.Retries())
+	}
+
+	sizes, failures = nil, 1<<30
+	if _, err := DoBatch(r, ops); !errors.Is(err, ErrTransient) {
+		t.Fatalf("a batch that never gets through = %v, want wrapped ErrTransient", err)
+	}
+	if want := []int{64, 32, 16}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Errorf("tries carried %v ops, want %v", sizes, want)
+	}
+}
+
+// TestRetryBatchOverFaults: a round of a few hundred ops gets through a
+// per-op fault injector at 3 % — where a try of the whole round succeeds with
+// 0.97^320 ≈ 6·10⁻⁵ — within 8 attempts, with the answers of a clean pass.
+func TestRetryBatchOverFaults(t *testing.T) {
+	srv := NewServer()
+	if err := srv.CreateArray("a", 160); err != nil {
+		t.Fatal(err)
+	}
+	faulty := WithFaults(srv, FaultConfig{Seed: 11, ErrorRate: 0.03})
+	r := WithRetry(faulty, fastPolicy(RetryPolicy{MaxAttempts: 8}, nil))
+	for round := range 20 {
+		var ops []BatchOp
+		for i := range 160 {
+			ops = append(ops, BatchOp{Write: true, Name: "a", Idx: []int64{int64(i)}, Cts: [][]byte{{byte(i + round)}}})
+		}
+		for i := range 160 {
+			ops = append(ops, BatchOp{Name: "a", Idx: []int64{int64(i)}})
+		}
+		got, err := DoBatch(r, ops)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for i := range 160 {
+			if c := got[160+i]; len(c) != 1 || c[0][0] != byte(i+round) {
+				t.Fatalf("round %d: cell %d read back %v", round, i, c)
+			}
+		}
+	}
+	if faulty.Injected() == 0 {
+		t.Fatal("the seeded injector injected nothing")
+	}
+}

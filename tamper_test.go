@@ -12,6 +12,7 @@ package oblivfd
 // they compose end to end.
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"os"
@@ -201,6 +202,56 @@ func TestTamperDetectedOverTCP(t *testing.T) {
 			}
 			if backend.Corruptions() == 0 {
 				t.Errorf("flip@%d over TCP: schedule never fired", n/2)
+			}
+		})
+	}
+}
+
+// TestTamperEquivocatedBucket: the ORAM engines fetch a chunk's paths to a
+// tree in one round, and paths share buckets. A server that answers one
+// round's two fetches of a tree's root with two different authentic
+// ciphertexts — the current root to one path, the first root it ever served
+// to another — is refused with ErrIntegrity, never absorbed into a wrong FD
+// set: the client takes a shared bucket in once and requires every repeat of
+// it to be the same bytes.
+func TestTamperEquivocatedBucket(t *testing.T) {
+	for _, tc := range tamperConfigs[1:] {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := securefd.NewServer()
+			first := make(map[string][]byte) // the first root served per tree
+			fired := false
+			svc := store.Adapt(func(op *store.Op, res *store.Result) error {
+				if err := store.Invoke(srv, op, res); err != nil || op.Kind != store.KindBatch {
+					return err
+				}
+				seen := make(map[string]bool)
+				for i := range op.Ops {
+					if b := &op.Ops[i]; b.Kind() == store.KindReadPath {
+						root, ok := first[b.Name]
+						switch {
+						case !ok:
+							first[b.Name] = res.Batch[i][0]
+						case seen[b.Name] && !fired && !bytes.Equal(root, res.Batch[i][0]):
+							res.Batch[i] = append([][]byte{root}, res.Batch[i][1:]...)
+							fired = true
+						}
+						seen[b.Name] = true
+					}
+				}
+				return nil
+			})
+			// Records enough for two chunks, so every tree is fetched in
+			// more than one round and has an older root to replay.
+			db, err := securefd.Outsource(svc, securefd.GenerateRND(4, 100, 5), tc.opts)
+			if err == nil {
+				_, err = db.Discover()
+				db.Close()
+			}
+			if !fired {
+				t.Fatalf("the server never equivocated (err = %v)", err)
+			}
+			if !errors.Is(err, securefd.ErrIntegrity) || !strings.Contains(err.Error(), "different authentic ciphertexts") {
+				t.Errorf("a root answered twice in one round: err = %v, want ErrIntegrity naming the equivocation", err)
 			}
 		})
 	}
