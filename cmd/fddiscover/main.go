@@ -7,7 +7,7 @@
 //
 // By default the storage server runs in-process; -connect points the client
 // at a remote fdserver instead, reproducing the paper's two-machine
-// deployment end to end:
+// deployment end to end, with fddiscover as the resource-limited client C:
 //
 //	fddiscover -connect localhost:7066 -protocol sort data.csv
 //
@@ -32,7 +32,8 @@
 // -telemetry prints a per-phase breakdown after discovery: the run's span
 // totals by name — wall time per lattice level, per candidate
 // materialization and (over TCP) per RPC kind — then the counters
-// (ORAM accesses, sort stages, retries) and latency quantiles. -log-json
+// (ORAM accesses, sort stages, retries) and latency quantiles.
+// -telemetry-json FILE writes the same breakdown as a JSON snapshot. -log-json
 // switches the informational log lines to JSON; the FD lines themselves
 // stay plain.
 //
@@ -95,6 +96,7 @@ type options struct {
 	db          string // database namespace on a multi-tenant server
 	token       string // session auth token
 	telemetry   bool   // print the phase table, counters and latencies after discovery
+	teleJSON    string // write the same breakdown as JSON here
 	traceOut    string // write a merged Chrome trace-event artifact here
 	logJSON     bool
 }
@@ -116,9 +118,10 @@ func main() {
 	flag.StringVar(&o.resume, "resume", "", "continue a crashed run from this checkpoint file (requires -data-dir; no CSV argument)")
 	flag.StringVar(&o.connect, "connect", "", "address of a running fdserver to use instead of the in-process server")
 	flag.StringVar(&o.servers, "servers", "", "comma-separated addresses of a replicated fdserver group; the client follows the primary across failures (excludes -connect)")
-	flag.StringVar(&o.db, "db", "", "with -connect: database namespace to bind the session to on a multi-tenant server (empty = root)")
-	flag.StringVar(&o.token, "token", "", "with -connect: session auth token, required when the server runs with -session-token")
+	flag.StringVar(&o.db, "db", "", "with -connect or -servers: database namespace to bind the session to on a multi-tenant server (empty = root)")
+	flag.StringVar(&o.token, "token", "", "with -connect or -servers: session auth token, required when the server runs with -session-token")
 	flag.BoolVar(&o.telemetry, "telemetry", false, "print per-phase wall time, ORAM access counts, and latency quantiles after discovery")
+	flag.StringVar(&o.teleJSON, "telemetry-json", "", "write the run's phase/metric snapshot (per-level wall time, counters, latency histograms) as JSON to this file")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write the run's distributed trace (client and server spans merged) as Chrome trace-event JSON to this file")
 	flag.BoolVar(&o.logJSON, "log-json", false, "log informational lines as JSON instead of key=value text")
 	flag.Parse()
@@ -153,10 +156,11 @@ func newLogger(jsonFormat bool) *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, nil))
 }
 
-// newRegistry returns the run's registry, or nil when -telemetry is off (a
-// nil registry turns every instrumentation point into a no-op).
+// newRegistry returns the run's registry, or nil when neither -telemetry nor
+// -telemetry-json is on (a nil registry turns every instrumentation point
+// into a no-op).
 func (o options) newRegistry() *securefd.Registry {
-	if !o.telemetry {
+	if !o.telemetry && o.teleJSON == "" {
 		return nil
 	}
 	return securefd.NewRegistry()
@@ -199,7 +203,9 @@ func runResume(o options) error {
 		return err
 	}
 	printReport(db, report, o, start, log)
-	printBreakdown(o, reg, tr, time.Since(start))
+	if err := reportTelemetry(o, reg, tr, time.Since(start), log); err != nil {
+		return err
+	}
 	if err := writeTrace(o, tr, nil, log); err != nil {
 		return err
 	}
@@ -225,20 +231,35 @@ func printReport(db *securefd.Database, report *securefd.Report, o options, star
 	}
 }
 
-// printBreakdown renders the tracer's phase table and the registry's
-// counters and latencies (no-op without -telemetry).
-func printBreakdown(o options, reg *securefd.Registry, tr *securefd.Tracer, wall time.Duration) {
-	if !o.telemetry {
-		return
+// reportTelemetry prints the tracer's phase table and the registry's
+// counters and latencies under -telemetry, and writes them as a JSON
+// snapshot under -telemetry-json.
+func reportTelemetry(o options, reg *securefd.Registry, tr *securefd.Tracer, wall time.Duration, log *slog.Logger) error {
+	if o.telemetry {
+		fmt.Print(otrace.RenderPhases(tr.Phases(), wall))
+		fmt.Print(reg.Breakdown())
 	}
-	fmt.Print(otrace.RenderPhases(tr.Phases(), wall))
-	fmt.Print(reg.Breakdown())
+	if o.teleJSON == "" {
+		return nil
+	}
+	b, err := reg.MarshalBreakdownJSON(wall, tr.Phases())
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(o.teleJSON, b, 0o644); err != nil {
+		return err
+	}
+	if !o.quiet {
+		log.Info("telemetry snapshot written", "path", o.teleJSON)
+	}
+	return nil
 }
 
-// newTracer returns the run's span recorder, or nil when neither -trace-out
-// nor -telemetry is on (a nil tracer turns every span point into a no-op).
+// newTracer returns the run's span recorder, or nil when none of -trace-out,
+// -telemetry and -telemetry-json is on (a nil tracer turns every span point
+// into a no-op).
 func (o options) newTracer() *securefd.Tracer {
-	if o.traceOut == "" && !o.telemetry {
+	if o.traceOut == "" && !o.telemetry && o.teleJSON == "" {
 		return nil
 	}
 	return securefd.NewTracer(securefd.TracerConfig{Service: "fddiscover", SampleEvery: 1})
@@ -423,7 +444,9 @@ func run(path string, o options) error {
 			}
 		}
 	}
-	printBreakdown(o, reg, tr, time.Since(start))
+	if err := reportTelemetry(o, reg, tr, time.Since(start), log); err != nil {
+		return err
+	}
 	if err := writeTrace(o, tr, dumpTrace, log); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net"
@@ -68,6 +69,21 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunConnectErrors: -connect refuses a server that does not answer and
+// an unknown protocol.
+func TestRunConnectErrors(t *testing.T) {
+	o := quietOpts("sort")
+	o.connect = "127.0.0.1:1"
+	if err := run(writeCSV(t), o); err == nil {
+		t.Error("dead server accepted")
+	}
+	o = quietOpts("bogus")
+	o.connect = "127.0.0.1:1"
+	if err := run(writeCSV(t), o); err == nil {
+		t.Error("unknown protocol accepted")
+	}
+}
+
 // TestRunWithTelemetry: -telemetry attaches a registry through every layer
 // and prints a breakdown; the run must still succeed for each protocol.
 func TestRunWithTelemetry(t *testing.T) {
@@ -101,53 +117,62 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	return <-out, err
 }
 
+// serveTCP serves backend on a loopback listener, dropping connections as
+// drops says (none when zero), for the life of the test.
+func serveTCP(t *testing.T, backend securefd.Service, drops transport.FaultConfig) (addr string, l *transport.FaultyListener) {
+	t.Helper()
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nl.Close() })
+	l = transport.WithConnFaults(nl, drops)
+	ts := securefd.NewTCPServer(backend)
+	go func() { _ = ts.Serve(l) }()
+	t.Cleanup(func() { ts.Shutdown(time.Second) })
+	return nl.Addr().String(), l
+}
+
+// rndWithReference writes a 64×4 random relation and returns its path and
+// the FD lines the plaintext protocol prints for it.
+func rndWithReference(t *testing.T) (path, want string) {
+	t.Helper()
+	path = filepath.Join(t.TempDir(), "rnd.csv")
+	if err := securefd.WriteCSVFile(path, securefd.GenerateRND(4, 64, 3)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := captureStdout(t, func() error { return run(path, quietOpts("plaintext")) })
+	if err != nil || want == "" {
+		t.Fatalf("plaintext reference: %q, %v", want, err)
+	}
+	return path, want
+}
+
 // TestRunConnect: -connect drives discovery over the TCP transport against
 // a server in another goroutine, with telemetry recording RPC latency; and
 // against a server whose listener severs 2 % of frames, the retry layer
 // -connect always runs under still returns the plaintext FD set.
 func TestRunConnect(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ts := securefd.NewTCPServer(securefd.NewServer())
-	go func() { _ = ts.Serve(l) }()
-	defer ts.Shutdown(time.Second)
+	addr, _ := serveTCP(t, securefd.NewServer(), transport.FaultConfig{})
 
 	o := quietOpts("sort")
-	o.connect = l.Addr().String()
+	o.connect = addr
 	o.telemetry = true
 	if err := run(writeCSV(t), o); err != nil {
 		t.Errorf("run over TCP: %v", err)
 	}
 
 	o = quietOpts("sort")
-	o.connect = l.Addr().String()
+	o.connect = addr
 	o.dataDir = t.TempDir()
 	if err := run(writeCSV(t), o); err == nil {
 		t.Error("-connect with -data-dir accepted; want mutual-exclusion error")
 	}
 
-	csv := filepath.Join(t.TempDir(), "rnd.csv")
-	if err := securefd.WriteCSVFile(csv, securefd.GenerateRND(4, 64, 3)); err != nil {
-		t.Fatal(err)
-	}
-	want, err := captureStdout(t, func() error { return run(csv, quietOpts("plaintext")) })
-	if err != nil || want == "" {
-		t.Fatalf("plaintext reference: %q, %v", want, err)
-	}
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	drops := transport.WithConnFaults(fl, transport.FaultConfig{Seed: 5, DropRate: 0.02})
-	fts := securefd.NewTCPServer(securefd.NewServer())
-	go func() { _ = fts.Serve(drops) }()
-	defer fts.Shutdown(time.Second)
+	csv, want := rndWithReference(t)
+	addr, drops := serveTCP(t, securefd.NewServer(), transport.FaultConfig{Seed: 5, DropRate: 0.02})
 	o = quietOpts("sort")
-	o.connect = fl.Addr().String()
+	o.connect = addr
 	got, err := captureStdout(t, func() error { return run(csv, o) })
 	if err != nil {
 		t.Fatalf("run over a dropping connection: %v", err)
@@ -157,6 +182,90 @@ func TestRunConnect(t *testing.T) {
 	}
 	if drops.Drops() == 0 {
 		t.Error("no connection was dropped; the retry path was not exercised")
+	}
+}
+
+// TestRunConnectServerView: a -connect run leaves the server a log of the
+// ciphertext operations it served and of the FD decisions it was shown.
+func TestRunConnectServerView(t *testing.T) {
+	backend := securefd.NewServer()
+	addr, _ := serveTCP(t, backend, transport.FaultConfig{})
+	o := quietOpts("sort")
+	o.connect = addr
+	if err := run(writeCSV(t), o); err != nil {
+		t.Fatalf("run over TCP: %v", err)
+	}
+	if backend.Trace().TotalOps() == 0 {
+		t.Error("server saw no operations")
+	}
+	if len(backend.Reveals()) == 0 {
+		t.Error("server log holds no FD decisions")
+	}
+}
+
+// TestRunConnectFaultyServer: against a server whose store fails 5 % of its
+// operations and whose listener severs 1 % of frames, a -connect run still
+// returns the plaintext FD set.
+func TestRunConnectFaultyServer(t *testing.T) {
+	csv, want := rndWithReference(t)
+	faulty := securefd.WithFaults(securefd.NewServer(), securefd.FaultConfig{Seed: 2, ErrorRate: 0.05})
+	addr, drops := serveTCP(t, faulty, transport.FaultConfig{Seed: 3, DropRate: 0.01})
+	o := quietOpts("sort")
+	o.connect = addr
+	o.retries = 8
+	got, err := captureStdout(t, func() error { return run(csv, o) })
+	if err != nil {
+		t.Fatalf("run against a faulty server: %v", err)
+	}
+	if got != want {
+		t.Errorf("FDs against a faulty server:\n%s\nwant the plaintext set:\n%s", got, want)
+	}
+	if faulty.Injected() == 0 || drops.Drops() == 0 {
+		t.Errorf("%d store faults, %d drops; want both paths exercised", faulty.Injected(), drops.Drops())
+	}
+}
+
+// TestRunTelemetryJSON: -telemetry-json writes the run's tracer phases —
+// lattice levels, candidates and the client's RPCs — next to the registry's
+// counters and latency histograms.
+func TestRunTelemetryJSON(t *testing.T) {
+	addr, _ := serveTCP(t, securefd.NewServer(), transport.FaultConfig{})
+	o := quietOpts("sort")
+	o.workers = 1
+	o.connect = addr
+	o.teleJSON = filepath.Join(t.TempDir(), "tel.json")
+	if err := run(writeCSV(t), o); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	b, err := os.ReadFile(o.teleJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		WallNS     int64                      `json:"wall_ns"`
+		Counters   map[string]int64           `json:"counters"`
+		Histograms map[string]json.RawMessage `json:"histograms"`
+		Phases     []struct {
+			Name  string `json:"name"`
+			Count int64  `json:"count"`
+		} `json:"phases"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("invalid snapshot: %v\n%s", err, b)
+	}
+	phases := map[string]int64{}
+	rpcs := 0
+	for _, p := range doc.Phases {
+		phases[p.Name] = p.Count
+		if strings.HasPrefix(p.Name, "rpc/") {
+			rpcs++
+		}
+	}
+	if phases["lattice/level-00"] != 1 || phases["candidate/single"] != 1 || rpcs == 0 {
+		t.Errorf("phases = %v, want lattice/level-00, candidate/single and rpc/* rows", phases)
+	}
+	if doc.WallNS <= 0 || doc.Counters["oblivfd_sort_stages_total"] == 0 || len(doc.Histograms) == 0 {
+		t.Errorf("snapshot lacks wall time, sort stage counter or histograms:\n%s", b)
 	}
 }
 

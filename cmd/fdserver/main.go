@@ -1,22 +1,23 @@
 // Command fdserver runs the untrusted storage server S: it holds only
 // ciphertexts and answers the storage protocol over TCP. Pair it with
-// fdclient (or any securefd.DialTCP client) to reproduce the paper's
-// two-machine deployment (§VII-A). The protocol includes fused batch
+// fddiscover -connect (or any securefd.DialTCP client) to reproduce the
+// paper's two-machine deployment (§VII-A). The protocol includes fused batch
 // frames (one message carrying many cell operations, applied in order),
 // so clients that batch pay network round trips per batch, not per cell.
 //
 //	fdserver -listen :7066
 //
 // On SIGINT or SIGTERM the server drains: it stops accepting connections,
-// lets in-flight requests finish within -grace, then exits (writing
-// -snapshot if configured). With -data-dir the server is crash-safe instead:
-// every mutation is logged to an append-only WAL before it is acknowledged,
-// client-marked epochs become atomic snapshots, and startup recovers the
-// pre-crash state from the newest valid snapshot plus the log tail — kill -9
-// loses nothing. For resilience experiments, -fault-rate/-spike-rate
-// inject seeded transient storage faults and -drop-rate severs live
-// connections mid-call; a client that layers securefd.WithRetry over the
-// re-dialing DialTCP transport rides through all of them.
+// lets in-flight requests finish within -grace, then exits (replacing the
+// -snapshot file atomically if configured). With -data-dir the server is
+// crash-safe instead: every mutation is logged to an append-only WAL before
+// it is acknowledged, client-marked epochs become atomic snapshots, and
+// startup recovers the pre-crash state from the newest valid snapshot plus
+// the log tail — kill -9 loses nothing. For resilience experiments,
+// -fault-rate/-spike-rate inject seeded transient storage faults and
+// -drop-rate severs live connections mid-call; a client that layers
+// securefd.WithRetry over the re-dialing DialTCP transport rides through all
+// of them.
 //
 // With -metrics-addr the server additionally exposes operator telemetry:
 // Prometheus text at /metrics, the same snapshot as JSON at /metrics.json,
@@ -41,6 +42,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -481,18 +483,17 @@ func serve(l net.Listener, cfg config) error {
 		}
 		log.Info("saved final snapshot", "dir", cfg.dataDir)
 	case cfg.snapshotPath != "":
-		f, ferr := os.Create(cfg.snapshotPath)
-		if ferr != nil {
-			return ferr
-		}
-		if serr := mem.SaveSnapshot(f); serr != nil {
-			f.Close()
+		if serr := saveSnapshot(store.OSFS, cfg.snapshotPath, mem); serr != nil {
 			return serr
-		}
-		if cerr := f.Close(); cerr != nil {
-			return cerr
 		}
 		log.Info("saved snapshot", "path", cfg.snapshotPath)
 	}
 	return err
+}
+
+// saveSnapshot replaces the -snapshot file with mem's state atomically
+// (store.ReplaceFile): a save that fails part way leaves the previous file
+// as it was.
+func saveSnapshot(fsys store.FS, path string, mem *store.Server) error {
+	return store.ReplaceFile(fsys, path, filepath.Base(path)+"-*.tmp", mem.SaveSnapshot)
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -170,5 +173,48 @@ func TestSnapshotPersistence(t *testing.T) {
 	}
 	if len(got) != 1 || len(got[0]) != 1 || got[0][0] != 42 {
 		t.Errorf("restored cell = %v, want [42]", got)
+	}
+}
+
+// TestSnapshotSaveFailureKeepsPrevious: a shutdown save that runs out of disk
+// space mid-write fails and leaves the previous -snapshot file byte for byte,
+// with no temporary file beside it.
+func TestSnapshotSaveFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.snap")
+	mem := store.NewServer()
+	if err := mem.CreateArray("a", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.WriteCells("a", []int64{0}, [][]byte{{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveSnapshot(store.OSFS, path, mem); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.WriteCells("a", []int64{1}, [][]byte{{2, 3, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	// The 36-byte header lands; the payload write hits ENOSPC part way.
+	full := store.NewFaultFS(nil, store.FaultFSConfig{Seed: 1, DiskFullAfterBytes: 36, ShortWrites: true})
+	if err := saveSnapshot(full, path, mem); !errors.Is(err, store.ErrDiskFull) {
+		t.Fatalf("save on a full disk = %v, want ErrDiskFull", err)
+	}
+	if full.DiskFullInjected() == 0 {
+		t.Fatal("no write was refused")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("previous snapshot gone after a failed save: %v", err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Errorf("previous snapshot changed by a failed save: %d bytes, was %d", len(after), len(before))
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("directory holds %d entries after a failed save, want the snapshot alone", len(ents))
 	}
 }

@@ -60,11 +60,9 @@ func NewExEngine(edb *EncryptedDB) (*ExEngine, error) {
 // label (for a key not seen before the next fresh one, counting those its
 // chunk's earlier records drew) and leaves its frequency one higher, and one
 // write of (key_X, label) to O^IKL. Exactly two ORAM accesses regardless of
-// data; card_X and the label source move when the write-backs land.
+// data; card_X and the label source move when the chunk's write-backs land.
 func exStep(st *oramState, id string, key uint64, label *uint64) (primary, secondary oram.Access) {
-	var fresh bool
 	primary = oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
-		fresh = !found
 		fre := uint64(0)
 		if found {
 			*label, fre = decodeUint64(old), decodeUint64(old[8:])
@@ -73,12 +71,6 @@ func exStep(st *oramState, id string, key uint64, label *uint64) (primary, secon
 			st.pending++
 		}
 		return st.pair(*label, fre+1), true
-	}, Landed: func() {
-		if fresh {
-			st.card++
-			st.nextLabel++
-			st.pending--
-		}
 	}}
 	secondary = oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.pair(key, *label), true }}
 	return primary, secondary

@@ -40,10 +40,9 @@ type oramLayout struct {
 	// of ids per round around the records' steps, never accessed in them.
 	positional bool
 	// step is the loop body for one record with its key_X already built: the
-	// primary's read-modify-write, whose Landed moves the set's card_X once
-	// the chunk's write-backs are on the server, and the secondary's write
-	// when the secondary is an ORAM. The record's label_X is left in label.
-	// levelStep sends them.
+	// primary's read-modify-write, which counts a fresh label in the set's
+	// pending, and the secondary's write when the secondary is an ORAM. The
+	// record's label_X is left in label. levelStep sends them.
 	step func(st *oramState, id string, key uint64, label *uint64) (primary, secondary oram.Access)
 }
 
@@ -59,10 +58,10 @@ type oramState struct {
 	labels    string     // O^IL: the name of Or-ORAM's label array
 	card      uint64     // |π_X|
 	nextLabel uint64     // ExEngine's monotone label source
-	// pending counts the fresh labels drawn by accesses whose write-backs
+	// pending counts the fresh labels drawn by the chunk whose write-backs
 	// have not landed: the next fresh label is card + pending in OrEngine,
-	// nextLabel + pending in ExEngine, and each landing moves one from
-	// pending into card (and nextLabel).
+	// nextLabel + pending in ExEngine, and stepChunk moves them all into card
+	// (and nextLabel) once the chunk's last round is on the server.
 	pending uint64
 	cover   [2]relation.AttrSet // the Property 1 subsets; zero for singletons
 	// val is where a step builds the value an access stores; a store copies
@@ -142,7 +141,7 @@ var levelAtATime = grouping{width: levelWidth}
 // and r are, and which structures stand where in a round, follows from the
 // request list — the lattice, a function of (m, FDs) — and n, and from nothing
 // fetched. A set's card_X moves when the round carrying its records'
-// write-backs lands (oram.Access.Landed).
+// write-backs lands (stepChunk).
 type oramCore struct {
 	setTable[*oramState]
 	edb      *EncryptedDB
@@ -312,7 +311,8 @@ func (c *oramCore) reader(lv *level, k, rec int) oram.UpdateFunc {
 // one record with the single set it is stepping: readChunk's round, levelStep's
 // one or two, and writeLabels' round, which carries the chunk's write-backs.
 // An insertion passes its row, which holds its single keys. Whatever happens,
-// the pipeline owes nothing after it.
+// the pipeline owes nothing after it, and only a chunk whose last round landed
+// moves card_X.
 func (c *oramCore) stepChunk(lv *level, ids []int64, row relation.Row) error {
 	err := c.readChunk(lv, ids, row)
 	if err == nil {
@@ -320,6 +320,16 @@ func (c *oramCore) stepChunk(lv *level, ids []int64, row relation.Row) error {
 	}
 	if err == nil {
 		err = c.writeLabels(lv, ids)
+	}
+	if err == nil {
+		for _, t := range lv.targets {
+			st := t.st
+			st.card += st.pending
+			if c.layout.kind == engineKindEx {
+				st.nextLabel += st.pending
+			}
+			st.pending = 0
+		}
 	}
 	// Write-backs are still owed only when a call was refused before it was
 	// sent; flushing an empty pipeline sends nothing.
@@ -429,7 +439,7 @@ func (c *oramCore) readChunk(lv *level, ids []int64, row relation.Row) error {
 // records' functions run in that order, so each sees what the records before
 // it left, and a fresh label drawn for one is counted by the next
 // (oramState.pending). The targets' write-backs stay owed: they lead the
-// chunk's last round, and card_X moves when they land.
+// chunk's last round, and card_X moves when it lands.
 func (c *oramCore) levelStep(lv *level, ids []int64) error {
 	lv.rids = lv.rids[:0]
 	for _, id := range ids {

@@ -41,11 +41,9 @@ func NewOrEngine(edb *EncryptedDB) *OrEngine {
 // counting the fresh labels of its chunk's earlier records — as its label (the
 // paper's lines 6–10 as a single read-modify-write). One access, whether or
 // not the key was seen before; the label goes to the record's O^IL cell with
-// the rest of its chunk's, and card_X moves when the write-back lands.
+// the rest of its chunk's, and card_X moves when the chunk's write-backs land.
 func orStep(st *oramState, _ string, key uint64, label *uint64) (primary, _ oram.Access) {
-	fresh := false
 	return oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
-		fresh = !found
 		if found {
 			*label = decodeUint64(old)
 		} else {
@@ -54,11 +52,6 @@ func orStep(st *oramState, _ string, key uint64, label *uint64) (primary, _ oram
 		}
 		binary.BigEndian.PutUint64(st.val[:labelWidth], *label)
 		return st.val[:labelWidth], true
-	}, Landed: func() {
-		if fresh {
-			st.card++
-			st.pending--
-		}
 	}}, oram.Access{}
 }
 

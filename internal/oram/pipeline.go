@@ -7,15 +7,11 @@ import (
 )
 
 // An Access is one oblivious access for a Pipeline to run: Fn is handed the
-// value stored under Key in Store and decides what stays there. Landed, if
-// set, runs once the access's write-back is on the server — before the
-// pipeline serves anything fetched in the same round — and never for a
-// write-back that was lost.
+// value stored under Key in Store and decides what stays there.
 type Access struct {
-	Store  *ORAM
-	Key    string
-	Fn     UpdateFunc
-	Landed func()
+	Store *ORAM
+	Key   string
+	Fn    UpdateFunc
 }
 
 // Pipeline runs batches of accesses with their server calls fused. An access
@@ -50,12 +46,12 @@ type Access struct {
 // pipeline is empty again. A pipeline is not safe for concurrent use, and a
 // handle takes part in one batch at a time.
 type Pipeline struct {
-	svc    store.Service
-	staged []Access        // served; their write-backs lead the next round, one each
-	owing  []*ORAM         // the handles whose write-backs those are
-	begun  []*ORAM         // the handles this Do's fetches are for, in order of first mention
-	index  []int           // this Do's accesses' places in their handles' batches
-	ops    []store.BatchOp // the next round: staged write-backs, then fetches
+	svc   store.Service
+	wrote int             // served accesses whose write-backs lead the next round, one each
+	owing []*ORAM         // the handles whose write-backs those are
+	begun []*ORAM         // the handles this Do's fetches are for, in order of first mention
+	index []int           // this Do's accesses' places in their handles' batches
+	ops   []store.BatchOp // the next round: the wrote write-backs, then fetches
 }
 
 // NewPipeline returns an empty pipeline over the service its stores live on.
@@ -79,7 +75,7 @@ func (e *AccessError) Unwrap() error { return e.Err }
 // same store or another. Their own write-backs wait for the next Do or Flush.
 // A store may be named any number of times; a store whose write-back this
 // pipeline still owes may be named too: its fetches follow the write-back in
-// the round, and the earlier accesses' Landed hooks run before these Fns.
+// the round, so these Fns see what the earlier accesses left.
 //
 // A call that cannot be sent — a handle that is unusable or owes a write-back
 // to another pipeline or to a direct access, a key too wide — is refused
@@ -130,7 +126,7 @@ func (p *Pipeline) Do(accesses ...Access) error {
 	for _, o := range p.begun {
 		o.owe(p)
 	}
-	p.staged, p.owing, p.begun = append(p.staged, accesses...), append(p.owing, p.begun...), p.begun[:0]
+	p.wrote, p.owing, p.begun = p.wrote+len(accesses), append(p.owing, p.begun...), p.begun[:0]
 	return nil
 }
 
@@ -143,9 +139,9 @@ func (p *Pipeline) Flush(extra ...store.BatchOp) error {
 	return err
 }
 
-// round sends p.ops as one batch, settles the write-backs it carried, runs
-// their Landed hooks and returns what the rest of the batch answered: the
-// fetched paths, in the order begun.
+// round sends p.ops as one batch, settles the write-backs it carried and
+// returns what the rest of the batch answered: the fetched paths, in the
+// order begun.
 func (p *Pipeline) round() ([][][]byte, error) {
 	if len(p.ops) == 0 {
 		return nil, nil
@@ -160,18 +156,12 @@ func (p *Pipeline) round() ([][][]byte, error) {
 	for _, o := range p.owing {
 		o.settle(nil)
 	}
-	for _, a := range p.staged {
-		if a.Landed != nil {
-			a.Landed()
-		}
-	}
-	res = res[len(p.staged):]
+	res = res[p.wrote:]
 	p.reset()
 	return res, nil
 }
 
-// abandon closes every batch in flight with err and returns it. No Landed
-// hook runs.
+// abandon closes every batch in flight with err and returns it.
 func (p *Pipeline) abandon(err error) error {
 	for _, o := range p.owing {
 		o.settle(err)
@@ -184,10 +174,8 @@ func (p *Pipeline) abandon(err error) error {
 	return err
 }
 
-// reset empties the next round, dropping what it referenced: the
-// ciphertexts sent and the accesses' functions.
+// reset empties the next round, dropping the ciphertexts it referenced.
 func (p *Pipeline) reset() {
-	clear(p.staged)
 	clear(p.ops)
-	p.staged, p.owing, p.ops = p.staged[:0], p.owing[:0], p.ops[:0]
+	p.wrote, p.owing, p.ops = 0, p.owing[:0], p.ops[:0]
 }

@@ -451,8 +451,8 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 	if got := rounds.Rounds(); got != sent {
 		t.Errorf("refused calls sent %d rounds", got-sent)
 	}
-	if len(p.staged) != 1 || p.staged[0].Store != o[0] || len(p.begun) != 0 || len(p.ops) != 1 {
-		t.Fatalf("pipeline after refusals: %d staged, %d begun, %d ops; want o[0]'s write-back alone", len(p.staged), len(p.begun), len(p.ops))
+	if p.wrote != 1 || len(p.owing) != 1 || p.owing[0] != o[0] || len(p.begun) != 0 || len(p.ops) != 1 {
+		t.Fatalf("pipeline after refusals: %d write-backs, %d owing, %d begun, %d ops; want o[0]'s write-back alone", p.wrote, len(p.owing), len(p.begun), len(p.ops))
 	}
 	if err := p.Flush(); err != nil {
 		t.Fatalf("Flush of what was owed before the refusals: %v", err)
@@ -522,11 +522,11 @@ func TestPipelineRetriedRoundIsInvisible(t *testing.T) {
 // TestPipelineReentersBehindWriteBack: a store whose write-back the pipeline
 // still owes may be named again. Its fetch rides behind the write-back in one
 // round — one round fewer than a Flush between them — the second access sees
-// what the first left, the first's Landed has run before the second's Fn, and
-// the server's trace is that of two serial accesses. Anyone else is still
-// refused the owed handle; when the combined round is lost the handle refuses
-// further use and the lost write-back's Landed never runs, while a handle that
-// had only begun in that round carries on.
+// what the first left, the first's write-back has settled before the second's
+// Fn, and the server's trace is that of two serial accesses. Anyone else is
+// still refused the owed handle; when the combined round is lost the handle
+// refuses further use, while a handle that had only begun in that round
+// carries on.
 func TestPipelineReentersBehindWriteBack(t *testing.T) {
 	asIs := func(s store.Service) store.Service { return s }
 	count := func(old []byte, found bool) ([]byte, bool) {
@@ -546,16 +546,15 @@ func TestPipelineReentersBehindWriteBack(t *testing.T) {
 
 		rig := newPipelineRig(t, asIs)
 		o, p, base := rig.stores[0], NewPipeline(rig.rounds), rig.rounds.Rounds()
-		landed := false
-		if err := p.Do(Access{Store: o, Key: "k", Fn: count, Landed: func() { landed = true }}); err != nil {
+		if err := p.Do(Access{Store: o, Key: "k", Fn: count}); err != nil {
 			t.Fatal(err)
 		}
-		if landed {
-			t.Error("Landed ran before the write-back was sent")
+		if o.owedTo != p {
+			t.Error("the write-back settled before it was sent")
 		}
 		var saw []byte
 		err := p.Do(Access{Store: o, Key: "k", Fn: func(old []byte, found bool) ([]byte, bool) {
-			if !landed {
+			if o.owedTo != nil {
 				t.Error("the second access was served before the first's write-back landed")
 			}
 			saw = append([]byte(nil), old...)
@@ -613,18 +612,15 @@ func TestPipelineReentersBehindWriteBack(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		p, landed := NewPipeline(svc), 0
-		if err := p.Do(Access{Store: o[0], Key: "k", Fn: count, Landed: func() { landed++ }}); err != nil {
+		p := NewPipeline(svc)
+		if err := p.Do(Access{Store: o[0], Key: "k", Fn: count}); err != nil {
 			t.Fatal(err)
 		}
 		svc.armed = true
-		err := p.Do(Access{Store: o[0], Key: "k", Fn: count, Landed: func() { landed++ }}, Access{Store: o[1], Key: "k", Fn: count})
+		err := p.Do(Access{Store: o[0], Key: "k", Fn: count}, Access{Store: o[1], Key: "k", Fn: count})
 		svc.armed = false
 		if !errors.Is(err, errRoundLost) {
 			t.Fatalf("combined round through a failing service: %v", err)
-		}
-		if landed != 0 {
-			t.Errorf("%d Landed hooks ran for write-backs that were lost", landed)
 		}
 		if _, _, err := o[0].Read("k"); !errors.Is(err, errRoundLost) || !strings.Contains(err.Error(), "unusable") {
 			t.Errorf("store whose write-back rode in the lost round: %v, want a refusal naming it", err)

@@ -12,7 +12,7 @@
 //
 // Besides the ring, a Tracer keeps a running count and total duration per
 // span name (Phases), exact however often the ring has wrapped: that is the
-// per-phase table fddiscover and fdclient print under -telemetry.
+// per-phase table fddiscover prints under -telemetry.
 //
 // otrace is distinct from internal/trace (the adversary-view recorder used
 // by the security tests) and from internal/telemetry (counters, gauges and

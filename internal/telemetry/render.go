@@ -160,8 +160,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // MarshalBreakdownJSON returns the registry's counters, gauges and
 // histograms as JSON, with the run's wall time and the caller's phase table
-// (an otrace Tracer's Phases, say) under "phases": the snapshot fdclient
-// -telemetry writes.
+// (an otrace Tracer's Phases, say) under "phases": the snapshot fddiscover
+// -telemetry-json writes.
 func (r *Registry) MarshalBreakdownJSON(wall time.Duration, phases any) ([]byte, error) {
 	doc := struct {
 		WallNS int64 `json:"wall_ns"`

@@ -373,8 +373,9 @@ type Options struct {
 	// DESIGN.md §11), and with a transport-backed service the connection pool
 	// should be at least this large so concurrent builds overlap round trips.
 	// The ORAM protocols do not use it: they take a lattice level at a time on
-	// one goroutine, every set's accesses for a record in the same round
-	// trips, and show the server the same ordered trace whatever it is.
+	// one goroutine, a chunk of records' accesses to every set of a group in
+	// the same 3 round trips, and show the server the same ordered trace
+	// whatever it is.
 	Workers int
 	// InsertHeadroom reserves capacity for that many future insertions
 	// (ProtocolORAM and ProtocolDynamicORAM).
