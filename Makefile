@@ -125,10 +125,11 @@ bench-oram:
 	$(GO) test -run '^$$' -bench 'PathAccess' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
 	$(GO) test -run '^$$' -bench 'EngineStepLoopback|EngineLevelLoopback' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 
-# The four decoders that read bytes from outside the process — a request, a
-# response, a WAL record, and a client checkpoint past its CRC — fuzzed
-# briefly: error or exact round trip, never a panic, never an allocation the
-# bytes present cannot back. The seed corpora (every kind and op, real
+# The five decoders that read bytes from outside the process — a request, a
+# response, a WAL record, a server snapshot and a client checkpoint past
+# their CRCs — fuzzed briefly: error or exact round trip, never a panic, never
+# an allocation the bytes present cannot back. The seed corpora (every kind
+# and logged record, a fresh snapshot and an overflowing tree shape, real
 # checkpoints of both ORAM engines, bit-flipped and cut) also run as plain
 # tests under `go test`.
 FUZZTIME ?= 10s
@@ -136,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 # The benchmark (go run ./benchmark) multiplies every time it reports by its

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -12,33 +13,34 @@ import (
 	"testing"
 )
 
-// codecRecords covers every walOp, with the ciphertext shapes callers
-// actually produce: absent, empty, and lists holding nil and zero-length
-// elements (both of which mean "this cell was never written").
-func codecRecords() []*walRecord {
-	return []*walRecord{
-		{Op: walCreateArray, Name: "db/a", N: 4096},
-		{Op: walCreateArray, Name: "", N: 0},
-		{Op: walWriteCells, Name: "a", Idx: []int64{0, 1, 2, 63}, Cts: [][]byte{{1}, {2, 3}, nil, bytes.Repeat([]byte{0xAB}, 200)}},
-		{Op: walWriteCells, Name: "a", Idx: []int64{9, 3, -1 << 62, 1<<62 + 5}, Cts: [][]byte{{}, nil, {7}, {}}},
-		{Op: walWriteCells, Name: "a"},
-		{Op: walWriteCells, Name: "a", Idx: []int64{}, Cts: [][]byte{}},
-		{Op: walCreateTree, Name: "t", Levels: 11, Slots: 4},
-		{Op: walWritePath, Name: "t", Leaf: 1<<32 - 1, Cts: [][]byte{{9}, {8}, {7}, nil, nil, nil}},
-		{Op: walWritePath, Name: "t", Leaf: 0},
-		{Op: walWriteBuckets, Name: "t", N: 1023, Cts: [][]byte{{5}, nil}},
-		{Op: walDelete, Name: "a"},
-		{Op: walCheckpoint, Name: "", N: 7},
-		{Op: walCheckpoint, Name: "tenant", N: -3},
-		{Op: walFence, Name: "primary", N: 12},
-		{Op: walRepairCells, Name: "a", Idx: []int64{5}, Cts: [][]byte{{1, 2, 3}}},
-		{Op: walRepairSlots, Name: "t", Idx: []int64{40, 41}, Cts: [][]byte{{1}, nil}},
+// codecRecords covers every kind the log carries — the mutating Service
+// kinds, Promote and Repair of cells and of slots — with the ciphertext
+// shapes callers actually produce: absent, empty, and lists holding nil and
+// zero-length elements (both of which mean "this cell was never written").
+func codecRecords() []*Op {
+	return []*Op{
+		{Kind: KindCreateArray, Name: "db/a", N: 4096},
+		{Kind: KindCreateArray, Name: "", N: 0},
+		{Kind: KindWriteCells, Name: "a", Idx: []int64{0, 1, 2, 63}, Cts: [][]byte{{1}, {2, 3}, nil, bytes.Repeat([]byte{0xAB}, 200)}},
+		{Kind: KindWriteCells, Name: "a", Idx: []int64{9, 3, -1 << 62, 1<<62 + 5}, Cts: [][]byte{{}, nil, {7}, {}}},
+		{Kind: KindWriteCells, Name: "a"},
+		{Kind: KindWriteCells, Name: "a", Idx: []int64{}, Cts: [][]byte{}},
+		{Kind: KindCreateTree, Name: "t", Levels: 11, Slots: 4},
+		{Kind: KindWritePath, Name: "t", Leaf: 1<<32 - 1, Cts: [][]byte{{9}, {8}, {7}, nil, nil, nil}},
+		{Kind: KindWritePath, Name: "t", Leaf: 0},
+		{Kind: KindWriteBuckets, Name: "t", N: 1023, Cts: [][]byte{{5}, nil}},
+		{Kind: KindDelete, Name: "a"},
+		{Kind: KindCheckpoint, DB: "", Value: 7},
+		{Kind: KindCheckpoint, DB: "tenant", Value: -3},
+		{Kind: KindPromote, Name: "primary", Value: 12},
+		{Kind: KindRepair, Name: "a", Idx: []int64{5}, Cts: [][]byte{{1, 2, 3}}},
+		{Kind: KindRepair, Name: "t", N: 1, Idx: []int64{40, 41}, Cts: [][]byte{{1}, nil}},
 	}
 }
 
 // normalized is what a record decodes to: empty lists and zero-length
 // ciphertexts come back nil.
-func normalized(rec *walRecord) *walRecord {
+func normalized(rec *Op) *Op {
 	out := *rec
 	if len(out.Idx) == 0 {
 		out.Idx = nil
@@ -55,7 +57,7 @@ func normalized(rec *walRecord) *walRecord {
 	return &out
 }
 
-func mustEncode(t testing.TB, rec *walRecord) []byte {
+func mustEncode(t testing.TB, rec *Op) []byte {
 	t.Helper()
 	frame, err := encodeWALRecord(rec)
 	if err != nil {
@@ -65,38 +67,38 @@ func mustEncode(t testing.TB, rec *walRecord) []byte {
 }
 
 func TestWALCodecRoundTripEveryOp(t *testing.T) {
-	seen := map[walOp]bool{}
+	seen := map[Kind]bool{}
 	for _, rec := range codecRecords() {
-		seen[rec.Op] = true
+		seen[rec.Kind] = true
 		frame := mustEncode(t, rec)
 		payload, err := checkWALFrame(frame)
 		if err != nil {
-			t.Fatalf("%v: fresh frame fails its own check: %v", rec.Op, err)
+			t.Fatalf("%v: fresh frame fails its own check: %v", rec.Kind, err)
 		}
 		got, err := decodeWALPayload(payload)
 		if err != nil {
-			t.Fatalf("%v: %v", rec.Op, err)
+			t.Fatalf("%v: %v", rec.Kind, err)
 		}
 		if want := normalized(rec); !reflect.DeepEqual(got, want) {
-			t.Errorf("%v round trip:\n got %+v\nwant %+v", rec.Op, got, want)
+			t.Errorf("%v round trip:\n got %+v\nwant %+v", rec.Kind, got, want)
 		}
 		// Sized exactly but for two scalars and two absent list counts.
 		if slack := cap(frame) - len(frame); slack > 2*binary.MaxVarintLen64+2 {
-			t.Errorf("%v: frame over-allocated by %d bytes", rec.Op, slack)
+			t.Errorf("%v: frame over-allocated by %d bytes", rec.Kind, slack)
 		}
 	}
-	for op := walOp(0); op < numWALOps; op++ {
-		if !seen[walOp(op)] {
-			t.Errorf("no round-trip case for %v", walOp(op))
+	for k := Kind(0); k < NumKinds; k++ {
+		if logged := k.info().mutates || k == KindPromote || k == KindRepair; logged && !seen[k] {
+			t.Errorf("no round-trip case for %v", k)
 		}
 	}
-	if _, err := encodeWALRecord(&walRecord{Op: numWALOps}); err == nil {
-		t.Error("an op outside the table encoded")
+	if _, err := encodeWALRecord(&Op{Kind: NumKinds}); err == nil {
+		t.Error("a kind outside the table encoded")
 	}
 }
 
 func TestEncodeWALRecordAllocatesOnce(t *testing.T) {
-	rec := &walRecord{Op: walWriteCells, Name: "db:sort:col3", Idx: make([]int64, 64), Cts: make([][]byte, 64)}
+	rec := &Op{Kind: KindWriteCells, Name: "db:sort:col3", Idx: make([]int64, 64), Cts: make([][]byte, 64)}
 	for i := range rec.Idx {
 		rec.Idx[i] = int64(128 + i)
 		rec.Cts[i] = make([]byte, 45)
@@ -107,6 +109,30 @@ func TestEncodeWALRecordAllocatesOnce(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Errorf("encodeWALRecord: %v allocations, want 1", n)
+	}
+}
+
+// TestApplyRecordAllocatesNothingOfItsOwn: a logged mutation reaches the
+// in-memory server with exactly the allocations of the typed call it stands
+// for — no record copy, no Result.
+func TestApplyRecordAllocatesNothingOfItsOwn(t *testing.T) {
+	s := NewServer()
+	if err := s.CreateArray("a", 64); err != nil {
+		t.Fatal(err)
+	}
+	op := &Op{Kind: KindWriteCells, Name: "a", Idx: []int64{3, 9}, Cts: [][]byte{{1}, {2}}}
+	direct := testing.AllocsPerRun(100, func() {
+		if err := s.WriteCells(op.Name, op.Idx, op.Cts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	logged := testing.AllocsPerRun(100, func() {
+		if err := applyRecord(s, op, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if logged != direct {
+		t.Errorf("applyRecord: %v allocations, WriteCells alone %v", logged, direct)
 	}
 }
 
@@ -149,7 +175,7 @@ func TestChecksummedGarbageMidLogIsRefusedNotTruncated(t *testing.T) {
 		payload []byte
 		want    string
 	}{
-		{"garbage", []byte("\x01\xf0 this is not a record"), "does not decode"},
+		{"garbage", append([]byte{walVersion}, "\xf0 this is not a record"...), "does not decode"},
 		{"unknown op", []byte{walVersion, 0xf0, 0}, "unknown op"},
 		{"wrong version", append([]byte{0x5c}, goodPayload[1:]...), "version 0x5c"},
 		{"short field", goodPayload[:len(goodPayload)-3], "does not decode"},
@@ -160,11 +186,11 @@ func TestChecksummedGarbageMidLogIsRefusedNotTruncated(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			var log []byte
-			log = append(log, mustEncode(t, &walRecord{Op: walCreateArray, Name: "a", N: 64})...)
+			log = append(log, mustEncode(t, &Op{Kind: KindCreateArray, Name: "a", N: 64})...)
 			log = append(log, mustEncode(t, good)...)
 			before := len(log)
 			log = append(log, reframe(tc.payload)...)
-			log = append(log, mustEncode(t, &walRecord{Op: walWriteCells, Name: "a", Idx: []int64{7}, Cts: [][]byte{{42}}})...)
+			log = append(log, mustEncode(t, &Op{Kind: KindWriteCells, Name: "a", Idx: []int64{7}, Cts: [][]byte{{42}}})...)
 			if err := os.WriteFile(filepath.Join(dir, walName), log, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +203,7 @@ func TestChecksummedGarbageMidLogIsRefusedNotTruncated(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
-			if tc.name == "wrong version" && !strings.Contains(err.Error(), "version 1") {
+			if tc.name == "wrong version" && !strings.Contains(err.Error(), fmt.Sprintf("version %d", walVersion)) {
 				t.Errorf("error %q does not name the version this build reads", err)
 			}
 			if !reflect.DeepEqual(dirState(t, dir), state) {
@@ -197,18 +223,22 @@ func TestChecksummedGarbageMidLogIsRefusedNotTruncated(t *testing.T) {
 }
 
 // TestGobEraDataDirIsRefused: a log and a snapshot written by the last
-// gob-encoding build (testdata, generated at commit f04b91c) are each refused
-// with an error naming the format, and nothing in the directory changes —
-// before the version byte was checked loudly, the log would have been taken
-// for a torn tail at byte 0 and emptied.
+// gob-encoding build (testdata, generated at commit f04b91c), and a version-1
+// log holding one record of each of its ten operations, fence and both
+// repairs included (generated at commit 3a8ca09, the last build to write
+// version 1), are each refused with an error naming the format, and nothing
+// in the directory changes — before the version byte was checked loudly, the
+// gob-era log would have been taken for a torn tail at byte 0 and emptied.
 func TestGobEraDataDirIsRefused(t *testing.T) {
+	thisVersion := fmt.Sprintf("version %d", walVersion)
 	for _, tc := range []struct {
 		file, as string
 		sentinel error
 		want     []string
 	}{
-		{"gob-era-wal.log", walName, ErrCorruptWAL, []string{"version 0x5c", "version 1", "gob"}},
+		{"gob-era-wal.log", walName, ErrCorruptWAL, []string{"version 0x5c", thisVersion, "gob"}},
 		{"gob-era.snap", "snap-00000001.snap", ErrCorruptSnapshot, []string{"OFDSNAP2", "OFDSNAP3"}},
+		{"v1-wal.log", walName, ErrCorruptWAL, []string{"version 0x01", "version 1 ", thisVersion}},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -333,7 +363,11 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw[walHeaderLen:])
-	f.Add([]byte{walVersion, byte(walWriteCells), 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a count of 2³² in 8 bytes
+	if raw, err = os.ReadFile(filepath.Join("testdata", "v1-wal.log")); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw[walHeaderLen:])
+	f.Add([]byte{walVersion, byte(KindWriteCells), 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a count of 2³² in 8 bytes
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := decodeWALPayload(payload)
@@ -345,7 +379,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		}
 		// One 24-byte slice header per ciphertext and 8 bytes per index, each
 		// of which took at least one input byte; the bytes themselves once.
-		footprint := len(rec.Name) + 8*len(rec.Idx) + 24*len(rec.Cts)
+		footprint := len(rec.Name) + len(rec.DB) + 8*len(rec.Idx) + 24*len(rec.Cts)
 		for _, ct := range rec.Cts {
 			footprint += len(ct)
 		}
@@ -364,8 +398,8 @@ func FuzzDecodeWALRecord(f *testing.F) {
 
 // benchRecord is the record the replicated Sort workload logs: one 64-cell
 // chunk write.
-func benchRecord() *walRecord {
-	rec := &walRecord{Op: walWriteCells, Name: "db:sort:col1", Idx: make([]int64, 64), Cts: make([][]byte, 64)}
+func benchRecord() *Op {
+	rec := &Op{Kind: KindWriteCells, Name: "db:sort:col1", Idx: make([]int64, 64), Cts: make([][]byte, 64)}
 	for i := range rec.Idx {
 		rec.Idx[i] = int64(128 + i)
 		rec.Cts[i] = bytes.Repeat([]byte{byte(i)}, 45)

@@ -393,26 +393,26 @@ func (d *DurableServer) logFrame(frame []byte) error {
 	return d.wal.append(frame)
 }
 
-// mutate encodes rec, applies it to memory and logs it.
-func (d *DurableServer) mutate(rec *walRecord) error {
-	frame, err := encodeWALRecord(rec)
+// mutate encodes op, applies it to memory and logs it.
+func (d *DurableServer) mutate(op *Op) error {
+	frame, err := encodeWALRecord(op)
 	if err != nil {
 		return err
 	}
-	return d.applyFramed(rec, frame, false)
+	return d.applyFramed(op, frame, false)
 }
 
-// applyFramed applies rec to memory (rec.apply gives replay its meaning) and,
-// on success, appends frame — rec's encoding, made once by whoever built or
-// received the record — to the log. A root checkpoint is the exception: it is
+// applyFramed applies op to memory (applyRecord gives replay its meaning)
+// and, on success, appends frame — op's encoding, made once by whoever built
+// or received the record — to the log. A root checkpoint is the exception: it is
 // made durable as a snapshot, which absorbs the log, not as a record in it.
 // A WAL append refused for lack of disk space parks the frame (memory already
 // holds the effect) and returns a retryable error wrapping ErrDiskFull; while
 // anything is parked the server is degraded and sheds further writes up
 // front. Fail-stop WAL errors latch the server dead.
-func (d *DurableServer) applyFramed(rec *walRecord, frame []byte, replay bool) error {
-	if rec.Op == walCheckpoint && rec.Name == "" {
-		return d.checkpointRoot(rec.N)
+func (d *DurableServer) applyFramed(op *Op, frame []byte, replay bool) error {
+	if op.Kind == KindCheckpoint && op.DB == "" {
+		return d.checkpointRoot(op.Value)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -425,7 +425,7 @@ func (d *DurableServer) applyFramed(rec *walRecord, frame []byte, replay bool) e
 		d.sheds.Inc()
 		return err
 	}
-	if err := rec.apply(d.mem, replay); err != nil {
+	if err := applyRecord(d.mem, op, replay); err != nil {
 		return err
 	}
 	if err := d.logFrame(frame); err != nil {
@@ -532,7 +532,7 @@ func (d *DurableServer) handle(op *Op, res *Result) (err error) {
 		res.Batch, err = eachBatchOp(op.Ops, d.handle)
 		return err
 	case op.Kind.info().mutates:
-		return d.mutate(walRecordOf(op))
+		return d.mutate(op)
 	}
 	if err := d.readGuard(); err != nil {
 		return err

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+
+	"github.com/oblivfd/oblivfd/internal/wire"
 )
 
 // The storage seam, reified. Service is what protocol code calls: one typed
@@ -14,13 +17,19 @@ import (
 // method. Exactly two pieces of code know the whole method set: Adapter
 // turns a Handler into a Service, and Invoke turns an Op back into the one
 // typed call on a Service that is not Handler-backed (the Server, and
-// decorators outside this module's control).
+// decorators outside this module's control). AppendFields and ReadFields are
+// the one byte layout of each operation's fields: a TCP request carries it
+// after its header, and a write-ahead log record after its kind (wal.go).
 
 // Kind names one operation crossing the client/server seam. The numbers are
 // the wire encoding of a request's kind (internal/transport pins them), so
-// kinds are only ever appended. Thirteen are Service operations; the rest are
-// control messages the transport server answers itself (session handshake,
-// replication, trace dump) and never reach a Service.
+// kinds are only ever appended, and the first byte of a write-ahead log
+// record's payload after its version is a Kind too. Thirteen are Service
+// operations; the rest are control messages the transport server answers
+// itself (session handshake, replication, trace dump) and never reach a
+// Service. Two of those also name log records no client sends: Promote the
+// fencing epoch a server adopted, Repair the ciphertexts a self-heal
+// installed (see wal.go).
 type Kind uint8
 
 const (
@@ -141,7 +150,8 @@ func (k Kind) Applied(err error) bool {
 //
 // DB is the database namespace a Checkpoint or Stats acts on ("" = root).
 // It never crosses the wire — a connection's namespace is bound by its
-// session handshake — so only server-side layers set it (Namespaced).
+// session handshake — so only server-side layers set it (Namespaced), and
+// only the write-ahead log records it.
 type Op struct {
 	Kind   Kind
 	Name   string
@@ -154,6 +164,136 @@ type Op struct {
 	Cts    [][]byte
 	Ops    []BatchOp
 	DB     string
+}
+
+// A batched op's flag byte: bit 0 selects the writing form, bit 1 a path of a
+// tree over cells of an array (0 and 1 are the cell ops batches began with).
+// A cell op then carries its indices, a path op its leaf — a path read also
+// the slot count its answer is cut by (BatchOp.N) — and a write its run.
+const (
+	batchWrite = 1 << iota
+	batchPath
+)
+
+// AppendFields appends the fields op's kind uses but DB, in the order the Op
+// comment lists them, in the internal/wire layout. Nothing is optional and
+// nothing is self-describing: the reader knows the kind. A kind that is no
+// Service operation appends nothing.
+func AppendFields(b []byte, op *Op) []byte {
+	switch op.Kind {
+	case KindCreateArray, KindWriteBuckets:
+		b = wire.PutString(b, op.Name)
+		b = binary.AppendVarint(b, int64(op.N))
+	case KindArrayLen, KindDelete:
+		b = wire.PutString(b, op.Name)
+	case KindReadCells, KindWriteCells:
+		b = wire.PutString(b, op.Name)
+		b = wire.PutIndices(b, op.Idx)
+	case KindCreateTree:
+		b = wire.PutString(b, op.Name)
+		b = binary.AppendVarint(b, int64(op.Levels))
+		b = binary.AppendVarint(b, int64(op.Slots))
+	case KindReadPath, KindWritePath:
+		b = wire.PutString(b, op.Name)
+		b = binary.AppendUvarint(b, uint64(op.Leaf))
+	case KindReveal:
+		b = wire.PutString(b, op.Name)
+		b = binary.AppendVarint(b, op.Value)
+	case KindCheckpoint:
+		b = binary.AppendVarint(b, op.Value)
+	case KindBatch:
+		b = binary.AppendUvarint(b, uint64(len(op.Ops)))
+		for i := range op.Ops {
+			sub := &op.Ops[i]
+			var flag byte
+			if sub.Write {
+				flag |= batchWrite
+			}
+			if sub.Path {
+				flag |= batchPath
+			}
+			b = append(b, flag)
+			b = wire.PutString(b, sub.Name)
+			if sub.Path {
+				b = binary.AppendUvarint(b, uint64(sub.Leaf))
+			} else {
+				b = wire.PutIndices(b, sub.Idx)
+			}
+			switch {
+			case sub.Write:
+				b = wire.PutRun(b, sub.Cts)
+			case sub.Path:
+				b = binary.AppendVarint(b, int64(sub.N))
+			}
+		}
+	}
+	switch op.Kind {
+	case KindWriteCells, KindWritePath, KindWriteBuckets:
+		b = wire.PutRun(b, op.Cts) // a write is its target's fields, then its run
+	}
+	return b
+}
+
+// ReadFields reads the fields AppendFields wrote for op.Kind into op. Every
+// ciphertext gets its own allocation: the server keeps written cells one by
+// one. A failure sticks in r, which the caller finishes.
+func ReadFields(r *wire.Reader, op *Op) {
+	switch op.Kind {
+	case KindCreateArray, KindWriteBuckets:
+		op.Name = r.String()
+		op.N = r.Int()
+	case KindArrayLen, KindDelete:
+		op.Name = r.String()
+	case KindReadCells, KindWriteCells:
+		op.Name = r.String()
+		op.Idx = r.Indices()
+	case KindCreateTree:
+		op.Name = r.String()
+		op.Levels = r.Int()
+		op.Slots = r.Int()
+	case KindReadPath, KindWritePath:
+		op.Name = r.String()
+		op.Leaf = r.Uint32()
+	case KindReveal:
+		op.Name = r.String()
+		op.Value = r.Varint()
+	case KindStats:
+	case KindCheckpoint:
+		op.Value = r.Varint()
+	case KindBatch:
+		// An op is at least its flag byte, a name length and an index count.
+		if n := r.Count(); n > r.Len()/3 {
+			r.Fail("%d batch ops in %d bytes", n, r.Len())
+		} else if n > 0 {
+			op.Ops = make([]BatchOp, n)
+		}
+		for i := range op.Ops {
+			sub := &op.Ops[i]
+			flag := r.Byte()
+			if flag&^(batchWrite|batchPath) != 0 {
+				r.Fail("batch op flag %d", flag)
+			}
+			sub.Write, sub.Path = flag&batchWrite != 0, flag&batchPath != 0
+			sub.Name = r.String()
+			if sub.Path {
+				sub.Leaf = r.Uint32()
+			} else {
+				sub.Idx = r.Indices()
+			}
+			switch {
+			case sub.Write:
+				sub.Cts = r.Run(false)
+			case sub.Path:
+				sub.N = r.Int()
+			}
+		}
+	default:
+		r.Fail("unknown request kind %d", op.Kind)
+	}
+	switch op.Kind {
+	case KindWriteCells, KindWritePath, KindWriteBuckets:
+		op.Cts = r.Run(false)
+	}
 }
 
 // Result is what an Op returns besides its error: ArrayLen's N, a read's

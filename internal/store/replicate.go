@@ -293,12 +293,13 @@ func Replicated(d *DurableServer, cfg ReplicationConfig) (*ReplicatedServer, err
 	return r, nil
 }
 
-func fenceRecord(fence int64, primary bool) *walRecord {
+// fenceRecord is the log's audit record of a fence adopted with a role.
+func fenceRecord(fence int64, primary bool) *Op {
 	role := "replica"
 	if primary {
 		role = "primary"
 	}
-	return &walRecord{Op: walFence, N: fence, Name: role}
+	return &Op{Kind: KindPromote, Name: role, Value: fence}
 }
 
 // Durable returns the wrapped durable backend (harness access).
@@ -471,23 +472,23 @@ func (r *ReplicatedServer) ApplyReplicated(fence, seq int64, frames [][]byte) (i
 	if seq != r.watermark {
 		return r.watermark, fmt.Errorf("%w: replication stream position %d, local watermark %d", ErrIntegrity, seq, r.watermark)
 	}
-	records := make([]*walRecord, 0, len(frames))
+	records := make([]*Op, 0, len(frames))
 	for i, frame := range frames {
 		payload, err := checkWALFrame(frame)
 		if err != nil {
 			return r.watermark, fmt.Errorf("%w: replication frame %d of %d failed CRC validation", ErrIntegrity, i, len(frames))
 		}
-		rec, err := decodeWALPayload(payload)
+		op, err := decodeWALPayload(payload)
 		if err != nil {
 			return r.watermark, fmt.Errorf("%w: replication frame %d of %d: %v", ErrIntegrity, i, len(frames), err)
 		}
-		records = append(records, rec)
+		records = append(records, op)
 	}
 	asp := r.cfg.Trace.Start("repl/apply")
 	defer asp.End()
-	for i, rec := range records {
-		if rec.Op != walFence { // roles are not replicated
-			if err := r.d.applyFramed(rec, frames[i], true); err != nil {
+	for i, op := range records {
+		if op.Kind != KindPromote { // roles are not replicated
+			if err := r.d.applyFramed(op, frames[i], true); err != nil {
 				r.publishRoleLocked()
 				return r.watermark, err
 			}
@@ -582,11 +583,10 @@ func (r *ReplicatedServer) repairStoredLocked(name string, isTree bool, idx []in
 			lastErr = err
 			continue
 		}
-		op := walRepairCells
+		rec := &Op{Kind: KindRepair, Name: name, Idx: idx, Cts: cts}
 		if isTree {
-			op = walRepairSlots
+			rec.N = 1
 		}
-		rec := &walRecord{Op: op, Name: name, Idx: idx, Cts: cts}
 		frame, err := encodeWALRecord(rec)
 		if err != nil {
 			return err
@@ -768,7 +768,7 @@ func (r *ReplicatedServer) handle(op *Op, res *Result) error {
 	case op.Kind == KindBatch:
 		return r.batch(op, res)
 	case op.Kind.info().mutates:
-		return r.mutate(walRecordOf(op))
+		return r.mutate(op)
 	}
 	return r.read(op, res, r.RepairStored)
 }
@@ -780,16 +780,16 @@ func (r *ReplicatedServer) handle(op *Op, res *Result) error {
 // rejects the operation outright rather than applying a record that could
 // never ship — a divergence the stream position check would never see, since
 // shipped would not advance either. Caller holds shipMu.
-func (r *ReplicatedServer) apply(rec *walRecord) (frame []byte, fence int64, err error) {
+func (r *ReplicatedServer) apply(op *Op) (frame []byte, fence int64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.gateLocked(); err != nil {
 		return nil, 0, err
 	}
-	if frame, err = encodeWALRecord(rec); err != nil {
+	if frame, err = encodeWALRecord(op); err != nil {
 		return nil, 0, err
 	}
-	if err := r.d.applyFramed(rec, frame, false); err != nil {
+	if err := r.d.applyFramed(op, frame, false); err != nil {
 		return nil, 0, err
 	}
 	return frame, r.fence, nil
@@ -800,10 +800,10 @@ func (r *ReplicatedServer) apply(rec *walRecord) (frame []byte, fence int64, err
 // invariant the failover harness leans on. shipMu spans the whole call so the
 // stream order is the WAL order; mu is released before the network calls so a
 // slow peer stalls only writers.
-func (r *ReplicatedServer) mutate(rec *walRecord) error {
+func (r *ReplicatedServer) mutate(op *Op) error {
 	r.shipMu.Lock()
 	defer r.shipMu.Unlock()
-	frame, fence, err := r.apply(rec)
+	frame, fence, err := r.apply(op)
 	if err != nil {
 		return err
 	}
@@ -877,7 +877,7 @@ func (r *ReplicatedServer) batch(op *Op, res *Result) (err error) {
 				return r.repairStoredLocked(name, isTree, idx)
 			})
 		}
-		frame, f, err := r.apply(walRecordOf(sub))
+		frame, f, err := r.apply(sub)
 		if err != nil {
 			return err
 		}

@@ -136,7 +136,7 @@ func TestReplicationBatchShipsOnce(t *testing.T) {
 func TestReplicaRejectsDamagedStream(t *testing.T) {
 	replica := newReplica(t)
 
-	frame, err := encodeWALRecord(&walRecord{Op: walCreateArray, Name: "x", N: 8})
+	frame, err := encodeWALRecord(&Op{Kind: KindCreateArray, Name: "x", N: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestReplicaRejectsDamagedStream(t *testing.T) {
 	}
 
 	// A batch where only the last frame is damaged must apply nothing either.
-	good, err := encodeWALRecord(&walRecord{Op: walCreateArray, Name: "y", N: 4})
+	good, err := encodeWALRecord(&Op{Kind: KindCreateArray, Name: "y", N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestReplicaRejectsDamagedStream(t *testing.T) {
 
 func TestReplicaRejectsSequenceGap(t *testing.T) {
 	replica := newReplica(t)
-	frame, err := encodeWALRecord(&walRecord{Op: walCreateArray, Name: "x", N: 2})
+	frame, err := encodeWALRecord(&Op{Kind: KindCreateArray, Name: "x", N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestFencingDeposesOldPrimary(t *testing.T) {
 	}
 
 	// Replication from the stale fence is refused too.
-	frame, _ := encodeWALRecord(&walRecord{Op: walCreateArray, Name: "z", N: 1})
+	frame, _ := encodeWALRecord(&Op{Kind: KindCreateArray, Name: "z", N: 1})
 	if _, err := replica.ApplyReplicated(1, replica.Watermark(), [][]byte{frame}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale-fence shipment error = %v, want ErrFenced", err)
 	}
@@ -444,7 +444,7 @@ func (c *blockingConn) Replicate(fence, seq int64, frames [][]byte) error {
 	return nil
 }
 func (c *blockingConn) SyncSnapshot(fence, seq int64, snap []byte) error { return nil }
-func (c *blockingConn) Close() error                                    { return nil }
+func (c *blockingConn) Close() error                                     { return nil }
 
 // TestHungPeerDoesNotBlockReads asserts the availability contract of the
 // split-lock design: while a shipment hangs on a partitioned peer, only

@@ -42,7 +42,7 @@ func TestRoleGaugesOnReplica(t *testing.T) {
 	}
 
 	// Applying a shipped frame advances the watermark gauge.
-	frame, err := encodeWALRecord(&walRecord{Op: walCreateArray, Name: "a", N: 4})
+	frame, err := encodeWALRecord(&Op{Kind: KindCreateArray, Name: "a", N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,10 +72,12 @@ func TestEveryKindHasItsRow(t *testing.T) {
 	if got := Kind(NumKinds).String(); got != "kind(19)" {
 		t.Errorf("a kind past the table prints as %q", got)
 	}
-	// The mutates column and the WAL agree on what is logged.
-	for k := Kind(0); k < NumKinds; k++ {
-		if logged := walRecordOf(&Op{Kind: k}).Op != numWALOps; logged != kinds[k].mutates {
-			t.Errorf("%v: mutates column says %v, the WAL has a record for it: %v", k, kinds[k].mutates, logged)
+	// The mutates column and the WAL agree on what is logged: every mutation,
+	// plus the fence (Promote) and self-heal (Repair) records no client sends.
+	for k := Kind(0); k <= NumKinds; k++ {
+		_, err := encodeWALRecord(&Op{Kind: k})
+		if logged, want := err == nil, k.info().mutates || k == KindPromote || k == KindRepair; logged != want {
+			t.Errorf("%v: mutates column and the two server records say %v, the WAL logs it: %v (%v)", k, want, logged, err)
 		}
 	}
 	// The service column and Invoke's switch agree on what a Service runs.

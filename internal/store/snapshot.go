@@ -271,13 +271,10 @@ func (sn *snapshot) restore() (map[string]*array, map[string]*tree, error) {
 		if _, dup := arrays[name]; dup {
 			return nil, nil, fmt.Errorf("%w: object %q is both array and tree", ErrCorruptSnapshot, name)
 		}
-		if t.Levels < 1 || t.Slots < 1 {
-			return nil, nil, fmt.Errorf("%w: tree %q has invalid shape %d×%d", ErrCorruptSnapshot, name, t.Levels, t.Slots)
+		wantSlots, err := objectCells(true, t.Levels, t.Slots)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: tree %q: %v", ErrCorruptSnapshot, name, err)
 		}
-		if t.Levels > 62 {
-			return nil, nil, fmt.Errorf("%w: tree %q has implausible depth %d", ErrCorruptSnapshot, name, t.Levels)
-		}
-		wantSlots := ((1 << t.Levels) - 1) * t.Slots
 		if len(t.Data) != wantSlots {
 			return nil, nil, fmt.Errorf("%w: tree %q has %d slots, want %d", ErrCorruptSnapshot, name, len(t.Data), wantSlots)
 		}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
 // buildSnapshotBytes produces a realistic snapshot: several arrays and trees
 // with pseudo-random ciphertext-like contents and a marked epoch.
-func buildSnapshotBytes(t *testing.T) []byte {
+func buildSnapshotBytes(t testing.TB) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	s := NewServer()
@@ -107,4 +109,77 @@ func TestSnapshotBitFlipProperty(t *testing.T) {
 			t.Fatalf("byte %d flipped: err = %v, want ErrCorruptSnapshot", i, err)
 		}
 	}
+}
+
+// FuzzDecodeSnapshot: any payload past a snapshot's CRC either is refused
+// with ErrCorruptSnapshot or loads into a state that saves and loads back
+// equal; it never panics, and what it decodes is bounded by the bytes
+// present, not by the counts, lengths and shapes they claim.
+func FuzzDecodeSnapshot(f *testing.F) {
+	const headerLen = 8 + 8 + 8 + 8 + 4 // magic, epoch, dirty, payload length, CRC
+	fresh := buildSnapshotBytes(f)[headerLen:]
+	f.Add(fresh)
+	flipped := append([]byte(nil), fresh...)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+	f.Add(fresh[:len(fresh)/2])
+	raw, err := os.ReadFile(filepath.Join("testdata", "gob-era.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw[headerLen:])
+	f.Add(overflowSnapshotPayload())
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if sn, err := decodeSnapshot(payload); err == nil {
+			// As for a WAL record: a slice header per ciphertext, each of
+			// which took at least one input byte, and the bytes once.
+			footprint := 0
+			for name, a := range sn.Arrays {
+				footprint += len(name) + runFootprint(a.Cells)
+			}
+			for name, tr := range sn.Trees {
+				footprint += len(name) + runFootprint(tr.Data)
+			}
+			for db := range sn.Marks {
+				footprint += len(db) + 16
+			}
+			if footprint > 25*len(payload) {
+				t.Fatalf("%d-byte payload decoded into %d bytes", len(payload), footprint)
+			}
+		}
+		var framed bytes.Buffer
+		if err := writeSnapshotStream(&framed, 0, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer()
+		if err := s.LoadSnapshot(&framed); err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("load error %v does not wrap ErrCorruptSnapshot", err)
+			}
+			return
+		}
+		var saved, again bytes.Buffer
+		if err := s.SaveSnapshot(&saved); err != nil {
+			t.Fatal(err)
+		}
+		reloaded := NewServer()
+		if err := reloaded.LoadSnapshot(bytes.NewReader(saved.Bytes())); err != nil {
+			t.Fatalf("a loaded state saves into a snapshot that does not load: %v", err)
+		}
+		if err := reloaded.SaveSnapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved.Bytes(), again.Bytes()) {
+			t.Fatal("a loaded state does not save and load back equal")
+		}
+	})
+}
+
+func runFootprint(run [][]byte) int {
+	n := 24 * len(run)
+	for _, ct := range run {
+		n += len(ct)
+	}
+	return n
 }

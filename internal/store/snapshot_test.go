@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -108,5 +111,38 @@ func TestLoadSnapshotValidatesTreeShape(t *testing.T) {
 	s := NewServer()
 	if err := s.LoadSnapshot(&buf); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+}
+
+// overflowSnapshotPayload is a snapshot payload holding a tree of 2 levels
+// whose slot count, 3 × 6148914691236517206, wraps around to 2 in an int —
+// and the 2 slots the wrapped count asks for.
+func overflowSnapshotPayload() []byte {
+	sn := snapshot{Trees: map[string]treeSnapshot{"t": {Levels: 2, Slots: 6148914691236517206, Data: [][]byte{{1}, {2}}}}}
+	return sn.encode()
+}
+
+// TestOversizedShapeOnDiskIsRefused: the shape check a client's create
+// passes also guards what a file holds. A snapshot whose tree shape
+// overflows is corrupt, not a tree to serve paths of, and a log record
+// creating a 64-level tree is a corrupt log, not an allocation to attempt.
+func TestOversizedShapeOnDiskIsRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeSnapshotStream(&buf, 0, 0, overflowSnapshotPayload()); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer()
+	if err := s.LoadSnapshot(&buf); !errors.Is(err, ErrCorruptSnapshot) {
+		_, rerr := s.ReadPath("t", 0) // what the first client read would do
+		t.Fatalf("LoadSnapshot = %v, want ErrCorruptSnapshot (then ReadPath: %v)", err, rerr)
+	}
+
+	dir := t.TempDir()
+	log := mustEncode(t, &Op{Kind: KindCreateTree, Name: "t", Levels: 64, Slots: 1})
+	if err := os.WriteFile(filepath.Join(dir, walName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDir(dir, DurableOptions{}); !errors.Is(err, ErrCorruptWAL) {
+		t.Fatalf("OpenDir = %v, want ErrCorruptWAL", err)
 	}
 }

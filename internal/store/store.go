@@ -297,10 +297,38 @@ func (s *Server) ResetReveals() {
 	s.reveals = nil
 }
 
+// maxCells bounds the cells of one object (an array's cells, a tree's
+// slots), and maxLevels a tree's depth: a leaf is numbered by a uint32.
+const (
+	maxCells  = 1 << 32
+	maxLevels = 33
+)
+
+// objectCells is the one shape check, whether a client's create asks for the
+// shape or a snapshot holds it: the cells an array of n cells (isTree false)
+// or a tree of levels × n slots per bucket holds, counted without overflow,
+// or an error wrapping ErrOutOfRange.
+func objectCells(isTree bool, levels, n int) (int, error) {
+	if !isTree {
+		if n < 0 || n > maxCells {
+			return 0, fmt.Errorf("%w: array of %d cells (0 to %d)", ErrOutOfRange, n, maxCells)
+		}
+		return n, nil
+	}
+	if levels < 1 || levels > maxLevels || n < 1 {
+		return 0, fmt.Errorf("%w: tree of %d levels × %d slots (1 to %d levels, at least 1 slot)", ErrOutOfRange, levels, n, maxLevels)
+	}
+	buckets := 1<<levels - 1
+	if n > maxCells/buckets {
+		return 0, fmt.Errorf("%w: tree of %d buckets × %d slots exceeds %d slots", ErrOutOfRange, buckets, n, maxCells)
+	}
+	return buckets * n, nil
+}
+
 // CreateArray implements Service.
 func (s *Server) CreateArray(name string, n int) error {
-	if n < 0 {
-		return fmt.Errorf("store: array %q: negative size %d", name, n)
+	if _, err := objectCells(false, 0, n); err != nil {
+		return fmt.Errorf("store: array %q: %w", name, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -387,8 +415,9 @@ func (s *Server) WriteCells(name string, idx []int64, cts [][]byte) error {
 
 // CreateTree implements Service.
 func (s *Server) CreateTree(name string, levels, slotsPerBucket int) error {
-	if levels < 1 || slotsPerBucket < 1 {
-		return fmt.Errorf("store: tree %q: invalid shape %d levels × %d slots", name, levels, slotsPerBucket)
+	cells, err := objectCells(true, levels, slotsPerBucket)
+	if err != nil {
+		return fmt.Errorf("store: tree %q: %w", name, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -398,12 +427,11 @@ func (s *Server) CreateTree(name string, levels, slotsPerBucket int) error {
 	if _, ok := s.arrays[name]; ok {
 		return fmt.Errorf("%w: array %q", ErrObjectExists, name)
 	}
-	buckets := (1 << levels) - 1
 	s.trees[name] = &tree{
 		levels: levels,
 		slots:  slotsPerBucket,
-		data:   make([][]byte, buckets*slotsPerBucket),
-		sums:   make([]uint32, buckets*slotsPerBucket),
+		data:   make([][]byte, cells),
+		sums:   make([]uint32, cells),
 	}
 	s.bumpLocked(name)
 	s.rec.Record(trace.Event{Op: trace.OpCreateTree, Object: name, Index: int64(levels)})

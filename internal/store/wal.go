@@ -18,149 +18,75 @@ import (
 // (partial frame from a crash mid-append) is detected by the framing and
 // truncated, never replayed and never a panic.
 //
-// Frame format (integers little-endian, payload in the internal/wire
-// layout — uvarint, zigzag varint, `bytes`, delta-coded `indices`, `run`):
+// A record is the Op itself. Frame format (integers little-endian, payload
+// in the internal/wire layout — uvarint, zigzag varint, `bytes`, delta-coded
+// `indices`, `run`):
 //
 //	frame   = payloadLen uint32 | crc32(payload) uint32 | payload
-//	payload = walVersion op fields(op)
+//	payload = walVersion kind record(kind)
+//	record  = fields(kind)                   a mutating Service kind
+//	        | fields(Checkpoint) string(DB)  Checkpoint, whose namespace never crosses the wire
+//	        | string(Name) varint(Value)     Promote: role ("primary" or "replica"), fencing epoch
+//	        | string(Name) varint(N) indices(Idx) run(Cts)
+//	                                         Repair: N = 1 for tree slots, 0 for array cells
 //
-// fields(op) are the fields the walRecord comment lists for that op, in
-// that order. Frames decode independently — replay can start from any
-// snapshot boundary and a torn frame cannot poison its successors — and the
-// same frame bytes are what the primary appends, what it ships, and what the
-// replica appends: a mutation is encoded once per node.
+// fields(kind) is AppendFields' layout, the one a TCP request carries. The
+// last two record what no client sends: the fence a server adopted (an audit
+// trail; the FENCE file is authoritative) and the ciphertexts a self-heal
+// installed — the repair RPC's own Op plus the bytes it fetched. Frames
+// decode independently — replay can start from any snapshot boundary and a
+// torn frame cannot poison its successors — and the same frame bytes are
+// what the primary appends, what it ships, and what the replica appends: a
+// mutation is encoded once per node.
 //
 // Version rule: the first payload byte is walVersion; there is one format
-// and no migration. Torn and corrupt are different verdicts. A frame that
+// and no migration, so a primary and its replicas run the same version (a
+// replica refuses another version's shipment as ErrIntegrity). Version 1,
+// whose records had their own operation numbering, is refused like a
+// gob-era log. Torn and corrupt are different verdicts. A frame that
 // ends early or fails its CRC is a torn tail: expected after a crash,
 // truncated, recovery continues. A frame whose length and CRC verify but
-// whose payload does not parse — a wrong version byte (a gob-era log), a
-// short field, trailing bytes — was written that way, so nothing after it
-// can be trusted to extend the snapshot and nothing is thrown away on a
-// guess: ErrCorruptWAL, OpenDir fails, the file is left as found.
+// whose payload does not parse — a wrong version byte, a short field,
+// trailing bytes — was written that way, so nothing after it can be trusted
+// to extend the snapshot and nothing is thrown away on a guess:
+// ErrCorruptWAL, OpenDir fails, the file is left as found.
 //
 // Ownership: a decoded record owns its bytes. Each ciphertext is its own
 // allocation, because replay and replication hand them to the store, which
 // keeps them cell by cell.
 
 // walVersion is the payload format this build reads and writes.
-const walVersion = 1
-
-// walOp enumerates the mutations the log can carry. Reads are not logged:
-// they change nothing the snapshot+log must reconstruct.
-type walOp uint8
-
-const (
-	walCreateArray walOp = iota
-	walWriteCells
-	walCreateTree
-	walWritePath
-	walWriteBuckets
-	walDelete
-	walCheckpoint
-	walFence
-	walRepairCells
-	walRepairSlots
-	numWALOps
-)
-
-// walOpKind is the Service operation each record logs: the name it prints
-// under, and how a mutating Op finds its record. The last three ops log
-// something no Service call asks for and name themselves.
-var walOpKind = [...]Kind{
-	walCreateArray:  KindCreateArray,
-	walWriteCells:   KindWriteCells,
-	walCreateTree:   KindCreateTree,
-	walWritePath:    KindWritePath,
-	walWriteBuckets: KindWriteBuckets,
-	walDelete:       KindDelete,
-	walCheckpoint:   KindCheckpoint,
-}
-
-func (o walOp) String() string {
-	switch {
-	case int(o) < len(walOpKind):
-		return walOpKind[o].String()
-	case o == walFence:
-		return "Fence"
-	case o == walRepairCells:
-		return "RepairCells"
-	case o == walRepairSlots:
-		return "RepairSlots"
-	}
-	return fmt.Sprintf("walOp(%d)", uint8(o))
-}
-
-// walRecordOf is the record that logs a mutating Service operation. Any other
-// kind gets an op outside the table, which encodeWALRecord refuses.
-func walRecordOf(op *Op) *walRecord {
-	rec := &walRecord{Op: numWALOps, Name: op.Name, N: int64(op.N), Levels: op.Levels, Slots: op.Slots,
-		Leaf: op.Leaf, Idx: op.Idx, Cts: op.Cts}
-	for o, k := range walOpKind {
-		if k == op.Kind {
-			rec.Op = walOp(o)
-		}
-	}
-	if op.Kind == KindCheckpoint {
-		rec.Name, rec.N = op.DB, op.Value
-	}
-	return rec
-}
-
-// walRecord is one logged mutation. Field use depends on Op:
-//
-//	CreateArray:  Name, N
-//	WriteCells:   Name, Idx, Cts
-//	CreateTree:   Name, Levels, Slots
-//	WritePath:    Name, Leaf, Cts
-//	WriteBuckets: Name, N (bucketStart), Cts
-//	Delete:       Name
-//	Checkpoint:   Name (database namespace, "" = root), N (epoch)
-//	Fence:        Name ("primary" or "replica" — the role adopted with it),
-//	              N (fencing epoch)
-//	RepairCells:  Name, Idx, Cts (array self-heal; replays as an install —
-//	              no dirty bump, no trace event)
-//	RepairSlots:  Name, Idx (flat slot indices), Cts (tree self-heal)
-type walRecord struct {
-	Op     walOp
-	Name   string
-	N      int64
-	Levels int
-	Slots  int
-	Leaf   uint32
-	Idx    []int64
-	Cts    [][]byte
-}
+const walVersion = 2
 
 // walHeaderLen is the frame header: payload length and CRC.
 const walHeaderLen = 8
 
-// encodeWALRecord renders one framed record in a single allocation.
-func encodeWALRecord(rec *walRecord) ([]byte, error) {
-	// Exact but for the scalars, which are bounded instead of measured.
-	size := walHeaderLen + 2 + wire.SizeBytes(len(rec.Name)) + 2*binary.MaxVarintLen64 +
-		wire.SizeIndices(rec.Idx) + wire.SizeRun(rec.Cts)
+// encodeWALRecord renders op as one framed record in a single allocation. It
+// refuses a kind the log does not carry: reads, Reveal and Batch (whose
+// writes are logged one record each), and the other control messages.
+func encodeWALRecord(op *Op) ([]byte, error) {
+	// Exact but for the scalars, which are bounded instead of measured. A
+	// record holds a Name or, a Checkpoint, a DB, never both.
+	size := walHeaderLen + 2 + wire.SizeBytes(len(op.Name)+len(op.DB)) + 2*binary.MaxVarintLen64 +
+		wire.SizeIndices(op.Idx) + wire.SizeRun(op.Cts)
 	b := make([]byte, walHeaderLen, size)
-	b = append(b, walVersion, byte(rec.Op))
-	b = wire.PutString(b, rec.Name)
-	switch rec.Op {
-	case walCreateArray, walCheckpoint, walFence:
-		b = binary.AppendVarint(b, rec.N)
-	case walWriteCells, walRepairCells, walRepairSlots:
-		b = wire.PutIndices(b, rec.Idx)
-		b = wire.PutRun(b, rec.Cts)
-	case walCreateTree:
-		b = binary.AppendVarint(b, int64(rec.Levels))
-		b = binary.AppendVarint(b, int64(rec.Slots))
-	case walWritePath:
-		b = binary.AppendUvarint(b, uint64(rec.Leaf))
-		b = wire.PutRun(b, rec.Cts)
-	case walWriteBuckets:
-		b = binary.AppendVarint(b, rec.N)
-		b = wire.PutRun(b, rec.Cts)
-	case walDelete:
+	b = append(b, walVersion, byte(op.Kind))
+	switch {
+	case op.Kind == KindPromote:
+		b = wire.PutString(b, op.Name)
+		b = binary.AppendVarint(b, op.Value)
+	case op.Kind == KindRepair:
+		b = wire.PutString(b, op.Name)
+		b = binary.AppendVarint(b, int64(op.N))
+		b = wire.PutIndices(b, op.Idx)
+		b = wire.PutRun(b, op.Cts)
+	case op.Kind.info().mutates:
+		b = AppendFields(b, op)
+		if op.Kind == KindCheckpoint {
+			b = wire.PutString(b, op.DB)
+		}
 	default:
-		return nil, fmt.Errorf("store: encoding WAL record: unknown op %v", rec.Op)
+		return nil, fmt.Errorf("store: encoding WAL record: %v is not logged", op.Kind)
 	}
 	payload := b[walHeaderLen:]
 	if uint64(len(payload)) > maxWALPayload {
@@ -173,37 +99,36 @@ func encodeWALRecord(rec *walRecord) ([]byte, error) {
 
 // decodeWALPayload parses a payload whose CRC already verified. Any failure
 // wraps ErrCorruptWAL: these bytes are what was written.
-func decodeWALPayload(payload []byte) (*walRecord, error) {
+func decodeWALPayload(payload []byte) (*Op, error) {
 	r := wire.NewReader(payload)
 	if v := r.Byte(); r.Err() == nil && v != walVersion {
-		return nil, fmt.Errorf("%w: record has format version %#02x, this build reads only version %d (logs written by gob-era builds are not readable)",
+		return nil, fmt.Errorf("%w: record has format version %#02x, this build reads only version %d (logs of version 1 and of gob-era builds are not readable)",
 			ErrCorruptWAL, v, walVersion)
 	}
-	rec := &walRecord{Op: walOp(r.Byte())}
-	rec.Name = r.String()
-	switch rec.Op {
-	case walCreateArray, walCheckpoint, walFence:
-		rec.N = r.Varint()
-	case walWriteCells, walRepairCells, walRepairSlots:
-		rec.Idx = r.Indices()
-		rec.Cts = r.Run(false)
-	case walCreateTree:
-		rec.Levels = r.Int()
-		rec.Slots = r.Int()
-	case walWritePath:
-		rec.Leaf = r.Uint32()
-		rec.Cts = r.Run(false)
-	case walWriteBuckets:
-		rec.N = r.Varint()
-		rec.Cts = r.Run(false)
-	case walDelete:
+	op := &Op{Kind: Kind(r.Byte())}
+	switch {
+	case op.Kind == KindPromote:
+		op.Name = r.String()
+		op.Value = r.Varint()
+	case op.Kind == KindRepair:
+		op.Name = r.String()
+		if op.N = r.Int(); op.N != 0 && op.N != 1 {
+			r.Fail("repair tree flag %d", op.N)
+		}
+		op.Idx = r.Indices()
+		op.Cts = r.Run(false)
+	case op.Kind.info().mutates:
+		ReadFields(r, op)
+		if op.Kind == KindCheckpoint {
+			op.DB = r.String()
+		}
 	default:
-		r.Fail("unknown op %v", rec.Op)
+		r.Fail("unknown op %v", op.Kind)
 	}
 	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: checksummed %v record does not decode: %v", ErrCorruptWAL, rec.Op, err)
+		return nil, fmt.Errorf("%w: checksummed %v record does not decode: %v", ErrCorruptWAL, op.Kind, err)
 	}
-	return rec, nil
+	return op, nil
 }
 
 // maxWALPayload is the largest payload the frame's length field can declare.
@@ -232,7 +157,7 @@ func checkWALFrame(frame []byte) ([]byte, error) {
 // error; the caller truncates the file to validEnd. A checksummed frame that
 // does not decode stops it with ErrCorruptWAL, validEnd at that frame's
 // start; the caller must not truncate.
-func scanWAL(r io.Reader) (records []*walRecord, validEnd int64, torn bool, err error) {
+func scanWAL(r io.Reader) (records []*Op, validEnd int64, torn bool, err error) {
 	var header [walHeaderLen]byte
 	var frame []byte
 	for {
@@ -250,11 +175,11 @@ func scanWAL(r io.Reader) (records []*walRecord, validEnd int64, torn bool, err 
 		if ferr != nil {
 			return records, validEnd, true, nil
 		}
-		rec, derr := decodeWALPayload(payload)
+		op, derr := decodeWALPayload(payload)
 		if derr != nil {
 			return records, validEnd, false, fmt.Errorf("%w (frame at byte %d)", derr, validEnd)
 		}
-		records = append(records, rec)
+		records = append(records, op)
 		validEnd += int64(len(frame))
 	}
 }
@@ -262,64 +187,42 @@ func scanWAL(r io.Reader) (records []*walRecord, validEnd int64, torn bool, err 
 // replayWAL applies records to the in-memory server in log order. Replay is
 // idempotent so it tolerates a snapshot that already includes a prefix of
 // the log (possible when a crash lands between snapshot rename and log
-// truncation): creates replace any existing object, deletes of missing
-// objects succeed, and cell/path/bucket writes are plain overwrites. A
-// record that still fails semantically (e.g. a write to an object no create
-// established) means the log does not extend this snapshot — that is
-// corruption, not a torn tail.
-func replayWAL(s *Server, records []*walRecord) error {
-	for i, rec := range records {
-		if err := rec.apply(s, true); err != nil {
-			return fmt.Errorf("%w: record %d (%v %q): %v", ErrCorruptWAL, i, rec.Op, rec.Name, err)
+// truncation): see applyRecord. A record that still fails semantically (e.g.
+// a write to an object no create established) means the log does not extend
+// this snapshot — that is corruption, not a torn tail.
+func replayWAL(s *Server, records []*Op) error {
+	for i, op := range records {
+		if err := applyRecord(s, op, true); err != nil {
+			return fmt.Errorf("%w: record %d (%v %q): %v", ErrCorruptWAL, i, op.Kind, op.Name, err)
 		}
 	}
 	return nil
 }
 
-// apply runs the record against the in-memory server. With replay set it has
-// the idempotent semantics recovery and replication need — a create replaces
-// whatever holds the name, a delete of nothing succeeds — because the state
-// underneath may already include the record; without it, the strict ones a
-// client's own call gets.
-func (rec *walRecord) apply(s *Server, replay bool) error {
-	switch rec.Op {
-	case walCreateArray:
-		if replay {
-			_ = s.Delete(rec.Name)
-		}
-		return s.CreateArray(rec.Name, int(rec.N))
-	case walWriteCells:
-		return s.WriteCells(rec.Name, rec.Idx, rec.Cts)
-	case walCreateTree:
-		if replay {
-			_ = s.Delete(rec.Name)
-		}
-		return s.CreateTree(rec.Name, rec.Levels, rec.Slots)
-	case walWritePath:
-		return s.WritePath(rec.Name, rec.Leaf, rec.Cts)
-	case walWriteBuckets:
-		return s.WriteBuckets(rec.Name, int(rec.N), rec.Cts)
-	case walDelete:
-		err := s.Delete(rec.Name)
-		if replay && errors.Is(err, ErrUnknownObject) {
-			return nil
-		}
-		return err
-	case walCheckpoint:
-		// Name carries the database namespace; "" is the root.
-		return s.CheckpointNS(rec.Name, rec.N)
-	case walFence:
-		// Fencing epochs are an audit trail in the log; the FENCE file
-		// (see replicate.go) is the authoritative durable copy, so there
-		// is nothing to apply to the in-memory state.
+// applyRecord runs a logged record against the in-memory server. With replay
+// set it has the idempotent semantics recovery and replication need — a
+// create replaces whatever holds the name, a delete of nothing succeeds —
+// because the state underneath may already include the record; without it,
+// the strict ones a client's own call gets. A repair installs its bytes (no
+// dirty bump, no trace event); a fence is an audit trail, the FENCE file (see
+// replicate.go) being its authoritative durable copy, so it applies nothing.
+func applyRecord(s *Server, op *Op, replay bool) error {
+	switch op.Kind {
+	case KindPromote:
 		return nil
-	case walRepairCells:
-		return s.InstallStored(rec.Name, false, rec.Idx, rec.Cts)
-	case walRepairSlots:
-		return s.InstallStored(rec.Name, true, rec.Idx, rec.Cts)
-	default:
-		return fmt.Errorf("unknown op %v", rec.Op)
+	case KindRepair:
+		return s.InstallStored(op.Name, op.N == 1, op.Idx, op.Cts)
+	case KindCreateArray, KindCreateTree:
+		if replay {
+			_ = s.Delete(op.Name)
+		}
 	}
+	// A Server mutation fills no Result; none is allocated for it.
+	err := Invoke(s, op, nil)
+	if replay && op.Kind == KindDelete && errors.Is(err, ErrUnknownObject) {
+		return nil
+	}
+	return err
 }
 
 // errWALFailStop classifies WAL failures the durable layer must treat as

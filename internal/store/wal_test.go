@@ -11,21 +11,21 @@ import (
 
 // testRecords is a representative mutation sequence: creates, overwrites, a
 // delete-then-recreate, tree traffic, and a checkpoint mark.
-func testRecords() []*walRecord {
-	return []*walRecord{
-		{Op: walCreateArray, Name: "a", N: 4},
-		{Op: walWriteCells, Name: "a", Idx: []int64{0, 3}, Cts: [][]byte{{1}, {2, 3}}},
-		{Op: walCreateTree, Name: "t", Levels: 3, Slots: 2},
-		{Op: walWritePath, Name: "t", Leaf: 1, Cts: [][]byte{{9}, {8}, {7}, nil, nil, nil}},
-		{Op: walWriteBuckets, Name: "t", N: 0, Cts: [][]byte{{5}, nil}},
-		{Op: walDelete, Name: "a"},
-		{Op: walCreateArray, Name: "a", N: 2},
-		{Op: walWriteCells, Name: "a", Idx: []int64{1}, Cts: [][]byte{{42}}},
-		{Op: walCheckpoint, N: 7},
+func testRecords() []*Op {
+	return []*Op{
+		{Kind: KindCreateArray, Name: "a", N: 4},
+		{Kind: KindWriteCells, Name: "a", Idx: []int64{0, 3}, Cts: [][]byte{{1}, {2, 3}}},
+		{Kind: KindCreateTree, Name: "t", Levels: 3, Slots: 2},
+		{Kind: KindWritePath, Name: "t", Leaf: 1, Cts: [][]byte{{9}, {8}, {7}, nil, nil, nil}},
+		{Kind: KindWriteBuckets, Name: "t", N: 0, Cts: [][]byte{{5}, nil}},
+		{Kind: KindDelete, Name: "a"},
+		{Kind: KindCreateArray, Name: "a", N: 2},
+		{Kind: KindWriteCells, Name: "a", Idx: []int64{1}, Cts: [][]byte{{42}}},
+		{Kind: KindCheckpoint, Value: 7},
 	}
 }
 
-func encodeAll(t *testing.T, recs []*walRecord) []byte {
+func encodeAll(t *testing.T, recs []*Op) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, rec := range recs {
@@ -46,10 +46,10 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		}
 		got, validEnd, torn, err := scanWAL(bytes.NewReader(frame))
 		if err != nil || torn || len(got) != 1 {
-			t.Fatalf("%v: scan = %d records, torn %v, err %v", rec.Op, len(got), torn, err)
+			t.Fatalf("%v: scan = %d records, torn %v, err %v", rec.Kind, len(got), torn, err)
 		}
 		if validEnd != int64(len(frame)) {
-			t.Errorf("%v: consumed %d bytes, frame is %d", rec.Op, validEnd, len(frame))
+			t.Errorf("%v: consumed %d bytes, frame is %d", rec.Kind, validEnd, len(frame))
 		}
 		if !reflect.DeepEqual(got[0], rec) {
 			t.Errorf("round trip: got %+v, want %+v", got[0], rec)
@@ -61,7 +61,7 @@ func TestScanWALStopsAtTornTail(t *testing.T) {
 	recs := testRecords()
 	data := encodeAll(t, recs)
 	// Append a torn frame: the first half of another record.
-	extra, err := encodeWALRecord(&walRecord{Op: walWriteCells, Name: "a", Idx: []int64{0}, Cts: [][]byte{{1, 2, 3}}})
+	extra, err := encodeWALRecord(&Op{Kind: KindWriteCells, Name: "a", Idx: []int64{0}, Cts: [][]byte{{1, 2, 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 func TestWALReplayRejectsMidLogFailure(t *testing.T) {
 	// A write to an object no create established cannot extend any snapshot:
 	// that is corruption, not a torn tail.
-	recs := []*walRecord{{Op: walWriteCells, Name: "ghost", Idx: []int64{0}, Cts: [][]byte{{1}}}}
+	recs := []*Op{{Kind: KindWriteCells, Name: "ghost", Idx: []int64{0}, Cts: [][]byte{{1}}}}
 	err := replayWAL(NewServer(), recs)
 	if !errors.Is(err, ErrCorruptWAL) {
 		t.Errorf("replay of dangling write = %v, want ErrCorruptWAL", err)
@@ -148,11 +148,11 @@ func TestWALWriterTornAppendRecoverable(t *testing.T) {
 	}
 	recs := testRecords()
 	for _, rec := range recs {
-		if err := w.append(encodeAll(t, []*walRecord{rec})); err != nil {
+		if err := w.append(encodeAll(t, []*Op{rec})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.appendTorn(encodeAll(t, []*walRecord{{Op: walDelete, Name: "a"}})); err != nil {
+	if err := w.appendTorn(encodeAll(t, []*Op{{Kind: KindDelete, Name: "a"}})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {

@@ -20,8 +20,10 @@ import (
 //	request  = kind ctx[26] fields(kind)
 //	response = flags [code string] [varint N] [run] [stats] [varint fence, varint seq]
 //
-// fields(kind) are exactly the fields that kind uses, in a fixed order (see
-// appendRequest); a response carries the parts its flags byte announces,
+// fields(kind) are exactly the fields that kind uses, in a fixed order: for
+// a Service operation store.AppendFields, whose layout a write-ahead log
+// record shares, and for a control message appendRequest's own cases. A
+// response carries the parts its flags byte announces,
 // which are the parts that are non-zero. Nothing is optional beyond that and
 // nothing is self-describing, so the length of a frame is a closed-form
 // function of what the server may see anyway — the kind, the lengths of
@@ -48,15 +50,6 @@ const maxFrame = 1 << 32
 
 var errFrameVersion = errors.New("transport: peer does not speak frame version 1 (no other wire format, gob included, is supported)")
 
-// A batched op's flag byte: bit 0 selects the writing form, bit 1 a path of a
-// tree over cells of an array (0 and 1 are the cell ops batches began with).
-// A cell op then carries its indices, a path op its leaf — a path read also
-// the slot count its answer is cut by (store.BatchOp.N) — and a write its run.
-const (
-	batchWrite = 1 << iota
-	batchPath
-)
-
 // Response flags: which optional parts follow.
 const (
 	flagErr = 1 << iota
@@ -72,64 +65,6 @@ func appendRequest(b []byte, req *request) []byte {
 	b = append(b, byte(req.Kind))
 	b = append(b, req.Ctx[:]...)
 	switch req.Kind {
-	case store.KindCreateArray:
-		b = wire.PutString(b, req.Name)
-		b = binary.AppendVarint(b, int64(req.N))
-	case store.KindArrayLen, store.KindDelete:
-		b = wire.PutString(b, req.Name)
-	case store.KindReadCells:
-		b = wire.PutString(b, req.Name)
-		b = wire.PutIndices(b, req.Idx)
-	case store.KindWriteCells:
-		b = wire.PutString(b, req.Name)
-		b = wire.PutIndices(b, req.Idx)
-		b = wire.PutRun(b, req.Cts)
-	case store.KindCreateTree:
-		b = wire.PutString(b, req.Name)
-		b = binary.AppendVarint(b, int64(req.Levels))
-		b = binary.AppendVarint(b, int64(req.Slots))
-	case store.KindReadPath:
-		b = wire.PutString(b, req.Name)
-		b = binary.AppendUvarint(b, uint64(req.Leaf))
-	case store.KindWritePath:
-		b = wire.PutString(b, req.Name)
-		b = binary.AppendUvarint(b, uint64(req.Leaf))
-		b = wire.PutRun(b, req.Cts)
-	case store.KindWriteBuckets:
-		b = wire.PutString(b, req.Name)
-		b = binary.AppendVarint(b, int64(req.N))
-		b = wire.PutRun(b, req.Cts)
-	case store.KindReveal:
-		b = wire.PutString(b, req.Name)
-		b = binary.AppendVarint(b, req.Value)
-	case store.KindStats:
-	case store.KindCheckpoint:
-		b = binary.AppendVarint(b, req.Value)
-	case store.KindBatch:
-		b = binary.AppendUvarint(b, uint64(len(req.Ops)))
-		for i := range req.Ops {
-			op := &req.Ops[i]
-			var flag byte
-			if op.Write {
-				flag |= batchWrite
-			}
-			if op.Path {
-				flag |= batchPath
-			}
-			b = append(b, flag)
-			b = wire.PutString(b, op.Name)
-			if op.Path {
-				b = binary.AppendUvarint(b, uint64(op.Leaf))
-			} else {
-				b = wire.PutIndices(b, op.Idx)
-			}
-			switch {
-			case op.Write:
-				b = wire.PutRun(b, op.Cts)
-			case op.Path:
-				b = binary.AppendVarint(b, int64(op.N))
-			}
-		}
 	case store.KindHello:
 		b = wire.PutString(b, req.Name)
 		b = wire.PutString(b, req.Token)
@@ -151,9 +86,11 @@ func appendRequest(b []byte, req *request) []byte {
 		b = wire.PutString(b, req.Name)
 		b = binary.AppendVarint(b, int64(req.N))
 		b = wire.PutIndices(b, req.Idx)
+	default:
+		// A Service operation. A kind outside the table encodes as its bare
+		// header; the peer's decoder names it in its refusal.
+		b = store.AppendFields(b, &req.Op)
 	}
-	// A kind outside the table encodes as its bare header; the peer's
-	// decoder names it in its refusal.
 	return b
 }
 
@@ -163,66 +100,6 @@ func decodeRequest(body []byte, req *request) error {
 	req.Kind = store.Kind(r.Byte())
 	copy(req.Ctx[:], r.Fixed(otrace.WireSize))
 	switch req.Kind {
-	case store.KindCreateArray:
-		req.Name = r.String()
-		req.N = r.Int()
-	case store.KindArrayLen, store.KindDelete:
-		req.Name = r.String()
-	case store.KindReadCells:
-		req.Name = r.String()
-		req.Idx = r.Indices()
-	case store.KindWriteCells:
-		req.Name = r.String()
-		req.Idx = r.Indices()
-		req.Cts = r.Run(false)
-	case store.KindCreateTree:
-		req.Name = r.String()
-		req.Levels = r.Int()
-		req.Slots = r.Int()
-	case store.KindReadPath:
-		req.Name = r.String()
-		req.Leaf = r.Uint32()
-	case store.KindWritePath:
-		req.Name = r.String()
-		req.Leaf = r.Uint32()
-		req.Cts = r.Run(false)
-	case store.KindWriteBuckets:
-		req.Name = r.String()
-		req.N = r.Int()
-		req.Cts = r.Run(false)
-	case store.KindReveal:
-		req.Name = r.String()
-		req.Value = r.Varint()
-	case store.KindStats:
-	case store.KindCheckpoint:
-		req.Value = r.Varint()
-	case store.KindBatch:
-		// An op is at least its flag byte, a name length and an index count.
-		if n := r.Count(); n > r.Len()/3 {
-			r.Fail("%d batch ops in %d bytes", n, r.Len())
-		} else if n > 0 {
-			req.Ops = make([]store.BatchOp, n)
-		}
-		for i := range req.Ops {
-			op := &req.Ops[i]
-			flag := r.Byte()
-			if flag&^(batchWrite|batchPath) != 0 {
-				r.Fail("batch op flag %d", flag)
-			}
-			op.Write, op.Path = flag&batchWrite != 0, flag&batchPath != 0
-			op.Name = r.String()
-			if op.Path {
-				op.Leaf = r.Uint32()
-			} else {
-				op.Idx = r.Indices()
-			}
-			switch {
-			case op.Write:
-				op.Cts = r.Run(false)
-			case op.Path:
-				op.N = r.Int()
-			}
-		}
 	case store.KindHello:
 		req.Name = r.String()
 		req.Token = r.String()
@@ -245,7 +122,7 @@ func decodeRequest(body []byte, req *request) error {
 		req.N = r.Int()
 		req.Idx = r.Indices()
 	default:
-		r.Fail("unknown request kind %d", req.Kind)
+		store.ReadFields(r, &req.Op)
 	}
 	if err := r.Finish(); err != nil {
 		return fmt.Errorf("transport: decoding %v request: %w", req.Kind, err)

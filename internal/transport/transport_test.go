@@ -229,3 +229,27 @@ func TestInProcServiceParity(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPOversizedShapesAreRefused: an object shape a client sends is checked
+// before anything is allocated for it. Shapes whose cell count does not fit
+// an int, or overflows into a small one, are refused as out of range, and the
+// server, which other sessions share, goes on answering.
+func TestTCPOversizedShapesAreRefused(t *testing.T) {
+	c, _ := startServer(t)
+	for name, create := range map[string]func() error{
+		"array of 2^62 cells":   func() error { return c.CreateArray("a", 1<<62) },
+		"tree of 64 levels":     func() error { return c.CreateTree("t64", 64, 1) },
+		"tree of 63 levels":     func() error { return c.CreateTree("t63", 63, 1) },
+		"3 × slots overflowing": func() error { return c.CreateTree("t2", 2, 6148914691236517206) },
+	} {
+		if err := create(); !errors.Is(err, store.ErrOutOfRange) {
+			t.Errorf("%s: %v, want ErrOutOfRange", name, err)
+		}
+	}
+	if err := c.CreateTree("t", 3, 2); err != nil {
+		t.Fatalf("the server stopped answering: %v", err)
+	}
+	if slots, err := c.ReadPath("t", 3); err != nil || len(slots) != 6 {
+		t.Fatalf("ReadPath = %d slots, %v", len(slots), err)
+	}
+}
