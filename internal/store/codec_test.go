@@ -367,6 +367,12 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw[walHeaderLen:])
+	if raw, err = os.ReadFile(filepath.Join("testdata", pinnedRepairLog)); err != nil {
+		f.Fatal(err)
+	}
+	for _, payload := range walPayloads(f, raw) {
+		f.Add(payload)
+	}
 	f.Add([]byte{walVersion, byte(KindWriteCells), 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a count of 2³² in 8 bytes
 
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -707,38 +707,38 @@ func (d *DurableServer) ObjectNames() ([]string, error) {
 	return d.mem.ObjectNames(), nil
 }
 
-// ObjectExtent reports an object's stored-cell count and kind.
-func (d *DurableServer) ObjectExtent(name string) (int, bool, error) {
+// ObjectExtent reports how many cells an object stores.
+func (d *DurableServer) ObjectExtent(name string) (int, error) {
 	if err := d.readGuard(); err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	return d.mem.ObjectExtent(name)
 }
 
 // VerifyStored checks stored checksums over [lo, hi) of the named object.
-func (d *DurableServer) VerifyStored(name string, lo, hi int) ([]int64, bool, error) {
+func (d *DurableServer) VerifyStored(name string, lo, hi int) ([]int64, error) {
 	if err := d.readGuard(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	return d.mem.VerifyStored(name, lo, hi)
 }
 
 // StoredVerified returns checksum-verified ciphertexts (the repair donor
 // path).
-func (d *DurableServer) StoredVerified(name string, isTree bool, idx []int64) ([][]byte, error) {
+func (d *DurableServer) StoredVerified(name string, idx []int64) ([][]byte, error) {
 	if err := d.readGuard(); err != nil {
 		return nil, err
 	}
-	return d.mem.StoredVerified(name, isTree, idx)
+	return d.mem.StoredVerified(name, idx)
 }
 
 // CorruptStored flips one stored bit without updating its checksum — the
 // chaos harness's bit-rot hook.
-func (d *DurableServer) CorruptStored(name string, isTree bool, i int64, bit uint) error {
+func (d *DurableServer) CorruptStored(name string, i int64, bit uint) error {
 	if err := d.readGuard(); err != nil {
 		return err
 	}
-	return d.mem.CorruptStored(name, isTree, i, bit)
+	return d.mem.CorruptStored(name, i, bit)
 }
 
 // walScrubView captures, under the durable lock, what the WAL scrubber may

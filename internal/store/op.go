@@ -51,7 +51,7 @@ const (
 	KindSync      // primary -> replica: full snapshot resync (Value = fence, Cts[0])
 	KindPromote   // failover client -> replica: adopt fence and primary role (Value = fence)
 	KindTraceDump // operator: fetch the server's span ring (Name = trace-ID filter)
-	KindRepair    // peer -> peer: fetch verified ciphertexts (Value = fence, Name, N = tree flag, Idx)
+	KindRepair    // peer -> peer: fetch verified ciphertexts (Value = fence, Name, N reserved, Idx)
 	NumKinds
 )
 

@@ -79,7 +79,7 @@ type ReplicaConn interface {
 // *transport.Client implements it; the primary type-asserts per connection
 // so older ReplicaConn fakes keep working.
 type RepairFetcher interface {
-	FetchRepair(fence int64, name string, isTree bool, idx []int64) ([][]byte, error)
+	FetchRepair(fence int64, name string, idx []int64) ([][]byte, error)
 }
 
 // ReplicaDialer opens a replication connection to a peer address.
@@ -135,7 +135,7 @@ type Replicator interface {
 	// FetchRepair serves checksum-verified ciphertexts to a peer healing
 	// corruption (the donor side of repair-from-replica). Any role answers;
 	// the caller's fence must be current.
-	FetchRepair(fence int64, name string, isTree bool, idx []int64) ([][]byte, error)
+	FetchRepair(fence int64, name string, idx []int64) ([][]byte, error)
 	Watermark() int64
 }
 
@@ -522,14 +522,14 @@ func (r *ReplicatedServer) ApplySync(fence, seq int64, snap []byte) error {
 // re-verified against the local checksums before they leave (a donor never
 // propagates its own rot; it answers ErrIntegrity instead and heals itself
 // through its own scrubber).
-func (r *ReplicatedServer) FetchRepair(fence int64, name string, isTree bool, idx []int64) ([][]byte, error) {
+func (r *ReplicatedServer) FetchRepair(fence int64, name string, idx []int64) ([][]byte, error) {
 	r.mu.Lock()
 	if err := r.acceptFenceLocked(fence); err != nil {
 		r.mu.Unlock()
 		return nil, err
 	}
 	r.mu.Unlock()
-	return r.d.StoredVerified(name, isTree, idx)
+	return r.d.StoredVerified(name, idx)
 }
 
 // RepairStored heals corrupt cells on the primary by fetching verified
@@ -538,15 +538,15 @@ func (r *ReplicatedServer) FetchRepair(fence int64, name string, isTree bool, id
 // record so replicas converge. It fails — wrapping ErrIntegrity, the same
 // fatal class PR 4 established — when no reachable peer holds a healthy
 // copy: self-healing must never degrade fail-loudly into silent corruption.
-func (r *ReplicatedServer) RepairStored(name string, isTree bool, idx []int64) error {
+func (r *ReplicatedServer) RepairStored(name string, idx []int64) error {
 	r.shipMu.Lock()
 	defer r.shipMu.Unlock()
-	return r.repairStoredLocked(name, isTree, idx)
+	return r.repairStoredLocked(name, idx)
 }
 
 // repairStoredLocked is RepairStored with shipMu already held (a Batch
 // repairs mid-batch without releasing the stream order lock).
-func (r *ReplicatedServer) repairStoredLocked(name string, isTree bool, idx []int64) error {
+func (r *ReplicatedServer) repairStoredLocked(name string, idx []int64) error {
 	r.mu.Lock()
 	if err := r.gateLocked(); err != nil {
 		r.mu.Unlock()
@@ -574,7 +574,7 @@ func (r *ReplicatedServer) repairStoredLocked(name string, isTree bool, idx []in
 			lastErr = fmt.Errorf("peer %s cannot serve repairs", p.addr)
 			continue
 		}
-		cts, err := rf.FetchRepair(fence, name, isTree, idx)
+		cts, err := rf.FetchRepair(fence, name, idx)
 		if err != nil {
 			if errors.Is(err, ErrFenced) {
 				r.depose()
@@ -584,9 +584,6 @@ func (r *ReplicatedServer) repairStoredLocked(name string, isTree bool, idx []in
 			continue
 		}
 		rec := &Op{Kind: KindRepair, Name: name, Idx: idx, Cts: cts}
-		if isTree {
-			rec.N = 1
-		}
 		frame, err := encodeWALRecord(rec)
 		if err != nil {
 			return err
@@ -599,7 +596,7 @@ func (r *ReplicatedServer) repairStoredLocked(name string, isTree bool, idx []in
 			// is a failure.
 			healed := false
 			if errors.Is(aerr, ErrDiskFull) {
-				_, verr := r.d.StoredVerified(name, isTree, idx)
+				_, verr := r.d.StoredVerified(name, idx)
 				healed = verr == nil
 			}
 			if !healed {
@@ -609,7 +606,7 @@ func (r *ReplicatedServer) repairStoredLocked(name string, isTree bool, idx []in
 		r.repaired.Add(int64(len(idx)))
 		r.repairs.Add(int64(len(idx)))
 		slog.Warn("store: repaired corrupt cells from replica",
-			"object", name, "tree", isTree, "cells", len(idx), "peer", p.addr)
+			"object", name, "cells", len(idx), "peer", p.addr)
 		r.ship(fence, [][]byte{frame})
 		return nil
 	}
@@ -829,7 +826,7 @@ const maxReadRepairs = 4
 // read's own error is returned, and a failed repair returns the repair's
 // error — which keeps a disk-full shed retryable (ErrDiskFull) instead of
 // laundering it into the fatal ErrIntegrity the read started with.
-func (r *ReplicatedServer) read(op *Op, res *Result, repair func(name string, isTree bool, idx []int64) error) error {
+func (r *ReplicatedServer) read(op *Op, res *Result, repair func(name string, idx []int64) error) error {
 	for repairs := 0; ; repairs++ {
 		r.mu.Lock()
 		err := r.gateLocked()
@@ -842,7 +839,7 @@ func (r *ReplicatedServer) read(op *Op, res *Result, repair func(name string, is
 		if !errors.As(err, &cce) || len(r.peers) == 0 || repairs == maxReadRepairs {
 			return err
 		}
-		if err := repair(cce.Object, cce.Tree, cce.Idx); err != nil {
+		if err := repair(cce.Object, cce.Idx); err != nil {
 			return err
 		}
 	}
@@ -872,9 +869,9 @@ func (r *ReplicatedServer) batch(op *Op, res *Result) (err error) {
 			// reflects every write this batch already applied — repairing
 			// against a peer that lags the unshipped writes could install
 			// stale bytes.
-			return r.read(sub, subres, func(name string, isTree bool, idx []int64) error {
+			return r.read(sub, subres, func(name string, idx []int64) error {
 				flush()
-				return r.repairStoredLocked(name, isTree, idx)
+				return r.repairStoredLocked(name, idx)
 			})
 		}
 		frame, f, err := r.apply(sub)

@@ -497,3 +497,63 @@ func TestHungPeerDoesNotBlockReads(t *testing.T) {
 		t.Fatalf("mutation with hung peer: %v", err)
 	}
 }
+
+// TestRefusedWriteChangesNothing: a write refused for one out-of-range
+// position applies none of its positions. The cell, the stored bytes and the
+// mutation count stay as they were on the primary, after it reopens its
+// directory, and on its replica. (Checking as it wrote, the server once
+// stored the positions ahead of the bad one in memory but logged, counted and
+// shipped none of them: a resuming client's consistency check passed on a
+// changed state, a restart undid the change, the replica never saw it.)
+func TestRefusedWriteChangesNothing(t *testing.T) {
+	replica := newReplica(t)
+	dir := t.TempDir()
+	pd, err := OpenDir(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, err := Replicated(pd, ReplicationConfig{
+		Primary: true, Peers: []string{"r"}, RedialEvery: 1,
+		Dial: func(string) (ReplicaConn, error) { return loopConn{replica}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.CreateArray("a", 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.WriteCells("a", []int64{0}, [][]byte{{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.WriteCells("a", []int64{0, 9}, [][]byte{{2, 2}, {3}}); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("WriteCells with index 9 of 4 = %v, want ErrOutOfRange", err)
+	}
+	check := func(where string, svc Service) {
+		t.Helper()
+		cells, err := svc.ReadCells("a", []int64{0})
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if !bytes.Equal(cells[0], []byte{1}) {
+			t.Errorf("%s: cell 0 = %v, want [1]", where, cells[0])
+		}
+		st, err := svc.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.StoredBytes != 1 || st.MutationsSinceEpoch != 2 {
+			t.Errorf("%s: %d stored bytes, %d mutations; want 1 and 2", where, st.StoredBytes, st.MutationsSinceEpoch)
+		}
+	}
+	check("primary", primary)
+	check("replica", replica.Durable())
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenDir(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	check("reopened primary", reopened)
+}

@@ -331,7 +331,7 @@ func (sc *Scrubber) sweepObjects() error {
 	}
 	diverged := false
 	for _, name := range names {
-		n, isTree, err := sc.d.ObjectExtent(name)
+		n, err := sc.d.ObjectExtent(name)
 		if err != nil {
 			if errors.Is(err, ErrUnknownObject) {
 				continue // deleted since the listing; public event
@@ -343,7 +343,7 @@ func (sc *Scrubber) sweepObjects() error {
 			if hi > n {
 				hi = n
 			}
-			bad, _, err := sc.d.VerifyStored(name, lo, hi)
+			bad, err := sc.d.VerifyStored(name, lo, hi)
 			if err != nil {
 				if errors.Is(err, ErrUnknownObject) || errors.Is(err, ErrOutOfRange) {
 					break // deleted or shrunk by a concurrent create-as-replace
@@ -358,10 +358,10 @@ func (sc *Scrubber) sweepObjects() error {
 			}
 			sc.corruptions.Add(1)
 			sc.corruptionsC.Inc()
-			slog.Warn("scrub: corrupt stored cells", "object", name, "tree", isTree, "cells", len(bad))
+			slog.Warn("scrub: corrupt stored cells", "object", name, "cells", len(bad))
 			switch {
 			case sc.rep != nil && sc.rep.IsPrimary():
-				if rerr := sc.rep.RepairStored(name, isTree, bad); rerr != nil {
+				if rerr := sc.rep.RepairStored(name, bad); rerr != nil {
 					sc.repairFails.Add(1)
 					sc.repairFailsC.Inc()
 					slog.Warn("scrub: repair from replica failed", "object", name, "err", rerr)

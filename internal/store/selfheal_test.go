@@ -16,8 +16,8 @@ import (
 // transport's kindRepair round trip.
 type repairLoopConn struct{ loopConn }
 
-func (c repairLoopConn) FetchRepair(fence int64, name string, isTree bool, idx []int64) ([][]byte, error) {
-	return c.r.FetchRepair(fence, name, isTree, idx)
+func (c repairLoopConn) FetchRepair(fence int64, name string, idx []int64) ([][]byte, error) {
+	return c.r.FetchRepair(fence, name, idx)
 }
 
 // newRepairPrimary is newPrimary with repair-capable peer connections.
@@ -60,7 +60,7 @@ func TestCorruptCellFailsLoudlyWithoutReplicas(t *testing.T) {
 	}
 	defer d.Close()
 	mutateSample(t, d)
-	if err := d.CorruptStored("a", false, 0, 3); err != nil {
+	if err := d.CorruptStored("a", 0, 3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,7 +69,7 @@ func TestCorruptCellFailsLoudlyWithoutReplicas(t *testing.T) {
 		t.Fatalf("read of rotted cell = %v, want ErrIntegrity", rerr)
 	}
 	var cce *CorruptCellsError
-	if !errors.As(rerr, &cce) || cce.Object != "a" || cce.Tree || len(cce.Idx) != 1 || cce.Idx[0] != 0 {
+	if !errors.As(rerr, &cce) || cce.Object != "a" || len(cce.Idx) != 1 || cce.Idx[0] != 0 {
 		t.Fatalf("corrupt-cell detail = %+v", cce)
 	}
 
@@ -99,10 +99,10 @@ func TestScrubRepairsPrimaryFromReplica(t *testing.T) {
 	primary := newRepairPrimary(t, replica)
 	mutateSample(t, primary)
 
-	if err := primary.Durable().CorruptStored("a", false, 3, 5); err != nil {
+	if err := primary.Durable().CorruptStored("a", 3, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.Durable().CorruptStored("t", true, 0, 1); err != nil {
+	if err := primary.Durable().CorruptStored("t", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	wmBefore := replica.Watermark()
@@ -140,7 +140,7 @@ func TestScrubRepairsPrimaryFromReplica(t *testing.T) {
 	}
 	defer d2.Close()
 	checkSample(t, d2)
-	if bad, _, err := d2.VerifyStored("a", 0, 4); err != nil || len(bad) != 0 {
+	if bad, err := d2.VerifyStored("a", 0, 4); err != nil || len(bad) != 0 {
 		t.Errorf("verify after reopen: bad=%v err=%v", bad, err)
 	}
 }
@@ -153,7 +153,7 @@ func TestForegroundReadRepairs(t *testing.T) {
 	primary := newRepairPrimary(t, replica)
 	mutateSample(t, primary)
 
-	if err := primary.Durable().CorruptStored("a", false, 0, 2); err != nil {
+	if err := primary.Durable().CorruptStored("a", 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	got, err := primary.ReadCells("a", []int64{0})
@@ -167,7 +167,7 @@ func TestForegroundReadRepairs(t *testing.T) {
 		t.Error("no repair counted for the foreground read")
 	}
 
-	if err := primary.Durable().CorruptStored("t", true, 4, 6); err != nil {
+	if err := primary.Durable().CorruptStored("t", 4, 6); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := primary.ReadPath("t", 2); err != nil {
@@ -182,10 +182,10 @@ func TestBatchReadRepairsMidBatch(t *testing.T) {
 	primary := newRepairPrimary(t, replica)
 	mutateSample(t, primary)
 
-	if err := primary.Durable().CorruptStored("a", false, 0, 1); err != nil {
+	if err := primary.Durable().CorruptStored("a", 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.Durable().CorruptStored("t", true, 4, 6); err != nil {
+	if err := primary.Durable().CorruptStored("t", 4, 6); err != nil {
 		t.Fatal(err)
 	}
 	out, err := primary.Batch([]BatchOp{
@@ -221,7 +221,7 @@ func TestReplicaScrubResyncs(t *testing.T) {
 	primary := newRepairPrimary(t, replica)
 	mutateSample(t, primary)
 
-	if err := replica.Durable().CorruptStored("a", false, 0, 4); err != nil {
+	if err := replica.Durable().CorruptStored("a", 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	sc := NewScrubber(replica.Durable(), replica, ScrubConfig{})
@@ -244,7 +244,7 @@ func TestReplicaScrubResyncs(t *testing.T) {
 	if err != nil || !bytes.Equal(cts[0], []byte{7}) {
 		t.Errorf("replica cell after resync = %v, %v", cts, err)
 	}
-	if bad, _, err := replica.Durable().VerifyStored("a", 0, 4); err != nil || len(bad) != 0 {
+	if bad, err := replica.Durable().VerifyStored("a", 0, 4); err != nil || len(bad) != 0 {
 		t.Errorf("replica still corrupt after resync: bad=%v err=%v", bad, err)
 	}
 }
@@ -607,7 +607,7 @@ func TestScrubSweepRacesLiveTraffic(t *testing.T) {
 	if got := sc.RepairFailures(); got != 0 {
 		t.Errorf("repair failures = %d on a healthy store", got)
 	}
-	if bad, _, err := primary.Durable().VerifyStored("x", 0, 128); err != nil || len(bad) != 0 {
+	if bad, err := primary.Durable().VerifyStored("x", 0, 128); err != nil || len(bad) != 0 {
 		t.Errorf("post-race verify: bad=%v err=%v", bad, err)
 	}
 }

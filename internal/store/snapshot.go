@@ -46,14 +46,14 @@ var snapshotMagic = [8]byte{'O', 'F', 'D', 'S', 'N', 'A', 'P', '3'}
 // header cannot trigger a huge allocation before the CRC check.
 const maxSnapshotPayload = 1 << 40
 
-// snapshot is the decoded form of a server's storage. Marks carries the
+// snapshot is the decoded form of a server's storage: its objects, and the
 // recovery marks of every non-root namespace (the root namespace's mark
-// rides in the framed header); it lives inside the CRC-covered payload, so a
-// flipped tenant epoch fails verification exactly like a flipped root epoch.
+// rides in the framed header). Marks live inside the CRC-covered payload, so
+// a flipped tenant epoch fails verification exactly like a flipped root
+// epoch.
 type snapshot struct {
-	Arrays map[string]arraySnapshot
-	Trees  map[string]treeSnapshot
-	Marks  map[string]markSnapshot
+	Objects map[string]*object
+	Marks   map[string]markSnapshot
 }
 
 // markSnapshot is one namespace's recovery mark.
@@ -62,32 +62,12 @@ type markSnapshot struct {
 	Dirty int64
 }
 
-type arraySnapshot struct {
-	Cells [][]byte
-}
-
-type treeSnapshot struct {
-	Levels int
-	Slots  int
-	Data   [][]byte
-}
-
 // SaveSnapshot serializes all storage objects to w. Trace state and the
 // reveal log are not part of the snapshot; the recovery epoch and dirty
 // counter are, so a restart restores the resume-consistency check too.
 func (s *Server) SaveSnapshot(w io.Writer) error {
 	s.mu.RLock()
-	snap := snapshot{
-		Arrays: make(map[string]arraySnapshot, len(s.arrays)),
-		Trees:  make(map[string]treeSnapshot, len(s.trees)),
-		Marks:  make(map[string]markSnapshot, len(s.marks)),
-	}
-	for name, a := range s.arrays {
-		snap.Arrays[name] = arraySnapshot{Cells: a.cells}
-	}
-	for name, t := range s.trees {
-		snap.Trees[name] = treeSnapshot{Levels: t.levels, Slots: t.slots, Data: t.data}
-	}
+	snap := snapshot{Objects: s.objects, Marks: make(map[string]markSnapshot, len(s.marks))}
 	var epoch, dirty int64
 	for db, m := range s.marks {
 		if db == "" {
@@ -96,7 +76,7 @@ func (s *Server) SaveSnapshot(w io.Writer) error {
 		}
 		snap.Marks[db] = markSnapshot{Epoch: m.epoch, Dirty: m.dirty}
 	}
-	// Encode under the lock: the maps share the live cell slices.
+	// Encode under the lock: the snapshot shares the live objects.
 	payload := snap.encode()
 	s.mu.RUnlock()
 	return writeSnapshotStream(w, epoch, dirty, payload)
@@ -117,28 +97,33 @@ func (sn *snapshot) encode() []byte {
 	// One allocation for the whole payload: growing by doubling would leave
 	// up to the snapshot's size again in garbage.
 	size := 3 * binary.MaxVarintLen64
-	for name, a := range sn.Arrays {
-		size += wire.SizeBytes(len(name)) + wire.SizeRun(a.Cells)
-	}
-	for name, t := range sn.Trees {
-		size += wire.SizeBytes(len(name)) + 2*binary.MaxVarintLen64 + wire.SizeRun(t.Data)
+	var arrays, trees []string
+	for _, name := range sortedKeys(sn.Objects) {
+		o := sn.Objects[name]
+		size += wire.SizeBytes(len(name)) + wire.SizeRun(o.cells)
+		if o.levels == 0 {
+			arrays = append(arrays, name)
+		} else {
+			trees = append(trees, name)
+			size += 2 * binary.MaxVarintLen64
+		}
 	}
 	for db := range sn.Marks {
 		size += wire.SizeBytes(len(db)) + 2*binary.MaxVarintLen64
 	}
 	b := make([]byte, 0, size)
-	b = binary.AppendUvarint(b, uint64(len(sn.Arrays)))
-	for _, name := range sortedKeys(sn.Arrays) {
+	b = binary.AppendUvarint(b, uint64(len(arrays)))
+	for _, name := range arrays {
 		b = wire.PutString(b, name)
-		b = wire.PutRun(b, sn.Arrays[name].Cells)
+		b = wire.PutRun(b, sn.Objects[name].cells)
 	}
-	b = binary.AppendUvarint(b, uint64(len(sn.Trees)))
-	for _, name := range sortedKeys(sn.Trees) {
-		t := sn.Trees[name]
+	b = binary.AppendUvarint(b, uint64(len(trees)))
+	for _, name := range trees {
+		t := sn.Objects[name]
 		b = wire.PutString(b, name)
-		b = binary.AppendVarint(b, int64(t.Levels))
-		b = binary.AppendVarint(b, int64(t.Slots))
-		b = wire.PutRun(b, t.Data)
+		b = binary.AppendVarint(b, int64(t.levels))
+		b = binary.AppendVarint(b, int64(t.slots))
+		b = wire.PutRun(b, t.cells)
 	}
 	b = binary.AppendUvarint(b, uint64(len(sn.Marks)))
 	for _, db := range sortedKeys(sn.Marks) {
@@ -150,28 +135,39 @@ func (sn *snapshot) encode() []byte {
 	return b
 }
 
-// decodeSnapshot parses a payload whose CRC already verified. Every stored
-// ciphertext gets its own allocation: the server keeps them cell by cell.
+// decodeSnapshot parses a payload whose CRC already verified into live
+// objects, validating every tree's shape. Every stored ciphertext gets its
+// own allocation: the server keeps them cell by cell. Checksums are not
+// persisted: the frame's CRC already vouches for the bytes read here, so
+// recomputing per-cell sums from them re-establishes the in-memory integrity
+// baseline the scrubber verifies against.
 func decodeSnapshot(payload []byte) (*snapshot, error) {
 	r := wire.NewReader(payload)
 	sn := &snapshot{
-		Arrays: make(map[string]arraySnapshot),
-		Trees:  make(map[string]treeSnapshot),
-		Marks:  make(map[string]markSnapshot),
+		Objects: make(map[string]*object),
+		Marks:   make(map[string]markSnapshot),
+	}
+	add := func(name string, o *object) {
+		if _, dup := sn.Objects[name]; dup {
+			r.Fail("object %q appears twice", name)
+		}
+		sn.Objects[name] = o
+	}
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		add(r.String(), &object{cells: r.Run(false)})
 	}
 	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
 		name := r.String()
-		if _, dup := sn.Arrays[name]; dup {
-			r.Fail("array %q appears twice", name)
+		t := &object{levels: r.Int(), slots: r.Int(), cells: r.Run(false)}
+		if r.Err() != nil {
+			break // no shape to check
 		}
-		sn.Arrays[name] = arraySnapshot{Cells: r.Run(false)}
-	}
-	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
-		name := r.String()
-		if _, dup := sn.Trees[name]; dup {
-			r.Fail("tree %q appears twice", name)
+		if want, err := treeCells(t.levels, t.slots); err != nil {
+			r.Fail("tree %q: %v", name, err)
+		} else if len(t.cells) != want {
+			r.Fail("tree %q has %d slots, want %d", name, len(t.cells), want)
 		}
-		sn.Trees[name] = treeSnapshot{Levels: r.Int(), Slots: r.Int(), Data: r.Run(false)}
+		add(name, t)
 	}
 	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
 		db := r.String()
@@ -182,6 +178,13 @@ func decodeSnapshot(payload []byte) (*snapshot, error) {
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
+	}
+	for _, o := range sn.Objects {
+		o.sums = make([]uint32, len(o.cells))
+		for i, c := range o.cells {
+			o.bytes += int64(len(c))
+			o.sums[i] = cellSum(c)
+		}
 	}
 	return sn, nil
 }
@@ -247,57 +250,11 @@ func readSnapshotStream(r io.Reader) (epoch, dirty int64, snap *snapshot, err er
 	return epoch, dirty, snap, nil
 }
 
-// restore converts the wire form back into live objects, validating shapes.
-func (sn *snapshot) restore() (map[string]*array, map[string]*tree, error) {
-	arrays := make(map[string]*array, len(sn.Arrays))
-	for name, a := range sn.Arrays {
-		obj := &array{cells: a.Cells}
-		if obj.cells == nil {
-			obj.cells = [][]byte{}
-		}
-		// Checksums are not persisted: the snapshot frame's CRC already
-		// vouches for the bytes read here, so recomputing per-cell sums from
-		// them re-establishes the in-memory integrity baseline the scrubber
-		// verifies against.
-		obj.sums = make([]uint32, len(obj.cells))
-		for i, c := range obj.cells {
-			obj.bytes += int64(len(c))
-			obj.sums[i] = cellSum(c)
-		}
-		arrays[name] = obj
-	}
-	trees := make(map[string]*tree, len(sn.Trees))
-	for name, t := range sn.Trees {
-		if _, dup := arrays[name]; dup {
-			return nil, nil, fmt.Errorf("%w: object %q is both array and tree", ErrCorruptSnapshot, name)
-		}
-		wantSlots, err := objectCells(true, t.Levels, t.Slots)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: tree %q: %v", ErrCorruptSnapshot, name, err)
-		}
-		if len(t.Data) != wantSlots {
-			return nil, nil, fmt.Errorf("%w: tree %q has %d slots, want %d", ErrCorruptSnapshot, name, len(t.Data), wantSlots)
-		}
-		obj := &tree{levels: t.Levels, slots: t.Slots, data: t.Data}
-		obj.sums = make([]uint32, len(obj.data))
-		for i, c := range obj.data {
-			obj.bytes += int64(len(c))
-			obj.sums[i] = cellSum(c)
-		}
-		trees[name] = obj
-	}
-	return arrays, trees, nil
-}
-
 // LoadSnapshot replaces the server's storage with the snapshot read from r.
 // Truncated or corrupted input returns an error wrapping ErrCorruptSnapshot
 // (check with errors.Is) and leaves the server's current state untouched.
 func (s *Server) LoadSnapshot(r io.Reader) error {
 	epoch, dirty, snap, err := readSnapshotStream(r)
-	if err != nil {
-		return err
-	}
-	arrays, trees, err := snap.restore()
 	if err != nil {
 		return err
 	}
@@ -315,8 +272,7 @@ func (s *Server) LoadSnapshot(r io.Reader) error {
 		marks[db] = &nsMark{epoch: m.Epoch, dirty: m.Dirty}
 	}
 	s.mu.Lock()
-	s.arrays = arrays
-	s.trees = trees
+	s.objects = snap.Objects
 	s.marks = marks
 	s.mu.Unlock()
 	return nil

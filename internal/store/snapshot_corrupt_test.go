@@ -128,6 +128,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw[headerLen:])
+	if raw, err = os.ReadFile(filepath.Join("testdata", pinnedSnapshot)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw[headerLen:])
 	f.Add(overflowSnapshotPayload())
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -135,11 +139,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			// As for a WAL record: a slice header per ciphertext, each of
 			// which took at least one input byte, and the bytes once.
 			footprint := 0
-			for name, a := range sn.Arrays {
-				footprint += len(name) + runFootprint(a.Cells)
-			}
-			for name, tr := range sn.Trees {
-				footprint += len(name) + runFootprint(tr.Data)
+			for name, o := range sn.Objects {
+				footprint += len(name) + runFootprint(o.cells)
 			}
 			for db := range sn.Marks {
 				footprint += len(db) + 16

@@ -118,7 +118,7 @@ func TestLoadSnapshotValidatesTreeShape(t *testing.T) {
 // whose slot count, 3 × 6148914691236517206, wraps around to 2 in an int —
 // and the 2 slots the wrapped count asks for.
 func overflowSnapshotPayload() []byte {
-	sn := snapshot{Trees: map[string]treeSnapshot{"t": {Levels: 2, Slots: 6148914691236517206, Data: [][]byte{{1}, {2}}}}}
+	sn := snapshot{Objects: map[string]*object{"t": {levels: 2, slots: 6148914691236517206, cells: [][]byte{{1}, {2}}}}}
 	return sn.encode()
 }
 

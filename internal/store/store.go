@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"sync"
 
 	"github.com/oblivfd/oblivfd/internal/trace"
@@ -90,17 +89,12 @@ var (
 // no healthy copy exists.
 type CorruptCellsError struct {
 	Object string
-	Tree   bool    // Idx are flat slot indices of a bucket tree, not array cells
-	Idx    []int64 // corrupt positions, ascending
+	Idx    []int64 // corrupt cell positions (a tree's slots counted flat)
 }
 
 func (e *CorruptCellsError) Error() string {
-	kind := "array"
-	if e.Tree {
-		kind = "tree"
-	}
-	return fmt.Sprintf("store: integrity verification failed: %s %q: %d stored cells failed checksum (first at %d)",
-		kind, e.Object, len(e.Idx), e.Idx[0])
+	return fmt.Sprintf("store: integrity verification failed: %q: %d stored cells failed checksum (first at %d)",
+		e.Object, len(e.Idx), e.Idx[0])
 }
 
 func (e *CorruptCellsError) Is(target error) bool { return target == ErrIntegrity }
@@ -208,8 +202,7 @@ type Service interface {
 // historical meaning.
 type Server struct {
 	mu      sync.RWMutex
-	arrays  map[string]*array
-	trees   map[string]*tree
+	objects map[string]*object
 	rec     *trace.Recorder
 	reveals []Reveal
 	marks   map[string]*nsMark // recovery marks keyed by namespace
@@ -228,24 +221,87 @@ type Reveal struct {
 	Value int64
 }
 
-// Stored objects carry one CRC32 per cell/slot, maintained on every write
-// and checked on every read and scrub pass. The server holds no keys, so
-// this is not a substitute for the client's AEAD verification — it is how
-// the server itself notices latent corruption (bit rot) early enough to
-// repair from a replica instead of serving bytes the client will fatally
-// reject.
-type array struct {
-	cells [][]byte
-	sums  []uint32
-	bytes int64
-}
-
-type tree struct {
-	levels int
-	slots  int // per bucket
-	data   [][]byte
+// object is one stored object: a run of ciphertext cells. An array has
+// levels 0. A bucket tree of levels levels keeps its 2^levels − 1 buckets in
+// heap order (root = 0), slots cells each, so bucket b is cells
+// [b·slots, (b+1)·slots). The Service methods check that a cell op names an
+// array and a path op a tree; everything under them addresses cells by flat
+// position, whatever the shape.
+//
+// Every cell carries a CRC32, maintained on every write and checked on every
+// read and scrub pass. The server holds no keys, so this is not a substitute
+// for the client's AEAD verification — it is how the server itself notices
+// latent corruption (bit rot) early enough to repair from a replica instead
+// of serving bytes the client will fatally reject.
+type object struct {
+	cells  [][]byte
 	sums   []uint32
 	bytes  int64
+	levels int // 0 for an array
+	slots  int // per bucket
+}
+
+func newObject(cells, levels, slots int) *object {
+	return &object{cells: make([][]byte, cells), sums: make([]uint32, cells), levels: levels, slots: slots}
+}
+
+// kind names the object's shape in errors.
+func (o *object) kind() string {
+	if o.levels == 0 {
+		return "array"
+	}
+	return "tree"
+}
+
+// get returns the cells at positions idx and the positions among them whose
+// checksum fails, in the order asked. A position out of range refuses the
+// whole read.
+func (o *object) get(name string, idx []int64) (out [][]byte, bad []int64, err error) {
+	out = make([][]byte, len(idx))
+	for k, i := range idx {
+		if i < 0 || i >= int64(len(o.cells)) {
+			return nil, nil, o.outOfRange(name, i)
+		}
+		if cellSum(o.cells[i]) != o.sums[i] {
+			bad = append(bad, i)
+		}
+		out[k] = o.cells[i]
+	}
+	return out, bad, nil
+}
+
+// put replaces cell at(k) with cts[k] for each of the n positions at names,
+// keeping the checksums and the byte count. It checks every position before
+// it writes any, so a refused write changes nothing. It is the one routine
+// that writes a cell.
+func (o *object) put(name string, n int, at func(k int) int64, cts [][]byte) error {
+	if n != len(cts) {
+		return fmt.Errorf("store: writing %s %q: %d indices, %d ciphertexts", o.kind(), name, n, len(cts))
+	}
+	for k := range cts {
+		if i := at(k); i < 0 || i >= int64(len(o.cells)) {
+			return o.outOfRange(name, i)
+		}
+	}
+	for k, ct := range cts {
+		i := at(k)
+		o.bytes += int64(len(ct) - len(o.cells[i]))
+		o.cells[i] = ct
+		o.sums[i] = cellSum(ct)
+	}
+	return nil
+}
+
+func (o *object) outOfRange(name string, i int64) error {
+	return fmt.Errorf("%w: %s %q index %d (len %d)", ErrOutOfRange, o.kind(), name, i, len(o.cells))
+}
+
+// runBytes is the ciphertext bytes of cts.
+func runBytes(cts [][]byte) (n int) {
+	for _, ct := range cts {
+		n += len(ct)
+	}
+	return n
 }
 
 // cellSum is the stored-cell checksum. An empty or never-written cell sums
@@ -255,10 +311,9 @@ func cellSum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 // NewServer returns an empty server with trace counting active.
 func NewServer() *Server {
 	return &Server{
-		arrays: make(map[string]*array),
-		trees:  make(map[string]*tree),
-		rec:    trace.NewRecorder(),
-		marks:  make(map[string]*nsMark),
+		objects: make(map[string]*object),
+		rec:     trace.NewRecorder(),
+		marks:   make(map[string]*nsMark),
 	}
 }
 
@@ -280,6 +335,20 @@ func (s *Server) markLocked(db string) *nsMark {
 // Callers hold s.mu.
 func (s *Server) bumpLocked(name string) {
 	s.markLocked(NamespaceOf(name)).dirty++
+}
+
+// objectLocked returns the named object. A Service method passes the kind it
+// operates on ("array" or "tree"): a cell op on a tree, or a path op on an
+// array, names no object it knows. Maintenance passes "" and takes either.
+// Callers hold s.mu.
+func (s *Server) objectLocked(name, kind string) (*object, error) {
+	if o, ok := s.objects[name]; ok && (kind == "" || o.kind() == kind) {
+		return o, nil
+	}
+	if kind == "" {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownObject, name)
+	}
+	return nil, fmt.Errorf("%w: %s %q", ErrUnknownObject, kind, name)
 }
 
 // Reveals returns the public values the client has disclosed since the last
@@ -304,53 +373,48 @@ const (
 	maxLevels = 33
 )
 
-// objectCells is the one shape check, whether a client's create asks for the
-// shape or a snapshot holds it: the cells an array of n cells (isTree false)
-// or a tree of levels × n slots per bucket holds, counted without overflow,
-// or an error wrapping ErrOutOfRange.
-func objectCells(isTree bool, levels, n int) (int, error) {
-	if !isTree {
-		if n < 0 || n > maxCells {
-			return 0, fmt.Errorf("%w: array of %d cells (0 to %d)", ErrOutOfRange, n, maxCells)
-		}
-		return n, nil
-	}
-	if levels < 1 || levels > maxLevels || n < 1 {
-		return 0, fmt.Errorf("%w: tree of %d levels × %d slots (1 to %d levels, at least 1 slot)", ErrOutOfRange, levels, n, maxLevels)
+// treeCells is the tree shape check, whether a client's create asks for the
+// shape or a snapshot holds it: the cells a tree of levels × slots per bucket
+// holds, counted without overflow, or an error wrapping ErrOutOfRange.
+func treeCells(levels, slots int) (int, error) {
+	if levels < 1 || levels > maxLevels || slots < 1 {
+		return 0, fmt.Errorf("%w: tree of %d levels × %d slots (1 to %d levels, at least 1 slot)", ErrOutOfRange, levels, slots, maxLevels)
 	}
 	buckets := 1<<levels - 1
-	if n > maxCells/buckets {
-		return 0, fmt.Errorf("%w: tree of %d buckets × %d slots exceeds %d slots", ErrOutOfRange, buckets, n, maxCells)
+	if slots > maxCells/buckets {
+		return 0, fmt.Errorf("%w: tree of %d buckets × %d slots exceeds %d slots", ErrOutOfRange, buckets, slots, maxCells)
 	}
-	return buckets * n, nil
+	return buckets * slots, nil
+}
+
+// create adds obj under a free name, counting the mutation and recording ev.
+func (s *Server) create(name string, obj *object, ev trace.Event) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.objects[name]; ok {
+		return fmt.Errorf("%w: %s %q", ErrObjectExists, old.kind(), name)
+	}
+	s.objects[name] = obj
+	s.bumpLocked(name)
+	s.rec.Record(ev)
+	return nil
 }
 
 // CreateArray implements Service.
 func (s *Server) CreateArray(name string, n int) error {
-	if _, err := objectCells(false, 0, n); err != nil {
-		return fmt.Errorf("store: array %q: %w", name, err)
+	if n < 0 || n > maxCells {
+		return fmt.Errorf("store: array %q: %w: array of %d cells (0 to %d)", name, ErrOutOfRange, n, maxCells)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.arrays[name]; ok {
-		return fmt.Errorf("%w: array %q", ErrObjectExists, name)
-	}
-	if _, ok := s.trees[name]; ok {
-		return fmt.Errorf("%w: tree %q", ErrObjectExists, name)
-	}
-	s.arrays[name] = &array{cells: make([][]byte, n), sums: make([]uint32, n)}
-	s.bumpLocked(name)
-	s.rec.Record(trace.Event{Op: trace.OpCreateArray, Object: name, Index: int64(n)})
-	return nil
+	return s.create(name, newObject(n, 0, 0), trace.Event{Op: trace.OpCreateArray, Object: name, Index: int64(n)})
 }
 
 // ArrayLen implements Service.
 func (s *Server) ArrayLen(name string) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	a, ok := s.arrays[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: array %q", ErrUnknownObject, name)
+	a, err := s.objectLocked(name, "array")
+	if err != nil {
+		return 0, err
 	}
 	return len(a.cells), nil
 }
@@ -358,24 +422,16 @@ func (s *Server) ArrayLen(name string) (int, error) {
 // ReadCells implements Service.
 func (s *Server) ReadCells(name string, idx []int64) ([][]byte, error) {
 	s.mu.RLock()
-	a, ok := s.arrays[name]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, fmt.Errorf("%w: array %q", ErrUnknownObject, name)
-	}
-	out := make([][]byte, len(idx))
+	a, err := s.objectLocked(name, "array")
+	var out [][]byte
 	var bad []int64
-	for k, i := range idx {
-		if i < 0 || i >= int64(len(a.cells)) {
-			s.mu.RUnlock()
-			return nil, fmt.Errorf("%w: array %q index %d (len %d)", ErrOutOfRange, name, i, len(a.cells))
-		}
-		if cellSum(a.cells[i]) != a.sums[i] {
-			bad = append(bad, i)
-		}
-		out[k] = a.cells[i]
+	if err == nil {
+		out, bad, err = a.get(name, idx)
 	}
 	s.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
 	if len(bad) > 0 {
 		return nil, &CorruptCellsError{Object: name, Idx: bad}
 	}
@@ -387,23 +443,14 @@ func (s *Server) ReadCells(name string, idx []int64) ([][]byte, error) {
 
 // WriteCells implements Service.
 func (s *Server) WriteCells(name string, idx []int64, cts [][]byte) error {
-	if len(idx) != len(cts) {
-		return fmt.Errorf("store: WriteCells on %q: %d indices, %d ciphertexts", name, len(idx), len(cts))
-	}
 	s.mu.Lock()
-	a, ok := s.arrays[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: array %q", ErrUnknownObject, name)
+	a, err := s.objectLocked(name, "array")
+	if err == nil {
+		err = a.put(name, len(idx), func(k int) int64 { return idx[k] }, cts)
 	}
-	for k, i := range idx {
-		if i < 0 || i >= int64(len(a.cells)) {
-			s.mu.Unlock()
-			return fmt.Errorf("%w: array %q index %d (len %d)", ErrOutOfRange, name, i, len(a.cells))
-		}
-		a.bytes += int64(len(cts[k]) - len(a.cells[i]))
-		a.cells[i] = cts[k]
-		a.sums[i] = cellSum(cts[k])
+	if err != nil {
+		s.mu.Unlock()
+		return err
 	}
 	s.bumpLocked(name)
 	s.mu.Unlock()
@@ -415,141 +462,100 @@ func (s *Server) WriteCells(name string, idx []int64, cts [][]byte) error {
 
 // CreateTree implements Service.
 func (s *Server) CreateTree(name string, levels, slotsPerBucket int) error {
-	cells, err := objectCells(true, levels, slotsPerBucket)
+	cells, err := treeCells(levels, slotsPerBucket)
 	if err != nil {
 		return fmt.Errorf("store: tree %q: %w", name, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.trees[name]; ok {
-		return fmt.Errorf("%w: tree %q", ErrObjectExists, name)
-	}
-	if _, ok := s.arrays[name]; ok {
-		return fmt.Errorf("%w: array %q", ErrObjectExists, name)
-	}
-	s.trees[name] = &tree{
-		levels: levels,
-		slots:  slotsPerBucket,
-		data:   make([][]byte, cells),
-		sums:   make([]uint32, cells),
-	}
-	s.bumpLocked(name)
-	s.rec.Record(trace.Event{Op: trace.OpCreateTree, Object: name, Index: int64(levels)})
-	return nil
+	return s.create(name, newObject(cells, levels, slotsPerBucket), trace.Event{Op: trace.OpCreateTree, Object: name, Index: int64(levels)})
 }
 
-// pathNodes returns the bucket indices (heap layout, root = 0) from the root
-// to the given leaf.
-func (t *tree) pathNodes(leaf uint32) ([]int, error) {
-	numLeaves := 1 << (t.levels - 1)
+// pathCells returns the positions of the cells of every bucket on the
+// root→leaf path, root first (so ascending).
+func (o *object) pathCells(leaf uint32) ([]int64, error) {
+	numLeaves := 1 << (o.levels - 1)
 	if int(leaf) >= numLeaves {
 		return nil, fmt.Errorf("%w: leaf %d (have %d leaves)", ErrOutOfRange, leaf, numLeaves)
 	}
-	nodes := make([]int, t.levels)
+	idx := make([]int64, o.levels*o.slots)
 	node := numLeaves - 1 + int(leaf) // leaf node index in heap layout
-	for l := t.levels - 1; l >= 0; l-- {
-		nodes[l] = node
+	for l := o.levels - 1; l >= 0; l-- {
+		for j := 0; j < o.slots; j++ {
+			idx[l*o.slots+j] = int64(node*o.slots + j)
+		}
 		node = (node - 1) / 2
 	}
-	return nodes, nil
+	return idx, nil
 }
 
 // ReadPath implements Service.
 func (s *Server) ReadPath(name string, leaf uint32) ([][]byte, error) {
 	s.mu.RLock()
-	t, ok := s.trees[name]
-	if !ok {
+	t, err := s.objectLocked(name, "tree")
+	if err != nil {
 		s.mu.RUnlock()
-		return nil, fmt.Errorf("%w: tree %q", ErrUnknownObject, name)
+		return nil, err
 	}
-	nodes, err := t.pathNodes(leaf)
+	idx, err := t.pathCells(leaf)
 	if err != nil {
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("store: ReadPath(%q): %w", name, err)
 	}
-	out := make([][]byte, 0, len(nodes)*t.slots)
-	total := 0
-	var bad []int64
-	for _, n := range nodes {
-		for j := 0; j < t.slots; j++ {
-			ct := t.data[n*t.slots+j]
-			if cellSum(ct) != t.sums[n*t.slots+j] {
-				bad = append(bad, int64(n*t.slots+j))
-			}
-			out = append(out, ct)
-			total += len(ct)
-		}
-	}
+	out, bad, _ := t.get(name, idx) // a path's positions are in range
 	s.mu.RUnlock()
 	if len(bad) > 0 {
-		sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
-		return nil, &CorruptCellsError{Object: name, Tree: true, Idx: bad}
+		return nil, &CorruptCellsError{Object: name, Idx: bad}
 	}
-	s.rec.Record(trace.Event{Op: trace.OpReadPath, Object: name, Index: int64(leaf), Bytes: total})
+	s.rec.Record(trace.Event{Op: trace.OpReadPath, Object: name, Index: int64(leaf), Bytes: runBytes(out)})
 	return out, nil
 }
 
 // WritePath implements Service.
 func (s *Server) WritePath(name string, leaf uint32, slots [][]byte) error {
 	s.mu.Lock()
-	t, ok := s.trees[name]
-	if !ok {
+	t, err := s.objectLocked(name, "tree")
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: tree %q", ErrUnknownObject, name)
+		return err
 	}
-	nodes, err := t.pathNodes(leaf)
+	idx, err := t.pathCells(leaf)
 	if err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("store: WritePath(%q): %w", name, err)
 	}
-	if len(slots) != len(nodes)*t.slots {
+	if len(slots) != len(idx) {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: tree %q: got %d slots, want %d", ErrBadPath, name, len(slots), len(nodes)*t.slots)
+		return fmt.Errorf("%w: tree %q: got %d slots, want %d", ErrBadPath, name, len(slots), len(idx))
 	}
-	total := 0
-	k := 0
-	for _, n := range nodes {
-		for j := 0; j < t.slots; j++ {
-			t.bytes += int64(len(slots[k]) - len(t.data[n*t.slots+j]))
-			t.data[n*t.slots+j] = slots[k]
-			t.sums[n*t.slots+j] = cellSum(slots[k])
-			total += len(slots[k])
-			k++
-		}
-	}
+	_ = t.put(name, len(idx), func(k int) int64 { return idx[k] }, slots) // a path's positions are in range
 	s.bumpLocked(name)
 	s.mu.Unlock()
-	s.rec.Record(trace.Event{Op: trace.OpWritePath, Object: name, Index: int64(leaf), Bytes: total})
+	s.rec.Record(trace.Event{Op: trace.OpWritePath, Object: name, Index: int64(leaf), Bytes: runBytes(slots)})
 	return nil
 }
 
 // WriteBuckets implements Service.
 func (s *Server) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
 	s.mu.Lock()
-	t, ok := s.trees[name]
-	if !ok {
+	t, err := s.objectLocked(name, "tree")
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: tree %q", ErrUnknownObject, name)
+		return err
 	}
 	if len(slots)%t.slots != 0 {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: tree %q: %d slots not a multiple of bucket size %d", ErrBadPath, name, len(slots), t.slots)
 	}
-	first := bucketStart * t.slots
-	if bucketStart < 0 || first+len(slots) > len(t.data) {
+	// Compared in buckets: bucketStart × slots may not fit an int.
+	n := len(slots) / t.slots
+	if bucketStart < 0 || bucketStart > len(t.cells)/t.slots-n {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: tree %q: bucket range [%d,+%d)", ErrOutOfRange, name, bucketStart, len(slots)/t.slots)
+		return fmt.Errorf("%w: tree %q: bucket range [%d,+%d)", ErrOutOfRange, name, bucketStart, n)
 	}
-	total := 0
-	for k, ct := range slots {
-		t.bytes += int64(len(ct) - len(t.data[first+k]))
-		t.data[first+k] = ct
-		t.sums[first+k] = cellSum(ct)
-		total += len(ct)
-	}
+	first := int64(bucketStart * t.slots)
+	_ = t.put(name, len(slots), func(k int) int64 { return first + int64(k) }, slots) // the range is checked above
 	s.bumpLocked(name)
 	s.mu.Unlock()
-	s.rec.Record(trace.Event{Op: trace.OpWriteBucket, Object: name, Index: int64(bucketStart), Bytes: total})
+	s.rec.Record(trace.Event{Op: trace.OpWriteBucket, Object: name, Index: int64(bucketStart), Bytes: runBytes(slots)})
 	return nil
 }
 
@@ -557,13 +563,10 @@ func (s *Server) WriteBuckets(name string, bucketStart int, slots [][]byte) erro
 func (s *Server) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.arrays[name]; ok {
-		delete(s.arrays, name)
-	} else if _, ok := s.trees[name]; ok {
-		delete(s.trees, name)
-	} else {
+	if _, ok := s.objects[name]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, name)
 	}
+	delete(s.objects, name)
 	s.bumpLocked(name)
 	s.rec.Record(trace.Event{Op: trace.OpDelete, Object: name})
 	return nil
@@ -616,13 +619,9 @@ func (s *Server) EpochNS(db string) int64 {
 func (s *Server) Stats() (Stats, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var st Stats
-	st.Objects = len(s.arrays) + len(s.trees)
-	for _, a := range s.arrays {
-		st.StoredBytes += a.bytes
-	}
-	for _, t := range s.trees {
-		st.StoredBytes += t.bytes
+	st := Stats{Objects: len(s.objects)}
+	for _, o := range s.objects {
+		st.StoredBytes += o.bytes
 	}
 	if m, ok := s.marks[""]; ok {
 		st.Epoch = m.epoch
@@ -639,16 +638,10 @@ func (s *Server) StatsNS(db string) (Stats, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var st Stats
-	for name, a := range s.arrays {
+	for name, o := range s.objects {
 		if NamespaceOf(name) == db {
 			st.Objects++
-			st.StoredBytes += a.bytes
-		}
-	}
-	for name, t := range s.trees {
-		if NamespaceOf(name) == db {
-			st.Objects++
-			st.StoredBytes += t.bytes
+			st.StoredBytes += o.bytes
 		}
 	}
 	if m, ok := s.marks[db]; ok {
@@ -663,83 +656,62 @@ func (s *Server) StatsNS(db string) (Stats, error) {
 // structure only (DESIGN.md §15).
 func (s *Server) ObjectNames() []string {
 	s.mu.RLock()
-	names := make([]string, 0, len(s.arrays)+len(s.trees))
-	for name := range s.arrays {
-		names = append(names, name)
-	}
-	for name := range s.trees {
-		names = append(names, name)
-	}
+	names := sortedKeys(s.objects)
 	s.mu.RUnlock()
-	sort.Strings(names)
 	return names
 }
 
-// ObjectExtent reports an object's stored-cell count (array cells, or flat
-// tree slots) and whether it is a tree.
-func (s *Server) ObjectExtent(name string) (n int, isTree bool, err error) {
+// ObjectExtent reports how many cells an object stores: an array's cells, or
+// a tree's slots.
+func (s *Server) ObjectExtent(name string) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if a, ok := s.arrays[name]; ok {
-		return len(a.cells), false, nil
+	o, err := s.objectLocked(name, "")
+	if err != nil {
+		return 0, err
 	}
-	if t, ok := s.trees[name]; ok {
-		return len(t.data), true, nil
-	}
-	return 0, false, fmt.Errorf("%w: %q", ErrUnknownObject, name)
+	return len(o.cells), nil
 }
 
-// VerifyStored checks the checksums of the cell/slot range [lo, hi) and
-// returns the corrupt positions (nil when clean). Verification holds only
-// the read lock and records nothing in the adversary trace: the scrubber is
-// the server inspecting its own memory, not a client access.
-func (s *Server) VerifyStored(name string, lo, hi int) (bad []int64, isTree bool, err error) {
+// VerifyStored checks the checksums of the cells [lo, hi) and returns the
+// corrupt positions (nil when clean). Verification holds only the read lock
+// and records nothing in the adversary trace: the scrubber is the server
+// inspecting its own memory, not a client access.
+func (s *Server) VerifyStored(name string, lo, hi int) (bad []int64, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	cells, sums := [][]byte(nil), []uint32(nil)
-	if a, ok := s.arrays[name]; ok {
-		cells, sums = a.cells, a.sums
-	} else if t, ok := s.trees[name]; ok {
-		cells, sums, isTree = t.data, t.sums, true
-	} else {
-		return nil, false, fmt.Errorf("%w: %q", ErrUnknownObject, name)
+	o, err := s.objectLocked(name, "")
+	if err != nil {
+		return nil, err
 	}
-	if lo < 0 || hi > len(cells) || lo > hi {
-		return nil, isTree, fmt.Errorf("%w: %q range [%d,%d) of %d", ErrOutOfRange, name, lo, hi, len(cells))
+	if lo < 0 || hi > len(o.cells) || lo > hi {
+		return nil, fmt.Errorf("%w: %q range [%d,%d) of %d", ErrOutOfRange, name, lo, hi, len(o.cells))
 	}
 	for i := lo; i < hi; i++ {
-		if cellSum(cells[i]) != sums[i] {
+		if cellSum(o.cells[i]) != o.sums[i] {
 			bad = append(bad, int64(i))
 		}
 	}
-	return bad, isTree, nil
+	return bad, nil
 }
 
 // StoredVerified returns the ciphertexts at the given positions after
 // re-verifying their checksums — the donor side of repair-from-replica: a
 // peer must never serve bytes its own store has rotted. Like VerifyStored it
 // records no trace events.
-func (s *Server) StoredVerified(name string, isTree bool, idx []int64) ([][]byte, error) {
+func (s *Server) StoredVerified(name string, idx []int64) ([][]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	cells, sums, err := s.storedLocked(name, isTree)
+	o, err := s.objectLocked(name, "")
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(idx))
-	var bad []int64
-	for k, i := range idx {
-		if i < 0 || i >= int64(len(cells)) {
-			return nil, fmt.Errorf("%w: %q index %d (len %d)", ErrOutOfRange, name, i, len(cells))
-		}
-		if cellSum(cells[i]) != sums[i] {
-			bad = append(bad, i)
-			continue
-		}
-		out[k] = cells[i]
+	out, bad, err := o.get(name, idx)
+	if err != nil {
+		return nil, err
 	}
 	if len(bad) > 0 {
-		return nil, &CorruptCellsError{Object: name, Tree: isTree, Idx: bad}
+		return nil, &CorruptCellsError{Object: name, Idx: bad}
 	}
 	return out, nil
 }
@@ -751,68 +723,36 @@ func (s *Server) StoredVerified(name string, isTree bool, idx []int64) ([][]byte
 // records no adversary-trace event (the canonical client trace is unchanged
 // by self-healing; the repair itself is visible to the adversary through the
 // replication view, which DESIGN.md §15 argues leaks nothing new).
-func (s *Server) InstallStored(name string, isTree bool, idx []int64, cts [][]byte) error {
-	if len(idx) != len(cts) {
-		return fmt.Errorf("store: InstallStored on %q: %d indices, %d ciphertexts", name, len(idx), len(cts))
-	}
+func (s *Server) InstallStored(name string, idx []int64, cts [][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cells, sums, err := s.storedLocked(name, isTree)
+	o, err := s.objectLocked(name, "")
 	if err != nil {
 		return err
 	}
-	for k, i := range idx {
-		if i < 0 || i >= int64(len(cells)) {
-			return fmt.Errorf("%w: %q index %d (len %d)", ErrOutOfRange, name, i, len(cells))
-		}
-		delta := int64(len(cts[k]) - len(cells[i]))
-		if a, ok := s.arrays[name]; ok {
-			a.bytes += delta
-		} else if t, ok := s.trees[name]; ok {
-			t.bytes += delta
-		}
-		cells[i] = cts[k]
-		sums[i] = cellSum(cts[k])
-	}
-	return nil
-}
-
-// storedLocked resolves an object's cell and sum slices. Callers hold s.mu.
-func (s *Server) storedLocked(name string, isTree bool) ([][]byte, []uint32, error) {
-	if isTree {
-		t, ok := s.trees[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: tree %q", ErrUnknownObject, name)
-		}
-		return t.data, t.sums, nil
-	}
-	a, ok := s.arrays[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: array %q", ErrUnknownObject, name)
-	}
-	return a.cells, a.sums, nil
+	return o.put(name, len(idx), func(k int) int64 { return idx[k] }, cts)
 }
 
 // CorruptStored flips one bit of a stored ciphertext without touching its
 // checksum — the bit-rot injection the scrub/repair harness uses. It fails
 // if the cell is empty (there is no byte to flip). Injection only; never
 // called outside tests and the chaos/bench harnesses.
-func (s *Server) CorruptStored(name string, isTree bool, i int64, bit uint) error {
+func (s *Server) CorruptStored(name string, i int64, bit uint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cells, _, err := s.storedLocked(name, isTree)
+	o, err := s.objectLocked(name, "")
 	if err != nil {
 		return err
 	}
-	if i < 0 || i >= int64(len(cells)) {
-		return fmt.Errorf("%w: %q index %d (len %d)", ErrOutOfRange, name, i, len(cells))
+	if i < 0 || i >= int64(len(o.cells)) {
+		return o.outOfRange(name, i)
 	}
-	if len(cells[i]) == 0 {
+	if len(o.cells[i]) == 0 {
 		return fmt.Errorf("store: CorruptStored: %q cell %d is empty", name, i)
 	}
 	// Copy-on-rot: the stored slice may alias a buffer a reader still holds.
-	rotted := append([]byte(nil), cells[i]...)
+	rotted := append([]byte(nil), o.cells[i]...)
 	rotted[int(bit/8)%len(rotted)] ^= 1 << (bit % 8)
-	cells[i] = rotted
+	o.cells[i] = rotted
 	return nil
 }

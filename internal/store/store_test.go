@@ -179,6 +179,28 @@ func TestWriteBuckets(t *testing.T) {
 	}
 }
 
+// TestRefusedInstallChangesNothing: a repair refused for one out-of-range
+// position installs none of its positions.
+func TestRefusedInstallChangesNothing(t *testing.T) {
+	s := NewServer()
+	if err := s.CreateArray("a", 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCells("a", []int64{0}, [][]byte{{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InstallStored("a", []int64{0, 9}, [][]byte{{2, 2}, {3}}); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("InstallStored with index 9 of 4 = %v, want ErrOutOfRange", err)
+	}
+	cells, err := s.StoredVerified("a", []int64{0})
+	if err != nil || !bytes.Equal(cells[0], []byte{1}) {
+		t.Errorf("cell 0 = %v, %v; want [1]", cells, err)
+	}
+	if st, _ := s.Stats(); st.StoredBytes != 1 {
+		t.Errorf("StoredBytes = %d, want 1", st.StoredBytes)
+	}
+}
+
 func TestNameCollisionAcrossKinds(t *testing.T) {
 	s := NewServer()
 	if err := s.CreateArray("x", 1); err != nil {

@@ -28,7 +28,7 @@ import (
 //	        | fields(Checkpoint) string(DB)  Checkpoint, whose namespace never crosses the wire
 //	        | string(Name) varint(Value)     Promote: role ("primary" or "replica"), fencing epoch
 //	        | string(Name) varint(N) indices(Idx) run(Cts)
-//	                                         Repair: N = 1 for tree slots, 0 for array cells
+//	                                         Repair: cells by flat position; N is reserved
 //
 // fields(kind) is AppendFields' layout, the one a TCP request carries. The
 // last two record what no client sends: the fence a server adopted (an audit
@@ -113,7 +113,7 @@ func decodeWALPayload(payload []byte) (*Op, error) {
 	case op.Kind == KindRepair:
 		op.Name = r.String()
 		if op.N = r.Int(); op.N != 0 && op.N != 1 {
-			r.Fail("repair tree flag %d", op.N)
+			r.Fail("repair reserved field %d (0 or 1)", op.N)
 		}
 		op.Idx = r.Indices()
 		op.Cts = r.Run(false)
@@ -211,7 +211,7 @@ func applyRecord(s *Server, op *Op, replay bool) error {
 	case KindPromote:
 		return nil
 	case KindRepair:
-		return s.InstallStored(op.Name, op.N == 1, op.Idx, op.Cts)
+		return s.InstallStored(op.Name, op.Idx, op.Cts)
 	case KindCreateArray, KindCreateTree:
 		if replay {
 			_ = s.Delete(op.Name)

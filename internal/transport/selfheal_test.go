@@ -78,7 +78,7 @@ func TestRepairRPCRoundTrip(t *testing.T) {
 	if err := primary.WriteCells("a", []int64{0, 1}, [][]byte{{10}, {20}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.Durable().CorruptStored("a", false, 1, 3); err != nil {
+	if err := primary.Durable().CorruptStored("a", 1, 3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,14 +113,14 @@ func TestRepairRPCFenceChecked(t *testing.T) {
 	defer c.Close()
 	// The replica learned the primary's fence from the stream; a current
 	// fence is served, a stale one is refused.
-	cts, err := c.FetchRepair(primary.Fence(), "a", false, []int64{0})
+	cts, err := c.FetchRepair(primary.Fence(), "a", []int64{0})
 	if err != nil {
 		t.Fatalf("current-fence fetch = %v", err)
 	}
 	if !bytes.Equal(cts[0], []byte{10}) {
 		t.Fatalf("fetched cell = %v", cts[0])
 	}
-	if _, err := c.FetchRepair(primary.Fence()-1, "a", false, []int64{0}); !errors.Is(err, store.ErrFenced) {
+	if _, err := c.FetchRepair(primary.Fence()-1, "a", []int64{0}); !errors.Is(err, store.ErrFenced) {
 		t.Errorf("stale-fence fetch = %v, want ErrFenced", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestRepairRPCDonorReVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rot the REPLICA's copy, then ask it to donate.
-	if err := nodes[1].rep.Durable().CorruptStored("a", false, 0, 2); err != nil {
+	if err := nodes[1].rep.Durable().CorruptStored("a", 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	c, err := DialWith(nodes[1].addr, ClientConfig{})
@@ -145,7 +145,7 @@ func TestRepairRPCDonorReVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.FetchRepair(primary.Fence(), "a", false, []int64{0}); !errors.Is(err, store.ErrIntegrity) {
+	if _, err := c.FetchRepair(primary.Fence(), "a", []int64{0}); !errors.Is(err, store.ErrIntegrity) {
 		t.Errorf("rotted donor fetch = %v, want ErrIntegrity", err)
 	}
 }

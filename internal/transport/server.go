@@ -427,7 +427,7 @@ func (s *Server) handleReplication(req *request) *response {
 		}
 		return fail(s.replicator.ApplySync(req.Value, req.Seq, req.Cts[0]))
 	case store.KindRepair:
-		cts, err := s.replicator.FetchRepair(req.Value, req.Name, req.N == 1, req.Idx)
+		cts, err := s.replicator.FetchRepair(req.Value, req.Name, req.Idx)
 		resp.Cts = cts
 		return fail(err)
 	default: // store.KindPromote

@@ -543,12 +543,8 @@ func (c *Client) SyncSnapshot(fence, seq int64, snap []byte) error {
 // FetchRepair implements store.RepairFetcher: fetch checksum-verified
 // ciphertexts from a peer to heal local corruption. Token-gated like the
 // other replication control RPCs.
-func (c *Client) FetchRepair(fence int64, name string, isTree bool, idx []int64) ([][]byte, error) {
-	treeFlag := 0
-	if isTree {
-		treeFlag = 1
-	}
-	resp, err := c.call(&request{Op: store.Op{Kind: store.KindRepair, Value: fence, Name: name, N: treeFlag, Idx: idx}, Token: c.cfg.Token})
+func (c *Client) FetchRepair(fence int64, name string, idx []int64) ([][]byte, error) {
+	resp, err := c.call(&request{Op: store.Op{Kind: store.KindRepair, Value: fence, Name: name, Idx: idx}, Token: c.cfg.Token})
 	if err != nil {
 		return nil, err
 	}

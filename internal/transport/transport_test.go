@@ -253,3 +253,29 @@ func TestTCPOversizedShapesAreRefused(t *testing.T) {
 		t.Fatalf("ReadPath = %d slots, %v", len(slots), err)
 	}
 }
+
+// TestTCPWriteBucketsFarOutOfRange: a bucket start so large that its first
+// slot's offset does not fit an int is refused as out of range like any
+// other, and the server, which other sessions share, goes on answering. (The
+// range check once multiplied first: the product wrapped, passed, and the
+// write indexed the tree at a negative offset, a panic nothing recovered.)
+func TestTCPWriteBucketsFarOutOfRange(t *testing.T) {
+	c, _ := startServer(t)
+	if err := c.CreateTree("t", 3, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []int{1 << 62, 1<<63 - 1, 1 << 61, 7, -1} {
+		if err := c.WriteBuckets("t", start, [][]byte{{1}, {2}}); !errors.Is(err, store.ErrOutOfRange) {
+			t.Errorf("WriteBuckets at bucket %d: %v, want ErrOutOfRange", start, err)
+		}
+	}
+	slots, err := c.ReadPath("t", 0)
+	if err != nil {
+		t.Fatalf("the server stopped answering: %v", err)
+	}
+	for i, slot := range slots {
+		if slot != nil {
+			t.Errorf("slot %d of the path = %v after refused writes, want empty", i, slot)
+		}
+	}
+}

@@ -13,12 +13,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/baseline"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
+	"github.com/oblivfd/oblivfd/internal/trace"
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
@@ -26,14 +28,18 @@ var scrubSortOpts = securefd.Options{Protocol: securefd.ProtocolSort, Workers: 2
 var scrubORAMOpts = securefd.Options{Protocol: securefd.ProtocolORAM, Workers: 2, MaxLHS: 2}
 
 // scrubCluster boots n nodes, the primary on primaryFS (nil = the real
-// filesystem), each running a background scrubber when scrub is set.
+// filesystem), each running a background scrubber when scrub is set. The
+// primary's trace keeps its events: corruptLiveCells reads from them which
+// objects are arrays.
 func scrubCluster(t *testing.T, n int, primaryFS store.FS, scrub bool) []*clusterNode {
-	return newCluster(t, n, func(i int, s *nodeSetup) {
+	nodes := newCluster(t, n, func(i int, s *nodeSetup) {
 		if i == 0 {
 			s.durable.FS = primaryFS
 		}
 		s.scrub = scrub
 	})
+	nodes[0].rep.Durable().Trace().Enable()
+	return nodes
 }
 
 // scrubService dials the cluster; repairs and disk-full sheds are ridden out
@@ -43,23 +49,33 @@ func scrubService(t *testing.T, nodes []*clusterNode) securefd.Service {
 	return svc
 }
 
-// corruptLiveCells flips a bit in up to k populated stored cells of the
-// wanted kind on d, returning how many it rotted. Cells are chosen in the
-// scrubber's own sweep order, so the choice is deterministic.
-func corruptLiveCells(t *testing.T, d *store.DurableServer, wantTree bool, k int) int {
+// corruptLiveCells flips a bit in up to k populated cells of the arrays on
+// d — the objects d's own trace saw created by CreateArray — returning how
+// many it rotted. Cells are chosen in the scrubber's own sweep order, so the
+// choice is deterministic.
+func corruptLiveCells(t *testing.T, d *store.DurableServer, k int) int {
 	t.Helper()
+	arrays := map[string]bool{}
+	for _, e := range d.Trace().Events() {
+		if e.Op == trace.OpCreateArray {
+			arrays[e.Object] = true
+		}
+	}
 	names, err := d.ObjectNames()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rotted := 0
 	for _, name := range names {
-		n, isTree, err := d.ObjectExtent(name)
-		if err != nil || isTree != wantTree {
+		if !arrays[name] {
+			continue
+		}
+		n, err := d.ObjectExtent(name)
+		if err != nil {
 			continue
 		}
 		for i := 0; i < n && rotted < k; i++ {
-			if err := d.CorruptStored(name, isTree, int64(i), 3); err == nil {
+			if err := d.CorruptStored(name, int64(i), 3); err == nil {
 				rotted++
 			}
 		}
@@ -100,7 +116,7 @@ func TestScrubChaosArrayRot(t *testing.T) {
 	}
 	defer db.Close()
 
-	if rotted := corruptLiveCells(t, nodes[0].rep.Durable(), false, 4); rotted == 0 {
+	if rotted := corruptLiveCells(t, nodes[0].rep.Durable(), 4); rotted == 0 {
 		t.Fatal("no populated array cells to rot")
 	}
 	report, err := db.Discover()
@@ -125,26 +141,29 @@ func TestScrubChaosArrayRot(t *testing.T) {
 func TestScrubChaosTreeRot(t *testing.T) {
 	nodes := scrubCluster(t, 2, nil, true)
 	d := nodes[0].rep.Durable()
-	rotted := 0
+	var (
+		mu     sync.Mutex // the engine's workers call in concurrently
+		rotted int
+		trees  []string // every tree the client created, live or deleted
+	)
 	remote := scrubService(t, nodes)
 	svc := store.Adapt(func(op *store.Op, res *store.Result) error {
 		fetches := op.Kind == store.KindReadPath
 		for i := range op.Ops {
 			fetches = fetches || op.Ops[i].Kind() == store.KindReadPath
 		}
+		mu.Lock()
+		if op.Kind == store.KindCreateTree {
+			trees = append(trees, op.Name)
+		}
 		if fetches && nodes[0].rep.Repairs() == 0 {
-			names, err := d.ObjectNames()
-			if err != nil {
-				return err
-			}
-			for _, name := range names {
-				if n, isTree, err := d.ObjectExtent(name); err == nil && isTree && n > 0 {
-					if err := d.CorruptStored(name, true, 0, 3); err == nil {
-						rotted++
-					}
+			for _, name := range trees {
+				if err := d.CorruptStored(name, 0, 3); err == nil {
+					rotted++
 				}
 			}
 		}
+		mu.Unlock()
 		return store.Invoke(remote, op, res)
 	})
 	db, err := securefd.Outsource(svc, crashRelation(t), scrubORAMOpts)
@@ -294,7 +313,7 @@ func TestScrubChaosDiskFullMidDiscovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if rotted := corruptLiveCells(t, nodes2[0].rep.Durable(), false, 2); rotted == 0 {
+	if rotted := corruptLiveCells(t, nodes2[0].rep.Durable(), 2); rotted == 0 {
 		t.Fatal("no populated array cells to rot")
 	}
 	report, err := db2.Discover()
@@ -327,7 +346,7 @@ func TestScrubChaosNoReplicaFailsLoudly(t *testing.T) {
 	}
 	defer db.Close()
 
-	if rotted := corruptLiveCells(t, nodes[0].rep.Durable(), false, 2); rotted == 0 {
+	if rotted := corruptLiveCells(t, nodes[0].rep.Durable(), 2); rotted == 0 {
 		t.Fatal("no populated array cells to rot")
 	}
 	if _, err := db.Discover(); !errors.Is(err, securefd.ErrIntegrity) {
