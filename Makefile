@@ -113,7 +113,10 @@ bench-wire:
 # build in the benchmark's ORAM workloads (Ex-ORAM with insert headroom and
 # 16-byte values, Or-ORAM with 8-byte values), and one batch of 64 accesses
 # on the Or-ORAM shape, reporting the bucket opens and seals an access costs
-# when the batch's paths share their buckets (11 alone); then one record or
+# when the batch's paths share their buckets (10 alone); Setup of an empty
+# tree of each of the two engine shapes, every bucket sealed as dummies,
+# reporting its WriteBuckets calls (one each, a round each over the wire);
+# then one record or
 # one chunk of an ORAM engine's traversal over a loopback TCP connection, Or
 # and Ex, reporting the rounds and accesses it costs as counts beside ns/op:
 # of one set as an insertion steps it, single-attribute and union (rounds /
@@ -122,7 +125,7 @@ bench-wire:
 # unions over their c = 2, 3, 4 covers (3 rounds a chunk; Or: 64w accesses,
 # Ex: 64·(2w + c)). Run like bench-cell.
 bench-oram:
-	$(GO) test -run '^$$' -bench 'PathAccess' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
+	$(GO) test -run '^$$' -bench 'PathAccess|Setup' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
 	$(GO) test -run '^$$' -bench 'EngineStepLoopback|EngineLevelLoopback' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 
 # The five decoders that read bytes from outside the process — a request, a

@@ -45,17 +45,20 @@ var (
 
 // checkpointMagic identifies the framed checkpoint format — and, because a
 // checkpoint is only half of a resumable state, what its ORAM handles expect
-// to find on the server. OFDCKPT3 holds each ORAM's client state as the handle
-// holds it: slots, value slab, counters (oram.State). The payload stays gob:
-// gob drops what the reader has no field for, which is why every change of
-// layout bumps the magic and the older files are refused by name, from
+// to find on the server. OFDCKPT4 holds each ORAM's client state as the handle
+// holds it: slots, value slab, counters (oram.State), for a tree of half the
+// next power of two ≥ capacity leaves, a shape oram derives from Capacity and
+// does not store. The payload stays gob: gob drops what the reader has no
+// field for, which is why every change of layout, or of the trees a state
+// describes, bumps the magic and the older files are refused by name, from
 // retiredCheckpoints. There is no migration.
-var checkpointMagic = [8]byte{'O', 'F', 'D', 'C', 'K', 'P', 'T', '3'}
+var checkpointMagic = [8]byte{'O', 'F', 'D', 'C', 'K', 'P', 'T', '4'}
 
 // retiredCheckpoints says what each refused magic was written for.
 var retiredCheckpoints = map[string]string{
 	"OFDCKPT1": "ORAM trees sealed per block",
 	"OFDCKPT2": "ORAM client state as three maps; commit 07fe223 was the last to resume it, 56f5a87 for the scan ORAM's",
+	"OFDCKPT3": "ORAM trees with one leaf per unit of capacity; commit 520a5d8 was the last to resume it",
 }
 
 const maxCheckpointPayload = 1 << 40

@@ -117,15 +117,15 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 
 // requireRetiredCheckpointRefused: a checkpoint in a format this build no
 // longer reads is refused before anything is decoded, with an error naming the
-// magic found and the one this build reads.
-func requireRetiredCheckpointRefused(t *testing.T, file, magic string) {
+// magic found, the one this build reads, and whatever else also lists.
+func requireRetiredCheckpointRefused(t *testing.T, file, magic string, also ...string) {
 	t.Helper()
 	_, err := ReadCheckpointFile(filepath.Join("testdata", file))
 	if !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Errorf("%s: ReadCheckpointFile = %v, want ErrCorruptCheckpoint", file, err)
 		return
 	}
-	for _, want := range []string{magic, string(checkpointMagic[:])} {
+	for _, want := range append([]string{magic, string(checkpointMagic[:])}, also...) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %q does not mention %q", file, err, want)
 		}
@@ -158,11 +158,16 @@ func TestMapEraCheckpointIsRefused(t *testing.T) {
 
 // TestIDORAMCheckpointIsRefused: pr31/or.ckpt (OFDCKPT3) was written at
 // commit a6b2aef, the last to run Algorithms 1 and 2 with O^IL an ORAM. Its
-// frame and payload read as this build's, but its sets carry an ID ORAM's
+// magic is refused since trees were halved (TestFullTreeCheckpointIsRefused);
+// its payload still reads as this build's, but its sets carry an ID ORAM's
 // client state where this build keeps a label array: resuming it is refused,
 // by name.
 func TestIDORAMCheckpointIsRefused(t *testing.T) {
-	cp, err := ReadCheckpointFile(filepath.Join("testdata", "pr31", "or.ckpt"))
+	data, err := os.ReadFile(filepath.Join("testdata", "pr31", "or.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := decodeCheckpoint(data[8+8+4:]) // past magic, length and CRC
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +392,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			f.Add(payload[:cut])
 		}
 	}
-	for _, file := range []string{"pre-bucket-seal.ckpt", "scan-oram.ckpt", "pr18/parent-or.ckpt", "pr18/parent-ex.ckpt", "pr31/or.ckpt", "pr31/ex.ckpt", "label-array/or.ckpt"} {
+	for _, file := range []string{"pre-bucket-seal.ckpt", "scan-oram.ckpt", "pr18/parent-or.ckpt", "pr18/parent-ex.ckpt", "pr31/or.ckpt", "pr31/ex.ckpt", "label-array/or.ckpt", "half-tree/or.ckpt", "half-tree/ex.ckpt"} {
 		data, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			f.Fatal(err)

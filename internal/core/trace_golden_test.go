@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -60,7 +61,11 @@ import (
 // step a chunk's records as one batch per tree, every or#:N:KL, ex#:N:KLF and
 // ex#:N:IKL line was regenerated, with the same event counts: reads of a
 // chunk precede its write-backs. The column, or#:N:IL and sort lines are still
-// what they were.
+// what they were. When each tree got half the leaves and Setup began to write
+// it in frames of a byte budget, every or#:N:KL, ex#:N:KLF and ex#:N:IKL line
+// was regenerated again (55, 59 and 59 or 115 events, as before): tree shape
+// and Setup framing are functions of the public capacity; per-object event
+// counts unchanged. Every other line is still what it was.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -86,7 +91,10 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // label cells read before its records' steps and written after them). They
 // were regenerated again when the ORAM engines began to step a chunk's records
 // as one batch per tree (or: 755 events, ex: 1 084, as before): reads of a
-// chunk precede its write-backs.
+// chunk precede its write-backs. They were regenerated again when each tree
+// got half the leaves and Setup began to write it in frames of a byte budget
+// (or: 755 events, ex: 1 084, as before): tree shape and Setup framing are
+// functions of the public capacity; per-object event counts unchanged.
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It
@@ -273,15 +281,16 @@ func TestEngineTraceGolden(t *testing.T) {
 }
 
 // TestParentCheckpointResumes: a checkpoint file and server directory per ORAM
-// engine in the OFDCKPT3 format (the 6×3 relation below, crashed after lattice
+// engine in the OFDCKPT4 format (the 6×3 relation below, crashed after lattice
 // level 1) resume on this build, finish discovery with the plaintext engine's
 // FD set, and keep accepting mutations — the EngineState / SetState /
-// oram.State layout, the Kind tags and the object names the handles reattach
-// to are all still what the build that wrote them wrote. The Ex-ORAM pair is
-// testdata/pr31's; the Or-ORAM pair is testdata/label-array's, written by the
-// build that made O^IL a label array (pr31/or.ckpt keeps an ID ORAM and is
-// refused, TestIDORAMCheckpointIsRefused). They were written, by
-// writeResumeFixture, with
+// oram.State layout, the Kind tags, the object names the handles reattach to
+// and the tree shape derived from each capacity are all still what the build
+// that wrote them wrote. Both pairs are testdata/half-tree's, written by the
+// build that gave each tree half the next power of two ≥ capacity leaves (the
+// full-tree pairs in label-array/ and pr31/ are refused,
+// TestFullTreeCheckpointIsRefused). They were written, by writeResumeFixture,
+// with
 //
 //	rm -r internal/core/testdata/<dir> && go test -run TestParentCheckpointResumes ./internal/core/
 //
@@ -294,49 +303,17 @@ func TestParentCheckpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixtureDirs := map[string]string{"or": "label-array", "ex": "pr31"}
+	fixtures := filepath.Join("testdata", "half-tree")
 	for _, kind := range []string{"or", "ex"} {
-		dir := filepath.Join("testdata", fixtureDirs[kind])
-		if _, err := os.Stat(filepath.Join(dir, kind+".ckpt")); errors.Is(err, os.ErrNotExist) {
-			writeResumeFixture(t, rel, dir, kind)
-			t.Fatalf("wrote %s's %s pair; run the test again", dir, kind)
+		if _, err := os.Stat(filepath.Join(fixtures, kind+".ckpt")); errors.Is(err, os.ErrNotExist) {
+			writeResumeFixture(t, rel, fixtures, kind)
+			t.Fatalf("wrote %s's %s pair; run the test again", fixtures, kind)
 		}
 	}
 	for _, kind := range []string{"or", "ex"} {
-		fixtures := filepath.Join("testdata", fixtureDirs[kind])
 		t.Run(kind, func(t *testing.T) {
-			dir := t.TempDir() // opening at an epoch discards what is newer, so work on a copy
-			src := filepath.Join(fixtures, kind+"-state")
-			files, err := os.ReadDir(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range files {
-				data, err := os.ReadFile(filepath.Join(src, f.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o600); err != nil {
-					t.Fatal(err)
-				}
-			}
-			cp, err := ReadCheckpointFile(filepath.Join(fixtures, kind+".ckpt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := store.OpenDirAtEpoch(dir, cp.Epoch, store.DurableOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			if err := VerifyEpoch(srv, cp.Epoch); err != nil {
-				t.Fatal(err)
-			}
-			edb, err := AttachEDB(srv, cp.EDB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := ResumeEngine(edb, cp.Engine)
+			dir := copyDir(t, filepath.Join(fixtures, kind+"-state")) // opening at an epoch discards what is newer
+			eng, cp, err := resumeFixture(t, dir, filepath.Join(fixtures, kind+".ckpt"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,6 +340,83 @@ func TestParentCheckpointResumes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFullTreeCheckpointIsRefused: label-array/or.ckpt and pr31/ex.ckpt
+// (OFDCKPT3) were written at commits whose trees had one leaf per unit of
+// capacity, twice this build's. Attached, their states would name leaves
+// past the tree or read buckets of another shape; the checkpoint is refused
+// by its magic, naming the last commit that resumed it, before the server
+// directory beside it is opened, so the directory is left as it was.
+func TestFullTreeCheckpointIsRefused(t *testing.T) {
+	for _, pair := range [][2]string{{"label-array", "or"}, {"pr31", "ex"}} {
+		file := filepath.Join(pair[0], pair[1]+".ckpt")
+		requireRetiredCheckpointRefused(t, file, "OFDCKPT3", "520a5d8")
+		dir := copyDir(t, filepath.Join("testdata", pair[0], pair[1]+"-state"))
+		before := readFiles(t, dir)
+		if _, _, err := resumeFixture(t, dir, filepath.Join("testdata", file)); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("%s: resume = %v, want ErrCorruptCheckpoint", file, err)
+		}
+		if after := readFiles(t, dir); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: the refused resume changed the server directory", file)
+		}
+	}
+}
+
+// resumeFixture resumes the engine of the checkpoint file ckpt against the
+// durable server directory dir, in the order fddiscover -resume does: read the
+// checkpoint, open the directory at its epoch, verify, attach, resume. The
+// server is closed when the test ends.
+func resumeFixture(t *testing.T, dir, ckpt string) (Engine, *Checkpoint, error) {
+	cp, err := ReadCheckpointFile(ckpt)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv, err := store.OpenDirAtEpoch(dir, cp.Epoch, store.DurableOptions{})
+	if err != nil {
+		return nil, nil, err
+	}
+	t.Cleanup(func() { srv.Close() })
+	if err := VerifyEpoch(srv, cp.Epoch); err != nil {
+		return nil, nil, err
+	}
+	edb, err := AttachEDB(srv, cp.EDB)
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, err := ResumeEngine(edb, cp.Engine)
+	return eng, cp, err
+}
+
+// copyDir copies the files of src into a fresh temporary directory and
+// returns it.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, data := range readFiles(t, src) {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// readFiles returns the contents of each file in dir, by name.
+func readFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(files))
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[f.Name()] = data
+	}
+	return out
 }
 
 // writeResumeFixture writes one engine's resume fixture into dir: a

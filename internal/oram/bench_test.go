@@ -98,20 +98,52 @@ func benchEngineShape(b *testing.B, capacity, valueWidth int) {
 
 // BenchmarkPathAccessExDynamic is one access of an Ex-ORAM partition store as
 // the exoram-dynamic workload sizes it: 2048 records plus 2000 of insert
-// headroom (13 levels), 16-byte values.
+// headroom (12 levels), 16-byte values.
 func BenchmarkPathAccessExDynamic(b *testing.B) { benchEngineShape(b, 2048+2000, 16) }
 
 // BenchmarkPathAccessOrStatic is one access of an Or-ORAM partition store as
-// the oram-tcp workload sizes it: 1024 records (11 levels), 8-byte values.
+// the oram-tcp workload sizes it: 1024 records (10 levels), 8-byte values.
 func BenchmarkPathAccessOrStatic(b *testing.B) { benchEngineShape(b, 1024, 8) }
+
+// benchSetup measures Setup of an empty tree of the engines' key width (8)
+// and the given capacity and value width, against the in-process server —
+// every bucket sealed as Z dummies and written, then the tree deleted — and
+// reports the WriteBuckets calls it takes, a round each over the wire.
+func benchSetup(b *testing.B, capacity, valueWidth int) {
+	spy := &setupSpy{Service: store.NewServer()}
+	cipher := crypto.MustNewCipher(crypto.MustNewKey())
+	cfg := Config{Capacity: capacity, KeyWidth: 8, ValueWidth: valueWidth, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o, err := Setup(spy, cipher, "bench", cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := o.Destroy(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(spy.calls))/float64(b.N), "calls/op")
+}
+
+// BenchmarkSetupExDynamic is Setup of BenchmarkPathAccessExDynamic's tree,
+// one of the exoram-dynamic workload's Ex-ORAM trees: 4 095 buckets in one
+// call.
+func BenchmarkSetupExDynamic(b *testing.B) { benchSetup(b, 2048+2000, 16) }
+
+// BenchmarkSetupOrStatic is Setup of BenchmarkPathAccessOrStatic's tree, one
+// of the oram-tcp workload's Or-ORAM trees: 1 023 buckets in one call.
+func BenchmarkSetupOrStatic(b *testing.B) { benchSetup(b, 1024, 8) }
 
 // BenchmarkPathAccessBatch is one batch of r = 64 accesses — a chunk's
 // accesses to one tree — through a pipeline, on the Or-ORAM shape of
 // BenchmarkPathAccessOrStatic: the engineMix of reads and writes over random
 // live keys, so keys repeat now and then. The 64 paths share their top
 // levels, and each distinct bucket is opened once and sealed once:
-// opens/access and seals/access are bucket counts per access (11 for a lone
-// access in this 11-level tree), the same on every run with the seed fixed.
+// opens/access and seals/access are bucket counts per access (10 for a lone
+// access in this 10-level tree), the same on every run with the seed fixed.
 func BenchmarkPathAccessBatch(b *testing.B) {
 	const r = 64
 	o, keys := engineShape(b, 1024, 8)
@@ -154,7 +186,7 @@ func BenchmarkPathAccessBatch(b *testing.B) {
 // in-process server retains them), the server's path list and two node
 // lists, and a Read the returned value copy: levels + 4. Everything else
 // (bucket plaintexts, associated data, eviction lists, the slots a fetched
-// block is copied into) is per-handle state or scratch. Measured: 13 for 9
+// block is copied into) is per-handle state or scratch. Measured: 12 for 8
 // levels (67 when every block was sealed alone, 31 while the stash was a map
 // allocating a key and a value per real block fetched), so a per-block
 // allocation cannot come back unnoticed.

@@ -246,8 +246,8 @@ func checkSlots(t *testing.T, o *ORAM) {
 // against the definition, over every pair of leaves.
 func TestDeepestLevelClosedForm(t *testing.T) {
 	o, _ := newTestORAM(t, 32, 4)
-	for a := uint32(0); a < 32; a++ {
-		for b := uint32(0); b < 32; b++ {
+	for a := uint32(0); a < uint32(o.numLeaves); a++ {
+		for b := uint32(0); b < uint32(o.numLeaves); b++ {
 			if got, want := o.levels-1-bits.Len32(a^b), deepestLevel(o, a, b); got != want {
 				t.Fatalf("leaves %d, %d: closed form %d, definition %d", a, b, got, want)
 			}
@@ -261,16 +261,19 @@ func TestDeepestLevelClosedForm(t *testing.T) {
 // because each bucket is sealed to its own place. Accesses that touch
 // neither are unaffected until then.
 func TestBucketSwapDetected(t *testing.T) {
+	const capacity = 32
+	levels, _ := shape(capacity)
+	leaf0 := 1<<(levels-1) - 1 // the bucket of leaf 0
 	for _, swap := range [][2]int{
-		{0, 1},   // root and its left child: two levels of the same paths
-		{15, 16}, // sibling leaf buckets (leaves 0 and 1)
-		{3, 12},  // different levels, disjoint paths
+		{0, 1},             // root and its left child: two levels of the same paths
+		{leaf0, leaf0 + 1}, // sibling leaf buckets (leaves 0 and 1)
+		{3, 12},            // different levels, disjoint paths
 	} {
 		t.Run(fmt.Sprintf("buckets %d and %d", swap[0], swap[1]), func(t *testing.T) {
 			srv := store.NewServer()
 			tap := &pathTap{Service: srv}
 			o, err := Setup(tap, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
-				Capacity: 16, KeyWidth: 8, ValueWidth: 8, Seed: 21,
+				Capacity: capacity, KeyWidth: 8, ValueWidth: 8, Seed: 21,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -126,11 +126,12 @@ func TestResumeStateValidation(t *testing.T) {
 func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 	svc := store.NewServer()
 	cipher := newTestCipher(t)
+	_, leaves := shape(4)
 	base := func() *State {
 		return &State{Name: "x", Capacity: 4, Z: 4, KeyWidth: 2, ValueWidth: 2, StashLimit: 10,
 			Slots: []Slot{
 				{Key: "k", Leaf: 1, Stashed: true},
-				{Key: "j", Leaf: 3, Ver: 3, Tagged: true},
+				{Key: "j", Leaf: uint32(leaves - 1), Ver: 3, Tagged: true},
 			},
 			Values: []byte{1, 2, 0, 0},
 		}
@@ -142,7 +143,7 @@ func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 		name, want string
 		spoil      func(*State)
 	}{
-		{"leaf past the derived leaf count", `"j"`, func(st *State) { st.Slots[1].Leaf = 4 }},
+		{"leaf past the derived leaf count", `"j"`, func(st *State) { st.Slots[1].Leaf = uint32(leaves) }},
 		{"key wider than KeyWidth", `"wide"`, func(st *State) { st.Slots[0].Key = "wide" }},
 		{"duplicate key", `"k"`, func(st *State) { st.Slots[1].Key = "k" }},
 		{"short slab", "3 value bytes for 2 slots", func(st *State) { st.Values = st.Values[:3] }},

@@ -93,9 +93,10 @@ func TestPathORAMNeverReusesNonce(t *testing.T) {
 	if reused != 0 {
 		t.Errorf("nonce reused %d times across %d ciphertexts", reused, total)
 	}
-	// 32 leaves → 6 levels, 63 buckets: Setup seals each once, each of the
-	// 600 accesses seals the 6 on its path.
-	if want := 63 + 600*6; total != want {
+	// Setup seals each of the tree's buckets once, each of the 600
+	// accesses the levels on its path.
+	levels, _ := shape(32)
+	if want := 1<<levels - 1 + 600*levels; total != want {
 		t.Errorf("recorder saw %d ciphertexts, want %d (one per bucket written)", total, want)
 	}
 }

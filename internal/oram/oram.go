@@ -34,10 +34,17 @@
 // tree, and the server stores one such ciphertext per bucket. Its length is
 // Z·blockSize plus the AEAD's 28 bytes, a function of Config alone: how many
 // of a bucket's blocks are real changes the plaintext's content, never its
-// size. Setup fills the entire tree with sealed all-dummy buckets (one linear
-// WriteBuckets pass), exactly as the textbook construction requires, so
-// everything the server ever holds is a same-sized semantically secure
-// ciphertext and path-read sizes are constant and carry nothing.
+// size. Setup fills the entire tree with sealed all-dummy buckets, exactly as
+// the textbook construction requires, so everything the server ever holds is
+// a same-sized semantically secure ciphertext and path-read sizes are constant
+// and carry nothing. It writes them in heap order, as many to a WriteBuckets
+// call as fit in a fixed byte budget: one call for every tree the engines
+// build at the benchmark's sizes.
+//
+// The tree has half the next power of two ≥ capacity leaves (at least two):
+// at full load at most a quarter of its Z·(2·leaves − 1) slots are live, half
+// the 50 % utilisation at which Ren et al. (ISCA 2013) run Z = 4, and the
+// stash stays within the paper's bound.
 package oram
 
 import (
@@ -91,7 +98,8 @@ func treeAD(name string) []byte {
 // Config parameterizes Setup.
 type Config struct {
 	// Capacity is the maximum number of live key-value pairs (the paper's
-	// n). The tree is sized to the next power of two.
+	// n). The tree has half the next power of two ≥ Capacity leaves, at
+	// least two.
 	Capacity int
 	// KeyWidth is the maximum key length in bytes. All blocks are padded
 	// to a common size derived from KeyWidth and ValueWidth.
@@ -269,10 +277,12 @@ func (o *ORAM) initScratch() {
 	o.pathBuf = make([]int32, o.levels)
 }
 
-// shape is the tree for a capacity: the next power of two ≥ capacity leaves,
-// at least two, and the levels from root to leaf.
+// shape is the tree for a capacity: half the next power of two ≥ capacity
+// leaves, at least two, and the levels from root to leaf. The stash limit
+// stays the paper's 7·lg n; EXPERIMENTS.md ("Tree shape") has the stash this
+// shape, the full one and a quarter one were measured at.
 func shape(capacity int) (levels, numLeaves int) {
-	d := ceilLog2(capacity)
+	d := max(ceilLog2(capacity)-1, 1)
 	return d + 1, 1 << d
 }
 
@@ -351,19 +361,35 @@ func (o *ORAM) sealBucket(bucket int) ([]byte, error) {
 	return o.cipher.Seal(o.sealBuf, o.bucketAD(bucket))
 }
 
+// setupFrameBytes bounds the ciphertext bytes one Setup call carries, so that
+// its frame fits the 1 MiB encode or spill buffer a connection keeps between
+// frames (transport's keepBuf) and Setup never makes one regrow. On the wire
+// each ciphertext adds a length varint: 1 byte under 128 B, 2 under 16 KiB, so
+// at most 1/43 of the smallest bucket there is (Z = 1, one-byte key and value:
+// 15 + 28 bytes). The frame's header is the kind, trace context, tree name,
+// start and count, well under 1 KiB. A frame is then at most 768·44/43 + 1 <
+// 787 KiB, and the encode buffer append grows to it in steps of 1.25× at most
+// 984 KiB (plus a page of rounding) — under keepBuf. Only a single bucket
+// larger than this budget makes a bigger frame, one bucket to a call.
+const setupFrameBytes = 768 << 10
+
+// setupBuckets is how many sealed dummy buckets one Setup call carries: as
+// many as fit in setupFrameBytes, at least one.
+func (o *ORAM) setupBuckets() int {
+	return max(1, setupFrameBytes/(o.z*o.blockSize+crypto.Overhead))
+}
+
 // initTree fills every bucket with sealed dummy blocks, as in the textbook
 // construction, so the initial state is indistinguishable from any later
-// state and path-read sizes never depend on access history.
+// state and path-read sizes never depend on access history. It writes them
+// in setupBuckets-sized calls, the tree's heap order; the calls' number, starts
+// and sizes are a function of the capacity, Z and the widths, all public.
 func (o *ORAM) initTree() error {
-	const bucketsPerBatch = 256
+	perCall := o.setupBuckets()
 	totalBuckets := (1 << o.levels) - 1
 	clear(o.sealBuf) // Z dummies
-	for start := 0; start < totalBuckets; start += bucketsPerBatch {
-		count := bucketsPerBatch
-		if start+count > totalBuckets {
-			count = totalBuckets - start
-		}
-		buckets := make([][]byte, count)
+	for start := 0; start < totalBuckets; start += perCall {
+		buckets := make([][]byte, min(perCall, totalBuckets-start))
 		for i := range buckets {
 			ct, err := o.sealBucket(start + i)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -358,7 +359,8 @@ func TestCiphertextsAlwaysFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const levels, buckets = 5, 31 // 16 leaves
+	levels, leaves := shape(16)
+	buckets := 1<<levels - 1
 	if tap.written != buckets {
 		t.Fatalf("Setup wrote %d ciphertexts, want one per bucket (%d)", tap.written, buckets)
 	}
@@ -385,7 +387,7 @@ func TestCiphertextsAlwaysFresh(t *testing.T) {
 	// What the server holds is the set of distinct ciphertexts written last
 	// to each bucket: no two buckets may share one.
 	held := make(map[string]bool)
-	for leaf := uint32(0); leaf < 16; leaf++ {
+	for leaf := uint32(0); leaf < uint32(leaves); leaf++ {
 		path, err := srv.ReadPath("t", leaf)
 		if err != nil {
 			t.Fatal(err)
@@ -559,13 +561,14 @@ func TestTreeFullyInitialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := bucketCiphertextLen(DefaultZ, 8, 8)
-	for leaf := uint32(0); leaf < 8; leaf++ {
+	levels, leaves := shape(8)
+	for leaf := uint32(0); leaf < uint32(leaves); leaf++ {
 		path, err := srv.ReadPath("t", leaf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(path) != 4 {
-			t.Fatalf("leaf %d: path has %d ciphertexts, want one per level (4)", leaf, len(path))
+		if len(path) != levels {
+			t.Fatalf("leaf %d: path has %d ciphertexts, want one per level (%d)", leaf, len(path), levels)
 		}
 		for l, ct := range path {
 			if len(ct) == 0 {
@@ -574,6 +577,71 @@ func TestTreeFullyInitialized(t *testing.T) {
 			if len(ct) != size {
 				t.Fatalf("leaf %d level %d: bucket ciphertext has %d bytes, want %d", leaf, l, len(ct), size)
 			}
+		}
+	}
+}
+
+// setupSpy records every WriteBuckets call: where it starts, how many
+// buckets it carries, and their ciphertext bytes.
+type setupSpy struct {
+	store.Service
+	calls []setupCall
+}
+
+type setupCall struct{ start, count, bytes int }
+
+func (s *setupSpy) WriteBuckets(name string, start int, slots [][]byte) error {
+	n := 0
+	for _, ct := range slots {
+		n += len(ct)
+	}
+	s.calls = append(s.calls, setupCall{start, len(slots), n})
+	return s.Service.WriteBuckets(name, start, slots)
+}
+
+// TestSetupFramesClosedForm: Setup writes a tree of 2^levels − 1 buckets in
+// heap order, k = setupBuckets() to a call, so in ⌈(2^levels − 1)/k⌉
+// WriteBuckets calls — one for each tree of the benchmark's ORAM workloads —
+// each carrying at most setupFrameBytes of ciphertext unless one bucket is
+// larger than that. The calls' starts, sizes and bytes are a function of the
+// public configuration: two keys and two seeds give the same sequence.
+func TestSetupFramesClosedForm(t *testing.T) {
+	for _, c := range []struct{ capacity, valueWidth, calls int }{
+		{2048 + 2000, 16, 1}, // Ex-ORAM's trees on exoram-dynamic: 4 095 buckets of 176 B
+		{1024, 8, 1},         // Or-ORAM's on oram-tcp: 1 023 of 144 B
+		{64, 4096, 2},        // 16 KiB buckets, 47 to a call
+		{2, 256 << 10, 3},    // buckets over the budget, one to a call
+	} {
+		var seqs [2][]setupCall
+		for i, seed := range []int64{1, 2} {
+			spy := &setupSpy{Service: store.NewServer()}
+			o, err := Setup(spy, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+				Capacity: c.capacity, KeyWidth: 8, ValueWidth: c.valueWidth, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, total := o.setupBuckets(), 1<<o.levels-1
+			if want := (total + k - 1) / k; len(spy.calls) != want || want != c.calls {
+				t.Errorf("capacity %d, value width %d: %d calls, want ⌈%d/%d⌉ = %d (%d)", c.capacity, c.valueWidth, len(spy.calls), total, k, want, c.calls)
+			}
+			next := 0
+			for _, call := range spy.calls {
+				if call.start != next || call.count > k {
+					t.Fatalf("capacity %d: call (%d, %d) after %d buckets, %d to a call", c.capacity, call.start, call.count, next, k)
+				}
+				if call.count > 1 && call.bytes > setupFrameBytes {
+					t.Errorf("capacity %d: call (%d, %d) carries %d bytes, budget %d", c.capacity, call.start, call.count, call.bytes, setupFrameBytes)
+				}
+				next += call.count
+			}
+			if next != total {
+				t.Errorf("capacity %d: Setup wrote %d buckets of %d", c.capacity, next, total)
+			}
+			seqs[i] = spy.calls
+		}
+		if !slices.Equal(seqs[0], seqs[1]) {
+			t.Errorf("capacity %d: Setup calls differ between keys and seeds: %v, %v", c.capacity, seqs[0], seqs[1])
 		}
 	}
 }
@@ -600,7 +668,8 @@ func TestPathReadSizesConstant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := 6 * bucketCiphertextLen(DefaultZ, 32, 8) // 32 leaves → 6 levels
+	levels, _ := shape(32)
+	want := levels * bucketCiphertextLen(DefaultZ, 32, 8)
 	paths := 0
 	for _, e := range srv.Trace().Events() {
 		if e.Op != trace.OpReadPath && e.Op != trace.OpWritePath {
@@ -741,64 +810,68 @@ func TestStoreConformanceRandomWorkload(t *testing.T) {
 	})
 }
 
-// TestBatchedStashBound: batches of r = 64 accesses — the engines' chunk —
-// evict along the union of their paths, and the stash left after each batch
-// must stay within StashLimit (7·log₂ n) at every tree size the engines
-// build, n = 2^10 … 2^15, over 20 seeds each: fill the tree a batch of fresh
-// keys at a time, then n accesses in batches of random live keys, half reads
-// and half writes. That is most of a minute of AES; under -short, and under the race
-// detector, which has no goroutines to watch here, it stops at 2^11. The
-// high-water marks are in DESIGN.md §10.
+// TestBatchedStashBound: the stash left after each batch's eviction must stay
+// within StashLimit (7·log₂ n) at every tree size the engines build, n = 2^10
+// … 2^15, with the shipped tree shape (half the next power of two ≥ n leaves,
+// so 25 % of the leaf slots are live at full load): fill the tree a batch of
+// fresh keys at a time, then n accesses in batches of random live keys, half
+// reads and half writes. It runs at r = 64, the engines' chunk, which evicts
+// along the union of its paths, and at r = 1, the textbook access a direct
+// Read or Update makes. That is most of a minute of AES; under -short, and
+// under the race detector, which has no goroutines to watch here, it stops at
+// 2^11. The high-water marks are in DESIGN.md §10 and EXPERIMENTS.md ("Tree
+// shape").
 func TestBatchedStashBound(t *testing.T) {
-	const r, seeds = 64, 20
 	top := 15
 	if testing.Short() || raceEnabled {
 		top = 11
 	}
-	for lg := 10; lg <= top; lg++ {
-		n := 1 << lg
-		high, inBatch := 0, 0
-		for seed := int64(1); seed <= seeds; seed++ {
-			o, err := Setup(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
-				Capacity: n, KeyWidth: 8, ValueWidth: 8, Seed: seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(seed))
-			p := NewPipeline(o.svc)
-			accesses := make([]Access, r)
-			v := val(8, 1)
-			write := func([]byte, bool) ([]byte, bool) { return v, true }
-			read := func(old []byte, found bool) ([]byte, bool) { return old, found }
-			for i := 0; i < 2*n; i += r {
-				for j := range accesses {
-					k := i + j // a fresh key while filling
-					if i >= n {
-						k = rng.Intn(n)
-					}
-					accesses[j] = Access{Store: o, Key: strconv.Itoa(k), Fn: write}
-					if i >= n && j%2 == 0 {
-						accesses[j].Fn = read
-					}
+	for _, c := range []struct{ r, seeds int }{{64, 20}, {1, 4}} {
+		for lg := 10; lg <= top; lg++ {
+			n := 1 << lg
+			high, inBatch := 0, 0
+			for seed := int64(1); seed <= int64(c.seeds); seed++ {
+				o, err := Setup(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+					Capacity: n, KeyWidth: 8, ValueWidth: 8, Seed: seed,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if err := p.Do(accesses...); err != nil {
-					t.Fatalf("n = %d, seed %d, access %d: %v", n, seed, i, err)
+				rng := rand.New(rand.NewSource(seed))
+				p := NewPipeline(o.svc)
+				accesses := make([]Access, c.r)
+				v := val(8, 1)
+				write := func([]byte, bool) ([]byte, bool) { return v, true }
+				read := func(old []byte, found bool) ([]byte, bool) { return old, found }
+				for i := 0; i < 2*n; i += c.r {
+					for j := range accesses {
+						k := i + j // a fresh key while filling
+						if i >= n {
+							k = rng.Intn(n)
+						}
+						accesses[j] = Access{Store: o, Key: strconv.Itoa(k), Fn: write}
+						if i >= n && (i+j)%2 == 0 {
+							accesses[j].Fn = read
+						}
+					}
+					if err := p.Do(accesses...); err != nil {
+						t.Fatalf("r = %d, n = %d, seed %d, access %d: %v", c.r, n, seed, i, err)
+					}
+					high = max(high, o.StashSize())
 				}
-				high = max(high, o.StashSize())
+				if err := p.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if o.Len() != n {
+					t.Fatalf("r = %d, n = %d, seed %d: %d keys live", c.r, n, seed, o.Len())
+				}
+				inBatch = max(inBatch, o.MaxStashSize())
 			}
-			if err := p.Flush(); err != nil {
-				t.Fatal(err)
+			limit := DefaultStashFactor * lg
+			if high > limit {
+				t.Errorf("r = %d, n = 2^%d: stash after a batch reached %d, over the limit %d", c.r, lg, high, limit)
 			}
-			if o.Len() != n {
-				t.Fatalf("n = %d, seed %d: %d keys live", n, seed, o.Len())
-			}
-			inBatch = max(inBatch, o.MaxStashSize())
+			t.Logf("r = %d, n = 2^%d: stash after a batch at most %d over %d seeds (limit %d); before eviction at most %d", c.r, lg, high, c.seeds, limit, inBatch)
 		}
-		limit := DefaultStashFactor * lg
-		if high > limit {
-			t.Errorf("n = 2^%d: stash after a batch of %d reached %d, over the limit %d", lg, r, high, limit)
-		}
-		t.Logf("n = 2^%d: stash after a batch of %d at most %d over %d seeds (limit %d); before eviction at most %d", lg, r, high, seeds, limit, inBatch)
 	}
 }
