@@ -101,29 +101,34 @@ type options struct {
 	logJSON     bool
 }
 
+// registerFlags binds fddiscover's flags to o.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.protoName, "protocol", "sort", securefd.ProtocolNames())
+	fs.IntVar(&o.workers, "workers", 1, "parallelism degree of the sort protocol: sorting-network workers and partitions of one lattice level built concurrently (the ORAM protocols take a level at a time on one goroutine whatever it is)")
+	fs.IntVar(&o.maxLHS, "max-lhs", 0, "bound determinant size (0 = unbounded)")
+	fs.BoolVar(&o.aggregate, "aggregate", false, "merge FDs per determinant")
+	fs.BoolVar(&o.quiet, "quiet", false, "print only the FDs")
+	fs.DurationVar(&o.rtt, "rtt", 0, "artificial per-operation storage latency, to model a remote server")
+	fs.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient storage faults at this rate (0..1)")
+	fs.Float64Var(&o.corruptRate, "corrupt-rate", 0, "corrupt read payloads at this rate (0..1); every hit must abort discovery with an integrity error")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault schedule")
+	fs.IntVar(&o.retries, "retries", 0, "max attempts per storage call (0 = default policy, 1 = no retry)")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable server state directory (WAL + snapshots); survives crashes")
+	fs.StringVar(&o.ckptPath, "checkpoint", "", "write a client recovery file here at every completed lattice level (or-oram/ex-oram only)")
+	fs.StringVar(&o.resume, "resume", "", "continue a crashed run from this checkpoint file (requires -data-dir; no CSV argument)")
+	fs.StringVar(&o.connect, "connect", "", "address of a running fdserver to use instead of the in-process server")
+	fs.StringVar(&o.servers, "servers", "", "comma-separated addresses of a replicated fdserver group; the client follows the primary across failures (excludes -connect)")
+	fs.StringVar(&o.db, "db", "", "with -connect or -servers: database namespace to bind the session to on a multi-tenant server (empty = root)")
+	fs.StringVar(&o.token, "token", "", "with -connect or -servers: session auth token, required when the server runs with -session-token")
+	fs.BoolVar(&o.telemetry, "telemetry", false, "print per-phase wall time, ORAM access counts, and latency quantiles after discovery")
+	fs.StringVar(&o.teleJSON, "telemetry-json", "", "write the run's phase/metric snapshot (per-level wall time, counters, latency histograms) as JSON to this file")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's distributed trace (client and server spans merged) as Chrome trace-event JSON to this file")
+	fs.BoolVar(&o.logJSON, "log-json", false, "log informational lines as JSON instead of key=value text")
+}
+
 func main() {
 	var o options
-	flag.StringVar(&o.protoName, "protocol", "sort", securefd.ProtocolNames())
-	flag.IntVar(&o.workers, "workers", 1, "parallelism degree of the sort protocol: sorting-network workers and partitions of one lattice level built concurrently (the ORAM protocols take a level at a time on one goroutine whatever it is)")
-	flag.IntVar(&o.maxLHS, "max-lhs", 0, "bound determinant size (0 = unbounded)")
-	flag.BoolVar(&o.aggregate, "aggregate", false, "merge FDs per determinant")
-	flag.BoolVar(&o.quiet, "quiet", false, "print only the FDs")
-	flag.DurationVar(&o.rtt, "rtt", 0, "artificial per-operation storage latency, to model a remote server")
-	flag.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient storage faults at this rate (0..1)")
-	flag.Float64Var(&o.corruptRate, "corrupt-rate", 0, "corrupt read payloads at this rate (0..1); every hit must abort discovery with an integrity error")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault schedule")
-	flag.IntVar(&o.retries, "retries", 0, "max attempts per storage call (0 = default policy, 1 = no retry)")
-	flag.StringVar(&o.dataDir, "data-dir", "", "durable server state directory (WAL + snapshots); survives crashes")
-	flag.StringVar(&o.ckptPath, "checkpoint", "", "write a client recovery file here at every completed lattice level (or-oram/ex-oram only)")
-	flag.StringVar(&o.resume, "resume", "", "continue a crashed run from this checkpoint file (requires -data-dir; no CSV argument)")
-	flag.StringVar(&o.connect, "connect", "", "address of a running fdserver to use instead of the in-process server")
-	flag.StringVar(&o.servers, "servers", "", "comma-separated addresses of a replicated fdserver group; the client follows the primary across failures (excludes -connect)")
-	flag.StringVar(&o.db, "db", "", "with -connect or -servers: database namespace to bind the session to on a multi-tenant server (empty = root)")
-	flag.StringVar(&o.token, "token", "", "with -connect or -servers: session auth token, required when the server runs with -session-token")
-	flag.BoolVar(&o.telemetry, "telemetry", false, "print per-phase wall time, ORAM access counts, and latency quantiles after discovery")
-	flag.StringVar(&o.teleJSON, "telemetry-json", "", "write the run's phase/metric snapshot (per-level wall time, counters, latency histograms) as JSON to this file")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write the run's distributed trace (client and server spans merged) as Chrome trace-event JSON to this file")
-	flag.BoolVar(&o.logJSON, "log-json", false, "log informational lines as JSON instead of key=value text")
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 
 	if o.resume != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"log/slog"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/oblivfd/oblivfd/internal/clidoc"
 	"github.com/oblivfd/oblivfd/internal/transport"
 	"github.com/oblivfd/oblivfd/securefd"
 )
@@ -302,5 +304,23 @@ func TestWriteTraceWarnsWhenRingWrapped(t *testing.T) {
 				t.Errorf("%d spans in a 4-record ring: log %q lacks %q", tc.spans, out, want)
 			}
 		}
+	}
+}
+
+// TestREADMEFlags: README.md documents every flag fddiscover registers and
+// names none that it does not.
+func TestREADMEFlags(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("fddiscover", flag.ContinueOnError)
+	registerFlags(fs, new(options))
+	undocumented, unknown := clidoc.Drift(string(readme), "fddiscover", fs)
+	if len(undocumented) > 0 {
+		t.Errorf("fddiscover flags missing from README.md: %v", undocumented)
+	}
+	if len(unknown) > 0 {
+		t.Errorf("README.md names fddiscover flags that are not registered: %v", unknown)
 	}
 }

@@ -8,16 +8,16 @@
 //	fdserver -listen :7066
 //
 // On SIGINT or SIGTERM the server drains: it stops accepting connections,
-// lets in-flight requests finish within -grace, then exits (replacing the
-// -snapshot file atomically if configured). With -data-dir the server is
-// crash-safe instead: every mutation is logged to an append-only WAL before
-// it is acknowledged, client-marked epochs become atomic snapshots, and
+// lets in-flight requests finish within -grace, then exits. Without
+// -data-dir its state lives in memory and ends with the process. With
+// -data-dir the server is crash-safe: every mutation is logged to an
+// append-only WAL and fsynced before it is acknowledged, client-marked
+// epochs become atomic snapshots, shutdown writes a final snapshot, and
 // startup recovers the pre-crash state from the newest valid snapshot plus
 // the log tail — kill -9 loses nothing. For resilience experiments,
-// -fault-rate/-spike-rate inject seeded transient storage faults and
-// -drop-rate severs live connections mid-call; a client that layers
-// securefd.WithRetry over the re-dialing DialTCP transport rides through all
-// of them.
+// -fault-rate injects seeded transient storage faults and -drop-rate severs
+// live connections mid-call; a client that layers securefd.WithRetry over
+// the re-dialing DialTCP transport rides through all of them.
 //
 // With -metrics-addr the server additionally exposes operator telemetry:
 // Prometheus text at /metrics, the same snapshot as JSON at /metrics.json,
@@ -42,7 +42,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -50,25 +49,21 @@ import (
 	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
-	"github.com/oblivfd/oblivfd/internal/trace"
 	"github.com/oblivfd/oblivfd/internal/transport"
 )
 
 // config collects the serve options so flags extend without churn.
 type config struct {
-	statsEvery   time.Duration
-	latency      time.Duration
-	snapshotPath string
-	dataDir      string        // durable storage directory (WAL + snapshots)
-	grace        time.Duration // drain window for in-flight requests on shutdown
-	faultRate    float64       // seeded transient storage error rate
-	spikeRate    float64       // seeded latency spike rate
-	spike        time.Duration // spike magnitude
-	dropRate     float64       // seeded mid-call connection drop rate
-	corruptRate  float64       // seeded read-payload corruption rate
-	faultSeed    int64
-	metricsAddr  string // if set, serve /metrics + /metrics.json + /debug/pprof/
-	logJSON      bool
+	listen      string
+	latency     time.Duration
+	dataDir     string        // durable storage directory (WAL + snapshots)
+	grace       time.Duration // drain window for in-flight requests on shutdown
+	faultRate   float64       // seeded transient storage error rate
+	dropRate    float64       // seeded mid-call connection drop rate
+	corruptRate float64       // seeded read-payload corruption rate
+	faultSeed   int64
+	metricsAddr string // if set, serve /metrics + /metrics.json + /debug/pprof/
+	logJSON     bool
 
 	// Distributed tracing (spans exported at /trace.json on -metrics-addr).
 	traceSample   int           // record every Nth trace (0 disables tracing)
@@ -96,46 +91,47 @@ type config struct {
 	scrubRate     int64         // scrub work units per second (cells / KiB)
 }
 
+// registerFlags binds fdserver's flags to cfg.
+func registerFlags(fs *flag.FlagSet, cfg *config) {
+	fs.StringVar(&cfg.listen, "listen", ":7066", "address to listen on")
+	fs.DurationVar(&cfg.latency, "latency", 0, "artificial per-operation delay, to model a slower network")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable storage directory (WAL + atomic snapshots): crash-safe, recovers on start; without it state lives in memory only")
+	fs.DurationVar(&cfg.grace, "grace", 5*time.Second, "drain window for in-flight requests on SIGINT")
+	fs.Float64Var(&cfg.faultRate, "fault-rate", 0, "inject transient storage errors at this rate (0..1), for resilience testing")
+	fs.Float64Var(&cfg.dropRate, "drop-rate", 0, "sever live connections mid-call at this per-frame rate (0..1)")
+	fs.Float64Var(&cfg.corruptRate, "corrupt-rate", 0, "corrupt read payloads at this rate (0..1), modeling a Byzantine server; clients must detect every hit")
+	fs.Int64Var(&cfg.faultSeed, "fault-seed", 1, "seed for the deterministic fault/drop schedules")
+	fs.StringVar(&cfg.metricsAddr, "metrics-addr", "", "if set, serve Prometheus /metrics, /metrics.json, and /debug/pprof/ on this address")
+	fs.BoolVar(&cfg.logJSON, "log-json", false, "log as JSON lines instead of key=value text")
+	fs.IntVar(&cfg.traceSample, "trace-sample", 1, "head-sample every Nth trace into the span ring buffer (0 disables tracing)")
+	fs.IntVar(&cfg.traceCapacity, "trace-capacity", 4096, "span ring-buffer capacity; oldest spans are evicted first")
+	fs.DurationVar(&cfg.traceSlow, "trace-slow", 0, "log a structured slow-span event for spans at least this long, sampled or not (0 = never)")
+	fs.IntVar(&cfg.maxSessions, "max-sessions", 0, "cap concurrently open client sessions; excess handshakes are refused with a retryable overload error (0 = unlimited)")
+	fs.IntVar(&cfg.maxInflight, "max-inflight", 0, "cap requests executing at once across all sessions; excess requests are shed (0 = unlimited)")
+	fs.StringVar(&cfg.sessionToken, "session-token", "", "require every session handshake to present this token; sessionless requests are refused while set")
+	fs.Float64Var(&cfg.sessionRate, "session-rate", 0, "per-session request rate limit in req/s (0 = unlimited)")
+	fs.DurationVar(&cfg.idleTimeout, "idle-timeout", 0, "evict sessions idle this long, freeing their session slots (0 = never)")
+	fs.StringVar(&cfg.replicas, "replicas", "", "comma-separated peer addresses to ship the WAL to while primary; on a -replica-of server this takes effect at promotion (requires -data-dir)")
+	fs.StringVar(&cfg.replicaOf, "replica-of", "", "address of the primary this server replicates; refuses client ops until promoted (requires -data-dir)")
+	fs.Int64Var(&cfg.fence, "fence", 0, "initial fencing epoch; 0 defers to the FENCE file or 1, higher values force-promote past a stale primary")
+	fs.DurationVar(&cfg.shipTimeout, "ship-timeout", 5*time.Second, "deadline per replication call; a peer that exceeds it is marked down and resynced by snapshot when it returns")
+	fs.DurationVar(&cfg.scrubInterval, "scrub-interval", 0, "background integrity scrub: pause between full sweeps over snapshots, WAL, and stored cells (0 disables; requires -data-dir)")
+	fs.Int64Var(&cfg.scrubRate, "scrub-rate", 65536, "scrub rate limit in work units per second (one unit per cell verified or KiB of file scanned; 0 = unlimited)")
+}
+
 func main() {
 	var cfg config
-	listen := flag.String("listen", ":7066", "address to listen on")
-	flag.DurationVar(&cfg.statsEvery, "stats", 0, "if > 0, log storage stats at this interval")
-	flag.DurationVar(&cfg.latency, "latency", 0, "artificial per-operation delay, to model a slower network")
-	flag.StringVar(&cfg.snapshotPath, "snapshot", "", "persistence file: loaded at startup if present, written on shutdown")
-	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable storage directory (WAL + atomic snapshots): crash-safe, recovers on start; excludes -snapshot")
-	flag.DurationVar(&cfg.grace, "grace", 5*time.Second, "drain window for in-flight requests on SIGINT")
-	flag.Float64Var(&cfg.faultRate, "fault-rate", 0, "inject transient storage errors at this rate (0..1), for resilience testing")
-	flag.Float64Var(&cfg.spikeRate, "spike-rate", 0, "inject latency spikes at this rate (0..1)")
-	flag.DurationVar(&cfg.spike, "spike", 5*time.Millisecond, "latency spike magnitude for -spike-rate")
-	flag.Float64Var(&cfg.dropRate, "drop-rate", 0, "sever live connections mid-call at this per-frame rate (0..1)")
-	flag.Float64Var(&cfg.corruptRate, "corrupt-rate", 0, "corrupt read payloads at this rate (0..1), modeling a Byzantine server; clients must detect every hit")
-	flag.Int64Var(&cfg.faultSeed, "fault-seed", 1, "seed for the deterministic fault/drop schedules")
-	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "if set, serve Prometheus /metrics, /metrics.json, and /debug/pprof/ on this address")
-	flag.BoolVar(&cfg.logJSON, "log-json", false, "log as JSON lines instead of key=value text")
-	flag.IntVar(&cfg.traceSample, "trace-sample", 1, "head-sample every Nth trace into the span ring buffer (0 disables tracing)")
-	flag.IntVar(&cfg.traceCapacity, "trace-capacity", 4096, "span ring-buffer capacity; oldest spans are evicted first")
-	flag.DurationVar(&cfg.traceSlow, "trace-slow", 0, "log a structured slow-span event for spans at least this long, sampled or not (0 = never)")
-	flag.IntVar(&cfg.maxSessions, "max-sessions", 0, "cap concurrently open client sessions; excess handshakes are refused with a retryable overload error (0 = unlimited)")
-	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "cap requests executing at once across all sessions; excess requests are shed (0 = unlimited)")
-	flag.StringVar(&cfg.sessionToken, "session-token", "", "require every session handshake to present this token; sessionless requests are refused while set")
-	flag.Float64Var(&cfg.sessionRate, "session-rate", 0, "per-session request rate limit in req/s (0 = unlimited)")
-	flag.DurationVar(&cfg.idleTimeout, "idle-timeout", 0, "evict sessions idle this long, freeing their session slots (0 = never)")
-	flag.StringVar(&cfg.replicas, "replicas", "", "comma-separated peer addresses to ship the WAL to while primary; on a -replica-of server this takes effect at promotion (requires -data-dir)")
-	flag.StringVar(&cfg.replicaOf, "replica-of", "", "address of the primary this server replicates; refuses client ops until promoted (requires -data-dir)")
-	flag.Int64Var(&cfg.fence, "fence", 0, "initial fencing epoch; 0 defers to the FENCE file or 1, higher values force-promote past a stale primary")
-	flag.DurationVar(&cfg.shipTimeout, "ship-timeout", 5*time.Second, "deadline per replication call; a peer that exceeds it is marked down and resynced by snapshot when it returns")
-	flag.DurationVar(&cfg.scrubInterval, "scrub-interval", 0, "background integrity scrub: pause between full sweeps over snapshots, WAL, and stored cells (0 disables; requires -data-dir)")
-	flag.Int64Var(&cfg.scrubRate, "scrub-rate", 65536, "scrub rate limit in work units per second (one unit per cell verified or KiB of file scanned; 0 = unlimited)")
+	registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
-	if err := run(*listen, cfg); err != nil {
+	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "fdserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen string, cfg config) error {
-	l, err := net.Listen("tcp", listen)
+func run(cfg config) error {
+	l, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
 		return err
 	}
@@ -148,13 +144,6 @@ func newLogger(jsonFormat bool) *slog.Logger {
 		return slog.New(slog.NewJSONHandler(os.Stdout, nil))
 	}
 	return slog.New(slog.NewTextHandler(os.Stdout, nil))
-}
-
-// baseStore is what the command needs from either storage backend beyond the
-// Service surface.
-type baseStore interface {
-	store.Service
-	Trace() *trace.Recorder
 }
 
 // health is the /healthz and /readyz response body.
@@ -226,13 +215,9 @@ func serve(l net.Listener, cfg config) error {
 		})
 	}
 
-	var srv baseStore
+	var srv store.Service = store.NewServer()
 	var durable *store.DurableServer
-	var mem *store.Server
 	if cfg.dataDir != "" {
-		if cfg.snapshotPath != "" {
-			return fmt.Errorf("-snapshot and -data-dir are mutually exclusive")
-		}
 		d, err := store.OpenDir(cfg.dataDir, store.DurableOptions{Metrics: reg, Trace: otr})
 		if err != nil {
 			return fmt.Errorf("opening data dir %s: %w", cfg.dataDir, err)
@@ -247,23 +232,6 @@ func serve(l net.Listener, cfg config) error {
 			log.Warn("repaired torn WAL tail", "truncated_at", info.WALTruncatedAt)
 		}
 		durable, srv = d, d
-	} else {
-		mem = store.NewServer()
-		if cfg.snapshotPath != "" {
-			if f, err := os.Open(cfg.snapshotPath); err == nil {
-				err = mem.LoadSnapshot(f)
-				f.Close()
-				if err != nil {
-					return fmt.Errorf("loading snapshot %s: %w", cfg.snapshotPath, err)
-				}
-				st, _ := mem.Stats()
-				log.Info("restored snapshot", "path", cfg.snapshotPath,
-					"objects", st.Objects, "bytes", st.StoredBytes)
-			} else if !os.IsNotExist(err) {
-				return err
-			}
-		}
-		srv = mem
 	}
 
 	// Replication wraps the durable store before any decorator so every
@@ -336,21 +304,16 @@ func serve(l net.Listener, cfg config) error {
 			"rate", cfg.scrubRate, "repair", rep != nil)
 	}
 
-	svc := store.WithLatency(store.Service(srv), cfg.latency)
-	var faulty *store.FaultService
-	if cfg.faultRate > 0 || cfg.spikeRate > 0 || cfg.corruptRate > 0 {
-		faulty = store.WithFaults(svc, store.FaultConfig{
+	svc := store.WithLatency(srv, cfg.latency)
+	if cfg.faultRate > 0 || cfg.corruptRate > 0 {
+		svc = store.WithFaults(svc, store.FaultConfig{
 			Seed:        cfg.faultSeed,
 			ErrorRate:   cfg.faultRate,
-			SpikeRate:   cfg.spikeRate,
-			Spike:       cfg.spike,
 			CorruptRate: cfg.corruptRate,
 			Metrics:     reg,
 		})
-		svc = faulty
 		log.Info("fault injection on", "error_rate", cfg.faultRate,
-			"spike_rate", cfg.spikeRate, "corrupt_rate", cfg.corruptRate,
-			"seed", cfg.faultSeed)
+			"corrupt_rate", cfg.corruptRate, "seed", cfg.faultSeed)
 	}
 	// Outermost decorator: the per-op histograms measure what an RPC
 	// dispatch actually costs, injected latency and faults included.
@@ -423,28 +386,6 @@ func serve(l net.Listener, cfg config) error {
 			"paths", "/metrics /metrics.json /trace.json /healthz /readyz /debug/pprof/")
 	}
 
-	if cfg.statsEvery > 0 {
-		go func() {
-			for range time.Tick(cfg.statsEvery) {
-				st, err := srv.Stats()
-				if err != nil {
-					continue
-				}
-				attrs := []any{
-					"objects", st.Objects, "bytes", st.StoredBytes,
-					"ops", srv.Trace().TotalOps(),
-				}
-				if faulty != nil {
-					attrs = append(attrs, "faults_injected", faulty.Injected())
-				}
-				if droppy != nil {
-					attrs = append(attrs, "conns_dropped", droppy.Drops())
-				}
-				log.Info("stats", attrs...)
-			}
-		}()
-	}
-
 	// Drain cleanly on SIGINT or SIGTERM (what init systems and container
 	// runtimes send): stop accepting, let in-flight requests finish within
 	// the grace window, then close what remains.
@@ -474,26 +415,13 @@ func serve(l net.Listener, cfg config) error {
 	signal.Stop(sig) // no more sends possible after Stop returns
 	close(sig)       // unblock the drain goroutine if no signal arrived
 	<-drained        // don't exit mid-drain
-	switch {
-	case durable != nil:
+	if durable != nil {
 		// Snapshot at the current epoch so the next start replays no WAL;
 		// even without it, the WAL alone already guarantees recovery.
 		if serr := durable.Snapshot(); serr != nil {
 			return fmt.Errorf("final snapshot: %w", serr)
 		}
 		log.Info("saved final snapshot", "dir", cfg.dataDir)
-	case cfg.snapshotPath != "":
-		if serr := saveSnapshot(store.OSFS, cfg.snapshotPath, mem); serr != nil {
-			return serr
-		}
-		log.Info("saved snapshot", "path", cfg.snapshotPath)
 	}
 	return err
-}
-
-// saveSnapshot replaces the -snapshot file with mem's state atomically
-// (store.ReplaceFile): a save that fails part way leaves the previous file
-// as it was.
-func saveSnapshot(fsys store.FS, path string, mem *store.Server) error {
-	return store.ReplaceFile(fsys, path, filepath.Base(path)+"-*.tmp", mem.SaveSnapshot)
 }

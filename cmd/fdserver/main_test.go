@@ -1,14 +1,15 @@
 package main
 
 import (
-	"bytes"
 	"errors"
+	"flag"
 	"net"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"github.com/oblivfd/oblivfd/internal/clidoc"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/transport"
 )
@@ -121,22 +122,22 @@ func TestServeWithConnDrops(t *testing.T) {
 }
 
 func TestRunBadAddress(t *testing.T) {
-	if err := run("256.256.256.256:0", config{}); err == nil {
+	if err := run(config{listen: "256.256.256.256:0"}); err == nil {
 		t.Error("bad listen address accepted")
 	}
 }
 
-// TestSnapshotPersistence: state written before shutdown is visible after a
-// restart with the same -snapshot path.
-func TestSnapshotPersistence(t *testing.T) {
-	path := t.TempDir() + "/state.snap"
+// TestDataDirPersistence: shutdown writes a final snapshot, and state
+// written before it is visible after a restart on the same -data-dir.
+func TestDataDirPersistence(t *testing.T) {
+	cfg := config{dataDir: t.TempDir()}
 
 	l1, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- serve(l1, config{snapshotPath: path}) }()
+	go func() { done <- serve(l1, cfg) }()
 	c1, err := transport.Dial(l1.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -152,21 +153,21 @@ func TestSnapshotPersistence(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("first serve: %v", err)
 	}
+	// Shutdown wrote a final snapshot, so the restart replays no log.
+	if snaps, _ := filepath.Glob(filepath.Join(cfg.dataDir, "snap-*.snap")); len(snaps) != 1 {
+		t.Fatalf("snapshots after shutdown = %v, want one", snaps)
+	}
 
 	l2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done2 := make(chan struct{})
-	go func() { defer close(done2); _ = serve(l2, config{snapshotPath: path}) }()
-	// The second server saves its snapshot on the way out; wait for that
-	// before TempDir's cleanup removes the directory under it.
-	defer func() { l2.Close(); <-done2 }()
+	done2 := make(chan error, 1)
+	go func() { done2 <- serve(l2, cfg) }()
 	c2, err := transport.Dial(l2.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
 	got, err := c2.ReadCells("persist", []int64{1})
 	if err != nil {
 		t.Fatalf("ReadCells after restart: %v", err)
@@ -174,47 +175,29 @@ func TestSnapshotPersistence(t *testing.T) {
 	if len(got) != 1 || len(got[0]) != 1 || got[0][0] != 42 {
 		t.Errorf("restored cell = %v, want [42]", got)
 	}
+	// The second server writes its final snapshot on the way out; wait for
+	// that before TempDir's cleanup removes the directory under it.
+	c2.Close()
+	l2.Close()
+	if err := <-done2; err != nil {
+		t.Fatalf("second serve: %v", err)
+	}
 }
 
-// TestSnapshotSaveFailureKeepsPrevious: a shutdown save that runs out of disk
-// space mid-write fails and leaves the previous -snapshot file byte for byte,
-// with no temporary file beside it.
-func TestSnapshotSaveFailureKeepsPrevious(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.snap")
-	mem := store.NewServer()
-	if err := mem.CreateArray("a", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.WriteCells("a", []int64{0}, [][]byte{{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := saveSnapshot(store.OSFS, path, mem); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
+// TestREADMEFlags: README.md documents every flag fdserver registers and
+// names none that it does not.
+func TestREADMEFlags(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.WriteCells("a", []int64{1}, [][]byte{{2, 3, 4}}); err != nil {
-		t.Fatal(err)
+	fs := flag.NewFlagSet("fdserver", flag.ContinueOnError)
+	registerFlags(fs, new(config))
+	undocumented, unknown := clidoc.Drift(string(readme), "fdserver", fs)
+	if len(undocumented) > 0 {
+		t.Errorf("fdserver flags missing from README.md: %v", undocumented)
 	}
-	// The 36-byte header lands; the payload write hits ENOSPC part way.
-	full := store.NewFaultFS(nil, store.FaultFSConfig{Seed: 1, DiskFullAfterBytes: 36, ShortWrites: true})
-	if err := saveSnapshot(full, path, mem); !errors.Is(err, store.ErrDiskFull) {
-		t.Fatalf("save on a full disk = %v, want ErrDiskFull", err)
-	}
-	if full.DiskFullInjected() == 0 {
-		t.Fatal("no write was refused")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("previous snapshot gone after a failed save: %v", err)
-	}
-	if !bytes.Equal(after, before) {
-		t.Errorf("previous snapshot changed by a failed save: %d bytes, was %d", len(after), len(before))
-	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
-		t.Errorf("directory holds %d entries after a failed save, want the snapshot alone", len(ents))
+	if len(unknown) > 0 {
+		t.Errorf("README.md names fdserver flags that are not registered: %v", unknown)
 	}
 }

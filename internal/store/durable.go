@@ -30,7 +30,7 @@ import (
 //	<dir>/snap-<seq>.snap   framed snapshots, seq strictly increasing
 //	<dir>/wal.log           mutations since the newest snapshot
 //
-// The last KeepSnapshots snapshots are retained so a client whose
+// The newest two snapshots (retainedSnapshots) are kept so a client whose
 // checkpoint file is one epoch behind the server's newest mark can still
 // roll back to a matching state (OpenDirAtEpoch).
 //
@@ -42,7 +42,6 @@ type DurableServer struct {
 	mu   sync.Mutex
 	mem  *Server
 	dir  string
-	opts DurableOptions
 	fsys FS
 
 	wal     *walWriter
@@ -76,16 +75,15 @@ type DurableServer struct {
 	otr           *otrace.Tracer // nil-safe span recorder (wal/append, store/snapshot)
 }
 
-// DurableOptions tunes the durable backend.
+// retainedSnapshots is how many epoch snapshots a data directory retains. Two
+// covers the client-crash window between the server's epoch mark and the
+// client writing its own checkpoint file: a client whose checkpoint is one
+// mark behind still finds a snapshot to roll back to (securefd's resume).
+const retainedSnapshots = 2
+
+// DurableOptions tunes the durable backend. Every WAL append is fsynced
+// before its mutation is acknowledged.
 type DurableOptions struct {
-	// SyncEvery is the WAL fsync cadence in records. 1 (the default via 0)
-	// syncs every append: an acknowledged mutation survives any crash.
-	// Larger values trade the tail of that guarantee for throughput.
-	SyncEvery int
-	// KeepSnapshots is how many epoch snapshots to retain (default 2).
-	// Two covers the client-crash window between the server's epoch mark
-	// and the client writing its own checkpoint file.
-	KeepSnapshots int
 	// KillAfterAppends arms the crash-injection kill point: the Nth WAL
 	// append (1-based) writes only a torn partial frame, the in-memory
 	// mutation is acknowledged to nobody, and every subsequent call
@@ -103,19 +101,6 @@ type DurableOptions struct {
 	// through. Nil means the real one (OSFS); the disk-fault harness passes
 	// a FaultFS to inject ENOSPC, short writes, fsync failures, and bit rot.
 	FS FS
-}
-
-func (o DurableOptions) withDefaults() DurableOptions {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 1
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
-	}
-	if o.FS == nil {
-		o.FS = OSFS
-	}
-	return o
 }
 
 // RecoveryInfo reports what OpenDir found and did.
@@ -182,8 +167,10 @@ func OpenDirAtEpoch(dir string, epoch int64, opts DurableOptions) (*DurableServe
 }
 
 func openDir(dir string, opts DurableOptions, wantEpoch int64) (*DurableServer, error) {
-	opts = opts.withDefaults()
 	fsys := opts.FS
+	if fsys == nil {
+		fsys = OSFS
+	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -279,14 +266,13 @@ func openDir(dir string, opts DurableOptions, wantEpoch int64) (*DurableServer, 
 			return nil, err
 		}
 	}
-	w, err := openWALWriter(fsys, walPath, opts.SyncEvery)
+	w, err := openWALWriter(fsys, walPath)
 	if err != nil {
 		return nil, err
 	}
 	ds := &DurableServer{
 		mem:     mem,
 		dir:     dir,
-		opts:    opts,
 		fsys:    fsys,
 		wal:     w,
 		snapSeq: info.SnapshotSeq,
@@ -371,10 +357,11 @@ func (d *DurableServer) Epoch() int64 { return d.mem.Epoch() }
 func (d *DurableServer) Dir() string { return d.dir }
 
 // logFrame appends a record's frame after the in-memory apply succeeded.
-// With SyncEvery=1 an acknowledged mutation is durable; a crash between apply
-// and append loses only an operation that was never acknowledged, which is
-// indistinguishable (to the client) from crashing before the call. When the
-// kill point fires the frame is written torn and the server plays dead.
+// Every append is fsynced, so an acknowledged mutation is durable; a crash
+// between apply and append loses only an operation that was never
+// acknowledged, which is indistinguishable (to the client) from crashing
+// before the call. When the kill point fires the frame is written torn and
+// the server plays dead.
 func (d *DurableServer) logFrame(frame []byte) error {
 	if d.walAppendLat != nil {
 		defer d.walAppendLat.ObserveSince(time.Now())
@@ -517,15 +504,15 @@ func (d *DurableServer) readGuard() error {
 // handle serves one operation. A mutation becomes a WAL record (a Batch one
 // record per write, in order). A root Checkpoint marks the epoch, writes an
 // epoch-tagged snapshot atomically, compacts the WAL, and prunes snapshots
-// beyond KeepSnapshots; a non-root tenant's epoch mark is made durable as a
-// WAL record rather than a full snapshot — with SyncEvery=1 the mark survives
-// any crash the moment the call returns, and per-tenant checkpoints stay
-// cheap even with many tenants checkpointing at every level of their
-// traversals (full snapshots, which absorb these records and persist the
-// marks in the snapshot payload, still happen on root checkpoints and
-// graceful shutdown). Everything else is answered from memory; reveals are
-// part of the adversary's trace, not the recoverable storage state, so they
-// are not logged.
+// beyond retainedSnapshots; a non-root tenant's epoch mark is made durable as
+// a WAL record rather than a full snapshot — fsynced like every record, the
+// mark survives any crash the moment the call returns, and per-tenant
+// checkpoints stay cheap even with many tenants checkpointing at every level
+// of their traversals (full snapshots, which absorb these records and
+// persist the marks in the snapshot payload, still happen on root
+// checkpoints and graceful shutdown). Everything else is answered from
+// memory; reveals are part of the adversary's trace, not the recoverable
+// storage state, so they are not logged.
 func (d *DurableServer) handle(op *Op, res *Result) (err error) {
 	switch {
 	case op.Kind == KindBatch:
@@ -672,8 +659,8 @@ func (d *DurableServer) snapshotLocked() error {
 	// they are counted and logged, not swallowed — unpruned snapshots on a
 	// nearly-full disk are how degraded mode becomes permanent.
 	seqs, err := listSnapshots(d.fsys, d.dir)
-	if err == nil && len(seqs) > d.opts.KeepSnapshots {
-		for _, old := range seqs[:len(seqs)-d.opts.KeepSnapshots] {
+	if err == nil && len(seqs) > retainedSnapshots {
+		for _, old := range seqs[:len(seqs)-retainedSnapshots] {
 			if rerr := d.fsys.Remove(snapPath(d.dir, old)); rerr != nil {
 				d.pruneFailures.Inc()
 				slog.Warn("store: pruning old snapshot failed", "seq", old, "err", rerr)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -254,7 +255,7 @@ func TestKillPointNeverRetried(t *testing.T) {
 
 func TestOpenDirAtEpochRollsBack(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, DurableOptions{KeepSnapshots: 2})
+	d, err := OpenDir(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestOpenDirAtEpochRollsBack(t *testing.T) {
 
 func TestOpenDirAtEpochSkipsShutdownSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, DurableOptions{KeepSnapshots: 2})
+	d, err := OpenDir(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestOpenDirAtEpochUnknown(t *testing.T) {
 
 func TestSnapshotRetention(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, DurableOptions{KeepSnapshots: 2})
+	d, err := OpenDir(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +386,82 @@ func TestSnapshotRetention(t *testing.T) {
 	}
 }
 
+// TestCheckpointDiskFullKeepsPreviousSnapshot: a root checkpoint whose
+// snapshot write runs out of disk space part way fails with ErrDiskFull,
+// leaves no temporary file, leaves the previous snapshot byte for byte, and
+// loses no acknowledged write: the next OpenDir recovers them all from that
+// snapshot and the WAL.
+func TestCheckpointDiskFullKeepsPreviousSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDir(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutateSample(t, d)
+	if err := d.Checkpoint(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteCells("a", []int64{1}, [][]byte{{50, 51, 52}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(snapPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen on a disk where the snapshot's 36-byte header lands and its
+	// payload hits ENOSPC part way.
+	full := NewFaultFS(nil, FaultFSConfig{Seed: 1, DiskFullAfterBytes: 36, ShortWrites: true})
+	d, err = OpenDir(dir, DurableOptions{FS: full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(2); !errors.Is(err, ErrDiskFull) {
+		t.Fatalf("checkpoint on a full disk = %v, want ErrDiskFull", err)
+	}
+	if full.DiskFullInjected() == 0 {
+		t.Fatal("no write was refused")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "snap-*.tmp")); len(tmps) != 0 {
+		t.Errorf("failed checkpoint left %v behind", tmps)
+	}
+	if seqs, _ := listSnapshots(OSFS, dir); len(seqs) != 1 || seqs[0] != 1 {
+		t.Errorf("snapshots after a failed checkpoint = %v, want [1]", seqs)
+	}
+	after, err := os.ReadFile(snapPath(dir, 1))
+	if err != nil {
+		t.Fatalf("previous snapshot gone after a failed checkpoint: %v", err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Errorf("previous snapshot changed by a failed checkpoint: %d bytes, was %d", len(after), len(before))
+	}
+
+	d, err = OpenDir(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	got, err := d.ReadCells("a", []int64{0, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[0], []byte{1}) || !bytes.Equal(got[1], []byte{50, 51, 52}) || !bytes.Equal(got[2], []byte{2, 3}) {
+		t.Errorf("cells after recovery = %v", got)
+	}
+	if slots, err := d.ReadPath("t", 2); err != nil || !bytes.Equal(slots[0], []byte{9}) || !bytes.Equal(slots[5], []byte{4}) {
+		t.Errorf("path after recovery = %v, %v", slots, err)
+	}
+}
+
 func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, DurableOptions{KeepSnapshots: 2})
+	d, err := OpenDir(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,18 +507,22 @@ func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 
 func TestOpenDirAllSnapshotsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, DurableOptions{KeepSnapshots: 1})
+	d, err := OpenDir(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mutateSample(t, d)
-	if err := d.Checkpoint(1); err != nil {
-		t.Fatal(err)
+	for epoch := int64(1); epoch <= 2; epoch++ {
+		if err := d.Checkpoint(epoch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	d.Close()
-	path := snapPath(dir, 1)
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
+	// Both retained snapshots rot: nothing is left to fall back to.
+	for seq := int64(1); seq <= 2; seq++ {
+		if err := os.WriteFile(snapPath(dir, seq), []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := OpenDir(dir, DurableOptions{}); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Errorf("all-corrupt open = %v, want ErrCorruptSnapshot", err)

@@ -52,7 +52,6 @@ type FaultFS struct {
 
 	injectedFull  int64
 	injectedSync  int64
-	injectedRot   int64
 	injectedShort int64
 }
 
@@ -84,13 +83,6 @@ func (f *FaultFS) FsyncFailuresInjected() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.injectedSync
-}
-
-// RotInjected reports how many reads had a bit flipped.
-func (f *FaultFS) RotInjected() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injectedRot
 }
 
 // admitWrite places a write of n attempted bytes against the ENOSPC window
@@ -140,7 +132,6 @@ func (f *FaultFS) rotRead() (bool, float64, uint) {
 	if f.reads > f.cfg.RotAfterReads && (f.cfg.RotEvery <= 0 || (f.reads-f.cfg.RotAfterReads)%f.cfg.RotEvery != 0) {
 		return false, 0, 0
 	}
-	f.injectedRot++
 	return true, f.rng.Float64(), uint(f.rng.Intn(8))
 }
 

@@ -62,7 +62,7 @@ import (
 // retry/reconcile path it uses after a redial. See DESIGN.md §13 for the
 // leakage argument.
 
-// ReplicaConn is the primary's view of one replica: the two replication
+// ReplicaConn is the primary's view of one peer: the three replication
 // RPCs. *transport.Client implements it.
 type ReplicaConn interface {
 	// Replicate ships framed WAL records; seq is the shipper's count of
@@ -71,15 +71,10 @@ type ReplicaConn interface {
 	// SyncSnapshot replaces the replica's entire state and repositions its
 	// stream cursor at seq.
 	SyncSnapshot(fence, seq int64, snap []byte) error
-	Close() error
-}
-
-// RepairFetcher is the optional third replication RPC: fetch
-// checksum-verified ciphertexts from a peer to heal local corruption.
-// *transport.Client implements it; the primary type-asserts per connection
-// so older ReplicaConn fakes keep working.
-type RepairFetcher interface {
+	// FetchRepair fetches checksum-verified ciphertexts from the peer to
+	// heal local corruption.
 	FetchRepair(fence int64, name string, idx []int64) ([][]byte, error)
+	Close() error
 }
 
 // ReplicaDialer opens a replication connection to a peer address.
@@ -569,12 +564,7 @@ func (r *ReplicatedServer) repairStoredLocked(name string, idx []int64) error {
 			}
 			p.conn = conn
 		}
-		rf, ok := p.conn.(RepairFetcher)
-		if !ok {
-			lastErr = fmt.Errorf("peer %s cannot serve repairs", p.addr)
-			continue
-		}
-		cts, err := rf.FetchRepair(fence, name, idx)
+		cts, err := p.conn.FetchRepair(fence, name, idx)
 		if err != nil {
 			if errors.Is(err, ErrFenced) {
 				r.depose()

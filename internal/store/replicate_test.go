@@ -10,7 +10,7 @@ import (
 )
 
 // loopConn wires a primary directly to an in-process replica, standing in for
-// the transport's replication stream.
+// the transport's replication stream and its repair round trip.
 type loopConn struct{ r *ReplicatedServer }
 
 func (c loopConn) Replicate(fence, seq int64, frames [][]byte) error {
@@ -19,6 +19,9 @@ func (c loopConn) Replicate(fence, seq int64, frames [][]byte) error {
 }
 func (c loopConn) SyncSnapshot(fence, seq int64, snap []byte) error {
 	return c.r.ApplySync(fence, seq, snap)
+}
+func (c loopConn) FetchRepair(fence int64, name string, idx []int64) ([][]byte, error) {
+	return c.r.FetchRepair(fence, name, idx)
 }
 func (c loopConn) Close() error { return nil }
 
@@ -444,7 +447,10 @@ func (c *blockingConn) Replicate(fence, seq int64, frames [][]byte) error {
 	return nil
 }
 func (c *blockingConn) SyncSnapshot(fence, seq int64, snap []byte) error { return nil }
-func (c *blockingConn) Close() error                                     { return nil }
+func (c *blockingConn) FetchRepair(int64, string, []int64) ([][]byte, error) {
+	return nil, ErrUnavailable
+}
+func (c *blockingConn) Close() error { return nil }
 
 // TestHungPeerDoesNotBlockReads asserts the availability contract of the
 // split-lock design: while a shipment hangs on a partitioned peer, only

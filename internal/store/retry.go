@@ -7,17 +7,11 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
-
-// ErrRetryBudgetExhausted is returned once WithRetry has spent its total
-// retry budget; it signals a systemically failing backend rather than a
-// transient blip.
-var ErrRetryBudgetExhausted = errors.New("store: retry budget exhausted")
 
 // RetryPolicy parameterizes WithRetry. The zero value of any field selects
 // the default noted on it.
@@ -39,13 +33,6 @@ type RetryPolicy struct {
 	InitialBackoff time.Duration
 	// MaxBackoff caps the doubling (default 1s).
 	MaxBackoff time.Duration
-	// CallTimeout is the deadline for one logical call including all its
-	// retries; 0 means no deadline.
-	CallTimeout time.Duration
-	// Budget bounds the total retries across the service's lifetime;
-	// 0 means unlimited. A run that burns its budget fails fast with
-	// ErrRetryBudgetExhausted instead of limping through a dead backend.
-	Budget int64
 	// Seed fixes the jitter schedule for reproducible tests. 0 (the
 	// default) seeds from the process-global generator, so independent
 	// clients draw independent schedules — the whole point of jitter.
@@ -107,10 +94,10 @@ func DefaultRetryable(err error) bool {
 }
 
 // RetryService is a Service decorator that re-issues failed calls with
-// jittered exponential backoff, per-call deadlines, and a total retry
-// budget. It is the one layer of the stack that sends a call twice: the TCP
-// client, the pool and the failover pool each send a call once and answer a
-// lost connection or server with the retryable ErrUnavailable.
+// jittered exponential backoff. It is the one layer of the stack that sends
+// a call twice: the TCP client, the pool and the failover pool each send a
+// call once and answer a lost connection or server with the retryable
+// ErrUnavailable.
 //
 // Protocol safety: every write in the Service interface is idempotent — it
 // stores the exact ciphertexts carried by the request, so applying a write
@@ -148,7 +135,6 @@ type RetryService struct {
 	// standalone otherwise; shared records which.
 	retries *telemetry.Counter
 	shared  bool
-	spent   atomic.Int64 // against policy.Budget
 }
 
 // WithRetry wraps a Service with the given retry policy.
@@ -206,19 +192,15 @@ func (r *RetryService) backoff(n int) time.Duration {
 // its merits, or the policy gives up, and a Stats answer carries the retry
 // count. A Batch goes through batch.
 func (r *RetryService) handle(op *Op, res *Result) error {
-	var deadline time.Time
-	if r.policy.CallTimeout > 0 {
-		deadline = time.Now().Add(r.policy.CallTimeout)
-	}
 	if op.Kind == KindBatch {
-		return r.batch(op, res, deadline)
+		return r.batch(op, res)
 	}
 	for attempt := 1; ; attempt++ {
 		err := Invoke(r.svc, op, res)
 		if err == nil || attempt > 1 && op.Kind.Applied(err) {
 			break
 		}
-		if err := r.again(op.Kind, attempt, err, deadline); err != nil {
+		if err := r.again(op.Kind, attempt, err); err != nil {
 			return err
 		}
 	}
@@ -237,21 +219,14 @@ func (r *RetryService) handle(op *Op, res *Result) error {
 // again follows failed try number attempt of a call of the given kind: it
 // returns the error to give up with, or nil once it has waited out the
 // backoff before the next try.
-func (r *RetryService) again(kind Kind, attempt int, err error, deadline time.Time) error {
+func (r *RetryService) again(kind Kind, attempt int, err error) error {
 	if !DefaultRetryable(err) {
 		return err
 	}
 	if attempt >= r.policy.MaxAttempts {
 		return fmt.Errorf("store: %v failed after %d attempts: %w", kind, attempt, err)
 	}
-	if r.policy.Budget > 0 && r.spent.Add(1) > r.policy.Budget {
-		return fmt.Errorf("%w: %v: %v", ErrRetryBudgetExhausted, kind, err)
-	}
-	wait := r.backoff(attempt)
-	if !deadline.IsZero() && time.Now().Add(wait).After(deadline) {
-		return fmt.Errorf("store: %v deadline exceeded after %d attempts: %w", kind, attempt, err)
-	}
-	r.policy.sleep(wait)
+	r.policy.sleep(r.backoff(attempt))
 	r.retries.Inc()
 	return nil
 }
@@ -269,7 +244,7 @@ func (r *RetryService) again(kind Kind, attempt int, err error, deadline time.Ti
 // tries in a row that make no progress, as it bounds a single op's. The
 // server sees the batch's ops in their order, some of them again, framed by a
 // schedule that depends only on the batch's length and on when faults struck.
-func (r *RetryService) batch(op *Op, res *Result, deadline time.Time) error {
+func (r *RetryService) batch(op *Op, res *Result) error {
 	err := Invoke(r.svc, op, res)
 	if err == nil {
 		return nil
@@ -278,7 +253,7 @@ func (r *RetryService) batch(op *Op, res *Result, deadline time.Time) error {
 	answers := make([][][]byte, len(op.Ops))
 	for at, attempt := 0, 1; ; {
 		if err != nil {
-			if err := r.again(KindBatch, attempt, err, deadline); err != nil {
+			if err := r.again(KindBatch, attempt, err); err != nil {
 				return err
 			}
 			attempt, size = attempt+1, (size+1)/2

@@ -130,38 +130,6 @@ func TestRetryReconcilesLostCreateAck(t *testing.T) {
 	}
 }
 
-func TestRetryBudgetExhaustion(t *testing.T) {
-	backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 100}
-	_ = backend.Server.CreateArray("a", 4)
-	r := WithRetry(backend, fastPolicy(RetryPolicy{MaxAttempts: 10, Budget: 2}, nil))
-	err := r.WriteCells("a", []int64{0}, [][]byte{{1}})
-	if !errors.Is(err, ErrRetryBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrRetryBudgetExhausted", err)
-	}
-}
-
-func TestRetryCallTimeout(t *testing.T) {
-	backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 100}
-	_ = backend.Server.CreateArray("a", 4)
-	// Real sleeps here: the deadline must trip before MaxAttempts does.
-	r := WithRetry(backend, RetryPolicy{
-		MaxAttempts:    50,
-		InitialBackoff: 20 * time.Millisecond,
-		CallTimeout:    30 * time.Millisecond,
-	})
-	start := time.Now()
-	err := r.WriteCells("a", []int64{0}, [][]byte{{1}})
-	if err == nil || !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v, want deadline error wrapping ErrTransient", err)
-	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Errorf("deadline did not bound the call: took %v", d)
-	}
-	if backend.seen >= 50 {
-		t.Errorf("deadline did not stop attempts: %d", backend.seen)
-	}
-}
-
 func TestRetryJitterDeterministic(t *testing.T) {
 	run := func() []time.Duration {
 		backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 5}

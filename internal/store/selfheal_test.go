@@ -7,47 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-// repairLoopConn is loopConn plus the repair-donor RPC, standing in for the
-// transport's kindRepair round trip.
-type repairLoopConn struct{ loopConn }
-
-func (c repairLoopConn) FetchRepair(fence int64, name string, idx []int64) ([][]byte, error) {
-	return c.r.FetchRepair(fence, name, idx)
-}
-
-// newRepairPrimary is newPrimary with repair-capable peer connections.
-func newRepairPrimary(t *testing.T, replicas ...*ReplicatedServer) *ReplicatedServer {
-	t.Helper()
-	d, err := OpenDir(t.TempDir(), DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var peers []string
-	byAddr := map[string]*ReplicatedServer{}
-	for i, rep := range replicas {
-		addr := string(rune('a' + i))
-		peers = append(peers, addr)
-		byAddr[addr] = rep
-	}
-	p, err := Replicated(d, ReplicationConfig{
-		Primary:     true,
-		Peers:       peers,
-		RedialEvery: 1,
-		Dial: func(addr string) (ReplicaConn, error) {
-			return repairLoopConn{loopConn{byAddr[addr]}}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	return p
-}
 
 // TestCorruptCellFailsLoudlyWithoutReplicas pins the PR 4 contract with
 // scrubbing in the picture: absent any healthy copy, bit rot is detected,
@@ -96,7 +60,7 @@ func TestCorruptCellFailsLoudlyWithoutReplicas(t *testing.T) {
 // stream position advances like any write).
 func TestScrubRepairsPrimaryFromReplica(t *testing.T) {
 	replica := newReplica(t)
-	primary := newRepairPrimary(t, replica)
+	primary := newPrimary(t, replica)
 	mutateSample(t, primary)
 
 	if err := primary.Durable().CorruptStored("a", 3, 5); err != nil {
@@ -150,7 +114,7 @@ func TestScrubRepairsPrimaryFromReplica(t *testing.T) {
 // ErrIntegrity when a healthy copy exists.
 func TestForegroundReadRepairs(t *testing.T) {
 	replica := newReplica(t)
-	primary := newRepairPrimary(t, replica)
+	primary := newPrimary(t, replica)
 	mutateSample(t, primary)
 
 	if err := primary.Durable().CorruptStored("a", 0, 2); err != nil {
@@ -175,11 +139,33 @@ func TestForegroundReadRepairs(t *testing.T) {
 	}
 }
 
+// TestReadFailsLoudlyWhenDonorIsCorrupt: when the peer's copy of a rotted
+// cell is rotten too, its repair RPC refuses, and the primary's read fails
+// with ErrIntegrity instead of installing anything.
+func TestReadFailsLoudlyWhenDonorIsCorrupt(t *testing.T) {
+	replica := newReplica(t)
+	primary := newPrimary(t, replica)
+	mutateSample(t, primary)
+
+	for _, r := range []*ReplicatedServer{primary, replica} {
+		if err := r.Durable().CorruptStored("a", 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := primary.ReadCells("a", []int64{0})
+	if !errors.Is(err, ErrIntegrity) || !strings.Contains(err.Error(), "no healthy replica copy") {
+		t.Fatalf("read with no healthy copy = %v, want ErrIntegrity naming the missing copy", err)
+	}
+	if primary.Repairs() != 0 {
+		t.Errorf("%d cells repaired from a corrupt donor", primary.Repairs())
+	}
+}
+
 // TestBatchReadRepairsMidBatch: rot hit by a read inside a Batch heals
 // without breaking the batch or the replication stream order.
 func TestBatchReadRepairsMidBatch(t *testing.T) {
 	replica := newReplica(t)
-	primary := newRepairPrimary(t, replica)
+	primary := newPrimary(t, replica)
 	mutateSample(t, primary)
 
 	if err := primary.Durable().CorruptStored("a", 0, 1); err != nil {
@@ -218,7 +204,7 @@ func TestBatchReadRepairsMidBatch(t *testing.T) {
 // full snapshot, replacing every corrupt byte.
 func TestReplicaScrubResyncs(t *testing.T) {
 	replica := newReplica(t)
-	primary := newRepairPrimary(t, replica)
+	primary := newPrimary(t, replica)
 	mutateSample(t, primary)
 
 	if err := replica.Durable().CorruptStored("a", 0, 4); err != nil {
@@ -522,7 +508,7 @@ func TestShortWriteRolledBackOnReopen(t *testing.T) {
 // snapshot of the world, not in the data. Run under -race.
 func TestScrubSweepRacesLiveTraffic(t *testing.T) {
 	replica := newReplica(t)
-	primary := newRepairPrimary(t, replica)
+	primary := newPrimary(t, replica)
 	if err := primary.CreateArray("x", 128); err != nil {
 		t.Fatal(err)
 	}

@@ -237,14 +237,12 @@ var errWALFailStop = errors.New("store: WAL fail-stop")
 // walWriter appends framed records to the log file.
 type walWriter struct {
 	f           File
-	syncEvery   int   // fsync cadence in records; <=1 syncs every append
-	pending     int   // appends since last fsync
 	appended    int64 // total records appended (kill-point accounting)
 	size        int64 // current file size in bytes
 	truncations int64 // times truncate() ran (scrub race guard)
 }
 
-func openWALWriter(fsys FS, path string, syncEvery int) (*walWriter, error) {
+func openWALWriter(fsys FS, path string) (*walWriter, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -254,10 +252,10 @@ func openWALWriter(fsys FS, path string, syncEvery int) (*walWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	return &walWriter{f: f, syncEvery: syncEvery, size: info.Size()}, nil
+	return &walWriter{f: f, size: info.Size()}, nil
 }
 
-// append writes one encoded frame, fsyncing per the cadence. A failed
+// append writes one encoded frame and fsyncs it. A failed
 // write (ENOSPC) is rolled back by truncating to the pre-append size so the
 // log never carries a torn frame the next recovery would mistake for a
 // crash; only if that rollback itself fails does the error escalate to
@@ -277,12 +275,8 @@ func (w *walWriter) append(frame []byte) error {
 	}
 	w.size += int64(len(frame))
 	w.appended++
-	w.pending++
-	if w.syncEvery <= 1 || w.pending >= w.syncEvery {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("%w: syncing WAL: %v", errWALFailStop, err)
-		}
-		w.pending = 0
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("%w: syncing WAL: %v", errWALFailStop, err)
 	}
 	return nil
 }
@@ -327,7 +321,6 @@ func (w *walWriter) truncate() error {
 		return fmt.Errorf("%w: syncing truncated WAL: %v", errWALFailStop, err)
 	}
 	w.size = 0
-	w.pending = 0
 	w.truncations++
 	return nil
 }

@@ -142,7 +142,7 @@ func TestWALReplayRejectsMidLogFailure(t *testing.T) {
 func TestWALWriterTornAppendRecoverable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, walName)
-	w, err := openWALWriter(OSFS, path, 1)
+	w, err := openWALWriter(OSFS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

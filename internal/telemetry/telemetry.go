@@ -64,9 +64,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// NewGauge returns a standalone (unregistered) gauge.
-func NewGauge() *Gauge { return &Gauge{} }
-
 // Set replaces the value.
 func (g *Gauge) Set(n int64) {
 	if g != nil {

@@ -307,10 +307,7 @@ type Client struct {
 	lat        *[store.NumKinds]*telemetry.Histogram // nil when metrics are off
 }
 
-var (
-	_ store.ReplicaConn   = (*Client)(nil)
-	_ store.RepairFetcher = (*Client)(nil)
-)
+var _ store.ReplicaConn = (*Client)(nil)
 
 // Dial connects to a transport server with the default configuration.
 func Dial(addr string) (*Client, error) {
@@ -540,7 +537,7 @@ func (c *Client) SyncSnapshot(fence, seq int64, snap []byte) error {
 	return err
 }
 
-// FetchRepair implements store.RepairFetcher: fetch checksum-verified
+// FetchRepair is store.ReplicaConn's repair RPC: fetch checksum-verified
 // ciphertexts from a peer to heal local corruption. Token-gated like the
 // other replication control RPCs.
 func (c *Client) FetchRepair(fence int64, name string, idx []int64) ([][]byte, error) {

@@ -101,7 +101,7 @@ func (db *Database) DiscoverResumable(path string) (*Report, error) {
 		// Epoch = completed-level count. Server first: once the epoch is
 		// marked (and, on a durable server, snapshotted), the client file
 		// is written. If we crash between the two, the previous epoch's
-		// snapshot is still retained (KeepSnapshots ≥ 2), so the old
+		// snapshot is still retained (a data directory keeps two), so the old
 		// checkpoint file can still roll the server back via
 		// OpenDirAtEpoch.
 		epoch := int64(ls.NextLevel)
