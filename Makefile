@@ -82,16 +82,19 @@ bench:
 
 # Cell-path micro-benchmarks: what the Sort engine does to one fetched block
 # (obsort compare-exchange block, a whole 4096-record sort with allocations
-# per comparator), the AEAD calls under it (seal into a reused buffer,
-# seal a block into one slab, open), and what one whole B_X array costs the
-# engine at n = 4096 when no union reads it and when one does, reporting the
-# rounds and comparators it takes (1 : 2 in networks — counts, not timings).
+# per comparator), the AEAD calls under it (seal into a reused buffer, a
+# 16-byte seal where the nonce draw shows, seal a block into one slab, open),
+# the server's per-cell checksum at a Sort cell's and an ORAM bucket's size,
+# and what one whole B_X array costs the engine at n = 4096 when no union
+# reads it and when one does, reporting the rounds and comparators it takes
+# (1 : 2 in networks — counts, not timings).
 # CI runs them with BENCHTIME=1x so they keep compiling and running; for
 # numbers, run them on a quiet machine.
 BENCHTIME ?= 1s
 bench-cell:
 	$(GO) test -run '^$$' -bench 'CompareExchangeBlock|Sort4096' -benchmem -benchtime $(BENCHTIME) ./internal/obsort/
 	$(GO) test -run '^$$' -bench 'Cipher' -benchmem -benchtime $(BENCHTIME) ./internal/crypto/
+	$(GO) test -run '^$$' -bench 'CellSum' -benchmem -benchtime $(BENCHTIME) ./internal/store/
 	$(GO) test -run '^$$' -bench 'SortPartition' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 
 # Wire-path micro-benchmarks: what one round trip and one logged mutation

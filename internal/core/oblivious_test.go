@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -229,16 +232,17 @@ func TestDeletionBranchesIndistinguishable(t *testing.T) {
 	}
 }
 
-// TestFullDiscoveryTraceEquality is the end-to-end security statement: two
-// databases with equal Size(DB) and equal FD(DB) — the entire allowed
-// leakage — must produce identical server-visible trace shapes for a full
-// discovery run, reveals included, however the client's calls are framed.
-func TestFullDiscoveryTraceEquality(t *testing.T) {
-	pairs := []struct {
-		name   string
-		a, b   *relation.Relation
-		level2 int // sets at lattice level 2
-	}{
+// leakagePair is two relations with equal Size(DB) and equal FD(DB) — the
+// entire allowed leakage — and the number of sets their lattice has at level
+// 2, which TestFullDiscoveryTraceEquality checks.
+type leakagePair struct {
+	name   string
+	a, b   *relation.Relation
+	level2 int
+}
+
+func equalLeakagePairs() []leakagePair {
+	return []leakagePair{
 		// Same size, same FD structure (all columns near-distinct ⇒ same
 		// lattice, pruned after level 1), different contents.
 		{"keys", fixedWidthRel(3, 24, 101, 1_000_000), fixedWidthRel(3, 24, 202, 1_000_000), 0},
@@ -252,6 +256,14 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 		// which the ORAM engines step together, each cover read once a record.
 		{"histograms, wide level", histogramRel([4]int{6, 6, 6, 6}, true), histogramRel([4]int{12, 1, 10, 1}, true), 3},
 	}
+}
+
+// TestFullDiscoveryTraceEquality is the end-to-end security statement: two
+// databases with equal Size(DB) and equal FD(DB) — the entire allowed
+// leakage — must produce identical server-visible trace shapes for a full
+// discovery run, reveals included, however the client's calls are framed.
+func TestFullDiscoveryTraceEquality(t *testing.T) {
+	pairs := equalLeakagePairs()
 
 	run := func(rel *relation.Relation, kind engineKind, wrap func(store.Service) store.Service) trace.Shape {
 		srv := store.NewServer()
@@ -348,6 +360,181 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sealCapture keeps every ciphertext the client writes, in the order written,
+// repeats included (an ORAM bucket shared by the paths of one round is
+// written once for each of them), with the storage call that carried it and,
+// for a path slot, the tree and the heap index of its bucket.
+type sealCapture struct {
+	store.Adapter
+	svc     store.Service
+	calls   int
+	written []writtenCT
+}
+
+type writtenCT struct {
+	ct     []byte
+	call   int
+	tree   string
+	bucket int64 // -1 for a cell of an array or a Setup bucket
+}
+
+func newSealCapture(svc store.Service) *sealCapture {
+	c := &sealCapture{svc: svc}
+	c.Adapter = store.Adapt(c.handle)
+	return c
+}
+
+func (c *sealCapture) handle(op *store.Op, res *store.Result) error {
+	c.calls++
+	switch op.Kind {
+	case store.KindWriteCells, store.KindWriteBuckets:
+		c.keep(op.Cts, false, "", 0)
+	case store.KindWritePath:
+		c.keep(op.Cts, true, op.Name, op.Leaf)
+	case store.KindBatch:
+		for _, b := range op.Ops {
+			if b.Write {
+				c.keep(b.Cts, b.Path, b.Name, b.Leaf)
+			}
+		}
+	}
+	return store.Invoke(c.svc, op, res)
+}
+
+// keep records cts. A path's slots run root first, one bucket a level (the
+// ORAMs store one slot per bucket).
+func (c *sealCapture) keep(cts [][]byte, path bool, tree string, leaf uint32) {
+	for l, ct := range cts {
+		w := writtenCT{ct: ct, call: c.calls, bucket: -1}
+		if path {
+			w.tree, w.bucket = tree, int64(1<<l-1)+int64(leaf>>(len(cts)-1-l))
+		}
+		c.written = append(c.written, w)
+	}
+}
+
+// TestInvocationFieldsFollowTheSchedule pins the one thing a ciphertext shows
+// the server beyond its length: its nonce is the cipher's fixed field (bytes
+// 0–7), then the count of the cipher's seals before it (bytes 8–11). Over
+// upload, full discovery at Workers = 1 and, for dynamic Ex-ORAM, an insertion
+// and two deletions after it, on the pairs of TestFullDiscoveryTraceEquality:
+//
+//   - every ciphertext of a run carries the run's one fixed field;
+//   - every seal reaches the server and none is sealed twice: the invocation
+//     fields written are 0 … N−1, and the ciphertexts that share one are the
+//     same bytes, a bucket written in several paths of one ORAM round;
+//   - in a round, the paths' slots share an invocation field exactly when
+//     they are the same bucket — the leaves, which the trace shows, decide
+//     the repeats;
+//   - the Sort engine's two databases show equal sequences of invocation
+//     fields. The ORAM engines' sequences follow their rounds' unions of
+//     paths, which depend on the uniform leaves: two runs on one database
+//     differ as much as two on a pair, so for them the two runs need only
+//     write equally many ciphertexts.
+func TestInvocationFieldsFollowTheSchedule(t *testing.T) {
+	const fixedSize = 8
+	run := func(t *testing.T, rel *relation.Relation, kind engineKind, dynamic bool) []uint32 {
+		c := newSealCapture(store.NewServer())
+		edb, err := UploadWithCapacity(c, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eng Engine
+		switch kind {
+		case kindOr:
+			eng = NewOrEngine(edb)
+		case kindEx:
+			eng, err = NewExEngine(edb)
+			if err != nil {
+				t.Fatal(err)
+			}
+		case kindSort:
+			eng = NewSortEngine(edb, 1)
+		}
+		defer eng.Close()
+		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1, KeepPartitions: dynamic}); err != nil {
+			t.Fatal(err)
+		}
+		if dynamic {
+			ex := eng.(*ExEngine)
+			row := make(relation.Row, rel.NumAttrs())
+			for j := range row {
+				row[j] = "999999"
+			}
+			id, err := ex.Insert(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, del := range []int{id, 0} {
+				if err := ex.Delete(del); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		inv := make([]uint32, len(c.written))
+		first := make(map[uint32]writtenCT)
+		type place struct {
+			call   int
+			tree   string
+			bucket int64
+		}
+		sealedAt := make(map[place]uint32)
+		for k, w := range c.written {
+			if !bytes.Equal(w.ct[:fixedSize], c.written[0].ct[:fixedSize]) {
+				t.Fatalf("ciphertext %d has fixed field %x, the run's first %x", k, w.ct[:fixedSize], c.written[0].ct[:fixedSize])
+			}
+			v := binary.BigEndian.Uint32(w.ct[fixedSize:crypto.NonceSize])
+			inv[k] = v
+			if f, seen := first[v]; !seen {
+				first[v] = w
+			} else if w.bucket < 0 || w.call != f.call || w.tree != f.tree || w.bucket != f.bucket || !bytes.Equal(w.ct, f.ct) {
+				t.Fatalf("ciphertext %d reuses invocation %d of another place or other bytes", k, v)
+			}
+			if w.bucket >= 0 {
+				at := place{w.call, w.tree, w.bucket}
+				if u, seen := sealedAt[at]; seen && u != v {
+					t.Fatalf("ciphertext %d: bucket %d of %q written twice in one round, sealed as invocations %d and %d", k, w.bucket, w.tree, u, v)
+				}
+				sealedAt[at] = v
+			}
+		}
+		for v := range uint32(len(first)) {
+			if _, ok := first[v]; !ok {
+				t.Fatalf("%d seals written, but none carries invocation %d: a seal never reached the server", len(first), v)
+			}
+		}
+		return inv
+	}
+	for _, kind := range []struct {
+		name    string
+		k       engineKind
+		dynamic bool
+	}{{"sort", kindSort, false}, {"or-oram", kindOr, false}, {"ex-oram", kindEx, false}, {"ex-oram dynamic", kindEx, true}} {
+		t.Run(kind.name, func(t *testing.T) {
+			for _, p := range equalLeakagePairs() {
+				a, b := run(t, p.a, kind.k, kind.dynamic), run(t, p.b, kind.k, kind.dynamic)
+				if len(a) != len(b) {
+					t.Errorf("%s: %d and %d ciphertexts written", p.name, len(a), len(b))
+				} else if kind.k == kindSort && !slices.Equal(a, b) {
+					t.Errorf("%s: invocation fields differ from ciphertext %d on", p.name, firstDifference(a, b))
+				}
+			}
+		})
+	}
+}
+
+// firstDifference is the first position where a and b differ, or the
+// shorter length.
+func firstDifference(a, b []uint32) int {
+	for k := range min(len(a), len(b)) {
+		if a[k] != b[k] {
+			return k
+		}
+	}
+	return min(len(a), len(b))
 }
 
 // histogramRel builds a 24-row fixed-width relation in which C0 takes four

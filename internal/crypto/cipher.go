@@ -4,8 +4,8 @@
 // The paper (§II-A, §III-C) assumes each attribute value of each record is
 // encrypted individually with a semantically secure scheme, and that the
 // client re-encrypts every value it writes back so the server never observes
-// a repeated ciphertext. We use AES-128-GCM with a fresh random nonce per
-// encryption (the paper uses AES/CBC; both are IND-CPA, and semantic
+// a repeated ciphertext. We use AES-128-GCM with a nonce that is never
+// repeated under a key (the paper uses AES/CBC; both are IND-CPA, and semantic
 // security is the only property the protocols rely on — see DESIGN.md §2).
 // GCM additionally authenticates every ciphertext, so a Byzantine server
 // that flips bits or substitutes blocks is detected at decryption time
@@ -16,10 +16,12 @@
 // to a different location fails to open even though it authenticates under
 // the same key.
 //
-// Nonces are 96 uniform bits from crypto/rand, drawn through a small
-// per-Cipher buffer (nonceSource) so a seal costs a copy instead of a
-// getrandom call. SealTo and OpenTo work in caller-owned memory, which is
-// what lets the engines process a fetched block without allocating per cell.
+// Nonces follow GCM's deterministic construction (NIST SP 800-38D §8.2.1):
+// 64 bits of crypto/rand output drawn once per Cipher as a fixed field, then
+// a 32-bit invocation counter, so a seal costs one atomic add instead of a
+// getrandom call (DESIGN.md §10 has the bounds). SealTo and OpenTo work in
+// caller-owned memory, which is what lets the engines process a fetched block
+// without allocating per cell.
 package crypto
 
 import (
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
@@ -87,46 +90,78 @@ func MustNewKey() Key {
 	return k
 }
 
-// nonceBufSize is how many random bytes one refill draws: a multiple of
-// NonceSize, so no nonce straddles two refills, and a few KB, so the cost of
-// the read is spread over a few hundred seals.
-const nonceBufSize = 256 * NonceSize
+// fixedSize and invocationSize split a nonce the way NIST SP 800-38D §8.2.1
+// lays out its deterministic construction: a fixed field that names the
+// sealing context, then an invocation field that counts the seals made in it.
+const (
+	fixedSize      = 8
+	invocationSize = NonceSize - fixedSize
+)
 
-// nonceSource hands out nonces from a buffer refilled from a CSPRNG. Every
-// byte is handed out at most once: the offset only moves forward, the buffer
-// lives in client memory only (a checkpoint carries the key, never this), and
-// a failed refill discards whatever the reader left behind, so the seal that
-// hit the failure and every later one go back to the reader.
-type nonceSource struct {
-	mu   sync.Mutex
-	r    io.Reader
-	buf  [nonceBufSize]byte
-	left int // unused bytes at the tail of buf
+// maxInvocations is how many nonces one fixed field yields.
+const maxInvocations = 1 << (8 * invocationSize)
+
+// nonceField is one fixed field and the count of invocations taken from it.
+// The count may run past maxInvocations when several seals race the wrap;
+// every value at or past it is refused and sends its caller for a new field.
+type nonceField struct {
+	fixed [fixedSize]byte
+	taken atomic.Uint64
 }
 
-// next writes a fresh nonce into dst, which must be NonceSize bytes. It runs
-// once per seal, so it unlocks by hand instead of deferring.
+// nonceSource hands out nonces by the deterministic construction: a fixed
+// field of 64 uniform bits from r, then a 32-bit big-endian invocation count,
+// so a seal costs one atomic add. A field is drawn at the first seal and again
+// when its invocations run out, under mu; a failed draw leaves the field as it
+// was, so the seal that hit the failure and every later one go back to r, and
+// the bytes of the failed draw are never used. Nothing here is persisted (a
+// checkpoint carries the key, never the field): a resumed client is a new
+// Cipher and draws a field of its own.
+type nonceSource struct {
+	mu  sync.Mutex // serializes field draws
+	r   io.Reader
+	cur atomic.Pointer[nonceField] // nil until the first seal
+}
+
+// next writes a fresh nonce into dst, which must be NonceSize bytes.
 func (s *nonceSource) next(dst []byte) error {
-	s.mu.Lock()
-	if s.left == 0 {
-		if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
-			s.mu.Unlock()
+	for {
+		f := s.cur.Load()
+		if f != nil {
+			if n := f.taken.Add(1) - 1; n < maxInvocations {
+				copy(dst, f.fixed[:])
+				binary.BigEndian.PutUint32(dst[fixedSize:], uint32(n))
+				return nil
+			}
+		}
+		if err := s.renew(f); err != nil {
 			return err
 		}
-		s.left = nonceBufSize
 	}
-	copy(dst, s.buf[nonceBufSize-s.left:][:NonceSize])
-	s.left -= NonceSize
-	s.mu.Unlock()
-	return nil
+}
+
+// renew replaces the exhausted (or, before the first seal, missing) field old
+// with a freshly drawn one, unless another seal already has.
+func (s *nonceSource) renew(old *nonceField) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cur.Load() != old {
+		return nil
+	}
+	f := new(nonceField)
+	_, err := io.ReadFull(s.r, f.fixed[:])
+	if err == nil {
+		s.cur.Store(f)
+	}
+	return err
 }
 
 // Cipher encrypts and decrypts individual cells. It is safe for concurrent
-// use: the AEAD is stateless after construction and nonces come from a
-// mutex-guarded source. It must not be copied after first use. SetTelemetry
-// must not race with Seal/Open (attach the registry before handing the
-// cipher to worker goroutines, as securefd.Outsource and the engine
-// SetTelemetry paths do).
+// use: the AEAD is stateless after construction and a nonce is one atomic
+// add on the current fixed field. It must not be copied after first use.
+// SetTelemetry must not race with Seal/Open (attach the registry before
+// handing the cipher to worker goroutines, as securefd.Outsource and the
+// engine SetTelemetry paths do).
 type Cipher struct {
 	key    Key // retained so client-side checkpoints can rebuild the cipher
 	aead   cipher.AEAD
@@ -180,9 +215,9 @@ func (c *Cipher) SetTelemetry(reg *telemetry.Registry) {
 	c.failures = reg.Counter("oblivfd_integrity_failures_total")
 }
 
-// Seal produces nonce ∥ GCM(plaintext, ad) with a fresh random nonce (96
-// uniform bits of crypto/rand output, taken from the cipher's buffer), so two
-// encryptions of equal plaintexts are unlinkable. The associated data is
+// Seal produces nonce ∥ GCM(plaintext, ad) with a nonce no other seal under
+// the key uses (the cipher's fixed field, then its next invocation count), so
+// two encryptions of equal plaintexts are unlinkable. The associated data is
 // authenticated but not transmitted: Open must present the same ad, which is
 // how ciphertexts are bound to their logical location. The result is a fresh
 // allocation of len(plaintext)+Overhead bytes.

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	mathrand "math/rand"
 	"sync"
@@ -339,13 +340,11 @@ func TestPadEqualWidths(t *testing.T) {
 	}
 }
 
-// TestBufferedNoncesNeverRepeat seals from several goroutines across more
-// than three refills of the nonce buffer and requires every nonce to be
-// distinct: no byte of a refill is handed out twice, whichever goroutine
-// triggers the refill (run under -race, this also covers the mutex).
-func TestBufferedNoncesNeverRepeat(t *testing.T) {
-	const goroutines = 4
-	const perGoroutine = 4*(nonceBufSize/NonceSize)/goroutines + 7
+// TestConcurrentNoncesNeverRepeat seals from 8 goroutines at once and
+// requires every nonce to be distinct and to carry the cipher's one fixed
+// field (run under -race, this also covers the atomic invocation count).
+func TestConcurrentNoncesNeverRepeat(t *testing.T) {
+	const goroutines, perGoroutine = 8, 10_000
 	c := newTestCipher(t)
 	nonces := make([][]string, goroutines)
 	var wg sync.WaitGroup
@@ -366,71 +365,157 @@ func TestBufferedNoncesNeverRepeat(t *testing.T) {
 	}
 	wg.Wait()
 	seen := make(map[string]bool)
+	fixed := nonces[0][0][:fixedSize]
 	for _, ns := range nonces {
 		for _, n := range ns {
 			if seen[n] {
 				t.Fatalf("nonce %x handed out twice", n)
 			}
+			if n[:fixedSize] != fixed {
+				t.Fatalf("nonce %x has fixed field %x, want %x", n, n[:fixedSize], fixed)
+			}
 			seen[n] = true
 		}
 	}
-	if refills := len(seen) * NonceSize / nonceBufSize; refills < 3 {
-		t.Fatalf("test drew %d nonces, only %d refills", len(seen), refills)
+	if len(seen) != goroutines*perGoroutine {
+		t.Fatalf("%d nonces, want %d", len(seen), goroutines*perGoroutine)
 	}
 }
 
-// flakyReader serves reads from a seeded stream until failAfter bytes have
-// been delivered, then fails every read — including the tail of a read that
-// straddles the limit, which is how a refill ends up half written.
+// flakyReader serves a seeded stream while up. While down it fails every
+// read after writing a marker over half of what was asked: a field draw left
+// half written.
 type flakyReader struct {
-	failAfter int
-	stream    *mathrand.Rand
+	down   bool
+	stream *mathrand.Rand
 }
 
 var errEntropy = errors.New("entropy source down")
 
+const abandonedByte = 0xAA
+
 func (r *flakyReader) Read(p []byte) (int, error) {
-	n := len(p)
-	if n > r.failAfter {
-		n = r.failAfter
-	}
-	r.stream.Read(p[:n])
-	r.failAfter -= n
-	if n < len(p) {
+	if r.down {
+		n := len(p) / 2
+		for i := range p[:n] {
+			p[i] = abandonedByte
+		}
 		return n, errEntropy
 	}
-	return n, nil
+	return r.stream.Read(p)
 }
 
-// TestFailedRefillSurfacesAndDiscards: when the entropy source fails during
-// a refill, that seal reports the error, so does the next one, and once the
-// source is back no byte of the abandoned refill appears in a nonce.
-func TestFailedRefillSurfacesAndDiscards(t *testing.T) {
+// invocation returns a ciphertext's invocation field.
+func invocation(ct []byte) uint32 { return binary.BigEndian.Uint32(ct[fixedSize:NonceSize]) }
+
+// TestFailedFieldDrawSurfaces: when the entropy source fails at the first
+// seal's field draw, that seal and the next report the error and no field is
+// kept; once the source is back the cipher draws a fresh field, none of whose
+// bytes come from the failed draw, and counts from zero.
+func TestFailedFieldDrawSurfaces(t *testing.T) {
 	c := newTestCipher(t)
-	// One good refill, then a failure half-way through the second.
-	src := &flakyReader{failAfter: nonceBufSize + nonceBufSize/2, stream: mathrand.New(mathrand.NewSource(1))}
+	src := &flakyReader{down: true, stream: mathrand.New(mathrand.NewSource(1))}
 	c.nonces.r = src
-	for i := 0; i < nonceBufSize/NonceSize; i++ {
-		if _, err := c.Seal([]byte("x"), nil); err != nil {
-			t.Fatalf("seal %d from the good refill: %v", i, err)
-		}
-	}
 	for i := 0; i < 2; i++ {
 		if _, err := c.Seal([]byte("x"), nil); !errors.Is(err, errEntropy) {
-			t.Fatalf("seal %d after the source failed: err = %v, want the source's error", i, err)
+			t.Fatalf("seal %d with the source down: err = %v, want the source's error", i, err)
 		}
 	}
-	// The failed ReadFull left fresh bytes at the head of the buffer.
-	abandoned := append([]byte(nil), c.nonces.buf[:NonceSize]...)
-	src.failAfter = 1 << 20
+	if c.nonces.cur.Load() != nil {
+		t.Fatal("a failed draw left a field behind")
+	}
+	src.down = false
 	ct, err := c.Seal([]byte("x"), nil)
 	if err != nil {
 		t.Fatalf("seal after the source recovered: %v", err)
 	}
-	if bytes.Equal(ct[:NonceSize], abandoned) {
-		t.Fatal("nonce taken from the abandoned refill")
+	if bytes.Contains(ct[:fixedSize], []byte{abandonedByte, abandonedByte, abandonedByte, abandonedByte}) {
+		t.Fatalf("fixed field %x holds the failed draw's bytes", ct[:fixedSize])
+	}
+	if n := invocation(ct); n != 0 {
+		t.Fatalf("first invocation of a fresh field = %d, want 0", n)
 	}
 	if _, err := c.Open(ct, nil); err != nil {
 		t.Fatalf("ciphertext sealed after recovery does not open: %v", err)
+	}
+}
+
+// TestNonceWrapDrawsNewField: the seal after a field's last invocation draws
+// a new field and counts from zero again; a draw that fails at the wrap fails
+// its seal and the next, and never hands out the exhausted field again. No
+// nonce repeats across the wrap.
+func TestNonceWrapDrawsNewField(t *testing.T) {
+	c := newTestCipher(t)
+	src := &flakyReader{stream: mathrand.New(mathrand.NewSource(2))}
+	c.nonces.r = src
+	seal := func() []byte {
+		t.Helper()
+		ct, err := c.Seal([]byte("x"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	first := seal()
+	c.nonces.cur.Load().taken.Store(maxInvocations - 2)
+	last := [][]byte{seal(), seal()}
+	src.down = true
+	for i := 0; i < 2; i++ {
+		if _, err := c.Seal([]byte("x"), nil); !errors.Is(err, errEntropy) {
+			t.Fatalf("seal %d past the wrap with the source down: err = %v, want the source's error", i, err)
+		}
+	}
+	src.down = false
+	next := seal()
+
+	for i, ct := range last {
+		if !bytes.Equal(ct[:fixedSize], first[:fixedSize]) {
+			t.Fatalf("seal %d before the wrap changed field", i)
+		}
+		if got, want := invocation(ct), uint32(maxInvocations-2+i); got != want {
+			t.Fatalf("seal %d before the wrap: invocation %#x, want %#x", i, got, want)
+		}
+	}
+	if bytes.Equal(next[:fixedSize], first[:fixedSize]) {
+		t.Fatal("the wrap kept the exhausted field")
+	}
+	if n := invocation(next); n != 0 {
+		t.Fatalf("first invocation after the wrap = %d, want 0", n)
+	}
+	seen := make(map[string]bool)
+	for _, ct := range [][]byte{first, last[0], last[1], next} {
+		if seen[string(ct[:NonceSize])] {
+			t.Fatalf("nonce %x repeated across the wrap", ct[:NonceSize])
+		}
+		seen[string(ct[:NonceSize])] = true
+		if _, err := c.Open(ct, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCiphersFromOneKeyDrawDifferentFields is the resume case: a client that
+// rebuilds its cipher from a checkpointed key gets a new fixed field, so its
+// invocation count starting again from zero repeats no nonce of the run it
+// resumes.
+func TestCiphersFromOneKeyDrawDifferentFields(t *testing.T) {
+	key := MustNewKey()
+	a, b := MustNewCipher(key), MustNewCipher(key)
+	ctA, err := a.Seal([]byte("x"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctB, err := b.Seal([]byte("x"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(ctA[:fixedSize], ctB[:fixedSize]) {
+		t.Fatalf("two ciphers under one key drew the same fixed field %x", ctA[:fixedSize])
+	}
+	if invocation(ctA) != 0 || invocation(ctB) != 0 {
+		t.Fatalf("invocations %d and %d, want both 0", invocation(ctA), invocation(ctB))
+	}
+	if _, err := b.Open(ctA, nil); err != nil {
+		t.Fatalf("the ciphers do not share the key: %v", err)
 	}
 }

@@ -101,7 +101,7 @@ func Create(svc store.Service, cipher *crypto.Cipher, name string, records [][]b
 		if i < len(records) {
 			pt = sc.plaintext(records[i])
 		}
-		if err := a.seal(sc, &out, pt, idx[i]); err != nil {
+		if err := a.seal(&out, pt, sc.cellAD(0, idx[i])); err != nil {
 			return a.abandon(err)
 		}
 	}
@@ -160,7 +160,7 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 				}
 				pt = sc.plaintext(r)
 			}
-			if err := a.seal(sc, &out, pt, pos); err != nil {
+			if err := a.seal(&out, pt, sc.cellAD(0, pos)); err != nil {
 				return a.abandon(err)
 			}
 		}
@@ -251,7 +251,7 @@ func (a *Array) openRecords(sc *scratch, out [][]byte, cts [][]byte, idx []int64
 	w := 1 + a.recWidth
 	slab := make([]byte, 0, len(cts)*w)
 	for k, ct := range cts {
-		pt, err := a.open(sc, slab[len(slab):], ct, idx[k])
+		pt, err := a.open(slab[len(slab):], ct, idx[k], sc.cellAD(0, idx[k]))
 		if err != nil {
 			return nil, err
 		}
@@ -283,26 +283,25 @@ func (a *Array) Comparisons() int64 { return a.comparisons.Load() }
 func (a *Array) Destroy() error { return a.svc.Delete(a.name) }
 
 // scratch is the client memory one worker reuses from block to block: the
-// block's positions, the plaintexts (flag byte, then the record) of the
-// comparator or scanned cell at hand, and the associated data of the cell
-// being opened or sealed. It is not safe for concurrent use.
+// block's positions, and the plaintexts (flag byte, then the record) and
+// associated data of the comparator's two cells or the scanned cell at hand.
+// It is not safe for concurrent use.
 type scratch struct {
 	idx      []int64
 	pt       [2][]byte
-	ad       []byte // "sort:<name>:" followed by the decimal position
+	ad       [2][]byte // "sort:<name>:" followed by the decimal position
 	adPrefix int
 }
 
 func (a *Array) newScratch() *scratch {
-	ad := make([]byte, 0, len("sort:")+len(a.name)+len(":")+20)
-	ad = append(append(append(ad, "sort:"...), a.name...), ':')
-	w := 1 + a.recWidth
-	return &scratch{
-		idx:      make([]int64, 0, ChunkCells),
-		pt:       [2][]byte{make([]byte, w), make([]byte, w)},
-		ad:       ad,
-		adPrefix: len(ad),
+	sc := &scratch{idx: make([]int64, 0, ChunkCells)}
+	for j := range sc.ad {
+		sc.pt[j] = make([]byte, 1+a.recWidth)
+		ad := make([]byte, 0, len("sort:")+len(a.name)+len(":")+20)
+		sc.ad[j] = append(append(append(ad, "sort:"...), a.name...), ':')
 	}
+	sc.adPrefix = len(sc.ad[0])
+	return sc
 }
 
 // cellAD binds a record ciphertext to (array, position). Every read and
@@ -311,11 +310,12 @@ func (a *Array) newScratch() *scratch {
 // whole sort: a server that swaps two cells is detected at the next read.
 // (Replaying an *old* ciphertext of the same cell is the one substitution
 // this layer cannot see — the sort protocols have no per-cell version state;
-// DESIGN.md §10 discusses the residual window.) The result is valid until
-// the next call.
-func (sc *scratch) cellAD(i int64) []byte {
-	sc.ad = strconv.AppendInt(sc.ad[:sc.adPrefix], i, 10)
-	return sc.ad
+// DESIGN.md §10 discusses the residual window.) It is built in the scratch's
+// slot j (0 or 1), once per cell for both the open and the re-seal, and is
+// valid until the next call for that slot.
+func (sc *scratch) cellAD(j int, i int64) []byte {
+	sc.ad[j] = strconv.AppendInt(sc.ad[j][:sc.adPrefix], i, 10)
+	return sc.ad[j]
 }
 
 // span sets the scratch's position list to lo..hi-1 and returns it.
@@ -343,10 +343,11 @@ func (sc *scratch) padding() []byte {
 	return sc.pt[1]
 }
 
-// open authenticates ct as the cell at position i and decrypts it into the
-// memory of buf, returning the flag byte followed by the record.
-func (a *Array) open(sc *scratch, buf, ct []byte, i int64) ([]byte, error) {
-	pt, err := a.cipher.OpenTo(buf[:0], ct, sc.cellAD(i))
+// open authenticates ct as the cell at position i, whose associated data is
+// ad, and decrypts it into the memory of buf, returning the flag byte
+// followed by the record.
+func (a *Array) open(buf, ct []byte, i int64, ad []byte) ([]byte, error) {
+	pt, err := a.cipher.OpenTo(buf[:0], ct, ad)
 	if err != nil {
 		return nil, fmt.Errorf("obsort %q: cell %d authentication failed: %v: %w", a.name, i, err, store.ErrIntegrity)
 	}
@@ -372,10 +373,10 @@ func (a *Array) newFreshCells(n int) freshCells {
 }
 
 // seal encrypts pt (flag byte, then the record) under a fresh nonce as the
-// cell at position i and adds the ciphertext to out.
-func (a *Array) seal(sc *scratch, out *freshCells, pt []byte, i int64) error {
+// cell whose associated data is ad and adds the ciphertext to out.
+func (a *Array) seal(out *freshCells, pt, ad []byte) error {
 	start := len(out.slab)
-	slab, err := a.cipher.SealTo(out.slab, pt, sc.cellAD(i))
+	slab, err := a.cipher.SealTo(out.slab, pt, ad)
 	if err != nil {
 		return err
 	}
@@ -511,11 +512,12 @@ func (a *Array) compareExchangeBlock(sc *scratch, pairs [][2]int64, less Less) e
 	}
 	out := a.newFreshCells(len(sc.idx))
 	for k, pr := range pairs {
-		pt0, err := a.open(sc, sc.pt[0], cts[2*k], pr[0])
+		ad0, ad1 := sc.cellAD(0, pr[0]), sc.cellAD(1, pr[1])
+		pt0, err := a.open(sc.pt[0], cts[2*k], pr[0], ad0)
 		if err != nil {
 			return err
 		}
-		pt1, err := a.open(sc, sc.pt[1], cts[2*k+1], pr[1])
+		pt1, err := a.open(sc.pt[1], cts[2*k+1], pr[1], ad1)
 		if err != nil {
 			return err
 		}
@@ -531,10 +533,10 @@ func (a *Array) compareExchangeBlock(sc *scratch, pairs [][2]int64, less Less) e
 		if swap {
 			pt0, pt1 = pt1, pt0
 		}
-		if err := a.seal(sc, &out, pt0, pr[0]); err != nil {
+		if err := a.seal(&out, pt0, ad0); err != nil {
 			return err
 		}
-		if err := a.seal(sc, &out, pt1, pr[1]); err != nil {
+		if err := a.seal(&out, pt1, ad1); err != nil {
 			return err
 		}
 	}
@@ -567,7 +569,8 @@ func (a *Array) Scan(fn func(i int, rec []byte) ([]byte, error)) error {
 		}
 		out := a.newFreshCells(len(idx))
 		for k, ct := range cts {
-			pt, err := a.open(sc, sc.pt[0], ct, idx[k])
+			ad := sc.cellAD(0, idx[k])
+			pt, err := a.open(sc.pt[0], ct, idx[k], ad)
 			if err != nil {
 				return err
 			}
@@ -582,7 +585,7 @@ func (a *Array) Scan(fn func(i int, rec []byte) ([]byte, error)) error {
 				return fmt.Errorf("obsort: Scan fn returned %d bytes, want %d", len(rec), a.recWidth)
 			}
 			copy(pt[1:], rec)
-			if err := a.seal(sc, &out, pt, idx[k]); err != nil {
+			if err := a.seal(&out, pt, ad); err != nil {
 				return err
 			}
 		}

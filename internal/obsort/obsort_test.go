@@ -456,31 +456,34 @@ func TestDestroy(t *testing.T) {
 
 // TestCellADMatchesStoredFormat: cells already on a server were sealed under
 // the associated data "sort:<name>:<decimal position>". The scratch's
-// in-place builder must produce those bytes exactly, or stored cells stop
-// opening — checked where the digit count changes, and after a longer
-// position has been through the same buffer.
+// in-place builder must produce those bytes exactly in both of its slots, or
+// stored cells stop opening — checked where the digit count changes, and
+// after a longer position has been through the same buffer.
 func TestCellADMatchesStoredFormat(t *testing.T) {
 	c := crypto.MustNewCipher(crypto.MustNewKey())
 	a := &Array{cipher: c, name: "sort3:12:B", recWidth: 8}
 	sc := a.newScratch()
 	for _, i := range []int64{1 << 31, 0, 9, 10, 1 << 31} {
 		stored := []byte("sort:" + a.name + ":" + strconv.FormatInt(i, 10))
-		if got := sc.cellAD(i); !bytes.Equal(got, stored) {
-			t.Fatalf("cellAD(%d) = %q, stored cells use %q", i, got, stored)
-		}
 		ct, err := c.Seal(append([]byte{0}, u64rec(uint64(i))...), stored)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt, err := a.open(sc, sc.pt[0], ct, i)
-		if err != nil {
-			t.Fatalf("cell %d sealed under the stored format does not open: %v", i, err)
-		}
-		if binary.BigEndian.Uint64(pt[1:]) != uint64(i) {
-			t.Errorf("cell %d opened to %v", i, pt)
-		}
-		if _, err := a.open(sc, sc.pt[0], ct, i+1); !errors.Is(err, store.ErrIntegrity) {
-			t.Errorf("cell %d opened at position %d: err = %v, want ErrIntegrity", i, i+1, err)
+		for j := range sc.ad {
+			ad := sc.cellAD(j, i)
+			if !bytes.Equal(ad, stored) {
+				t.Fatalf("cellAD(%d, %d) = %q, stored cells use %q", j, i, ad, stored)
+			}
+			pt, err := a.open(sc.pt[j], ct, i, ad)
+			if err != nil {
+				t.Fatalf("cell %d sealed under the stored format does not open: %v", i, err)
+			}
+			if binary.BigEndian.Uint64(pt[1:]) != uint64(i) {
+				t.Errorf("cell %d opened to %v", i, pt)
+			}
+			if _, err := a.open(sc.pt[j], ct, i+1, sc.cellAD(j, i+1)); !errors.Is(err, store.ErrIntegrity) {
+				t.Errorf("cell %d opened at position %d: err = %v, want ErrIntegrity", i, i+1, err)
+			}
 		}
 	}
 }

@@ -228,11 +228,12 @@ type Reveal struct {
 // array and a path op a tree; everything under them addresses cells by flat
 // position, whatever the shape.
 //
-// Every cell carries a CRC32, maintained on every write and checked on every
-// read and scrub pass. The server holds no keys, so this is not a substitute
-// for the client's AEAD verification — it is how the server itself notices
-// latent corruption (bit rot) early enough to repair from a replica instead
-// of serving bytes the client will fatally reject.
+// Every cell carries a CRC-32C, maintained on every write, checked on every
+// read and scrub pass, and never persisted. The server holds no keys, so
+// this is not a substitute for the client's AEAD verification — it is how
+// the server itself notices latent corruption (bit rot) early enough to
+// repair from a replica instead of serving bytes the client will fatally
+// reject.
 type object struct {
 	cells  [][]byte
 	sums   []uint32
@@ -304,9 +305,17 @@ func runBytes(cts [][]byte) (n int) {
 	return n
 }
 
-// cellSum is the stored-cell checksum. An empty or never-written cell sums
-// to 0, which crc32 also assigns to the empty payload — consistent.
-func cellSum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
+// castagnoli is the CRC-32C table. On amd64 Go computes CRC-32C with the
+// SSE 4.2 instruction at any length, where IEEE falls back to slicing-by-8
+// below 64 bytes — the size of most cells.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// cellSum is the stored-cell checksum, CRC-32C. It lives in memory only (a
+// snapshot load recomputes it), so its polynomial is no part of any format;
+// the WAL, snapshot and checkpoint CRCs are IEEE. An empty or never-written
+// cell sums to 0, which the CRC also assigns to the empty payload —
+// consistent.
+func cellSum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // NewServer returns an empty server with trace counting active.
 func NewServer() *Server {
@@ -435,9 +444,7 @@ func (s *Server) ReadCells(name string, idx []int64) ([][]byte, error) {
 	if len(bad) > 0 {
 		return nil, &CorruptCellsError{Object: name, Idx: bad}
 	}
-	for k, i := range idx {
-		s.rec.Record(trace.Event{Op: trace.OpReadCell, Object: name, Index: i, Bytes: len(out[k])})
-	}
+	s.rec.RecordCells(trace.OpReadCell, name, idx, out)
 	return out, nil
 }
 
@@ -454,9 +461,7 @@ func (s *Server) WriteCells(name string, idx []int64, cts [][]byte) error {
 	}
 	s.bumpLocked(name)
 	s.mu.Unlock()
-	for k, i := range idx {
-		s.rec.Record(trace.Event{Op: trace.OpWriteCell, Object: name, Index: i, Bytes: len(cts[k])})
-	}
+	s.rec.RecordCells(trace.OpWriteCell, name, idx, cts)
 	return nil
 }
 

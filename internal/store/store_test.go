@@ -427,3 +427,17 @@ func TestShapeNormalizesLeaves(t *testing.T) {
 		t.Errorf("Diff on equal shapes = %q", diff)
 	}
 }
+
+// BenchmarkCellSum measures the checksum every cell write and read pays, at
+// the size of a Sort cell (45 B) and of an exoram-dynamic bucket (175 B).
+func BenchmarkCellSum(b *testing.B) {
+	for _, size := range []int{45, 175} {
+		cell := bytes.Repeat([]byte{0x5a}, size)
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				cell[0] = byte(cellSum(cell))
+			}
+		})
+	}
+}

@@ -8,6 +8,10 @@
 // plaintext. For ORAM path operations the physical index is the (uniformly
 // random) leaf, so Shape normalizes it away before comparison; everything
 // else must match exactly for an oblivious protocol.
+//
+// A cell call (ReadCells, WriteCells) is one event per cell, and a call's
+// events are appended together: the events of calls that run concurrently do
+// not interleave within a call.
 package trace
 
 import (
@@ -93,6 +97,26 @@ func (r *Recorder) Record(e Event) {
 		r.events = append(r.events, e)
 		r.mu.Unlock()
 	}
+}
+
+// RecordCells records one op event per cell of a cell call on object: cell
+// idx[k] moved cts[k]. It is Record for each cell in turn, with the counters
+// updated and the lock taken once per call.
+func (r *Recorder) RecordCells(op Op, object string, idx []int64, cts [][]byte) {
+	var n int
+	for _, ct := range cts {
+		n += len(ct)
+	}
+	r.counts[op].Add(int64(len(idx)))
+	r.bytes.Add(int64(n))
+	if !r.enabled.Load() {
+		return
+	}
+	r.mu.Lock()
+	for k, i := range idx {
+		r.events = append(r.events, Event{Op: op, Object: object, Index: i, Bytes: len(cts[k])})
+	}
+	r.mu.Unlock()
 }
 
 // Reset clears retained events and counters.

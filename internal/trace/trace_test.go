@@ -49,6 +49,37 @@ func TestRecorderEnableDisableReset(t *testing.T) {
 	}
 }
 
+// TestRecordCellsIsRecordPerCell: one RecordCells call leaves the events,
+// counts and bytes that a Record per cell does, whether events are retained
+// or not.
+func TestRecordCellsIsRecordPerCell(t *testing.T) {
+	idx := []int64{7, 0, 3}
+	cts := [][]byte{make([]byte, 45), nil, make([]byte, 12)}
+	for _, enabled := range []bool{false, true} {
+		perCell, perCall := NewRecorder(), NewRecorder()
+		if enabled {
+			perCell.Enable()
+			perCall.Enable()
+		}
+		for _, r := range []*Recorder{perCell, perCall} {
+			r.Record(Event{Op: OpCreateArray, Object: "a", Index: 8})
+		}
+		for k, i := range idx {
+			perCell.Record(Event{Op: OpWriteCell, Object: "a", Index: i, Bytes: len(cts[k])})
+		}
+		perCall.RecordCells(OpWriteCell, "a", idx, cts)
+		if got, want := perCall.Count(OpWriteCell), perCell.Count(OpWriteCell); got != want || got != 3 {
+			t.Errorf("enabled=%v: Count(WriteCell) = %d, want %d", enabled, got, want)
+		}
+		if got, want := perCall.TotalBytes(), perCell.TotalBytes(); got != want || got != 57 {
+			t.Errorf("enabled=%v: TotalBytes = %d, want %d", enabled, got, want)
+		}
+		if got, want := ShapeOf(perCall.Events()), ShapeOf(perCell.Events()); !got.Equal(want) {
+			t.Errorf("enabled=%v: events differ:\n%s", enabled, got.Diff(want))
+		}
+	}
+}
+
 func TestRecorderConcurrentSafe(t *testing.T) {
 	r := NewRecorder()
 	r.Enable()
