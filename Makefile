@@ -37,21 +37,25 @@ test-race:
 
 # Crash-injection suite: kill the server at seeded WAL offsets and the
 # client between lattice levels of an Or-ORAM run over PathORAM, recover, and
-# require identical results.
+# require identical results; plus the per-layer WAL, snapshot, kill-point,
+# checkpoint and resume tests (the rest of these packages runs under `test`).
 # -count=1 forces real (uncached) runs — these tests exercise the filesystem.
 crash:
 	$(GO) test -count=1 -run 'CrashRecovery' .
-	$(GO) test -count=1 ./internal/store/ ./internal/core/ ./internal/oram/
+	$(GO) test -count=1 -run 'WAL|Snapshot|Checkpoint|Resume|KillPoint|OpenDir|Replay|GobEra|MidLog|OnDisk|ReplaceFile|Torn|ShortWrite|Fsync|ClientState' ./internal/store/ ./internal/core/ ./internal/oram/
 
 # Tamper-injection suite: corrupt ciphertexts at seeded read offsets — Sort's
 # cell batches, Or-ORAM's label-array ranges and the PathORAM paths of Or-ORAM
 # and Ex-ORAM, in-process and over TCP — plus WAL frames and snapshots at
 # rest, and require every corruption to be detected (never a silent wrong FD
 # set; a bit flip or a swap within a read is always refused).
+# The per-layer integrity tests (AEAD rejection and location binding, bucket
+# swaps and equivocation, cell associated data, ErrIntegrity across the wire)
+# run with it; the rest of these packages runs under `test` and `test-race`.
 # -race because detection paths cross the fault injector's locks.
 tamper:
 	$(GO) test -race -count=1 -run 'Tamper' .
-	$(GO) test -race -count=1 ./internal/crypto/ ./internal/oram/ ./internal/obsort/ ./internal/transport/
+	$(GO) test -race -count=1 -run 'Tamper|Integrity|Corrupt|Detected|BindsLocation|CellAD|TooShort|BadLength|KeysDisagree|Sentinel|WireErrorTable' ./internal/crypto/ ./internal/oram/ ./internal/obsort/ ./internal/transport/
 
 # Replication and failover chaos suite: kill the primary of a 3-node
 # cluster at seeded WAL offsets mid-discovery and require the failover

@@ -131,6 +131,9 @@ func main() {
 }
 
 func run(cfg config) error {
+	if cfg.shipTimeout <= 0 {
+		return fmt.Errorf("-ship-timeout must be positive, got %v", cfg.shipTimeout)
+	}
 	l, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
 		return err
@@ -248,10 +251,6 @@ func serve(l net.Listener, cfg config) error {
 			}
 		}
 		token := cfg.sessionToken
-		shipTimeout := cfg.shipTimeout
-		if shipTimeout <= 0 {
-			shipTimeout = 5 * time.Second
-		}
 		dial := func(addr string) (store.ReplicaConn, error) {
 			return transport.DialWith(addr, transport.ClientConfig{
 				Token:       token,
@@ -262,7 +261,7 @@ func serve(l net.Listener, cfg config) error {
 				// Short per-call deadline: a hung (not merely dead) peer can
 				// stall writers for at most one shipment before it is marked
 				// down and skipped until the redial cadence.
-				CallTimeout: shipTimeout,
+				CallTimeout: cfg.shipTimeout,
 			})
 		}
 		r, err := store.Replicated(durable, store.ReplicationConfig{

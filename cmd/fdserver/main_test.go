@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,8 +123,25 @@ func TestServeWithConnDrops(t *testing.T) {
 }
 
 func TestRunBadAddress(t *testing.T) {
-	if err := run(config{listen: "256.256.256.256:0"}); err == nil {
+	if err := run(config{listen: "256.256.256.256:0", shipTimeout: time.Second}); err == nil {
 		t.Error("bad listen address accepted")
+	}
+}
+
+// TestRunRefusesNonPositiveShipTimeout: -ship-timeout 0 (or less) is refused
+// at startup by name, never replaced by the default.
+func TestRunRefusesNonPositiveShipTimeout(t *testing.T) {
+	for _, v := range []string{"0", "-1s"} {
+		var cfg config
+		fs := flag.NewFlagSet("fdserver", flag.ContinueOnError)
+		registerFlags(fs, &cfg)
+		if err := fs.Parse([]string{"-listen", "127.0.0.1:0", "-ship-timeout", v}); err != nil {
+			t.Fatal(err)
+		}
+		err := run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "-ship-timeout") {
+			t.Errorf("-ship-timeout %s: run = %v, want an error naming the flag", v, err)
+		}
 	}
 }
 

@@ -4,68 +4,56 @@ package oblivfd
 // replicated cluster (1 primary, 2 replicas) serves a discovery run through
 // a failover client; the primary is killed at seeded WAL offsets
 // mid-discovery; the client must promote a replica (with a higher fencing
-// epoch) and finish with the exact FD set of an uninterrupted run. The
-// per-layer properties live in internal/store (stream integrity, fencing)
-// and internal/transport (promotion, fence-aware handshakes); this is the
+// epoch) and finish with the oracle's exact FD set. The per-layer
+// properties live in internal/store (stream integrity, fencing) and
+// internal/transport (promotion, fence-aware handshakes); this is the
 // end-to-end composition check, the replication analogue of crash_test.go.
 
 import (
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/baseline"
-	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/transport"
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
-var failoverOpts = securefd.Options{Protocol: securefd.ProtocolSort, Workers: 2, MaxLHS: 2}
-
-// failCluster boots a cluster whose primary's crash-injection point is armed
-// at kills WAL appends (0 = never killed).
-func failCluster(t *testing.T, n int, kills int64) []*clusterNode {
-	return newCluster(t, n, func(i int, s *nodeSetup) {
-		if i == 0 {
-			s.durable.KillAfterAppends = kills
-		}
-	})
-}
-
-// failoverService dials the cluster; a promotion mid-call is ridden out by
-// the retry policy.
-func failoverService(t *testing.T, nodes []*clusterNode) (*transport.FailoverPool, securefd.Service) {
-	return dial(t, nodes, 6)
-}
-
-// cleanReplicatedRun discovers over an unkilled cluster and returns the
-// baseline report plus the primary's WAL-append counts after upload and at
-// the end — the coordinate system the kill points are placed in.
-func cleanReplicatedRun(t *testing.T) (rep *securefd.Report, afterUpload, total int64) {
+// primaryAppends measures a clean replicated run: the primary's WAL-append
+// counts after upload and at the end of discovery — the coordinate system
+// the kill points are placed in.
+func primaryAppends(t *testing.T) (afterUpload, total int64) {
 	t.Helper()
-	nodes := failCluster(t, 3, 0)
-	_, svc := failoverService(t, nodes)
-	db, err := securefd.Outsource(svc, crashRelation(t), failoverOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	afterUpload = nodes[0].rep.Durable().WALAppends()
-	report, err := db.Discover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total = nodes[0].rep.Durable().WALAppends()
-	if want := baseline.MinimalFDs(crashRelation(t)); !relation.FDSetEqual(report.Minimal, want) {
-		t.Fatalf("clean replicated run FDs = %v, want oracle %v", report.Minimal, want)
-	}
+	nodes := newCluster(t, 3, nodeSetup{})
+	_, svc := dial(t, nodes, 6)
+	d := nodes[0].rep.Durable()
+	scenario{
+		opts: sortOpts,
+		mid:  func(*securefd.Database) { afterUpload = d.WALAppends() },
+		then: func(*securefd.Database, *securefd.Report) { total = d.WALAppends() },
+	}.run(t, svc)
 	// Synchronous shipping: nothing outstanding at the end of a clean run.
 	if lag := nodes[0].rep.ReplicaLag(); lag != 0 {
 		t.Fatalf("clean run ends with replication lag %d", lag)
 	}
-	return report, afterUpload, total
+	return afterUpload, total
+}
+
+// killedPrimary boots a 3-node cluster whose primary dies at its kill'th WAL
+// append, and runs a discovery through it that must end in the oracle's FD
+// set on a promoted replica at a fence of at least 2.
+func killedPrimary(t *testing.T, kill int64) ([]*clusterNode, *transport.FailoverPool) {
+	t.Helper()
+	nodes := newCluster(t, 3, nodeSetup{primary: store.DurableOptions{KillAfterAppends: kill}})
+	f, svc := dial(t, nodes, 6)
+	scenario{opts: sortOpts}.run(t, svc)
+	if n := f.Failovers(); n < 1 {
+		t.Errorf("failovers = %d, want >= 1 (the kill point must have fired)", n)
+	}
+	if _, fence := f.Primary(); fence < 2 {
+		t.Fatalf("post-failover fence = %d, want >= 2", fence)
+	}
+	return nodes, f
 }
 
 // TestFailoverPrimaryKilledMidDiscovery is the tentpole acceptance test:
@@ -74,7 +62,7 @@ func cleanReplicatedRun(t *testing.T) (rep *securefd.Report, afterUpload, total 
 // produce the identical FD set, and the dead primary's successor must hold a
 // strictly higher fence.
 func TestFailoverPrimaryKilledMidDiscovery(t *testing.T) {
-	want, afterUpload, total := cleanReplicatedRun(t)
+	afterUpload, total := primaryAppends(t)
 	if total-afterUpload < 6 {
 		t.Fatalf("discovery spans only %d appends; cannot place 5 kill points", total-afterUpload)
 	}
@@ -84,29 +72,9 @@ func TestFailoverPrimaryKilledMidDiscovery(t *testing.T) {
 		// change to how much a discovery writes.
 		t.Run(fmt.Sprintf("kill-%d-of-5", i), func(t *testing.T) {
 			t.Logf("primary dies at WAL append %d of %d (upload ends at %d)", kill, total, afterUpload)
-			nodes := failCluster(t, 3, kill)
-			f, svc := failoverService(t, nodes)
-			db, err := securefd.Outsource(svc, crashRelation(t), failoverOpts)
-			if err != nil {
-				t.Fatalf("Outsource: %v", err)
-			}
-			defer db.Close()
-			report, err := db.Discover()
-			if err != nil {
-				t.Fatalf("discovery across primary death: %v", err)
-			}
-			if !relation.FDSetEqual(report.Minimal, want.Minimal) {
-				t.Errorf("FDs = %v, want %v", report.Minimal, want.Minimal)
-			}
-			if n := f.Failovers(); n < 1 {
-				t.Errorf("failovers = %d, want >= 1 (the kill point must have fired)", n)
-			}
-			addr, fence := f.Primary()
-			if addr == nodes[0].addr {
+			nodes, f := killedPrimary(t, kill)
+			if addr, _ := f.Primary(); addr == nodes[0].addr {
 				t.Errorf("client still points at the killed primary %s", addr)
-			}
-			if fence < 2 {
-				t.Errorf("post-failover fence = %d, want >= 2", fence)
 			}
 			if nodes[0].rep.IsPrimary() {
 				t.Error("killed ex-primary still claims the role")
@@ -121,24 +89,9 @@ func TestFailoverPrimaryKilledMidDiscovery(t *testing.T) {
 // through the retry layer and a re-dial of the same primary, and ends with
 // the plaintext FD set and no failover.
 func TestFailoverPoolNoFailoverOnDrop(t *testing.T) {
-	nodes := newCluster(t, 3, func(i int, s *nodeSetup) {
-		if i == 0 {
-			s.drops = transport.FaultConfig{Seed: 7, DropRate: 0.02}
-		}
-	})
+	nodes := newCluster(t, 3, nodeSetup{drops: transport.FaultConfig{Seed: 7, DropRate: 0.02}})
 	f, svc := dial(t, nodes, 10)
-	db, err := securefd.Outsource(svc, crashRelation(t), failoverOpts)
-	if err != nil {
-		t.Fatalf("Outsource: %v", err)
-	}
-	defer db.Close()
-	report, err := db.Discover()
-	if err != nil {
-		t.Fatalf("discovery over a dropping primary: %v", err)
-	}
-	if want := baseline.MinimalFDs(crashRelation(t)); !relation.FDSetEqual(report.Minimal, want) {
-		t.Errorf("FDs = %v, want oracle %v", report.Minimal, want)
-	}
+	scenario{opts: sortOpts}.run(t, svc)
 	st, err := svc.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -160,22 +113,9 @@ func TestFailoverPoolNoFailoverOnDrop(t *testing.T) {
 // stream left behind demotes it at boot; it cannot serve clients or accept
 // writes, and a fence-aware handshake is refused.
 func TestFailoverExPrimaryRejoinsFenced(t *testing.T) {
-	_, afterUpload, total := cleanReplicatedRun(t)
-	kill := afterUpload + (total-afterUpload)/2
-	nodes := failCluster(t, 3, kill)
-	f, svc := failoverService(t, nodes)
-	db, err := securefd.Outsource(svc, crashRelation(t), failoverOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.Discover(); err != nil {
-		t.Fatalf("discovery across primary death: %v", err)
-	}
+	afterUpload, total := primaryAppends(t)
+	nodes, f := killedPrimary(t, afterUpload+(total-afterUpload)/2)
 	_, fence := f.Primary()
-	if fence < 2 {
-		t.Fatalf("post-failover fence = %d, want >= 2", fence)
-	}
 
 	// Restart the dead box from its directory, flags unchanged.
 	nodes[0].ts.Shutdown(0)
@@ -190,7 +130,7 @@ func TestFailoverExPrimaryRejoinsFenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rep2.Close()
+	t.Cleanup(func() { rep2.Close() })
 	if rep2.IsPrimary() {
 		t.Fatal("ex-primary rebooted into the primary role despite its successor's fence")
 	}
@@ -202,17 +142,9 @@ func TestFailoverExPrimaryRejoinsFenced(t *testing.T) {
 		t.Errorf("rebooted ex-primary write = %v, want ErrNotPrimary or ErrFenced", err)
 	}
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := transport.NewServer(rep2)
-	ts2.SetReplicator(rep2)
-	go func() { _ = ts2.Serve(l) }()
-	defer ts2.Shutdown(0)
 	cfg := securefd.DefaultClientConfig()
 	cfg.Fence = fence
-	if _, err := securefd.DialTCPWith(l.Addr().String(), cfg); err == nil ||
+	if _, err := securefd.DialTCPWith(serveTCP(t, rep2, serving{rep: rep2}).addr, cfg); err == nil ||
 		(!errors.Is(err, securefd.ErrNotPrimary) && !errors.Is(err, securefd.ErrFenced)) {
 		t.Errorf("fence-aware dial of rebooted ex-primary = %v, want a role refusal", err)
 	}

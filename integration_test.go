@@ -7,28 +7,11 @@ package oblivfd
 
 import (
 	"bytes"
-	"net"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/baseline"
-	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
-	"github.com/oblivfd/oblivfd/internal/transport"
 	"github.com/oblivfd/oblivfd/securefd"
 )
-
-// startTCPServer exposes a fresh store over TCP.
-func startTCPServer(t *testing.T) (*store.Server, string) {
-	t.Helper()
-	backend := store.NewServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = transport.Serve(l, backend) }()
-	t.Cleanup(func() { l.Close() })
-	return backend, l.Addr().String()
-}
 
 // TestEndToEndCSVOverTCP: generate a dataset, round-trip it through CSV,
 // outsource over TCP, and check the discovered FDs against the oracle.
@@ -46,95 +29,25 @@ func TestEndToEndCSVOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, addr := startTCPServer(t)
-	svc, err := securefd.DialTCP(addr)
+	svc, err := securefd.DialTCP(serveTCP(t, store.NewServer(), serving{}).addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-
-	db, err := securefd.Outsource(svc, loaded, securefd.Options{
-		Protocol: securefd.ProtocolSort,
-		Workers:  2,
-		MaxLHS:   1, // flight has 20 attributes; keep the lattice shallow
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	report, err := db.Discover()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var want []relation.FD
-	for _, fd := range baseline.MinimalFDs(loaded) {
-		if fd.LHS.Size() <= 1 {
-			want = append(want, fd)
-		}
-	}
-	if !relation.FDSetEqual(report.Minimal, want) {
-		t.Errorf("FDs over TCP = %v, want %v", report.Minimal, want)
-	}
+	// flight has 20 attributes; keep the lattice shallow.
+	scenario{rel: loaded, opts: securefd.Options{Protocol: securefd.ProtocolSort, Workers: 2, MaxLHS: 1}}.run(t, svc)
 }
 
 // TestDynamicLifecycleOverTCP: the full dynamic protocol against a remote
 // server — discovery, violating insert, revalidation, rollback.
 func TestDynamicLifecycleOverTCP(t *testing.T) {
-	schema, err := securefd.NewSchema("Position", "Department", "Office")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := securefd.FromRows(schema, []securefd.Row{
-		{"Engineer", "R&D", "B1"},
-		{"Engineer", "R&D", "B2"},
-		{"Sales", "Market", "B3"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	backend, addr := startTCPServer(t)
-	svc, err := securefd.DialTCP(addr)
+	backend := store.NewServer()
+	svc, err := securefd.DialTCP(serveTCP(t, backend, serving{}).addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-
-	db, err := securefd.Outsource(svc, rel, securefd.Options{
-		Protocol:       securefd.ProtocolDynamicORAM,
-		InsertHeadroom: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	report, err := db.Discover()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	id, err := db.Insert(securefd.Row{"Engineer", "Support", "B9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rv, err := db.Revalidate(report.Minimal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rv.Invalidated) == 0 {
-		t.Error("violating insert over TCP invalidated nothing")
-	}
-	if err := db.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	rv, err = db.Revalidate(report.Minimal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rv.Invalidated) != 0 {
-		t.Errorf("FDs still broken after rollback: %v", rv.Invalidated)
-	}
+	dynamicLifecycle(t, svc)
 
 	// The server held only ciphertexts: scan every stored byte sequence
 	// for plaintext cell values.
@@ -194,38 +107,22 @@ func TestSnapshotPreservesProtocolState(t *testing.T) {
 	}
 }
 
-// TestAllProtocolsAgreeOnGeneratedData: every protocol discovers the same
-// FDs on each shaped dataset sample.
+// TestAllProtocolsAgreeOnGeneratedData: every protocol discovers the
+// oracle's FDs on each shaped dataset sample.
 func TestAllProtocolsAgreeOnGeneratedData(t *testing.T) {
 	for _, name := range []string{"adult", "letter"} {
 		rel, err := securefd.GenerateDataset(name, 40, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var reference []relation.FD
 		for _, p := range []securefd.Protocol{
 			securefd.ProtocolPlaintext, securefd.ProtocolSort,
 			securefd.ProtocolORAM, securefd.ProtocolDynamicORAM,
 			securefd.ProtocolEnclave,
 		} {
-			db, err := securefd.Outsource(securefd.NewServer(), rel, securefd.Options{
-				Protocol: p, Workers: 2, MaxLHS: 2,
+			t.Run(name+"/"+p.String(), func(t *testing.T) {
+				scenario{rel: rel, opts: securefd.Options{Protocol: p, Workers: 2, MaxLHS: 2}}.run(t, securefd.NewServer())
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			report, err := db.Discover()
-			db.Close()
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, p, err)
-			}
-			if reference == nil {
-				reference = report.Minimal
-				continue
-			}
-			if !relation.FDSetEqual(report.Minimal, reference) {
-				t.Errorf("%s/%v: FDs diverge from plaintext reference", name, p)
-			}
 		}
 	}
 }

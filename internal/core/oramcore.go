@@ -146,14 +146,12 @@ type oramCore struct {
 	setTable[*oramState]
 	edb      *EncryptedDB
 	instance string
-	// Telemetry, if non-nil, instruments every ORAM the engine builds
-	// (path read/write counters, access spans, stash gauge). Set it before
-	// the first materialization, or call SetTelemetry to also cover
-	// already-built stores (the resume path does).
-	Telemetry *telemetry.Registry
-	capacity  int
-	seq       atomic.Int64 // unique ORAM-name counter across the engine's life
-	layout    oramLayout
+	// metrics, if non-nil, instruments every ORAM the engine builds (path
+	// read/write counters, access spans, stash gauge); SetTelemetry sets it.
+	metrics  *telemetry.Registry
+	capacity int
+	seq      atomic.Int64 // unique ORAM-name counter across the engine's life
+	layout   oramLayout
 	// pipe fuses the server calls of a chunk's accesses into one round per
 	// phase. The engine steps one group, or one set of an insertion or a
 	// deletion, at a time, so one pipeline serves them all.
@@ -183,7 +181,7 @@ func (c *oramCore) live(id int) bool { return id >= 0 && id < c.edb.NumRows() &&
 // every already-materialized ORAM handle (checkpoint resume rebuilds the
 // handles without telemetry; this wires them back up).
 func (c *oramCore) SetTelemetry(reg *telemetry.Registry) {
-	c.Telemetry = reg
+	c.metrics = reg
 	c.edb.cipher.SetTelemetry(reg)
 	for _, st := range c.sets {
 		st.primary.SetTelemetry(reg)
@@ -200,7 +198,7 @@ func (c *oramCore) SetTelemetry(reg *telemetry.Registry) {
 func (c *oramCore) prepare(x relation.AttrSet, cover [2]relation.AttrSet) (*oramState, error) {
 	seq := c.seq.Add(1)
 	name := func(suffix string) string { return fmt.Sprintf("%s:%d:%s", c.instance, seq, suffix) }
-	cfg := oram.Config{Capacity: c.capacity, KeyWidth: keyWidth, ValueWidth: c.layout.valueWidth, Metrics: c.Telemetry}
+	cfg := oram.Config{Capacity: c.capacity, KeyWidth: keyWidth, ValueWidth: c.layout.valueWidth, Metrics: c.metrics}
 	st := &oramState{cover: cover}
 	var err error
 	if st.primary, err = oram.Setup(c.edb.svc, c.edb.cipher, name(c.layout.primary), cfg); err != nil {
@@ -535,7 +533,7 @@ func (c *oramCore) eachLive(visit func(ids []int64) error) error {
 // the same accesses per tree, a chunk's fetches before its write-backs.
 func (c *oramCore) fill(group []target[*oramState]) error {
 	lv := c.lay(new(level), group)
-	if g, w := c.Telemetry.Gauge("oblivfd_level_width"), int64(len(group)); w > g.Value() {
+	if g, w := c.metrics.Gauge("oblivfd_level_width"), int64(len(group)); w > g.Value() {
 		g.Set(w)
 	}
 	return c.eachLive(func(ids []int64) error { return c.stepChunk(lv, ids, nil) })

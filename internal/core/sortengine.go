@@ -33,21 +33,20 @@ type SortEngine struct {
 	setTable[*sortState]
 	edb      *EncryptedDB
 	instance string
-	// Workers is the parallelism degree for the bitonic network; minimum 1.
-	Workers int
-	// Telemetry, if non-nil, instruments every working array the engine
-	// creates (comparison/stage counters and sort-pass spans). Set it
-	// before the first materialization, or call SetTelemetry to cover
-	// arrays that already exist.
-	Telemetry *telemetry.Registry
-	n         int
-	seq       atomic.Int64
+	// workers is the parallelism degree for the bitonic network; minimum 1.
+	workers int
+	// metrics, if non-nil, instruments every working array the engine
+	// creates (comparison/stage counters and sort-pass spans); SetTelemetry
+	// sets it.
+	metrics *telemetry.Registry
+	n       int
+	seq     atomic.Int64
 }
 
 // SetTelemetry attaches a metrics registry to the engine and to every
 // already-materialized array (used after resume or late wiring).
 func (e *SortEngine) SetTelemetry(reg *telemetry.Registry) {
-	e.Telemetry = reg
+	e.metrics = reg
 	e.edb.cipher.SetTelemetry(reg)
 	for _, st := range e.sets {
 		st.arr.SetTelemetry(reg)
@@ -78,7 +77,7 @@ func NewSortEngine(edb *EncryptedDB, workers int) *SortEngine {
 	e := &SortEngine{
 		edb:      edb,
 		instance: fmt.Sprintf("sort%d", sortEngines.Add(1)),
-		Workers:  workers,
+		workers:  workers,
 		n:        edb.NumRows(),
 	}
 	e.setTable = newSetTable[*sortState](e, setsInParallel)
@@ -98,7 +97,7 @@ func lessByID(a, b []byte) bool { return bytes.Compare(a[8:16], b[8:16]) < 0 }
 // the (key_X, r[ID]) records; line 9 is restoreOrder's.
 func (e *SortEngine) materialize(st *sortState) error {
 	// Line 1: sort by key_X so equal keys are consecutive.
-	if err := st.arr.Sort(lessByKey, e.Workers); err != nil {
+	if err := st.arr.Sort(lessByKey, e.workers); err != nil {
 		return fmt.Errorf("core: sorting by key: %w", err)
 	}
 	// Lines 2–8: one oblivious pass assigns dense labels. The pass reads
@@ -133,11 +132,11 @@ func (e *SortEngine) restoreOrder(st *sortState) error {
 	if st.byID {
 		return nil
 	}
-	if err := st.arr.Sort(lessByID, e.Workers); err != nil {
+	if err := st.arr.Sort(lessByID, e.workers); err != nil {
 		return fmt.Errorf("core: sorting %s by id: %w", st.name, err)
 	}
 	st.byID = true
-	e.Telemetry.Counter("oblivfd_sort_restores_total").Inc()
+	e.metrics.Counter("oblivfd_sort_restores_total").Inc()
 	return nil
 }
 
@@ -190,7 +189,7 @@ func (e *SortEngine) fillSingle(st *sortState, attr int) error {
 	if err != nil {
 		return fmt.Errorf("core: building A for attr %d: %w", attr, err)
 	}
-	arr.SetTelemetry(e.Telemetry)
+	arr.SetTelemetry(e.metrics)
 	st.arr = arr
 	return e.materialize(st)
 }
@@ -232,7 +231,7 @@ func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sort
 	if err != nil {
 		return fmt.Errorf("core: building A for %v: %w", x, err)
 	}
-	arr.SetTelemetry(e.Telemetry)
+	arr.SetTelemetry(e.metrics)
 	st.arr = arr
 	return e.materialize(st)
 }

@@ -77,7 +77,7 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 					t.Fatal(err)
 				}
 				eng := NewSortEngine(edb, 1) // one network worker: each array's own sequence is deterministic
-				eng.Telemetry = telemetry.New()
+				eng.SetTelemetry(telemetry.New())
 				spy := &coverSpy{Engine: eng, current: make(map[relation.AttrSet]int)}
 				srv.Trace().Reset()
 				srv.Trace().Enable()
@@ -137,7 +137,7 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 						}
 					}
 				}
-				if got := eng.Telemetry.Counter("oblivfd_sort_restores_total").Value(); got != int64(covers) {
+				if got := eng.metrics.Counter("oblivfd_sort_restores_total").Value(); got != int64(covers) {
 					t.Errorf("oblivfd_sort_restores_total = %d, want %d (one per set read as a cover)", got, covers)
 				}
 				if name == "fd-structure" && (covers == len(spy.builds) || shared == 0) {

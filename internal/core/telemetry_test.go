@@ -30,18 +30,18 @@ func discoverObserved(t *testing.T, kind engineKind, reg *telemetry.Registry, ot
 	switch kind {
 	case kindOr:
 		e := NewOrEngine(edb)
-		e.Telemetry = reg
+		e.SetTelemetry(reg)
 		eng = e
 	case kindEx:
 		e, err := NewExEngine(edb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Telemetry = reg
+		e.SetTelemetry(reg)
 		eng = e
 	case kindSort:
 		e := NewSortEngine(edb, 1)
-		e.Telemetry = reg
+		e.SetTelemetry(reg)
 		eng = e
 	}
 	defer eng.Close()

@@ -34,15 +34,10 @@ type SessionLimits struct {
 	// MaxInflight caps requests executing across all sessions
 	// (0 = unlimited); excess requests are shed with ErrOverloaded.
 	MaxInflight int
-	// PerSessionInflight caps requests executing within one session
-	// (0 = unlimited).
-	PerSessionInflight int
 	// RatePerSec is a per-session token-bucket rate limit in requests per
-	// second (0 = unlimited).
+	// second (0 = unlimited). The bucket holds one second of requests, at
+	// least one.
 	RatePerSec float64
-	// Burst is the token-bucket depth; 0 derives it from RatePerSec
-	// (minimum 1).
-	Burst int
 	// IdleTimeout makes sessions with no in-flight requests evictable after
 	// this much inactivity (0 = never evict).
 	IdleTimeout time.Duration
@@ -184,10 +179,7 @@ func (r *SessionRegistry) burst() float64 {
 	if r.limits.RatePerSec <= 0 {
 		return 0
 	}
-	b := float64(r.limits.Burst)
-	if b <= 0 {
-		b = r.limits.RatePerSec
-	}
+	b := r.limits.RatePerSec
 	if b < 1 {
 		b = 1
 	}
@@ -313,9 +305,6 @@ func (s *Session) Begin() (release func(), err error) {
 	case r.limits.MaxInflight > 0 && r.inflight >= int64(r.limits.MaxInflight):
 		r.shed++
 		err = fmt.Errorf("%w: %d requests in flight (max %d)", ErrOverloaded, r.inflight, r.limits.MaxInflight)
-	case r.limits.PerSessionInflight > 0 && s.inflight >= r.limits.PerSessionInflight:
-		r.shed++
-		err = fmt.Errorf("%w: session %d at in-flight cap %d", ErrOverloaded, s.ID, r.limits.PerSessionInflight)
 	case !s.takeTokenLocked(now):
 		r.shed++
 		err = fmt.Errorf("%w: session %d rate limited (%.3g req/s)", ErrOverloaded, s.ID, r.limits.RatePerSec)

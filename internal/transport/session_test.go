@@ -161,7 +161,7 @@ func TestSessionCapacityShedsHandshake(t *testing.T) {
 // the wire once its burst is spent, and store.WithRetry rides through the
 // shedding to finish the work.
 func TestSessionRateLimitSheds(t *testing.T) {
-	srv, _, addr := startSessionServer(t, store.SessionLimits{RatePerSec: 5, Burst: 2})
+	srv, _, addr := startSessionServer(t, store.SessionLimits{RatePerSec: 2})
 
 	c, err := DialWith(addr, sessionClientConfig("alpha", ""))
 	if err != nil {
@@ -174,7 +174,7 @@ func TestSessionRateLimitSheds(t *testing.T) {
 	if _, err := c.ArrayLen("arr"); err != nil {
 		t.Fatalf("second request within burst: %v", err)
 	}
-	// Burst spent; at 5 req/s the next immediate request must be shed.
+	// Burst spent; at 2 req/s the next immediate request must be shed.
 	if _, err := c.ArrayLen("arr"); !errors.Is(err, store.ErrOverloaded) {
 		t.Fatalf("over rate: err = %v, want ErrOverloaded", err)
 	}

@@ -2,20 +2,18 @@ package oblivfd
 
 // Multi-tenant acceptance tests: N concurrent clients spread over M database
 // namespaces on one fdserver, under the chaos fault mix, must each produce
-// exactly the FD set of a serial fault-free run — and an overloaded server
-// must shed with the retryable error instead of ever returning a wrong
+// exactly the oracle's FD set of their own relation — and an overloaded
+// server must shed with the retryable error instead of ever returning a wrong
 // answer. Run with -race: the session registry, namespacing, and per-tenant
 // marks are exactly the shared state these clients contend on.
 
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/transport"
 	"github.com/oblivfd/oblivfd/securefd"
@@ -28,96 +26,31 @@ const (
 	tenantDatabases = 2
 )
 
-// startTenantServer exposes a multi-tenant, fault-injected store over a
-// drop-injecting TCP listener.
-func startTenantServer(t *testing.T, seed int64, limits store.SessionLimits) (*transport.Server, *store.FaultService, string) {
+// tenants runs tenantClients concurrent discoveries against addr, client i
+// in namespace tenant-(i mod tenantDatabases) through a retrying pool with
+// the given budget, and requires each to end in the oracle's FD set of its
+// own relation rel(i) — distinct relations, so a cross-tenant mixup cannot
+// accidentally produce the right answer.
+func tenants(t *testing.T, addr string, attempts int, rel func(i int) *securefd.Relation) {
 	t.Helper()
-	faulty := store.WithFaults(store.NewServer(), store.FaultConfig{
-		Seed:      seed,
-		ErrorRate: chaosErrorRate,
-		SpikeRate: chaosSpikeRate,
-		Spike:     200 * time.Microsecond,
-	})
-	srv := transport.NewServer(faulty)
-	srv.SetSessionLimits(limits)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := transport.WithConnFaults(l, transport.FaultConfig{Seed: seed + 1, DropRate: chaosDropRate})
-	go func() { _ = srv.Serve(fl) }()
-	t.Cleanup(func() { l.Close() })
-	return srv, faulty, l.Addr().String()
-}
-
-// tenantDiscover runs one client's discovery inside the given namespace and
-// returns its minimal FDs.
-func tenantDiscover(addr, db string, rel *securefd.Relation, policy store.RetryPolicy) ([]relation.FD, error) {
-	cfg := chaosClientConfig()
-	cfg.Database = db
-	pool, err := transport.DialPoolWith(addr, 2, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("dial %s as %s: %w", addr, db, err)
-	}
-	defer pool.Close()
-	svc := store.WithRetry(pool, policy)
-	handle, err := securefd.Outsource(svc, rel, securefd.Options{
-		Protocol: securefd.ProtocolSort, Workers: 2, MaxLHS: 2,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("outsource as %s: %w", db, err)
-	}
-	defer handle.Close()
-	report, err := handle.Discover()
-	if err != nil {
-		return nil, fmt.Errorf("discover as %s: %w", db, err)
-	}
-	return report.Minimal, nil
-}
-
-// TestMultiTenantChaosDiscovery: 4 concurrent clients over 2 namespaces,
-// under the 3% chaos fault mix, each complete and match their own serial
-// fault-free baseline — no cross-tenant interference, no corruption.
-func TestMultiTenantChaosDiscovery(t *testing.T) {
-	// One distinct relation per client so a cross-tenant mixup cannot
-	// accidentally produce the right answer.
-	rels := make([]*securefd.Relation, tenantClients)
-	wants := make([][]relation.FD, tenantClients)
-	for i := range rels {
-		rels[i] = securefd.GenerateRND(5, 32, int64(21+7*i))
-		wants[i] = referenceFDs(t, rels[i])
-	}
-
-	_, faulty, addr := startTenantServer(t, 4242, store.SessionLimits{})
-	policy := store.RetryPolicy{
-		MaxAttempts:    10,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     50 * time.Millisecond,
-		Seed:           9,
-	}
-
 	var wg sync.WaitGroup
-	errs := make([]error, tenantClients)
-	got := make([][]relation.FD, tenantClients)
 	for i := 0; i < tenantClients; i++ {
+		svc := dialPool(t, addr, 2, fmt.Sprintf("tenant-%d", i%tenantDatabases), attempts)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			db := fmt.Sprintf("tenant-%d", i%tenantDatabases)
-			got[i], errs[i] = tenantDiscover(addr, db, rels[i], policy)
+			scenario{rel: rel(i), opts: sortOpts}.run(t, svc)
 		}(i)
 	}
 	wg.Wait()
+}
 
-	for i := 0; i < tenantClients; i++ {
-		if errs[i] != nil {
-			t.Errorf("client %d: %v", i, errs[i])
-			continue
-		}
-		if !relation.FDSetEqual(got[i], wants[i]) {
-			t.Errorf("client %d FDs under multi-tenant chaos = %v, want %v", i, got[i], wants[i])
-		}
-	}
+// TestMultiTenantChaosDiscovery: 4 concurrent clients over 2 namespaces,
+// under the 3% chaos fault mix, each complete and match their own oracle —
+// no cross-tenant interference, no corruption.
+func TestMultiTenantChaosDiscovery(t *testing.T) {
+	faulty, e := serveChaos(t, 4242)
+	tenants(t, e.addr, 10, func(i int) *securefd.Relation { return securefd.GenerateRND(5, 32, int64(21+7*i)) })
 	st, err := faulty.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -131,59 +64,17 @@ func TestMultiTenantChaosDiscovery(t *testing.T) {
 
 // TestMultiTenantOverloadSheds: a server with a tight global in-flight
 // budget sheds aggressively, yet every retrying client still finishes with
-// the exact baseline FDs — graceful degradation, never wrong answers. A
-// deliberately non-retrying client observes the typed retryable error.
+// the oracle's FDs — graceful degradation, never wrong answers.
 func TestMultiTenantOverloadSheds(t *testing.T) {
-	rels := make([]*securefd.Relation, tenantClients)
-	wants := make([][]relation.FD, tenantClients)
-	for i := range rels {
-		rels[i] = securefd.GenerateRND(4, 24, int64(5+3*i))
-		wants[i] = referenceFDs(t, rels[i])
-	}
-
 	// No storage faults here: isolate the shedding path. MaxInflight 2
 	// against 4 clients × pool 2 guarantees contention; the per-op latency
-	// keeps requests in flight long enough to actually overlap.
-	srv := transport.NewServer(store.WithLatency(store.NewServer(), 200*time.Microsecond))
-	srv.SetSessionLimits(store.SessionLimits{MaxInflight: 2})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(l) }()
-	t.Cleanup(func() { l.Close() })
-	addr := l.Addr().String()
-
-	// Generous budget, small backoffs: shed-and-retry is the expected
-	// steady state under overload, not an exceptional path.
-	policy := store.RetryPolicy{
-		MaxAttempts:    50,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-		Seed:           3,
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, tenantClients)
-	got := make([][]relation.FD, tenantClients)
-	for i := 0; i < tenantClients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			db := fmt.Sprintf("tenant-%d", i%tenantDatabases)
-			got[i], errs[i] = tenantDiscover(addr, db, rels[i], policy)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < tenantClients; i++ {
-		if errs[i] != nil {
-			t.Errorf("client %d under overload: %v", i, errs[i])
-			continue
-		}
-		if !relation.FDSetEqual(got[i], wants[i]) {
-			t.Errorf("client %d FDs under overload = %v, want %v", i, got[i], wants[i])
-		}
-	}
-	if shed := srv.Sessions().Shed(); shed == 0 {
+	// keeps requests in flight long enough to actually overlap. A generous
+	// retry budget: shed-and-retry is the expected steady state under
+	// overload, not an exceptional path.
+	e := serveTCP(t, store.WithLatency(store.NewServer(), 200*time.Microsecond),
+		serving{limits: store.SessionLimits{MaxInflight: 2}})
+	tenants(t, e.addr, 50, func(i int) *securefd.Relation { return securefd.GenerateRND(4, 24, int64(5+3*i)) })
+	if shed := e.ts.Sessions().Shed(); shed == 0 {
 		t.Error("overload run shed nothing; MaxInflight never bit")
 	} else {
 		t.Logf("overload run: %d requests shed and retried", shed)
@@ -192,21 +83,12 @@ func TestMultiTenantOverloadSheds(t *testing.T) {
 
 // TestMultiTenantOverloadTypedError: shed work surfaces to a non-retrying
 // client as the typed, retryable store.ErrOverloaded — never as a silent
-// failure or a wrong result. A per-session rate limit with burst 1 makes the
-// second back-to-back call shed deterministically.
+// failure or a wrong result. A per-session rate limit of one request a
+// second (a bucket one deep) makes the second back-to-back call shed
+// deterministically.
 func TestMultiTenantOverloadTypedError(t *testing.T) {
-	srv := transport.NewServer(store.NewServer())
-	srv.SetSessionLimits(store.SessionLimits{RatePerSec: 1, Burst: 1})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(l) }()
-	t.Cleanup(func() { l.Close() })
-
-	cfg := chaosClientConfig()
-	cfg.Database = "tenant-0"
-	c, err := transport.DialWith(l.Addr().String(), cfg)
+	e := serveTCP(t, store.NewServer(), serving{limits: store.SessionLimits{RatePerSec: 1}})
+	c, err := transport.DialWith(e.addr, transport.ClientConfig{CallTimeout: 10 * time.Second, DialTimeout: 2 * time.Second, Database: "tenant-0"})
 	if err != nil {
 		t.Fatal(err)
 	}

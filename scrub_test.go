@@ -5,71 +5,33 @@ package oblivfd
 // in flat arrays and ORAM trees, corruption inside the WAL and retained
 // snapshot files, and an ENOSPC window that sheds writes partway through
 // discovery. Background scrubbers sweep throughout. Every scenario must end
-// with the FD set of an undamaged run and at least one recorded repair; with
-// no replica, corruption must still fail loudly with ErrIntegrity (the PR 4
-// contract — self-healing never degrades fail-loudly into silence).
+// with the oracle's FD set and at least one recorded repair; with no
+// replica, corruption must still fail loudly with ErrIntegrity
+// (self-healing never degrades fail-loudly into silence).
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/oblivfd/oblivfd/internal/baseline"
-	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
-	"github.com/oblivfd/oblivfd/internal/trace"
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
-var scrubSortOpts = securefd.Options{Protocol: securefd.ProtocolSort, Workers: 2, MaxLHS: 2}
-var scrubORAMOpts = securefd.Options{Protocol: securefd.ProtocolORAM, Workers: 2, MaxLHS: 2}
-
-// scrubCluster boots n nodes, the primary on primaryFS (nil = the real
-// filesystem), each running a background scrubber when scrub is set. The
-// primary's trace keeps its events: corruptLiveCells reads from them which
-// objects are arrays.
-func scrubCluster(t *testing.T, n int, primaryFS store.FS, scrub bool) []*clusterNode {
-	nodes := newCluster(t, n, func(i int, s *nodeSetup) {
-		if i == 0 {
-			s.durable.FS = primaryFS
-		}
-		s.scrub = scrub
-	})
-	nodes[0].rep.Durable().Trace().Enable()
-	return nodes
-}
-
-// scrubService dials the cluster; repairs and disk-full sheds are ridden out
-// by the retry policy.
-func scrubService(t *testing.T, nodes []*clusterNode) securefd.Service {
-	_, svc := dial(t, nodes, 10)
-	return svc
-}
-
-// corruptLiveCells flips a bit in up to k populated cells of the arrays on
-// d — the objects d's own trace saw created by CreateArray — returning how
-// many it rotted. Cells are chosen in the scrubber's own sweep order, so the
-// choice is deterministic.
-func corruptLiveCells(t *testing.T, d *store.DurableServer, k int) int {
+// rotCells flips a bit in up to k populated cells of the objects on d,
+// failing t if it rotted none. Cells are chosen in the scrubber's own sweep
+// order, so the choice is deterministic. The Sort engine stores arrays only,
+// so every cell rotted is an array cell.
+func rotCells(t *testing.T, d *store.DurableServer, k int) {
 	t.Helper()
-	arrays := map[string]bool{}
-	for _, e := range d.Trace().Events() {
-		if e.Op == trace.OpCreateArray {
-			arrays[e.Object] = true
-		}
-	}
 	names, err := d.ObjectNames()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rotted := 0
 	for _, name := range names {
-		if !arrays[name] {
-			continue
-		}
 		n, err := d.ObjectExtent(name)
 		if err != nil {
 			continue
@@ -79,28 +41,29 @@ func corruptLiveCells(t *testing.T, d *store.DurableServer, k int) int {
 				rotted++
 			}
 		}
-		if rotted >= k {
-			break
-		}
 	}
-	return rotted
+	if rotted == 0 {
+		t.Fatal("no populated array cells to rot")
+	}
 }
 
-// scrubDiscover runs discovery over the damaged cluster and checks the FD
-// set against the oracle.
-func scrubDiscover(t *testing.T, svc securefd.Service, opts securefd.Options) {
+// scrubbed boots a scrubbed cluster of n nodes, lands damage on it between
+// upload and discovery, and runs a Sort discovery through it that must end
+// in want (nil: the oracle's FD set).
+func scrubbed(t *testing.T, n int, damage func(nodes []*clusterNode), want error) []*clusterNode {
 	t.Helper()
-	db, err := securefd.Outsource(svc, crashRelation(t), opts)
-	if err != nil {
-		t.Fatalf("Outsource: %v", err)
-	}
-	defer db.Close()
-	report, err := db.Discover()
-	if err != nil {
-		t.Fatalf("discovery across damage: %v", err)
-	}
-	if want := baseline.MinimalFDs(crashRelation(t)); !relation.FDSetEqual(report.Minimal, want) {
-		t.Fatalf("FDs = %v, want oracle %v", report.Minimal, want)
+	nodes := newCluster(t, n, nodeSetup{scrub: true})
+	_, svc := dial(t, nodes, 10)
+	scenario{opts: sortOpts, mid: func(*securefd.Database) { damage(nodes) }, want: want}.run(t, svc)
+	return nodes
+}
+
+// wantRepairs fails t unless n's replication layer healed at least one
+// corruption from a peer.
+func wantRepairs(t *testing.T, n *clusterNode) {
+	t.Helper()
+	if got := n.rep.Repairs(); got < 1 {
+		t.Errorf("repairs = %d, want >= 1", got)
 	}
 }
 
@@ -108,27 +71,8 @@ func scrubDiscover(t *testing.T, svc securefd.Service, opts securefd.Options) {
 // upload; discovery must finish with the oracle FD set and the rot healed
 // from the replica.
 func TestScrubChaosArrayRot(t *testing.T) {
-	nodes := scrubCluster(t, 2, nil, true)
-	svc := scrubService(t, nodes)
-	db, err := securefd.Outsource(svc, crashRelation(t), scrubSortOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	if rotted := corruptLiveCells(t, nodes[0].rep.Durable(), 4); rotted == 0 {
-		t.Fatal("no populated array cells to rot")
-	}
-	report, err := db.Discover()
-	if err != nil {
-		t.Fatalf("discovery across array rot: %v", err)
-	}
-	if want := baseline.MinimalFDs(crashRelation(t)); !relation.FDSetEqual(report.Minimal, want) {
-		t.Errorf("FDs = %v, want oracle %v", report.Minimal, want)
-	}
-	if got := nodes[0].rep.Repairs(); got < 1 {
-		t.Errorf("repairs = %d, want >= 1", got)
-	}
+	nodes := scrubbed(t, 2, func(nodes []*clusterNode) { rotCells(t, nodes[0].rep.Durable(), 4) }, nil)
+	wantRepairs(t, nodes[0])
 }
 
 // TestScrubChaosTreeRot: under the ORAM protocol the bucket trees only live
@@ -139,14 +83,14 @@ func TestScrubChaosArrayRot(t *testing.T) {
 // rewrite the root and heal the rot unseen; once a level's records cost a
 // third of the rounds, a run was often over before a rotted root was read.)
 func TestScrubChaosTreeRot(t *testing.T) {
-	nodes := scrubCluster(t, 2, nil, true)
+	nodes := newCluster(t, 2, nodeSetup{scrub: true})
 	d := nodes[0].rep.Durable()
 	var (
 		mu     sync.Mutex // the engine's workers call in concurrently
 		rotted int
 		trees  []string // every tree the client created, live or deleted
 	)
-	remote := scrubService(t, nodes)
+	_, remote := dial(t, nodes, 10)
 	svc := store.Adapt(func(op *store.Op, res *store.Result) error {
 		fetches := op.Kind == store.KindReadPath
 		for i := range op.Ops {
@@ -166,113 +110,55 @@ func TestScrubChaosTreeRot(t *testing.T) {
 		mu.Unlock()
 		return store.Invoke(remote, op, res)
 	})
-	db, err := securefd.Outsource(svc, crashRelation(t), scrubORAMOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	report, err := db.Discover()
-	if err != nil {
-		t.Fatalf("discovery across ORAM rot: %v", err)
-	}
+	scenario{opts: securefd.Options{Protocol: securefd.ProtocolORAM, Workers: 2, MaxLHS: 2}}.run(t, svc)
 	if rotted == 0 {
 		t.Fatal("no tree slot was ever rotted — injector never saw a live tree")
 	}
-	if want := baseline.MinimalFDs(crashRelation(t)); !relation.FDSetEqual(report.Minimal, want) {
-		t.Errorf("FDs = %v, want oracle %v", report.Minimal, want)
-	}
-	if got := nodes[0].rep.Repairs(); got < 1 {
-		t.Errorf("repairs = %d, want >= 1", got)
-	}
+	wantRepairs(t, nodes[0])
 }
 
-// waitForScrubRepair polls the node's scrubber until it has healed at least
-// one finding.
-func waitForScrubRepair(t *testing.T, n *clusterNode) {
+// rotFileAndWait flips a bit in the middle of the file at path and waits
+// until n's scrubber has healed at least one finding.
+func rotFileAndWait(t *testing.T, n *clusterNode, path string) {
 	t.Helper()
+	flipByteInFile(t, path, 0x10)
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if n.sc.Repairs() >= 1 {
-			return
+	for n.sc.Repairs() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("scrubber never repaired: corruptions=%d repairs=%d failures=%d",
+				n.sc.Corruptions(), n.sc.Repairs(), n.sc.RepairFailures())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("scrubber never repaired: corruptions=%d repairs=%d failures=%d",
-		n.sc.Corruptions(), n.sc.Repairs(), n.sc.RepairFailures())
 }
 
 // TestScrubChaosWALRot: a bit flip inside the primary's WAL prefix is found
 // by the background scrubber and healed from live memory before it can
 // poison a recovery; discovery is unaffected.
 func TestScrubChaosWALRot(t *testing.T) {
-	nodes := scrubCluster(t, 2, nil, true)
-	svc := scrubService(t, nodes)
-	db, err := securefd.Outsource(svc, crashRelation(t), scrubSortOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	walPath := filepath.Join(nodes[0].dir, "wal.log")
-	b, err := os.ReadFile(walPath)
-	if err != nil || len(b) == 0 {
-		t.Fatalf("WAL unreadable or empty after upload: %d bytes, %v", len(b), err)
-	}
-	b[len(b)/2] ^= 0x10
-	if err := os.WriteFile(walPath, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	waitForScrubRepair(t, nodes[0])
-
-	report, err := db.Discover()
-	if err != nil {
-		t.Fatalf("discovery across WAL rot: %v", err)
-	}
-	if want := baseline.MinimalFDs(crashRelation(t)); !relation.FDSetEqual(report.Minimal, want) {
-		t.Errorf("FDs = %v, want oracle %v", report.Minimal, want)
-	}
+	scrubbed(t, 2, func(nodes []*clusterNode) {
+		rotFileAndWait(t, nodes[0], filepath.Join(nodes[0].dir, "wal.log"))
+	}, nil)
 }
 
 // TestScrubChaosSnapshotRot: a rotted retained snapshot on the primary is
 // replaced by a fresh one written from live memory and the damaged file is
 // removed; discovery is unaffected.
 func TestScrubChaosSnapshotRot(t *testing.T) {
-	nodes := scrubCluster(t, 2, nil, true)
-	svc := scrubService(t, nodes)
-	db, err := securefd.Outsource(svc, crashRelation(t), scrubSortOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	if err := nodes[0].rep.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := filepath.Glob(filepath.Join(nodes[0].dir, "snap-*.snap"))
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("snapshots = %v, %v", snaps, err)
-	}
-	target := snaps[len(snaps)-1]
-	b, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0x10
-	if err := os.WriteFile(target, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	waitForScrubRepair(t, nodes[0])
-	if _, err := os.Stat(target); !os.IsNotExist(err) {
-		t.Errorf("corrupt snapshot still on disk: %v", err)
-	}
-
-	report, err := db.Discover()
-	if err != nil {
-		t.Fatalf("discovery across snapshot rot: %v", err)
-	}
-	if want := baseline.MinimalFDs(crashRelation(t)); !relation.FDSetEqual(report.Minimal, want) {
-		t.Errorf("FDs = %v, want oracle %v", report.Minimal, want)
-	}
+	scrubbed(t, 2, func(nodes []*clusterNode) {
+		if err := nodes[0].rep.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		snaps, err := filepath.Glob(filepath.Join(nodes[0].dir, "snap-*.snap"))
+		if err != nil || len(snaps) == 0 {
+			t.Fatalf("snapshots = %v, %v", snaps, err)
+		}
+		target := snaps[len(snaps)-1]
+		rotFileAndWait(t, nodes[0], target)
+		if _, err := os.Stat(target); !os.IsNotExist(err) {
+			t.Errorf("corrupt snapshot still on disk: %v", err)
+		}
+	}, nil)
 }
 
 // TestScrubChaosDiskFullMidDiscovery: an ENOSPC window (torn short writes
@@ -283,17 +169,9 @@ func TestScrubChaosDiskFullMidDiscovery(t *testing.T) {
 	// Measurement run: an unarmed FaultFS counts bytes written, giving the
 	// coordinate system the window is placed in.
 	meter := store.NewFaultFS(nil, store.FaultFSConfig{})
-	nodes := scrubCluster(t, 2, meter, true)
-	svc := scrubService(t, nodes)
-	db, err := securefd.Outsource(svc, crashRelation(t), scrubSortOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	afterUpload := meter.BytesWritten()
-	if _, err := db.Discover(); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
+	_, svc := dial(t, newCluster(t, 2, nodeSetup{primary: store.DurableOptions{FS: meter}, scrub: true}), 10)
+	var afterUpload int64
+	scenario{opts: sortOpts, mid: func(*securefd.Database) { afterUpload = meter.BytesWritten() }}.run(t, svc)
 	total := meter.BytesWritten()
 	if total-afterUpload < 4096 {
 		t.Fatalf("discovery writes only %d bytes; cannot place an ENOSPC window", total-afterUpload)
@@ -306,30 +184,14 @@ func TestScrubChaosDiskFullMidDiscovery(t *testing.T) {
 		DiskFullWrites:     6, // inside one retry budget of 10, whichever frame it opens on
 		ShortWrites:        true,
 	})
-	nodes2 := scrubCluster(t, 2, ffs, true)
-	svc2 := scrubService(t, nodes2)
-	db2, err := securefd.Outsource(svc2, crashRelation(t), scrubSortOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if rotted := corruptLiveCells(t, nodes2[0].rep.Durable(), 2); rotted == 0 {
-		t.Fatal("no populated array cells to rot")
-	}
-	report, err := db2.Discover()
-	if err != nil {
-		t.Fatalf("discovery across ENOSPC + rot: %v", err)
-	}
-	if want := baseline.MinimalFDs(crashRelation(t)); !relation.FDSetEqual(report.Minimal, want) {
-		t.Errorf("FDs = %v, want oracle %v", report.Minimal, want)
-	}
+	nodes := newCluster(t, 2, nodeSetup{primary: store.DurableOptions{FS: ffs}, scrub: true})
+	_, svc = dial(t, nodes, 10)
+	scenario{opts: sortOpts, mid: func(*securefd.Database) { rotCells(t, nodes[0].rep.Durable(), 2) }}.run(t, svc)
 	if ffs.DiskFullInjected() == 0 {
 		t.Error("the ENOSPC window never fired")
 	}
-	if got := nodes2[0].rep.Repairs(); got < 1 {
-		t.Errorf("repairs = %d, want >= 1", got)
-	}
-	if nodes2[0].rep.Durable().Degraded() {
+	wantRepairs(t, nodes[0])
+	if nodes[0].rep.Durable().Degraded() {
 		t.Error("primary still degraded after the window passed")
 	}
 }
@@ -338,20 +200,7 @@ func TestScrubChaosDiskFullMidDiscovery(t *testing.T) {
 // corruption must surface as fatal ErrIntegrity — detection without repair,
 // exactly the pre-scrubbing contract.
 func TestScrubChaosNoReplicaFailsLoudly(t *testing.T) {
-	nodes := scrubCluster(t, 1, nil, true)
-	svc := scrubService(t, nodes)
-	db, err := securefd.Outsource(svc, crashRelation(t), scrubSortOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	if rotted := corruptLiveCells(t, nodes[0].rep.Durable(), 2); rotted == 0 {
-		t.Fatal("no populated array cells to rot")
-	}
-	if _, err := db.Discover(); !errors.Is(err, securefd.ErrIntegrity) {
-		t.Fatalf("discovery over unrepairable rot = %v, want ErrIntegrity", err)
-	}
+	nodes := scrubbed(t, 1, func(nodes []*clusterNode) { rotCells(t, nodes[0].rep.Durable(), 2) }, securefd.ErrIntegrity)
 	if got := nodes[0].rep.Repairs(); got != 0 {
 		t.Errorf("repairs = %d without any replica", got)
 	}
@@ -363,16 +212,9 @@ func TestScrubChaosNoReplicaFailsLoudly(t *testing.T) {
 // paths that bypass the trace recorder (DESIGN.md §15).
 func TestScrubTraceNeutral(t *testing.T) {
 	run := func(scrub bool) (ops, bytes int64) {
-		nodes := scrubCluster(t, 2, nil, scrub)
-		svc := scrubService(t, nodes)
-		db, err := securefd.Outsource(svc, crashRelation(t), scrubSortOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		if _, err := db.Discover(); err != nil {
-			t.Fatal(err)
-		}
+		nodes := newCluster(t, 2, nodeSetup{scrub: scrub})
+		_, svc := dial(t, nodes, 10)
+		scenario{opts: sortOpts}.run(t, svc)
 		rec := nodes[0].rep.Durable().Trace()
 		return rec.TotalOps(), rec.TotalBytes()
 	}

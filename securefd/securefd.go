@@ -459,19 +459,14 @@ func Outsource(svc Service, rel *Relation, opts Options) (*Database, error) {
 		db.edb = edb
 		switch opts.Protocol {
 		case ProtocolSort:
-			eng := core.NewSortEngine(edb, opts.Workers)
-			eng.Telemetry = opts.Telemetry
-			db.engine = eng
+			db.engine = core.NewSortEngine(edb, opts.Workers)
 		case ProtocolORAM:
-			eng := core.NewOrEngine(edb)
-			eng.Telemetry = opts.Telemetry
-			db.engine = eng
+			db.engine = core.NewOrEngine(edb)
 		case ProtocolDynamicORAM:
 			eng, err := core.NewExEngine(edb)
 			if err != nil {
 				return nil, fmt.Errorf("securefd: %w", err)
 			}
-			eng.Telemetry = opts.Telemetry
 			db.engine = eng
 		case ProtocolDeterministic:
 			db.engine = core.NewDetEngine(edb)
@@ -479,6 +474,7 @@ func Outsource(svc Service, rel *Relation, opts Options) (*Database, error) {
 	default:
 		return nil, fmt.Errorf("securefd: unknown protocol %v", opts.Protocol)
 	}
+	db.SetTelemetry(opts.Telemetry)
 	return db, nil
 }
 

@@ -14,16 +14,13 @@ package oblivfd
 import (
 	"bytes"
 	"errors"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/baseline"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
-	"github.com/oblivfd/oblivfd/internal/transport"
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
@@ -34,114 +31,72 @@ var tamperConfigs = []struct {
 	opts securefd.Options
 }{
 	{"sort", securefd.Options{Protocol: securefd.ProtocolSort}},
-	{"or-oram", securefd.Options{Protocol: securefd.ProtocolORAM}},
+	{"or-oram", crashOpts},
 	{"ex-oram", securefd.Options{Protocol: securefd.ProtocolDynamicORAM}},
 }
 
-// readCounter counts successful payload reads so tamper points can be placed
-// deterministically: the storage call sequence of a discovery run is a pure
-// function of the relation and options, so a clean run's read count maps
-// corruption offsets onto every phase of a tampered run.
-type readCounter struct {
-	store.Service
-	reads int64
-}
-
-func (r *readCounter) ReadCells(name string, idx []int64) ([][]byte, error) {
-	cts, err := r.Service.ReadCells(name, idx)
-	if err == nil {
-		r.reads++
-	}
-	return cts, err
-}
-
-func (r *readCounter) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	cts, err := r.Service.ReadPath(name, leaf)
-	if err == nil {
-		r.reads++
-	}
-	return cts, err
-}
-
-// cleanTamperRun discovers without corruption, anchors the result against
-// the plaintext oracle, and returns the oracle FD set plus the total number
-// of successful reads (the tamper offset space).
-func cleanTamperRun(t *testing.T, opts securefd.Options) ([]relation.FD, int64) {
+// reads is the number of successful payload reads a clean run of opts
+// makes: the offset space tamper points are placed in.
+func reads(t *testing.T, opts securefd.Options) int64 {
 	t.Helper()
-	rc := &readCounter{Service: securefd.NewServer()}
-	db, err := securefd.Outsource(rc, crashRelation(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	report, err := db.Discover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := baseline.MinimalFDs(crashRelation(t))
-	if !relation.FDSetEqual(report.Minimal, want) {
-		t.Fatalf("clean run FDs = %v, want oracle %v", report.Minimal, want)
-	}
+	rc := newReadCounter(store.NewServer())
+	scenario{opts: opts}.run(t, rc)
 	if rc.reads == 0 {
 		t.Fatal("clean run issued no reads; harness cannot place tamper points")
 	}
-	return want, rc.reads
+	return rc.reads
 }
 
-// tamperOffsets spreads deterministic one-shot corruption points across the
-// whole run: the first read (setup/upload edge), the last, and three interior
-// points.
-func tamperOffsets(n int64) []int64 {
-	cand := []int64{1, n / 4, n / 2, 3 * n / 4, n}
-	seen := map[int64]bool{}
-	var out []int64
-	for _, k := range cand {
-		if k >= 1 && !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// tamperedDiscover runs one full outsource+discover against svc, returning
-// the report (nil on error) and the terminal error. Corruption during upload
-// or engine construction surfaces from Outsource; mid-run corruption from
-// Discover.
-func tamperedDiscover(t *testing.T, svc securefd.Service, opts securefd.Options) (*securefd.Report, error) {
+// tampered serves a store whose kth successful read comes back corrupted in
+// mode, in-process or behind a TCP listener.
+func tampered(t *testing.T, k int64, mode store.CorruptMode, reg *securefd.Registry, overTCP bool) (*store.FaultService, securefd.Service) {
 	t.Helper()
-	db, err := securefd.Outsource(svc, crashRelation(t), opts)
-	if err != nil {
-		return nil, err
+	fs := securefd.WithFaults(store.NewServer(), securefd.FaultConfig{
+		Seed:              42,
+		CorruptAfterReads: k,
+		CorruptMode:       mode,
+		Metrics:           reg,
+	})
+	if !overTCP {
+		return fs, fs
 	}
-	defer db.Close()
-	return db.Discover()
+	c, err := securefd.DialTCP(serveTCP(t, fs, serving{}).addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return fs, c
+}
+
+// tamperEveryEngine corrupts one read in mode at each of five offsets
+// spread across a whole run — the first read (the setup/upload edge), the
+// last, and three interior points — of every engine, and requires every
+// run to abort with ErrIntegrity.
+func tamperEveryEngine(t *testing.T, mode store.CorruptMode, overTCP bool) {
+	for _, tc := range tamperConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			n := reads(t, tc.opts)
+			seen := map[int64]bool{}
+			for _, k := range []int64{1, n / 4, n / 2, 3 * n / 4, n} {
+				if k < 1 || seen[k] {
+					continue
+				}
+				seen[k] = true
+				fs, svc := tampered(t, k, mode, nil, overTCP)
+				_, err := scenario{opts: tc.opts, want: securefd.ErrIntegrity}.run(t, svc)
+				if fs.Corruptions() == 0 {
+					t.Fatalf("corruption@%d/%d: schedule never fired (err = %v)", k, n, err)
+				}
+			}
+		})
+	}
 }
 
 // TestTamperBitFlipDetected: a single flipped bit in any read payload — any
 // engine, any offset — must abort discovery with ErrIntegrity. A flipped
 // ciphertext, nonce, or tag byte always fails GCM authentication at the
 // client, so unlike the swap case there is no harmless outcome to accept.
-func TestTamperBitFlipDetected(t *testing.T) {
-	for _, tc := range tamperConfigs {
-		t.Run(tc.name, func(t *testing.T) {
-			_, n := cleanTamperRun(t, tc.opts)
-			for _, k := range tamperOffsets(n) {
-				fs := securefd.WithFaults(securefd.NewServer(), securefd.FaultConfig{
-					Seed:              42,
-					CorruptAfterReads: k,
-				})
-				_, err := tamperedDiscover(t, fs, tc.opts)
-				if fs.Corruptions() == 0 {
-					t.Fatalf("flip@%d/%d: schedule never fired (err = %v)", k, n, err)
-				}
-				if !errors.Is(err, securefd.ErrIntegrity) {
-					t.Errorf("flip@%d/%d: err = %v, want errors.Is(ErrIntegrity)", k, n, err)
-				}
-			}
-		})
-	}
-}
+func TestTamperBitFlipDetected(t *testing.T) { tamperEveryEngine(t, store.CorruptFlip, false) }
 
 // TestTamperBlockSwapNeverSilentlyWrong: swapping two blocks within a read
 // batch must be refused outright. Every surface binds a ciphertext to its
@@ -152,60 +107,14 @@ func TestTamperBitFlipDetected(t *testing.T) {
 // not to a place in it, and the client collects a path into the stash as a
 // set.)
 func TestTamperBlockSwapNeverSilentlyWrong(t *testing.T) {
-	for _, tc := range tamperConfigs {
-		t.Run(tc.name, func(t *testing.T) {
-			_, n := cleanTamperRun(t, tc.opts)
-			for _, k := range tamperOffsets(n) {
-				fs := securefd.WithFaults(securefd.NewServer(), securefd.FaultConfig{
-					Seed:              42,
-					CorruptAfterReads: k,
-					CorruptMode:       store.CorruptSwap,
-				})
-				_, err := tamperedDiscover(t, fs, tc.opts)
-				if fs.Corruptions() == 0 {
-					t.Fatalf("swap@%d/%d: schedule never fired (err = %v)", k, n, err)
-				}
-				if !errors.Is(err, securefd.ErrIntegrity) {
-					t.Errorf("swap@%d/%d: two blocks of a read exchanged: err = %v, want errors.Is(ErrIntegrity)", k, n, err)
-				}
-			}
-		})
-	}
+	tamperEveryEngine(t, store.CorruptSwap, false)
 }
 
-// TestTamperDetectedOverTCP: the same seeded flip with the fault injector on
-// the server side of a real TCP connection. The corrupted ciphertext crosses
-// the wire, the client's verification rejects it, and the typed error keeps
-// its ErrIntegrity classification end to end.
-func TestTamperDetectedOverTCP(t *testing.T) {
-	for _, tc := range tamperConfigs {
-		t.Run(tc.name, func(t *testing.T) {
-			_, n := cleanTamperRun(t, tc.opts)
-			backend := securefd.WithFaults(store.NewServer(), securefd.FaultConfig{
-				Seed:              42,
-				CorruptAfterReads: n / 2,
-			})
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go func() { _ = transport.Serve(l, backend) }()
-			t.Cleanup(func() { l.Close() })
-			svc, err := securefd.DialTCP(l.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer svc.Close()
-			_, err = tamperedDiscover(t, svc, tc.opts)
-			if !errors.Is(err, securefd.ErrIntegrity) {
-				t.Errorf("flip@%d over TCP: err = %v, want errors.Is(ErrIntegrity)", n/2, err)
-			}
-			if backend.Corruptions() == 0 {
-				t.Errorf("flip@%d over TCP: schedule never fired", n/2)
-			}
-		})
-	}
-}
+// TestTamperDetectedOverTCP: the same seeded flips with the fault injector
+// on the server side of a real TCP connection. The corrupted ciphertext
+// crosses the wire, the client's verification rejects it, and the typed
+// error keeps its ErrIntegrity classification end to end.
+func TestTamperDetectedOverTCP(t *testing.T) { tamperEveryEngine(t, store.CorruptFlip, true) }
 
 // TestTamperEquivocatedBucket: the ORAM engines fetch a chunk's paths to a
 // tree in one round, and paths share buckets. A server that answers one
@@ -242,15 +151,11 @@ func TestTamperEquivocatedBucket(t *testing.T) {
 			})
 			// Records enough for two chunks, so every tree is fetched in
 			// more than one round and has an older root to replay.
-			db, err := securefd.Outsource(svc, securefd.GenerateRND(4, 100, 5), tc.opts)
-			if err == nil {
-				_, err = db.Discover()
-				db.Close()
-			}
+			_, err := scenario{rel: securefd.GenerateRND(4, 100, 5), opts: tc.opts, want: securefd.ErrIntegrity}.run(t, svc)
 			if !fired {
 				t.Fatalf("the server never equivocated (err = %v)", err)
 			}
-			if !errors.Is(err, securefd.ErrIntegrity) || !strings.Contains(err.Error(), "different authentic ciphertexts") {
+			if err == nil || !strings.Contains(err.Error(), "different authentic ciphertexts") {
 				t.Errorf("a root answered twice in one round: err = %v, want ErrIntegrity naming the equivocation", err)
 			}
 		})
@@ -265,17 +170,10 @@ func TestTamperEquivocatedBucket(t *testing.T) {
 func TestTamperErrorNamesLatticePosition(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := securefd.Options{Protocol: securefd.ProtocolORAM, Workers: workers}
-		_, n := cleanTamperRun(t, opts)
-		fs := securefd.WithFaults(securefd.NewServer(), securefd.FaultConfig{
-			Seed:              42,
-			CorruptAfterReads: n / 2,
-		})
-		_, err := tamperedDiscover(t, fs, opts)
-		if !errors.Is(err, securefd.ErrIntegrity) {
-			t.Fatalf("workers=%d: err = %v, want errors.Is(ErrIntegrity)", workers, err)
-		}
+		_, svc := tampered(t, reads(t, opts)/2, store.CorruptFlip, nil, false)
+		_, err := scenario{opts: opts, want: securefd.ErrIntegrity}.run(t, svc)
 		for _, part := range []string{"lattice level", "attribute set {"} {
-			if !strings.Contains(err.Error(), part) {
+			if err == nil || !strings.Contains(err.Error(), part) {
 				t.Errorf("workers=%d: error does not say %q: %v", workers, part, err)
 			}
 		}
@@ -287,19 +185,12 @@ func TestTamperErrorNamesLatticePosition(t *testing.T) {
 // both the steady-state verification volume and the exact moment tampering
 // was caught.
 func TestTamperTelemetryCounters(t *testing.T) {
-	opts := securefd.Options{Protocol: securefd.ProtocolORAM}
-	_, n := cleanTamperRun(t, opts)
+	opts := crashOpts
+	n := reads(t, opts)
 	reg := securefd.NewRegistry()
 	opts.Telemetry = reg
-	fs := securefd.WithFaults(securefd.NewServer(), securefd.FaultConfig{
-		Seed:              42,
-		CorruptAfterReads: n / 2,
-		Metrics:           reg,
-	})
-	_, err := tamperedDiscover(t, fs, opts)
-	if !errors.Is(err, securefd.ErrIntegrity) {
-		t.Fatalf("err = %v, want errors.Is(ErrIntegrity)", err)
-	}
+	fs, svc := tampered(t, n/2, store.CorruptFlip, reg, false)
+	scenario{opts: opts, want: securefd.ErrIntegrity}.run(t, svc)
 	if checks := reg.Counter("oblivfd_integrity_checks_total").Value(); checks == 0 {
 		t.Errorf("integrity_checks_total = 0, want > 0")
 	}
@@ -312,8 +203,8 @@ func TestTamperTelemetryCounters(t *testing.T) {
 	}
 }
 
-// flipByteInFile flips one bit at the file's midpoint.
-func flipByteInFile(t *testing.T, path string) {
+// flipByteInFile flips the bits of mask in the byte at the file's midpoint.
+func flipByteInFile(t *testing.T, path string, mask byte) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -322,7 +213,7 @@ func flipByteInFile(t *testing.T, path string) {
 	if len(data) == 0 {
 		t.Fatalf("%s is empty; nothing to corrupt", path)
 	}
-	data[len(data)/2] ^= 0x01
+	data[len(data)/2] ^= mask
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -334,18 +225,8 @@ func flipByteInFile(t *testing.T, path string) {
 // operator alerting catches storage-at-rest tampering and wire tampering.
 func TestTamperSnapshotDetected(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := securefd.OpenDir(dir, securefd.DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := securefd.Outsource(srv, crashRelation(t), crashOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.DiscoverResumable(filepath.Join(dir, "run.ckpt")); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
+	srv := openDir(t, dir, securefd.DurableOptions{})
+	scenario{opts: crashOpts, ckpt: filepath.Join(dir, "run.ckpt")}.run(t, srv)
 	if err := srv.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +238,7 @@ func TestTamperSnapshotDetected(t *testing.T) {
 		t.Fatalf("no snapshots in %s (err = %v)", dir, err)
 	}
 	for _, s := range snaps {
-		flipByteInFile(t, s)
+		flipByteInFile(t, s, 0x01)
 	}
 	_, err = securefd.OpenDir(dir, securefd.DurableOptions{})
 	if !errors.Is(err, securefd.ErrCorruptSnapshot) {
@@ -378,36 +259,17 @@ func TestTamperSnapshotDetected(t *testing.T) {
 // resumed run must match the oracle exactly. Either way: never a silent
 // wrong FD set.
 func TestTamperWALNeverSilentlyWrong(t *testing.T) {
-	want, meter := cleanRun(t)
-	totalWrites := meter.writes
-	firstWrites := meter.writesAtEpoch[1]
-	if firstWrites == 0 || firstWrites >= totalWrites {
-		t.Fatalf("epoch 1 at write %d of %d; cannot place a kill point", firstWrites, totalWrites)
-	}
-
+	_, m := measure(t)
 	// Crash the client mid-level so wal.log holds mutations past the
 	// epoch-1 snapshot, then flip a bit in that tail.
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "run.ckpt")
-	srv, err := securefd.OpenDir(dir, securefd.DurableOptions{})
-	if err != nil {
+	if err := killClient(t, m, dir, ckpt).Close(); err != nil {
 		t.Fatal(err)
 	}
-	dying := &dyingSvc{Service: srv, remaining: firstWrites + (totalWrites-firstWrites)/2}
-	db, err := securefd.Outsource(dying, crashRelation(t), crashOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.DiscoverResumable(ckpt); !errors.Is(err, errClientCrash) {
-		t.Fatalf("Discover err = %v, want simulated client crash", err)
-	}
-	db.Close()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	flipByteInFile(t, filepath.Join(dir, "wal.log"))
+	flipByteInFile(t, filepath.Join(dir, "wal.log"), 0x01)
 
-	srv2, err := securefd.OpenDir(dir, securefd.DurableOptions{})
+	srv, err := securefd.OpenDir(dir, securefd.DurableOptions{})
 	if err != nil {
 		// Mid-stream garbage that still frames correctly is rejected
 		// outright; that is detection too.
@@ -416,23 +278,23 @@ func TestTamperWALNeverSilentlyWrong(t *testing.T) {
 		}
 		return
 	}
-	defer srv2.Close()
-	db2, err := securefd.Resume(srv2, ckpt)
+	defer srv.Close()
+	db, err := securefd.Resume(srv, ckpt)
 	if err != nil {
 		if !errors.Is(err, securefd.ErrEpochMismatch) || !errors.Is(err, securefd.ErrIntegrity) {
 			t.Fatalf("resume against truncated server = %v, want ErrEpochMismatch (an ErrIntegrity)", err)
 		}
 		return
 	}
-	defer db2.Close()
-	report, err := db2.Discover()
+	defer db.Close()
+	rep, err := db.Discover()
 	if err != nil {
 		if !errors.Is(err, securefd.ErrIntegrity) {
 			t.Fatalf("resumed discovery = %v, want success or ErrIntegrity", err)
 		}
 		return
 	}
-	if !relation.FDSetEqual(report.Minimal, want.Minimal) {
-		t.Errorf("SILENT WRONG RESULT after WAL tamper: FDs = %v, want %v", report.Minimal, want.Minimal)
+	if want := oracle(crashRelation(t), 0); !relation.FDSetEqual(rep.Minimal, want) {
+		t.Errorf("SILENT WRONG RESULT after WAL tamper: FDs = %v, want %v", rep.Minimal, want)
 	}
 }

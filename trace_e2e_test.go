@@ -19,20 +19,8 @@ import (
 	"github.com/oblivfd/oblivfd/securefd"
 )
 
-// tracedPair boots a primary and one replica, each with a process tracer of
-// its own.
-func tracedPair(t *testing.T) []*clusterNode {
-	return newCluster(t, 2, func(i int, s *nodeSetup) {
-		s.trace = otrace.New(otrace.Config{
-			Service:     "fdserver-" + string(rune('0'+i)),
-			Capacity:    1 << 16,
-			SampleEvery: 1,
-		})
-	})
-}
-
 func TestDistributedTraceCausalTree(t *testing.T) {
-	nodes := tracedPair(t)
+	nodes := newCluster(t, 2, nodeSetup{trace: true})
 	client := otrace.New(otrace.Config{
 		Service: "fddiscover", Capacity: 1 << 16, SampleEvery: 1,
 	})
