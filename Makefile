@@ -45,17 +45,18 @@ crash:
 	$(GO) test -count=1 -run 'WAL|Snapshot|Checkpoint|Resume|KillPoint|OpenDir|Replay|GobEra|MidLog|OnDisk|ReplaceFile|Torn|ShortWrite|Fsync|ClientState' ./internal/store/ ./internal/core/ ./internal/oram/
 
 # Tamper-injection suite: corrupt ciphertexts at seeded read offsets — Sort's
-# cell batches, Or-ORAM's label-array ranges and the PathORAM paths of Or-ORAM
+# run batches, Or-ORAM's label-array ranges and the PathORAM paths of Or-ORAM
 # and Ex-ORAM, in-process and over TCP — plus WAL frames and snapshots at
 # rest, and require every corruption to be detected (never a silent wrong FD
 # set; a bit flip or a swap within a read is always refused).
 # The per-layer integrity tests (AEAD rejection and location binding, bucket
-# swaps and equivocation, cell associated data, ErrIntegrity across the wire)
+# swaps and equivocation, sort runs' associated data and their flips, swaps,
+# splices and truncations, ErrIntegrity across the wire)
 # run with it; the rest of these packages runs under `test` and `test-race`.
 # -race because detection paths cross the fault injector's locks.
 tamper:
 	$(GO) test -race -count=1 -run 'Tamper' .
-	$(GO) test -race -count=1 -run 'Tamper|Integrity|Corrupt|Detected|BindsLocation|CellAD|TooShort|BadLength|KeysDisagree|Sentinel|WireErrorTable' ./internal/crypto/ ./internal/oram/ ./internal/obsort/ ./internal/transport/
+	$(GO) test -race -count=1 -run 'Tamper|Integrity|Corrupt|Detected|BindsLocation|RunAD|TooShort|BadLength|KeysDisagree|Sentinel|WireErrorTable' ./internal/crypto/ ./internal/oram/ ./internal/obsort/ ./internal/transport/
 
 # Replication and failover chaos suite: kill the primary of a 3-node
 # cluster at seeded WAL offsets mid-discovery and require the failover

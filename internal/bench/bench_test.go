@@ -8,6 +8,7 @@ import (
 	"github.com/oblivfd/oblivfd/internal/core"
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/dataset"
+	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
@@ -286,27 +287,27 @@ func TestCommTiny(t *testing.T) {
 	if or64.Ops <= or32.Ops || or64.Bytes <= or32.Bytes {
 		t.Error("ORAM communication does not grow with n")
 	}
-	// The defining asymmetry: Sort needs more round trips, ORAM moves
-	// more bytes per trip (whole paths).
-	if sort64.Ops <= or64.Ops {
-		t.Errorf("Sort ops (%d) not above ORAM ops (%d)", sort64.Ops, or64.Ops)
-	}
+	// ORAM moves more bytes per op (whole paths). A Sort op is one sealed
+	// run of obsort.RunRecords records, so at small n Sort makes fewer ops
+	// than ORAM (155 against 259 at n = 64) and moves fewer bytes (53 652 B
+	// against Or-ORAM's 124 140 B) — EXPERIMENTS.md, "Sealed runs".
 	if sort64.Bytes*or64.Ops >= or64.Bytes*sort64.Ops {
 		t.Errorf("Sort bytes/op (%d/%d) not below ORAM bytes/op (%d/%d)", sort64.Bytes, sort64.Ops, or64.Bytes, or64.Ops)
 	}
-	// In total the two cross at small n: at n = 64 Or-ORAM moves 124 140 B
-	// against Sort's 131 772 B, and at n = 32 Sort moves fewer
-	// (EXPERIMENTS.md, "Communication cost").
-	if or64.Bytes >= sort64.Bytes {
-		t.Errorf("Or-ORAM bytes (%d) not below Sort bytes (%d) at n = 64", or64.Bytes, sort64.Bytes)
+	if sort64.Ops >= or64.Ops {
+		t.Errorf("Sort ops (%d) not below ORAM ops (%d) at n = 64", sort64.Ops, or64.Ops)
+	}
+	if sort64.Bytes >= or64.Bytes {
+		t.Errorf("Sort bytes (%d) not below Or-ORAM bytes (%d) at n = 64", sort64.Bytes, or64.Bytes)
 	}
 	// Sort's |X| ≥ 2 partition costs what |X| = 1 costs (Fig. 4): the same
-	// network and passes, reading 2n cover cells where the single read n
-	// column cells. A cover's own by-ID network, run when its first union
-	// reads it, must not be charged to the union measured here.
+	// network and passes, reading the 2⌈n/R⌉ cover runs that hold the
+	// records where the single reads n column cells. A cover's own by-ID
+	// network, run when its first union reads it, must not be charged to the
+	// union measured here.
 	sortPair64, _ := res.Point(MethodSort, 1, 64)
-	if got := sortPair64.Ops - sort64.Ops; got != 64 {
-		t.Errorf("Sort pair ops − single ops = %d, want n = 64", got)
+	if got, want := sortPair64.Ops-sort64.Ops, int64(2*64/obsort.RunRecords-64); got != want {
+		t.Errorf("Sort pair ops − single ops = %d, want 2⌈n/R⌉ − n = %d", got, want)
 	}
 	// A level of three unions over three covers: Sort builds them one by one,
 	// three times the union alone; an ORAM method steps them together and

@@ -26,9 +26,11 @@ import (
 //     built from is released without it (DESIGN.md §11, "Deferred order
 //     restoration").
 //
-// The method needs O(1) client memory (one obsort.ChunkCells block in flight
-// per worker), is static only, and parallelizes inside the bitonic network —
-// Workers controls the degree (Fig. 6a).
+// B_X lives on the server as sealed runs of obsort.RunRecords records, one
+// ciphertext each (DESIGN.md §11, "Sealed runs"). The method needs O(1)
+// client memory (one obsort.ChunkCells block, two runs, in flight per
+// worker), is static only, and parallelizes inside the bitonic network —
+// the workers parameter controls the degree (Fig. 6a).
 type SortEngine struct {
 	setTable[*sortState]
 	edb      *EncryptedDB
@@ -101,7 +103,7 @@ func (e *SortEngine) materialize(st *sortState) error {
 		return fmt.Errorf("core: sorting by key: %w", err)
 	}
 	// Lines 2–8: one oblivious pass assigns dense labels. The pass reads
-	// and rewrites every cell whether or not the label changed.
+	// and rewrites every run whether or not a label in it changed.
 	var tmp, card uint64
 	err := st.arr.Scan(func(i int, rec []byte) ([]byte, error) {
 		key := decodeUint64(rec)
@@ -126,7 +128,7 @@ func (e *SortEngine) materialize(st *sortState) error {
 // sort back by r[ID] so B_X aligns with every other B_Y. The table never runs
 // two jobs sharing a cover in one wave, so no lock is needed. A network that
 // fails half-way leaves some permutation of the labelled records (a block
-// write rewrites both cells of each of its comparators); byID stays false and
+// write rewrites every run its comparators touch); byID stays false and
 // the next reader runs the whole network again.
 func (e *SortEngine) restoreOrder(st *sortState) error {
 	if st.byID {
@@ -198,8 +200,8 @@ func (e *SortEngine) fillSingle(st *sortState, attr int) error {
 // extracted positionally: both B arrays are put in r[ID] order, if no earlier
 // union has done so, and then B_X1[i] and B_X2[i] describe the same record
 // (§IV-D's extraction). Both covers' label records are prefetched one
-// ChunkCells-sized range at a time, fused into a single batched round when
-// the storage service supports it.
+// ChunkCells-sized range — the runs that hold it — at a time, fused into a
+// single batched round when the storage service supports it.
 func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sortState) error {
 	for _, c := range []*sortState{st1, st2} {
 		if err := e.restoreOrder(c); err != nil {
@@ -238,10 +240,11 @@ func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sort
 
 // ClientMemoryBytes implements Engine. §VII-C reports a constant, and the
 // figure returned is that accounting: the encryption key and one in-flight
-// record pair. What a worker of this client really holds is one block,
-// obsort.ChunkCells × (sortRecWidth + 1 + crypto.Overhead) bytes of
-// ciphertext, plus its scratch (the block's positions, two plaintexts, one
-// associated-data string) — larger, but just as independent of n.
+// record pair. What a worker of this client really holds is one block, two
+// sealed runs of obsort.RunRecords × (sortRecWidth + 1) + crypto.Overhead
+// bytes of ciphertext, plus its scratch (the runs' indices and plaintexts,
+// one record for a swap, one associated-data string) — larger, but just as
+// independent of n.
 func (e *SortEngine) ClientMemoryBytes() int {
 	return 16 /* AES key */ + 2*(sortRecWidth+1)
 }

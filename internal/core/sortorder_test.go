@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
+	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
@@ -54,6 +55,12 @@ func networkComparators(p int) int {
 	return p / 2 * k * (k + 1) / 2
 }
 
+// networkStages is the bitonic network's depth on p = 2^k records.
+func networkStages(p int) int {
+	k := bits.Len(uint(p)) - 1
+	return k * (k + 1) / 2
+}
+
 // TestSortRestoresOrderOnlyForCovers pins what each B_X array costs in closed
 // form, from the server's own trace of full discoveries: an array that no
 // union reads sees its creation, one network, the labelling scan and its
@@ -61,12 +68,16 @@ func networkComparators(p int) int {
 // before the first child's read begins and is not repeated for the second
 // child. The relations have different FD sets, so different lattices: which
 // arrays exist, which are covers and how often each is read all differ between
-// them, and all three are functions of (m, FDs).
+// them, and all three are functions of (m, FDs). Counts are in sealed runs of
+// min(p, obsort.RunRecords) records: a network reads and writes every run
+// once a stage, and the scan and a child's read touch the runs that hold the
+// n records.
 func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 	rels := map[string]*relation.Relation{
 		"fd-structure": parallelTestRel(24),                // covers shared by two unions
 		"all-keys":     fixedWidthRel(3, 24, 101, 1000000), // pruned at level 1: no cover at all
 		"collisions":   fixedWidthRel(3, 24, 2, 2),         // nothing pruned: every set but the top is a cover
+		"four-runs":    fixedWidthRel(3, 70, 2, 2),         // p = 128: four runs, three of which hold records
 	}
 	for name, rel := range rels {
 		for _, workers := range []int{1, 4} {
@@ -97,15 +108,17 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 				for p < n {
 					p <<= 1
 				}
-				network := 4 * networkComparators(p) // a comparator reads two cells and writes two
-				labelled := 1 + p + network + 2*n    // CreateArray, p cells uploaded, key sort, scan
+				run := min(p, obsort.RunRecords)
+				runs, held := p/run, (n+run-1)/run      // the array's runs, and those holding the n records
+				network := 2 * runs * networkStages(p)  // a stage reads every run once and writes it once
+				labelled := 1 + runs + network + 2*held // CreateArray, runs uploaded, key sort, scan
 				covers, shared := 0, 0
 				for k, b := range spy.builds {
 					events := perArray[fmt.Sprintf("%s:%d:B", eng.instance, k+1)]
 					want := labelled + 1 // + Delete
 					if b.children > 0 {
 						covers++
-						want += network + b.children*n
+						want += network + b.children*held
 					}
 					if b.children > 1 {
 						shared++
@@ -131,8 +144,8 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 						t.Errorf("B_%v: the %d events after its scan hold %d reads and %d writes, want one whole network", b.set, network, r, w)
 					}
 					for i, e := range reads {
-						if e.Op != trace.OpReadCell || e.Index != int64(i%n) {
-							t.Errorf("B_%v: event %d after its second network is %v, want child %d's read of cell %d", b.set, i, e, i/n, i%n)
+						if e.Op != trace.OpReadCell || e.Index != int64(i%held) {
+							t.Errorf("B_%v: event %d after its second network is %v, want child %d's read of run %d", b.set, i, e, i/held, i%held)
 							break
 						}
 					}
@@ -179,8 +192,9 @@ func TestFailedRestoreIsRerunWhole(t *testing.T) {
 	}
 	withCovers, _ := srv.Stats()
 
-	// B_a's restore is the first thing the union does: 15 stages on 32 cells,
-	// each one block write, so the fourth write is well inside it.
+	// B_a's restore is the first thing the union does: 15 stages on 32
+	// records, one run, each one block write, so the fourth write is well
+	// inside it.
 	svc.arm(4)
 	if _, err := CardinalityUnion(eng, a, b); !errors.Is(err, errInjected) {
 		t.Fatalf("union over a failing restore = %v, want the injected failure", err)

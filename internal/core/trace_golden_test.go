@@ -65,7 +65,14 @@ import (
 // it in frames of a byte budget, every or#:N:KL, ex#:N:KLF and ex#:N:IKL line
 // was regenerated again (55, 59 and 59 or 115 events, as before): tree shape
 // and Setup framing are functions of the public capacity; per-object event
-// counts unchanged. Every other line is still what it was.
+// counts unchanged. Every other line is still what it was. When the Sort
+// engine began to seal its records in runs of obsort.RunRecords, every
+// sort#:N:B line was regenerated: the run layout is a function of (n, R).
+// The scripted run's 24 records pad to one run of 32, so a network is 15
+// stages of one read and one write of that run — 35 events for a set no
+// union reads (create, upload, network, scan, delete), 67 for a cover (a
+// second network and one read per child). The column lines and every ORAM
+// line are byte for byte what they were.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -94,7 +101,10 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // chunk precede its write-backs. They were regenerated again when each tree
 // got half the leaves and Setup began to write it in frames of a byte budget
 // (or: 755 events, ex: 1 084, as before): tree shape and Setup framing are
-// functions of the public capacity; per-object event counts unchanged.
+// functions of the public capacity; per-object event counts unchanged. Its
+// sort line was regenerated when the Sort engine began to seal runs (10 412 →
+// 435 events, the calls and their order unchanged): the run layout is a
+// function of (n, R). The or and ex lines are byte for byte what they were.
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It

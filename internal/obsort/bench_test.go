@@ -49,11 +49,11 @@ func firstBlock(tb testing.TB, p int) [][2]int64 {
 }
 
 // BenchmarkCompareExchangeBlock is the layer's unit of work: one block of
-// ChunkCells/2 comparators — read ChunkCells cells, open, compare, seal
-// every cell fresh, write them back.
+// ChunkCells/2 comparators — read the block's two runs (ChunkCells
+// records), open both, compare and swap, seal both fresh, write them back.
 func BenchmarkCompareExchangeBlock(b *testing.B) {
 	a := benchArray(b, 4*ChunkCells)
-	block := firstBlock(b, a.PaddedLen())
+	block := firstBlock(b, a.p)
 	sc := a.newScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -94,7 +94,7 @@ func BenchmarkSort4096(b *testing.B) {
 func TestBlockAllocs(t *testing.T) {
 	const perBlock = 4
 	a := benchArray(t, 4*ChunkCells)
-	block := firstBlock(t, a.PaddedLen())
+	block := firstBlock(t, a.p)
 	sc := a.newScratch()
 	got := testing.AllocsPerRun(100, func() {
 		if err := a.compareExchangeBlock(sc, block, lessKey); err != nil {

@@ -2,24 +2,29 @@
 // using Batcher's bitonic sorting network (the paper's choice, §III-C):
 // O(n log² n) compare-exchanges whose positions are a fixed function of n
 // alone, so the server-visible access pattern carries no information about
-// the data. Each compare-exchange ships two ciphertexts to the client, which
-// decrypts, compares, and writes both back re-encrypted — always both,
-// always fresh, whether or not they swapped.
+// the data. A compare-exchange's records go to the client, which decrypts,
+// compares, and writes them back re-encrypted — always all of them, always
+// fresh, whether or not they swapped.
 //
-// Comparators within one stage of the network touch disjoint cells, which is
-// what gives the algorithm its n/2 parallelism degree (§IV-D, Fig. 6a). Sort
-// accepts a worker count to exploit it.
+// Comparators within one stage of the network touch disjoint records, which
+// is what gives the algorithm its n/2 parallelism degree (§IV-D, Fig. 6a).
+// Sort accepts a worker count to exploit it.
 //
-// Cells move in blocks of ChunkCells, and what the client does to a fetched
-// block is compute on memory it already holds: each worker opens cells into
-// a reused scratch and seals the block's fresh ciphertexts into one slab
-// allocated for that block's write (the in-process server keeps the slices
-// it is handed, so a slab is never written twice). What is transferred, in
-// which order, and what is authenticated does not depend on any of this.
+// Records are stored in sealed runs: RunRecords consecutive records under one
+// AEAD ciphertext, bound to (array, run index). Records move in blocks of
+// ChunkCells, two runs, and a block of the network covers whole runs at every
+// stride, so a stage maps runs to runs (DESIGN.md §11, "Sealed runs"). What
+// the client does to a fetched block is compute on memory it already holds:
+// each worker opens the block's runs into a reused scratch, compares and
+// swaps there, and seals the runs into one slab allocated for that block's
+// write (the in-process server keeps the slices it is handed, so a slab is
+// never written twice). Which runs are transferred, in which order, and what
+// is authenticated does not depend on any of this.
 package obsort
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,32 +35,42 @@ import (
 )
 
 // Less orders two plaintext records. It runs inside the client and never
-// influences which cells are touched — only the order in which the pair is
-// written back.
+// influences which runs are touched — only where the pair's records go.
 type Less func(a, b []byte) bool
 
-// ChunkCells bounds how many cells one storage call carries. Sequential
-// passes (Scan, CreateStreamed, ReadAll) and sort stages coalesce up to this
-// many cells per ReadCells/WriteCells, so round-trip count scales with
-// n/ChunkCells instead of n while client memory stays O(1): a worker holds
-// one block, ChunkCells × (recWidth + 1 + crypto.Overhead) bytes of
-// ciphertext plus its scratch (the block's positions, two plaintexts and
-// one associated-data string), whatever n is. The cells touched and their
-// per-cell server-visible accesses are identical to the one-at-a-time
-// schedule — only the call framing changes (DESIGN.md §11).
+// ChunkCells bounds how many records one storage call carries. Sequential
+// passes (Scan, CreateStreamed, the callers of GetRanges) and sort stages
+// coalesce up to this many records — ChunkCells/RunRecords runs — per
+// ReadCells/WriteCells, so round-trip count scales with n/ChunkCells instead
+// of n while client memory stays O(1): a worker holds one block, two runs of
+// RunRecords × (recWidth + 1) + crypto.Overhead bytes of ciphertext, plus its
+// scratch (the block's run indices and plaintexts and one associated-data
+// string), whatever n is. The records a call carries are the
+// ones the one-at-a-time schedule touches — only the call framing and the
+// unit of sealing differ (DESIGN.md §11).
 const ChunkCells = 64
+
+// RunRecords is how many records one ciphertext seals: half a block, so that
+// a block of ChunkCells/2 comparators covers two whole runs at every stride.
+// An array padded to fewer records is one run of all of them.
+const RunRecords = ChunkCells / 2
+
+// blockPairs is how many comparators one compare-exchange block holds.
+const blockPairs = ChunkCells / 2
 
 // Array is a client-side handle to a server-resident encrypted array of
 // fixed-width records, padded to a power of two so the bitonic network is
 // well-formed. Padding records always sort after real ones and are
-// indistinguishable from them on the server.
+// indistinguishable from them on the server. The server holds p/run cells,
+// one sealed run each.
 type Array struct {
 	svc      store.Service
 	cipher   *crypto.Cipher
 	name     string
 	n        int // logical record count
 	p        int // padded length (power of two)
-	recWidth int // payload width; wire records carry one extra flag byte
+	run      int // records per run: RunRecords, or p when p is smaller
+	recWidth int // payload width; a wire record is a flag byte, then the payload
 
 	comparisons atomic.Int64
 
@@ -78,42 +93,14 @@ func Create(svc store.Service, cipher *crypto.Cipher, name string, records [][]b
 	if len(records) == 0 {
 		return nil, fmt.Errorf("obsort: empty input")
 	}
-	w := len(records[0])
-	for i, r := range records {
-		if len(r) != w {
-			return nil, fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), w)
-		}
-	}
-	p := 1
-	for p < len(records) {
-		p <<= 1
-	}
-	a := &Array{svc: svc, cipher: cipher, name: name, n: len(records), p: p, recWidth: w}
-	if err := svc.CreateArray(name, p); err != nil {
-		return nil, fmt.Errorf("obsort: %w", err)
-	}
-	sc := a.newScratch()
-	idx := make([]int64, p)
-	out := a.newFreshCells(p)
-	for i := range idx {
-		idx[i] = int64(i)
-		pt := sc.padding()
-		if i < len(records) {
-			pt = sc.plaintext(records[i])
-		}
-		if err := a.seal(&out, pt, sc.cellAD(0, idx[i])); err != nil {
-			return a.abandon(err)
-		}
-	}
-	if err := svc.WriteCells(name, idx, out.cts); err != nil {
-		return a.abandon(fmt.Errorf("obsort: %w", err))
-	}
-	return a, nil
+	return CreateStreamed(svc, cipher, name, len(records), len(records[0]), func(i int) ([]byte, error) {
+		return records[i], nil
+	})
 }
 
-// abandon is how Create and CreateStreamed fail once the server array exists:
-// it is theirs, no handle to it will ever be returned, so they delete it —
-// best effort — and report the failure that stopped them.
+// abandon is how CreateStreamed fails once the server array exists: it is
+// its own, no handle to it will ever be returned, so it deletes it — best
+// effort — and reports the failure that stopped it.
 func (a *Array) abandon(err error) (*Array, error) {
 	_ = a.svc.Delete(a.name)
 	return nil, err
@@ -136,84 +123,46 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 	for p < n {
 		p <<= 1
 	}
-	a := &Array{svc: svc, cipher: cipher, name: name, n: n, p: p, recWidth: width}
-	if err := svc.CreateArray(name, p); err != nil {
+	a := &Array{svc: svc, cipher: cipher, name: name, n: n, p: p, run: min(p, RunRecords), recWidth: width}
+	if err := svc.CreateArray(name, p/a.run); err != nil {
 		return nil, fmt.Errorf("obsort: %w", err)
 	}
 	sc := a.newScratch()
 	for lo := 0; lo < p; lo += ChunkCells {
-		hi := lo + ChunkCells
-		if hi > p {
-			hi = p
-		}
-		idx := sc.span(lo, hi)
-		out := a.newFreshCells(len(idx))
-		for _, pos := range idx {
-			pt := sc.padding()
-			if i := int(pos); i < n {
-				r, err := next(i)
-				if err != nil {
-					return a.abandon(err)
-				}
-				if len(r) != width {
-					return a.abandon(fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), width))
-				}
-				pt = sc.plaintext(r)
+		hi := min(lo+ChunkCells, p)
+		sc.runs = a.appendRuns(sc.runs[:0], lo, hi)
+		pt := sc.pt[:len(sc.runs)*a.runBytes()]
+		for i := lo; i < hi; i++ {
+			rec := a.recordAt(pt, i-lo)
+			if i >= n { // padding: flag byte 1, then zeros
+				rec[0] = 1
+				clear(rec[1:])
+				continue
 			}
-			if err := a.seal(&out, pt, sc.cellAD(0, pos)); err != nil {
+			r, err := next(i)
+			if err != nil {
 				return a.abandon(err)
 			}
+			if len(r) != width {
+				return a.abandon(fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), width))
+			}
+			rec[0] = 0
+			copy(rec[1:], r)
 		}
-		if err := svc.WriteCells(name, idx, out.cts); err != nil {
-			return a.abandon(fmt.Errorf("obsort: %w", err))
+		if err := a.writeRuns(&sc.runAD, sc.runs, pt); err != nil {
+			return a.abandon(err)
 		}
 	}
 	return a, nil
 }
 
-// Get decrypts and returns the record at logical position i.
-func (a *Array) Get(i int) ([]byte, error) {
-	if i < 0 || i >= a.n {
-		return nil, fmt.Errorf("obsort: index %d out of range [0,%d)", i, a.n)
-	}
-	recs, err := a.GetRange(i, i+1)
-	if err != nil {
-		return nil, err
-	}
-	return recs[0], nil
-}
-
-// GetRange decrypts and returns the logical records in [lo, hi), fetching
-// at most ChunkCells cells per storage call. The records are the caller's:
-// those of one chunk share an allocation but do not overlap.
-func (a *Array) GetRange(lo, hi int) ([][]byte, error) {
-	if lo < 0 || hi > a.n || lo > hi {
-		return nil, fmt.Errorf("obsort: range [%d,%d) out of [0,%d)", lo, hi, a.n)
-	}
-	sc := a.newScratch()
-	out := make([][]byte, 0, hi-lo)
-	for start := lo; start < hi; start += ChunkCells {
-		end := start + ChunkCells
-		if end > hi {
-			end = hi
-		}
-		idx := sc.span(start, end)
-		cts, err := a.svc.ReadCells(a.name, idx)
-		if err != nil {
-			return nil, fmt.Errorf("obsort: %w", err)
-		}
-		if out, err = a.openRecords(sc, out, cts, idx); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// GetRanges fetches the same logical range [lo, hi) from several arrays,
-// fusing all the reads into one batched round trip when the storage service
-// supports it (store.Batcher) and falling back to one read per array
-// otherwise. All arrays must live on the same service. Callers bound the
-// range themselves (typically to ChunkCells) to keep client memory O(1).
+// GetRanges fetches the same logical range [lo, hi) from several arrays —
+// the runs that hold it — fusing all the reads into one batched round trip
+// when the storage service supports it (store.Batcher) and falling back to
+// one read per array otherwise. All arrays must live on the same service.
+// Callers bound the range themselves (typically to ChunkCells) to keep client
+// memory O(1). The records are the caller's: those of one array share an
+// allocation but do not overlap.
 func GetRanges(arrays []*Array, lo, hi int) ([][][]byte, error) {
 	if len(arrays) == 0 {
 		return nil, nil
@@ -223,13 +172,9 @@ func GetRanges(arrays []*Array, lo, hi int) ([][][]byte, error) {
 			return nil, fmt.Errorf("obsort: range [%d,%d) out of [0,%d)", lo, hi, a.n)
 		}
 	}
-	idx := make([]int64, hi-lo)
-	for k := range idx {
-		idx[k] = int64(lo + k)
-	}
 	ops := make([]store.BatchOp, len(arrays))
 	for j, a := range arrays {
-		ops[j] = store.BatchOp{Name: a.name, Idx: idx}
+		ops[j] = store.BatchOp{Name: a.name, Idx: a.appendRuns(nil, lo, hi)}
 	}
 	res, err := store.DoBatch(arrays[0].svc, ops)
 	if err != nil {
@@ -237,44 +182,23 @@ func GetRanges(arrays []*Array, lo, hi int) ([][][]byte, error) {
 	}
 	out := make([][][]byte, len(arrays))
 	for j, a := range arrays {
-		out[j], err = a.openRecords(a.newScratch(), make([][]byte, 0, len(idx)), res[j], idx)
-		if err != nil {
+		runs := ops[j].Idx
+		pt := make([]byte, len(runs)*a.runBytes())
+		ad := a.newRunAD()
+		if err := a.openRuns(&ad, pt, res[j], runs); err != nil {
 			return nil, err
+		}
+		out[j] = make([][]byte, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			rec := a.recordAt(pt, i-int(runs[0])*a.run)
+			if rec[0] == 1 {
+				return nil, fmt.Errorf("obsort: padding record inside logical range at %d", i)
+			}
+			out[j] = append(out[j], rec[1:])
 		}
 	}
 	return out, nil
 }
-
-// openRecords opens the logical cells cts, fetched from positions idx, into
-// one allocation and appends the records to out.
-func (a *Array) openRecords(sc *scratch, out [][]byte, cts [][]byte, idx []int64) ([][]byte, error) {
-	w := 1 + a.recWidth
-	slab := make([]byte, 0, len(cts)*w)
-	for k, ct := range cts {
-		pt, err := a.open(slab[len(slab):], ct, idx[k], sc.cellAD(0, idx[k]))
-		if err != nil {
-			return nil, err
-		}
-		if pt[0] == 1 {
-			return nil, fmt.Errorf("obsort: padding record inside logical range at %d", idx[k])
-		}
-		slab = slab[:len(slab)+w]
-		out = append(out, pt[1:w:w])
-	}
-	return out, nil
-}
-
-// Name returns the server-side array name.
-func (a *Array) Name() string { return a.name }
-
-// Len returns the logical record count n.
-func (a *Array) Len() int { return a.n }
-
-// PaddedLen returns the power-of-two physical length.
-func (a *Array) PaddedLen() int { return a.p }
-
-// Width returns the record payload width.
-func (a *Array) Width() int { return a.recWidth }
 
 // Comparisons returns the number of compare-exchanges executed so far.
 func (a *Array) Comparisons() int64 { return a.comparisons.Load() }
@@ -282,106 +206,122 @@ func (a *Array) Comparisons() int64 { return a.comparisons.Load() }
 // Destroy deletes the server-side array.
 func (a *Array) Destroy() error { return a.svc.Delete(a.name) }
 
+// runBytes is the plaintext length of one run.
+func (a *Array) runBytes() int { return a.run * (1 + a.recWidth) }
+
+// recordAt returns record k of the runs opened back to back into pt: its
+// flag byte, then its payload, capped so that appending to it cannot reach
+// the next record.
+func (a *Array) recordAt(pt []byte, k int) []byte {
+	w := 1 + a.recWidth
+	return pt[k*w : (k+1)*w : (k+1)*w]
+}
+
+// appendRuns appends the indices of the runs that hold records [lo, hi) to
+// dst, ascending.
+func (a *Array) appendRuns(dst []int64, lo, hi int) []int64 {
+	if hi <= lo {
+		return dst
+	}
+	for k := lo / a.run; k <= (hi-1)/a.run; k++ {
+		dst = append(dst, int64(k))
+	}
+	return dst
+}
+
+// runAD builds the associated data that binds a run's ciphertext to (array,
+// run index), "sort:<name>:r<k>", in place. Every read and write addresses a
+// run by its index and every write re-seals the whole run, so the binding
+// holds across the whole sort: a server that swaps two runs, or splices in a
+// run of another array, is detected at the next read. (Replaying an *older*
+// ciphertext of the same run is the one substitution this layer cannot see —
+// the sort protocols have no per-run version state; DESIGN.md §10 discusses
+// the residual window.)
+type runAD struct {
+	buf    []byte
+	prefix int
+}
+
+func (a *Array) newRunAD() runAD {
+	buf := make([]byte, 0, len("sort:")+len(a.name)+len(":r")+20)
+	buf = append(append(append(buf, "sort:"...), a.name...), ":r"...)
+	return runAD{buf: buf, prefix: len(buf)}
+}
+
+// at returns run k's associated data, valid until the next call.
+func (ad *runAD) at(k int64) []byte {
+	ad.buf = strconv.AppendInt(ad.buf[:ad.prefix], k, 10)
+	return ad.buf
+}
+
 // scratch is the client memory one worker reuses from block to block: the
-// block's positions, and the plaintexts (flag byte, then the record) and
-// associated data of the comparator's two cells or the scanned cell at hand.
-// It is not safe for concurrent use.
+// runs of the call at hand, their plaintexts back to back, and the runs'
+// associated data. It is not safe for concurrent use.
 type scratch struct {
-	idx      []int64
-	pt       [2][]byte
-	ad       [2][]byte // "sort:<name>:" followed by the decimal position
-	adPrefix int
+	runAD
+	runs []int64
+	pt   []byte
 }
 
 func (a *Array) newScratch() *scratch {
-	sc := &scratch{idx: make([]int64, 0, ChunkCells)}
-	for j := range sc.ad {
-		sc.pt[j] = make([]byte, 1+a.recWidth)
-		ad := make([]byte, 0, len("sort:")+len(a.name)+len(":")+20)
-		sc.ad[j] = append(append(append(ad, "sort:"...), a.name...), ':')
+	return &scratch{
+		runAD: a.newRunAD(),
+		runs:  make([]int64, 0, ChunkCells/RunRecords),
+		pt:    make([]byte, min(ChunkCells, a.p)*(1+a.recWidth)),
 	}
-	sc.adPrefix = len(sc.ad[0])
-	return sc
 }
 
-// cellAD binds a record ciphertext to (array, position). Every read and
-// write addresses a cell by its current position and compare-exchange
-// re-encrypts both cells it moves, so position binding holds across the
-// whole sort: a server that swaps two cells is detected at the next read.
-// (Replaying an *old* ciphertext of the same cell is the one substitution
-// this layer cannot see — the sort protocols have no per-cell version state;
-// DESIGN.md §10 discusses the residual window.) It is built in the scratch's
-// slot j (0 or 1), once per cell for both the open and the re-seal, and is
-// valid until the next call for that slot.
-func (sc *scratch) cellAD(j int, i int64) []byte {
-	sc.ad[j] = strconv.AppendInt(sc.ad[j][:sc.adPrefix], i, 10)
-	return sc.ad[j]
-}
-
-// span sets the scratch's position list to lo..hi-1 and returns it.
-func (sc *scratch) span(lo, hi int) []int64 {
-	sc.idx = sc.idx[:0]
-	for i := lo; i < hi; i++ {
-		sc.idx = append(sc.idx, int64(i))
-	}
-	return sc.idx
-}
-
-// plaintext lays rec out for sealing as a real record: a zero flag byte, then
-// the record. The result is valid until the scratch's plaintexts are next
-// written.
-func (sc *scratch) plaintext(rec []byte) []byte {
-	sc.pt[0][0] = 0
-	copy(sc.pt[0][1:], rec)
-	return sc.pt[0]
-}
-
-// padding is plaintext for a padding record: flag byte 1, then zeros.
-func (sc *scratch) padding() []byte {
-	clear(sc.pt[1])
-	sc.pt[1][0] = 1
-	return sc.pt[1]
-}
-
-// open authenticates ct as the cell at position i, whose associated data is
-// ad, and decrypts it into the memory of buf, returning the flag byte
-// followed by the record.
-func (a *Array) open(buf, ct []byte, i int64, ad []byte) ([]byte, error) {
-	pt, err := a.cipher.OpenTo(buf[:0], ct, ad)
+// readRuns fetches the named runs in one call and opens them, back to back,
+// into pt.
+func (a *Array) readRuns(ad *runAD, runs []int64, pt []byte) error {
+	cts, err := a.svc.ReadCells(a.name, runs)
 	if err != nil {
-		return nil, fmt.Errorf("obsort %q: cell %d authentication failed: %v: %w", a.name, i, err, store.ErrIntegrity)
+		return fmt.Errorf("obsort: %w", err)
 	}
-	if len(pt) != 1+a.recWidth {
-		return nil, fmt.Errorf("obsort %q: cell %d has %d plaintext bytes, want %d: %w", a.name, i, len(pt), 1+a.recWidth, store.ErrIntegrity)
-	}
-	return pt, nil
+	return a.openRuns(ad, pt, cts, runs)
 }
 
-// freshCells collects the ciphertexts of one WriteCells call. They share a
-// slab allocated for that call and never written afterwards, because the
+// openRuns authenticates cts[j] as run runs[j] and decrypts it into its slot
+// of pt. An answer that does not hold one ciphertext per run, a ciphertext
+// that does not open, or one that opens to anything but a whole run, fails
+// with store.ErrIntegrity: a slot left unopened would be re-sealed with
+// whatever it held.
+func (a *Array) openRuns(ad *runAD, pt []byte, cts [][]byte, runs []int64) error {
+	if len(cts) != len(runs) {
+		return fmt.Errorf("obsort %q: %d ciphertexts for %d runs: %w", a.name, len(cts), len(runs), store.ErrIntegrity)
+	}
+	rb := a.runBytes()
+	for j, ct := range cts {
+		got, err := a.cipher.OpenTo(pt[j*rb:j*rb:(j+1)*rb], ct, ad.at(runs[j]))
+		if err != nil {
+			return fmt.Errorf("obsort %q: run %d authentication failed: %v: %w", a.name, runs[j], err, store.ErrIntegrity)
+		}
+		if len(got) != rb {
+			return fmt.Errorf("obsort %q: run %d has %d plaintext bytes, want %d: %w", a.name, runs[j], len(got), rb, store.ErrIntegrity)
+		}
+	}
+	return nil
+}
+
+// writeRuns seals the named runs' plaintexts, back to back in pt, each under
+// a fresh nonce, and writes them in one call. The ciphertexts share a slab
+// allocated for that call and never written afterwards, because the
 // in-process server retains the slices it is handed.
-type freshCells struct {
-	slab []byte
-	cts  [][]byte
-}
-
-func (a *Array) newFreshCells(n int) freshCells {
-	return freshCells{
-		slab: make([]byte, 0, n*(1+a.recWidth+crypto.Overhead)),
-		cts:  make([][]byte, 0, n),
+func (a *Array) writeRuns(ad *runAD, runs []int64, pt []byte) error {
+	rb := a.runBytes()
+	slab := make([]byte, 0, len(runs)*(rb+crypto.Overhead))
+	cts := make([][]byte, len(runs))
+	for j, k := range runs {
+		start := len(slab)
+		var err error
+		if slab, err = a.cipher.SealTo(slab, pt[j*rb:(j+1)*rb], ad.at(k)); err != nil {
+			return err
+		}
+		cts[j] = slab[start:len(slab):len(slab)]
 	}
-}
-
-// seal encrypts pt (flag byte, then the record) under a fresh nonce as the
-// cell whose associated data is ad and adds the ciphertext to out.
-func (a *Array) seal(out *freshCells, pt, ad []byte) error {
-	start := len(out.slab)
-	slab, err := a.cipher.SealTo(out.slab, pt, ad)
-	if err != nil {
-		return err
+	if err := a.svc.WriteCells(a.name, runs, cts); err != nil {
+		return fmt.Errorf("obsort: %w", err)
 	}
-	out.slab = slab
-	out.cts = append(out.cts, slab[start:len(slab):len(slab)])
 	return nil
 }
 
@@ -435,31 +375,21 @@ func (a *Array) Sort(less Less, workers int) error {
 	})
 }
 
-// runStage executes one network stage with one worker per scratch; all pairs
-// are disjoint, so workers can process them concurrently. Pairs are split
-// into contiguous chunks — one per worker — so dispatch overhead is per
-// stage, not per comparator, and each worker coalesces its pairs into
-// ChunkCells-sized storage calls.
+// runStage executes one network stage with up to one worker per scratch; all
+// pairs are disjoint, so workers can process them concurrently. Pairs are
+// split into contiguous shares of whole blocks — one share per worker — so
+// dispatch overhead is per stage, not per comparator, and the storage calls
+// (and the runs each one moves) are the ones a single worker makes, whatever
+// the worker count.
 func (a *Array) runStage(pairs [][2]int64, less Less, scs []*scratch) error {
-	workers := len(scs)
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers <= 1 {
+	share := (len(pairs) + len(scs) - 1) / len(scs)
+	share = (share + blockPairs - 1) / blockPairs * blockPairs
+	if share >= len(pairs) {
 		return a.compareExchangeBlocks(scs[0], pairs, less)
 	}
-	errs := make(chan error, workers)
+	errs := make(chan error, len(scs))
 	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(pairs) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
+	for w, lo := 0, 0; lo < len(pairs); w, lo = w+1, lo+share {
 		wg.Add(1)
 		go func(sc *scratch, part [][2]int64) {
 			defer wg.Done()
@@ -469,7 +399,7 @@ func (a *Array) runStage(pairs [][2]int64, less Less, scs []*scratch) error {
 				default:
 				}
 			}
-		}(scs[w], pairs[lo:hi])
+		}(scs[w], pairs[lo:min(lo+share, len(pairs))])
 	}
 	wg.Wait()
 	select {
@@ -480,18 +410,13 @@ func (a *Array) runStage(pairs [][2]int64, less Less, scs []*scratch) error {
 	}
 }
 
-// compareExchangeBlocks processes a run of disjoint pairs in blocks of
-// ChunkCells/2 comparators: one ReadCells for the block's cells, the
-// compare decisions in client memory, one WriteCells with every cell
-// re-encrypted fresh — 2 rounds per block instead of 2 per comparator.
+// compareExchangeBlocks processes a share of disjoint pairs in blocks of
+// blockPairs comparators: one ReadCells for the block's runs, the compare
+// decisions in client memory, one WriteCells with every run re-sealed fresh —
+// 2 rounds per block instead of 2 per comparator.
 func (a *Array) compareExchangeBlocks(sc *scratch, pairs [][2]int64, less Less) error {
-	const blockPairs = ChunkCells / 2
 	for lo := 0; lo < len(pairs); lo += blockPairs {
-		hi := lo + blockPairs
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		if err := a.compareExchangeBlock(sc, pairs[lo:hi], less); err != nil {
+		if err := a.compareExchangeBlock(sc, pairs[lo:min(lo+blockPairs, len(pairs))], less); err != nil {
 			return err
 		}
 	}
@@ -499,105 +424,79 @@ func (a *Array) compareExchangeBlocks(sc *scratch, pairs [][2]int64, less Less) 
 }
 
 // compareExchangeBlock orders the records of each (lo, hi) pair so that the
-// record at lo sorts before the one at hi. Every cell is rewritten with a
-// fresh ciphertext regardless of the comparison outcomes.
+// record at lo sorts before the one at hi. A block of the network holds the
+// records of two whole runs — at stride ≥ RunRecords it pairs run k with run
+// k + stride/RunRecords, below that its pairs stay inside runs 2m and 2m+1 —
+// or of the array's one run; every run it reads is re-sealed fresh regardless
+// of the comparison outcomes.
 func (a *Array) compareExchangeBlock(sc *scratch, pairs [][2]int64, less Less) error {
-	sc.idx = sc.idx[:0]
+	sc.runs = sc.runs[:0]
 	for _, pr := range pairs {
-		sc.idx = append(sc.idx, pr[0], pr[1])
-	}
-	cts, err := a.svc.ReadCells(a.name, sc.idx)
-	if err != nil {
-		return fmt.Errorf("obsort: %w", err)
-	}
-	out := a.newFreshCells(len(sc.idx))
-	for k, pr := range pairs {
-		ad0, ad1 := sc.cellAD(0, pr[0]), sc.cellAD(1, pr[1])
-		pt0, err := a.open(sc.pt[0], cts[2*k], pr[0], ad0)
-		if err != nil {
-			return err
+		for _, pos := range pr {
+			if k := pos / int64(a.run); !slices.Contains(sc.runs, k) {
+				sc.runs = append(sc.runs, k)
+			}
 		}
-		pt1, err := a.open(sc.pt[1], cts[2*k+1], pr[1], ad1)
-		if err != nil {
-			return err
-		}
+	}
+	slices.Sort(sc.runs)
+	pt := sc.pt[:len(sc.runs)*a.runBytes()]
+	if err := a.readRuns(&sc.runAD, sc.runs, pt); err != nil {
+		return err
+	}
+	for _, pr := range pairs {
+		r0, r1 := a.blockRecord(sc, pt, pr[0]), a.blockRecord(sc, pt, pr[1])
 		// Padding sorts after every real record; two paddings are equal.
-		pad0, pad1 := pt0[0] == 1, pt1[0] == 1
-		swap := false
-		switch {
-		case pad0 && !pad1:
-			swap = true
-		case !pad0 && !pad1:
-			swap = less(pt1[1:], pt0[1:])
-		}
-		if swap {
-			pt0, pt1 = pt1, pt0
-		}
-		if err := a.seal(&out, pt0, ad0); err != nil {
-			return err
-		}
-		if err := a.seal(&out, pt1, ad1); err != nil {
-			return err
+		pad0, pad1 := r0[0] == 1, r1[0] == 1
+		if pad0 && !pad1 || !pad0 && !pad1 && less(r1[1:], r0[1:]) {
+			for i := range r0 {
+				r0[i], r1[i] = r1[i], r0[i]
+			}
 		}
 	}
 	a.comparisons.Add(int64(len(pairs)))
 	a.compCtr.Add(int64(len(pairs)))
-	if err := a.svc.WriteCells(a.name, sc.idx, out.cts); err != nil {
-		return fmt.Errorf("obsort: %w", err)
-	}
-	return nil
+	return a.writeRuns(&sc.runAD, sc.runs, pt)
+}
+
+// blockRecord returns the record at position pos among the block's runs,
+// opened back to back into pt in the order of sc.runs.
+func (a *Array) blockRecord(sc *scratch, pt []byte, pos int64) []byte {
+	return a.recordAt(pt, slices.Index(sc.runs, pos/int64(a.run))*a.run+int(pos)%a.run)
 }
 
 // Scan performs a sequential oblivious pass over the logical records: every
-// cell is read, handed to fn, and rewritten with a fresh ciphertext whether
-// or not fn changed it. Algorithm 3's labeling loop (lines 3–8) is exactly
-// such a pass. fn must return a record of the array's width; it may change
-// rec in place and return it, and must not keep rec after it returns. Cells
-// move in ChunkCells-sized calls: each chunk is one read round and one write
-// round.
+// record is read, handed to fn, and its run rewritten with a fresh ciphertext
+// whether or not fn changed it. Algorithm 3's labeling loop (lines 3–8) is
+// exactly such a pass. fn must return a record of the array's width; it may
+// change rec in place and return it, and must not keep rec after it returns.
+// Records move in ChunkCells-sized calls of whole runs: each chunk is one
+// read round and one write round.
 func (a *Array) Scan(fn func(i int, rec []byte) ([]byte, error)) error {
 	sc := a.newScratch()
 	for lo := 0; lo < a.n; lo += ChunkCells {
-		hi := lo + ChunkCells
-		if hi > a.n {
-			hi = a.n
+		hi := min(lo+ChunkCells, a.n)
+		sc.runs = a.appendRuns(sc.runs[:0], lo, hi)
+		pt := sc.pt[:len(sc.runs)*a.runBytes()]
+		if err := a.readRuns(&sc.runAD, sc.runs, pt); err != nil {
+			return err
 		}
-		idx := sc.span(lo, hi)
-		cts, err := a.svc.ReadCells(a.name, idx)
-		if err != nil {
-			return fmt.Errorf("obsort: %w", err)
-		}
-		out := a.newFreshCells(len(idx))
-		for k, ct := range cts {
-			ad := sc.cellAD(0, idx[k])
-			pt, err := a.open(sc.pt[0], ct, idx[k], ad)
+		for i := lo; i < hi; i++ {
+			rec := a.recordAt(pt, i-lo)
+			if rec[0] == 1 {
+				return fmt.Errorf("obsort: padding record inside logical range at %d", i)
+			}
+			out, err := fn(i, rec[1:])
 			if err != nil {
 				return err
 			}
-			if pt[0] == 1 {
-				return fmt.Errorf("obsort: padding record inside logical range at %d", idx[k])
+			if len(out) != a.recWidth {
+				return fmt.Errorf("obsort: Scan fn returned %d bytes, want %d", len(out), a.recWidth)
 			}
-			rec, err := fn(int(idx[k]), pt[1:])
-			if err != nil {
-				return err
-			}
-			if len(rec) != a.recWidth {
-				return fmt.Errorf("obsort: Scan fn returned %d bytes, want %d", len(rec), a.recWidth)
-			}
-			copy(pt[1:], rec)
-			if err := a.seal(&out, pt, ad); err != nil {
-				return err
-			}
+			copy(rec[1:], out)
 		}
-		if err := a.svc.WriteCells(a.name, idx, out.cts); err != nil {
-			return fmt.Errorf("obsort: %w", err)
+		if err := a.writeRuns(&sc.runAD, sc.runs, pt); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// ReadAll decrypts and returns the logical records. It exists for the final
-// result extraction and for tests; it is a plain sequential scan.
-func (a *Array) ReadAll() ([][]byte, error) {
-	return a.GetRange(0, a.n)
 }

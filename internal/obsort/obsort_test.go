@@ -5,14 +5,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/store"
+	"github.com/oblivfd/oblivfd/internal/telemetry"
 	"github.com/oblivfd/oblivfd/internal/trace"
 )
 
@@ -40,11 +45,21 @@ func newArray(t *testing.T, values []uint64) (*Array, *store.Server) {
 	return a, srv
 }
 
+// readAll decrypts the logical records through the one read path,
+// GetRanges, in a single call.
+func readAll(a *Array) ([][]byte, error) {
+	recs, err := GetRanges([]*Array{a}, 0, a.n)
+	if err != nil {
+		return nil, err
+	}
+	return recs[0], nil
+}
+
 func readU64s(t *testing.T, a *Array) []uint64 {
 	t.Helper()
-	recs, err := a.ReadAll()
+	recs, err := readAll(a)
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("readAll: %v", err)
 	}
 	out := make([]uint64, len(recs))
 	for i, r := range recs {
@@ -66,12 +81,12 @@ func TestCreateValidation(t *testing.T) {
 
 func TestCreatePadsToPowerOfTwo(t *testing.T) {
 	a, _ := newArray(t, []uint64{5, 3, 1})
-	if a.Len() != 3 || a.PaddedLen() != 4 {
-		t.Errorf("len=%d padded=%d, want 3/4", a.Len(), a.PaddedLen())
+	if a.n != 3 || a.p != 4 {
+		t.Errorf("len=%d padded=%d, want 3/4", a.n, a.p)
 	}
 	a2, _ := newArray(t, []uint64{1, 2, 3, 4})
-	if a2.PaddedLen() != 4 {
-		t.Errorf("power-of-two input padded to %d", a2.PaddedLen())
+	if a2.p != 4 {
+		t.Errorf("power-of-two input padded to %d", a2.p)
 	}
 }
 
@@ -140,7 +155,7 @@ func TestSortProperty(t *testing.T) {
 		if err := a.Sort(u64less, 1); err != nil {
 			return false
 		}
-		got, err := a.ReadAll()
+		got, err := readAll(a)
 		if err != nil {
 			return false
 		}
@@ -207,31 +222,42 @@ func TestTraceShapeDataIndependent(t *testing.T) {
 	}
 }
 
-// TestCiphertextsRewrittenEvenWithoutSwap: after any compare-exchange both
-// cells must hold fresh ciphertexts, or the server learns "no swap".
+// TestCiphertextsRewrittenEvenWithoutSwap: after any compare-exchange every
+// run it read must hold a fresh ciphertext, or the server learns "no swap".
+// Two records already in order are one run and one comparator; 128 equal
+// records are four runs, and no comparator of their network ever swaps.
 func TestCiphertextsRewrittenEvenWithoutSwap(t *testing.T) {
-	a, srv := newArray(t, []uint64{1, 2}) // already ordered: no swap needed
-	before, err := srv.ReadCells("arr", []int64{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshot := [][]byte{append([]byte(nil), before[0]...), append([]byte(nil), before[1]...)}
-	if err := a.Sort(u64less, 1); err != nil {
-		t.Fatal(err)
-	}
-	after, err := srv.ReadCells("arr", []int64{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range snapshot {
-		if bytes.Equal(snapshot[i], after[i]) {
-			t.Errorf("cell %d ciphertext unchanged after sort", i)
+	for _, values := range [][]uint64{{1, 2}, make([]uint64, 4*RunRecords)} {
+		a, srv := newArray(t, values)
+		runs := a.appendRuns(nil, 0, a.p)
+		before, err := srv.ReadCells("arr", runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(before) != a.p/a.run {
+			t.Fatalf("n=%d: %d runs, want %d", len(values), len(before), a.p/a.run)
+		}
+		snapshot := make([][]byte, len(before))
+		for i := range before {
+			snapshot[i] = append([]byte(nil), before[i]...)
+		}
+		if err := a.Sort(u64less, 1); err != nil {
+			t.Fatal(err)
+		}
+		after, err := srv.ReadCells("arr", runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range snapshot {
+			if bytes.Equal(snapshot[i], after[i]) {
+				t.Errorf("n=%d: run %d ciphertext unchanged after sort", len(values), i)
+			}
 		}
 	}
 }
 
 func TestScanRewritesEveryCell(t *testing.T) {
-	a, srv := newArray(t, []uint64{10, 20, 30})
+	a, _ := newArray(t, []uint64{10, 20, 30})
 	visited := make([]uint64, 0, 3)
 	err := a.Scan(func(i int, rec []byte) ([]byte, error) {
 		visited = append(visited, binary.BigEndian.Uint64(rec))
@@ -247,16 +273,23 @@ func TestScanRewritesEveryCell(t *testing.T) {
 	if fmt.Sprint(got) != "[0 100 200]" {
 		t.Errorf("after Scan = %v", got)
 	}
-	// Scan touches exactly n cells for read and n for write.
-	srv.Trace().Reset()
-	if err := a.Scan(func(i int, rec []byte) ([]byte, error) { return rec, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if r := srv.Trace().Count(trace.OpReadCell); r != 3 {
-		t.Errorf("ReadCell count = %d", r)
-	}
-	if w := srv.Trace().Count(trace.OpWriteCell); w != 3 {
-		t.Errorf("WriteCell count = %d", w)
+	// Scan reads and writes exactly the ⌈n/run⌉ runs that hold the n
+	// logical records, in ⌈n/ChunkCells⌉ calls each way.
+	for _, n := range []int{3, 100} {
+		a, srv := newArray(t, make([]uint64, n))
+		srv.Trace().Reset()
+		rc := store.WithRoundCounter(srv)
+		a.svc = rc
+		if err := a.Scan(func(i int, rec []byte) ([]byte, error) { return rec, nil }); err != nil {
+			t.Fatal(err)
+		}
+		runs := int64((n + a.run - 1) / a.run)
+		if r, w := srv.Trace().Count(trace.OpReadCell), srv.Trace().Count(trace.OpWriteCell); r != runs || w != runs {
+			t.Errorf("n=%d: Scan read %d runs and wrote %d, want %d each", n, r, w, runs)
+		}
+		if got, want := rc.Rounds(), int64(2*((n+ChunkCells-1)/ChunkCells)); got != want {
+			t.Errorf("n=%d: Scan took %d rounds, want %d", n, got, want)
+		}
 	}
 }
 
@@ -314,7 +347,7 @@ func TestSortStringsRecords(t *testing.T) {
 	if err := a.Sort(func(x, y []byte) bool { return bytes.Compare(x, y) < 0 }, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.ReadAll()
+	got, err := readAll(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +368,8 @@ func TestCreateStreamed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateStreamed: %v", err)
 	}
-	if a.Len() != 5 || a.PaddedLen() != 8 || a.Width() != 8 {
-		t.Errorf("len=%d padded=%d width=%d", a.Len(), a.PaddedLen(), a.Width())
+	if a.n != 5 || a.p != 8 || a.recWidth != 8 {
+		t.Errorf("len=%d padded=%d width=%d", a.n, a.p, a.recWidth)
 	}
 	if err := a.Sort(u64less, 1); err != nil {
 		t.Fatal(err)
@@ -380,32 +413,9 @@ func TestCreateStreamedErrors(t *testing.T) {
 	}
 }
 
-func TestGet(t *testing.T) {
-	a, _ := newArray(t, []uint64{10, 20, 30})
-	rec, err := a.Get(1)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if binary.BigEndian.Uint64(rec) != 20 {
-		t.Errorf("Get(1) = %v", rec)
-	}
-	if _, err := a.Get(-1); err == nil {
-		t.Error("Get(-1) accepted")
-	}
-	if _, err := a.Get(3); err == nil {
-		t.Error("Get beyond logical length accepted")
-	}
-	// Get must return a copy.
-	rec[0] = 0xFF
-	again, _ := a.Get(1)
-	if binary.BigEndian.Uint64(again) != 20 {
-		t.Error("Get returned shared storage")
-	}
-}
-
-// TestRangeValidation: GetRange and GetRanges refuse the same ranges, with an
-// error and before anything is allocated or fetched (an inverted range used
-// to reach make([]int64, hi-lo) in GetRanges and panic).
+// TestRangeValidation: GetRanges refuses a range outside any of its arrays,
+// with an error and before anything is allocated or fetched (an inverted
+// range used to reach make([]int64, hi-lo) and panic).
 func TestRangeValidation(t *testing.T) {
 	a, srv := newArray(t, []uint64{10, 20, 30})
 	for _, c := range []struct {
@@ -416,15 +426,15 @@ func TestRangeValidation(t *testing.T) {
 		{"whole", 0, 3, true},
 		{"empty", 2, 2, true},
 		{"lo < 0", -1, 2, false},
-		{"hi > n", 1, 4, false}, // the padded length is 4; cell 3 is padding
+		{"hi > n", 1, 4, false}, // the padded length is 4; record 3 is padding
 		{"lo > hi", 3, 1, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := srv.Trace().TotalOps()
-			one, err1 := a.GetRange(c.lo, c.hi)
+			one, err1 := GetRanges([]*Array{a}, c.lo, c.hi)
 			many, err2 := GetRanges([]*Array{a, a}, c.lo, c.hi)
 			if (err1 == nil) != c.ok || (err2 == nil) != c.ok {
-				t.Fatalf("GetRange err = %v, GetRanges err = %v; want ok = %v", err1, err2, c.ok)
+				t.Fatalf("GetRanges err = %v and %v; want ok = %v", err1, err2, c.ok)
 			}
 			if !c.ok {
 				if got := srv.Trace().TotalOps(); got != before {
@@ -432,8 +442,8 @@ func TestRangeValidation(t *testing.T) {
 				}
 				return
 			}
-			if len(one) != c.hi-c.lo || len(many) != 2 || len(many[0]) != len(one) || len(many[1]) != len(one) {
-				t.Errorf("got %d records and %v, want %d from each", len(one), many, c.hi-c.lo)
+			if len(one) != 1 || len(one[0]) != c.hi-c.lo || len(many) != 2 || len(many[0]) != c.hi-c.lo || len(many[1]) != c.hi-c.lo {
+				t.Errorf("got %v and %v, want %d records from each array", one, many, c.hi-c.lo)
 			}
 		})
 	}
@@ -454,36 +464,244 @@ func TestDestroy(t *testing.T) {
 	}
 }
 
-// TestCellADMatchesStoredFormat: cells already on a server were sealed under
-// the associated data "sort:<name>:<decimal position>". The scratch's
-// in-place builder must produce those bytes exactly in both of its slots, or
-// stored cells stop opening — checked where the digit count changes, and
-// after a longer position has been through the same buffer.
-func TestCellADMatchesStoredFormat(t *testing.T) {
+// TestRunADMatchesStoredFormat: runs already on a server were sealed under
+// the associated data "sort:<name>:r<decimal run index>". The in-place
+// builder must produce those bytes exactly, or stored runs stop opening —
+// checked where the digit count changes, and after a longer index has been
+// through the same buffer.
+func TestRunADMatchesStoredFormat(t *testing.T) {
 	c := crypto.MustNewCipher(crypto.MustNewKey())
-	a := &Array{cipher: c, name: "sort3:12:B", recWidth: 8}
-	sc := a.newScratch()
-	for _, i := range []int64{1 << 31, 0, 9, 10, 1 << 31} {
-		stored := []byte("sort:" + a.name + ":" + strconv.FormatInt(i, 10))
-		ct, err := c.Seal(append([]byte{0}, u64rec(uint64(i))...), stored)
+	a := &Array{cipher: c, name: "sort3:12:B", run: 1, recWidth: 8}
+	ad := a.newRunAD()
+	pt := make([]byte, a.runBytes())
+	for _, k := range []int64{1 << 31, 0, 9, 10, 1 << 31} {
+		stored := []byte("sort:" + a.name + ":r" + strconv.FormatInt(k, 10))
+		ct, err := c.Seal(append([]byte{0}, u64rec(uint64(k))...), stored)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range sc.ad {
-			ad := sc.cellAD(j, i)
-			if !bytes.Equal(ad, stored) {
-				t.Fatalf("cellAD(%d, %d) = %q, stored cells use %q", j, i, ad, stored)
+		if got := ad.at(k); !bytes.Equal(got, stored) {
+			t.Fatalf("at(%d) = %q, stored runs use %q", k, got, stored)
+		}
+		if err := a.openRuns(&ad, pt, [][]byte{ct}, []int64{k}); err != nil {
+			t.Fatalf("run %d sealed under the stored format does not open: %v", k, err)
+		}
+		if binary.BigEndian.Uint64(pt[1:]) != uint64(k) {
+			t.Errorf("run %d opened to %v", k, pt)
+		}
+		if err := a.openRuns(&ad, pt, [][]byte{ct}, []int64{k + 1}); !errors.Is(err, store.ErrIntegrity) {
+			t.Errorf("run %d opened as run %d: err = %v, want ErrIntegrity", k, k+1, err)
+		}
+	}
+}
+
+// callLog records every call that reaches the service as one line — its
+// kind, object, run indices and ciphertext lengths: the framing a server
+// sees.
+type callLog struct {
+	store.Adapter
+	mu    sync.Mutex
+	calls []string
+}
+
+func newCallLog(svc store.Service) *callLog {
+	l := &callLog{}
+	l.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
+		lens := make([]int, len(op.Cts))
+		for i, ct := range op.Cts {
+			lens[i] = len(ct)
+		}
+		l.mu.Lock()
+		l.calls = append(l.calls, fmt.Sprint(op.Kind, op.Name, op.Idx, lens))
+		l.mu.Unlock()
+		return store.Invoke(svc, op, res)
+	})
+	return l
+}
+
+// TestSortFramingIndependentOfWorkers: workers split a stage on whole
+// blocks, so a sort makes the same storage calls — each with the same runs —
+// whatever the worker count; only their interleaving within a stage may
+// differ. A share cut inside a block would make two calls of the one call a
+// single worker makes (at n = 4096 and three workers, 66 blocks a stage
+// instead of 64; at n = 24, 3 instead of 1), and would split a run between
+// two workers.
+func TestSortFramingIndependentOfWorkers(t *testing.T) {
+	for _, n := range []int{24, 100, 4096} {
+		values := make([]uint64, n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for i := range values {
+			values[i] = uint64(rng.Intn(n))
+		}
+		var wantCalls []string
+		var wantShape trace.Shape
+		for _, workers := range []int{1, 2, 3, 5} {
+			a, srv := newArray(t, values)
+			log := newCallLog(srv)
+			a.svc = log
+			srv.Trace().Reset()
+			srv.Trace().Enable()
+			if err := a.Sort(u64less, workers); err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
-			pt, err := a.open(sc.pt[j], ct, i, ad)
-			if err != nil {
-				t.Fatalf("cell %d sealed under the stored format does not open: %v", i, err)
+			got := readU64s(t, a)
+			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+				t.Errorf("n=%d workers=%d: output not sorted", n, workers)
 			}
-			if binary.BigEndian.Uint64(pt[1:]) != uint64(i) {
-				t.Errorf("cell %d opened to %v", i, pt)
+			calls := slices.Clone(log.calls)
+			slices.Sort(calls)
+			shape := trace.ShapeOf(srv.Trace().Events())
+			slices.SortFunc(shape, func(x, y trace.Event) int { return strings.Compare(x.String(), y.String()) })
+			if workers == 1 {
+				wantCalls, wantShape = calls, shape
+				continue
 			}
-			if _, err := a.open(sc.pt[j], ct, i+1, sc.cellAD(j, i+1)); !errors.Is(err, store.ErrIntegrity) {
-				t.Errorf("cell %d opened at position %d: err = %v, want ErrIntegrity", i, i+1, err)
+			if len(calls) != len(wantCalls) {
+				t.Errorf("n=%d: %d rounds with %d workers, %d with one", n, len(calls), workers, len(wantCalls))
+			} else if !slices.Equal(calls, wantCalls) {
+				t.Errorf("n=%d: workers=%d makes other calls than one worker", n, workers)
+			}
+			if !shape.Equal(wantShape) {
+				t.Errorf("n=%d: workers=%d trace differs from one worker's:\n%s", n, workers, shape.Diff(wantShape))
 			}
 		}
+	}
+}
+
+// TestRunClosedForm pins what a sealed array costs as a function of (n, R):
+// p/run cells of run·(1+w) + crypto.Overhead bytes each, where run = min(p,
+// R); per network of k(k+1)/2 stages (p = 2^k) every run is read, opened,
+// sealed and written once a stage; and the rounds are the per-record
+// layout's, two per block of ChunkCells/2 comparators. At the Sort engine's
+// 16-byte records a record costs 17 + 28/32 = 17.875 bytes.
+func TestRunClosedForm(t *testing.T) {
+	const w = 8
+	for _, n := range []int{1, 5, 24, 32, 33, 100, 4096} {
+		p := 1
+		for p < n {
+			p <<= 1
+		}
+		k := bits.Len(uint(p)) - 1
+		stages := int64(k * (k + 1) / 2)
+		run := min(p, RunRecords)
+		runs := int64(p / run)
+		runCt := int64(run*(1+w) + crypto.Overhead)
+
+		srv := store.NewServer()
+		rc := store.WithRoundCounter(srv)
+		c := crypto.MustNewCipher(crypto.MustNewKey())
+		reg := telemetry.New()
+		c.SetTelemetry(reg)
+		recs := make([][]byte, n)
+		for i := range recs {
+			recs[i] = u64rec(uint64(n - i))
+		}
+		a, err := Create(rc, c, "arr", recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Trace().Count(trace.OpWriteCell); got != runs {
+			t.Errorf("n=%d: Create wrote %d ciphertexts, want %d", n, got, runs)
+		}
+		if got := srv.Trace().TotalBytes(); got != runs*runCt {
+			t.Errorf("n=%d: Create wrote %d bytes, want %d", n, got, runs*runCt)
+		}
+		srv.Trace().Reset()
+		rounds := rc.Rounds()
+		if err := a.Sort(u64less, 1); err != nil {
+			t.Fatal(err)
+		}
+		opens := reg.Counter("oblivfd_integrity_checks_total").Value()
+		if r, wr := srv.Trace().Count(trace.OpReadCell), srv.Trace().Count(trace.OpWriteCell); r != runs*stages || wr != runs*stages || opens != runs*stages {
+			t.Errorf("n=%d: one network read %d runs, opened %d and sealed %d, want %d·%d = %d each", n, r, opens, wr, runs, stages, runs*stages)
+		}
+		if got, want := srv.Trace().TotalBytes(), 2*runs*stages*runCt; got != want {
+			t.Errorf("n=%d: one network moved %d bytes, want %d", n, got, want)
+		}
+		if got, want := rc.Rounds()-rounds, 2*stages*int64((p/2+blockPairs-1)/blockPairs); got != want {
+			t.Errorf("n=%d: one network took %d rounds, want %d", n, got, want)
+		}
+	}
+}
+
+// TestRunIntegrity: every substitution the run layout can suffer fails
+// loudly, with store.ErrIntegrity, on each path that reads runs — a sort, a
+// scan and a range read.
+func TestRunIntegrity(t *testing.T) {
+	flip := func(rec int) func(cts [][]byte, other []byte) {
+		return func(cts [][]byte, _ []byte) {
+			cts[0][crypto.NonceSize+rec*(1+8)] ^= 1
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		n      int
+		tamper func(cts [][]byte, other []byte)
+	}{
+		{"bit in record 0", 100, flip(0)},
+		{"bit in record R-1", 100, flip(RunRecords - 1)},
+		{"runs swapped", 100, func(cts [][]byte, _ []byte) { cts[0], cts[1] = cts[1], cts[0] }},
+		{"run of another array", 100, func(cts [][]byte, other []byte) { cts[0] = other }},
+		{"run one byte short", 100, func(cts [][]byte, _ []byte) { cts[0] = cts[0][:len(cts[0])-1] }},
+		{"short last run", 5, flip(4)},
+	} {
+		for _, path := range []struct {
+			name string
+			read func(a *Array) error
+		}{
+			{"sort", func(a *Array) error { return a.Sort(u64less, 1) }},
+			{"scan", func(a *Array) error {
+				return a.Scan(func(i int, rec []byte) ([]byte, error) { return rec, nil })
+			}},
+			{"range", func(a *Array) error { _, err := readAll(a); return err }},
+		} {
+			t.Run(c.name+"/"+path.name, func(t *testing.T) {
+				srv := store.NewServer()
+				cipher := crypto.MustNewCipher(crypto.MustNewKey())
+				recs := make([][]byte, c.n)
+				for i := range recs {
+					recs[i] = u64rec(uint64(i))
+				}
+				a, err := Create(srv, cipher, "arr", recs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Create(srv, cipher, "other", recs); err != nil {
+					t.Fatal(err)
+				}
+				runs := a.appendRuns(nil, 0, a.p)
+				stored, err := srv.ReadCells("arr", runs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				other, err := srv.ReadCells("other", []int64{0})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cts := make([][]byte, len(stored))
+				for i := range stored {
+					cts[i] = slices.Clone(stored[i])
+				}
+				c.tamper(cts, slices.Clone(other[0]))
+				if err := srv.WriteCells("arr", runs, cts); err != nil {
+					t.Fatal(err)
+				}
+				if err := path.read(a); !errors.Is(err, store.ErrIntegrity) {
+					t.Errorf("err = %v, want ErrIntegrity", err)
+				}
+			})
+		}
+	}
+	// A server that answers a read of two runs with one.
+	a, srv := newArray(t, make([]uint64, 100))
+	a.svc = store.Adapt(func(op *store.Op, res *store.Result) error {
+		err := store.Invoke(srv, op, res)
+		if op.Kind == store.KindReadCells && len(res.Cts) > 1 {
+			res.Cts = res.Cts[:1]
+		}
+		return err
+	})
+	if err := a.Sort(u64less, 1); !errors.Is(err, store.ErrIntegrity) {
+		t.Errorf("a short answer: err = %v, want ErrIntegrity", err)
 	}
 }
