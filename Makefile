@@ -56,7 +56,7 @@ crash:
 # -race because detection paths cross the fault injector's locks.
 tamper:
 	$(GO) test -race -count=1 -run 'Tamper' .
-	$(GO) test -race -count=1 -run 'Tamper|Integrity|Corrupt|Detected|BindsLocation|RunAD|TooShort|BadLength|KeysDisagree|Sentinel|WireErrorTable' ./internal/crypto/ ./internal/oram/ ./internal/obsort/ ./internal/transport/
+	$(GO) test -race -count=1 -run 'Tamper|Integrity|Corrupt|Detected|BindsLocation|RunAD|TooShort|KeysDisagree|Sentinel|WireErrorTable' ./internal/crypto/ ./internal/oram/ ./internal/obsort/ ./internal/transport/
 
 # Replication and failover chaos suite: kill the primary of a 3-node
 # cluster at seeded WAL offsets mid-discovery and require the failover
@@ -136,13 +136,14 @@ bench-oram:
 	$(GO) test -run '^$$' -bench 'PathAccess|Setup' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
 	$(GO) test -run '^$$' -bench 'EngineStepLoopback|EngineLevelLoopback' -benchmem -benchtime $(BENCHTIME) ./internal/core/
 
-# The five decoders that read bytes from outside the process — a request, a
+# The six decoders that read bytes from outside the process — a request, a
 # response, a WAL record, a server snapshot and a client checkpoint past
-# their CRCs — fuzzed briefly: error or exact round trip, never a panic, never
-# an allocation the bytes present cannot back. The seed corpora (every kind
-# and logged record, a fresh snapshot and an overflowing tree shape, real
-# checkpoints of both ORAM engines, bit-flipped and cut) also run as plain
-# tests under `go test`.
+# their CRCs, and a frame's trace context — fuzzed briefly: error (or the
+# zero context) or exact round trip, never a panic, never an allocation the
+# bytes present cannot back. The seed corpora (every kind and logged record,
+# a fresh snapshot and an overflowing tree shape, real checkpoints of both
+# ORAM engines, bit-flipped and cut, the four kinds of trace header) also run
+# as plain tests under `go test`.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/transport/
@@ -150,6 +151,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzFromWire$$' -fuzztime $(FUZZTIME) ./internal/otrace/
 
 # The benchmark (go run ./benchmark) multiplies every time it reports by its
 # speedometer's reading, and the speedometer's inner loop runs about a third

@@ -4,12 +4,10 @@ package oblivfd
 // failing — transient server errors, latency spikes, and mid-call
 // connection drops, all on seeded schedules. The fault-tolerance stack
 // (store.WithRetry over re-dialing transport.Client/Pool) must complete the
-// run and produce exactly the oracle's FDs; the seed transport (no
-// deadlines, no retries, no reconnection) must fail on the same schedule,
-// which is the gap this stack closes.
+// run and produce exactly the oracle's FDs; a client without the retry
+// layer must fail on the same schedule, which is the gap this stack closes.
 
 import (
-	"net"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/transport"
@@ -46,22 +44,22 @@ func TestChaosDiscoveryOverFaultyTCP(t *testing.T) {
 }
 
 // TestChaosSeedTransportFails demonstrates the closed gap: the same fault
-// schedule breaks a client with no deadlines, retries, or reconnection
-// (the seed transport's behaviour, preserved by NewClient on a raw conn).
+// schedule aborts discovery for a client with no retry layer — a bare
+// transport.Client, which re-dials but never sends a call twice, so the
+// first transient error or dropped connection fails the run.
 func TestChaosSeedTransportFails(t *testing.T) {
 	_, e := serveChaos(t, 1234)
-	conn, err := net.Dial("tcp", e.addr)
+	c, err := transport.DialWith(e.addr, transport.DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := transport.NewClient(conn) // no self-healing, no deadlines
 	defer c.Close()
 	_, err = scenario{
 		rel:  securefd.GenerateRND(5, 32, 21),
 		opts: securefd.Options{Protocol: securefd.ProtocolSort, MaxLHS: 2},
 		want: errAny,
 	}.run(t, c)
-	t.Logf("seed transport failed as expected: %v", err)
+	t.Logf("client without a retry layer failed as expected: %v", err)
 }
 
 // TestChaosDynamicProtocolOverFaultyTCP: the ORAM path (tree reads/writes,

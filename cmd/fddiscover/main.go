@@ -322,6 +322,12 @@ func writeTrace(o options, tr *securefd.Tracer, dump func(string) ([]securefd.Sp
 }
 
 func run(path string, o options) error {
+	switch {
+	case !(o.faultRate >= 0 && o.faultRate <= 1):
+		return fmt.Errorf("-fault-rate must be between 0 and 1, got %v", o.faultRate)
+	case !(o.corruptRate >= 0 && o.corruptRate <= 1):
+		return fmt.Errorf("-corrupt-rate must be between 0 and 1, got %v", o.corruptRate)
+	}
 	log := newLogger(o.logJSON)
 	protocol, err := securefd.ParseProtocol(o.protoName)
 	if err != nil {

@@ -71,6 +71,32 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOutOfRangeRates: a fault or corruption rate outside 0..1 is
+// refused at startup by name, never clamped; a rate of 1 is accepted.
+func TestRunRefusesOutOfRangeRates(t *testing.T) {
+	csv := writeCSV(t)
+	for _, c := range []struct{ flag, v string }{
+		{"fault-rate", "-0.01"}, {"fault-rate", "2"}, {"fault-rate", "NaN"},
+		{"corrupt-rate", "-1"}, {"corrupt-rate", "1.5"},
+	} {
+		var o options
+		fs := flag.NewFlagSet("fddiscover", flag.ContinueOnError)
+		registerFlags(fs, &o)
+		if err := fs.Parse([]string{"-quiet", "-" + c.flag, c.v}); err != nil {
+			t.Fatal(err)
+		}
+		err := run(csv, o)
+		if want := "-" + c.flag + " must be"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-%s %s: run = %v, want an error containing %q", c.flag, c.v, err, want)
+		}
+	}
+	o := quietOpts("plaintext")
+	o.faultRate, o.corruptRate = 1, 1
+	if _, err := captureStdout(t, func() error { return run(csv, o) }); err != nil {
+		t.Errorf("rates 1: %v", err)
+	}
+}
+
 // TestRunConnectErrors: -connect refuses a server that does not answer and
 // an unknown protocol.
 func TestRunConnectErrors(t *testing.T) {

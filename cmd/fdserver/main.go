@@ -104,7 +104,7 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.StringVar(&cfg.metricsAddr, "metrics-addr", "", "if set, serve Prometheus /metrics, /metrics.json, and /debug/pprof/ on this address")
 	fs.BoolVar(&cfg.logJSON, "log-json", false, "log as JSON lines instead of key=value text")
 	fs.IntVar(&cfg.traceSample, "trace-sample", 1, "head-sample every Nth trace into the span ring buffer (0 disables tracing)")
-	fs.IntVar(&cfg.traceCapacity, "trace-capacity", 4096, "span ring-buffer capacity; oldest spans are evicted first")
+	fs.IntVar(&cfg.traceCapacity, "trace-capacity", 4096, "span ring-buffer capacity (must be positive); oldest spans are evicted first")
 	fs.DurationVar(&cfg.traceSlow, "trace-slow", 0, "log a structured slow-span event for spans at least this long, sampled or not (0 = never)")
 	fs.IntVar(&cfg.maxSessions, "max-sessions", 0, "cap concurrently open client sessions; excess handshakes are refused with a retryable overload error (0 = unlimited)")
 	fs.IntVar(&cfg.maxInflight, "max-inflight", 0, "cap requests executing at once across all sessions; excess requests are shed (0 = unlimited)")
@@ -130,9 +130,24 @@ func main() {
 	}
 }
 
+// run refuses a flag value outside its documented range, rather than clamp
+// it or replace it with a default, then serves on the listen address.
 func run(cfg config) error {
-	if cfg.shipTimeout <= 0 {
+	switch {
+	case !(cfg.faultRate >= 0 && cfg.faultRate <= 1):
+		return fmt.Errorf("-fault-rate must be between 0 and 1, got %v", cfg.faultRate)
+	case !(cfg.dropRate >= 0 && cfg.dropRate <= 1):
+		return fmt.Errorf("-drop-rate must be between 0 and 1, got %v", cfg.dropRate)
+	case !(cfg.corruptRate >= 0 && cfg.corruptRate <= 1):
+		return fmt.Errorf("-corrupt-rate must be between 0 and 1, got %v", cfg.corruptRate)
+	case cfg.shipTimeout <= 0:
 		return fmt.Errorf("-ship-timeout must be positive, got %v", cfg.shipTimeout)
+	case cfg.traceCapacity <= 0:
+		return fmt.Errorf("-trace-capacity must be positive, got %d", cfg.traceCapacity)
+	case cfg.traceSample < 0:
+		return fmt.Errorf("-trace-sample must be 0 or more, got %d", cfg.traceSample)
+	case cfg.scrubRate < 0:
+		return fmt.Errorf("-scrub-rate must be 0 or more, got %d", cfg.scrubRate)
 	}
 	l, err := net.Listen("tcp", cfg.listen)
 	if err != nil {

@@ -122,8 +122,20 @@ func TestServeWithConnDrops(t *testing.T) {
 	}
 }
 
+// parseFlags returns the config fdserver builds from args.
+func parseFlags(t *testing.T, args ...string) config {
+	t.Helper()
+	var cfg config
+	fs := flag.NewFlagSet("fdserver", flag.ContinueOnError)
+	registerFlags(fs, &cfg)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 func TestRunBadAddress(t *testing.T) {
-	if err := run(config{listen: "256.256.256.256:0", shipTimeout: time.Second}); err == nil {
+	if err := run(parseFlags(t, "-listen", "256.256.256.256:0")); err == nil {
 		t.Error("bad listen address accepted")
 	}
 }
@@ -132,15 +144,39 @@ func TestRunBadAddress(t *testing.T) {
 // at startup by name, never replaced by the default.
 func TestRunRefusesNonPositiveShipTimeout(t *testing.T) {
 	for _, v := range []string{"0", "-1s"} {
-		var cfg config
-		fs := flag.NewFlagSet("fdserver", flag.ContinueOnError)
-		registerFlags(fs, &cfg)
-		if err := fs.Parse([]string{"-listen", "127.0.0.1:0", "-ship-timeout", v}); err != nil {
-			t.Fatal(err)
-		}
-		err := run(cfg)
+		err := run(parseFlags(t, "-listen", "127.0.0.1:0", "-ship-timeout", v))
 		if err == nil || !strings.Contains(err.Error(), "-ship-timeout") {
 			t.Errorf("-ship-timeout %s: run = %v, want an error naming the flag", v, err)
+		}
+	}
+}
+
+// TestRunRefusesOutOfRangeFlags: a rate outside 0..1, a ring of no spans and
+// a negative sampling or scrub rate are refused at startup by name, never
+// clamped or replaced by a default; the ends of each range are accepted.
+func TestRunRefusesOutOfRangeFlags(t *testing.T) {
+	for _, c := range []struct{ flag, v string }{
+		{"fault-rate", "-0.01"}, {"fault-rate", "2"}, {"fault-rate", "NaN"},
+		{"drop-rate", "-1"}, {"drop-rate", "1.5"},
+		{"corrupt-rate", "-0.5"}, {"corrupt-rate", "2"},
+		{"trace-capacity", "0"}, {"trace-capacity", "-4096"},
+		{"trace-sample", "-1"},
+		{"scrub-rate", "-1"},
+	} {
+		err := run(parseFlags(t, "-listen", "127.0.0.1:0", "-"+c.flag, c.v))
+		if want := "-" + c.flag + " must be"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-%s %s: run = %v, want an error containing %q", c.flag, c.v, err, want)
+		}
+	}
+	// At the ends of the ranges run gets as far as the (bad) listen address.
+	for _, args := range [][]string{
+		{"-fault-rate", "1", "-drop-rate", "1", "-corrupt-rate", "1"},
+		{"-fault-rate", "0", "-drop-rate", "0", "-corrupt-rate", "0"},
+		{"-trace-sample", "0", "-trace-capacity", "1", "-scrub-rate", "0"},
+	} {
+		err := run(parseFlags(t, append([]string{"-listen", "256.256.256.256:0"}, args...)...))
+		if err == nil || strings.Contains(err.Error(), "must be") {
+			t.Errorf("%v: run = %v, want the listen address refused", args, err)
 		}
 	}
 }

@@ -205,9 +205,9 @@ type Checkpoint struct {
 	Lattice *LatticeState
 }
 
-// WriteCheckpoint serializes a checkpoint with the same CRC framing as
+// writeCheckpoint serializes a checkpoint with the same CRC framing as
 // server snapshots, so truncation and corruption are always detected.
-func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
+func writeCheckpoint(w io.Writer, cp *Checkpoint) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(cp); err != nil {
 		return fmt.Errorf("core: encoding checkpoint: %w", err)
@@ -225,10 +225,10 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 	return nil
 }
 
-// ReadCheckpoint parses and validates a framed checkpoint. Any failure —
+// readCheckpoint parses and validates a framed checkpoint. Any failure —
 // short read, bad magic, CRC mismatch, decode error — wraps
 // ErrCorruptCheckpoint.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
+func readCheckpoint(r io.Reader) (*Checkpoint, error) {
 	header := make([]byte, 8+8+4)
 	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorruptCheckpoint, err)
@@ -280,7 +280,7 @@ func decodeCheckpoint(payload []byte) (cp *Checkpoint, err error) {
 // a crash mid-write can never leave a torn file where a previous good
 // checkpoint was, nor bring the previous one back once this call returns.
 func WriteCheckpointFile(path string, cp *Checkpoint) error {
-	return store.ReplaceFile(store.OSFS, path, ".ckpt-*.tmp", func(w io.Writer) error { return WriteCheckpoint(w, cp) })
+	return store.ReplaceFile(store.OSFS, path, ".ckpt-*.tmp", func(w io.Writer) error { return writeCheckpoint(w, cp) })
 }
 
 // ReadCheckpointFile loads a checkpoint from a file.
@@ -290,7 +290,7 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadCheckpoint(f)
+	return readCheckpoint(f)
 }
 
 // VerifyEpoch checks the resume-consistency contract against a live

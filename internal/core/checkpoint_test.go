@@ -368,9 +368,9 @@ func TestResumeEngineKindMismatch(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCheckpoint: the decoder behind ReadCheckpoint, past the CRC,
+// FuzzDecodeCheckpoint: the decoder behind readCheckpoint, past the CRC,
 // either refuses a payload with an error wrapping ErrCorruptCheckpoint or
-// returns a checkpoint that survives WriteCheckpoint → ReadCheckpoint
+// returns a checkpoint that survives writeCheckpoint → readCheckpoint
 // unchanged; it never panics. Seeded with real Or- and Ex-ORAM checkpoints
 // (whole, bit-flipped and cut) and the payloads of every fixture under
 // testdata, the refused formats' included.
@@ -378,7 +378,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	const header = 8 + 8 + 4 // magic, payload length, CRC
 	for _, cp := range fuzzCheckpoints(f) {
 		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, cp); err != nil {
+		if err := writeCheckpoint(&buf, cp); err != nil {
 			f.Fatal(err)
 		}
 		payload := buf.Bytes()[header:]
@@ -408,10 +408,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, cp); err != nil {
+		if err := writeCheckpoint(&buf, cp); err != nil {
 			t.Fatal(err)
 		}
-		again, err := ReadCheckpoint(&buf)
+		again, err := readCheckpoint(&buf)
 		if err != nil {
 			t.Fatalf("a decoded checkpoint does not read back: %v", err)
 		}

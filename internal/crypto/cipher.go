@@ -58,11 +58,11 @@ const TagSize = 16
 // ciphertexts (the property the obliviousness arguments rely on).
 const Overhead = NonceSize + TagSize
 
-// ErrCiphertextTooShort is returned by Open/Decrypt when the input cannot
+// ErrCiphertextTooShort is returned by Open and OpenTo when the input cannot
 // even hold a nonce and tag.
 var ErrCiphertextTooShort = errors.New("crypto: ciphertext shorter than nonce and tag")
 
-// ErrAuth is returned by Open/Decrypt when the authentication tag does not
+// ErrAuth is returned by Open and OpenTo when the authentication tag does not
 // verify: the ciphertext was modified, was encrypted under a different key,
 // or is being opened at a different logical location (associated data
 // mismatch) than it was sealed for.
@@ -265,28 +265,6 @@ func (c *Cipher) OpenTo(dst, ciphertext, ad []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// Encrypt is Seal with no associated data, for cells whose location is
-// authenticated elsewhere (or not at all).
-func (c *Cipher) Encrypt(plaintext []byte) ([]byte, error) {
-	return c.Seal(plaintext, nil)
-}
-
-// Decrypt reverses Encrypt, verifying the authentication tag.
-func (c *Cipher) Decrypt(ciphertext []byte) ([]byte, error) {
-	return c.Open(ciphertext, nil)
-}
-
-// ReEncrypt decrypts and re-encrypts a ciphertext under a fresh nonce. The
-// protocols call this on every value written back to the server so that read
-// and written ciphertexts are always distinct (§III-C).
-func (c *Cipher) ReEncrypt(ciphertext []byte) ([]byte, error) {
-	pt, err := c.Decrypt(ciphertext)
-	if err != nil {
-		return nil, err
-	}
-	return c.Encrypt(pt)
-}
-
 // PRF evaluates a pseudorandom function (HMAC-SHA256, truncated to 8 bytes)
 // on the given message. The client uses it to derive fixed-width block
 // identifiers from arbitrary cell values.
@@ -294,24 +272,4 @@ func (c *Cipher) PRF(msg []byte) uint64 {
 	h := hmac.New(sha256.New, c.mac)
 	h.Write(msg)
 	return binary.BigEndian.Uint64(h.Sum(nil))
-}
-
-// EncryptUint64 encrypts an integer as a fixed 8-byte plaintext, so all
-// integer ciphertexts are the same length regardless of value.
-func (c *Cipher) EncryptUint64(v uint64) ([]byte, error) {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	return c.Encrypt(buf[:])
-}
-
-// DecryptUint64 reverses EncryptUint64.
-func (c *Cipher) DecryptUint64(ct []byte) (uint64, error) {
-	pt, err := c.Decrypt(ct)
-	if err != nil {
-		return 0, err
-	}
-	if len(pt) != 8 {
-		return 0, fmt.Errorf("crypto: integer plaintext has %d bytes, want 8", len(pt))
-	}
-	return binary.BigEndian.Uint64(pt), nil
 }

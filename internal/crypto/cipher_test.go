@@ -35,16 +35,16 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 		bytes.Repeat([]byte{0xAB}, 4096),
 	}
 	for _, pt := range cases {
-		ct, err := c.Encrypt(pt)
+		ct, err := c.Seal(pt, nil)
 		if err != nil {
-			t.Fatalf("Encrypt(%d bytes): %v", len(pt), err)
+			t.Fatalf("Seal(%d bytes): %v", len(pt), err)
 		}
 		if len(ct) != len(pt)+Overhead {
 			t.Errorf("ciphertext length = %d, want %d", len(ct), len(pt)+Overhead)
 		}
-		got, err := c.Decrypt(ct)
+		got, err := c.Open(ct, nil)
 		if err != nil {
-			t.Fatalf("Decrypt: %v", err)
+			t.Fatalf("Open: %v", err)
 		}
 		if !bytes.Equal(got, pt) {
 			t.Errorf("round trip mismatch: got %q want %q", got, pt)
@@ -55,11 +55,11 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 func TestEncryptRandomized(t *testing.T) {
 	c := newTestCipher(t)
 	pt := []byte("same plaintext")
-	ct1, err := c.Encrypt(pt)
+	ct1, err := c.Seal(pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct2, err := c.Encrypt(pt)
+	ct2, err := c.Seal(pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,33 +68,10 @@ func TestEncryptRandomized(t *testing.T) {
 	}
 }
 
-func TestReEncryptChangesBytesKeepsPlaintext(t *testing.T) {
-	c := newTestCipher(t)
-	pt := []byte("re-encrypt me")
-	ct, err := c.Encrypt(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct2, err := c.ReEncrypt(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(ct, ct2) {
-		t.Error("re-encryption did not change ciphertext bytes")
-	}
-	got, err := c.Decrypt(ct2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pt) {
-		t.Errorf("re-encrypted plaintext = %q, want %q", got, pt)
-	}
-}
-
 func TestDecryptTooShort(t *testing.T) {
 	c := newTestCipher(t)
-	if _, err := c.Decrypt([]byte{1, 2, 3}); err == nil {
-		t.Error("Decrypt on short input succeeded, want error")
+	if _, err := c.Open([]byte{1, 2, 3}, nil); !errors.Is(err, ErrCiphertextTooShort) {
+		t.Errorf("Open on short input: err = %v, want ErrCiphertextTooShort", err)
 	}
 }
 
@@ -102,11 +79,11 @@ func TestDifferentKeysDisagree(t *testing.T) {
 	c1 := newTestCipher(t)
 	c2 := newTestCipher(t)
 	pt := []byte("cross-key")
-	ct, err := c1.Encrypt(pt)
+	ct, err := c1.Seal(pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Decrypt(ct); !errors.Is(err, ErrAuth) {
+	if _, err := c2.Open(ct, nil); !errors.Is(err, ErrAuth) {
 		t.Errorf("decryption under wrong key: err = %v, want ErrAuth", err)
 	}
 }
@@ -114,7 +91,7 @@ func TestDifferentKeysDisagree(t *testing.T) {
 func TestTamperedCiphertextRejected(t *testing.T) {
 	c := newTestCipher(t)
 	pt := []byte("authenticated cell value")
-	ct, err := c.Encrypt(pt)
+	ct, err := c.Seal(pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +100,12 @@ func TestTamperedCiphertextRejected(t *testing.T) {
 	for i := range ct {
 		mutated := bytes.Clone(ct)
 		mutated[i] ^= 0x01
-		if _, err := c.Decrypt(mutated); !errors.Is(err, ErrAuth) {
+		if _, err := c.Open(mutated, nil); !errors.Is(err, ErrAuth) {
 			t.Fatalf("bit flip at byte %d: err = %v, want ErrAuth", i, err)
 		}
 	}
 	// Truncation is rejected too.
-	if _, err := c.Decrypt(ct[:Overhead-1]); err == nil {
+	if _, err := c.Open(ct[:Overhead-1], nil); err == nil {
 		t.Error("truncated ciphertext decrypted successfully")
 	}
 }
@@ -207,30 +184,6 @@ func TestIntegrityCounters(t *testing.T) {
 	}
 }
 
-func TestUint64RoundTrip(t *testing.T) {
-	c := newTestCipher(t)
-	f := func(v uint64) bool {
-		ct, err := c.EncryptUint64(v)
-		if err != nil {
-			return false
-		}
-		got, err := c.DecryptUint64(ct)
-		return err == nil && got == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUint64FixedLength(t *testing.T) {
-	c := newTestCipher(t)
-	ct0, _ := c.EncryptUint64(0)
-	ctMax, _ := c.EncryptUint64(^uint64(0))
-	if len(ct0) != len(ctMax) {
-		t.Errorf("integer ciphertext lengths differ: %d vs %d", len(ct0), len(ctMax))
-	}
-}
-
 func TestPRFDeterministicAndSpread(t *testing.T) {
 	c := newTestCipher(t)
 	a := c.PRF([]byte("alpha"))
@@ -250,11 +203,11 @@ func TestPRFDeterministicAndSpread(t *testing.T) {
 func TestEncryptRoundTripProperty(t *testing.T) {
 	c := newTestCipher(t)
 	f := func(pt []byte) bool {
-		ct, err := c.Encrypt(pt)
+		ct, err := c.Seal(pt, nil)
 		if err != nil {
 			return false
 		}
-		got, err := c.Decrypt(ct)
+		got, err := c.Open(ct, nil)
 		return err == nil && bytes.Equal(got, pt)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -297,24 +250,13 @@ func TestUnpadCorrupt(t *testing.T) {
 func TestMustHelpers(t *testing.T) {
 	key := MustNewKey()
 	c := MustNewCipher(key)
-	ct, err := c.Encrypt([]byte("x"))
+	ct, err := c.Seal([]byte("x"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := c.Decrypt(ct)
+	pt, err := c.Open(ct, nil)
 	if err != nil || string(pt) != "x" {
 		t.Errorf("Must-constructed cipher broken: %q, %v", pt, err)
-	}
-}
-
-func TestDecryptUint64BadLength(t *testing.T) {
-	c := newTestCipher(t)
-	ct, err := c.Encrypt([]byte("short"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.DecryptUint64(ct); err == nil {
-		t.Error("DecryptUint64 accepted a 5-byte plaintext")
 	}
 }
 

@@ -437,12 +437,6 @@ func (o *ORAM) Capacity() int { return o.capacity }
 // ValueWidth returns the fixed value width.
 func (o *ORAM) ValueWidth() int { return o.valueWidth }
 
-// StashSize returns the current number of stashed blocks.
-func (o *ORAM) StashSize() int { return len(o.stash) }
-
-// MaxStashSize returns the stash high-water mark since Setup.
-func (o *ORAM) MaxStashSize() int { return o.maxStash }
-
 // StashLimit returns the configured stash bound.
 func (o *ORAM) StashLimit() int { return o.stashLimit }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -222,17 +223,17 @@ func TestStashBound(t *testing.T) {
 			t.Fatalf("Read: %v", err)
 		}
 	}
-	if o.MaxStashSize() > o.StashLimit() {
-		t.Errorf("stash high-water %d exceeded limit %d", o.MaxStashSize(), o.StashLimit())
+	if o.maxStash > o.StashLimit() {
+		t.Errorf("stash high-water %d exceeded limit %d", o.maxStash, o.StashLimit())
 	}
 	// With these seeds the mark has been 23 in every run, under the
 	// level-by-level eviction and under the one-pass eviction alike (how many
 	// blocks an eviction places does not depend on which eligible ones it
 	// picks). An eviction that places fewer shows up here.
-	if o.MaxStashSize() > 23 {
-		t.Errorf("stash high-water %d, was 23 before eviction changed", o.MaxStashSize())
+	if o.maxStash > 23 {
+		t.Errorf("stash high-water %d, was 23 before eviction changed", o.maxStash)
 	}
-	t.Logf("stash high-water mark %d (limit %d)", o.MaxStashSize(), o.StashLimit())
+	t.Logf("stash high-water mark %d (limit %d)", o.maxStash, o.StashLimit())
 }
 
 // TestAccessPatternIndistinguishable checks Definition 4's core demand: a
@@ -486,7 +487,7 @@ func TestNonDefaultParameters(t *testing.T) {
 			t.Fatalf("Read(%s) = %v,%v,%v want %d", k, v, found, err, b)
 		}
 	}
-	t.Logf("Z=2 stash high-water: %d (limit %d)", o.MaxStashSize(), o.StashLimit())
+	t.Logf("Z=2 stash high-water: %d (limit %d)", o.maxStash, o.StashLimit())
 }
 
 func TestAccessors(t *testing.T) {
@@ -503,8 +504,8 @@ func TestAccessors(t *testing.T) {
 	if err := o.Write("k", val(8, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if o.StashSize() < 0 || o.StashSize() > o.StashLimit() {
-		t.Errorf("StashSize = %d", o.StashSize())
+	if len(o.stash) > o.StashLimit() {
+		t.Errorf("stash holds %d blocks", len(o.stash))
 	}
 }
 
@@ -701,8 +702,8 @@ func TestHeavySameKeyWorkload(t *testing.T) {
 	if o.Len() != 1 {
 		t.Errorf("Len = %d", o.Len())
 	}
-	if o.MaxStashSize() > o.StashLimit() {
-		t.Errorf("stash %d exceeded limit %d", o.MaxStashSize(), o.StashLimit())
+	if o.maxStash > o.StashLimit() {
+		t.Errorf("stash %d exceeded limit %d", o.maxStash, o.StashLimit())
 	}
 }
 
@@ -817,10 +818,11 @@ func TestStoreConformanceRandomWorkload(t *testing.T) {
 // fresh keys at a time, then n accesses in batches of random live keys, half
 // reads and half writes. It runs at r = 64, the engines' chunk, which evicts
 // along the union of its paths, and at r = 1, the textbook access a direct
-// Read or Update makes. That is most of a minute of AES; under -short, and
-// under the race detector, which has no goroutines to watch here, it stops at
-// 2^11. The high-water marks are in DESIGN.md §10 and EXPERIMENTS.md ("Tree
-// shape").
+// Read or Update makes. Each (r, n) is a group whose seeds run as parallel
+// subtests; the group's maxima are logged once its seeds finish. That is most
+// of a minute of AES on one core; under -short, and under the race detector,
+// it stops at 2^11. The high-water marks are in DESIGN.md §10 and
+// EXPERIMENTS.md ("Tree shape").
 func TestBatchedStashBound(t *testing.T) {
 	top := 15
 	if testing.Short() || raceEnabled {
@@ -829,44 +831,19 @@ func TestBatchedStashBound(t *testing.T) {
 	for _, c := range []struct{ r, seeds int }{{64, 20}, {1, 4}} {
 		for lg := 10; lg <= top; lg++ {
 			n := 1 << lg
+			var mu sync.Mutex
 			high, inBatch := 0, 0
-			for seed := int64(1); seed <= int64(c.seeds); seed++ {
-				o, err := Setup(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
-					Capacity: n, KeyWidth: 8, ValueWidth: 8, Seed: seed,
-				})
-				if err != nil {
-					t.Fatal(err)
+			t.Run(fmt.Sprintf("r=%d/n=2^%d", c.r, lg), func(t *testing.T) {
+				for seed := int64(1); seed <= int64(c.seeds); seed++ {
+					t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+						t.Parallel()
+						h, b := stashHighWater(t, c.r, n, seed)
+						mu.Lock()
+						high, inBatch = max(high, h), max(inBatch, b)
+						mu.Unlock()
+					})
 				}
-				rng := rand.New(rand.NewSource(seed))
-				p := NewPipeline(o.svc)
-				accesses := make([]Access, c.r)
-				v := val(8, 1)
-				write := func([]byte, bool) ([]byte, bool) { return v, true }
-				read := func(old []byte, found bool) ([]byte, bool) { return old, found }
-				for i := 0; i < 2*n; i += c.r {
-					for j := range accesses {
-						k := i + j // a fresh key while filling
-						if i >= n {
-							k = rng.Intn(n)
-						}
-						accesses[j] = Access{Store: o, Key: strconv.Itoa(k), Fn: write}
-						if i >= n && (i+j)%2 == 0 {
-							accesses[j].Fn = read
-						}
-					}
-					if err := p.Do(accesses...); err != nil {
-						t.Fatalf("r = %d, n = %d, seed %d, access %d: %v", c.r, n, seed, i, err)
-					}
-					high = max(high, o.StashSize())
-				}
-				if err := p.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				if o.Len() != n {
-					t.Fatalf("r = %d, n = %d, seed %d: %d keys live", c.r, n, seed, o.Len())
-				}
-				inBatch = max(inBatch, o.MaxStashSize())
-			}
+			})
 			limit := DefaultStashFactor * lg
 			if high > limit {
 				t.Errorf("r = %d, n = 2^%d: stash after a batch reached %d, over the limit %d", c.r, lg, high, limit)
@@ -874,4 +851,44 @@ func TestBatchedStashBound(t *testing.T) {
 			t.Logf("r = %d, n = 2^%d: stash after a batch at most %d over %d seeds (limit %d); before eviction at most %d", c.r, lg, high, c.seeds, limit, inBatch)
 		}
 	}
+}
+
+// stashHighWater runs one seed of TestBatchedStashBound: it returns the
+// largest stash left after a batch and the largest stash before eviction.
+func stashHighWater(t *testing.T, r, n int, seed int64) (afterBatch, inBatch int) {
+	o, err := Setup(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
+		Capacity: n, KeyWidth: 8, ValueWidth: 8, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	p := NewPipeline(o.svc)
+	accesses := make([]Access, r)
+	v := val(8, 1)
+	write := func([]byte, bool) ([]byte, bool) { return v, true }
+	read := func(old []byte, found bool) ([]byte, bool) { return old, found }
+	for i := 0; i < 2*n; i += r {
+		for j := range accesses {
+			k := i + j // a fresh key while filling
+			if i >= n {
+				k = rng.Intn(n)
+			}
+			accesses[j] = Access{Store: o, Key: strconv.Itoa(k), Fn: write}
+			if i >= n && (i+j)%2 == 0 {
+				accesses[j].Fn = read
+			}
+		}
+		if err := p.Do(accesses...); err != nil {
+			t.Fatalf("r = %d, n = %d, seed %d, access %d: %v", r, n, seed, i, err)
+		}
+		afterBatch = max(afterBatch, len(o.stash))
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if o.Len() != n {
+		t.Fatalf("r = %d, n = %d, seed %d: %d keys live", r, n, seed, o.Len())
+	}
+	return afterBatch, o.maxStash
 }

@@ -88,10 +88,10 @@ func (c SpanContext) Wire() [WireSize]byte {
 	return b
 }
 
-// FromWire decodes a frame header produced by Wire. Unknown versions and
-// contexts with a zero trace ID decode to the zero (invalid) context.
+// FromWire decodes a frame header produced by Wire; any header Wire cannot
+// produce (unknown version, reserved flag bit, zero trace) is the zero context.
 func FromWire(b [WireSize]byte) SpanContext {
-	if b[0] != wireVersion {
+	if b[0] != wireVersion || b[25]&^wireFlagSampled != 0 {
 		return SpanContext{}
 	}
 	var c SpanContext

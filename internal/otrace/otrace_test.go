@@ -47,6 +47,32 @@ func TestWireZeroContext(t *testing.T) {
 	}
 }
 
+// FuzzFromWire: any 26 bytes decode either to the zero context or to a
+// context whose Wire() is exactly those bytes — a header is never half
+// understood.
+func FuzzFromWire(f *testing.F) {
+	ctx := SpanContext{Trace: TraceID{1, 2, 3}, Span: SpanID{4, 5}, Sampled: true}
+	unsampled := ctx
+	unsampled.Sampled = false
+	unknownVersion := ctx.Wire()
+	unknownVersion[0] = 99
+	reservedFlag := unsampled.Wire()
+	reservedFlag[25] = 0x02
+	for _, b := range [][WireSize]byte{SpanContext{}.Wire(), ctx.Wire(), unsampled.Wire(), unknownVersion, reservedFlag} {
+		f.Add(b[:])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) != WireSize {
+			return
+		}
+		b := [WireSize]byte(in)
+		c := FromWire(b)
+		if c != (SpanContext{}) && c.Wire() != b {
+			t.Fatalf("FromWire(%x) = %+v, which encodes as %x", b, c, c.Wire())
+		}
+	})
+}
+
 func TestWireSizeMatchesLayout(t *testing.T) {
 	if WireSize != 1+16+8+1 {
 		t.Fatalf("WireSize = %d, want 26", WireSize)

@@ -60,9 +60,6 @@ func (s AttrSet) Minus(t AttrSet) AttrSet { return s &^ t }
 // Contains reports whether t ⊆ s.
 func (s AttrSet) Contains(t AttrSet) bool { return s&t == t }
 
-// ProperSubsetOf reports whether s ⊊ t.
-func (s AttrSet) ProperSubsetOf(t AttrSet) bool { return t.Contains(s) && s != t }
-
 // Size returns |s|.
 func (s AttrSet) Size() int { return bits.OnesCount64(uint64(s)) }
 

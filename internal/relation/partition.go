@@ -1,55 +1,19 @@
 package relation
 
 // Partition is the plaintext partition π_X of a relation under an attribute
-// set X (§II-C): rows grouped into equivalence classes by their value of X.
-// It is used by the baseline discoverer and as a correctness oracle; the
-// secure protocols never materialize it in plaintext on the server.
+// set X (§II-C), kept as its class count: the FD check |π_X| = |π_{X∪Y}|
+// reads nothing else. It is the tests' correctness oracle; the secure
+// protocols never materialize it in plaintext on the server.
 type Partition struct {
-	// Labels assigns every row the index of its equivalence class, in
-	// first-appearance order. len(Labels) == n.
-	Labels []int
 	// Classes is the number of distinct equivalence classes, |π_X|.
 	Classes int
 }
 
 // PartitionOf computes π_X for the relation by hashing projected values.
 func PartitionOf(r *Relation, x AttrSet) Partition {
-	labels := make([]int, r.NumRows())
-	seen := make(map[string]int, r.NumRows())
-	next := 0
+	classes := make(map[string]struct{}, r.NumRows())
 	for i := 0; i < r.NumRows(); i++ {
-		k := r.ProjectKey(i, x)
-		lbl, ok := seen[k]
-		if !ok {
-			lbl = next
-			next++
-			seen[k] = lbl
-		}
-		labels[i] = lbl
+		classes[r.ProjectKey(i, x)] = struct{}{}
 	}
-	return Partition{Labels: labels, Classes: next}
-}
-
-// Refine computes the partition of X1 ∪ X2 from the partitions of X1 and X2
-// using the label-pair product, mirroring the attribute-compression trick
-// (§IV-B): the pair (label_{X1}, label_{X2}) identifies the combined value.
-func Refine(p1, p2 Partition) Partition {
-	n := len(p1.Labels)
-	if len(p2.Labels) != n {
-		panic("relation: Refine on partitions of different sizes")
-	}
-	labels := make([]int, n)
-	seen := make(map[[2]int]int, n)
-	next := 0
-	for i := 0; i < n; i++ {
-		k := [2]int{p1.Labels[i], p2.Labels[i]}
-		lbl, ok := seen[k]
-		if !ok {
-			lbl = next
-			next++
-			seen[k] = lbl
-		}
-		labels[i] = lbl
-	}
-	return Partition{Labels: labels, Classes: next}
+	return Partition{Classes: len(classes)}
 }

@@ -160,18 +160,6 @@ func (r *Relation) Clone() *Relation {
 	return &Relation{schema: r.schema, rows: rows}
 }
 
-// Sample returns a new relation holding the first n rows (or all rows if the
-// relation is smaller). The paper samples 2^13 rows per dataset for the
-// obliviousness experiment (§VII-B).
-func (r *Relation) Sample(n int) *Relation {
-	if n > len(r.rows) {
-		n = len(r.rows)
-	}
-	rows := make([]Row, n)
-	copy(rows, r.rows[:n])
-	return &Relation{schema: r.schema, rows: rows}
-}
-
 // ByteSize returns the total plaintext payload size in bytes (sum of cell
 // value lengths), matching Table I's "Size" column semantics.
 func (r *Relation) ByteSize() int {

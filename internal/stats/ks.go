@@ -94,18 +94,3 @@ func Mean(samples []float64) float64 {
 	}
 	return sum / float64(len(samples))
 }
-
-// StdDev returns the sample standard deviation (n-1 denominator), or 0 for
-// fewer than two samples.
-func StdDev(samples []float64) float64 {
-	if len(samples) < 2 {
-		return 0
-	}
-	m := Mean(samples)
-	sum := 0.0
-	for _, s := range samples {
-		d := s - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(samples)-1))
-}

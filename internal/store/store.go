@@ -360,19 +360,11 @@ func (s *Server) objectLocked(name, kind string) (*object, error) {
 	return nil, fmt.Errorf("%w: %s %q", ErrUnknownObject, kind, name)
 }
 
-// Reveals returns the public values the client has disclosed since the last
-// recorder reset.
+// Reveals returns the public values the client has disclosed, oldest first.
 func (s *Server) Reveals() []Reveal {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return append([]Reveal(nil), s.reveals...)
-}
-
-// ResetReveals clears the reveal log.
-func (s *Server) ResetReveals() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reveals = nil
 }
 
 // maxCells bounds the cells of one object (an array's cells, a tree's
@@ -607,13 +599,10 @@ func (s *Server) CheckpointNS(db string, epoch int64) error {
 }
 
 // Epoch returns the root namespace's last client-marked recovery epoch.
-func (s *Server) Epoch() int64 { return s.EpochNS("") }
-
-// EpochNS returns a namespace's last client-marked recovery epoch.
-func (s *Server) EpochNS(db string) int64 {
+func (s *Server) Epoch() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if m, ok := s.marks[db]; ok {
+	if m, ok := s.marks[""]; ok {
 		return m.epoch
 	}
 	return 0

@@ -301,10 +301,6 @@ func TestRevealLog(t *testing.T) {
 	if len(got) != 2 || got[0] != (Reveal{"fd", 1}) || got[1] != (Reveal{"fd", 0}) {
 		t.Errorf("Reveals = %v", got)
 	}
-	s.ResetReveals()
-	if len(s.Reveals()) != 0 {
-		t.Error("ResetReveals did not clear log")
-	}
 }
 
 func TestConcurrentDisjointCellAccess(t *testing.T) {

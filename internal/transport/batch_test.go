@@ -67,7 +67,7 @@ func TestTCPBatchError(t *testing.T) {
 // TestPoolBatch routes a batch through the connection pool.
 func TestPoolBatch(t *testing.T) {
 	addr := startPoolServer(t)
-	p, err := DialPool(addr, 2)
+	p, err := DialPoolWith(addr, 2, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,6 @@ type Pool struct {
 	sharedReconnects *telemetry.Counter
 }
 
-// DialPool opens size connections to a transport server with the default
-// configuration.
-func DialPool(addr string, size int) (*Pool, error) {
-	return DialPoolWith(addr, size, DefaultClientConfig())
-}
-
 // DialPoolWith opens size connections with an explicit configuration.
 func DialPoolWith(addr string, size int, cfg ClientConfig) (*Pool, error) {
 	if size < 1 {

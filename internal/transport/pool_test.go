@@ -26,7 +26,7 @@ func startPoolServer(t testing.TB) string {
 
 func TestPoolBasicOps(t *testing.T) {
 	addr := startPoolServer(t)
-	p, err := DialPool(addr, 4)
+	p, err := DialPoolWith(addr, 4, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestPoolBasicOps(t *testing.T) {
 }
 
 func TestDialPoolBadAddr(t *testing.T) {
-	if _, err := DialPool("127.0.0.1:1", 2); err == nil {
+	if _, err := DialPoolWith("127.0.0.1:1", 2, DefaultClientConfig()); err == nil {
 		t.Error("dial to closed port succeeded")
 	}
 }
@@ -96,7 +96,7 @@ func TestPoolParallelThroughput(t *testing.T) {
 	addr := l.Addr().String()
 	const calls = 200
 
-	seqPool, err := DialPool(addr, 1)
+	seqPool, err := DialPoolWith(addr, 1, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPoolParallelThroughput(t *testing.T) {
 	}
 	sequential := time.Since(start)
 
-	parPool, err := DialPool(addr, 8)
+	parPool, err := DialPoolWith(addr, 8, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

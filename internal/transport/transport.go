@@ -231,8 +231,8 @@ func dispatch(svc store.Service, req *request) *response {
 type ClientConfig struct {
 	// CallTimeout is the read/write deadline applied to the connection for
 	// each call (default 2m; negative disables). A call that exceeds it
-	// fails with a timeout, the connection is torn down, and — when the
-	// client knows its dial address — the next call re-dials.
+	// fails with a timeout, the connection is torn down, and the next call
+	// re-dials.
 	CallTimeout time.Duration
 	// DialTimeout bounds each (re-)dial (default 10s).
 	DialTimeout time.Duration
@@ -287,12 +287,12 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 }
 
 // Client is a store.Service proxy over one TCP connection. It is safe for
-// concurrent use; calls are serialized on the connection. When created by
-// Dial it re-dials: a call that finds no live connection dials once before
-// it is sent. It never sends a call twice (see the package comment).
+// concurrent use; calls are serialized on the connection. It re-dials: a
+// call that finds no live connection dials once before it is sent. It never
+// sends a call twice (see the package comment).
 type Client struct {
 	store.Adapter
-	addr string // empty when wrapped around a raw conn (no re-dial)
+	addr string
 	cfg  ClientConfig
 
 	mu     sync.Mutex
@@ -331,21 +331,6 @@ func DialWith(addr string, cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// NewClient wraps an established connection. A client built this way does
-// not know its peer's address and therefore cannot re-dial: once its
-// connection breaks, every call fails (this is the seed behaviour, kept for
-// tests and custom conn types).
-func NewClient(conn net.Conn) *Client {
-	c := &Client{
-		cfg:        ClientConfig{CallTimeout: -1},
-		conn:       conn,
-		fc:         newFrameConn(conn),
-		reconnects: telemetry.NewCounter(),
-	}
-	c.Adapter = store.Adapt(c.handle)
-	return c
 }
 
 // Close shuts the connection down.
@@ -451,13 +436,11 @@ func (c *Client) call(req *request) (*response, error) {
 		defer c.lat[req.Kind].ObserveSince(time.Now())
 	}
 	if c.conn == nil {
-		if c.addr == "" {
-			return nil, fmt.Errorf("transport: connection lost, no address to re-dial: %w", ErrClosed)
-		}
 		err := c.connectLocked()
-		if !errors.Is(err, errDialFailed) {
-			c.reconnects.Inc()
+		if errors.Is(err, errDialFailed) {
+			return nil, err
 		}
+		c.reconnects.Inc() // the dial reached the server, whatever its handshake said
 		if err != nil {
 			return nil, err
 		}
