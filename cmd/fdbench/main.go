@@ -139,6 +139,17 @@ func experimentNames() string {
 }
 
 func run(p params) error {
+	// A size of 0 would never end a sweep (n *= 2 stays 0), 0 databases
+	// would divide by zero, and a negative count means nothing: refuse them
+	// all before any experiment runs.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rows", p.rows}, {"runs", p.runs}, {"minn", p.minn}, {"maxn", p.maxn}, {"fig6a-n", p.fign}, {"dbs", p.dbs}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
+		}
+	}
 	ran := 0
 	for _, e := range experiments {
 		if p.exp != "all" && p.exp != e.name {

@@ -87,6 +87,37 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNonPositiveSizes: every size or count flag below 1 is refused
+// by name before any experiment runs — -minn 0 used to double 0 forever in
+// sweep, growing its slice until memory ran out, and -dbs 0 divided by zero
+// in the multitenant experiment — and 1 is accepted.
+func TestRunRefusesNonPositiveSizes(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		set  func(*params, int)
+	}{
+		{"rows", func(p *params, v int) { p.rows = v }},
+		{"runs", func(p *params, v int) { p.runs = v }},
+		{"minn", func(p *params, v int) { p.minn = v }},
+		{"maxn", func(p *params, v int) { p.maxn = v }},
+		{"fig6a-n", func(p *params, v int) { p.fign = v }},
+		{"dbs", func(p *params, v int) { p.dbs = v }},
+	} {
+		for _, v := range []int{0, -1} {
+			p := tiny("table3")
+			c.set(&p, v)
+			if err := run(p); err == nil || !strings.Contains(err.Error(), "-"+c.flag+" must be positive") {
+				t.Errorf("-%s %d: run = %v, want it refused by name", c.flag, v, err)
+			}
+		}
+	}
+	p := tiny("table3")
+	p.rows, p.runs, p.minn, p.maxn, p.fign, p.dbs = 1, 1, 1, 1, 1, 1
+	if err := run(p); err != nil {
+		t.Errorf("every size 1: %v", err)
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	err := run(tiny("bogus"))
 	if err == nil {

@@ -327,6 +327,14 @@ func run(path string, o options) error {
 		return fmt.Errorf("-fault-rate must be between 0 and 1, got %v", o.faultRate)
 	case !(o.corruptRate >= 0 && o.corruptRate <= 1):
 		return fmt.Errorf("-corrupt-rate must be between 0 and 1, got %v", o.corruptRate)
+	case o.workers < 0:
+		return fmt.Errorf("-workers must be at least 0 (0 = one per core), got %d", o.workers)
+	case o.retries < 0:
+		return fmt.Errorf("-retries must be at least 0 (0 = default policy), got %d", o.retries)
+	case o.rtt < 0:
+		return fmt.Errorf("-rtt must be at least 0, got %v", o.rtt)
+	case o.maxLHS < 0:
+		return fmt.Errorf("-max-lhs must be at least 0 (0 = unbounded), got %d", o.maxLHS)
 	}
 	log := newLogger(o.logJSON)
 	protocol, err := securefd.ParseProtocol(o.protoName)

@@ -71,13 +71,16 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunRefusesOutOfRangeRates: a fault or corruption rate outside 0..1 is
-// refused at startup by name, never clamped; a rate of 1 is accepted.
+// TestRunRefusesOutOfRangeRates: a fault or corruption rate outside 0..1,
+// and a negative worker count, retry count, RTT or determinant bound, is
+// refused at startup by name, never clamped; each end of every range is
+// accepted.
 func TestRunRefusesOutOfRangeRates(t *testing.T) {
 	csv := writeCSV(t)
 	for _, c := range []struct{ flag, v string }{
 		{"fault-rate", "-0.01"}, {"fault-rate", "2"}, {"fault-rate", "NaN"},
 		{"corrupt-rate", "-1"}, {"corrupt-rate", "1.5"},
+		{"workers", "-1"}, {"retries", "-1"}, {"rtt", "-1ms"}, {"max-lhs", "-1"},
 	} {
 		var o options
 		fs := flag.NewFlagSet("fddiscover", flag.ContinueOnError)
@@ -90,10 +93,19 @@ func TestRunRefusesOutOfRangeRates(t *testing.T) {
 			t.Errorf("-%s %s: run = %v, want an error containing %q", c.flag, c.v, err, want)
 		}
 	}
-	o := quietOpts("plaintext")
-	o.faultRate, o.corruptRate = 1, 1
-	if _, err := captureStdout(t, func() error { return run(csv, o) }); err != nil {
-		t.Errorf("rates 1: %v", err)
+	for _, args := range [][]string{
+		{"-fault-rate", "1", "-corrupt-rate", "1"},
+		{"-workers", "0", "-retries", "0", "-rtt", "0", "-max-lhs", "0"},
+	} {
+		var o options
+		fs := flag.NewFlagSet("fddiscover", flag.ContinueOnError)
+		registerFlags(fs, &o)
+		if err := fs.Parse(append([]string{"-quiet", "-protocol", "plaintext"}, args...)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := captureStdout(t, func() error { return run(csv, o) }); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
 	}
 }
 

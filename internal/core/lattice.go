@@ -76,10 +76,12 @@ type Options struct {
 	// one "candidate/single" or "candidate/union" span around each
 	// Materialize call — a whole level's partitions. Span NN covers the
 	// ascent from level NN: level-00 builds the singletons from ∅, level-NN
-	// checks level NN and builds level NN+1. The running span is bound to
-	// the traversal goroutine, so transport RPC spans (and, through the wire
-	// context, server-side store and replication spans) nest causally under
-	// it; the tracer's Phases total them per name. Spans observe only wall
+	// checks level NN and builds level NN+1. The running span is the
+	// tracer's current span (otrace.Tracer.SetCurrent), so transport RPC
+	// spans from every worker (and, through the wire context, server-side
+	// store and replication spans) nest causally under it; the tracer's
+	// Phases total them per name. A tracer follows one traversal at a time:
+	// give concurrent Discover calls a tracer each. Spans observe only wall
 	// time over server-visible work — no oblivious accesses of their own and
 	// no change to any frame's size (DESIGN.md §9, §14).
 	Trace *otrace.Tracer
@@ -118,40 +120,35 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 	if m < 1 || m > relation.MaxAttrs {
 		return nil, fmt.Errorf("core: attribute count %d out of range", m)
 	}
+	if opts.MaxLHS < 0 {
+		return nil, fmt.Errorf("core: MaxLHS %d is negative (0 searches every determinant size)", opts.MaxLHS)
+	}
 	n := engine.NumRows()
 	if n < 1 {
 		return nil, fmt.Errorf("core: empty database")
 	}
 
 	// Causal spans: one root for the whole traversal, one child per level.
-	// The running level's span stays bound to this goroutine so everything
-	// the engine does for it — client RPC spans, and through the wire
-	// context the server's own spans — links under it. Nil tracer: every
-	// call below is a no-op. An aborting error path leaves the running
-	// level's span unrecorded while the deferred cleanup still ends the
-	// root and keeps the goroutine binding balanced.
+	// The running span is the tracer's current span, so everything the
+	// engine does for it — client RPC spans from every worker, and through
+	// the wire context the server's own spans — links under it. Nil tracer:
+	// every call below is a no-op. An aborting error path leaves the running
+	// level's span unrecorded while the deferred cleanup still ends the root
+	// and restores the tracer's current span.
 	otr := opts.Trace
 	dsp := otr.Start("discover")
-	releaseRoot := dsp.Bind()
+	outer := otr.SetCurrent(dsp.Context())
 	var lsp *otrace.Span
-	var releaseLevel func()
 	beginLevel := func(name string) {
 		lsp = otr.Start(name)
-		releaseLevel = lsp.Bind()
+		otr.SetCurrent(lsp.Context())
 	}
 	endLevel := func() {
-		if releaseLevel != nil {
-			releaseLevel()
-			releaseLevel = nil
-		}
+		otr.SetCurrent(dsp.Context())
 		lsp.End()
-		lsp = nil
 	}
 	defer func() {
-		if releaseLevel != nil {
-			releaseLevel()
-		}
-		releaseRoot()
+		otr.SetCurrent(outer)
 		dsp.End()
 	}()
 
@@ -169,9 +166,9 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 			return nil
 		}
 		csp := otr.Start("candidate/" + kind)
-		creleased := csp.Bind()
+		up := otr.SetCurrent(csp.Context())
 		cards, err := engine.Materialize(reqs, workers)
-		creleased()
+		otr.SetCurrent(up)
 		csp.End()
 		if err != nil {
 			return describeIntegrity(err, l)
@@ -241,6 +238,9 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		}
 		if rs.NextLevel < 1 {
 			return nil, fmt.Errorf("%w: next level %d", ErrCorruptCheckpoint, rs.NextLevel)
+		}
+		if rs.MaxLHS < 0 {
+			return nil, fmt.Errorf("%w: MaxLHS %d", ErrCorruptCheckpoint, rs.MaxLHS)
 		}
 		opts.MaxLHS = rs.MaxLHS
 		opts.KeepPartitions = rs.KeepPartitions

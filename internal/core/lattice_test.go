@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/baseline"
@@ -166,6 +167,30 @@ func TestDiscoverMaxLHS(t *testing.T) {
 	for _, fd := range res.Minimal {
 		if fd.LHS.Size() > 1 {
 			t.Errorf("superkey harvest leaked %v past MaxLHS=1", fd)
+		}
+	}
+}
+
+// TestDiscoverRefusesNegativeMaxLHS: a negative bound used to skip the
+// superkey harvest without bounding the levels, so discovery on this
+// relation returned only c → b (losing a → b and a → c, harvested from the
+// key a) and no error.
+func TestDiscoverRefusesNegativeMaxLHS(t *testing.T) {
+	rel := relation.MustFromRows(relation.MustNewSchema("a", "b", "c"), []relation.Row{
+		{"1", "x", "p"}, {"2", "x", "p"}, {"3", "y", "q"}, {"4", "y", "r"},
+	})
+	res, err := Discover(NewPlainEngine(rel), 3, &Options{MaxLHS: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := relation.SingleAttr(0), relation.SingleAttr(1), relation.SingleAttr(2)
+	want := []relation.FD{{LHS: a, RHS: b}, {LHS: a, RHS: c}, {LHS: c, RHS: b}}
+	if !relation.FDSetEqual(res.Minimal, want) {
+		t.Fatalf("MaxLHS=0 minimal = %v, want %v", res.Minimal, want)
+	}
+	for _, bound := range []int{-1, -5} {
+		if res, err := Discover(NewPlainEngine(rel), 3, &Options{MaxLHS: bound}); err == nil || !strings.Contains(err.Error(), "MaxLHS") {
+			t.Errorf("MaxLHS=%d: Discover = %v, %v; want an error naming MaxLHS", bound, res, err)
 		}
 	}
 }

@@ -2,46 +2,9 @@ package otrace
 
 import "testing"
 
-// The GLS benchmarks guard the hot-path budget: Bind/Active sit on every
-// traced RPC, so Active must stay in the tens of nanoseconds (profiler-label
-// slot + one map hit), nowhere near the microseconds a runtime.Stack-based
-// goroutine identity costs.
-
 func BenchmarkStartEndSampled(b *testing.B) {
 	t := New(Config{Service: "b", Capacity: 1 << 14, SampleEvery: 1})
 	for i := 0; i < b.N; i++ {
 		t.Start("x").End()
-	}
-}
-
-func BenchmarkBindActive(b *testing.B) {
-	t := New(Config{Service: "b", Capacity: 16, SampleEvery: 1})
-	sp := t.Start("root")
-	release := sp.Bind()
-	defer release()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Active()
-	}
-}
-
-func BenchmarkBindRelease(b *testing.B) {
-	t := New(Config{Service: "b", Capacity: 16, SampleEvery: 1})
-	sp := t.Start("root")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.Bind()()
-	}
-}
-
-func BenchmarkBindingSet(b *testing.B) {
-	t := New(Config{Service: "b", Capacity: 16, SampleEvery: 1})
-	sp := t.Start("root")
-	bind := NewBinding()
-	defer bind.Release()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bind.Set(sp)
-		bind.Set(nil)
 	}
 }

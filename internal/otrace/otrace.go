@@ -167,11 +167,18 @@ type ringRec struct {
 // Tracer records finished spans into a bounded ring and into per-name
 // totals. A nil *Tracer is a valid no-op tracer: every method is safe and
 // free on nil.
+//
+// A tracer also holds one current span context: the parent of a span started
+// without one (Start, or StartChild with the zero context; see SetCurrent).
+// It is one value per tracer, not per goroutine, so a tracer follows one
+// client traversal at a time; two traversals that must not nest under each
+// other take a tracer each.
 type Tracer struct {
 	cfg   Config
 	roots atomic.Uint64
 
 	mu     sync.Mutex
+	cur    SpanContext
 	ring   []ringRec
 	next   int
 	total  uint64
@@ -405,15 +412,22 @@ func (t *Tracer) StartRoot(name string) *Span {
 	}
 }
 
-// StartChild begins a span under an explicit parent context. An invalid
-// parent (zero trace) starts a fresh root instead — this is the server
-// entry point for frames arriving from untraced clients.
+// StartChild begins a span under parent, or, when parent is the zero
+// context, under the tracer's current span — a new root when there is none.
+// Every layer below the transport server passes its op's parent here, so a
+// span started for a request nests under that request's span whichever
+// goroutine runs it.
 func (t *Tracer) StartChild(name string, parent SpanContext) *Span {
 	if t == nil {
 		return nil
 	}
 	if !parent.Valid() {
-		return t.StartRoot(name)
+		t.mu.Lock()
+		parent = t.cur
+		t.mu.Unlock()
+		if !parent.Valid() {
+			return t.StartRoot(name)
+		}
 	}
 	return &Span{
 		t:    t,
@@ -428,19 +442,29 @@ func (t *Tracer) StartChild(name string, parent SpanContext) *Span {
 	}
 }
 
-// Start begins a span as a child of the goroutine's bound active span (see
-// Span.Bind), or as a new root when none is bound. This is what deep
-// layers (store, replication) call so their spans nest under whatever
-// request is being served, without threading contexts through every
-// signature.
-func (t *Tracer) Start(name string) *Span {
+// Start begins a span under the tracer's current span, or as a new root when
+// there is none.
+func (t *Tracer) Start(name string) *Span { return t.StartChild(name, SpanContext{}) }
+
+// SetCurrent makes c the tracer's current span context and returns the one
+// it replaces, for the caller to restore when its span ends:
+//
+//	up := tr.SetCurrent(sp.Context())
+//	defer tr.SetCurrent(up)
+//
+// The zero context clears it. core.Discover sets the running discover, level
+// and candidate span, so the RPCs a level issues, from however many worker
+// goroutines, nest under it; a replicated primary sets its shipment's span
+// while it ships. Zero on nil.
+func (t *Tracer) SetCurrent(c SpanContext) SpanContext {
 	if t == nil {
-		return nil
+		return SpanContext{}
 	}
-	if p := Active(); p != nil {
-		return t.StartChild(name, p.ctx)
-	}
-	return t.StartRoot(name)
+	t.mu.Lock()
+	prev := t.cur
+	t.cur = c
+	t.mu.Unlock()
+	return prev
 }
 
 // Context returns the span's portable identity (zero on nil).
@@ -478,7 +502,3 @@ func (s *Span) End() {
 		cfg.OnSlowSpan(s.t.export(rec))
 	}
 }
-
-// Goroutine-local active-span bindings live in gls.go: layers without
-// plumbed contexts (store, WAL, replication shipping) parent their spans
-// under the request span bound by the dispatcher via Bind/Active.

@@ -154,37 +154,47 @@ func TestHeadSampling(t *testing.T) {
 func TestBindParentsDeepSpans(t *testing.T) {
 	tr := New(Config{Service: "test"})
 	req := tr.StartRoot("request")
-	release := req.Bind()
-	inner := tr.Start("inner") // no explicit context: must find the binding
+	up := tr.SetCurrent(req.Context())
+	inner := tr.Start("inner") // no explicit context: must find the current span
 	if inner.Context().Trace != req.Context().Trace {
-		t.Fatal("bound span not inherited by Start")
+		t.Fatal("current span not inherited by Start")
 	}
 	if inner.parent != req.Context().Span {
-		t.Fatal("inner span not parented to bound span")
+		t.Fatal("inner span not parented to the current span")
 	}
-	release()
-	orphan := tr.Start("after-release")
-	if orphan.Context().Trace == req.Context().Trace {
-		t.Fatal("binding leaked past release")
+	// A zero parent means the current span too; an explicit one wins.
+	if deep := tr.StartChild("deep", SpanContext{}); deep.parent != req.Context().Span {
+		t.Fatal("StartChild with the zero context not parented to the current span")
+	}
+	if deep := tr.StartChild("deep", inner.Context()); deep.parent != inner.Context().Span {
+		t.Fatal("explicit parent lost to the current span")
+	}
+	tr.SetCurrent(up)
+	orphan := tr.Start("after-restore")
+	if orphan.Context().Trace == req.Context().Trace || orphan.parent != zeroSpan {
+		t.Fatal("current span leaked past its restore")
 	}
 }
 
 func TestBindRestoresPrevious(t *testing.T) {
 	tr := New(Config{Service: "test"})
 	outer := tr.StartRoot("outer")
-	releaseOuter := outer.Bind()
+	upOuter := tr.SetCurrent(outer.Context())
 	inner := tr.StartRoot("inner")
-	releaseInner := inner.Bind()
-	if Active() != inner {
-		t.Fatal("inner binding not active")
+	upInner := tr.SetCurrent(inner.Context())
+	if upInner != outer.Context() {
+		t.Fatal("SetCurrent did not return the outer span it replaced")
 	}
-	releaseInner()
-	if Active() != outer {
-		t.Fatal("outer binding not restored")
+	if tr.Start("x").parent != inner.Context().Span {
+		t.Fatal("inner span not current")
 	}
-	releaseOuter()
-	if Active() != nil {
-		t.Fatal("binding leaked")
+	tr.SetCurrent(upInner)
+	if tr.Start("x").parent != outer.Context().Span {
+		t.Fatal("outer span not restored")
+	}
+	tr.SetCurrent(upOuter)
+	if upOuter.Valid() || tr.Start("x").parent != zeroSpan {
+		t.Fatal("current span leaked")
 	}
 }
 
@@ -195,8 +205,9 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil tracer produced a span")
 	}
 	sp.End()
-	release := sp.Bind()
-	release()
+	if tr.SetCurrent(sp.Context()).Valid() {
+		t.Fatal("nil tracer has a current span")
+	}
 	if sp.Context().Valid() {
 		t.Fatal("nil span has a valid context")
 	}
@@ -250,8 +261,9 @@ func TestSlowSpanHook(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording exercises the ring buffer and the goroutine
-// bindings from many goroutines at once; run under -race.
+// TestConcurrentRecording exercises the ring buffer and the per-name totals
+// from many goroutines at once, each naming its child's parent; run under
+// -race.
 func TestConcurrentRecording(t *testing.T) {
 	tr := New(Config{Service: "test", Capacity: 64})
 	var wg sync.WaitGroup
@@ -261,10 +273,8 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				root := tr.StartRoot(fmt.Sprintf("g%d", g))
-				release := root.Bind()
-				child := tr.Start("child")
+				child := tr.StartChild("child", root.Context())
 				child.End()
-				release()
 				root.End()
 				tr.Records()
 				tr.Phases()
@@ -287,8 +297,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if len(tr.Records()) != 64 {
 		t.Fatalf("ring holds %d, want capacity 64", len(tr.Records()))
 	}
-	if Active() != nil {
-		t.Fatal("a binding leaked")
+	if tr.SetCurrent(SpanContext{}).Valid() {
+		t.Fatal("a current span leaked")
 	}
 }
 
@@ -338,12 +348,12 @@ func TestSpanAccumulation(t *testing.T) {
 func TestPhaseOrderIsFirstStart(t *testing.T) {
 	tr := New(Config{Service: "test"})
 	root := tr.StartRoot("discover")
-	release := root.Bind()
+	up := tr.SetCurrent(root.Context())
 	for _, n := range []string{"setup", "lattice/level-01", "lattice/level-02", "setup"} {
 		time.Sleep(time.Microsecond) // distinct start times
 		tr.Start(n).End()
 	}
-	release()
+	tr.SetCurrent(up)
 	root.End()
 	ph := tr.Phases()
 	want := []string{"discover", "setup", "lattice/level-01", "lattice/level-02"}

@@ -62,7 +62,7 @@ type Batcher interface {
 // under the server's own per-call locking. Trace events are recorded per
 // cell index and per path by the typed methods exactly as for unbatched calls.
 func (s *Server) Batch(ops []BatchOp) ([][][]byte, error) {
-	return eachBatchOp(ops, func(op *Op, res *Result) error { return Invoke(s, op, res) })
+	return eachBatchOp(&Op{Kind: KindBatch, Ops: ops}, func(op *Op, res *Result) error { return Invoke(s, op, res) })
 }
 
 // RoundCounter counts logical storage round trips: every Service call is
@@ -92,7 +92,7 @@ func (c *RoundCounter) Rounds() int64 { return c.rounds.Load() }
 func (c *RoundCounter) handle(op *Op, res *Result) (err error) {
 	if op.Kind == KindBatch {
 		if _, fuses := c.svc.(Batcher); !fuses {
-			res.Batch, err = eachBatchOp(op.Ops, c.handle)
+			res.Batch, err = eachBatchOp(op, c.handle)
 			return err
 		}
 	}

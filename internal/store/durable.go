@@ -94,8 +94,9 @@ type DurableOptions struct {
 	// and snapshots (oblivfd_snapshot_seconds) into the registry.
 	Metrics *telemetry.Registry
 	// Trace, when set, records one span per WAL append (wal/append) and
-	// per snapshot write (store/snapshot), parented under the request span
-	// bound to the serving goroutine.
+	// per snapshot write (store/snapshot), parented under the span of the op
+	// that caused it (Op.Parent). A snapshot no op asked for (shutdown, a
+	// scrubber's heal, a replica's resync) is a root.
 	Trace *otrace.Tracer
 	// FS selects the filesystem the WAL, snapshots, and FENCE file go
 	// through. Nil means the real one (OSFS); the disk-fault harness passes
@@ -361,12 +362,12 @@ func (d *DurableServer) Dir() string { return d.dir }
 // between apply and append loses only an operation that was never
 // acknowledged, which is indistinguishable (to the client) from crashing
 // before the call. When the kill point fires the frame is written torn and
-// the server plays dead.
-func (d *DurableServer) logFrame(frame []byte) error {
+// the server plays dead. The wal/append span starts under parent.
+func (d *DurableServer) logFrame(parent otrace.SpanContext, frame []byte) error {
 	if d.walAppendLat != nil {
 		defer d.walAppendLat.ObserveSince(time.Now())
 	}
-	defer d.otr.Start("wal/append").End()
+	defer d.otr.StartChild("wal/append", parent).End()
 	if d.armed {
 		d.kills--
 		if d.kills == 0 {
@@ -399,7 +400,7 @@ func (d *DurableServer) mutate(op *Op) error {
 // front. Fail-stop WAL errors latch the server dead.
 func (d *DurableServer) applyFramed(op *Op, frame []byte, replay bool) error {
 	if op.Kind == KindCheckpoint && op.DB == "" {
-		return d.checkpointRoot(op.Value)
+		return d.checkpointRoot(op.Parent, op.Value)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -415,7 +416,7 @@ func (d *DurableServer) applyFramed(op *Op, frame []byte, replay bool) error {
 	if err := applyRecord(d.mem, op, replay); err != nil {
 		return err
 	}
-	if err := d.logFrame(frame); err != nil {
+	if err := d.logFrame(op.Parent, frame); err != nil {
 		switch {
 		case errors.Is(err, ErrDiskFull):
 			d.parked = append(d.parked, frame)
@@ -516,7 +517,7 @@ func (d *DurableServer) readGuard() error {
 func (d *DurableServer) handle(op *Op, res *Result) (err error) {
 	switch {
 	case op.Kind == KindBatch:
-		res.Batch, err = eachBatchOp(op.Ops, d.handle)
+		res.Batch, err = eachBatchOp(op, d.handle)
 		return err
 	case op.Kind.info().mutates:
 		return d.mutate(op)
@@ -530,8 +531,8 @@ func (d *DurableServer) handle(op *Op, res *Result) (err error) {
 // checkpointRoot marks the root namespace's epoch and snapshots. When it
 // returns, the mark is durable: a crash at any later point recovers to a
 // state at or after this epoch, and OpenDirAtEpoch can roll back to exactly
-// it while retained.
-func (d *DurableServer) checkpointRoot(epoch int64) error {
+// it while retained. The snapshot's span starts under parent.
+func (d *DurableServer) checkpointRoot(parent otrace.SpanContext, epoch int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.aliveLocked(); err != nil {
@@ -540,7 +541,7 @@ func (d *DurableServer) checkpointRoot(epoch int64) error {
 	if err := d.mem.Checkpoint(epoch); err != nil {
 		return err
 	}
-	return d.snapshotLocked()
+	return d.snapshotLocked(d.otr.StartChild("store/snapshot", parent))
 }
 
 // SnapshotBytes serializes the current state into memory (the same framed
@@ -578,7 +579,7 @@ func (d *DurableServer) ResetFromSnapshot(r io.Reader) error {
 	if err := d.mem.LoadSnapshot(r); err != nil {
 		return err
 	}
-	return d.snapshotLocked()
+	return d.snapshotLocked(d.otr.StartRoot("store/snapshot"))
 }
 
 // Snapshot writes a snapshot of the current state (whatever the epoch) and
@@ -589,20 +590,21 @@ func (d *DurableServer) Snapshot() error {
 	if err := d.aliveLocked(); err != nil {
 		return err
 	}
-	return d.snapshotLocked()
+	return d.snapshotLocked(d.otr.StartRoot("store/snapshot"))
 }
 
 // snapshotLocked writes snap-<seq+1> via temp + fsync + rename + dir sync,
 // then truncates the WAL (its records are absorbed) and prunes old
 // snapshots. Crash windows: before rename — old snapshot + full WAL still
 // recover; between rename and truncate — the new snapshot already contains
-// the WAL's effects, and replay over it is idempotent.
-func (d *DurableServer) snapshotLocked() error {
+// the WAL's effects, and replay over it is idempotent. It ends sp, the
+// store/snapshot span its caller started.
+func (d *DurableServer) snapshotLocked(sp *otrace.Span) error {
 	if d.snapshotLat != nil {
 		defer d.snapshotLat.ObserveSince(time.Now())
 		defer d.snapshots.Inc()
 	}
-	defer d.otr.Start("store/snapshot").End()
+	defer sp.End()
 	seq := d.snapSeq + 1
 	final := snapPath(d.dir, seq)
 	tmp, err := d.fsys.CreateTemp(d.dir, "snap-*.tmp")

@@ -222,7 +222,7 @@ func (f *FaultService) handle(op *Op, res *Result) (err error) {
 		}
 		return nil
 	case KindBatch:
-		res.Batch, err = eachBatchOp(op.Ops, f.handle)
+		res.Batch, err = eachBatchOp(op, f.handle)
 		return err
 	}
 	d := f.next(op.Kind.info().failAfter)

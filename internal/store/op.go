@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/wire"
 )
 
@@ -152,6 +153,12 @@ func (k Kind) Applied(err error) bool {
 // It never crosses the wire — a connection's namespace is bound by its
 // session handshake — so only server-side layers set it (Namespaced), and
 // only the write-ahead log records it.
+//
+// Parent is the span the op runs under: the transport server sets it to the
+// request's server/<op> span, and the layers below start theirs (wal/append,
+// store/snapshot, repl/ship) under it. It is in memory only — no frame and
+// no log record carries it — and the zero context means "the tracer's
+// current span" (otrace.Tracer.StartChild).
 type Op struct {
 	Kind   Kind
 	Name   string
@@ -164,6 +171,7 @@ type Op struct {
 	Cts    [][]byte
 	Ops    []BatchOp
 	DB     string
+	Parent otrace.SpanContext
 }
 
 // A batched op's flag byte: bit 0 selects the writing form, bit 1 a path of a
@@ -491,7 +499,7 @@ func Invoke(svc Service, op *Op, res *Result) (err error) {
 		if b, ok := svc.(Batcher); ok {
 			res.Batch, err = b.Batch(op.Ops)
 		} else {
-			res.Batch, err = eachBatchOp(op.Ops, func(sub *Op, subres *Result) error { return Invoke(svc, sub, subres) })
+			res.Batch, err = eachBatchOp(op, func(sub *Op, subres *Result) error { return Invoke(svc, sub, subres) })
 		}
 	default:
 		err = fmt.Errorf("store: %v is not a Service operation", op.Kind)
@@ -499,20 +507,21 @@ func Invoke(svc Service, op *Op, res *Result) (err error) {
 	return err
 }
 
-// eachBatchOp applies a batch's ops in order, each as the ReadCells,
-// WriteCells, ReadPath or WritePath it stands for through h, and collects the
-// per-op results. It is what a layer that must see every operation singly (the
-// fault injector's schedule, the WAL's one record per write) does with a
-// Batch.
-func eachBatchOp(ops []BatchOp, h Handler) ([][][]byte, error) {
-	out := make([][][]byte, len(ops))
+// eachBatchOp applies batch's ops in order, each as the ReadCells,
+// WriteCells, ReadPath or WritePath it stands for through h, under the
+// batch's parent span, and collects the per-op results. It is what a layer
+// that must see every operation singly (the fault injector's schedule, the
+// WAL's one record per write) does with a Batch.
+func eachBatchOp(batch *Op, h Handler) ([][][]byte, error) {
+	out := make([][][]byte, len(batch.Ops))
 	c := calls.Get().(*call)
 	defer func() {
 		*c = call{}
 		calls.Put(c)
 	}()
-	for i := range ops {
-		b := &ops[i]
+	c.op.Parent = batch.Parent
+	for i := range batch.Ops {
+		b := &batch.Ops[i]
 		// Only these fields differ from one batched op to the next.
 		c.op.Kind, c.op.Name, c.op.Idx, c.op.Leaf, c.op.Cts = b.Kind(), b.Name, b.Idx, b.Leaf, nil
 		if b.Write {

@@ -103,8 +103,11 @@ type ReplicationConfig struct {
 	Metrics *telemetry.Registry
 	// Trace, when set, records spans for per-peer shipments
 	// (repl/ship:<addr>), snapshot resyncs (repl/resync:<addr>), and
-	// replica-side batch applies (repl/apply), parented under the request
-	// span bound to the serving goroutine.
+	// replica-side batch applies (repl/apply), parented under the span of
+	// the op that caused them (Op.Parent). A shipment makes its span, and a
+	// repair its op's, the tracer's current span while it runs, so the
+	// replication RPCs of a ReplicaConn dialed with the same tracer nest
+	// under it.
 	Trace *otrace.Tracer
 }
 
@@ -121,9 +124,10 @@ type Replicator interface {
 	// ErrFenced unless fence is strictly above the current one.
 	Promote(fence int64) (int64, error)
 	// ApplyReplicated applies a batch of framed WAL records shipped by the
-	// primary at the given fence and stream position; it returns the new
+	// primary at the given fence and stream position, under the parent span
+	// (the zero context: the tracer's current span); it returns the new
 	// watermark (records applied this reign).
-	ApplyReplicated(fence, seq int64, frames [][]byte) (int64, error)
+	ApplyReplicated(parent otrace.SpanContext, fence, seq int64, frames [][]byte) (int64, error)
 	// ApplySync replaces the whole state from a snapshot and repositions
 	// the stream cursor.
 	ApplySync(fence, seq int64, snap []byte) error
@@ -458,7 +462,7 @@ func (r *ReplicatedServer) acceptFenceLocked(fence int64) error {
 // through the replica's durable layer with replay semantics (a create
 // replaces, a delete of nothing succeeds), and what lands in the replica's
 // log is the verified frame as received, byte for byte the primary's.
-func (r *ReplicatedServer) ApplyReplicated(fence, seq int64, frames [][]byte) (int64, error) {
+func (r *ReplicatedServer) ApplyReplicated(parent otrace.SpanContext, fence, seq int64, frames [][]byte) (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.acceptFenceLocked(fence); err != nil {
@@ -479,10 +483,11 @@ func (r *ReplicatedServer) ApplyReplicated(fence, seq int64, frames [][]byte) (i
 		}
 		records = append(records, op)
 	}
-	asp := r.cfg.Trace.Start("repl/apply")
+	asp := r.cfg.Trace.StartChild("repl/apply", parent)
 	defer asp.End()
 	for i, op := range records {
 		if op.Kind != KindPromote { // roles are not replicated
+			op.Parent = asp.Context()
 			if err := r.d.applyFramed(op, frames[i], true); err != nil {
 				r.publishRoleLocked()
 				return r.watermark, err
@@ -533,15 +538,22 @@ func (r *ReplicatedServer) FetchRepair(fence int64, name string, idx []int64) ([
 // record so replicas converge. It fails — wrapping ErrIntegrity, the same
 // fatal class PR 4 established — when no reachable peer holds a healthy
 // copy: self-healing must never degrade fail-loudly into silent corruption.
-func (r *ReplicatedServer) RepairStored(name string, idx []int64) error {
+// The repair's spans start under parent, the span of the op that found the
+// corruption (the zero context for the scrubber, whose repairs are roots).
+func (r *ReplicatedServer) RepairStored(parent otrace.SpanContext, name string, idx []int64) error {
 	r.shipMu.Lock()
 	defer r.shipMu.Unlock()
-	return r.repairStoredLocked(name, idx)
+	return r.repairStoredLocked(parent, name, idx)
 }
 
 // repairStoredLocked is RepairStored with shipMu already held (a Batch
-// repairs mid-batch without releasing the stream order lock).
-func (r *ReplicatedServer) repairStoredLocked(name string, idx []int64) error {
+// repairs mid-batch without releasing the stream order lock). While it runs,
+// parent is the tracer's current span, so the FetchRepair RPC nests under
+// the op that found the corruption, as do the repair's log append and
+// shipment.
+func (r *ReplicatedServer) repairStoredLocked(parent otrace.SpanContext, name string, idx []int64) error {
+	up := r.cfg.Trace.SetCurrent(parent)
+	defer r.cfg.Trace.SetCurrent(up)
 	r.mu.Lock()
 	if err := r.gateLocked(); err != nil {
 		r.mu.Unlock()
@@ -573,7 +585,7 @@ func (r *ReplicatedServer) repairStoredLocked(name string, idx []int64) error {
 			lastErr = err
 			continue
 		}
-		rec := &Op{Kind: KindRepair, Name: name, Idx: idx, Cts: cts}
+		rec := &Op{Kind: KindRepair, Name: name, Idx: idx, Cts: cts, Parent: parent}
 		frame, err := encodeWALRecord(rec)
 		if err != nil {
 			return err
@@ -597,7 +609,7 @@ func (r *ReplicatedServer) repairStoredLocked(name string, idx []int64) error {
 		r.repairs.Add(int64(len(idx)))
 		slog.Warn("store: repaired corrupt cells from replica",
 			"object", name, "cells", len(idx), "peer", p.addr)
-		r.ship(fence, [][]byte{frame})
+		r.ship(parent, fence, [][]byte{frame})
 		return nil
 	}
 	return fmt.Errorf("%w: %q cells %v corrupt and no healthy replica copy reachable: %v",
@@ -631,8 +643,9 @@ func (r *ReplicatedServer) MarkDiverged() {
 // never fail the client's operation: a peer that cannot be reached is
 // marked down and retried at the redial cadence; a peer whose stream
 // position diverged is healed with a full snapshot push; a peer that
-// answers ErrFenced deposes us. Caller holds shipMu, never mu.
-func (r *ReplicatedServer) ship(fence int64, frames [][]byte) {
+// answers ErrFenced deposes us. The shipment's spans start under parent, the
+// span of the op whose records these are. Caller holds shipMu, never mu.
+func (r *ReplicatedServer) ship(parent otrace.SpanContext, fence int64, frames [][]byte) {
 	if len(r.peers) == 0 || len(frames) == 0 {
 		return
 	}
@@ -643,12 +656,13 @@ func (r *ReplicatedServer) ship(fence int64, frames [][]byte) {
 	for _, p := range r.peers {
 		// One span per peer per shipment: this is the unit an operator
 		// wants visible when asking "which replica stalled this level".
-		// The span is bound so the Replicate RPC (and through its wire
-		// context, the replica's apply spans) parent under it — one causal
-		// chain from the client's mutation to the replica's WAL.
-		ssp := r.cfg.Trace.Start("repl/ship:" + p.addr)
-		release := ssp.Bind()
-		endShip := func() { release(); ssp.End() }
+		// It is the tracer's current span while it lasts, so the Replicate
+		// RPC (and through its wire context, the replica's apply spans)
+		// parent under it — one causal chain from the client's mutation to
+		// the replica's WAL. shipMu makes it the only shipment in flight.
+		ssp := r.cfg.Trace.StartChild("repl/ship:"+p.addr, parent)
+		up := r.cfg.Trace.SetCurrent(ssp.Context())
+		endShip := func() { r.cfg.Trace.SetCurrent(up); ssp.End() }
 		if p.conn == nil {
 			if shipped-p.downAt < int64(r.cfg.RedialEvery) {
 				endShip()
@@ -794,7 +808,7 @@ func (r *ReplicatedServer) mutate(op *Op) error {
 	if err != nil {
 		return err
 	}
-	r.ship(fence, [][]byte{frame})
+	r.ship(op.Parent, fence, [][]byte{frame})
 	return nil
 }
 
@@ -816,7 +830,7 @@ const maxReadRepairs = 4
 // read's own error is returned, and a failed repair returns the repair's
 // error — which keeps a disk-full shed retryable (ErrDiskFull) instead of
 // laundering it into the fatal ErrIntegrity the read started with.
-func (r *ReplicatedServer) read(op *Op, res *Result, repair func(name string, idx []int64) error) error {
+func (r *ReplicatedServer) read(op *Op, res *Result, repair func(parent otrace.SpanContext, name string, idx []int64) error) error {
 	for repairs := 0; ; repairs++ {
 		r.mu.Lock()
 		err := r.gateLocked()
@@ -829,7 +843,7 @@ func (r *ReplicatedServer) read(op *Op, res *Result, repair func(name string, id
 		if !errors.As(err, &cce) || len(r.peers) == 0 || repairs == maxReadRepairs {
 			return err
 		}
-		if err := repair(cce.Object, cce.Idx); err != nil {
+		if err := repair(op.Parent, cce.Object, cce.Idx); err != nil {
 			return err
 		}
 	}
@@ -848,20 +862,20 @@ func (r *ReplicatedServer) batch(op *Op, res *Result) (err error) {
 		frames [][]byte
 	)
 	flush := func() {
-		r.ship(fence, frames)
+		r.ship(op.Parent, fence, frames)
 		frames = nil
 	}
 	defer flush()
-	res.Batch, err = eachBatchOp(op.Ops, func(sub *Op, subres *Result) error {
+	res.Batch, err = eachBatchOp(op, func(sub *Op, subres *Result) error {
 		if !sub.Kind.info().mutates {
 			// Mid-batch corruption repairs inline (shipMu is already held).
 			// The batch's pending frames ship first so the donor replica
 			// reflects every write this batch already applied — repairing
 			// against a peer that lags the unshipped writes could install
 			// stale bytes.
-			return r.read(sub, subres, func(name string, idx []int64) error {
+			return r.read(sub, subres, func(parent otrace.SpanContext, name string, idx []int64) error {
 				flush()
-				return r.repairStoredLocked(name, idx)
+				return r.repairStoredLocked(parent, name, idx)
 			})
 		}
 		frame, f, err := r.apply(sub)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/oblivfd/oblivfd/internal/otrace"
 )
 
 // loopConn wires a primary directly to an in-process replica, standing in for
@@ -14,7 +16,7 @@ import (
 type loopConn struct{ r *ReplicatedServer }
 
 func (c loopConn) Replicate(fence, seq int64, frames [][]byte) error {
-	_, err := c.r.ApplyReplicated(fence, seq, frames)
+	_, err := c.r.ApplyReplicated(otrace.SpanContext{}, fence, seq, frames)
 	return err
 }
 func (c loopConn) SyncSnapshot(fence, seq int64, snap []byte) error {
@@ -158,7 +160,7 @@ func TestReplicaRejectsDamagedStream(t *testing.T) {
 	damaged = append(damaged, append(append([]byte(nil), frame...), 0xEE)) // trailing garbage
 
 	for i, bad := range damaged {
-		w, err := replica.ApplyReplicated(1, replica.Watermark(), [][]byte{bad})
+		w, err := replica.ApplyReplicated(otrace.SpanContext{}, 1, replica.Watermark(), [][]byte{bad})
 		if !errors.Is(err, ErrIntegrity) {
 			t.Fatalf("damaged frame %d: error = %v, want ErrIntegrity", i, err)
 		}
@@ -176,7 +178,7 @@ func TestReplicaRejectsDamagedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	torn := frame[:len(frame)-3]
-	if _, err := replica.ApplyReplicated(1, 0, [][]byte{good, torn}); !errors.Is(err, ErrIntegrity) {
+	if _, err := replica.ApplyReplicated(otrace.SpanContext{}, 1, 0, [][]byte{good, torn}); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("mixed batch error = %v, want ErrIntegrity", err)
 	}
 	if _, err := replica.Durable().ArrayLen("y"); !errors.Is(err, ErrUnknownObject) {
@@ -199,7 +201,7 @@ func TestReplicaRejectsDamagedStream(t *testing.T) {
 	if w := replica.Watermark(); w != 7 {
 		t.Fatalf("watermark after sync = %d, want 7", w)
 	}
-	if _, err := replica.ApplyReplicated(1, 7, [][]byte{frame}); err != nil {
+	if _, err := replica.ApplyReplicated(otrace.SpanContext{}, 1, 7, [][]byte{frame}); err != nil {
 		t.Fatalf("clean frame after resync: %v", err)
 	}
 	if n, err := replica.Durable().ArrayLen("x"); err != nil || n != 8 {
@@ -213,7 +215,7 @@ func TestReplicaRejectsSequenceGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replica.ApplyReplicated(1, 5, [][]byte{frame}); !errors.Is(err, ErrIntegrity) {
+	if _, err := replica.ApplyReplicated(otrace.SpanContext{}, 1, 5, [][]byte{frame}); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("gap error = %v, want ErrIntegrity", err)
 	}
 	if replica.Watermark() != 0 {
@@ -292,7 +294,7 @@ func TestFencingDeposesOldPrimary(t *testing.T) {
 
 	// Replication from the stale fence is refused too.
 	frame, _ := encodeWALRecord(&Op{Kind: KindCreateArray, Name: "z", N: 1})
-	if _, err := replica.ApplyReplicated(1, replica.Watermark(), [][]byte{frame}); !errors.Is(err, ErrFenced) {
+	if _, err := replica.ApplyReplicated(otrace.SpanContext{}, 1, replica.Watermark(), [][]byte{frame}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale-fence shipment error = %v, want ErrFenced", err)
 	}
 }

@@ -46,7 +46,7 @@ func TestRoleGaugesOnReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rep.ApplyReplicated(1, 0, [][]byte{frame}); err != nil {
+	if _, err := rep.ApplyReplicated(otrace.SpanContext{}, 1, 0, [][]byte{frame}); err != nil {
 		t.Fatal(err)
 	}
 	if watermark.Value() != 1 {

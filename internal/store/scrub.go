@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
 
@@ -361,7 +362,7 @@ func (sc *Scrubber) sweepObjects() error {
 			slog.Warn("scrub: corrupt stored cells", "object", name, "cells", len(bad))
 			switch {
 			case sc.rep != nil && sc.rep.IsPrimary():
-				if rerr := sc.rep.RepairStored(name, bad); rerr != nil {
+				if rerr := sc.rep.RepairStored(otrace.SpanContext{}, name, bad); rerr != nil {
 					sc.repairFails.Add(1)
 					sc.repairFailsC.Inc()
 					slog.Warn("scrub: repair from replica failed", "object", name, "err", rerr)

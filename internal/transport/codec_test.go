@@ -580,7 +580,7 @@ func frameBytes(body []byte) int { return 1 + uvarintLen(uint64(len(body))) + le
 // BenchmarkLoopbackRTT is one whole round trip: a 32-cell ReadCells through
 // a Client, a loopback socket and a Server into an in-memory store — first
 // with no tracer at either end, then with an always-sampling otrace tracer
-// on both and the calls made under a bound root span, so every round trip
+// on both and the calls made under a current root span, so every round trip
 // records a client RPC span and a server span parented under it. The
 // difference is what tracing costs per round trip; times a discovery's
 // rounds, it is that discovery's tracing overhead at any n.
@@ -626,7 +626,7 @@ func BenchmarkLoopbackRTT(b *testing.B) {
 			if traced {
 				root := cfg.Trace.StartRoot("discover")
 				defer root.End()
-				defer root.Bind()()
+				defer cfg.Trace.SetCurrent(cfg.Trace.SetCurrent(root.Context()))
 				before = cfg.Trace.Recorded()
 			}
 			b.ReportAllocs()

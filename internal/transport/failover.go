@@ -71,7 +71,7 @@ func DialFailover(addrs []string, size int, cfg ClientConfig) (*FailoverPool, er
 		f.failovers = telemetry.NewCounter()
 	}
 	f.mu.Lock()
-	err := f.connectLocked("")
+	err := f.connectLocked(otrace.SpanContext{}, "")
 	f.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -114,14 +114,13 @@ func (f *FailoverPool) probeConfig() ClientConfig {
 // connectLocked (re)establishes the data pool on the best server, promoting
 // a replica when no primary answers. avoid is the address we are failing
 // away from; it is chosen only when nothing else qualifies. Caller holds
-// f.mu.
-func (f *FailoverPool) connectLocked(avoid string) error {
+// f.mu. Its spans start under parent, the span of the op that lost the
+// server (the zero context: the tracer's current span).
+func (f *FailoverPool) connectLocked(parent otrace.SpanContext, avoid string) error {
 	// One span covers the whole probe sweep; a promotion (when needed)
 	// gets its own child naming the server it elevated.
-	psp := f.cfg.Trace.Start("failover/probe")
+	psp := f.cfg.Trace.StartChild("failover/probe", parent)
 	defer psp.End()
-	release := psp.Bind()
-	defer release()
 	type probe struct {
 		addr string
 		st   store.Stats
@@ -139,7 +138,7 @@ func (f *FailoverPool) connectLocked(avoid string) error {
 			continue
 		}
 		var res store.Result
-		err = c.roundTrip(&store.Op{Kind: store.KindStats}, &res)
+		err = c.roundTrip(&store.Op{Kind: store.KindStats, Parent: psp.Context()}, &res)
 		c.Close()
 		if err != nil {
 			lastErr = err
@@ -208,13 +207,13 @@ func (f *FailoverPool) connectLocked(avoid string) error {
 	if !found {
 		return fmt.Errorf("transport: no replica to promote: %w", store.ErrUnavailable)
 	}
-	ssp := f.cfg.Trace.Start("failover/promote:" + best)
+	ssp := f.cfg.Trace.StartChild("failover/promote:"+best, psp.Context())
 	defer ssp.End()
 	ctl, err := DialWith(best, pcfg)
 	if err != nil {
 		return fmt.Errorf("transport: promoting %s: %w", best, err)
 	}
-	newFence, err := ctl.Promote(maxFence + 1)
+	newFence, err := ctl.promote(ssp.Context(), maxFence+1)
 	ctl.Close()
 	if err != nil {
 		return fmt.Errorf("transport: promoting %s to fence %d: %w", best, maxFence+1, err)
@@ -276,14 +275,14 @@ func (f *FailoverPool) handle(op *store.Op, res *store.Result) error {
 	case !lostServer(err):
 		return err
 	}
-	f.failoverFrom(p)
+	f.failoverFrom(op.Parent, p)
 	return fmt.Errorf("transport: failed over from %s (%v): %w", addr, err, store.ErrUnavailable)
 }
 
 // failoverFrom replaces the pool that just failed. Idempotent under
 // concurrency: the workers that lost the race see the pool already swapped,
 // and their retries land on the new one.
-func (f *FailoverPool) failoverFrom(old *Pool) {
+func (f *FailoverPool) failoverFrom(parent otrace.SpanContext, old *Pool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed || f.pool != old {
@@ -294,7 +293,7 @@ func (f *FailoverPool) failoverFrom(old *Pool) {
 	old.Close()
 	// On connect failure the closed pool stays installed: its fast ErrClosed
 	// verdicts route the next attempts back here to re-probe.
-	_ = f.connectLocked(avoid)
+	_ = f.connectLocked(parent, avoid)
 }
 
 // TraceDump gathers buffered span records from every reachable server in

@@ -114,9 +114,10 @@ func (s *Server) SetMetrics(reg *telemetry.Registry) {
 
 // SetTracer attaches a span recorder: every dispatched request runs under
 // a server-side span (server/<op>) linked to the client's span via the
-// frame's constant-size context header, and bound to the handling
-// goroutine so store/WAL/replication spans nest under it. Call before
-// Serve; nil disables recording (frames still carry the header).
+// frame's constant-size context header — a root when the header is the zero
+// context — and carried down on the op (store.Op.Parent) so store/WAL/
+// replication spans nest under it. Call before Serve; nil disables
+// recording (frames still carry the header).
 func (s *Server) SetTracer(tr *otrace.Tracer) { s.tracer = tr }
 
 // Tracer returns the installed span recorder (nil when tracing is off).
@@ -304,14 +305,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	fc := newFrameConn(rw)
 	needToken := s.registry.Limits().Token != ""
-	// One goroutine-local binding for the whole connection: each request
-	// points it at its span with a single atomic store, so store/WAL/
-	// replication spans started while handling the request nest under it.
-	var bind *otrace.Binding
-	if s.tracer != nil {
-		bind = otrace.NewBinding()
-		defer bind.Release()
-	}
 	for {
 		var req request
 		body, err := fc.next()
@@ -335,11 +328,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		// The server-side span links to the client's RPC span through the
 		// frame's constant-size context header. An invalid header (untraced
-		// client) starts a fresh server-local root instead.
+		// client) starts a fresh server-local root instead — never a child
+		// of the tracer's current span, which a concurrent replication
+		// shipment may hold. The op carries the span down, so store/WAL/
+		// replication spans started while handling the request nest under it.
 		var span *otrace.Span
 		if s.tracer != nil && req.Kind < store.NumKinds {
-			span = s.tracer.StartChild(serverSpanNames[req.Kind], otrace.FromWire(req.Ctx))
-			bind.Set(span)
+			if parent := otrace.FromWire(req.Ctx); parent.Valid() {
+				span = s.tracer.StartChild(serverSpanNames[req.Kind], parent)
+			} else {
+				span = s.tracer.StartRoot(serverSpanNames[req.Kind])
+			}
+			req.Parent = span.Context()
 		}
 		var resp *response
 		switch {
@@ -371,7 +371,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			// single-tenant path, byte-for-byte.
 			resp = dispatch(s.svc, &req)
 		}
-		bind.Set(nil)
 		span.End()
 		if s.rpcLat != nil && req.Kind < store.NumKinds {
 			s.rpcLat[req.Kind].ObserveSince(t0)
@@ -418,7 +417,7 @@ func (s *Server) handleReplication(req *request) *response {
 	}
 	switch req.Kind {
 	case store.KindReplicate:
-		wm, err := s.replicator.ApplyReplicated(req.Value, req.Seq, req.Cts)
+		wm, err := s.replicator.ApplyReplicated(req.Parent, req.Value, req.Seq, req.Cts)
 		resp.Seq = wm
 		return fail(err)
 	case store.KindSync:

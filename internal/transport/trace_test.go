@@ -2,9 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -178,17 +180,17 @@ func TestTraceDumpMergesCausalTree(t *testing.T) {
 	}
 	defer c.Close()
 
-	// A bound root models the lattice-level span: the RPC spans must
+	// A current root models the lattice-level span: the RPC spans must
 	// parent under it, and the server spans under the RPC spans.
 	root := client.StartRoot("lattice/level-01")
-	release := root.Bind()
+	up := client.SetCurrent(root.Context())
 	if err := c.CreateArray("a", 8); err != nil {
 		t.Fatalf("CreateArray: %v", err)
 	}
 	if err := c.WriteCells("a", []int64{0}, [][]byte{{1}}); err != nil {
 		t.Fatalf("WriteCells: %v", err)
 	}
-	release()
+	client.SetCurrent(up)
 	root.End()
 
 	traceID := root.Context().Trace.String()
@@ -267,5 +269,200 @@ func TestTraceDumpTokenGated(t *testing.T) {
 	defer cg.Close()
 	if _, err := cg.TraceDump(""); err != nil {
 		t.Fatalf("TraceDump with the right token: %v", err)
+	}
+}
+
+// serveTraced exposes svc over loopback TCP with tr recording the server's
+// spans, returning the address.
+func serveTraced(t *testing.T, svc store.Service, tr *otrace.Tracer) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := NewServer(svc)
+	srv.SetTracer(tr)
+	if rep, ok := svc.(store.Replicator); ok {
+		srv.SetReplicator(rep)
+	}
+	go func() { _ = srv.Serve(l) }()
+	t.Cleanup(func() { srv.Shutdown(0) })
+	return l.Addr().String()
+}
+
+// TestConcurrentRequestsKeepTheirParents: two traced connections write to one
+// durable server at once, and every wal/append span lands under the
+// server/<op> span of the request that logged it — one per write, a Batch's
+// writes under the Batch — never under the other connection's request. The
+// request's span reaches the WAL on the op (store.Op.Parent), so this is the
+// plumbing check.
+func TestConcurrentRequestsKeepTheirParents(t *testing.T) {
+	str := otrace.New(otrace.Config{Service: "fdserver", SampleEvery: 1})
+	d, err := store.OpenDir(t.TempDir(), store.DurableOptions{Trace: str})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	addr := serveTraced(t, d, str)
+
+	const writes = 40
+	traces := make([]string, 2)
+	var wg sync.WaitGroup
+	for c := range traces {
+		ctr := otrace.New(otrace.Config{Service: fmt.Sprintf("client-%d", c), SampleEvery: 1})
+		cfg := DefaultClientConfig()
+		cfg.Trace = ctr
+		cl, err := DialWith(addr, cfg)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer cl.Close()
+		root := ctr.StartRoot("discover")
+		ctr.SetCurrent(root.Context())
+		traces[c] = root.Context().Trace.String()
+		name := fmt.Sprintf("a%d", c)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := cl.CreateArray(name, writes); err != nil {
+				t.Errorf("CreateArray: %v", err)
+				return
+			}
+			for i := range writes {
+				if err := cl.WriteCells(name, []int64{int64(i)}, [][]byte{{byte(i)}}); err != nil {
+					t.Errorf("WriteCells: %v", err)
+					return
+				}
+			}
+			if _, err := cl.Batch([]store.BatchOp{
+				{Write: true, Name: name, Idx: []int64{0}, Cts: [][]byte{{1}}},
+				{Write: true, Name: name, Idx: []int64{1}, Cts: [][]byte{{2}}},
+			}); err != nil {
+				t.Errorf("Batch: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	recs := str.Records()
+	byID := map[string]otrace.Record{}
+	for _, r := range recs {
+		byID[r.Span] = r
+	}
+	appends := map[string]int{} // server span ID -> its wal/append children
+	for _, r := range recs {
+		if r.Name != "wal/append" {
+			continue
+		}
+		p, ok := byID[r.Parent]
+		if !ok || !strings.HasPrefix(p.Name, "server/") || p.Trace != r.Trace {
+			t.Fatalf("wal/append parent %q is no server span of its trace (%+v)", r.Parent, p)
+		}
+		appends[r.Parent]++
+	}
+	perTrace := map[string]int{}
+	for _, r := range recs {
+		if !strings.HasPrefix(r.Name, "server/") {
+			continue
+		}
+		want := 1
+		if r.Name == "server/Batch" {
+			want = 2
+		}
+		if appends[r.Span] != want {
+			t.Errorf("%s span has %d wal/append children, want %d", r.Name, appends[r.Span], want)
+		}
+		perTrace[r.Trace] += appends[r.Span]
+	}
+	for c, id := range traces {
+		if want := 1 + writes + 2; perTrace[id] != want {
+			t.Errorf("client %d's requests logged %d wal/append spans, want %d", c, perTrace[id], want)
+		}
+	}
+}
+
+// heldConn is a replica connection whose Replicate, once held, waits until
+// released: a shipment in progress for as long as a test needs one.
+type heldConn struct {
+	held             atomic.Bool
+	entered, release chan struct{}
+}
+
+func (c *heldConn) Replicate(fence, seq int64, frames [][]byte) error {
+	if c.held.Load() {
+		c.entered <- struct{}{}
+		<-c.release
+	}
+	return nil
+}
+func (c *heldConn) SyncSnapshot(fence, seq int64, snap []byte) error { return nil }
+func (c *heldConn) FetchRepair(int64, string, []int64) ([][]byte, error) {
+	return nil, store.ErrUnavailable
+}
+func (c *heldConn) Close() error { return nil }
+
+// TestUntracedDispatchStaysRootDuringShipment: while a replicated primary
+// ships a traced write, the shipment is its tracer's current span — yet a
+// request arriving with the zero wire context gets a root server/<op> span,
+// never the shipment as its parent.
+func TestUntracedDispatchStaysRootDuringShipment(t *testing.T) {
+	str := otrace.New(otrace.Config{Service: "fdserver", SampleEvery: 1})
+	d, err := store.OpenDir(t.TempDir(), store.DurableOptions{Trace: str})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &heldConn{entered: make(chan struct{}), release: make(chan struct{})}
+	rep, err := store.Replicated(d, store.ReplicationConfig{
+		Primary: true,
+		Peers:   []string{"held"},
+		Trace:   str,
+		Dial:    func(string) (store.ReplicaConn, error) { return conn, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rep.Close() })
+	addr := serveTraced(t, rep, str)
+
+	plain, err := DialWith(addr, DefaultClientConfig())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer plain.Close()
+	if err := plain.CreateArray("a", 4); err != nil {
+		t.Fatalf("CreateArray: %v", err)
+	}
+	ctr := otrace.New(otrace.Config{Service: "fddiscover", SampleEvery: 1})
+	cfg := DefaultClientConfig()
+	cfg.Trace = ctr
+	traced, err := DialWith(addr, cfg)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer traced.Close()
+
+	conn.held.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- traced.WriteCells("a", []int64{0}, [][]byte{{1}}) }()
+	<-conn.entered
+	if _, err := plain.ArrayLen("a"); err != nil {
+		t.Fatalf("ArrayLen during the shipment: %v", err)
+	}
+	str.Start("probe").End() // what the shipment's RPCs parent under
+	close(conn.release)
+	if err := <-done; err != nil {
+		t.Fatalf("WriteCells: %v", err)
+	}
+
+	byName := map[string]otrace.Record{}
+	byID := map[string]otrace.Record{}
+	for _, r := range str.Records() {
+		byName[r.Name], byID[r.Span] = r, r
+	}
+	if p := byID[byName["probe"].Parent]; p.Name != "repl/ship:held" {
+		t.Fatalf("during the shipment the current span is %q, want repl/ship:held", p.Name)
+	}
+	if r, ok := byName["server/ArrayLen"]; !ok || r.Parent != "" {
+		t.Fatalf("untraced server/ArrayLen span = %+v, ok = %v; want a root", r, ok)
 	}
 }

@@ -255,7 +255,8 @@ type ClientConfig struct {
 	// still opens a session, bound to the root namespace.
 	Token string
 	// Trace, when set, starts one client-side span per RPC (named
-	// rpc/<op>, parented under the goroutine's bound span) and stamps its
+	// rpc/<op>, parented under the op's Parent when set, under the tracer's
+	// current span otherwise — see otrace.Tracer.SetCurrent) and stamps its
 	// context into the frame header so server-side spans link causally to
 	// it. Nil disables span recording; the frame header is carried at
 	// constant size either way.
@@ -418,12 +419,11 @@ func (c *Client) call(req *request) (*response, error) {
 	// The RPC span covers the call, a re-dial included, and its context
 	// rides in the constant-size frame header. With no tracer the header
 	// still goes out, carrying the zero context — frame bytes are identical
-	// either way. The span is started before taking c.mu so it parents under
-	// the calling goroutine's bound span, not under whatever was bound when
-	// the lock became free.
+	// either way. The span starts under the op's parent when it names one,
+	// under the tracer's current span otherwise.
 	var span *otrace.Span
 	if c.cfg.Trace != nil && req.Kind < store.NumKinds {
-		span = c.cfg.Trace.Start(rpcSpanNames[req.Kind])
+		span = c.cfg.Trace.StartChild(rpcSpanNames[req.Kind], req.Parent)
 		defer span.End()
 	}
 	req.Ctx = span.Context().Wire()
@@ -537,11 +537,12 @@ func (c *Client) FetchRepair(fence int64, name string, idx []int64) ([][]byte, e
 	return resp.Cts, nil
 }
 
-// Promote asks the server to adopt the given fencing epoch and the primary
+// promote asks the server to adopt the given fencing epoch and the primary
 // role; it returns the server's resulting fence. The failover layer calls it
-// on the freshest reachable replica once no primary answers.
-func (c *Client) Promote(fence int64) (int64, error) {
-	resp, err := c.call(&request{Op: store.Op{Kind: store.KindPromote, Value: fence}, Token: c.cfg.Token})
+// on the freshest reachable replica once no primary answers, under its
+// promotion span.
+func (c *Client) promote(parent otrace.SpanContext, fence int64) (int64, error) {
+	resp, err := c.call(&request{Op: store.Op{Kind: store.KindPromote, Value: fence, Parent: parent}, Token: c.cfg.Token})
 	if err != nil {
 		return 0, err
 	}

@@ -212,9 +212,13 @@ func NewRegistry() *Registry { return telemetry.New() }
 // contexts ride the TCP frames in a fixed-size, always-present header, so
 // enabling tracing never changes any frame's length (DESIGN.md §14). Share
 // one tracer between Options.Trace and ClientConfig.Trace to get a single
-// causal tree from lattice level down to the server's WAL; its Phases total
-// the spans per name, the phase table of -telemetry. A nil *Tracer disables
-// recording at near-zero cost.
+// causal tree from lattice level down to the server's WAL: Discover makes
+// its running lattice span the tracer's current span, and each RPC span
+// starts under it. A tracer therefore follows one traversal at a time —
+// give concurrent Discover calls a tracer (and a client config) each. Its
+// Phases total the spans per name, the phase table of -telemetry. A nil
+// *Tracer disables recording at near-zero cost; TracerConfig sizes the ring
+// and sets the head-sampling rate.
 type (
 	Tracer       = otrace.Tracer
 	TracerConfig = otrace.Config
@@ -397,6 +401,8 @@ type Options struct {
 	// lattice traversal (see core.Options.Trace). Share the tracer with
 	// the transport ClientConfig so RPC spans — and, through the wire
 	// context, server-side spans — nest under the lattice-level spans.
+	// Discover sets the tracer's current span while it runs, so one tracer
+	// serves one Discover at a time; concurrent runs need a tracer each.
 	Trace *Tracer
 }
 
