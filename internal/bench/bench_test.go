@@ -287,18 +287,25 @@ func TestCommTiny(t *testing.T) {
 	if or64.Ops <= or32.Ops || or64.Bytes <= or32.Bytes {
 		t.Error("ORAM communication does not grow with n")
 	}
-	// ORAM moves more bytes per op (whole paths). A Sort op is one sealed
-	// run of obsort.RunRecords records, so at small n Sort makes fewer ops
-	// than ORAM (155 against 259 at n = 64) and moves fewer bytes (53 652 B
-	// against Or-ORAM's 124 140 B) — EXPERIMENTS.md, "Sealed runs".
-	if sort64.Bytes*or64.Ops >= or64.Bytes*sort64.Ops {
-		t.Errorf("Sort bytes/op (%d/%d) not below ORAM bytes/op (%d/%d)", sort64.Bytes, sort64.Ops, or64.Bytes, or64.Ops)
+	// An ORAM op is one bucket since rounds became treetop rounds, a Sort op
+	// one sealed run of obsort.RunRecords records, so Sort moves more bytes
+	// per op. At n = 64 Or-ORAM's tree has 6 levels, 63 buckets, and its one
+	// round of 64 accesses reads its top min(⌈log₂ 64⌉, 6) = 6 levels: the
+	// whole tree, once each way. With the tree's create and set-up, the label
+	// array's create, the 64 column cells read and the 64 label cells
+	// written, that is 3 + 2·64 + 2·63 = 257 ops, against Sort's 155, and
+	// 31 692 B against Sort's 53 652 B — EXPERIMENTS.md, "Treetop rounds".
+	if sort64.Bytes*or64.Ops <= or64.Bytes*sort64.Ops {
+		t.Errorf("Sort bytes/op (%d/%d) not above ORAM bytes/op (%d/%d)", sort64.Bytes, sort64.Ops, or64.Bytes, or64.Ops)
+	}
+	if want := int64(3 + 2*64 + 2*63); or64.Ops != want {
+		t.Errorf("Or-ORAM ops at n = 64: %d, want 3 + 2n + 2·63 = %d", or64.Ops, want)
 	}
 	if sort64.Ops >= or64.Ops {
 		t.Errorf("Sort ops (%d) not below ORAM ops (%d) at n = 64", sort64.Ops, or64.Ops)
 	}
-	if sort64.Bytes >= or64.Bytes {
-		t.Errorf("Sort bytes (%d) not below Or-ORAM bytes (%d) at n = 64", sort64.Bytes, or64.Bytes)
+	if sort64.Bytes <= or64.Bytes {
+		t.Errorf("Sort bytes (%d) not above Or-ORAM bytes (%d) at n = 64", sort64.Bytes, or64.Bytes)
 	}
 	// Sort's |X| ≥ 2 partition costs what |X| = 1 costs (Fig. 4): the same
 	// network and passes, reading the 2⌈n/R⌉ cover runs that hold the
@@ -311,17 +318,18 @@ func TestCommTiny(t *testing.T) {
 	}
 	// A level of three unions over three covers: Sort builds them one by one,
 	// three times the union alone; an ORAM method steps them together and
-	// reads each cover once a record. Ex-ORAM makes 2·3 + 3 accesses where
-	// three unions alone make 4·3, each a path read and a path write-back;
-	// Or-ORAM reads 3 cover label cells where three unions alone read 6.
+	// reads each cover once a record. Ex-ORAM makes 2·3 + 3 accesses a record
+	// where three unions alone make 4·3: three cover rounds fewer, each its
+	// ID ORAM's whole 63-bucket tree read and written (see above); Or-ORAM
+	// reads 3 cover label cells a record where three unions alone read 6.
 	if level, _ := res.Point(MethodSort, 3, 64); level.Ops != 3*sortPair64.Ops {
 		t.Errorf("Sort level of three: %d ops, want three unions' %d", level.Ops, 3*sortPair64.Ops)
 	}
-	for m, want := range map[Method]int64{MethodOrORAM: 3 * 64, MethodExORAM: 2 * 3 * 64} {
+	for m, want := range map[Method]int64{MethodOrORAM: 3 * 64, MethodExORAM: 3 * 2 * 63} {
 		union, _ := res.Point(m, 1, 64)
 		level, _ := res.Point(m, 3, 64)
 		if got := 3*union.Ops - level.Ops; got != want {
-			t.Errorf("%s: three unions alone − a level of three = %d ops, want 3 cover reads a record = %d", m, got, want)
+			t.Errorf("%s: three unions alone − a level of three = %d ops, want 3 cover reads = %d", m, got, want)
 		}
 	}
 	// Communication is a fixed function of the database size — re-running

@@ -355,7 +355,7 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			srv := store.NewServer()
 			svc := newFailNth(srv, func(op *store.Op) bool {
-				return op.Kind == store.KindBatch && op.Ops[0].Kind() == store.KindReadPath
+				return op.Kind == store.KindBatch && !op.Ops[0].Write && onTree(op.Ops[0].Name)
 			})
 			edb, err := UploadWithCapacity(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 10)
 			if err != nil {
@@ -428,7 +428,7 @@ func TestRefusedDeleteOwesNothing(t *testing.T) {
 			return false
 		}
 		for _, b := range op.Ops {
-			if b.Kind() != store.KindWritePath || !strings.HasSuffix(b.Name, ":KLF") {
+			if !b.Write || !strings.HasSuffix(b.Name, ":KLF") {
 				return false
 			}
 		}

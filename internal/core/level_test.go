@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -31,11 +32,42 @@ var oramEngines = []struct {
 	}},
 }
 
-// pathRounds counts the calls that carry a path operation — a record's
-// rounds, and a chunk's last — and the batches that carry cell writes and
-// those of cell reads alone — a chunk's. A batch of path ops and cell writes,
-// Or-ORAM's last round of a chunk, counts as both. The upload, tree set-up and
-// deletes are calls of other kinds.
+// onTree reports whether an object is one of the ORAM engines' bucket trees
+// (O^KL, O^KLF, O^IKL): a cell op on one is an ORAM round's fetch or
+// write-back.
+func onTree(name string) bool {
+	for _, suffix := range []string{orLayout.primary, exLayout.primary, exLayout.secondary} {
+		if strings.HasSuffix(name, ":"+suffix) {
+			return true
+		}
+	}
+	return false
+}
+
+// roundBuckets is the closed form of the buckets an ORAM round of r accesses
+// moves each way on a tree built for capacity: the top t = ⌈log₂ r⌉ levels
+// whole, then each of the r paths below them (DESIGN.md §11, "Treetop
+// rounds"), on a tree of half the next power of two ≥ capacity leaves.
+func roundBuckets(r, capacity int) int {
+	levels := max(bits.Len(uint(capacity-1))-1, 1) + 1
+	t := min(bits.Len(uint(r-1)), levels)
+	return 1<<t - 1 + r*(levels-t)
+}
+
+// chunkBuckets is the buckets that a tree's rounds over n records, one per
+// chunk, move each way.
+func chunkBuckets(n, capacity int) (total int) {
+	for lo := 0; lo < n; lo += obsort.ChunkCells {
+		total += roundBuckets(min(obsort.ChunkCells, n-lo), capacity)
+	}
+	return total
+}
+
+// pathRounds counts the calls that carry an ORAM round's fetch or write-back
+// — a record's rounds, and a chunk's last — and the batches that carry cell
+// writes to arrays and those of array cell reads alone — a chunk's. A batch
+// of tree ops and cell writes, Or-ORAM's last round of a chunk, counts as
+// both. The upload, tree set-up and deletes are calls of other kinds.
 type pathRounds struct {
 	store.Adapter
 	n, cellReads, cellWrites int64
@@ -46,10 +78,10 @@ func countPathRounds(svc store.Service) *pathRounds {
 	p.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
 		var path, cellWrite bool
 		for _, b := range op.Ops {
-			path, cellWrite = path || b.Path, cellWrite || b.Write && !b.Path
+			path, cellWrite = path || onTree(b.Name), cellWrite || b.Write && !onTree(b.Name)
 		}
 		switch {
-		case op.Kind == store.KindReadPath, op.Kind == store.KindWritePath:
+		case (op.Kind == store.KindReadCells || op.Kind == store.KindWriteCells) && onTree(op.Name):
 			p.n++
 		case op.Kind == store.KindBatch && len(op.Ops) > 0:
 			if path {
@@ -78,9 +110,33 @@ func treeNames(st *oramState) (primary, secondary string) {
 	return st.primary.Name(), st.secondary.Name()
 }
 
-// pathEvents counts (ReadPath, WritePath) events per object.
-func pathEvents(events []trace.Event) map[string][2]int {
-	return countEvents(events, trace.OpReadPath, trace.OpWritePath)
+// treeRounds counts, per object, the tree cell calls that read it and those
+// that wrote it — each an ORAM round's fetch or write-back — as (reads,
+// writes): the events the server marks as a call's first.
+func treeRounds(events []trace.Event) map[string][2]int {
+	out := make(map[string][2]int)
+	for _, e := range events {
+		if !e.First {
+			continue
+		}
+		c := out[e.Object]
+		switch e.Op {
+		case trace.OpReadTreeCell:
+			c[0]++
+		case trace.OpWriteTreeCell:
+			c[1]++
+		default:
+			continue
+		}
+		out[e.Object] = c
+	}
+	return out
+}
+
+// treeCells counts (ReadTreeCell, WriteTreeCell) events per object: the
+// buckets its rounds moved.
+func treeCells(events []trace.Event) map[string][2]int {
+	return countEvents(events, trace.OpReadTreeCell, trace.OpWriteTreeCell)
 }
 
 // cellEvents counts (ReadCell, WriteCell) events per object.
@@ -127,19 +183,19 @@ func allSingles(m int) []Request {
 
 // TestLevelClosedForm: what a level of w targets over c distinct covers on n
 // records shows the server, structure by structure. Each target's primary sees
-// n (ReadPath, WritePath) pairs, and so does Ex-ORAM's ID ORAM of each target,
-// and of each cover however many of the targets name it; Or-ORAM's label array
-// of a target has its n cells written, of a cover its n cells read. A chunk of
-// r records is 3 rounds whatever w, c and r are, all of a chunk's reads before
-// its write-backs: at level 1 the columns' cells, the r·w fetches (2r·w in
-// Ex-ORAM), their write-backs; above it in Ex-ORAM the r·c cover fetches,
-// their write-backs with the 2r·w target fetches, the targets' write-backs,
-// and in Or-ORAM the covers' label cells, the r·w fetches, their write-backs
-// with the targets' label cells. And a level of one — core.CardinalityUnion —
-// is, event for event, the sequence of a set at a time with each phase taken
-// for the whole chunk: in Ex-ORAM [c₁ c₂]·r → [c₁ c₂]·r [P S]·r → [P S]·r, in
-// Or-ORAM a chunk's cells of c₁ and c₂, [P]·r → [P]·r and the chunk's cells
-// of S.
+// one ORAM round — a fetch and a write-back of roundBuckets(r) buckets — per
+// chunk of r records, and so does Ex-ORAM's ID ORAM of each target, and of
+// each cover however many of the targets name it; Or-ORAM's label array of a
+// target has its n cells written, of a cover its n cells read. A chunk of r
+// records is 3 rounds whatever w, c and r are, all of a chunk's reads before
+// its write-backs: at level 1 the columns' cells, the w fetches (2w in
+// Ex-ORAM), their write-backs; above it in Ex-ORAM the c cover fetches, their
+// write-backs with the 2w target fetches, the targets' write-backs, and in
+// Or-ORAM the covers' label cells, the w fetches, their write-backs with the
+// targets' label cells. And a level of one — core.CardinalityUnion — is,
+// call for call, the sequence of a set at a time with each phase taken for
+// the whole chunk: in Ex-ORAM [c₁ c₂] → [c₁ c₂] [P S] → [P S], in Or-ORAM a
+// chunk's cells of c₁ and c₂, [P] → [P] and the chunk's cells of S.
 func TestLevelClosedForm(t *testing.T) {
 	const m, n = 4, 70 // two chunks: 64 + 6
 	rel := fixedWidthRel(m, n, 5, 3)
@@ -155,11 +211,13 @@ func TestLevelClosedForm(t *testing.T) {
 			eng, core := e.make(t, edb)
 			defer eng.Close()
 			positional := core.layout.positional
+			buckets := chunkBuckets(n, core.capacity) // a tree's buckets over the n records, each way
 			srv.Trace().Enable()
 
 			// measure runs a Materialize call and returns its path rounds,
-			// cell read and write rounds, and per-object path and cell events.
-			measure := func(reqs []Request) (r, reads, writes int64, paths, cells map[string][2]int, events []trace.Event) {
+			// cell read and write rounds, and per-object tree rounds, tree
+			// cells and array cell events.
+			measure := func(reqs []Request) (r, reads, writes int64, paths, bucketsOf, cells map[string][2]int, events []trace.Event) {
 				t.Helper()
 				srv.Trace().Reset()
 				r0, reads0, writes0 := rounds.n, rounds.cellReads, rounds.cellWrites
@@ -167,12 +225,12 @@ func TestLevelClosedForm(t *testing.T) {
 					t.Fatal(err)
 				}
 				events = srv.Trace().Events()
-				return rounds.n - r0, rounds.cellReads - reads0, rounds.cellWrites - writes0, pathEvents(events), cellEvents(events), events
+				return rounds.n - r0, rounds.cellReads - reads0, rounds.cellWrites - writes0, treeRounds(events), treeCells(events), cellEvents(events), events
 			}
-			// wantSets checks a set's primary for primary pairs and its
-			// secondary for secondary pairs — path events of an ID ORAM, or
-			// (reads, writes) of a label array's cells.
-			wantSets := func(paths, cells map[string][2]int, what string, x relation.AttrSet, primary int, secondary [2]int) {
+			// wantSets checks a set's primary for primary rounds of the n
+			// records and its secondary for secondary — tree rounds of an ID
+			// ORAM, or (reads, writes) of a label array's cells.
+			wantSets := func(paths, bucketsOf, cells map[string][2]int, what string, x relation.AttrSet, primary int, secondary [2]int) {
 				t.Helper()
 				p, s := treeNames(core.sets[x])
 				got := paths[s]
@@ -180,10 +238,15 @@ func TestLevelClosedForm(t *testing.T) {
 					got = cells[s]
 				}
 				if paths[p] != [2]int{primary, primary} || got != secondary {
-					t.Errorf("%s %v: primary saw %v (ReadPath, WritePath), want %d pairs; secondary %v, want %v", what, x, paths[p], primary, got, secondary)
+					t.Errorf("%s %v: primary saw %v rounds (fetch, write-back), want %d each; secondary %v, want %v", what, x, paths[p], primary, got, secondary)
+				}
+				for _, tree := range []string{p, s} {
+					if c := paths[tree][0] / chunks; bucketsOf[tree] != [2]int{c * buckets, c * buckets} {
+						t.Errorf("%s %v: %s's %v rounds moved %v buckets, want %d each way per pass over the records", what, x, tree, paths[tree], bucketsOf[tree], buckets)
+					}
 				}
 			}
-			accesses := func(paths map[string][2]int) (total int) {
+			fetches := func(paths map[string][2]int) (total int) {
 				for _, c := range paths {
 					total += c[0]
 				}
@@ -191,20 +254,20 @@ func TestLevelClosedForm(t *testing.T) {
 			}
 
 			// Level 1: w = m, no covers.
-			r, reads, writes, paths, cells, events := measure(allSingles(m))
+			r, reads, writes, paths, bucketsOf, cells, events := measure(allSingles(m))
 			perTarget := 2
 			if positional {
 				perTarget = 1
 			}
-			if r != int64(2*chunks) || accesses(paths) != perTarget*m*n {
-				t.Errorf("level 1: %d accesses in %d path rounds, want %d·w·n = %d in 2⌈n/%d⌉ = %d", accesses(paths), r, perTarget, perTarget*m*n, obsort.ChunkCells, 2*chunks)
+			if r != int64(2*chunks) || fetches(paths) != perTarget*m*chunks {
+				t.Errorf("level 1: %d tree fetches in %d path rounds, want %d·w·⌈n/%d⌉ = %d in 2⌈n/%d⌉ = %d", fetches(paths), r, perTarget, obsort.ChunkCells, perTarget*m*chunks, obsort.ChunkCells, 2*chunks)
 			}
 			for a := 0; a < m; a++ {
-				labels := [2]int{n, n}
+				labels := [2]int{chunks, chunks}
 				if positional {
 					labels = [2]int{0, n}
 				}
-				wantSets(paths, cells, "level 1", relation.SingleAttr(a), n, labels)
+				wantSets(paths, bucketsOf, cells, "level 1", relation.SingleAttr(a), chunks, labels)
 			}
 			var columnCells int
 			for _, ev := range events {
@@ -223,34 +286,34 @@ func TestLevelClosedForm(t *testing.T) {
 
 			// Level 2: w = 6 over c = 4, each cover named by three targets.
 			pairs := allPairs(m)
-			r, reads, writes, paths, cells, _ = measure(pairs)
+			r, reads, writes, paths, bucketsOf, cells, _ = measure(pairs)
 			groups := (len(pairs) + levelWidth - 1) / levelWidth
-			perChunk, wantAccesses := 3, (2*len(pairs)+m)*n*groups
+			perChunk, wantFetches := 3, (2*len(pairs)+m)*chunks*groups
 			if positional {
-				perChunk, wantAccesses = 2, len(pairs)*n
+				perChunk, wantFetches = 2, len(pairs)*chunks
 			}
 			if want := perChunk * chunks * groups; r != int64(want) {
 				t.Errorf("level 2: %d path rounds, want %d⌈n/%d⌉·%d = %d", r, perChunk, obsort.ChunkCells, groups, want)
 			}
-			if groups == 1 && accesses(paths) != wantAccesses {
-				t.Errorf("level 2: %d accesses, want %d", accesses(paths), wantAccesses)
+			if groups == 1 && fetches(paths) != wantFetches {
+				t.Errorf("level 2: %d tree fetches, want %d", fetches(paths), wantFetches)
 			}
 			if positional && (reads != int64(chunks*groups) || writes != int64(chunks*groups)) {
 				t.Errorf("level 2: %d rounds of label reads and %d of label writes, want ⌈n/%d⌉·%d = %d each", reads, writes, obsort.ChunkCells, groups, chunks*groups)
 			}
 			for _, p := range pairs {
-				labels := [2]int{n, n}
+				labels := [2]int{chunks, chunks}
 				if positional {
 					labels = [2]int{0, n}
 				}
-				wantSets(paths, cells, "level 2 target", p.Set, n, labels)
+				wantSets(paths, bucketsOf, cells, "level 2 target", p.Set, chunks, labels)
 			}
 			for a := 0; a < m; a++ {
-				labels := [2]int{n * groups, n * groups}
+				labels := [2]int{chunks * groups, chunks * groups}
 				if positional {
 					labels = [2]int{n * groups, 0}
 				}
-				wantSets(paths, cells, "level 2 cover", relation.SingleAttr(a), 0, labels)
+				wantSets(paths, bucketsOf, cells, "level 2 cover", relation.SingleAttr(a), 0, labels)
 			}
 
 			// A level of one is the set-at-a-time sequence, a phase a chunk.
@@ -266,9 +329,9 @@ func TestLevelClosedForm(t *testing.T) {
 				op   trace.Op
 				objs []string
 			}
-			record := []step{{trace.OpReadPath, []string{c1, c2}}, {trace.OpWritePath, []string{c1, c2}}, {trace.OpReadPath, []string{p, s}}, {trace.OpWritePath, []string{p, s}}}
+			record := []step{{trace.OpReadTreeCell, []string{c1, c2}}, {trace.OpWriteTreeCell, []string{c1, c2}}, {trace.OpReadTreeCell, []string{p, s}}, {trace.OpWriteTreeCell, []string{p, s}}}
 			if positional {
-				record = []step{{trace.OpReadPath, []string{p}}, {trace.OpWritePath, []string{p}}}
+				record = []step{{trace.OpReadTreeCell, []string{p}}, {trace.OpWriteTreeCell, []string{p}}}
 			}
 			var wantSeq, gotSeq []string
 			cellRange := func(op trace.Op, obj string, lo, hi int) {
@@ -283,26 +346,38 @@ func TestLevelClosedForm(t *testing.T) {
 					cellRange(trace.OpReadCell, c2, lo, hi)
 				}
 				for _, st := range record {
-					for i := lo; i < hi; i++ {
-						for _, obj := range st.objs {
-							wantSeq = append(wantSeq, fmt.Sprintf("%v %s", st.op, obj))
-						}
+					for _, obj := range st.objs {
+						wantSeq = append(wantSeq, fmt.Sprintf("%v %s ×%d", st.op, obj, roundBuckets(hi-lo, core.capacity)))
 					}
 				}
 				if positional {
 					cellRange(trace.OpWriteCell, s, lo, hi)
 				}
 			}
+			var call trace.Event // the tree cell call being collected, run events of it
+			run := 0
+			endCall := func() {
+				if run > 0 {
+					gotSeq = append(gotSeq, fmt.Sprintf("%v %s ×%d", call.Op, call.Object, run))
+				}
+				run = 0
+			}
 			for _, ev := range srv.Trace().Events() {
 				switch ev.Op {
-				case trace.OpReadPath, trace.OpWritePath:
-					gotSeq = append(gotSeq, fmt.Sprintf("%v %s", ev.Op, ev.Object))
+				case trace.OpReadTreeCell, trace.OpWriteTreeCell:
+					if ev.First {
+						endCall()
+					}
+					call = ev
+					run++
 				case trace.OpReadCell, trace.OpWriteCell:
+					endCall()
 					gotSeq = append(gotSeq, fmt.Sprintf("%v %s %d", ev.Op, ev.Object, ev.Index))
 				}
 			}
+			endCall()
 			if strings.Join(gotSeq, "\n") != strings.Join(wantSeq, "\n") {
-				t.Errorf("a level of one is not the set-at-a-time sequence taken a chunk at a time: %d path and cell events, want %d; first eight\n got  %v\n want %v",
+				t.Errorf("a level of one is not the set-at-a-time sequence taken a chunk at a time: %d tree calls and cell events, want %d; first eight\n got  %v\n want %v",
 					len(gotSeq), len(wantSeq), gotSeq[:min(8, len(gotSeq))], wantSeq[:8])
 			}
 		})
@@ -363,7 +438,7 @@ func TestLevelWiderThanGroup(t *testing.T) {
 			events := srv.Trace().Events()
 			for i, ev := range events {
 				switch ev.Op {
-				case trace.OpReadPath, trace.OpWritePath, trace.OpReadCell, trace.OpWriteCell:
+				case trace.OpReadTreeCell, trace.OpWriteTreeCell, trace.OpReadCell, trace.OpWriteCell:
 				default:
 					continue
 				}
@@ -385,11 +460,12 @@ func TestLevelWiderThanGroup(t *testing.T) {
 			if span[0][1] >= span[1][0] {
 				t.Errorf("groups are not in request order: the first %d targets are stepped until event %d, the rest from event %d", levelWidth, span[0][1], span[1][0])
 			}
-			// A cover's ID ORAM sees a (ReadPath, WritePath) pair, its label
-			// array a ReadCell, per record and group that names it.
-			got, what := pathEvents(events), "(ReadPath, WritePath)"
+			// A cover's ID ORAM sees a round (fetch, write-back) per chunk —
+			// n fits one — and its label array a ReadCell per record, per
+			// group that names it.
+			got, what, per := treeRounds(events), "rounds (fetch, write-back)", 1
 			if core.layout.positional {
-				got, what = cellEvents(events), "(ReadCell, WriteCell)"
+				got, what, per = cellEvents(events), "(ReadCell, WriteCell)", n
 			}
 			for a := 0; a < m; a++ {
 				x := relation.SingleAttr(a)
@@ -402,7 +478,7 @@ func TestLevelWiderThanGroup(t *testing.T) {
 						}
 					}
 				}
-				want := [2]int{naming * n, naming * n}
+				want := [2]int{naming * per, naming * per}
 				if core.layout.positional {
 					want[1] = 0
 				}
@@ -446,7 +522,7 @@ func failedLevel(t *testing.T) {
 					lost = 2 + 2
 				}
 				srv := store.NewServer()
-				svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindBatch && op.Ops[0].Path })
+				svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindBatch && onTree(op.Ops[0].Name) })
 				edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
 				if err != nil {
 					t.Fatal(err)

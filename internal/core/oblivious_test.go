@@ -365,11 +365,13 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 // sealCapture keeps every ciphertext the client writes, in the order written,
 // repeats included (an ORAM bucket shared by the paths of one round is
 // written once for each of them), with the storage call that carried it and,
-// for a path slot, the tree and the heap index of its bucket.
+// for a bucket of an ORAM tree — a cell a round writes back; the trees store
+// one slot per bucket — the tree and the bucket's heap index.
 type sealCapture struct {
 	store.Adapter
 	svc     store.Service
 	calls   int
+	trees   map[string]bool
 	written []writtenCT
 }
 
@@ -381,7 +383,7 @@ type writtenCT struct {
 }
 
 func newSealCapture(svc store.Service) *sealCapture {
-	c := &sealCapture{svc: svc}
+	c := &sealCapture{svc: svc, trees: make(map[string]bool)}
 	c.Adapter = store.Adapt(c.handle)
 	return c
 }
@@ -389,27 +391,28 @@ func newSealCapture(svc store.Service) *sealCapture {
 func (c *sealCapture) handle(op *store.Op, res *store.Result) error {
 	c.calls++
 	switch op.Kind {
-	case store.KindWriteCells, store.KindWriteBuckets:
-		c.keep(op.Cts, false, "", 0)
-	case store.KindWritePath:
-		c.keep(op.Cts, true, op.Name, op.Leaf)
+	case store.KindCreateTree:
+		c.trees[op.Name] = true
+	case store.KindWriteBuckets:
+		c.keep("", nil, op.Cts)
+	case store.KindWriteCells:
+		c.keep(op.Name, op.Idx, op.Cts)
 	case store.KindBatch:
 		for _, b := range op.Ops {
 			if b.Write {
-				c.keep(b.Cts, b.Path, b.Name, b.Leaf)
+				c.keep(b.Name, b.Idx, b.Cts)
 			}
 		}
 	}
 	return store.Invoke(c.svc, op, res)
 }
 
-// keep records cts. A path's slots run root first, one bucket a level (the
-// ORAMs store one slot per bucket).
-func (c *sealCapture) keep(cts [][]byte, path bool, tree string, leaf uint32) {
-	for l, ct := range cts {
+// keep records cts, written to the cells idx of the object name.
+func (c *sealCapture) keep(name string, idx []int64, cts [][]byte) {
+	for k, ct := range cts {
 		w := writtenCT{ct: ct, call: c.calls, bucket: -1}
-		if path {
-			w.tree, w.bucket = tree, int64(1<<l-1)+int64(leaf>>(len(cts)-1-l))
+		if c.trees[name] {
+			w.tree, w.bucket = name, idx[k]
 		}
 		c.written = append(c.written, w)
 	}
@@ -568,8 +571,9 @@ func histogramRel(groups [4]int, free bool) *relation.Relation {
 // (2 subset-label reads + the 2-access Algorithm 4 step: a read-modify-write
 // of O^KLF and a write of O^IKL) and 2 per single; a deletion performs 2 per
 // set (Algorithm 5: take the record out of O^IKL, decrement-or-remove in
-// O^KLF). Each access is one ReadPath + one WritePath. The paper's counts, 5 /
-// 3 / 4, are these with every read-modify-write spelt as a Read and a Write.
+// O^KLF). Each access is its tree's round of one — a fetch and a write-back of
+// one path, L buckets each way. The paper's counts, 5 / 3 / 4, are these with
+// every read-modify-write spelt as a Read and a Write.
 func TestDynamicAccessCounts(t *testing.T) {
 	rel := fixedWidthRel(2, 8, 5, 4)
 	srv := store.NewServer()
@@ -584,35 +588,43 @@ func TestDynamicAccessCounts(t *testing.T) {
 	defer eng.Close()
 	materializeAll(t, eng, 2) // sets {0}, {1}, {0,1}
 
+	srv.Trace().Enable()
+	path := roundBuckets(1, 16)
+	accesses := func(what string, want int) {
+		t.Helper()
+		events := srv.Trace().Events()
+		rounds := [2]int{}
+		for _, c := range treeRounds(events) {
+			rounds[0], rounds[1] = rounds[0]+c[0], rounds[1]+c[1]
+		}
+		if rounds != [2]int{want, want} {
+			t.Errorf("%s: %v tree (fetches, write-backs), want %d each", what, rounds, want)
+		}
+		if got := srv.Trace().Count(trace.OpReadTreeCell); got != int64(want*path) {
+			t.Errorf("%s: %d buckets read, want %d paths of %d", what, got, want, path)
+		}
+		if got := srv.Trace().Count(trace.OpWriteTreeCell); got != int64(want*path) {
+			t.Errorf("%s: %d buckets written, want %d paths of %d", what, got, want, path)
+		}
+	}
 	srv.Trace().Reset()
 	id, err := eng.Insert(relation.Row{"111111", "222222"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Insert: 2 + 2 (singles) + 4 (pair) = 8 accesses.
-	if got := srv.Trace().Count(trace.OpReadPath); got != 8 {
-		t.Errorf("insert path reads = %d, want 8", got)
-	}
-	if got := srv.Trace().Count(trace.OpWritePath); got != 8 {
-		t.Errorf("insert path writes = %d, want 8", got)
-	}
+	accesses("insert", 8) // 2 + 2 (singles) + 4 (pair)
 
 	srv.Trace().Reset()
 	if err := eng.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	// Delete: 2 accesses per set × 3 sets = 6.
-	if got := srv.Trace().Count(trace.OpReadPath); got != 6 {
-		t.Errorf("delete path reads = %d, want 6", got)
-	}
-	if got := srv.Trace().Count(trace.OpWritePath); got != 6 {
-		t.Errorf("delete path writes = %d, want 6", got)
-	}
+	accesses("delete", 6) // 2 accesses per set × 3 sets
 }
 
 // TestOrStepAccessCountFixed: each Algorithm 1 iteration costs exactly one
 // cell read, one ORAM access (a read-modify-write of O^KL) and one label cell
-// written to O^IL, independent of whether the key repeats.
+// written to O^IL, independent of whether the key repeats. The server sees
+// the accesses as O^KL's round per chunk, of the closed-form size.
 func TestOrStepAccessCountFixed(t *testing.T) {
 	rel := fixedWidthRel(1, 16, 9, 2)
 	srv := store.NewServer()
@@ -630,11 +642,15 @@ func TestOrStepAccessCountFixed(t *testing.T) {
 	if got := srv.Trace().Count(trace.OpReadCell); got != n {
 		t.Errorf("cell reads = %d, want %d", got, n)
 	}
-	if got := srv.Trace().Count(trace.OpReadPath); got != n {
-		t.Errorf("path reads = %d, want %d (1 per record)", got, n)
+	if got := eng.sets[relation.SingleAttr(0)].primary.Accesses(); got != n {
+		t.Errorf("O^KL accesses = %d, want %d (1 per record)", got, n)
 	}
-	if got := srv.Trace().Count(trace.OpWritePath); got != n {
-		t.Errorf("path writes = %d, want %d", got, n)
+	buckets := int64(chunkBuckets(int(n), eng.capacity))
+	if got := srv.Trace().Count(trace.OpReadTreeCell); got != buckets {
+		t.Errorf("buckets read = %d, want %d", got, buckets)
+	}
+	if got := srv.Trace().Count(trace.OpWriteTreeCell); got != buckets {
+		t.Errorf("buckets written = %d, want %d", got, buckets)
 	}
 	if got := srv.Trace().Count(trace.OpWriteCell); got != n {
 		t.Errorf("label cells written = %d, want %d", got, n)
@@ -644,8 +660,9 @@ func TestOrStepAccessCountFixed(t *testing.T) {
 // roundLog records every call that reaches the service as one line: its
 // kind, and for a batch every op's kind, object, cell indices, slot count and
 // ciphertext lengths — the framing a server sees. Leaves are left out (they
-// are uniform draws) and objects are named by first appearance, so two
-// uploads' logs compare.
+// are uniform draws): a tree's bucket positions are logged as trace.Shape
+// keeps them, their levels where they form a treetop round, raw otherwise.
+// Objects are named by first appearance, so two uploads' logs compare.
 type roundLog struct {
 	store.Adapter
 	names  map[string]int
@@ -659,7 +676,11 @@ func newRoundLog(svc store.Service) *roundLog {
 		fmt.Fprintf(&b, "%v %s", op.Kind, r.name(op.Name))
 		for i := range op.Ops {
 			o := &op.Ops[i]
-			fmt.Fprintf(&b, " [%v %s %v %d", o.Kind(), r.name(o.Name), o.Idx, o.N)
+			idx := o.Idx
+			if onTree(o.Name) {
+				idx = trace.TreeRound(idx)
+			}
+			fmt.Fprintf(&b, " [%v %s %v %d", o.Kind(), r.name(o.Name), idx, o.N)
 			for _, ct := range o.Cts {
 				fmt.Fprintf(&b, " %d", len(ct))
 			}

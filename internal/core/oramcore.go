@@ -123,21 +123,23 @@ var levelAtATime = grouping{width: levelWidth}
 // what record i left and counts its fresh label (oramState.pending). Where
 // Algorithms 1, 2 and 4 read key_X's pair and then write it, a step makes one
 // read-modify-write access (oram.ORAM.Update). Per chunk, with P a target's
-// primary, S its secondary, c₁ … the covers' and ·r a phase taken for each of
-// the chunk's records in turn:
+// primary, S its secondary, c₁ … the covers', R a tree's fetch of the
+// chunk's r records' paths and W its write-back (one cell op each, the top
+// ⌈log₂ r⌉ levels read once: oram.Pipeline):
 //
 //	Or-ORAM   [cells of the columns | of c₁ … c_c]
-//	          → [ReadPath P₁, … P_w]·r
-//	          → [WritePath P₁, … P_w]·r [cells of S₁, … S_w]
+//	          → [R P₁, … P_w]
+//	          → [W P₁, … P_w] [cells of S₁, … S_w]
 //	Ex-ORAM   |X| = 1: [cells of the columns]
-//	          → [ReadPath P₁, ReadPath S₁, … P_w, S_w]·r
-//	          → [WritePath P₁, WritePath S₁, … P_w, S_w]·r
-//	          |X| ≥ 2: [ReadPath c₁, … c_c]·r
-//	          → [WritePath c₁, … c_c]·r [ReadPath P₁, ReadPath S₁, … P_w, S_w]·r
-//	          → [WritePath P₁, WritePath S₁, … P_w, S_w]·r
+//	          → [R P₁, R S₁, … P_w, S_w]
+//	          → [W P₁, W S₁, … P_w, S_w]
+//	          |X| ≥ 2: [R c₁, … c_c]
+//	          → [W c₁, … c_c] [R P₁, R S₁, … P_w, S_w]
+//	          → [W P₁, W S₁, … P_w, S_w]
 //
 // 3 rounds a chunk, every one of them; r·w accesses for Or-ORAM, 2r·w or
-// r·(2w + c) for Ex-ORAM, and a round holds up to r·(2w + c) paths. What w, c
+// r·(2w + c) for Ex-ORAM, and a round holds up to r·(2w + c) paths in
+// 2w + c tree ops. What w, c
 // and r are, and which structures stand where in a round, follows from the
 // request list — the lattice, a function of (m, FDs) — and n, and from nothing
 // fetched. A set's card_X moves when the round carrying its records'

@@ -72,7 +72,14 @@ import (
 // stages of one read and one write of that run — 35 events for a set no
 // union reads (create, upload, network, scan, delete), 67 for a cover (a
 // second network and one read per child). The column lines and every ORAM
-// line are byte for byte what they were.
+// line are byte for byte what they were. When ORAM rounds became treetop
+// rounds, every or#:N:KL, ex#:N:KLF and ex#:N:IKL line was regenerated: a
+// round reads its tree's top t levels once; positions are a function of
+// (t, r, L) and the r uniform leaves. A round is one cell call of
+// 2^t − 1 + r·(L − t) bucket events each way, not r path events; at the
+// scripted run's 24 records and 5-level trees it is the whole 31-bucket tree
+// (55 → 85 events for a set's tree, 115 → 207 for a cover's ID ORAM). The
+// column, or#:N:IL and sort lines are byte for byte what they were.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -105,6 +112,10 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // sort line was regenerated when the Sort engine began to seal runs (10 412 →
 // 435 events, the calls and their order unchanged): the run layout is a
 // function of (n, R). The or and ex lines are byte for byte what they were.
+// Its or and ex lines were regenerated when ORAM rounds became treetop rounds
+// (or: 755 → 965 events, ex: 1 084 → 1 866): a round reads its tree's top t
+// levels once; positions are a function of (t, r, L) and the r uniform
+// leaves. The sort line is byte for byte what it was.
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It

@@ -9,6 +9,7 @@ import (
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
+	"github.com/oblivfd/oblivfd/internal/trace"
 )
 
 func benchORAM(tb testing.TB, capacity int) *ORAM {
@@ -140,13 +141,17 @@ func BenchmarkSetupOrStatic(b *testing.B) { benchSetup(b, 1024, 8) }
 // BenchmarkPathAccessBatch is one batch of r = 64 accesses — a chunk's
 // accesses to one tree — through a pipeline, on the Or-ORAM shape of
 // BenchmarkPathAccessOrStatic: the engineMix of reads and writes over random
-// live keys, so keys repeat now and then. The 64 paths share their top
-// levels, and each distinct bucket is opened once and sealed once:
-// opens/access and seals/access are bucket counts per access (10 for a lone
-// access in this 10-level tree), the same on every run with the seed fixed.
+// live keys, so keys repeat now and then. The round reads the tree's top
+// ⌈log₂ 64⌉ = 6 levels once and the 64 paths below them: buckets/round is
+// 2^6 − 1 + 64·(10 − 6) = 319 each way (640 when every path was sent whole),
+// and bytes/access the ciphertext bytes a round moves both ways, per access.
+// Each distinct bucket is opened once and sealed once: opens/access and
+// seals/access are bucket counts per access (10 for a lone access in this
+// 10-level tree), the same on every run with the seed fixed.
 func BenchmarkPathAccessBatch(b *testing.B) {
 	const r = 64
 	o, keys := engineShape(b, 1024, 8)
+	rec := o.svc.(*store.Server).Trace()
 	reg := telemetry.New()
 	o.cipher.SetTelemetry(reg)
 	opens := reg.Counter("oblivfd_integrity_checks_total")
@@ -159,7 +164,7 @@ func BenchmarkPathAccessBatch(b *testing.B) {
 	var sealed int64
 	b.ReportAllocs()
 	b.ResetTimer()
-	opens0 := opens.Value()
+	opens0, bytes0, buckets0 := opens.Value(), rec.TotalBytes(), rec.Count(trace.OpReadTreeCell)
 	for i := 0; i < b.N; i++ {
 		for j := range accesses {
 			accesses[j] = Access{Store: o, Key: keys[rng.Intn(len(keys))], Fn: read}
@@ -176,6 +181,8 @@ func BenchmarkPathAccessBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(rec.Count(trace.OpReadTreeCell)-buckets0)/float64(b.N), "buckets/round")
+	b.ReportMetric(float64(rec.TotalBytes()-bytes0)/float64(r*b.N), "bytes/access")
 	b.ReportMetric(float64(opens.Value()-opens0)/float64(r*b.N), "opens/access")
 	b.ReportMetric(float64(sealed)/float64(r*b.N), "seals/access")
 }
@@ -183,13 +190,14 @@ func BenchmarkPathAccessBatch(b *testing.B) {
 // TestPathAccessAllocs pins the per-access allocation count in buckets, on a
 // full 256-key tree (Reads) and on the two engine shapes (engineMix). An
 // access allocates one ciphertext per level (each its own allocation: the
-// in-process server retains them), the server's path list and two node
-// lists, and a Read the returned value copy: levels + 4. Everything else
-// (bucket plaintexts, associated data, eviction lists, the slots a fetched
-// block is copied into) is per-handle state or scratch. Measured: 12 for 8
-// levels (67 when every block was sealed alone, 31 while the stash was a map
-// allocating a key and a value per real block fetched), so a per-block
-// allocation cannot come back unnoticed.
+// in-process server retains them), the server's answer list, and a Read the
+// returned value copy: levels + 2. Everything else (the round's positions,
+// bucket plaintexts, associated data, eviction lists, the slots a fetched
+// block is copied into) is per-handle state or scratch. Measured: 10 for 8
+// levels (12 while the server built a path's index list for ReadPath, 67 when
+// every block was sealed alone, 31 while the stash was a map allocating a key
+// and a value per real block fetched), so a per-block allocation cannot come
+// back unnoticed.
 func TestPathAccessAllocs(t *testing.T) {
 	full := benchORAM(t, 256)
 	keys := make([]string, 256)
@@ -218,7 +226,7 @@ func TestPathAccessAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		budget := float64(c.o.levels + 4)
+		budget := float64(c.o.levels + 2)
 		if allocs > budget {
 			t.Errorf("%s: oblivious access allocates %.1f times per op, budget %.0f (%d levels)", c.name, allocs, budget, c.o.levels)
 		}

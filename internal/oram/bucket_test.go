@@ -11,7 +11,9 @@ import (
 	"github.com/oblivfd/oblivfd/internal/store"
 )
 
-// pathTap remembers the last path the client read and the last it wrote.
+// pathTap remembers the leaf of the last path the client read and of the last
+// it wrote, and what it wrote. A direct access's round is one path, root
+// first, so its last position is its leaf's bucket.
 type pathTap struct {
 	store.Service
 	readLeaf  uint32
@@ -19,15 +21,21 @@ type pathTap struct {
 	written   [][]byte
 }
 
-func (p *pathTap) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	p.readLeaf = leaf
-	return p.Service.ReadPath(name, leaf)
+// pathLeaf is the leaf of the path whose bucket positions are idx, root first.
+func pathLeaf(idx []int64) uint32 {
+	p := idx[len(idx)-1]
+	return uint32(p + 1 - 1<<(bits.Len64(uint64(p)+1)-1))
 }
 
-func (p *pathTap) WritePath(name string, leaf uint32, slots [][]byte) error {
-	p.writeLeaf = leaf
-	p.written = append(p.written[:0], slots...)
-	return p.Service.WritePath(name, leaf, slots)
+func (p *pathTap) ReadCells(name string, idx []int64) ([][]byte, error) {
+	p.readLeaf = pathLeaf(idx)
+	return p.Service.ReadCells(name, idx)
+}
+
+func (p *pathTap) WriteCells(name string, idx []int64, cts [][]byte) error {
+	p.writeLeaf = pathLeaf(idx)
+	p.written = append(p.written[:0], cts...)
+	return p.Service.WriteCells(name, idx, cts)
 }
 
 // realKeys opens the bucket written at level l of the path to leaf and
@@ -132,10 +140,11 @@ func TestEvictionIsGreedy(t *testing.T) {
 }
 
 // TestEvictMatchesLevelByLevelGreedy: on random stashes and batches of one
-// to four paths, the one-pass eviction fills every bucket of the union of the
-// paths with exactly as many blocks as the eviction it replaced — walk the
-// levels leaf to root and, at each, let every bucket of the union take up to
-// Z of the still-stashed blocks eligible there — and so leaves exactly as many
+// to four paths, the one-pass eviction fills every bucket of the round — the
+// top ⌈log₂ r⌉ levels whole and the union of the paths below them — with
+// exactly as many blocks as the plain greedy does — walk the levels leaf to
+// root and, at each, let every bucket of the round take up to Z of the
+// still-stashed blocks eligible there — and so leaves exactly as many
 // behind. (How many a greedy fill places in a bucket does not depend on which
 // eligible blocks it picks, so the counts are comparable although both pick
 // arbitrarily.)
@@ -166,6 +175,7 @@ func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 		for range r {
 			o.cur.ops = append(o.cur.ops, batchOp{leaf: uint32(rng.Intn(8))})
 		}
+		o.positions()
 		o.layNodes()
 
 		// want[j]: what the level-by-level greedy places in node j.
@@ -191,7 +201,7 @@ func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 		for j, nd := range o.nodes {
 			l := int(nd.level)
 			leaf := nd.prefix << (leafLevel - l) // a leaf below the bucket
-			if got := len(realKeys(t, o, o.outBuf[int(nd.opener)*o.levels+l], leaf, l)); got != want[j] {
+			if got := len(realKeys(t, o, o.outBuf[o.place(&nd)], leaf, l)); got != want[j] {
 				t.Fatalf("trial %d (%d stashed, %d paths): level %d bucket %d holds %d blocks, level-by-level greedy places %d",
 					trial, n, r, l, nd.prefix, got, want[j])
 			}
@@ -283,7 +293,7 @@ func TestBucketSwapDetected(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			a, b := stored(t, srv, o, swap[0]), stored(t, srv, o, swap[1])
+			a, b := stored(t, srv, swap[0]), stored(t, srv, swap[1])
 			if err := srv.WriteBuckets("t", swap[0], [][]byte{b}); err != nil {
 				t.Fatal(err)
 			}
@@ -312,18 +322,12 @@ func TestBucketSwapDetected(t *testing.T) {
 	}
 }
 
-// stored fetches the ciphertext the server holds for one bucket (heap index)
-// by reading a path that runs through it.
-func stored(t *testing.T, srv *store.Server, o *ORAM, bucket int) []byte {
+// stored fetches the ciphertext the server holds for one bucket (heap index).
+func stored(t *testing.T, srv *store.Server, bucket int) []byte {
 	t.Helper()
-	l := bits.Len(uint(bucket+1)) - 1
-	leaf := uint32(bucket-(1<<l-1)) << (o.levels - 1 - l)
-	if o.pathBucket(leaf, l) != bucket {
-		t.Fatalf("bucket %d: level %d, leaf %d maps to %d", bucket, l, leaf, o.pathBucket(leaf, l))
-	}
-	path, err := srv.ReadPath("t", leaf)
+	cts, err := srv.ReadCells("t", []int64{int64(bucket)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return path[l]
+	return cts[0]
 }

@@ -14,10 +14,9 @@
 // general one — a read-modify-write for the price of a single access.
 //
 // Obliviousness: every access — whatever its function, hit or miss —
-// performs exactly one ReadPath and one WritePath on a uniformly random
-// leaf, re-encrypting every bucket it writes. The server cannot distinguish
-// the operations (Definition 4 requires Read and Write to be mutually
-// indistinguishable).
+// reads and writes back the path to a uniformly random leaf, re-encrypting
+// every bucket it writes. The server cannot distinguish the operations
+// (Definition 4 requires Read and Write to be mutually indistinguishable).
 //
 // A Pipeline runs accesses in batches: r accesses to one tree fetch r paths in
 // one round — a key's path on its first access in the batch, a fresh uniform
@@ -27,6 +26,16 @@
 // and writes the r paths back, a shared bucket sealed once (Stefanov et al.,
 // CCS 2013; Sahin et al., "TaoStore", S&P 2016). A direct access is a
 // batch of one, draw for draw the textbook access.
+//
+// A round is one cell read of the tree and, in the next round, one cell write
+// of the same positions (treetop rounds, DESIGN.md §11): the top
+// t = ⌈log₂ r⌉ levels whole, 2^t − 1 buckets, once, then each access's path
+// from level t down to its leaf — 2^t − 1 + r·(L − t) buckets each way where r
+// paths are r·L, a bucket two paths share below the top sent once for each.
+// The count is a function of r and the depth L; the positions are a function
+// of those and the r uniform leaves. Eviction may place a block in any
+// fetched bucket on its own path, the top t levels included. At r = 1, t = 0
+// and the round is the one path.
 //
 // The bucket is the unit of encryption, as in Stefanov et al.: a bucket's Z
 // blocks — real and dummy side by side, each flag ∥ version ∥ padded key ∥
@@ -173,6 +182,13 @@ type ORAM struct {
 	owed   int
 	failed error
 
+	// top is t, the levels the batch in flight reads whole (treetop); idx is
+	// its round's bucket positions, and owedIdx those of the write-back owed
+	// to a pipeline, which the next batch's fetch is built beside (positions).
+	top     int
+	idx     []int64
+	owedIdx []int64
+
 	// Scratch reused across batches so the steady-state path read/write
 	// loop allocates only what must escape: one ciphertext per bucket headed
 	// for the server (a block entering the stash is copied into its slot).
@@ -185,13 +201,13 @@ type ORAM struct {
 	// handle is not safe for concurrent use.
 	openBuf []byte   // the bucket plaintext being parsed (via OpenTo)
 	sealBuf []byte   // the bucket plaintext being staged for sealBucket
-	nodes   []node   // the distinct buckets of the batch's paths (layNodes)
+	nodes   []node   // the distinct buckets of the batch's round (layNodes)
 	levelAt []int    // level l's nodes are nodes[levelAt[l]:levelAt[l+1]]
 	leaves  []uint32 // layNodes: the batch's distinct leaves, in order
 	pathBuf []int32  // absorb: a path's nodes, root first
 	next    []int32  // evict: the links of the lists of stash positions
 	spare   []int32  // evict: the stash list's other array, the next call's new list
-	outBuf  [][]byte // evict, finish: the batch's outgoing paths, levels entries each; every entry overwritten per batch
+	outBuf  [][]byte // evict, finish: the round's write-back, one entry per position of idx; every entry overwritten per batch
 
 	// Telemetry handles, nil when disabled. stashGauge is shared across
 	// every ORAM on the registry and updated by delta, so it reads as the
@@ -354,6 +370,46 @@ func (o *ORAM) pathBucket(leaf uint32, l int) int {
 	return 1<<l - 1 + int(leaf>>(o.levels-1-l))
 }
 
+// treetop is t, how many top levels a round of r accesses to a tree of the
+// given depth reads whole: ⌈log₂ r⌉, the smallest t at which the round's
+// 2^t − 1 + r·(levels − t) buckets are fewest, and never more than the tree
+// has. A batch of one reads no level whole: its round is its path.
+func treetop(r, levels int) int { return min(bits.Len(uint(r-1)), levels) }
+
+// positions lays out the round of the batch in flight in o.idx and returns
+// it: the top t levels' buckets in heap order, then each access's path from
+// level t down to its leaf, in call order — a bucket that two paths share
+// below the top once for each, so the count is 2^t − 1 + r·(levels − t)
+// whichever leaves were drawn.
+func (o *ORAM) positions() []int64 {
+	o.top = treetop(len(o.cur.ops), o.levels)
+	o.idx = o.idx[:0]
+	for b := range 1<<o.top - 1 {
+		o.idx = append(o.idx, int64(b))
+	}
+	for _, op := range o.cur.ops {
+		for l := o.top; l < o.levels; l++ {
+			o.idx = append(o.idx, int64(o.pathBucket(op.leaf, l)))
+		}
+	}
+	return o.idx
+}
+
+// segment is the place in the round of the level-l bucket (l ≥ top) of access
+// k's path.
+func (o *ORAM) segment(k int32, l int) int {
+	return 1<<o.top - 1 + int(k)*(o.levels-o.top) + l - o.top
+}
+
+// place is the place in the round of node nd's ciphertext: its heap index in
+// the top levels, its first path's segment below them.
+func (o *ORAM) place(nd *node) int {
+	if int(nd.level) < o.top {
+		return 1<<nd.level - 1 + int(nd.prefix)
+	}
+	return o.segment(nd.opener, int(nd.level))
+}
+
 // sealBucket seals the staged bucket plaintext for the given place in the
 // tree. The ciphertext is an allocation of its own (see the scratch comment
 // on ORAM).
@@ -440,8 +496,8 @@ func (o *ORAM) ValueWidth() int { return o.valueWidth }
 // StashLimit returns the configured stash bound.
 func (o *ORAM) StashLimit() int { return o.stashLimit }
 
-// Accesses returns how many oblivious accesses (path read + write pairs)
-// have been performed. Protocol tests use it to verify fixed access counts.
+// Accesses returns how many oblivious accesses (a path fetched and written
+// back, alone or in a batch's round) have been performed. Protocol tests use it to verify fixed access counts.
 func (o *ORAM) Accesses() int64 { return o.accesses }
 
 // ClientMemoryBytes estimates the client-held state size: per live key its
@@ -530,22 +586,23 @@ type inflight struct {
 // A batchOp is one access of the batch in flight.
 type batchOp struct {
 	key   string
-	leaf  uint32   // the leaf whose path the access fetches
-	at    int      // where that path sits in the round's answer
-	first bool     // the batch's first access to key
-	slot  int32    // key's slot if the access is first and key was live as the batch began, else -1
-	node  int32    // the path's leaf bucket among the batch's nodes, once absorbed
-	out   [][]byte // the path's write-back, root first, once finished
+	leaf  uint32 // the leaf whose path the access fetches
+	at    int    // the access's place in the call that asked for it, for errors
+	first bool   // the batch's first access to key
+	slot  int32  // key's slot if the access is first and key was live as the batch began, else -1
+	node  int32  // the path's leaf bucket among the batch's nodes, once absorbed
 }
 
-// A node is one distinct bucket on the union of a batch's paths.
+// A node is one distinct bucket of a batch's round: one of the top levels, or
+// one on the union of the paths below them.
 type node struct {
 	prefix uint32 // the bucket's place in its level: the top bits of every leaf below it
 	level  int32
 	parent int32 // the node one level up; -1 at the root
-	// opener is the batch's first access whose path runs through the
-	// bucket: the copy its path fetched is the one absorbed, and the
-	// bucket's write-back is sealed into that path's place in outBuf.
+	// opener is, below the top levels, the batch's first access whose path
+	// runs through the bucket: the copy in its segment is the one absorbed,
+	// and the bucket's write-back is sealed into that place in outBuf (see
+	// place). A top bucket has one place; its opener is unused.
 	opener int32
 	// evict: the stashed blocks whose deepest eligible bucket this is, and
 	// those its children could not place.
@@ -574,7 +631,7 @@ type stage uint8
 const (
 	idle   stage = iota
 	begun        // leaves chosen; nothing fetched has been taken in
-	served       // paths absorbed, functions applied, write-back built but not known to have landed
+	served       // round absorbed, functions applied, write-back built but not known to have landed
 )
 
 // access is the single PathORAM access routine behind Read, Write, Remove and
@@ -583,16 +640,16 @@ const (
 // by a Pipeline into owe and settle around the write-back's round, with the
 // two server calls between them fused with other accesses'.
 func (o *ORAM) access(key string, fn UpdateFunc) (err error) {
-	leaf, _, err := o.begin(key, nil, 0)
-	if err != nil {
+	if _, err := o.begin(key, nil, 0); err != nil {
 		return err
 	}
 	defer func() { o.end(err) }()
-	buckets, err := o.svc.ReadPath(o.name, leaf)
+	idx := o.positions()
+	buckets, err := o.svc.ReadCells(o.name, idx)
 	if err != nil {
 		return fmt.Errorf("oram: %w", err)
 	}
-	if _, err := o.absorb([][][]byte{buckets}); err != nil {
+	if _, err := o.absorb(buckets); err != nil {
 		return err
 	}
 	if err := o.apply(0, fn); err != nil {
@@ -601,7 +658,7 @@ func (o *ORAM) access(key string, fn UpdateFunc) (err error) {
 	if err := o.finish(); err != nil {
 		return err
 	}
-	if err := o.svc.WritePath(o.name, leaf, o.cur.ops[0].out); err != nil {
+	if err := o.svc.WriteCells(o.name, idx, o.outBuf); err != nil {
 		return fmt.Errorf("oram: %w", err)
 	}
 	return nil
@@ -624,16 +681,16 @@ func (o *ORAM) ready(key string, p *Pipeline) error {
 }
 
 // begin adds an access to key to the batch p (nil for a direct access) is
-// building, and returns the leaf whose path it fetches, to be answered at
-// place at of the round, and its place in the batch. The batch's first access
+// building, at is the access's place in the caller's call, and returns its
+// place in the batch. The batch's first access
 // to a live key fetches the key's position-map entry; a repeat, or a key that
 // is not live, fetches a fresh uniform draw. So every leaf is fixed before
 // anything is fetched, a write-back still owed has already taken its remap
 // into account, and the r leaves of a batch are r independent uniform draws
 // whichever keys repeat.
-func (o *ORAM) begin(key string, p *Pipeline, at int) (leaf uint32, k int, err error) {
+func (o *ORAM) begin(key string, p *Pipeline, at int) (k int, err error) {
 	if err := o.ready(key, p); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	o.accesses++
 	o.accessCtr.Inc()
@@ -652,7 +709,7 @@ func (o *ORAM) begin(key string, p *Pipeline, at int) (leaf uint32, k int, err e
 	}
 	o.cur.stage, o.cur.by = begun, p
 	o.cur.ops = append(o.cur.ops, op)
-	return op.leaf, len(o.cur.ops) - 1, nil
+	return len(o.cur.ops) - 1, nil
 }
 
 // end closes the batch in flight. err is what stopped it, nil once its
@@ -669,8 +726,12 @@ func (o *ORAM) end(err error) {
 
 // owe hands the served batch's write-back to p, which sends it: the handle is
 // between batches again, but only p may begin the next one until it settles
-// the write-back.
-func (o *ORAM) owe(p *Pipeline) { o.cur, o.owedTo = inflight{ops: o.cur.ops[:0]}, p }
+// the write-back. The write-back's positions stay in owedIdx, so the next
+// batch's fetch, built before the round that carries both, has idx to itself.
+func (o *ORAM) owe(p *Pipeline) {
+	o.cur, o.owedTo = inflight{ops: o.cur.ops[:0]}, p
+	o.idx, o.owedIdx = o.owedIdx[:0], o.idx
+}
 
 // settle closes the write-back the handle owes: err is nil once it is on the
 // server, and otherwise what lost it, which the handle refuses every further
@@ -685,39 +746,43 @@ func (o *ORAM) settle(err error) {
 	clear(o.outBuf) // the client is done with the ciphertexts sent
 }
 
-// absorb takes the batch's fetched paths — fetched[op.at] for each access —
-// into the stash, each distinct bucket once however many of the paths name
-// it, and checks that every key the batch names that was live as it began is
-// now there. A bucket named again must come back byte for byte as it did the
-// first time: two authentic ciphertexts for one bucket in one round are an
-// equivocating server. On an error, at is the place in the round of the
-// access whose path did not verify.
-func (o *ORAM) absorb(fetched [][][]byte) (at int, err error) {
+// absorb takes the batch's fetched round — the buckets at o.idx's positions,
+// in that order — into the stash, each distinct bucket once however many of
+// the paths name it, and checks that every key the batch names that was live
+// as it began is now there. A bucket named again must come back byte for byte
+// as it did the first time: two authentic ciphertexts for one bucket in one
+// round are an equivocating server. On an error, at is the place in its call
+// of the access whose path did not verify (the batch's first, for a bucket of
+// the top levels).
+func (o *ORAM) absorb(fetched [][]byte) (at int, err error) {
 	o.cur.stage = served
 	o.pathReads.Add(int64(len(o.cur.ops)))
 	o.layNodes()
+	first := &o.cur.ops[0]
+	if len(fetched) != len(o.idx) {
+		return first.at, o.integrityErr(fmt.Sprintf("round of %d accesses answered with %d buckets, want %d", len(o.cur.ops), len(fetched), len(o.idx)), nil)
+	}
+	for b, ct := range fetched[:1<<o.top-1] {
+		l := bits.Len(uint(b+1)) - 1
+		if err := o.absorbBucket(ct, b, l, uint32(b+1-1<<l)<<(o.levels-1-l)); err != nil { // named by the leftmost path through it
+			return first.at, err
+		}
+	}
 	path := o.pathBuf
 	for k, op := range o.cur.ops {
-		buckets := fetched[op.at]
-		if len(buckets) != o.levels {
-			return op.at, o.integrityErr(fmt.Sprintf("path to leaf %d has %d buckets, want %d", op.leaf, len(buckets), o.levels), nil)
-		}
-		for l, nd := o.levels-1, op.node; l >= 0; l, nd = l-1, o.nodes[nd].parent {
+		for l, nd := o.levels-1, op.node; l >= o.top; l, nd = l-1, o.nodes[nd].parent {
 			path[l] = nd
 		}
-		for l, ct := range buckets {
-			nd, bucket := &o.nodes[path[l]], o.pathBucket(op.leaf, l)
+		for l := o.top; l < o.levels; l++ {
+			opener := o.nodes[path[l]].opener
+			ct, bucket := fetched[o.segment(int32(k), l)], o.pathBucket(op.leaf, l)
 			switch {
-			case len(ct) == 0:
-				// Setup leaves no empty buckets; an empty one means the
-				// server dropped a ciphertext.
-				return op.at, o.integrityErr(fmt.Sprintf("empty bucket at level %d on path to leaf %d", l, op.leaf), nil)
-			case int(nd.opener) != k && !bytes.Equal(fetched[o.cur.ops[nd.opener].at][l], ct):
-				return op.at, o.equivocation(ct, bucket, l, op.leaf)
-			case int(nd.opener) != k:
-				continue
+			case opener == int32(k):
+				err = o.absorbBucket(ct, bucket, l, op.leaf)
+			case !bytes.Equal(fetched[o.segment(opener, l)], ct):
+				err = o.equivocation(ct, bucket, l, op.leaf)
 			}
-			if err := o.absorbBucket(ct, bucket, l, op.leaf); err != nil {
+			if err != nil {
 				return op.at, err
 			}
 		}
@@ -751,6 +816,11 @@ func (o *ORAM) equivocation(ct []byte, bucket, l int, leaf uint32) error {
 // absorbBucket opens the ciphertext fetched for a bucket — at level l on the
 // path to leaf, for errors — and moves its real blocks into the stash.
 func (o *ORAM) absorbBucket(ct []byte, bucket, l int, leaf uint32) error {
+	if len(ct) == 0 {
+		// Setup leaves no empty buckets; an empty one means the server
+		// dropped a ciphertext.
+		return o.integrityErr(fmt.Sprintf("empty bucket at level %d on path to leaf %d", l, leaf), nil)
+	}
 	pt, err := o.cipher.OpenTo(o.openBuf[:0], ct, o.bucketAD(bucket))
 	if err != nil {
 		return o.integrityErr(fmt.Sprintf("bucket authentication failed at level %d on path to leaf %d", l, leaf), err)
@@ -819,9 +889,9 @@ func (o *ORAM) apply(k int, fn UpdateFunc) error {
 
 // finish ends the batch's client work. Every key it touched that is still
 // live takes a fresh uniform leaf, once, in the order first touched — the
-// standard PathORAM remap on every touch; then the stash is evicted along the
-// union of the batch's paths and each access's path is left, re-sealed, in
-// its out.
+// standard PathORAM remap on every touch; then the stash is evicted into the
+// round's buckets and the round is left, re-sealed, in outBuf, one
+// ciphertext for each position of idx.
 func (o *ORAM) finish() error {
 	for _, op := range o.cur.ops {
 		if i, live := o.index[op.key]; op.first && live {
@@ -839,25 +909,25 @@ func (o *ORAM) finish() error {
 	if len(o.stash) > o.stashLimit {
 		return fmt.Errorf("%w: %d blocks > limit %d", ErrStashOverflow, len(o.stash), o.stashLimit)
 	}
-	for k := range o.cur.ops {
-		op := &o.cur.ops[k]
-		op.out = o.outBuf[k*o.levels : (k+1)*o.levels : (k+1)*o.levels]
-		// A bucket's ciphertext sits in its first path's place, which no
-		// other node's is; the first path's are all in place.
-		for l, nd := o.levels-1, op.node; k > 0 && l >= 0; l, nd = l-1, o.nodes[nd].parent {
-			op.out[l] = o.outBuf[int(o.nodes[nd].opener)*o.levels+l]
+	// A bucket's ciphertext sits in its place (see place), which no other
+	// node's is; the top levels and the first path's segment are all in place.
+	for k := 1; k < len(o.cur.ops); k++ {
+		for l, nd := o.levels-1, o.cur.ops[k].node; l >= o.top; l, nd = l-1, o.nodes[nd].parent {
+			o.outBuf[o.segment(int32(k), l)] = o.outBuf[o.place(&o.nodes[nd])]
 		}
 	}
 	o.owed = len(o.cur.ops)
 	return nil
 }
 
-// layNodes lays out the union of the batch's paths as nodes, a level at a
-// time from the root, each level's in the order of their place in it — so a
-// node's children come after it and a level's leaves below it are a run —
-// and notes each access's leaf node and each node's first access. A batch of
-// one, every direct access, is one path: a node a level, each the parent of
-// the next, laid out without sorting or searching.
+// layNodes lays out the round's buckets as nodes — every bucket of the top
+// levels, then the union of the batch's paths below them — a level at a time
+// from the root, each level's in the order of their place in it — so a node's
+// children come after it, a level's leaves below it are a run, and a node of
+// the top levels is numbered by its heap index — and notes each access's leaf
+// node and each node's first access. A batch of one, every direct access, is
+// one path: a node a level, each the parent of the next, laid out without
+// sorting or searching.
 func (o *ORAM) layNodes() {
 	leafLevel := o.levels - 1
 	o.nodes = o.nodes[:0]
@@ -884,15 +954,22 @@ func (o *ORAM) layNodes() {
 		if l > 0 {
 			parent = int32(o.levelAt[l-1])
 		}
-		for _, leaf := range o.leaves {
-			prefix := leaf >> (leafLevel - l)
-			if len(o.nodes) > o.levelAt[l] && o.nodes[len(o.nodes)-1].prefix == prefix {
-				continue
-			}
+		add := func(prefix uint32) {
 			for l > 0 && o.nodes[parent].prefix != prefix>>1 {
 				parent++
 			}
 			o.nodes = append(o.nodes, node{prefix: prefix, level: int32(l), parent: parent, opener: -1, enter: empty, carry: empty})
+		}
+		if l < o.top {
+			for prefix := range uint32(1) << l {
+				add(prefix)
+			}
+			continue
+		}
+		for _, leaf := range o.leaves {
+			if prefix := leaf >> (leafLevel - l); len(o.nodes) == o.levelAt[l] || o.nodes[len(o.nodes)-1].prefix != prefix {
+				add(prefix)
+			}
 		}
 	}
 	o.levelAt[o.levels] = len(o.nodes)
@@ -922,10 +999,12 @@ func (o *ORAM) nodeAt(l int, prefix uint32) int32 {
 }
 
 // evict builds fresh contents for every bucket of the batch's nodes, seals
-// each once, and leaves the ciphertext in outBuf at its first path's place. A
-// stashed block may enter the buckets its assigned path shares with the
-// union; the deepest is on the path of the fetched leaf nearest its own in
-// order, leafLevel − bits.Len32(assigned ^ leaf) deep. One pass over the stash
+// each once, and leaves the ciphertext in outBuf at its place. A stashed
+// block may enter the buckets its assigned path shares with the round: every
+// one of the top levels, and below them those on the union of the paths; the
+// deepest is on the path of the fetched leaf nearest its own in order,
+// leafLevel − bits.Len32(assigned ^ leaf) deep, or the top's last level if
+// that is deeper. One pass over the stash
 // list sorts the blocks by that bucket; filling then walks the nodes from the
 // leaves up, each bucket taking up to Z of the blocks that became eligible at
 // it or that its children could not place, the last of them first — the
@@ -946,8 +1025,9 @@ func (o *ORAM) evict() error {
 		if int(nd) > lo {
 			depth = min(depth, bits.Len32(a^o.nodes[nd-1].prefix))
 		}
-		at := int32(o.levelAt[leafLevel-depth]) // a path's only node at that level
-		if hi-lo > 1 {
+		depth = min(depth, o.levels-max(o.top, 1)) // the top levels are whole
+		at := int32(o.levelAt[leafLevel-depth])    // a path's only node at that level
+		if len(o.cur.ops) > 1 {
 			at = o.nodeAt(leafLevel-depth, a>>depth)
 		}
 		e := &o.nodes[at].enter
@@ -956,7 +1036,7 @@ func (o *ORAM) evict() error {
 			e.tail = e.head
 		}
 	}
-	n := len(o.cur.ops) * o.levels
+	n := len(o.idx)
 	o.outBuf = slices.Grow(o.outBuf[:0], n)[:n]
 	left := o.spare[:0]
 	for j := len(o.nodes) - 1; j >= 0; j-- {
@@ -978,7 +1058,7 @@ func (o *ORAM) evict() error {
 		if err != nil {
 			return err
 		}
-		o.outBuf[int(nd.opener)*o.levels+int(nd.level)] = ct
+		o.outBuf[o.place(nd)] = ct
 		if nd.parent >= 0 {
 			up := &o.nodes[nd.parent]
 			up.carry = pending.then(up.carry, o.next)

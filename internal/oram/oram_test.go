@@ -277,7 +277,7 @@ func TestAccessPatternIndistinguishable(t *testing.T) {
 }
 
 // TestFixedAccessCount verifies every operation costs exactly one path read
-// and one path write.
+// and one path write: a cell read and a cell write of the path's buckets.
 func TestFixedAccessCount(t *testing.T) {
 	o, srv := newTestORAM(t, 64, 8)
 	const ops = 30
@@ -297,11 +297,12 @@ func TestFixedAccessCount(t *testing.T) {
 			}
 		}
 	}
-	if got := srv.Trace().Count(trace.OpReadPath); got != ops {
-		t.Errorf("ReadPath count = %d, want %d", got, ops)
+	levels, _ := shape(64)
+	if got := srv.Trace().Count(trace.OpReadTreeCell); got != ops*int64(levels) {
+		t.Errorf("buckets read = %d, want %d paths of %d", got, ops, levels)
 	}
-	if got := srv.Trace().Count(trace.OpWritePath); got != ops {
-		t.Errorf("WritePath count = %d, want %d", got, ops)
+	if got := srv.Trace().Count(trace.OpWriteTreeCell); got != ops*int64(levels) {
+		t.Errorf("buckets written = %d, want %d paths of %d", got, ops, levels)
 	}
 	if got := o.Accesses(); got != ops {
 		t.Errorf("Accesses = %d, want %d", got, ops)
@@ -318,8 +319,8 @@ type freshnessTap struct {
 	stale   int
 }
 
-func (f *freshnessTap) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	cts, err := f.Service.ReadPath(name, leaf)
+func (f *freshnessTap) ReadCells(name string, idx []int64) ([][]byte, error) {
+	cts, err := f.Service.ReadCells(name, idx)
 	for _, ct := range cts {
 		f.seen[string(ct)] = true
 	}
@@ -336,9 +337,9 @@ func (f *freshnessTap) write(cts [][]byte) {
 	}
 }
 
-func (f *freshnessTap) WritePath(name string, leaf uint32, slots [][]byte) error {
-	f.write(slots)
-	return f.Service.WritePath(name, leaf, slots)
+func (f *freshnessTap) WriteCells(name string, idx []int64, cts [][]byte) error {
+	f.write(cts)
+	return f.Service.WriteCells(name, idx, cts)
 }
 
 func (f *freshnessTap) WriteBuckets(name string, start int, slots [][]byte) error {
@@ -647,10 +648,12 @@ func TestSetupFramesClosedForm(t *testing.T) {
 	}
 }
 
-// TestPathReadSizesConstant: every path read and every path write moves
-// exactly the same number of bytes — levels × the closed-form bucket size —
-// before and after arbitrary accesses, however many real blocks the buckets
-// hold.
+// TestPathReadSizesConstant: every tree read and every tree write moves
+// exactly the same number of bytes for the same batch size — the round's
+// 2^t − 1 + r·(levels − t) buckets times the closed-form bucket size, levels
+// buckets for a direct access — before and after arbitrary accesses, however
+// many real blocks the buckets hold. A round is one cell call: a run of tree
+// cell events.
 func TestPathReadSizesConstant(t *testing.T) {
 	o, srv := newTestORAM(t, 32, 8)
 	srv.Trace().Enable()
@@ -670,19 +673,43 @@ func TestPathReadSizesConstant(t *testing.T) {
 		}
 	}
 	levels, _ := shape(32)
-	want := levels * bucketCiphertextLen(DefaultZ, 32, 8)
-	paths := 0
-	for _, e := range srv.Trace().Events() {
-		if e.Op != trace.OpReadPath && e.Op != trace.OpWritePath {
+	bucket := bucketCiphertextLen(DefaultZ, 32, 8)
+	want := []int{}
+	for range 60 {
+		want = append(want, levels*bucket, levels*bucket) // a read, then a write
+	}
+	p := NewPipeline(srv)
+	for i, r := range []int{3, 8, 16, 64, 5} {
+		batch := make([]Access, r)
+		for j := range batch {
+			batch[j] = Access{Store: o, Key: fmt.Sprintf("k%d", (i+j)%25), Fn: func(old []byte, found bool) ([]byte, bool) { return val(8, 1), true }}
+		}
+		if err := p.Do(batch...); err != nil {
+			t.Fatal(err)
+		}
+		tt := treetop(r, levels)
+		round := (1<<tt - 1 + r*(levels-tt)) * bucket
+		want = append(want, round, round) // this read, and its write-back leading the next round
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	events := srv.Trace().Events()
+	for i := 0; i < len(events); {
+		e := events[i]
+		if e.Op != trace.OpReadTreeCell && e.Op != trace.OpWriteTreeCell {
+			i++
 			continue
 		}
-		paths++
-		if e.Bytes != want {
-			t.Fatalf("%v moved %d bytes, want %d", e.Op, e.Bytes, want)
+		n := e.Bytes
+		for i++; i < len(events) && events[i].Op == e.Op && !events[i].First; i++ {
+			n += events[i].Bytes
 		}
+		got = append(got, n)
 	}
-	if paths != 120 {
-		t.Errorf("saw %d path operations, want 120", paths)
+	if !slices.Equal(got, want) {
+		t.Errorf("bytes per tree call:\n got  %v\n want %v", got, want)
 	}
 }
 

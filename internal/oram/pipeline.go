@@ -19,25 +19,29 @@ type Access struct {
 // and the leaf is known before the fetch, so the fetches of a Do share one
 // round trip, and the write-backs share the next, along with the fetches of
 // whatever the caller does next — the next accesses to the same trees
-// included:
+// included. Each tree a Do names is one cell read, its write-back one cell
+// write of the same positions (see ORAM.positions), in the order the Do first
+// names the trees:
 //
-//	p.Do(a, b, a)   one round: ReadPath a, ReadPath b, ReadPath a
-//	p.Do(c, b)      one round: WritePath a, WritePath b, WritePath a, ReadPath c, ReadPath b
-//	p.Flush()       one round: WritePath c, WritePath b
+//	p.Do(a, b, a)   one round: ReadCells A (2 paths), ReadCells B (1 path)
+//	p.Do(c, b)      one round: WriteCells A, WriteCells B, ReadCells C, ReadCells B
+//	p.Flush()       one round: WriteCells C, WriteCells B
 //
-// The accesses of one Do to one tree are a batch (Stefanov et al., "Path
-// ORAM", CCS 2013; Sahin et al., "TaoStore", S&P 2016): the batch's first
-// access to a live key fetches the key's path, a repeat or a miss a fresh
-// uniform leaf, so the server sees r independent uniform leaves per tree per
-// round whatever keys repeat; the client takes the union of the r paths in
-// once, runs the functions in call order, remaps each key it touched once,
-// evicts along the union and owes r write-backs, a bucket that r paths share
-// sealed once and written by each. A batch of one is a serial access, draw
-// for draw. What a round holds is decided by the caller's sequence of Do and
-// Flush, never by anything fetched, and the ops of a round apply in the order
-// given, so a tree's write-back lands before its next fetch in the same round
-// reads it. Through a service that cannot take a batch every op is its own
-// call, in that same order.
+// where A, B and C are the trees of a, b and c. The accesses of one Do to one
+// tree are a batch (Stefanov et al., "Path ORAM", CCS 2013; Sahin et al.,
+// "TaoStore", S&P 2016): the batch's first access to a live key fetches the
+// key's path, a repeat or a miss a fresh uniform leaf, so the server sees r
+// independent uniform leaves per tree per round whatever keys repeat; the
+// round reads the top ⌈log₂ r⌉ levels of the tree once and each path below
+// them, the client takes the round in, runs the functions in call order,
+// remaps each key it touched once, evicts into the round's buckets and owes
+// the write-back of the same positions, a bucket that r paths share sealed
+// once and written by each. A batch of one is a serial access, draw for draw.
+// What a round holds is decided by the caller's sequence of Do and Flush,
+// never by anything fetched, and the ops of a round apply in the order given,
+// so a tree's write-back lands before its next fetch in the same round reads
+// it. Through a service that cannot take a batch every op is its own call, in
+// that same order.
 //
 // When a round fails — after whatever retrying the service itself does; a
 // batch of fetches and of write-backs carrying their exact ciphertexts is
@@ -47,7 +51,7 @@ type Access struct {
 // handle takes part in one batch at a time.
 type Pipeline struct {
 	svc   store.Service
-	wrote int             // served accesses whose write-backs lead the next round, one each
+	wrote int             // write-backs leading the next round, one per handle in owing
 	owing []*ORAM         // the handles whose write-backs those are
 	begun []*ORAM         // the handles this Do's fetches are for, in order of first mention
 	index []int           // this Do's accesses' places in their handles' batches
@@ -58,9 +62,10 @@ type Pipeline struct {
 func NewPipeline(svc store.Service) *Pipeline { return &Pipeline{svc: svc} }
 
 // An AccessError is a Do error that one of the call's accesses caused: it was
-// refused before anything was sent, or its fetched path did not verify. Index
-// says which, so a caller that built the call from a list can name the
-// structure; the message is the cause's.
+// refused before anything was sent, or its fetched path did not verify — for
+// a bucket of the top levels, which a round reads once for all its paths, the
+// batch's first access. Index says which, so a caller that built the call from
+// a list can name the structure; the message is the cause's.
 type AccessError struct {
 	Index int
 	Err   error
@@ -93,19 +98,21 @@ func (p *Pipeline) Do(accesses ...Access) error {
 		if o.cur.stage == idle {
 			p.begun = append(p.begun, o)
 		}
-		leaf, k, err := o.begin(a.Key, p, i)
+		k, err := o.begin(a.Key, p, i)
 		if err != nil { // ready said it could
 			return p.abandon(err)
 		}
 		p.index = append(p.index, k)
-		p.ops = append(p.ops, store.BatchOp{Path: true, Name: o.name, Leaf: leaf, N: o.levels})
+	}
+	for _, o := range p.begun {
+		p.ops = append(p.ops, store.BatchOp{Name: o.name, Idx: o.positions()})
 	}
 	fetched, err := p.round()
 	if err != nil {
 		return err
 	}
-	for _, o := range p.begun {
-		if at, err := o.absorb(fetched); err != nil {
+	for j, o := range p.begun {
+		if at, err := o.absorb(fetched[j]); err != nil {
 			return p.abandon(&AccessError{at, err})
 		}
 	}
@@ -119,14 +126,11 @@ func (p *Pipeline) Do(accesses ...Access) error {
 			return p.abandon(&AccessError{o.cur.ops[0].at, err})
 		}
 	}
-	for i, a := range accesses {
-		op := &a.Store.cur.ops[p.index[i]]
-		p.ops = append(p.ops, store.BatchOp{Write: true, Path: true, Name: a.Store.name, Leaf: op.leaf, Cts: op.out})
-	}
 	for _, o := range p.begun {
+		p.ops = append(p.ops, store.BatchOp{Write: true, Name: o.name, Idx: o.idx, Cts: o.outBuf})
 		o.owe(p)
 	}
-	p.wrote, p.owing, p.begun = p.wrote+len(accesses), append(p.owing, p.begun...), p.begun[:0]
+	p.wrote, p.owing, p.begun = p.wrote+len(p.begun), append(p.owing, p.begun...), p.begun[:0]
 	return nil
 }
 
@@ -140,8 +144,8 @@ func (p *Pipeline) Flush(extra ...store.BatchOp) error {
 }
 
 // round sends p.ops as one batch, settles the write-backs it carried and
-// returns what the rest of the batch answered: the fetched paths, in the
-// order begun.
+// returns what the rest of the batch answered: each begun tree's fetched
+// round, in the order begun.
 func (p *Pipeline) round() ([][][]byte, error) {
 	if len(p.ops) == 0 {
 		return nil, nil

@@ -312,8 +312,8 @@ func TestPipelineIsFramingOnly(t *testing.T) {
 	})
 }
 
-// failBatches fails every Batch carrying a path write while armed, before it
-// reaches the backend.
+// failBatches fails every Batch carrying a write-back (a cell write) while
+// armed, before it reaches the backend.
 type failBatches struct {
 	store.Adapter
 	armed bool
@@ -326,7 +326,7 @@ func newFailBatches(svc store.Service) *failBatches {
 	f.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
 		if f.armed && op.Kind == store.KindBatch {
 			for i := range op.Ops {
-				if op.Ops[i].Kind() == store.KindWritePath {
+				if op.Ops[i].Write {
 					return errRoundLost
 				}
 			}
@@ -701,48 +701,54 @@ func batchModel(t *testing.T, o *ORAM, keys, steps, maxR int, seed int64) {
 	checkSlots(t, o)
 }
 
-// equivocator answers the second fetch of a tree's root in one round with the
-// first root it ever answered for that tree — an authentic ciphertext of the
-// same bucket, and no longer the current one — once armed.
+// equivocator, once armed, answers the second fetch of a bucket in one round —
+// a bucket two paths of the round share below the levels it reads whole —
+// with the first ciphertext it ever answered for that bucket: an authentic
+// ciphertext of the same bucket, and no longer the current one.
 type equivocator struct {
 	store.Adapter
 	armed bool
-	old   map[string][]byte
+	old   map[int64][]byte
 	fired bool
 }
 
 func newEquivocator(svc store.Service) *equivocator {
-	e := &equivocator{old: make(map[string][]byte)}
+	e := &equivocator{old: make(map[int64][]byte)}
 	e.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
 		if err := store.Invoke(svc, op, res); err != nil || op.Kind != store.KindBatch {
 			return err
 		}
-		seen := make(map[string]bool)
 		for i := range op.Ops {
-			b := &op.Ops[i]
-			if b.Kind() != store.KindReadPath {
-				continue
+			if b := &op.Ops[i]; !b.Write {
+				e.tamper(b.Idx, res.Batch[i])
 			}
-			root := res.Batch[i][0]
-			old, ok := e.old[b.Name]
-			if !ok {
-				e.old[b.Name] = root
-			}
-			if e.armed && !e.fired && seen[b.Name] && ok && !bytes.Equal(old, root) {
-				res.Batch[i] = append([][]byte{old}, res.Batch[i][1:]...)
-				e.fired = true
-			}
-			seen[b.Name] = true
 		}
 		return nil
 	})
 	return e
 }
 
+func (e *equivocator) tamper(idx []int64, cts [][]byte) {
+	seen := make(map[int64]bool)
+	for k, p := range idx {
+		old, ok := e.old[p]
+		if !ok {
+			e.old[p] = cts[k]
+		}
+		if e.armed && !e.fired && seen[p] && ok && !bytes.Equal(old, cts[k]) {
+			cts[k] = old
+			e.fired = true
+		}
+		seen[p] = true
+	}
+}
+
 // TestBatchEquivocationDetected: a server that shows one round two different
-// authentic ciphertexts of one bucket — the current root to one path and an
-// older root to another — is caught: the round fails with ErrIntegrity, counts
-// as an integrity failure, and leaves the handle refusing further use.
+// authentic ciphertexts of one bucket — the current one to one path and an
+// older one to another — is caught: the round fails with ErrIntegrity, counts
+// as an integrity failure, and leaves the handle refusing further use. Four
+// paths on a tree of 16 leaves share a bucket below the top two levels in
+// most rounds; rounds run until one does.
 func TestBatchEquivocationDetected(t *testing.T) {
 	svc := newEquivocator(store.NewServer())
 	reg := telemetry.New()
@@ -753,20 +759,28 @@ func TestBatchEquivocationDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := func(old []byte, found bool) ([]byte, bool) { return val(4, 1), true }
+	batch := make([]Access, 4)
+	for i := range batch {
+		batch[i] = Access{Store: o, Key: string(rune('a' + i)), Fn: keep}
+	}
 	p := NewPipeline(svc)
-	if err := p.Do(Access{Store: o, Key: "a", Fn: keep}, Access{Store: o, Key: "b", Fn: keep}); err != nil {
+	if err := p.Do(batch...); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	svc.armed = true
-	err = p.Do(Access{Store: o, Key: "a", Fn: keep}, Access{Store: o, Key: "b", Fn: keep})
+	for round := 0; round < 20 && !svc.fired; round++ {
+		if err = p.Do(batch...); err == nil {
+			err = p.Flush()
+		}
+	}
 	if !svc.fired {
 		t.Fatal("the server never equivocated")
 	}
 	if !errors.Is(err, store.ErrIntegrity) || !strings.Contains(err.Error(), "different authentic ciphertexts") {
-		t.Fatalf("round with two authentic roots: %v, want an integrity failure naming the equivocation", err)
+		t.Fatalf("round with two authentic copies of a bucket: %v, want an integrity failure naming the equivocation", err)
 	}
 	if got := reg.Counter("oblivfd_integrity_failures_total").Value(); got != 1 {
 		t.Errorf("integrity failures counted: %d, want 1", got)

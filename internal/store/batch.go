@@ -4,19 +4,24 @@ import "sync/atomic"
 
 // Batching lets a caller coalesce independent operations into one logical
 // round trip: concurrent protocol workers their cell reads, an ORAM client
-// the path reads and write-backs of accesses to different trees. A batch is a
+// its rounds' fetches and write-backs, one cell op per tree. A batch is a
 // flat list of ReadCells/WriteCells/ReadPath/WritePath operations; the
 // semantics are exactly "apply the ops in order", so a batch is
 // observationally identical to issuing its ops one by one — only the number
 // of wire round trips (and injected latency delays) changes.
 //
 // Leakage note: the server sees the same per-cell and per-path accesses
-// either way — the in-memory Server records one trace event per cell index
-// and per path regardless of call granularity — so batching changes timing,
-// never the access trace.
+// either way — the in-memory Server records one trace event per cell index (a
+// tree's as a tree cell event) and per path regardless of call granularity —
+// so batching changes timing, never the access trace. What a batch holds is
+// the caller's to keep data-independent: an ORAM round's cell op on a tree
+// names the top levels whole and each path below them, a set of positions
+// whose count is a function of the batch size and the tree's depth and whose
+// members are a function of those and the uniform leaves (trace.TreeRound).
 
-// BatchOp is one operation inside a batch: on an array's cells (Idx), or with
-// Path set on one root-to-leaf path of a tree (Leaf). Write selects the
+// BatchOp is one operation inside a batch: on cells by flat position (Idx),
+// an array's or a tree's, or with Path set on one root-to-leaf path of a tree
+// (Leaf). Write selects the
 // writing form, whose ciphertexts Cts carries; otherwise the op is a read.
 type BatchOp struct {
 	Write bool

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"github.com/oblivfd/oblivfd/internal/trace"
 )
 
 // flaky is a Service stub that fails the first failures calls to one method
@@ -47,6 +49,46 @@ func fastPolicy(p RetryPolicy, slept *[]time.Duration) RetryPolicy {
 		}
 	}
 	return p
+}
+
+// TestRetriedTreeWriteShapesAsTwoCalls: a round's write-back to a tree that
+// the backend applies and then reports failed, and the retry layer sends
+// again, shows in the trace as two calls of the same positions back to back.
+// Each shapes by level as a treetop round, so the trace's shape is the one
+// the round sent twice to other leaves gives; read as one run of events, the
+// two calls would be no treetop round and would stay raw.
+func TestRetriedTreeWriteShapesAsTwoCalls(t *testing.T) {
+	sent := func(pos []int64, failAfter int) trace.Shape {
+		backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: failAfter, applied: true}
+		if err := backend.Server.CreateTree("t", 3, 1); err != nil { // 7 buckets of one slot
+			t.Fatal(err)
+		}
+		backend.Trace().Enable()
+		r := WithRetry(backend, fastPolicy(RetryPolicy{MaxAttempts: 2}, nil))
+		cts := make([][]byte, len(pos))
+		for i := range cts {
+			cts[i] = []byte{byte(i)}
+		}
+		for range 2 - failAfter { // the retry layer sends it again, or this loop does
+			if err := r.WriteCells("t", pos, cts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := r.Retries(); got != int64(failAfter) {
+			t.Fatalf("%d retries, want %d", got, failAfter)
+		}
+		return trace.ShapeOf(backend.Trace().Events())
+	}
+	// r = 2, t = 1: the root, then each leaf's bucket at levels 1 and 2.
+	retried, twice := sent([]int64{0, 1, 3, 2, 6}, 1), sent([]int64{0, 1, 4, 1, 4}, 0)
+	if len(retried) != 10 || !retried.Equal(twice) {
+		t.Fatalf("a retried write-back shapes apart from a round sent twice:\n%s", retried.Diff(twice))
+	}
+	for _, e := range retried {
+		if e.Index >= 0 {
+			t.Fatalf("a position of the retried round left raw: %v", retried)
+		}
+	}
 }
 
 func TestRetryRecoversFromTransient(t *testing.T) {

@@ -154,9 +154,12 @@ type Service interface {
 	CreateArray(name string, n int) error
 	// ArrayLen returns the number of cells in an array.
 	ArrayLen(name string) (int, error)
-	// ReadCells returns the ciphertexts at the given indices.
+	// ReadCells returns the ciphertexts at the given indices: an array's
+	// cells, or a tree's by flat position (heap order, slotsPerBucket cells
+	// a bucket).
 	ReadCells(name string, idx []int64) ([][]byte, error)
-	// WriteCells replaces the ciphertexts at the given indices.
+	// WriteCells replaces the ciphertexts at the given indices, of an array
+	// or a tree as ReadCells addresses them.
 	WriteCells(name string, idx []int64, cts [][]byte) error
 	// CreateTree allocates a complete binary bucket tree with the given
 	// number of levels (root..leaves) and slots per bucket; every slot
@@ -224,9 +227,9 @@ type Reveal struct {
 // object is one stored object: a run of ciphertext cells. An array has
 // levels 0. A bucket tree of levels levels keeps its 2^levels − 1 buckets in
 // heap order (root = 0), slots cells each, so bucket b is cells
-// [b·slots, (b+1)·slots). The Service methods check that a cell op names an
-// array and a path op a tree; everything under them addresses cells by flat
-// position, whatever the shape.
+// [b·slots, (b+1)·slots). A cell op takes either shape and addresses cells by
+// flat position; ArrayLen names an array and a path op a tree. Everything
+// under them addresses cells by flat position, whatever the shape.
 //
 // Every cell carries a CRC-32C, maintained on every write, checked on every
 // read and scrub pass, and never persisted. The server holds no keys, so
@@ -252,6 +255,15 @@ func (o *object) kind() string {
 		return "array"
 	}
 	return "tree"
+}
+
+// cellOp is the trace op a cell call on the object records: onArray on an
+// array, onTree on a tree.
+func (o *object) cellOp(onArray, onTree trace.Op) trace.Op {
+	if o.levels == 0 {
+		return onArray
+	}
+	return onTree
 }
 
 // get returns the cells at positions idx and the positions among them whose
@@ -346,10 +358,10 @@ func (s *Server) bumpLocked(name string) {
 	s.markLocked(NamespaceOf(name)).dirty++
 }
 
-// objectLocked returns the named object. A Service method passes the kind it
-// operates on ("array" or "tree"): a cell op on a tree, or a path op on an
-// array, names no object it knows. Maintenance passes "" and takes either.
-// Callers hold s.mu.
+// objectLocked returns the named object. ArrayLen and the path ops pass the
+// kind they operate on ("array" or "tree"): ArrayLen on a tree, or a path op
+// on an array, names no object it knows. Cell ops and maintenance pass "" and
+// take either. Callers hold s.mu.
 func (s *Server) objectLocked(name, kind string) (*object, error) {
 	if o, ok := s.objects[name]; ok && (kind == "" || o.kind() == kind) {
 		return o, nil
@@ -420,10 +432,11 @@ func (s *Server) ArrayLen(name string) (int, error) {
 	return len(a.cells), nil
 }
 
-// ReadCells implements Service.
+// ReadCells implements Service. A tree's cells are addressed by flat
+// position, bucket b's slots being [b·slots, (b+1)·slots).
 func (s *Server) ReadCells(name string, idx []int64) ([][]byte, error) {
 	s.mu.RLock()
-	a, err := s.objectLocked(name, "array")
+	a, err := s.objectLocked(name, "")
 	var out [][]byte
 	var bad []int64
 	if err == nil {
@@ -436,14 +449,15 @@ func (s *Server) ReadCells(name string, idx []int64) ([][]byte, error) {
 	if len(bad) > 0 {
 		return nil, &CorruptCellsError{Object: name, Idx: bad}
 	}
-	s.rec.RecordCells(trace.OpReadCell, name, idx, out)
+	s.rec.RecordCells(a.cellOp(trace.OpReadCell, trace.OpReadTreeCell), name, idx, out)
 	return out, nil
 }
 
-// WriteCells implements Service.
+// WriteCells implements Service, on an array or a tree (see ReadCells). A
+// position may repeat; its last ciphertext stays.
 func (s *Server) WriteCells(name string, idx []int64, cts [][]byte) error {
 	s.mu.Lock()
-	a, err := s.objectLocked(name, "array")
+	a, err := s.objectLocked(name, "")
 	if err == nil {
 		err = a.put(name, len(idx), func(k int) int64 { return idx[k] }, cts)
 	}
@@ -453,7 +467,7 @@ func (s *Server) WriteCells(name string, idx []int64, cts [][]byte) error {
 	}
 	s.bumpLocked(name)
 	s.mu.Unlock()
-	s.rec.RecordCells(trace.OpWriteCell, name, idx, cts)
+	s.rec.RecordCells(a.cellOp(trace.OpWriteCell, trace.OpWriteTreeCell), name, idx, cts)
 	return nil
 }
 

@@ -113,6 +113,49 @@ func TestTreePathLayout(t *testing.T) {
 	}
 }
 
+// TestCellOpsOnTree: ReadCells and WriteCells address a tree's cells by flat
+// position, the slots of bucket b being [b·slots, (b+1)·slots); they see what
+// a path op wrote and a path op sees what they wrote; a repeated position
+// keeps its last ciphertext; a position past the tree refuses the whole call
+// and changes nothing; and the trace records each cell as a tree cell event,
+// which ArrayLen, an array-only call, still refuses.
+func TestCellOpsOnTree(t *testing.T) {
+	s := NewServer()
+	s.Trace().Enable()
+	if err := s.CreateTree("t", 3, 2); err != nil { // 7 buckets, 14 cells
+		t.Fatal(err)
+	}
+	if err := s.WritePath("t", 3, [][]byte{{0}, {1}, {2}, {3}, {4}, {5}}); err != nil { // buckets 0, 2, 6
+		t.Fatal(err)
+	}
+	got, err := s.ReadCells("t", []int64{0, 5, 12, 13})
+	if err != nil || !bytes.Equal(got[0], []byte{0}) || !bytes.Equal(got[1], []byte{3}) || !bytes.Equal(got[2], []byte{4}) || !bytes.Equal(got[3], []byte{5}) {
+		t.Fatalf("tree cells 0, 5, 12, 13 = %v, %v; want the path's slots 0, 3, 4, 5", got, err)
+	}
+	if err := s.WriteCells("t", []int64{4, 1, 4}, [][]byte{{0xa}, {0xb}, {0xc}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCells("t", []int64{1, 14}, [][]byte{{0xd}, {0xe}}); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("write past the tree: %v, want ErrOutOfRange", err)
+	}
+	if _, err := s.ReadCells("t", []int64{-1}); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("read before the tree: %v, want ErrOutOfRange", err)
+	}
+	path, err := s.ReadPath("t", 3)
+	if err != nil || !bytes.Equal(path[1], []byte{0xb}) || !bytes.Equal(path[2], []byte{0xc}) {
+		t.Errorf("path after the cell writes = %v, %v; want slot 1 0x0b (the refused write left it) and slot 2 0x0c (the last of a repeat)", path, err)
+	}
+	if _, err := s.ArrayLen("t"); !errors.Is(err, ErrUnknownObject) {
+		t.Errorf("ArrayLen of a tree: %v, want ErrUnknownObject", err)
+	}
+	if r, w := s.Trace().Count(trace.OpReadTreeCell), s.Trace().Count(trace.OpWriteTreeCell); r != 4 || w != 3 {
+		t.Errorf("tree cell events: %d read, %d written; want 4 and 3", r, w)
+	}
+	if r, w := s.Trace().Count(trace.OpReadCell), s.Trace().Count(trace.OpWriteCell); r != 0 || w != 0 {
+		t.Errorf("array cell events on a tree: %d read, %d written", r, w)
+	}
+}
+
 func TestTreeWritePathValidation(t *testing.T) {
 	s := NewServer()
 	if err := s.CreateTree("t", 2, 4); err != nil {

@@ -11,11 +11,16 @@
 //
 // A cell call (ReadCells, WriteCells) is one event per cell, and a call's
 // events are appended together: the events of calls that run concurrently do
-// not interleave within a call.
+// not interleave within a call. A cell call on a tree records its cells as
+// ReadTreeCell / WriteTreeCell events, so that Shape can tell a tree's
+// positions, which an ORAM round draws from uniform leaves, from an array's,
+// which it keeps exactly (see TreeRound).
 package trace
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,13 +40,16 @@ const (
 	OpWritePath
 	OpWriteBucket
 	OpDelete
-	OpReveal     // client reveals a public result bit/count to the server's log
-	OpCheckpoint // client marks a recovery epoch (public: a property of timing)
+	OpReveal        // client reveals a public result bit/count to the server's log
+	OpCheckpoint    // client marks a recovery epoch (public: a property of timing)
+	OpReadTreeCell  // a cell read on a tree: Index is the bucket's flat position
+	OpWriteTreeCell // a cell write on a tree, likewise
 )
 
 var opNames = [...]string{
 	"CreateArray", "ReadCell", "WriteCell", "CreateTree",
 	"ReadPath", "WritePath", "WriteBucket", "Delete", "Reveal", "Checkpoint",
+	"ReadTreeCell", "WriteTreeCell",
 }
 
 // String returns the operation name.
@@ -58,6 +66,9 @@ type Event struct {
 	Object string // storage object name
 	Index  int64  // cell index, or ORAM leaf for path ops
 	Bytes  int    // total ciphertext bytes moved
+	// First marks the first cell of a tree cell call: two calls of one op
+	// on one tree in a row (a fetch sent again) stay two calls (ShapeOf).
+	First bool
 }
 
 // String renders the event compactly.
@@ -101,7 +112,8 @@ func (r *Recorder) Record(e Event) {
 
 // RecordCells records one op event per cell of a cell call on object: cell
 // idx[k] moved cts[k]. It is Record for each cell in turn, with the counters
-// updated and the lock taken once per call.
+// updated and the lock taken once per call, and on a tree the call's first
+// cell marked First.
 func (r *Recorder) RecordCells(op Op, object string, idx []int64, cts [][]byte) {
 	var n int
 	for _, ct := range cts {
@@ -112,9 +124,10 @@ func (r *Recorder) RecordCells(op Op, object string, idx []int64, cts [][]byte) 
 	if !r.enabled.Load() {
 		return
 	}
+	tree := op == OpReadTreeCell || op == OpWriteTreeCell
 	r.mu.Lock()
 	for k, i := range idx {
-		r.events = append(r.events, Event{Op: op, Object: object, Index: i, Bytes: len(cts[k])})
+		r.events = append(r.events, Event{Op: op, Object: object, Index: i, Bytes: len(cts[k]), First: tree && k == 0})
 	}
 	r.mu.Unlock()
 }
@@ -154,19 +167,104 @@ func (r *Recorder) TotalBytes() int64 { return r.bytes.Load() }
 
 // Shape is a trace with data-independent content only: for path operations
 // the leaf index is replaced by -1 (it is sampled uniformly by the client
-// and carries no information about the database contents beyond its length).
+// and carries no information about the database contents beyond its length),
+// and a tree cell call whose positions form a treetop round has each position
+// replaced by its level (see TreeRound). Every other index is kept.
 type Shape []Event
 
-// ShapeOf normalizes a trace for comparison.
+// ShapeOf normalizes a trace for comparison. A tree cell call is its First
+// event and the events of its op on its object that follow it, which is how
+// the server records it.
 func ShapeOf(events []Event) Shape {
 	out := make(Shape, len(events))
-	for i, e := range events {
-		if e.Op == OpReadPath || e.Op == OpWritePath {
-			e.Index = -1
+	copy(out, events)
+	var pos []int64
+	for i := 0; i < len(out); {
+		e := out[i]
+		switch e.Op {
+		case OpReadPath, OpWritePath:
+			out[i].Index = -1
+		case OpReadTreeCell, OpWriteTreeCell:
+			j := i + 1
+			for j < len(out) && out[j].Op == e.Op && out[j].Object == e.Object && !out[j].First {
+				j++
+			}
+			pos = pos[:0]
+			for _, c := range out[i:j] {
+				pos = append(pos, c.Index)
+			}
+			for k, p := range TreeRound(pos) {
+				out[i+k].Index = p
+			}
+			i = j
+			continue
 		}
-		out[i] = e
+		i++
 	}
 	return out
+}
+
+// TreeRound returns what a Shape keeps of pos, the bucket positions of one
+// cell call on a tree in the order sent (heap order, root = 0, one cell per
+// bucket). When they form a treetop round — every bucket of the top t levels
+// in heap order, then r chains, each running from a bucket at level t down
+// through a child at each level to the deepest level any of them reaches —
+// each position becomes −1 − its level: a sequence that is a function of
+// (t, r, L) alone, where the positions are a function of (t, r, L) and the
+// r leaves the chains end at. Any other set of positions is returned as it
+// is, so a round whose positions follow anything but that structure shows
+// raw and fails every comparison of shapes. A round may fit the structure
+// under more than one t (the top t levels and 2^t chains of length one are
+// the top t + 1 levels); the levels are the same under each.
+func TreeRound(pos []int64) []int64 {
+	out := slices.Clone(pos)
+	if !isTreeRound(pos) {
+		return out
+	}
+	for k, p := range pos {
+		out[k] = -1 - int64(level(p))
+	}
+	return out
+}
+
+// level is the level of heap position p, the root's 0.
+func level(p int64) int { return bits.Len64(uint64(p)+1) - 1 }
+
+// isTreeRound reports whether pos is a treetop round (see TreeRound) for
+// some t, the leaf level being the deepest level in pos.
+func isTreeRound(pos []int64) bool {
+	if len(pos) == 0 || slices.Min(pos) < 0 {
+		return false
+	}
+	levels := level(slices.Max(pos)) + 1
+	inOrder := 0 // how many leading positions are 0, 1, 2, …
+	for inOrder < len(pos) && pos[inOrder] == int64(inOrder) {
+		inOrder++
+	}
+	for t := 0; t <= levels && 1<<t-1 <= inOrder; t++ {
+		top, seg := 1<<t-1, levels-t
+		rest := len(pos) - top
+		if seg == 0 {
+			if rest == 0 {
+				return true
+			}
+			continue
+		}
+		if rest == 0 || rest%seg != 0 {
+			continue
+		}
+		chains := true
+		for c := top; c < len(pos) && chains; c += seg {
+			chains = level(pos[c]) == t
+			for j := c + 1; j < c+seg && chains; j++ {
+				chains = pos[j] > 0 && (pos[j]-1)/2 == pos[j-1]
+			}
+		}
+		if chains {
+			return true
+		}
+	}
+	return false
 }
 
 // Canonical returns a copy of the shape with object names replaced by

@@ -36,7 +36,7 @@ func typed(t *testing.T, svc store.Service) typedOnly {
 
 // conformanceScript is every Service operation at least once, with the
 // failures each can answer, a Batch that reads what it wrote — cells and tree
-// paths — and a Checkpoint/Stats pair. Names carry prefix and Checkpoint/Stats
+// paths — cell ops on a tree by flat position, and a Checkpoint/Stats pair. Names carry prefix and Checkpoint/Stats
 // carry db: the same script runs un-prefixed through a tenant's view of a
 // stack and spelled out ("tenant/…", DB "tenant") against the bare server.
 func conformanceScript(prefix, db string) []store.Op {
@@ -83,6 +83,16 @@ func conformanceScript(prefix, db string) []store.Op {
 			{Path: true, Name: tr, Leaf: 0, N: 5}, // a path here holds 6 slots; the write before it stays
 		}},
 		{Kind: store.KindReadPath, Name: tr, Leaf: 0},
+		{Kind: store.KindReadCells, Name: tr, Idx: []int64{0, 13, 5}},                      // a tree's cells by flat position
+		{Kind: store.KindWriteCells, Name: tr, Idx: []int64{2, 9, 2}, Cts: slots(3, 0x30)}, // a repeated position keeps its last
+		{Kind: store.KindWriteCells, Name: tr, Idx: []int64{3, 14}, Cts: slots(2, 0x38)},   // past the last cell: refused whole
+		{Kind: store.KindReadCells, Name: tr, Idx: []int64{14}},                            // likewise
+		{Kind: store.KindReadCells, Name: tr, Idx: []int64{2, 9, 3}},                       // 0x32, 0x31, and 3 as it was
+		{Kind: store.KindBatch, Ops: []store.BatchOp{
+			{Name: tr, Idx: []int64{0, 1, 2, 5, 6}}, // a round: the top level, then two segments
+			{Write: true, Name: tr, Idx: []int64{0, 1, 2, 5, 6}, Cts: slots(5, 0x48)},
+			{Name: tr, Idx: []int64{5, 0}},
+		}},
 		{Kind: store.KindBatch, Ops: []store.BatchOp{
 			{Write: true, Name: a, Idx: []int64{6}, Cts: slots(1, 0x7a)},
 			{Name: prefix + "nope", Idx: []int64{0}}, // aborts; the write before it stays

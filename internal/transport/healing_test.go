@@ -26,7 +26,7 @@ func retried(svc store.Service) *store.RetryService {
 func TestSentinelErrorsSurviveTheWire(t *testing.T) {
 	c, _ := startServer(t)
 	if _, err := c.ReadCells("missing", []int64{0}); !errors.Is(err, store.ErrUnknownObject) {
-		t.Errorf("missing array: err = %v, want errors.Is(ErrUnknownObject)", err)
+		t.Errorf("missing object: err = %v, want errors.Is(ErrUnknownObject)", err)
 	}
 	if err := c.CreateArray("a", 2); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestSentinelErrorsSurviveTheWire(t *testing.T) {
 	}
 	// The message must survive verbatim alongside the sentinel.
 	_, err := c.ReadCells("missing", []int64{0})
-	if err == nil || err.Error() != `store: unknown object: array "missing"` {
+	if err == nil || err.Error() != `store: unknown object: "missing"` { // a cell op takes an array or a tree, so it names neither
 		t.Errorf("message not preserved: %q", err)
 	}
 }

@@ -12,6 +12,7 @@ package oblivfd
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func TestScrubChaosArrayRot(t *testing.T) {
 // TestScrubChaosTreeRot: under the ORAM protocol the bucket trees only live
 // during discovery, so the rot injector rides with it: ahead of each round
 // that fetches a path, every live tree's root bucket gets a slot rotted (the
-// root is on every ReadPath, so that round must hit it) until a repair lands
+// root is in every round's fetch, so that round must hit it) until a repair lands
 // mid-run. (An injector on a timer of its own raced the write-backs, which
 // rewrite the root and heal the rot unseen; once a level's records cost a
 // third of the rounds, a run was often over before a rotted root was read.)
@@ -92,11 +93,11 @@ func TestScrubChaosTreeRot(t *testing.T) {
 	)
 	_, remote := dial(t, nodes, 10)
 	svc := store.Adapt(func(op *store.Op, res *store.Result) error {
-		fetches := op.Kind == store.KindReadPath
-		for i := range op.Ops {
-			fetches = fetches || op.Ops[i].Kind() == store.KindReadPath
-		}
 		mu.Lock()
+		fetches := op.Kind == store.KindReadCells && slices.Contains(trees, op.Name)
+		for i := range op.Ops {
+			fetches = fetches || !op.Ops[i].Write && slices.Contains(trees, op.Ops[i].Name) // an ORAM round's fetch
+		}
 		if op.Kind == store.KindCreateTree {
 			trees = append(trees, op.Name)
 		}

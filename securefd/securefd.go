@@ -75,10 +75,10 @@ type (
 	TraceShape = trace.Shape
 )
 
-// ShapeOf normalizes a recorded trace for comparison: ORAM leaf indices
-// (uniformly random, data-independent) are stripped; everything else — the
-// exact operation sequence, objects, indices, and ciphertext sizes — is
-// kept. Two same-size databases must yield equal shapes under any secure
+// ShapeOf normalizes a recorded trace for comparison: what ORAM leaves
+// decide (uniformly random, data-independent) is stripped — an ORAM round's
+// bucket positions are kept as their levels; everything else — the exact
+// operation sequence, objects, indices, and ciphertext sizes — is kept. Two same-size databases must yield equal shapes under any secure
 // protocol (Definition 2 of the paper); see examples/adversary_view.
 func ShapeOf(events []TraceEvent) TraceShape { return trace.ShapeOf(events) }
 

@@ -117,46 +117,59 @@ func TestTamperBlockSwapNeverSilentlyWrong(t *testing.T) {
 func TestTamperDetectedOverTCP(t *testing.T) { tamperEveryEngine(t, store.CorruptFlip, true) }
 
 // TestTamperEquivocatedBucket: the ORAM engines fetch a chunk's paths to a
-// tree in one round, and paths share buckets. A server that answers one
-// round's two fetches of a tree's root with two different authentic
-// ciphertexts — the current root to one path, the first root it ever served
-// to another — is refused with ErrIntegrity, never absorbed into a wrong FD
-// set: the client takes a shared bucket in once and requires every repeat of
-// it to be the same bytes.
+// tree in one round, and paths share buckets below the levels a round reads
+// whole, each shared bucket fetched once for every path through it. A server
+// that answers one round's two fetches of such a bucket with two different
+// authentic ciphertexts — the current one to one path, the first it ever
+// served for that bucket to another — is refused with ErrIntegrity, never
+// absorbed into a wrong FD set: the client takes a shared bucket in once and
+// requires every repeat of it to be the same bytes.
 func TestTamperEquivocatedBucket(t *testing.T) {
 	for _, tc := range tamperConfigs[1:] {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := securefd.NewServer()
-			first := make(map[string][]byte) // the first root served per tree
+			type bucket struct {
+				tree string
+				at   int64
+			}
+			first := make(map[bucket][]byte) // the first ciphertext served per bucket
+			trees := make(map[string]bool)
 			fired := false
 			svc := store.Adapt(func(op *store.Op, res *store.Result) error {
+				if op.Kind == store.KindCreateTree {
+					trees[op.Name] = true
+				}
 				if err := store.Invoke(srv, op, res); err != nil || op.Kind != store.KindBatch {
 					return err
 				}
-				seen := make(map[string]bool)
 				for i := range op.Ops {
-					if b := &op.Ops[i]; b.Kind() == store.KindReadPath {
-						root, ok := first[b.Name]
+					b := &op.Ops[i]
+					if b.Write || !trees[b.Name] {
+						continue
+					}
+					seen := make(map[int64]bool)
+					for k, at := range b.Idx {
+						old, ok := first[bucket{b.Name, at}]
 						switch {
 						case !ok:
-							first[b.Name] = res.Batch[i][0]
-						case seen[b.Name] && !fired && !bytes.Equal(root, res.Batch[i][0]):
-							res.Batch[i] = append([][]byte{root}, res.Batch[i][1:]...)
+							first[bucket{b.Name, at}] = res.Batch[i][k]
+						case seen[at] && !fired && !bytes.Equal(old, res.Batch[i][k]):
+							res.Batch[i][k] = old
 							fired = true
 						}
-						seen[b.Name] = true
+						seen[at] = true
 					}
 				}
 				return nil
 			})
 			// Records enough for two chunks, so every tree is fetched in
-			// more than one round and has an older root to replay.
+			// more than one round and has older buckets to replay.
 			_, err := scenario{rel: securefd.GenerateRND(4, 100, 5), opts: tc.opts, want: securefd.ErrIntegrity}.run(t, svc)
 			if !fired {
 				t.Fatalf("the server never equivocated (err = %v)", err)
 			}
 			if err == nil || !strings.Contains(err.Error(), "different authentic ciphertexts") {
-				t.Errorf("a root answered twice in one round: err = %v, want ErrIntegrity naming the equivocation", err)
+				t.Errorf("a bucket answered twice in one round: err = %v, want ErrIntegrity naming the equivocation", err)
 			}
 		})
 	}
