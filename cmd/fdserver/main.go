@@ -148,6 +148,24 @@ func run(cfg config) error {
 		return fmt.Errorf("-trace-sample must be 0 or more, got %d", cfg.traceSample)
 	case cfg.scrubRate < 0:
 		return fmt.Errorf("-scrub-rate must be 0 or more, got %d", cfg.scrubRate)
+	case cfg.latency < 0:
+		return fmt.Errorf("-latency must be 0 or more, got %v", cfg.latency)
+	case cfg.grace < 0:
+		return fmt.Errorf("-grace must be 0 or more, got %v", cfg.grace)
+	case cfg.maxSessions < 0:
+		return fmt.Errorf("-max-sessions must be 0 or more, got %d", cfg.maxSessions)
+	case cfg.maxInflight < 0:
+		return fmt.Errorf("-max-inflight must be 0 or more, got %d", cfg.maxInflight)
+	case !(cfg.sessionRate >= 0):
+		return fmt.Errorf("-session-rate must be 0 or more, got %v", cfg.sessionRate)
+	case cfg.idleTimeout < 0:
+		return fmt.Errorf("-idle-timeout must be 0 or more, got %v", cfg.idleTimeout)
+	case cfg.scrubInterval < 0:
+		return fmt.Errorf("-scrub-interval must be 0 or more, got %v", cfg.scrubInterval)
+	case cfg.fence < 0:
+		return fmt.Errorf("-fence must be 0 or more, got %d", cfg.fence)
+	case cfg.traceSlow < 0:
+		return fmt.Errorf("-trace-slow must be 0 or more, got %v", cfg.traceSlow)
 	}
 	l, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
@@ -350,9 +368,7 @@ func serve(l net.Listener, cfg config) error {
 	})
 	ts.SetMetrics(reg)
 	ts.SetTracer(otr)
-	if rep != nil {
-		ts.SetReplicator(rep)
-	}
+	ts.SetReplicator(rep)
 	if cfg.maxSessions > 0 || cfg.maxInflight > 0 || cfg.sessionRate > 0 ||
 		cfg.idleTimeout > 0 || cfg.sessionToken != "" {
 		log.Info("admission control on", "max_sessions", cfg.maxSessions,

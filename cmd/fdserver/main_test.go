@@ -151,9 +151,11 @@ func TestRunRefusesNonPositiveShipTimeout(t *testing.T) {
 	}
 }
 
-// TestRunRefusesOutOfRangeFlags: a rate outside 0..1, a ring of no spans and
-// a negative sampling or scrub rate are refused at startup by name, never
-// clamped or replaced by a default; the ends of each range are accepted.
+// TestRunRefusesOutOfRangeFlags: a rate outside 0..1, a ring of no spans, a
+// negative sampling, scrub or session rate (or a NaN one), and a negative
+// duration, session or in-flight cap or fence are refused at startup by name,
+// never clamped or read as "off" or a default; the ends of each range, 0 for
+// the flags where 0 means off, are accepted.
 func TestRunRefusesOutOfRangeFlags(t *testing.T) {
 	for _, c := range []struct{ flag, v string }{
 		{"fault-rate", "-0.01"}, {"fault-rate", "2"}, {"fault-rate", "NaN"},
@@ -162,6 +164,15 @@ func TestRunRefusesOutOfRangeFlags(t *testing.T) {
 		{"trace-capacity", "0"}, {"trace-capacity", "-4096"},
 		{"trace-sample", "-1"},
 		{"scrub-rate", "-1"},
+		{"latency", "-1ms"},
+		{"grace", "-1s"},
+		{"max-sessions", "-1"},
+		{"max-inflight", "-1"},
+		{"session-rate", "-1"}, {"session-rate", "NaN"},
+		{"idle-timeout", "-1m"},
+		{"scrub-interval", "-1s"},
+		{"fence", "-1"},
+		{"trace-slow", "-1ms"},
 	} {
 		err := run(parseFlags(t, "-listen", "127.0.0.1:0", "-"+c.flag, c.v))
 		if want := "-" + c.flag + " must be"; err == nil || !strings.Contains(err.Error(), want) {
@@ -173,6 +184,8 @@ func TestRunRefusesOutOfRangeFlags(t *testing.T) {
 		{"-fault-rate", "1", "-drop-rate", "1", "-corrupt-rate", "1"},
 		{"-fault-rate", "0", "-drop-rate", "0", "-corrupt-rate", "0"},
 		{"-trace-sample", "0", "-trace-capacity", "1", "-scrub-rate", "0"},
+		{"-latency", "0", "-grace", "0", "-max-sessions", "0", "-max-inflight", "0",
+			"-session-rate", "0", "-idle-timeout", "0", "-scrub-interval", "0", "-fence", "0", "-trace-slow", "0"},
 	} {
 		err := run(parseFlags(t, append([]string{"-listen", "256.256.256.256:0"}, args...)...))
 		if err == nil || strings.Contains(err.Error(), "must be") {

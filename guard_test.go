@@ -1,6 +1,7 @@
 package oblivfd
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -16,6 +17,12 @@ import (
 // which is what made the goroutine-local slot these were once used for
 // unnecessary. Tests may still import unsafe: internal/transport's codec
 // tests size a decoded op with unsafe.Sizeof.
+//
+// The same walk keeps the typed path operations from gaining callers: no
+// non-test file outside internal/store (which dispatches them) and benchmark/
+// (whose seam forwards them) calls ReadPath or WritePath. An ORAM round is
+// cell ops on a tree's flat positions, so the typed forms can go once the
+// benchmark's seam lets them, by deletion alone.
 func TestNoUnsafeOrLinkname(t *testing.T) {
 	parsed := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -48,6 +55,17 @@ func TestNoUnsafeOrLinkname(t *testing.T) {
 				}
 			}
 		}
+		if slash := filepath.ToSlash(path); strings.HasPrefix(slash, "internal/store/") || strings.HasPrefix(slash, "benchmark/") {
+			return nil
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "ReadPath" || sel.Sel.Name == "WritePath") {
+					t.Errorf("%s calls %s: address a tree's buckets with ReadCells/WriteCells", path, sel.Sel.Name)
+				}
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {

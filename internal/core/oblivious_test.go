@@ -658,8 +658,8 @@ func TestOrStepAccessCountFixed(t *testing.T) {
 }
 
 // roundLog records every call that reaches the service as one line: its
-// kind, and for a batch every op's kind, object, cell indices, slot count and
-// ciphertext lengths — the framing a server sees. Leaves are left out (they
+// kind, and for a batch every op's kind, object, cell indices and ciphertext
+// lengths — the framing a server sees. Leaves are left out (they
 // are uniform draws): a tree's bucket positions are logged as trace.Shape
 // keeps them, their levels where they form a treetop round, raw otherwise.
 // Objects are named by first appearance, so two uploads' logs compare.
@@ -680,7 +680,7 @@ func newRoundLog(svc store.Service) *roundLog {
 			if onTree(o.Name) {
 				idx = trace.TreeRound(idx)
 			}
-			fmt.Fprintf(&b, " [%v %s %v %d", o.Kind(), r.name(o.Name), idx, o.N)
+			fmt.Fprintf(&b, " [%v %s %v", o.Kind(), r.name(o.Name), idx)
 			for _, ct := range o.Cts {
 				fmt.Fprintf(&b, " %d", len(ct))
 			}

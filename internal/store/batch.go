@@ -5,48 +5,33 @@ import "sync/atomic"
 // Batching lets a caller coalesce independent operations into one logical
 // round trip: concurrent protocol workers their cell reads, an ORAM client
 // its rounds' fetches and write-backs, one cell op per tree. A batch is a
-// flat list of ReadCells/WriteCells/ReadPath/WritePath operations; the
-// semantics are exactly "apply the ops in order", so a batch is
+// flat list of ReadCells/WriteCells operations, on arrays and trees alike;
+// the semantics are exactly "apply the ops in order", so a batch is
 // observationally identical to issuing its ops one by one — only the number
 // of wire round trips (and injected latency delays) changes.
 //
-// Leakage note: the server sees the same per-cell and per-path accesses
-// either way — the in-memory Server records one trace event per cell index (a
-// tree's as a tree cell event) and per path regardless of call granularity —
-// so batching changes timing, never the access trace. What a batch holds is
-// the caller's to keep data-independent: an ORAM round's cell op on a tree
-// names the top levels whole and each path below them, a set of positions
-// whose count is a function of the batch size and the tree's depth and whose
-// members are a function of those and the uniform leaves (trace.TreeRound).
+// Leakage note: the server sees the same per-cell accesses either way — the
+// in-memory Server records one trace event per cell index (a tree's as a tree
+// cell event) regardless of call granularity — so batching changes timing,
+// never the access trace. What a batch holds is the caller's to keep
+// data-independent: an ORAM round's cell op on a tree names the top levels
+// whole and each path below them, a set of positions whose count is a
+// function of the batch size and the tree's depth and whose members are a
+// function of those and the uniform leaves (trace.TreeRound).
 
-// BatchOp is one operation inside a batch: on cells by flat position (Idx),
-// an array's or a tree's, or with Path set on one root-to-leaf path of a tree
-// (Leaf). Write selects the
-// writing form, whose ciphertexts Cts carries; otherwise the op is a read.
+// BatchOp is one operation inside a batch, on the cells of an array or a tree
+// by flat position (Idx). Write selects the writing form, whose ciphertexts
+// Cts carries; otherwise the op is a read, whose answer holds len(Idx)
+// ciphertexts — the count a TCP client cuts a batch's flat answer by.
 type BatchOp struct {
 	Write bool
-	Path  bool
-	Leaf  uint32 // path ops
 	Name  string
-	Idx   []int64 // cell ops
-	// N is, for a path read, how many slots the path holds (levels × slots
-	// per bucket, which whoever created the tree knows). A batch answer
-	// crosses the wire as one flat run of ciphertexts and is cut back into
-	// per-op results by lengths the asker already has: len(Idx) for a cell
-	// read, N for a path read. A path that answers with another count is
-	// refused (ErrBadPath).
-	N   int
-	Cts [][]byte // writes only
+	Idx   []int64
+	Cts   [][]byte // writes only
 }
 
 // Kind is the Service operation b stands for.
 func (b *BatchOp) Kind() Kind {
-	if b.Path {
-		if b.Write {
-			return KindWritePath
-		}
-		return KindReadPath
-	}
 	if b.Write {
 		return KindWriteCells
 	}
@@ -65,7 +50,7 @@ type Batcher interface {
 
 // Batch implements Batcher for the in-memory server: ops apply in order
 // under the server's own per-call locking. Trace events are recorded per
-// cell index and per path by the typed methods exactly as for unbatched calls.
+// cell index by the typed methods exactly as for unbatched calls.
 func (s *Server) Batch(ops []BatchOp) ([][][]byte, error) {
 	return eachBatchOp(&Op{Kind: KindBatch, Ops: ops}, func(op *Op, res *Result) error { return Invoke(s, op, res) })
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -50,19 +49,21 @@ func TestDoBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchedPathOpsMatchSerial: path reads and writes ride in a batch beside
-// cell ops, fused or through the per-op fallback, apply in order, and leave
-// the trace the same calls leave one by one. A path read that misstates how
-// many slots a path holds is refused: a TCP client cuts the flat answer by
-// that number.
+// TestBatchedPathOpsMatchSerial: a tree's paths ride in a batch as cell ops on
+// their buckets beside an array's, fused or through the per-op fallback, apply
+// in order — a bucket written and then read in one batch reads back the write
+// — and leave the trace the same calls leave one by one.
 func TestBatchedPathOpsMatchSerial(t *testing.T) {
 	path := func(b byte) [][]byte { return [][]byte{{b}, {b + 1}, {b + 2}} }
+	// The buckets of t's paths to leaves 1, 0 and 3, root first, at one
+	// slot a bucket.
+	leaf1, leaf0, leaf3 := []int64{0, 1, 4}, []int64{0, 1, 3}, []int64{0, 2, 6}
 	ops := []BatchOp{
-		{Write: true, Path: true, Name: "t", Leaf: 1, Cts: path(10)},
-		{Path: true, Name: "t", Leaf: 0, N: 3}, // shares the root and the next bucket
+		{Write: true, Name: "t", Idx: leaf1, Cts: path(10)},
+		{Name: "t", Idx: leaf0}, // shares the root and the next bucket
 		{Name: "a", Idx: []int64{1}},
-		{Write: true, Path: true, Name: "t", Leaf: 3, Cts: path(20)},
-		{Path: true, Name: "t", Leaf: 3, N: 3},
+		{Write: true, Name: "t", Idx: leaf3, Cts: path(20)},
+		{Name: "t", Idx: leaf3},
 	}
 	build := func() *Server {
 		srv := NewServer()
@@ -77,11 +78,11 @@ func TestBatchedPathOpsMatchSerial(t *testing.T) {
 
 	serial := build()
 	for _, err := range []error{
-		serial.WritePath("t", 1, path(10)),
-		second(serial.ReadPath("t", 0)),
+		serial.WriteCells("t", leaf1, path(10)),
+		second(serial.ReadCells("t", leaf0)),
 		second(serial.ReadCells("a", []int64{1})),
-		serial.WritePath("t", 3, path(20)),
-		second(serial.ReadPath("t", 3)),
+		serial.WriteCells("t", leaf3, path(20)),
+		second(serial.ReadCells("t", leaf3)),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -105,10 +106,6 @@ func TestBatchedPathOpsMatchSerial(t *testing.T) {
 		if got := srv.Trace().Events(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: trace %v, want the serial calls' %v", name, got, want)
 		}
-	}
-
-	if _, err := DoBatch(build(), []BatchOp{{Path: true, Name: "t", Leaf: 0, N: 4}}); !errors.Is(err, ErrBadPath) {
-		t.Errorf("path read expecting 4 slots of 3: %v, want ErrBadPath", err)
 	}
 }
 

@@ -69,8 +69,8 @@ func TestOpenDirRecoversFromWALAlone(t *testing.T) {
 }
 
 // TestBatchedPathWriteIsOneWALRecord: a Batch logs one record per write it
-// carries, a path write like a cell write and reads none, and recovery replays
-// them.
+// carries, a tree path's cells like an array's, and reads none, and recovery
+// replays them.
 func TestBatchedPathWriteIsOneWALRecord(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir, DurableOptions{})
@@ -79,9 +79,10 @@ func TestBatchedPathWriteIsOneWALRecord(t *testing.T) {
 	}
 	mutateSample(t, d)
 	before := d.WALAppends()
+	leaf2 := []int64{0, 1, 4, 5, 10, 11} // t's path to leaf 2: buckets 0, 2 and 5, 2 slots each
 	out, err := d.Batch([]BatchOp{
-		{Path: true, Name: "t", Leaf: 2, N: 6},
-		{Write: true, Path: true, Name: "t", Leaf: 2, Cts: [][]byte{{19}, {18}, {17}, {16}, {15}, {14}}},
+		{Name: "t", Idx: leaf2},
+		{Write: true, Name: "t", Idx: leaf2, Cts: [][]byte{{19}, {18}, {17}, {16}, {15}, {14}}},
 		{Write: true, Name: "a", Idx: []int64{1}, Cts: [][]byte{{42}}},
 		{Name: "a", Idx: []int64{1}},
 	})

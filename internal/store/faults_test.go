@@ -139,11 +139,12 @@ func TestFaultFailAfterApplies(t *testing.T) {
 	}
 }
 
-// TestFaultScheduleSlotPerBatchedCellOp: the schedule is indexed by cell and
-// path operations, however a caller groups them. The same ops issued one by one
-// and as one Batch through the injector's typed facade draw the same slots:
-// the batch fails at the op the serial run first failed at, naming the same
-// call number, and has consumed exactly the slots up to it.
+// TestFaultScheduleSlotPerBatchedCellOp: the schedule is indexed by cell
+// operations, an array's or a tree's, however a caller groups them. The same
+// ops issued one by one and as one Batch through the injector's typed facade
+// draw the same slots: the batch fails at the op the serial run first failed
+// at, naming the same call number, and has consumed exactly the slots up to
+// it.
 func TestFaultScheduleSlotPerBatchedCellOp(t *testing.T) {
 	cfg := FaultConfig{Seed: 11, ErrorRate: 0.15}
 	ops := make([]BatchOp, 40)
@@ -152,8 +153,8 @@ func TestFaultScheduleSlotPerBatchedCellOp(t *testing.T) {
 		if ops[i].Write {
 			ops[i].Cts = [][]byte{{byte(i)}}
 		}
-		if i%4 >= 2 { // every other pair is a path write and a path read
-			ops[i].Path, ops[i].Name, ops[i].Idx, ops[i].Leaf, ops[i].N = true, "t", nil, uint32(i%4), 3
+		if i%4 >= 2 { // every other pair is a write and a read of a tree path
+			ops[i].Name, ops[i].Idx = "t", []int64{0, 2, int64(3 + i%4)} // leaf i%4
 			if ops[i].Write {
 				ops[i].Cts = [][]byte{{byte(i)}, {byte(i)}, {byte(i)}}
 			}
@@ -179,10 +180,6 @@ func TestFaultScheduleSlotPerBatchedCellOp(t *testing.T) {
 			err = serial.WriteCells(op.Name, op.Idx, op.Cts)
 		case KindReadCells:
 			_, err = serial.ReadCells(op.Name, op.Idx)
-		case KindWritePath:
-			err = serial.WritePath(op.Name, op.Leaf, op.Cts)
-		case KindReadPath:
-			_, err = serial.ReadPath(op.Name, op.Leaf)
 		}
 		if err != nil {
 			first, want = i, err

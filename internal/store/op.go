@@ -174,14 +174,10 @@ type Op struct {
 	Parent otrace.SpanContext
 }
 
-// A batched op's flag byte: bit 0 selects the writing form, bit 1 a path of a
-// tree over cells of an array (0 and 1 are the cell ops batches began with).
-// A cell op then carries its indices, a path op its leaf — a path read also
-// the slot count its answer is cut by (BatchOp.N) — and a write its run.
-const (
-	batchWrite = 1 << iota
-	batchPath
-)
+// A batched op's flag byte: bit 0 selects the writing form, and every other
+// bit is refused. The op then carries its name and indices, a write also its
+// run.
+const batchWrite = 1
 
 // AppendFields appends the fields op's kind uses but DB, in the order the Op
 // comment lists them, in the internal/wire layout. Nothing is optional and
@@ -215,23 +211,13 @@ func AppendFields(b []byte, op *Op) []byte {
 			sub := &op.Ops[i]
 			var flag byte
 			if sub.Write {
-				flag |= batchWrite
-			}
-			if sub.Path {
-				flag |= batchPath
+				flag = batchWrite
 			}
 			b = append(b, flag)
 			b = wire.PutString(b, sub.Name)
-			if sub.Path {
-				b = binary.AppendUvarint(b, uint64(sub.Leaf))
-			} else {
-				b = wire.PutIndices(b, sub.Idx)
-			}
-			switch {
-			case sub.Write:
+			b = wire.PutIndices(b, sub.Idx)
+			if sub.Write {
 				b = wire.PutRun(b, sub.Cts)
-			case sub.Path:
-				b = binary.AppendVarint(b, int64(sub.N))
 			}
 		}
 	}
@@ -278,21 +264,14 @@ func ReadFields(r *wire.Reader, op *Op) {
 		for i := range op.Ops {
 			sub := &op.Ops[i]
 			flag := r.Byte()
-			if flag&^(batchWrite|batchPath) != 0 {
+			if flag&^batchWrite != 0 {
 				r.Fail("batch op flag %d", flag)
 			}
-			sub.Write, sub.Path = flag&batchWrite != 0, flag&batchPath != 0
+			sub.Write = flag == batchWrite
 			sub.Name = r.String()
-			if sub.Path {
-				sub.Leaf = r.Uint32()
-			} else {
-				sub.Idx = r.Indices()
-			}
-			switch {
-			case sub.Write:
+			sub.Idx = r.Indices()
+			if sub.Write {
 				sub.Cts = r.Run(false)
-			case sub.Path:
-				sub.N = r.Int()
 			}
 		}
 	default:
@@ -507,11 +486,11 @@ func Invoke(svc Service, op *Op, res *Result) (err error) {
 	return err
 }
 
-// eachBatchOp applies batch's ops in order, each as the ReadCells,
-// WriteCells, ReadPath or WritePath it stands for through h, under the
-// batch's parent span, and collects the per-op results. It is what a layer
-// that must see every operation singly (the fault injector's schedule, the
-// WAL's one record per write) does with a Batch.
+// eachBatchOp applies batch's ops in order, each as the ReadCells or
+// WriteCells it stands for through h, under the batch's parent span, and
+// collects the per-op results. It is what a layer that must see every
+// operation singly (the fault injector's schedule, the WAL's one record per
+// write) does with a Batch.
 func eachBatchOp(batch *Op, h Handler) ([][][]byte, error) {
 	out := make([][][]byte, len(batch.Ops))
 	c := calls.Get().(*call)
@@ -523,16 +502,13 @@ func eachBatchOp(batch *Op, h Handler) ([][][]byte, error) {
 	for i := range batch.Ops {
 		b := &batch.Ops[i]
 		// Only these fields differ from one batched op to the next.
-		c.op.Kind, c.op.Name, c.op.Idx, c.op.Leaf, c.op.Cts = b.Kind(), b.Name, b.Idx, b.Leaf, nil
+		c.op.Kind, c.op.Name, c.op.Idx, c.op.Cts = b.Kind(), b.Name, b.Idx, nil
 		if b.Write {
 			c.op.Cts = b.Cts
 		}
 		c.res.Cts = nil
 		if err := h(&c.op, &c.res); err != nil {
 			return nil, err
-		}
-		if c.op.Kind == KindReadPath && len(c.res.Cts) != b.N {
-			return nil, fmt.Errorf("%w: tree %q: path holds %d slots, batch op expects %d", ErrBadPath, b.Name, len(c.res.Cts), b.N)
 		}
 		out[i] = c.res.Cts
 	}

@@ -111,33 +111,6 @@ type ReplicationConfig struct {
 	Trace *otrace.Tracer
 }
 
-// Replicator is the role-management surface the transport server drives on
-// behalf of remote primaries and failover clients. ReplicatedServer
-// implements it.
-type Replicator interface {
-	IsPrimary() bool
-	Fence() int64
-	// ObserveFence records that a higher fencing epoch exists; the server
-	// deposes itself if it believed it was primary at a lower one.
-	ObserveFence(fence int64) error
-	// Promote adopts the given fence and the primary role. It fails with
-	// ErrFenced unless fence is strictly above the current one.
-	Promote(fence int64) (int64, error)
-	// ApplyReplicated applies a batch of framed WAL records shipped by the
-	// primary at the given fence and stream position, under the parent span
-	// (the zero context: the tracer's current span); it returns the new
-	// watermark (records applied this reign).
-	ApplyReplicated(parent otrace.SpanContext, fence, seq int64, frames [][]byte) (int64, error)
-	// ApplySync replaces the whole state from a snapshot and repositions
-	// the stream cursor.
-	ApplySync(fence, seq int64, snap []byte) error
-	// FetchRepair serves checksum-verified ciphertexts to a peer healing
-	// corruption (the donor side of repair-from-replica). Any role answers;
-	// the caller's fence must be current.
-	FetchRepair(fence int64, name string, idx []int64) ([][]byte, error)
-	Watermark() int64
-}
-
 // replicaPeer is the primary's bookkeeping for one replica. conn and downAt
 // are guarded by the owning server's shipMu; acked is atomic so lag reads
 // (probes, telemetry) never wait behind an in-flight shipment.
@@ -149,7 +122,9 @@ type replicaPeer struct {
 }
 
 // ReplicatedServer decorates a DurableServer with a replication role. It
-// implements Service, Batcher, NamespaceService, and Replicator.
+// implements Service, Batcher and NamespaceService; its role methods, from
+// IsPrimary to FetchRepair, are what a transport server drives on behalf of
+// remote primaries and failover clients (transport.Server.SetReplicator).
 //
 // Locking: shipMu serializes mutations and their shipments, so the stream
 // order equals the WAL order; it is the only lock held across replication
@@ -187,8 +162,6 @@ type ReplicatedServer struct {
 	fenceGauge     *telemetry.Gauge
 	watermarkGauge *telemetry.Gauge
 }
-
-var _ Replicator = (*ReplicatedServer)(nil)
 
 const fenceFile = "FENCE"
 
@@ -377,28 +350,31 @@ func (r *ReplicatedServer) depose() {
 	r.publishRoleLocked()
 }
 
-// IsPrimary implements Replicator.
+// IsPrimary reports whether the server holds the primary role: it was
+// started or promoted as primary and no higher fence has deposed it.
 func (r *ReplicatedServer) IsPrimary() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.primary && !r.deposed
 }
 
-// Fence implements Replicator.
+// Fence returns the current fencing epoch.
 func (r *ReplicatedServer) Fence() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.fence
 }
 
-// Watermark implements Replicator.
+// Watermark returns the replica-side stream position: the replicated records
+// applied this reign.
 func (r *ReplicatedServer) Watermark() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.watermark
 }
 
-// ObserveFence implements Replicator.
+// ObserveFence records that a higher fencing epoch exists; the server
+// deposes itself if it believed it was primary at a lower one.
 func (r *ReplicatedServer) ObserveFence(fence int64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -408,12 +384,13 @@ func (r *ReplicatedServer) ObserveFence(fence int64) error {
 	return r.adoptFenceLocked(fence, false)
 }
 
-// Promote implements Replicator: a failover client (or operator) hands the
-// replica a fence strictly above every fence it has seen, and the replica
-// becomes the primary for that epoch. The stream cursor continues from the
-// local watermark: peers that were equally in sync need no resync, and any
-// peer whose position differs answers ErrIntegrity on the first shipment
-// and is snapshot-synced.
+// Promote adopts the given fence and the primary role, and returns the fence
+// it holds after: a failover client (or operator) hands the replica a fence
+// strictly above every fence it has seen, and the replica becomes the primary
+// for that epoch; any other fence fails with ErrFenced. The stream cursor
+// continues from the local watermark: peers that were equally in sync need no
+// resync, and any peer whose position differs answers ErrIntegrity on the
+// first shipment and is snapshot-synced.
 func (r *ReplicatedServer) Promote(fence int64) (int64, error) {
 	r.shipMu.Lock()
 	defer r.shipMu.Unlock()
@@ -454,14 +431,17 @@ func (r *ReplicatedServer) acceptFenceLocked(fence int64) error {
 	return nil
 }
 
-// ApplyReplicated implements Replicator. The whole batch is CRC-verified and
-// decoded before any record applies: a torn or bit-flipped stream yields
-// ErrIntegrity with zero state change, and the primary responds by pushing
-// a snapshot resync. A sequence gap (seq != watermark) is handled the same
-// way — the replica never guesses at missing records. Each record then goes
-// through the replica's durable layer with replay semantics (a create
-// replaces, a delete of nothing succeeds), and what lands in the replica's
-// log is the verified frame as received, byte for byte the primary's.
+// ApplyReplicated applies a batch of framed WAL records shipped by the primary
+// at the given fence and stream position, under the parent span (the zero
+// context: the tracer's current span), and returns the new watermark (records
+// applied this reign). The whole batch is CRC-verified and decoded before any
+// record applies: a torn or bit-flipped stream yields ErrIntegrity with zero
+// state change, and the primary responds by pushing a snapshot resync. A
+// sequence gap (seq != watermark) is handled the same way — the replica never
+// guesses at missing records. Each record then goes through the replica's
+// durable layer with replay semantics (a create replaces, a delete of nothing
+// succeeds), and what lands in the replica's log is the verified frame as
+// received, byte for byte the primary's.
 func (r *ReplicatedServer) ApplyReplicated(parent otrace.SpanContext, fence, seq int64, frames [][]byte) (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -500,7 +480,8 @@ func (r *ReplicatedServer) ApplyReplicated(parent otrace.SpanContext, fence, seq
 	return r.watermark, nil
 }
 
-// ApplySync implements Replicator: full-state resync from the primary.
+// ApplySync replaces the whole state from a snapshot shipped by the primary
+// and repositions the stream cursor at seq: a full-state resync.
 func (r *ReplicatedServer) ApplySync(fence, seq int64, snap []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -515,13 +496,13 @@ func (r *ReplicatedServer) ApplySync(fence, seq int64, snap []byte) error {
 	return nil
 }
 
-// FetchRepair implements Replicator: the donor side of repair-from-replica.
-// Any role answers — a replica's healthy copy is exactly what a corrupt
-// primary needs — but the requester's fence must be current, so a fenced-off
-// ex-primary cannot pull state it no longer owns, and the bytes are
-// re-verified against the local checksums before they leave (a donor never
-// propagates its own rot; it answers ErrIntegrity instead and heals itself
-// through its own scrubber).
+// FetchRepair serves checksum-verified ciphertexts to a peer healing
+// corruption: the donor side of repair-from-replica. Any role answers — a
+// replica's healthy copy is exactly what a corrupt primary needs — but the
+// requester's fence must be current, so a fenced-off ex-primary cannot pull
+// state it no longer owns, and the bytes are re-verified against the local
+// checksums before they leave (a donor never propagates its own rot; it answers
+// ErrIntegrity instead and heals itself through its own scrubber).
 func (r *ReplicatedServer) FetchRepair(fence int64, name string, idx []int64) ([][]byte, error) {
 	r.mu.Lock()
 	if err := r.acceptFenceLocked(fence); err != nil {

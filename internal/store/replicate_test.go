@@ -109,8 +109,8 @@ func TestReplicationBatchShipsOnce(t *testing.T) {
 		{Write: true, Name: "b", Idx: []int64{0}, Cts: [][]byte{{1}}},
 		{Name: "b", Idx: []int64{0}},
 		{Write: true, Name: "b", Idx: []int64{1}, Cts: [][]byte{{2}}},
-		{Write: true, Path: true, Name: "u", Leaf: 1, Cts: [][]byte{{3}, {4}}},
-		{Path: true, Name: "u", Leaf: 1, N: 2},
+		{Write: true, Name: "u", Idx: []int64{0, 2}, Cts: [][]byte{{3}, {4}}}, // u's path to leaf 1
+		{Name: "u", Idx: []int64{0, 2}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -174,11 +174,13 @@ func TestBatchReadRepairsMidBatch(t *testing.T) {
 	if err := primary.Durable().CorruptStored("t", 4, 6); err != nil {
 		t.Fatal(err)
 	}
+	// t's paths to leaves 3 and 2: buckets 0, 2 and 6 or 5, 2 slots each.
+	leaf3, leaf2 := []int64{0, 1, 4, 5, 12, 13}, []int64{0, 1, 4, 5, 10, 11}
 	out, err := primary.Batch([]BatchOp{
 		{Write: true, Name: "a", Idx: []int64{1}, Cts: [][]byte{{42}}},
 		{Name: "a", Idx: []int64{0, 1}},
-		{Write: true, Path: true, Name: "t", Leaf: 3, Cts: [][]byte{{19}, {18}, {17}, {16}, {15}, {14}}},
-		{Path: true, Name: "t", Leaf: 2, N: 6}, // over the rot, and over two buckets the write before it replaced
+		{Write: true, Name: "t", Idx: leaf3, Cts: [][]byte{{19}, {18}, {17}, {16}, {15}, {14}}},
+		{Name: "t", Idx: leaf2}, // over the rot, and over two buckets the write before it replaced
 	})
 	if err != nil {
 		t.Fatalf("batch across rot = %v", err)

@@ -2,9 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -51,12 +54,12 @@ func codecRequests() []request {
 		{Op: store.Op{Kind: store.KindPromote, Value: 5}, Token: "t"},
 		{Op: store.Op{Kind: store.KindTraceDump, Name: "0123456789abcdef0123456789abcdef"}, Token: "t"},
 		{Op: store.Op{Kind: store.KindRepair, Value: 4, Name: "t", N: 1, Idx: []int64{40, 41}}, Token: "t"},
-		// A fused ORAM round: write-backs, then fetches (appended with the
-		// path forms of the batch op; the cases above keep their places).
+		// A fused ORAM round: write-backs, then fetches, each a tree's
+		// buckets by flat position.
 		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{
-			{Write: true, Path: true, Name: "or1:1:IL", Leaf: 1<<32 - 1, Cts: [][]byte{cell, cell, big}},
-			{Path: true, Name: "or1:2:KL", Leaf: 700, N: 11},
-			{Path: true, Name: "or1:2:IL", N: 0},
+			{Write: true, Name: "or1:1:IL", Idx: []int64{0, 2, 1<<32 - 2}, Cts: [][]byte{cell, cell, big}},
+			{Name: "or1:2:KL", Idx: []int64{0, 1, 2, 4, 700}},
+			{Name: "or1:2:IL"},
 			{Name: "a", Idx: []int64{7}},
 		}}},
 	}
@@ -266,17 +269,9 @@ func frameLen(req *request) int {
 		case "ops":
 			body += uvarintLen(uint64(len(req.Ops)))
 			for _, op := range req.Ops {
-				body += 1 + bytesLen(len(op.Name))
-				if op.Path {
-					body += uvarintLen(uint64(op.Leaf))
-				} else {
-					body += idxLen(op.Idx)
-				}
-				switch {
-				case op.Write:
+				body += 1 + bytesLen(len(op.Name)) + idxLen(op.Idx)
+				if op.Write {
 					body += runLen(op.Cts)
-				case op.Path:
-					body += varintLen(int64(op.N))
 				}
 			}
 		}
@@ -456,6 +451,43 @@ func addMangled(f *testing.F, body []byte) {
 	f.Add(body[:len(body)/2])
 }
 
+// TestPathBatchOpRefused: a batch op has one form, cells by flat position,
+// and a flag byte with any bit beyond write is refused by name. The fixture is
+// the fused ORAM round the golden file held while a batch op could also name
+// a tree's path by leaf (flag bit 1): its first op, a path write, carries flag
+// 3.
+func TestPathBatchOpRefused(t *testing.T) {
+	raw, err := os.ReadFile("testdata/path-batch-frame.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := newFrameConn(bytes.NewBuffer(frame)).next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type refused struct {
+		flag byte
+		body []byte
+	}
+	cases := []refused{{3, body}}
+	for _, flag := range []byte{2, 3} {
+		b := appendRequest(nil, &request{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{{Name: "t", Idx: []int64{0, 1, 4}}}}})
+		b[1+otrace.WireSize+1] = flag // after the kind, the context and the op count
+		cases = append(cases, refused{flag, b})
+	}
+	for _, c := range cases {
+		flag := fmt.Sprintf("batch op flag %d", c.flag)
+		var req request
+		if err := decodeRequest(c.body, &req); !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), flag) {
+			t.Errorf("decoding a batch op with %s: %v, want ErrMalformed naming the flag", flag, err)
+		}
+	}
+}
+
 // FuzzDecodeRequest: any body either fails to decode or decodes to a request
 // that survives a round trip; never a panic, never an allocation sized by a
 // count or length the bytes present cannot back.
@@ -464,7 +496,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		addMangled(f, appendRequest(nil, &req))
 	}
 	f.Add(append(appendRequest(nil, &request{Op: store.Op{Kind: store.KindReadCells}})[:1+otrace.WireSize], 0, 0xff, 0xff, 0xff, 0xff, 0x0f))
-	// One batched op whose flag byte has a bit beyond write and path.
+	// One batched op whose flag byte has a bit beyond write.
 	f.Add(append(appendRequest(nil, &request{Op: store.Op{Kind: store.KindBatch}})[:1+otrace.WireSize], 1, 4, 1, 't', 9))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req request
@@ -478,7 +510,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		for _, op := range req.Ops {
 			size += int(unsafe.Sizeof(op)) + footprint(op.Name, "", op.Idx, op.Cts)
 		}
-		// The densest decoding is a batch of empty ops: 80 bytes of BatchOp
+		// The densest decoding is a batch of empty ops: 72 bytes of BatchOp
 		// for the 3 each takes on the wire.
 		if size > 30*len(body) {
 			t.Fatalf("%d-byte body decoded into %d bytes", len(body), size)

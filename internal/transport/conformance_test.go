@@ -35,10 +35,11 @@ func typed(t *testing.T, svc store.Service) typedOnly {
 }
 
 // conformanceScript is every Service operation at least once, with the
-// failures each can answer, a Batch that reads what it wrote — cells and tree
-// paths — cell ops on a tree by flat position, and a Checkpoint/Stats pair. Names carry prefix and Checkpoint/Stats
-// carry db: the same script runs un-prefixed through a tenant's view of a
-// stack and spelled out ("tenant/…", DB "tenant") against the bare server.
+// failures each can answer, a Batch that reads what it wrote — an array's
+// cells and a tree's paths, by flat position — and a Checkpoint/Stats pair.
+// Names carry prefix and Checkpoint/Stats carry db: the same script runs
+// un-prefixed through a tenant's view of a stack and spelled out ("tenant/…",
+// DB "tenant") against the bare server.
 func conformanceScript(prefix, db string) []store.Op {
 	cell := func(b byte) []byte { return []byte{b, b, b} }
 	slots := func(n int, b byte) [][]byte {
@@ -49,6 +50,16 @@ func conformanceScript(prefix, db string) []store.Op {
 		return out
 	}
 	a, tr := prefix+"a", prefix+"t"
+	// path is the cells of tr's path to leaf, root first: its buckets'
+	// flat positions at 2 slots a bucket.
+	path := func(leaf int64) []int64 {
+		var idx []int64
+		for l := range int64(3) {
+			b := 1<<l - 1 + leaf>>(2-l)
+			idx = append(idx, 2*b, 2*b+1)
+		}
+		return idx
+	}
 	return []store.Op{
 		{Kind: store.KindCreateArray, Name: a, N: 8},
 		{Kind: store.KindCreateArray, Name: a, N: 1}, // exists
@@ -74,13 +85,13 @@ func conformanceScript(prefix, db string) []store.Op {
 			{Name: a, Idx: []int64{4}},
 			{Write: true, Name: a, Idx: []int64{0}, Cts: slots(1, 0x70)},
 			{Name: a, Idx: []int64{0, 5}},
-			{Path: true, Name: tr, Leaf: 1, N: 6},
-			{Write: true, Path: true, Name: tr, Leaf: 3, Cts: slots(6, 0x50)},
-			{Path: true, Name: tr, Leaf: 2, N: 6}, // shares the root and a level-1 bucket with leaf 3
+			{Name: tr, Idx: path(1)},
+			{Write: true, Name: tr, Idx: path(3), Cts: slots(6, 0x50)},
+			{Name: tr, Idx: path(2)}, // shares the root and a level-1 bucket with leaf 3
 		}},
 		{Kind: store.KindBatch, Ops: []store.BatchOp{
-			{Write: true, Path: true, Name: tr, Leaf: 0, Cts: slots(6, 0x58)},
-			{Path: true, Name: tr, Leaf: 0, N: 5}, // a path here holds 6 slots; the write before it stays
+			{Write: true, Name: tr, Idx: path(0), Cts: slots(6, 0x58)},
+			{Write: true, Name: tr, Idx: append(path(0)[:5], 14), Cts: slots(6, 0)}, // past the last cell: refused whole; the write before it stays
 		}},
 		{Kind: store.KindReadPath, Name: tr, Leaf: 0},
 		{Kind: store.KindReadCells, Name: tr, Idx: []int64{0, 13, 5}},                      // a tree's cells by flat position

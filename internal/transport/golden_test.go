@@ -78,7 +78,9 @@ func goldenFrames(t *testing.T) string {
 // directions alike — a reordered field, a renumbered kind — passes every
 // round-trip and fuzz test but not this one. Lines are only ever appended (a
 // new kind's frames, which this test prints ready to paste); changing one is a
-// format change and goes with a frameVersion bump.
+// format change and goes with a frameVersion bump — unless it withdraws a form
+// the decoder then refuses by name, whose old line is kept as a refusal
+// fixture (TestPathBatchOpRefused).
 func TestGoldenWireBytes(t *testing.T) {
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {

@@ -40,7 +40,7 @@ type Server struct {
 
 	limits     store.SessionLimits
 	registry   *store.SessionRegistry
-	replicator store.Replicator // nil on unreplicated servers
+	replicator *store.ReplicatedServer // nil on unreplicated servers
 
 	inflight atomic.Int64 // requests decoded but not yet answered
 
@@ -77,13 +77,11 @@ func (s *Server) SetSessionLimits(limits store.SessionLimits) {
 // tests and operator endpoints.
 func (s *Server) Sessions() *store.SessionRegistry { return s.registry }
 
-// SetReplicator installs the replication role manager: replication RPCs
-// (store.KindReplicate/store.KindSync/store.KindPromote) are routed to it, and session
-// handshakes become fence-aware (see handleHello). Call before Serve.
-func (s *Server) SetReplicator(rep store.Replicator) { s.replicator = rep }
-
-// Replicator returns the installed role manager (nil when unreplicated).
-func (s *Server) Replicator() store.Replicator { return s.replicator }
+// SetReplicator installs the replication role manager, nil for none:
+// replication RPCs (store.KindReplicate/store.KindSync/store.KindPromote)
+// are routed to it, and session handshakes become fence-aware (see
+// handleHello). Call before Serve.
+func (s *Server) SetReplicator(rep *store.ReplicatedServer) { s.replicator = rep }
 
 // Draining reports whether a shutdown drain has begun (operator endpoints).
 func (s *Server) Draining() bool {
@@ -397,8 +395,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // handleReplication serves the replication RPCs against the installed
-// Replicator. The shared session token (when configured) gates them exactly
-// as it gates handshakes — replication messages can rewrite the whole store.
+// replicated server. The shared session token (when configured) gates them
+// exactly as it gates handshakes — replication messages can rewrite the whole
+// store.
 func (s *Server) handleReplication(req *request) *response {
 	var resp response
 	fail := func(err error) *response {

@@ -29,8 +29,8 @@ func sessionFrameSizes(t *testing.T, ctx otrace.SpanContext) []int {
 		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{{Write: true, Name: "a", Idx: []int64{2}, Cts: [][]byte{{0xEF}}}}}},
 		{Op: store.Op{Kind: store.KindReadPath, Name: "t", Leaf: 300}},
 		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{
-			{Write: true, Path: true, Name: "t", Leaf: 300, Cts: [][]byte{{0xAB}, {0xCD}, {0xEF}}},
-			{Path: true, Name: "u", Leaf: 5, N: 3},
+			{Write: true, Name: "t", Idx: []int64{0, 2, 300}, Cts: [][]byte{{0xAB}, {0xCD}, {0xEF}}},
+			{Name: "u", Idx: []int64{0, 1, 5}},
 		}}},
 	}
 	sizes := make([]int, len(reqs))
@@ -282,7 +282,7 @@ func serveTraced(t *testing.T, svc store.Service, tr *otrace.Tracer) string {
 	}
 	srv := NewServer(svc)
 	srv.SetTracer(tr)
-	if rep, ok := svc.(store.Replicator); ok {
+	if rep, ok := svc.(*store.ReplicatedServer); ok {
 		srv.SetReplicator(rep)
 	}
 	go func() { _ = srv.Serve(l) }()

@@ -450,7 +450,9 @@ func (c *Client) call(req *request) (*response, error) {
 
 // roundTrip sends one Service operation and fills res from the answer. The
 // whole op crosses the wire as one framed request and one framed response, a
-// Batch of B cell or path operations included — one round trip instead of B.
+// Batch of B cell operations included — one round trip instead of B. A
+// Batch's answer is one flat run, cut back into per-op results by the count
+// of cells each read named.
 func (c *Client) roundTrip(op *store.Op, res *store.Result) error {
 	if op.DB != "" {
 		return fmt.Errorf("transport: %v in namespace %q: a connection's namespace is bound by its handshake (ClientConfig.Database), not per call", op.Kind, op.DB)
@@ -472,10 +474,7 @@ func (c *Client) roundTrip(op *store.Op, res *store.Result) error {
 			continue
 		}
 		n := len(b.Idx)
-		if b.Path {
-			n = b.N
-		}
-		if n < 0 || n > len(flat) {
+		if n > len(flat) {
 			return fmt.Errorf("transport: batch response short: %d cells left, op wants %d", len(flat), n)
 		}
 		res.Batch[i], flat = flat[:n:n], flat[n:]
