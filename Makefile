@@ -119,7 +119,7 @@ bench-wire:
 # one open per bucket, eviction, one seal per bucket, path write) against the
 # in-process server, on a full 256-key tree and on the two shapes the engines
 # build in the benchmark's ORAM workloads (Ex-ORAM with insert headroom and
-# 16-byte values, Or-ORAM with 8-byte values), and one batch of 64 accesses
+# O^IKL's 12-byte values, Or-ORAM with O^KL's 4-byte ones), and one batch of 64 accesses
 # on the Or-ORAM shape, reporting the bucket opens and seals an access costs
 # when the batch's paths share their buckets (10 alone); Setup of an empty
 # tree of each of the two engine shapes, every bucket sealed as dummies,

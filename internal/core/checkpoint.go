@@ -45,20 +45,23 @@ var (
 
 // checkpointMagic identifies the framed checkpoint format — and, because a
 // checkpoint is only half of a resumable state, what its ORAM handles expect
-// to find on the server. OFDCKPT4 holds each ORAM's client state as the handle
-// holds it: slots, value slab, counters (oram.State), for a tree of half the
-// next power of two ≥ capacity leaves, a shape oram derives from Capacity and
-// does not store. The payload stays gob: gob drops what the reader has no
+// to find on the server. OFDCKPT5 holds each ORAM's client state as the handle
+// holds it: slots with 4-byte versions, value slab, counters (oram.State), for
+// a tree of half the next power of two ≥ capacity leaves whose blocks are
+// version(4) ∥ key length(1) ∥ key ∥ value and whose labels are 4 bytes —
+// shape and layout oram and the engines derive from Capacity and the widths
+// and do not store. The payload stays gob: gob drops what the reader has no
 // field for, which is why every change of layout, or of the trees a state
 // describes, bumps the magic and the older files are refused by name, from
 // retiredCheckpoints. There is no migration.
-var checkpointMagic = [8]byte{'O', 'F', 'D', 'C', 'K', 'P', 'T', '4'}
+var checkpointMagic = [8]byte{'O', 'F', 'D', 'C', 'K', 'P', 'T', '5'}
 
 // retiredCheckpoints says what each refused magic was written for.
 var retiredCheckpoints = map[string]string{
 	"OFDCKPT1": "ORAM trees sealed per block",
 	"OFDCKPT2": "ORAM client state as three maps; commit 07fe223 was the last to resume it, 56f5a87 for the scan ORAM's",
 	"OFDCKPT3": "ORAM trees with one leaf per unit of capacity; commit 520a5d8 was the last to resume it",
+	"OFDCKPT4": "ORAM blocks with a 13-byte header and 8-byte labels; commit 914d157 was the last to resume it",
 }
 
 const maxCheckpointPayload = 1 << 40

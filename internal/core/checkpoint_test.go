@@ -392,7 +392,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			f.Add(payload[:cut])
 		}
 	}
-	for _, file := range []string{"pre-bucket-seal.ckpt", "scan-oram.ckpt", "pr18/parent-or.ckpt", "pr18/parent-ex.ckpt", "pr31/or.ckpt", "pr31/ex.ckpt", "label-array/or.ckpt", "half-tree/or.ckpt", "half-tree/ex.ckpt"} {
+	for _, file := range []string{"pre-bucket-seal.ckpt", "scan-oram.ckpt", "pr18/parent-or.ckpt", "pr18/parent-ex.ckpt", "pr31/or.ckpt", "pr31/ex.ckpt", "label-array/or.ckpt", "half-tree/or.ckpt", "half-tree/ex.ckpt", "narrow-blocks/or.ckpt", "narrow-blocks/ex.ckpt"} {
 		data, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			f.Fatal(err)

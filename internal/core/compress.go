@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
+	"github.com/oblivfd/oblivfd/internal/oram"
 )
 
 // Attribute compression (§IV-B). Every record's value under an attribute
@@ -38,11 +39,27 @@ import (
 // label_X ∈ [n] is assigned densely in first-appearance order by the
 // incremental card_X counter of Algorithms 1/2/4.
 
-// keyWidth is the fixed ORAM/sort key width in bytes.
+// keyWidth is the fixed ORAM/sort key width in bytes: a PRF image or a pair
+// of labels.
 const keyWidth = 8
 
-// labelWidth is the fixed label width in bytes.
-const labelWidth = 8
+// labelWidth is the width in bytes of a label, a frequency and a record id
+// where the ORAM engines store them: in O^KL, O^KLF and O^IKL values and in
+// O^IL cells.
+const labelWidth = 4
+
+// maxLabel bounds labels, frequencies and record ids, so that they fit
+// labelWidth bytes and unionKey stays injective. Every one is below the
+// database's capacity — an engine draws at most one fresh label per record
+// appended, and counts at most its live records — and oram.Setup refuses a
+// capacity above oram.MaxCapacity, which is maxLabel: Or-ORAM, whose ORAMs
+// and label arrays are sized by that capacity, meets the bound by
+// construction. Ex-ORAM's monotone labels, frequencies and ids fit with the
+// capacity strictly below it (NewExEngine).
+const maxLabel = 1 << (8 * labelWidth)
+
+// The build fails if the ORAMs' capacity bound ever exceeds the label bound.
+var _ [maxLabel - oram.MaxCapacity]struct{}
 
 // singleKey compresses a single-attribute cell value to its fixed-width
 // key_X via the client's PRF.
@@ -62,8 +79,12 @@ func unionKey(label1, label2 uint64) uint64 {
 	return label1<<32 | label2
 }
 
-// maxLabel bounds labels so unionKey stays injective.
-const maxLabel = 1 << 32
+// putLabel writes a label or a frequency, below maxLabel, in labelWidth
+// big-endian bytes.
+func putLabel(b []byte, v uint64) { binary.BigEndian.PutUint32(b, uint32(v)) }
+
+// decodeLabel reverses putLabel.
+func decodeLabel(b []byte) uint64 { return uint64(binary.BigEndian.Uint32(b)) }
 
 // encodeUint64 renders a uint64 as a fixed 8-byte big-endian string, the
 // canonical key/value encoding used by every engine.

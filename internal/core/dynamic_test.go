@@ -8,9 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/oblivfd/oblivfd/internal/baseline"
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
+	"github.com/oblivfd/oblivfd/internal/trace"
 )
 
 // newDynamicEx uploads rel with insert headroom and returns an ExEngine.
@@ -463,5 +465,192 @@ func TestRefusedDeleteOwesNothing(t *testing.T) {
 		if _, _, err := st.secondary.Read(idKey(2)); err != nil {
 			t.Errorf("%v's O^IKL after the refused deletion: %v", x, err)
 		}
+	}
+}
+
+// TestDeletedIDInvisible: which record a deletion removed is Ex-ORAM's to
+// hide (§V-C), from the deletion and from every fill after it. Each pair of
+// scripts deletes one of two identical records at the same point — before
+// the first Discover, between two discoveries that release their sets, and
+// before a Validate that builds again a single the discovery built and
+// released, and a union over it no discovery built — so the two live
+// relations are equal, and with them everything the protocol may leak. The
+// server must see one trace shape from both, and each must answer what the
+// plaintext oracle answers. A fill that skips the deleted id's column cell
+// shows the server which id it was, and one that skips only its accesses shows
+// which chunk it was in.
+func TestDeletedIDInvisible(t *testing.T) {
+	const a, b = 3, 70 // the two identical records, in different chunks of obsort.ChunkCells
+	base := fixedWidthRel(3, 80, 41, 4)
+	rows := make([]relation.Row, base.NumRows())
+	for i := range rows {
+		rows[i] = base.Row(i)
+	}
+	rows[b] = rows[a]
+	rel := relation.MustFromRows(base.Schema(), rows)
+	m := rel.NumAttrs()
+	live := liveRelation(rel, nil, map[int]bool{a: true})
+	wantFDs := func(t *testing.T, res *Result, of *relation.Relation) {
+		t.Helper()
+		if want := baseline.MinimalFDs(of); !relation.FDSetEqual(res.Minimal, want) {
+			t.Errorf("FDs = %v, want %v", res.Minimal, want)
+		}
+	}
+	scripts := []struct {
+		name string
+		run  func(t *testing.T, eng *ExEngine, del int)
+	}{
+		{"before the first Discover", func(t *testing.T, eng *ExEngine, del int) {
+			if err := eng.Delete(del); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Discover(eng, m, &Options{KeepPartitions: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantFDs(t, res, live)
+		}},
+		{"between discoveries", func(t *testing.T, eng *ExEngine, del int) {
+			res, err := Discover(eng, m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantFDs(t, res, rel)
+			if err := eng.Delete(del); err != nil {
+				t.Fatal(err)
+			}
+			if res, err = Discover(eng, m, nil); err != nil {
+				t.Fatal(err)
+			}
+			wantFDs(t, res, live)
+		}},
+		{"before a Validate of a new set", func(t *testing.T, eng *ExEngine, del int) {
+			if _, err := Discover(eng, m, &Options{KeepPartitions: true, MaxLHS: 1}); err != nil {
+				t.Fatal(err)
+			}
+			fd := relation.FD{LHS: relation.NewAttrSet(0, 1), RHS: relation.SingleAttr(2)}
+			if err := eng.Release(fd.RHS); err != nil { // the Validate builds it again, and the union
+				t.Fatal(err)
+			}
+			if err := eng.Delete(del); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := eng.Cardinality(fd.LHS.Union(fd.RHS)); ok {
+				t.Fatalf("%v was built before the Validate", fd.LHS.Union(fd.RHS))
+			}
+			holds, err := Validate(eng, fd.LHS, fd.RHS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := baseline.Holds(live, fd); holds != want {
+				t.Errorf("Validate(%v) = %v, want %v", fd, holds, want)
+			}
+		}},
+	}
+	for _, s := range scripts {
+		t.Run(s.name, func(t *testing.T) {
+			var shapes [2]trace.Shape
+			for i, del := range []int{a, b} {
+				srv := store.NewServer()
+				edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows())
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := NewExEngine(edb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv.Trace().Enable()
+				s.run(t, eng, del)
+				shapes[i] = trace.ShapeOf(srv.Trace().Events()).Canonical()
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !shapes[0].Equal(shapes[1]) {
+				t.Errorf("deleting record %d and record %d look different to the server:\n%s", a, b, shapes[0].Diff(shapes[1]))
+			}
+		})
+	}
+}
+
+// TestRediscoveryAfterMutations: the dynamic protocol finds the FDs its
+// mutations create or break by discovering again. Over seeded scripts of
+// insertions and deletions on Ex-ORAM (m ≤ 5, n ≤ 64, every set kept), a
+// second Discover answers baseline.MinimalFDs of the live rows, and it builds
+// only the sets the first never built: when it needs none, it takes no round.
+// In every other script the first two columns start equal, so the first
+// discovery prunes the sets above C0 ↔ C1 and an insertion that breaks the
+// pair needs them.
+func TestRediscoveryAfterMutations(t *testing.T) {
+	var none, some int // scripts whose second discovery built no set, and some
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, n, distinct := 3+rng.Intn(3), 16+rng.Intn(33), 2+rng.Intn(4)
+		mutations := 4 + rng.Intn(13)
+		rel := fixedWidthRel(m, n, seed, distinct)
+		if seed%2 == 0 {
+			rows := make([]relation.Row, n)
+			for i := range rows {
+				rows[i] = append(relation.Row(nil), rel.Row(i)...)
+				rows[i][1] = rows[i][0]
+			}
+			rel = relation.MustFromRows(rel.Schema(), rows)
+		}
+		rounds := store.WithRoundCounter(store.NewServer())
+		edb, err := UploadWithCapacity(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+mutations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewExEngine(edb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Discover(eng, m, &Options{KeepPartitions: true}); err != nil {
+			t.Fatal(err)
+		}
+		var appended []relation.Row
+		deleted := make(map[int]bool)
+		for range mutations {
+			if id := rng.Intn(n + len(appended)); rng.Intn(2) == 0 && !deleted[id] {
+				if err := eng.Delete(id); err != nil {
+					t.Fatalf("seed %d: Delete(%d): %v", seed, id, err)
+				}
+				deleted[id] = true
+				continue
+			}
+			row := make(relation.Row, m)
+			for j := range row {
+				row[j] = fmt.Sprintf("%06d", rng.Intn(distinct+1))
+			}
+			if _, err := eng.Insert(row); err != nil {
+				t.Fatalf("seed %d: Insert: %v", seed, err)
+			}
+			appended = append(appended, row)
+		}
+		built, before := len(eng.sets), rounds.Rounds()
+		res, err := Discover(eng, m, &Options{KeepPartitions: true})
+		if err != nil {
+			t.Fatalf("seed %d: second Discover: %v", seed, err)
+		}
+		if want := baseline.MinimalFDs(liveRelation(rel, appended, deleted)); !relation.FDSetEqual(res.Minimal, want) {
+			t.Errorf("seed %d (m %d, n %d, %d mutations): FDs = %v, want %v", seed, m, n, mutations, res.Minimal, want)
+		}
+		switch newSets, spent := len(eng.sets)-built, rounds.Rounds()-before; {
+		case newSets == 0 && spent != 0:
+			t.Errorf("seed %d: the second Discover built no set and took %d rounds", seed, spent)
+		case newSets > 0 && spent == 0:
+			t.Errorf("seed %d: the second Discover built %d sets in no round", seed, newSets)
+		case newSets == 0:
+			none++
+		default:
+			some++
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if none == 0 || some == 0 {
+		t.Errorf("%d scripts needed no new set and %d some: the scripts no longer cover both cases", none, some)
 	}
 }

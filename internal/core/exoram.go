@@ -65,14 +65,14 @@ func exStep(st *oramState, id string, key uint64, label *uint64) (primary, secon
 	primary = oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
 		fre := uint64(0)
 		if found {
-			*label, fre = decodeUint64(old), decodeUint64(old[8:])
+			*label, fre = decodeLabel(old), decodeLabel(old[labelWidth:])
 		} else {
 			*label = st.nextLabel + st.pending
 			st.pending++
 		}
-		return st.pair(*label, fre+1), true
+		return st.labelFre(*label, fre+1), true
 	}}
-	secondary = oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.pair(key, *label), true }}
+	secondary = oram.Access{Store: st.secondary, Key: id, Fn: func([]byte, bool) ([]byte, bool) { return st.keyLabel(key, *label), true }}
 	return primary, secondary
 }
 
@@ -99,12 +99,12 @@ func exRemove(pipe *oram.Pipeline, st *oramState, id int) error {
 			if !counted {
 				return old, found
 			}
-			label, fre := decodeUint64(old), decodeUint64(old[8:])
+			label, fre := decodeLabel(old), decodeLabel(old[labelWidth:])
 			last = fre == 1
 			if last {
 				return nil, false
 			}
-			return st.pair(label, fre-1), true
+			return st.labelFre(label, fre-1), true
 		}})
 	}
 	// Flushed whatever happened: a refused second access leaves the first's

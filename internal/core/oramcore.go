@@ -26,16 +26,22 @@ import (
 //	OrEngine  O_X^KL  : key_X → label_X            O_X^IL  : r[ID] → label_X, an array
 //	ExEngine  O_X^KLF : key_X → (label_X, fre_X)   O_X^IKL : r[ID] → (key_X, label_X), an ORAM
 //
+// Keys are keyWidth (8) bytes; labels and frequencies labelWidth (4), so a
+// value is 4 bytes in O^KL, 8 in O^KLF and 12 in O^IKL, and an O^IL cell is
+// a 4-byte label sealed (DESIGN.md §11).
+//
 // Or-ORAM addresses its secondary in a public order only — fills visit the
-// live ids ascending, an insertion appends id n, and nothing is deleted — so
+// ids ascending, an insertion appends id n, and nothing is deleted — so
 // O^IL is a sealed positional array, one label cell per record id, where
 // Algorithms 1 and 2 keep an ORAM (DESIGN.md §2, §11). Ex-ORAM deletes by an
 // id it has to hide (§V-C), so O^IKL stays an ORAM.
 type oramLayout struct {
 	kind               string // EngineState.Kind, and the checkpoint's claim on who may resume it
 	primary, secondary string // object-name suffixes, also used in error wording
-	valueWidth         int    // bytes per value, the same in both ORAMs
-	labelAt            int    // where label_X sits inside the secondary's value
+	// primaryWidth and secondaryWidth are the bytes of a value in the primary
+	// ORAM and, when the secondary is one, in the secondary.
+	primaryWidth, secondaryWidth int
+	labelAt                      int // where label_X sits inside the secondary's value
 	// positional says the secondary is a label array: read and written a chunk
 	// of ids per round around the records' steps, never accessed in them.
 	positional bool
@@ -47,8 +53,9 @@ type oramLayout struct {
 }
 
 var (
-	orLayout = oramLayout{kind: engineKindOr, primary: "KL", secondary: "IL", valueWidth: labelWidth, positional: true, step: orStep}
-	exLayout = oramLayout{kind: engineKindEx, primary: "KLF", secondary: "IKL", valueWidth: keyWidth + labelWidth, labelAt: keyWidth, step: exStep}
+	orLayout = oramLayout{kind: engineKindOr, primary: "KL", secondary: "IL", primaryWidth: labelWidth, positional: true, step: orStep}
+	exLayout = oramLayout{kind: engineKindEx, primary: "KLF", secondary: "IKL", primaryWidth: 2 * labelWidth,
+		secondaryWidth: keyWidth + labelWidth, labelAt: keyWidth, step: exStep}
 )
 
 // oramState is one materialized set of an ORAM engine.
@@ -71,12 +78,20 @@ type oramState struct {
 
 func (st *oramState) cardinality() int { return int(st.card) }
 
-// pair packs two uint64s into the state's scratch as ExEngine's fixed
-// 16-byte ORAM value.
-func (st *oramState) pair(a, b uint64) []byte {
-	binary.BigEndian.PutUint64(st.val[:8], a)
-	binary.BigEndian.PutUint64(st.val[8:], b)
-	return st.val[:]
+// labelFre packs ExEngine's O^KLF value, label_X ∥ fre_X, into the state's
+// scratch.
+func (st *oramState) labelFre(label, fre uint64) []byte {
+	putLabel(st.val[:labelWidth], label)
+	putLabel(st.val[labelWidth:], fre)
+	return st.val[:2*labelWidth]
+}
+
+// keyLabel packs ExEngine's O^IKL value, key_X ∥ label_X, into the state's
+// scratch.
+func (st *oramState) keyLabel(key, label uint64) []byte {
+	binary.BigEndian.PutUint64(st.val[:keyWidth], key)
+	putLabel(st.val[keyWidth:], label)
+	return st.val[:keyWidth+labelWidth]
 }
 
 // labelAD binds label_X of record id to its cell of the label array name. A
@@ -112,7 +127,7 @@ var levelAtATime = grouping{width: levelWidth}
 //
 // Where Algorithm 2 runs its loop over the records once per set, the engines
 // run it once per group of w sets of one lattice level, a chunk of r ≤
-// obsort.ChunkCells live ids at a time (stepChunk): what sits at public
+// obsort.ChunkCells ids at a time (eachChunk, stepChunk): what sits at public
 // addresses — the columns' cells, Or-ORAM's label arrays — moves a chunk per
 // round, each of the c distinct covers the group names is read once a record,
 // however many targets name it, and a chunk's accesses to one tree are one
@@ -158,10 +173,11 @@ type oramCore struct {
 	// phase. The engine steps one group, or one set of an insertion or a
 	// deletion, at a time, so one pipeline serves them all.
 	pipe *oram.Pipeline
-	// dead holds the ids of the database's rows that are not to be traversed:
+	// dead holds the ids of the database's rows that no set counts:
 	// insertions that failed after their row was appended and, in ExEngine,
 	// deleted records. Ids are public row numbers, and Algorithms 1, 2 and 4
-	// visit the others in ascending order.
+	// visit them in ascending order (eachChunk), a dead one as a dummy step
+	// or not at all.
 	dead map[int]bool
 }
 
@@ -200,7 +216,7 @@ func (c *oramCore) SetTelemetry(reg *telemetry.Registry) {
 func (c *oramCore) prepare(x relation.AttrSet, cover [2]relation.AttrSet) (*oramState, error) {
 	seq := c.seq.Add(1)
 	name := func(suffix string) string { return fmt.Sprintf("%s:%d:%s", c.instance, seq, suffix) }
-	cfg := oram.Config{Capacity: c.capacity, KeyWidth: keyWidth, ValueWidth: c.layout.valueWidth, Metrics: c.metrics}
+	cfg := oram.Config{Capacity: c.capacity, KeyWidth: keyWidth, ValueWidth: c.layout.primaryWidth, Metrics: c.metrics}
 	st := &oramState{cover: cover}
 	var err error
 	if st.primary, err = oram.Setup(c.edb.svc, c.edb.cipher, name(c.layout.primary), cfg); err != nil {
@@ -212,6 +228,7 @@ func (c *oramCore) prepare(x relation.AttrSet, cover [2]relation.AttrSet) (*oram
 			_ = c.edb.svc.Delete(st.labels) // it may exist if only the answer was lost
 		}
 	} else {
+		cfg.ValueWidth = c.layout.secondaryWidth
 		st.secondary, err = oram.Setup(c.edb.svc, c.edb.cipher, name(c.layout.secondary), cfg)
 	}
 	if err != nil {
@@ -298,7 +315,7 @@ func (c *oramCore) reader(lv *level, k, rec int) oram.UpdateFunc {
 		lv.readers[k] = append(lv.readers[k], func(old []byte, ok bool) ([]byte, bool) {
 			lv.found[k][r] = ok
 			if ok {
-				lv.labels[k][r] = decodeUint64(old[c.layout.labelAt:])
+				lv.labels[k][r] = decodeLabel(old[c.layout.labelAt:])
 			}
 			return old, ok
 		})
@@ -352,7 +369,7 @@ func (c *oramCore) writeLabels(lv *level, ids []int64) error {
 		cts := make([][]byte, len(ids))
 		var pt [labelWidth]byte
 		for rec, id := range ids {
-			binary.BigEndian.PutUint64(pt[:], lv.out[i][rec])
+			putLabel(pt[:], lv.out[i][rec])
 			off := len(slab)
 			var err error
 			if slab, err = c.edb.cipher.SealTo(slab, pt[:], labelAD(t.st.labels, id)); err != nil {
@@ -423,7 +440,7 @@ func (c *oramCore) readChunk(lv *level, ids []int64, row relation.Row) error {
 				return describeSet(fmt.Errorf("core: O^%s read: label of id %d failed verification: %v: %w", c.layout.secondary, ids[rec], err, store.ErrIntegrity),
 					fmt.Sprintf("attribute set %v as cover of level %d", lv.coverSets[j], lv.size))
 			}
-			lv.labels[j][rec] = decodeUint64(pt)
+			lv.labels[j][rec] = decodeLabel(pt)
 		}
 	}
 	return nil
@@ -459,7 +476,7 @@ func (c *oramCore) levelStep(lv *level, ids []int64) error {
 		}
 		for rec, id := range ids {
 			for k := range lv.covers {
-				if !lv.found[k][rec] { // no target has been touched for this chunk
+				if !lv.found[k][rec] && !c.dead[int(id)] { // no target has been touched for this chunk
 					return fmt.Errorf("%w: id %d missing from subset partition %v", ErrNotMaterialized, id, lv.coverSets[k])
 				}
 			}
@@ -467,6 +484,7 @@ func (c *oramCore) levelStep(lv *level, ids []int64) error {
 	}
 	lv.accesses = lv.accesses[:0]
 	for rec, rid := range lv.rids {
+		dead := c.dead[int(ids[rec])]
 		for i, t := range lv.targets {
 			var key uint64
 			if lv.size == 1 {
@@ -475,6 +493,9 @@ func (c *oramCore) levelStep(lv *level, ids []int64) error {
 				key = unionKey(lv.labels[lv.at[i][0]][rec], lv.labels[lv.at[i][1]][rec])
 			}
 			primary, secondary := c.layout.step(t.st, rid, key, &lv.out[i][rec])
+			if dead { // a dummy step: the same accesses, each leaving what it finds
+				primary.Fn, secondary.Fn = leave, leave
+			}
 			lv.accesses = append(lv.accesses, primary)
 			if !c.layout.positional {
 				lv.accesses = append(lv.accesses, secondary)
@@ -493,6 +514,9 @@ func (c *oramCore) levelStep(lv *level, ids []int64) error {
 	return nil
 }
 
+// leave is a dummy step's function: it leaves the store as it finds it.
+func leave(old []byte, found bool) ([]byte, bool) { return old, found }
+
 // inAccess names the structure a round's error arose in, when the pipeline
 // says which of the round's accesses it was.
 func inAccess(err error, where func(i int) string) error {
@@ -503,13 +527,22 @@ func inAccess(err error, where func(i int) string) error {
 	return describeSet(err, where(at.Index))
 }
 
-// eachLive visits the live record ids in ascending order, at most
+// eachChunk visits the ids a fill steps, in ascending order, at most
 // obsort.ChunkCells of them per call — the bound on what a fill holds of a
 // column at a time. The slice is reused between calls.
-func (c *oramCore) eachLive(visit func(ids []int64) error) error {
+//
+// Ex-ORAM steps every appended id, a dead one as a dummy (levelStep): its
+// column cell is read and discarded, its accesses leave what they find, and
+// nothing is counted. Algorithm 5 deletes by an id it must hide (§V-C), so a
+// later fill must not name it either: a fill's chunks and rounds are a
+// function of the ids appended, whichever are dead. Or-ORAM's dead ids are
+// insertions that failed in the server's view, and it skips them: a set's
+// label cell is written only when the set steps the record, so a failed
+// insertion can leave a cover's cell unwritten for a union's fill to read.
+func (c *oramCore) eachChunk(visit func(ids []int64) error) error {
 	ids := make([]int64, 0, obsort.ChunkCells)
 	for id, n := 0, c.edb.NumRows(); id < n; id++ {
-		if c.dead[id] {
+		if c.layout.positional && c.dead[id] {
 			continue
 		}
 		ids = append(ids, int64(id))
@@ -538,7 +571,7 @@ func (c *oramCore) fill(group []target[*oramState]) error {
 	if g, w := c.metrics.Gauge("oblivfd_level_width"), int64(len(group)); w > g.Value() {
 		g.Set(w)
 	}
-	return c.eachLive(func(ids []int64) error { return c.stepChunk(lv, ids, nil) })
+	return c.eachChunk(func(ids []int64) error { return c.stepChunk(lv, ids, nil) })
 }
 
 // eachSet runs fn on every materialized set, covers before their unions, and

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -28,7 +27,9 @@ type OrEngine struct {
 // never collide on object names.
 var orEngines atomic.Int64
 
-// NewOrEngine builds an engine over an uploaded database.
+// NewOrEngine builds an engine over an uploaded database. Its labels count
+// the distinct keys among the records, so each is below the database's
+// capacity, which its ORAMs' Setup bounds by maxLabel (compress.go).
 func NewOrEngine(edb *EncryptedDB) *OrEngine {
 	e := new(OrEngine)
 	e.init(edb, fmt.Sprintf("or%d", orEngines.Add(1)), orLayout)
@@ -45,12 +46,12 @@ func NewOrEngine(edb *EncryptedDB) *OrEngine {
 func orStep(st *oramState, _ string, key uint64, label *uint64) (primary, _ oram.Access) {
 	return oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
 		if found {
-			*label = decodeUint64(old)
+			*label = decodeLabel(old)
 		} else {
 			*label = st.card + st.pending
 			st.pending++
 		}
-		binary.BigEndian.PutUint64(st.val[:labelWidth], *label)
+		putLabel(st.val[:labelWidth], *label)
 		return st.val[:labelWidth], true
 	}}, oram.Access{}
 }

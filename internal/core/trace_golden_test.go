@@ -79,7 +79,15 @@ import (
 // 2^t − 1 + r·(L − t) bucket events each way, not r path events; at the
 // scripted run's 24 records and 5-level trees it is the whole 31-bucket tree
 // (55 → 85 events for a set's tree, 115 → 207 for a cover's ID ORAM). The
-// column, or#:N:IL and sort lines are byte for byte what they were.
+// column, or#:N:IL and sort lines are byte for byte what they were. When
+// every ORAM field went to the width its range needs — a block's header 13
+// bytes → 5, labels and frequencies 8 → 4 — every or#:N:KL, or#:N:IL,
+// ex#:N:KLF and ex#:N:IKL line was regenerated, with the same event counts:
+// the block/record layout is a function of Config (a bucket is
+// Z·(5 + KeyWidth + ValueWidth) + 28 bytes: 96 for O^KL, 112 for O^KLF, 128
+// for O^IKL; an O^IL cell 32). Fills that step a deleted id as a dummy moved
+// no line: the scripted run deletes only after its fills. The column and sort
+// lines are byte for byte what they were.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -115,7 +123,10 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // Its or and ex lines were regenerated when ORAM rounds became treetop rounds
 // (or: 755 → 965 events, ex: 1 084 → 1 866): a round reads its tree's top t
 // levels once; positions are a function of (t, r, L) and the r uniform
-// leaves. The sort line is byte for byte what it was.
+// leaves. The sort line is byte for byte what it was. Its or and ex lines
+// were regenerated when every ORAM field went to the width its range needs
+// (or: 965 events, ex: 1 866, as before): the block/record layout is a
+// function of Config. The sort line is byte for byte what it was.
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It
@@ -302,16 +313,17 @@ func TestEngineTraceGolden(t *testing.T) {
 }
 
 // TestParentCheckpointResumes: a checkpoint file and server directory per ORAM
-// engine in the OFDCKPT4 format (the 6×3 relation below, crashed after lattice
+// engine in the OFDCKPT5 format (the 6×3 relation below, crashed after lattice
 // level 1) resume on this build, finish discovery with the plaintext engine's
 // FD set, and keep accepting mutations — the EngineState / SetState /
-// oram.State layout, the Kind tags, the object names the handles reattach to
-// and the tree shape derived from each capacity are all still what the build
-// that wrote them wrote. Both pairs are testdata/half-tree's, written by the
-// build that gave each tree half the next power of two ≥ capacity leaves (the
-// full-tree pairs in label-array/ and pr31/ are refused,
-// TestFullTreeCheckpointIsRefused). They were written, by writeResumeFixture,
-// with
+// oram.State layout, the Kind tags, the object names the handles reattach to,
+// the tree shape derived from each capacity and the block layout derived from
+// each width are all still what the build that wrote them wrote. Both pairs
+// are in testdata/narrow-blocks/, written by the build that gave a block a 5-byte
+// header and labels 4 bytes (the wide-block pairs in half-tree/ are refused,
+// TestWideBlockCheckpointIsRefused; the full-tree pairs in label-array/ and
+// pr31/ too, TestFullTreeCheckpointIsRefused). They were written, by
+// writeResumeFixture, with
 //
 //	rm -r internal/core/testdata/<dir> && go test -run TestParentCheckpointResumes ./internal/core/
 //
@@ -324,7 +336,7 @@ func TestParentCheckpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixtures := filepath.Join("testdata", "half-tree")
+	fixtures := filepath.Join("testdata", "narrow-blocks")
 	for _, kind := range []string{"or", "ex"} {
 		if _, err := os.Stat(filepath.Join(fixtures, kind+".ckpt")); errors.Is(err, os.ErrNotExist) {
 			writeResumeFixture(t, rel, fixtures, kind)
@@ -371,16 +383,37 @@ func TestParentCheckpointResumes(t *testing.T) {
 // directory beside it is opened, so the directory is left as it was.
 func TestFullTreeCheckpointIsRefused(t *testing.T) {
 	for _, pair := range [][2]string{{"label-array", "or"}, {"pr31", "ex"}} {
-		file := filepath.Join(pair[0], pair[1]+".ckpt")
-		requireRetiredCheckpointRefused(t, file, "OFDCKPT3", "520a5d8")
-		dir := copyDir(t, filepath.Join("testdata", pair[0], pair[1]+"-state"))
-		before := readFiles(t, dir)
-		if _, _, err := resumeFixture(t, dir, filepath.Join("testdata", file)); !errors.Is(err, ErrCorruptCheckpoint) {
-			t.Errorf("%s: resume = %v, want ErrCorruptCheckpoint", file, err)
-		}
-		if after := readFiles(t, dir); !reflect.DeepEqual(before, after) {
-			t.Errorf("%s: the refused resume changed the server directory", file)
-		}
+		requireRetiredPairRefused(t, pair[0], pair[1], "OFDCKPT3", "520a5d8")
+	}
+}
+
+// TestWideBlockCheckpointIsRefused: half-tree/{or,ex}.ckpt (OFDCKPT4) were
+// written at a commit whose blocks carried a 13-byte header — a flag, an
+// 8-byte version, a 4-byte key length — and 8-byte labels: every bucket
+// of their trees is 32 to 48 bytes longer than this build opens. The
+// checkpoint is refused by its magic, naming commit 914d157, the last that
+// resumed it, before the server directory beside it is opened.
+func TestWideBlockCheckpointIsRefused(t *testing.T) {
+	for _, kind := range []string{"or", "ex"} {
+		requireRetiredPairRefused(t, "half-tree", kind, "OFDCKPT4", "914d157")
+	}
+}
+
+// requireRetiredPairRefused: the checkpoint testdata/<dir>/<kind>.ckpt is
+// refused as a retired format (requireRetiredCheckpointRefused), and resuming
+// it against a copy of the server directory beside it fails without changing
+// the directory.
+func requireRetiredPairRefused(t *testing.T, dir, kind, magic, commit string) {
+	t.Helper()
+	file := filepath.Join(dir, kind+".ckpt")
+	requireRetiredCheckpointRefused(t, file, magic, commit)
+	state := copyDir(t, filepath.Join("testdata", dir, kind+"-state"))
+	before := readFiles(t, state)
+	if _, _, err := resumeFixture(t, state, filepath.Join("testdata", file)); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Errorf("%s: resume = %v, want ErrCorruptCheckpoint", file, err)
+	}
+	if after := readFiles(t, state); !reflect.DeepEqual(before, after) {
+		t.Errorf("%s: the refused resume changed the server directory", file)
 	}
 }
 

@@ -32,24 +32,6 @@ func Pad(value []byte, width int) ([]byte, error) {
 	return out, nil
 }
 
-// PadInto is Pad writing into a caller-owned buffer of exactly
-// PadWidth(width) bytes, zero-filling the tail so a reused buffer carries
-// nothing over from its previous contents. The value parameter is a string
-// so hot loops (the ORAM block encoder) avoid a []byte conversion
-// allocation.
-func PadInto(dst []byte, value string, width int) error {
-	if len(value) > width {
-		return fmt.Errorf("%w: %d > %d", ErrPadOverflow, len(value), width)
-	}
-	if len(dst) != PadWidth(width) {
-		return fmt.Errorf("crypto: pad buffer has %d bytes, want %d", len(dst), PadWidth(width))
-	}
-	binary.BigEndian.PutUint32(dst[:4], uint32(len(value)))
-	copy(dst[4:], value)
-	clear(dst[4+len(value):])
-	return nil
-}
-
 // Unpad reverses Pad.
 func Unpad(buf []byte) ([]byte, error) {
 	if len(buf) < 4 {

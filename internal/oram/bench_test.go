@@ -99,12 +99,13 @@ func benchEngineShape(b *testing.B, capacity, valueWidth int) {
 
 // BenchmarkPathAccessExDynamic is one access of an Ex-ORAM partition store as
 // the exoram-dynamic workload sizes it: 2048 records plus 2000 of insert
-// headroom (12 levels), 16-byte values.
-func BenchmarkPathAccessExDynamic(b *testing.B) { benchEngineShape(b, 2048+2000, 16) }
+// headroom (12 levels), O^IKL's 12-byte values (key ∥ label).
+func BenchmarkPathAccessExDynamic(b *testing.B) { benchEngineShape(b, 2048+2000, 12) }
 
 // BenchmarkPathAccessOrStatic is one access of an Or-ORAM partition store as
-// the oram-tcp workload sizes it: 1024 records (10 levels), 8-byte values.
-func BenchmarkPathAccessOrStatic(b *testing.B) { benchEngineShape(b, 1024, 8) }
+// the oram-tcp workload sizes it: 1024 records (10 levels), O^KL's 4-byte
+// values (a label).
+func BenchmarkPathAccessOrStatic(b *testing.B) { benchEngineShape(b, 1024, 4) }
 
 // benchSetup measures Setup of an empty tree of the engines' key width (8)
 // and the given capacity and value width, against the in-process server —
@@ -132,11 +133,11 @@ func benchSetup(b *testing.B, capacity, valueWidth int) {
 // BenchmarkSetupExDynamic is Setup of BenchmarkPathAccessExDynamic's tree,
 // one of the exoram-dynamic workload's Ex-ORAM trees: 4 095 buckets in one
 // call.
-func BenchmarkSetupExDynamic(b *testing.B) { benchSetup(b, 2048+2000, 16) }
+func BenchmarkSetupExDynamic(b *testing.B) { benchSetup(b, 2048+2000, 12) }
 
 // BenchmarkSetupOrStatic is Setup of BenchmarkPathAccessOrStatic's tree, one
 // of the oram-tcp workload's Or-ORAM trees: 1 023 buckets in one call.
-func BenchmarkSetupOrStatic(b *testing.B) { benchSetup(b, 1024, 8) }
+func BenchmarkSetupOrStatic(b *testing.B) { benchSetup(b, 1024, 4) }
 
 // BenchmarkPathAccessBatch is one batch of r = 64 accesses — a chunk's
 // accesses to one tree — through a pipeline, on the Or-ORAM shape of
@@ -150,13 +151,13 @@ func BenchmarkSetupOrStatic(b *testing.B) { benchSetup(b, 1024, 8) }
 // 10-level tree), the same on every run with the seed fixed.
 func BenchmarkPathAccessBatch(b *testing.B) {
 	const r = 64
-	o, keys := engineShape(b, 1024, 8)
+	o, keys := engineShape(b, 1024, 4)
 	rec := o.svc.(*store.Server).Trace()
 	reg := telemetry.New()
 	o.cipher.SetTelemetry(reg)
 	opens := reg.Counter("oblivfd_integrity_checks_total")
 	rng := rand.New(rand.NewSource(1))
-	v := make([]byte, 8)
+	v := make([]byte, 4)
 	write := func([]byte, bool) ([]byte, bool) { return v, true }
 	read := func(old []byte, found bool) ([]byte, bool) { return old, found }
 	p := NewPipeline(o.svc)
@@ -210,8 +211,8 @@ func TestPathAccessAllocs(t *testing.T) {
 		i++
 		return err
 	}
-	ex, exKeys := engineShape(t, 2048+2000, 16)
-	or, orKeys := engineShape(t, 1024, 8)
+	ex, exKeys := engineShape(t, 2048+2000, 12)
+	or, orKeys := engineShape(t, 1024, 4)
 	for _, c := range []struct {
 		name string
 		o    *ORAM

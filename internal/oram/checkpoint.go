@@ -102,13 +102,13 @@ func (st *State) validate() error {
 		return fmt.Errorf("oram: resume: no state")
 	case st.Name == "":
 		return fmt.Errorf("oram: resume: empty object name")
-	case st.Capacity < 1 || st.Capacity > 1<<32 || st.KeyWidth < 1 || st.ValueWidth < 1:
-		return fmt.Errorf("oram: resume %q: invalid shape (capacity %d, widths %d/%d)",
-			st.Name, st.Capacity, st.KeyWidth, st.ValueWidth)
 	case st.Z < 1 || st.StashLimit < 1:
 		return fmt.Errorf("oram: resume %q: bucket size %d, stash limit %d: both must be ≥ 1", st.Name, st.Z, st.StashLimit)
 	case len(st.Values) != len(st.Slots)*st.ValueWidth:
 		return fmt.Errorf("oram: resume %q: %d value bytes for %d slots of %d", st.Name, len(st.Values), len(st.Slots), st.ValueWidth)
+	}
+	if err := checkShape(st.Name, st.Capacity, st.KeyWidth, st.ValueWidth); err != nil {
+		return fmt.Errorf("oram: resume: %w", err)
 	}
 	_, numLeaves := shape(st.Capacity)
 	seen := make(map[string]bool, len(st.Slots))

@@ -2,7 +2,10 @@ package oram
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -11,6 +14,7 @@ import (
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/store"
+	"github.com/oblivfd/oblivfd/internal/trace"
 )
 
 func newTestCipher(t *testing.T) *crypto.Cipher {
@@ -117,6 +121,98 @@ func TestResumeStateValidation(t *testing.T) {
 	}
 }
 
+// refusingTrees is a service on which Setup must never get as far as creating
+// a tree.
+type refusingTrees struct {
+	store.Service
+	t *testing.T
+}
+
+func (s refusingTrees) CreateTree(name string, levels, slots int) error {
+	s.t.Errorf("CreateTree(%q, %d levels) called for a shape Setup must refuse", name, levels)
+	return errors.New("refused by the test")
+}
+
+// TestSetupRefusesWhatResumeRefuses: one bound check serves Setup and Resume,
+// so a handle set up is a handle that can be resumed. A capacity past
+// MaxCapacity, whose leaves would not fit a uint32, and a key wider than a
+// block's one-byte length names are refused by both — by Setup before it
+// creates, or sizes, any tree — and the largest shapes are accepted by both
+// checks.
+func TestSetupRefusesWhatResumeRefuses(t *testing.T) {
+	cipher := newTestCipher(t)
+	for _, c := range []struct {
+		name                           string
+		capacity, keyWidth, valueWidth int
+	}{
+		{"capacity past 2^32", MaxCapacity + 1, 8, 4},
+		{"key wider than 255", 16, maxKeyWidth + 1, 4},
+		{"no capacity", 0, 8, 4},
+		{"no key", 16, 0, 4},
+		{"no value", 16, 8, 0},
+	} {
+		if _, err := Setup(refusingTrees{t: t}, cipher, "x", Config{Capacity: c.capacity, KeyWidth: c.keyWidth, ValueWidth: c.valueWidth}); err == nil {
+			t.Errorf("%s: Setup accepted", c.name)
+		}
+		st := &State{Name: "x", Capacity: c.capacity, Z: 4, KeyWidth: c.keyWidth, ValueWidth: c.valueWidth, StashLimit: 10}
+		if _, err := Resume(store.NewServer(), cipher, st); err == nil {
+			t.Errorf("%s: Resume accepted", c.name)
+		}
+	}
+	if err := checkShape("x", MaxCapacity, maxKeyWidth, 1); err != nil {
+		t.Errorf("the largest shape is refused: %v", err)
+	}
+	if _, err := Setup(store.NewServer(), cipher, "wide", Config{Capacity: 4, KeyWidth: maxKeyWidth, ValueWidth: 1}); err != nil {
+		t.Errorf("Setup refused a %d-byte key width: %v", maxKeyWidth, err)
+	}
+}
+
+// TestVersionWrapRefused: a block whose version is the largest a block holds
+// cannot be evicted again — the next version would be 0, a dummy's, and the
+// one after would repeat versions an authentic older copy carries. A resumed
+// state with a stashed slot at 2^32 − 1 refuses the first access, whose
+// eviction would stamp it, with ErrVersionWrap: before anything is sealed
+// (the cipher's invocation counter moves only for the probes around the
+// access) or written back, and the handle refuses every access after.
+func TestVersionWrapRefused(t *testing.T) {
+	srv := store.NewServer()
+	cipher := newTestCipher(t)
+	o, err := Setup(srv, cipher, "wrap", Config{Capacity: 16, KeyWidth: 8, ValueWidth: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := o.State()
+	st.Slots = append(st.Slots, Slot{Key: "worn", Leaf: 1, Ver: math.MaxUint32, Tagged: true, Stashed: true})
+	st.Values = append(st.Values, 1, 2, 3, 4)
+	r, err := Resume(srv, cipher, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invocation := func() uint32 { // the counter in the nonce of a fresh seal
+		ct, err := cipher.Seal([]byte("probe"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.BigEndian.Uint32(ct[crypto.NonceSize-4 : crypto.NonceSize])
+	}
+	srv.Trace().Enable()
+	before := invocation()
+	if _, _, err := r.Read("other"); !errors.Is(err, ErrVersionWrap) {
+		t.Fatalf("access evicting a block at version 2^32 − 1: err = %v, want ErrVersionWrap", err)
+	}
+	if after := invocation(); after != before+1 {
+		t.Errorf("the refused access sealed %d ciphertexts", after-before-1)
+	}
+	for _, e := range srv.Trace().Events() {
+		if e.Op != trace.OpReadTreeCell {
+			t.Errorf("the refused access sent %v", e)
+		}
+	}
+	if _, _, err := r.Read("worn"); err == nil || !strings.Contains(err.Error(), "unusable") {
+		t.Errorf("access after the refusal: err = %v, want the handle refusing", err)
+	}
+}
+
 // TestResumeRefusesStateSlotsCannotHold: a state whose slot points past the
 // tree's leaves, whose key is wider than KeyWidth or held by two slots, whose
 // slab is not one value per slot, which names no object, or whose buckets hold
@@ -166,10 +262,10 @@ func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 
 // mapEraBytes is ClientMemoryBytes as it was computed when the client state
 // was three maps, over those maps rebuilt from the slots: per live key its
-// length and a 4-byte leaf, per tagged key its length and an 8-byte version,
-// per stashed key its length and its value.
+// length and a 4-byte leaf, per tagged key its length and a verWidth-byte
+// version, per stashed key its length and its value.
 func mapEraBytes(st *State) int {
-	posMap, vers, stash := make(map[string]uint32), make(map[string]uint64), make(map[string][]byte)
+	posMap, vers, stash := make(map[string]uint32), make(map[string]uint32), make(map[string][]byte)
 	for i, s := range st.Slots {
 		posMap[s.Key] = s.Leaf
 		if s.Tagged {

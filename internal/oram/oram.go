@@ -38,10 +38,11 @@
 // and the round is the one path.
 //
 // The bucket is the unit of encryption, as in Stefanov et al.: a bucket's Z
-// blocks — real and dummy side by side, each flag ∥ version ∥ padded key ∥
-// value — are sealed as one ciphertext bound to the bucket's place in the
-// tree, and the server stores one such ciphertext per bucket. Its length is
-// Z·blockSize plus the AEAD's 28 bytes, a function of Config alone: how many
+// blocks — real and dummy side by side, each version(4) ∥ key length(1) ∥ key
+// zero-filled to KeyWidth ∥ value, a dummy all zeros — are sealed as one
+// ciphertext bound to the bucket's place in the tree, and the server stores
+// one such ciphertext per bucket. Its length is Z·(5 + KeyWidth + ValueWidth)
+// plus the AEAD's 28 bytes, a function of Config alone: how many
 // of a bucket's blocks are real changes the plaintext's content, never its
 // size. Setup fills the entire tree with sealed all-dummy buckets, exactly as
 // the textbook construction requires, so everything the server ever holds is
@@ -62,6 +63,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	mrand "math/rand"
 	"slices"
@@ -91,10 +93,36 @@ var ErrValueWidth = errors.New("oram: value width mismatch")
 // ErrKeyWidth is returned when a key exceeds the ORAM's fixed key width.
 var ErrKeyWidth = errors.New("oram: key too long")
 
-// verWidth is the size of the freshness version embedded in every block
-// plaintext, between the real/dummy flag and the padded key. Dummies carry a
-// zero version, so real and dummy plaintexts stay the same length.
-const verWidth = 8
+// ErrVersionWrap is returned by an access whose eviction would stamp a block
+// with a version past the largest a block holds. Versions never wrap: a
+// wrapped one would let an authentic copy from 2^32 evictions earlier pass
+// for the current one (DESIGN.md §10).
+var ErrVersionWrap = errors.New("oram: block version would wrap")
+
+// A block is version(verWidth) ∥ key length(1) ∥ key, zero-filled to
+// KeyWidth ∥ value. The version is the freshness tag a real block is stamped
+// with when evicted, at least 1; a dummy is all zeros, version 0, so real and
+// dummy plaintexts are the same length and no flag is needed.
+const (
+	verWidth    = 4
+	blockHeader = verWidth + 1
+)
+
+// maxKeyWidth is the widest key a block's one-byte key length can name.
+const maxKeyWidth = 255
+
+// MaxCapacity is the largest Capacity Setup and Resume accept: a leaf, and
+// every count below the capacity, fits 4 bytes.
+const MaxCapacity = 1 << 32
+
+// checkShape refuses a capacity or widths no handle can have.
+func checkShape(name string, capacity, keyWidth, valueWidth int) error {
+	if capacity < 1 || capacity > MaxCapacity || keyWidth < 1 || keyWidth > maxKeyWidth || valueWidth < 1 {
+		return fmt.Errorf("oram %q: invalid shape: capacity %d (1 to 2^32), key width %d (1 to 255), value width %d (at least 1)",
+			name, capacity, keyWidth, valueWidth)
+	}
+	return nil
+}
 
 // treeAD returns the associated-data prefix shared by every bucket of a tree,
 // "oram:<name>:", with room behind it for a bucket index. bucketAD completes
@@ -107,11 +135,12 @@ func treeAD(name string) []byte {
 // Config parameterizes Setup.
 type Config struct {
 	// Capacity is the maximum number of live key-value pairs (the paper's
-	// n). The tree has half the next power of two ≥ Capacity leaves, at
-	// least two.
+	// n), at most MaxCapacity. The tree has half the next power of two ≥
+	// Capacity leaves, at least two.
 	Capacity int
-	// KeyWidth is the maximum key length in bytes. All blocks are padded
-	// to a common size derived from KeyWidth and ValueWidth.
+	// KeyWidth is the maximum key length in bytes, at most 255. All
+	// blocks are padded to a common size derived from KeyWidth and
+	// ValueWidth.
 	KeyWidth int
 	// ValueWidth is the exact value length in bytes; every stored value
 	// must have this length so ciphertext sizes are data-independent.
@@ -237,11 +266,8 @@ func (o *ORAM) SetTelemetry(reg *telemetry.Registry) {
 // Setup creates an empty ORAM named name on the server (Definition 4's
 // Setup: client state out, encrypted memory to S).
 func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*ORAM, error) {
-	if cfg.Capacity < 1 {
-		return nil, fmt.Errorf("oram: capacity %d < 1", cfg.Capacity)
-	}
-	if cfg.KeyWidth < 1 || cfg.ValueWidth < 1 {
-		return nil, fmt.Errorf("oram: key/value widths must be positive (got %d, %d)", cfg.KeyWidth, cfg.ValueWidth)
+	if err := checkShape(name, cfg.Capacity, cfg.KeyWidth, cfg.ValueWidth); err != nil {
+		return nil, err
 	}
 	z := cfg.Z
 	if z == 0 {
@@ -284,7 +310,7 @@ func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*
 // finish construction with it.
 func (o *ORAM) initScratch() {
 	o.levels, o.numLeaves = shape(o.capacity)
-	o.blockSize = 1 + verWidth + crypto.PadWidth(o.keyWidth) + o.valueWidth
+	o.blockSize = blockHeader + o.keyWidth + o.valueWidth
 	o.ad = treeAD(o.name)
 	o.adPrefix = len(o.ad)
 	o.openBuf = make([]byte, 0, o.z*o.blockSize)
@@ -310,7 +336,7 @@ func shape(capacity int) (levels, numLeaves int) {
 type Slot struct {
 	Key     string
 	Leaf    uint32
-	Ver     uint64
+	Ver     uint32
 	Tagged  bool
 	Stashed bool
 }
@@ -421,11 +447,11 @@ func (o *ORAM) sealBucket(bucket int) ([]byte, error) {
 // its frame fits the 1 MiB encode or spill buffer a connection keeps between
 // frames (transport's keepBuf) and Setup never makes one regrow. On the wire
 // each ciphertext adds a length varint: 1 byte under 128 B, 2 under 16 KiB, so
-// at most 1/43 of the smallest bucket there is (Z = 1, one-byte key and value:
-// 15 + 28 bytes). The frame's header is the kind, trace context, tree name,
-// start and count, well under 1 KiB. A frame is then at most 768·44/43 + 1 <
-// 787 KiB, and the encode buffer append grows to it in steps of 1.25× at most
-// 984 KiB (plus a page of rounding) — under keepBuf. Only a single bucket
+// at most 1/35 of the smallest bucket there is (Z = 1, one-byte key and value:
+// 7 + 28 bytes). The frame's header is the kind, trace context, tree name,
+// start and count, well under 1 KiB. A frame is then at most 768·36/35 + 1 <
+// 791 KiB, and the encode buffer append grows to it in steps of 1.25× at most
+// 989 KiB (plus a page of rounding) — under keepBuf. Only a single bucket
 // larger than this budget makes a bigger frame, one bucket to a call.
 const setupFrameBytes = 768 << 10
 
@@ -501,7 +527,7 @@ func (o *ORAM) StashLimit() int { return o.stashLimit }
 func (o *ORAM) Accesses() int64 { return o.accesses }
 
 // ClientMemoryBytes estimates the client-held state size: per live key its
-// length and a 4-byte leaf, per tagged key its length and an 8-byte version,
+// length and a 4-byte leaf, per tagged key its length and a 4-byte version,
 // per stashed key its length and its value — a position map, a tag map and a
 // stash keyed by the key. It estimates what the client must hold, not the
 // slots and slab it does hold, and keeps the figure comparable across builds.
@@ -1017,6 +1043,11 @@ func (o *ORAM) evict() error {
 	lo, hi := o.levelAt[leafLevel], o.levelAt[o.levels] // the leaf buckets
 	o.next = slices.Grow(o.next[:0], len(o.stash))[:len(o.stash)]
 	for p, i := range o.stash {
+		// A stashed block may be placed below; its version must have room
+		// to move before anything is sealed.
+		if o.slots[i].Ver == math.MaxUint32 {
+			return fmt.Errorf("%w: block %q", ErrVersionWrap, o.slots[i].Key)
+		}
 		a, nd := o.slots[i].Leaf, int32(lo)
 		if hi-lo > 1 {
 			nd = min(o.nodeAt(leafLevel, a), int32(hi-1))
@@ -1049,10 +1080,8 @@ func (o *ORAM) evict() error {
 			// Stamp a fresh version into the outgoing copy; the client-held
 			// tag is what later reads are checked against.
 			s := &o.slots[i]
-			if err := o.putBlock(pt[:o.blockSize], s.Key, o.value(i), s.Ver+1); err != nil {
-				return err
-			}
 			s.Ver, s.Tagged, s.Stashed = s.Ver+1, true, false
+			o.putBlock(pt[:o.blockSize], s.Key, o.value(i), s.Ver)
 		}
 		ct, err := o.sealBucket(1<<nd.level - 1 + int(nd.prefix))
 		if err != nil {
@@ -1083,28 +1112,25 @@ func (o *ORAM) integrityErr(what string, cause error) error {
 }
 
 // putBlock serializes a real block into its zeroed place in a staged bucket:
-// flag(1) ∥ version(8) ∥ padded key ∥ value. A dummy is the place left zero.
-func (o *ORAM) putBlock(pt []byte, key string, value []byte, ver uint64) error {
-	pt[0] = 1
-	binary.BigEndian.PutUint64(pt[1:1+verWidth], ver)
-	keyEnd := 1 + verWidth + crypto.PadWidth(o.keyWidth)
-	if err := crypto.PadInto(pt[1+verWidth:keyEnd], key, o.keyWidth); err != nil {
-		return fmt.Errorf("oram: padding key: %w", err)
-	}
-	copy(pt[keyEnd:], value)
-	return nil
+// version ∥ key length ∥ key ∥ value, the key's tail left zero. ready has
+// refused every key wider than keyWidth. A dummy is the place left zero.
+func (o *ORAM) putBlock(pt []byte, key string, value []byte, ver uint32) {
+	binary.BigEndian.PutUint32(pt, ver)
+	pt[verWidth] = byte(len(key))
+	copy(pt[blockHeader:], key)
+	copy(pt[blockHeader+o.keyWidth:], value)
 }
 
-// parseBlock reads one block of an opened bucket. real is false for a dummy;
-// key and value alias pt.
-func (o *ORAM) parseBlock(pt []byte) (key, value []byte, ver uint64, real bool, err error) {
-	if pt[0] == 0 {
+// parseBlock reads one block of an opened bucket. real is false for a dummy,
+// whose version is 0; key and value alias pt.
+func (o *ORAM) parseBlock(pt []byte) (key, value []byte, ver uint32, real bool, err error) {
+	ver = binary.BigEndian.Uint32(pt)
+	if ver == 0 {
 		return nil, nil, 0, false, nil
 	}
-	keyEnd := 1 + verWidth + crypto.PadWidth(o.keyWidth)
-	key, err = crypto.Unpad(pt[1+verWidth : keyEnd])
-	if err != nil {
-		return nil, nil, 0, false, o.integrityErr("unpadding key", err)
+	n := int(pt[verWidth])
+	if n > o.keyWidth {
+		return nil, nil, 0, false, o.integrityErr(fmt.Sprintf("block key of %d bytes, max %d", n, o.keyWidth), nil)
 	}
-	return key, pt[keyEnd:], binary.BigEndian.Uint64(pt[1 : 1+verWidth]), true, nil
+	return pt[blockHeader : blockHeader+n], pt[blockHeader+o.keyWidth:], ver, true, nil
 }

@@ -546,10 +546,10 @@ func TestCapacityOne(t *testing.T) {
 }
 
 // bucketCiphertextLen is the closed form for what the server stores per
-// bucket: Z blocks of flag ∥ version ∥ padded key ∥ value under one nonce and
-// one tag — public parameters only.
+// bucket: Z blocks of version (4) ∥ key length (1) ∥ key ∥ value under one
+// 12-byte nonce and one 16-byte tag — public parameters only.
 func bucketCiphertextLen(z, keyWidth, valueWidth int) int {
-	return z*(1+verWidth+crypto.PadWidth(keyWidth)+valueWidth) + crypto.Overhead
+	return z*(5+keyWidth+valueWidth) + 28
 }
 
 // TestTreeFullyInitialized: after Setup every bucket holds one ciphertext of
@@ -609,8 +609,8 @@ func (s *setupSpy) WriteBuckets(name string, start int, slots [][]byte) error {
 // public configuration: two keys and two seeds give the same sequence.
 func TestSetupFramesClosedForm(t *testing.T) {
 	for _, c := range []struct{ capacity, valueWidth, calls int }{
-		{2048 + 2000, 16, 1}, // Ex-ORAM's trees on exoram-dynamic: 4 095 buckets of 176 B
-		{1024, 8, 1},         // Or-ORAM's on oram-tcp: 1 023 of 144 B
+		{2048 + 2000, 12, 1}, // Ex-ORAM's O^IKL on exoram-dynamic: 4 095 buckets of 128 B
+		{1024, 4, 1},         // Or-ORAM's O^KL on oram-tcp: 1 023 of 96 B
 		{64, 4096, 2},        // 16 KiB buckets, 47 to a call
 		{2, 256 << 10, 3},    // buckets over the budget, one to a call
 	} {

@@ -588,6 +588,12 @@ type Revalidation struct {
 // Every FD's partitions must still be materialized (run Discover first with
 // a dynamic protocol, which retains them). FDs whose partitions are missing
 // produce an error.
+//
+// Revalidate decides only the FDs it is given. To find the FDs a deletion
+// creates (or the minimal ones an insertion leaves), call Discover again: on
+// a dynamic protocol it re-decides every candidate from the maintained
+// cardinalities and builds only the partitions no earlier discovery built,
+// taking no round at all when the lattice needs none.
 func (db *Database) Revalidate(fds []FD) (*Revalidation, error) {
 	out := &Revalidation{}
 	for _, fd := range fds {
