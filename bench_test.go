@@ -135,7 +135,7 @@ func BenchmarkFig7Dynamic(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, _ := res.Point(64, false)
+		p := res.Points[0] // |X| = 1
 		ins, del = p.InsertAvg, p.DeleteAvg
 	}
 	b.ReportMetric(float64(ins.Microseconds()), "insert-us")

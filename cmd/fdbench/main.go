@@ -85,9 +85,11 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
+// sweep doubles from minn up to maxn and is never empty: an experiment that
+// sweeps to a fraction of -maxn still measures -minn.
 func sweep(minn, maxn int) []int {
-	var out []int
-	for n := minn; n <= maxn; n *= 2 {
+	out := []int{minn}
+	for n := 2 * minn; n <= maxn; n *= 2 {
 		out = append(out, n)
 	}
 	return out
@@ -149,6 +151,16 @@ func run(p params) error {
 		if f.v < 1 {
 			return fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
 		}
+	}
+	// A negative delay or budget would be read as none or as unlimited, and
+	// -maxn below -minn would run every sweep empty.
+	for name, negative := range map[string]bool{"rtt": p.rtt < 0, "table2-rtt": p.t2rtt < 0, "mt-inflight": p.mtInflight < 0} {
+		if negative {
+			return fmt.Errorf("-%s must not be negative", name)
+		}
+	}
+	if p.maxn < p.minn {
+		return fmt.Errorf("-maxn %d is below -minn %d", p.maxn, p.minn)
 	}
 	ran := 0
 	for _, e := range experiments {

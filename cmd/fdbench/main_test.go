@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/oblivfd/oblivfd/internal/bench"
 )
@@ -69,6 +70,11 @@ func TestSweep(t *testing.T) {
 			t.Fatalf("sweep = %v, want %v", got, want)
 		}
 	}
+	// fig7 and comm sweep to -maxn/2, security-levels to -maxn/4: with
+	// -maxn = -minn they measure -minn rather than nothing.
+	if got := sweep(16, 16/4); !slices.Equal(got, []int{16}) {
+		t.Errorf("sweep(16, 4) = %v, want [16]", got)
+	}
 }
 
 // TestRunSingleExperiments: every entry of the experiment table runs end to
@@ -115,6 +121,33 @@ func TestRunRefusesNonPositiveSizes(t *testing.T) {
 	p.rows, p.runs, p.minn, p.maxn, p.fign, p.dbs = 1, 1, 1, 1, 1, 1
 	if err := run(p); err != nil {
 		t.Errorf("every size 1: %v", err)
+	}
+}
+
+// TestRunRefusesNegativeDelaysAndEmptySweeps: a negative -rtt, -table2-rtt
+// or -mt-inflight, once read as no delay or no budget, and a -maxn below
+// -minn, once an empty sweep, are refused by name before any experiment runs;
+// zero delays and budgets and -maxn equal to -minn are accepted.
+func TestRunRefusesNegativeDelaysAndEmptySweeps(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		set  func(*params)
+	}{
+		{"-rtt", func(p *params) { p.rtt = -time.Microsecond }},
+		{"-table2-rtt", func(p *params) { p.t2rtt = -time.Microsecond }},
+		{"-mt-inflight", func(p *params) { p.mtInflight = -1 }},
+		{"-maxn", func(p *params) { p.minn, p.maxn = 32, 16 }},
+	} {
+		p := tiny("table3")
+		c.set(&p)
+		if err := run(p); err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s: run = %v, want it refused by name", c.flag, err)
+		}
+	}
+	p := tiny("table3")
+	p.rtt, p.t2rtt, p.mtInflight, p.maxn = 0, 0, 0, p.minn
+	if err := run(p); err != nil {
+		t.Errorf("zero delays and budget, -maxn = -minn: %v", err)
 	}
 }
 

@@ -1,11 +1,13 @@
 // Dynamic databases: the extended ORAM protocol (§V) keeps discovered
-// dependencies fresh under insertions and deletions at polylogarithmic cost
+// partitions fresh under insertions and deletions at polylogarithmic cost
 // per operation — the paper's first non-trivial dynamic FD protocol.
 //
 // The scenario: an employee table with the intro's motivating dependency
-// Position → Department. A re-org inserts a record that breaks it; the FD
-// is re-validated instantly from maintained partitions (no O(n) rescan);
-// deleting the record restores it.
+// Position → Department, broken at first by one contractor record. Deleting
+// that record creates the FD, and a second Discover finds it, building only
+// what the first left unbuilt. Then a re-org inserts a record that breaks the
+// FD again; it is re-checked at once from the maintained partitions (no O(n)
+// rescan); deleting the record restores it.
 //
 //	go run ./examples/dynamic
 package main
@@ -29,6 +31,7 @@ func main() {
 		{"E04", "Account-Exec", "Sales"},
 		{"E05", "Account-Exec", "Sales"},
 		{"E06", "Recruiter", "People"},
+		{"C01", "Engineer", "Platform"}, // a contractor, record 6
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -43,27 +46,39 @@ func main() {
 	}
 	defer db.Close()
 
-	report, err := db.Discover()
-	if err != nil {
+	position, department := schema.MustSet("Position"), schema.MustSet("Department")
+	posDept := position.Union(department)
+	discover := func(when string) {
+		report, err := db.Discover()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("minimal FDs %s:\n", when)
+		for _, fd := range report.Minimal {
+			fmt.Println(" ", fd.Format(schema))
+		}
+	}
+	discover("with the contractor")
+
+	// The contractor leaves. A deletion can only create FDs, and a second
+	// Discover finds them, building only what the first left unbuilt: the
+	// partitions it kept are up to date. A deletion is 3 rounds, whatever
+	// the data and however many partitions are maintained.
+	if err := db.Delete(6); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("initial minimal FDs:")
-	for _, fd := range report.Minimal {
-		fmt.Println(" ", fd.Format(schema))
-	}
+	discover("after deleting record 6, the contractor (Position -> Department is new)")
 
-	position := schema.MustSet("Position")
-	posDept := schema.MustSet("Position", "Department")
 	holds := func() bool {
 		a, _ := db.Cardinality(position)
 		b, _ := db.Cardinality(posDept)
 		return a == b
 	}
-	fmt.Printf("\nPosition -> Department: %v\n", holds())
 
 	// A re-org: an Engineer moves to the new Platform department. The
-	// insertion updates every maintained partition in O(log n) ORAM
-	// accesses per attribute set — not a rescan.
+	// insertion steps all of a lattice level's maintained partitions in the
+	// same rounds: its row's round, 2 for the single attributes and 3 for
+	// each level above them — not a rescan, and not rounds per partition.
 	id, err := db.Insert(securefd.Row{"E07", "Engineer", "Platform"})
 	if err != nil {
 		log.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/core"
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/dataset"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -146,111 +145,123 @@ func maxDur(a, b time.Duration) time.Duration {
 	return b
 }
 
-// Fig7Point is one (n, case) pair of average per-operation latencies for
-// Ex-ORAM insertion and deletion.
+// Fig7Point is one (n, case) pair of average per-operation costs of Ex-ORAM
+// insertion and deletion: the time one more partition of the case's size
+// adds, and the rounds an operation takes on the engine that keeps it.
 type Fig7Point struct {
-	N          int
-	MultiAttr  bool
-	InsertAvg  time.Duration
-	DeleteAvg  time.Duration
-	Operations int
+	N         int
+	MultiAttr bool
+	InsertAvg time.Duration
+	DeleteAvg time.Duration
+	// InsertRounds and DeleteRounds are per operation, on the engine that
+	// keeps {0}, {1} (|X| = 1) or {0}, {1}, {0,1} (|X| = 2).
+	InsertRounds, DeleteRounds float64
 }
 
-// Fig7Result reproduces Fig. 7: dynamic-operation efficiency.
+// Fig7Result reproduces Fig. 7: dynamic-operation efficiency, a point per
+// (n, case), |X| = 1 before |X| = 2.
 type Fig7Result struct {
 	Points []Fig7Point
 }
 
+// fig7Lists are the set lists the engines of Fig. 7 keep: each adds one
+// partition to the one before, a single and then the pair.
+var fig7Lists = [][]core.Request{
+	{core.Single(0)},
+	{core.Single(0), core.Single(1)},
+	{core.Single(0), core.Single(1), core.Union(relation.SingleAttr(0), relation.SingleAttr(1))},
+}
+
+// fig7Engine is one engine of Fig. 7 and what its insertions ([0]) and
+// deletions ([1]) took, in total.
+type fig7Engine struct {
+	eng    core.DynamicEngine
+	rounds *store.RoundCounter
+	took   [2]time.Duration
+	spent  [2]int64 // rounds
+}
+
 // Fig7 replays the paper's workload: starting from an empty database with
-// capacity n, insert n rows one by one, then delete them all, and report
-// the average per-operation latency of maintaining one single-attribute
-// partition (the |X| = 1 curve) and one two-attribute partition (|X| = 2).
-// A timing hook inside Ex-ORAM isolates each partition's marginal cost.
+// capacity n, insert n rows one by one, then delete them all. The sets a
+// mutation steps share its rounds, so one partition's cost is not a span of
+// the run: it is the difference between two engines whose kept set lists
+// differ by that partition — {0}, {1} against {0} for the |X| = 1 curve,
+// {0}, {1}, {0,1} against {0}, {1} for |X| = 2 — averaged per operation.
+// Each point also has the rounds per operation of the engine with the larger
+// list, counted with store.WithRoundCounter.
 func Fig7(sizes []int, seed int64) (*Fig7Result, error) {
 	res := &Fig7Result{}
 	for _, n := range sizes {
-		rel := dataset.RND(2, n, seed+int64(n))
-		srv := store.NewServer()
-		cipher, err := crypto.NewCipher(crypto.MustNewKey())
-		if err != nil {
-			return nil, err
-		}
-		edb, err := core.UploadWithCapacity(srv, cipher, "fig7", relation.New(rel.Schema()), n)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := core.NewExEngine(edb)
-		if err != nil {
-			return nil, err
-		}
-		// Materialize the tracked partitions on the empty database; all
-		// maintenance cost is then incremental.
-		if _, err := core.CardinalitySingle(eng, 0); err != nil {
-			return nil, fmt.Errorf("bench: fig7 n=%d: %w", n, err)
-		}
-		if _, err := core.CardinalitySingle(eng, 1); err != nil {
-			return nil, fmt.Errorf("bench: fig7 n=%d: %w", n, err)
-		}
-		pair := relation.NewAttrSet(0, 1)
-		if _, err := core.CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
-			return nil, fmt.Errorf("bench: fig7 n=%d: %w", n, err)
-		}
-
-		perSet := map[relation.AttrSet]time.Duration{}
-		eng.SetTimingHook(func(x relation.AttrSet, d time.Duration) { perSet[x] += d })
-
-		ids := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			id, err := eng.Insert(rel.Row(i))
-			if err != nil {
-				return nil, fmt.Errorf("bench: fig7 insert %d/%d: %w", i, n, err)
-			}
-			ids = append(ids, id)
-		}
-		insertSingle := perSet[relation.SingleAttr(0)] / time.Duration(n)
-		insertPair := perSet[pair] / time.Duration(n)
-
-		perSet = map[relation.AttrSet]time.Duration{}
-		eng.SetTimingHook(func(x relation.AttrSet, d time.Duration) { perSet[x] += d })
-		for _, id := range ids {
-			if err := eng.Delete(id); err != nil {
-				return nil, fmt.Errorf("bench: fig7 delete %d: %w", id, err)
+		engines := make([]fig7Engine, len(fig7Lists))
+		err := fig7Run(engines, dataset.RND(2, n, seed+int64(n)))
+		for _, e := range engines {
+			if e.eng != nil {
+				_ = e.eng.Close()
 			}
 		}
-		deleteSingle := perSet[relation.SingleAttr(0)] / time.Duration(n)
-		deletePair := perSet[pair] / time.Duration(n)
-		_ = eng.Close()
-
-		res.Points = append(res.Points,
-			Fig7Point{N: n, MultiAttr: false, InsertAvg: insertSingle, DeleteAvg: deleteSingle, Operations: n},
-			Fig7Point{N: n, MultiAttr: true, InsertAvg: insertPair, DeleteAvg: deletePair, Operations: n},
-		)
+		if err != nil {
+			return nil, fmt.Errorf("bench: fig7 n=%d: %w", n, err)
+		}
+		for k, multi := range []bool{false, true} {
+			with, without, ops := engines[k+1], engines[k], time.Duration(n)
+			res.Points = append(res.Points, Fig7Point{N: n, MultiAttr: multi,
+				InsertAvg: (with.took[0] - without.took[0]) / ops, DeleteAvg: (with.took[1] - without.took[1]) / ops,
+				InsertRounds: float64(with.spent[0]) / float64(n), DeleteRounds: float64(with.spent[1]) / float64(n)})
+		}
 	}
 	return res, nil
+}
+
+// fig7Run builds an engine per list of fig7Lists, its sets materialized on an
+// empty database of capacity rel's rows so that all maintenance cost is
+// incremental, then inserts the rows one by one and deletes them all. The
+// engines take each operation in turn, so drift in the host's speed falls on
+// all of them alike.
+func fig7Run(engines []fig7Engine, rel *relation.Relation) error {
+	n := rel.NumRows()
+	for i, keep := range fig7Lists {
+		e := &engines[i]
+		e.rounds = store.WithRoundCounter(store.NewServer())
+		s, err := newSetupOn(e.rounds, relation.New(rel.Schema()), MethodExORAM, 1, n)
+		if err != nil {
+			return err
+		}
+		e.eng = s.eng.(core.DynamicEngine)
+		if _, err := e.eng.Materialize(keep, 1); err != nil {
+			return err
+		}
+	}
+	for op := 0; op < 2*n; op++ {
+		for i := range engines {
+			e, start, base := &engines[i], time.Now(), engines[i].rounds.Rounds()
+			var err error
+			if op < n {
+				_, err = e.eng.Insert(rel.Row(op))
+			} else {
+				err = e.eng.Delete(op - n)
+			}
+			if err != nil {
+				return fmt.Errorf("operation %d of %d: %w", op+1, 2*n, err)
+			}
+			e.took[op/n] += time.Since(start)
+			e.spent[op/n] += e.rounds.Rounds() - base
+		}
+	}
+	return nil
 }
 
 // Render prints both cases.
 func (r *Fig7Result) Render() string {
 	var b strings.Builder
-	b.WriteString("Fig 7: Ex-ORAM insertion/deletion latency (average per operation)\n")
-	fmt.Fprintf(&b, "%8s %6s %12s %12s\n", "n", "case", "insert", "delete")
+	b.WriteString("Fig 7: Ex-ORAM insertion/deletion latency (average per operation, one partition's marginal cost)\n")
+	fmt.Fprintf(&b, "%8s %6s %12s %12s %12s %12s\n", "n", "case", "insert", "delete", "ins rounds", "del rounds")
 	for _, p := range r.Points {
 		caseName := "|X|=1"
 		if p.MultiAttr {
 			caseName = "|X|=2"
 		}
-		fmt.Fprintf(&b, "%8d %6s %12s %12s\n", p.N, caseName, fmtDur(p.InsertAvg), fmtDur(p.DeleteAvg))
+		fmt.Fprintf(&b, "%8d %6s %12s %12s %12.2f %12.2f\n", p.N, caseName, fmtDur(p.InsertAvg), fmtDur(p.DeleteAvg), p.InsertRounds, p.DeleteRounds)
 	}
-	b.WriteString("Expected shape: ~log n growth; with |X|=2 insertion costs about twice deletion\n(insertion touches four ORAMs, deletion two).\n")
+	b.WriteString("Expected shape: ~log n growth; with |X|=2 insertion costs about twice deletion\n(insertion touches four ORAMs, deletion two). Rounds follow the kept levels, not the\nsets: insertion 1 + 2 + 3 = 6 with the pair kept (3 without), deletion 3.\n")
 	return b.String()
-}
-
-// Point looks up a measurement (testing helper).
-func (r *Fig7Result) Point(n int, multi bool) (Fig7Point, bool) {
-	for _, p := range r.Points {
-		if p.N == n && p.MultiAttr == multi {
-			return p, true
-		}
-	}
-	return Fig7Point{}, false
 }

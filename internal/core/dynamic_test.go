@@ -417,11 +417,11 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 	}
 }
 
-// TestRefusedDeleteOwesNothing: a deletion whose second access is refused —
-// O^KLF lost a write-back in an earlier deletion — leaves no write-back owed.
-// The first access's, to O^IKL, is flushed before the error surfaces; when it
-// was not, it rode into the next operation's first round, and O^IKL answered
-// "access … while another is in flight" until then.
+// TestRefusedDeleteOwesNothing: a deletion whose second round is refused —
+// the sets' O^KLF lost their write-backs in an earlier deletion — leaves no
+// write-back owed. The first round's, to O^IKL, are flushed before the error
+// surfaces; when they were not, they rode into the next operation's first
+// round, and O^IKL answered "access … while another is in flight" until then.
 func TestRefusedDeleteOwesNothing(t *testing.T) {
 	rel := fixedWidthRel(2, 8, 31, 3)
 	srv := store.NewServer()
@@ -449,7 +449,7 @@ func TestRefusedDeleteOwesNothing(t *testing.T) {
 	defer eng.Close()
 	materializeAll(t, eng, 2)
 
-	fail.arm(1) // the first set's O^KLF write-back in Delete(0)
+	fail.arm(1) // the O^KLF write-back round of Delete(0)
 	if err := eng.Delete(0); !errors.Is(err, errInjected) {
 		t.Fatalf("Delete(0) with its O^KLF write-back lost: %v", err)
 	}
@@ -652,5 +652,178 @@ func TestRediscoveryAfterMutations(t *testing.T) {
 	}
 	if none == 0 || some == 0 {
 		t.Errorf("%d scripts needed no new set and %d some: the scripts no longer cover both cases", none, some)
+	}
+}
+
+// allLevels is a request list per lattice level for every set of m
+// attributes, a set of size ≥ 2 over the two covers that drop its first and
+// its last attribute.
+func allLevels(m int) [][]Request {
+	levels := make([][]Request, m)
+	for x := relation.AttrSet(1); x < 1<<m; x++ {
+		r := Single(x.First())
+		if x.Size() > 1 {
+			r = Union(x.Remove(x.First()), x.Remove(x.Last()))
+		}
+		levels[x.Size()-1] = append(levels[x.Size()-1], r)
+	}
+	return levels
+}
+
+// insertRounds is the closed form of an insertion's rounds over kept sets
+// whose level k has widths[k-1] of them: the row's round, then 2 rounds for
+// each group of single attributes and 3 for each group above them, a group
+// being at most levelWidth sets of one level. It is a function of the kept
+// sets per level alone, for Or-ORAM and Ex-ORAM alike. A deletion is 3
+// rounds whatever is kept.
+func insertRounds(widths []int) int64 {
+	r := int64(1)
+	for k, w := range widths {
+		groups := int64((w + levelWidth - 1) / levelWidth)
+		if k == 0 {
+			r += 2 * groups
+		} else {
+			r += 3 * groups
+		}
+	}
+	return r
+}
+
+const deleteRounds = 3
+
+// TestMutationRoundsClosedForm: with every set of m = 3, 4 and 6 attributes
+// kept — m = 6 has a level of 20 sets, two groups — an insertion costs
+// insertRounds of the levels' widths on both ORAM engines, and on Ex-ORAM a
+// deletion 3 rounds and an update (a deletion, then an insertion) their sum.
+func TestMutationRoundsClosedForm(t *testing.T) {
+	for _, m := range []int{3, 4, 6} {
+		for _, e := range oramEngines {
+			t.Run(fmt.Sprintf("%s/m=%d", e.name, m), func(t *testing.T) {
+				rel := fixedWidthRel(m, 8, int64(m), 3)
+				rounds := store.WithRoundCounter(store.NewServer())
+				edb, err := UploadWithCapacity(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, _ := e.make(t, edb)
+				defer eng.Close()
+				var widths []int
+				for _, reqs := range allLevels(m) {
+					if _, err := eng.Materialize(reqs, 1); err != nil {
+						t.Fatal(err)
+					}
+					widths = append(widths, len(reqs))
+				}
+				row := make(relation.Row, m)
+				for j := range row {
+					row[j] = "999999"
+				}
+				ins := eng.(interface {
+					Insert(relation.Row) (int, error)
+				})
+				before := rounds.Rounds()
+				if _, err := ins.Insert(row); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := rounds.Rounds()-before, insertRounds(widths); got != want {
+					t.Errorf("insertion over levels %v: %d rounds, want %d", widths, got, want)
+				}
+				dyn, ok := eng.(DynamicEngine)
+				if !ok {
+					return
+				}
+				before = rounds.Rounds()
+				if err := dyn.Delete(0); err != nil {
+					t.Fatal(err)
+				}
+				if got := rounds.Rounds() - before; got != deleteRounds {
+					t.Errorf("deletion over levels %v: %d rounds, want %d", widths, got, deleteRounds)
+				}
+				before = rounds.Rounds()
+				if err := dyn.Delete(1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ins.Insert(row); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := rounds.Rounds()-before, deleteRounds+insertRounds(widths); got != want {
+					t.Errorf("update over levels %v: %d rounds, want %d", widths, got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestMutationFramingDataIndependent: what a mutation's rounds hold — which
+// ops go together in one call, on which objects, at which cells, with which
+// lengths (roundLog) — is the same whatever the data. An insertion whose
+// values are new in every set against one whose values every set has seen,
+// and a deletion of a record whose keys are shared against one whose keys are
+// unique, on Or-ORAM and Ex-ORAM with every set of three attributes kept. The
+// trace.Shape tests cannot see which ops arrive together; this one can, so a
+// mutation that fuses its sets' rounds only when none of them misses a key
+// fails here.
+func TestMutationFramingDataIndependent(t *testing.T) {
+	// Records 0 and 1 are equal, so each of record 0's keys is shared; record
+	// 2's values nothing else has, so each of its keys is unique.
+	rel := fixedWidthRel(3, 12, 61, 3)
+	rows := make([]relation.Row, rel.NumRows())
+	for i := range rows {
+		rows[i] = rel.Row(i)
+	}
+	rows[1], rows[2] = rows[0], relation.Row{"777777", "777778", "777779"}
+	rel = relation.MustFromRows(rel.Schema(), rows)
+	mutate := func(t *testing.T, e func(testing.TB, *EncryptedDB) (Engine, *oramCore), script func(Engine)) []string {
+		log := newRoundLog(store.NewServer())
+		edb, err := UploadWithCapacity(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, _ := e(t, edb)
+		defer eng.Close()
+		for _, reqs := range allLevels(3) {
+			if _, err := eng.Materialize(reqs, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log.rounds = log.rounds[:0]
+		script(eng)
+		return log.rounds
+	}
+	insert := func(row relation.Row) func(Engine) {
+		return func(eng Engine) {
+			if _, err := eng.(interface {
+				Insert(relation.Row) (int, error)
+			}).Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	remove := func(id int) func(Engine) {
+		return func(eng Engine) {
+			if err := eng.(DynamicEngine).Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	same := func(t *testing.T, what string, a, b []string) {
+		t.Helper()
+		if len(a) == 0 || len(a) != len(b) {
+			t.Fatalf("%s: %d rounds against %d", what, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: round %d differs:\n %.300s\n %.300s", what, i, a[i], b[i])
+			}
+		}
+	}
+	for _, e := range oramEngines {
+		t.Run(e.name, func(t *testing.T) {
+			same(t, "insertion of new keys against seen ones",
+				mutate(t, e.make, insert(relation.Row{"888881", "888882", "888883"})), mutate(t, e.make, insert(rows[0])))
+			if e.name == "ex" {
+				same(t, "deletion of shared keys against unique ones", mutate(t, e.make, remove(0)), mutate(t, e.make, remove(2)))
+			}
+		})
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"github.com/oblivfd/oblivfd/internal/oram"
-	"github.com/oblivfd/oblivfd/internal/relation"
 )
 
 // ExEngine is the extended ORAM-based method of §V (Algorithms 4 and 5),
@@ -33,14 +31,6 @@ import (
 // |π_X| at all times.
 type ExEngine struct {
 	oramCore
-	timing func(x relation.AttrSet, d time.Duration)
-}
-
-// SetTimingHook installs a callback receiving the duration of each
-// per-attribute-set maintenance step performed by Insert and Delete. The
-// Fig. 7 benchmark uses it to isolate the marginal cost of one partition.
-func (e *ExEngine) SetTimingHook(fn func(x relation.AttrSet, d time.Duration)) {
-	e.timing = fn
 }
 
 var exEngines atomic.Int64
@@ -76,72 +66,86 @@ func exStep(st *oramState, id string, key uint64, label *uint64) (primary, secon
 	return primary, secondary
 }
 
-// exRemove executes Algorithm 5 for one record: one access takes the record's
-// pair out of O^IKL, which names its key, and one access to O^KLF decrements
-// that key's frequency or, at 1, removes the pair. Keeping and removing are
-// the same access on the wire, so the trace is fixed: two accesses, the
-// second's fetch sharing a round with the first's write-back.
-func exRemove(pipe *oram.Pipeline, st *oramState, id int) error {
-	var key uint64
-	var known, counted, last bool
-	err := pipe.Do(oram.Access{Store: st.secondary, Key: idKey(id), Fn: func(old []byte, found bool) ([]byte, bool) {
-		known = found
-		if found {
-			key = decodeUint64(old)
-		}
-		return nil, false
-	}})
-	if err == nil {
-		// An id O^IKL does not know makes this a miss on an arbitrary key:
-		// the access count stays what it is for every record.
-		err = pipe.Do(oram.Access{Store: st.primary, Key: encodeUint64(key), Fn: func(old []byte, found bool) ([]byte, bool) {
-			counted = found && known
-			if !counted {
-				return old, found
-			}
-			label, fre := decodeLabel(old), decodeLabel(old[labelWidth:])
-			last = fre == 1
-			if last {
-				return nil, false
-			}
-			return st.labelFre(label, fre-1), true
-		}})
-	}
-	// Flushed whatever happened: a refused second access leaves the first's
-	// write-back owed, and it must not ride into the next operation's round.
-	if ferr := pipe.Flush(); ferr != nil {
-		err = errors.Join(err, ferr)
-	}
-	switch {
-	case err != nil:
-		return fmt.Errorf("core: O^IKL/O^KLF removal: %w", err)
-	case !known:
-		return fmt.Errorf("%w: id %d", ErrUnknownID, id)
-	case !counted:
-		return fmt.Errorf("core: O^KLF missing key for live id %d", id)
-	}
-	if last {
-		st.card--
-	}
-	return nil
+// removal is Algorithm 5 for one record on one set: the access to O^IKL
+// takes the record's pair out, which names its key, and the access to O^KLF
+// decrements that key's frequency or, at 1, removes the pair. Keeping and
+// removing are the same access on the wire.
+type removal struct {
+	st                   *oramState
+	key                  uint64
+	known, counted, last bool
 }
 
-// Insert implements DynamicEngine: the new record is an untraversed record,
-// processed by one Algorithm 4 step per materialized set, covers first. See
-// oramCore.insert for a failed insertion.
-func (e *ExEngine) Insert(row relation.Row) (int, error) { return e.insert(row, e.timing) }
+func (r *removal) take(old []byte, found bool) ([]byte, bool) {
+	r.known = found
+	if found {
+		r.key = decodeUint64(old)
+	}
+	return nil, false
+}
 
-// Delete implements DynamicEngine: one Algorithm 5 pass per materialized
-// set. Deletions across sets are order-independent (§V-C).
+func (r *removal) decrement(old []byte, found bool) ([]byte, bool) {
+	r.counted = found && r.known
+	if !r.counted {
+		return old, found
+	}
+	label, fre := decodeLabel(old), decodeLabel(old[labelWidth:])
+	r.last = fre == 1
+	if r.last {
+		return nil, false
+	}
+	return r.st.labelFre(label, fre-1), true
+}
+
+// Delete implements DynamicEngine: Algorithm 5 on every materialized set in
+// one pipeline, as deletions across sets are order-independent (§V-C). The
+// first round fetches every set's O^IKL path for the record; the second
+// carries their write-backs and fetches every set's O^KLF path for the key
+// the first found; the third writes those back. Three rounds and 2 accesses a
+// set, whichever branch each set takes: an id O^IKL does not know makes its
+// set's second access a miss on an arbitrary key. card_X moves once the last
+// round has landed, and whatever happens nothing is owed after.
 func (e *ExEngine) Delete(id int) error {
 	if !e.live(id) {
 		return fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
-	err := e.eachSet(e.timing, func(_ relation.AttrSet, st *oramState) error { return exRemove(e.pipe, st, id) })
-	if err == nil {
-		e.dead[id] = true
+	sets := e.setsBySize()
+	rm := make([]removal, len(sets))
+	accesses := make([]oram.Access, len(sets))
+	for i, x := range sets {
+		rm[i].st = e.sets[x]
+		accesses[i] = oram.Access{Store: rm[i].st.secondary, Key: idKey(id), Fn: rm[i].take}
 	}
-	return err
+	err := e.pipe.Do(accesses...)
+	if err == nil {
+		for i := range rm {
+			accesses[i] = oram.Access{Store: rm[i].st.primary, Key: encodeUint64(rm[i].key), Fn: rm[i].decrement}
+		}
+		err = e.pipe.Do(accesses...)
+	}
+	// Flushed whatever happened: a refused second round leaves the first's
+	// write-backs owed, and they must not ride into the next operation's.
+	if ferr := e.pipe.Flush(); ferr != nil {
+		err = errors.Join(err, ferr)
+	}
+	if err != nil {
+		return inAccess(fmt.Errorf("core: O^IKL/O^KLF removal: %w", err), func(i int) string { return fmt.Sprintf("attribute set %v", sets[i]) })
+	}
+	for i, r := range rm {
+		switch {
+		case !r.known:
+			return fmt.Errorf("%w: id %d in %v", ErrUnknownID, id, sets[i])
+		case !r.counted:
+			return fmt.Errorf("core: O^KLF of %v missing key for live id %d", sets[i], id)
+		}
+	}
+	for _, r := range rm {
+		if r.last {
+			r.st.card--
+		}
+	}
+	e.dead[id] = true
+	return nil
 }
 
 // ClientMemoryBytes implements Engine: the ORAM client states plus 8 bytes

@@ -183,7 +183,9 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 			// rounds; for a group of larger sets 2 path rounds behind a round
 			// of cover label cells in Or-ORAM, 3 in Ex-ORAM — ⌈w / levelWidth⌉
 			// groups for a level of w; an inserted record is a chunk of one
-			// per set, and a deletion 3 rounds per set. The column and cover
+			// per group of a level's kept sets — here the discovery's groups,
+			// as no level of four attributes is wider than levelWidth — and a
+			// deletion 3 rounds in all. The column and cover
 			// label cells of a chunk move in batches of their own; the
 			// targets' label cells ride in the chunk's last round. Each
 			// round's ops are one per array and one per tree it touches
@@ -197,12 +199,13 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 			//
 			// an inserted record's first round reading nothing when |X| = 1,
 			// its row appended in one batch of m column cells, and a deletion
-			// [1 fetch] → [1 write-back, 1 fetch] → [1 write-back] per set.
+			// of s kept sets [s fetches] → [s write-backs, s fetches]
+			// → [s write-backs].
 			n, tail := int64(rel.NumRows()), int64(len(goldenTailRows))
 			chunks := (n + obsort.ChunkCells - 1) / obsort.ChunkCells
 			// extra is the ops beyond one each that a chunk's 3 rounds carry
-			// for w targets of size |X| naming c covers; an inserted record
-			// steps one set at a time (w = 1, and c = 2 when |X| ≥ 2).
+			// for w targets of size |X| naming c covers, an inserted record's
+			// included.
 			extra := func(size, w, c int64, inserted bool) int64 {
 				read := w // the first round: the columns' cells or the covers'
 				if size > 1 {
@@ -220,20 +223,20 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 			}
 			fusedPathRounds, extraOps, sets := int64(0), tail*int64(rel.NumAttrs()-1), int64(0)
 			for _, g := range fused.groups {
-				perChunk, covers := int64(3), int64(2)
+				perChunk := int64(3)
 				if g.size == 1 || kind.k == kindOr {
 					perChunk = 2
 				}
-				if g.size == 1 {
-					covers = 0
+				if g.w == levelWidth {
+					t.Fatalf("a level of %d sets: its insertion groups may not be its fill's", g.w)
 				}
-				fusedPathRounds += (chunks + tail*g.w) * perChunk
-				extraOps += chunks*extra(g.size, g.w, g.c, false) + tail*g.w*extra(g.size, 1, covers, true)
+				fusedPathRounds += (chunks + tail) * perChunk
+				extraOps += chunks*extra(g.size, g.w, g.c, false) + tail*extra(g.size, g.w, g.c, true)
 				sets += g.w
 			}
 			if kind.k == kindEx {
-				fusedPathRounds += 2 * 3 * sets // two deletions
-				extraOps += 2 * sets
+				fusedPathRounds += 2 * 3 // two deletions
+				extraOps += 2 * (4*sets - 3)
 			}
 			if fused.pathBatches != fusedPathRounds {
 				t.Errorf("%d fused rounds carry path ops, want %d", fused.pathBatches, fusedPathRounds)

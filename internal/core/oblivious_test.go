@@ -573,11 +573,14 @@ func histogramRel(groups [4]int, free bool) *relation.Relation {
 // set (Algorithm 5: take the record out of O^IKL, decrement-or-remove in
 // O^KLF). Each access is its tree's round of one — a fetch and a write-back of
 // one path, L buckets each way. The paper's counts, 5 / 3 / 4, are these with
-// every read-modify-write spelt as a Read and a Write.
+// every read-modify-write spelt as a Read and a Write. The accesses share
+// rounds by the closed form (insertRounds): the insertion is its row's round,
+// 2 for the singles' level and 3 for the pair's — 6 — and the deletion 3.
 func TestDynamicAccessCounts(t *testing.T) {
 	rel := fixedWidthRel(2, 8, 5, 4)
 	srv := store.NewServer()
-	edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 16)
+	rc := store.WithRoundCounter(srv)
+	edb, err := UploadWithCapacity(rc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,8 +593,12 @@ func TestDynamicAccessCounts(t *testing.T) {
 
 	srv.Trace().Enable()
 	path := roundBuckets(1, 16)
-	accesses := func(what string, want int) {
+	var before int64
+	accesses := func(what string, want int, wantRounds int64) {
 		t.Helper()
+		if got := rc.Rounds() - before; got != wantRounds {
+			t.Errorf("%s: %d rounds, want %d", what, got, wantRounds)
+		}
 		events := srv.Trace().Events()
 		rounds := [2]int{}
 		for _, c := range treeRounds(events) {
@@ -608,17 +615,19 @@ func TestDynamicAccessCounts(t *testing.T) {
 		}
 	}
 	srv.Trace().Reset()
+	before = rc.Rounds()
 	id, err := eng.Insert(relation.Row{"111111", "222222"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	accesses("insert", 8) // 2 + 2 (singles) + 4 (pair)
+	accesses("insert", 8, insertRounds([]int{2, 1})) // 2 + 2 (singles) + 4 (pair)
 
 	srv.Trace().Reset()
+	before = rc.Rounds()
 	if err := eng.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	accesses("delete", 6) // 2 accesses per set × 3 sets
+	accesses("delete", 6, deleteRounds) // 2 accesses per set × 3 sets
 }
 
 // TestOrStepAccessCountFixed: each Algorithm 1 iteration costs exactly one

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/obsort"
@@ -170,7 +169,7 @@ type oramCore struct {
 	seq      atomic.Int64 // unique ORAM-name counter across the engine's life
 	layout   oramLayout
 	// pipe fuses the server calls of a chunk's accesses into one round per
-	// phase. The engine steps one group, or one set of an insertion or a
+	// phase. The engine steps one group of a fill or an insertion, or one
 	// deletion, at a time, so one pipeline serves them all.
 	pipe *oram.Pipeline
 	// dead holds the ids of the database's rows that no set counts:
@@ -276,7 +275,7 @@ func chunkRows[T any](buf [][]T, n int) [][]T {
 }
 
 // lay lays a group out in lv for stepChunk. It reuses what lv holds from an
-// earlier group, which is how an insertion steps one set after another
+// earlier group, which is how an insertion steps one group after another
 // without building a level for each.
 func (c *oramCore) lay(lv *level, group []target[*oramState]) *level {
 	lv.size, lv.targets = group[0].set.Size(), group
@@ -325,7 +324,7 @@ func (c *oramCore) reader(lv *level, k, rec int) oram.UpdateFunc {
 
 // stepChunk runs the loop body of Algorithms 1, 2 and 4 for the records ids
 // on every target of the level — a fill's chunk with its group, an insertion's
-// one record with the single set it is stepping: readChunk's round, levelStep's
+// one record with a group of the sets it steps: readChunk's round, levelStep's
 // one or two, and writeLabels' round, which carries the chunk's write-backs.
 // An insertion passes its row, which holds its single keys. Whatever happens,
 // the pipeline owes nothing after it, and only a chunk whose last round landed
@@ -574,53 +573,61 @@ func (c *oramCore) fill(group []target[*oramState]) error {
 	return c.eachChunk(func(ids []int64) error { return c.stepChunk(lv, ids, nil) })
 }
 
-// eachSet runs fn on every materialized set, covers before their unions, and
-// reports the time each set took to hook when there is one.
-func (c *oramCore) eachSet(hook func(relation.AttrSet, time.Duration), fn func(x relation.AttrSet, st *oramState) error) error {
+// groups cuts the materialized sets into the groups a fill takes them in:
+// the sets of one lattice level, at most levelWidth of them, levels
+// ascending, so a union's covers are in an earlier group. Which groups there
+// are follows from the kept sets alone.
+func (c *oramCore) groups() ([][]target[*oramState], error) {
+	var out [][]target[*oramState]
 	for _, x := range c.setsBySize() {
-		start := time.Now()
-		if err := fn(x, c.sets[x]); err != nil {
-			return err
+		t := target[*oramState]{set: x, st: c.sets[x]}
+		if x.Size() > 1 {
+			for j, cv := range t.st.cover {
+				var ok bool
+				if t.cover[j], ok = c.sets[cv]; !ok {
+					return nil, fmt.Errorf("%w: cover of %v was released; dynamic use requires keeping partitions", ErrNotMaterialized, x)
+				}
+			}
 		}
-		if hook != nil {
-			hook(x, time.Since(start))
+		if n := len(out); n == 0 || len(out[n-1]) == levelWidth || out[n-1][0].set.Size() != x.Size() {
+			out = append(out, nil)
 		}
+		out[len(out)-1] = append(out[len(out)-1], t)
 	}
-	return nil
+	return out, nil
 }
 
-// insert appends row to the database and continues the traversal for it
-// across every materialized set: a set at a time and in subset-before-superset
-// order, so Algorithm 2's key construction finds fresh labels (§IV-C(c)). The
-// single keys come from row, never from reading back the cells just written.
+// Insert appends row to the database and continues the traversal for it
+// across every materialized set (§IV-C(c)) on the fill's schedule: each group
+// is a chunk of one record through stepChunk, levels ascending, so Algorithm
+// 2's and 4's keys find the covers' fresh labels. The single keys come from
+// row, never from reading back the cells just written. An insertion is its
+// row's round, then 2 rounds for each group of single attributes and 3 for
+// each group above them. It implements DynamicEngine's Insert for ExEngine;
+// OrEngine has it too, and no Delete.
 //
-// When an insertion fails after the row has been appended, the id stays taken
-// and is dead: never traversed or counted, and the next insertion gets the
-// next id. The sets stepped before the failure have counted the record, a set
-// stepped after has not, and a set whose write-back round was lost refuses
-// further use — so the partitions no longer describe one relation: release
-// them and materialize again.
-func (c *oramCore) insert(row relation.Row, hook func(relation.AttrSet, time.Duration)) (int, error) {
+// A set whose cover was released refuses the insertion before the row is
+// appended. When an insertion fails after that, the id stays taken and is
+// dead: never traversed or counted, and the next insertion gets the next id.
+// The groups stepped before the failure have counted the record, later ones
+// have not, and a set whose write-back round was lost refuses further use —
+// so the partitions no longer describe one relation: release them and
+// materialize again.
+func (c *oramCore) Insert(row relation.Row) (int, error) {
+	groups, err := c.groups()
+	if err != nil {
+		return 0, err
+	}
 	id, err := c.edb.AppendRow(row)
 	if err != nil {
 		return 0, err
 	}
-	lv, group, ids := new(level), make([]target[*oramState], 1), []int64{int64(id)}
-	err = c.eachSet(hook, func(x relation.AttrSet, st *oramState) error {
-		group[0] = target[*oramState]{set: x, st: st}
-		if x.Size() > 1 {
-			for j, cv := range st.cover {
-				var ok bool
-				if group[0].cover[j], ok = c.sets[cv]; !ok {
-					return fmt.Errorf("%w: cover of %v was released; dynamic use requires keeping partitions", ErrNotMaterialized, x)
-				}
-			}
+	lv, ids := new(level), []int64{int64(id)}
+	for _, group := range groups {
+		if err := c.stepChunk(c.lay(lv, group), ids, row); err != nil {
+			c.dead[id] = true
+			return 0, err
 		}
-		return c.stepChunk(c.lay(lv, group), ids, row)
-	})
-	if err != nil {
-		c.dead[id] = true
-		return 0, err
 	}
 	return id, nil
 }

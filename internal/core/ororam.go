@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"github.com/oblivfd/oblivfd/internal/oram"
-	"github.com/oblivfd/oblivfd/internal/relation"
 )
 
 // OrEngine is the original ORAM-based method of §IV-C (Algorithms 1 and 2).
@@ -18,7 +17,8 @@ import (
 // its addresses are public: record ids in ascending order, then appended ids
 // (DESIGN.md §2). It supports static databases and insertions (the method
 // traverses records one by one, so appended records are simply untraversed
-// records, §IV-C(c)). Deletion is not supported — that is ExEngine's job.
+// records, §IV-C(c)). Deletion is not supported — that is ExEngine's job, and
+// OrEngine is deliberately not a DynamicEngine.
 type OrEngine struct {
 	oramCore
 }
@@ -55,8 +55,3 @@ func orStep(st *oramState, _ string, key uint64, label *uint64) (primary, _ oram
 		return st.val[:labelWidth], true
 	}}, oram.Access{}
 }
-
-// Insert continues the traversal for one appended record across every
-// materialized attribute set; see oramCore.insert for a failed one. OrEngine
-// is deliberately not a DynamicEngine: it has no Delete.
-func (e *OrEngine) Insert(row relation.Row) (int, error) { return e.insert(row, nil) }

@@ -185,8 +185,8 @@ func TestCloseAttemptsEverySet(t *testing.T) {
 // engine is a state type and a fills implementation; see CONTRIBUTING.md,
 // "Adding an engine". And a record's accesses have one sender: in the ORAM
 // engines' files a pipeline's Do is called from levelStep — for fills and
-// insertions alike — and from exRemove, nowhere else, so no per-set loop can
-// grow back beside the level step.
+// insertions alike — and from ExEngine.Delete, nowhere else, so no per-set
+// loop can grow back beside the level step.
 func TestOnlyTheTableDrivesMaterialization(t *testing.T) {
 	const table = "table.go"
 	entries, err := os.ReadDir(".")
@@ -247,14 +247,14 @@ func TestOnlyTheTableDrivesMaterialization(t *testing.T) {
 			return true
 		})
 	}
-	for _, want := range []string{"oramcore.go:levelStep", "exoram.go:exRemove"} {
+	for _, want := range []string{"oramcore.go:levelStep", "exoram.go:Delete"} {
 		if !senders[want] {
 			t.Errorf("%s does not call a pipeline's Do: the test no longer sees the senders", want)
 		}
 		delete(senders, want)
 	}
 	for fn := range senders {
-		t.Errorf("%s calls Do: a record's accesses are sent by levelStep (and a removal's by exRemove) alone", fn)
+		t.Errorf("%s calls Do: a record's accesses are sent by levelStep (and a deletion's by Delete) alone", fn)
 	}
 	for what, files := range map[string][]string{
 		"Materialize is declared":   materialize,

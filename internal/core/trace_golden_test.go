@@ -87,7 +87,15 @@ import (
 // Z·(5 + KeyWidth + ValueWidth) + 28 bytes: 96 for O^KL, 112 for O^KLF, 128
 // for O^IKL; an O^IL cell 32). Fills that step a deleted id as a dummy moved
 // no line: the scripted run deletes only after its fills. The column and sort
-// lines are byte for byte what they were.
+// lines are byte for byte what they were. When insertions and deletions began
+// to step a lattice level's kept sets as one group, on the fill's schedule,
+// the lines of the three sets the run reads as covers were regenerated:
+// an inserted record's union reads a cover's label once for its level's group,
+// not once per union naming it — or#:N:IL 56 → 54 events (two insertions ×
+// one cell read fewer), ex#:N:IKL 207 → 187 (two insertions × one access of
+// 5 buckets each way fewer). Which sets an insertion's level names is a
+// function of the lattice, so of L(DB). Every other line, the column, KL, KLF
+// and sort lines included, is byte for byte what it was.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -126,7 +134,12 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // leaves. The sort line is byte for byte what it was. Its or and ex lines
 // were regenerated when every ORAM field went to the width its range needs
 // (or: 965 events, ex: 1 866, as before): the block/record layout is a
-// function of Config. The sort line is byte for byte what it was.
+// function of Config. The sort line is byte for byte what it was. Its or and
+// ex lines were regenerated when mutations began to step a level's kept sets
+// as one group and a deletion every set in one pipeline (or: 965 → 959 events,
+// ex: 1 866 → 1 806): the covers' reads for an insertion's level, once per
+// group, and the sets' accesses interleaved by round where they followed one
+// another. The sort line is byte for byte what it was.
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It

@@ -177,6 +177,7 @@ func TestEvictMatchesLevelByLevelGreedy(t *testing.T) {
 		}
 		o.positions()
 		o.layNodes()
+		o.accesses += int64(r) // as begin counts them: an eviction stamps the count
 
 		// want[j]: what the level-by-level greedy places in node j.
 		want := make([]int, len(o.nodes))
@@ -233,8 +234,8 @@ func checkSlots(t *testing.T, o *ORAM) {
 		if int(s.Leaf) >= o.numLeaves {
 			t.Fatalf("slot %d (%q) is assigned leaf %d of %d", i, s.Key, s.Leaf, o.numLeaves)
 		}
-		if !s.Tagged && s.Ver != 0 {
-			t.Fatalf("slot %d (%q) is untagged at version %d", i, s.Key, s.Ver)
+		if int64(s.Ver) > o.accesses {
+			t.Fatalf("slot %d (%q) is at version %d, past the handle's %d accesses", i, s.Key, s.Ver, o.accesses)
 		}
 		if s.Stashed {
 			stashed++

@@ -167,13 +167,14 @@ func TestSetupRefusesWhatResumeRefuses(t *testing.T) {
 	}
 }
 
-// TestVersionWrapRefused: a block whose version is the largest a block holds
-// cannot be evicted again — the next version would be 0, a dummy's, and the
-// one after would repeat versions an authentic older copy carries. A resumed
-// state with a stashed slot at 2^32 − 1 refuses the first access, whose
-// eviction would stamp it, with ErrVersionWrap: before anything is sealed
-// (the cipher's invocation counter moves only for the probes around the
-// access) or written back, and the handle refuses every access after.
+// TestVersionWrapRefused: an eviction stamps the blocks it places with the
+// handle's access count, and the largest a block holds is 2^32 − 1 — the next
+// would be 0, a dummy's, and the ones after would repeat versions an
+// authentic older copy carries. A resumed handle at 2^32 − 2 accesses makes
+// one more access, stamped 2^32 − 1, and refuses the next with
+// ErrVersionWrap: before anything is sealed (the cipher's invocation counter
+// moves only for the probes around the access) or written back, and the
+// handle refuses every access after.
 func TestVersionWrapRefused(t *testing.T) {
 	srv := store.NewServer()
 	cipher := newTestCipher(t)
@@ -182,11 +183,16 @@ func TestVersionWrapRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := o.State()
-	st.Slots = append(st.Slots, Slot{Key: "worn", Leaf: 1, Ver: math.MaxUint32, Tagged: true, Stashed: true})
-	st.Values = append(st.Values, 1, 2, 3, 4)
+	st.Accesses = math.MaxUint32 - 1
 	r, err := Resume(srv, cipher, st)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := r.Write("worn", []byte{1, 2, 3, 4}); err != nil {
+		t.Fatalf("access number 2^32 − 1: %v", err)
+	}
+	if v := r.slots[r.index["worn"]].Ver; v != math.MaxUint32 {
+		t.Fatalf("block evicted by access 2^32 − 1 has version %d", v)
 	}
 	invocation := func() uint32 { // the counter in the nonce of a fresh seal
 		ct, err := cipher.Seal([]byte("probe"), nil)
@@ -198,7 +204,7 @@ func TestVersionWrapRefused(t *testing.T) {
 	srv.Trace().Enable()
 	before := invocation()
 	if _, _, err := r.Read("other"); !errors.Is(err, ErrVersionWrap) {
-		t.Fatalf("access evicting a block at version 2^32 − 1: err = %v, want ErrVersionWrap", err)
+		t.Fatalf("access number 2^32: err = %v, want ErrVersionWrap", err)
 	}
 	if after := invocation(); after != before+1 {
 		t.Errorf("the refused access sealed %d ciphertexts", after-before-1)
@@ -210,6 +216,53 @@ func TestVersionWrapRefused(t *testing.T) {
 	}
 	if _, _, err := r.Read("worn"); err == nil || !strings.Contains(err.Error(), "unusable") {
 		t.Errorf("access after the refusal: err = %v, want the handle refusing", err)
+	}
+}
+
+// TestReplayAcrossKeyLifetimes: a key removed and written again starts a new
+// lifetime, and a bucket recorded in the old one holds an authentic copy of
+// the key. Versions are access counts, so that copy's is not the new
+// lifetime's, and replaying it is refused as stale. (When a new key's
+// versions counted from 0, both lifetimes' first evictions were version 1 and
+// the replayed copy served the old value.) The seed is the first at which the
+// key's leaf in the second lifetime is its leaf in the first, so the recorded
+// path is the path the read fetches.
+func TestReplayAcrossKeyLifetimes(t *testing.T) {
+	for seed := int64(1); ; seed++ {
+		if seed > 64 {
+			t.Fatal("no seed put the key on one leaf in both lifetimes")
+		}
+		srv := store.NewServer()
+		o, err := Setup(srv, newTestCipher(t), "replay", Config{Capacity: 2, KeyWidth: 1, ValueWidth: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Write("k", []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		leaf := o.slots[o.index["k"]].Leaf
+		idx := make([]int64, 1<<o.levels-1)
+		for i := range idx {
+			idx[i] = int64(i)
+		}
+		recorded, err := srv.ReadCells("replay", idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := errors.Join(o.Remove("k"), o.Write("k", []byte{2})); err != nil {
+			t.Fatal(err)
+		}
+		if s := o.slots[o.index["k"]]; s.Leaf != leaf || s.Stashed {
+			continue
+		}
+		if err := srv.WriteCells("replay", idx, recorded); err != nil {
+			t.Fatal(err)
+		}
+		v, _, err := o.Read("k")
+		if !errors.Is(err, store.ErrIntegrity) || !strings.Contains(err.Error(), "stale block") {
+			t.Fatalf("seed %d: read after replaying the first lifetime's tree: %v, %v; want a stale block refused", seed, v, err)
+		}
+		return
 	}
 }
 
@@ -227,7 +280,7 @@ func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 		return &State{Name: "x", Capacity: 4, Z: 4, KeyWidth: 2, ValueWidth: 2, StashLimit: 10,
 			Slots: []Slot{
 				{Key: "k", Leaf: 1, Stashed: true},
-				{Key: "j", Leaf: uint32(leaves - 1), Ver: 3, Tagged: true},
+				{Key: "j", Leaf: uint32(leaves - 1), Ver: 3},
 			},
 			Values: []byte{1, 2, 0, 0},
 		}
@@ -262,13 +315,13 @@ func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 
 // mapEraBytes is ClientMemoryBytes as it was computed when the client state
 // was three maps, over those maps rebuilt from the slots: per live key its
-// length and a 4-byte leaf, per tagged key its length and a verWidth-byte
-// version, per stashed key its length and its value.
+// length and a 4-byte leaf, per key with a version its length and a
+// verWidth-byte version, per stashed key its length and its value.
 func mapEraBytes(st *State) int {
 	posMap, vers, stash := make(map[string]uint32), make(map[string]uint32), make(map[string][]byte)
 	for i, s := range st.Slots {
 		posMap[s.Key] = s.Leaf
-		if s.Tagged {
+		if s.Ver != 0 {
 			vers[s.Key] = s.Ver
 		}
 		if s.Stashed {

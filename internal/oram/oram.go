@@ -93,16 +93,17 @@ var ErrValueWidth = errors.New("oram: value width mismatch")
 // ErrKeyWidth is returned when a key exceeds the ORAM's fixed key width.
 var ErrKeyWidth = errors.New("oram: key too long")
 
-// ErrVersionWrap is returned by an access whose eviction would stamp a block
-// with a version past the largest a block holds. Versions never wrap: a
-// wrapped one would let an authentic copy from 2^32 evictions earlier pass
-// for the current one (DESIGN.md §10).
+// ErrVersionWrap is returned by an access whose eviction would stamp a
+// version, the handle's access count, past 2^32 − 1. Versions never wrap: a
+// wrapped one would let an authentic copy from 2^32 accesses earlier pass for
+// the current one (DESIGN.md §10).
 var ErrVersionWrap = errors.New("oram: block version would wrap")
 
 // A block is version(verWidth) ∥ key length(1) ∥ key, zero-filled to
 // KeyWidth ∥ value. The version is the freshness tag a real block is stamped
-// with when evicted, at least 1; a dummy is all zeros, version 0, so real and
-// dummy plaintexts are the same length and no flag is needed.
+// with when evicted, the handle's access count then: at least 1, and never
+// the same for two evictions. A dummy is all zeros, version 0, so real and dummy
+// plaintexts are the same length and no flag is needed.
 const (
 	verWidth    = 4
 	blockHeader = verWidth + 1
@@ -329,15 +330,14 @@ func shape(capacity int) (levels, numLeaves int) {
 }
 
 // A Slot is one live key's client state: the leaf its block is assigned to,
-// the version stamped into its tree copy when it was last evicted (Tagged is
-// false until it first is; a decrypted block whose version differs is a
-// replayed or rolled-back copy, DESIGN.md §10), and whether the block is in
-// the stash, its value then in the slot's part of the value slab.
+// the version stamped into its tree copy when it was last evicted (0 until it
+// first is; a decrypted block whose version differs is a replayed or
+// rolled-back copy, DESIGN.md §10), and whether the block is in the stash,
+// its value then in the slot's part of the value slab.
 type Slot struct {
 	Key     string
 	Leaf    uint32
 	Ver     uint32
-	Tagged  bool
 	Stashed bool
 }
 
@@ -527,7 +527,7 @@ func (o *ORAM) StashLimit() int { return o.stashLimit }
 func (o *ORAM) Accesses() int64 { return o.accesses }
 
 // ClientMemoryBytes estimates the client-held state size: per live key its
-// length and a 4-byte leaf, per tagged key its length and a 4-byte version,
+// length and a 4-byte leaf, per evicted key its length and a 4-byte version,
 // per stashed key its length and its value — a position map, a tag map and a
 // stash keyed by the key. It estimates what the client must hold, not the
 // slots and slab it does hold, and keeps the figure comparable across builds.
@@ -536,7 +536,7 @@ func (o *ORAM) ClientMemoryBytes() int {
 	total := 0
 	for _, s := range o.slots {
 		total += len(s.Key) + 4
-		if s.Tagged {
+		if s.Ver != 0 {
 			total += len(s.Key) + verWidth // freshness tags are client state too
 		}
 		if s.Stashed {
@@ -1039,15 +1039,16 @@ func (o *ORAM) nodeAt(l int, prefix uint32) int32 {
 // list. At r = 1 the nodes are one path and this is the single-path eviction,
 // block for block.
 func (o *ORAM) evict() error {
+	// Every block placed is stamped with the access count, which must fit a
+	// version before anything is sealed.
+	if o.accesses > math.MaxUint32 {
+		return fmt.Errorf("%w: access %d", ErrVersionWrap, o.accesses)
+	}
+	ver := uint32(o.accesses)
 	leafLevel := o.levels - 1
 	lo, hi := o.levelAt[leafLevel], o.levelAt[o.levels] // the leaf buckets
 	o.next = slices.Grow(o.next[:0], len(o.stash))[:len(o.stash)]
 	for p, i := range o.stash {
-		// A stashed block may be placed below; its version must have room
-		// to move before anything is sealed.
-		if o.slots[i].Ver == math.MaxUint32 {
-			return fmt.Errorf("%w: block %q", ErrVersionWrap, o.slots[i].Key)
-		}
 		a, nd := o.slots[i].Leaf, int32(lo)
 		if hi-lo > 1 {
 			nd = min(o.nodeAt(leafLevel, a), int32(hi-1))
@@ -1080,7 +1081,7 @@ func (o *ORAM) evict() error {
 			// Stamp a fresh version into the outgoing copy; the client-held
 			// tag is what later reads are checked against.
 			s := &o.slots[i]
-			s.Ver, s.Tagged, s.Stashed = s.Ver+1, true, false
+			s.Ver, s.Stashed = ver, false
 			o.putBlock(pt[:o.blockSize], s.Key, o.value(i), s.Ver)
 		}
 		ct, err := o.sealBucket(1<<nd.level - 1 + int(nd.prefix))
