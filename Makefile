@@ -89,10 +89,11 @@ bench:
 # (obsort compare-exchange block, a whole 4096-record sort with allocations
 # per comparator), the AEAD calls under it (seal into a reused buffer, a
 # 16-byte seal where the nonce draw shows, seal a block into one slab, open),
-# the server's per-cell checksum at a Sort cell's and an ORAM bucket's size,
-# and what one whole B_X array costs the engine at n = 4096 when no union
-# reads it and when one does, reporting the rounds and comparators it takes
-# (1 : 2 in networks — counts, not timings).
+# the server's per-cell checksum at a Sort run's size (32 records, 444 B) and
+# exoram-dynamic's widest bucket's (128 B), and what one whole B_X array
+# costs the engine at n = 4096 when no union reads it and when one does,
+# reporting the rounds, comparators and ciphertext bytes it takes (1 : 2 in
+# networks — counts, not timings).
 # CI runs them with BENCHTIME=1x so they keep compiling and running; for
 # numbers, run them on a quiet machine.
 BENCHTIME ?= 1s

@@ -81,7 +81,10 @@ func newSetupOn(svc store.Service, rel *relation.Relation, method Method, worker
 			return nil, err
 		}
 	case MethodSort:
-		eng = core.NewSortEngine(edb, workers)
+		eng, err = core.NewSortEngine(edb, workers)
+		if err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("bench: unknown method %q", method)
 	}

@@ -241,7 +241,10 @@ func TestRawCardinalityMatchesCompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, _ := srv.Stats()
-	compressed := core.NewSortEngine(edb, 1)
+	compressed, err := core.NewSortEngine(edb, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for a := 0; a < 4; a++ {
 		if _, err := core.CardinalitySingle(compressed, a); err != nil {
 			t.Fatal(err)

@@ -39,22 +39,22 @@ func SecurityLevels(sizes []int, maxLHS int, seed int64) (*SecurityLevelsResult,
 	levels := []struct {
 		name    string
 		leakage string
-		mk      func(rel *relation.Relation, edb *core.EncryptedDB) core.Engine
+		mk      func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error)
 	}{
-		{"plaintext", "everything", func(rel *relation.Relation, edb *core.EncryptedDB) core.Engine {
-			return core.NewPlainEngine(rel)
+		{"plaintext", "everything", func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error) {
+			return core.NewPlainEngine(rel), nil
 		}},
-		{"deterministic", "frequencies [14]", func(rel *relation.Relation, edb *core.EncryptedDB) core.Engine {
-			return core.NewDetEngine(edb)
+		{"deterministic", "frequencies [14]", func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error) {
+			return core.NewDetEngine(edb), nil
 		}},
-		{"enclave", "size+FDs (SGX)", func(rel *relation.Relation, edb *core.EncryptedDB) core.Engine {
-			return core.NewEnclaveEngine(rel, 1)
+		{"enclave", "size+FDs (SGX)", func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error) {
+			return core.NewEnclaveEngine(rel, 1), nil
 		}},
-		{"sort", "size+FDs", func(rel *relation.Relation, edb *core.EncryptedDB) core.Engine {
+		{"sort", "size+FDs", func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error) {
 			return core.NewSortEngine(edb, 1)
 		}},
-		{"or-oram", "size+FDs", func(rel *relation.Relation, edb *core.EncryptedDB) core.Engine {
-			return core.NewOrEngine(edb)
+		{"or-oram", "size+FDs", func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error) {
+			return core.NewOrEngine(edb), nil
 		}},
 	}
 
@@ -71,7 +71,10 @@ func SecurityLevels(sizes []int, maxLHS int, seed int64) (*SecurityLevelsResult,
 			if err != nil {
 				return nil, err
 			}
-			eng := level.mk(rel, edb)
+			eng, err := level.mk(rel, edb)
+			if err != nil {
+				return nil, err
+			}
 			opsBefore := srv.Trace().TotalOps()
 			start := time.Now()
 			if _, err := core.Discover(eng, rel.NumAttrs(), &core.Options{MaxLHS: maxLHS}); err != nil {

@@ -44,8 +44,8 @@ import (
 const keyWidth = 8
 
 // labelWidth is the width in bytes of a label, a frequency and a record id
-// where the ORAM engines store them: in O^KL, O^KLF and O^IKL values and in
-// O^IL cells.
+// where the ORAM engines store them — in O^KL, O^KLF and O^IKL values and in
+// O^IL cells — and of r[ID] in a Sort record.
 const labelWidth = 4
 
 // maxLabel bounds labels, frequencies and record ids, so that they fit
@@ -55,7 +55,8 @@ const labelWidth = 4
 // capacity above oram.MaxCapacity, which is maxLabel: Or-ORAM, whose ORAMs
 // and label arrays are sized by that capacity, meets the bound by
 // construction. Ex-ORAM's monotone labels, frequencies and ids fit with the
-// capacity strictly below it (NewExEngine).
+// capacity strictly below it (NewExEngine). The Sort engine's ids and labels
+// are below n, which NewSortEngine holds to at most maxLabel.
 const maxLabel = 1 << (8 * labelWidth)
 
 // The build fails if the ORAMs' capacity bound ever exceeds the label bound.

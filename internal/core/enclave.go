@@ -42,7 +42,8 @@ type enclaveState struct {
 func (st *enclaveState) cardinality() int { return int(st.card) }
 
 // enclaveRec is one in-enclave record: (key-or-label, id), mirroring the
-// sorting protocol's 16-byte records.
+// sorting protocol's sortRecWidth-byte records (an 8-byte key, a 4-byte id);
+// SecureMemoryBytes counts it at that width.
 type enclaveRec struct {
 	key uint64
 	id  uint64
@@ -201,7 +202,7 @@ func (e *EnclaveEngine) ClientMemoryBytes() int { return 0 }
 func (e *EnclaveEngine) SecureMemoryBytes() int {
 	total := e.rel.ByteSize()
 	for _, st := range e.sets {
-		total += 8*len(st.labels) + 16*len(st.recs)
+		total += 8*len(st.labels) + sortRecWidth*len(st.recs)
 	}
 	return total
 }

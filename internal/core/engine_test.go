@@ -42,7 +42,7 @@ func allEngines() []engineFactory {
 			return e
 		}},
 		{"sort", func(t *testing.T, rel *relation.Relation) Engine {
-			return NewSortEngine(uploadFor(t, rel), 2)
+			return newSort(t, uploadFor(t, rel), 2)
 		}},
 	}
 }
@@ -212,7 +212,7 @@ func TestEngineContract(t *testing.T) {
 		"plain":         func(*testing.T, *EncryptedDB) Engine { return NewPlainEngine(rel) },
 		"deterministic": func(_ *testing.T, edb *EncryptedDB) Engine { return NewDetEngine(edb) },
 		"enclave":       func(*testing.T, *EncryptedDB) Engine { return NewEnclaveEngine(rel, 1) },
-		"sort":          func(_ *testing.T, edb *EncryptedDB) Engine { return NewSortEngine(edb, 1) },
+		"sort":          func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) },
 		"or-oram":       func(_ *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) },
 		"ex-oram": func(t *testing.T, edb *EncryptedDB) Engine {
 			e, err := NewExEngine(edb)

@@ -146,10 +146,10 @@ func TestFrequencyAttackFailsAgainstObliviousEngines(t *testing.T) {
 
 	for _, kind := range []struct {
 		name string
-		make func(edb *EncryptedDB) Engine
+		make func(t *testing.T, edb *EncryptedDB) Engine
 	}{
-		{"or-oram", func(edb *EncryptedDB) Engine { return NewOrEngine(edb) }},
-		{"sort", func(edb *EncryptedDB) Engine { return NewSortEngine(edb, 1) }},
+		{"or-oram", func(_ *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) }},
+		{"sort", func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
 	} {
 		t.Run(kind.name, func(t *testing.T) {
 			srv := store.NewServer()
@@ -157,7 +157,7 @@ func TestFrequencyAttackFailsAgainstObliviousEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := kind.make(edb)
+			eng := kind.make(t, edb)
 			defer eng.Close()
 			if _, err := CardinalitySingle(eng, 0); err != nil {
 				t.Fatal(err)

@@ -78,7 +78,7 @@ func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) 
 			t.Fatal(err)
 		}
 	case kindSort:
-		eng = NewSortEngine(edb, 1) // sequential for deterministic ordering
+		eng = newSort(t, edb, 1) // sequential for deterministic ordering
 	}
 	defer eng.Close()
 
@@ -281,7 +281,7 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 				t.Fatal(err)
 			}
 		case kindSort:
-			eng = NewSortEngine(edb, 1)
+			eng = newSort(t, edb, 1)
 		}
 		defer eng.Close()
 		srv.Trace().Reset()
@@ -454,7 +454,7 @@ func TestInvocationFieldsFollowTheSchedule(t *testing.T) {
 				t.Fatal(err)
 			}
 		case kindSort:
-			eng = NewSortEngine(edb, 1)
+			eng = newSort(t, edb, 1)
 		}
 		defer eng.Close()
 		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1, KeepPartitions: dynamic}); err != nil {

@@ -156,7 +156,7 @@ func discoverWithWorkers(t *testing.T, kind engineKind, rel *relation.Relation, 
 		// Inner sorting-network workers stay at 1 so each array's own
 		// access sequence is deterministic; the parallelism under test is
 		// the lattice-level batch scheduler.
-		eng = NewSortEngine(edb, 1)
+		eng = newSort(t, edb, 1)
 	}
 	defer eng.Close()
 
@@ -287,7 +287,7 @@ func TestParallelBatchDirect(t *testing.T) {
 	// One batch naming a cached attribute and the same new attribute twice
 	// builds one array and draws one name, as three serial calls would (the
 	// sort engine's batch path used to draw a name per job).
-	se := NewSortEngine(edb, 1)
+	se := newSort(t, edb, 1)
 	defer se.Close()
 	if _, err := CardinalitySingle(se, 0); err != nil {
 		t.Fatal(err)
@@ -322,10 +322,10 @@ func TestValidateReleasesPartitions(t *testing.T) {
 	rel := fixedWidthRel(3, 16, 9, 2)
 	for _, k := range []struct {
 		name string
-		mk   func(edb *EncryptedDB) Engine
+		mk   func(t *testing.T, edb *EncryptedDB) Engine
 	}{
-		{"or", func(edb *EncryptedDB) Engine { return NewOrEngine(edb) }},
-		{"sort", func(edb *EncryptedDB) Engine { return NewSortEngine(edb, 1) }},
+		{"or", func(_ *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) }},
+		{"sort", func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
 	} {
 		t.Run(k.name, func(t *testing.T) {
 			srv := store.NewServer()
@@ -334,7 +334,7 @@ func TestValidateReleasesPartitions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := k.mk(edb)
+			eng := k.mk(t, edb)
 			defer eng.Close()
 
 			// Pre-materialize π_0: Validate must not release state it

@@ -68,11 +68,17 @@ func (st *sortState) cardinality() int { return int(st.card) }
 
 var sortEngines atomic.Int64
 
-// sortRecWidth is key/label (8 bytes) followed by r[ID] (8 bytes).
-const sortRecWidth = 16
+// sortRecWidth is key/label (keyWidth, 8 bytes) followed by r[ID]
+// (labelWidth, 4 bytes). Both are big-endian, so byte order is numeric order.
+const sortRecWidth = keyWidth + labelWidth
 
-// NewSortEngine builds a sorting engine over an uploaded database.
-func NewSortEngine(edb *EncryptedDB, workers int) *SortEngine {
+// NewSortEngine builds a sorting engine over an uploaded database. It
+// refuses a relation of more than maxLabel rows: their ids would not fit
+// r[ID]'s labelWidth bytes, nor their labels unionKey's halves.
+func NewSortEngine(edb *EncryptedDB, workers int) (*SortEngine, error) {
+	if edb.NumRows() > maxLabel {
+		return nil, fmt.Errorf("core: %d rows exceed the sort engine's id space of %d", edb.NumRows(), maxLabel)
+	}
 	if workers < 1 {
 		workers = 1
 	}
@@ -83,17 +89,19 @@ func NewSortEngine(edb *EncryptedDB, workers int) *SortEngine {
 		n:        edb.NumRows(),
 	}
 	e.setTable = newSetTable[*sortState](e, setsInParallel)
-	return e
+	return e, nil
 }
 
 // NumRows implements Engine.
 func (e *SortEngine) NumRows() int { return e.n }
 
-// lessByKey orders records by their leading 8-byte key.
-func lessByKey(a, b []byte) bool { return bytes.Compare(a[:8], b[:8]) < 0 }
+// lessByKey orders records by their leading keyWidth-byte key.
+func lessByKey(a, b []byte) bool { return bytes.Compare(a[:keyWidth], b[:keyWidth]) < 0 }
 
-// lessByID orders records by their trailing 8-byte r[ID].
-func lessByID(a, b []byte) bool { return bytes.Compare(a[8:16], b[8:16]) < 0 }
+// lessByID orders records by their trailing labelWidth-byte r[ID].
+func lessByID(a, b []byte) bool {
+	return bytes.Compare(a[keyWidth:sortRecWidth], b[keyWidth:sortRecWidth]) < 0
+}
 
 // materialize runs Algorithm 3's lines 1–8 on st.arr, which already holds
 // the (key_X, r[ID]) records; line 9 is restoreOrder's.
@@ -185,7 +193,7 @@ func (e *SortEngine) fillSingle(st *sortState, attr int) error {
 				vals, base = v, i
 			}
 			binary.BigEndian.PutUint64(rec, singleKey(e.edb.cipher, vals[i-base]))
-			binary.BigEndian.PutUint64(rec[8:], uint64(i))
+			putLabel(rec[keyWidth:], uint64(i))
 			return rec, nil
 		})
 	if err != nil {
@@ -227,7 +235,7 @@ func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sort
 			}
 			r1, r2 := recs[0][i-base], recs[1][i-base]
 			binary.BigEndian.PutUint64(rec, unionKey(decodeUint64(r1), decodeUint64(r2)))
-			copy(rec[8:], r1[8:16]) // r[ID], identical in both inputs
+			copy(rec[keyWidth:], r1[keyWidth:sortRecWidth]) // r[ID], identical in both inputs
 			return rec, nil
 		})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -49,6 +50,104 @@ func (s *coverSpy) Release(x relation.AttrSet) error {
 	return s.Engine.Release(x)
 }
 
+// newSort builds a Sort engine over edb, failing tb if it is refused.
+func newSort(tb testing.TB, edb *EncryptedDB, workers int) *SortEngine {
+	tb.Helper()
+	e, err := NewSortEngine(edb, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// TestSortEngineRowBound: a relation of maxLabel rows is the largest whose
+// ids fit r[ID]'s labelWidth bytes and whose labels keep unionKey injective;
+// one row more is refused. AttachEDB uploads nothing, so neither handle
+// costs memory.
+func TestSortEngineRowBound(t *testing.T) {
+	for _, c := range []struct {
+		n  int
+		ok bool
+	}{{maxLabel, true}, {maxLabel + 1, false}} {
+		edb, err := AttachEDB(store.NewServer(), &EDBState{Name: "t", Attrs: []string{"A"}, N: c.n, Capacity: c.n, Key: crypto.MustNewKey()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewSortEngine(edb, 1)
+		if got := err == nil; got != c.ok {
+			t.Errorf("NewSortEngine over %d rows: err = %v, want accepted = %v", c.n, err, c.ok)
+		}
+		if e != nil {
+			e.Close()
+		}
+	}
+}
+
+// TestSortRunLayout pins the record layout at the engine. Every write to a
+// B_X array during a discovery is one sealed run of min(p, RunRecords)
+// records of sortRecWidth + 1 bytes (the padding flag), 444 bytes at p ≥ 32;
+// and lessByID orders ids across the whole of r[ID]'s 4 bytes, unsigned.
+func TestSortRunLayout(t *testing.T) {
+	for _, n := range []int{10, 70} {
+		p := 1
+		for p < n {
+			p <<= 1
+		}
+		want := min(p, obsort.RunRecords)*(sortRecWidth+1) + crypto.Overhead
+		if p >= obsort.RunRecords && want != 444 {
+			t.Fatalf("a run of %d records is %d bytes, want 444", obsort.RunRecords, want)
+		}
+		srv := store.NewServer()
+		rel := fixedWidthRel(3, n, 5, 3)
+		edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := newSort(t, edb, 1)
+		srv.Trace().Reset()
+		srv.Trace().Enable()
+		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var writes, wrong int
+		for _, e := range srv.Trace().Events() {
+			if e.Op != trace.OpWriteCell || !strings.HasSuffix(e.Object, ":B") {
+				continue
+			}
+			writes++
+			if e.Bytes != want {
+				if wrong == 0 {
+					t.Errorf("n = %d: a write to %s is %d bytes, want %d", n, e.Object, e.Bytes, want)
+				}
+				wrong++
+			}
+		}
+		if writes == 0 {
+			t.Errorf("n = %d: no write to a B_X array seen", n)
+		}
+		if wrong > 0 {
+			t.Errorf("n = %d: %d of %d run writes have the wrong length", n, wrong, writes)
+		}
+	}
+
+	ids := []uint64{0, 1 << 31, maxLabel - 1}
+	recs := make([][]byte, len(ids))
+	for i, id := range ids {
+		recs[i] = make([]byte, sortRecWidth)
+		putLabel(recs[i][keyWidth:], id)
+	}
+	for i := range recs {
+		for j := range recs {
+			if got := lessByID(recs[i], recs[j]); got != (i < j) {
+				t.Errorf("lessByID(%d, %d) = %v", ids[i], ids[j], got)
+			}
+		}
+	}
+}
+
 // networkComparators is the bitonic network's size on p = 2^k cells.
 func networkComparators(p int) int {
 	k := bits.Len(uint(p)) - 1
@@ -87,7 +186,7 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng := NewSortEngine(edb, 1) // one network worker: each array's own sequence is deterministic
+				eng := newSort(t, edb, 1) // one network worker: each array's own sequence is deterministic
 				eng.SetTelemetry(telemetry.New())
 				spy := &coverSpy{Engine: eng, current: make(map[relation.AttrSet]int)}
 				srv.Trace().Reset()
@@ -185,7 +284,7 @@ func TestFailedRestoreIsRerunWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewSortEngine(edb, 1)
+	eng := newSort(t, edb, 1)
 	defer eng.Close()
 	if _, err := eng.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
 		t.Fatal(err)

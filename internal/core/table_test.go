@@ -54,7 +54,7 @@ var secureEngines = []struct {
 		}
 		return eng
 	}},
-	{"sort", func(t *testing.T, edb *EncryptedDB) Engine { return NewSortEngine(edb, 1) }},
+	{"sort", func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
 }
 
 // TestFailedMaterializationLeavesNoOrphans: whichever storage operation of a

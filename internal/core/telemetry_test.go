@@ -40,7 +40,7 @@ func discoverObserved(t *testing.T, kind engineKind, reg *telemetry.Registry, ot
 		e.SetTelemetry(reg)
 		eng = e
 	case kindSort:
-		e := NewSortEngine(edb, 1)
+		e := newSort(t, edb, 1)
 		e.SetTelemetry(reg)
 		eng = e
 	}

@@ -95,7 +95,12 @@ import (
 // one cell read fewer), ex#:N:IKL 207 → 187 (two insertions × one access of
 // 5 buckets each way fewer). Which sets an insertion's level names is a
 // function of the lattice, so of L(DB). Every other line, the column, KL, KLF
-// and sort lines included, is byte for byte what it was.
+// and sort lines included, is byte for byte what it was. When the Sort record
+// went to the width its range needs — r[ID] 8 bytes → 4, a record 16 → 12 —
+// every sort#:N:B line was regenerated, with the same event counts (67 and
+// 35): the block/record layout is a function of Config (a run of 32 records
+// is 32·13 + 28 = 444 bytes). The column and ORAM lines are byte for byte
+// what they were.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -139,7 +144,10 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // as one group and a deletion every set in one pipeline (or: 965 → 959 events,
 // ex: 1 866 → 1 806): the covers' reads for an insertion's level, once per
 // group, and the sets' accesses interleaved by round where they followed one
-// another. The sort line is byte for byte what it was.
+// another. The sort line is byte for byte what it was. Its sort line was
+// regenerated when the Sort record went to the width its range needs (435
+// events, the calls and their order unchanged): the block/record layout is a
+// function of Config. The or and ex lines are byte for byte what they were.
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It
@@ -261,7 +269,7 @@ func TestEngineTraceGolden(t *testing.T) {
 		make func(t *testing.T, edb *EncryptedDB) Engine
 		tail func(t *testing.T, eng Engine, res *Result)
 	}{
-		{name: "sort", make: func(t *testing.T, edb *EncryptedDB) Engine { return NewSortEngine(edb, 1) }},
+		{name: "sort", make: func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
 		{name: "or", keep: true,
 			make: func(t *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) },
 			tail: func(t *testing.T, eng Engine, res *Result) {

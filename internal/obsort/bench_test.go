@@ -11,16 +11,17 @@ import (
 	"github.com/oblivfd/oblivfd/internal/store"
 )
 
-// benchArray builds an n-record array of the Sort engine's 16-byte
-// (key, id) records on a fresh in-process server.
+// benchArray builds an n-record array of the Sort engine's 12-byte
+// (key, id) records — an 8-byte key and a 4-byte id — on a fresh in-process
+// server.
 func benchArray(tb testing.TB, n int) *Array {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(int64(n)))
 	recs := make([][]byte, n)
 	for i := range recs {
-		recs[i] = make([]byte, 16)
+		recs[i] = make([]byte, 12)
 		binary.BigEndian.PutUint64(recs[i], rng.Uint64())
-		binary.BigEndian.PutUint64(recs[i][8:], uint64(i))
+		binary.BigEndian.PutUint32(recs[i][8:], uint32(i))
 	}
 	a, err := Create(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "bench", recs)
 	if err != nil {

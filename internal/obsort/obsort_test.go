@@ -573,7 +573,7 @@ func TestSortFramingIndependentOfWorkers(t *testing.T) {
 // R); per network of k(k+1)/2 stages (p = 2^k) every run is read, opened,
 // sealed and written once a stage; and the rounds are the per-record
 // layout's, two per block of ChunkCells/2 comparators. At the Sort engine's
-// 16-byte records a record costs 17 + 28/32 = 17.875 bytes.
+// 12-byte records a record costs 13 + 28/32 = 13.875 bytes.
 func TestRunClosedForm(t *testing.T) {
 	const w = 8
 	for _, n := range []int{1, 5, 24, 32, 33, 100, 4096} {

@@ -468,9 +468,10 @@ func TestShapeNormalizesLeaves(t *testing.T) {
 }
 
 // BenchmarkCellSum measures the checksum every cell write and read pays, at
-// the size of a Sort cell (45 B) and of an exoram-dynamic bucket (175 B).
+// the size of a Sort cell (a sealed run of 32 records, 444 B) and of
+// exoram-dynamic's widest bucket (an O^IKL bucket, 128 B).
 func BenchmarkCellSum(b *testing.B) {
-	for _, size := range []int{45, 175} {
+	for _, size := range []int{444, 128} {
 		cell := bytes.Repeat([]byte{0x5a}, size)
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
 			b.SetBytes(int64(size))

@@ -465,7 +465,11 @@ func Outsource(svc Service, rel *Relation, opts Options) (*Database, error) {
 		db.edb = edb
 		switch opts.Protocol {
 		case ProtocolSort:
-			db.engine = core.NewSortEngine(edb, opts.Workers)
+			eng, err := core.NewSortEngine(edb, opts.Workers)
+			if err != nil {
+				return nil, fmt.Errorf("securefd: %w", err)
+			}
+			db.engine = eng
 		case ProtocolORAM:
 			db.engine = core.NewOrEngine(edb)
 		case ProtocolDynamicORAM:
