@@ -30,10 +30,22 @@ func main() {
 	}
 }
 
+// rndRows is the RND dataset's published size, which -rows 0 selects.
+const rndRows = 1 << 13
+
 func run(name string, rows, cols int, seed int64, out string) error {
+	switch {
+	case cols < 1:
+		return fmt.Errorf("-cols %d: a relation needs at least one column", cols)
+	case rows < 0:
+		return fmt.Errorf("-rows %d: a row count cannot be negative", rows)
+	}
 	var rel *securefd.Relation
 	var err error
-	if name == "rnd" && rows > 0 {
+	if name == "rnd" {
+		if rows == 0 {
+			rows = rndRows
+		}
 		rel = securefd.GenerateRND(cols, rows, seed)
 	} else {
 		rel, err = securefd.GenerateDataset(name, rows, seed)

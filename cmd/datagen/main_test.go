@@ -43,3 +43,33 @@ func TestRunUnknownDataset(t *testing.T) {
 		t.Error("unknown dataset accepted")
 	}
 }
+
+// TestRunRefusesBadShapes: a column count below one and a negative row count
+// are errors, not a panic or a silent default.
+func TestRunRefusesBadShapes(t *testing.T) {
+	for _, c := range []struct{ rows, cols int }{{3, 0}, {3, -1}, {-4, 5}} {
+		if err := run("rnd", c.rows, c.cols, 1, filepath.Join(t.TempDir(), "x.csv")); err == nil {
+			t.Errorf("-rows %d -cols %d accepted", c.rows, c.cols)
+		}
+	}
+}
+
+// TestRunRNDColumnsAtDefaultRows: -cols holds without -rows, at RND's
+// published 8192 rows.
+func TestRunRNDColumnsAtDefaultRows(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "r.csv")
+	if err := run("rnd", 0, 2, 1, out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if got := len(strings.Split(lines[0], ",")); got != 2 {
+		t.Errorf("columns = %d, want 2", got)
+	}
+	if got := len(lines) - 1; got != rndRows {
+		t.Errorf("rows = %d, want %d", got, rndRows)
+	}
+}

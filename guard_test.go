@@ -24,6 +24,55 @@ import (
 // cell ops on a tree's flat positions, so the typed forms can go once the
 // benchmark's seam lets them, by deletion alone.
 func TestNoUnsafeOrLinkname(t *testing.T) {
+	eachSource(t, func(path string, file *ast.File) {
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"unsafe"` {
+				t.Errorf("%s imports unsafe", path)
+			}
+		}
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				if strings.HasPrefix(c.Text, "//go:linkname") {
+					t.Errorf("%s: %s", path, c.Text)
+				}
+			}
+		}
+		if strings.HasPrefix(path, "internal/store/") || strings.HasPrefix(path, "benchmark/") {
+			return
+		}
+		eachMethodCall(file, func(name string) {
+			if name == "ReadPath" || name == "WritePath" {
+				t.Errorf("%s calls %s: address a tree's buckets with ReadCells/WriteCells", path, name)
+			}
+		})
+	})
+}
+
+// TestCreatesRideInBatches keeps creates and bulk tree fills off rounds of
+// their own: no non-test file outside internal/store calls CreateArray,
+// CreateTree or WriteBuckets. A create travels in the batch that carries its
+// object's first writes (store.CreateArrayOp, store.CreateTreeOp), and an
+// ORAM's dummy buckets are tree-cell writes (oram.SetupAll). benchmark/seam.go
+// forwards the typed method set and is exempt, so WriteBuckets can go by
+// deletion alone once the seam lets it.
+func TestCreatesRideInBatches(t *testing.T) {
+	eachSource(t, func(path string, file *ast.File) {
+		if strings.HasPrefix(path, "internal/store/") || path == "benchmark/seam.go" {
+			return
+		}
+		eachMethodCall(file, func(name string) {
+			switch name {
+			case "CreateArray", "CreateTree", "WriteBuckets":
+				t.Errorf("%s calls %s: send it in a batch beside the first writes (store.CreateArrayOp, store.CreateTreeOp, oram.SetupAll)", path, name)
+			}
+		})
+	})
+}
+
+// eachSource parses every non-test Go file of the module, comments
+// included, and hands it to visit with its slash-separated path.
+func eachSource(t *testing.T, visit func(path string, file *ast.File)) {
+	t.Helper()
 	parsed := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -43,29 +92,7 @@ func TestNoUnsafeOrLinkname(t *testing.T) {
 			return err
 		}
 		parsed++
-		for _, imp := range file.Imports {
-			if imp.Path.Value == `"unsafe"` {
-				t.Errorf("%s imports unsafe", path)
-			}
-		}
-		for _, group := range file.Comments {
-			for _, c := range group.List {
-				if strings.HasPrefix(c.Text, "//go:linkname") {
-					t.Errorf("%s: %s", path, c.Text)
-				}
-			}
-		}
-		if slash := filepath.ToSlash(path); strings.HasPrefix(slash, "internal/store/") || strings.HasPrefix(slash, "benchmark/") {
-			return nil
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "ReadPath" || sel.Sel.Name == "WritePath") {
-					t.Errorf("%s calls %s: address a tree's buckets with ReadCells/WriteCells", path, sel.Sel.Name)
-				}
-			}
-			return true
-		})
+		visit(filepath.ToSlash(path), file)
 		return nil
 	})
 	if err != nil {
@@ -76,4 +103,17 @@ func TestNoUnsafeOrLinkname(t *testing.T) {
 	if parsed < 50 {
 		t.Fatalf("parsed %d non-test Go files, want the whole module", parsed)
 	}
+}
+
+// eachMethodCall hands visit the name of every call of the form x.Name(…) in
+// file.
+func eachMethodCall(file *ast.File, visit func(name string)) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				visit(sel.Sel.Name)
+			}
+		}
+		return true
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/oblivfd/oblivfd/internal/relation"
+	"github.com/oblivfd/oblivfd/internal/store"
 )
 
 // DetEngine reproduces the security level of the paper's main prior work
@@ -76,17 +77,13 @@ func (e *DetEngine) materialize(st *detState, tags []uint64) error {
 	// Publish: the server stores the deterministic tags in the clear.
 	// (They are PRF images, but equal values collide — that equality
 	// pattern IS the frequency leakage.)
+	// One batch: the array's create, then its cells.
 	name := e.tagArrayName(st.x)
-	if err := e.edb.svc.CreateArray(name, len(tags)); err != nil {
-		return fmt.Errorf("core: publishing tags for %v: %w", st.x, err)
-	}
-	idx := make([]int64, len(tags))
-	cts := make([][]byte, len(tags))
+	write := store.BatchOp{Write: true, Name: name, Idx: make([]int64, len(tags)), Cts: make([][]byte, len(tags))}
 	for i, tag := range tags {
-		idx[i] = int64(i)
-		cts[i] = []byte(encodeUint64(tag))
+		write.Idx[i], write.Cts[i] = int64(i), []byte(encodeUint64(tag))
 	}
-	if err := e.edb.svc.WriteCells(name, idx, cts); err != nil {
+	if _, err := store.DoBatch(e.edb.svc, []store.BatchOp{store.CreateArrayOp(name, len(tags)), write}); err != nil {
 		return fmt.Errorf("core: publishing tags for %v: %w", st.x, err)
 	}
 

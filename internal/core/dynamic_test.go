@@ -357,7 +357,7 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			srv := store.NewServer()
 			svc := newFailNth(srv, func(op *store.Op) bool {
-				return op.Kind == store.KindBatch && !op.Ops[0].Write && onTree(op.Ops[0].Name)
+				return op.Kind == store.KindBatch && !op.Ops[0].Write && treeOp(&op.Ops[0])
 			})
 			edb, err := UploadWithCapacity(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 10)
 			if err != nil {

@@ -47,25 +47,22 @@ func UploadWithCapacity(svc store.Service, cipher *crypto.Cipher, name string, r
 		n:        rel.NumRows(),
 		capacity: capacity,
 	}
+	// A column is one batch: its create, then its cells.
 	for j := 0; j < rel.NumAttrs(); j++ {
 		col := e.columnName(j)
-		if err := svc.CreateArray(col, capacity); err != nil {
-			return nil, fmt.Errorf("core: uploading column %d: %w", j, err)
-		}
-		if rel.NumRows() == 0 {
-			continue
-		}
-		idx := make([]int64, rel.NumRows())
-		cts := make([][]byte, rel.NumRows())
-		for i := 0; i < rel.NumRows(); i++ {
-			ct, err := cipher.Seal([]byte(rel.Value(i, j)), e.cellAD(i, j))
-			if err != nil {
-				return nil, fmt.Errorf("core: encrypting cell (%d,%d): %w", i, j, err)
+		ops := []store.BatchOp{store.CreateArrayOp(col, capacity)}
+		if n := rel.NumRows(); n > 0 {
+			write := store.BatchOp{Write: true, Name: col, Idx: make([]int64, n), Cts: make([][]byte, n)}
+			for i := range n {
+				ct, err := cipher.Seal([]byte(rel.Value(i, j)), e.cellAD(i, j))
+				if err != nil {
+					return nil, fmt.Errorf("core: encrypting cell (%d,%d): %w", i, j, err)
+				}
+				write.Idx[i], write.Cts[i] = int64(i), ct
 			}
-			idx[i] = int64(i)
-			cts[i] = ct
+			ops = append(ops, write)
 		}
-		if err := svc.WriteCells(col, idx, cts); err != nil {
+		if _, err := store.DoBatch(svc, ops); err != nil {
 			return nil, fmt.Errorf("core: uploading column %d: %w", j, err)
 		}
 	}

@@ -281,12 +281,12 @@ func TestEngineContract(t *testing.T) {
 }
 
 func TestEngineCloseFreesServerStorage(t *testing.T) {
-	// failAt 0 is the clean run; 6 fails the materialization's 6th storage
+	// failAt 0 is the clean run; 4 fails the materialization's 4th storage
 	// call, its last, after the ORAM tree and the label array were set up
-	// (three calls), the column was fetched (one) and the chunk's four paths
-	// were fetched and taken in (one): the 6th carries their write-backs with
+	// (one batch), the column was fetched (one) and the chunk's four paths
+	// were fetched and taken in (one): the 4th carries their write-backs with
 	// the chunk's label cells.
-	for _, failAt := range []int{0, 6} {
+	for _, failAt := range []int{0, 4} {
 		rel := testRelation()
 		srv := store.NewServer()
 		svc := newFailNth(srv, func(*store.Op) bool { return true })

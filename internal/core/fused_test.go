@@ -20,9 +20,10 @@ type fusedRun struct {
 	cards  map[relation.AttrSet]int
 	events []trace.Event
 	rounds int64
-	// Of the batches that reached the server whole: those carrying path ops,
-	// and how many ops all of them carried beyond one each.
-	pathBatches, extraOps int64
+	// Of the batches that reached the server whole: those setting up a
+	// group's structures (led by a create), those carrying path ops, and how
+	// many ops all of them carried beyond one each.
+	setupBatches, pathBatches, extraOps int64
 	// groups is the discovery's fills in the order they ran.
 	groups []fill
 }
@@ -71,7 +72,10 @@ func runFused(t *testing.T, kind engineKind, rel *relation.Relation, wrap func(s
 	var run fusedRun
 	batches := store.Adapt(func(op *store.Op, res *store.Result) error {
 		if op.Kind == store.KindBatch && len(op.Ops) > 0 {
-			if onTree(op.Ops[0].Name) {
+			switch first := &op.Ops[0]; {
+			case first.Kind() == store.KindCreateArray || first.Kind() == store.KindCreateTree:
+				run.setupBatches++
+			case onTree(first.Name):
 				run.pathBatches++
 			}
 			run.extraOps += int64(len(op.Ops) - 1)
@@ -92,6 +96,7 @@ func runFused(t *testing.T, kind engineKind, rel *relation.Relation, wrap func(s
 	srv.Trace().Reset()
 	srv.Trace().Enable()
 	base := rc.Rounds()
+	run.setupBatches, run.pathBatches, run.extraOps = 0, 0, 0 // the upload's column batches are not the engine's
 	log := &requestLog{Engine: eng, seen: make(map[relation.AttrSet]bool)}
 	res, err := Discover(log, rel.NumAttrs(), &Options{Workers: 1, KeepPartitions: true})
 	if err != nil {
@@ -130,9 +135,9 @@ func fusing(s store.Service) store.Service { return s }
 // otherwise the Service operation it stands for.
 func roundOpKind(b *store.BatchOp) string {
 	switch {
-	case onTree(b.Name) && b.Write:
+	case treeOp(b) && b.Write:
 		return "write-back"
-	case onTree(b.Name):
+	case treeOp(b):
 		return "fetch"
 	}
 	return b.Kind().String()
@@ -200,7 +205,12 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 			// an inserted record's first round reading nothing when |X| = 1,
 			// its row appended in one batch of m column cells, and a deletion
 			// of s kept sets [s fetches] → [s write-backs, s fetches]
-			// → [s write-backs].
+			// → [s write-backs]. Ahead of its chunks a group's fill sets up
+			// its structures, at these sizes in one batch: the creates, then
+			// one op of dummy buckets per tree —
+			//
+			//	Or-ORAM   [w label arrays', w trees' creates, w trees' buckets]
+			//	Ex-ORAM   [2w trees' creates, 2w trees' buckets]
 			n, tail := int64(rel.NumRows()), int64(len(goldenTailRows))
 			chunks := (n + obsort.ChunkCells - 1) / obsort.ChunkCells
 			// extra is the ops beyond one each that a chunk's 3 rounds carry
@@ -232,7 +242,14 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 				}
 				fusedPathRounds += (chunks + tail) * perChunk
 				extraOps += chunks*extra(g.size, g.w, g.c, false) + tail*extra(g.size, g.w, g.c, true)
+				extraOps += 4*g.w - 1 // the set-up batch: 3w ops in Or-ORAM, 4w in Ex-ORAM
+				if kind.k == kindOr {
+					extraOps -= g.w
+				}
 				sets += g.w
+			}
+			if got, want := fused.setupBatches, int64(len(fused.groups)); got != want {
+				t.Errorf("%d set-up batches, want one per group: %d", got, want)
 			}
 			if kind.k == kindEx {
 				fusedPathRounds += 2 * 3 // two deletions

@@ -53,10 +53,12 @@ type Options struct {
 	// MaxLHS bounds the size of left-hand sides searched; 0 means no
 	// bound (search the full lattice).
 	MaxLHS int
-	// Reveal, if non-nil, is invoked for every set-level decision with
-	// the candidate FD and whether it holds — the protocol's only
-	// disclosure to the server beyond the access pattern.
-	Reveal func(fd relation.FD, holds bool)
+	// Reveal, if non-nil, is invoked once per lattice level with the
+	// level's set-level decisions, each a candidate FD and whether it
+	// holds, in the order they were made — the protocol's only disclosure
+	// to the server beyond the access pattern. A level that decides
+	// nothing makes no call.
+	Reveal func(decisions []Decision)
 	// Checkpoint, if non-nil, is invoked at every lattice level boundary
 	// (after the level's partitions are materialized and obsolete ones
 	// released) with a deep copy of the traversal state. The callback
@@ -93,6 +95,12 @@ type Options struct {
 	// trace whatever it is; plain, deterministic and enclave build a set at a
 	// time. 0 means runtime.GOMAXPROCS(0).
 	Workers int
+}
+
+// Decision is one set-level decision: a candidate FD and whether it holds.
+type Decision struct {
+	FD    relation.FD
+	Holds bool
 }
 
 // Result is the outcome of a discovery run.
@@ -295,6 +303,7 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 			})
 			cplus[x] = cp
 		}
+		var decided []Decision
 		for _, x := range level {
 			for _, a := range x.Intersect(cplus[x]).Attrs() {
 				lhs := x.Remove(a)
@@ -307,9 +316,7 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 				holds := lhsCard == res.Cardinalities[x]
 				res.Checks++
 				fd := relation.FD{LHS: lhs, RHS: relation.SingleAttr(a)}
-				if opts.Reveal != nil {
-					opts.Reveal(fd, holds)
-				}
+				decided = append(decided, Decision{fd, holds})
 				if holds {
 					res.Minimal = append(res.Minimal, fd)
 					cp := cplus[x].Remove(a)
@@ -349,10 +356,9 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 							}
 						})
 						if ok {
-							res.Minimal = append(res.Minimal, relation.FD{LHS: x, RHS: relation.SingleAttr(a)})
-							if opts.Reveal != nil {
-								opts.Reveal(relation.FD{LHS: x, RHS: relation.SingleAttr(a)}, true)
-							}
+							fd := relation.FD{LHS: x, RHS: relation.SingleAttr(a)}
+							res.Minimal = append(res.Minimal, fd)
+							decided = append(decided, Decision{fd, true})
 						}
 					}
 				}
@@ -363,6 +369,10 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 			}
 			kept = append(kept, x)
 			inLevel[x] = true
+		}
+
+		if opts.Reveal != nil && len(decided) > 0 {
+			opts.Reveal(decided)
 		}
 
 		if opts.MaxLHS > 0 && l >= opts.MaxLHS+1 {

@@ -115,8 +115,10 @@ func TestDiscoverRevealsOnlyAllowedLeakage(t *testing.T) {
 	defer eng.Close()
 	var revealed []string
 	res, err := Discover(eng, rel.NumAttrs(), &Options{
-		Reveal: func(fd relation.FD, holds bool) {
-			revealed = append(revealed, fd.String())
+		Reveal: func(decisions []Decision) {
+			for _, d := range decisions {
+				revealed = append(revealed, d.FD.String())
+			}
 		},
 	})
 	if err != nil {
@@ -225,8 +227,10 @@ func TestDiscoverTraversalDeterministic(t *testing.T) {
 	runOnce := func() []string {
 		var log []string
 		_, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), &Options{
-			Reveal: func(fd relation.FD, holds bool) {
-				log = append(log, fmt.Sprintf("%v=%v", fd, holds))
+			Reveal: func(decisions []Decision) {
+				for _, d := range decisions {
+					log = append(log, fmt.Sprintf("%v=%v", d.FD, d.Holds))
+				}
 			},
 		})
 		if err != nil {

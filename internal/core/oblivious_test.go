@@ -255,6 +255,11 @@ func equalLeakagePairs() []leakagePair {
 		// determined by the others: level 2 is three sets over three covers,
 		// which the ORAM engines step together, each cover read once a record.
 		{"histograms, wide level", histogramRel([4]int{6, 6, 6, 6}, true), histogramRel([4]int{12, 1, 10, 1}, true), 3},
+		// The same FD set again, with C0 holding four groups in one relation
+		// and three in the other: the only pair whose level-1 cardinalities
+		// differ, so only it shows what a cardinality could decide before a
+		// level's set-up.
+		{"cardinalities", histogramRel([4]int{6, 6, 6, 6}, false), histogramRel([4]int{8, 8, 8, 0}, false), 1},
 	}
 }
 
@@ -290,12 +295,16 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 			// Pin the serial path: this test compares full (interleaved)
 			// trace shapes, which are only deterministic with one worker.
 			Workers: 1,
-			Reveal: func(fd relation.FD, holds bool) {
-				v := int64(0)
-				if holds {
-					v = 1
+			Reveal: func(decisions []Decision) {
+				ops := make([]store.BatchOp, len(decisions))
+				for i, d := range decisions {
+					v := int64(0)
+					if d.Holds {
+						v = 1
+					}
+					ops[i] = store.RevealOp("fd:"+d.FD.String(), v)
 				}
-				_ = srv.Reveal("fd:"+fd.String(), v)
+				_, _ = srv.Batch(ops)
 			},
 		})
 		if err != nil {
@@ -379,7 +388,7 @@ type writtenCT struct {
 	ct     []byte
 	call   int
 	tree   string
-	bucket int64 // -1 for a cell of an array or a Setup bucket
+	bucket int64 // -1 for a cell of an array
 }
 
 func newSealCapture(svc store.Service) *sealCapture {
@@ -391,15 +400,14 @@ func newSealCapture(svc store.Service) *sealCapture {
 func (c *sealCapture) handle(op *store.Op, res *store.Result) error {
 	c.calls++
 	switch op.Kind {
-	case store.KindCreateTree:
-		c.trees[op.Name] = true
-	case store.KindWriteBuckets:
-		c.keep("", nil, op.Cts)
 	case store.KindWriteCells:
 		c.keep(op.Name, op.Idx, op.Cts)
 	case store.KindBatch:
 		for _, b := range op.Ops {
-			if b.Write {
+			switch b.Kind() {
+			case store.KindCreateTree: // a set-up batch
+				c.trees[b.Name] = true
+			case store.KindWriteCells:
 				c.keep(b.Name, b.Idx, b.Cts)
 			}
 		}
@@ -633,7 +641,8 @@ func TestDynamicAccessCounts(t *testing.T) {
 // TestOrStepAccessCountFixed: each Algorithm 1 iteration costs exactly one
 // cell read, one ORAM access (a read-modify-write of O^KL) and one label cell
 // written to O^IL, independent of whether the key repeats. The server sees
-// the accesses as O^KL's round per chunk, of the closed-form size.
+// the accesses as O^KL's round per chunk, of the closed-form size, after the
+// set-up has written each of the tree's buckets once.
 func TestOrStepAccessCountFixed(t *testing.T) {
 	rel := fixedWidthRel(1, 16, 9, 2)
 	srv := store.NewServer()
@@ -658,8 +667,9 @@ func TestOrStepAccessCountFixed(t *testing.T) {
 	if got := srv.Trace().Count(trace.OpReadTreeCell); got != buckets {
 		t.Errorf("buckets read = %d, want %d", got, buckets)
 	}
-	if got := srv.Trace().Count(trace.OpWriteTreeCell); got != buckets {
-		t.Errorf("buckets written = %d, want %d", got, buckets)
+	tree := int64(roundBuckets(1<<30, eng.capacity)) // a round of more accesses than leaves reads the whole tree
+	if got := srv.Trace().Count(trace.OpWriteTreeCell); got != tree+buckets {
+		t.Errorf("buckets written = %d, want the tree's %d and %d", got, tree, buckets)
 	}
 	if got := srv.Trace().Count(trace.OpWriteCell); got != n {
 		t.Errorf("label cells written = %d, want %d", got, n)
@@ -776,6 +786,185 @@ func TestBatchFramingIgnoresDuplicates(t *testing.T) {
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("round %d differs:\n together %.300s\n apart    %.300s", i, a[i], b[i])
+				}
+			}
+		})
+	}
+}
+
+// TestSetupFramingDataIndependent: the rounds that put structures on the
+// server — a column's upload, a Sort array's create riding with its first
+// block, an ORAM group's creates and dummy buckets — and the rounds that
+// reveal a level's decisions are framed by L(DB) alone: for every engine, two
+// databases of equal Size(DB) and FD(DB) send the same such calls, op for op
+// (roundLog). And they follow the closed form. A level's decisions are one
+// batch of reveals. A Sort array's create leads the batch of its first block.
+// An ORAM group's set-up is, at these sizes, one batch (the byte budget that
+// cuts bigger ones is pinned by oram's TestSetupFramesClosedForm): the
+// creates first — Or-ORAM's w label arrays of the capacity's cells, then the
+// group's trees of one slot a bucket — then each tree's 2^L − 1 buckets in one
+// write, tree after tree.
+func TestSetupFramingDataIndependent(t *testing.T) {
+	type run struct {
+		lines    []string          // roundLog's lines for the calls that create or reveal
+		batches  [][]store.BatchOp // the same calls' ops
+		groups   []fill            // the fills, in order
+		reveals  []int             // how many decisions each Reveal call handed over
+		sets     int               // sets materialized
+		capacity int
+	}
+	setUpOrReveal := func(op *store.Op) bool {
+		return slices.ContainsFunc(op.Ops, func(b store.BatchOp) bool {
+			k := b.Kind()
+			return k == store.KindCreateArray || k == store.KindCreateTree || k == store.KindReveal
+		})
+	}
+	discover := func(t *testing.T, rel *relation.Relation, kind engineKind) run {
+		var r run
+		srv := store.NewServer()
+		log := newRoundLog(store.Adapt(func(op *store.Op, res *store.Result) error {
+			if setUpOrReveal(op) {
+				r.batches = append(r.batches, slices.Clone(op.Ops))
+			}
+			return store.Invoke(srv, op, res)
+		}))
+		edb, err := Upload(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.capacity = edb.Capacity()
+		var eng Engine
+		switch kind {
+		case kindOr:
+			eng = NewOrEngine(edb)
+		case kindEx:
+			if eng, err = NewExEngine(edb); err != nil {
+				t.Fatal(err)
+			}
+		case kindSort:
+			eng = newSort(t, edb, 1)
+		}
+		defer eng.Close()
+		groups := &requestLog{Engine: eng, seen: make(map[relation.AttrSet]bool)}
+		res, err := Discover(groups, rel.NumAttrs(), &Options{Workers: 1, Reveal: func(decisions []Decision) {
+			r.reveals = append(r.reveals, len(decisions))
+			ops := make([]store.BatchOp, len(decisions))
+			for i, d := range decisions {
+				v := int64(0)
+				if d.Holds {
+					v = 1
+				}
+				ops[i] = store.RevealOp("fd:"+d.FD.String(), v)
+			}
+			if _, err := store.DoBatch(log, ops); err != nil {
+				t.Fatal(err)
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.groups, r.sets = groups.groups, res.SetsMaterialized
+		for _, line := range log.rounds {
+			for _, form := range []string{"[CreateArray ", "[CreateTree ", "[Reveal "} {
+				if strings.Contains(line, form) {
+					r.lines = append(r.lines, line)
+					break
+				}
+			}
+		}
+		return r
+	}
+	kinds := func(ops []store.BatchOp) string {
+		var out []string
+		for _, b := range ops {
+			out = append(out, b.Kind().String())
+		}
+		return strings.Join(out, " ")
+	}
+	for _, kind := range []struct {
+		name string
+		k    engineKind
+	}{{"or-oram", kindOr}, {"ex-oram", kindEx}, {"sort", kindSort}} {
+		t.Run(kind.name, func(t *testing.T) {
+			for _, p := range equalLeakagePairs() {
+				a, b := discover(t, p.a, kind.k), discover(t, p.b, kind.k)
+				if !slices.Equal(a.lines, b.lines) {
+					for i := range min(len(a.lines), len(b.lines)) {
+						if a.lines[i] != b.lines[i] {
+							t.Fatalf("%s: set-up or reveal call %d differs:\n %.300s\n %.300s", p.name, i, a.lines[i], b.lines[i])
+						}
+					}
+					t.Fatalf("%s: %d set-up and reveal calls, %d for the other database", p.name, len(a.lines), len(b.lines))
+				}
+
+				// The closed form. The upload's batches come first, a column
+				// each: its create, then its cells.
+				m := p.a.NumAttrs()
+				for i, ops := range a.batches[:m] {
+					if got := kinds(ops); got != "CreateArray WriteCells" {
+						t.Errorf("%s: upload batch %d is %s", p.name, i, got)
+					}
+				}
+				var setUps, reveals [][]store.BatchOp
+				for _, ops := range a.batches[m:] {
+					if ops[0].Kind() == store.KindReveal {
+						reveals = append(reveals, ops)
+					} else {
+						setUps = append(setUps, ops)
+					}
+				}
+				if len(reveals) != len(a.reveals) {
+					t.Errorf("%s: %d reveal batches for %d levels' decisions", p.name, len(reveals), len(a.reveals))
+				}
+				for i, ops := range reveals {
+					if i < len(a.reveals) && kinds(ops) != strings.TrimSpace(strings.Repeat("Reveal ", a.reveals[i])) {
+						t.Errorf("%s: reveal batch %d is %s, want %d reveals", p.name, i, kinds(ops), a.reveals[i])
+					}
+				}
+				if kind.k == kindSort {
+					if len(setUps) != a.sets {
+						t.Errorf("%s: %d array creates for %d sets", p.name, len(setUps), a.sets)
+					}
+					for i, ops := range setUps {
+						if got := kinds(ops); got != "CreateArray WriteCells" {
+							t.Errorf("%s: Sort array batch %d is %s, want its create and first block", p.name, i, got)
+						}
+					}
+					continue
+				}
+				if len(setUps) != len(a.groups) {
+					t.Fatalf("%s: %d set-up batches for %d groups", p.name, len(setUps), len(a.groups))
+				}
+				for i, g := range a.groups {
+					trees, want := int(g.w), ""
+					if kind.k == kindOr {
+						want = strings.Repeat("CreateArray ", trees)
+					} else {
+						trees *= 2
+					}
+					want += strings.Repeat("CreateTree ", trees) + strings.Repeat("WriteCells ", trees)
+					ops := setUps[i]
+					if got := kinds(ops); got != strings.TrimSpace(want) {
+						t.Fatalf("%s: group %d's set-up is %s, want %s", p.name, i, got, want)
+					}
+					for j, b := range ops {
+						op := b.Op()
+						switch {
+						case op.Kind == store.KindCreateArray && op.N != a.capacity:
+							t.Errorf("%s: group %d: label array of %d cells, capacity %d", p.name, i, op.N, a.capacity)
+						case op.Kind == store.KindCreateTree && op.Slots != 1:
+							t.Errorf("%s: group %d: tree of %d slots a bucket", p.name, i, op.Slots)
+						case op.Kind == store.KindWriteCells:
+							create := ops[j-trees].Op()
+							inOrder := op.Name == create.Name && len(op.Idx) == 1<<create.Levels-1
+							for k, at := range op.Idx {
+								inOrder = inOrder && at == int64(k)
+							}
+							if !inOrder {
+								t.Errorf("%s: group %d: write %d names %s cells %v, want %s's buckets in heap order", p.name, i, j, op.Name, op.Idx, create.Name)
+							}
+						}
+					}
 				}
 			}
 		})

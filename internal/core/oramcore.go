@@ -208,33 +208,51 @@ func (c *oramCore) SetTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// prepare sets up the set's primary ORAM and its secondary: an ORAM, or a
-// label array of the database's capacity. Set-up is a deterministic linear
-// pass, and doing it here — serially, in job order — is what gives a batch
-// the object names and sequence numbers of the serial run.
+// prepare builds the client half of the set's primary ORAM and its
+// secondary — an ORAM, or a label array of the database's capacity — and
+// sends nothing: the group's fill puts them on the server (setUp). Naming them
+// here — serially, in job order — is what gives a batch the object names and
+// sequence numbers of the serial run.
 func (c *oramCore) prepare(x relation.AttrSet, cover [2]relation.AttrSet) (*oramState, error) {
 	seq := c.seq.Add(1)
 	name := func(suffix string) string { return fmt.Sprintf("%s:%d:%s", c.instance, seq, suffix) }
 	cfg := oram.Config{Capacity: c.capacity, KeyWidth: keyWidth, ValueWidth: c.layout.primaryWidth, Metrics: c.metrics}
 	st := &oramState{cover: cover}
 	var err error
-	if st.primary, err = oram.Setup(c.edb.svc, c.edb.cipher, name(c.layout.primary), cfg); err != nil {
+	if st.primary, err = oram.New(c.edb.svc, c.edb.cipher, name(c.layout.primary), cfg); err != nil {
 		return nil, fmt.Errorf("core: setting up O^%s for %v: %w", c.layout.primary, x, err)
 	}
 	if c.layout.positional {
 		st.labels = name(c.layout.secondary)
-		if err = c.edb.svc.CreateArray(st.labels, c.capacity); err != nil {
-			_ = c.edb.svc.Delete(st.labels) // it may exist if only the answer was lost
-		}
-	} else {
-		cfg.ValueWidth = c.layout.secondaryWidth
-		st.secondary, err = oram.Setup(c.edb.svc, c.edb.cipher, name(c.layout.secondary), cfg)
+		return st, nil
 	}
-	if err != nil {
-		_ = st.primary.Destroy() // best effort; the set-up error is the one to report
+	cfg.ValueWidth = c.layout.secondaryWidth
+	if st.secondary, err = oram.New(c.edb.svc, c.edb.cipher, name(c.layout.secondary), cfg); err != nil {
 		return nil, fmt.Errorf("core: setting up O^%s for %v: %w", c.layout.secondary, x, err)
 	}
 	return st, nil
+}
+
+// setUp puts a group's structures on the server in as few batches as
+// oram.SetupAll's byte budget allows: Or-ORAM's label arrays and every
+// target's trees created, the trees filled with dummy buckets. The batches
+// are a function of the group's size and the public capacity and widths.
+func (c *oramCore) setUp(group []target[*oramState]) error {
+	var lead []store.BatchOp
+	trees := make([]*oram.ORAM, 0, 2*len(group))
+	for _, t := range group {
+		trees = append(trees, t.st.primary)
+		if c.layout.positional {
+			lead = append(lead, store.CreateArrayOp(t.st.labels, c.capacity))
+		} else {
+			trees = append(trees, t.st.secondary)
+		}
+	}
+	if err := oram.SetupAll(c.edb.svc, lead, trees...); err != nil {
+		return fmt.Errorf("core: setting up O^%s/O^%s for a group of %d sets of level %d: %w",
+			c.layout.primary, c.layout.secondary, len(group), group[0].set.Size(), err)
+	}
+	return nil
 }
 
 func (c *oramCore) destroy(st *oramState) error {
@@ -562,10 +580,14 @@ func (c *oramCore) eachChunk(visit func(ids []int64) error) error {
 // fill is Algorithm 1 (|X| = 1) or Algorithm 2 (Algorithm 4 and its
 // multi-attribute variant, which obtains key_X the same way) for a group of
 // sets, with the loop over the records outermost and the records taken a
-// chunk at a time. The server records the same one access per cell, in the
-// same ascending order per array, as it would for a round per record, and
-// the same accesses per tree, a chunk's fetches before its write-backs.
+// chunk at a time, once the group's structures are on the server (setUp).
+// The server records the same one access per cell, in the same ascending
+// order per array, as it would for a round per record, and the same accesses
+// per tree, a chunk's fetches before its write-backs.
 func (c *oramCore) fill(group []target[*oramState]) error {
+	if err := c.setUp(group); err != nil {
+		return err
+	}
 	lv := c.lay(new(level), group)
 	if g, w := c.metrics.Gauge("oblivfd_level_width"), int64(len(group)); w > g.Value() {
 		g.Set(w)

@@ -30,8 +30,8 @@ type fills[S setState] interface {
 	// prepare runs serially, in request order, and only for a set that is
 	// going to be built — one neither cached nor requested earlier in the
 	// same batch. Everything the server sees of the new structure's identity
-	// is decided here (an array name, a freshly set-up pair of ORAM trees),
-	// so names and set-up order are the same under every worker count.
+	// is decided here (an array name, the names of a pair of ORAM trees), so
+	// names and set-up order are the same under every worker count.
 	prepare(x relation.AttrSet, cover [2]relation.AttrSet) (S, error)
 	// fill does the work proportional to n for a group of prepared sets: as
 	// many as the engine's grouping allows, all of one |X|, in request order,

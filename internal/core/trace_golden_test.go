@@ -100,7 +100,15 @@ import (
 // every sort#:N:B line was regenerated, with the same event counts (67 and
 // 35): the block/record layout is a function of Config (a run of 32 records
 // is 32·13 + 28 = 444 bytes). The column and ORAM lines are byte for byte
-// what they were.
+// what they were. When a create and a tree's dummy fill stopped taking rounds
+// of their own — a group's set-up packed into batches, its dummy buckets
+// written as tree cells — every or#:N:KL, ex#:N:KLF and ex#:N:IKL line was
+// regenerated, 30 events more each (85 → 115, 105 → 135, 187 → 217): the
+// one bucket-range event of the set-up is its tree's 31 cell writes. Which
+// batches a set-up takes and which cells each carries is a function of the
+// group's size, the capacity and the widths, all public, so the lines move
+// with L-only quantities. The column, or#:N:IL and sort lines are byte for
+// byte what they were.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -148,6 +156,13 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // regenerated when the Sort record went to the width its range needs (435
 // events, the calls and their order unchanged): the block/record layout is a
 // function of Config. The or and ex lines are byte for byte what they were.
+// All three lines were regenerated when creates began to ride in the batch of
+// their object's first writes: a B_X array's create now follows the column
+// reads that fill its first block (sort: 435 events, as before), and a
+// group's set-up is its batches of creates and dummy buckets written as tree
+// cells at the head of its fill (or: 959 → 1 169 events, ex: 1 806 →
+// 2 226). Both are functions of (m, FDs), the capacity and the widths —
+// L-only.
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It

@@ -124,8 +124,14 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 		p <<= 1
 	}
 	a := &Array{svc: svc, cipher: cipher, name: name, n: n, p: p, run: min(p, RunRecords), recWidth: width}
-	if err := svc.CreateArray(name, p/a.run); err != nil {
-		return nil, fmt.Errorf("obsort: %w", err)
+	// The create rides with the first block's write; until it is sent there
+	// is nothing to abandon.
+	create := []store.BatchOp{store.CreateArrayOp(name, p/a.run)}
+	fail := func(err error) (*Array, error) {
+		if create != nil {
+			return nil, err
+		}
+		return a.abandon(err)
 	}
 	sc := a.newScratch()
 	for lo := 0; lo < p; lo += ChunkCells {
@@ -141,16 +147,18 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 			}
 			r, err := next(i)
 			if err != nil {
-				return a.abandon(err)
+				return fail(err)
 			}
 			if len(r) != width {
-				return a.abandon(fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), width))
+				return fail(fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), width))
 			}
 			rec[0] = 0
 			copy(rec[1:], r)
 		}
-		if err := a.writeRuns(&sc.runAD, sc.runs, pt); err != nil {
-			return a.abandon(err)
+		err := a.writeRuns(&sc.runAD, sc.runs, pt, create...)
+		create = nil
+		if err != nil {
+			return fail(err)
 		}
 	}
 	return a, nil
@@ -304,10 +312,11 @@ func (a *Array) openRuns(ad *runAD, pt []byte, cts [][]byte, runs []int64) error
 }
 
 // writeRuns seals the named runs' plaintexts, back to back in pt, each under
-// a fresh nonce, and writes them in one call. The ciphertexts share a slab
+// a fresh nonce, and writes them in one call, behind lead in one batch when
+// there is a lead (CreateStreamed's create). The ciphertexts share a slab
 // allocated for that call and never written afterwards, because the
 // in-process server retains the slices it is handed.
-func (a *Array) writeRuns(ad *runAD, runs []int64, pt []byte) error {
+func (a *Array) writeRuns(ad *runAD, runs []int64, pt []byte, lead ...store.BatchOp) error {
 	rb := a.runBytes()
 	slab := make([]byte, 0, len(runs)*(rb+crypto.Overhead))
 	cts := make([][]byte, len(runs))
@@ -319,7 +328,13 @@ func (a *Array) writeRuns(ad *runAD, runs []int64, pt []byte) error {
 		}
 		cts[j] = slab[start:len(slab):len(slab)]
 	}
-	if err := a.svc.WriteCells(a.name, runs, cts); err != nil {
+	var err error
+	if len(lead) == 0 {
+		err = a.svc.WriteCells(a.name, runs, cts)
+	} else {
+		_, err = store.DoBatch(a.svc, append(lead, store.BatchOp{Write: true, Name: a.name, Idx: runs, Cts: cts}))
+	}
+	if err != nil {
 		return fmt.Errorf("obsort: %w", err)
 	}
 	return nil

@@ -110,9 +110,9 @@ func BenchmarkPathAccessOrStatic(b *testing.B) { benchEngineShape(b, 1024, 4) }
 // benchSetup measures Setup of an empty tree of the engines' key width (8)
 // and the given capacity and value width, against the in-process server —
 // every bucket sealed as Z dummies and written, then the tree deleted — and
-// reports the WriteBuckets calls it takes, a round each over the wire.
+// reports the batches it takes, a round each over the wire.
 func benchSetup(b *testing.B, capacity, valueWidth int) {
-	spy := &setupSpy{Service: store.NewServer()}
+	spy := &setupSpy{Server: store.NewServer()}
 	cipher := crypto.MustNewCipher(crypto.MustNewKey())
 	cfg := Config{Capacity: capacity, KeyWidth: 8, ValueWidth: valueWidth, Seed: 1}
 	b.ReportAllocs()
@@ -127,16 +127,17 @@ func benchSetup(b *testing.B, capacity, valueWidth int) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(len(spy.calls))/float64(b.N), "calls/op")
+	b.ReportMetric(float64(len(spy.batches))/float64(b.N), "calls/op")
 }
 
 // BenchmarkSetupExDynamic is Setup of BenchmarkPathAccessExDynamic's tree,
-// one of the exoram-dynamic workload's Ex-ORAM trees: 4 095 buckets in one
-// call.
+// one of the exoram-dynamic workload's Ex-ORAM trees: 4 095 buckets and the
+// create in one batch.
 func BenchmarkSetupExDynamic(b *testing.B) { benchSetup(b, 2048+2000, 12) }
 
 // BenchmarkSetupOrStatic is Setup of BenchmarkPathAccessOrStatic's tree, one
-// of the oram-tcp workload's Or-ORAM trees: 1 023 buckets in one call.
+// of the oram-tcp workload's Or-ORAM trees: 1 023 buckets and the create in
+// one batch.
 func BenchmarkSetupOrStatic(b *testing.B) { benchSetup(b, 1024, 4) }
 
 // BenchmarkPathAccessBatch is one batch of r = 64 accesses — a chunk's

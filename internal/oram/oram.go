@@ -47,9 +47,10 @@
 // size. Setup fills the entire tree with sealed all-dummy buckets, exactly as
 // the textbook construction requires, so everything the server ever holds is
 // a same-sized semantically secure ciphertext and path-read sizes are constant
-// and carry nothing. It writes them in heap order, as many to a WriteBuckets
-// call as fit in a fixed byte budget: one call for every tree the engines
-// build at the benchmark's sizes.
+// and carry nothing. It writes them as tree-cell writes in heap order, as
+// many to a batch as fit in a fixed byte budget, and a caller setting up
+// several trees at once (SetupAll) packs all of them, creates first, into as
+// few batches as the budget allows.
 //
 // The tree has half the next power of two ≥ capacity leaves (at least two):
 // at full load at most a quarter of its Z·(2·leaves − 1) slots are live, half
@@ -265,8 +266,24 @@ func (o *ORAM) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // Setup creates an empty ORAM named name on the server (Definition 4's
-// Setup: client state out, encrypted memory to S).
+// Setup: client state out, encrypted memory to S): New, then SetupAll for the
+// one tree.
 func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*ORAM, error) {
+	o, err := New(svc, cipher, name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := SetupAll(svc, nil, o); err != nil {
+		_ = svc.Delete(name) // best effort: the tree is ours and no handle to it will ever exist
+		return nil, err
+	}
+	return o, nil
+}
+
+// New builds the client half of an empty ORAM named name on svc — its shape,
+// empty position map and stash — and sends nothing: SetupAll puts its tree on
+// the server, which must happen before the first access.
+func New(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*ORAM, error) {
 	if err := checkShape(name, cfg.Capacity, cfg.KeyWidth, cfg.ValueWidth); err != nil {
 		return nil, err
 	}
@@ -293,15 +310,6 @@ func Setup(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*
 	o.initScratch()
 	if cfg.Metrics != nil {
 		o.SetTelemetry(cfg.Metrics)
-	}
-	// One stored slot per bucket: the server sees a bucket as one opaque
-	// ciphertext.
-	if err := svc.CreateTree(name, o.levels, 1); err != nil {
-		return nil, fmt.Errorf("oram: creating tree: %w", err)
-	}
-	if err := o.initTree(); err != nil {
-		_ = svc.Delete(name) // best effort: the tree is ours and no handle to it will ever exist
-		return nil, err
 	}
 	return o, nil
 }
@@ -443,47 +451,75 @@ func (o *ORAM) sealBucket(bucket int) ([]byte, error) {
 	return o.cipher.Seal(o.sealBuf, o.bucketAD(bucket))
 }
 
-// setupFrameBytes bounds the ciphertext bytes one Setup call carries, so that
-// its frame fits the 1 MiB encode or spill buffer a connection keeps between
-// frames (transport's keepBuf) and Setup never makes one regrow. On the wire
-// each ciphertext adds a length varint: 1 byte under 128 B, 2 under 16 KiB, so
-// at most 1/35 of the smallest bucket there is (Z = 1, one-byte key and value:
-// 7 + 28 bytes). The frame's header is the kind, trace context, tree name,
-// start and count, well under 1 KiB. A frame is then at most 768·36/35 + 1 <
-// 791 KiB, and the encode buffer append grows to it in steps of 1.25× at most
-// 989 KiB (plus a page of rounding) — under keepBuf. Only a single bucket
-// larger than this budget makes a bigger frame, one bucket to a call.
+// setupFrameBytes bounds the ciphertext bytes one set-up batch carries, so
+// that its frame fits the 1 MiB encode or spill buffer a connection keeps
+// between frames (transport's keepBuf) and set-up never makes one regrow. On
+// the wire each ciphertext adds a length varint and an index varint: 1 byte
+// each under 128 B and for the consecutive buckets of a run, 2 for a length
+// under 16 KiB, so at most 2/35 of the smallest bucket there is (Z = 1,
+// one-byte key and value: 7 + 28 bytes). The rest of the frame is the kind,
+// trace context and, per op, a flag, a name and a few counts: a create or a
+// run per tree, well under 1 KiB for the trees one group sets up. A frame is
+// then at most 768·37/35 + 1 < 813 KiB, and the encode buffer append grows to
+// it in steps of 1.25× at most 1 017 KiB (plus a page of rounding) — under
+// keepBuf. Only a single bucket larger than this budget makes a bigger frame,
+// one bucket to a batch.
 const setupFrameBytes = 768 << 10
 
-// setupBuckets is how many sealed dummy buckets one Setup call carries: as
-// many as fit in setupFrameBytes, at least one.
-func (o *ORAM) setupBuckets() int {
-	return max(1, setupFrameBytes/(o.z*o.blockSize+crypto.Overhead))
-}
+// bucketBytes is the size of one of the tree's sealed buckets.
+func (o *ORAM) bucketBytes() int { return o.z*o.blockSize + crypto.Overhead }
 
-// initTree fills every bucket with sealed dummy blocks, as in the textbook
-// construction, so the initial state is indistinguishable from any later
-// state and path-read sizes never depend on access history. It writes them
-// in setupBuckets-sized calls, the tree's heap order; the calls' number, starts
-// and sizes are a function of the capacity, Z and the widths, all public.
-func (o *ORAM) initTree() error {
-	perCall := o.setupBuckets()
-	totalBuckets := (1 << o.levels) - 1
-	clear(o.sealBuf) // Z dummies
-	for start := 0; start < totalBuckets; start += perCall {
-		buckets := make([][]byte, min(perCall, totalBuckets-start))
-		for i := range buckets {
-			ct, err := o.sealBucket(start + i)
-			if err != nil {
-				return err
-			}
-			buckets[i] = ct
+// SetupAll puts the trees of handles New built on the server, as the
+// textbook construction requires: each tree created, then every one of its
+// buckets filled with Z sealed dummy blocks, so the initial state is
+// indistinguishable from any later state and path-read sizes never depend on
+// access history. lead are creates of objects the caller sets up beside the
+// trees (Or-ORAM's label arrays). Nothing takes a round of its own: the
+// creates — lead's, then the trees' — open the first batch, and the dummy
+// buckets follow as tree-cell writes in heap order, tree after tree, as many
+// to a batch as fit in setupFrameBytes of ciphertext and at least one. The
+// batches' number, and which cells each carries, are a function of the
+// trees' capacities, Z and widths and of lead's length, all public.
+func SetupAll(svc store.Service, lead []store.BatchOp, trees ...*ORAM) error {
+	ops := slices.Clone(lead)
+	for _, o := range trees {
+		// One stored slot per bucket: the server sees a bucket as one opaque
+		// ciphertext.
+		ops = append(ops, store.CreateTreeOp(o.name, o.levels, 1))
+	}
+	bytes := 0
+	send := func() error {
+		if _, err := store.DoBatch(svc, ops); err != nil {
+			return fmt.Errorf("oram: setting up trees: %w", err)
 		}
-		if err := o.svc.WriteBuckets(o.name, start, buckets); err != nil {
-			return fmt.Errorf("oram: initializing tree: %w", err)
+		ops, bytes = ops[:0], 0
+		return nil
+	}
+	for _, o := range trees {
+		size, total := o.bucketBytes(), 1<<o.levels-1
+		clear(o.sealBuf) // Z dummies
+		for start := 0; start < total; {
+			if bytes > 0 && bytes+size > setupFrameBytes {
+				if err := send(); err != nil {
+					return err
+				}
+			}
+			n := min(total-start, max(1, (setupFrameBytes-bytes)/size))
+			op := store.BatchOp{Write: true, Name: o.name, Idx: make([]int64, n), Cts: make([][]byte, n)}
+			for i := range n {
+				ct, err := o.sealBucket(start + i)
+				if err != nil {
+					return err
+				}
+				op.Idx[i], op.Cts[i] = int64(start+i), ct
+			}
+			ops, bytes, start = append(ops, op), bytes+n*size, start+n
 		}
 	}
-	return nil
+	if len(ops) == 0 {
+		return nil
+	}
+	return send()
 }
 
 func newRNG(seed int64) *mrand.Rand {

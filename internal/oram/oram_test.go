@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strconv"
 	"sync"
@@ -278,6 +279,7 @@ func TestAccessPatternIndistinguishable(t *testing.T) {
 
 // TestFixedAccessCount verifies every operation costs exactly one path read
 // and one path write: a cell read and a cell write of the path's buckets.
+// Setup writes every bucket once before them.
 func TestFixedAccessCount(t *testing.T) {
 	o, srv := newTestORAM(t, 64, 8)
 	const ops = 30
@@ -301,8 +303,8 @@ func TestFixedAccessCount(t *testing.T) {
 	if got := srv.Trace().Count(trace.OpReadTreeCell); got != ops*int64(levels) {
 		t.Errorf("buckets read = %d, want %d paths of %d", got, ops, levels)
 	}
-	if got := srv.Trace().Count(trace.OpWriteTreeCell); got != ops*int64(levels) {
-		t.Errorf("buckets written = %d, want %d paths of %d", got, ops, levels)
+	if got := srv.Trace().Count(trace.OpWriteTreeCell); got != 1<<levels-1+ops*int64(levels) {
+		t.Errorf("buckets written = %d, want the tree's %d and %d paths of %d", got, 1<<levels-1, ops, levels)
 	}
 	if got := o.Accesses(); got != ops {
 		t.Errorf("Accesses = %d, want %d", got, ops)
@@ -583,67 +585,140 @@ func TestTreeFullyInitialized(t *testing.T) {
 	}
 }
 
-// setupSpy records every WriteBuckets call: where it starts, how many
-// buckets it carries, and their ciphertext bytes.
+// setupSpy records every batch a set-up sends: its creates, then one entry
+// per tree-cell write naming the tree, its first bucket, how many buckets it
+// carries and their ciphertext bytes.
 type setupSpy struct {
-	store.Service
-	calls []setupCall
+	*store.Server
+	batches [][]setupOp
 }
 
-type setupCall struct{ start, count, bytes int }
+type setupOp struct {
+	create      bool
+	name        string
+	start, n, b int
+}
 
-func (s *setupSpy) WriteBuckets(name string, start int, slots [][]byte) error {
-	n := 0
-	for _, ct := range slots {
-		n += len(ct)
+func (s *setupSpy) Batch(ops []store.BatchOp) ([][][]byte, error) {
+	var rec []setupOp
+	for _, op := range ops {
+		if op.Kind() != store.KindWriteCells {
+			rec = append(rec, setupOp{create: true, name: op.Name})
+			continue
+		}
+		n := 0
+		for _, ct := range op.Cts {
+			n += len(ct)
+		}
+		rec = append(rec, setupOp{name: op.Name, start: int(op.Idx[0]), n: len(op.Idx), b: n})
 	}
-	s.calls = append(s.calls, setupCall{start, len(slots), n})
-	return s.Service.WriteBuckets(name, start, slots)
+	s.batches = append(s.batches, rec)
+	return s.Server.Batch(ops)
 }
 
-// TestSetupFramesClosedForm: Setup writes a tree of 2^levels − 1 buckets in
-// heap order, k = setupBuckets() to a call, so in ⌈(2^levels − 1)/k⌉
-// WriteBuckets calls — one for each tree of the benchmark's ORAM workloads —
-// each carrying at most setupFrameBytes of ciphertext unless one bucket is
-// larger than that. The calls' starts, sizes and bytes are a function of the
-// public configuration: two keys and two seeds give the same sequence.
+// TestSetupFramesClosedForm: a set-up sends every create — the caller's lead,
+// then the trees' — at the head of its first batch and in no other, then
+// each tree's 2^levels − 1 buckets in heap order, tree after tree, as many
+// to a batch as fit in setupFrameBytes of ciphertext and at least one: every
+// batch but the last is full, holding more than the budget less one of the
+// next buckets. One tree of buckets of size s is then ⌈(2^levels − 1)/k⌉
+// batches, k = max(1, ⌊setupFrameBytes/s⌋): one for each tree of the
+// benchmark's ORAM workloads, and a group of them packs into a few — one for
+// oram-tcp's levels of three Or-ORAM sets, five and eight for
+// exoram-dynamic's four and six Ex-ORAM sets. The batches are a function of
+// the public configuration: two keys and two seeds give the same sequence.
 func TestSetupFramesClosedForm(t *testing.T) {
-	for _, c := range []struct{ capacity, valueWidth, calls int }{
-		{2048 + 2000, 12, 1}, // Ex-ORAM's O^IKL on exoram-dynamic: 4 095 buckets of 128 B
-		{1024, 4, 1},         // Or-ORAM's O^KL on oram-tcp: 1 023 of 96 B
-		{64, 4096, 2},        // 16 KiB buckets, 47 to a call
-		{2, 256 << 10, 3},    // buckets over the budget, one to a call
+	type tree struct{ capacity, valueWidth int }
+	repeat := func(n int, trees ...tree) (out []tree) {
+		for range n {
+			out = append(out, trees...)
+		}
+		return out
+	}
+	klf, ikl := tree{2048 + 2000, 8}, tree{2048 + 2000, 12} // Ex-ORAM's on exoram-dynamic: 4 095 buckets of 112 and 128 B
+	kl := tree{1024, 4}                                     // Or-ORAM's O^KL on oram-tcp: 1 023 of 96 B
+	for _, c := range []struct {
+		trees   []tree
+		lead    int
+		batches int
+	}{
+		{[]tree{ikl}, 0, 1},
+		{[]tree{kl}, 0, 1},
+		{[]tree{{64, 4096}}, 0, 2},     // 16 KiB buckets, 47 to a batch
+		{[]tree{{2, 256 << 10}}, 0, 3}, // buckets over the budget, one to a batch
+		{repeat(3, kl), 3, 1},          // an oram-tcp level: three trees and three label arrays
+		{repeat(4, klf, ikl), 0, 5},    // exoram-dynamic's level 1
+		{repeat(6, klf, ikl), 0, 8},    // and its level 2
 	} {
-		var seqs [2][]setupCall
+		var seqs [2][][]setupOp
 		for i, seed := range []int64{1, 2} {
-			spy := &setupSpy{Service: store.NewServer()}
-			o, err := Setup(spy, crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
-				Capacity: c.capacity, KeyWidth: 8, ValueWidth: c.valueWidth, Seed: seed,
-			})
-			if err != nil {
+			spy := &setupSpy{Server: store.NewServer()}
+			cipher := crypto.MustNewCipher(crypto.MustNewKey())
+			var lead []store.BatchOp
+			for j := range c.lead {
+				lead = append(lead, store.CreateArrayOp(fmt.Sprintf("a%d", j), 8))
+			}
+			var handles []*ORAM
+			for j, tr := range c.trees {
+				o, err := New(spy, cipher, fmt.Sprintf("t%d", j), Config{Capacity: tr.capacity, KeyWidth: 8, ValueWidth: tr.valueWidth, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles, o)
+			}
+			if err := SetupAll(spy, lead, handles...); err != nil {
 				t.Fatal(err)
 			}
-			k, total := o.setupBuckets(), 1<<o.levels-1
-			if want := (total + k - 1) / k; len(spy.calls) != want || want != c.calls {
-				t.Errorf("capacity %d, value width %d: %d calls, want ⌈%d/%d⌉ = %d (%d)", c.capacity, c.valueWidth, len(spy.calls), total, k, want, c.calls)
+			if len(spy.batches) != c.batches {
+				t.Errorf("%v: %d batches, want %d", c.trees, len(spy.batches), c.batches)
 			}
-			next := 0
-			for _, call := range spy.calls {
-				if call.start != next || call.count > k {
-					t.Fatalf("capacity %d: call (%d, %d) after %d buckets, %d to a call", c.capacity, call.start, call.count, next, k)
+			if len(handles) == 1 {
+				o := handles[0]
+				k, total := max(1, setupFrameBytes/o.bucketBytes()), 1<<o.levels-1
+				if want := (total + k - 1) / k; len(spy.batches) != want {
+					t.Errorf("%v: %d batches, want ⌈%d/%d⌉ = %d", c.trees, len(spy.batches), total, k, want)
 				}
-				if call.count > 1 && call.bytes > setupFrameBytes {
-					t.Errorf("capacity %d: call (%d, %d) carries %d bytes, budget %d", c.capacity, call.start, call.count, call.bytes, setupFrameBytes)
+			}
+			var writes []setupOp
+			for b, batch := range spy.batches {
+				bytes, buckets := 0, 0
+				for j, op := range batch {
+					if op.create != (b == 0 && j < c.lead+len(handles)) {
+						t.Fatalf("%v: batch %d op %d: create %v; the creates open the first batch", c.trees, b, j, op.create)
+					}
+					if !op.create {
+						bytes, buckets = bytes+op.b, buckets+op.n
+						writes = append(writes, op)
+					}
 				}
-				next += call.count
+				if bytes > setupFrameBytes && buckets > 1 {
+					t.Errorf("%v: batch %d carries %d bytes, budget %d", c.trees, b, bytes, setupFrameBytes)
+				}
+				if b < len(spy.batches)-1 {
+					next := handles[slices.IndexFunc(handles, func(o *ORAM) bool { return o.name == spy.batches[b+1][0].name })]
+					if bytes+next.bucketBytes() <= setupFrameBytes {
+						t.Errorf("%v: batch %d carries %d bytes and the next bucket would have fit", c.trees, b, bytes)
+					}
+				}
 			}
-			if next != total {
-				t.Errorf("capacity %d: Setup wrote %d buckets of %d", c.capacity, next, total)
+			// The writes cover each tree's buckets once, in heap order.
+			at := 0
+			for _, o := range handles {
+				for next := 0; next < 1<<o.levels-1; {
+					if at == len(writes) || writes[at].name != o.name || writes[at].start != next {
+						t.Fatalf("%v: tree %s: bucket %d is not written next", c.trees, o.name, next)
+					}
+					next += writes[at].n
+					at++
+				}
 			}
-			seqs[i] = spy.calls
+			if at != len(writes) {
+				t.Errorf("%v: %d writes past the trees' buckets", c.trees, len(writes)-at)
+			}
+			seqs[i] = spy.batches
 		}
-		if !slices.Equal(seqs[0], seqs[1]) {
-			t.Errorf("capacity %d: Setup calls differ between keys and seeds: %v, %v", c.capacity, seqs[0], seqs[1])
+		if !reflect.DeepEqual(seqs[0], seqs[1]) {
+			t.Errorf("%v: set-up batches differ between keys and seeds", c.trees)
 		}
 	}
 }

@@ -199,7 +199,7 @@ func (f *FaultService) next(idempotent bool) decision {
 // backend's results are discarded with the injected error. Two kinds are
 // special. Stats is exempt from injection so that monitoring stays reliable
 // even under heavy chaos, and reports the injected-fault count. A Batch is
-// split here, each cell op drawing its own slot exactly as if issued
+// split here, each op drawing its own slot exactly as if issued
 // alone — the schedule is indexed by those operations, not by how a caller
 // grouped them. Everything else follows its kind's failAfter row; a Reveal failed
 // after applying leaves a duplicate log entry on retry, which carries the

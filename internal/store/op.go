@@ -174,16 +174,26 @@ type Op struct {
 	Parent otrace.SpanContext
 }
 
-// A batched op's flag byte: bit 0 selects the writing form, and every other
-// bit is refused. The op then carries its name and indices, a write also its
-// run.
-const batchWrite = 1
-
 // AppendFields appends the fields op's kind uses but DB, in the order the Op
 // comment lists them, in the internal/wire layout. Nothing is optional and
 // nothing is self-describing: the reader knows the kind. A kind that is no
-// Service operation appends nothing.
+// Service operation appends nothing. A batched op is its flag byte, then the
+// fields of the operation it stands for.
 func AppendFields(b []byte, op *Op) []byte {
+	if op.Kind != KindBatch {
+		return appendFields(b, op)
+	}
+	b = binary.AppendUvarint(b, uint64(len(op.Ops)))
+	for i := range op.Ops {
+		b = append(b, op.Ops[i].flag())
+		sub := op.Ops[i].Op()
+		b = appendFields(b, &sub)
+	}
+	return b
+}
+
+// appendFields is AppendFields for every kind but Batch.
+func appendFields(b []byte, op *Op) []byte {
 	switch op.Kind {
 	case KindCreateArray, KindWriteBuckets:
 		b = wire.PutString(b, op.Name)
@@ -205,21 +215,6 @@ func AppendFields(b []byte, op *Op) []byte {
 		b = binary.AppendVarint(b, op.Value)
 	case KindCheckpoint:
 		b = binary.AppendVarint(b, op.Value)
-	case KindBatch:
-		b = binary.AppendUvarint(b, uint64(len(op.Ops)))
-		for i := range op.Ops {
-			sub := &op.Ops[i]
-			var flag byte
-			if sub.Write {
-				flag = batchWrite
-			}
-			b = append(b, flag)
-			b = wire.PutString(b, sub.Name)
-			b = wire.PutIndices(b, sub.Idx)
-			if sub.Write {
-				b = wire.PutRun(b, sub.Cts)
-			}
-		}
 	}
 	switch op.Kind {
 	case KindWriteCells, KindWritePath, KindWriteBuckets:
@@ -232,6 +227,31 @@ func AppendFields(b []byte, op *Op) []byte {
 // ciphertext gets its own allocation: the server keeps written cells one by
 // one. A failure sticks in r, which the caller finishes.
 func ReadFields(r *wire.Reader, op *Op) {
+	if op.Kind != KindBatch {
+		readFields(r, op)
+		return
+	}
+	// An op is at least its flag byte, a name length and an index count or a
+	// create's or reveal's first number.
+	if n := r.Count(); n > r.Len()/3 {
+		r.Fail("%d batch ops in %d bytes", n, r.Len())
+	} else if n > 0 {
+		op.Ops = make([]BatchOp, n)
+	}
+	for i := range op.Ops {
+		flag := r.Byte()
+		if flag >= numBatchForms || batchKinds[flag] == NumKinds {
+			r.Fail("batch op flag %d", flag)
+			return
+		}
+		sub := Op{Kind: batchKinds[flag]}
+		readFields(r, &sub)
+		op.Ops[i] = batchOpOf(flag, &sub)
+	}
+}
+
+// readFields is ReadFields for every kind but Batch.
+func readFields(r *wire.Reader, op *Op) {
 	switch op.Kind {
 	case KindCreateArray, KindWriteBuckets:
 		op.Name = r.String()
@@ -254,26 +274,6 @@ func ReadFields(r *wire.Reader, op *Op) {
 	case KindStats:
 	case KindCheckpoint:
 		op.Value = r.Varint()
-	case KindBatch:
-		// An op is at least its flag byte, a name length and an index count.
-		if n := r.Count(); n > r.Len()/3 {
-			r.Fail("%d batch ops in %d bytes", n, r.Len())
-		} else if n > 0 {
-			op.Ops = make([]BatchOp, n)
-		}
-		for i := range op.Ops {
-			sub := &op.Ops[i]
-			flag := r.Byte()
-			if flag&^batchWrite != 0 {
-				r.Fail("batch op flag %d", flag)
-			}
-			sub.Write = flag == batchWrite
-			sub.Name = r.String()
-			sub.Idx = r.Indices()
-			if sub.Write {
-				sub.Cts = r.Run(false)
-			}
-		}
 	default:
 		r.Fail("unknown request kind %d", op.Kind)
 	}
@@ -486,11 +486,11 @@ func Invoke(svc Service, op *Op, res *Result) (err error) {
 	return err
 }
 
-// eachBatchOp applies batch's ops in order, each as the ReadCells or
-// WriteCells it stands for through h, under the batch's parent span, and
+// eachBatchOp applies batch's ops in order, each as the Service operation it
+// stands for (BatchOp.Kind) through h, under the batch's parent span, and
 // collects the per-op results. It is what a layer that must see every
 // operation singly (the fault injector's schedule, the WAL's one record per
-// write) does with a Batch.
+// mutation) does with a Batch.
 func eachBatchOp(batch *Op, h Handler) ([][][]byte, error) {
 	out := make([][][]byte, len(batch.Ops))
 	c := calls.Get().(*call)
@@ -498,14 +498,9 @@ func eachBatchOp(batch *Op, h Handler) ([][][]byte, error) {
 		*c = call{}
 		calls.Put(c)
 	}()
-	c.op.Parent = batch.Parent
 	for i := range batch.Ops {
-		b := &batch.Ops[i]
-		// Only these fields differ from one batched op to the next.
-		c.op.Kind, c.op.Name, c.op.Idx, c.op.Cts = b.Kind(), b.Name, b.Idx, nil
-		if b.Write {
-			c.op.Cts = b.Cts
-		}
+		c.op = batch.Ops[i].Op()
+		c.op.Parent = batch.Parent
 		c.res.Cts = nil
 		if err := h(&c.op, &c.res); err != nil {
 			return nil, err

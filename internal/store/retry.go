@@ -231,19 +231,25 @@ func (r *RetryService) again(kind Kind, attempt int, err error) error {
 	return nil
 }
 
-// batch runs a Batch. Every op in it is a read or a write carrying its exact
-// ciphertexts, so re-applying a partially applied batch converges to the same
-// state as one clean pass, and so does applying its ops in consecutive
-// pieces. The first try sends it whole; each failed try is followed by one
-// that starts at the first op not yet answered and carries half as many ops
-// as the one that failed. Faults strike ops — the injector of FaultService
-// draws one per op — so a batch of k ops gets through whole with only
-// (1 − p)^k, but its pieces shrink until they get through: a round of a few
-// hundred ops at p = 2 % needs a handful of tries, not thousands. The attempt
-// count runs from the last piece that got through, so MaxAttempts bounds the
-// tries in a row that make no progress, as it bounds a single op's. The
-// server sees the batch's ops in their order, some of them again, framed by a
-// schedule that depends only on the batch's length and on when faults struck.
+// batch runs a Batch. Every op in it but a create is a read, a write
+// carrying its exact ciphertexts or a reveal of a public value, so
+// re-applying a partially applied batch converges to the same state as one
+// clean pass, and so does applying its ops in consecutive pieces. The first
+// try sends it whole; each failed try is followed by one that starts at the
+// first op not yet answered and carries half as many ops as the one that
+// failed. A re-sent piece also ends before any create but its first, which
+// is the one op it may find already applied: a create leading a re-sent
+// piece that answers Kind.Applied was applied by a try that failed later
+// (the single-writer inference of a plain re-sent create, see RetryService),
+// so it counts as done and the batch goes on after it. Faults strike ops —
+// the injector of FaultService draws one per op — so a batch of k ops gets
+// through whole with only (1 − p)^k, but its pieces shrink until they get
+// through: a round of a few hundred ops at p = 2 % needs a handful of tries,
+// not thousands. The attempt count runs from the last piece that got
+// through, so MaxAttempts bounds the tries in a row that make no progress,
+// as it bounds a single op's. The server sees the batch's ops in their
+// order, some of them again, framed by a schedule that depends only on the
+// batch's ops' kinds and length and on when faults struck.
 func (r *RetryService) batch(op *Op, res *Result) error {
 	err := Invoke(r.svc, op, res)
 	if err == nil {
@@ -258,14 +264,27 @@ func (r *RetryService) batch(op *Op, res *Result) error {
 			}
 			attempt, size = attempt+1, (size+1)/2
 		}
-		piece.Ops = op.Ops[at:min(at+size, len(op.Ops))]
-		if err = Invoke(r.svc, &piece, res); err == nil {
-			copy(answers[at:], res.Batch)
-			if at += len(piece.Ops); at == len(op.Ops) {
-				res.Batch = answers
-				return nil
+		end := min(at+size, len(op.Ops))
+		for i := at + 1; i < end; i++ {
+			if op.Ops[i].Kind().info().applied != nil { // a create
+				end = i
+				break
 			}
-			attempt = 1
 		}
+		piece.Ops = op.Ops[at:end]
+		switch err = Invoke(r.svc, &piece, res); {
+		case err == nil:
+			copy(answers[at:], res.Batch)
+			at = end
+		case op.Ops[at].Kind().Applied(err):
+			at, err = at+1, nil
+		default:
+			continue
+		}
+		if at == len(op.Ops) {
+			res.Batch = answers
+			return nil
+		}
+		attempt = 1
 	}
 }

@@ -383,3 +383,81 @@ func TestRetryBatchOverFaults(t *testing.T) {
 		t.Fatal("the seeded injector injected nothing")
 	}
 }
+
+// TestRetryBatchResendsCreates: a batch whose creates applied before a later
+// op failed, or before its acknowledgement was lost, is sent on in pieces
+// that each hold a create only at their head, and a re-sent create that
+// finds its object counts as applied. The caller gets the answers of one
+// clean pass and the backend holds what a bare server given the batch once
+// holds.
+func TestRetryBatchResendsCreates(t *testing.T) {
+	cell := func(b byte) [][]byte { return [][]byte{{b}} }
+	ops := []BatchOp{
+		CreateArrayOp("a", 4),
+		{Write: true, Name: "a", Idx: []int64{0}, Cts: cell(1)},
+		CreateTreeOp("t", 2, 1),
+		{Write: true, Name: "t", Idx: []int64{0, 1, 2}, Cts: [][]byte{{2}, {3}, {4}}},
+		RevealOp("fd:0->1", 1),
+		{Name: "a", Idx: []int64{0}},
+		{Name: "t", Idx: []int64{2, 1}},
+	}
+	ref := NewServer()
+	want, err := ref.Batch(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// failAt is the op whose failure ends the first try, after the ops before
+	// it applied; len(ops) loses the acknowledgement of a try that applied
+	// whole.
+	for _, failAt := range []int{1, 3, 4, len(ops)} {
+		srv := NewServer()
+		var tries [][]Kind
+		backend := Adapt(func(op *Op, res *Result) error {
+			if op.Kind != KindBatch {
+				return Invoke(srv, op, res)
+			}
+			var kinds []Kind
+			for i := range op.Ops {
+				kinds = append(kinds, op.Ops[i].Kind())
+			}
+			tries = append(tries, kinds)
+			if len(tries) > 1 {
+				return Invoke(srv, op, res)
+			}
+			if _, err := srv.Batch(op.Ops[:failAt]); err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Errorf("%w: after %d ops", ErrTransient, failAt)
+		})
+		r := WithRetry(backend, fastPolicy(RetryPolicy{MaxAttempts: 3}, nil))
+		got, err := DoBatch(r, ops)
+		if err != nil {
+			t.Fatalf("failure at op %d: %v", failAt, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("failure at op %d: answers %v, want %v", failAt, got, want)
+		}
+		for _, kinds := range tries[1:] {
+			for i, k := range kinds {
+				if i > 0 && (k == KindCreateArray || k == KindCreateTree) {
+					t.Errorf("failure at op %d: a re-sent piece %v holds a create past its head", failAt, kinds)
+				}
+			}
+		}
+		gotSt, _ := srv.Stats()
+		wantSt, _ := ref.Stats()
+		if gotSt.Objects != wantSt.Objects || gotSt.StoredBytes != wantSt.StoredBytes {
+			t.Errorf("failure at op %d: backend holds %+v, a clean pass %+v", failAt, gotSt, wantSt)
+		}
+		for _, obj := range []struct {
+			name string
+			idx  []int64
+		}{{"a", []int64{0, 1, 2, 3}}, {"t", []int64{0, 1, 2}}} {
+			g, err1 := srv.ReadCells(obj.name, obj.idx)
+			w, err2 := ref.ReadCells(obj.name, obj.idx)
+			if err1 != nil || err2 != nil || fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Errorf("failure at op %d: %s holds %v (%v), a clean pass %v (%v)", failAt, obj.name, g, err1, w, err2)
+			}
+		}
+	}
+}

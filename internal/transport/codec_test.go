@@ -62,6 +62,23 @@ func codecRequests() []request {
 			{Name: "or1:2:IL"},
 			{Name: "a", Idx: []int64{7}},
 		}}},
+		// The forms that touch no cell, each beside what rides with it: an
+		// array's create with its first write, a tree's with its first
+		// dummy buckets, a level's reveals.
+		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{
+			store.CreateArrayOp("db:sort:col0", 4096),
+			{Write: true, Name: "db:sort:col0", Idx: []int64{0, 1}, Cts: [][]byte{cell, cell}},
+		}}},
+		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{
+			store.CreateArrayOp("or1:1:IL", 1024),
+			store.CreateTreeOp("or1:1:KL", 10, 1),
+			{Write: true, Name: "or1:1:KL", Idx: []int64{0, 1, 2}, Cts: [][]byte{cell, cell, cell}},
+		}}},
+		{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{
+			store.RevealOp("fd:0,1->2", 1),
+			store.RevealOp("fd:0->2", 0),
+			store.RevealOp("fd:", -1),
+		}}},
 	}
 	ctx := otrace.SpanContext{Sampled: true}
 	for i := range ctx.Trace {
@@ -243,7 +260,14 @@ func runLen(run [][]byte) int {
 // the lengths of the name and token, the public scalars, the indices and the
 // ciphertext lengths — and of nothing in the trace context.
 func frameLen(req *request) int {
-	body := 1 + otrace.WireSize
+	body := 1 + otrace.WireSize + fieldsLen(req)
+	return 1 + uvarintLen(uint64(body)) + body
+}
+
+// fieldsLen is the encoded size of req's fields after its header, in its
+// kind's layout. A batched op is its flag byte and the fields of the
+// operation it stands for.
+func fieldsLen(req *request) (body int) {
 	for _, field := range strings.Fields(requestLayout[req.Kind]) {
 		switch field {
 		case "name":
@@ -268,15 +292,12 @@ func frameLen(req *request) int {
 			body += runLen(req.Cts)
 		case "ops":
 			body += uvarintLen(uint64(len(req.Ops)))
-			for _, op := range req.Ops {
-				body += 1 + bytesLen(len(op.Name)) + idxLen(op.Idx)
-				if op.Write {
-					body += runLen(op.Cts)
-				}
+			for i := range req.Ops {
+				body += 1 + fieldsLen(&request{Op: req.Ops[i].Op()})
 			}
 		}
 	}
-	return 1 + uvarintLen(uint64(body)) + body
+	return body
 }
 
 // discardConn is a connection end whose writes go nowhere.
@@ -451,11 +472,12 @@ func addMangled(f *testing.F, body []byte) {
 	f.Add(body[:len(body)/2])
 }
 
-// TestPathBatchOpRefused: a batch op has one form, cells by flat position,
-// and a flag byte with any bit beyond write is refused by name. The fixture is
-// the fused ORAM round the golden file held while a batch op could also name
-// a tree's path by leaf (flag bit 1): its first op, a path write, carries flag
-// 3.
+// TestPathBatchOpRefused: a batch op addresses cells by flat position or
+// touches none (a create, a reveal), and a flag byte naming no such form —
+// 2 and 3, the retired path forms, or one past the last form — is refused by
+// name. The fixture is the fused ORAM round the golden file held while a
+// batch op could also name a tree's path by leaf (flag bit 1): its first op,
+// a path write, carries flag 3.
 func TestPathBatchOpRefused(t *testing.T) {
 	raw, err := os.ReadFile("testdata/path-batch-frame.txt")
 	if err != nil {
@@ -474,7 +496,7 @@ func TestPathBatchOpRefused(t *testing.T) {
 		body []byte
 	}
 	cases := []refused{{3, body}}
-	for _, flag := range []byte{2, 3} {
+	for _, flag := range []byte{2, 3, 7, 0x81} {
 		b := appendRequest(nil, &request{Op: store.Op{Kind: store.KindBatch, Ops: []store.BatchOp{{Name: "t", Idx: []int64{0, 1, 4}}}}})
 		b[1+otrace.WireSize+1] = flag // after the kind, the context and the op count
 		cases = append(cases, refused{flag, b})
@@ -496,8 +518,10 @@ func FuzzDecodeRequest(f *testing.F) {
 		addMangled(f, appendRequest(nil, &req))
 	}
 	f.Add(append(appendRequest(nil, &request{Op: store.Op{Kind: store.KindReadCells}})[:1+otrace.WireSize], 0, 0xff, 0xff, 0xff, 0xff, 0x0f))
-	// One batched op whose flag byte has a bit beyond write.
-	f.Add(append(appendRequest(nil, &request{Op: store.Op{Kind: store.KindBatch}})[:1+otrace.WireSize], 1, 4, 1, 't', 9))
+	// One batched op whose flag byte names no form: a retired path form, and
+	// one past the last form.
+	f.Add(append(appendRequest(nil, &request{Op: store.Op{Kind: store.KindBatch}})[:1+otrace.WireSize], 1, 2, 1, 't', 9))
+	f.Add(append(appendRequest(nil, &request{Op: store.Op{Kind: store.KindBatch}})[:1+otrace.WireSize], 1, 7, 1, 't', 9))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req request
 		if err := decodeRequest(body, &req); err != nil {
@@ -510,7 +534,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		for _, op := range req.Ops {
 			size += int(unsafe.Sizeof(op)) + footprint(op.Name, "", op.Idx, op.Cts)
 		}
-		// The densest decoding is a batch of empty ops: 72 bytes of BatchOp
+		// The densest decoding is a batch of empty ops: 88 bytes of BatchOp
 		// for the 3 each takes on the wire.
 		if size > 30*len(body) {
 			t.Fatalf("%d-byte body decoded into %d bytes", len(body), size)

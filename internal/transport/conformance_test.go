@@ -36,7 +36,8 @@ func typed(t *testing.T, svc store.Service) typedOnly {
 
 // conformanceScript is every Service operation at least once, with the
 // failures each can answer, a Batch that reads what it wrote — an array's
-// cells and a tree's paths, by flat position — and a Checkpoint/Stats pair.
+// cells and a tree's paths, by flat position —, a Batch that creates what it
+// writes and reveals beside it, and a Checkpoint/Stats pair.
 // Names carry prefix and Checkpoint/Stats carry db: the same script runs
 // un-prefixed through a tenant's view of a stack and spelled out ("tenant/…",
 // DB "tenant") against the bare server.
@@ -109,6 +110,20 @@ func conformanceScript(prefix, db string) []store.Op {
 			{Name: prefix + "nope", Idx: []int64{0}}, // aborts; the write before it stays
 		}},
 		{Kind: store.KindReadCells, Name: a, Idx: []int64{6}},
+		{Kind: store.KindBatch, Ops: []store.BatchOp{ // a set-up: creates ride with the first writes, reveals beside them
+			store.CreateArrayOp(prefix+"b", 4),
+			store.CreateTreeOp(prefix+"u", 2, 1),
+			{Write: true, Name: prefix + "u", Idx: []int64{0, 1, 2}, Cts: slots(3, 0x80)},
+			{Write: true, Name: prefix + "b", Idx: []int64{3}, Cts: slots(1, 0x88)},
+			store.RevealOp(prefix+"fd:1->0", 0),
+			{Name: prefix + "b", Idx: []int64{3}},
+		}},
+		{Kind: store.KindBatch, Ops: []store.BatchOp{
+			store.RevealOp(prefix+"fd:0->2", 1),
+			store.CreateTreeOp(prefix+"b", 2, 1), // name taken by the array: aborts; the reveal before it stays
+			{Name: prefix + "u", Idx: []int64{1}},
+		}},
+		{Kind: store.KindReadCells, Name: prefix + "u", Idx: []int64{2, 1}},
 		{Kind: store.KindStats, DB: db},
 		{Kind: store.KindCheckpoint, Value: 5, DB: db},
 		{Kind: store.KindStats, DB: db},

@@ -452,7 +452,7 @@ func (c *Client) call(req *request) (*response, error) {
 // whole op crosses the wire as one framed request and one framed response, a
 // Batch of B cell operations included — one round trip instead of B. A
 // Batch's answer is one flat run, cut back into per-op results by the count
-// of cells each read named.
+// of cells each read named; no other form answers anything.
 func (c *Client) roundTrip(op *store.Op, res *store.Result) error {
 	if op.DB != "" {
 		return fmt.Errorf("transport: %v in namespace %q: a connection's namespace is bound by its handshake (ClientConfig.Database), not per call", op.Kind, op.DB)
@@ -470,7 +470,7 @@ func (c *Client) roundTrip(op *store.Op, res *store.Result) error {
 	res.Cts = nil
 	for i := range op.Ops {
 		b := &op.Ops[i]
-		if b.Write {
+		if b.Kind() != store.KindReadCells {
 			continue
 		}
 		n := len(b.Idx)

@@ -96,7 +96,11 @@ func TestScrubChaosTreeRot(t *testing.T) {
 		mu.Lock()
 		fetches := op.Kind == store.KindReadCells && slices.Contains(trees, op.Name)
 		for i := range op.Ops {
-			fetches = fetches || !op.Ops[i].Write && slices.Contains(trees, op.Ops[i].Name) // an ORAM round's fetch
+			// An ORAM round's fetch, or a tree created in a set-up batch.
+			fetches = fetches || op.Ops[i].Kind() == store.KindReadCells && slices.Contains(trees, op.Ops[i].Name)
+			if op.Ops[i].Kind() == store.KindCreateTree {
+				trees = append(trees, op.Ops[i].Name)
+			}
 		}
 		if op.Kind == store.KindCreateTree {
 			trees = append(trees, op.Name)

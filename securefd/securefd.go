@@ -511,15 +511,20 @@ func (db *Database) discoverOptions() *core.Options {
 		Resume:         db.resume,
 		Trace:          db.opts.Trace,
 		Workers:        db.opts.Workers,
-		Reveal: func(fd relation.FD, holds bool) {
-			db.revealed.Add(1)
-			v := int64(0)
-			if holds {
-				v = 1
+		Reveal: func(decisions []core.Decision) {
+			db.revealed.Add(int64(len(decisions)))
+			if db.svc == nil {
+				return
 			}
-			if db.svc != nil {
-				_ = db.svc.Reveal("fd:"+fd.String(), v)
+			ops := make([]store.BatchOp, len(decisions))
+			for i, d := range decisions {
+				v := int64(0)
+				if d.Holds {
+					v = 1
+				}
+				ops[i] = store.RevealOp("fd:"+d.FD.String(), v)
 			}
+			_, _ = store.DoBatch(db.svc, ops) // a level's reveals, one round
 		},
 	}
 }

@@ -139,6 +139,11 @@ func TestTamperEquivocatedBucket(t *testing.T) {
 				if op.Kind == store.KindCreateTree {
 					trees[op.Name] = true
 				}
+				for _, b := range op.Ops {
+					if b.Kind() == store.KindCreateTree { // a set-up batch
+						trees[b.Name] = true
+					}
+				}
 				if err := store.Invoke(srv, op, res); err != nil || op.Kind != store.KindBatch {
 					return err
 				}
