@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -335,6 +336,9 @@ func run(path string, o options) error {
 		return fmt.Errorf("-rtt must be at least 0, got %v", o.rtt)
 	case o.maxLHS < 0:
 		return fmt.Errorf("-max-lhs must be at least 0 (0 = unbounded), got %d", o.maxLHS)
+	}
+	if o.workers == 0 {
+		o.workers = runtime.GOMAXPROCS(0) // one per core: the pool's connections and the engine's workers alike
 	}
 	log := newLogger(o.logJSON)
 	protocol, err := securefd.ParseProtocol(o.protoName)

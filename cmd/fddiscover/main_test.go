@@ -9,7 +9,9 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,6 +109,49 @@ func TestRunRefusesOutOfRangeRates(t *testing.T) {
 			t.Errorf("%v: %v", args, err)
 		}
 	}
+}
+
+// TestRunWorkersZeroIsOnePerCore: -workers 0 resolves to GOMAXPROCS before
+// anything is built, so a -connect run dials one pool connection per core
+// (and hands the engine as many workers), where the flag's default of 1
+// dials one.
+func TestRunWorkersZeroIsOnePerCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	csv := writeCSV(t)
+	for _, c := range []struct{ workers, conns int }{{0, 3}, {1, 1}} {
+		nl, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &countingListener{Listener: nl}
+		ts := securefd.NewTCPServer(securefd.NewServer())
+		go func() { _ = ts.Serve(l) }()
+		o := quietOpts("sort")
+		o.workers, o.connect = c.workers, nl.Addr().String()
+		_, err = captureStdout(t, func() error { return run(csv, o) })
+		ts.Shutdown(time.Second)
+		nl.Close()
+		if err != nil {
+			t.Fatalf("-workers %d: %v", c.workers, err)
+		}
+		if got := int(l.accepted.Load()); got != c.conns {
+			t.Errorf("-workers %d at GOMAXPROCS 3: %d connections, want %d", c.workers, got, c.conns)
+		}
+	}
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
 }
 
 // TestRunConnectErrors: -connect refuses a server that does not answer and

@@ -69,9 +69,50 @@ func TestCreatesRideInBatches(t *testing.T) {
 	})
 }
 
+// TestNoFakeEmbedsTheServer keeps test fakes from being silently bypassed:
+// no test type embeds *store.Server (*Server inside package store). The
+// server is a Handler behind an Adapter, so the embedding promotes its Do,
+// and store.Invoke hands an Op to Do whole — past every typed method the
+// fake overrides. A fake embeds store.Service and delegates to that.
+func TestNoFakeEmbedsTheServer(t *testing.T) {
+	eachGoFile(t, true, func(path string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, f := range st.Fields.List {
+				typ := f.Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				server := false
+				switch x := typ.(type) {
+				case *ast.SelectorExpr:
+					pkg, ok := x.X.(*ast.Ident)
+					server = ok && pkg.Name == "store" && x.Sel.Name == "Server"
+				case *ast.Ident:
+					server = file.Name.Name == "store" && x.Name == "Server"
+				}
+				if len(f.Names) == 0 && server {
+					t.Errorf("%s: a struct embeds the store server: embed store.Service instead, or store.Invoke bypasses the methods it overrides", path)
+				}
+			}
+			return true
+		})
+	})
+}
+
 // eachSource parses every non-test Go file of the module, comments
 // included, and hands it to visit with its slash-separated path.
 func eachSource(t *testing.T, visit func(path string, file *ast.File)) {
+	t.Helper()
+	eachGoFile(t, false, visit)
+}
+
+// eachGoFile parses every Go file of the module that is a test file exactly
+// when tests is set, and hands it to visit with its slash-separated path.
+func eachGoFile(t *testing.T, tests bool, visit func(path string, file *ast.File)) {
 	t.Helper()
 	parsed := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -84,7 +125,7 @@ func eachSource(t *testing.T, visit func(path string, file *ast.File)) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -98,10 +139,10 @@ func eachSource(t *testing.T, visit func(path string, file *ast.File)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The module has about a hundred non-test files; far fewer means the
-	// walk started in the wrong place and proved nothing.
+	// The module has about a hundred files of either sort; far fewer means
+	// the walk started in the wrong place and proved nothing.
 	if parsed < 50 {
-		t.Fatalf("parsed %d non-test Go files, want the whole module", parsed)
+		t.Fatalf("parsed %d Go files (tests: %v), want the whole module", parsed, tests)
 	}
 }
 

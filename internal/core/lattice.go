@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"github.com/oblivfd/oblivfd/internal/otrace"
@@ -93,7 +92,8 @@ type Options struct {
 	// single array's sequence — see DESIGN.md §11. The ORAM engines take a
 	// level at a time on one goroutine and show the server the same ordered
 	// trace whatever it is; plain, deterministic and enclave build a set at a
-	// time. 0 means runtime.GOMAXPROCS(0).
+	// time. The zero value, like 1, is serial (as in securefd.Options): a
+	// caller that wants one worker per core asks for runtime.GOMAXPROCS(0).
 	Workers int
 }
 
@@ -160,10 +160,7 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		dsp.End()
 	}()
 
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := max(opts.Workers, 1)
 
 	res := &Result{Cardinalities: make(map[relation.AttrSet]int)}
 

@@ -215,38 +215,6 @@ func TestEncryptRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestPadUnpadProperty(t *testing.T) {
-	f := func(value []byte) bool {
-		width := len(value) + 7
-		padded, err := Pad(value, width)
-		if err != nil {
-			return false
-		}
-		if len(padded) != PadWidth(width) {
-			return false
-		}
-		got, err := Unpad(padded)
-		return err == nil && bytes.Equal(got, value)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPadOverflow(t *testing.T) {
-	if _, err := Pad([]byte("too long"), 3); err == nil {
-		t.Error("Pad beyond width succeeded, want error")
-	}
-}
-
-func TestUnpadCorrupt(t *testing.T) {
-	for _, buf := range [][]byte{nil, {1}, {0, 0, 0, 9, 1, 2}} {
-		if _, err := Unpad(buf); err == nil {
-			t.Errorf("Unpad(%v) succeeded, want error", buf)
-		}
-	}
-}
-
 func TestMustHelpers(t *testing.T) {
 	key := MustNewKey()
 	c := MustNewCipher(key)
@@ -265,20 +233,6 @@ func TestKeysAreRandom(t *testing.T) {
 	b := MustNewKey()
 	if a == b {
 		t.Error("two fresh keys are identical")
-	}
-}
-
-func TestPadEqualWidths(t *testing.T) {
-	a, err := Pad([]byte("x"), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Pad([]byte("a much longer va"), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Errorf("padded widths differ: %d vs %d", len(a), len(b))
 	}
 }
 

@@ -112,7 +112,7 @@ func BenchmarkPathAccessOrStatic(b *testing.B) { benchEngineShape(b, 1024, 4) }
 // every bucket sealed as Z dummies and written, then the tree deleted — and
 // reports the batches it takes, a round each over the wire.
 func benchSetup(b *testing.B, capacity, valueWidth int) {
-	spy := &setupSpy{Server: store.NewServer()}
+	spy := &setupSpy{Service: store.NewServer()}
 	cipher := crypto.MustNewCipher(crypto.MustNewKey())
 	cfg := Config{Capacity: capacity, KeyWidth: 8, ValueWidth: valueWidth, Seed: 1}
 	b.ReportAllocs()

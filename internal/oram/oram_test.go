@@ -587,9 +587,11 @@ func TestTreeFullyInitialized(t *testing.T) {
 
 // setupSpy records every batch a set-up sends: its creates, then one entry
 // per tree-cell write naming the tree, its first bucket, how many buckets it
-// carries and their ciphertext bytes.
+// carries and their ciphertext bytes. It embeds the Service interface, not
+// *store.Server: the server's promoted Do would let store.Invoke bypass the
+// Batch it overrides.
 type setupSpy struct {
-	*store.Server
+	store.Service
 	batches [][]setupOp
 }
 
@@ -613,7 +615,7 @@ func (s *setupSpy) Batch(ops []store.BatchOp) ([][][]byte, error) {
 		rec = append(rec, setupOp{name: op.Name, start: int(op.Idx[0]), n: len(op.Idx), b: n})
 	}
 	s.batches = append(s.batches, rec)
-	return s.Server.Batch(ops)
+	return store.DoBatch(s.Service, ops)
 }
 
 // TestSetupFramesClosedForm: a set-up sends every create — the caller's lead,
@@ -652,7 +654,7 @@ func TestSetupFramesClosedForm(t *testing.T) {
 	} {
 		var seqs [2][][]setupOp
 		for i, seed := range []int64{1, 2} {
-			spy := &setupSpy{Server: store.NewServer()}
+			spy := &setupSpy{Service: store.NewServer()}
 			cipher := crypto.MustNewCipher(crypto.MustNewKey())
 			var lead []store.BatchOp
 			for j := range c.lead {

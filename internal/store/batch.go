@@ -128,13 +128,6 @@ type Batcher interface {
 	Batch(ops []BatchOp) ([][][]byte, error)
 }
 
-// Batch implements Batcher for the in-memory server: ops apply in order
-// under the server's own per-call locking. Trace events are recorded per
-// cell index by the typed methods exactly as for unbatched calls.
-func (s *Server) Batch(ops []BatchOp) ([][][]byte, error) {
-	return eachBatchOp(&Op{Kind: KindBatch, Ops: ops}, func(op *Op, res *Result) error { return Invoke(s, op, res) })
-}
-
 // RoundCounter counts logical storage round trips: every Service call is
 // one round, and a fused Batch is one round regardless of how many ops it
 // carries. The round-count tests and BenchmarkEngineStepLoopback use it as

@@ -315,7 +315,7 @@ func TestMutationEncodedOncePerNode(t *testing.T) {
 		{"CreateTree", func() error { return primary.CreateTree("t", 2, 2) }},
 		{"WriteBuckets", func() error { return primary.WriteBuckets("t", 0, [][]byte{{1}, {2}}) }},
 		{"WritePath", func() error { return primary.WritePath("t", 1, [][]byte{{9}, nil, {8}, {7}}) }},
-		{"CheckpointNS", func() error { return primary.CheckpointNS("tenant", 3) }},
+		{"CheckpointIn", func() error { return CheckpointIn(primary, "tenant", 3) }},
 		{"Batch", func() error {
 			_, err := primary.Batch([]BatchOp{
 				{Write: true, Name: "a", Idx: []int64{0}, Cts: [][]byte{{4}}},

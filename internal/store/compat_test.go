@@ -41,7 +41,7 @@ func compatState(t testing.TB) *Server {
 		s.WriteBuckets("t", 0, cells(14, 0x10)),
 		s.WritePath("t", 2, cells(6, 0x40)),
 		s.CreateTree("u", 1, 3),
-		s.CheckpointNS("tenant", 5),
+		CheckpointIn(s, "tenant", 5),
 		s.CreateArray("tenant/a", 2),
 		s.WriteCells("tenant/a", []int64{1}, [][]byte{{7, 7}}),
 		s.CreateTree("tenant/t", 2, 1),
@@ -82,8 +82,8 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		t.Error("the pinned snapshot, loaded and saved, changed")
 	}
 	for _, db := range []string{"", "tenant"} {
-		stWant, _ := s.StatsNS(db)
-		if st, _ := loaded.StatsNS(db); st != stWant {
+		stWant, _ := StatsIn(s, db)
+		if st, _ := StatsIn(loaded, db); st != stWant {
 			t.Errorf("namespace %q: loaded stats %+v, want %+v", db, st, stWant)
 		}
 	}

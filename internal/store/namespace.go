@@ -44,20 +44,6 @@ func ValidDBName(db string) bool {
 	return true
 }
 
-// NamespaceService is the optional per-namespace surface a multi-tenant
-// backend exposes alongside Service. Checkpoint/Stats on Service itself act
-// on the root namespace; these act on a named one. On a Handler-backed
-// service both pairs are one Op whose DB field names the namespace, so
-// per-tenant marks survive the whole fdserver stack (latency → faults →
-// metrics → backend) without any layer forwarding them; CheckpointIn and
-// StatsIn reach them on any Service.
-type NamespaceService interface {
-	// CheckpointNS marks a recovery epoch for one database namespace.
-	CheckpointNS(db string, epoch int64) error
-	// StatsNS reports accounting restricted to one database namespace.
-	StatsNS(db string) (Stats, error)
-}
-
 // Namespaced returns svc scoped to the given database namespace: every
 // object name is prefixed with "<db>/", reveals are tagged per-tenant (the
 // reveal log is part of the adversary's trace, and per-tenant tags keep the

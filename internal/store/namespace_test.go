@@ -191,9 +191,9 @@ func TestNamespacedBatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointInFallback: a backend without NamespaceService still works
-// for the root namespace but refuses a named one instead of silently
-// checkpointing across tenants.
+// TestCheckpointInFallback: a typed-only backend still works for the root
+// namespace but refuses a named one instead of silently checkpointing across
+// tenants.
 func TestCheckpointInFallback(t *testing.T) {
 	plain := &plainOnlySvc{Service: NewServer()}
 	if err := CheckpointIn(plain, "", 1); err != nil {
@@ -207,5 +207,6 @@ func TestCheckpointInFallback(t *testing.T) {
 	}
 }
 
-// plainOnlySvc hides the backend's NamespaceService implementation.
+// plainOnlySvc hides the backend's Handler (Adapter.Do), leaving the typed
+// method set alone.
 type plainOnlySvc struct{ Service }

@@ -11,14 +11,14 @@ import (
 )
 
 // The storage seam, reified. Service is what protocol code calls: one typed
-// method per operation. Behind it every implementation but the in-memory
-// Server is a single Handler — a function from one Op to its Result — so a
-// cross-cutting layer (timing, fault injection, retry, namespacing,
-// durability, replication, the TCP proxy) is written once, not once per
-// method. Exactly two pieces of code know the whole method set: Adapter
-// turns a Handler into a Service, and Invoke turns an Op back into the one
-// typed call on a Service that is not Handler-backed (the Server, and
-// decorators outside this module's control). AppendFields and ReadFields are
+// method per operation. Behind it every implementation — the in-memory
+// Server included — is a single Handler, a function from one Op to its
+// Result, so a cross-cutting layer (timing, fault injection, retry,
+// namespacing, durability, replication, the TCP proxy) is written once, not
+// once per method. Exactly two pieces of code know the whole method set:
+// Adapter turns a Handler into a Service, and Invoke turns an Op back into
+// the one typed call on a Service that is not Handler-backed (a decorator
+// written outside this module). AppendFields and ReadFields are
 // the one byte layout of each operation's fields: a TCP request carries it
 // after its header, and a write-ahead log record after its kind (wal.go).
 
@@ -321,20 +321,20 @@ func run(h Handler, op Op) (Result, error) {
 	return res, nil
 }
 
-// Adapter is the typed facade over a Handler: it implements Service, Batcher
-// and NamespaceService by building the Op each method stands for. Decorators
-// either return one (WithLatency, WithMetrics, Namespaced) or embed one so
-// their named type keeps its accessors (RetryService.Retries,
-// FaultService.Injected, transport.Client.Reconnects, …).
+// Adapter is the typed facade over a Handler: it implements Service and
+// Batcher by building the Op each method stands for. Decorators either
+// return one (WithLatency, WithMetrics, Namespaced) or embed one so their
+// named type keeps its accessors (RetryService.Retries,
+// FaultService.Injected, transport.Client.Reconnects, …); the in-memory
+// Server embeds one too.
 type Adapter struct{ h Handler }
 
 // Adapt returns the typed facade of h.
 func Adapt(h Handler) Adapter { return Adapter{h: h} }
 
 var (
-	_ Service          = Adapter{}
-	_ Batcher          = Adapter{}
-	_ NamespaceService = Adapter{}
+	_ Service = Adapter{}
+	_ Batcher = Adapter{}
 )
 
 // Do serves op as it stands. Invoke prefers it to the typed methods, so an
@@ -403,20 +403,14 @@ func (a Adapter) Reveal(tag string, value int64) error {
 }
 
 // Checkpoint implements Service.
-func (a Adapter) Checkpoint(epoch int64) error { return a.CheckpointNS("", epoch) }
-
-// Stats implements Service.
-func (a Adapter) Stats() (Stats, error) { return a.StatsNS("") }
-
-// CheckpointNS implements NamespaceService.
-func (a Adapter) CheckpointNS(db string, epoch int64) error {
-	_, err := run(a.h, Op{Kind: KindCheckpoint, Value: epoch, DB: db})
+func (a Adapter) Checkpoint(epoch int64) error {
+	_, err := run(a.h, Op{Kind: KindCheckpoint, Value: epoch})
 	return err
 }
 
-// StatsNS implements NamespaceService.
-func (a Adapter) StatsNS(db string) (Stats, error) {
-	res, err := run(a.h, Op{Kind: KindStats, DB: db})
+// Stats implements Service.
+func (a Adapter) Stats() (Stats, error) {
+	res, err := run(a.h, Op{Kind: KindStats})
 	return res.Stats, err
 }
 
@@ -427,12 +421,11 @@ func (a Adapter) Batch(ops []BatchOp) ([][][]byte, error) {
 }
 
 // Invoke runs op on svc: handed over whole when svc is Handler-backed, as
-// the one typed call it stands for otherwise. The optional extensions are
-// probed here and nowhere else — a Batch on a service that is no Batcher
-// degrades to its ops one by one (the first error aborts it, earlier writes
-// stay applied, same as serial issuance), and a Checkpoint or Stats in a
-// named namespace on a service that is no NamespaceService is an error, never
-// a silent cross-tenant root operation.
+// the one typed call it stands for otherwise. On a typed-only service a Batch
+// on one that is no Batcher degrades to its ops one by one (the first error
+// aborts it, earlier writes stay applied, same as serial issuance), and a
+// Checkpoint or Stats in a named namespace is an error — no typed call names
+// a namespace, and a silent cross-tenant root operation would be worse.
 func Invoke(svc Service, op *Op, res *Result) (err error) {
 	if d, ok := svc.(interface{ Do(*Op, *Result) error }); ok {
 		return d.Do(op, res)
@@ -459,21 +452,15 @@ func Invoke(svc Service, op *Op, res *Result) (err error) {
 	case KindReveal:
 		return svc.Reveal(op.Name, op.Value)
 	case KindStats:
-		if op.DB == "" {
-			res.Stats, err = svc.Stats()
-		} else if ns, ok := svc.(NamespaceService); ok {
-			res.Stats, err = ns.StatsNS(op.DB)
-		} else {
-			err = fmt.Errorf("store: backend %T cannot report namespace %q", svc, op.DB)
+		if op.DB != "" {
+			return fmt.Errorf("store: backend %T cannot report namespace %q", svc, op.DB)
 		}
+		res.Stats, err = svc.Stats()
 	case KindCheckpoint:
-		if op.DB == "" {
-			return svc.Checkpoint(op.Value)
+		if op.DB != "" {
+			return fmt.Errorf("store: backend %T cannot checkpoint namespace %q", svc, op.DB)
 		}
-		if ns, ok := svc.(NamespaceService); ok {
-			return ns.CheckpointNS(op.DB, op.Value)
-		}
-		return fmt.Errorf("store: backend %T cannot checkpoint namespace %q", svc, op.DB)
+		return svc.Checkpoint(op.Value)
 	case KindBatch:
 		if b, ok := svc.(Batcher); ok {
 			res.Batch, err = b.Batch(op.Ops)

@@ -122,7 +122,7 @@ type replicaPeer struct {
 }
 
 // ReplicatedServer decorates a DurableServer with a replication role. It
-// implements Service, Batcher and NamespaceService; its role methods, from
+// is a Handler behind an Adapter, like every layer; its role methods, from
 // IsPrimary to FetchRepair, are what a transport server drives on behalf of
 // remote primaries and failover clients (transport.Server.SetReplicator).
 //

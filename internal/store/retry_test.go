@@ -10,9 +10,11 @@ import (
 )
 
 // flaky is a Service stub that fails the first failures calls to one method
-// with the given error, then delegates to a real server.
+// with the given error, then delegates to a real server. It embeds the
+// Service interface, not *Server: the server's promoted Do would let Invoke
+// bypass the methods it overrides.
 type flaky struct {
-	*Server
+	Service
 	err      error
 	failures int
 	seen     int
@@ -23,22 +25,22 @@ func (f *flaky) WriteCells(name string, idx []int64, cts [][]byte) error {
 	if f.seen < f.failures {
 		f.seen++
 		if f.applied {
-			_ = f.Server.WriteCells(name, idx, cts)
+			_ = f.Service.WriteCells(name, idx, cts)
 		}
 		return f.err
 	}
-	return f.Server.WriteCells(name, idx, cts)
+	return f.Service.WriteCells(name, idx, cts)
 }
 
 func (f *flaky) CreateArray(name string, n int) error {
 	if f.seen < f.failures {
 		f.seen++
 		if f.applied {
-			_ = f.Server.CreateArray(name, n)
+			_ = f.Service.CreateArray(name, n)
 		}
 		return f.err
 	}
-	return f.Server.CreateArray(name, n)
+	return f.Service.CreateArray(name, n)
 }
 
 // fastPolicy keeps test backoffs instant and records sleeps.
@@ -59,11 +61,12 @@ func fastPolicy(p RetryPolicy, slept *[]time.Duration) RetryPolicy {
 // two calls would be no treetop round and would stay raw.
 func TestRetriedTreeWriteShapesAsTwoCalls(t *testing.T) {
 	sent := func(pos []int64, failAfter int) trace.Shape {
-		backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: failAfter, applied: true}
-		if err := backend.Server.CreateTree("t", 3, 1); err != nil { // 7 buckets of one slot
+		srv := NewServer()
+		backend := &flaky{Service: srv, err: fmt.Errorf("%w: test", ErrTransient), failures: failAfter, applied: true}
+		if err := srv.CreateTree("t", 3, 1); err != nil { // 7 buckets of one slot
 			t.Fatal(err)
 		}
-		backend.Trace().Enable()
+		srv.Trace().Enable()
 		r := WithRetry(backend, fastPolicy(RetryPolicy{MaxAttempts: 2}, nil))
 		cts := make([][]byte, len(pos))
 		for i := range cts {
@@ -77,7 +80,7 @@ func TestRetriedTreeWriteShapesAsTwoCalls(t *testing.T) {
 		if got := r.Retries(); got != int64(failAfter) {
 			t.Fatalf("%d retries, want %d", got, failAfter)
 		}
-		return trace.ShapeOf(backend.Trace().Events())
+		return trace.ShapeOf(srv.Trace().Events())
 	}
 	// r = 2, t = 1: the root, then each leaf's bucket at levels 1 and 2.
 	retried, twice := sent([]int64{0, 1, 3, 2, 6}, 1), sent([]int64{0, 1, 4, 1, 4}, 0)
@@ -92,8 +95,8 @@ func TestRetriedTreeWriteShapesAsTwoCalls(t *testing.T) {
 }
 
 func TestRetryRecoversFromTransient(t *testing.T) {
-	backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 3}
-	if err := backend.Server.CreateArray("a", 4); err != nil {
+	backend := &flaky{Service: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 3}
+	if err := backend.Service.CreateArray("a", 4); err != nil {
 		t.Fatal(err)
 	}
 	var slept []time.Duration
@@ -130,8 +133,8 @@ func TestRetryRecoversFromTransient(t *testing.T) {
 }
 
 func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
-	backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 100}
-	_ = backend.Server.CreateArray("a", 4)
+	backend := &flaky{Service: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 100}
+	_ = backend.Service.CreateArray("a", 4)
 	r := WithRetry(backend, fastPolicy(RetryPolicy{MaxAttempts: 4}, nil))
 	err := r.WriteCells("a", []int64{0}, [][]byte{{1}})
 	if !errors.Is(err, ErrTransient) {
@@ -162,7 +165,7 @@ func TestRetryFatalErrorsNotRetried(t *testing.T) {
 // acknowledgement is "lost" (fail-after); the retry's ErrObjectExists is
 // reconciled to success.
 func TestRetryReconcilesLostCreateAck(t *testing.T) {
-	backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: ack lost", ErrTransient), failures: 1, applied: true}
+	backend := &flaky{Service: NewServer(), err: fmt.Errorf("%w: ack lost", ErrTransient), failures: 1, applied: true}
 	r := WithRetry(backend, fastPolicy(RetryPolicy{}, nil))
 	if err := r.CreateArray("a", 4); err != nil {
 		t.Fatalf("create with lost ack = %v, want reconciled success", err)
@@ -174,8 +177,8 @@ func TestRetryReconcilesLostCreateAck(t *testing.T) {
 
 func TestRetryJitterDeterministic(t *testing.T) {
 	run := func() []time.Duration {
-		backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 5}
-		_ = backend.Server.CreateArray("a", 4)
+		backend := &flaky{Service: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 5}
+		_ = backend.Service.CreateArray("a", 4)
 		var slept []time.Duration
 		r := WithRetry(backend, fastPolicy(RetryPolicy{MaxAttempts: 6, Seed: 11}, &slept))
 		if err := r.WriteCells("a", []int64{0}, [][]byte{{1}}); err != nil {
@@ -197,8 +200,8 @@ func TestRetryJitterDeterministic(t *testing.T) {
 // TestRetryFullJitterBounds: every delay is drawn from [0, ceiling] where
 // the ceiling follows the doubling schedule of the default policy.
 func TestRetryFullJitterBounds(t *testing.T) {
-	backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 5}
-	_ = backend.Server.CreateArray("a", 4)
+	backend := &flaky{Service: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 5}
+	_ = backend.Service.CreateArray("a", 4)
 	var slept []time.Duration
 	p := fastPolicy(RetryPolicy{MaxAttempts: 6, Seed: 7}, &slept)
 	r := WithRetry(backend, p)
@@ -224,8 +227,8 @@ func TestRetryFullJitterBounds(t *testing.T) {
 // are exactly what full jitter exists to prevent.
 func TestRetryFullJitterDecorrelates(t *testing.T) {
 	run := func() []time.Duration {
-		backend := &flaky{Server: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 8}
-		_ = backend.Server.CreateArray("a", 4)
+		backend := &flaky{Service: NewServer(), err: fmt.Errorf("%w: test", ErrTransient), failures: 8}
+		_ = backend.Service.CreateArray("a", 4)
 		var slept []time.Duration
 		r := WithRetry(backend, fastPolicy(RetryPolicy{MaxAttempts: 9}, &slept))
 		if err := r.WriteCells("a", []int64{0}, [][]byte{{1}}); err != nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/otrace"
@@ -49,7 +48,9 @@ type ScrubConfig struct {
 	// ChunkCells is how many cells are verified per lock acquisition
 	// (default 512); mutations interleave between chunks.
 	ChunkCells int
-	// Metrics, when set, exposes the oblivfd_scrub_* counters/gauges.
+	// Metrics, when set, exposes the oblivfd_scrub_* counters/gauges, and
+	// the Scrubber's accessors read those shared series: one scrubber per
+	// registry, as fdserver builds one per process.
 	Metrics *telemetry.Registry
 }
 
@@ -74,18 +75,14 @@ type Scrubber struct {
 	stop chan struct{}
 	done chan struct{}
 
-	sweeps      atomic.Int64
-	cells       atomic.Int64
-	corruptions atomic.Int64
-	repairs     atomic.Int64
-	repairFails atomic.Int64
-
-	sweepsC      *telemetry.Counter
-	cellsC       *telemetry.Counter
-	filesC       *telemetry.Counter
-	corruptionsC *telemetry.Counter
-	repairsC     *telemetry.Counter
-	repairFailsC *telemetry.Counter
+	// One counter per event: the registry's series when cfg.Metrics is set,
+	// a private counter otherwise.
+	sweeps       *telemetry.Counter
+	cells        *telemetry.Counter
+	files        *telemetry.Counter
+	corruptions  *telemetry.Counter
+	repairs      *telemetry.Counter
+	repairFails  *telemetry.Counter
 	sweepSeconds *telemetry.Gauge
 
 	// pacer state: a token bucket refilled by wall time only, so the sleep
@@ -98,17 +95,23 @@ type Scrubber struct {
 // cell corruption) or the ReplicatedServer wrapping d.
 func NewScrubber(d *DurableServer, rep *ReplicatedServer, cfg ScrubConfig) *Scrubber {
 	cfg = cfg.withDefaults()
+	counter := func(name string) *telemetry.Counter {
+		if cfg.Metrics != nil {
+			return cfg.Metrics.Counter(name)
+		}
+		return telemetry.NewCounter()
+	}
 	return &Scrubber{
 		d:   d,
 		rep: rep,
 		cfg: cfg,
 
-		sweepsC:      cfg.Metrics.Counter("oblivfd_scrub_sweeps_total"),
-		cellsC:       cfg.Metrics.Counter("oblivfd_scrub_cells_total"),
-		filesC:       cfg.Metrics.Counter("oblivfd_scrub_files_total"),
-		corruptionsC: cfg.Metrics.Counter("oblivfd_scrub_corruptions_total"),
-		repairsC:     cfg.Metrics.Counter("oblivfd_scrub_repairs_total"),
-		repairFailsC: cfg.Metrics.Counter("oblivfd_scrub_repair_failures_total"),
+		sweeps:       counter("oblivfd_scrub_sweeps_total"),
+		cells:        counter("oblivfd_scrub_cells_total"),
+		files:        counter("oblivfd_scrub_files_total"),
+		corruptions:  counter("oblivfd_scrub_corruptions_total"),
+		repairs:      counter("oblivfd_scrub_repairs_total"),
+		repairFails:  counter("oblivfd_scrub_repair_failures_total"),
 		sweepSeconds: cfg.Metrics.Gauge("oblivfd_scrub_last_sweep_millis"),
 	}
 }
@@ -145,19 +148,19 @@ func (sc *Scrubber) Close() {
 }
 
 // Sweeps reports completed full sweeps.
-func (sc *Scrubber) Sweeps() int64 { return sc.sweeps.Load() }
+func (sc *Scrubber) Sweeps() int64 { return sc.sweeps.Value() }
 
 // CellsScrubbed reports stored cells verified since construction.
-func (sc *Scrubber) CellsScrubbed() int64 { return sc.cells.Load() }
+func (sc *Scrubber) CellsScrubbed() int64 { return sc.cells.Value() }
 
 // Corruptions reports distinct damage findings (cell batches and files).
-func (sc *Scrubber) Corruptions() int64 { return sc.corruptions.Load() }
+func (sc *Scrubber) Corruptions() int64 { return sc.corruptions.Value() }
 
 // Repairs reports damage findings successfully healed.
-func (sc *Scrubber) Repairs() int64 { return sc.repairs.Load() }
+func (sc *Scrubber) Repairs() int64 { return sc.repairs.Value() }
 
 // RepairFailures reports damage findings that could not be healed.
-func (sc *Scrubber) RepairFailures() int64 { return sc.repairFails.Load() }
+func (sc *Scrubber) RepairFailures() int64 { return sc.repairFails.Value() }
 
 // pace charges n work units against the rate limit, sleeping as needed.
 // Interruptible by Close.
@@ -204,8 +207,7 @@ func (sc *Scrubber) SweepOnce() error {
 	if err := sc.sweepObjects(); err != nil {
 		return err
 	}
-	sc.sweeps.Add(1)
-	sc.sweepsC.Inc()
+	sc.sweeps.Inc()
 	sc.sweepSeconds.Set(time.Since(t0).Milliseconds())
 	return nil
 }
@@ -221,7 +223,7 @@ func (sc *Scrubber) sweepSnapshots() error {
 	for _, seq := range seqs {
 		path := snapPath(sc.d.dir, seq)
 		ok, bytesRead, verr := sc.verifySnapshotFile(path)
-		sc.filesC.Inc()
+		sc.files.Inc()
 		sc.pace(bytesRead / 1024)
 		if verr != nil {
 			// The file vanished: concurrent pruning, not corruption.
@@ -230,12 +232,10 @@ func (sc *Scrubber) sweepSnapshots() error {
 		if ok {
 			continue
 		}
-		sc.corruptions.Add(1)
-		sc.corruptionsC.Inc()
+		sc.corruptions.Inc()
 		slog.Warn("scrub: corrupt snapshot file", "path", path)
 		if err := sc.healFiles(); err != nil {
-			sc.repairFails.Add(1)
-			sc.repairFailsC.Inc()
+			sc.repairFails.Inc()
 			if errors.Is(err, ErrServerKilled) {
 				return err
 			}
@@ -247,8 +247,7 @@ func (sc *Scrubber) sweepSnapshots() error {
 		if rerr := sc.d.fsys.Remove(path); rerr != nil && !os.IsNotExist(rerr) {
 			slog.Warn("scrub: removing corrupt snapshot", "path", path, "err", rerr)
 		}
-		sc.repairs.Add(1)
-		sc.repairsC.Inc()
+		sc.repairs.Inc()
 	}
 	return nil
 }
@@ -288,7 +287,7 @@ func (sc *Scrubber) sweepWAL() error {
 	// size belong to appends racing this scan and are not judged.
 	_, validEnd, torn, scanErr := scanWAL(io.LimitReader(f, size))
 	f.Close()
-	sc.filesC.Inc()
+	sc.files.Inc()
 	sc.pace(size / 1024)
 	_, _, truncsAfter := sc.d.walScrubView()
 	if truncsAfter != truncsBefore {
@@ -300,19 +299,16 @@ func (sc *Scrubber) sweepWAL() error {
 	// Damage inside the acknowledged prefix: every one of those records is
 	// already applied in memory, so a fresh snapshot (which truncates the
 	// log) loses nothing and removes the damage.
-	sc.corruptions.Add(1)
-	sc.corruptionsC.Inc()
+	sc.corruptions.Inc()
 	slog.Warn("scrub: corrupt WAL prefix", "path", path, "validEnd", validEnd, "size", size)
 	if err := sc.healFiles(); err != nil {
-		sc.repairFails.Add(1)
-		sc.repairFailsC.Inc()
+		sc.repairFails.Inc()
 		if errors.Is(err, ErrServerKilled) {
 			return err
 		}
 		return nil
 	}
-	sc.repairs.Add(1)
-	sc.repairsC.Inc()
+	sc.repairs.Inc()
 	return nil
 }
 
@@ -352,38 +348,32 @@ func (sc *Scrubber) sweepObjects() error {
 				return err
 			}
 			sc.cells.Add(int64(hi - lo))
-			sc.cellsC.Add(int64(hi - lo))
 			sc.pace(int64(hi - lo))
 			if len(bad) == 0 {
 				continue
 			}
-			sc.corruptions.Add(1)
-			sc.corruptionsC.Inc()
+			sc.corruptions.Inc()
 			slog.Warn("scrub: corrupt stored cells", "object", name, "cells", len(bad))
 			switch {
 			case sc.rep != nil && sc.rep.IsPrimary():
 				if rerr := sc.rep.RepairStored(otrace.SpanContext{}, name, bad); rerr != nil {
-					sc.repairFails.Add(1)
-					sc.repairFailsC.Inc()
+					sc.repairFails.Inc()
 					slog.Warn("scrub: repair from replica failed", "object", name, "err", rerr)
 				} else {
-					sc.repairs.Add(1)
-					sc.repairsC.Inc()
+					sc.repairs.Inc()
 				}
 			case sc.rep != nil:
 				// Replica: one resync heals everything; flag once per sweep.
 				if !diverged {
 					sc.rep.MarkDiverged()
 					diverged = true
-					sc.repairs.Add(1)
-					sc.repairsC.Inc()
+					sc.repairs.Inc()
 				}
 			default:
 				// No peers: detection only. Foreground reads of these cells
 				// fail loudly with ErrIntegrity, exactly as before scrubbing
 				// existed.
-				sc.repairFails.Add(1)
-				sc.repairFailsC.Inc()
+				sc.repairFails.Inc()
 			}
 		}
 	}

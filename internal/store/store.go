@@ -193,8 +193,9 @@ type Service interface {
 	Stats() (Stats, error)
 }
 
-// Server is the in-memory reference implementation of Service. It is safe
-// for concurrent use; the parallel sorting driver issues overlapping
+// Server is the in-memory reference implementation of Service: a Handler
+// (handle) behind an Adapter, like every other layer. It is safe for
+// concurrent use; the parallel sorting driver issues overlapping
 // ReadCells/WriteCells on disjoint indices.
 //
 // Recovery marks are tracked per database namespace (see NamespaceOf): each
@@ -204,6 +205,7 @@ type Service interface {
 // un-prefixed (single-tenant) clients use, so Checkpoint/Stats keep their
 // historical meaning.
 type Server struct {
+	Adapter
 	mu      sync.RWMutex
 	objects map[string]*object
 	rec     *trace.Recorder
@@ -331,11 +333,50 @@ func cellSum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // NewServer returns an empty server with trace counting active.
 func NewServer() *Server {
-	return &Server{
+	s := &Server{
 		objects: make(map[string]*object),
 		rec:     trace.NewRecorder(),
 		marks:   make(map[string]*nsMark),
 	}
+	s.Adapter = Adapt(s.handle)
+	return s
+}
+
+// handle serves op: one case per Service operation, and a Batch as its ops
+// in order, each recorded in the trace as if it came alone. A mutation fills
+// no Result, so a caller that only mutates may pass a nil res.
+func (s *Server) handle(op *Op, res *Result) (err error) {
+	switch op.Kind {
+	case KindCreateArray:
+		return s.createArray(op.Name, op.N)
+	case KindArrayLen:
+		res.N, err = s.arrayLen(op.Name)
+	case KindReadCells:
+		res.Cts, err = s.readCells(op.Name, op.Idx)
+	case KindWriteCells:
+		return s.writeCells(op.Name, op.Idx, op.Cts)
+	case KindCreateTree:
+		return s.createTree(op.Name, op.Levels, op.Slots)
+	case KindReadPath:
+		res.Cts, err = s.readPath(op.Name, op.Leaf)
+	case KindWritePath:
+		return s.writePath(op.Name, op.Leaf, op.Cts)
+	case KindWriteBuckets:
+		return s.writeBuckets(op.Name, op.N, op.Cts)
+	case KindDelete:
+		return s.deleteObject(op.Name)
+	case KindReveal:
+		s.reveal(op.Name, op.Value)
+	case KindStats:
+		res.Stats = s.stats(op.DB)
+	case KindCheckpoint:
+		s.checkpoint(op.DB, op.Value)
+	case KindBatch:
+		res.Batch, err = eachBatchOp(op, s.handle)
+	default:
+		err = fmt.Errorf("store: %v is not a Service operation", op.Kind)
+	}
+	return err
 }
 
 // Trace exposes the adversary's recorder.
@@ -413,16 +454,16 @@ func (s *Server) create(name string, obj *object, ev trace.Event) error {
 	return nil
 }
 
-// CreateArray implements Service.
-func (s *Server) CreateArray(name string, n int) error {
+// createArray serves CreateArray.
+func (s *Server) createArray(name string, n int) error {
 	if n < 0 || n > maxCells {
 		return fmt.Errorf("store: array %q: %w: array of %d cells (0 to %d)", name, ErrOutOfRange, n, maxCells)
 	}
 	return s.create(name, newObject(n, 0, 0), trace.Event{Op: trace.OpCreateArray, Object: name, Index: int64(n)})
 }
 
-// ArrayLen implements Service.
-func (s *Server) ArrayLen(name string) (int, error) {
+// arrayLen serves ArrayLen.
+func (s *Server) arrayLen(name string) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	a, err := s.objectLocked(name, "array")
@@ -432,9 +473,9 @@ func (s *Server) ArrayLen(name string) (int, error) {
 	return len(a.cells), nil
 }
 
-// ReadCells implements Service. A tree's cells are addressed by flat
+// readCells serves ReadCells. A tree's cells are addressed by flat
 // position, bucket b's slots being [b·slots, (b+1)·slots).
-func (s *Server) ReadCells(name string, idx []int64) ([][]byte, error) {
+func (s *Server) readCells(name string, idx []int64) ([][]byte, error) {
 	s.mu.RLock()
 	a, err := s.objectLocked(name, "")
 	var out [][]byte
@@ -453,9 +494,9 @@ func (s *Server) ReadCells(name string, idx []int64) ([][]byte, error) {
 	return out, nil
 }
 
-// WriteCells implements Service, on an array or a tree (see ReadCells). A
+// writeCells serves WriteCells, on an array or a tree (see readCells). A
 // position may repeat; its last ciphertext stays.
-func (s *Server) WriteCells(name string, idx []int64, cts [][]byte) error {
+func (s *Server) writeCells(name string, idx []int64, cts [][]byte) error {
 	s.mu.Lock()
 	a, err := s.objectLocked(name, "")
 	if err == nil {
@@ -471,8 +512,8 @@ func (s *Server) WriteCells(name string, idx []int64, cts [][]byte) error {
 	return nil
 }
 
-// CreateTree implements Service.
-func (s *Server) CreateTree(name string, levels, slotsPerBucket int) error {
+// createTree serves CreateTree.
+func (s *Server) createTree(name string, levels, slotsPerBucket int) error {
 	cells, err := treeCells(levels, slotsPerBucket)
 	if err != nil {
 		return fmt.Errorf("store: tree %q: %w", name, err)
@@ -498,8 +539,8 @@ func (o *object) pathCells(leaf uint32) ([]int64, error) {
 	return idx, nil
 }
 
-// ReadPath implements Service.
-func (s *Server) ReadPath(name string, leaf uint32) ([][]byte, error) {
+// readPath serves ReadPath.
+func (s *Server) readPath(name string, leaf uint32) ([][]byte, error) {
 	s.mu.RLock()
 	t, err := s.objectLocked(name, "tree")
 	if err != nil {
@@ -520,8 +561,8 @@ func (s *Server) ReadPath(name string, leaf uint32) ([][]byte, error) {
 	return out, nil
 }
 
-// WritePath implements Service.
-func (s *Server) WritePath(name string, leaf uint32, slots [][]byte) error {
+// writePath serves WritePath.
+func (s *Server) writePath(name string, leaf uint32, slots [][]byte) error {
 	s.mu.Lock()
 	t, err := s.objectLocked(name, "tree")
 	if err != nil {
@@ -544,8 +585,8 @@ func (s *Server) WritePath(name string, leaf uint32, slots [][]byte) error {
 	return nil
 }
 
-// WriteBuckets implements Service.
-func (s *Server) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
+// writeBuckets serves WriteBuckets.
+func (s *Server) writeBuckets(name string, bucketStart int, slots [][]byte) error {
 	s.mu.Lock()
 	t, err := s.objectLocked(name, "tree")
 	if err != nil {
@@ -570,8 +611,8 @@ func (s *Server) WriteBuckets(name string, bucketStart int, slots [][]byte) erro
 	return nil
 }
 
-// Delete implements Service.
-func (s *Server) Delete(name string) error {
+// deleteObject serves Delete.
+func (s *Server) deleteObject(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.objects[name]; !ok {
@@ -583,33 +624,25 @@ func (s *Server) Delete(name string) error {
 	return nil
 }
 
-// Reveal implements Service.
-func (s *Server) Reveal(tag string, value int64) error {
+// reveal serves Reveal.
+func (s *Server) reveal(tag string, value int64) {
 	s.mu.Lock()
 	s.reveals = append(s.reveals, Reveal{Tag: tag, Value: value})
 	s.mu.Unlock()
 	s.rec.Record(trace.Event{Op: trace.OpReveal, Object: tag, Index: value})
-	return nil
 }
 
-// Checkpoint implements Service: it records the epoch mark and zeroes the
-// mutation counter for the root namespace. Durability is the durable
-// backend's job; the in-memory server only supports the resume-consistency
-// check in Stats.
-func (s *Server) Checkpoint(epoch int64) error {
-	return s.CheckpointNS("", epoch)
-}
-
-// CheckpointNS implements NamespaceService: it marks a recovery epoch for one
-// database namespace, leaving every other tenant's mark untouched.
-func (s *Server) CheckpointNS(db string, epoch int64) error {
+// checkpoint serves Checkpoint: it records the epoch mark and zeroes the
+// mutation counter of one database namespace ("" = root), leaving every
+// other tenant's mark untouched. Durability is the durable backend's job; the
+// in-memory server only supports the resume-consistency check in Stats.
+func (s *Server) checkpoint(db string, epoch int64) {
 	s.mu.Lock()
 	m := s.markLocked(db)
 	m.epoch = epoch
 	m.dirty = 0
 	s.mu.Unlock()
 	s.rec.Record(trace.Event{Op: trace.OpCheckpoint, Object: db, Index: epoch})
-	return nil
 }
 
 // Epoch returns the root namespace's last client-marked recovery epoch.
@@ -622,32 +655,16 @@ func (s *Server) Epoch() int64 {
 	return 0
 }
 
-// Stats implements Service: server-wide object and byte totals, with the
-// recovery mark of the root namespace (the one un-prefixed clients write to).
-func (s *Server) Stats() (Stats, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := Stats{Objects: len(s.objects)}
-	for _, o := range s.objects {
-		st.StoredBytes += o.bytes
-	}
-	if m, ok := s.marks[""]; ok {
-		st.Epoch = m.epoch
-		st.MutationsSinceEpoch = m.dirty
-	}
-	return st, nil
-}
-
-// StatsNS implements NamespaceService: accounting restricted to one database
-// namespace — only that tenant's objects, bytes, and recovery mark. A tenant
-// therefore learns nothing about its neighbors from Stats, and its
-// MutationsSinceEpoch check stays sound while other tenants keep writing.
-func (s *Server) StatsNS(db string) (Stats, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// stats serves Stats: the accounting of one database namespace — its
+// objects, their bytes and its recovery mark — so a tenant learns nothing
+// about its neighbors, and its MutationsSinceEpoch check stays sound while
+// other tenants keep writing. The root namespace's reading (the one
+// un-prefixed clients get) counts every object on the server.
+func (s *Server) stats(db string) Stats {
 	var st Stats
+	s.mu.RLock()
 	for name, o := range s.objects {
-		if NamespaceOf(name) == db {
+		if db == "" || NamespaceOf(name) == db {
 			st.Objects++
 			st.StoredBytes += o.bytes
 		}
@@ -656,7 +673,8 @@ func (s *Server) StatsNS(db string) (Stats, error) {
 		st.Epoch = m.epoch
 		st.MutationsSinceEpoch = m.dirty
 	}
-	return st, nil
+	s.mu.RUnlock()
+	return st
 }
 
 // ObjectNames returns every live object name, sorted. The scrubber sweeps

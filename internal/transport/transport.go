@@ -2,7 +2,8 @@
 // only depends on store.Service; this package provides two interchangeable
 // ways to obtain one:
 //
-//   - in-process: use a *store.Server directly (it implements the interface)
+//   - in-process: use a *store.Server directly (a store.Handler behind
+//     store.Adapter, like every layer of the stack)
 //   - TCP: Serve exposes a store.Service on a listener, Dial returns a
 //     store.Service proxy that forwards every call as one length-prefixed
 //     binary frame (grammar, version rule and ownership of decoded bytes:
