@@ -126,13 +126,14 @@ bench-wire:
 # tree of each of the two engine shapes, every bucket sealed as dummies,
 # reporting its WriteBuckets calls (one each, a round each over the wire);
 # then one record or
-# one chunk of an ORAM engine's traversal over a loopback TCP connection, Or
-# and Ex, reporting the rounds and accesses it costs as counts beside ns/op:
+# one whole level of an ORAM engine's traversal over a loopback TCP connection,
+# Or and Ex, reporting the rounds and accesses it costs as counts beside ns/op:
 # of one set as an insertion steps it, single-attribute and union (rounds /
 # accesses a record: Or 2 / 1 and 3 / 1, the label cells included; Ex 2 / 2
-# and 3 / 4), and of a chunk of 64 records of a lattice level of w = 1, 3, 6
-# unions over their c = 2, 3, 4 covers (3 rounds a chunk; Or: 64w accesses,
-# Ex: 64·(2w + c)). Run like bench-cell.
+# and 3 / 4), and of a lattice level of w = 1, 3, 6 unions over their c = 2,
+# 3, 4 covers on 1024 records, 16 chunks of 64 whose rounds overlap (18 rounds
+# a level, ⌈n/64⌉ + 2, where a chunk alone took 3: 0.018 rounds a record, not
+# 0.047; Or: 1024w accesses, Ex: 1024·(2w + c)). Run like bench-cell.
 bench-oram:
 	$(GO) test -run '^$$' -bench 'PathAccess|Setup' -benchmem -benchtime $(BENCHTIME) ./internal/oram/
 	$(GO) test -run '^$$' -bench 'EngineStepLoopback|EngineLevelLoopback' -benchmem -benchtime $(BENCHTIME) ./internal/core/
@@ -198,10 +199,12 @@ trace-smoke:
 # four schedulable cores (GOMAXPROCS=1 hides interleavings; 4 exposes them):
 # the sort engine's set-level waves, the ORAM engines' level-at-a-time
 # traversal (whole-trace equality across worker counts, the closed form of a
-# level, a level wider than one group, a round lost in the middle of one), and
-# the ORAM pipeline's owed and begun handles, which pipelined records re-enter.
+# level, a level wider than one group, a round lost in the middle of one), the
+# ORAM pipeline's owed and begun handles, which pipelined records and chunks
+# re-enter, the per-call framing of set-ups, fills and mutations on pairs of
+# equal-leakage databases, and fresh labels counted across a chunk's records.
 parallel-race:
-	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|RunBatch|Batch|Level|FailedStep|Pipeline' ./internal/core/ ./internal/oram/ ./internal/store/ ./internal/transport/
+	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|RunBatch|Batch|Level|FailedStep|Pipeline|Framing|Fresh' ./internal/core/ ./internal/oram/ ./internal/store/ ./internal/transport/
 
 # Multi-tenant suite under the race detector: session registry admission,
 # namespace isolation, concurrent tenants under chaos faults, overload

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
-	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
@@ -51,7 +50,7 @@ func overLoopback(b *testing.B, rel *relation.Relation, fn func(r *loopbackRig))
 }
 
 // run times step over the relation's n ids, round and round — a record at a
-// time, or a chunk — then sends what the last one left owed, and reports the
+// time, or a whole level — then sends what the last one left owed, and reports the
 // rounds and ORAM accesses one call cost, per unit: counts, the same on every
 // run.
 func (r *loopbackRig) run(b *testing.B, name, unit string, n int, step func(id int) error) {
@@ -116,21 +115,24 @@ func BenchmarkEngineStepLoopback(b *testing.B) {
 			name string
 			lv   *level
 		}{{"Single", single}, {"Union", union}} {
-			r.run(b, c.name, "record", n, func(id int) error { return r.core.stepChunk(c.lv, []int64{int64(id)}, rel.Row(id)) })
+			r.run(b, c.name, "record", n, func(id int) error {
+				return r.core.stepChunks(c.lv, rel.Row(id), func(visit func([]int64) error) error { return visit([]int64{int64(id)}) })
+			})
 		}
 	})
 }
 
-// BenchmarkEngineLevelLoopback is one chunk of a whole lattice level — what
-// the oram-tcp and exoram-dynamic discoveries are made of: w two-attribute
-// sets over their c distinct covers (w = 1: c = 2; w = 3: the three pairs of
-// three attributes, c = 3; w = 6: the six pairs of four, c = 4) stepped over
-// obsort.ChunkCells records, r = 64. A chunk costs 3 rounds whatever w is: in
-// Or-ORAM the covers' label cells, the r·w fetches, the r·w write-backs with
-// the targets' label cells; in Ex-ORAM the r·c cover fetches, their
-// write-backs with the r·2w target fetches, the r·2w write-backs — where a
-// record at a time cost r + 2 and 2r + 1, and a set at a time 3r per set.
-// Accesses are r·w and r·(2w + c). Re-stepping a traversed chunk finds its
+// BenchmarkEngineLevelLoopback is one whole lattice level — what the oram-tcp
+// and exoram-dynamic discoveries are made of: w two-attribute sets over their
+// c distinct covers (w = 1: c = 2; w = 3: the three pairs of three
+// attributes, c = 3; w = 6: the six pairs of four, c = 4) stepped over n =
+// 1024 records, 16 chunks of r = 64. A level costs 16 + 2 = 18 rounds
+// whatever w is, a chunk's three stages overlapping its neighbours': in
+// steady state a round carries one chunk's write-backs (with Or-ORAM's label
+// cells), the next chunk's fetches (with Ex-ORAM's cover write-backs) and the
+// covers' reads for the chunk after — where a chunk alone cost 3 rounds, a
+// record at a time r + 2 and 2r + 1, and a set at a time 3r per set.
+// Accesses are n·w and n·(2w + c). Re-stepping a traversed level finds its
 // keys: the same accesses as a first visit, and the partitions are none the
 // worse.
 func BenchmarkEngineLevelLoopback(b *testing.B) {
@@ -151,16 +153,9 @@ func BenchmarkEngineLevelLoopback(b *testing.B) {
 		if _, err := r.eng.Materialize(reqs, 1); err != nil {
 			b.Fatal(err)
 		}
-		const chunks = n / obsort.ChunkCells
-		ids := make([][]int64, chunks)
-		for c := range ids {
-			for i := range obsort.ChunkCells {
-				ids[c] = append(ids[c], int64(c*obsort.ChunkCells+i))
-			}
-		}
 		for _, w := range []int{1, 3, 6} {
 			lv := r.levelOf(pairs[:w]...)
-			r.run(b, fmt.Sprintf("w=%d", w), "chunk", chunks, func(c int) error { return r.core.stepChunk(lv, ids[c], nil) })
+			r.run(b, fmt.Sprintf("w=%d", w), "level", 1, func(int) error { return r.core.stepChunks(lv, nil, r.core.eachChunk) })
 		}
 	})
 }

@@ -116,12 +116,12 @@ func (e *ExEngine) Delete(id int) error {
 		rm[i].st = e.sets[x]
 		accesses[i] = oram.Access{Store: rm[i].st.secondary, Key: idKey(id), Fn: rm[i].take}
 	}
-	err := e.pipe.Do(accesses...)
+	_, err := e.pipe.Do(accesses)
 	if err == nil {
 		for i := range rm {
 			accesses[i] = oram.Access{Store: rm[i].st.primary, Key: encodeUint64(rm[i].key), Fn: rm[i].decrement}
 		}
-		err = e.pipe.Do(accesses...)
+		_, err = e.pipe.Do(accesses)
 	}
 	// Flushed whatever happened: a refused second round leaves the first's
 	// write-backs owed, and they must not ride into the next operation's.

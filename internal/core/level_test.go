@@ -216,15 +216,19 @@ func allSingles(m int) []Request {
 // chunk of r records, and so does Ex-ORAM's ID ORAM of each target, and of
 // each cover however many of the targets name it; Or-ORAM's label array of a
 // target has its n cells written, of a cover its n cells read. A chunk of r
-// records is 3 rounds whatever w, c and r are, all of a chunk's reads before
+// records has 3 stages whatever w, c and r are, all of a chunk's reads before
 // its write-backs: at level 1 the columns' cells, the w fetches (2w in
 // Ex-ORAM), their write-backs; above it in Ex-ORAM the c cover fetches, their
 // write-backs with the 2w target fetches, the targets' write-backs, and in
 // Or-ORAM the covers' label cells, the w fetches, their write-backs with the
-// targets' label cells. And a level of one — core.CardinalityUnion — is,
-// call for call, the sequence of a set at a time with each phase taken for
-// the whole chunk: in Ex-ORAM [c₁ c₂] → [c₁ c₂] [P S] → [P S], in Or-ORAM a
-// chunk's cells of c₁ and c₂, [P] → [P] and the chunk's cells of S.
+// targets' label cells. A round carries chunk j − 2's last stage, chunk
+// j − 1's second and chunk j's first, so N chunks are N + 2 rounds: the first
+// reads cells alone, except for Ex-ORAM's covers, which it fetches. And a
+// level of one — core.CardinalityUnion — is, call for call, that pipeline of
+// the set-at-a-time sequence with each phase taken for a whole chunk: in
+// Ex-ORAM round j is [W P S of chunk j − 2, W c₁ c₂ of j − 1] [R P S of j − 1]
+// [R c₁ c₂ of j], in Or-ORAM [W P of j − 2] [R P of j − 1], the cells of S of
+// chunk j − 2 and those of c₁ and c₂ of chunk j.
 func TestLevelClosedForm(t *testing.T) {
 	const m, n = 4, 70 // two chunks: 64 + 6
 	rel := fixedWidthRel(m, n, 5, 3)
@@ -288,8 +292,8 @@ func TestLevelClosedForm(t *testing.T) {
 			if positional {
 				perTarget = 1
 			}
-			if r != int64(2*chunks) || fetches(paths) != perTarget*m*chunks {
-				t.Errorf("level 1: %d tree fetches in %d path rounds, want %d·w·⌈n/%d⌉ = %d in 2⌈n/%d⌉ = %d", fetches(paths), r, perTarget, obsort.ChunkCells, perTarget*m*chunks, obsort.ChunkCells, 2*chunks)
+			if r != int64(chunks+1) || fetches(paths) != perTarget*m*chunks {
+				t.Errorf("level 1: %d tree fetches in %d path rounds, want %d·w·⌈n/%d⌉ = %d in ⌈n/%d⌉ + 1 = %d", fetches(paths), r, perTarget, obsort.ChunkCells, perTarget*m*chunks, obsort.ChunkCells, chunks+1)
 			}
 			for a := 0; a < m; a++ {
 				labels := [2]int{chunks, chunks}
@@ -308,27 +312,27 @@ func TestLevelClosedForm(t *testing.T) {
 			if positional {
 				labelWrites = chunks
 			}
-			if columnCells != m*n || reads != int64(chunks) || writes != int64(labelWrites) {
-				t.Errorf("level 1: %d column cells read in %d rounds and %d rounds of label writes, want m·n = %d in ⌈n/%d⌉ = %d and %d",
-					columnCells, reads, writes, m*n, obsort.ChunkCells, chunks, labelWrites)
+			if columnCells != m*n || reads != 1 || writes != int64(labelWrites) {
+				t.Errorf("level 1: %d column cells read, %d rounds of nothing else and %d rounds of label writes, want m·n = %d, 1 and %d",
+					columnCells, reads, writes, m*n, labelWrites)
 			}
 
 			// Level 2: w = 6 over c = 4, each cover named by three targets.
 			pairs := allPairs(m)
 			r, reads, writes, paths, bucketsOf, cells, _ = measure(pairs)
 			groups := (len(pairs) + levelWidth - 1) / levelWidth
-			perChunk, wantFetches := 3, (2*len(pairs)+m)*chunks*groups
+			extraRounds, wantFetches := 2, (2*len(pairs)+m)*chunks*groups // the first round fetches covers
 			if positional {
-				perChunk, wantFetches = 2, len(pairs)*chunks
+				extraRounds, wantFetches = 1, len(pairs)*chunks // the first round reads cells alone
 			}
-			if want := perChunk * chunks * groups; r != int64(want) {
-				t.Errorf("level 2: %d path rounds, want %d⌈n/%d⌉·%d = %d", r, perChunk, obsort.ChunkCells, groups, want)
+			if want := (chunks + extraRounds) * groups; r != int64(want) {
+				t.Errorf("level 2: %d path rounds, want (⌈n/%d⌉ + %d)·%d = %d", r, obsort.ChunkCells, extraRounds, groups, want)
 			}
 			if groups == 1 && fetches(paths) != wantFetches {
 				t.Errorf("level 2: %d tree fetches, want %d", fetches(paths), wantFetches)
 			}
-			if positional && (reads != int64(chunks*groups) || writes != int64(chunks*groups)) {
-				t.Errorf("level 2: %d rounds of label reads and %d of label writes, want ⌈n/%d⌉·%d = %d each", reads, writes, obsort.ChunkCells, groups, chunks*groups)
+			if positional && (reads != int64(groups) || writes != int64(chunks*groups)) {
+				t.Errorf("level 2: %d rounds of label reads alone and %d of label writes, want %d and ⌈n/%d⌉·%d = %d", reads, writes, groups, obsort.ChunkCells, groups, chunks*groups)
 			}
 			for _, p := range pairs {
 				labels := [2]int{chunks, chunks}
@@ -354,34 +358,36 @@ func TestLevelClosedForm(t *testing.T) {
 			_, c1 := treeNames(core.sets[x1])
 			_, c2 := treeNames(core.sets[x2])
 			p, s := treeNames(core.sets[x1.Union(x2)])
-			type step struct {
-				op   trace.Op
-				objs []string
-			}
-			record := []step{{trace.OpReadTreeCell, []string{c1, c2}}, {trace.OpWriteTreeCell, []string{c1, c2}}, {trace.OpReadTreeCell, []string{p, s}}, {trace.OpWriteTreeCell, []string{p, s}}}
-			if positional {
-				record = []step{{trace.OpReadTreeCell, []string{p}}, {trace.OpWriteTreeCell, []string{p}}}
-			}
 			var wantSeq, gotSeq []string
-			cellRange := func(op trace.Op, obj string, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					wantSeq = append(wantSeq, fmt.Sprintf("%v %s %d", op, obj, i))
+			// stage appends what chunk k's op on objs shows, if k is a chunk:
+			// a tree call of roundBuckets buckets, or the chunk's cells.
+			stage := func(k int, op trace.Op, objs ...string) {
+				if k < 0 || k >= chunks {
+					return
+				}
+				lo, hi := k*obsort.ChunkCells, min((k+1)*obsort.ChunkCells, n)
+				for _, obj := range objs {
+					if op == trace.OpReadCell || op == trace.OpWriteCell {
+						for i := lo; i < hi; i++ {
+							wantSeq = append(wantSeq, fmt.Sprintf("%v %s %d", op, obj, i))
+						}
+						continue
+					}
+					wantSeq = append(wantSeq, fmt.Sprintf("%v %s ×%d", op, obj, roundBuckets(hi-lo, core.capacity)))
 				}
 			}
-			for lo := 0; lo < n; lo += obsort.ChunkCells {
-				hi := min(lo+obsort.ChunkCells, n)
+			for j := 0; j < chunks+2; j++ {
 				if positional {
-					cellRange(trace.OpReadCell, c1, lo, hi)
-					cellRange(trace.OpReadCell, c2, lo, hi)
+					stage(j-2, trace.OpWriteTreeCell, p)
+					stage(j-1, trace.OpReadTreeCell, p)
+					stage(j-2, trace.OpWriteCell, s)
+					stage(j, trace.OpReadCell, c1, c2)
+					continue
 				}
-				for _, st := range record {
-					for _, obj := range st.objs {
-						wantSeq = append(wantSeq, fmt.Sprintf("%v %s ×%d", st.op, obj, roundBuckets(hi-lo, core.capacity)))
-					}
-				}
-				if positional {
-					cellRange(trace.OpWriteCell, s, lo, hi)
-				}
+				stage(j-2, trace.OpWriteTreeCell, p, s)
+				stage(j-1, trace.OpWriteTreeCell, c1, c2)
+				stage(j-1, trace.OpReadTreeCell, p, s)
+				stage(j, trace.OpReadTreeCell, c1, c2)
 			}
 			var call trace.Event // the tree cell call being collected, run events of it
 			run := 0
@@ -406,7 +412,7 @@ func TestLevelClosedForm(t *testing.T) {
 			}
 			endCall()
 			if strings.Join(gotSeq, "\n") != strings.Join(wantSeq, "\n") {
-				t.Errorf("a level of one is not the set-at-a-time sequence taken a chunk at a time: %d tree calls and cell events, want %d; first eight\n got  %v\n want %v",
+				t.Errorf("a level of one is not the set-at-a-time sequence taken a chunk at a time, pipelined: %d tree calls and cell events, want %d; first eight\n got  %v\n want %v",
 					len(gotSeq), len(wantSeq), gotSeq[:min(8, len(gotSeq))], wantSeq[:8])
 			}
 		})

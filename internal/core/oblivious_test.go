@@ -548,8 +548,8 @@ func firstDifference(a, b []uint32) int {
 	return min(len(a), len(b))
 }
 
-// histogramRel builds a 24-row fixed-width relation in which C0 takes four
-// values with the given group sizes, C1 = C0 mod 2 and the last column is the
+// histogramRel builds a fixed-width relation of as many rows as the group
+// sizes add up to, in which C0 takes four values with those sizes, C1 = C0 mod 2 and the last column is the
 // row number, so the FD set is the same whatever the sizes are. With free,
 // there is a column between them that counts 0, 1, 2 through every C0 group —
 // tied to nothing, so level 2 holds all three pairs of C0, C1 and it.
@@ -786,6 +786,55 @@ func TestBatchFramingIgnoresDuplicates(t *testing.T) {
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("round %d differs:\n together %.300s\n apart    %.300s", i, a[i], b[i])
+				}
+			}
+		})
+	}
+}
+
+// TestFillFramingDataIndependent: a fill's chunks share rounds — one round
+// carries a chunk's write-backs, the next chunk's fetches and the reads of
+// the one after — and which ops travel together must follow from L(DB)
+// alone. For pairs of databases of equal Size(DB) and FD(DB), 256 records
+// (4 chunks a level) with very different value histograms, so that fresh
+// labels fall in different chunks, a full discovery on Or-ORAM and Ex-ORAM
+// sends the same calls, op for op: the same objects, cells and ciphertext
+// lengths in the same rounds (roundLog). The trace.Shape tests cannot see
+// which ops arrive together; this one can, so a fill that starts a chunk's
+// reads early only when the chunk before it drew no fresh label fails here.
+func TestFillFramingDataIndependent(t *testing.T) {
+	pairs := []leakagePair{
+		{name: "histograms", a: histogramRel([4]int{64, 64, 64, 64}, false), b: histogramRel([4]int{200, 1, 54, 1}, false)},
+		{name: "histograms, wide level", a: histogramRel([4]int{64, 64, 64, 64}, true), b: histogramRel([4]int{192, 1, 62, 1}, true)},
+		{name: "cardinalities", a: histogramRel([4]int{64, 64, 64, 64}, true), b: histogramRel([4]int{86, 85, 85, 0}, true)},
+	}
+	discover := func(t *testing.T, e func(testing.TB, *EncryptedDB) (Engine, *oramCore), rel *relation.Relation) []string {
+		log := newRoundLog(store.NewServer())
+		edb, err := Upload(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, _ := e(t, edb)
+		defer eng.Close()
+		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return log.rounds
+	}
+	for _, e := range oramEngines {
+		t.Run(e.name, func(t *testing.T) {
+			for _, p := range pairs {
+				if p.a.NumRows() < 4*obsort.ChunkCells || p.a.NumRows() != p.b.NumRows() {
+					t.Fatalf("%s: %d and %d records, want equal and at least 4 chunks", p.name, p.a.NumRows(), p.b.NumRows())
+				}
+				a, b := discover(t, e.make, p.a), discover(t, e.make, p.b)
+				if len(a) != len(b) {
+					t.Fatalf("%s: %d calls against %d", p.name, len(a), len(b))
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("%s: call %d differs:\n %.300s\n %.300s", p.name, i, a[i], b[i])
+					}
 				}
 			}
 		})

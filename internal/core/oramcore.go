@@ -64,10 +64,10 @@ type oramState struct {
 	labels    string     // O^IL: the name of Or-ORAM's label array
 	card      uint64     // |π_X|
 	nextLabel uint64     // ExEngine's monotone label source
-	// pending counts the fresh labels drawn by the chunk whose write-backs
-	// have not landed: the next fresh label is card + pending in OrEngine,
-	// nextLabel + pending in ExEngine, and stepChunk moves them all into card
-	// (and nextLabel) once the chunk's last round is on the server.
+	// pending counts the fresh labels drawn by the level being stepped: the
+	// next fresh label is card + pending in OrEngine, nextLabel + pending in
+	// ExEngine, and stepChunks moves them all into card (and nextLabel) once
+	// the level's last write-backs are on the server.
 	pending uint64
 	cover   [2]relation.AttrSet // the Property 1 subsets; zero for singletons
 	// val is where a step builds the value an access stores; a store copies
@@ -100,17 +100,18 @@ func (st *oramState) keyLabel(key, label uint64) []byte {
 func labelAD(name string, id int64) []byte { return fmt.Appendf(nil, "lab:%s:%d", name, id) }
 
 // levelWidth is the most sets of one lattice level the ORAM engines step
-// together. A chunk's round then holds at most r·(2·levelWidth + c) paths of
-// ≈ 2.5 KB (r ≤ obsort.ChunkCells records, c ≤ 2·levelWidth distinct covers),
+// together. A round then holds at most r·(2·levelWidth + c) paths of ≈ 2.5 KB
+// fetched and as many written back (r ≤ obsort.ChunkCells records, c ≤
+// 2·levelWidth distinct covers; the write-backs are the chunk before's),
 // which keeps what the client buffers per round independent of n and of
 // C(m, m/2); a wider level is cut into groups of this many, in request order.
 // The value is from the sweep in EXPERIMENTS.md ("ORAM rounds"), made when a
 // round held one record's 2w + c paths: a level's rounds fell as 1/width, and
 // at 16 a round's ≈ 50 paths already took five times the paper's LAN round
 // trip to transfer, so each further doubling bought under a tenth of the
-// level's time for twice the buffer. Since a chunk shares a round, a level's
-// rounds are 3 a chunk per group whatever the width, and the width only
-// bounds the round's size.
+// level's time for twice the buffer. Since a chunk shares a round and chunks
+// overlap, a level's rounds are ⌈n/r⌉ + 2 per group whatever the width, and
+// the width only bounds the round's size.
 const levelWidth = 16
 
 // levelAtATime is the ORAM engines' grouping: up to levelWidth targets of one
@@ -126,7 +127,7 @@ var levelAtATime = grouping{width: levelWidth}
 //
 // Where Algorithm 2 runs its loop over the records once per set, the engines
 // run it once per group of w sets of one lattice level, a chunk of r ≤
-// obsort.ChunkCells ids at a time (eachChunk, stepChunk): what sits at public
+// obsort.ChunkCells ids at a time (eachChunk, stepChunks): what sits at public
 // addresses — the columns' cells, Or-ORAM's label arrays — moves a chunk per
 // round, each of the c distinct covers the group names is read once a record,
 // however many targets name it, and a chunk's accesses to one tree are one
@@ -136,28 +137,29 @@ var levelAtATime = grouping{width: levelWidth}
 // records' functions run in record order on the client, so record i + 1 sees
 // what record i left and counts its fresh label (oramState.pending). Where
 // Algorithms 1, 2 and 4 read key_X's pair and then write it, a step makes one
-// read-modify-write access (oram.ORAM.Update). Per chunk, with P a target's
-// primary, S its secondary, c₁ … the covers', R a tree's fetch of the
-// chunk's r records' paths and W its write-back (one cell op each, the top
-// ⌈log₂ r⌉ levels read once: oram.Pipeline):
+// read-modify-write access (oram.ORAM.Update). A chunk has three stages, with
+// P a target's primary, S its secondary, c₁ … the covers', R a tree's fetch
+// of the chunk's r records' paths and W its write-back (one cell op each, the
+// top ⌈log₂ r⌉ levels read once: oram.Pipeline):
 //
-//	Or-ORAM   [cells of the columns | of c₁ … c_c]
-//	          → [R P₁, … P_w]
-//	          → [W P₁, … P_w] [cells of S₁, … S_w]
-//	Ex-ORAM   |X| = 1: [cells of the columns]
-//	          → [R P₁, R S₁, … P_w, S_w]
-//	          → [W P₁, W S₁, … P_w, S_w]
-//	          |X| ≥ 2: [R c₁, … c_c]
-//	          → [W c₁, … c_c] [R P₁, R S₁, … P_w, S_w]
-//	          → [W P₁, W S₁, … P_w, S_w]
+//	          read                      step                         write
+//	Or-ORAM   [cells of the columns     [R P₁, … P_w]                [W P₁, … P_w] [cells of S₁, … S_w]
+//	           | of c₁ … c_c]
+//	Ex-ORAM   |X| = 1: [cells of the    [R P₁, R S₁, … P_w, S_w]     [W P₁, W S₁, … P_w, S_w]
+//	           columns]
+//	          |X| ≥ 2: [R c₁, … c_c]    [W c₁, … c_c] [R P₁, R S₁,   [W P₁, W S₁, … P_w, S_w]
+//	                                     … P_w, S_w]
 //
-// 3 rounds a chunk, every one of them; r·w accesses for Or-ORAM, 2r·w or
-// r·(2w + c) for Ex-ORAM, and a round holds up to r·(2w + c) paths in
-// 2w + c tree ops. What w, c
-// and r are, and which structures stand where in a round, follows from the
-// request list — the lattice, a function of (m, FDs) — and n, and from nothing
-// fetched. A set's card_X moves when the round carrying its records'
-// write-backs lands (stepChunk).
+// and round j of a group carries chunk j − 2's write, chunk j − 1's step and
+// chunk j's read (levelStep): the owed write-backs first, then the fetches,
+// then the cells, so a level of N chunks takes N + 2 rounds a group, and a
+// chunk alone — an insertion's record — the 2 or 3 of its stages that send
+// anything. r·w accesses for Or-ORAM, 2r·w or r·(2w + c) for Ex-ORAM, per
+// chunk; a round holds up to r·(2w + c) paths fetched and as many written
+// back. What w, c and r are, and which structures stand where in a round,
+// follows from the request list — the lattice, a function of (m, FDs) — and
+// n, and from nothing fetched. A set's card_X moves when the round carrying
+// the level's last write-backs lands (stepChunks).
 type oramCore struct {
 	setTable[*oramState]
 	edb      *EncryptedDB
@@ -263,20 +265,24 @@ func (c *oramCore) destroy(st *oramState) error {
 }
 
 // level is a group of targets of one lattice level being stepped together:
-// the distinct covers they name, and one chunk's worth of scratch. The
+// the distinct covers they name, and the scratch of the chunks in flight. The
 // per-record buffers are obsort.ChunkCells wide, so what a fill holds is
-// independent of n: (c + w) labels and, at level 1, w keys per record.
+// independent of n: (c + w) labels and, at level 1, w keys per record, one
+// buffer of each for the chunks a round carries (levelStep).
 type level struct {
 	size      int // |X| of every target, the lattice level
 	targets   []target[*oramState]
 	covers    []*oramState       // the distinct covers the targets name, in order of first mention
 	coverSets []relation.AttrSet // the covers' names, for errors
 	at        [][2]int           // targets[i]'s covers are covers[at[i][0]] and covers[at[i][1]]
-	keys      [][]uint64         // key_X of each single-attribute target, per record of the chunk
-	labels    [][]uint64         // label_c of each cover, per record of the chunk
-	out       [][]uint64         // label_X the steps gave each target, per record of the chunk
-	rids      []string           // the chunk's records' ID keys
-	// Ex-ORAM's cover round: readers[k][rec] notes what the access to cover
+	keys      [][]uint64         // key_X of each single-attribute target, per record of the chunk read last
+	labels    [][]uint64         // label_c of each cover, per record of the chunk read last
+	out       [][]uint64         // label_X the steps gave each target, per record of the chunk stepped last
+	// read and stepped are the ids of the chunks in flight: the one whose
+	// public reads have landed, which the next round steps, and the one whose
+	// accesses were served, whose write-backs the next round carries.
+	read, stepped []int64
+	// Ex-ORAM's cover reads: readers[k][rec] notes what the access to cover
 	// k's ID ORAM for the chunk's record rec found in labels[k][rec] and
 	// found[k][rec] (oramCore.reader).
 	readers  [][]oram.UpdateFunc
@@ -292,7 +298,7 @@ func chunkRows[T any](buf [][]T, n int) [][]T {
 	return buf[:n]
 }
 
-// lay lays a group out in lv for stepChunk. It reuses what lv holds from an
+// lay lays a group out in lv for stepChunks. It reuses what lv holds from an
 // earlier group, which is how an insertion steps one group after another
 // without building a level for each.
 func (c *oramCore) lay(lv *level, group []target[*oramState]) *level {
@@ -340,20 +346,22 @@ func (c *oramCore) reader(lv *level, k, rec int) oram.UpdateFunc {
 	return lv.readers[k][rec]
 }
 
-// stepChunk runs the loop body of Algorithms 1, 2 and 4 for the records ids
-// on every target of the level — a fill's chunk with its group, an insertion's
-// one record with a group of the sets it steps: readChunk's round, levelStep's
-// one or two, and writeLabels' round, which carries the chunk's write-backs.
-// An insertion passes its row, which holds its single keys. Whatever happens,
-// the pipeline owes nothing after it, and only a chunk whose last round landed
-// moves card_X.
-func (c *oramCore) stepChunk(lv *level, ids []int64, row relation.Row) error {
-	err := c.readChunk(lv, ids, row)
-	if err == nil {
-		err = c.levelStep(lv, ids)
-	}
-	if err == nil {
-		err = c.writeLabels(lv, ids)
+// stepChunks runs the loop body of Algorithms 1, 2 and 4 for the records of
+// every chunk chunks visits, on every target of the level: a fill's chunks
+// with its group, or an insertion's one record with a group of the sets it
+// steps (an insertion passes its row, which holds its single keys). A chunk
+// has three stages, a round each: its public reads, its steps' accesses, its
+// write-backs. The chunks go through them as a software pipeline (levelStep):
+// one round carries one chunk's write-backs, the next chunk's accesses and
+// the reads of the one after, so N chunks take N + 2 rounds, and a single
+// chunk the 2 or 3 of its stages that send anything. Each object sees its own
+// ops in the order a chunk at a time would send them. Whatever happens, the
+// pipeline owes nothing after it, and card_X moves only once the level's last
+// write-back has landed.
+func (c *oramCore) stepChunks(lv *level, row relation.Row, chunks func(visit func(ids []int64) error) error) error {
+	err := chunks(func(ids []int64) error { return c.levelStep(lv, ids, row) })
+	for err == nil && len(lv.read)+len(lv.stepped) > 0 {
+		err = c.levelStep(lv, nil, row)
 	}
 	if err == nil {
 		for _, t := range lv.targets {
@@ -365,56 +373,114 @@ func (c *oramCore) stepChunk(lv *level, ids []int64, row relation.Row) error {
 			st.pending = 0
 		}
 	}
-	// Write-backs are still owed only when a call was refused before it was
-	// sent; flushing an empty pipeline sends nothing.
+	lv.read, lv.stepped = lv.read[:0], lv.stepped[:0]
+	// Write-backs are still owed only when a round was refused before it was
+	// sent or what it read failed a check; flushing an empty pipeline sends
+	// nothing.
 	if ferr := c.pipe.Flush(); ferr != nil {
 		err = errors.Join(err, ferr)
 	}
 	return err
 }
 
-// writeLabels sends the chunk's last round: the write-backs its records still
-// owe and, in Or-ORAM, the labels the chunk's steps gave its records,
-// to the targets' label arrays. Ex-ORAM's steps wrote theirs to O^IKL.
-func (c *oramCore) writeLabels(lv *level, ids []int64) error {
-	var ops []store.BatchOp
-	if c.layout.positional {
-		ops = make([]store.BatchOp, len(lv.targets))
+// levelStep sends one round of the pipeline and moves the chunks in flight down
+// a stage. The round carries the write-backs lv.stepped still owes and, in
+// Or-ORAM, the labels its steps gave its records, to the targets' label
+// arrays; the accesses of lv.read, whose keys its reads gave; and the public
+// reads of ids, the chunk entering — the cells of a group of single
+// attributes' columns, which give their keys, Or-ORAM covers' label cells, or
+// the accesses to Ex-ORAM covers' ID ORAMs, which hand over the records'
+// labels (Algorithm 2, lines 4–6). Which of these a round holds follows from
+// the chunk count and the group, and from nothing fetched.
+//
+// All of a chunk's accesses to a tree are one batch (oram.Pipeline), in record
+// order: the records' functions run in that order, so each sees what the
+// records before it left, and a fresh label drawn for one is counted by the
+// next (oramState.pending). A chunk's keys and cover labels are spent building
+// its accesses, and its targets' labels sealed into its label cells, before
+// the round that fills the same buffers for the next chunk is sent.
+func (c *oramCore) levelStep(lv *level, ids []int64, row relation.Row) error {
+	ops, err := c.labelCells(lv)
+	if err != nil {
+		return err
 	}
-	for i, t := range lv.targets[:len(ops)] {
-		slab := make([]byte, 0, len(ids)*(labelWidth+crypto.Overhead))
-		cts := make([][]byte, len(ids))
+	writes := len(ops)
+	c.stepAccesses(lv)
+	steps := len(lv.accesses)
+	ops = c.reads(lv, ids, row, ops)
+	answers, err := c.pipe.Do(lv.accesses, ops...)
+	if err != nil {
+		return c.roundError(lv, steps, err)
+	}
+	if err := c.takeReads(lv, ids, ops[writes:], answers[writes:]); err != nil {
+		return err
+	}
+	lv.stepped, lv.read = lv.read, append(lv.stepped[:0], ids...)
+	return nil
+}
+
+// labelCells seals, in Or-ORAM, the labels the steps of lv.stepped gave its
+// records into one write to each target's label array. Ex-ORAM's steps wrote
+// theirs to O^IKL.
+func (c *oramCore) labelCells(lv *level) ([]store.BatchOp, error) {
+	if !c.layout.positional || len(lv.stepped) == 0 {
+		return nil, nil
+	}
+	ops := make([]store.BatchOp, len(lv.targets))
+	for i, t := range lv.targets {
+		slab := make([]byte, 0, len(lv.stepped)*(labelWidth+crypto.Overhead))
+		cts := make([][]byte, len(lv.stepped))
 		var pt [labelWidth]byte
-		for rec, id := range ids {
+		for rec, id := range lv.stepped {
 			putLabel(pt[:], lv.out[i][rec])
 			off := len(slab)
 			var err error
 			if slab, err = c.edb.cipher.SealTo(slab, pt[:], labelAD(t.st.labels, id)); err != nil {
-				return err
+				return nil, err
 			}
 			cts[rec] = slab[off:len(slab):len(slab)]
 		}
-		ops[i] = store.BatchOp{Write: true, Name: t.st.labels, Idx: ids, Cts: cts}
+		ops[i] = store.BatchOp{Write: true, Name: t.st.labels, Idx: lv.stepped, Cts: cts}
 	}
-	if err := c.pipe.Flush(ops...); err != nil {
-		return fmt.Errorf("core: O^%s/O^%s write-back: %w", c.layout.primary, c.layout.secondary, err)
-	}
-	return nil
+	return ops, nil
 }
 
-// readChunk fetches in one round what the chunk's steps need from public
-// addresses: the cells of a group of single attributes' columns, which give
-// their keys, or Or-ORAM covers' label cells. An insertion's single keys come
-// from its row and need no round; Ex-ORAM's covers are ORAMs, which levelStep
-// reads.
-func (c *oramCore) readChunk(lv *level, ids []int64, row relation.Row) error {
-	var ops []store.BatchOp
+// stepAccesses lays in lv.accesses the steps of lv.read's records on every
+// target: a target's key is its single key or the pair of its covers' labels,
+// and a dead record's step is a dummy.
+func (c *oramCore) stepAccesses(lv *level) {
+	lv.accesses = lv.accesses[:0]
+	for rec, id := range lv.read {
+		rid, dead := idKey(int(id)), c.dead[int(id)]
+		for i, t := range lv.targets {
+			var key uint64
+			if lv.size == 1 {
+				key = lv.keys[i][rec]
+			} else {
+				key = unionKey(lv.labels[lv.at[i][0]][rec], lv.labels[lv.at[i][1]][rec])
+			}
+			primary, secondary := c.layout.step(t.st, rid, key, &lv.out[i][rec])
+			if dead { // a dummy step: the same accesses, each leaving what it finds
+				primary.Fn, secondary.Fn = leave, leave
+			}
+			lv.accesses = append(lv.accesses, primary)
+			if !c.layout.positional {
+				lv.accesses = append(lv.accesses, secondary)
+			}
+		}
+	}
+}
+
+// reads appends to ops the public reads of the chunk ids, and to lv.accesses
+// Ex-ORAM covers' accesses for it. An insertion's single keys come from its
+// row and need nothing sent.
+func (c *oramCore) reads(lv *level, ids []int64, row relation.Row, ops []store.BatchOp) []store.BatchOp {
 	switch {
+	case len(ids) == 0:
 	case lv.size == 1 && row != nil:
 		for i, t := range lv.targets {
 			lv.keys[i][0] = singleKey(c.edb.cipher, row[t.set.First()])
 		}
-		return nil
 	case lv.size == 1:
 		for _, t := range lv.targets {
 			ops = append(ops, store.BatchOp{Name: c.edb.columnName(t.set.First()), Idx: ids})
@@ -424,14 +490,28 @@ func (c *oramCore) readChunk(lv *level, ids []int64, row relation.Row) error {
 			ops = append(ops, store.BatchOp{Name: cv.labels, Idx: ids})
 		}
 	default:
-		return nil
+		for rec, id := range ids {
+			rid := idKey(int(id))
+			for k, cv := range lv.covers {
+				lv.accesses = append(lv.accesses, oram.Access{Store: cv.secondary, Key: rid, Fn: c.reader(lv, k, rec)})
+			}
+		}
 	}
-	res, err := store.DoBatch(c.edb.svc, ops)
-	if err == nil && len(res) != len(ops) {
-		err = fmt.Errorf("batch of %d reads answered with %d results", len(ops), len(res))
-	}
-	if err != nil {
-		return fmt.Errorf("core: reading %d records' cells: %w", len(ids), err)
+	return ops
+}
+
+// takeReads takes in what the round read for the chunk ids: the columns'
+// cells as keys, or the covers' labels, opened from Or-ORAM's label cells or
+// left by the readers of Ex-ORAM's ID ORAMs, which must know every live id.
+func (c *oramCore) takeReads(lv *level, ids []int64, ops []store.BatchOp, res [][][]byte) error {
+	if len(ids) > 0 && lv.size > 1 && !c.layout.positional {
+		for rec, id := range ids {
+			for k := range lv.covers {
+				if !lv.found[k][rec] && !c.dead[int(id)] { // no target has been touched for this chunk
+					return fmt.Errorf("%w: id %d missing from subset partition %v", ErrNotMaterialized, id, lv.coverSets[k])
+				}
+			}
+		}
 	}
 	for j, cts := range res {
 		if len(cts) != len(ids) {
@@ -463,72 +543,24 @@ func (c *oramCore) readChunk(lv *level, ids []int64, row relation.Row) error {
 	return nil
 }
 
-// levelStep sends the accesses of the chunk's records ids on every target of
-// the level, and is the one place they are sent from. In Ex-ORAM each
-// distinct cover's ID ORAM first hands over the records' labels (Algorithm 2,
-// lines 4–6) in one round, and the covers' write-backs travel with the
-// targets' own fetches; Or-ORAM's cover labels came with the chunk. A target's
-// key is its single key or the pair of its covers' labels. All of a chunk's
-// accesses to a tree are one batch (oram.Pipeline), in record order: the
-// records' functions run in that order, so each sees what the records before
-// it left, and a fresh label drawn for one is counted by the next
-// (oramState.pending). The targets' write-backs stay owed: they lead the
-// chunk's last round, and card_X moves when it lands.
-func (c *oramCore) levelStep(lv *level, ids []int64) error {
-	lv.rids = lv.rids[:0]
-	for _, id := range ids {
-		lv.rids = append(lv.rids, idKey(int(id)))
+// roundError names the structure a round's error arose in, when the pipeline
+// says which of the round's accesses it was: one of the first steps, which
+// step the targets, or one of the covers' reads after them.
+func (c *oramCore) roundError(lv *level, steps int, err error) error {
+	var at *oram.AccessError
+	if !errors.As(err, &at) {
+		return fmt.Errorf("core: O^%s/O^%s round of level %d: %w", c.layout.primary, c.layout.secondary, lv.size, err)
 	}
-	if !c.layout.positional && len(lv.covers) > 0 {
-		lv.accesses = lv.accesses[:0]
-		for rec, rid := range lv.rids {
-			for k, cv := range lv.covers {
-				lv.accesses = append(lv.accesses, oram.Access{Store: cv.secondary, Key: rid, Fn: c.reader(lv, k, rec)})
-			}
-		}
-		if err := c.pipe.Do(lv.accesses...); err != nil {
-			return inAccess(fmt.Errorf("core: O^%s read: %w", c.layout.secondary, err), func(i int) string {
-				return fmt.Sprintf("attribute set %v as cover of level %d", lv.coverSets[i%len(lv.covers)], lv.size)
-			})
-		}
-		for rec, id := range ids {
-			for k := range lv.covers {
-				if !lv.found[k][rec] && !c.dead[int(id)] { // no target has been touched for this chunk
-					return fmt.Errorf("%w: id %d missing from subset partition %v", ErrNotMaterialized, id, lv.coverSets[k])
-				}
-			}
-		}
+	if i := at.Index - steps; i >= 0 {
+		return describeSet(fmt.Errorf("core: O^%s read: %w", c.layout.secondary, err),
+			fmt.Sprintf("attribute set %v as cover of level %d", lv.coverSets[i%len(lv.covers)], lv.size))
 	}
-	lv.accesses = lv.accesses[:0]
-	for rec, rid := range lv.rids {
-		dead := c.dead[int(ids[rec])]
-		for i, t := range lv.targets {
-			var key uint64
-			if lv.size == 1 {
-				key = lv.keys[i][rec]
-			} else {
-				key = unionKey(lv.labels[lv.at[i][0]][rec], lv.labels[lv.at[i][1]][rec])
-			}
-			primary, secondary := c.layout.step(t.st, rid, key, &lv.out[i][rec])
-			if dead { // a dummy step: the same accesses, each leaving what it finds
-				primary.Fn, secondary.Fn = leave, leave
-			}
-			lv.accesses = append(lv.accesses, primary)
-			if !c.layout.positional {
-				lv.accesses = append(lv.accesses, secondary)
-			}
-		}
+	structures, perTarget := "O^"+c.layout.primary, 1
+	if !c.layout.positional {
+		structures, perTarget = structures+"/O^"+c.layout.secondary, 2
 	}
-	if err := c.pipe.Do(lv.accesses...); err != nil {
-		structures, perTarget := "O^"+c.layout.primary, 1
-		if !c.layout.positional {
-			structures, perTarget = structures+"/O^"+c.layout.secondary, 2
-		}
-		return inAccess(fmt.Errorf("core: %s step: %w", structures, err), func(i int) string {
-			return fmt.Sprintf("attribute set %v", lv.targets[i/perTarget%len(lv.targets)].set)
-		})
-	}
-	return nil
+	return describeSet(fmt.Errorf("core: %s step: %w", structures, err),
+		fmt.Sprintf("attribute set %v", lv.targets[at.Index/perTarget%len(lv.targets)].set))
 }
 
 // leave is a dummy step's function: it leaves the store as it finds it.
@@ -592,7 +624,7 @@ func (c *oramCore) fill(group []target[*oramState]) error {
 	if g, w := c.metrics.Gauge("oblivfd_level_width"), int64(len(group)); w > g.Value() {
 		g.Set(w)
 	}
-	return c.eachChunk(func(ids []int64) error { return c.stepChunk(lv, ids, nil) })
+	return c.stepChunks(lv, nil, c.eachChunk)
 }
 
 // groups cuts the materialized sets into the groups a fill takes them in:
@@ -621,7 +653,7 @@ func (c *oramCore) groups() ([][]target[*oramState], error) {
 
 // Insert appends row to the database and continues the traversal for it
 // across every materialized set (§IV-C(c)) on the fill's schedule: each group
-// is a chunk of one record through stepChunk, levels ascending, so Algorithm
+// is a chunk of one record through stepChunks, levels ascending, so Algorithm
 // 2's and 4's keys find the covers' fresh labels. The single keys come from
 // row, never from reading back the cells just written. An insertion is its
 // row's round, then 2 rounds for each group of single attributes and 3 for
@@ -644,9 +676,10 @@ func (c *oramCore) Insert(row relation.Row) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	lv, ids := new(level), []int64{int64(id)}
+	lv := new(level)
+	record := func(visit func(ids []int64) error) error { return visit([]int64{int64(id)}) }
 	for _, group := range groups {
-		if err := c.stepChunk(c.lay(lv, group), ids, row); err != nil {
+		if err := c.stepChunks(c.lay(lv, group), row, record); err != nil {
 			c.dead[id] = true
 			return 0, err
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
+	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/trace"
@@ -346,6 +347,42 @@ func TestEngineTraceGolden(t *testing.T) {
 	}
 	compareGolden(t, engineTraceGolden, got)
 	compareGolden(t, engineTraceOrderGolden, order)
+}
+
+// engineTraceChunkedGolden holds TestEngineTraceGolden's per-object lines for
+// a static discovery long enough that every level of the ORAM engines is
+// several chunks: 256 records, 4 chunks of obsort.ChunkCells. The scripted
+// run above fits one chunk a level, so it cannot tell how a fill's chunks
+// share rounds; these lines can tell what each object sees, and must not move
+// with that. They were written by commit 2a9f749, whose fills gave a chunk 3
+// rounds of its own.
+const engineTraceChunkedGolden = "engine-trace-chunked-golden.txt"
+
+// TestEngineTraceGoldenChunked: a discovery over 256 records on Or-ORAM and
+// Ex-ORAM shows each server object the event sequence of the golden file —
+// object by object, whichever of them share a round.
+func TestEngineTraceGoldenChunked(t *testing.T) {
+	rel := parallelTestRel(4 * obsort.ChunkCells)
+	var got []string
+	for _, e := range oramEngines {
+		srv := store.NewServer()
+		edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, _ := e.make(t, edb)
+		srv.Trace().Reset()
+		srv.Trace().Enable()
+		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, "# "+e.name)
+		got = append(got, structureDigests(srv.Trace().Events())...)
+	}
+	compareGolden(t, engineTraceChunkedGolden, got)
 }
 
 // TestParentCheckpointResumes: a checkpoint file and server directory per ORAM

@@ -174,7 +174,7 @@ func BenchmarkPathAccessBatch(b *testing.B) {
 				accesses[j].Fn = write
 			}
 		}
-		if err := p.Do(accesses...); err != nil {
+		if _, err := p.Do(accesses); err != nil {
 			b.Fatal(err)
 		}
 		sealed += int64(len(o.nodes)) // one seal per distinct bucket

@@ -761,7 +761,7 @@ func TestPathReadSizesConstant(t *testing.T) {
 		for j := range batch {
 			batch[j] = Access{Store: o, Key: fmt.Sprintf("k%d", (i+j)%25), Fn: func(old []byte, found bool) ([]byte, bool) { return val(8, 1), true }}
 		}
-		if err := p.Do(batch...); err != nil {
+		if _, err := p.Do(batch); err != nil {
 			t.Fatal(err)
 		}
 		tt := treetop(r, levels)
@@ -983,7 +983,7 @@ func stashHighWater(t *testing.T, r, n int, seed int64) (afterBatch, inBatch int
 				accesses[j].Fn = read
 			}
 		}
-		if err := p.Do(accesses...); err != nil {
+		if _, err := p.Do(accesses); err != nil {
 			t.Fatalf("r = %d, n = %d, seed %d, access %d: %v", r, n, seed, i, err)
 		}
 		afterBatch = max(afterBatch, len(o.stash))

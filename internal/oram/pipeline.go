@@ -19,24 +19,25 @@ type Access struct {
 // and the leaf is known before the fetch, so the fetches of a Do share one
 // round trip, and the write-backs share the next, along with the fetches of
 // whatever the caller does next — the next accesses to the same trees
-// included. Each tree a Do names is one cell read, its write-back one cell
-// write of the same positions (see ORAM.positions), in the order the Do first
-// names the trees:
+// included, and cell ops at public addresses the caller hands over beside
+// them. Each tree a Do names is one cell read, its write-back one cell write
+// of the same positions (see ORAM.positions), in the order the Do first names
+// the trees, and the caller's ops follow:
 //
-//	p.Do(a, b, a)   one round: ReadCells A (2 paths), ReadCells B (1 path)
-//	p.Do(c, b)      one round: WriteCells A, WriteCells B, ReadCells C, ReadCells B
-//	p.Flush()       one round: WriteCells C, WriteCells B
+//	p.Do([]Access{a, b, a})      one round: ReadCells A (2 paths), ReadCells B (1 path)
+//	p.Do([]Access{c, b}, x, y)   one round: WriteCells A, WriteCells B, ReadCells C, ReadCells B, x, y
+//	p.Flush(z)                   one round: WriteCells C, WriteCells B, z
 //
-// where A, B and C are the trees of a, b and c. The accesses of one Do to one
-// tree are a batch (Stefanov et al., "Path ORAM", CCS 2013; Sahin et al.,
-// "TaoStore", S&P 2016): the batch's first access to a live key fetches the
-// key's path, a repeat or a miss a fresh uniform leaf, so the server sees r
-// independent uniform leaves per tree per round whatever keys repeat; the
-// round reads the top ⌈log₂ r⌉ levels of the tree once and each path below
-// them, the client takes the round in, runs the functions in call order,
-// remaps each key it touched once, evicts into the round's buckets and owes
-// the write-back of the same positions, a bucket that r paths share sealed
-// once and written by each. A batch of one is a serial access, draw for draw.
+// where A, B and C are the trees of a, b and c, and x, y and z cell ops. The
+// accesses of one Do to one tree are a batch (Stefanov et al., "Path ORAM",
+// CCS 2013; Sahin et al., "TaoStore", S&P 2016): the batch's first access to
+// a live key fetches the key's path, a repeat or a miss a fresh uniform leaf,
+// so the server sees r independent uniform leaves per tree per round whatever
+// keys repeat; the round reads the top ⌈log₂ r⌉ levels of the tree once and
+// each path below them, the client takes the round in, runs the functions in
+// call order, remaps each key it touched once, evicts into the round's
+// buckets and owes the write-back of the same positions, a bucket that r
+// paths share sealed once and written by each. A batch of one is a serial access, draw for draw.
 // What a round holds is decided by the caller's sequence of Do and Flush,
 // never by anything fetched, and the ops of a round apply in the order given,
 // so a tree's write-back lands before its next fetch in the same round reads
@@ -55,7 +56,7 @@ type Pipeline struct {
 	owing []*ORAM         // the handles whose write-backs those are
 	begun []*ORAM         // the handles this Do's fetches are for, in order of first mention
 	index []int           // this Do's accesses' places in their handles' batches
-	ops   []store.BatchOp // the next round: the wrote write-backs, then fetches
+	ops   []store.BatchOp // the next round: the wrote write-backs, then fetches, then the caller's ops
 }
 
 // NewPipeline returns an empty pipeline over the service its stores live on.
@@ -74,22 +75,25 @@ type AccessError struct {
 func (e *AccessError) Error() string { return e.Err.Error() }
 func (e *AccessError) Unwrap() error { return e.Err }
 
-// Do runs one round — the write-backs still owed by earlier accesses and the
-// fetches of these — and then serves the accesses in the order given, so a
-// later one's function may use what an earlier one's found, or left, in the
-// same store or another. Their own write-backs wait for the next Do or Flush.
-// A store may be named any number of times; a store whose write-back this
-// pipeline still owes may be named too: its fetches follow the write-back in
-// the round, so these Fns see what the earlier accesses left.
+// Do runs one round — the write-backs still owed by earlier accesses, the
+// fetches of these, then extra — and then serves the accesses in the order
+// given, so a later one's function may use what an earlier one's found, or
+// left, in the same store or another. It returns extra's answers, in order
+// (nil for a write). The accesses' own write-backs wait for the next Do or
+// Flush. A store may be named any number of times; a store whose write-back
+// this pipeline still owes may be named too: its fetches follow the
+// write-back in the round, so these Fns see what the earlier accesses left.
+// extra names cells at public addresses, never a store's tree, and what it
+// answers is the caller's to check.
 //
 // A call that cannot be sent — a handle that is unusable or owes a write-back
 // to another pipeline or to a direct access, a key too wide — is refused
 // whole before any access begins: nothing has touched the wire, so the
 // pipeline is exactly as it was and what it owes can still be flushed.
-func (p *Pipeline) Do(accesses ...Access) error {
+func (p *Pipeline) Do(accesses []Access, extra ...store.BatchOp) ([][][]byte, error) {
 	for i, a := range accesses {
 		if err := a.Store.ready(a.Key, p); err != nil {
-			return &AccessError{i, err}
+			return nil, &AccessError{i, err}
 		}
 	}
 	p.index = p.index[:0]
@@ -100,30 +104,32 @@ func (p *Pipeline) Do(accesses ...Access) error {
 		}
 		k, err := o.begin(a.Key, p, i)
 		if err != nil { // ready said it could
-			return p.abandon(err)
+			return nil, p.abandon(err)
 		}
 		p.index = append(p.index, k)
 	}
 	for _, o := range p.begun {
 		p.ops = append(p.ops, store.BatchOp{Name: o.name, Idx: o.positions()})
 	}
-	fetched, err := p.round()
+	p.ops = append(p.ops, extra...)
+	res, err := p.round()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	fetched, answers := res[:len(p.begun)], res[len(p.begun):]
 	for j, o := range p.begun {
 		if at, err := o.absorb(fetched[j]); err != nil {
-			return p.abandon(&AccessError{at, err})
+			return nil, p.abandon(&AccessError{at, err})
 		}
 	}
 	for i, a := range accesses {
 		if err := a.Store.apply(p.index[i], a.Fn); err != nil {
-			return p.abandon(&AccessError{i, err})
+			return nil, p.abandon(&AccessError{i, err})
 		}
 	}
 	for _, o := range p.begun {
 		if err := o.finish(); err != nil {
-			return p.abandon(&AccessError{o.cur.ops[0].at, err})
+			return nil, p.abandon(&AccessError{o.cur.ops[0].at, err})
 		}
 	}
 	for _, o := range p.begun {
@@ -131,21 +137,20 @@ func (p *Pipeline) Do(accesses ...Access) error {
 		o.owe(p)
 	}
 	p.wrote, p.owing, p.begun = p.wrote+len(p.begun), append(p.owing, p.begun...), p.begun[:0]
-	return nil
+	return answers, nil
 }
 
 // Flush sends the write-backs still owed, and extra after them in the same
-// round. After it the stores are as a serial run of the same accesses leaves
-// them.
+// round: a Do of no accesses. After it the stores are as a serial run of the
+// same accesses leaves them.
 func (p *Pipeline) Flush(extra ...store.BatchOp) error {
-	p.ops = append(p.ops, extra...)
-	_, err := p.round()
+	_, err := p.Do(nil, extra...)
 	return err
 }
 
 // round sends p.ops as one batch, settles the write-backs it carried and
 // returns what the rest of the batch answered: each begun tree's fetched
-// round, in the order begun.
+// round, in the order begun, then the extra ops' answers.
 func (p *Pipeline) round() ([][][]byte, error) {
 	if len(p.ops) == 0 {
 		return nil, nil

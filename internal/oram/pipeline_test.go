@@ -205,13 +205,13 @@ func unionRecord(p *Pipeline, s [3]*ORAM, key string) (before []byte, err error)
 			return old, found
 		}
 	}
-	if err := p.Do(Access{Store: s[0], Key: key, Fn: read(0)}, Access{Store: s[1], Key: key, Fn: read(1)}); err != nil {
+	if _, err := p.Do([]Access{{Store: s[0], Key: key, Fn: read(0)}, {Store: s[1], Key: key, Fn: read(1)}}); err != nil {
 		return nil, err
 	}
-	err = p.Do(Access{Store: s[2], Key: joinKey(got), Fn: func(old []byte, found bool) ([]byte, bool) {
+	_, err = p.Do([]Access{{Store: s[2], Key: joinKey(got), Fn: func(old []byte, found bool) ([]byte, bool) {
 		before = append([]byte(nil), old...)
 		return []byte{1, 2, 3, byte(len(old))}, true
-	}})
+	}}})
 	return before, err
 }
 
@@ -356,11 +356,11 @@ func TestPipelineFailedRoundLeavesNoHalfAccess(t *testing.T) {
 	}
 	keep := func(old []byte, found bool) ([]byte, bool) { return old, found }
 	p := NewPipeline(svc)
-	if err := p.Do(Access{Store: o[0], Key: "k", Fn: keep}, Access{Store: o[1], Key: "k", Fn: keep}); err != nil {
+	if _, err := p.Do([]Access{{Store: o[0], Key: "k", Fn: keep}, {Store: o[1], Key: "k", Fn: keep}}); err != nil {
 		t.Fatal(err)
 	}
 	svc.armed = true
-	err := p.Do(Access{Store: o[2], Key: "k", Fn: keep}) // carries the write-backs of the first two
+	_, err := p.Do([]Access{{Store: o[2], Key: "k", Fn: keep}}) // carries the write-backs of the first two
 	if !errors.Is(err, errRoundLost) {
 		t.Fatalf("round with a failing batch: %v", err)
 	}
@@ -408,12 +408,12 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 	keep := func(old []byte, found bool) ([]byte, bool) { return old, found }
 	// o[4] owes its write-back to another pipeline.
 	other := NewPipeline(svc)
-	if err := other.Do(Access{Store: o[4], Key: "k", Fn: keep}); err != nil {
+	if _, err := other.Do([]Access{{Store: o[4], Key: "k", Fn: keep}}); err != nil {
 		t.Fatal(err)
 	}
 	// o[3] loses a write-back for good: the handle that "has already failed".
 	dead := NewPipeline(svc)
-	if err := dead.Do(Access{Store: o[3], Key: "k", Fn: keep}); err != nil {
+	if _, err := dead.Do([]Access{{Store: o[3], Key: "k", Fn: keep}}); err != nil {
 		t.Fatal(err)
 	}
 	svc.armed = true
@@ -424,7 +424,7 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 
 	rounds := store.WithRoundCounter(svc)
 	p := NewPipeline(rounds)
-	if err := p.Do(Access{Store: o[0], Key: "k", Fn: keep}); err != nil { // o[0] is served and owed a write-back
+	if _, err := p.Do([]Access{{Store: o[0], Key: "k", Fn: keep}}); err != nil { // o[0] is served and owed a write-back
 		t.Fatal(err)
 	}
 	sent := rounds.Rounds()
@@ -439,7 +439,7 @@ func TestPipelineRefusedDoPoisonsNothing(t *testing.T) {
 		{"over-wide key", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[2], Key: "123456789", Fn: keep}}, 1, "key too long"},
 		{"failed handle", []Access{{Store: o[1], Key: "k", Fn: keep}, {Store: o[3], Key: "k", Fn: keep}}, 1, "unusable"},
 	} {
-		err := p.Do(c.accesses...)
+		_, err := p.Do(c.accesses)
 		var ae *AccessError
 		if !errors.As(err, &ae) || ae.Index != c.at || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Do = %v, want a refusal of access %d saying %q", c.name, err, c.at, c.want)
@@ -519,6 +519,59 @@ func TestPipelineRetriedRoundIsInvisible(t *testing.T) {
 	}
 }
 
+// TestPipelineDoCarriesCellOps: cell ops handed to Do beside its accesses
+// ride in the same round, after the write-backs owed and the fetches, and Do
+// returns their answers in order — a read's cells, a write's nil. So a caller
+// can send one chunk's label cells, the next chunk's fetches and the reads of
+// the one after in one round trip.
+func TestPipelineDoCarriesCellOps(t *testing.T) {
+	r := newPipelineRig(t, func(s store.Service) store.Service { return s })
+	s := r.stores
+	if err := r.srv.CreateArray("cells", 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.srv.WriteCells("cells", []int64{0, 1}, [][]byte{{7}, {8}}); err != nil {
+		t.Fatal(err)
+	}
+	r.srv.Trace().Reset()
+	keep := func(old []byte, found bool) ([]byte, bool) { return old, found }
+	p := NewPipeline(r.rounds)
+	before := r.rounds.Rounds()
+	if _, err := p.Do([]Access{{Store: s[0], Key: "k", Fn: keep}}); err != nil {
+		t.Fatal(err)
+	}
+	answers, err := p.Do([]Access{{Store: s[1], Key: "k", Fn: keep}},
+		store.BatchOp{Write: true, Name: "cells", Idx: []int64{2}, Cts: [][]byte{{9}}},
+		store.BatchOp{Name: "cells", Idx: []int64{1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][][]byte{nil, {{8}, {7}}}; !reflect.DeepEqual(answers, want) {
+		t.Errorf("Do answered %v for its cell ops, want %v", answers, want)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.rounds.Rounds() - before; got != 3 {
+		t.Errorf("%d rounds, want 3", got)
+	}
+	var calls []string // the round's ops, one entry per run of events of one op on one object
+	for _, e := range r.srv.Trace().Events() {
+		c := fmt.Sprintf("%v %s", e.Op, e.Object)
+		if len(calls) == 0 || calls[len(calls)-1] != c {
+			calls = append(calls, c)
+		}
+	}
+	want := []string{
+		"ReadTreeCell s0",
+		"WriteTreeCell s0", "ReadTreeCell s1", "WriteCell cells", "ReadCell cells",
+		"WriteTreeCell s1",
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Errorf("server saw %v, want %v", calls, want)
+	}
+}
+
 // TestPipelineReentersBehindWriteBack: a store whose write-back the pipeline
 // still owes may be named again. Its fetch rides behind the write-back in one
 // round — one round fewer than a Flush between them — the second access sees
@@ -546,20 +599,20 @@ func TestPipelineReentersBehindWriteBack(t *testing.T) {
 
 		rig := newPipelineRig(t, asIs)
 		o, p, base := rig.stores[0], NewPipeline(rig.rounds), rig.rounds.Rounds()
-		if err := p.Do(Access{Store: o, Key: "k", Fn: count}); err != nil {
+		if _, err := p.Do([]Access{{Store: o, Key: "k", Fn: count}}); err != nil {
 			t.Fatal(err)
 		}
 		if o.owedTo != p {
 			t.Error("the write-back settled before it was sent")
 		}
 		var saw []byte
-		err := p.Do(Access{Store: o, Key: "k", Fn: func(old []byte, found bool) ([]byte, bool) {
+		_, err := p.Do([]Access{{Store: o, Key: "k", Fn: func(old []byte, found bool) ([]byte, bool) {
 			if o.owedTo != nil {
 				t.Error("the second access was served before the first's write-back landed")
 			}
 			saw = append([]byte(nil), old...)
 			return count(old, found)
-		}})
+		}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -582,14 +635,14 @@ func TestPipelineReentersBehindWriteBack(t *testing.T) {
 	t.Run("refused to anyone else", func(t *testing.T) {
 		rig := newPipelineRig(t, asIs)
 		o, p := rig.stores[0], NewPipeline(rig.rounds)
-		if err := p.Do(Access{Store: o, Key: "k", Fn: count}); err != nil {
+		if _, err := p.Do([]Access{{Store: o, Key: "k", Fn: count}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := o.Read("k"); err == nil || !strings.Contains(err.Error(), "in flight") {
 			t.Errorf("direct Read of an owed handle: %v, want a refusal saying it is in flight", err)
 		}
 		var ae *AccessError
-		if err := NewPipeline(rig.rounds).Do(Access{Store: o, Key: "k", Fn: count}); !errors.As(err, &ae) || !strings.Contains(err.Error(), "in flight") {
+		if _, err := NewPipeline(rig.rounds).Do([]Access{{Store: o, Key: "k", Fn: count}}); !errors.As(err, &ae) || !strings.Contains(err.Error(), "in flight") {
 			t.Errorf("Do from another pipeline on an owed handle: %v, want a refusal saying it is in flight", err)
 		}
 		if err := p.Flush(); err != nil {
@@ -613,11 +666,11 @@ func TestPipelineReentersBehindWriteBack(t *testing.T) {
 			}
 		}
 		p := NewPipeline(svc)
-		if err := p.Do(Access{Store: o[0], Key: "k", Fn: count}); err != nil {
+		if _, err := p.Do([]Access{{Store: o[0], Key: "k", Fn: count}}); err != nil {
 			t.Fatal(err)
 		}
 		svc.armed = true
-		err := p.Do(Access{Store: o[0], Key: "k", Fn: count}, Access{Store: o[1], Key: "k", Fn: count})
+		_, err := p.Do([]Access{{Store: o[0], Key: "k", Fn: count}, {Store: o[1], Key: "k", Fn: count}})
 		svc.armed = false
 		if !errors.Is(err, errRoundLost) {
 			t.Fatalf("combined round through a failing service: %v", err)
@@ -676,7 +729,7 @@ func batchModel(t *testing.T, o *ORAM, keys, steps, maxR int, seed int64) {
 				return v, true
 			}}
 		}
-		if err := p.Do(accesses...); err != nil {
+		if _, err := p.Do(accesses); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		if rng.Intn(3) == 0 { // otherwise the write-back rides with the next batch's fetches
@@ -764,7 +817,7 @@ func TestBatchEquivocationDetected(t *testing.T) {
 		batch[i] = Access{Store: o, Key: string(rune('a' + i)), Fn: keep}
 	}
 	p := NewPipeline(svc)
-	if err := p.Do(batch...); err != nil {
+	if _, err := p.Do(batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Flush(); err != nil {
@@ -772,7 +825,7 @@ func TestBatchEquivocationDetected(t *testing.T) {
 	}
 	svc.armed = true
 	for round := 0; round < 20 && !svc.fired; round++ {
-		if err = p.Do(batch...); err == nil {
+		if _, err = p.Do(batch); err == nil {
 			err = p.Flush()
 		}
 	}

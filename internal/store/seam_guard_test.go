@@ -80,12 +80,23 @@ func TestEveryKindHasItsRow(t *testing.T) {
 			t.Errorf("%v: mutates column and the two server records say %v, the WAL logs it: %v (%v)", k, want, logged, err)
 		}
 	}
-	// The service column and Invoke's switch agree on what a Service runs.
-	for k := Kind(0); k <= NumKinds; k++ {
-		err := Invoke(NewServer(), &Op{Kind: k}, &Result{})
-		refused := err != nil && strings.Contains(err.Error(), "is not a Service operation")
-		if refused == k.info().service {
-			t.Errorf("%v: service column says %v, Invoke answered %v", k, k.info().service, err)
+	// The service column and both dispatch switches agree on what a Service
+	// runs: the server's own Do, and Invoke's typed switch, which a service
+	// without Do — here the server with Do hidden — is driven through.
+	srv := NewServer()
+	for _, c := range []struct {
+		name string
+		svc  Service
+	}{{"the server's Do", srv}, {"Invoke's typed switch", struct {
+		Service
+		Batcher
+	}{srv, srv}}} {
+		for k := Kind(0); k <= NumKinds; k++ {
+			err := Invoke(c.svc, &Op{Kind: k}, &Result{})
+			refused := err != nil && strings.Contains(err.Error(), "is not a Service operation")
+			if refused == k.info().service {
+				t.Errorf("%v: service column says %v, %s answered %v", k, k.info().service, c.name, err)
+			}
 		}
 	}
 }
