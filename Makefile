@@ -89,8 +89,9 @@ bench:
 # (obsort compare-exchange block, a whole 4096-record sort with allocations
 # per comparator), the AEAD calls under it (seal into a reused buffer, a
 # 16-byte seal where the nonce draw shows, seal a block into one slab, open),
-# the server's per-cell checksum at a Sort run's size (32 records, 444 B) and
-# exoram-dynamic's widest bucket's (128 B), and what one whole B_X array
+# the server's per-cell checksum at a Sort run's two sizes (32 records, 412 B
+# before the labelling pass and 284 B after) and exoram-dynamic's widest
+# bucket's (128 B), and what one whole B_X array
 # costs the engine at n = 4096 when no union reads it and when one does,
 # reporting the rounds, comparators and ciphertext bytes it takes (1 : 2 in
 # networks — counts, not timings).
@@ -197,14 +198,16 @@ trace-smoke:
 
 # Serial-vs-parallel equivalence suite under the race detector, at one and
 # four schedulable cores (GOMAXPROCS=1 hides interleavings; 4 exposes them):
-# the sort engine's set-level waves, the ORAM engines' level-at-a-time
+# the sort engine's set-level waves, the bitonic network's workers sharing the
+# compare-exchange kernel (sorted output and the same calls and trace at every
+# worker count), the ORAM engines' level-at-a-time
 # traversal (whole-trace equality across worker counts, the closed form of a
 # level, a level wider than one group, a round lost in the middle of one), the
 # ORAM pipeline's owed and begun handles, which pipelined records and chunks
 # re-enter, the per-call framing of set-ups, fills and mutations on pairs of
 # equal-leakage databases, and fresh labels counted across a chunk's records.
 parallel-race:
-	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|RunBatch|Batch|Level|FailedStep|Pipeline|Framing|Fresh' ./internal/core/ ./internal/oram/ ./internal/store/ ./internal/transport/
+	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|RunBatch|Batch|Level|FailedStep|Pipeline|Framing|Fresh' ./internal/core/ ./internal/obsort/ ./internal/oram/ ./internal/store/ ./internal/transport/
 
 # Multi-tenant suite under the race detector: session registry admission,
 # namespace isolation, concurrent tenants under chaos faults, overload

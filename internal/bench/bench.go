@@ -40,7 +40,7 @@ var AllMethods = []Method{MethodOrORAM, MethodExORAM, MethodSort}
 
 // sortCoverNote ends the caption of every experiment that measures one Sort
 // partition (Fig. 4, 6a, 6b, comm).
-const sortCoverNote = "A Sort partition is the key sort and the labelling pass; a set that is read as a cover\npays one more network of the same cost, once, when its first union reads it.\n"
+const sortCoverNote = "A Sort partition is the key sort and the labelling pass; a set that is read as a cover\npays one more network, over its 8-byte (label, id) records, once, when its first union reads it.\n"
 
 // setup bundles one freshly outsourced database and its engine.
 type setup struct {

@@ -168,9 +168,11 @@ func BenchmarkEngineLevelLoopback(b *testing.B) {
 // 159 744 : 319 488 comparators, and 10 242 : 20 226 rounds (a network is
 // 9 984 of them; creation, the column read, the pass and the delete are 258).
 // bytes/partition is the ciphertext both ways, from store.WithMetrics'
-// counters: 9 175 552 : 18 041 344. A network moves 8 865 792 of them —
-// 78 stages × 128 runs of 444 bytes, read and written — and creation, the
-// pass and the column read the other 309 760.
+// counters: 8 507 904 : 14 178 816. The key network moves 8 226 816 of them —
+// 78 stages × 128 runs of 412 bytes, read and written — and creation, the
+// labelling pass (128 runs read at 412 bytes, written at 284) and the column
+// read the other 281 088; the by-ID network moves 128 runs of 284 bytes,
+// 5 670 912.
 func BenchmarkSortPartition(b *testing.B) {
 	const n = 4096
 	rounds := store.WithRoundCounter(store.NewServer())

@@ -42,8 +42,9 @@ type enclaveState struct {
 func (st *enclaveState) cardinality() int { return int(st.card) }
 
 // enclaveRec is one in-enclave record: (key-or-label, id), mirroring the
-// sorting protocol's sortRecWidth-byte records (an 8-byte key, a 4-byte id);
-// SecureMemoryBytes counts it at that width.
+// sorting protocol's records; SecureMemoryBytes counts a kept one at the
+// width the protocol keeps after its labelling pass, labelRecWidth (a 4-byte
+// label, a 4-byte id).
 type enclaveRec struct {
 	key uint64
 	id  uint64
@@ -202,7 +203,7 @@ func (e *EnclaveEngine) ClientMemoryBytes() int { return 0 }
 func (e *EnclaveEngine) SecureMemoryBytes() int {
 	total := e.rel.ByteSize()
 	for _, st := range e.sets {
-		total += 8*len(st.labels) + sortRecWidth*len(st.recs)
+		total += 8*len(st.labels) + labelRecWidth*len(st.recs)
 	}
 	return total
 }

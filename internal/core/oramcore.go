@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -93,11 +94,16 @@ func (st *oramState) keyLabel(key, label uint64) []byte {
 	return st.val[:keyWidth+labelWidth]
 }
 
-// labelAD binds label_X of record id to its cell of the label array name. A
-// cell is written once — by the fill that labels the record or by the
-// insertion that appends it — so, as with cellAD, binding the location
-// leaves the server no older ciphertext of the same cell to replay.
-func labelAD(name string, id int64) []byte { return fmt.Appendf(nil, "lab:%s:%d", name, id) }
+// appendLabelAD appends to dst the associated data "lab:<name>:<id>" that
+// binds label_X of record id to its cell of the label array name; callers
+// pass a buffer they reuse from cell to cell, as obsort's runAD does. A cell
+// is written once — by the fill that labels the record or by the insertion
+// that appends it — so, as with cellAD, binding the location leaves the
+// server no older ciphertext of the same cell to replay.
+func appendLabelAD(dst []byte, name string, id int64) []byte {
+	dst = append(append(append(dst, "lab:"...), name...), ':')
+	return strconv.AppendInt(dst, id, 10)
+}
 
 // levelWidth is the most sets of one lattice level the ORAM engines step
 // together. A round then holds at most r·(2·levelWidth + c) paths of ≈ 2.5 KB
@@ -427,6 +433,7 @@ func (c *oramCore) labelCells(lv *level) ([]store.BatchOp, error) {
 		return nil, nil
 	}
 	ops := make([]store.BatchOp, len(lv.targets))
+	var ad []byte
 	for i, t := range lv.targets {
 		slab := make([]byte, 0, len(lv.stepped)*(labelWidth+crypto.Overhead))
 		cts := make([][]byte, len(lv.stepped))
@@ -435,7 +442,8 @@ func (c *oramCore) labelCells(lv *level) ([]store.BatchOp, error) {
 			putLabel(pt[:], lv.out[i][rec])
 			off := len(slab)
 			var err error
-			if slab, err = c.edb.cipher.SealTo(slab, pt[:], labelAD(t.st.labels, id)); err != nil {
+			ad = appendLabelAD(ad[:0], t.st.labels, id)
+			if slab, err = c.edb.cipher.SealTo(slab, pt[:], ad); err != nil {
 				return nil, err
 			}
 			cts[rec] = slab[off:len(slab):len(slab)]
@@ -513,6 +521,7 @@ func (c *oramCore) takeReads(lv *level, ids []int64, ops []store.BatchOp, res []
 			}
 		}
 	}
+	var ad []byte
 	for j, cts := range res {
 		if len(cts) != len(ids) {
 			return fmt.Errorf("core: %q answered %d cells for %d records", ops[j].Name, len(cts), len(ids))
@@ -529,7 +538,8 @@ func (c *oramCore) takeReads(lv *level, ids []int64, ops []store.BatchOp, res []
 			continue
 		}
 		for rec, ct := range cts {
-			pt, err := c.edb.cipher.Open(ct, labelAD(ops[j].Name, ids[rec]))
+			ad = appendLabelAD(ad[:0], ops[j].Name, ids[rec])
+			pt, err := c.edb.cipher.Open(ct, ad)
 			if err == nil && len(pt) != labelWidth {
 				err = fmt.Errorf("%d-byte label", len(pt))
 			}

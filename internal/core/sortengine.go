@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -19,7 +18,8 @@ import (
 //     from the covering subsets' labels (|X|≥2, Property 1),
 //  2. ObliviousSort A by key_X,
 //  3. one sequential pass replaces each key with a dense label via the
-//     card_X counter (branchless, every cell rewritten) — |π_X| is known here,
+//     card_X counter (branchless, every cell rewritten) and re-seals every
+//     run at the label width, (label_X, r[ID]) — |π_X| is known here,
 //  4. ObliviousSort back by r[ID], the first time X is read as a Property 1
 //     cover and never otherwise: r[ID] order exists only so that B_X lines up
 //     positionally with the other cover's array, and a set that no union is
@@ -27,10 +27,11 @@ import (
 //     restoration").
 //
 // B_X lives on the server as sealed runs of obsort.RunRecords records, one
-// ciphertext each (DESIGN.md §11, "Sealed runs"). The method needs O(1)
-// client memory (one obsort.ChunkCells block, two runs, in flight per
-// worker), is static only, and parallelizes inside the bitonic network —
-// the workers parameter controls the degree (Fig. 6a).
+// ciphertext each, at the width of the phase (DESIGN.md §11, "Sealed runs"):
+// sortRecWidth bytes a record until the labelling pass, labelRecWidth after.
+// The method needs O(1) client memory (one obsort.ChunkCells block, two runs,
+// in flight per worker), is static only, and parallelizes inside the bitonic
+// network — the workers parameter controls the degree (Fig. 6a).
 type SortEngine struct {
 	setTable[*sortState]
 	edb      *EncryptedDB
@@ -68,9 +69,14 @@ func (st *sortState) cardinality() int { return int(st.card) }
 
 var sortEngines atomic.Int64
 
-// sortRecWidth is key/label (keyWidth, 8 bytes) followed by r[ID]
+// sortRecWidth is A's record: key_X (keyWidth, 8 bytes) followed by r[ID]
 // (labelWidth, 4 bytes). Both are big-endian, so byte order is numeric order.
 const sortRecWidth = keyWidth + labelWidth
+
+// labelRecWidth is B_X's record, as the labelling pass leaves it: label_X
+// followed by r[ID], labelWidth (4) bytes each, big-endian. A label is below
+// n, which NewSortEngine holds to at most maxLabel.
+const labelRecWidth = 2 * labelWidth
 
 // NewSortEngine builds a sorting engine over an uploaded database. It
 // refuses a relation of more than maxLabel rows: their ids would not fit
@@ -95,13 +101,11 @@ func NewSortEngine(edb *EncryptedDB, workers int) (*SortEngine, error) {
 // NumRows implements Engine.
 func (e *SortEngine) NumRows() int { return e.n }
 
-// lessByKey orders records by their leading keyWidth-byte key.
-func lessByKey(a, b []byte) bool { return bytes.Compare(a[:keyWidth], b[:keyWidth]) < 0 }
+// lessByKey orders A's records by their leading keyWidth-byte key.
+func lessByKey(a, b []byte) bool { return decodeUint64(a) < decodeUint64(b) }
 
-// lessByID orders records by their trailing labelWidth-byte r[ID].
-func lessByID(a, b []byte) bool {
-	return bytes.Compare(a[keyWidth:sortRecWidth], b[keyWidth:sortRecWidth]) < 0
-}
+// lessByID orders B_X's records by their trailing labelWidth-byte r[ID].
+func lessByID(a, b []byte) bool { return decodeLabel(a[labelWidth:]) < decodeLabel(b[labelWidth:]) }
 
 // materialize runs Algorithm 3's lines 1–8 on st.arr, which already holds
 // the (key_X, r[ID]) records; line 9 is restoreOrder's.
@@ -111,9 +115,12 @@ func (e *SortEngine) materialize(st *sortState) error {
 		return fmt.Errorf("core: sorting by key: %w", err)
 	}
 	// Lines 2–8: one oblivious pass assigns dense labels. The pass reads
-	// and rewrites every run whether or not a label in it changed.
+	// every run and re-seals it at the label width whether or not a label in
+	// it changed — the runs that hold only padding too, so the array has one
+	// layout from here on, for the by-ID network and every cover read.
 	var tmp, card uint64
-	err := st.arr.Scan(func(i int, rec []byte) ([]byte, error) {
+	out := make([]byte, labelRecWidth)
+	err := st.arr.Reseal(labelRecWidth, func(i int, rec []byte) ([]byte, error) {
 		key := decodeUint64(rec)
 		if i == 0 {
 			tmp = key
@@ -122,8 +129,9 @@ func (e *SortEngine) materialize(st *sortState) error {
 			card++
 			tmp = key
 		}
-		binary.BigEndian.PutUint64(rec, card)
-		return rec, nil
+		putLabel(out, card)
+		copy(out[labelWidth:], rec[keyWidth:sortRecWidth])
+		return out, nil
 	})
 	if err != nil {
 		return fmt.Errorf("core: labeling pass: %w", err)
@@ -234,8 +242,8 @@ func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sort
 				recs, base = r, i
 			}
 			r1, r2 := recs[0][i-base], recs[1][i-base]
-			binary.BigEndian.PutUint64(rec, unionKey(decodeUint64(r1), decodeUint64(r2)))
-			copy(rec[keyWidth:], r1[keyWidth:sortRecWidth]) // r[ID], identical in both inputs
+			binary.BigEndian.PutUint64(rec, unionKey(decodeLabel(r1), decodeLabel(r2)))
+			copy(rec[keyWidth:], r1[labelWidth:labelRecWidth]) // r[ID], identical in both inputs
 			return rec, nil
 		})
 	if err != nil {
@@ -248,11 +256,12 @@ func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sort
 
 // ClientMemoryBytes implements Engine. §VII-C reports a constant, and the
 // figure returned is that accounting: the encryption key and one in-flight
-// record pair. What a worker of this client really holds is one block, two
-// sealed runs of obsort.RunRecords × (sortRecWidth + 1) + crypto.Overhead
-// bytes of ciphertext, plus its scratch (the runs' indices and plaintexts,
-// one record for a swap, one associated-data string) — larger, but just as
-// independent of n.
+// record pair at the widest record in use, A's, behind a padding flag only
+// where the array holds padding. What a worker of this client really holds
+// is one block, two sealed runs of obsort.RunRecords records plus
+// crypto.Overhead bytes of ciphertext, plus its scratch (the runs' indices
+// and plaintexts, one record for a swap, one associated-data string) —
+// larger, but just as independent of n.
 func (e *SortEngine) ClientMemoryBytes() int {
-	return 16 /* AES key */ + 2*(sortRecWidth+1)
+	return 16 /* AES key */ + 2*obsort.RecordBytes(e.n, sortRecWidth)
 }

@@ -85,18 +85,29 @@ func TestSortEngineRowBound(t *testing.T) {
 
 // TestSortRunLayout pins the record layout at the engine. Every write to a
 // B_X array during a discovery is one sealed run of min(p, RunRecords)
-// records of sortRecWidth + 1 bytes (the padding flag), 444 bytes at p ≥ 32;
-// and lessByID orders ids across the whole of r[ID]'s 4 bytes, unsigned.
+// records, each behind a padding flag only if the array holds padding
+// (p > n): sortRecWidth-byte (key_X, r[ID]) records up to the labelling
+// pass, labelRecWidth-byte (label_X, r[ID]) records from its first write on —
+// 412 and 284 bytes at n = 64, 444 and 316 at n = 70. The key phase is the
+// upload and one network, every run written once each stage; the label phase
+// is the pass, which re-seals every run, the padding-only ones too (at n = 130
+// eight, where five hold records), and the by-ID network if a union reads the
+// set. lessByID orders ids across the whole of r[ID]'s 4 bytes, unsigned.
 func TestSortRunLayout(t *testing.T) {
-	for _, n := range []int{10, 70} {
+	for _, n := range []int{10, 64, 70, 130} {
 		p := 1
 		for p < n {
 			p <<= 1
 		}
-		want := min(p, obsort.RunRecords)*(sortRecWidth+1) + crypto.Overhead
-		if p >= obsort.RunRecords && want != 444 {
-			t.Fatalf("a run of %d records is %d bytes, want 444", obsort.RunRecords, want)
+		run, flag := min(p, obsort.RunRecords), 0
+		if p > n {
+			flag = 1
 		}
+		keyCt, labelCt := run*(sortRecWidth+flag)+crypto.Overhead, run*(labelRecWidth+flag)+crypto.Overhead
+		if n == 64 && (keyCt != 412 || labelCt != 284) || n == 70 && (keyCt != 444 || labelCt != 316) {
+			t.Fatalf("n = %d: runs of %d and %d bytes", n, keyCt, labelCt)
+		}
+		runs, stages := p/run, networkStages(p)
 		srv := store.NewServer()
 		rel := fixedWidthRel(3, n, 5, 3)
 		edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
@@ -112,32 +123,43 @@ func TestSortRunLayout(t *testing.T) {
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var writes, wrong int
+		writes := make(map[string][]int)
 		for _, e := range srv.Trace().Events() {
-			if e.Op != trace.OpWriteCell || !strings.HasSuffix(e.Object, ":B") {
-				continue
-			}
-			writes++
-			if e.Bytes != want {
-				if wrong == 0 {
-					t.Errorf("n = %d: a write to %s is %d bytes, want %d", n, e.Object, e.Bytes, want)
-				}
-				wrong++
+			if e.Op == trace.OpWriteCell && strings.HasSuffix(e.Object, ":B") {
+				writes[e.Object] = append(writes[e.Object], e.Bytes)
 			}
 		}
-		if writes == 0 {
+		if len(writes) == 0 {
 			t.Errorf("n = %d: no write to a B_X array seen", n)
 		}
-		if wrong > 0 {
-			t.Errorf("n = %d: %d of %d run writes have the wrong length", n, wrong, writes)
+		for name, lens := range writes {
+			key := runs + runs*stages // the upload and the key network
+			if len(lens) != key+runs && len(lens) != key+runs+runs*stages {
+				t.Errorf("n = %d: %s has %d run writes, want %d or, read as a cover, %d", n, name, len(lens), key+runs, key+runs+runs*stages)
+				continue
+			}
+			for i, l := range lens {
+				want := labelCt
+				if i < key {
+					want = keyCt
+				}
+				if l != want {
+					t.Errorf("n = %d: %s's run write %d of %d is %d bytes, want %d", n, name, i, len(lens), l, want)
+					break
+				}
+			}
+		}
+		if want := 16 + 2*(sortRecWidth+flag); eng.ClientMemoryBytes() != want {
+			t.Errorf("n = %d: ClientMemoryBytes = %d, want %d", n, eng.ClientMemoryBytes(), want)
 		}
 	}
 
 	ids := []uint64{0, 1 << 31, maxLabel - 1}
 	recs := make([][]byte, len(ids))
 	for i, id := range ids {
-		recs[i] = make([]byte, sortRecWidth)
-		putLabel(recs[i][keyWidth:], id)
+		recs[i] = make([]byte, labelRecWidth)
+		putLabel(recs[i], uint64(len(ids)-i)) // labels in the other order
+		putLabel(recs[i][labelWidth:], id)
 	}
 	for i := range recs {
 		for j := range recs {
@@ -169,14 +191,14 @@ func networkStages(p int) int {
 // arrays exist, which are covers and how often each is read all differ between
 // them, and all three are functions of (m, FDs). Counts are in sealed runs of
 // min(p, obsort.RunRecords) records: a network reads and writes every run
-// once a stage, and the scan and a child's read touch the runs that hold the
-// n records.
+// once a stage, the labelling pass reads and re-seals every run at the label
+// width, and a child's read touches the runs that hold the n records.
 func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 	rels := map[string]*relation.Relation{
 		"fd-structure": parallelTestRel(24),                // covers shared by two unions
 		"all-keys":     fixedWidthRel(3, 24, 101, 1000000), // pruned at level 1: no cover at all
 		"collisions":   fixedWidthRel(3, 24, 2, 2),         // nothing pruned: every set but the top is a cover
-		"four-runs":    fixedWidthRel(3, 70, 2, 2),         // p = 128: four runs, three of which hold records
+		"four-runs":    fixedWidthRel(3, 70, 2, 2),         // p = 128: four runs, three of which hold records; the pass re-seals all four
 	}
 	for name, rel := range rels {
 		for _, workers := range []int{1, 4} {
@@ -210,7 +232,7 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 				run := min(p, obsort.RunRecords)
 				runs, held := p/run, (n+run-1)/run      // the array's runs, and those holding the n records
 				network := 2 * runs * networkStages(p)  // a stage reads every run once and writes it once
-				labelled := 1 + runs + network + 2*held // CreateArray, runs uploaded, key sort, scan
+				labelled := 1 + runs + network + 2*runs // CreateArray, runs uploaded, key sort, labelling pass
 				covers, shared := 0, 0
 				for k, b := range spy.builds {
 					events := perArray[fmt.Sprintf("%s:%d:B", eng.instance, k+1)]
@@ -327,5 +349,55 @@ func TestFailedRestoreIsRerunWhole(t *testing.T) {
 	}
 	if !eng.sets[a].byID || !eng.sets[b].byID {
 		t.Error("covers not marked as ordered after a restore that succeeded")
+	}
+}
+
+// TestFailedLabellingPassLeavesNothing: a write that fails inside the
+// labelling pass, after its first chunk was re-sealed at the label width, so
+// with the array in two layouts, fails the set's build with the injected
+// error; the set is not cached, the server holds what it held before the
+// build, and building the set again returns the oracle's cardinality. At
+// n = 130 the pass writes four chunks, the last of them padding only.
+func TestFailedLabellingPassLeavesNothing(t *testing.T) {
+	const n = 130
+	rel := fixedWidthRel(3, n, 5, 3)
+	oracle := NewPlainEngine(rel)
+	want, err := CardinalitySingle(oracle, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelCt := obsort.RunRecords*(labelRecWidth+1) + crypto.Overhead
+	srv := store.NewServer()
+	svc := newFailNth(srv, func(op *store.Op) bool {
+		return op.Kind == store.KindWriteCells && strings.HasSuffix(op.Name, ":B") && len(op.Cts[0]) == labelCt
+	})
+	edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newSort(t, edb, 1)
+	defer eng.Close()
+	uploaded, _ := srv.Stats()
+
+	svc.arm(2)
+	if _, err := CardinalitySingle(eng, 0); !errors.Is(err, errInjected) {
+		t.Fatalf("a build whose labelling pass fails = %v, want the injected failure", err)
+	}
+	if !svc.fired() {
+		t.Fatal("the failure was not injected")
+	}
+	if _, ok := eng.Cardinality(relation.SingleAttr(0)); ok {
+		t.Error("the set whose labelling pass failed is cached")
+	}
+	if now, _ := srv.Stats(); now.Objects != uploaded.Objects || now.StoredBytes != uploaded.StoredBytes {
+		t.Errorf("the failed build left %d objects / %d bytes, want the upload's %d / %d",
+			now.Objects, now.StoredBytes, uploaded.Objects, uploaded.StoredBytes)
+	}
+	got, err := CardinalitySingle(eng, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("|π_0| after the retry = %d, want %d", got, want)
 	}
 }

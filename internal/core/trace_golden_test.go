@@ -109,7 +109,12 @@ import (
 // batches a set-up takes and which cells each carries is a function of the
 // group's size, the capacity and the widths, all public, so the lines move
 // with L-only quantities. The column, or#:N:IL and sort lines are byte for
-// byte what they were.
+// byte what they were. When the labelling pass began to re-seal B_X at the
+// label width, (label_X, r[ID]) in 8 bytes where (key_X, r[ID]) took 12, every
+// sort#:N:B line was regenerated, with the same event counts (67 and 35): a
+// run's length is a function of (n, phase), 32·9 + 28 = 316 bytes from the
+// pass on at the scripted run's 24 records. The column and ORAM lines are
+// byte for byte what they were.
 const engineTraceGolden = "engine-trace-golden.txt"
 
 // engineTraceOrderGolden holds what the per-object lines deliberately drop:
@@ -163,7 +168,10 @@ const engineTraceGolden = "engine-trace-golden.txt"
 // group's set-up is its batches of creates and dummy buckets written as tree
 // cells at the head of its fill (or: 959 → 1 169 events, ex: 1 806 →
 // 2 226). Both are functions of (m, FDs), the capacity and the widths —
-// L-only.
+// L-only. Its sort line was regenerated when the labelling pass began to
+// re-seal B_X at the label width (435 events, the calls and their order
+// unchanged): a run's length is a function of (n, phase). The or and ex
+// lines are byte for byte what they were.
 const engineTraceOrderGolden = "engine-trace-order-golden.txt"
 
 // instanceNumber is the per-process engine counter inside an object name. It

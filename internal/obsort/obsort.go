@@ -20,11 +20,15 @@
 // write (the in-process server keeps the slices it is handed, so a slab is
 // never written twice). Which runs are transferred, in which order, and what
 // is authenticated does not depend on any of this.
+//
+// A record is as wide as the phase needs: its payload, behind a padding flag
+// only in an array that holds padding (p > n), and Reseal changes the payload
+// width of every run at once (DESIGN.md §11, "Sealed runs"). A run's length
+// is therefore a function of (n, phase) alone.
 package obsort
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -43,11 +47,11 @@ type Less func(a, b []byte) bool
 // coalesce up to this many records — ChunkCells/RunRecords runs — per
 // ReadCells/WriteCells, so round-trip count scales with n/ChunkCells instead
 // of n while client memory stays O(1): a worker holds one block, two runs of
-// RunRecords × (recWidth + 1) + crypto.Overhead bytes of ciphertext, plus its
-// scratch (the block's run indices and plaintexts and one associated-data
-// string), whatever n is. The records a call carries are the
-// ones the one-at-a-time schedule touches — only the call framing and the
-// unit of sealing differ (DESIGN.md §11).
+// RunRecords × RecordBytes(n, width) + crypto.Overhead bytes of ciphertext,
+// plus its scratch (the block's run indices and plaintexts, one record for a
+// swap and one associated-data string), whatever n is. The records a call
+// carries are the ones the one-at-a-time schedule touches — only the call
+// framing and the unit of sealing differ (DESIGN.md §11).
 const ChunkCells = 64
 
 // RunRecords is how many records one ciphertext seals: half a block, so that
@@ -64,13 +68,12 @@ const blockPairs = ChunkCells / 2
 // indistinguishable from them on the server. The server holds p/run cells,
 // one sealed run each.
 type Array struct {
-	svc      store.Service
-	cipher   *crypto.Cipher
-	name     string
-	n        int // logical record count
-	p        int // padded length (power of two)
-	run      int // records per run: RunRecords, or p when p is smaller
-	recWidth int // payload width; a wire record is a flag byte, then the payload
+	svc    store.Service
+	cipher *crypto.Cipher
+	name   string
+	n      int // logical record count
+	p      int // padded length (power of two)
+	layout
 
 	comparisons atomic.Int64
 
@@ -80,6 +83,73 @@ type Array struct {
 	compCtr  *telemetry.Counter
 	stageCtr *telemetry.Counter
 }
+
+// layout is how records lie in a run's plaintext: run records of flag +
+// width bytes each, back to back. It is a function of the array's public
+// length and of the payload width its phase uses, never of the data.
+type layout struct {
+	run   int // records per run: RunRecords, or p when p is smaller
+	width int // payload bytes a record carries
+	// flag is 1 in an array that holds padding (p > n), whose records each
+	// lead with a byte that is 1 for padding and 0 for a real record, and 0
+	// in an array of n = p records, which carry the payload alone.
+	flag int
+}
+
+// stride is the plaintext length of one record.
+func (l layout) stride() int { return l.flag + l.width }
+
+// runBytes is the plaintext length of one run.
+func (l layout) runBytes() int { return l.run * l.stride() }
+
+// recordAt returns record k of the runs opened back to back into pt — its
+// flag byte, if the layout has one, then its payload — capped so that
+// appending to it cannot reach the next record.
+func (l layout) recordAt(pt []byte, k int) []byte {
+	s := l.stride()
+	return pt[k*s : (k+1)*s : (k+1)*s]
+}
+
+// put writes record rec (flag and payload, as recordAt returns it) from the
+// payload r, or as padding — flag 1, then zeros — when r is nil.
+func (l layout) put(rec, r []byte) {
+	if r == nil {
+		rec[0] = 1
+		clear(rec[1:])
+		return
+	}
+	if l.flag == 1 {
+		rec[0] = 0
+	}
+	copy(rec[l.flag:], r)
+}
+
+// isPadding reports whether rec, as recordAt returns it, is a padding record.
+func (l layout) isPadding(rec []byte) bool { return l.flag == 1 && rec[0] == 1 }
+
+// padded is the bitonic network's length for n records: the next power of
+// two.
+func padded(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// padFlag is the width of the padding flag in an array of n records: 1 if
+// the array holds padding, 0 if n is a power of two.
+func padFlag(n int) int {
+	if padded(n) > n {
+		return 1
+	}
+	return 0
+}
+
+// RecordBytes is the plaintext length of one record of width payload bytes in
+// an array of n records: the payload, behind a padding flag only when the
+// array holds padding.
+func RecordBytes(n, width int) int { return padFlag(n) + width }
 
 // SetTelemetry attaches (or, with nil, detaches) a metrics registry.
 func (a *Array) SetTelemetry(reg *telemetry.Registry) {
@@ -119,11 +189,9 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 	if width < 1 {
 		return nil, fmt.Errorf("obsort: record width %d < 1", width)
 	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	a := &Array{svc: svc, cipher: cipher, name: name, n: n, p: p, run: min(p, RunRecords), recWidth: width}
+	p := padded(n)
+	a := &Array{svc: svc, cipher: cipher, name: name, n: n, p: p,
+		layout: layout{run: min(p, RunRecords), width: width, flag: padFlag(n)}}
 	// The create rides with the first block's write; until it is sent there
 	// is nothing to abandon.
 	create := []store.BatchOp{store.CreateArrayOp(name, p/a.run)}
@@ -137,25 +205,22 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 	for lo := 0; lo < p; lo += ChunkCells {
 		hi := min(lo+ChunkCells, p)
 		sc.runs = a.appendRuns(sc.runs[:0], lo, hi)
-		pt := sc.pt[:len(sc.runs)*a.runBytes()]
+		rb := a.runBytes()
+		pt := sc.pt[:len(sc.runs)*rb]
 		for i := lo; i < hi; i++ {
-			rec := a.recordAt(pt, i-lo)
-			if i >= n { // padding: flag byte 1, then zeros
-				rec[0] = 1
-				clear(rec[1:])
-				continue
+			var r []byte
+			if i < n {
+				var err error
+				if r, err = next(i); err != nil {
+					return fail(err)
+				}
+				if len(r) != width {
+					return fail(fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), width))
+				}
 			}
-			r, err := next(i)
-			if err != nil {
-				return fail(err)
-			}
-			if len(r) != width {
-				return fail(fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), width))
-			}
-			rec[0] = 0
-			copy(rec[1:], r)
+			a.put(a.recordAt(pt, i-lo), r)
 		}
-		err := a.writeRuns(&sc.runAD, sc.runs, pt, create...)
+		err := a.writeRuns(&sc.runAD, rb, sc.runs, pt, create...)
 		create = nil
 		if err != nil {
 			return fail(err)
@@ -191,18 +256,19 @@ func GetRanges(arrays []*Array, lo, hi int) ([][][]byte, error) {
 	out := make([][][]byte, len(arrays))
 	for j, a := range arrays {
 		runs := ops[j].Idx
-		pt := make([]byte, len(runs)*a.runBytes())
+		rb := a.runBytes()
+		pt := make([]byte, len(runs)*rb)
 		ad := a.newRunAD()
-		if err := a.openRuns(&ad, pt, res[j], runs); err != nil {
+		if err := a.openRuns(&ad, rb, pt, res[j], runs); err != nil {
 			return nil, err
 		}
 		out[j] = make([][]byte, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			rec := a.recordAt(pt, i-int(runs[0])*a.run)
-			if rec[0] == 1 {
+			if a.isPadding(rec) {
 				return nil, fmt.Errorf("obsort: padding record inside logical range at %d", i)
 			}
-			out[j] = append(out[j], rec[1:])
+			out[j] = append(out[j], rec[a.flag:])
 		}
 	}
 	return out, nil
@@ -213,17 +279,6 @@ func (a *Array) Comparisons() int64 { return a.comparisons.Load() }
 
 // Destroy deletes the server-side array.
 func (a *Array) Destroy() error { return a.svc.Delete(a.name) }
-
-// runBytes is the plaintext length of one run.
-func (a *Array) runBytes() int { return a.run * (1 + a.recWidth) }
-
-// recordAt returns record k of the runs opened back to back into pt: its
-// flag byte, then its payload, capped so that appending to it cannot reach
-// the next record.
-func (a *Array) recordAt(pt []byte, k int) []byte {
-	w := 1 + a.recWidth
-	return pt[k*w : (k+1)*w : (k+1)*w]
-}
 
 // appendRuns appends the indices of the runs that hold records [lo, hi) to
 // dst, ascending.
@@ -263,42 +318,44 @@ func (ad *runAD) at(k int64) []byte {
 }
 
 // scratch is the client memory one worker reuses from block to block: the
-// runs of the call at hand, their plaintexts back to back, and the runs'
-// associated data. It is not safe for concurrent use.
+// runs of the call at hand, their plaintexts back to back, one record for a
+// swap, and the runs' associated data. It is not safe for concurrent use.
 type scratch struct {
 	runAD
 	runs []int64
 	pt   []byte
+	tmp  []byte
 }
 
 func (a *Array) newScratch() *scratch {
 	return &scratch{
 		runAD: a.newRunAD(),
 		runs:  make([]int64, 0, ChunkCells/RunRecords),
-		pt:    make([]byte, min(ChunkCells, a.p)*(1+a.recWidth)),
+		pt:    make([]byte, min(ChunkCells, a.p)*a.stride()),
+		tmp:   make([]byte, a.stride()),
 	}
 }
 
 // readRuns fetches the named runs in one call and opens them, back to back,
-// into pt.
-func (a *Array) readRuns(ad *runAD, runs []int64, pt []byte) error {
+// into pt, as runs of rb plaintext bytes.
+func (a *Array) readRuns(ad *runAD, rb int, runs []int64, pt []byte) error {
 	cts, err := a.svc.ReadCells(a.name, runs)
 	if err != nil {
 		return fmt.Errorf("obsort: %w", err)
 	}
-	return a.openRuns(ad, pt, cts, runs)
+	return a.openRuns(ad, rb, pt, cts, runs)
 }
 
 // openRuns authenticates cts[j] as run runs[j] and decrypts it into its slot
-// of pt. An answer that does not hold one ciphertext per run, a ciphertext
-// that does not open, or one that opens to anything but a whole run, fails
+// of rb bytes in pt. An answer that does not hold one ciphertext per run, a
+// ciphertext that does not open, or one that opens to anything but a whole run
+// of rb bytes — a run sealed at the other phase's width among them — fails
 // with store.ErrIntegrity: a slot left unopened would be re-sealed with
 // whatever it held.
-func (a *Array) openRuns(ad *runAD, pt []byte, cts [][]byte, runs []int64) error {
+func (a *Array) openRuns(ad *runAD, rb int, pt []byte, cts [][]byte, runs []int64) error {
 	if len(cts) != len(runs) {
 		return fmt.Errorf("obsort %q: %d ciphertexts for %d runs: %w", a.name, len(cts), len(runs), store.ErrIntegrity)
 	}
-	rb := a.runBytes()
 	for j, ct := range cts {
 		got, err := a.cipher.OpenTo(pt[j*rb:j*rb:(j+1)*rb], ct, ad.at(runs[j]))
 		if err != nil {
@@ -311,13 +368,12 @@ func (a *Array) openRuns(ad *runAD, pt []byte, cts [][]byte, runs []int64) error
 	return nil
 }
 
-// writeRuns seals the named runs' plaintexts, back to back in pt, each under
-// a fresh nonce, and writes them in one call, behind lead in one batch when
-// there is a lead (CreateStreamed's create). The ciphertexts share a slab
-// allocated for that call and never written afterwards, because the
-// in-process server retains the slices it is handed.
-func (a *Array) writeRuns(ad *runAD, runs []int64, pt []byte, lead ...store.BatchOp) error {
-	rb := a.runBytes()
+// writeRuns seals the named runs' plaintexts, rb bytes each back to back in
+// pt, each under a fresh nonce, and writes them in one call, behind lead in
+// one batch when there is a lead (CreateStreamed's create). The ciphertexts
+// share a slab allocated for that call and never written afterwards, because
+// the in-process server retains the slices it is handed.
+func (a *Array) writeRuns(ad *runAD, rb int, runs []int64, pt []byte, lead ...store.BatchOp) error {
 	slab := make([]byte, 0, len(runs)*(rb+crypto.Overhead))
 	cts := make([][]byte, len(runs))
 	for j, k := range runs {
@@ -442,76 +498,122 @@ func (a *Array) compareExchangeBlocks(sc *scratch, pairs [][2]int64, less Less) 
 // record at lo sorts before the one at hi. A block of the network holds the
 // records of two whole runs — at stride ≥ RunRecords it pairs run k with run
 // k + stride/RunRecords, below that its pairs stay inside runs 2m and 2m+1 —
-// or of the array's one run; every run it reads is re-sealed fresh regardless
-// of the comparison outcomes.
+// or of the array's one run (DESIGN.md §11: a sub-stage maps runs to runs).
+// So the block's runs are those of its lowest position, the first pair's
+// lower end, and of its highest, the last pair's upper end, and a record's
+// offset among them is computed from its position. Every run it reads is
+// re-sealed fresh regardless of the comparison outcomes.
 func (a *Array) compareExchangeBlock(sc *scratch, pairs [][2]int64, less Less) error {
-	sc.runs = sc.runs[:0]
-	for _, pr := range pairs {
-		for _, pos := range pr {
-			if k := pos / int64(a.run); !slices.Contains(sc.runs, k) {
-				sc.runs = append(sc.runs, k)
-			}
-		}
+	run := int64(a.run)
+	first, last := min(pairs[0][0], pairs[0][1])/run, max(pairs[len(pairs)-1][0], pairs[len(pairs)-1][1])/run
+	sc.runs = append(sc.runs[:0], first)
+	if last != first {
+		sc.runs = append(sc.runs, last)
 	}
-	slices.Sort(sc.runs)
-	pt := sc.pt[:len(sc.runs)*a.runBytes()]
-	if err := a.readRuns(&sc.runAD, sc.runs, pt); err != nil {
+	rb := a.runBytes()
+	pt := sc.pt[:len(sc.runs)*rb]
+	if err := a.readRuns(&sc.runAD, rb, sc.runs, pt); err != nil {
 		return err
 	}
+	s, f := int64(a.stride()), a.flag
+	firstPos, lastPos := first*run, last*run
 	for _, pr := range pairs {
-		r0, r1 := a.blockRecord(sc, pt, pr[0]), a.blockRecord(sc, pt, pr[1])
+		k0, k1 := slot(pr[0], firstPos, lastPos, run), slot(pr[1], firstPos, lastPos, run)
+		if k0 < 0 || k1 < 0 {
+			return fmt.Errorf("obsort: pair %v outside the block's runs %d and %d", pr, first, last)
+		}
+		r0, r1 := pt[k0*s:(k0+1)*s:(k0+1)*s], pt[k1*s:(k1+1)*s:(k1+1)*s]
 		// Padding sorts after every real record; two paddings are equal.
-		pad0, pad1 := r0[0] == 1, r1[0] == 1
-		if pad0 && !pad1 || !pad0 && !pad1 && less(r1[1:], r0[1:]) {
-			for i := range r0 {
-				r0[i], r1[i] = r1[i], r0[i]
-			}
+		pad0, pad1 := f == 1 && r0[0] == 1, f == 1 && r1[0] == 1
+		if pad0 && !pad1 || !pad0 && !pad1 && less(r1[f:], r0[f:]) {
+			copy(sc.tmp, r0)
+			copy(r0, r1)
+			copy(r1, sc.tmp)
 		}
 	}
 	a.comparisons.Add(int64(len(pairs)))
 	a.compCtr.Add(int64(len(pairs)))
-	return a.writeRuns(&sc.runAD, sc.runs, pt)
+	return a.writeRuns(&sc.runAD, rb, sc.runs, pt)
 }
 
-// blockRecord returns the record at position pos among the block's runs,
-// opened back to back into pt in the order of sc.runs.
-func (a *Array) blockRecord(sc *scratch, pt []byte, pos int64) []byte {
-	return a.recordAt(pt, slices.Index(sc.runs, pos/int64(a.run))*a.run+int(pos)%a.run)
+// slot is the index, among a block's runs opened back to back, of the record
+// at position pos: pos − firstPos in the run that starts at firstPos, run +
+// pos − lastPos in the one that starts at lastPos, and −1 outside both.
+func slot(pos, firstPos, lastPos, run int64) int64 {
+	switch {
+	case pos >= firstPos && pos < firstPos+run:
+		return pos - firstPos
+	case pos >= lastPos && pos < lastPos+run:
+		return run + pos - lastPos
+	}
+	return -1
 }
 
 // Scan performs a sequential oblivious pass over the logical records: every
 // record is read, handed to fn, and its run rewritten with a fresh ciphertext
-// whether or not fn changed it. Algorithm 3's labeling loop (lines 3–8) is
-// exactly such a pass. fn must return a record of the array's width; it may
-// change rec in place and return it, and must not keep rec after it returns.
-// Records move in ChunkCells-sized calls of whole runs: each chunk is one
-// read round and one write round.
+// whether or not fn changed it. fn must return a record of the array's width;
+// it may change rec in place and return it, and must not keep rec after it
+// returns. Records move in ChunkCells-sized calls of whole runs: each chunk is
+// one read round and one write round, ⌈n/ChunkCells⌉ chunks.
 func (a *Array) Scan(fn func(i int, rec []byte) ([]byte, error)) error {
+	return a.Reseal(a.width, fn)
+}
+
+// Reseal is Scan at a new payload width: fn is handed each record at the
+// array's width and returns one of width bytes (it may return rec itself when
+// the width is unchanged), and every run is re-sealed at the new width.
+// Algorithm 3's labelling loop (lines 3–8) is such a pass, from (key_X, r[ID])
+// to (label_X, r[ID]). A run holds a fixed number of records, so a pass that
+// changes the width also re-seals the runs that hold only padding, and no
+// array ever mixes layouts: it reads ⌈p/ChunkCells⌉ chunks where Scan reads
+// ⌈n/ChunkCells⌉, the same count when n is a power of two. Which chunks it
+// reads is a function of n and of whether the width changes. A pass that
+// fails part-way leaves the array in two layouts, fit only for Destroy.
+func (a *Array) Reseal(width int, fn func(i int, rec []byte) ([]byte, error)) error {
+	if width < 1 {
+		return fmt.Errorf("obsort: record width %d < 1", width)
+	}
+	from, to := a.layout, a.layout
+	to.width = width
+	end, out := a.n, []byte(nil)
+	if to != from {
+		end, out = a.p, make([]byte, min(ChunkCells, a.p)*to.stride())
+	}
 	sc := a.newScratch()
-	for lo := 0; lo < a.n; lo += ChunkCells {
-		hi := min(lo+ChunkCells, a.n)
-		sc.runs = a.appendRuns(sc.runs[:0], lo, hi)
-		pt := sc.pt[:len(sc.runs)*a.runBytes()]
-		if err := a.readRuns(&sc.runAD, sc.runs, pt); err != nil {
+	for lo := 0; lo < end; lo += ChunkCells {
+		sc.runs = a.appendRuns(sc.runs[:0], lo, min(lo+ChunkCells, end))
+		pt := sc.pt[:len(sc.runs)*from.runBytes()]
+		if err := a.readRuns(&sc.runAD, from.runBytes(), sc.runs, pt); err != nil {
 			return err
 		}
-		for i := lo; i < hi; i++ {
-			rec := a.recordAt(pt, i-lo)
-			if rec[0] == 1 {
+		next := pt
+		if out != nil {
+			next = out[:len(sc.runs)*to.runBytes()]
+		}
+		// Every record of the runs read, the padding in the last one too.
+		base := int(sc.runs[0]) * a.run
+		for k := range len(sc.runs) * a.run {
+			rec, i := from.recordAt(pt, k), base+k
+			if i >= a.n {
+				to.put(to.recordAt(next, k), nil)
+				continue
+			}
+			if from.isPadding(rec) {
 				return fmt.Errorf("obsort: padding record inside logical range at %d", i)
 			}
-			out, err := fn(i, rec[1:])
+			r, err := fn(i, rec[from.flag:])
 			if err != nil {
 				return err
 			}
-			if len(out) != a.recWidth {
-				return fmt.Errorf("obsort: Scan fn returned %d bytes, want %d", len(out), a.recWidth)
+			if len(r) != width {
+				return fmt.Errorf("obsort: the pass returned %d bytes for record %d, want %d", len(r), i, width)
 			}
-			copy(rec[1:], out)
+			to.put(to.recordAt(next, k), r)
 		}
-		if err := a.writeRuns(&sc.runAD, sc.runs, pt); err != nil {
+		if err := a.writeRuns(&sc.runAD, to.runBytes(), sc.runs, next); err != nil {
 			return err
 		}
 	}
+	a.layout = to
 	return nil
 }

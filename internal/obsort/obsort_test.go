@@ -55,12 +55,19 @@ func readAll(a *Array) ([][]byte, error) {
 	return recs[0], nil
 }
 
-func readU64s(t *testing.T, a *Array) []uint64 {
+// readAllT is readAll, failing t on an error.
+func readAllT(t *testing.T, a *Array) [][]byte {
 	t.Helper()
 	recs, err := readAll(a)
 	if err != nil {
 		t.Fatalf("readAll: %v", err)
 	}
+	return recs
+}
+
+func readU64s(t *testing.T, a *Array) []uint64 {
+	t.Helper()
+	recs := readAllT(t, a)
 	out := make([]uint64, len(recs))
 	for i, r := range recs {
 		out[i] = binary.BigEndian.Uint64(r)
@@ -368,8 +375,8 @@ func TestCreateStreamed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateStreamed: %v", err)
 	}
-	if a.n != 5 || a.p != 8 || a.recWidth != 8 {
-		t.Errorf("len=%d padded=%d width=%d", a.n, a.p, a.recWidth)
+	if a.n != 5 || a.p != 8 || a.width != 8 {
+		t.Errorf("len=%d padded=%d width=%d", a.n, a.p, a.width)
 	}
 	if err := a.Sort(u64less, 1); err != nil {
 		t.Fatal(err)
@@ -471,7 +478,7 @@ func TestDestroy(t *testing.T) {
 // through the same buffer.
 func TestRunADMatchesStoredFormat(t *testing.T) {
 	c := crypto.MustNewCipher(crypto.MustNewKey())
-	a := &Array{cipher: c, name: "sort3:12:B", run: 1, recWidth: 8}
+	a := &Array{cipher: c, name: "sort3:12:B", layout: layout{run: 1, width: 8, flag: 1}}
 	ad := a.newRunAD()
 	pt := make([]byte, a.runBytes())
 	for _, k := range []int64{1 << 31, 0, 9, 10, 1 << 31} {
@@ -483,13 +490,13 @@ func TestRunADMatchesStoredFormat(t *testing.T) {
 		if got := ad.at(k); !bytes.Equal(got, stored) {
 			t.Fatalf("at(%d) = %q, stored runs use %q", k, got, stored)
 		}
-		if err := a.openRuns(&ad, pt, [][]byte{ct}, []int64{k}); err != nil {
+		if err := a.openRuns(&ad, a.runBytes(), pt, [][]byte{ct}, []int64{k}); err != nil {
 			t.Fatalf("run %d sealed under the stored format does not open: %v", k, err)
 		}
 		if binary.BigEndian.Uint64(pt[1:]) != uint64(k) {
 			t.Errorf("run %d opened to %v", k, pt)
 		}
-		if err := a.openRuns(&ad, pt, [][]byte{ct}, []int64{k + 1}); !errors.Is(err, store.ErrIntegrity) {
+		if err := a.openRuns(&ad, a.runBytes(), pt, [][]byte{ct}, []int64{k + 1}); !errors.Is(err, store.ErrIntegrity) {
 			t.Errorf("run %d opened as run %d: err = %v, want ErrIntegrity", k, k+1, err)
 		}
 	}
@@ -568,24 +575,34 @@ func TestSortFramingIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestRunClosedForm pins what a sealed array costs as a function of (n, R):
-// p/run cells of run·(1+w) + crypto.Overhead bytes each, where run = min(p,
-// R); per network of k(k+1)/2 stages (p = 2^k) every run is read, opened,
-// sealed and written once a stage; and the rounds are the per-record
-// layout's, two per block of ChunkCells/2 comparators. At the Sort engine's
-// 12-byte records a record costs 13 + 28/32 = 13.875 bytes.
+// TestRunClosedForm pins what a sealed array costs as a function of n and
+// the phase: p/run cells of run·(w + f) + crypto.Overhead bytes each, where
+// run = min(p, R), f = 1 if the array holds padding (p > n) and 0 if not, and
+// w is the phase's payload width — the Sort engine's 12 bytes before its
+// labelling pass and 8 after. Per network of k(k+1)/2 stages (p = 2^k) every
+// run is read, opened, sealed and written once a stage, and the rounds are
+// the per-record layout's, two per block of ChunkCells/2 comparators. A pass
+// that changes the width reads every run at the old width and writes it at
+// the new one, in ⌈p/ChunkCells⌉ chunks of two rounds: at n = 130 that is
+// four chunks where the ⌈n/ChunkCells⌉ holding the records are three. At
+// n = 4096 a record costs 12 + 28/32 = 12.875 bytes before the pass and 8.875
+// after (13.875 while every record carried the flag).
 func TestRunClosedForm(t *testing.T) {
-	const w = 8
-	for _, n := range []int{1, 5, 24, 32, 33, 100, 4096} {
-		p := 1
-		for p < n {
-			p <<= 1
+	const wKey, wLabel = 12, 8
+	for _, n := range []int{1, 5, 24, 32, 33, 100, 130, 4096} {
+		p := padded(n)
+		f := 0
+		if p > n {
+			f = 1
 		}
 		k := bits.Len(uint(p)) - 1
 		stages := int64(k * (k + 1) / 2)
 		run := min(p, RunRecords)
 		runs := int64(p / run)
-		runCt := int64(run*(1+w) + crypto.Overhead)
+		keyCt, labelCt := int64(run*(wKey+f)+crypto.Overhead), int64(run*(wLabel+f)+crypto.Overhead)
+		if got := RecordBytes(n, wKey); got != wKey+f {
+			t.Errorf("n=%d: RecordBytes = %d, want %d", n, got, wKey+f)
+		}
 
 		srv := store.NewServer()
 		rc := store.WithRoundCounter(srv)
@@ -594,7 +611,9 @@ func TestRunClosedForm(t *testing.T) {
 		c.SetTelemetry(reg)
 		recs := make([][]byte, n)
 		for i := range recs {
-			recs[i] = u64rec(uint64(n - i))
+			recs[i] = make([]byte, wKey)
+			binary.BigEndian.PutUint64(recs[i], uint64(n-i))
+			binary.BigEndian.PutUint32(recs[i][8:], uint32(i))
 		}
 		a, err := Create(rc, c, "arr", recs)
 		if err != nil {
@@ -603,23 +622,53 @@ func TestRunClosedForm(t *testing.T) {
 		if got := srv.Trace().Count(trace.OpWriteCell); got != runs {
 			t.Errorf("n=%d: Create wrote %d ciphertexts, want %d", n, got, runs)
 		}
-		if got := srv.Trace().TotalBytes(); got != runs*runCt {
-			t.Errorf("n=%d: Create wrote %d bytes, want %d", n, got, runs*runCt)
+		if got := srv.Trace().TotalBytes(); got != runs*keyCt {
+			t.Errorf("n=%d: Create wrote %d bytes, want %d", n, got, runs*keyCt)
 		}
+		// One network at each width, with the width-changing pass between.
+		network := func(phase string, runCt int64, less Less) {
+			t.Helper()
+			srv.Trace().Reset()
+			rounds, opens := rc.Rounds(), reg.Counter("oblivfd_integrity_checks_total").Value()
+			if err := a.Sort(less, 1); err != nil {
+				t.Fatal(err)
+			}
+			opens = reg.Counter("oblivfd_integrity_checks_total").Value() - opens
+			if r, wr := srv.Trace().Count(trace.OpReadCell), srv.Trace().Count(trace.OpWriteCell); r != runs*stages || wr != runs*stages || opens != runs*stages {
+				t.Errorf("n=%d, %s: one network read %d runs, opened %d and sealed %d, want %d·%d = %d each", n, phase, r, opens, wr, runs, stages, runs*stages)
+			}
+			if got, want := srv.Trace().TotalBytes(), 2*runs*stages*runCt; got != want {
+				t.Errorf("n=%d, %s: one network moved %d bytes, want %d", n, phase, got, want)
+			}
+			if got, want := rc.Rounds()-rounds, 2*stages*int64((p/2+blockPairs-1)/blockPairs); got != want {
+				t.Errorf("n=%d, %s: one network took %d rounds, want %d", n, phase, got, want)
+			}
+		}
+		network("key", keyCt, func(x, y []byte) bool { return bytes.Compare(x[:8], y[:8]) < 0 })
+
 		srv.Trace().Reset()
 		rounds := rc.Rounds()
-		if err := a.Sort(u64less, 1); err != nil {
+		err = a.Reseal(wLabel, func(i int, rec []byte) ([]byte, error) {
+			return append(binary.BigEndian.AppendUint32(nil, uint32(n-i)), rec[8:]...), nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		opens := reg.Counter("oblivfd_integrity_checks_total").Value()
-		if r, wr := srv.Trace().Count(trace.OpReadCell), srv.Trace().Count(trace.OpWriteCell); r != runs*stages || wr != runs*stages || opens != runs*stages {
-			t.Errorf("n=%d: one network read %d runs, opened %d and sealed %d, want %d·%d = %d each", n, r, opens, wr, runs, stages, runs*stages)
+		if r, wr := srv.Trace().Count(trace.OpReadCell), srv.Trace().Count(trace.OpWriteCell); r != runs || wr != runs {
+			t.Errorf("n=%d: the pass read %d runs and wrote %d, want all %d each", n, r, wr, runs)
 		}
-		if got, want := srv.Trace().TotalBytes(), 2*runs*stages*runCt; got != want {
-			t.Errorf("n=%d: one network moved %d bytes, want %d", n, got, want)
+		if got, want := srv.Trace().TotalBytes(), runs*(keyCt+labelCt); got != want {
+			t.Errorf("n=%d: the pass moved %d bytes, want %d", n, got, want)
 		}
-		if got, want := rc.Rounds()-rounds, 2*stages*int64((p/2+blockPairs-1)/blockPairs); got != want {
-			t.Errorf("n=%d: one network took %d rounds, want %d", n, got, want)
+		if got, want := rc.Rounds()-rounds, 2*int64((p+ChunkCells-1)/ChunkCells); got != want {
+			t.Errorf("n=%d: the pass took %d rounds, want %d", n, got, want)
+		}
+
+		network("label", labelCt, func(x, y []byte) bool { return bytes.Compare(x[4:8], y[4:8]) < 0 })
+		for i, r := range readAllT(t, a) {
+			if len(r) != wLabel || binary.BigEndian.Uint32(r[4:]) != uint32(i) {
+				t.Fatalf("n=%d: record %d after the pass and the by-id sort is %x", n, i, r)
+			}
 		}
 	}
 }
@@ -703,5 +752,78 @@ func TestRunIntegrity(t *testing.T) {
 	})
 	if err := a.Sort(u64less, 1); !errors.Is(err, store.ErrIntegrity) {
 		t.Errorf("a short answer: err = %v, want ErrIntegrity", err)
+	}
+
+	// A ciphertext of the other phase, replayed at its own run index, opens
+	// under the run's associated data and fails the run-length check: a run
+	// sealed at the key width read after the width-changing pass, and a run
+	// sealed at the label width read before it (the array rebuilt under the
+	// same name and key), on each path that reads runs in that phase.
+	lessKey := func(x, y []byte) bool { return bytes.Compare(x[:8], y[:8]) < 0 }
+	lessID := func(x, y []byte) bool { return bytes.Compare(x[4:], y[4:]) < 0 }
+	narrow := func(a *Array) error {
+		return a.Reseal(8, func(i int, rec []byte) ([]byte, error) { return rec[4:], nil })
+	}
+	for _, n := range []int{100, 128} { // with padding and without
+		srv := store.NewServer()
+		cipher := crypto.MustNewCipher(crypto.MustNewKey())
+		build := func() *Array {
+			recs := make([][]byte, n)
+			for i := range recs {
+				recs[i] = binary.BigEndian.AppendUint32(u64rec(uint64(n-i)), uint32(i))
+			}
+			a, err := Create(srv, cipher, "arr", recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		runs := func(a *Array) [][]byte {
+			cts, err := srv.ReadCells("arr", a.appendRuns(nil, 0, a.p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cts
+		}
+		replay := func(ct []byte) {
+			if err := srv.WriteCells("arr", []int64{0}, [][]byte{ct}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a := build()
+		keyPhase := runs(a)[0]
+		if err := narrow(a); err != nil {
+			t.Fatal(err)
+		}
+		labelPhase := runs(a)[0]
+		for _, path := range []struct {
+			name  string
+			after bool
+			read  func(a *Array) error
+		}{
+			{"after the pass/by-id network", true, func(a *Array) error { return a.Sort(lessID, 1) }},
+			{"after the pass/range", true, func(a *Array) error { _, err := readAll(a); return err }},
+			{"before the pass/key network", false, func(a *Array) error { return a.Sort(lessKey, 1) }},
+			{"before the pass/the pass", false, narrow},
+			{"before the pass/range", false, func(a *Array) error { _, err := readAll(a); return err }},
+		} {
+			t.Run(fmt.Sprintf("other phase/n=%d/%s", n, path.name), func(t *testing.T) {
+				if err := a.Destroy(); err != nil {
+					t.Fatal(err)
+				}
+				a = build()
+				if path.after {
+					if err := narrow(a); err != nil {
+						t.Fatal(err)
+					}
+					replay(keyPhase)
+				} else {
+					replay(labelPhase)
+				}
+				if err := path.read(a); !errors.Is(err, store.ErrIntegrity) {
+					t.Errorf("err = %v, want ErrIntegrity", err)
+				}
+			})
+		}
 	}
 }
