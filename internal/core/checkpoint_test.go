@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -268,6 +269,94 @@ func TestDiscoverResumeMatchesFullRun(t *testing.T) {
 				t.Errorf("crash %d: |π_%v| = %d, want %d", crashAt, x, got.Cardinalities[x], card)
 			}
 		}
+	}
+}
+
+// crashAfterLevel1 runs an Or-ORAM discovery of rel with opts until its first
+// checkpoint — the singletons built — and returns the checkpoint and a fresh
+// engine resumed from it on the same server.
+func crashAfterLevel1(t *testing.T, rel *relation.Relation, opts Options) (*Checkpoint, Engine) {
+	t.Helper()
+	svc := store.NewServer()
+	edb := ckptUpload(t, svc, rel)
+	eng := NewOrEngine(edb)
+	var cp *Checkpoint
+	opts.Checkpoint = func(ls *LatticeState) error {
+		epoch := int64(ls.NextLevel)
+		if err := svc.Checkpoint(epoch); err != nil {
+			return err
+		}
+		cp = &Checkpoint{Epoch: epoch, EDB: edb.State(), Engine: eng.CheckpointState(), Lattice: ls}
+		return errSimulatedCrash
+	}
+	if _, err := Discover(eng, rel.NumAttrs(), &opts); !errors.Is(err, errSimulatedCrash) {
+		t.Fatalf("Discover err = %v, want simulated crash", err)
+	}
+	if cp.Lattice.NextLevel != 1 {
+		t.Fatalf("first checkpoint at level %d, want 1", cp.Lattice.NextLevel)
+	}
+	edb2, err := AttachEDB(svc, cp.EDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng2, err := ResumeEngine(edb2, cp.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp, eng2
+}
+
+// TestResumeLeavesOptionsAlone: a resumed run takes MaxLHS and KeepPartitions
+// from the state and writes neither into the caller's Options.
+func TestResumeLeavesOptionsAlone(t *testing.T) {
+	rel := ckptRelation(t)
+	want, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), &Options{MaxLHS: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, eng := crashAfterLevel1(t, rel, Options{MaxLHS: 2, KeepPartitions: true})
+	opts := &Options{Resume: cp.Lattice}
+	got, err := Discover(eng, rel.NumAttrs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !relation.FDSetEqual(got.Minimal, want.Minimal) {
+		t.Errorf("resumed FDs = %v, want the MaxLHS = 2 run's %v", got.Minimal, want.Minimal)
+	}
+	if opts.MaxLHS != 0 || opts.KeepPartitions {
+		t.Errorf("after the resumed run the caller's Options read MaxLHS %d, KeepPartitions %t; it passed 0, false",
+			opts.MaxLHS, opts.KeepPartitions)
+	}
+}
+
+// TestResumeRefusesUnbackedCardinality: a checkpoint whose CRC holds but whose
+// Cardinalities lack or misstate a frontier set's |π_X| would have the
+// resumed run decide on a number no partition backs — here {A,C}→B, {A,C}→D
+// and {A,D}→B instead of A→B and {A,C}→D, with no error. It is refused.
+func TestResumeRefusesUnbackedCardinality(t *testing.T) {
+	rel := ckptRelation(t)
+	a := relation.SingleAttr(0)
+	for name, edit := range map[string]func([]SetCard) []SetCard{
+		"dropped": func(cs []SetCard) []SetCard {
+			return slices.DeleteFunc(cs, func(c SetCard) bool { return c.Set == a })
+		},
+		"misstated": func(cs []SetCard) []SetCard {
+			for i := range cs {
+				if cs[i].Set == a {
+					cs[i].Card--
+				}
+			}
+			return cs
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cp, eng := crashAfterLevel1(t, rel, Options{KeepPartitions: true})
+			cp.Lattice.Cardinalities = edit(cp.Lattice.Cardinalities)
+			res, err := Discover(eng, rel.NumAttrs(), &Options{Resume: cp.Lattice})
+			if !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Fatalf("resumed Discover = %v, %v; want ErrCorruptCheckpoint", res, err)
+			}
+		})
 	}
 }
 

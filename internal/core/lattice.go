@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/relation"
@@ -34,12 +34,13 @@ func describeSet(err error, where string) error {
 
 // This file is the database level (§IV-A): the top-down levelwise search of
 // TANE (Huhtala et al., the paper's [23]) over the attribute-set containment
-// lattice, with its C⁺ candidate pruning and key pruning. The traversal
-// order is a deterministic function of (m, n, the discovered FDs) — exactly
-// the allowed leakage L(DB) — and every node's partition is requested as
-// the union of two previously materialized subsets, which is Property 1.
+// lattice, with its C⁺ candidate pruning and key pruning. The plan decides it
+// from its state and the cardinalities it is handed alone — no engine — so its
+// schedule is a function of (m, n, the discovered FDs), exactly the allowed
+// leakage L(DB), and every node is requested as the union of two previously
+// materialized subsets (Property 1). Discover executes the plan one for one.
 //
-// The set level is the two lines marked "set-level check" below: the client
+// The set level is the line marked "set-level check" below: the client
 // compares two cardinalities it alone can decrypt and (optionally) reveals
 // only the boolean to the server.
 
@@ -68,9 +69,11 @@ type Options struct {
 	Checkpoint func(ls *LatticeState) error
 	// Resume, if non-nil, continues a previous run from its checkpointed
 	// frontier instead of starting at level 1. The engine must hold the
-	// partitions the state references (core.ResumeEngine rebuilds it).
-	// MaxLHS and KeepPartitions are taken from the state, not from this
-	// Options value, so the resumed run cannot diverge from the original.
+	// partitions the state references (core.ResumeEngine rebuilds it), with
+	// the cardinalities the state records, or the state is refused as
+	// ErrCorruptCheckpoint. MaxLHS and KeepPartitions are taken from the
+	// state, not from this Options value, so the resumed run cannot diverge
+	// from the original; the caller's Options is not modified.
 	Resume *LatticeState
 	// Trace, if non-nil, records causal spans for the traversal: one root
 	// "discover" span, a child "lattice/level-NN" per level, and under it
@@ -135,6 +138,13 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: empty database")
 	}
+	p := newPlan(m, n, opts.MaxLHS, opts.KeepPartitions)
+	if opts.Resume != nil {
+		var err error
+		if p, err = resumePlan(opts.Resume, m, n, engine.Cardinality); err != nil {
+			return nil, err
+		}
+	}
 
 	// Causal spans: one root for the whole traversal, one child per level.
 	// The running span is the tracer's current span, so everything the
@@ -146,304 +156,304 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 	otr := opts.Trace
 	dsp := otr.Start("discover")
 	outer := otr.SetCurrent(dsp.Context())
-	var lsp *otrace.Span
-	beginLevel := func(name string) {
-		lsp = otr.Start(name)
-		otr.SetCurrent(lsp.Context())
-	}
-	endLevel := func() {
-		otr.SetCurrent(dsp.Context())
-		lsp.End()
-	}
 	defer func() {
 		otr.SetCurrent(outer)
 		dsp.End()
 	}()
 
 	workers := max(opts.Workers, 1)
-
-	res := &Result{Cardinalities: make(map[relation.AttrSet]int)}
-
-	// materializeLevel asks the engine for a level's partitions, in one call,
-	// and records their cardinalities. kind is "single" or "union".
-	materializeLevel := func(l int, kind string, reqs []Request) error {
-		if len(reqs) == 0 {
-			return nil
-		}
-		csp := otr.Start("candidate/" + kind)
-		up := otr.SetCurrent(csp.Context())
-		cards, err := engine.Materialize(reqs, workers)
-		otr.SetCurrent(up)
-		csp.End()
-		if err != nil {
-			return describeIntegrity(err, l)
-		}
-		for i, r := range reqs {
-			res.Cardinalities[r.Set] = cards[i]
-			res.SetsMaterialized++
+	release := func(sets []relation.AttrSet) error {
+		for _, x := range sets {
+			if err := engine.Release(x); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
-
-	universe := relation.FullSet(m)
-	cplus := map[relation.AttrSet]relation.AttrSet{0: universe}
-
-	// cplusOf returns C⁺(x), reconstructing it recursively as the
-	// intersection of its parents' C⁺ when x itself was never a lattice
-	// node (pruned branches still participate in the key-pruning
-	// condition below). Memoized into cplus.
-	var cplusOf func(x relation.AttrSet) relation.AttrSet
-	cplusOf = func(x relation.AttrSet) relation.AttrSet {
-		if c, ok := cplus[x]; ok {
-			return c
-		}
-		cp := universe
-		x.Subsets(func(sub relation.AttrSet) {
-			cp = cp.Intersect(cplusOf(sub))
-		})
-		cplus[x] = cp
-		return cp
-	}
-
-	var level, prevLevel []relation.AttrSet
-	startLevel := 1
-
-	// snapshotState deep-copies the traversal state at a level boundary, so
-	// the checkpoint callback can retain it without aliasing live maps.
-	snapshotState := func(nextLevel int) *LatticeState {
-		ls := &LatticeState{
-			M:                m,
-			NextLevel:        nextLevel,
-			Level:            append([]relation.AttrSet(nil), level...),
-			PrevLevel:        append([]relation.AttrSet(nil), prevLevel...),
-			CPlus:            make([][2]relation.AttrSet, 0, len(cplus)),
-			Minimal:          append([]relation.FD(nil), res.Minimal...),
-			Cardinalities:    make([]SetCard, 0, len(res.Cardinalities)),
-			SetsMaterialized: res.SetsMaterialized,
-			Checks:           res.Checks,
-			MaxLHS:           opts.MaxLHS,
-			KeepPartitions:   opts.KeepPartitions,
-		}
-		for k, v := range cplus {
-			ls.CPlus = append(ls.CPlus, [2]relation.AttrSet{k, v})
-		}
-		for k, v := range res.Cardinalities {
-			ls.Cardinalities = append(ls.Cardinalities, SetCard{k, v})
-		}
-		return ls
-	}
-
-	if rs := opts.Resume; rs != nil {
-		// Continue from a checkpointed frontier. The pruning-relevant
-		// options come from the state so the resumed traversal — and with
-		// it the access pattern — is the one the original run would have
-		// produced.
-		if rs.M != m {
-			return nil, fmt.Errorf("%w: checkpoint covers %d attributes, engine %d", ErrCorruptCheckpoint, rs.M, m)
-		}
-		if rs.NextLevel < 1 {
-			return nil, fmt.Errorf("%w: next level %d", ErrCorruptCheckpoint, rs.NextLevel)
-		}
-		if rs.MaxLHS < 0 {
-			return nil, fmt.Errorf("%w: MaxLHS %d", ErrCorruptCheckpoint, rs.MaxLHS)
-		}
-		opts.MaxLHS = rs.MaxLHS
-		opts.KeepPartitions = rs.KeepPartitions
-		level = append([]relation.AttrSet(nil), rs.Level...)
-		prevLevel = append([]relation.AttrSet(nil), rs.PrevLevel...)
-		for _, kv := range rs.CPlus {
-			cplus[kv[0]] = kv[1]
-		}
-		res.Minimal = append([]relation.FD(nil), rs.Minimal...)
-		for _, c := range rs.Cardinalities {
-			res.Cardinalities[c.Set] = c.Card
-		}
-		res.SetsMaterialized = rs.SetsMaterialized
-		res.Checks = rs.Checks
-		startLevel = rs.NextLevel
-		for _, x := range level {
-			if _, ok := engine.Cardinality(x); !ok {
-				return nil, fmt.Errorf("%w: frontier set %v not materialized in engine", ErrCorruptCheckpoint, x)
-			}
-		}
-	} else {
-		// Level 1: materialize every singleton partition, ascending from ∅.
-		beginLevel("lattice/level-00")
-		level = relation.AllSingletons(m)
-		reqs := make([]Request, len(level))
-		for i, x := range level {
-			reqs[i] = Request{Set: x}
-		}
-		if err := materializeLevel(1, "single", reqs); err != nil {
+	for !p.done() {
+		l := p.NextLevel
+		lsp := otr.Start(fmt.Sprintf("lattice/level-%02d", l))
+		otr.SetCurrent(lsp.Context())
+		s := p.check()
+		if err := release(s.pruned); err != nil {
 			return nil, err
 		}
-		endLevel()
-		if opts.Checkpoint != nil {
-			if err := opts.Checkpoint(snapshotState(1)); err != nil {
-				return nil, fmt.Errorf("core: checkpoint after level 1: %w", err)
+		if opts.Reveal != nil && len(s.decided) > 0 {
+			opts.Reveal(s.decided)
+		}
+		if len(s.reqs) > 0 {
+			kind := "union"
+			if l == 0 {
+				kind = "single"
+			}
+			csp := otr.Start("candidate/" + kind)
+			otr.SetCurrent(csp.Context())
+			cards, err := engine.Materialize(s.reqs, workers)
+			otr.SetCurrent(lsp.Context())
+			csp.End()
+			if err != nil {
+				return nil, describeIntegrity(err, l+1)
+			}
+			p.record(cards)
+		}
+		if err := release(s.stale); err != nil {
+			return nil, err
+		}
+		otr.SetCurrent(dsp.Context())
+		lsp.End()
+
+		// Level boundary: partitions for the plan's level are materialized,
+		// obsolete ones released — the engine state matches the frontier
+		// exactly, so this is the one safe moment to checkpoint.
+		if opts.Checkpoint != nil && !p.done() {
+			if err := opts.Checkpoint(p.state()); err != nil {
+				return nil, fmt.Errorf("core: checkpoint before level %d: %w", p.NextLevel, err)
+			}
+		}
+	}
+	return p.result(), nil
+}
+
+// plan is the levelwise search with no engine: the traversal state, and the
+// decisions, drops and requests that follow from it and from the
+// cardinalities the executor hands back. Its state is a LatticeState whose
+// two tables, CPlus and Cardinalities, live in maps while it runs (state and
+// resumePlan convert).
+type plan struct {
+	// NextLevel is the level the next check decides, Level its sets and
+	// PrevLevel the survivors of the level below, their covers. Before the
+	// singletons are requested NextLevel is 0 and both are empty.
+	LatticeState
+	n     int
+	cplus map[relation.AttrSet]relation.AttrSet
+	cards map[relation.AttrSet]int
+}
+
+// levelStep is what one check asks of the executor, in order: release pruned,
+// reveal decided, materialize reqs and hand their cardinalities to record,
+// release stale.
+type levelStep struct {
+	decided []Decision
+	pruned  []relation.AttrSet // the checked level's nodes no later level needs
+	reqs    []Request          // the next level, each from its Property 1 cover
+	stale   []relation.AttrSet // the level below the checked one: no longer anyone's cover
+}
+
+func newPlan(m, n, maxLHS int, keep bool) *plan {
+	return &plan{
+		LatticeState: LatticeState{M: m, MaxLHS: maxLHS, KeepPartitions: keep},
+		n:            n,
+		cplus:        map[relation.AttrSet]relation.AttrSet{0: relation.FullSet(m)},
+		cards:        make(map[relation.AttrSet]int),
+	}
+}
+
+// resumePlan rebuilds the plan a checkpointed state was taken from, over n
+// records. cardOf reports the cardinality of a set the engine holds. Every set
+// the next check reads or releases — the level, its parents and the previous
+// level — must be held with the cardinality the state records, or the resumed
+// run would decide on numbers no partition backs.
+func resumePlan(ls *LatticeState, m, n int, cardOf func(relation.AttrSet) (int, bool)) (*plan, error) {
+	switch {
+	case ls.M != m:
+		return nil, fmt.Errorf("%w: checkpoint covers %d attributes, engine %d", ErrCorruptCheckpoint, ls.M, m)
+	case ls.NextLevel < 1:
+		return nil, fmt.Errorf("%w: next level %d", ErrCorruptCheckpoint, ls.NextLevel)
+	case ls.MaxLHS < 0:
+		return nil, fmt.Errorf("%w: MaxLHS %d", ErrCorruptCheckpoint, ls.MaxLHS)
+	}
+	p := newPlan(m, n, ls.MaxLHS, ls.KeepPartitions)
+	p.LatticeState = ls.clone()
+	for _, kv := range ls.CPlus {
+		p.cplus[kv[0]] = kv[1]
+	}
+	for _, c := range ls.Cardinalities {
+		p.cards[c.Set] = c.Card
+	}
+
+	frontier := slices.Concat(p.PrevLevel, p.Level)
+	for _, x := range p.Level {
+		if x.Size() > 1 {
+			x.Subsets(func(sub relation.AttrSet) { frontier = append(frontier, sub) })
+		}
+	}
+	for _, x := range frontier {
+		card, recorded := p.cards[x]
+		if got, held := cardOf(x); !held || !recorded || got != card {
+			return nil, fmt.Errorf("%w: frontier set %v: |π| is %d in the state (recorded: %t), %d in the engine (held: %t)",
+				ErrCorruptCheckpoint, x, card, recorded, got, held)
+		}
+	}
+	return p, nil
+}
+
+// state is the plan as a checkpoint holds it: a deep copy, so the callback
+// can retain it without aliasing the live tables.
+func (p *plan) state() *LatticeState {
+	ls := p.clone()
+	for k, v := range p.cplus {
+		ls.CPlus = append(ls.CPlus, [2]relation.AttrSet{k, v})
+	}
+	for k, v := range p.cards {
+		ls.Cardinalities = append(ls.Cardinalities, SetCard{k, v})
+	}
+	return &ls
+}
+
+// clone copies ls, sharing no slice with it, but for its two tables, which
+// it leaves empty.
+func (ls *LatticeState) clone() LatticeState {
+	c := *ls
+	c.Level, c.PrevLevel, c.Minimal = slices.Clone(ls.Level), slices.Clone(ls.PrevLevel), slices.Clone(ls.Minimal)
+	c.CPlus, c.Cardinalities = nil, nil
+	return c
+}
+
+// done says the search is over: a level was checked and nothing is left to
+// build above it.
+func (p *plan) done() bool { return p.NextLevel > 0 && len(p.Level) == 0 }
+
+// check decides level NextLevel, prunes it and generates the level above
+// (ComputeDependencies, Prune and GenerateNextLevel), then moves up to it:
+// the requested sets become the level, pending record. Once MaxLHS bounds the
+// search it requests nothing and the plan is done.
+func (p *plan) check() levelStep {
+	var s levelStep
+	universe := relation.FullSet(p.M)
+
+	// ComputeDependencies: C⁺ for this level, and the checks it leaves.
+	for _, x := range p.Level {
+		for _, a := range x.Intersect(p.cplusOf(x)).Attrs() {
+			lhs := x.Remove(a)
+			lhsCard := 1 // |π_∅| = 1 on a non-empty database
+			if !lhs.IsEmpty() {
+				lhsCard = p.cards[lhs]
+			}
+			// Set-level check (Theorem 1): X\{A} → A iff |π_{X\{A}}| = |π_X|.
+			holds := lhsCard == p.cards[x]
+			p.Checks++
+			fd := relation.FD{LHS: lhs, RHS: relation.SingleAttr(a)}
+			s.decided = append(s.decided, Decision{fd, holds})
+			if holds {
+				p.Minimal = append(p.Minimal, fd)
+				p.cplus[x] = p.cplus[x].Remove(a).Minus(universe.Minus(x))
 			}
 		}
 	}
 
-	for l := startLevel; len(level) > 0; l++ {
-		// The span for level l covers processing its nodes AND materializing
-		// level l+1 from them (GenerateNextLevel), so span NN's time is the
-		// cost of ascending from level NN. Error paths return without End;
-		// the run aborts and the partial breakdown is never reported.
-		beginLevel(fmt.Sprintf("lattice/level-%02d", l))
-
-		// ComputeDependencies: refresh C⁺ for this level.
-		for _, x := range level {
-			cp := universe
-			x.Subsets(func(sub relation.AttrSet) {
-				cp = cp.Intersect(cplusOf(sub))
-			})
-			cplus[x] = cp
-		}
-		var decided []Decision
-		for _, x := range level {
-			for _, a := range x.Intersect(cplus[x]).Attrs() {
-				lhs := x.Remove(a)
-				lhsCard := 1 // |π_∅| = 1 on a non-empty database
-				if !lhs.IsEmpty() {
-					lhsCard = res.Cardinalities[lhs]
-				}
-				// Set-level check (Theorem 1): X\{A} → A iff
-				// |π_{X\{A}}| = |π_X|.
-				holds := lhsCard == res.Cardinalities[x]
-				res.Checks++
-				fd := relation.FD{LHS: lhs, RHS: relation.SingleAttr(a)}
-				decided = append(decided, Decision{fd, holds})
-				if holds {
-					res.Minimal = append(res.Minimal, fd)
-					cp := cplus[x].Remove(a)
-					cp = cp.Minus(universe.Minus(x))
-					cplus[x] = cp
-				}
-			}
-		}
-
-		// Prune: drop nodes with empty C⁺ and superkeys (after harvesting
-		// the superkeys' remaining dependencies).
-		kept := level[:0]
-		inLevel := make(map[relation.AttrSet]bool, len(level))
-		release := func(x relation.AttrSet) error {
-			if opts.KeepPartitions {
-				return nil
-			}
-			return engine.Release(x)
-		}
-		for _, x := range level {
-			if cplus[x].IsEmpty() {
-				if err := release(x); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if res.Cardinalities[x] == n { // X is a (super)key
-				// The harvested FDs have |LHS| = |X| = l, one more than
-				// the dependencies found by ComputeDependencies at this
-				// level, so the MaxLHS bound must be re-checked here.
-				if opts.MaxLHS == 0 || x.Size() <= opts.MaxLHS {
-					for _, a := range cplus[x].Minus(x).Attrs() {
-						ok := true
-						x.Subsets(func(sub relation.AttrSet) {
-							if !cplusOf(sub.Add(a)).Has(a) {
-								ok = false
-							}
-						})
-						if ok {
-							fd := relation.FD{LHS: x, RHS: relation.SingleAttr(a)}
-							res.Minimal = append(res.Minimal, fd)
-							decided = append(decided, Decision{fd, true})
-						}
+	// Prune: drop nodes with empty C⁺ and superkeys (after harvesting the
+	// superkeys' remaining dependencies).
+	var kept []relation.AttrSet
+	inLevel := make(map[relation.AttrSet]bool, len(p.Level))
+	for _, x := range p.Level {
+		switch {
+		case p.cplus[x].IsEmpty():
+		case p.cards[x] == p.n: // X is a (super)key
+			// The harvested FDs have |LHS| = |X| = l, one more than the
+			// dependencies found by ComputeDependencies at this level, so
+			// the MaxLHS bound must be re-checked here.
+			if p.MaxLHS == 0 || x.Size() <= p.MaxLHS {
+				for _, a := range p.cplus[x].Minus(x).Attrs() {
+					ok := true // every C⁺ is memoized, whatever ok already says
+					x.Subsets(func(sub relation.AttrSet) { ok = p.cplusOf(sub.Add(a)).Has(a) && ok })
+					if ok {
+						fd := relation.FD{LHS: x, RHS: relation.SingleAttr(a)}
+						p.Minimal = append(p.Minimal, fd)
+						s.decided = append(s.decided, Decision{fd, true})
 					}
 				}
-				if err := release(x); err != nil {
-					return nil, err
-				}
-				continue
 			}
+		default:
 			kept = append(kept, x)
 			inLevel[x] = true
+			continue
 		}
-
-		if opts.Reveal != nil && len(decided) > 0 {
-			opts.Reveal(decided)
-		}
-
-		if opts.MaxLHS > 0 && l >= opts.MaxLHS+1 {
-			endLevel()
-			break // LHS at the next level would exceed the bound
-		}
-
-		// GenerateNextLevel: TANE's prefix-bucket join — two l-sets join
-		// iff they share everything but their largest attribute, so
-		// bucketing by that prefix generates each candidate exactly once
-		// without the O(|level|²) pair scan. Candidates then pass the
-		// all-subsets check and are materialized from their Property 1
-		// cover.
-		buckets := make(map[relation.AttrSet][]relation.AttrSet, len(kept))
-		var prefixes []relation.AttrSet
-		for _, x := range kept {
-			prefix := x.Remove(x.Last())
-			if _, ok := buckets[prefix]; !ok {
-				prefixes = append(prefixes, prefix)
-			}
-			buckets[prefix] = append(buckets[prefix], x)
-		}
-		// Deterministic traversal order: the access pattern must be a
-		// function of (m, n, FD(DB)) alone, never of map iteration.
-		sort.Slice(prefixes, func(i, j int) bool { return prefixes[i] < prefixes[j] })
-		var next []relation.AttrSet
-		var reqs []Request
-		for _, prefix := range prefixes {
-			group := buckets[prefix]
-			for i := 0; i < len(group); i++ {
-				for j := i + 1; j < len(group); j++ {
-					z := group[i].Union(group[j])
-					allIn := true
-					z.Subsets(func(sub relation.AttrSet) {
-						if !inLevel[sub] {
-							allIn = false
-						}
-					})
-					if !allIn {
-						continue
-					}
-					x1, x2 := z.SplitCover()
-					next = append(next, z)
-					reqs = append(reqs, Union(x1, x2))
-				}
-			}
-		}
-		if err := materializeLevel(l+1, "union", reqs); err != nil {
-			return nil, err
-		}
-		// Sets two levels down are no longer anyone's cover.
-		if !opts.KeepPartitions {
-			for _, x := range prevLevel {
-				if err := engine.Release(x); err != nil {
-					return nil, err
-				}
-			}
-		}
-		prevLevel = kept
-		level = next
-		endLevel()
-
-		// Level boundary: partitions for `level` are materialized, obsolete
-		// ones released — the engine state matches the frontier exactly, so
-		// this is the one safe moment to checkpoint.
-		if opts.Checkpoint != nil && len(level) > 0 {
-			if err := opts.Checkpoint(snapshotState(l + 1)); err != nil {
-				return nil, fmt.Errorf("core: checkpoint after level %d: %w", l, err)
-			}
+		if !p.KeepPartitions {
+			s.pruned = append(s.pruned, x)
 		}
 	}
 
-	relation.SortFDs(res.Minimal)
-	return res, nil
+	if p.MaxLHS > 0 && p.NextLevel > p.MaxLHS {
+		p.Level = nil // LHS at the next level would exceed the bound
+		return s
+	}
+
+	// GenerateNextLevel: from ∅, the singletons; above, TANE's prefix-bucket
+	// join — two l-sets join iff they share everything but their largest
+	// attribute, so bucketing by that prefix generates each candidate exactly
+	// once without the O(|level|²) pair scan. Candidates then pass the
+	// all-subsets check and are requested from their Property 1 cover.
+	var next []relation.AttrSet
+	if p.NextLevel == 0 {
+		next = relation.AllSingletons(p.M)
+		for _, x := range next {
+			s.reqs = append(s.reqs, Request{Set: x})
+		}
+	}
+	buckets := make(map[relation.AttrSet][]relation.AttrSet, len(kept))
+	var prefixes []relation.AttrSet
+	for _, x := range kept {
+		prefix := x.Remove(x.Last())
+		if _, ok := buckets[prefix]; !ok {
+			prefixes = append(prefixes, prefix)
+		}
+		buckets[prefix] = append(buckets[prefix], x)
+	}
+	// Deterministic traversal order: the access pattern must be a function
+	// of (m, n, FD(DB)) alone, never of map iteration.
+	slices.Sort(prefixes)
+	for _, prefix := range prefixes {
+		group := buckets[prefix]
+		for i := 0; i < len(group); i++ {
+			for j := i + 1; j < len(group); j++ {
+				z := group[i].Union(group[j])
+				allIn := true
+				z.Subsets(func(sub relation.AttrSet) { allIn = allIn && inLevel[sub] })
+				if !allIn {
+					continue
+				}
+				x1, x2 := z.SplitCover()
+				next = append(next, z)
+				s.reqs = append(s.reqs, Union(x1, x2))
+			}
+		}
+	}
+	// Sets two levels down are no longer anyone's cover.
+	if !p.KeepPartitions {
+		s.stale = p.PrevLevel
+	}
+	p.NextLevel++
+	p.PrevLevel, p.Level = kept, next
+	return s
+}
+
+// record takes the cardinalities of the level check requested, in request
+// order.
+func (p *plan) record(cards []int) {
+	for i, x := range p.Level {
+		p.cards[x] = cards[i]
+	}
+	p.SetsMaterialized += len(cards)
+}
+
+// cplusOf returns C⁺(x), the intersection of its parents' C⁺ until x's own
+// check narrows it; for a set that is never a lattice node (pruned branches
+// still take part in key pruning) it stays that. Memoized into cplus: a set
+// is first asked for at its own level or above.
+func (p *plan) cplusOf(x relation.AttrSet) relation.AttrSet {
+	if c, ok := p.cplus[x]; ok {
+		return c
+	}
+	c := relation.FullSet(p.M)
+	x.Subsets(func(sub relation.AttrSet) { c = c.Intersect(p.cplusOf(sub)) })
+	p.cplus[x] = c
+	return c
+}
+
+// result is the outcome once the plan is done.
+func (p *plan) result() *Result {
+	relation.SortFDs(p.Minimal)
+	return &Result{Minimal: p.Minimal, Cardinalities: p.cards, SetsMaterialized: p.SetsMaterialized, Checks: p.Checks}
 }
 
 // AggregateFDs merges minimal FDs sharing a left-hand side into the paper's
@@ -502,36 +512,24 @@ func Validate(engine Engine, x, y relation.AttrSet) (holds bool, err error) {
 // {a₁}, {a₁,a₂}, … — each step a valid two-subset cover. Sets this call
 // materialized (as opposed to found already cached) are appended to
 // created, so the caller can release exactly its own additions.
-func materializeChain(engine Engine, x relation.AttrSet, created *[]relation.AttrSet) (int, error) {
-	track := func(s relation.AttrSet, pre bool) {
-		if !pre {
-			*created = append(*created, s)
+func materializeChain(engine Engine, x relation.AttrSet, created *[]relation.AttrSet) (card int, err error) {
+	build := func(r Request) (int, error) {
+		_, cached := engine.Cardinality(r.Set)
+		card, err := materializeOne(engine, r)
+		if err == nil && !cached {
+			*created = append(*created, r.Set)
 		}
+		return card, err
 	}
-	attrs := x.Attrs()
-	first := relation.SingleAttr(attrs[0])
-	_, pre := engine.Cardinality(first)
-	card, err := CardinalitySingle(engine, attrs[0])
-	if err != nil {
-		return 0, err
-	}
-	track(first, pre)
-	cur := first
-	for _, a := range attrs[1:] {
-		single := relation.SingleAttr(a)
-		_, pre := engine.Cardinality(single)
-		if _, err := CardinalitySingle(engine, a); err != nil {
-			return 0, err
+	var cur relation.AttrSet
+	for _, a := range x.Attrs() {
+		if card, err = build(Single(a)); err == nil && !cur.IsEmpty() {
+			card, err = build(Union(cur, relation.SingleAttr(a)))
 		}
-		track(single, pre)
-		next := cur.Add(a)
-		_, pre = engine.Cardinality(next)
-		card, err = CardinalityUnion(engine, cur, single)
 		if err != nil {
 			return 0, err
 		}
-		track(next, pre)
-		cur = next
+		cur = cur.Add(a)
 	}
 	return card, nil
 }

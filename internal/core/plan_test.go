@@ -1,0 +1,203 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/oblivfd/oblivfd/internal/baseline"
+	"github.com/oblivfd/oblivfd/internal/relation"
+)
+
+// renderLatticeState writes a checkpointed state as golden lines. CPlus and
+// Cardinalities are tables whose order carries no meaning, so they are
+// sorted by set; every other list keeps the order the traversal gave it.
+func renderLatticeState(run string, ls *LatticeState) []string {
+	head := fmt.Sprintf("%s next=%d", run, ls.NextLevel)
+	cplus := append([][2]relation.AttrSet(nil), ls.CPlus...)
+	sort.Slice(cplus, func(i, j int) bool { return cplus[i][0] < cplus[j][0] })
+	cards := append([]SetCard(nil), ls.Cardinalities...)
+	sort.Slice(cards, func(i, j int) bool { return cards[i].Set < cards[j].Set })
+	var cp, cd, mn []string
+	for _, kv := range cplus {
+		cp = append(cp, fmt.Sprintf("%v:%v", kv[0], kv[1]))
+	}
+	for _, c := range cards {
+		cd = append(cd, fmt.Sprintf("%v=%d", c.Set, c.Card))
+	}
+	for _, fd := range ls.Minimal {
+		mn = append(mn, fd.String())
+	}
+	return []string{
+		fmt.Sprintf("%s m=%d maxlhs=%d keep=%t sets=%d checks=%d", head, ls.M, ls.MaxLHS, ls.KeepPartitions, ls.SetsMaterialized, ls.Checks),
+		fmt.Sprintf("%s level %v", head, ls.Level),
+		fmt.Sprintf("%s prev %v", head, ls.PrevLevel),
+		fmt.Sprintf("%s cplus %s", head, strings.Join(cp, " ")),
+		fmt.Sprintf("%s minimal %s", head, strings.Join(mn, ", ")),
+		fmt.Sprintf("%s cards %s", head, strings.Join(cd, " ")),
+	}
+}
+
+// TestLatticeStateGolden pins what a checkpoint holds, not only how it is
+// framed: the plain engine's checkpointed states on two relations, each run
+// once with MaxLHS = 2 and once keeping partitions, rendered by
+// renderLatticeState. testdata/lattice-state-golden.txt was written by the
+// loop Discover ran before the traversal became a plan and an executor.
+func TestLatticeStateGolden(t *testing.T) {
+	rels := []struct {
+		name string
+		rel  *relation.Relation
+	}{
+		{"ckpt", ckptRelation(t)},
+		{"rand5", randomRel(5, 24, 2, 4)},
+	}
+	var lines []string
+	for _, r := range rels {
+		for _, o := range []struct {
+			name string
+			opts Options
+		}{
+			{"maxlhs2", Options{MaxLHS: 2}},
+			{"keep", Options{KeepPartitions: true}},
+		} {
+			rel := r.rel
+			run := r.name + "/" + o.name
+			opts := o.opts
+			opts.Checkpoint = func(ls *LatticeState) error {
+				lines = append(lines, renderLatticeState(run, ls)...)
+				return nil
+			}
+			if _, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), &opts); err != nil {
+				t.Fatalf("%s: %v", run, err)
+			}
+		}
+	}
+	compareGolden(t, "lattice-state-golden.txt", lines)
+}
+
+// discoveryLog is what a discovery did: each Materialize call's requests and
+// each Release in order, each level's reveal, each checkpointed state
+// (rendered) and the Result.
+type discoveryLog struct {
+	calls   []string
+	reveals [][]Decision
+	states  []string
+	res     *Result
+}
+
+// engineLog records a discovery's Materialize and Release calls into log.
+type engineLog struct {
+	Engine
+	log *discoveryLog
+}
+
+func (e engineLog) Materialize(reqs []Request, workers int) ([]int, error) {
+	e.log.calls = append(e.log.calls, fmt.Sprint("materialize ", reqs))
+	return e.Engine.Materialize(reqs, workers)
+}
+
+func (e engineLog) Release(x relation.AttrSet) error {
+	e.log.calls = append(e.log.calls, fmt.Sprint("release ", x))
+	return e.Engine.Release(x)
+}
+
+// replayPlan runs the plan alone, handing it cardinalities counted from the
+// plaintext relation, and logs what it asks for as Discover would carry it
+// out.
+func replayPlan(rel *relation.Relation, maxLHS int, keep bool) *discoveryLog {
+	var log discoveryLog
+	p := newPlan(rel.NumAttrs(), rel.NumRows(), maxLHS, keep)
+	releases := func(sets []relation.AttrSet) {
+		for _, x := range sets {
+			log.calls = append(log.calls, fmt.Sprint("release ", x))
+		}
+	}
+	for !p.done() {
+		s := p.check()
+		releases(s.pruned)
+		if len(s.decided) > 0 {
+			log.reveals = append(log.reveals, s.decided)
+		}
+		if len(s.reqs) > 0 {
+			log.calls = append(log.calls, fmt.Sprint("materialize ", s.reqs))
+			cards := make([]int, len(s.reqs))
+			for i, r := range s.reqs {
+				cards[i] = relation.PartitionOf(rel, r.Set).Classes
+			}
+			p.record(cards)
+		}
+		releases(s.stale)
+		if !p.done() {
+			log.states = append(log.states, renderLatticeState("", p.state())...)
+		}
+	}
+	log.res = p.result()
+	return &log
+}
+
+// TestPlanReplaysEveryEngine: the plan alone, replayed on cardinalities
+// counted from the plaintext relation, asks for exactly what a real
+// discovery asks of each engine — the same Materialize requests and Release
+// calls in the same order, the same reveals and checkpoints — and comes to
+// the same Result, on random relations of up to six attributes, with and
+// without MaxLHS, keeping partitions or not.
+func TestPlanReplaysEveryEngine(t *testing.T) {
+	engines := []struct {
+		name    string
+		workers int
+		make    func(t *testing.T, rel *relation.Relation) Engine
+	}{
+		{"plain", 1, func(t *testing.T, rel *relation.Relation) Engine { return NewPlainEngine(rel) }},
+		{"deterministic", 1, func(t *testing.T, rel *relation.Relation) Engine { return NewDetEngine(uploadFor(t, rel)) }},
+		{"enclave", 1, func(t *testing.T, rel *relation.Relation) Engine { return NewEnclaveEngine(rel, 1) }},
+		{"sort/w=1", 1, func(t *testing.T, rel *relation.Relation) Engine { return newSort(t, uploadFor(t, rel), 1) }},
+		{"sort/w=4", 4, func(t *testing.T, rel *relation.Relation) Engine { return newSort(t, uploadFor(t, rel), 4) }},
+		{"or-oram", 1, func(t *testing.T, rel *relation.Relation) Engine { return NewOrEngine(uploadFor(t, rel)) }},
+		{"ex-oram", 1, func(t *testing.T, rel *relation.Relation) Engine {
+			e, err := NewExEngine(uploadFor(t, rel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}},
+	}
+	rels := []struct{ m, n, card int }{{3, 9, 2}, {4, 12, 3}, {5, 10, 2}, {5, 20, 4}, {6, 12, 2}, {6, 8, 3}, {6, 16, 3}}
+	for i, r := range rels {
+		rel := randomRel(r.m, r.n, r.card, int64(100+i))
+		for _, maxLHS := range []int{0, 2} {
+			for _, keep := range []bool{false, true} {
+				want := replayPlan(rel, maxLHS, keep)
+				if oracle := baseline.MinimalFDs(rel); maxLHS == 0 && !relation.FDSetEqual(want.res.Minimal, oracle) {
+					t.Errorf("m=%d seed %d: the plan alone finds %v, the oracle %v", r.m, 100+i, want.res.Minimal, oracle)
+				}
+				for _, e := range engines {
+					name := fmt.Sprintf("m=%d/seed=%d/maxlhs=%d/keep=%t/%s", r.m, 100+i, maxLHS, keep, e.name)
+					got := &discoveryLog{}
+					eng := e.make(t, rel)
+					res, err := Discover(engineLog{eng, got}, r.m, &Options{
+						MaxLHS:         maxLHS,
+						KeepPartitions: keep,
+						Workers:        e.workers,
+						Reveal:         func(d []Decision) { got.reveals = append(got.reveals, d) },
+						Checkpoint: func(ls *LatticeState) error {
+							got.states = append(got.states, renderLatticeState("", ls)...)
+							return nil
+						},
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if err := eng.Close(); err != nil {
+						t.Fatalf("%s: Close: %v", name, err)
+					}
+					got.res = res
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: the discovery and the plan's replay differ\n got  %v\n want %v", name, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -263,6 +264,65 @@ func TestOnlyTheTableDrivesMaterialization(t *testing.T) {
 	} {
 		if len(files) != 1 || files[0] != table {
 			t.Errorf("%s in %v, want only %s", what, files, table)
+		}
+	}
+}
+
+// TestPlanIsEngineFree keeps the lattice's plan pure: in lattice.go no method
+// of plan, and no function that returns one, names an engine type or calls a
+// method the Engine interface declares. The schedule stays a function of the
+// plan's state and the cardinalities it is handed, and Discover alone speaks
+// to the engine.
+func TestPlanIsEngineFree(t *testing.T) {
+	engineMethods := make(map[string]bool)
+	for i, et := 0, reflect.TypeFor[Engine](); i < et.NumMethod(); i++ {
+		engineMethods[et.Method(i).Name] = true
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), "lattice.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isPlan := func(e ast.Expr) bool {
+		if star, ok := e.(*ast.StarExpr); ok {
+			e = star.X
+		}
+		id, ok := e.(*ast.Ident)
+		return ok && id.Name == "plan"
+	}
+	seen := make(map[string]bool)
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok {
+			continue
+		}
+		var fields []*ast.Field
+		if fn.Recv != nil {
+			fields = append(fields, fn.Recv.List...)
+		}
+		if fn.Type.Results != nil {
+			fields = append(fields, fn.Type.Results.List...)
+		}
+		if !slices.ContainsFunc(fields, func(f *ast.Field) bool { return isPlan(f.Type) }) {
+			continue
+		}
+		seen[fn.Name.Name] = true
+		ast.Inspect(fn, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if strings.HasSuffix(n.Name, "Engine") {
+					t.Errorf("lattice.go: %s names %s: the plan takes no engine", fn.Name.Name, n.Name)
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && engineMethods[sel.Sel.Name] {
+					t.Errorf("lattice.go: %s calls %s: the plan calls no engine", fn.Name.Name, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	for _, want := range []string{"newPlan", "resumePlan", "check", "record", "state", "result"} {
+		if !seen[want] {
+			t.Errorf("lattice.go declares no plan function %s: the test no longer sees the plan", want)
 		}
 	}
 }

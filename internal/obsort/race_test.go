@@ -1,0 +1,6 @@
+//go:build race
+
+package obsort
+
+// raceEnabled says the tests run under the race detector.
+const raceEnabled = true
