@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub bench experiments examples telemetry-smoke trace-smoke parallel-race multitenant-race multitenant-smoke multitenant-baseline bench-cell bench-wire bench-oram fuzz-smoke bench-align ledger clean
+.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub bench experiments examples telemetry-smoke trace-smoke parallel-race multitenant-race multitenant-smoke multitenant-baseline bench-cell bench-wire bench-oram fuzz-smoke bench-align ledger mutants clean
 
 all: build vet test
 
@@ -57,6 +57,13 @@ crash:
 tamper:
 	$(GO) test -race -count=1 -run 'Tamper' .
 	$(GO) test -race -count=1 -run 'Tamper|Integrity|Corrupt|Detected|BindsLocation|RunAD|TooShort|KeysDisagree|Sentinel|WireErrorTable' ./internal/crypto/ ./internal/oram/ ./internal/obsort/ ./internal/transport/
+
+# Leakage-mutant catalogue: apply each testdata/mutants/NN-name.patch to a
+# temporary copy of the tree and run the tests its header names; every one
+# must fail. Fails if a mutant survives, no longer applies or does not build.
+# Not part of `test` (it rebuilds a copy per mutant): ≈ 30 s on a 2-core host.
+mutants:
+	./scripts/mutants.sh
 
 # Replication and failover chaos suite: kill the primary of a 3-node
 # cluster at seeded WAL offsets mid-discovery and require the failover

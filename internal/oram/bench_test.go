@@ -177,7 +177,7 @@ func BenchmarkPathAccessBatch(b *testing.B) {
 		if _, err := p.Do(accesses); err != nil {
 			b.Fatal(err)
 		}
-		sealed += int64(len(o.nodes)) // one seal per distinct bucket
+		sealed += int64(len(o.pl.nodes)) // one seal per distinct bucket
 	}
 	if err := p.Flush(); err != nil {
 		b.Fatal(err)
@@ -228,10 +228,10 @@ func TestPathAccessAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		budget := float64(c.o.levels + 2)
+		budget := float64(c.o.pl.levels + 2)
 		if allocs > budget {
-			t.Errorf("%s: oblivious access allocates %.1f times per op, budget %.0f (%d levels)", c.name, allocs, budget, c.o.levels)
+			t.Errorf("%s: oblivious access allocates %.1f times per op, budget %.0f (%d levels)", c.name, allocs, budget, c.o.pl.levels)
 		}
-		t.Logf("%s: %.1f allocations per access (%d levels, budget %.0f)", c.name, allocs, c.o.levels, budget)
+		t.Logf("%s: %.1f allocations per access (%d levels, budget %.0f)", c.name, allocs, c.o.pl.levels, budget)
 	}
 }

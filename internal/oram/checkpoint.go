@@ -8,17 +8,15 @@ import (
 	"github.com/oblivfd/oblivfd/internal/store"
 )
 
-// Client-side checkpointing: an ORAM's secret client state (position map and
-// stash — exactly the data that must never reach the server) is small, so it
-// serializes into a client-local checkpoint file and reattaches to the
-// server-side tree on resume. The tree itself is NOT part of the state: the
-// durable server persists it independently, and resume only works against a
-// server whose storage matches the moment the state was captured (the
-// engines enforce that with recovery epochs).
-
-// State is the serializable client state of a PathORAM handle, laid out as the
-// handle holds it: one Slot per live key and the value slab beside them. The
-// tree's shape is not stored; it follows from Capacity as it does in Setup.
+// State is the serializable client state of a PathORAM handle — its position
+// map and stash, exactly the data that must never reach the server: one Slot
+// per live key, in slot order, and the value slab beside them. It goes into a
+// client-local checkpoint file and reattaches to the server-side tree on
+// resume; the tree is not part of it (the durable server persists it, and the
+// engines' recovery epochs make sure it is the tree the state was taken
+// against). The shape follows from Capacity as it does in Setup; Z and
+// StashLimit are always the paper's, DefaultZ and 7·⌈lg Capacity⌉, and Resume
+// refuses a state that records others.
 type State struct {
 	Name       string
 	Capacity   int
@@ -35,27 +33,41 @@ type State struct {
 	Values []byte
 }
 
+// A Slot is one live key's client state as State records it: the key, the
+// leaf its block is assigned to, its version (see entry), and whether the
+// block is in the stash, its value then in the slot's part of the value slab.
+type Slot struct {
+	Key     string
+	Leaf    uint32
+	Ver     uint32
+	Stashed bool
+}
+
 // State captures the client state, copied, so later accesses on the live
 // handle cannot mutate the checkpoint. The resumed handle gets a fresh RNG
 // seed drawn from the live one; leaf choices after resume differ from the
 // uninterrupted run's, which is invisible to the adversary (both are uniform)
 // and irrelevant to correctness.
 func (o *ORAM) State() *State {
-	seed := o.rng.Int63()
+	seed := o.pl.rng.Int63()
 	if seed == 0 {
 		seed = 1
+	}
+	slots := make([]Slot, len(o.entries))
+	for i, e := range o.entries {
+		slots[i] = Slot{Key: e.key, Leaf: o.pl.slots[i].leaf, Ver: e.ver, Stashed: o.pl.slots[i].stashed}
 	}
 	return &State{
 		Name:       o.name,
 		Capacity:   o.capacity,
-		Z:          o.z,
+		Z:          o.pl.z,
 		KeyWidth:   o.keyWidth,
 		ValueWidth: o.valueWidth,
-		StashLimit: o.stashLimit,
+		StashLimit: stashLimit(o.capacity),
 		MaxStash:   o.maxStash,
 		Accesses:   o.accesses,
 		Seed:       seed,
-		Slots:      slices.Clone(o.slots),
+		Slots:      slots,
 		Values:     slices.Clone(o.values),
 	}
 }
@@ -68,60 +80,43 @@ func Resume(svc store.Service, cipher *crypto.Cipher, st *State) (*ORAM, error) 
 	if err := st.validate(); err != nil {
 		return nil, err
 	}
-	o := &ORAM{
-		svc:        svc,
-		cipher:     cipher,
-		name:       st.Name,
-		capacity:   st.Capacity,
-		z:          st.Z,
-		keyWidth:   st.KeyWidth,
-		valueWidth: st.ValueWidth,
-		index:      make(map[string]int32, len(st.Slots)),
-		slots:      slices.Clone(st.Slots),
-		values:     slices.Clone(st.Values),
-		stashLimit: st.StashLimit,
-		maxStash:   st.MaxStash,
-		accesses:   st.Accesses,
-		rng:        newRNG(st.Seed),
+	o, err := New(svc, cipher, st.Name, Config{Capacity: st.Capacity, KeyWidth: st.KeyWidth, ValueWidth: st.ValueWidth, Seed: st.Seed})
+	if err != nil {
+		return nil, err
 	}
-	o.initScratch()
+	o.maxStash, o.accesses = st.MaxStash, st.Accesses
 	for i, s := range st.Slots {
-		o.index[s.Key] = int32(i)
-		if s.Stashed {
-			o.stash = append(o.stash, int32(i))
+		_, dup := o.index[s.Key]
+		switch {
+		case int(s.Leaf) >= o.pl.numLeaves:
+			return nil, fmt.Errorf("oram: resume %q: key %q maps to leaf %d of %d", st.Name, s.Key, s.Leaf, o.pl.numLeaves)
+		case len(s.Key) > st.KeyWidth:
+			return nil, fmt.Errorf("oram: resume %q: key %q has %d bytes, max %d", st.Name, s.Key, len(s.Key), st.KeyWidth)
+		case dup:
+			return nil, fmt.Errorf("oram: resume %q: key %q has two slots", st.Name, s.Key)
 		}
+		o.add(s.Key, s.Leaf, s.Ver, st.Values[i*st.ValueWidth:(i+1)*st.ValueWidth], s.Stashed)
 	}
 	return o, nil
 }
 
-// validate refuses a state that describes no handle an access ever left
-// behind, naming the key at fault where there is one.
+// validate refuses a state whose shape or parameters no handle has; Resume
+// refuses, naming the key, a slot no access ever left behind.
 func (st *State) validate() error {
 	switch {
 	case st == nil:
 		return fmt.Errorf("oram: resume: no state")
 	case st.Name == "":
 		return fmt.Errorf("oram: resume: empty object name")
-	case st.Z < 1 || st.StashLimit < 1:
-		return fmt.Errorf("oram: resume %q: bucket size %d, stash limit %d: both must be ≥ 1", st.Name, st.Z, st.StashLimit)
 	case len(st.Values) != len(st.Slots)*st.ValueWidth:
 		return fmt.Errorf("oram: resume %q: %d value bytes for %d slots of %d", st.Name, len(st.Values), len(st.Slots), st.ValueWidth)
 	}
 	if err := checkShape(st.Name, st.Capacity, st.KeyWidth, st.ValueWidth); err != nil {
 		return fmt.Errorf("oram: resume: %w", err)
 	}
-	_, numLeaves := shape(st.Capacity)
-	seen := make(map[string]bool, len(st.Slots))
-	for _, s := range st.Slots {
-		switch {
-		case int(s.Leaf) >= numLeaves:
-			return fmt.Errorf("oram: resume %q: key %q maps to leaf %d of %d", st.Name, s.Key, s.Leaf, numLeaves)
-		case len(s.Key) > st.KeyWidth:
-			return fmt.Errorf("oram: resume %q: key %q has %d bytes, max %d", st.Name, s.Key, len(s.Key), st.KeyWidth)
-		case seen[s.Key]:
-			return fmt.Errorf("oram: resume %q: key %q has two slots", st.Name, s.Key)
-		}
-		seen[s.Key] = true
+	if limit := stashLimit(st.Capacity); st.Z != DefaultZ || st.StashLimit != limit {
+		return fmt.Errorf("oram: resume %q: bucket size %d, stash limit %d: a handle of capacity %d has %d and %d",
+			st.Name, st.Z, st.StashLimit, st.Capacity, DefaultZ, limit)
 	}
 	return nil
 }

@@ -52,12 +52,17 @@ func TestPathORAMStateResume(t *testing.T) {
 	// The checkpoint must be a deep copy: further accesses on the live
 	// handle change server state, so from here on only the resumed handle
 	// may touch svc. Mutating the live handle's slots must not leak in.
-	if !reflect.DeepEqual(st.Slots, o.slots) || !bytes.Equal(st.Values, o.values) {
+	for i, s := range st.Slots {
+		if s != (Slot{Key: o.entries[i].key, Leaf: o.pl.slots[i].leaf, Ver: o.entries[i].ver, Stashed: o.pl.slots[i].stashed}) {
+			t.Fatalf("state's slot %d, %+v, differs from the live handle's", i, s)
+		}
+	}
+	if len(st.Slots) != len(o.entries) || !bytes.Equal(st.Values, o.values) {
 		t.Fatal("state's slots and slab differ from the live handle's")
 	}
-	o.slots[0].Leaf++
+	o.pl.slots[0].leaf++
 	o.values[0]++
-	if st.Slots[0].Leaf == o.slots[0].Leaf || st.Values[0] == o.values[0] {
+	if st.Slots[0].Leaf == o.pl.slots[0].leaf || st.Values[0] == o.values[0] {
 		t.Fatal("state shares slots or slab with the live handle")
 	}
 
@@ -68,8 +73,8 @@ func TestPathORAMStateResume(t *testing.T) {
 	if r.Accesses() != accesses {
 		t.Errorf("resumed accesses = %d, want %d", r.Accesses(), accesses)
 	}
-	if r.Len() != 20 {
-		t.Errorf("resumed len = %d, want 20", r.Len())
+	if len(r.entries) != 20 {
+		t.Errorf("resumed len = %d, want 20", len(r.entries))
 	}
 	checkSlots(t, r)
 	for i := 0; i < 20; i++ {
@@ -97,8 +102,8 @@ func TestPathORAMStateResume(t *testing.T) {
 	if _, found, _ := r.Read("k01"); found {
 		t.Error("k01 still present after resumed remove")
 	}
-	if r.Len() != 20 { // 20 + 1 insert - 1 remove
-		t.Errorf("len after resumed mutations = %d, want 20", r.Len())
+	if len(r.entries) != 20 { // 20 + 1 insert - 1 remove
+		t.Errorf("len after resumed mutations = %d, want 20", len(r.entries))
 	}
 }
 
@@ -191,7 +196,7 @@ func TestVersionWrapRefused(t *testing.T) {
 	if err := r.Write("worn", []byte{1, 2, 3, 4}); err != nil {
 		t.Fatalf("access number 2^32 − 1: %v", err)
 	}
-	if v := r.slots[r.index["worn"]].Ver; v != math.MaxUint32 {
+	if v := r.entries[r.index["worn"]].ver; v != math.MaxUint32 {
 		t.Fatalf("block evicted by access 2^32 − 1 has version %d", v)
 	}
 	invocation := func() uint32 { // the counter in the nonce of a fresh seal
@@ -240,8 +245,8 @@ func TestReplayAcrossKeyLifetimes(t *testing.T) {
 		if err := o.Write("k", []byte{1}); err != nil {
 			t.Fatal(err)
 		}
-		leaf := o.slots[o.index["k"]].Leaf
-		idx := make([]int64, 1<<o.levels-1)
+		leaf := o.pl.slots[o.index["k"]].leaf
+		idx := make([]int64, 1<<o.pl.levels-1)
 		for i := range idx {
 			idx[i] = int64(i)
 		}
@@ -252,7 +257,7 @@ func TestReplayAcrossKeyLifetimes(t *testing.T) {
 		if err := errors.Join(o.Remove("k"), o.Write("k", []byte{2})); err != nil {
 			t.Fatal(err)
 		}
-		if s := o.slots[o.index["k"]]; s.Leaf != leaf || s.Stashed {
+		if s := o.pl.slots[o.index["k"]]; s.leaf != leaf || s.stashed {
 			continue
 		}
 		if err := srv.WriteCells("replay", idx, recorded); err != nil {
@@ -268,8 +273,9 @@ func TestReplayAcrossKeyLifetimes(t *testing.T) {
 
 // TestResumeRefusesStateSlotsCannotHold: a state whose slot points past the
 // tree's leaves, whose key is wider than KeyWidth or held by two slots, whose
-// slab is not one value per slot, which names no object, or whose buckets hold
-// no block, describes no handle an access ever left behind. Accepted, each
+// slab is not one value per slot, which names no object, or whose bucket size
+// or stash limit is not the paper's Z = 4 and 7·⌈lg n⌉, describes no handle an
+// access ever left behind. Accepted, each
 // would fail only accesses later — as a server integrity fault, or silently.
 // Resume refuses it and says what is wrong, naming the key where there is one.
 func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
@@ -277,7 +283,7 @@ func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 	cipher := newTestCipher(t)
 	_, leaves := shape(4)
 	base := func() *State {
-		return &State{Name: "x", Capacity: 4, Z: 4, KeyWidth: 2, ValueWidth: 2, StashLimit: 10,
+		return &State{Name: "x", Capacity: 4, Z: 4, KeyWidth: 2, ValueWidth: 2, StashLimit: 14,
 			Slots: []Slot{
 				{Key: "k", Leaf: 1, Stashed: true},
 				{Key: "j", Leaf: uint32(leaves - 1), Ver: 3},
@@ -299,6 +305,8 @@ func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 		{"long slab", "5 value bytes for 2 slots", func(st *State) { st.Values = append(st.Values, 0) }},
 		{"empty name", "empty object name", func(st *State) { st.Name = "" }},
 		{"Z < 1", "bucket size 0", func(st *State) { st.Z = 0 }},
+		{"Z other than the paper's 4", "bucket size 2", func(st *State) { st.Z = 2 }},
+		{"stash limit other than 7·⌈lg n⌉", "stash limit 20", func(st *State) { st.StashLimit = 20 }},
 	}
 	for _, c := range cases {
 		st := base()

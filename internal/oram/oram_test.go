@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strconv"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -92,8 +90,8 @@ func TestOverwrite(t *testing.T) {
 	if err != nil || !found || !bytes.Equal(v, val(4, 2)) {
 		t.Errorf("after overwrite: %v, %v, %v", v, found, err)
 	}
-	if o.Len() != 1 {
-		t.Errorf("Len = %d, want 1", o.Len())
+	if len(o.entries) != 1 {
+		t.Errorf("Len = %d, want 1", len(o.entries))
 	}
 }
 
@@ -108,8 +106,8 @@ func TestRemove(t *testing.T) {
 	if _, found, _ := o.Read("k"); found {
 		t.Error("key still present after Remove")
 	}
-	if o.Len() != 0 {
-		t.Errorf("Len = %d, want 0", o.Len())
+	if len(o.entries) != 0 {
+		t.Errorf("Len = %d, want 0", len(o.entries))
 	}
 	// Removing an absent key is a no-op with the same access pattern.
 	if err := o.Remove("never"); err != nil {
@@ -203,8 +201,8 @@ func TestManyKeysFullCapacity(t *testing.T) {
 			t.Fatalf("final Read %s = %v,%v,%v; want %v", k, v, found, err, want)
 		}
 	}
-	if o.Len() != len(oracle) {
-		t.Errorf("Len = %d, oracle %d", o.Len(), len(oracle))
+	if len(o.entries) != len(oracle) {
+		t.Errorf("Len = %d, oracle %d", len(o.entries), len(oracle))
 	}
 }
 
@@ -224,8 +222,8 @@ func TestStashBound(t *testing.T) {
 			t.Fatalf("Read: %v", err)
 		}
 	}
-	if o.maxStash > o.StashLimit() {
-		t.Errorf("stash high-water %d exceeded limit %d", o.maxStash, o.StashLimit())
+	if o.maxStash > stashLimit(o.capacity) {
+		t.Errorf("stash high-water %d exceeded limit %d", o.maxStash, stashLimit(o.capacity))
 	}
 	// With these seeds the mark has been 23 in every run, under the
 	// level-by-level eviction and under the one-pass eviction alike (how many
@@ -234,7 +232,7 @@ func TestStashBound(t *testing.T) {
 	if o.maxStash > 23 {
 		t.Errorf("stash high-water %d, was 23 before eviction changed", o.maxStash)
 	}
-	t.Logf("stash high-water mark %d (limit %d)", o.maxStash, o.StashLimit())
+	t.Logf("stash high-water mark %d (limit %d)", o.maxStash, stashLimit(o.capacity))
 }
 
 // TestAccessPatternIndistinguishable checks Definition 4's core demand: a
@@ -440,7 +438,7 @@ func TestPropertyRandomWorkload(t *testing.T) {
 				delete(oracle, k)
 			}
 		}
-		return o.Len() == len(oracle)
+		return len(o.entries) == len(oracle)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -458,57 +456,6 @@ func TestClientMemoryGrowsWithContent(t *testing.T) {
 	full := o.ClientMemoryBytes()
 	if full <= empty {
 		t.Errorf("client memory did not grow: %d -> %d", empty, full)
-	}
-}
-
-// TestNonDefaultParameters: Z and StashFactor are configurable; the ORAM
-// must stay correct with tighter buckets.
-func TestNonDefaultParameters(t *testing.T) {
-	srv := store.NewServer()
-	o, err := Setup(srv, crypto.MustNewCipher(crypto.MustNewKey()), "z2", Config{
-		Capacity: 64, KeyWidth: 8, ValueWidth: 4, Z: 2, StashFactor: 20, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.StashLimit() != 20*6 { // 20 · ceil(log₂ 64)
-		t.Errorf("StashLimit = %d, want 120", o.StashLimit())
-	}
-	oracle := make(map[string]byte)
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 300; i++ {
-		k := fmt.Sprintf("k%d", rng.Intn(64))
-		b := byte(rng.Intn(256))
-		if err := o.Write(k, val(4, b)); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-		oracle[k] = b
-	}
-	for k, b := range oracle {
-		v, found, err := o.Read(k)
-		if err != nil || !found || v[0] != b {
-			t.Fatalf("Read(%s) = %v,%v,%v want %d", k, v, found, err, b)
-		}
-	}
-	t.Logf("Z=2 stash high-water: %d (limit %d)", o.maxStash, o.StashLimit())
-}
-
-func TestAccessors(t *testing.T) {
-	o, _ := newTestORAM(t, 20, 8)
-	if o.Name() != "test" {
-		t.Errorf("Name = %q", o.Name())
-	}
-	if o.Capacity() != 20 {
-		t.Errorf("Capacity = %d", o.Capacity())
-	}
-	if o.ValueWidth() != 8 {
-		t.Errorf("ValueWidth = %d", o.ValueWidth())
-	}
-	if err := o.Write("k", val(8, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if len(o.stash) > o.StashLimit() {
-		t.Errorf("stash holds %d blocks", len(o.stash))
 	}
 }
 
@@ -542,8 +489,8 @@ func TestCapacityOne(t *testing.T) {
 	if err := o.Remove("only"); err != nil {
 		t.Fatal(err)
 	}
-	if o.Len() != 0 {
-		t.Errorf("Len = %d", o.Len())
+	if len(o.entries) != 0 {
+		t.Errorf("Len = %d", len(o.entries))
 	}
 }
 
@@ -676,7 +623,7 @@ func TestSetupFramesClosedForm(t *testing.T) {
 			}
 			if len(handles) == 1 {
 				o := handles[0]
-				k, total := max(1, setupFrameBytes/o.bucketBytes()), 1<<o.levels-1
+				k, total := max(1, setupFrameBytes/o.bucketBytes()), 1<<o.pl.levels-1
 				if want := (total + k - 1) / k; len(spy.batches) != want {
 					t.Errorf("%v: %d batches, want ⌈%d/%d⌉ = %d", c.trees, len(spy.batches), total, k, want)
 				}
@@ -706,7 +653,7 @@ func TestSetupFramesClosedForm(t *testing.T) {
 			// The writes cover each tree's buckets once, in heap order.
 			at := 0
 			for _, o := range handles {
-				for next := 0; next < 1<<o.levels-1; {
+				for next := 0; next < 1<<o.pl.levels-1; {
 					if at == len(writes) || writes[at].name != o.name || writes[at].start != next {
 						t.Fatalf("%v: tree %s: bucket %d is not written next", c.trees, o.name, next)
 					}
@@ -803,11 +750,11 @@ func TestHeavySameKeyWorkload(t *testing.T) {
 			t.Fatalf("iteration %d: %v %v %v", i, v, found, err)
 		}
 	}
-	if o.Len() != 1 {
-		t.Errorf("Len = %d", o.Len())
+	if len(o.entries) != 1 {
+		t.Errorf("Len = %d", len(o.entries))
 	}
-	if o.maxStash > o.StashLimit() {
-		t.Errorf("stash %d exceeded limit %d", o.maxStash, o.StashLimit())
+	if o.maxStash > stashLimit(o.capacity) {
+		t.Errorf("stash %d exceeded limit %d", o.maxStash, stashLimit(o.capacity))
 	}
 }
 
@@ -848,8 +795,8 @@ func TestStoreConformance(t *testing.T) {
 		if !bytes.Equal(v, []byte{9, 9, 9, 9}) {
 			t.Errorf("overwrite lost: %v", v)
 		}
-		if s.Len() != 1 {
-			t.Errorf("Len = %d", s.Len())
+		if len(s.entries) != 1 {
+			t.Errorf("Len = %d", len(s.entries))
 		}
 		if err := s.Remove("a"); err != nil {
 			t.Fatal(err)
@@ -908,91 +855,9 @@ func TestStoreConformanceRandomWorkload(t *testing.T) {
 				}
 				delete(oracle, k)
 			}
-			if s.Len() != len(oracle) {
-				t.Fatalf("step %d: Len = %d, oracle %d", step, s.Len(), len(oracle))
+			if len(s.entries) != len(oracle) {
+				t.Fatalf("step %d: Len = %d, oracle %d", step, len(s.entries), len(oracle))
 			}
 		}
 	})
-}
-
-// TestBatchedStashBound: the stash left after each batch's eviction must stay
-// within StashLimit (7·log₂ n) at every tree size the engines build, n = 2^10
-// … 2^15, with the shipped tree shape (half the next power of two ≥ n leaves,
-// so 25 % of the leaf slots are live at full load): fill the tree a batch of
-// fresh keys at a time, then n accesses in batches of random live keys, half
-// reads and half writes. It runs at r = 64, the engines' chunk, which evicts
-// along the union of its paths, and at r = 1, the textbook access a direct
-// Read or Update makes. Each (r, n) is a group whose seeds run as parallel
-// subtests; the group's maxima are logged once its seeds finish. That is most
-// of a minute of AES on one core; under -short, and under the race detector,
-// it stops at 2^11. The high-water marks are in DESIGN.md §10 and
-// EXPERIMENTS.md ("Tree shape").
-func TestBatchedStashBound(t *testing.T) {
-	top := 15
-	if testing.Short() || raceEnabled {
-		top = 11
-	}
-	for _, c := range []struct{ r, seeds int }{{64, 20}, {1, 4}} {
-		for lg := 10; lg <= top; lg++ {
-			n := 1 << lg
-			var mu sync.Mutex
-			high, inBatch := 0, 0
-			t.Run(fmt.Sprintf("r=%d/n=2^%d", c.r, lg), func(t *testing.T) {
-				for seed := int64(1); seed <= int64(c.seeds); seed++ {
-					t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-						t.Parallel()
-						h, b := stashHighWater(t, c.r, n, seed)
-						mu.Lock()
-						high, inBatch = max(high, h), max(inBatch, b)
-						mu.Unlock()
-					})
-				}
-			})
-			limit := DefaultStashFactor * lg
-			if high > limit {
-				t.Errorf("r = %d, n = 2^%d: stash after a batch reached %d, over the limit %d", c.r, lg, high, limit)
-			}
-			t.Logf("r = %d, n = 2^%d: stash after a batch at most %d over %d seeds (limit %d); before eviction at most %d", c.r, lg, high, c.seeds, limit, inBatch)
-		}
-	}
-}
-
-// stashHighWater runs one seed of TestBatchedStashBound: it returns the
-// largest stash left after a batch and the largest stash before eviction.
-func stashHighWater(t *testing.T, r, n int, seed int64) (afterBatch, inBatch int) {
-	o, err := Setup(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", Config{
-		Capacity: n, KeyWidth: 8, ValueWidth: 8, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	p := NewPipeline(o.svc)
-	accesses := make([]Access, r)
-	v := val(8, 1)
-	write := func([]byte, bool) ([]byte, bool) { return v, true }
-	read := func(old []byte, found bool) ([]byte, bool) { return old, found }
-	for i := 0; i < 2*n; i += r {
-		for j := range accesses {
-			k := i + j // a fresh key while filling
-			if i >= n {
-				k = rng.Intn(n)
-			}
-			accesses[j] = Access{Store: o, Key: strconv.Itoa(k), Fn: write}
-			if i >= n && (i+j)%2 == 0 {
-				accesses[j].Fn = read
-			}
-		}
-		if _, err := p.Do(accesses); err != nil {
-			t.Fatalf("r = %d, n = %d, seed %d, access %d: %v", r, n, seed, i, err)
-		}
-		afterBatch = max(afterBatch, len(o.stash))
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if o.Len() != n {
-		t.Fatalf("r = %d, n = %d, seed %d: %d keys live", r, n, seed, o.Len())
-	}
-	return afterBatch, o.maxStash
 }

@@ -21,7 +21,7 @@ type Access struct {
 // whatever the caller does next — the next accesses to the same trees
 // included, and cell ops at public addresses the caller hands over beside
 // them. Each tree a Do names is one cell read, its write-back one cell write
-// of the same positions (see ORAM.positions), in the order the Do first names
+// of the same positions (see placer.lay), in the order the Do first names
 // the trees, and the caller's ops follow:
 //
 //	p.Do([]Access{a, b, a})      one round: ReadCells A (2 paths), ReadCells B (1 path)
@@ -109,7 +109,8 @@ func (p *Pipeline) Do(accesses []Access, extra ...store.BatchOp) ([][][]byte, er
 		p.index = append(p.index, k)
 	}
 	for _, o := range p.begun {
-		p.ops = append(p.ops, store.BatchOp{Name: o.name, Idx: o.positions()})
+		o.idx = o.pl.lay(o.idx)
+		p.ops = append(p.ops, store.BatchOp{Name: o.name, Idx: o.idx})
 	}
 	p.ops = append(p.ops, extra...)
 	res, err := p.round()

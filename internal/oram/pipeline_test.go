@@ -152,8 +152,8 @@ func TestStoreModel(t *testing.T) {
 					model[k] = []byte{want[0], want[1], want[2], want[3] + 1}
 				}
 			}
-			if s.Len() != len(model) {
-				t.Fatalf("step %d: Len = %d, model %d", step, s.Len(), len(model))
+			if len(s.entries) != len(model) {
+				t.Fatalf("step %d: Len = %d, model %d", step, len(s.entries), len(model))
 			}
 		}
 	})
@@ -741,8 +741,8 @@ func batchModel(t *testing.T, o *ORAM, keys, steps, maxR int, seed int64) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if o.Len() != len(model) {
-		t.Fatalf("Len = %d, model %d", o.Len(), len(model))
+	if len(o.entries) != len(model) {
+		t.Fatalf("Len = %d, model %d", len(o.entries), len(model))
 	}
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("k%d", i)
