@@ -64,7 +64,7 @@ func BenchmarkFig4RowScalability(b *testing.B) {
 				caseName = "multi"
 			}
 			for _, n := range []int{128, 512} {
-				b.Run(fmt.Sprintf("%s/%s/n=%d", method, caseName, n), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/%s/n=%d", method.Paper(), caseName, n), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						if _, err := bench.Fig4Single(method, multi, n, int64(i+1)); err != nil {
 							b.Fatal(err)
@@ -80,7 +80,7 @@ func BenchmarkFig4RowScalability(b *testing.B) {
 // partition per method — the Fig. 5 series — reported as metrics.
 func BenchmarkFig5Storage(b *testing.B) {
 	for _, method := range bench.AllMethods {
-		b.Run(string(method), func(b *testing.B) {
+		b.Run(method.Paper(), func(b *testing.B) {
 			var server int64
 			var client int
 			for i := 0; i < b.N; i++ {

@@ -186,15 +186,11 @@ func runResume(o options) error {
 	}
 	reg := o.newRegistry()
 	tr := o.newTracer()
-	db, srv, err := securefd.ResumeFromDir(o.dataDir, o.resume, securefd.DurableOptions{Trace: tr})
+	db, srv, err := securefd.ResumeFromDir(o.dataDir, o.resume, securefd.DurableOptions{Trace: tr}, reg, tr)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	// Checkpoints carry no telemetry wiring; re-instrument the rebuilt
-	// ORAM handles so post-resume accesses are counted.
-	db.SetTelemetry(reg)
-	db.SetTrace(tr)
 	if !o.quiet {
 		log.Info("resumed from checkpoint", "path", o.resume, "epoch", cp.Epoch,
 			"completed_levels", cp.Epoch, "data_dir", o.dataDir)

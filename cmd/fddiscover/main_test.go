@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -179,6 +181,79 @@ func TestRunWithTelemetry(t *testing.T) {
 		if err := run(path, o); err != nil {
 			t.Errorf("run(%s) with telemetry: %v", proto, err)
 		}
+	}
+}
+
+// TestRunResumeWithTelemetry: a -checkpoint run that a tampered read aborts
+// part-way up the lattice leaves a checkpoint behind, and -resume …
+// -telemetry finishes it from there with the plaintext FD set and prints
+// non-zero ORAM and integrity counters: the resumed run's accesses, among
+// them those to the ORAMs the checkpoint rebuilt.
+func TestRunResumeWithTelemetry(t *testing.T) {
+	var csv strings.Builder
+	csv.WriteString("A,B,C,D\n")
+	for i := range 24 { // small domains: three lattice levels, FDs at each
+		fmt.Fprintf(&csv, "%d,%d,%d,%d\n", i%2, i%3, i/2%3, i%4)
+	}
+	path := filepath.Join(t.TempDir(), "dom.csv")
+	if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := captureStdout(t, func() error { return run(path, quietOpts("plaintext")) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// checkpointed runs ex-oram with -checkpoint into a fresh data directory,
+	// reading through corruption seeded by seed when it is not zero, and
+	// returns the options it ran with and the epoch its checkpoint holds.
+	checkpointed := func(seed int64) (options, int64) {
+		o := quietOpts("ex-oram")
+		o.dataDir, o.ckptPath = t.TempDir(), filepath.Join(t.TempDir(), "run.ckpt")
+		if seed != 0 {
+			o.corruptRate, o.faultSeed = 0.03, seed
+		}
+		if _, err := captureStdout(t, func() error { return run(path, o) }); (err != nil) != (seed != 0) {
+			return o, -1
+		}
+		cp, err := securefd.ReadCheckpointFile(o.ckptPath)
+		if err != nil {
+			return o, -1
+		}
+		return o, cp.Epoch
+	}
+	_, last := checkpointed(0)
+	if last < 2 {
+		t.Fatalf("an uninterrupted run's last checkpoint is at epoch %d, want a lattice of several levels", last)
+	}
+	for seed := int64(1); ; seed++ {
+		if seed > 64 {
+			t.Fatal("no fault seed aborts the run between its first and its last checkpoint")
+		}
+		o, epoch := checkpointed(seed)
+		if epoch < 1 || epoch >= last {
+			continue
+		}
+		r := quietOpts("")
+		r.dataDir, r.resume, r.telemetry = o.dataDir, o.ckptPath, true
+		out, err := captureStdout(t, func() error { return runResume(r) })
+		if err != nil {
+			t.Fatalf("resuming seed %d's run from epoch %d: %v", seed, epoch, err)
+		}
+		if !strings.HasPrefix(out, want) {
+			t.Errorf("resumed run printed\n%s\nwant the plaintext FD set\n%s", out, want)
+		}
+		for _, name := range []string{"oblivfd_oram_path_reads_total", "oblivfd_integrity_checks_total"} {
+			var v int64
+			for _, line := range strings.Split(out, "\n") {
+				if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+					v, _ = strconv.ParseInt(f[1], 10, 64)
+				}
+			}
+			if v == 0 {
+				t.Errorf("-resume -telemetry printed no non-zero %s:\n%s", name, out)
+			}
+		}
+		return
 	}
 }
 

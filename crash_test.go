@@ -21,7 +21,7 @@ import (
 // FD set and the access accounting of the uninterrupted run want.
 func resume(t *testing.T, dir, ckpt string, want *securefd.Report) {
 	t.Helper()
-	db, srv, err := securefd.ResumeFromDir(dir, ckpt, securefd.DurableOptions{})
+	db, srv, err := securefd.ResumeFromDir(dir, ckpt, securefd.DurableOptions{}, nil, nil)
 	if err != nil {
 		t.Fatalf("ResumeFromDir: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestCrashRecoveryClientKill(t *testing.T) {
 	srv := killClient(t, m, dir, ckpt)
 	// The server applied mutations after the checkpointed epoch, so resuming
 	// the checkpoint's ORAM client state against it must be refused.
-	if _, err := securefd.Resume(srv, ckpt); !errors.Is(err, securefd.ErrEpochMismatch) {
+	if _, err := securefd.Resume(srv, ckpt, nil, nil); !errors.Is(err, securefd.ErrEpochMismatch) {
 		t.Fatalf("Resume against drifted server = %v, want ErrEpochMismatch", err)
 	}
 	if err := srv.Close(); err != nil {

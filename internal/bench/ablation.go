@@ -69,7 +69,7 @@ func AblationCompression(n, maxSetSize int, seed int64) (*AblationCompressionRes
 	for size := 2; size <= maxSetSize; size++ {
 		// Compressed: prematerialize the chain below the target set,
 		// time only the final union step.
-		s, err := newSetup(rel, MethodSort, 1, 0)
+		s, err := newSetup(rel, core.ProtocolSort, 1, 0)
 		if err != nil {
 			return nil, err
 		}

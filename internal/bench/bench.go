@@ -15,28 +15,16 @@ package bench
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/core"
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
 
-// Method identifies an attribute-level method under test, named as in the
-// paper's evaluation.
-type Method string
-
-// The evaluated methods (§VII).
-const (
-	MethodOrORAM Method = "Or-ORAM" // original ORAM-based (§IV-C)
-	MethodExORAM Method = "Ex-ORAM" // extended ORAM-based (§V)
-	MethodSort   Method = "Sort"    // oblivious sorting (§IV-D)
-)
-
-// AllMethods lists the methods in the paper's order.
-var AllMethods = []Method{MethodOrORAM, MethodExORAM, MethodSort}
+// AllMethods lists the methods §VII evaluates, in the paper's order; results
+// print them under their paper names (core.Protocol.Paper).
+var AllMethods = []core.Protocol{core.ProtocolORAM, core.ProtocolDynamicORAM, core.ProtocolSort}
 
 // sortCoverNote ends the caption of every experiment that measures one Sort
 // partition (Fig. 4, 6a, 6b, comm).
@@ -49,11 +37,11 @@ type setup struct {
 	eng core.Engine
 }
 
-// newSetup uploads rel to a fresh in-process server and builds the engine
-// for a method. Workers applies to Sort only.
-func newSetup(rel *relation.Relation, method Method, workers, headroom int) (*setup, error) {
+// newSetup opens protocol p over rel on a fresh in-process server. Workers
+// applies to Sort only.
+func newSetup(rel *relation.Relation, p core.Protocol, workers, headroom int) (*setup, error) {
 	srv := store.NewServer()
-	s, err := newSetupOn(srv, rel, method, workers, headroom)
+	s, err := newSetupOn(srv, rel, p, workers, headroom)
 	if err != nil {
 		return nil, err
 	}
@@ -61,32 +49,11 @@ func newSetup(rel *relation.Relation, method Method, workers, headroom int) (*se
 	return s, nil
 }
 
-// newSetupOn uploads rel over an arbitrary service (e.g. a TCP pool).
-func newSetupOn(svc store.Service, rel *relation.Relation, method Method, workers, headroom int) (*setup, error) {
-	cipher, err := crypto.NewCipher(crypto.MustNewKey())
+// newSetupOn opens protocol p over an arbitrary service (e.g. a TCP pool).
+func newSetupOn(svc store.Service, rel *relation.Relation, p core.Protocol, workers, headroom int) (*setup, error) {
+	eng, _, err := core.Open(svc, rel, p, workers, headroom, nil)
 	if err != nil {
 		return nil, err
-	}
-	edb, err := core.UploadWithCapacity(svc, cipher, fmt.Sprintf("bench%d", setupSeq.Add(1)), rel, rel.NumRows()+headroom)
-	if err != nil {
-		return nil, err
-	}
-	var eng core.Engine
-	switch method {
-	case MethodOrORAM:
-		eng = core.NewOrEngine(edb)
-	case MethodExORAM:
-		eng, err = core.NewExEngine(edb)
-		if err != nil {
-			return nil, err
-		}
-	case MethodSort:
-		eng, err = core.NewSortEngine(edb, workers)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("bench: unknown method %q", method)
 	}
 	return &setup{svc: svc, eng: eng}, nil
 }
@@ -145,9 +112,6 @@ func (s *setup) serverBytes() int64 {
 	}
 	return st.StoredBytes
 }
-
-// setupSeq uniquifies database names across setups sharing one server.
-var setupSeq atomic.Int64
 
 func (s *setup) close() { _ = s.eng.Close() }
 

@@ -94,10 +94,10 @@ func TestFig5Tiny(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Server storage: ORAM > Sort at the same n; storage grows with n.
-	or16, _ := res.Point(MethodOrORAM, 16)
-	or64, _ := res.Point(MethodOrORAM, 64)
-	st64, _ := res.Point(MethodSort, 64)
-	ex64, _ := res.Point(MethodExORAM, 64)
+	or16, _ := res.Point(core.ProtocolORAM, 16)
+	or64, _ := res.Point(core.ProtocolORAM, 64)
+	st64, _ := res.Point(core.ProtocolSort, 64)
+	ex64, _ := res.Point(core.ProtocolDynamicORAM, 64)
 	if or64.ServerBytes <= or16.ServerBytes {
 		t.Error("ORAM storage does not grow with n")
 	}
@@ -108,11 +108,11 @@ func TestFig5Tiny(t *testing.T) {
 		t.Errorf("Ex-ORAM storage (%d) not above Or-ORAM (%d)", ex64.ServerBytes, or64.ServerBytes)
 	}
 	// Client memory: Sort constant, ORAM grows.
-	st16, _ := res.Point(MethodSort, 16)
+	st16, _ := res.Point(core.ProtocolSort, 16)
 	if st16.ClientBytes != st64.ClientBytes {
 		t.Error("Sort client memory not constant")
 	}
-	or16c, _ := res.Point(MethodOrORAM, 16)
+	or16c, _ := res.Point(core.ProtocolORAM, 16)
 	if or64.ClientBytes <= or16c.ClientBytes {
 		t.Error("ORAM client memory does not grow")
 	}
@@ -240,16 +240,12 @@ func TestAblationCompressionTiny(t *testing.T) {
 func TestRawCardinalityMatchesCompressed(t *testing.T) {
 	rel := dataset.Letter(30, 17) // small domains: every |π_X| below is well under n
 	srv := store.NewServer()
-	cipher := crypto.MustNewCipher(crypto.MustNewKey())
-	edb, err := core.Upload(srv, cipher, "raw", rel)
+	cipher := crypto.MustNewCipher(crypto.MustNewKey()) // seals the raw path's working arrays
+	compressed, edb, err := core.Open(srv, rel, core.ProtocolSort, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base, _ := srv.Stats()
-	compressed, err := core.NewSortEngine(edb, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for a := 0; a < 4; a++ {
 		if _, err := core.CardinalitySingle(compressed, a); err != nil {
 			t.Fatal(err)
@@ -292,9 +288,9 @@ func TestCommTiny(t *testing.T) {
 	if len(res.Points) != 18 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
-	or32, _ := res.Point(MethodOrORAM, 0, 32)
-	or64, _ := res.Point(MethodOrORAM, 0, 64)
-	sort64, _ := res.Point(MethodSort, 0, 64)
+	or32, _ := res.Point(core.ProtocolORAM, 0, 32)
+	or64, _ := res.Point(core.ProtocolORAM, 0, 64)
+	sort64, _ := res.Point(core.ProtocolSort, 0, 64)
 	if or64.Ops <= or32.Ops || or64.Bytes <= or32.Bytes {
 		t.Error("ORAM communication does not grow with n")
 	}
@@ -327,7 +323,7 @@ func TestCommTiny(t *testing.T) {
 	// records where the single reads n column cells. A cover's own by-ID
 	// network, run when its first union reads it, must not be charged to the
 	// union measured here.
-	sortPair64, _ := res.Point(MethodSort, 1, 64)
+	sortPair64, _ := res.Point(core.ProtocolSort, 1, 64)
 	if got, want := sortPair64.Ops-sort64.Ops, int64(2*64/obsort.RunRecords-64); got != want {
 		t.Errorf("Sort pair ops − single ops = %d, want 2⌈n/R⌉ − n = %d", got, want)
 	}
@@ -337,10 +333,10 @@ func TestCommTiny(t *testing.T) {
 	// where three unions alone make 4·3: three cover rounds fewer, each its
 	// ID ORAM's whole 63-bucket tree read and written (see above); Or-ORAM
 	// reads 3 cover label cells a record where three unions alone read 6.
-	if level, _ := res.Point(MethodSort, 3, 64); level.Ops != 3*sortPair64.Ops {
+	if level, _ := res.Point(core.ProtocolSort, 3, 64); level.Ops != 3*sortPair64.Ops {
 		t.Errorf("Sort level of three: %d ops, want three unions' %d", level.Ops, 3*sortPair64.Ops)
 	}
-	for m, want := range map[Method]int64{MethodOrORAM: 3 * 64, MethodExORAM: 3 * 2 * 63} {
+	for m, want := range map[core.Protocol]int64{core.ProtocolORAM: 3 * 64, core.ProtocolDynamicORAM: 3 * 2 * 63} {
 		union, _ := res.Point(m, 1, 64)
 		level, _ := res.Point(m, 3, 64)
 		if got := 3*union.Ops - level.Ops; got != want {
@@ -355,7 +351,7 @@ func TestCommTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, _ := res2.Point(MethodOrORAM, 0, 64)
+	again, _ := res2.Point(core.ProtocolORAM, 0, 64)
 	if again.Ops != or64.Ops || again.Bytes != or64.Bytes {
 		t.Errorf("communication not deterministic: %d/%d vs %d/%d ops/bytes",
 			again.Ops, again.Bytes, or64.Ops, or64.Bytes)
@@ -419,7 +415,7 @@ func TestFormatHelpers(t *testing.T) {
 
 func TestNewSetupUnknownMethod(t *testing.T) {
 	rel := dataset.RND(2, 4, 1)
-	_, err := newSetup(rel, Method("bogus"), 1, 0)
+	_, err := newSetup(rel, core.Protocol(99), 1, 0)
 	if err == nil {
 		t.Error("unknown method accepted")
 	}

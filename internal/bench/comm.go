@@ -13,7 +13,7 @@ import (
 // of client↔server operations and ciphertext bytes moved for one partition
 // computation, or for one lattice level's.
 type CommPoint struct {
-	Method Method
+	Method core.Protocol
 	Unions int // 0: |X| = 1; 1: one union; 3: a level of three unions over three covers
 	N      int
 	Ops    int64
@@ -99,17 +99,17 @@ func (r *CommResult) Render() string {
 		fmt.Fprintf(&b, "%s\n", c.name)
 		fmt.Fprintf(&b, "%8s", "n")
 		for _, m := range AllMethods {
-			fmt.Fprintf(&b, " %11s-ops %11s-MB", m, m)
+			fmt.Fprintf(&b, " %11s-ops %11s-MB", m.Paper(), m.Paper())
 		}
 		b.WriteByte('\n')
-		seen := map[int]map[Method]CommPoint{}
+		seen := map[int]map[core.Protocol]CommPoint{}
 		var order []int
 		for _, p := range r.Points {
 			if p.Unions != c.unions {
 				continue
 			}
 			if seen[p.N] == nil {
-				seen[p.N] = map[Method]CommPoint{}
+				seen[p.N] = map[core.Protocol]CommPoint{}
 				order = append(order, p.N)
 			}
 			seen[p.N][p.Method] = p
@@ -128,7 +128,7 @@ func (r *CommResult) Render() string {
 }
 
 // Point looks up a measurement (testing helper).
-func (r *CommResult) Point(m Method, unions, n int) (CommPoint, bool) {
+func (r *CommResult) Point(m core.Protocol, unions, n int) (CommPoint, bool) {
 	for _, p := range r.Points {
 		if p.Method == m && p.Unions == unions && p.N == n {
 			return p, true

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"github.com/oblivfd/oblivfd/internal/core"
 	"strings"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 
 // Fig4Point is one (method, case, n) runtime measurement.
 type Fig4Point struct {
-	Method    Method
+	Method    core.Protocol
 	MultiAttr bool
 	N         int
 	Runtime   time.Duration
@@ -52,7 +53,7 @@ func Fig4(sizes []int, seed int64) (*Fig4Result, error) {
 
 // Fig4Single measures a single Fig. 4 point: one partition computation for
 // the given method, case, and row count.
-func Fig4Single(method Method, multi bool, n int, seed int64) (time.Duration, error) {
+func Fig4Single(method core.Protocol, multi bool, n int, seed int64) (time.Duration, error) {
 	rel := dataset.RND(4, n, seed)
 	s, err := newSetup(rel, method, 1, 0)
 	if err != nil {
@@ -74,22 +75,22 @@ func (r *Fig4Result) Render() string {
 			caseName = "|X| >= 2"
 		}
 		fmt.Fprintf(&b, "Fig 4 (%s): partition runtime vs n (RND)\n", caseName)
-		fmt.Fprintf(&b, "%8s %12s %12s %12s\n", "n", MethodOrORAM, MethodExORAM, MethodSort)
-		seen := map[int]map[Method]time.Duration{}
+		fmt.Fprintf(&b, "%8s %12s %12s %12s\n", "n", core.ProtocolORAM.Paper(), core.ProtocolDynamicORAM.Paper(), core.ProtocolSort.Paper())
+		seen := map[int]map[core.Protocol]time.Duration{}
 		var order []int
 		for _, p := range r.Points {
 			if p.MultiAttr != multi {
 				continue
 			}
 			if seen[p.N] == nil {
-				seen[p.N] = map[Method]time.Duration{}
+				seen[p.N] = map[core.Protocol]time.Duration{}
 				order = append(order, p.N)
 			}
 			seen[p.N][p.Method] = p.Runtime
 		}
 		for _, n := range order {
 			fmt.Fprintf(&b, "%8d %12s %12s %12s\n", n,
-				fmtDur(seen[n][MethodOrORAM]), fmtDur(seen[n][MethodExORAM]), fmtDur(seen[n][MethodSort]))
+				fmtDur(seen[n][core.ProtocolORAM]), fmtDur(seen[n][core.ProtocolDynamicORAM]), fmtDur(seen[n][core.ProtocolSort]))
 		}
 	}
 	b.WriteString("Expected shape: Sort grows ~n·log²n and overtakes the ORAM methods as n grows;\nEx-ORAM > Or-ORAM; the |X|>=2 case costs ORAM methods extra subset reads.\n" + sortCoverNote)
@@ -97,7 +98,7 @@ func (r *Fig4Result) Render() string {
 }
 
 // Runtime looks up a point (testing helper).
-func (r *Fig4Result) Runtime(m Method, multi bool, n int) (time.Duration, bool) {
+func (r *Fig4Result) Runtime(m core.Protocol, multi bool, n int) (time.Duration, bool) {
 	for _, p := range r.Points {
 		if p.Method == m && p.MultiAttr == multi && p.N == n {
 			return p.Runtime, true
@@ -109,7 +110,7 @@ func (r *Fig4Result) Runtime(m Method, multi bool, n int) (time.Duration, bool) 
 // Fig5Point is one (method, n) resource measurement after computing one
 // single-attribute partition.
 type Fig5Point struct {
-	Method      Method
+	Method      core.Protocol
 	N           int
 	ServerBytes int64
 	ClientBytes int
@@ -154,19 +155,19 @@ func (r *Fig5Result) Render() string {
 	var b strings.Builder
 	render := func(title string, value func(Fig5Point) string) {
 		fmt.Fprintf(&b, "Fig 5 (%s) vs n, one partition (RND)\n", title)
-		fmt.Fprintf(&b, "%8s %12s %12s %12s\n", "n", MethodOrORAM, MethodExORAM, MethodSort)
-		seen := map[int]map[Method]string{}
+		fmt.Fprintf(&b, "%8s %12s %12s %12s\n", "n", core.ProtocolORAM.Paper(), core.ProtocolDynamicORAM.Paper(), core.ProtocolSort.Paper())
+		seen := map[int]map[core.Protocol]string{}
 		var order []int
 		for _, p := range r.Points {
 			if seen[p.N] == nil {
-				seen[p.N] = map[Method]string{}
+				seen[p.N] = map[core.Protocol]string{}
 				order = append(order, p.N)
 			}
 			seen[p.N][p.Method] = value(p)
 		}
 		for _, n := range order {
 			fmt.Fprintf(&b, "%8d %12s %12s %12s\n", n,
-				seen[n][MethodOrORAM], seen[n][MethodExORAM], seen[n][MethodSort])
+				seen[n][core.ProtocolORAM], seen[n][core.ProtocolDynamicORAM], seen[n][core.ProtocolSort])
 		}
 	}
 	render("server storage", func(p Fig5Point) string { return fmtBytes(p.ServerBytes) })
@@ -176,7 +177,7 @@ func (r *Fig5Result) Render() string {
 }
 
 // Point looks up a measurement (testing helper).
-func (r *Fig5Result) Point(m Method, n int) (Fig5Point, bool) {
+func (r *Fig5Result) Point(m core.Protocol, n int) (Fig5Point, bool) {
 	for _, p := range r.Points {
 		if p.Method == m && p.N == n {
 			return p, true
@@ -228,7 +229,7 @@ func (r *Table3Result) Render() string {
 			lo, ok1 := r.Fig4.Runtime(m, false, min)
 			hi, ok2 := r.Fig4.Runtime(m, false, max)
 			if ok1 && ok2 && lo > 0 {
-				fmt.Fprintf(&b, "  %-8s n: %d -> %d, runtime x%.1f\n", m, min, max, float64(hi)/float64(lo))
+				fmt.Fprintf(&b, "  %-8s n: %d -> %d, runtime x%.1f\n", m.Paper(), min, max, float64(hi)/float64(lo))
 			}
 		}
 	}

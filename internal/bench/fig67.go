@@ -41,7 +41,7 @@ func Fig6a(n int, threads []int, rtt time.Duration, seed int64) (*Fig6aResult, e
 
 	for _, th := range threads {
 		svc := store.WithLatency(store.Service(store.NewServer()), rtt)
-		s, err := newSetupOn(svc, rel, MethodSort, th, 0)
+		s, err := newSetupOn(svc, rel, core.ProtocolSort, th, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +91,7 @@ func Fig6b(sizes []int, seed int64) (*Fig6bResult, error) {
 	for _, n := range sizes {
 		rel := dataset.RND(2, n, seed+int64(n))
 		for _, multi := range []bool{false, true} {
-			s, err := newSetup(rel, MethodSort, 1, 0)
+			s, err := newSetup(rel, core.ProtocolSort, 1, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -106,7 +106,10 @@ func Fig6b(sizes []int, seed int64) (*Fig6bResult, error) {
 				return nil, err
 			}
 
-			enc := &setup{eng: core.NewEnclaveEngine(rel, 1)}
+			enc, err := newSetupOn(nil, rel, core.ProtocolEnclave, 1, 0)
+			if err != nil {
+				return nil, err
+			}
 			var inside time.Duration
 			if multi {
 				inside, err = enc.timePair(0, 1)
@@ -232,7 +235,7 @@ func fig7Run(engines []fig7Engine, rel *relation.Relation) error {
 	for i, keep := range fig7Lists {
 		e := &engines[i]
 		e.rounds = store.WithRoundCounter(store.NewServer())
-		s, err := newSetupOn(e.rounds, relation.New(rel.Schema()), MethodExORAM, 1, n)
+		s, err := newSetupOn(e.rounds, relation.New(rel.Schema()), core.ProtocolDynamicORAM, 1, n)
 		if err != nil {
 			return err
 		}

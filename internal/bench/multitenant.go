@@ -149,7 +149,7 @@ func multiTenantClient(addr, db string, n, m int, seed int64) error {
 		Seed:           seed,
 	})
 	rel := dataset.RND(m, n, seed)
-	s, err := newSetupOn(svc, rel, MethodSort, 1, 0)
+	s, err := newSetupOn(svc, rel, core.ProtocolSort, 1, 0)
 	if err != nil {
 		return err
 	}

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/core"
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/dataset"
-	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
 
@@ -34,54 +32,37 @@ type SecurityLevelsResult struct {
 	Points []SecurityLevelPoint
 }
 
+// securityLevels are the regimes SecurityLevels compares, from no protection
+// to minimal leakage.
+var securityLevels = []struct {
+	p       core.Protocol
+	leakage string
+}{
+	{core.ProtocolPlaintext, "everything"},
+	{core.ProtocolDeterministic, "frequencies [14]"},
+	{core.ProtocolEnclave, "size+FDs (SGX)"},
+	{core.ProtocolSort, "size+FDs"},
+	{core.ProtocolORAM, "size+FDs"},
+}
+
 // SecurityLevels measures one full discovery per level per n on RND.
 func SecurityLevels(sizes []int, maxLHS int, seed int64) (*SecurityLevelsResult, error) {
-	levels := []struct {
-		name    string
-		leakage string
-		mk      func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error)
-	}{
-		{"plaintext", "everything", func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error) {
-			return core.NewPlainEngine(rel), nil
-		}},
-		{"deterministic", "frequencies [14]", func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error) {
-			return core.NewDetEngine(edb), nil
-		}},
-		{"enclave", "size+FDs (SGX)", func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error) {
-			return core.NewEnclaveEngine(rel, 1), nil
-		}},
-		{"sort", "size+FDs", func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error) {
-			return core.NewSortEngine(edb, 1)
-		}},
-		{"or-oram", "size+FDs", func(rel *relation.Relation, edb *core.EncryptedDB) (core.Engine, error) {
-			return core.NewOrEngine(edb), nil
-		}},
-	}
-
 	res := &SecurityLevelsResult{MaxLHS: maxLHS}
 	for _, n := range sizes {
 		rel := dataset.RND(4, n, seed+int64(n))
-		for _, level := range levels {
+		for _, level := range securityLevels {
 			srv := store.NewServer()
-			cipher, err := crypto.NewCipher(crypto.MustNewKey())
-			if err != nil {
-				return nil, err
-			}
-			edb, err := core.Upload(srv, cipher, fmt.Sprintf("sec-%s-%d", level.name, n), rel)
-			if err != nil {
-				return nil, err
-			}
-			eng, err := level.mk(rel, edb)
+			eng, _, err := core.Open(srv, rel, level.p, 1, 0, nil)
 			if err != nil {
 				return nil, err
 			}
 			opsBefore := srv.Trace().TotalOps()
 			start := time.Now()
 			if _, err := core.Discover(eng, rel.NumAttrs(), &core.Options{MaxLHS: maxLHS}); err != nil {
-				return nil, fmt.Errorf("bench: security %s n=%d: %w", level.name, n, err)
+				return nil, fmt.Errorf("bench: security %v n=%d: %w", level.p, n, err)
 			}
 			res.Points = append(res.Points, SecurityLevelPoint{
-				Level: level.name, Leakage: level.leakage, N: n, Runtime: time.Since(start),
+				Level: level.p.String(), Leakage: level.leakage, N: n, Runtime: time.Since(start),
 				Ops: srv.Trace().TotalOps() - opsBefore,
 			})
 			_ = eng.Close()
@@ -105,17 +86,14 @@ func (r *SecurityLevelsResult) Render() string {
 		}
 	}
 	b.WriteByte('\n')
-	order := []string{"plaintext", "deterministic", "enclave", "sort", "or-oram"}
-	for _, level := range order {
-		var leakage string
+	for _, level := range securityLevels {
 		times := map[int]time.Duration{}
 		for _, p := range r.Points {
-			if p.Level == level {
-				leakage = p.Leakage
+			if p.Level == level.p.String() {
 				times[p.N] = p.Runtime
 			}
 		}
-		fmt.Fprintf(&b, "%-14s %-18s", level, leakage)
+		fmt.Fprintf(&b, "%-14s %-18s", level.p, level.leakage)
 		for _, n := range ns {
 			fmt.Fprintf(&b, " %10s", fmtDur(times[n]))
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"github.com/oblivfd/oblivfd/internal/core"
 	"math/rand"
 	"strings"
 	"time"
@@ -16,7 +17,7 @@ import (
 // comparing the method's runtimes on a real-shaped dataset against its
 // runtimes on RND, plus the observed server storage.
 type Table2Cell struct {
-	Method      Method
+	Method      core.Protocol
 	MultiAttr   bool // false: |X| = 1 (groups S1 vs S3); true: |X| ≥ 2 (S2 vs S4)
 	Dataset     string
 	PValue      float64
@@ -86,7 +87,7 @@ func Table2(cfg Table2Config) (*Table2Result, error) {
 	// upload and engine, returning the runtime and the protocol storage
 	// delta (over the uploaded ciphertexts, whose size is the allowed
 	// Size(DB) leakage).
-	measureOnce := func(method Method, rel *relation.Relation, multi bool) (float64, int64, error) {
+	measureOnce := func(method core.Protocol, rel *relation.Relation, multi bool) (float64, int64, error) {
 		var s *setup
 		var err error
 		if cfg.RTT > 0 {
@@ -204,7 +205,7 @@ func (r *Table2Result) Render() string {
 			}
 			f := vals["flight"]
 			fmt.Fprintf(&b, "%-8s %-7s %8.2f %8.2f %8.2f %12s %12s\n",
-				method, caseName,
+				method.Paper(), caseName,
 				vals["adult"].PValue, vals["letter"].PValue, f.PValue,
 				fmtBytes(f.StorageReal), fmtBytes(f.StorageRND))
 		}

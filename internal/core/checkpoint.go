@@ -88,9 +88,9 @@ func (e *EncryptedDB) State() *EDBState {
 	}
 }
 
-// AttachEDB rebuilds a database handle over existing server-side column
+// attachEDB rebuilds a database handle over existing server-side column
 // arrays (no creation, no upload).
-func AttachEDB(svc store.Service, st *EDBState) (*EncryptedDB, error) {
+func attachEDB(svc store.Service, st *EDBState) (*EncryptedDB, error) {
 	schema, err := relation.NewSchema(st.Attrs...)
 	if err != nil {
 		return nil, fmt.Errorf("%w: schema: %v", ErrCorruptCheckpoint, err)
@@ -127,15 +127,9 @@ type SetState struct {
 	Labels    string      // IL; empty for ExEngine
 }
 
-// Engine kind tags used in EngineState.Kind.
-const (
-	engineKindOr = "or-oram"
-	engineKindEx = "ex-oram"
-)
-
 // EngineState is the serializable client state of an attribute-level engine.
 type EngineState struct {
-	Kind     string // engineKindOr or engineKindEx
+	Kind     string // the protocol's name (Protocol.String)
 	Instance string // ORAM name prefix; preserved so names keep matching
 	Seq      int64  // ORAM-name counter; preserved so new names stay unique
 	Dead     []int  // ids of the database's rows never to traverse, ascending
@@ -147,29 +141,6 @@ type EngineState struct {
 type CheckpointableEngine interface {
 	Engine
 	CheckpointState() *EngineState
-}
-
-// ResumeEngine rebuilds whichever engine the state describes, attached to
-// the given database handle; see oramCore.resume for what the server must
-// hold.
-func ResumeEngine(edb *EncryptedDB, st *EngineState) (Engine, error) {
-	var e interface {
-		Engine
-		resume(*EncryptedDB, *EngineState, oramLayout) error
-	}
-	var layout oramLayout
-	switch st.Kind {
-	case orLayout.kind:
-		e, layout = new(OrEngine), orLayout
-	case exLayout.kind:
-		e, layout = new(ExEngine), exLayout
-	default:
-		return nil, fmt.Errorf("%w: unknown engine kind %q", ErrCorruptCheckpoint, st.Kind)
-	}
-	if err := e.resume(edb, st, layout); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // LatticeState is the serializable frontier of a Discover run, captured at

@@ -55,7 +55,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	svc := store.NewServer()
 	rel := ckptRelation(t)
 	edb := ckptUpload(t, svc, rel)
-	eng := NewOrEngine(edb)
+	eng := newOrEngine(edb, nil)
 	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != 1 || got.EDB.Name != "ckpt-test" || got.Engine.Kind != engineKindOr {
+	if got.Epoch != 1 || got.EDB.Name != "ckpt-test" || got.Engine.Kind != ProtocolORAM.String() {
 		t.Errorf("round trip: %+v", got)
 	}
 	if got.EDB.Key != cp.EDB.Key {
@@ -172,11 +172,7 @@ func TestIDORAMCheckpointIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edb, err := AttachEDB(store.NewServer(), cp.EDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ResumeEngine(edb, cp.Engine)
+	_, _, _, err = ResumeEngine(store.NewServer(), cp, nil)
 	if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), "a6b2aef") {
 		t.Errorf("ResumeEngine = %v, want ErrCorruptCheckpoint naming commit a6b2aef", err)
 	}
@@ -195,7 +191,7 @@ func TestDiscoverResumeMatchesFullRun(t *testing.T) {
 	m := rel.NumAttrs()
 
 	baselineSvc := store.NewServer()
-	baseEng := NewOrEngine(ckptUpload(t, baselineSvc, rel))
+	baseEng := newOrEngine(ckptUpload(t, baselineSvc, rel), nil)
 	want, err := Discover(baseEng, m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +199,7 @@ func TestDiscoverResumeMatchesFullRun(t *testing.T) {
 
 	// Find how many level boundaries a full run has.
 	probeSvc := store.NewServer()
-	probeEng := NewOrEngine(ckptUpload(t, probeSvc, rel))
+	probeEng := newOrEngine(ckptUpload(t, probeSvc, rel), nil)
 	boundaries := 0
 	if _, err := Discover(probeEng, m, &Options{
 		Checkpoint: func(*LatticeState) error { boundaries++; return nil },
@@ -217,7 +213,7 @@ func TestDiscoverResumeMatchesFullRun(t *testing.T) {
 	for crashAt := 1; crashAt <= boundaries; crashAt++ {
 		svc := store.NewServer()
 		edb := ckptUpload(t, svc, rel)
-		eng := NewOrEngine(edb)
+		eng := newOrEngine(edb, nil)
 
 		var cp *Checkpoint
 		seen := 0
@@ -244,11 +240,7 @@ func TestDiscoverResumeMatchesFullRun(t *testing.T) {
 		if err := VerifyEpoch(svc, cp.Epoch); err != nil {
 			t.Fatalf("crash %d: %v", crashAt, err)
 		}
-		edb2, err := AttachEDB(svc, cp.EDB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng2, err := ResumeEngine(edb2, cp.Engine)
+		eng2, _, _, err := ResumeEngine(svc, cp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +271,7 @@ func crashAfterLevel1(t *testing.T, rel *relation.Relation, opts Options) (*Chec
 	t.Helper()
 	svc := store.NewServer()
 	edb := ckptUpload(t, svc, rel)
-	eng := NewOrEngine(edb)
+	eng := newOrEngine(edb, nil)
 	var cp *Checkpoint
 	opts.Checkpoint = func(ls *LatticeState) error {
 		epoch := int64(ls.NextLevel)
@@ -295,11 +287,7 @@ func crashAfterLevel1(t *testing.T, rel *relation.Relation, opts Options) (*Chec
 	if cp.Lattice.NextLevel != 1 {
 		t.Fatalf("first checkpoint at level %d, want 1", cp.Lattice.NextLevel)
 	}
-	edb2, err := AttachEDB(svc, cp.EDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2, err := ResumeEngine(edb2, cp.Engine)
+	eng2, _, _, err := ResumeEngine(svc, cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +298,7 @@ func crashAfterLevel1(t *testing.T, rel *relation.Relation, opts Options) (*Chec
 // from the state and writes neither into the caller's Options.
 func TestResumeLeavesOptionsAlone(t *testing.T) {
 	rel := ckptRelation(t)
-	want, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), &Options{MaxLHS: 2})
+	want, err := Discover(newPlainEngine(rel), rel.NumAttrs(), &Options{MaxLHS: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +384,11 @@ func TestResumeExEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edb, err := UploadWithCapacity(svc, cipher, "ex-ckpt", rel, rel.NumRows()+4)
+	edb, err := upload(svc, cipher, "ex-ckpt", rel, rel.NumRows()+4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewExEngine(edb)
+	eng, err := newExEngine(edb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,11 +398,11 @@ func TestResumeExEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.CheckpointState()
-	if st.Kind != engineKindEx {
+	if st.Kind != ProtocolDynamicORAM.String() {
 		t.Fatalf("kind = %q", st.Kind)
 	}
 
-	resumed, err := ResumeEngine(edb, st)
+	resumed, _, _, err := ResumeEngine(svc, &Checkpoint{EDB: edb.State(), Engine: st}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,12 +434,12 @@ func TestResumeEngineKindMismatch(t *testing.T) {
 	for _, es := range []*EngineState{
 		{Kind: "bogus"},
 		{Kind: "sort"},
-		{Kind: engineKindOr, Dead: []int{edb.NumRows()}},
-		{Kind: engineKindEx, Dead: []int{-1}},
-		{Kind: engineKindEx, Dead: []int{2, 1}},
-		{Kind: engineKindOr, Dead: []int{3, 3}},
+		{Kind: ProtocolORAM.String(), Dead: []int{edb.NumRows()}},
+		{Kind: ProtocolDynamicORAM.String(), Dead: []int{-1}},
+		{Kind: ProtocolDynamicORAM.String(), Dead: []int{2, 1}},
+		{Kind: ProtocolORAM.String(), Dead: []int{3, 3}},
 	} {
-		if _, err := ResumeEngine(edb, es); !errors.Is(err, ErrCorruptCheckpoint) {
+		if _, _, _, err := ResumeEngine(svc, &Checkpoint{EDB: edb.State(), Engine: es}, nil); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Errorf("%+v: err = %v, want ErrCorruptCheckpoint", es, err)
 		}
 	}
@@ -516,14 +504,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 func fuzzCheckpoints(f *testing.F) []*Checkpoint {
 	rel := ckptRelation(f)
 	var cps []*Checkpoint
-	for _, kind := range []string{engineKindOr, engineKindEx} {
-		edb, err := UploadWithCapacity(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "fuzz", rel, rel.NumRows()+1)
+	for _, kind := range []string{ProtocolORAM.String(), ProtocolDynamicORAM.String()} {
+		edb, err := upload(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "fuzz", rel, rel.NumRows()+1)
 		if err != nil {
 			f.Fatal(err)
 		}
-		var eng CheckpointableEngine = NewOrEngine(edb)
-		if kind == engineKindEx {
-			if eng, err = NewExEngine(edb); err != nil {
+		var eng CheckpointableEngine = newOrEngine(edb, nil)
+		if kind == ProtocolDynamicORAM.String() {
+			if eng, err = newExEngine(edb, nil); err != nil {
 				f.Fatal(err)
 			}
 		}

@@ -55,8 +55,8 @@ const labelWidth = 4
 // capacity above oram.MaxCapacity, which is maxLabel: Or-ORAM, whose ORAMs
 // and label arrays are sized by that capacity, meets the bound by
 // construction. Ex-ORAM's monotone labels, frequencies and ids fit with the
-// capacity strictly below it (NewExEngine). The Sort engine's ids and labels
-// are below n, which NewSortEngine holds to at most maxLabel.
+// capacity strictly below it (newExEngine). The Sort engine's ids and labels
+// are below n, which newSortEngine holds to at most maxLabel.
 const maxLabel = 1 << (8 * labelWidth)
 
 // The build fails if the ORAMs' capacity bound ever exceeds the label bound.

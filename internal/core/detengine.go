@@ -28,10 +28,7 @@ type DetEngine struct {
 }
 
 type detState struct {
-	x relation.AttrSet
-	// tags is the per-record deterministic tag of the set, exactly the
-	// view the server has.
-	tags   []uint64
+	x      relation.AttrSet
 	labels []uint64
 	card   uint64
 }
@@ -40,14 +37,14 @@ func (st *detState) cardinality() int { return int(st.card) }
 
 var detEngines atomic.Int64
 
-// NewDetEngine builds a deterministic-encryption engine over an uploaded
+// newDetEngine builds a deterministic-encryption engine over an uploaded
 // database. The EncryptedDB's cells stay semantically secure; the engine
 // additionally derives and stores per-cell deterministic tags on the
 // server, which is what creates the frequency leakage (Dong & Wang encrypt
 // the cells themselves deterministically; storing tags beside semantically
 // secure cells leaks the same information and keeps the upload format
 // shared with the other engines).
-func NewDetEngine(edb *EncryptedDB) *DetEngine {
+func newDetEngine(edb *EncryptedDB) *DetEngine {
 	e := &DetEngine{
 		edb:      edb,
 		instance: fmt.Sprintf("det%d", detEngines.Add(1)),
@@ -89,7 +86,7 @@ func (e *DetEngine) materialize(st *detState, tags []uint64) error {
 
 	// Group — this is exactly the computation the server could run by
 	// itself on the published tags.
-	st.tags, st.labels = tags, make([]uint64, len(tags))
+	st.labels = make([]uint64, len(tags))
 	seen := make(map[uint64]uint64, len(tags))
 	for i, tag := range tags {
 		lbl, ok := seen[tag]
@@ -126,16 +123,6 @@ func (e *DetEngine) fillUnion(st *detState, _ relation.AttrSet, st1, st2 *detSta
 		tags[i] = unionKey(st1.labels[i], st2.labels[i])
 	}
 	return e.materialize(st, tags)
-}
-
-// PublishedTags returns the deterministic tags of a materialized set — the
-// adversary's view of that column. Frequency-attack tests consume this.
-func (e *DetEngine) PublishedTags(x relation.AttrSet) ([]uint64, bool) {
-	st, ok := e.sets[x]
-	if !ok {
-		return nil, false
-	}
-	return append([]uint64(nil), st.tags...), true
 }
 
 // ClientMemoryBytes implements Engine.

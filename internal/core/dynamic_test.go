@@ -19,13 +19,13 @@ import (
 func newDynamicEx(t *testing.T, rel *relation.Relation, capacity int) *ExEngine {
 	t.Helper()
 	srv := store.NewServer()
-	edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "dyn", rel, capacity)
+	edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "dyn", rel, capacity)
 	if err != nil {
-		t.Fatalf("UploadWithCapacity: %v", err)
+		t.Fatalf("upload: %v", err)
 	}
-	eng, err := NewExEngine(edb)
+	eng, err := newExEngine(edb, nil)
 	if err != nil {
-		t.Fatalf("NewExEngine: %v", err)
+		t.Fatalf("newExEngine: %v", err)
 	}
 	return eng
 }
@@ -272,11 +272,11 @@ func TestDynamicFDRevalidation(t *testing.T) {
 func TestOrEngineInsert(t *testing.T) {
 	rel := randomRel(3, 6, 2, 7)
 	srv := store.NewServer()
-	edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "or", rel, 12)
+	edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "or", rel, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewOrEngine(edb)
+	eng := newOrEngine(edb, nil)
 	defer eng.Close()
 	materializeAll(t, eng, 3)
 
@@ -298,7 +298,7 @@ func TestOrEngineInsert(t *testing.T) {
 // the DynamicEngine contract (it is the Definition 5 baseline).
 func TestPlainEngineDynamicParity(t *testing.T) {
 	rel := randomRel(3, 6, 2, 8)
-	eng := NewPlainEngine(rel)
+	eng := newPlainEngine(rel)
 	materializeAll(t, eng, 3)
 	id, err := eng.Insert(relation.Row{"a", "b", "c"})
 	if err != nil {
@@ -359,7 +359,7 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 			svc := newFailNth(srv, func(op *store.Op) bool {
 				return op.Kind == store.KindBatch && !op.Ops[0].Write && treeOp(&op.Ops[0])
 			})
-			edb, err := UploadWithCapacity(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 10)
+			edb, err := upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -393,7 +393,7 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 			if want := []int{6}; !reflect.DeepEqual(es.Dead, want) {
 				t.Errorf("checkpointed dead ids %v, want %v", es.Dead, want)
 			}
-			resumed, err := ResumeEngine(edb, es)
+			resumed, _, _, err := ResumeEngine(svc, &Checkpoint{EDB: edb.State(), Engine: es}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -438,11 +438,11 @@ func TestRefusedDeleteOwesNothing(t *testing.T) {
 	}
 	fail := newFailNth(srv, klfOnly)
 	rounds := store.WithRoundCounter(fail)
-	edb, err := UploadWithCapacity(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 8)
+	edb, err := upload(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewExEngine(edb)
+	eng, err := newExEngine(edb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,11 +552,11 @@ func TestDeletedIDInvisible(t *testing.T) {
 			var shapes [2]trace.Shape
 			for i, del := range []int{a, b} {
 				srv := store.NewServer()
-				edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows())
+				edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows())
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng, err := NewExEngine(edb)
+				eng, err := newExEngine(edb, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -598,11 +598,11 @@ func TestRediscoveryAfterMutations(t *testing.T) {
 			rel = relation.MustFromRows(rel.Schema(), rows)
 		}
 		rounds := store.WithRoundCounter(store.NewServer())
-		edb, err := UploadWithCapacity(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+mutations)
+		edb, err := upload(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+mutations)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewExEngine(edb)
+		eng, err := newExEngine(edb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -701,7 +701,7 @@ func TestMutationRoundsClosedForm(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/m=%d", e.name, m), func(t *testing.T) {
 				rel := fixedWidthRel(m, 8, int64(m), 3)
 				rounds := store.WithRoundCounter(store.NewServer())
-				edb, err := UploadWithCapacity(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+2)
+				edb, err := upload(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -775,7 +775,7 @@ func TestMutationFramingDataIndependent(t *testing.T) {
 	rel = relation.MustFromRows(rel.Schema(), rows)
 	mutate := func(t *testing.T, e func(testing.TB, *EncryptedDB) (Engine, *oramCore), script func(Engine)) []string {
 		log := newRoundLog(store.NewServer())
-		edb, err := UploadWithCapacity(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+1)
+		edb, err := upload(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,16 +23,16 @@ type EncryptedDB struct {
 }
 
 // Upload encrypts rel cell by cell and stores it on the server under the
-// given database name. The column arrays are sized to rel's row count;
-// use UploadWithCapacity to leave headroom for appended rows.
+// given database name, in column arrays sized to rel's row count. It builds
+// no engine: Open uploads for the engines, with headroom for appended rows.
 func Upload(svc store.Service, cipher *crypto.Cipher, name string, rel *relation.Relation) (*EncryptedDB, error) {
-	return UploadWithCapacity(svc, cipher, name, rel, rel.NumRows())
+	return upload(svc, cipher, name, rel, rel.NumRows())
 }
 
-// UploadWithCapacity uploads rel into column arrays sized for capacity rows,
-// so the client can later append up to capacity-n additional records (the
-// dynamic setting of §V).
-func UploadWithCapacity(svc store.Service, cipher *crypto.Cipher, name string, rel *relation.Relation, capacity int) (*EncryptedDB, error) {
+// upload uploads rel into column arrays sized for capacity rows, so the
+// client can later append up to capacity-n additional records (the dynamic
+// setting of §V).
+func upload(svc store.Service, cipher *crypto.Cipher, name string, rel *relation.Relation, capacity int) (*EncryptedDB, error) {
 	if capacity < rel.NumRows() {
 		return nil, fmt.Errorf("core: capacity %d < %d rows", capacity, rel.NumRows())
 	}

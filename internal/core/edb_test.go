@@ -53,11 +53,11 @@ func TestUploadWithCapacityValidation(t *testing.T) {
 	rel := testRelation()
 	srv := store.NewServer()
 	c := crypto.MustNewCipher(crypto.MustNewKey())
-	if _, err := UploadWithCapacity(srv, c, "x", rel, 2); err == nil {
+	if _, err := upload(srv, c, "x", rel, 2); err == nil {
 		t.Error("capacity below row count accepted")
 	}
 	empty := relation.New(rel.Schema())
-	if _, err := UploadWithCapacity(srv, c, "y", empty, 0); err == nil {
+	if _, err := upload(srv, c, "y", empty, 0); err == nil {
 		t.Error("zero capacity accepted")
 	}
 }
@@ -65,7 +65,7 @@ func TestUploadWithCapacityValidation(t *testing.T) {
 func TestAppendRow(t *testing.T) {
 	rel := testRelation()
 	srv := store.NewServer()
-	edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "emp", rel, 5)
+	edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "emp", rel, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestEncryptedDBDelete(t *testing.T) {
 func TestUploadEmptyRelationWithCapacity(t *testing.T) {
 	srv := store.NewServer()
 	empty := relation.New(relation.MustNewSchema("a", "b"))
-	edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "grow", empty, 8)
+	edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "grow", empty, 8)
 	if err != nil {
 		t.Fatalf("empty upload: %v", err)
 	}

@@ -51,11 +51,11 @@ type enclaveRec struct {
 	pad bool
 }
 
-// NewEnclaveEngine loads the (decrypted) relation into enclave memory. In a
+// newEnclaveEngine loads the (decrypted) relation into enclave memory. In a
 // real deployment the enclave would decrypt the uploaded ciphertexts with a
 // provisioned key; the simulation starts from plaintext directly, which
 // costs O(n·m) either way.
-func NewEnclaveEngine(rel *relation.Relation, workers int) *EnclaveEngine {
+func newEnclaveEngine(rel *relation.Relation, workers int) *EnclaveEngine {
 	if workers < 1 {
 		workers = 1
 	}

@@ -29,15 +29,15 @@ func uploadFor(t *testing.T, rel *relation.Relation) *EncryptedDB {
 func allEngines() []engineFactory {
 	return []engineFactory{
 		{"plain", func(t *testing.T, rel *relation.Relation) Engine {
-			return NewPlainEngine(rel)
+			return newPlainEngine(rel)
 		}},
 		{"or-oram", func(t *testing.T, rel *relation.Relation) Engine {
-			return NewOrEngine(uploadFor(t, rel))
+			return newOrEngine(uploadFor(t, rel), nil)
 		}},
 		{"ex-oram", func(t *testing.T, rel *relation.Relation) Engine {
-			e, err := NewExEngine(uploadFor(t, rel))
+			e, err := newExEngine(uploadFor(t, rel), nil)
 			if err != nil {
-				t.Fatalf("NewExEngine: %v", err)
+				t.Fatalf("newExEngine: %v", err)
 			}
 			return e
 		}},
@@ -209,13 +209,13 @@ func TestEngineContract(t *testing.T) {
 	a, b, c := relation.SingleAttr(0), relation.SingleAttr(1), relation.SingleAttr(2)
 	ab := a.Union(b)
 	for name, mk := range map[string]func(t *testing.T, edb *EncryptedDB) Engine{
-		"plain":         func(*testing.T, *EncryptedDB) Engine { return NewPlainEngine(rel) },
-		"deterministic": func(_ *testing.T, edb *EncryptedDB) Engine { return NewDetEngine(edb) },
-		"enclave":       func(*testing.T, *EncryptedDB) Engine { return NewEnclaveEngine(rel, 1) },
+		"plain":         func(*testing.T, *EncryptedDB) Engine { return newPlainEngine(rel) },
+		"deterministic": func(_ *testing.T, edb *EncryptedDB) Engine { return newDetEngine(edb) },
+		"enclave":       func(*testing.T, *EncryptedDB) Engine { return newEnclaveEngine(rel, 1) },
 		"sort":          func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) },
-		"or-oram":       func(_ *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) },
+		"or-oram":       func(_ *testing.T, edb *EncryptedDB) Engine { return newOrEngine(edb, nil) },
 		"ex-oram": func(t *testing.T, edb *EncryptedDB) Engine {
-			e, err := NewExEngine(edb)
+			e, err := newExEngine(edb, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,7 +295,7 @@ func TestEngineCloseFreesServerStorage(t *testing.T) {
 			t.Fatal(err)
 		}
 		base, _ := srv.Stats()
-		eng := NewOrEngine(edb)
+		eng := newOrEngine(edb, nil)
 		svc.arm(failAt)
 		_, err = CardinalitySingle(eng, 0)
 		if failAt == 0 && err != nil {

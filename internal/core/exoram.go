@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/oblivfd/oblivfd/internal/oram"
+	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
 
 // ExEngine is the extended ORAM-based method of §V (Algorithms 4 and 5),
@@ -35,14 +36,15 @@ type ExEngine struct {
 
 var exEngines atomic.Int64
 
-// NewExEngine builds a dynamic engine over an uploaded database. The
-// database's capacity bounds total insertions over the engine's lifetime.
-func NewExEngine(edb *EncryptedDB) (*ExEngine, error) {
+// newExEngine builds a dynamic engine over an uploaded database, its ORAMs
+// instrumented with reg. The database's capacity bounds total insertions
+// over the engine's lifetime.
+func newExEngine(edb *EncryptedDB, reg *telemetry.Registry) (*ExEngine, error) {
 	if edb.Capacity() >= maxLabel {
 		return nil, fmt.Errorf("core: capacity %d exceeds label space", edb.Capacity())
 	}
 	e := new(ExEngine)
-	e.init(edb, fmt.Sprintf("ex%d", exEngines.Add(1)), exLayout)
+	e.init(edb, fmt.Sprintf("ex%d", exEngines.Add(1)), exLayout, reg)
 	return e, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -104,14 +105,35 @@ func TestFrequencyAttackBreaksDeterministicTags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewDetEngine(edb)
+	eng := newDetEngine(edb)
 	defer eng.Close()
 	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)
 	}
-	tags, ok := eng.PublishedTags(relation.SingleAttr(0))
-	if !ok {
-		t.Fatal("tags not published")
+	// The adversary's view: the one …:TAGS array the server stores, read
+	// back cell by cell.
+	var tags []uint64
+	for _, name := range srv.ObjectNames() {
+		if !strings.HasSuffix(name, ":TAGS") {
+			continue
+		}
+		if tags != nil {
+			t.Fatalf("a second tag array %q", name)
+		}
+		idx := make([]int64, n)
+		for i := range idx {
+			idx[i] = int64(i)
+		}
+		cells, err := srv.ReadCells(name, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			tags = append(tags, decodeUint64(c))
+		}
+	}
+	if len(tags) != n {
+		t.Fatalf("server holds %d published tags, want %d", len(tags), n)
 	}
 
 	// Auxiliary knowledge: the adversary knows the distribution from a
@@ -148,7 +170,7 @@ func TestFrequencyAttackFailsAgainstObliviousEngines(t *testing.T) {
 		name string
 		make func(t *testing.T, edb *EncryptedDB) Engine
 	}{
-		{"or-oram", func(_ *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) }},
+		{"or-oram", func(_ *testing.T, edb *EncryptedDB) Engine { return newOrEngine(edb, nil) }},
 		{"sort", func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
 	} {
 		t.Run(kind.name, func(t *testing.T) {
@@ -249,7 +271,7 @@ func TestDetEngineMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewDetEngine(edb)
+	eng := newDetEngine(edb)
 	defer eng.Close()
 	for a := 0; a < 4; a++ {
 		got, err := CardinalitySingle(eng, a)
@@ -273,13 +295,13 @@ func TestDetEngineMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := NewDetEngine(edb2)
+	eng2 := newDetEngine(edb2)
 	defer eng2.Close()
 	res, err := Discover(eng2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Discover(NewPlainEngine(rel), 4, nil)
+	res2, err := Discover(newPlainEngine(rel), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

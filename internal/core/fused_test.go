@@ -83,14 +83,14 @@ func runFused(t *testing.T, kind engineKind, rel *relation.Relation, wrap func(s
 		return store.Invoke(srv, op, res)
 	})
 	rc := store.WithRoundCounter(wrap(batches))
-	edb, err := UploadWithCapacity(rc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+len(goldenTailRows))
+	edb, err := upload(rc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+len(goldenTailRows))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var eng Engine
 	if kind == kindOr {
-		eng = NewOrEngine(edb)
-	} else if eng, err = NewExEngine(edb); err != nil {
+		eng = newOrEngine(edb, nil)
+	} else if eng, err = newExEngine(edb, nil); err != nil {
 		t.Fatal(err)
 	}
 	srv.Trace().Reset()
@@ -155,7 +155,7 @@ func unfusing(s store.Service) store.Service { return struct{ store.Service }{s}
 // level's rounds per chunk, not per record or per set.
 func TestFusedRoundsAreFramingOnly(t *testing.T) {
 	rel := parallelTestRel(24)
-	want, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), nil)
+	want, err := Discover(newPlainEngine(rel), rel.NumAttrs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 // same places), the result does not change.
 func TestFusedRoundRetriedWhole(t *testing.T) {
 	rel := parallelTestRel(16)
-	want, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), nil)
+	want, err := Discover(newPlainEngine(rel), rel.NumAttrs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,11 +357,11 @@ func TestFailedStepLeavesSetUnusable(t *testing.T) {
 	svc := newFailNth(srv, func(op *store.Op) bool {
 		return op.Kind == store.KindBatch && op.Ops[0].Write && onTree(op.Ops[0].Name)
 	})
-	edb, err := UploadWithCapacity(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 12)
+	edb, err := upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewOrEngine(edb)
+	eng := newOrEngine(edb, nil)
 	defer eng.Close()
 	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)

@@ -20,11 +20,11 @@ var oramEngines = []struct {
 	make func(t testing.TB, edb *EncryptedDB) (Engine, *oramCore)
 }{
 	{"or", func(t testing.TB, edb *EncryptedDB) (Engine, *oramCore) {
-		e := NewOrEngine(edb)
+		e := newOrEngine(edb, nil)
 		return e, &e.oramCore
 	}},
 	{"ex", func(t testing.TB, edb *EncryptedDB) (Engine, *oramCore) {
-		e, err := NewExEngine(edb)
+		e, err := newExEngine(edb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +431,7 @@ func TestLevelWiderThanGroup(t *testing.T) {
 	if len(pairs) <= levelWidth || len(pairs) > 2*levelWidth {
 		t.Fatalf("%d pairs do not make exactly two groups of at most %d", len(pairs), levelWidth)
 	}
-	oracle := NewPlainEngine(rel)
+	oracle := newPlainEngine(rel)
 	if _, err := oracle.Materialize(append(allSingles(m), pairs...), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func failedLevel(t *testing.T) {
 	const m, n = 7, 12 // 21 pairs: a group of levelWidth, then one of 5
 	rel := fixedWidthRel(m, n, 13, 3)
 	pairs := allPairs(m)
-	oracle := NewPlainEngine(rel)
+	oracle := newPlainEngine(rel)
 	if _, err := oracle.Materialize(append(allSingles(m), pairs...), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +661,7 @@ func TestLabelCellsAreLocationBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewOrEngine(edb)
+	eng := newOrEngine(edb, nil)
 	defer eng.Close()
 	a, b := relation.SingleAttr(0), relation.SingleAttr(1)
 	if _, err := eng.Materialize(allSingles(2), 1); err != nil {
@@ -723,7 +723,7 @@ func TestLevelErrorsSayWhere(t *testing.T) {
 				}
 				return err
 			})
-			edb, err := UploadWithCapacity(tamper, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+1)
+			edb, err := upload(tamper, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -797,7 +797,7 @@ func freshLabels(t *testing.T, build func(testing.TB, *EncryptedDB) (Engine, *or
 			t.Fatal(err)
 		}
 	}
-	oracle := NewPlainEngine(rel)
+	oracle := newPlainEngine(rel)
 	edb, err := Upload(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
 	if err != nil {
 		t.Fatal(err)

@@ -52,28 +52,29 @@ func fixedWidthRel(m, n int, seed int64, distinct int) *relation.Relation {
 // r[ID] order there) — and, for the ORAM engines, one insertion across all
 // six sets. ORAM leaf choices are seeded identically; the shapes must match
 // regardless because ShapeOf strips leaves.
-type engineKind int
+// engineKind names the secure engines the leakage tests compare.
+type engineKind = Protocol
 
 const (
-	kindOr engineKind = iota
-	kindEx
-	kindSort
+	kindOr   = ProtocolORAM
+	kindEx   = ProtocolDynamicORAM
+	kindSort = ProtocolSort
 )
 
 func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) trace.Shape {
 	t.Helper()
 	srv := store.NewServer()
 	cipher := crypto.MustNewCipher(crypto.MustNewKey())
-	edb, err := UploadWithCapacity(srv, cipher, "t", rel, rel.NumRows()+1)
+	edb, err := upload(srv, cipher, "t", rel, rel.NumRows()+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var eng Engine
 	switch kind {
 	case kindOr:
-		eng = NewOrEngine(edb)
+		eng = newOrEngine(edb, nil)
 	case kindEx:
-		eng, err = NewExEngine(edb)
+		eng, err = newExEngine(edb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +148,11 @@ func TestDynamicOpTraceShapeDataIndependent(t *testing.T) {
 	run := func(seed int64, distinct int, doDelete bool) trace.Shape {
 		rel := fixedWidthRel(2, 8, seed, distinct)
 		srv := store.NewServer()
-		edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 16)
+		edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewExEngine(edb)
+		eng, err := newExEngine(edb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestDeletionBranchesIndistinguishable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewExEngine(edb)
+		eng, err := newExEngine(edb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,9 +280,9 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 		var eng Engine
 		switch kind {
 		case kindOr:
-			eng = NewOrEngine(edb)
+			eng = newOrEngine(edb, nil)
 		case kindEx:
-			eng, err = NewExEngine(edb)
+			eng, err = newExEngine(edb, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,11 +326,11 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 	// is L(DB); TestSortRestoresOrderOnlyForCovers and TestLevelClosedForm
 	// check that nothing else decides it.
 	for _, p := range pairs {
-		fdsA, err := Discover(NewPlainEngine(p.a), p.a.NumAttrs(), nil)
+		fdsA, err := Discover(newPlainEngine(p.a), p.a.NumAttrs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fdsB, err := Discover(NewPlainEngine(p.b), p.b.NumAttrs(), nil)
+		fdsB, err := Discover(newPlainEngine(p.b), p.b.NumAttrs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,16 +449,16 @@ func TestInvocationFieldsFollowTheSchedule(t *testing.T) {
 	const fixedSize = 8
 	run := func(t *testing.T, rel *relation.Relation, kind engineKind, dynamic bool) []uint32 {
 		c := newSealCapture(store.NewServer())
-		edb, err := UploadWithCapacity(c, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+1)
+		edb, err := upload(c, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var eng Engine
 		switch kind {
 		case kindOr:
-			eng = NewOrEngine(edb)
+			eng = newOrEngine(edb, nil)
 		case kindEx:
-			eng, err = NewExEngine(edb)
+			eng, err = newExEngine(edb, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -588,11 +589,11 @@ func TestDynamicAccessCounts(t *testing.T) {
 	rel := fixedWidthRel(2, 8, 5, 4)
 	srv := store.NewServer()
 	rc := store.WithRoundCounter(srv)
-	edb, err := UploadWithCapacity(rc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 16)
+	edb, err := upload(rc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewExEngine(edb)
+	eng, err := newExEngine(edb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +651,7 @@ func TestOrStepAccessCountFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewOrEngine(edb)
+	eng := newOrEngine(edb, nil)
 	defer eng.Close()
 	srv.Trace().Reset()
 	if _, err := CardinalitySingle(eng, 0); err != nil {
@@ -747,7 +748,7 @@ func TestBatchFramingIgnoresDuplicates(t *testing.T) {
 	}
 	run := func(t *testing.T, e func(testing.TB, *EncryptedDB) (Engine, *oramCore), rel *relation.Relation) []string {
 		log := newRoundLog(store.NewServer())
-		edb, err := UploadWithCapacity(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+1)
+		edb, err := upload(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -885,9 +886,9 @@ func TestSetupFramingDataIndependent(t *testing.T) {
 		var eng Engine
 		switch kind {
 		case kindOr:
-			eng = NewOrEngine(edb)
+			eng = newOrEngine(edb, nil)
 		case kindEx:
-			if eng, err = NewExEngine(edb); err != nil {
+			if eng, err = newExEngine(edb, nil); err != nil {
 				t.Fatal(err)
 			}
 		case kindSort:

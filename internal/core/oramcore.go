@@ -36,8 +36,8 @@ import (
 // Algorithms 1 and 2 keep an ORAM (DESIGN.md §2, §11). Ex-ORAM deletes by an
 // id it has to hide (§V-C), so O^IKL stays an ORAM.
 type oramLayout struct {
-	kind               string // EngineState.Kind, and the checkpoint's claim on who may resume it
-	primary, secondary string // object-name suffixes, also used in error wording
+	proto              Protocol // its name is EngineState.Kind, the checkpoint's claim on who may resume it
+	primary, secondary string   // object-name suffixes, also used in error wording
 	// primaryWidth and secondaryWidth are the bytes of a value in the primary
 	// ORAM and, when the secondary is one, in the secondary.
 	primaryWidth, secondaryWidth int
@@ -53,8 +53,8 @@ type oramLayout struct {
 }
 
 var (
-	orLayout = oramLayout{kind: engineKindOr, primary: "KL", secondary: "IL", primaryWidth: labelWidth, positional: true, step: orStep}
-	exLayout = oramLayout{kind: engineKindEx, primary: "KLF", secondary: "IKL", primaryWidth: 2 * labelWidth,
+	orLayout = oramLayout{proto: ProtocolORAM, primary: "KL", secondary: "IL", primaryWidth: labelWidth, positional: true, step: orStep}
+	exLayout = oramLayout{proto: ProtocolDynamicORAM, primary: "KLF", secondary: "IKL", primaryWidth: 2 * labelWidth,
 		secondaryWidth: keyWidth + labelWidth, labelAt: keyWidth, step: exStep}
 )
 
@@ -170,8 +170,8 @@ type oramCore struct {
 	setTable[*oramState]
 	edb      *EncryptedDB
 	instance string
-	// metrics, if non-nil, instruments every ORAM the engine builds (path
-	// read/write counters, access spans, stash gauge); SetTelemetry sets it.
+	// metrics, if non-nil, instruments every ORAM the engine builds or
+	// resumes (path read/write counters, access spans, stash gauge).
 	metrics  *telemetry.Registry
 	capacity int
 	seq      atomic.Int64 // unique ORAM-name counter across the engine's life
@@ -189,9 +189,9 @@ type oramCore struct {
 }
 
 // init wires a core that is embedded in its engine.
-func (c *oramCore) init(edb *EncryptedDB, instance string, layout oramLayout) {
+func (c *oramCore) init(edb *EncryptedDB, instance string, layout oramLayout, reg *telemetry.Registry) {
 	c.setTable = newSetTable[*oramState](c, levelAtATime)
-	c.edb, c.instance, c.capacity, c.layout = edb, instance, edb.Capacity(), layout
+	c.edb, c.instance, c.capacity, c.layout, c.metrics = edb, instance, edb.Capacity(), layout, reg
 	c.pipe = oram.NewPipeline(edb.svc)
 	c.dead = make(map[int]bool)
 }
@@ -201,20 +201,6 @@ func (c *oramCore) NumRows() int { return c.edb.NumRows() - len(c.dead) }
 
 // live reports whether id names a record to traverse.
 func (c *oramCore) live(id int) bool { return id >= 0 && id < c.edb.NumRows() && !c.dead[id] }
-
-// SetTelemetry attaches a metrics registry to the engine and re-instruments
-// every already-materialized ORAM handle (checkpoint resume rebuilds the
-// handles without telemetry; this wires them back up).
-func (c *oramCore) SetTelemetry(reg *telemetry.Registry) {
-	c.metrics = reg
-	c.edb.cipher.SetTelemetry(reg)
-	for _, st := range c.sets {
-		st.primary.SetTelemetry(reg)
-		if st.secondary != nil {
-			st.secondary.SetTelemetry(reg)
-		}
-	}
-}
 
 // prepare builds the client half of the set's primary ORAM and its
 // secondary — an ORAM, or a label array of the database's capacity — and
@@ -373,7 +359,7 @@ func (c *oramCore) stepChunks(lv *level, row relation.Row, chunks func(visit fun
 		for _, t := range lv.targets {
 			st := t.st
 			st.card += st.pending
-			if c.layout.kind == engineKindEx {
+			if c.layout.proto == ProtocolDynamicORAM {
 				st.nextLabel += st.pending
 			}
 			st.pending = 0
@@ -702,7 +688,7 @@ func (c *oramCore) Insert(row relation.Row) (int, error) {
 // cover-before-union order so resume can rebuild dependencies in sequence,
 // and the dead ids.
 func (c *oramCore) CheckpointState() *EngineState {
-	es := &EngineState{Kind: c.layout.kind, Instance: c.instance, Seq: c.seq.Load()}
+	es := &EngineState{Kind: c.layout.proto.String(), Instance: c.instance, Seq: c.seq.Load()}
 	for id := range c.dead {
 		es.Dead = append(es.Dead, id)
 	}
@@ -719,12 +705,13 @@ func (c *oramCore) CheckpointState() *EngineState {
 }
 
 // resume is init from checkpointed state: every set's ORAM handles are
-// reattached to their existing server-side objects. The server must hold
-// exactly the storage state it had at capture time (see the consistency
-// contract in checkpoint.go). An Or-ORAM state whose sets keep an ID ORAM was
-// written by a build that ran literal Algorithms 1 and 2 and is refused.
-func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout) error {
-	c.init(edb, es.Instance, layout)
+// reattached to their existing server-side objects and instrumented with reg.
+// The server must hold exactly the storage state it had at capture time (see
+// the consistency contract in checkpoint.go). An Or-ORAM state whose sets
+// keep an ID ORAM was written by a build that ran literal Algorithms 1 and 2
+// and is refused.
+func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout, reg *telemetry.Registry) error {
+	c.init(edb, es.Instance, layout, reg)
 	c.seq.Store(es.Seq)
 	for i, id := range es.Dead {
 		if !c.live(id) || i > 0 && id <= es.Dead[i-1] {
@@ -744,10 +731,12 @@ func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout) 
 		if st.primary, err = oram.Resume(edb.svc, edb.cipher, s.Primary); err != nil {
 			return fmt.Errorf("core: resuming O^%s for %v: %w", layout.primary, s.Set, err)
 		}
+		st.primary.SetTelemetry(reg)
 		if !layout.positional {
 			if st.secondary, err = oram.Resume(edb.svc, edb.cipher, s.Secondary); err != nil {
 				return fmt.Errorf("core: resuming O^%s for %v: %w", layout.secondary, s.Set, err)
 			}
+			st.secondary.SetTelemetry(reg)
 		}
 		c.sets[s.Set] = st
 	}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/oblivfd/oblivfd/internal/oram"
+	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
 
 // OrEngine is the original ORAM-based method of §IV-C (Algorithms 1 and 2).
@@ -27,12 +28,13 @@ type OrEngine struct {
 // never collide on object names.
 var orEngines atomic.Int64
 
-// NewOrEngine builds an engine over an uploaded database. Its labels count
-// the distinct keys among the records, so each is below the database's
-// capacity, which its ORAMs' Setup bounds by maxLabel (compress.go).
-func NewOrEngine(edb *EncryptedDB) *OrEngine {
+// newOrEngine builds an engine over an uploaded database, its ORAMs
+// instrumented with reg. Its labels count the distinct keys among the
+// records, so each is below the database's capacity, which its ORAMs' Setup
+// bounds by maxLabel (compress.go).
+func newOrEngine(edb *EncryptedDB, reg *telemetry.Registry) *OrEngine {
 	e := new(OrEngine)
-	e.init(edb, fmt.Sprintf("or%d", orEngines.Add(1)), orLayout)
+	e.init(edb, fmt.Sprintf("or%d", orEngines.Add(1)), orLayout, reg)
 	return e
 }
 

@@ -146,9 +146,9 @@ func discoverWithWorkers(t *testing.T, kind engineKind, rel *relation.Relation, 
 	var eng Engine
 	switch kind {
 	case kindOr:
-		eng = NewOrEngine(edb)
+		eng = newOrEngine(edb, nil)
 	case kindEx:
-		eng, err = NewExEngine(edb)
+		eng, err = newExEngine(edb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestParallelBatchDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewOrEngine(edb)
+	eng := newOrEngine(edb, nil)
 	defer eng.Close()
 
 	// Pre-materialize attribute 0 so the batch sees a cache hit.
@@ -305,7 +305,7 @@ func TestParallelBatchDirect(t *testing.T) {
 
 	// A union whose operands were never materialized must fail cleanly —
 	// use a fresh engine so nothing is cached.
-	eng2 := NewOrEngine(edb)
+	eng2 := newOrEngine(edb, nil)
 	defer eng2.Close()
 	if _, err := eng2.Materialize([]Request{Union(a, b)}, 4); !errors.Is(err, ErrNotMaterialized) {
 		t.Errorf("union of unmaterialized parents: err = %v, want ErrNotMaterialized", err)
@@ -324,7 +324,7 @@ func TestValidateReleasesPartitions(t *testing.T) {
 		name string
 		mk   func(t *testing.T, edb *EncryptedDB) Engine
 	}{
-		{"or", func(_ *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) }},
+		{"or", func(_ *testing.T, edb *EncryptedDB) Engine { return newOrEngine(edb, nil) }},
 		{"sort", func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
 	} {
 		t.Run(k.name, func(t *testing.T) {

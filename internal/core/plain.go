@@ -27,9 +27,9 @@ type plainState struct {
 
 func (st *plainState) cardinality() int { return st.card }
 
-// NewPlainEngine builds a plaintext engine over a relation. The relation is
+// newPlainEngine builds a plaintext engine over a relation. The relation is
 // cloned, so later mutations of rel do not affect the engine.
-func NewPlainEngine(rel *relation.Relation) *PlainEngine {
+func newPlainEngine(rel *relation.Relation) *PlainEngine {
 	live := make(map[int]bool, rel.NumRows())
 	for i := 0; i < rel.NumRows(); i++ {
 		live[i] = true

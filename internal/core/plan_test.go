@@ -69,7 +69,7 @@ func TestLatticeStateGolden(t *testing.T) {
 				lines = append(lines, renderLatticeState(run, ls)...)
 				return nil
 			}
-			if _, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), &opts); err != nil {
+			if _, err := Discover(newPlainEngine(rel), rel.NumAttrs(), &opts); err != nil {
 				t.Fatalf("%s: %v", run, err)
 			}
 		}
@@ -149,14 +149,14 @@ func TestPlanReplaysEveryEngine(t *testing.T) {
 		workers int
 		make    func(t *testing.T, rel *relation.Relation) Engine
 	}{
-		{"plain", 1, func(t *testing.T, rel *relation.Relation) Engine { return NewPlainEngine(rel) }},
-		{"deterministic", 1, func(t *testing.T, rel *relation.Relation) Engine { return NewDetEngine(uploadFor(t, rel)) }},
-		{"enclave", 1, func(t *testing.T, rel *relation.Relation) Engine { return NewEnclaveEngine(rel, 1) }},
+		{"plain", 1, func(t *testing.T, rel *relation.Relation) Engine { return newPlainEngine(rel) }},
+		{"deterministic", 1, func(t *testing.T, rel *relation.Relation) Engine { return newDetEngine(uploadFor(t, rel)) }},
+		{"enclave", 1, func(t *testing.T, rel *relation.Relation) Engine { return newEnclaveEngine(rel, 1) }},
 		{"sort/w=1", 1, func(t *testing.T, rel *relation.Relation) Engine { return newSort(t, uploadFor(t, rel), 1) }},
 		{"sort/w=4", 4, func(t *testing.T, rel *relation.Relation) Engine { return newSort(t, uploadFor(t, rel), 4) }},
-		{"or-oram", 1, func(t *testing.T, rel *relation.Relation) Engine { return NewOrEngine(uploadFor(t, rel)) }},
+		{"or-oram", 1, func(t *testing.T, rel *relation.Relation) Engine { return newOrEngine(uploadFor(t, rel), nil) }},
 		{"ex-oram", 1, func(t *testing.T, rel *relation.Relation) Engine {
-			e, err := NewExEngine(uploadFor(t, rel))
+			e, err := newExEngine(uploadFor(t, rel), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,21 +39,10 @@ type SortEngine struct {
 	// workers is the parallelism degree for the bitonic network; minimum 1.
 	workers int
 	// metrics, if non-nil, instruments every working array the engine
-	// creates (comparison/stage counters and sort-pass spans); SetTelemetry
-	// sets it.
+	// creates (comparison/stage counters and sort-pass spans).
 	metrics *telemetry.Registry
 	n       int
 	seq     atomic.Int64
-}
-
-// SetTelemetry attaches a metrics registry to the engine and to every
-// already-materialized array (used after resume or late wiring).
-func (e *SortEngine) SetTelemetry(reg *telemetry.Registry) {
-	e.metrics = reg
-	e.edb.cipher.SetTelemetry(reg)
-	for _, st := range e.sets {
-		st.arr.SetTelemetry(reg)
-	}
 }
 
 type sortState struct {
@@ -75,13 +64,14 @@ const sortRecWidth = keyWidth + labelWidth
 
 // labelRecWidth is B_X's record, as the labelling pass leaves it: label_X
 // followed by r[ID], labelWidth (4) bytes each, big-endian. A label is below
-// n, which NewSortEngine holds to at most maxLabel.
+// n, which newSortEngine holds to at most maxLabel.
 const labelRecWidth = 2 * labelWidth
 
-// NewSortEngine builds a sorting engine over an uploaded database. It
-// refuses a relation of more than maxLabel rows: their ids would not fit
-// r[ID]'s labelWidth bytes, nor their labels unionKey's halves.
-func NewSortEngine(edb *EncryptedDB, workers int) (*SortEngine, error) {
+// newSortEngine builds a sorting engine over an uploaded database, its arrays
+// instrumented with reg. It refuses a relation of more than maxLabel rows:
+// their ids would not fit r[ID]'s labelWidth bytes, nor their labels
+// unionKey's halves.
+func newSortEngine(edb *EncryptedDB, workers int, reg *telemetry.Registry) (*SortEngine, error) {
 	if edb.NumRows() > maxLabel {
 		return nil, fmt.Errorf("core: %d rows exceed the sort engine's id space of %d", edb.NumRows(), maxLabel)
 	}
@@ -92,6 +82,7 @@ func NewSortEngine(edb *EncryptedDB, workers int) (*SortEngine, error) {
 		edb:      edb,
 		instance: fmt.Sprintf("sort%d", sortEngines.Add(1)),
 		workers:  workers,
+		metrics:  reg,
 		n:        edb.NumRows(),
 	}
 	e.setTable = newSetTable[*sortState](e, setsInParallel)

@@ -53,7 +53,7 @@ func (s *coverSpy) Release(x relation.AttrSet) error {
 // newSort builds a Sort engine over edb, failing tb if it is refused.
 func newSort(tb testing.TB, edb *EncryptedDB, workers int) *SortEngine {
 	tb.Helper()
-	e, err := NewSortEngine(edb, workers)
+	e, err := newSortEngine(edb, workers, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -62,20 +62,20 @@ func newSort(tb testing.TB, edb *EncryptedDB, workers int) *SortEngine {
 
 // TestSortEngineRowBound: a relation of maxLabel rows is the largest whose
 // ids fit r[ID]'s labelWidth bytes and whose labels keep unionKey injective;
-// one row more is refused. AttachEDB uploads nothing, so neither handle
+// one row more is refused. attachEDB uploads nothing, so neither handle
 // costs memory.
 func TestSortEngineRowBound(t *testing.T) {
 	for _, c := range []struct {
 		n  int
 		ok bool
 	}{{maxLabel, true}, {maxLabel + 1, false}} {
-		edb, err := AttachEDB(store.NewServer(), &EDBState{Name: "t", Attrs: []string{"A"}, N: c.n, Capacity: c.n, Key: crypto.MustNewKey()})
+		edb, err := attachEDB(store.NewServer(), &EDBState{Name: "t", Attrs: []string{"A"}, N: c.n, Capacity: c.n, Key: crypto.MustNewKey()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewSortEngine(edb, 1)
+		e, err := newSortEngine(edb, 1, nil)
 		if got := err == nil; got != c.ok {
-			t.Errorf("NewSortEngine over %d rows: err = %v, want accepted = %v", c.n, err, c.ok)
+			t.Errorf("newSortEngine over %d rows: err = %v, want accepted = %v", c.n, err, c.ok)
 		}
 		if e != nil {
 			e.Close()
@@ -208,8 +208,10 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng := newSort(t, edb, 1) // one network worker: each array's own sequence is deterministic
-				eng.SetTelemetry(telemetry.New())
+				eng, err := newSortEngine(edb, 1, telemetry.New()) // one network worker: each array's own sequence is deterministic
+				if err != nil {
+					t.Fatal(err)
+				}
 				spy := &coverSpy{Engine: eng, current: make(map[relation.AttrSet]int)}
 				srv.Trace().Reset()
 				srv.Trace().Enable()
@@ -291,7 +293,7 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 func TestFailedRestoreIsRerunWhole(t *testing.T) {
 	rel := fixedWidthRel(3, 24, 2, 2)
 	a, b := relation.SingleAttr(0), relation.SingleAttr(1)
-	oracle := NewPlainEngine(rel)
+	oracle := newPlainEngine(rel)
 	if _, err := oracle.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +363,7 @@ func TestFailedRestoreIsRerunWhole(t *testing.T) {
 func TestFailedLabellingPassLeavesNothing(t *testing.T) {
 	const n = 130
 	rel := fixedWidthRel(3, n, 5, 3)
-	oracle := NewPlainEngine(rel)
+	oracle := newPlainEngine(rel)
 	want, err := CardinalitySingle(oracle, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -47,9 +47,9 @@ var secureEngines = []struct {
 	name string
 	make func(t *testing.T, edb *EncryptedDB) Engine
 }{
-	{"or", func(t *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) }},
+	{"or", func(t *testing.T, edb *EncryptedDB) Engine { return newOrEngine(edb, nil) }},
 	{"ex", func(t *testing.T, edb *EncryptedDB) Engine {
-		eng, err := NewExEngine(edb)
+		eng, err := newExEngine(edb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

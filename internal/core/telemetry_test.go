@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -21,28 +20,9 @@ func discoverObserved(t *testing.T, kind engineKind, reg *telemetry.Registry, ot
 	t.Helper()
 	rel := fixedWidthRel(4, 16, 7, 3)
 	srv := store.NewServer()
-	cipher := crypto.MustNewCipher(crypto.MustNewKey())
-	edb, err := Upload(srv, cipher, "t", rel)
+	eng, _, err := Open(srv, rel, kind, 1, 0, reg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var eng Engine
-	switch kind {
-	case kindOr:
-		e := NewOrEngine(edb)
-		e.SetTelemetry(reg)
-		eng = e
-	case kindEx:
-		e, err := NewExEngine(edb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetTelemetry(reg)
-		eng = e
-	case kindSort:
-		e := newSort(t, edb, 1)
-		e.SetTelemetry(reg)
-		eng = e
 	}
 	defer eng.Close()
 
@@ -187,7 +167,7 @@ func checkDiscoverSpans(t *testing.T, otr *otrace.Tracer) {
 // singleton pass and the loop's first level used to share level-01.
 func TestLevelSpanOncePerLevel(t *testing.T) {
 	otr := otrace.New(otrace.Config{Service: "test", SampleEvery: 1})
-	if _, err := Discover(NewPlainEngine(fixedWidthRel(5, 32, 3, 4)), 5, &Options{Trace: otr}); err != nil {
+	if _, err := Discover(newPlainEngine(fixedWidthRel(5, 32, 3, 4)), 5, &Options{Trace: otr}); err != nil {
 		t.Fatal(err)
 	}
 	var levels []string
@@ -210,35 +190,65 @@ func TestLevelSpanOncePerLevel(t *testing.T) {
 	}
 }
 
-// TestEngineSetTelemetryCoversExistingState checks the resume wiring: a
-// registry attached after materialization instruments the already-built
-// stores, so post-resume accesses are counted.
-func TestEngineSetTelemetryCoversExistingState(t *testing.T) {
+// TestResumedEngineIsInstrumented checks the resume wiring: ResumeEngine
+// instruments the ORAM handles it rebuilds, so a union over partitions built
+// before the checkpoint and an insertion into them count every access, as on
+// an engine instrumented since Open, and the cells they open are counted too.
+func TestResumedEngineIsInstrumented(t *testing.T) {
 	rel := fixedWidthRel(3, 8, 3, 2)
-	srv := store.NewServer()
-	cipher := crypto.MustNewCipher(crypto.MustNewKey())
-	edb, err := Upload(srv, cipher, "t", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewOrEngine(edb)
-	defer eng.Close()
-	if _, err := CardinalitySingle(eng, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CardinalitySingle(eng, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := telemetry.New()
-	eng.SetTelemetry(reg)
-	accesses := reg.Counter("oblivfd_oram_accesses_total")
-	before := accesses.Value()
-	if _, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
-		t.Fatal(err)
-	}
-	if accesses.Value() <= before {
-		t.Fatalf("union on pre-existing partitions recorded no ORAM accesses (before=%d after=%d)",
-			before, accesses.Value())
+	exact := []string{"oblivfd_oram_accesses_total", "oblivfd_oram_path_reads_total", "oblivfd_oram_path_writes_total"}
+	for _, kind := range []engineKind{kindOr, kindEx} {
+		t.Run(kind.String(), func(t *testing.T) {
+			// run builds two singles and then, resumed from a checkpoint if
+			// resume is set, a union and an insertion; it returns what the
+			// last two added to each counter, integrity checks last.
+			run := func(resume bool) []int64 {
+				srv := store.NewServer()
+				reg, atOpen := telemetry.New(), (*telemetry.Registry)(nil)
+				if !resume {
+					atOpen = reg
+				}
+				eng, edb, err := Open(srv, rel, kind, 1, 1, atOpen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
+					t.Fatal(err)
+				}
+				if resume {
+					cp := &Checkpoint{EDB: edb.State(), Engine: eng.(CheckpointableEngine).CheckpointState()}
+					if eng, _, _, err = ResumeEngine(srv, cp, reg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				defer eng.Close()
+				names := append(exact, "oblivfd_integrity_checks_total")
+				before := make([]int64, len(names))
+				for i, name := range names {
+					before[i] = reg.Counter(name).Value()
+				}
+				if _, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.(interface {
+					Insert(relation.Row) (int, error)
+				}).Insert(relation.Row{"x", "y", "z"}); err != nil {
+					t.Fatal(err)
+				}
+				for i, name := range names {
+					before[i] = reg.Counter(name).Value() - before[i]
+				}
+				return before
+			}
+			got, want := run(true), run(false)
+			for i, name := range exact {
+				if got[i] != want[i] {
+					t.Errorf("%s grew by %d after a resume, by %d without one", name, got[i], want[i])
+				}
+			}
+			if checks := got[len(exact)]; checks == 0 {
+				t.Error("oblivfd_integrity_checks_total did not grow after a resume")
+			}
+		})
 	}
 }

@@ -295,22 +295,22 @@ func TestEngineTraceGolden(t *testing.T) {
 	}{
 		{name: "sort", make: func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
 		{name: "or", keep: true,
-			make: func(t *testing.T, edb *EncryptedDB) Engine { return NewOrEngine(edb) },
+			make: func(t *testing.T, edb *EncryptedDB) Engine { return newOrEngine(edb, nil) },
 			tail: func(t *testing.T, eng Engine, res *Result) {
-				oracle := NewPlainEngine(rel)
+				oracle := newPlainEngine(rel)
 				insertTail(t, eng.(*OrEngine), oracle)
 				revalidate(t, eng, oracle, res.Cardinalities)
 			}},
 		{name: "ex", keep: true,
 			make: func(t *testing.T, edb *EncryptedDB) Engine {
-				eng, err := NewExEngine(edb)
+				eng, err := newExEngine(edb, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return eng
 			},
 			tail: func(t *testing.T, eng Engine, res *Result) {
-				oracle := NewPlainEngine(rel)
+				oracle := newPlainEngine(rel)
 				ex := eng.(*ExEngine)
 				insertTail(t, ex, oracle)
 				for _, id := range []int{3, rel.NumRows()} { // an original record, then the first inserted one
@@ -329,7 +329,7 @@ func TestEngineTraceGolden(t *testing.T) {
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
 			srv := store.NewServer()
-			edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+len(goldenTailRows))
+			edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+len(goldenTailRows))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -413,7 +413,7 @@ func TestParentCheckpointResumes(t *testing.T) {
 	rel := relation.MustFromRows(relation.MustNewSchema("A", "B", "C"), []relation.Row{
 		{"a1", "b1", "c1"}, {"a1", "b1", "c2"}, {"a2", "b2", "c1"}, {"a2", "b2", "c3"}, {"a3", "b1", "c2"}, {"a3", "b1", "c1"},
 	})
-	want, err := Discover(NewPlainEngine(rel), rel.NumAttrs(), nil)
+	want, err := Discover(newPlainEngine(rel), rel.NumAttrs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func requireRetiredPairRefused(t *testing.T, dir, kind, magic, commit string) {
 
 // resumeFixture resumes the engine of the checkpoint file ckpt against the
 // durable server directory dir, in the order fddiscover -resume does: read the
-// checkpoint, open the directory at its epoch, verify, attach, resume. The
+// checkpoint, open the directory at its epoch, verify, resume. The
 // server is closed when the test ends.
 func resumeFixture(t *testing.T, dir, ckpt string) (Engine, *Checkpoint, error) {
 	cp, err := ReadCheckpointFile(ckpt)
@@ -515,11 +515,7 @@ func resumeFixture(t *testing.T, dir, ckpt string) (Engine, *Checkpoint, error) 
 	if err := VerifyEpoch(srv, cp.Epoch); err != nil {
 		return nil, nil, err
 	}
-	edb, err := AttachEDB(srv, cp.EDB)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := ResumeEngine(edb, cp.Engine)
+	eng, _, _, err := ResumeEngine(srv, cp, nil)
 	return eng, cp, err
 }
 
@@ -564,13 +560,13 @@ func writeResumeFixture(t *testing.T, rel *relation.Relation, dir, kind string) 
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	edb, err := UploadWithCapacity(srv, crypto.MustNewCipher(crypto.MustNewKey()), "fixture-"+kind, rel, rel.NumRows()+2)
+	edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "fixture-"+kind, rel, rel.NumRows()+2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eng CheckpointableEngine = NewOrEngine(edb)
+	var eng CheckpointableEngine = newOrEngine(edb, nil)
 	if kind == "ex" {
-		if eng, err = NewExEngine(edb); err != nil {
+		if eng, err = newExEngine(edb, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

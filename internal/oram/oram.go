@@ -216,7 +216,8 @@ type ORAM struct {
 }
 
 // SetTelemetry attaches (or, with nil, detaches) a telemetry registry.
-// core.Resume uses it to re-instrument handles rebuilt from checkpoints.
+// core.ResumeEngine uses it to instrument the handles it rebuilds from a
+// checkpoint.
 func (o *ORAM) SetTelemetry(reg *telemetry.Registry) {
 	o.pathReads = reg.Counter("oblivfd_oram_path_reads_total")
 	o.pathWrites = reg.Counter("oblivfd_oram_path_writes_total")

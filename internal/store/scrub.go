@@ -45,21 +45,19 @@ type ScrubConfig struct {
 	// verified, one per KiB of snapshot/WAL file scanned. Zero or negative
 	// means unlimited (tests; fdserver defaults to 65536).
 	Rate int64
-	// ChunkCells is how many cells are verified per lock acquisition
-	// (default 512); mutations interleave between chunks.
-	ChunkCells int
 	// Metrics, when set, exposes the oblivfd_scrub_* counters/gauges, and
 	// the Scrubber's accessors read those shared series: one scrubber per
 	// registry, as fdserver builds one per process.
 	Metrics *telemetry.Registry
 }
 
+// scrubChunkCells is how many cells a sweep verifies per lock acquisition;
+// mutations interleave between chunks.
+const scrubChunkCells = 512
+
 func (c ScrubConfig) withDefaults() ScrubConfig {
 	if c.Interval <= 0 {
 		c.Interval = 30 * time.Second
-	}
-	if c.ChunkCells <= 0 {
-		c.ChunkCells = 512
 	}
 	return c
 }
@@ -335,8 +333,8 @@ func (sc *Scrubber) sweepObjects() error {
 			}
 			return err
 		}
-		for lo := 0; lo < n; lo += sc.cfg.ChunkCells {
-			hi := lo + sc.cfg.ChunkCells
+		for lo := 0; lo < n; lo += scrubChunkCells {
+			hi := lo + scrubChunkCells
 			if hi > n {
 				hi = n
 			}

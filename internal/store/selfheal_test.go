@@ -507,11 +507,14 @@ func TestShortWriteRolledBackOnReopen(t *testing.T) {
 // TestScrubSweepRacesLiveTraffic is the satellite property test: continuous
 // sweeps racing live writes and batches must never report a false positive —
 // every "corruption" a scrubber finds on a healthy store is a bug in its
-// snapshot of the world, not in the data. Run under -race.
+// snapshot of the world, not in the data. Run under -race. The array spans
+// four sweep chunks, so writes land between a sweep's chunks as well as in
+// them.
 func TestScrubSweepRacesLiveTraffic(t *testing.T) {
+	const cells = 4 * scrubChunkCells
 	replica := newReplica(t)
 	primary := newPrimary(t, replica)
-	if err := primary.CreateArray("x", 128); err != nil {
+	if err := primary.CreateArray("x", cells); err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.CreateTree("tt", 4, 2); err != nil {
@@ -530,7 +533,7 @@ func TestScrubSweepRacesLiveTraffic(t *testing.T) {
 				return
 			default:
 			}
-			idx := int64(i % 128)
+			idx := int64(i % cells)
 			if err := primary.WriteCells("x", []int64{idx}, [][]byte{{byte(i), byte(i >> 8)}}); err != nil {
 				fail <- fmt.Errorf("write: %w", err)
 				return
@@ -545,7 +548,7 @@ func TestScrubSweepRacesLiveTraffic(t *testing.T) {
 				return
 			default:
 			}
-			idx := int64((i * 7) % 128)
+			idx := int64((i * 7) % cells)
 			if _, err := primary.Batch([]BatchOp{
 				{Write: true, Name: "x", Idx: []int64{idx}, Cts: [][]byte{{byte(i)}}},
 				{Name: "x", Idx: []int64{idx}},
@@ -574,7 +577,7 @@ func TestScrubSweepRacesLiveTraffic(t *testing.T) {
 		}
 	}()
 
-	sc := NewScrubber(primary.Durable(), primary, ScrubConfig{ChunkCells: 16})
+	sc := NewScrubber(primary.Durable(), primary, ScrubConfig{})
 	for i := 0; i < 25; i++ {
 		if err := sc.SweepOnce(); err != nil {
 			t.Errorf("sweep %d: %v", i, err)
@@ -595,7 +598,7 @@ func TestScrubSweepRacesLiveTraffic(t *testing.T) {
 	if got := sc.RepairFailures(); got != 0 {
 		t.Errorf("repair failures = %d on a healthy store", got)
 	}
-	if bad, err := primary.Durable().VerifyStored("x", 0, 128); err != nil || len(bad) != 0 {
+	if bad, err := primary.Durable().VerifyStored("x", 0, cells); err != nil || len(bad) != 0 {
 		t.Errorf("post-race verify: bad=%v err=%v", bad, err)
 	}
 }

@@ -81,7 +81,7 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 // DiscoverResumable runs Discover while periodically persisting progress: at
 // every completed lattice level it marks an epoch on the server
 // (Service.Checkpoint — a durable server snapshots there) and atomically
-// rewrites the checkpoint file at path. After a crash, Resume(svc, path)
+// rewrites the checkpoint file at path. After a crash, Resume(svc, path, reg, tr)
 // continues from the last completed level.
 //
 // Only the ORAM protocols support checkpointing — their per-set client state
@@ -123,26 +123,27 @@ func (db *Database) DiscoverResumable(path string) (*Report, error) {
 }
 
 // Resume rebuilds a Database from a checkpoint file against a service whose
-// storage state matches the checkpoint's epoch exactly. The recovered
-// snapshot's epoch tag is verified before the engine is re-instrumented; on
+// storage state matches the checkpoint's epoch exactly, its engine
+// instrumented with reg and its discoveries traced by tr (nil: none). The
+// recovered snapshot's epoch tag is verified before anything is rebuilt; on
 // mismatch Resume returns an error matching both ErrEpochMismatch and
 // ErrIntegrity instead of proceeding — recover the server to that epoch
 // first, e.g. with OpenDirAtEpoch or ResumeFromDir. The next Discover or
 // DiscoverResumable call on the returned handle continues from the
 // checkpointed lattice level.
-func Resume(svc Service, path string) (*Database, error) {
+func Resume(svc Service, path string, reg *Registry, tr *Tracer) (*Database, error) {
 	cp, err := core.ReadCheckpointFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("securefd: %w", err)
 	}
-	return resumeFrom(svc, cp)
+	return resumeFrom(svc, cp, reg, tr)
 }
 
 // ResumeFromDir recovers both sides at once: it reads the checkpoint, opens
 // the server's data directory rolled back to the checkpoint's epoch, and
-// resumes the client against it. The caller owns the returned server
-// (Snapshot + Close on shutdown).
-func ResumeFromDir(dir, ckptPath string, opts DurableOptions) (*Database, *DurableServer, error) {
+// resumes the client against it as Resume does. The caller owns the returned
+// server (Snapshot + Close on shutdown).
+func ResumeFromDir(dir, ckptPath string, opts DurableOptions, reg *Registry, tr *Tracer) (*Database, *DurableServer, error) {
 	cp, err := core.ReadCheckpointFile(ckptPath)
 	if err != nil {
 		return nil, nil, fmt.Errorf("securefd: %w", err)
@@ -151,7 +152,7 @@ func ResumeFromDir(dir, ckptPath string, opts DurableOptions) (*Database, *Durab
 	if err != nil {
 		return nil, nil, fmt.Errorf("securefd: %w", err)
 	}
-	db, err := resumeFrom(srv, cp)
+	db, err := resumeFrom(srv, cp, reg, tr)
 	if err != nil {
 		srv.Close()
 		return nil, nil, err
@@ -159,23 +160,13 @@ func ResumeFromDir(dir, ckptPath string, opts DurableOptions) (*Database, *Durab
 	return db, srv, nil
 }
 
-func resumeFrom(svc Service, cp *core.Checkpoint) (*Database, error) {
+func resumeFrom(svc Service, cp *core.Checkpoint, reg *Registry, tr *Tracer) (*Database, error) {
 	if err := core.VerifyEpoch(svc, cp.Epoch); err != nil {
 		return nil, fmt.Errorf("securefd: %w", err)
 	}
-	edb, err := core.AttachEDB(svc, cp.EDB)
+	eng, edb, proto, err := core.ResumeEngine(svc, cp, reg)
 	if err != nil {
 		return nil, fmt.Errorf("securefd: %w", err)
-	}
-	eng, err := core.ResumeEngine(edb, cp.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("securefd: %w", err)
-	}
-	// An engine's checkpoint Kind tag is its protocol's name; ResumeEngine
-	// has already refused every tag but the two ORAM protocols'.
-	proto, err := ParseProtocol(cp.Engine.Kind)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
 	return &Database{
 		svc:    svc,
@@ -184,6 +175,8 @@ func resumeFrom(svc Service, cp *core.Checkpoint) (*Database, error) {
 			Protocol:       proto,
 			MaxLHS:         cp.Lattice.MaxLHS,
 			KeepPartitions: cp.Lattice.KeepPartitions,
+			Telemetry:      reg,
+			Trace:          tr,
 		},
 		engine: eng,
 		edb:    edb,

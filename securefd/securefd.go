@@ -37,12 +37,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"github.com/oblivfd/oblivfd/internal/core"
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -301,85 +299,54 @@ func Namespaced(svc Service, db string) Service { return store.Namespaced(svc, d
 // ([A-Za-z0-9._-]+, at most 128 bytes).
 func ValidDBName(db string) bool { return store.ValidDBName(db) }
 
-// Protocol selects the attribute-level partition method.
-type Protocol int
+// Protocol selects the attribute-level partition method; the protocols and
+// their names are internal/core's one table (core.Protocol).
+type Protocol = core.Protocol
 
 // Available protocols.
 const (
 	// ProtocolSort is the oblivious-sorting method (§IV-D): static
 	// databases, constant client memory, high parallelism.
-	ProtocolSort Protocol = iota
+	ProtocolSort = core.ProtocolSort
 	// ProtocolORAM is the original ORAM method (§IV-C): static databases
 	// plus insertions.
-	ProtocolORAM
-	// ProtocolDynamicORAM is the extended ORAM method (§V): insertions
-	// and deletions in O(polylog n) per operation.
-	ProtocolDynamicORAM
-	// ProtocolPlaintext is the insecure baseline (no encryption, no
-	// obliviousness); for benchmarking only.
-	ProtocolPlaintext
-	// ProtocolEnclave simulates running the sorting protocol inside a
-	// server-side secure enclave (§VII-D); for benchmarking only.
-	ProtocolEnclave
-	// ProtocolDeterministic reproduces the security level of the paper's
-	// predecessor (Dong & Wang, ICDE 2017): partitions are computed from
-	// deterministic per-cell tags stored on the server. It is nearly as
-	// fast as plaintext but LEAKS THE FULL FREQUENCY HISTOGRAM of every
-	// attribute — a leakage that frequency-analysis attacks turn into
-	// plaintext recovery (the repository's TestFrequencyAttack…
-	// demonstrates >99% recovery on skewed data). It exists as the
-	// insecure comparator the paper's protocols replace. Never use it
-	// for sensitive data.
-	ProtocolDeterministic
+	ProtocolORAM = core.ProtocolORAM
+	// ProtocolDynamicORAM is the extended ORAM method (§V): insertions and
+	// deletions in O(polylog n) per operation.
+	ProtocolDynamicORAM = core.ProtocolDynamicORAM
+	// ProtocolPlaintext is the insecure baseline; for benchmarking only.
+	ProtocolPlaintext = core.ProtocolPlaintext
+	// ProtocolEnclave simulates the sorting protocol inside a server-side
+	// secure enclave (§VII-D); for benchmarking only.
+	ProtocolEnclave = core.ProtocolEnclave
+	// ProtocolDeterministic is the security level of the paper's predecessor
+	// (Dong & Wang, ICDE 2017). It LEAKS THE FULL FREQUENCY HISTOGRAM of
+	// every attribute: a comparator only, never for sensitive data.
+	ProtocolDeterministic = core.ProtocolDeterministic
 )
-
-// protocolNames is the one table of protocol names, in declaration order.
-var protocolNames = [...]string{
-	ProtocolSort:          "sort",
-	ProtocolORAM:          "or-oram",
-	ProtocolDynamicORAM:   "ex-oram",
-	ProtocolPlaintext:     "plaintext",
-	ProtocolEnclave:       "enclave",
-	ProtocolDeterministic: "deterministic",
-}
 
 // ProtocolNames lists every name ParseProtocol accepts, separated by "|", for
 // help and error texts.
-func ProtocolNames() string { return strings.Join(protocolNames[:], "|") }
-
-// String names the protocol.
-func (p Protocol) String() string {
-	if p < 0 || int(p) >= len(protocolNames) {
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
-	return protocolNames[p]
-}
+func ProtocolNames() string { return core.ProtocolNames() }
 
 // ParseProtocol parses a protocol name as printed by String.
-func ParseProtocol(s string) (Protocol, error) {
-	for p, name := range protocolNames {
-		if name == s {
-			return Protocol(p), nil
-		}
-	}
-	return 0, fmt.Errorf("securefd: unknown protocol %q (want %s)", s, ProtocolNames())
-}
+func ParseProtocol(s string) (Protocol, error) { return core.ParseProtocol(s) }
 
 // Options configures Outsource.
 type Options struct {
 	// Protocol selects the secure method; default ProtocolSort.
 	Protocol Protocol
-	// Workers is the parallelism degree of ProtocolSort (and ProtocolEnclave):
-	// the sorting-network worker count and the number of partitions of one
-	// lattice level built concurrently. Default 1, the fully serial schedule;
-	// values above 1 change only the interleaving of accesses across
-	// server-side arrays, never any single array's access sequence (see
-	// DESIGN.md §11), and with a transport-backed service the connection pool
-	// should be at least this large so concurrent builds overlap round trips.
-	// The ORAM protocols do not use it: they take a lattice level at a time on
-	// one goroutine, a chunk of records' accesses to every set of a group in
-	// the same 3 round trips, and show the server the same ordered trace
-	// whatever it is.
+	// Workers is the parallelism degree of ProtocolSort: the sorting-network
+	// worker count and the number of partitions of one lattice level built
+	// concurrently. Default 1, the fully serial schedule; values above 1
+	// change only the interleaving of accesses across server-side arrays,
+	// never any single array's access sequence (see DESIGN.md §11), and with
+	// a transport-backed service the connection pool should be at least this
+	// large so concurrent builds overlap round trips. ProtocolEnclave builds
+	// one set at a time and uses it only inside its sorting network. The ORAM
+	// protocols do not use it: they take a lattice level at a time on one
+	// goroutine, ⌈n/64⌉ + 2 rounds per group of the level's sets, and show
+	// the server the same ordered trace whatever it is.
 	Workers int
 	// InsertHeadroom reserves capacity for that many future insertions
 	// (ProtocolORAM and ProtocolDynamicORAM).
@@ -424,8 +391,6 @@ type Database struct {
 // support.
 var ErrStatic = errors.New("securefd: protocol does not support this mutation")
 
-var dbNames atomic.Int64
-
 // Outsource encrypts rel cell by cell, uploads it to the service, and
 // returns a handle ready for discovery. A fresh 128-bit key is generated
 // per database and never leaves the client.
@@ -436,56 +401,11 @@ func Outsource(svc Service, rel *Relation, opts Options) (*Database, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	db := &Database{svc: svc, schema: rel.Schema(), opts: opts, m: rel.NumAttrs()}
-
-	name := fmt.Sprintf("fd%d", dbNames.Add(1))
-	capacity := rel.NumRows() + opts.InsertHeadroom
-
-	switch opts.Protocol {
-	case ProtocolPlaintext:
-		db.engine = core.NewPlainEngine(rel)
-	case ProtocolEnclave:
-		db.engine = core.NewEnclaveEngine(rel, opts.Workers)
-	case ProtocolSort, ProtocolORAM, ProtocolDynamicORAM, ProtocolDeterministic:
-		key, err := crypto.NewKey()
-		if err != nil {
-			return nil, fmt.Errorf("securefd: %w", err)
-		}
-		cipher, err := crypto.NewCipher(key)
-		if err != nil {
-			return nil, fmt.Errorf("securefd: %w", err)
-		}
-		// Attach before upload so integrity_checks_total covers the whole
-		// lifetime of the database, including setup reads.
-		cipher.SetTelemetry(opts.Telemetry)
-		edb, err := core.UploadWithCapacity(svc, cipher, name, rel, capacity)
-		if err != nil {
-			return nil, fmt.Errorf("securefd: %w", err)
-		}
-		db.edb = edb
-		switch opts.Protocol {
-		case ProtocolSort:
-			eng, err := core.NewSortEngine(edb, opts.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("securefd: %w", err)
-			}
-			db.engine = eng
-		case ProtocolORAM:
-			db.engine = core.NewOrEngine(edb)
-		case ProtocolDynamicORAM:
-			eng, err := core.NewExEngine(edb)
-			if err != nil {
-				return nil, fmt.Errorf("securefd: %w", err)
-			}
-			db.engine = eng
-		case ProtocolDeterministic:
-			db.engine = core.NewDetEngine(edb)
-		}
-	default:
-		return nil, fmt.Errorf("securefd: unknown protocol %v", opts.Protocol)
+	eng, edb, err := core.Open(svc, rel, opts.Protocol, opts.Workers, opts.InsertHeadroom, opts.Telemetry)
+	if err != nil {
+		return nil, fmt.Errorf("securefd: %w", err)
 	}
-	db.SetTelemetry(opts.Telemetry)
-	return db, nil
+	return &Database{svc: svc, schema: rel.Schema(), opts: opts, engine: eng, edb: edb, m: rel.NumAttrs()}, nil
 }
 
 // Report is the outcome of a Discover run.
@@ -655,24 +575,6 @@ func (db *Database) Update(id int, row Row) (int, error) {
 	}
 	return newID, nil
 }
-
-// SetTelemetry attaches a metrics registry to the handle's engine,
-// including partitions that are already materialized. Use it to instrument
-// a handle built by Resume (checkpoints carry no telemetry wiring) or to
-// attach a registry after Outsource. Engines without instrumentation (the
-// benchmarking baselines) accept the call as a no-op.
-func (db *Database) SetTelemetry(reg *Registry) {
-	db.opts.Telemetry = reg
-	if eng, ok := db.engine.(interface{ SetTelemetry(*telemetry.Registry) }); ok {
-		eng.SetTelemetry(reg)
-	}
-}
-
-// SetTrace attaches a span recorder to the handle, so lattice-traversal
-// spans are recorded on subsequent Discover calls. Use it to instrument a
-// handle built by Resume (checkpoints carry no tracer wiring) or to attach
-// a tracer after Outsource.
-func (db *Database) SetTrace(tr *Tracer) { db.opts.Trace = tr }
 
 // NumRows returns the live record count.
 func (db *Database) NumRows() int { return db.engine.NumRows() }

@@ -297,7 +297,7 @@ func TestTamperWALNeverSilentlyWrong(t *testing.T) {
 		return
 	}
 	defer srv.Close()
-	db, err := securefd.Resume(srv, ckpt)
+	db, err := securefd.Resume(srv, ckpt, nil, nil)
 	if err != nil {
 		if !errors.Is(err, securefd.ErrEpochMismatch) || !errors.Is(err, securefd.ErrIntegrity) {
 			t.Fatalf("resume against truncated server = %v, want ErrEpochMismatch (an ErrIntegrity)", err)
