@@ -150,7 +150,8 @@ bench-oram:
 # response, a WAL record, a server snapshot and a client checkpoint past
 # their CRCs, and a frame's trace context — fuzzed briefly: error (or the
 # zero context) or exact round trip, never a panic, never an allocation the
-# bytes present cannot back. The seed corpora (every kind and logged record,
+# bytes present cannot back; a decoded checkpoint's lattice is also replayed,
+# to a plan or a refusal. The seed corpora (every kind and logged record,
 # a fresh snapshot and an overflowing tree shape, real checkpoints of both
 # ORAM engines, bit-flipped and cut, the four kinds of trace header) also run
 # as plain tests under `go test`.

@@ -45,16 +45,21 @@ var (
 
 // checkpointMagic identifies the framed checkpoint format — and, because a
 // checkpoint is only half of a resumable state, what its ORAM handles expect
-// to find on the server. OFDCKPT5 holds each ORAM's client state as the handle
+// to find on the server. OFDCKPT6 holds each ORAM's client state as the handle
 // holds it: slots with 4-byte versions, value slab, counters (oram.State), for
 // a tree of half the next power of two ≥ capacity leaves whose blocks are
 // version(4) ∥ key length(1) ∥ key ∥ value and whose labels are 4 bytes —
 // shape and layout oram and the engines derive from Capacity and the widths
-// and do not store. The payload stays gob: gob drops what the reader has no
-// field for, which is why every change of layout, or of the trees a state
-// describes, bumps the magic and the older files are refused by name, from
-// retiredCheckpoints. There is no migration.
-var checkpointMagic = [8]byte{'O', 'F', 'D', 'C', 'K', 'P', 'T', '5'}
+// and do not store. Its lattice is the plan's answers, replayed on resume.
+// The payload stays gob: gob drops what the reader has no field for, so
+// OFDCKPT5, which also held what the plan derives, decodes here as is; the
+// magic moved so that a build reading OFDCKPT5 refuses a file lacking those
+// fields instead of resuming it as a finished search. Every other change of
+// layout, or of the trees a state describes, bumps the magic, and the older
+// files are refused by name, from retiredCheckpoints. There is no migration.
+var checkpointMagic = [8]byte{'O', 'F', 'D', 'C', 'K', 'P', 'T', '6'}
+
+const previousCheckpointMagic = "OFDCKPT5"
 
 // retiredCheckpoints says what each refused magic was written for.
 var retiredCheckpoints = map[string]string{
@@ -144,22 +149,17 @@ type CheckpointableEngine interface {
 }
 
 // LatticeState is the serializable frontier of a Discover run, captured at
-// a level boundary: the sets whose partitions are live, the pruning state
-// (C⁺), and the results so far. NextLevel is the loop index the resumed run
-// starts at. Its tables are slices, not maps: gob sizes a decoded map by the
-// length the bytes claim, and a slice by the bytes present.
+// a level boundary: what the plan cannot derive — its parameters and every
+// answer the engine gave, keyed by set. NextLevel is the level the resumed run
+// starts at; resumePlan replays the answers up to it. The answers are a
+// slice, not a map: gob sizes a decoded map by the length the bytes claim,
+// and a slice by the bytes present.
 type LatticeState struct {
-	M                int
-	NextLevel        int
-	Level            []relation.AttrSet
-	PrevLevel        []relation.AttrSet
-	CPlus            [][2]relation.AttrSet // {X, C⁺(X)}
-	Minimal          []relation.FD
-	Cardinalities    []SetCard
-	SetsMaterialized int
-	Checks           int
-	MaxLHS           int
-	KeepPartitions   bool
+	M              int
+	NextLevel      int
+	MaxLHS         int
+	KeepPartitions bool
+	Cardinalities  []SetCard
 }
 
 // SetCard is |π_X| for one set X.
@@ -207,10 +207,10 @@ func readCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorruptCheckpoint, err)
 	}
-	if !bytes.Equal(header[:8], checkpointMagic[:]) {
+	if !bytes.Equal(header[:8], checkpointMagic[:]) && string(header[:8]) != previousCheckpointMagic {
 		if what, ok := retiredCheckpoints[string(header[:8])]; ok {
-			return nil, fmt.Errorf("%w: format %s (%s) is not resumable by this build, which reads only %s",
-				ErrCorruptCheckpoint, header[:8], what, checkpointMagic[:])
+			return nil, fmt.Errorf("%w: format %s (%s) is not resumable by this build, which reads only %s and %s",
+				ErrCorruptCheckpoint, header[:8], what, previousCheckpointMagic, checkpointMagic[:])
 		}
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptCheckpoint, header[:8])
 	}

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/oblivfd/oblivfd/internal/baseline"
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -66,8 +70,6 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		Lattice: &LatticeState{
 			M:             4,
 			NextLevel:     1,
-			Level:         relation.AllSingletons(4),
-			CPlus:         [][2]relation.AttrSet{{0, relation.FullSet(4)}},
 			Cardinalities: []SetCard{{relation.SingleAttr(0), 4}},
 		},
 	}
@@ -86,8 +88,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if got.EDB.Key != cp.EDB.Key {
 		t.Error("encryption key did not survive the round trip")
 	}
-	if len(got.Lattice.Level) != 4 {
-		t.Errorf("lattice frontier = %v", got.Lattice.Level)
+	if !reflect.DeepEqual(got.Lattice, cp.Lattice) {
+		t.Errorf("lattice state = %+v, want %+v", got.Lattice, cp.Lattice)
 	}
 
 	data, err := os.ReadFile(path)
@@ -348,6 +350,62 @@ func TestResumeRefusesUnbackedCardinality(t *testing.T) {
 	}
 }
 
+// TestResumeReplaysParentFrontier: an OFDCKPT5 file held, beside the
+// cardinalities, the copies the plan derives from them — the level, the level
+// below, C⁺, the FDs found so far and two counters — and a file whose CRC held
+// but whose copies disagreed with its cardinalities resumed to whatever the
+// copies said. Here the first checkpoint is framed by hand in that format with
+// a bogus FD among the found ones, one singleton's C⁺ emptied and the level
+// cut short; the resumed run reads only the answers and finds the relation's
+// FDs.
+func TestResumeReplaysParentFrontier(t *testing.T) {
+	rel := ckptRelation(t)
+	cp, eng := crashAfterLevel1(t, rel, Options{})
+	type parentLattice struct {
+		M, NextLevel                     int
+		Level, PrevLevel                 []relation.AttrSet
+		CPlus                            [][2]relation.AttrSet
+		Minimal                          []relation.FD
+		Cardinalities                    []SetCard
+		SetsMaterialized, Checks, MaxLHS int
+		KeepPartitions                   bool
+	}
+	a, b := relation.SingleAttr(0), relation.SingleAttr(1)
+	parent := struct {
+		Epoch   int64
+		EDB     *EDBState
+		Engine  *EngineState
+		Lattice *parentLattice
+	}{cp.Epoch, cp.EDB, cp.Engine, &parentLattice{
+		M:                cp.Lattice.M,
+		NextLevel:        cp.Lattice.NextLevel,
+		Level:            relation.AllSingletons(rel.NumAttrs() - 1),
+		CPlus:            [][2]relation.AttrSet{{0, relation.FullSet(rel.NumAttrs())}, {a, 0}},
+		Minimal:          []relation.FD{{LHS: b, RHS: a}},
+		Cardinalities:    cp.Lattice.Cardinalities,
+		SetsMaterialized: rel.NumAttrs(),
+		MaxLHS:           cp.Lattice.MaxLHS,
+		KeepPartitions:   cp.Lattice.KeepPartitions,
+	}}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(parent); err != nil {
+		t.Fatal(err)
+	}
+	file := binary.LittleEndian.AppendUint64([]byte("OFDCKPT5"), uint64(payload.Len()))
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload.Bytes()))
+	read, err := readCheckpoint(bytes.NewReader(append(file, payload.Bytes()...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Discover(eng, rel.NumAttrs(), &Options{Resume: read.Lattice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := baseline.MinimalFDs(rel); !relation.FDSetEqual(got.Minimal, want) {
+		t.Errorf("resumed FDs = %v, want %v", got.Minimal, want)
+	}
+}
+
 // TestResumeEpochMismatch: mutating the server after the epoch mark must make
 // VerifyEpoch refuse — resuming ORAM client state against drifted server
 // state would silently corrupt partitions.
@@ -448,7 +506,9 @@ func TestResumeEngineKindMismatch(t *testing.T) {
 // FuzzDecodeCheckpoint: the decoder behind readCheckpoint, past the CRC,
 // either refuses a payload with an error wrapping ErrCorruptCheckpoint or
 // returns a checkpoint that survives writeCheckpoint → readCheckpoint
-// unchanged; it never panics. Seeded with real Or- and Ex-ORAM checkpoints
+// unchanged, and whose lattice resumePlan, over ckptRelation's plaintext
+// cardinalities, replays to a plan or refuses with ErrCorruptCheckpoint;
+// neither ever panics. Seeded with real Or- and Ex-ORAM checkpoints
 // (whole, bit-flipped and cut) and the payloads of every fixture under
 // testdata, the refused formats' included.
 func FuzzDecodeCheckpoint(f *testing.F) {
@@ -476,6 +536,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		f.Add(data[header:])
 	}
+	rel := ckptRelation(f)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		cp, err := decodeCheckpoint(payload)
 		if err != nil {
@@ -483,6 +544,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 				t.Fatalf("error does not wrap ErrCorruptCheckpoint: %v", err)
 			}
 			return
+		}
+		if _, err := resumePlan(cp.Lattice, rel.NumAttrs(), rel.NumRows(), plaintextCards(rel)); err != nil && !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("replay error does not wrap ErrCorruptCheckpoint: %v", err)
 		}
 		var buf bytes.Buffer
 		if err := writeCheckpoint(&buf, cp); err != nil {

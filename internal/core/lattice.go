@@ -61,19 +61,20 @@ type Options struct {
 	Reveal func(decisions []Decision)
 	// Checkpoint, if non-nil, is invoked at every lattice level boundary
 	// (after the level's partitions are materialized and obsolete ones
-	// released) with a deep copy of the traversal state. The callback
-	// typically captures the engine state alongside, marks the recovery
-	// epoch on the server, and persists everything to a client-local file
+	// released) with the traversal's parameters and cardinalities so far, a
+	// state the run no longer touches. The callback typically captures the
+	// engine state alongside, marks the recovery epoch on the server, and
+	// persists everything to a client-local file
 	// (securefd.Database.DiscoverResumable wires exactly that). A callback
 	// error aborts discovery.
 	Checkpoint func(ls *LatticeState) error
 	// Resume, if non-nil, continues a previous run from its checkpointed
-	// frontier instead of starting at level 1. The engine must hold the
-	// partitions the state references (core.ResumeEngine rebuilds it), with
-	// the cardinalities the state records, or the state is refused as
-	// ErrCorruptCheckpoint. MaxLHS and KeepPartitions are taken from the
-	// state, not from this Options value, so the resumed run cannot diverge
-	// from the original; the caller's Options is not modified.
+	// frontier, replayed from the state's cardinalities, instead of starting
+	// at level 1. The engine must hold the frontier's partitions
+	// (core.ResumeEngine rebuilds it) at those cardinalities, or the state is
+	// refused as ErrCorruptCheckpoint. MaxLHS and KeepPartitions are taken
+	// from the state, not from this Options value, so the resumed run cannot
+	// diverge from the original; the caller's Options is not modified.
 	Resume *LatticeState
 	// Trace, if non-nil, records causal spans for the traversal: one root
 	// "discover" span, a child "lattice/level-NN" per level, and under it
@@ -171,7 +172,7 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		return nil
 	}
 	for !p.done() {
-		l := p.NextLevel
+		l := p.nextLevel
 		lsp := otr.Start(fmt.Sprintf("lattice/level-%02d", l))
 		otr.SetCurrent(lsp.Context())
 		s := p.check()
@@ -207,7 +208,7 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		// exactly, so this is the one safe moment to checkpoint.
 		if opts.Checkpoint != nil && !p.done() {
 			if err := opts.Checkpoint(p.state()); err != nil {
-				return nil, fmt.Errorf("core: checkpoint before level %d: %w", p.NextLevel, err)
+				return nil, fmt.Errorf("core: checkpoint before level %d: %w", p.nextLevel, err)
 			}
 		}
 	}
@@ -215,18 +216,20 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 }
 
 // plan is the levelwise search with no engine: the traversal state, and the
-// decisions, drops and requests that follow from it and from the
-// cardinalities the executor hands back. Its state is a LatticeState whose
-// two tables, CPlus and Cardinalities, live in maps while it runs (state and
-// resumePlan convert).
+// decisions, drops and requests that follow from it and from the answers the
+// executor hands back. A checkpoint (state) keeps its parameters and answers.
 type plan struct {
-	// NextLevel is the level the next check decides, Level its sets and
-	// PrevLevel the survivors of the level below, their covers. Before the
-	// singletons are requested NextLevel is 0 and both are empty.
-	LatticeState
-	n     int
-	cplus map[relation.AttrSet]relation.AttrSet
-	cards map[relation.AttrSet]int
+	m, n, maxLHS int
+	keep         bool
+	// nextLevel is the level the next check decides, level its sets and prev
+	// the survivors of the level below, their covers. Before the singletons
+	// are requested nextLevel is 0 and both are empty.
+	nextLevel    int
+	level, prev  []relation.AttrSet
+	cplus        map[relation.AttrSet]relation.AttrSet
+	cards        map[relation.AttrSet]int // every answer recorded
+	minimal      []relation.FD
+	sets, checks int
 }
 
 // levelStep is what one check asks of the executor, in order: release pruned,
@@ -240,19 +243,17 @@ type levelStep struct {
 }
 
 func newPlan(m, n, maxLHS int, keep bool) *plan {
-	return &plan{
-		LatticeState: LatticeState{M: m, MaxLHS: maxLHS, KeepPartitions: keep},
-		n:            n,
-		cplus:        map[relation.AttrSet]relation.AttrSet{0: relation.FullSet(m)},
-		cards:        make(map[relation.AttrSet]int),
-	}
+	return &plan{m: m, n: n, maxLHS: maxLHS, keep: keep,
+		cplus: map[relation.AttrSet]relation.AttrSet{0: relation.FullSet(m)},
+		cards: make(map[relation.AttrSet]int)}
 }
 
 // resumePlan rebuilds the plan a checkpointed state was taken from, over n
-// records. cardOf reports the cardinality of a set the engine holds. Every set
-// the next check reads or releases — the level, its parents and the previous
-// level — must be held with the cardinality the state records, or the resumed
-// run would decide on numbers no partition backs.
+// records, by replay: every check up to the state's level, each request
+// answered from the state's cardinalities. cardOf reports the cardinality of
+// a set the engine holds. Every set the next check reads or releases — the
+// level, its parents and the previous level — must be held at its replayed
+// cardinality, or the resumed run would decide on numbers no partition backs.
 func resumePlan(ls *LatticeState, m, n int, cardOf func(relation.AttrSet) (int, bool)) (*plan, error) {
 	switch {
 	case ls.M != m:
@@ -262,67 +263,66 @@ func resumePlan(ls *LatticeState, m, n int, cardOf func(relation.AttrSet) (int, 
 	case ls.MaxLHS < 0:
 		return nil, fmt.Errorf("%w: MaxLHS %d", ErrCorruptCheckpoint, ls.MaxLHS)
 	}
-	p := newPlan(m, n, ls.MaxLHS, ls.KeepPartitions)
-	p.LatticeState = ls.clone()
-	for _, kv := range ls.CPlus {
-		p.cplus[kv[0]] = kv[1]
-	}
+	answers := make(map[relation.AttrSet]int, len(ls.Cardinalities))
 	for _, c := range ls.Cardinalities {
-		p.cards[c.Set] = c.Card
+		answers[c.Set] = c.Card
+	}
+	p := newPlan(m, n, ls.MaxLHS, ls.KeepPartitions)
+	for p.nextLevel < ls.NextLevel {
+		if p.done() {
+			return nil, fmt.Errorf("%w: the search ends at level %d, before the checkpoint's %d", ErrCorruptCheckpoint, p.nextLevel, ls.NextLevel)
+		}
+		reqs := p.check().reqs
+		cards := make([]int, len(reqs))
+		for i, r := range reqs {
+			var ok bool
+			if cards[i], ok = answers[r.Set]; !ok {
+				return nil, fmt.Errorf("%w: no cardinality for %v, a set of level %d", ErrCorruptCheckpoint, r.Set, p.nextLevel)
+			}
+		}
+		p.record(cards)
 	}
 
-	frontier := slices.Concat(p.PrevLevel, p.Level)
-	for _, x := range p.Level {
+	frontier := slices.Concat(p.prev, p.level)
+	for _, x := range p.level {
 		if x.Size() > 1 {
 			x.Subsets(func(sub relation.AttrSet) { frontier = append(frontier, sub) })
 		}
 	}
 	for _, x := range frontier {
-		card, recorded := p.cards[x]
-		if got, held := cardOf(x); !held || !recorded || got != card {
-			return nil, fmt.Errorf("%w: frontier set %v: |π| is %d in the state (recorded: %t), %d in the engine (held: %t)",
-				ErrCorruptCheckpoint, x, card, recorded, got, held)
+		if got, held := cardOf(x); !held || got != p.cards[x] {
+			return nil, fmt.Errorf("%w: frontier set %v: |π| is %d replayed, %d in the engine (held: %t)",
+				ErrCorruptCheckpoint, x, p.cards[x], got, held)
 		}
 	}
 	return p, nil
 }
 
-// state is the plan as a checkpoint holds it: a deep copy, so the callback
-// can retain it without aliasing the live tables.
+// state is the plan as a checkpoint holds it: its parameters, its level and
+// every answer it was handed, in tables the plan no longer touches.
 func (p *plan) state() *LatticeState {
-	ls := p.clone()
-	for k, v := range p.cplus {
-		ls.CPlus = append(ls.CPlus, [2]relation.AttrSet{k, v})
-	}
+	ls := &LatticeState{M: p.m, NextLevel: p.nextLevel, MaxLHS: p.maxLHS, KeepPartitions: p.keep,
+		Cardinalities: make([]SetCard, 0, len(p.cards))}
 	for k, v := range p.cards {
 		ls.Cardinalities = append(ls.Cardinalities, SetCard{k, v})
 	}
-	return &ls
-}
-
-// clone copies ls, sharing no slice with it, but for its two tables, which
-// it leaves empty.
-func (ls *LatticeState) clone() LatticeState {
-	c := *ls
-	c.Level, c.PrevLevel, c.Minimal = slices.Clone(ls.Level), slices.Clone(ls.PrevLevel), slices.Clone(ls.Minimal)
-	c.CPlus, c.Cardinalities = nil, nil
-	return c
+	return ls
 }
 
 // done says the search is over: a level was checked and nothing is left to
 // build above it.
-func (p *plan) done() bool { return p.NextLevel > 0 && len(p.Level) == 0 }
+func (p *plan) done() bool { return p.nextLevel > 0 && len(p.level) == 0 }
 
-// check decides level NextLevel, prunes it and generates the level above
+// check decides level nextLevel, prunes it and generates the level above
 // (ComputeDependencies, Prune and GenerateNextLevel), then moves up to it:
 // the requested sets become the level, pending record. Once MaxLHS bounds the
 // search it requests nothing and the plan is done.
 func (p *plan) check() levelStep {
 	var s levelStep
-	universe := relation.FullSet(p.M)
+	universe := relation.FullSet(p.m)
 
 	// ComputeDependencies: C⁺ for this level, and the checks it leaves.
-	for _, x := range p.Level {
+	for _, x := range p.level {
 		for _, a := range x.Intersect(p.cplusOf(x)).Attrs() {
 			lhs := x.Remove(a)
 			lhsCard := 1 // |π_∅| = 1 on a non-empty database
@@ -331,11 +331,11 @@ func (p *plan) check() levelStep {
 			}
 			// Set-level check (Theorem 1): X\{A} → A iff |π_{X\{A}}| = |π_X|.
 			holds := lhsCard == p.cards[x]
-			p.Checks++
+			p.checks++
 			fd := relation.FD{LHS: lhs, RHS: relation.SingleAttr(a)}
 			s.decided = append(s.decided, Decision{fd, holds})
 			if holds {
-				p.Minimal = append(p.Minimal, fd)
+				p.minimal = append(p.minimal, fd)
 				p.cplus[x] = p.cplus[x].Remove(a).Minus(universe.Minus(x))
 			}
 		}
@@ -344,21 +344,21 @@ func (p *plan) check() levelStep {
 	// Prune: drop nodes with empty C⁺ and superkeys (after harvesting the
 	// superkeys' remaining dependencies).
 	var kept []relation.AttrSet
-	inLevel := make(map[relation.AttrSet]bool, len(p.Level))
-	for _, x := range p.Level {
+	inLevel := make(map[relation.AttrSet]bool, len(p.level))
+	for _, x := range p.level {
 		switch {
 		case p.cplus[x].IsEmpty():
 		case p.cards[x] == p.n: // X is a (super)key
 			// The harvested FDs have |LHS| = |X| = l, one more than the
 			// dependencies found by ComputeDependencies at this level, so
 			// the MaxLHS bound must be re-checked here.
-			if p.MaxLHS == 0 || x.Size() <= p.MaxLHS {
+			if p.maxLHS == 0 || x.Size() <= p.maxLHS {
 				for _, a := range p.cplus[x].Minus(x).Attrs() {
 					ok := true // every C⁺ is memoized, whatever ok already says
 					x.Subsets(func(sub relation.AttrSet) { ok = p.cplusOf(sub.Add(a)).Has(a) && ok })
 					if ok {
 						fd := relation.FD{LHS: x, RHS: relation.SingleAttr(a)}
-						p.Minimal = append(p.Minimal, fd)
+						p.minimal = append(p.minimal, fd)
 						s.decided = append(s.decided, Decision{fd, true})
 					}
 				}
@@ -368,13 +368,13 @@ func (p *plan) check() levelStep {
 			inLevel[x] = true
 			continue
 		}
-		if !p.KeepPartitions {
+		if !p.keep {
 			s.pruned = append(s.pruned, x)
 		}
 	}
 
-	if p.MaxLHS > 0 && p.NextLevel > p.MaxLHS {
-		p.Level = nil // LHS at the next level would exceed the bound
+	if p.maxLHS > 0 && p.nextLevel > p.maxLHS {
+		p.level = nil // LHS at the next level would exceed the bound
 		return s
 	}
 
@@ -384,8 +384,8 @@ func (p *plan) check() levelStep {
 	// once without the O(|level|²) pair scan. Candidates then pass the
 	// all-subsets check and are requested from their Property 1 cover.
 	var next []relation.AttrSet
-	if p.NextLevel == 0 {
-		next = relation.AllSingletons(p.M)
+	if p.nextLevel == 0 {
+		next = relation.AllSingletons(p.m)
 		for _, x := range next {
 			s.reqs = append(s.reqs, Request{Set: x})
 		}
@@ -419,21 +419,21 @@ func (p *plan) check() levelStep {
 		}
 	}
 	// Sets two levels down are no longer anyone's cover.
-	if !p.KeepPartitions {
-		s.stale = p.PrevLevel
+	if !p.keep {
+		s.stale = p.prev
 	}
-	p.NextLevel++
-	p.PrevLevel, p.Level = kept, next
+	p.nextLevel++
+	p.prev, p.level = kept, next
 	return s
 }
 
 // record takes the cardinalities of the level check requested, in request
 // order.
 func (p *plan) record(cards []int) {
-	for i, x := range p.Level {
+	for i, x := range p.level {
 		p.cards[x] = cards[i]
 	}
-	p.SetsMaterialized += len(cards)
+	p.sets += len(cards)
 }
 
 // cplusOf returns C⁺(x), the intersection of its parents' C⁺ until x's own
@@ -444,7 +444,7 @@ func (p *plan) cplusOf(x relation.AttrSet) relation.AttrSet {
 	if c, ok := p.cplus[x]; ok {
 		return c
 	}
-	c := relation.FullSet(p.M)
+	c := relation.FullSet(p.m)
 	x.Subsets(func(sub relation.AttrSet) { c = c.Intersect(p.cplusOf(sub)) })
 	p.cplus[x] = c
 	return c
@@ -452,8 +452,8 @@ func (p *plan) cplusOf(x relation.AttrSet) relation.AttrSet {
 
 // result is the outcome once the plan is done.
 func (p *plan) result() *Result {
-	relation.SortFDs(p.Minimal)
-	return &Result{Minimal: p.Minimal, Cardinalities: p.cards, SetsMaterialized: p.SetsMaterialized, Checks: p.Checks}
+	relation.SortFDs(p.minimal)
+	return &Result{Minimal: p.minimal, Cardinalities: p.cards, SetsMaterialized: p.sets, Checks: p.checks}
 }
 
 // AggregateFDs merges minimal FDs sharing a left-hand side into the paper's

@@ -42,6 +42,27 @@ func fixedWidthRel(m, n int, seed int64, distinct int) *relation.Relation {
 	return rel
 }
 
+// engineKind names the secure engines the leakage tests compare.
+type engineKind = Protocol
+
+const (
+	kindOr   = ProtocolORAM
+	kindEx   = ProtocolDynamicORAM
+	kindSort = ProtocolSort
+)
+
+// openKind builds kind's engine over edb from its row of the protocol table,
+// the one Open and ResumeEngine build from, with the sorting network serial so
+// that each array's accesses come in one order.
+func openKind(t *testing.T, kind engineKind, edb *EncryptedDB) Engine {
+	t.Helper()
+	eng, err := protocols[kind].open(nil, edb, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // traceOfPartitionRun records the server-visible trace of materializing, with
 // the given engine kind on the given relation, three single-attribute
 // partitions and one pair partition a set per call — two singles are read as
@@ -52,15 +73,6 @@ func fixedWidthRel(m, n int, seed int64, distinct int) *relation.Relation {
 // r[ID] order there) — and, for the ORAM engines, one insertion across all
 // six sets. ORAM leaf choices are seeded identically; the shapes must match
 // regardless because ShapeOf strips leaves.
-// engineKind names the secure engines the leakage tests compare.
-type engineKind = Protocol
-
-const (
-	kindOr   = ProtocolORAM
-	kindEx   = ProtocolDynamicORAM
-	kindSort = ProtocolSort
-)
-
 func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) trace.Shape {
 	t.Helper()
 	srv := store.NewServer()
@@ -69,18 +81,7 @@ func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eng Engine
-	switch kind {
-	case kindOr:
-		eng = newOrEngine(edb, nil)
-	case kindEx:
-		eng, err = newExEngine(edb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-	case kindSort:
-		eng = newSort(t, edb, 1) // sequential for deterministic ordering
-	}
+	eng := openKind(t, kind, edb)
 	defer eng.Close()
 
 	srv.Trace().Reset()
@@ -277,18 +278,7 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eng Engine
-		switch kind {
-		case kindOr:
-			eng = newOrEngine(edb, nil)
-		case kindEx:
-			eng, err = newExEngine(edb, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-		case kindSort:
-			eng = newSort(t, edb, 1)
-		}
+		eng := openKind(t, kind, edb)
 		defer eng.Close()
 		srv.Trace().Reset()
 		srv.Trace().Enable()
@@ -453,18 +443,7 @@ func TestInvocationFieldsFollowTheSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eng Engine
-		switch kind {
-		case kindOr:
-			eng = newOrEngine(edb, nil)
-		case kindEx:
-			eng, err = newExEngine(edb, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-		case kindSort:
-			eng = newSort(t, edb, 1)
-		}
+		eng := openKind(t, kind, edb)
 		defer eng.Close()
 		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1, KeepPartitions: dynamic}); err != nil {
 			t.Fatal(err)
@@ -883,17 +862,7 @@ func TestSetupFramingDataIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.capacity = edb.Capacity()
-		var eng Engine
-		switch kind {
-		case kindOr:
-			eng = newOrEngine(edb, nil)
-		case kindEx:
-			if eng, err = newExEngine(edb, nil); err != nil {
-				t.Fatal(err)
-			}
-		case kindSort:
-			eng = newSort(t, edb, 1)
-		}
+		eng := openKind(t, kind, edb)
 		defer eng.Close()
 		groups := &requestLog{Engine: eng, seen: make(map[relation.AttrSet]bool)}
 		res, err := Discover(groups, rel.NumAttrs(), &Options{Workers: 1, Reveal: func(decisions []Decision) {

@@ -143,21 +143,10 @@ func discoverWithWorkers(t *testing.T, kind engineKind, rel *relation.Relation, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eng Engine
-	switch kind {
-	case kindOr:
-		eng = newOrEngine(edb, nil)
-	case kindEx:
-		eng, err = newExEngine(edb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-	case kindSort:
-		// Inner sorting-network workers stay at 1 so each array's own
-		// access sequence is deterministic; the parallelism under test is
-		// the lattice-level batch scheduler.
-		eng = newSort(t, edb, 1)
-	}
+	// The sorting network stays serial, so each array's own access sequence
+	// is deterministic; the parallelism under test is the lattice-level batch
+	// scheduler.
+	eng := openKind(t, kind, edb)
 	defer eng.Close()
 
 	srv.Trace().Reset()

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,40 +11,60 @@ import (
 	"github.com/oblivfd/oblivfd/internal/relation"
 )
 
-// renderLatticeState writes a checkpointed state as golden lines. CPlus and
-// Cardinalities are tables whose order carries no meaning, so they are
-// sorted by set; every other list keeps the order the traversal gave it.
-func renderLatticeState(run string, ls *LatticeState) []string {
-	head := fmt.Sprintf("%s next=%d", run, ls.NextLevel)
-	cplus := append([][2]relation.AttrSet(nil), ls.CPlus...)
-	sort.Slice(cplus, func(i, j int) bool { return cplus[i][0] < cplus[j][0] })
-	cards := append([]SetCard(nil), ls.Cardinalities...)
-	sort.Slice(cards, func(i, j int) bool { return cards[i].Set < cards[j].Set })
+// plaintextCards stands in for an engine's Cardinality: every set of rel is
+// held, at its plaintext cardinality.
+func plaintextCards(rel *relation.Relation) func(relation.AttrSet) (int, bool) {
+	return func(x relation.AttrSet) (int, bool) { return relation.PartitionOf(rel, x).Classes, true }
+}
+
+// renderLatticeState writes a checkpointed state as golden lines: the plan
+// resumePlan replays from it over rel. C⁺ and the cardinalities are tables
+// whose order carries no meaning, so they are sorted by set; every other list
+// keeps the order the traversal gave it.
+func renderLatticeState(t *testing.T, run string, ls *LatticeState, rel *relation.Relation) []string {
+	t.Helper()
+	p, err := resumePlan(ls, rel.NumAttrs(), rel.NumRows(), plaintextCards(rel))
+	if err != nil {
+		t.Fatalf("%s: replaying the checkpoint at level %d: %v", run, ls.NextLevel, err)
+	}
+	head := fmt.Sprintf("%s next=%d", run, p.nextLevel)
 	var cp, cd, mn []string
-	for _, kv := range cplus {
-		cp = append(cp, fmt.Sprintf("%v:%v", kv[0], kv[1]))
+	for _, x := range sortedSets(p.cplus) {
+		cp = append(cp, fmt.Sprintf("%v:%v", x, p.cplus[x]))
 	}
-	for _, c := range cards {
-		cd = append(cd, fmt.Sprintf("%v=%d", c.Set, c.Card))
+	for _, x := range sortedSets(p.cards) {
+		cd = append(cd, fmt.Sprintf("%v=%d", x, p.cards[x]))
 	}
-	for _, fd := range ls.Minimal {
+	for _, fd := range p.minimal {
 		mn = append(mn, fd.String())
 	}
 	return []string{
-		fmt.Sprintf("%s m=%d maxlhs=%d keep=%t sets=%d checks=%d", head, ls.M, ls.MaxLHS, ls.KeepPartitions, ls.SetsMaterialized, ls.Checks),
-		fmt.Sprintf("%s level %v", head, ls.Level),
-		fmt.Sprintf("%s prev %v", head, ls.PrevLevel),
+		fmt.Sprintf("%s m=%d maxlhs=%d keep=%t sets=%d checks=%d", head, p.m, p.maxLHS, p.keep, p.sets, p.checks),
+		fmt.Sprintf("%s level %v", head, p.level),
+		fmt.Sprintf("%s prev %v", head, p.prev),
 		fmt.Sprintf("%s cplus %s", head, strings.Join(cp, " ")),
 		fmt.Sprintf("%s minimal %s", head, strings.Join(mn, ", ")),
 		fmt.Sprintf("%s cards %s", head, strings.Join(cd, " ")),
 	}
 }
 
+// sortedSets returns the sets a table is keyed by, in order.
+func sortedSets[V any](table map[relation.AttrSet]V) []relation.AttrSet {
+	sets := make([]relation.AttrSet, 0, len(table))
+	for x := range table {
+		sets = append(sets, x)
+	}
+	slices.Sort(sets)
+	return sets
+}
+
 // TestLatticeStateGolden pins what a checkpoint holds, not only how it is
 // framed: the plain engine's checkpointed states on two relations, each run
 // once with MaxLHS = 2 and once keeping partitions, rendered by
-// renderLatticeState. testdata/lattice-state-golden.txt was written by the
-// loop Discover ran before the traversal became a plan and an executor.
+// renderLatticeState from the plan each replays to.
+// testdata/lattice-state-golden.txt was written by the loop Discover ran
+// before the traversal became a plan and an executor, from the states it
+// stored in full.
 func TestLatticeStateGolden(t *testing.T) {
 	rels := []struct {
 		name string
@@ -66,7 +86,7 @@ func TestLatticeStateGolden(t *testing.T) {
 			run := r.name + "/" + o.name
 			opts := o.opts
 			opts.Checkpoint = func(ls *LatticeState) error {
-				lines = append(lines, renderLatticeState(run, ls)...)
+				lines = append(lines, renderLatticeState(t, run, ls, rel)...)
 				return nil
 			}
 			if _, err := Discover(newPlainEngine(rel), rel.NumAttrs(), &opts); err != nil {
@@ -106,7 +126,7 @@ func (e engineLog) Release(x relation.AttrSet) error {
 // replayPlan runs the plan alone, handing it cardinalities counted from the
 // plaintext relation, and logs what it asks for as Discover would carry it
 // out.
-func replayPlan(rel *relation.Relation, maxLHS int, keep bool) *discoveryLog {
+func replayPlan(t *testing.T, rel *relation.Relation, maxLHS int, keep bool) *discoveryLog {
 	var log discoveryLog
 	p := newPlan(rel.NumAttrs(), rel.NumRows(), maxLHS, keep)
 	releases := func(sets []relation.AttrSet) {
@@ -130,7 +150,7 @@ func replayPlan(rel *relation.Relation, maxLHS int, keep bool) *discoveryLog {
 		}
 		releases(s.stale)
 		if !p.done() {
-			log.states = append(log.states, renderLatticeState("", p.state())...)
+			log.states = append(log.states, renderLatticeState(t, "", p.state(), rel)...)
 		}
 	}
 	log.res = p.result()
@@ -168,7 +188,7 @@ func TestPlanReplaysEveryEngine(t *testing.T) {
 		rel := randomRel(r.m, r.n, r.card, int64(100+i))
 		for _, maxLHS := range []int{0, 2} {
 			for _, keep := range []bool{false, true} {
-				want := replayPlan(rel, maxLHS, keep)
+				want := replayPlan(t, rel, maxLHS, keep)
 				if oracle := baseline.MinimalFDs(rel); maxLHS == 0 && !relation.FDSetEqual(want.res.Minimal, oracle) {
 					t.Errorf("m=%d seed %d: the plan alone finds %v, the oracle %v", r.m, 100+i, want.res.Minimal, oracle)
 				}
@@ -182,7 +202,7 @@ func TestPlanReplaysEveryEngine(t *testing.T) {
 						Workers:        e.workers,
 						Reveal:         func(d []Decision) { got.reveals = append(got.reveals, d) },
 						Checkpoint: func(ls *LatticeState) error {
-							got.states = append(got.states, renderLatticeState("", ls)...)
+							got.states = append(got.states, renderLatticeState(t, "", ls, rel)...)
 							return nil
 						},
 					})
