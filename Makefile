@@ -154,15 +154,17 @@ bench-oram:
 # to a plan or a refusal. The seed corpora (every kind and logged record,
 # a fresh snapshot and an overflowing tree shape, real checkpoints of both
 # ORAM engines, bit-flipped and cut, the four kinds of trace header) also run
-# as plain tests under `go test`.
+# as plain tests under `go test`. A new input is minimized with one run
+# (-fuzzminimizetime 1x): Go's default allows each up to 60 s, which can spend
+# a whole 10 s smoke shrinking the first inputs it finds.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/transport/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/transport/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME) ./internal/store/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzFromWire$$' -fuzztime $(FUZZTIME) ./internal/otrace/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzFromWire$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/otrace/
 
 # The benchmark (go run ./benchmark) multiplies every time it reports by its
 # speedometer's reading, and the speedometer's inner loop runs about a third

@@ -41,7 +41,7 @@ func registerFlags(fs *flag.FlagSet, p *params) {
 	fs.IntVar(&p.runs, "runs", 9, "runs per group (table2); paper uses 9")
 	fs.IntVar(&p.maxn, "maxn", 2048, "largest n in scalability sweeps (fig4/fig5/fig6b/fig7)")
 	fs.IntVar(&p.minn, "minn", 128, "smallest n in scalability sweeps")
-	fs.IntVar(&p.fign, "fig6a-n", 512, "n for the fig6a thread sweep; paper uses 32768")
+	fs.IntVar(&p.fign, "fig6a-n", 8192, "n for the fig6a thread sweep; paper uses 32768")
 	intsVar(fs, &p.threads, "threads", []int{1, 2, 4, 8, 16}, "comma-separated thread counts for fig6a")
 	fs.DurationVar(&p.rtt, "rtt", 200*time.Microsecond, "modeled network RTT per storage op (fig6a)")
 	fs.DurationVar(&p.t2rtt, "table2-rtt", 0, "modeled network RTT for table2 (0 = in-process timings)")

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +150,14 @@ func TestFig6aTiny(t *testing.T) {
 	}
 	if out := res.Render(); !strings.Contains(out, "Fig 6(a)") {
 		t.Errorf("render:\n%s", out)
+	}
+	// The header names a sub-stage's chains, p/1 024: the threads past that
+	// count have nothing to take.
+	for n, chains := range map[int]int{512: 1, 1024: 1, 8192: 8, 6000: 8} {
+		want := fmt.Sprintf("chains a sub-stage: %d)", chains)
+		if out := (&Fig6aResult{N: n}).Render(); !strings.Contains(out, want) {
+			t.Errorf("n=%d: render does not say %q:\n%s", n, want, out)
+		}
 	}
 }
 

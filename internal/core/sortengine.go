@@ -249,10 +249,12 @@ func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sort
 // figure returned is that accounting: the encryption key and one in-flight
 // record pair at the widest record in use, A's, behind a padding flag only
 // where the array holds padding. What a worker of this client really holds
-// is one block, two sealed runs of obsort.RunRecords records plus
-// crypto.Overhead bytes of ciphertext, plus its scratch (the runs' indices
-// and plaintexts, one record for a swap, one associated-data string) —
-// larger, but just as independent of n.
+// is two blocks in flight: the one it works on, two runs of
+// obsort.RunRecords records in plaintext, and the one sealed before it, two
+// runs plus crypto.Overhead bytes of ciphertext awaiting the write that
+// rides with the next read; plus its scratch (both blocks' run indices, one
+// record for a swap, one associated-data string) — larger, but just as
+// independent of n.
 func (e *SortEngine) ClientMemoryBytes() int {
 	return 16 /* AES key */ + 2*obsort.RecordBytes(e.n, sortRecWidth)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
@@ -359,7 +360,8 @@ func TestFailedRestoreIsRerunWhole(t *testing.T) {
 // with the array in two layouts, fails the set's build with the injected
 // error; the set is not cached, the server holds what it held before the
 // build, and building the set again returns the oracle's cardinality. At
-// n = 130 the pass writes four chunks, the last of them padding only.
+// n = 130 the pass writes four chunks, the last of them padding only; every
+// chunk's write but the last rides in a batch with the next chunk's read.
 func TestFailedLabellingPassLeavesNothing(t *testing.T) {
 	const n = 130
 	rel := fixedWidthRel(3, n, 5, 3)
@@ -370,8 +372,14 @@ func TestFailedLabellingPassLeavesNothing(t *testing.T) {
 	}
 	labelCt := obsort.RunRecords*(labelRecWidth+1) + crypto.Overhead
 	srv := store.NewServer()
-	svc := newFailNth(srv, func(op *store.Op) bool {
+	labelWrite := func(op *store.Op) bool {
 		return op.Kind == store.KindWriteCells && strings.HasSuffix(op.Name, ":B") && len(op.Cts[0]) == labelCt
+	}
+	svc := newFailNth(srv, func(op *store.Op) bool {
+		return labelWrite(op) || slices.ContainsFunc(op.Ops, func(b store.BatchOp) bool {
+			sub := b.Op()
+			return labelWrite(&sub)
+		})
 	})
 	edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
 	if err != nil {

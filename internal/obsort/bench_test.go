@@ -32,34 +32,35 @@ func benchArray(tb testing.TB, n int) *Array {
 
 func lessKey(a, b []byte) bool { return bytes.Compare(a[:8], b[:8]) < 0 }
 
-// firstBlock is the first ChunkCells/2 comparators of the network's first
-// stage: one full compare-exchange block.
-func firstBlock(tb testing.TB, p int) [][2]int64 {
+// firstBlocks is the first blocks·ChunkCells/2 comparators of the network's
+// first stage: that many full compare-exchange blocks.
+func firstBlocks(tb testing.TB, p, blocks int) [][2]int64 {
 	tb.Helper()
-	var block [][2]int64
+	var first [][2]int64
 	err := Stages(p, func(pairs [][2]int64) error {
-		if block == nil {
-			block = append(block, pairs[:ChunkCells/2]...)
+		if first == nil {
+			first = append(first, pairs[:blocks*blockPairs]...)
 		}
 		return nil
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return block
+	return first
 }
 
 // BenchmarkCompareExchangeBlock is the layer's unit of work: one block of
-// ChunkCells/2 comparators — read the block's two runs (ChunkCells
-// records), open both, compare and swap, seal both fresh, write them back.
+// ChunkCells/2 comparators on its own, a chain of one — read the block's two
+// runs (ChunkCells records), open both, compare and swap, seal both fresh,
+// write them back.
 func BenchmarkCompareExchangeBlock(b *testing.B) {
 	a := benchArray(b, 4*ChunkCells)
-	block := firstBlock(b, a.p)
+	block := firstBlocks(b, a.p, 1)
 	sc := a.newScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.compareExchangeBlock(sc, block, lessKey); err != nil {
+		if err := a.compareExchangeChain(sc, block, lessKey); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,14 +92,16 @@ func BenchmarkSort4096(b *testing.B) {
 // paths that move almost every cell of a Sort discovery. Opening, comparing
 // and sealing allocate nothing; what remains is per block: the slab of fresh
 // ciphertexts and the slice naming them (the server keeps both), and the
-// in-process server's own result slice on the read.
+// in-process server's own result slice on the read — and, inside a chain,
+// the result slice of the batch that carries the previous block's write
+// with the read.
 func TestBlockAllocs(t *testing.T) {
 	const perBlock = 4
 	a := benchArray(t, 4*ChunkCells)
-	block := firstBlock(t, a.p)
+	block := firstBlocks(t, a.p, 1)
 	sc := a.newScratch()
 	got := testing.AllocsPerRun(100, func() {
-		if err := a.compareExchangeBlock(sc, block, lessKey); err != nil {
+		if err := a.compareExchangeChain(sc, block, lessKey); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -116,6 +119,26 @@ func TestBlockAllocs(t *testing.T) {
 	})
 	if got > perBlock+5 {
 		t.Errorf("one %d-cell Scan chunk allocates %.0f times, want at most %d", ChunkCells, got, perBlock+5)
+	}
+
+	// A chain of chainBlocks blocks, a sub-stage's steady state: 4·16 − 1
+	// allocations, the first block's read and the last block's write being
+	// calls of their own. Under the race detector sync.Pool drops a share of
+	// what is put back, so the store's pooled call frames are allocated
+	// again now and then and the count says nothing about this path.
+	if raceEnabled {
+		return
+	}
+	long := benchArray(t, 2*chainBlocks*ChunkCells)
+	chain := firstBlocks(t, long.p, chainBlocks)
+	sc = long.newScratch()
+	got = testing.AllocsPerRun(20, func() {
+		if err := long.compareExchangeChain(sc, chain, lessKey); err != nil {
+			t.Fatal(err)
+		}
+	}) / chainBlocks
+	if got > perBlock {
+		t.Errorf("a block inside a %d-block chain allocates %.2f times, want at most %d", chainBlocks, got, perBlock)
 	}
 }
 

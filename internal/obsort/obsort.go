@@ -8,7 +8,8 @@
 //
 // Comparators within one stage of the network touch disjoint records, which
 // is what gives the algorithm its n/2 parallelism degree (§IV-D, Fig. 6a).
-// Sort accepts a worker count to exploit it.
+// Sort accepts a worker count to exploit it, a chain of chainBlocks blocks
+// per worker at a time.
 //
 // Records are stored in sealed runs: RunRecords consecutive records under one
 // AEAD ciphertext, bound to (array, run index). Records move in blocks of
@@ -18,8 +19,9 @@
 // each worker opens the block's runs into a reused scratch, compares and
 // swaps there, and seals the runs into one slab allocated for that block's
 // write (the in-process server keeps the slices it is handed, so a slab is
-// never written twice). Which runs are transferred, in which order, and what
-// is authenticated does not depend on any of this.
+// never written twice). That write rides with the next block's read of the
+// same chain. Which runs are transferred, in which calls, and what is
+// authenticated does not depend on any of this.
 //
 // A record is as wide as the phase needs: its payload, behind a padding flag
 // only in an array that holds padding (p > n), and Reseal changes the payload
@@ -46,12 +48,13 @@ type Less func(a, b []byte) bool
 // passes (Scan, CreateStreamed, the callers of GetRanges) and sort stages
 // coalesce up to this many records — ChunkCells/RunRecords runs — per
 // ReadCells/WriteCells, so round-trip count scales with n/ChunkCells instead
-// of n while client memory stays O(1): a worker holds one block, two runs of
-// RunRecords × RecordBytes(n, width) + crypto.Overhead bytes of ciphertext,
-// plus its scratch (the block's run indices and plaintexts, one record for a
-// swap and one associated-data string), whatever n is. The records a call
-// carries are the ones the one-at-a-time schedule touches — only the call
-// framing and the unit of sealing differ (DESIGN.md §11).
+// of n while client memory stays O(1): a worker holds two blocks in flight —
+// the one just read, in plaintext, and the one sealed before it, two runs of
+// RunRecords × RecordBytes(n, width) + crypto.Overhead bytes of ciphertext
+// awaiting their write — plus its scratch (the blocks' run indices, one
+// record for a swap and one associated-data string), whatever n is. The
+// records a call carries are the ones the one-at-a-time schedule touches —
+// only the call framing and the unit of sealing differ (DESIGN.md §11).
 const ChunkCells = 64
 
 // RunRecords is how many records one ciphertext seals: half a block, so that
@@ -61,6 +64,18 @@ const RunRecords = ChunkCells / 2
 
 // blockPairs is how many comparators one compare-exchange block holds.
 const blockPairs = ChunkCells / 2
+
+// chainBlocks is how many consecutive blocks of a sub-stage make one chain,
+// 16 · ChunkCells = 1 024 records. A chain's first call reads its first
+// block, each later call carries one block's write-back and the next block's
+// read, and its last call writes its last block: a sub-stage of B blocks
+// takes B + ⌈B/chainBlocks⌉ calls, not the 2B of a read and a write per
+// block. Workers take whole chains, so the calls do not depend on their
+// count (DESIGN.md §11, "Chained blocks").
+const chainBlocks = 16
+
+// chainPairs is how many comparators one chain holds.
+const chainPairs = chainBlocks * blockPairs
 
 // Array is a client-side handle to a server-resident encrypted array of
 // fixed-width records, padded to a power of two so the bitonic network is
@@ -135,6 +150,13 @@ func padded(n int) int {
 		p <<= 1
 	}
 	return p
+}
+
+// StageChains is how many chains one sub-stage of the network over n records
+// has: p/1 024 for a padded length p of at least 1 024, else one. It is the
+// network's degree of parallelism — Sort's workers take whole chains.
+func StageChains(n int) int {
+	return (padded(n)/2 + chainPairs - 1) / chainPairs
 }
 
 // padFlag is the width of the padding flag in an array of n records: 1 if
@@ -318,32 +340,80 @@ func (ad *runAD) at(k int64) []byte {
 }
 
 // scratch is the client memory one worker reuses from block to block: the
-// runs of the call at hand, their plaintexts back to back, one record for a
-// swap, and the runs' associated data. It is not safe for concurrent use.
+// runs of the block in hand, their plaintexts back to back, one record for a
+// swap, the runs' associated data, and the write of the block sealed before
+// it, held back to ride with the next call. It is not safe for concurrent
+// use.
 type scratch struct {
 	runAD
 	runs []int64
 	pt   []byte
 	tmp  []byte
+	// ops[0] is the held write, its Write false when there is none, and
+	// ops[1] the read it rides with; spare holds the held write's runs.
+	ops   [2]store.BatchOp
+	spare []int64
 }
 
 func (a *Array) newScratch() *scratch {
+	const perCall = ChunkCells / RunRecords
+	runs := make([]int64, 0, 2*perCall)
 	return &scratch{
 		runAD: a.newRunAD(),
-		runs:  make([]int64, 0, ChunkCells/RunRecords),
+		runs:  runs[:0:perCall],
+		spare: runs[perCall:perCall],
 		pt:    make([]byte, min(ChunkCells, a.p)*a.stride()),
 		tmp:   make([]byte, a.stride()),
 	}
 }
 
-// readRuns fetches the named runs in one call and opens them, back to back,
-// into pt, as runs of rb plaintext bytes.
-func (a *Array) readRuns(ad *runAD, rb int, runs []int64, pt []byte) error {
-	cts, err := a.svc.ReadCells(a.name, runs)
+// fetch reads sc.runs in one call, behind the held write in one batch when
+// there is one, and opens them, back to back, into pt, as runs of rb
+// plaintext bytes.
+func (a *Array) fetch(sc *scratch, rb int, pt []byte) error {
+	var cts [][]byte
+	var err error
+	if sc.ops[0].Write {
+		sc.ops[1] = store.BatchOp{Name: a.name, Idx: sc.runs}
+		var res [][][]byte
+		res, err = store.DoBatch(a.svc, sc.ops[:])
+		sc.ops = [2]store.BatchOp{}
+		if len(res) == len(sc.ops) {
+			cts = res[1]
+		}
+	} else {
+		cts, err = a.svc.ReadCells(a.name, sc.runs)
+	}
 	if err != nil {
 		return fmt.Errorf("obsort: %w", err)
 	}
-	return a.openRuns(ad, rb, pt, cts, runs)
+	return a.openRuns(&sc.runAD, rb, pt, cts, sc.runs)
+}
+
+// hold seals sc.runs' plaintexts, rb bytes each back to back in pt, and keeps
+// their write back for the next call; sc.runs is free for the next block.
+func (a *Array) hold(sc *scratch, rb int, pt []byte) error {
+	cts, err := a.sealRuns(&sc.runAD, rb, sc.runs, pt)
+	if err != nil {
+		return err
+	}
+	sc.ops[0] = store.BatchOp{Write: true, Name: a.name, Idx: sc.runs, Cts: cts}
+	sc.runs, sc.spare = sc.spare[:0], sc.runs
+	return nil
+}
+
+// flush writes the held block, if there is one, in a call of its own: the
+// last call of a chain.
+func (a *Array) flush(sc *scratch) error {
+	w := sc.ops[0]
+	if !w.Write {
+		return nil
+	}
+	sc.ops[0] = store.BatchOp{}
+	if err := a.svc.WriteCells(a.name, w.Idx, w.Cts); err != nil {
+		return fmt.Errorf("obsort: %w", err)
+	}
+	return nil
 }
 
 // openRuns authenticates cts[j] as run runs[j] and decrypts it into its slot
@@ -368,23 +438,31 @@ func (a *Array) openRuns(ad *runAD, rb int, pt []byte, cts [][]byte, runs []int6
 	return nil
 }
 
-// writeRuns seals the named runs' plaintexts, rb bytes each back to back in
-// pt, each under a fresh nonce, and writes them in one call, behind lead in
-// one batch when there is a lead (CreateStreamed's create). The ciphertexts
-// share a slab allocated for that call and never written afterwards, because
-// the in-process server retains the slices it is handed.
-func (a *Array) writeRuns(ad *runAD, rb int, runs []int64, pt []byte, lead ...store.BatchOp) error {
+// sealRuns seals the named runs' plaintexts, rb bytes each back to back in
+// pt, each under a fresh nonce. The ciphertexts share a slab allocated for
+// their write and never written afterwards, because the in-process server
+// retains the slices it is handed.
+func (a *Array) sealRuns(ad *runAD, rb int, runs []int64, pt []byte) ([][]byte, error) {
 	slab := make([]byte, 0, len(runs)*(rb+crypto.Overhead))
 	cts := make([][]byte, len(runs))
 	for j, k := range runs {
 		start := len(slab)
 		var err error
 		if slab, err = a.cipher.SealTo(slab, pt[j*rb:(j+1)*rb], ad.at(k)); err != nil {
-			return err
+			return nil, err
 		}
 		cts[j] = slab[start:len(slab):len(slab)]
 	}
-	var err error
+	return cts, nil
+}
+
+// writeRuns seals the named runs and writes them in one call, behind lead in
+// one batch when there is a lead (CreateStreamed's create).
+func (a *Array) writeRuns(ad *runAD, rb int, runs []int64, pt []byte, lead ...store.BatchOp) error {
+	cts, err := a.sealRuns(ad, rb, runs, pt)
+	if err != nil {
+		return err
+	}
 	if len(lead) == 0 {
 		err = a.svc.WriteCells(a.name, runs, cts)
 	} else {
@@ -447,30 +525,38 @@ func (a *Array) Sort(less Less, workers int) error {
 }
 
 // runStage executes one network stage with up to one worker per scratch; all
-// pairs are disjoint, so workers can process them concurrently. Pairs are
-// split into contiguous shares of whole blocks — one share per worker — so
-// dispatch overhead is per stage, not per comparator, and the storage calls
-// (and the runs each one moves) are the ones a single worker makes, whatever
-// the worker count.
+// pairs are disjoint, so workers can process them concurrently. The stage's
+// blocks are cut into chains of chainBlocks consecutive blocks, and workers
+// take whole chains from a shared counter, so the storage calls — and the
+// runs each one moves — are the ones a single worker makes, whatever the
+// worker count; only the interleaving of the chains differs.
 func (a *Array) runStage(pairs [][2]int64, less Less, scs []*scratch) error {
-	share := (len(pairs) + len(scs) - 1) / len(scs)
-	share = (share + blockPairs - 1) / blockPairs * blockPairs
-	if share >= len(pairs) {
-		return a.compareExchangeBlocks(scs[0], pairs, less)
+	chains := StageChains(a.p)
+	workers := min(len(scs), chains)
+	if workers == 1 {
+		for c := range chains {
+			if err := a.compareExchangeChain(scs[0], chain(pairs, c), less); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	errs := make(chan error, len(scs))
+	var next atomic.Int64
+	var failed atomic.Bool
+	errs := make(chan error, workers)
 	var wg sync.WaitGroup
-	for w, lo := 0, 0; lo < len(pairs); w, lo = w+1, lo+share {
+	for _, sc := range scs[:workers] {
 		wg.Add(1)
-		go func(sc *scratch, part [][2]int64) {
+		go func() {
 			defer wg.Done()
-			if err := a.compareExchangeBlocks(sc, part, less); err != nil {
-				select {
-				case errs <- err:
-				default:
+			for c := int(next.Add(1) - 1); c < chains && !failed.Load(); c = int(next.Add(1) - 1) {
+				if err := a.compareExchangeChain(sc, chain(pairs, c), less); err != nil {
+					failed.Store(true)
+					errs <- err
+					return
 				}
 			}
-		}(scs[w], pairs[lo:min(lo+share, len(pairs))])
+		}()
 	}
 	wg.Wait()
 	select {
@@ -481,17 +567,25 @@ func (a *Array) runStage(pairs [][2]int64, less Less, scs []*scratch) error {
 	}
 }
 
-// compareExchangeBlocks processes a share of disjoint pairs in blocks of
-// blockPairs comparators: one ReadCells for the block's runs, the compare
-// decisions in client memory, one WriteCells with every run re-sealed fresh —
-// 2 rounds per block instead of 2 per comparator.
-func (a *Array) compareExchangeBlocks(sc *scratch, pairs [][2]int64, less Less) error {
+// chain is chain c of a stage's pairs.
+func chain(pairs [][2]int64, c int) [][2]int64 {
+	return pairs[c*chainPairs : min((c+1)*chainPairs, len(pairs))]
+}
+
+// compareExchangeChain processes consecutive pairs of one sub-stage as a
+// chain of blocks of blockPairs comparators: one ReadCells for the first
+// block's runs, then per later block one batch of the previous block's
+// re-sealed runs and this block's read, and one WriteCells for the last
+// block — blocks + 1 calls where one read and one write a block took twice
+// the blocks. A chain that fails drops the write it held.
+func (a *Array) compareExchangeChain(sc *scratch, pairs [][2]int64, less Less) error {
 	for lo := 0; lo < len(pairs); lo += blockPairs {
 		if err := a.compareExchangeBlock(sc, pairs[lo:min(lo+blockPairs, len(pairs))], less); err != nil {
+			sc.ops[0] = store.BatchOp{}
 			return err
 		}
 	}
-	return nil
+	return a.flush(sc)
 }
 
 // compareExchangeBlock orders the records of each (lo, hi) pair so that the
@@ -502,7 +596,8 @@ func (a *Array) compareExchangeBlocks(sc *scratch, pairs [][2]int64, less Less) 
 // So the block's runs are those of its lowest position, the first pair's
 // lower end, and of its highest, the last pair's upper end, and a record's
 // offset among them is computed from its position. Every run it reads is
-// re-sealed fresh regardless of the comparison outcomes.
+// re-sealed fresh regardless of the comparison outcomes, and its write is
+// held for the chain's next call.
 func (a *Array) compareExchangeBlock(sc *scratch, pairs [][2]int64, less Less) error {
 	run := int64(a.run)
 	first, last := min(pairs[0][0], pairs[0][1])/run, max(pairs[len(pairs)-1][0], pairs[len(pairs)-1][1])/run
@@ -512,7 +607,7 @@ func (a *Array) compareExchangeBlock(sc *scratch, pairs [][2]int64, less Less) e
 	}
 	rb := a.runBytes()
 	pt := sc.pt[:len(sc.runs)*rb]
-	if err := a.readRuns(&sc.runAD, rb, sc.runs, pt); err != nil {
+	if err := a.fetch(sc, rb, pt); err != nil {
 		return err
 	}
 	s, f := int64(a.stride()), a.flag
@@ -533,7 +628,7 @@ func (a *Array) compareExchangeBlock(sc *scratch, pairs [][2]int64, less Less) e
 	}
 	a.comparisons.Add(int64(len(pairs)))
 	a.compCtr.Add(int64(len(pairs)))
-	return a.writeRuns(&sc.runAD, rb, sc.runs, pt)
+	return a.hold(sc, rb, pt)
 }
 
 // slot is the index, among a block's runs opened back to back, of the record
@@ -553,8 +648,10 @@ func slot(pos, firstPos, lastPos, run int64) int64 {
 // record is read, handed to fn, and its run rewritten with a fresh ciphertext
 // whether or not fn changed it. fn must return a record of the array's width;
 // it may change rec in place and return it, and must not keep rec after it
-// returns. Records move in ChunkCells-sized calls of whole runs: each chunk is
-// one read round and one write round, ⌈n/ChunkCells⌉ chunks.
+// returns. Records move in ChunkCells-sized calls of whole runs, ⌈n/ChunkCells⌉
+// chunks chained as a sort's blocks are: the first call reads the first
+// chunk, each later one writes a chunk back and reads the next, and the last
+// writes the last chunk — chunks + 1 calls.
 func (a *Array) Scan(fn func(i int, rec []byte) ([]byte, error)) error {
 	return a.Reseal(a.width, fn)
 }
@@ -567,8 +664,9 @@ func (a *Array) Scan(fn func(i int, rec []byte) ([]byte, error)) error {
 // changes the width also re-seals the runs that hold only padding, and no
 // array ever mixes layouts: it reads ⌈p/ChunkCells⌉ chunks where Scan reads
 // ⌈n/ChunkCells⌉, the same count when n is a power of two. Which chunks it
-// reads is a function of n and of whether the width changes. A pass that
-// fails part-way leaves the array in two layouts, fit only for Destroy.
+// reads is a function of n and of whether the width changes, and its calls
+// are Scan's chain over them. A pass that fails part-way leaves the array in
+// two layouts, fit only for Destroy.
 func (a *Array) Reseal(width int, fn func(i int, rec []byte) ([]byte, error)) error {
 	if width < 1 {
 		return fmt.Errorf("obsort: record width %d < 1", width)
@@ -583,7 +681,7 @@ func (a *Array) Reseal(width int, fn func(i int, rec []byte) ([]byte, error)) er
 	for lo := 0; lo < end; lo += ChunkCells {
 		sc.runs = a.appendRuns(sc.runs[:0], lo, min(lo+ChunkCells, end))
 		pt := sc.pt[:len(sc.runs)*from.runBytes()]
-		if err := a.readRuns(&sc.runAD, from.runBytes(), sc.runs, pt); err != nil {
+		if err := a.fetch(sc, from.runBytes(), pt); err != nil {
 			return err
 		}
 		next := pt
@@ -610,9 +708,12 @@ func (a *Array) Reseal(width int, fn func(i int, rec []byte) ([]byte, error)) er
 			}
 			to.put(to.recordAt(next, k), r)
 		}
-		if err := a.writeRuns(&sc.runAD, to.runBytes(), sc.runs, next); err != nil {
+		if err := a.hold(sc, to.runBytes(), next); err != nil {
 			return err
 		}
+	}
+	if err := a.flush(sc); err != nil {
+		return err
 	}
 	a.layout = to
 	return nil

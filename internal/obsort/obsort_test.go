@@ -281,7 +281,8 @@ func TestScanRewritesEveryCell(t *testing.T) {
 		t.Errorf("after Scan = %v", got)
 	}
 	// Scan reads and writes exactly the ⌈n/run⌉ runs that hold the n
-	// logical records, in ⌈n/ChunkCells⌉ calls each way.
+	// logical records, in a chain of ⌈n/ChunkCells⌉ chunks: one call more
+	// than chunks.
 	for _, n := range []int{3, 100} {
 		a, srv := newArray(t, make([]uint64, n))
 		srv.Trace().Reset()
@@ -294,7 +295,7 @@ func TestScanRewritesEveryCell(t *testing.T) {
 		if r, w := srv.Trace().Count(trace.OpReadCell), srv.Trace().Count(trace.OpWriteCell); r != runs || w != runs {
 			t.Errorf("n=%d: Scan read %d runs and wrote %d, want %d each", n, r, w, runs)
 		}
-		if got, want := rc.Rounds(), int64(2*((n+ChunkCells-1)/ChunkCells)); got != want {
+		if got, want := rc.Rounds(), int64((n+ChunkCells-1)/ChunkCells+1); got != want {
 			t.Errorf("n=%d: Scan took %d rounds, want %d", n, got, want)
 		}
 	}
@@ -503,38 +504,49 @@ func TestRunADMatchesStoredFormat(t *testing.T) {
 }
 
 // callLog records every call that reaches the service as one line — its
-// kind, object, run indices and ciphertext lengths: the framing a server
-// sees.
+// kind, object, run indices and ciphertext lengths, and for a batch those of
+// every op in it, in order: the framing a server sees.
 type callLog struct {
 	store.Adapter
 	mu    sync.Mutex
 	calls []string
 }
 
+// renderOp is one op's kind, object, run indices and ciphertext lengths.
+func renderOp(op *store.Op) string {
+	lens := make([]int, len(op.Cts))
+	for i, ct := range op.Cts {
+		lens[i] = len(ct)
+	}
+	return fmt.Sprint(op.Kind, " ", op.Name, op.Idx, lens)
+}
+
 func newCallLog(svc store.Service) *callLog {
 	l := &callLog{}
 	l.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
-		lens := make([]int, len(op.Cts))
-		for i, ct := range op.Cts {
-			lens[i] = len(ct)
+		line := renderOp(op)
+		for i := range op.Ops {
+			sub := op.Ops[i].Op()
+			line += " {" + renderOp(&sub) + "}"
 		}
 		l.mu.Lock()
-		l.calls = append(l.calls, fmt.Sprint(op.Kind, op.Name, op.Idx, lens))
+		l.calls = append(l.calls, line)
 		l.mu.Unlock()
 		return store.Invoke(svc, op, res)
 	})
 	return l
 }
 
-// TestSortFramingIndependentOfWorkers: workers split a stage on whole
-// blocks, so a sort makes the same storage calls — each with the same runs —
-// whatever the worker count; only their interleaving within a stage may
-// differ. A share cut inside a block would make two calls of the one call a
-// single worker makes (at n = 4096 and three workers, 66 blocks a stage
-// instead of 64; at n = 24, 3 instead of 1), and would split a run between
-// two workers. n = 4096 takes most of the package's time under the race
-// detector, so it runs only without it; n = 24 and 100 (padded to 128, two
-// blocks a stage) catch a share cut inside a block all the same.
+// TestSortFramingIndependentOfWorkers: workers take a stage's chains whole,
+// so a sort makes the same storage calls — each with the same runs, a batch
+// with the same ops in the same order — whatever the worker count; only the
+// interleaving of the chains within a stage may differ. Chaining each
+// worker's own share of the blocks would make other calls than one worker's
+// (at n = 4096, four chains a stage, three workers would chain shares of 22,
+// 22 and 20 blocks), and a share cut inside a block would split a run
+// between two workers. n = 4096 takes most of the package's time under the
+// race detector, so it runs only without it; n = 24 and 100 (padded to 128,
+// two blocks a stage) catch a block split between workers all the same.
 func TestSortFramingIndependentOfWorkers(t *testing.T) {
 	sizes := []int{24, 100, 4096}
 	if raceEnabled {
@@ -581,18 +593,86 @@ func TestSortFramingIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// TestSortFramingDataIndependent: at one worker, the ordered sequence of a
+// sort's storage calls — which runs each call reads and writes, and which
+// write rides with which read — is a function of n alone. A chain that held
+// a block's write back only when the block swapped something would read
+// the same runs in the same order, and trace.Shape could not tell, but its
+// calls would follow the data: an all-equal input never swaps.
+func TestSortFramingDataIndependent(t *testing.T) {
+	sizes := []int{24, 100, 4096}
+	if raceEnabled {
+		sizes = sizes[:2]
+	}
+	for _, n := range sizes {
+		rng := rand.New(rand.NewSource(int64(n)))
+		var want []string
+		for _, in := range []struct {
+			name  string
+			value func(i int) uint64
+		}{
+			{"sorted", func(i int) uint64 { return uint64(i) }},
+			{"reversed", func(i int) uint64 { return uint64(n - i) }},
+			{"all-equal", func(int) uint64 { return 7 }},
+			{"random", func(int) uint64 { return uint64(rng.Intn(n)) }},
+		} {
+			values := make([]uint64, n)
+			for i := range values {
+				values[i] = in.value(i)
+			}
+			a, srv := newArray(t, values)
+			log := newCallLog(srv)
+			a.svc = log
+			if err := a.Sort(u64less, 1); err != nil {
+				t.Fatalf("n=%d %s: %v", n, in.name, err)
+			}
+			if want == nil {
+				want = log.calls
+				continue
+			}
+			if j := firstDifference(log.calls, want); j >= 0 {
+				t.Errorf("n=%d: call %d is %s with the %s input and %s with the sorted one (%d calls and %d)",
+					n, j, callAt(log.calls, j), in.name, callAt(want, j), len(log.calls), len(want))
+			}
+		}
+	}
+}
+
+// firstDifference is the index of the first call in which two logs differ,
+// the shorter one's length if one is a prefix of the other, and −1 if they
+// are equal.
+func firstDifference(x, y []string) int {
+	for j := range max(len(x), len(y)) {
+		if j >= len(x) || j >= len(y) || x[j] != y[j] {
+			return j
+		}
+	}
+	return -1
+}
+
+// callAt is calls[j], or "no call" past its end.
+func callAt(calls []string, j int) string {
+	if j < len(calls) {
+		return calls[j]
+	}
+	return "no call"
+}
+
 // TestRunClosedForm pins what a sealed array costs as a function of n and
 // the phase: p/run cells of run·(w + f) + crypto.Overhead bytes each, where
 // run = min(p, R), f = 1 if the array holds padding (p > n) and 0 if not, and
 // w is the phase's payload width — the Sort engine's 12 bytes before its
 // labelling pass and 8 after. Per network of k(k+1)/2 stages (p = 2^k) every
-// run is read, opened, sealed and written once a stage, and the rounds are
-// the per-record layout's, two per block of ChunkCells/2 comparators. A pass
+// run is read, opened, sealed and written once a stage. A stage of B =
+// ⌈(p/2)/(ChunkCells/2)⌉ blocks takes B + ⌈B/chainBlocks⌉ rounds, one more
+// per chain than it has blocks (2B while a block's read and its write were
+// rounds of their own): at n = 4096, 68 a stage where it was 128. A pass
 // that changes the width reads every run at the old width and writes it at
-// the new one, in ⌈p/ChunkCells⌉ chunks of two rounds: at n = 130 that is
-// four chunks where the ⌈n/ChunkCells⌉ holding the records are three. At
-// n = 4096 a record costs 12 + 28/32 = 12.875 bytes before the pass and 8.875
-// after (13.875 while every record carried the flag).
+// the new one, in ⌈p/ChunkCells⌉ chunks chained into one round more than
+// chunks: at n = 130 that is four chunks where the ⌈n/ChunkCells⌉ holding
+// the records are three. At n = 4096 a record costs 12 + 28/32 = 12.875
+// bytes before the pass and 8.875 after (13.875 while every record carried
+// the flag).
 func TestRunClosedForm(t *testing.T) {
 	const wKey, wLabel = 12, 8
 	for _, n := range []int{1, 5, 24, 32, 33, 100, 130, 4096} {
@@ -646,7 +726,8 @@ func TestRunClosedForm(t *testing.T) {
 			if got, want := srv.Trace().TotalBytes(), 2*runs*stages*runCt; got != want {
 				t.Errorf("n=%d, %s: one network moved %d bytes, want %d", n, phase, got, want)
 			}
-			if got, want := rc.Rounds()-rounds, 2*stages*int64((p/2+blockPairs-1)/blockPairs); got != want {
+			blocks := int64((p/2 + blockPairs - 1) / blockPairs)
+			if got, want := rc.Rounds()-rounds, stages*(blocks+(blocks+chainBlocks-1)/chainBlocks); got != want {
 				t.Errorf("n=%d, %s: one network took %d rounds, want %d", n, phase, got, want)
 			}
 		}
@@ -666,7 +747,7 @@ func TestRunClosedForm(t *testing.T) {
 		if got, want := srv.Trace().TotalBytes(), runs*(keyCt+labelCt); got != want {
 			t.Errorf("n=%d: the pass moved %d bytes, want %d", n, got, want)
 		}
-		if got, want := rc.Rounds()-rounds, 2*int64((p+ChunkCells-1)/ChunkCells); got != want {
+		if got, want := rc.Rounds()-rounds, int64((p+ChunkCells-1)/ChunkCells)+1; got != want {
 			t.Errorf("n=%d: the pass took %d rounds, want %d", n, got, want)
 		}
 
@@ -747,17 +828,42 @@ func TestRunIntegrity(t *testing.T) {
 			})
 		}
 	}
-	// A server that answers a read of two runs with one.
-	a, srv := newArray(t, make([]uint64, 100))
-	a.svc = store.Adapt(func(op *store.Op, res *store.Result) error {
-		err := store.Invoke(srv, op, res)
-		if op.Kind == store.KindReadCells && len(res.Cts) > 1 {
-			res.Cts = res.Cts[:1]
+	// A server that answers a read of two runs with one: a chain's first
+	// read, a call of its own, and the reads that ride in a batch behind the
+	// previous block's write — or the batched ones only. At n = 100 a stage
+	// is one chain of two blocks, so its second read is batched. And a
+	// server that answers a batch without its read.
+	cutReads := func(res *store.Result) {
+		for i, cts := range res.Batch {
+			if len(cts) > 1 {
+				res.Batch[i] = cts[:1]
+			}
 		}
-		return err
-	})
-	if err := a.Sort(u64less, 1); !errors.Is(err, store.ErrIntegrity) {
-		t.Errorf("a short answer: err = %v, want ErrIntegrity", err)
+	}
+	for _, c := range []struct {
+		name     string
+		plain    bool
+		cutBatch func(res *store.Result)
+	}{
+		{"a short answer", true, cutReads},
+		{"a short batched answer", false, cutReads},
+		{"a batch answer short of its read", false, func(res *store.Result) { res.Batch = res.Batch[:1] }},
+	} {
+		a, srv := newArray(t, make([]uint64, 100))
+		a.svc = store.Adapt(func(op *store.Op, res *store.Result) error {
+			err := store.Invoke(srv, op, res)
+			switch {
+			case err != nil:
+			case op.Kind == store.KindReadCells && c.plain && len(res.Cts) > 1:
+				res.Cts = res.Cts[:1]
+			case op.Kind == store.KindBatch:
+				c.cutBatch(res)
+			}
+			return err
+		})
+		if err := a.Sort(u64less, 1); !errors.Is(err, store.ErrIntegrity) {
+			t.Errorf("%s: err = %v, want ErrIntegrity", c.name, err)
+		}
 	}
 
 	// A ciphertext of the other phase, replayed at its own run index, opens
