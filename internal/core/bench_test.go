@@ -5,7 +5,6 @@ import (
 	"net"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
@@ -16,7 +15,6 @@ import (
 // counter.
 type loopbackRig struct {
 	name   string
-	edb    *EncryptedDB
 	eng    Engine
 	core   *oramCore
 	rounds *store.RoundCounter
@@ -25,7 +23,7 @@ type loopbackRig struct {
 // overLoopback uploads rel over a fresh loopback connection for Or-ORAM and
 // then for Ex-ORAM and hands each engine to fn.
 func overLoopback(b *testing.B, rel *relation.Relation, fn func(r *loopbackRig)) {
-	for _, kind := range oramEngines {
+	for _, p := range rows(resumable) {
 		backend := store.NewServer()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -37,11 +35,9 @@ func overLoopback(b *testing.B, rel *relation.Relation, fn func(r *loopbackRig))
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := &loopbackRig{name: kind.name, rounds: store.WithRoundCounter(client)}
-		if r.edb, err = Upload(r.rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel); err != nil {
-			b.Fatal(err)
-		}
-		r.eng, r.core = kind.make(b, r.edb)
+		r := &loopbackRig{name: short(p), rounds: store.WithRoundCounter(client)}
+		r.eng, _ = openFor[Engine](b, r.rounds, p, rel, opts{})
+		r.core = oramOf(r.eng)
 		fn(r)
 		_ = r.eng.Close()
 		_ = client.Close()
@@ -180,11 +176,7 @@ func BenchmarkSortPartition(b *testing.B) {
 	moved := func() int64 {
 		return reg.Counter("oblivfd_store_bytes_read_total").Value() + reg.Counter("oblivfd_store_bytes_written_total").Value()
 	}
-	edb, err := Upload(store.WithMetrics(rounds, reg), crypto.MustNewCipher(crypto.MustNewKey()), "t", fixedWidthRel(1, n, 7, 64))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := newSort(b, edb, 1)
+	eng, _ := openFor[*SortEngine](b, store.WithMetrics(rounds, reg), ProtocolSort, fixedWidthRel(1, n, 7, 64), opts{})
 	x := relation.SingleAttr(0)
 	for _, c := range []struct {
 		name  string

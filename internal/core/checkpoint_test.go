@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/baseline"
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
@@ -43,23 +42,11 @@ func ckptRelation(t testing.TB) *relation.Relation {
 	return rel
 }
 
-func ckptUpload(t *testing.T, svc store.Service, rel *relation.Relation) *EncryptedDB {
-	t.Helper()
-	edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "ckpt-test", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return edb
-}
-
 // TestCheckpointFileRoundTrip covers the framed file format: write, read
 // back, then verify truncations and bit flips are rejected as
 // ErrCorruptCheckpoint, never a panic.
 func TestCheckpointFileRoundTrip(t *testing.T) {
-	svc := store.NewServer()
-	rel := ckptRelation(t)
-	edb := ckptUpload(t, svc, rel)
-	eng := newOrEngine(edb, nil)
+	eng, edb := openFor[*OrEngine](t, nil, ProtocolORAM, ckptRelation(t), opts{name: "ckpt-test"})
 	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +179,14 @@ func TestDiscoverResumeMatchesFullRun(t *testing.T) {
 	rel := ckptRelation(t)
 	m := rel.NumAttrs()
 
-	baselineSvc := store.NewServer()
-	baseEng := newOrEngine(ckptUpload(t, baselineSvc, rel), nil)
+	baseEng, _ := openFor[Engine](t, nil, ProtocolORAM, rel, opts{})
 	want, err := Discover(baseEng, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Find how many level boundaries a full run has.
-	probeSvc := store.NewServer()
-	probeEng := newOrEngine(ckptUpload(t, probeSvc, rel), nil)
+	probeEng, _ := openFor[Engine](t, nil, ProtocolORAM, rel, opts{})
 	boundaries := 0
 	if _, err := Discover(probeEng, m, &Options{
 		Checkpoint: func(*LatticeState) error { boundaries++; return nil },
@@ -214,8 +199,7 @@ func TestDiscoverResumeMatchesFullRun(t *testing.T) {
 
 	for crashAt := 1; crashAt <= boundaries; crashAt++ {
 		svc := store.NewServer()
-		edb := ckptUpload(t, svc, rel)
-		eng := newOrEngine(edb, nil)
+		eng, edb := openFor[*OrEngine](t, svc, ProtocolORAM, rel, opts{})
 
 		var cp *Checkpoint
 		seen := 0
@@ -269,13 +253,12 @@ func TestDiscoverResumeMatchesFullRun(t *testing.T) {
 // crashAfterLevel1 runs an Or-ORAM discovery of rel with opts until its first
 // checkpoint — the singletons built — and returns the checkpoint and a fresh
 // engine resumed from it on the same server.
-func crashAfterLevel1(t *testing.T, rel *relation.Relation, opts Options) (*Checkpoint, Engine) {
+func crashAfterLevel1(t *testing.T, rel *relation.Relation, o Options) (*Checkpoint, Engine) {
 	t.Helper()
 	svc := store.NewServer()
-	edb := ckptUpload(t, svc, rel)
-	eng := newOrEngine(edb, nil)
+	eng, edb := openFor[*OrEngine](t, svc, ProtocolORAM, rel, opts{})
 	var cp *Checkpoint
-	opts.Checkpoint = func(ls *LatticeState) error {
+	o.Checkpoint = func(ls *LatticeState) error {
 		epoch := int64(ls.NextLevel)
 		if err := svc.Checkpoint(epoch); err != nil {
 			return err
@@ -283,7 +266,7 @@ func crashAfterLevel1(t *testing.T, rel *relation.Relation, opts Options) (*Chec
 		cp = &Checkpoint{Epoch: epoch, EDB: edb.State(), Engine: eng.CheckpointState(), Lattice: ls}
 		return errSimulatedCrash
 	}
-	if _, err := Discover(eng, rel.NumAttrs(), &opts); !errors.Is(err, errSimulatedCrash) {
+	if _, err := Discover(eng, rel.NumAttrs(), &o); !errors.Is(err, errSimulatedCrash) {
 		t.Fatalf("Discover err = %v, want simulated crash", err)
 	}
 	if cp.Lattice.NextLevel != 1 {
@@ -300,7 +283,7 @@ func crashAfterLevel1(t *testing.T, rel *relation.Relation, opts Options) (*Chec
 // from the state and writes neither into the caller's Options.
 func TestResumeLeavesOptionsAlone(t *testing.T) {
 	rel := ckptRelation(t)
-	want, err := Discover(newPlainEngine(rel), rel.NumAttrs(), &Options{MaxLHS: 2})
+	want, err := Discover(oracle(rel), rel.NumAttrs(), &Options{MaxLHS: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,25 +420,13 @@ func TestResumeExEngine(t *testing.T) {
 	rel := ckptRelation(t)
 	m := rel.NumAttrs()
 	svc := store.NewServer()
-	key, _ := crypto.NewKey()
-	cipher, err := crypto.NewCipher(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edb, err := upload(svc, cipher, "ex-ckpt", rel, rel.NumRows()+4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := newExEngine(edb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, edb := openFor[Engine](t, svc, ProtocolDynamicORAM, rel, opts{headroom: 4})
 	// Dynamic use keeps partitions; discover fully, then checkpoint.
 	want, err := Discover(eng, m, &Options{KeepPartitions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.CheckpointState()
+	st := eng.(CheckpointableEngine).CheckpointState()
 	if st.Kind != ProtocolDynamicORAM.String() {
 		t.Fatalf("kind = %q", st.Kind)
 	}
@@ -488,7 +459,7 @@ func TestResumeExEngine(t *testing.T) {
 // build has, and only over the rows its dead ids can name.
 func TestResumeEngineKindMismatch(t *testing.T) {
 	svc := store.NewServer()
-	edb := ckptUpload(t, svc, ckptRelation(t))
+	_, edb := openFor[Engine](t, svc, ProtocolORAM, ckptRelation(t), opts{})
 	for _, es := range []*EngineState{
 		{Kind: "bogus"},
 		{Kind: "sort"},
@@ -568,24 +539,13 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 func fuzzCheckpoints(f *testing.F) []*Checkpoint {
 	rel := ckptRelation(f)
 	var cps []*Checkpoint
-	for _, kind := range []string{ProtocolORAM.String(), ProtocolDynamicORAM.String()} {
-		edb, err := upload(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "fuzz", rel, rel.NumRows()+1)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var eng CheckpointableEngine = newOrEngine(edb, nil)
-		if kind == ProtocolDynamicORAM.String() {
-			if eng, err = newExEngine(edb, nil); err != nil {
-				f.Fatal(err)
-			}
-		}
+	for _, p := range rows(resumable) {
+		eng, edb := openFor[CheckpointableEngine](f, nil, p, rel, opts{name: "fuzz", headroom: 1})
 		var ls *LatticeState
 		if _, err := Discover(eng, rel.NumAttrs(), &Options{KeepPartitions: true, Checkpoint: func(s *LatticeState) error { ls = s; return nil }}); err != nil {
 			f.Fatal(err)
 		}
-		id, err := eng.(interface {
-			Insert(relation.Row) (int, error)
-		}).Insert(relation.Row{"a9", "b9", "c9", "d9"})
+		id, err := eng.(inserter).Insert(relation.Row{"a9", "b9", "c9", "d9"})
 		if dyn, ok := eng.(DynamicEngine); ok && err == nil {
 			err = dyn.Delete(id)
 		}

@@ -9,24 +9,15 @@ import (
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/baseline"
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/trace"
 )
 
-// newDynamicEx uploads rel with insert headroom and returns an ExEngine.
+// newDynamicEx opens Ex-ORAM over rel with room for capacity rows.
 func newDynamicEx(t *testing.T, rel *relation.Relation, capacity int) *ExEngine {
 	t.Helper()
-	srv := store.NewServer()
-	edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "dyn", rel, capacity)
-	if err != nil {
-		t.Fatalf("upload: %v", err)
-	}
-	eng, err := newExEngine(edb, nil)
-	if err != nil {
-		t.Fatalf("newExEngine: %v", err)
-	}
+	eng, _ := openFor[*ExEngine](t, nil, ProtocolDynamicORAM, rel, opts{headroom: capacity - rel.NumRows()})
 	return eng
 }
 
@@ -271,12 +262,7 @@ func TestDynamicFDRevalidation(t *testing.T) {
 // TestOrEngineInsert checks the original ORAM method's insert-only support.
 func TestOrEngineInsert(t *testing.T) {
 	rel := randomRel(3, 6, 2, 7)
-	srv := store.NewServer()
-	edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "or", rel, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newOrEngine(edb, nil)
+	eng, _ := openFor[*OrEngine](t, nil, ProtocolORAM, rel, opts{headroom: 6})
 	defer eng.Close()
 	materializeAll(t, eng, 3)
 
@@ -298,7 +284,7 @@ func TestOrEngineInsert(t *testing.T) {
 // the DynamicEngine contract (it is the Definition 5 baseline).
 func TestPlainEngineDynamicParity(t *testing.T) {
 	rel := randomRel(3, 6, 2, 8)
-	eng := newPlainEngine(rel)
+	eng := oracle(rel)
 	materializeAll(t, eng, 3)
 	id, err := eng.Insert(relation.Row{"a", "b", "c"})
 	if err != nil {
@@ -348,23 +334,12 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 	}
 	want := func(x relation.AttrSet) int { return relation.PartitionOf(after, x).Classes }
 
-	type inserter interface {
-		Engine
-		Insert(relation.Row) (int, error)
-		CheckpointState() *EngineState
-	}
-	for _, e := range oramEngines {
-		t.Run(e.name, func(t *testing.T) {
-			srv := store.NewServer()
-			svc := newFailNth(srv, func(op *store.Op) bool {
+	for _, p := range rows(resumable) {
+		t.Run(short(p), func(t *testing.T) {
+			svc := newFailNth(store.NewServer(), func(op *store.Op) bool {
 				return op.Kind == store.KindBatch && !op.Ops[0].Write && treeOp(&op.Ops[0])
 			})
-			edb, err := upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			made, _ := e.make(t, edb)
-			eng := made.(inserter)
+			eng, edb := openFor[inserter](t, svc, p, rel, opts{headroom: 4})
 			if _, err := eng.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +364,7 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 			}
 
 			// The hole round-trips through a checkpoint.
-			es := eng.CheckpointState()
+			es := eng.(CheckpointableEngine).CheckpointState()
 			if want := []int{6}; !reflect.DeepEqual(es.Dead, want) {
 				t.Errorf("checkpointed dead ids %v, want %v", es.Dead, want)
 			}
@@ -438,14 +413,7 @@ func TestRefusedDeleteOwesNothing(t *testing.T) {
 	}
 	fail := newFailNth(srv, klfOnly)
 	rounds := store.WithRoundCounter(fail)
-	edb, err := upload(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := newExEngine(edb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, _ := openFor[*ExEngine](t, rounds, ProtocolDynamicORAM, rel, opts{})
 	defer eng.Close()
 	materializeAll(t, eng, 2)
 
@@ -453,7 +421,7 @@ func TestRefusedDeleteOwesNothing(t *testing.T) {
 	if err := eng.Delete(0); !errors.Is(err, errInjected) {
 		t.Fatalf("Delete(0) with its O^KLF write-back lost: %v", err)
 	}
-	err = eng.Delete(1)
+	err := eng.Delete(1)
 	if err == nil || !strings.Contains(err.Error(), "unusable") {
 		t.Fatalf("Delete(1) over a set whose O^KLF is unusable: %v, want a refusal", err)
 	}
@@ -552,14 +520,7 @@ func TestDeletedIDInvisible(t *testing.T) {
 			var shapes [2]trace.Shape
 			for i, del := range []int{a, b} {
 				srv := store.NewServer()
-				edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows())
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, err := newExEngine(edb, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng, _ := openFor[*ExEngine](t, srv, ProtocolDynamicORAM, rel, opts{})
 				srv.Trace().Enable()
 				s.run(t, eng, del)
 				shapes[i] = trace.ShapeOf(srv.Trace().Events()).Canonical()
@@ -598,14 +559,7 @@ func TestRediscoveryAfterMutations(t *testing.T) {
 			rel = relation.MustFromRows(rel.Schema(), rows)
 		}
 		rounds := store.WithRoundCounter(store.NewServer())
-		edb, err := upload(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+mutations)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := newExEngine(edb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, _ := openFor[*ExEngine](t, rounds, ProtocolDynamicORAM, rel, opts{headroom: mutations})
 		if _, err := Discover(eng, m, &Options{KeepPartitions: true}); err != nil {
 			t.Fatal(err)
 		}
@@ -697,15 +651,11 @@ const deleteRounds = 3
 // deletion 3 rounds and an update (a deletion, then an insertion) their sum.
 func TestMutationRoundsClosedForm(t *testing.T) {
 	for _, m := range []int{3, 4, 6} {
-		for _, e := range oramEngines {
-			t.Run(fmt.Sprintf("%s/m=%d", e.name, m), func(t *testing.T) {
+		for _, p := range rows(resumable) {
+			t.Run(fmt.Sprintf("%s/m=%d", short(p), m), func(t *testing.T) {
 				rel := fixedWidthRel(m, 8, int64(m), 3)
 				rounds := store.WithRoundCounter(store.NewServer())
-				edb, err := upload(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, _ := e.make(t, edb)
+				eng, _ := openFor[inserter](t, rounds, p, rel, opts{headroom: 2})
 				defer eng.Close()
 				var widths []int
 				for _, reqs := range allLevels(m) {
@@ -718,11 +668,8 @@ func TestMutationRoundsClosedForm(t *testing.T) {
 				for j := range row {
 					row[j] = "999999"
 				}
-				ins := eng.(interface {
-					Insert(relation.Row) (int, error)
-				})
 				before := rounds.Rounds()
-				if _, err := ins.Insert(row); err != nil {
+				if _, err := eng.Insert(row); err != nil {
 					t.Fatal(err)
 				}
 				if got, want := rounds.Rounds()-before, insertRounds(widths); got != want {
@@ -743,7 +690,7 @@ func TestMutationRoundsClosedForm(t *testing.T) {
 				if err := dyn.Delete(1); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := ins.Insert(row); err != nil {
+				if _, err := eng.Insert(row); err != nil {
 					t.Fatal(err)
 				}
 				if got, want := rounds.Rounds()-before, deleteRounds+insertRounds(widths); got != want {
@@ -767,19 +714,15 @@ func TestMutationFramingDataIndependent(t *testing.T) {
 	// Records 0 and 1 are equal, so each of record 0's keys is shared; record
 	// 2's values nothing else has, so each of its keys is unique.
 	rel := fixedWidthRel(3, 12, 61, 3)
-	rows := make([]relation.Row, rel.NumRows())
-	for i := range rows {
-		rows[i] = rel.Row(i)
+	recs := make([]relation.Row, rel.NumRows())
+	for i := range recs {
+		recs[i] = rel.Row(i)
 	}
-	rows[1], rows[2] = rows[0], relation.Row{"777777", "777778", "777779"}
-	rel = relation.MustFromRows(rel.Schema(), rows)
-	mutate := func(t *testing.T, e func(testing.TB, *EncryptedDB) (Engine, *oramCore), script func(Engine)) []string {
+	recs[1], recs[2] = recs[0], relation.Row{"777777", "777778", "777779"}
+	rel = relation.MustFromRows(rel.Schema(), recs)
+	mutate := func(t *testing.T, p Protocol, script func(inserter)) []string {
 		log := newRoundLog(store.NewServer())
-		edb, err := upload(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, _ := e(t, edb)
+		eng, _ := openFor[inserter](t, log, p, rel, opts{headroom: 1})
 		defer eng.Close()
 		for _, reqs := range allLevels(3) {
 			if _, err := eng.Materialize(reqs, 1); err != nil {
@@ -790,17 +733,15 @@ func TestMutationFramingDataIndependent(t *testing.T) {
 		script(eng)
 		return log.rounds
 	}
-	insert := func(row relation.Row) func(Engine) {
-		return func(eng Engine) {
-			if _, err := eng.(interface {
-				Insert(relation.Row) (int, error)
-			}).Insert(row); err != nil {
+	insert := func(row relation.Row) func(inserter) {
+		return func(eng inserter) {
+			if _, err := eng.Insert(row); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	remove := func(id int) func(Engine) {
-		return func(eng Engine) {
+	remove := func(id int) func(inserter) {
+		return func(eng inserter) {
 			if err := eng.(DynamicEngine).Delete(id); err != nil {
 				t.Fatal(err)
 			}
@@ -817,12 +758,12 @@ func TestMutationFramingDataIndependent(t *testing.T) {
 			}
 		}
 	}
-	for _, e := range oramEngines {
-		t.Run(e.name, func(t *testing.T) {
+	for _, p := range rows(resumable) {
+		t.Run(short(p), func(t *testing.T) {
 			same(t, "insertion of new keys against seen ones",
-				mutate(t, e.make, insert(relation.Row{"888881", "888882", "888883"})), mutate(t, e.make, insert(rows[0])))
-			if e.name == "ex" {
-				same(t, "deletion of shared keys against unique ones", mutate(t, e.make, remove(0)), mutate(t, e.make, remove(2)))
+				mutate(t, p, insert(relation.Row{"888881", "888882", "888883"})), mutate(t, p, insert(recs[0])))
+			if p == ProtocolDynamicORAM {
+				same(t, "deletion of shared keys against unique ones", mutate(t, p, remove(0)), mutate(t, p, remove(2)))
 			}
 		})
 	}

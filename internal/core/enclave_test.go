@@ -9,7 +9,7 @@ import (
 func TestEnclaveCardinalitiesMatchOracle(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rel := randomRel(4, 50, 3, 7)
-		e := newEnclaveEngine(rel, workers)
+		e, _ := openFor[*EnclaveEngine](t, nil, ProtocolEnclave, rel, opts{workers: workers})
 		for a := 0; a < 4; a++ {
 			got, err := CardinalitySingle(e, a)
 			if err != nil {
@@ -40,7 +40,7 @@ func TestEnclaveCardinalitiesMatchOracle(t *testing.T) {
 
 func TestEnclaveTripleUnion(t *testing.T) {
 	rel := randomRel(3, 40, 2, 3)
-	e := newEnclaveEngine(rel, 2)
+	e, _ := openFor[*EnclaveEngine](t, nil, ProtocolEnclave, rel, opts{workers: 2})
 	for a := 0; a < 3; a++ {
 		if _, err := CardinalitySingle(e, a); err != nil {
 			t.Fatal(err)
@@ -72,7 +72,7 @@ func TestEnclaveTripleUnion(t *testing.T) {
 
 func TestEnclaveIsolatedFromCallerMutation(t *testing.T) {
 	rel := randomRel(2, 10, 2, 2)
-	e := newEnclaveEngine(rel, 1)
+	e, _ := openFor[*EnclaveEngine](t, nil, ProtocolEnclave, rel, opts{workers: 1})
 	before, err := CardinalitySingle(e, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -5,47 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
-
-// engineFactory builds an Engine over a relation for conformance tests.
-type engineFactory struct {
-	name string
-	make func(t *testing.T, rel *relation.Relation) Engine
-}
-
-func uploadFor(t *testing.T, rel *relation.Relation) *EncryptedDB {
-	t.Helper()
-	srv := store.NewServer()
-	edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-	if err != nil {
-		t.Fatalf("Upload: %v", err)
-	}
-	return edb
-}
-
-func allEngines() []engineFactory {
-	return []engineFactory{
-		{"plain", func(t *testing.T, rel *relation.Relation) Engine {
-			return newPlainEngine(rel)
-		}},
-		{"or-oram", func(t *testing.T, rel *relation.Relation) Engine {
-			return newOrEngine(uploadFor(t, rel), nil)
-		}},
-		{"ex-oram", func(t *testing.T, rel *relation.Relation) Engine {
-			e, err := newExEngine(uploadFor(t, rel), nil)
-			if err != nil {
-				t.Fatalf("newExEngine: %v", err)
-			}
-			return e
-		}},
-		{"sort", func(t *testing.T, rel *relation.Relation) Engine {
-			return newSort(t, uploadFor(t, rel), 2)
-		}},
-	}
-}
 
 func testRelation() *relation.Relation {
 	schema := relation.MustNewSchema("Name", "City", "Birth")
@@ -68,10 +30,10 @@ func TestEngineCardinalitiesMatchOracle(t *testing.T) {
 		"distinct":   randomRel(3, 8, 26, 2),
 		"single-row": randomRel(4, 1, 3, 3),
 	}
-	for _, ef := range allEngines() {
+	for _, p := range rows(everyRow) {
 		for relName, rel := range rels {
-			t.Run(ef.name+"/"+relName, func(t *testing.T) {
-				eng := ef.make(t, rel)
+			t.Run(named(p)+"/"+relName, func(t *testing.T) {
+				eng, _ := openFor[Engine](t, nil, p, rel, opts{workers: 2})
 				defer eng.Close()
 				m := rel.NumAttrs()
 				if eng.NumRows() != rel.NumRows() {
@@ -108,9 +70,9 @@ func TestEngineCardinalitiesMatchOracle(t *testing.T) {
 // TestEngineTripleUnions exercises |X| = 3 via Property 1 covers.
 func TestEngineTripleUnions(t *testing.T) {
 	rel := randomRel(4, 20, 2, 5)
-	for _, ef := range allEngines() {
-		t.Run(ef.name, func(t *testing.T) {
-			eng := ef.make(t, rel)
+	for _, p := range rows(everyRow) {
+		t.Run(named(p), func(t *testing.T) {
+			eng, _ := openFor[Engine](t, nil, p, rel, opts{workers: 2})
 			defer eng.Close()
 			for a := 0; a < 3; a++ {
 				if _, err := CardinalitySingle(eng, a); err != nil {
@@ -139,9 +101,9 @@ func TestEngineTripleUnions(t *testing.T) {
 
 func TestEngineUnionValidation(t *testing.T) {
 	rel := testRelation()
-	for _, ef := range allEngines() {
-		t.Run(ef.name, func(t *testing.T) {
-			eng := ef.make(t, rel)
+	for _, p := range rows(everyRow) {
+		t.Run(named(p), func(t *testing.T) {
+			eng, _ := openFor[Engine](t, nil, p, rel, opts{workers: 2})
 			defer eng.Close()
 			if _, err := CardinalitySingle(eng, 0); err != nil {
 				t.Fatal(err)
@@ -168,9 +130,9 @@ func TestEngineUnionValidation(t *testing.T) {
 
 func TestEngineCachingAndRelease(t *testing.T) {
 	rel := testRelation()
-	for _, ef := range allEngines() {
-		t.Run(ef.name, func(t *testing.T) {
-			eng := ef.make(t, rel)
+	for _, p := range rows(everyRow) {
+		t.Run(named(p), func(t *testing.T) {
+			eng, _ := openFor[Engine](t, nil, p, rel, opts{workers: 2})
 			defer eng.Close()
 			if _, ok := eng.Cardinality(relation.SingleAttr(0)); ok {
 				t.Error("Cardinality reported before materialization")
@@ -200,7 +162,7 @@ func TestEngineCachingAndRelease(t *testing.T) {
 	}
 }
 
-// TestEngineContract holds all six engines to what the table promises the
+// TestEngineContract holds every engine to what the table promises the
 // lattice, whatever a partition is made of: a cached set is answered without
 // touching the server, a bad cover is ErrBadUnion, a cover or a released set
 // that is not there is ErrNotMaterialized, and Close leaves nothing behind.
@@ -208,28 +170,11 @@ func TestEngineContract(t *testing.T) {
 	rel := testRelation()
 	a, b, c := relation.SingleAttr(0), relation.SingleAttr(1), relation.SingleAttr(2)
 	ab := a.Union(b)
-	for name, mk := range map[string]func(t *testing.T, edb *EncryptedDB) Engine{
-		"plain":         func(*testing.T, *EncryptedDB) Engine { return newPlainEngine(rel) },
-		"deterministic": func(_ *testing.T, edb *EncryptedDB) Engine { return newDetEngine(edb) },
-		"enclave":       func(*testing.T, *EncryptedDB) Engine { return newEnclaveEngine(rel, 1) },
-		"sort":          func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) },
-		"or-oram":       func(_ *testing.T, edb *EncryptedDB) Engine { return newOrEngine(edb, nil) },
-		"ex-oram": func(t *testing.T, edb *EncryptedDB) Engine {
-			e, err := newExEngine(edb, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
+	for _, p := range rows(everyRow) {
+		t.Run(named(p), func(t *testing.T) {
 			srv := store.NewServer()
-			edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng, _ := openFor[Engine](t, srv, p, rel, opts{})
 			base, _ := srv.Stats()
-			eng := mk(t, edb)
 			reqs := []Request{Single(0), Single(1), Union(a, b)}
 			first, err := eng.Materialize(reqs, 1)
 			if err != nil {
@@ -290,14 +235,10 @@ func TestEngineCloseFreesServerStorage(t *testing.T) {
 		rel := testRelation()
 		srv := store.NewServer()
 		svc := newFailNth(srv, func(*store.Op) bool { return true })
-		edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, _ := openFor[Engine](t, svc, ProtocolORAM, rel, opts{})
 		base, _ := srv.Stats()
-		eng := newOrEngine(edb, nil)
 		svc.arm(failAt)
-		_, err = CardinalitySingle(eng, 0)
+		_, err := CardinalitySingle(eng, 0)
 		if failAt == 0 && err != nil {
 			t.Fatal(err)
 		}
@@ -322,31 +263,29 @@ func TestClientMemoryShapes(t *testing.T) {
 	// Fig. 5's qualitative claim: Sort's client memory is O(1); ORAM
 	// methods grow with n — Ex-ORAM with a position per record, Or-ORAM,
 	// whose record-indexed labels sit in an array on the server, with the
-	// distinct keys, which grow with n here.
+	// distinct keys, which grow with n here — and so does the deterministic
+	// comparator, which keeps a label per record.
 	small := randomRel(2, 16, 16, 1)
 	big := randomRel(2, 256, 256, 1)
 
-	mem := func(ef engineFactory, rel *relation.Relation) int {
-		eng := ef.make(t, rel)
+	mem := func(p Protocol, rel *relation.Relation) int {
+		eng, _ := openFor[Engine](t, nil, p, rel, opts{workers: 2})
 		defer eng.Close()
 		if _, err := CardinalitySingle(eng, 0); err != nil {
 			t.Fatal(err)
 		}
 		return eng.ClientMemoryBytes()
 	}
-	for _, ef := range allEngines() {
-		if ef.name == "plain" {
-			continue
-		}
-		sm, bm := mem(ef, small), mem(ef, big)
-		switch ef.name {
-		case "sort":
+	for _, p := range rows(func(p Protocol) bool { return p != ProtocolPlaintext }) { // the baseline holds the relation: no protocol memory
+		sm, bm := mem(p, small), mem(p, big)
+		switch p {
+		case ProtocolSort, ProtocolEnclave: // the enclave's client holds nothing
 			if sm != bm {
-				t.Errorf("sort client memory grew with n: %d -> %d", sm, bm)
+				t.Errorf("%v client memory grew with n: %d -> %d", p, sm, bm)
 			}
 		default:
 			if bm <= sm {
-				t.Errorf("%s client memory did not grow with n: %d -> %d", ef.name, sm, bm)
+				t.Errorf("%v client memory did not grow with n: %d -> %d", p, sm, bm)
 			}
 		}
 	}

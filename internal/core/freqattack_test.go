@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
@@ -101,11 +100,7 @@ func TestFrequencyAttackBreaksDeterministicTags(t *testing.T) {
 	const n = 2000
 	rel, _ := skewedColumn(n, 1)
 	srv := store.NewServer()
-	edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "det", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newDetEngine(edb)
+	eng, _ := openFor[*DetEngine](t, srv, ProtocolDeterministic, rel, opts{name: "det"})
 	defer eng.Close()
 	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)
@@ -166,20 +161,10 @@ func TestFrequencyAttackFailsAgainstObliviousEngines(t *testing.T) {
 	const n = 256
 	rel, _ := skewedColumn(n, 2)
 
-	for _, kind := range []struct {
-		name string
-		make func(t *testing.T, edb *EncryptedDB) Engine
-	}{
-		{"or-oram", func(_ *testing.T, edb *EncryptedDB) Engine { return newOrEngine(edb, nil) }},
-		{"sort", func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
-	} {
-		t.Run(kind.name, func(t *testing.T) {
+	for _, p := range rows(oblivious) {
+		t.Run(p.String(), func(t *testing.T) {
 			srv := store.NewServer()
-			edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "obl", rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := kind.make(t, edb)
+			eng, _ := openFor[Engine](t, srv, p, rel, opts{name: "obl"})
 			defer eng.Close()
 			if _, err := CardinalitySingle(eng, 0); err != nil {
 				t.Fatal(err)
@@ -266,12 +251,7 @@ func (b *bytesBuffer) Read(p []byte) (int, error) {
 // produce the right answers to be a fair baseline.
 func TestDetEngineMatchesOracle(t *testing.T) {
 	rel := randomRel(4, 30, 3, 23)
-	srv := store.NewServer()
-	edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "det2", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newDetEngine(edb)
+	eng, _ := openFor[*DetEngine](t, nil, ProtocolDeterministic, rel, opts{})
 	defer eng.Close()
 	for a := 0; a < 4; a++ {
 		got, err := CardinalitySingle(eng, a)
@@ -290,18 +270,13 @@ func TestDetEngineMatchesOracle(t *testing.T) {
 		t.Errorf("union = %d, want %d", got, want)
 	}
 	// Full discovery agrees with the oracle too.
-	srv2 := store.NewServer()
-	edb2, err := Upload(srv2, crypto.MustNewCipher(crypto.MustNewKey()), "det3", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2 := newDetEngine(edb2)
+	eng2, _ := openFor[*DetEngine](t, nil, ProtocolDeterministic, rel, opts{})
 	defer eng2.Close()
 	res, err := Discover(eng2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Discover(newPlainEngine(rel), 4, nil)
+	res2, err := Discover(oracle(rel), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -66,7 +65,7 @@ func (l *requestLog) Materialize(reqs []Request, workers int) ([]int, error) {
 // engine keeping partitions, then inserts goldenTailRows and, on Ex-ORAM,
 // deletes an original and an inserted record. wrap sits below the round
 // counter, so the rounds are what the engine's calls cost through it.
-func runFused(t *testing.T, kind engineKind, rel *relation.Relation, wrap func(store.Service) store.Service) fusedRun {
+func runFused(t *testing.T, p Protocol, rel *relation.Relation, wrap func(store.Service) store.Service) fusedRun {
 	t.Helper()
 	srv := store.NewServer()
 	var run fusedRun
@@ -83,16 +82,7 @@ func runFused(t *testing.T, kind engineKind, rel *relation.Relation, wrap func(s
 		return store.Invoke(srv, op, res)
 	})
 	rc := store.WithRoundCounter(wrap(batches))
-	edb, err := upload(rc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+len(goldenTailRows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eng Engine
-	if kind == kindOr {
-		eng = newOrEngine(edb, nil)
-	} else if eng, err = newExEngine(edb, nil); err != nil {
-		t.Fatal(err)
-	}
+	eng, _ := openFor[inserter](t, rc, p, rel, opts{headroom: len(goldenTailRows)})
 	srv.Trace().Reset()
 	srv.Trace().Enable()
 	base := rc.Rounds()
@@ -104,9 +94,7 @@ func runFused(t *testing.T, kind engineKind, rel *relation.Relation, wrap func(s
 	}
 	run.groups = log.groups
 	for _, row := range goldenTailRows {
-		if _, err := eng.(interface {
-			Insert(relation.Row) (int, error)
-		}).Insert(row); err != nil {
+		if _, err := eng.Insert(row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,17 +143,14 @@ func unfusing(s store.Service) store.Service { return struct{ store.Service }{s}
 // level's rounds per chunk, not per record or per set.
 func TestFusedRoundsAreFramingOnly(t *testing.T) {
 	rel := parallelTestRel(24)
-	want, err := Discover(newPlainEngine(rel), rel.NumAttrs(), nil)
+	want, err := Discover(oracle(rel), rel.NumAttrs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []struct {
-		name string
-		k    engineKind
-	}{{"or-oram", kindOr}, {"ex-oram", kindEx}} {
-		t.Run(kind.name, func(t *testing.T) {
-			fused := runFused(t, kind.k, rel, fusing)
-			split := runFused(t, kind.k, rel, unfusing)
+	for _, p := range rows(resumable) {
+		t.Run(p.String(), func(t *testing.T) {
+			fused := runFused(t, p, rel, fusing)
+			split := runFused(t, p, rel, unfusing)
 			if !relation.FDSetEqual(fused.fds, want.Minimal) || !relation.FDSetEqual(split.fds, want.Minimal) {
 				t.Errorf("FDs: fused %v, unfused %v, oracle %v", fused.fds, split.fds, want.Minimal)
 			}
@@ -223,7 +208,7 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 				} else if inserted {
 					read = 1 // nothing is read: no round, so nothing beyond one
 				}
-				if kind.k == kindOr {
+				if p == ProtocolORAM {
 					return (read - 1) + (w - 1) + (2*w - 1)
 				}
 				if size == 1 {
@@ -234,7 +219,7 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 			fusedPathRounds, extraOps, sets := int64(0), tail*int64(rel.NumAttrs()-1), int64(0)
 			for _, g := range fused.groups {
 				perChunk := int64(3)
-				if g.size == 1 || kind.k == kindOr {
+				if g.size == 1 || p == ProtocolORAM {
 					perChunk = 2
 				}
 				if g.w == levelWidth {
@@ -243,7 +228,7 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 				fusedPathRounds += (chunks + tail) * perChunk
 				extraOps += chunks*extra(g.size, g.w, g.c, false) + tail*extra(g.size, g.w, g.c, true)
 				extraOps += 4*g.w - 1 // the set-up batch: 3w ops in Or-ORAM, 4w in Ex-ORAM
-				if kind.k == kindOr {
+				if p == ProtocolORAM {
 					extraOps -= g.w
 				}
 				sets += g.w
@@ -251,7 +236,7 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 			if got, want := fused.setupBatches, int64(len(fused.groups)); got != want {
 				t.Errorf("%d set-up batches, want one per group: %d", got, want)
 			}
-			if kind.k == kindEx {
+			if p == ProtocolDynamicORAM {
 				fusedPathRounds += 2 * 3 // two deletions
 				extraOps += 2 * (4*sets - 3)
 			}
@@ -280,23 +265,20 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 // same places), the result does not change.
 func TestFusedRoundRetriedWhole(t *testing.T) {
 	rel := parallelTestRel(16)
-	want, err := Discover(newPlainEngine(rel), rel.NumAttrs(), nil)
+	want, err := Discover(oracle(rel), rel.NumAttrs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeBack := func(op *store.Op) bool {
 		return op.Kind == store.KindBatch && len(op.Ops) > 0 && op.Ops[0].Write && onTree(op.Ops[0].Name)
 	}
-	for _, kind := range []struct {
-		name string
-		k    engineKind
-	}{{"or-oram", kindOr}, {"ex-oram", kindEx}} {
-		t.Run(kind.name, func(t *testing.T) {
-			clean := runFused(t, kind.k, rel, fusing)
+	for _, p := range rows(resumable) {
+		t.Run(p.String(), func(t *testing.T) {
+			clean := runFused(t, p, rel, fusing)
 
 			var flaky *failNth
 			var retry *store.RetryService
-			once := runFused(t, kind.k, rel, func(s store.Service) store.Service {
+			once := runFused(t, p, rel, func(s store.Service) store.Service {
 				flaky = newFailNth(s, writeBack)
 				flaky.arm(2) // level 2's write-back round, mid-discovery
 				transient := store.Adapt(func(op *store.Op, res *store.Result) error {
@@ -316,7 +298,7 @@ func TestFusedRoundRetriedWhole(t *testing.T) {
 				kinds[roundOpKind(&op)] = true
 			}
 			with := "fetch" // the targets' fetches
-			if kind.k == kindOr {
+			if p == ProtocolORAM {
 				with = store.KindWriteCells.String() // the targets' label cells
 			}
 			if !kinds["write-back"] || !kinds[with] {
@@ -331,7 +313,7 @@ func TestFusedRoundRetriedWhole(t *testing.T) {
 			}
 
 			var faults *store.FaultService
-			noisy := runFused(t, kind.k, rel, func(s store.Service) store.Service {
+			noisy := runFused(t, p, rel, func(s store.Service) store.Service {
 				faults = store.WithFaults(s, store.FaultConfig{Seed: 7, ErrorRate: 0.02})
 				return store.WithRetry(faults, store.RetryPolicy{MaxAttempts: 8})
 			})
@@ -357,11 +339,7 @@ func TestFailedStepLeavesSetUnusable(t *testing.T) {
 	svc := newFailNth(srv, func(op *store.Op) bool {
 		return op.Kind == store.KindBatch && op.Ops[0].Write && onTree(op.Ops[0].Name)
 	})
-	edb, err := upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newOrEngine(edb, nil)
+	eng, _ := openFor[*OrEngine](t, svc, ProtocolORAM, rel, opts{headroom: 4})
 	defer eng.Close()
 	if _, err := CardinalitySingle(eng, 0); err != nil {
 		t.Fatal(err)

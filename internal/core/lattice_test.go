@@ -12,9 +12,9 @@ import (
 func TestDiscoverPaperExampleAllEngines(t *testing.T) {
 	rel := testRelation()
 	want := baseline.MinimalFDs(rel)
-	for _, ef := range allEngines() {
-		t.Run(ef.name, func(t *testing.T) {
-			eng := ef.make(t, rel)
+	for _, p := range rows(everyRow) {
+		t.Run(named(p), func(t *testing.T) {
+			eng, _ := openFor[Engine](t, nil, p, rel, opts{workers: 2})
 			defer eng.Close()
 			res, err := Discover(eng, rel.NumAttrs(), nil)
 			if err != nil {
@@ -46,15 +46,15 @@ func TestDiscoverMatchesBaselineRandom(t *testing.T) {
 	for _, sc := range scenarios {
 		rel := randomRel(sc.m, sc.n, sc.card, sc.seed)
 		want := baseline.MinimalFDs(rel)
-		for _, ef := range allEngines() {
-			eng := ef.make(t, rel)
+		for _, p := range rows(everyRow) {
+			eng, _ := openFor[Engine](t, nil, p, rel, opts{workers: 2})
 			res, err := Discover(eng, rel.NumAttrs(), nil)
 			if err != nil {
-				t.Fatalf("%s seed %d: Discover: %v", ef.name, sc.seed, err)
+				t.Fatalf("%v seed %d: Discover: %v", p, sc.seed, err)
 			}
 			eng.Close()
 			if !relation.FDSetEqual(res.Minimal, want) {
-				t.Errorf("%s seed %d: Minimal = %v, want %v", ef.name, sc.seed, res.Minimal, want)
+				t.Errorf("%v seed %d: Minimal = %v, want %v", p, sc.seed, res.Minimal, want)
 			}
 		}
 	}
@@ -70,7 +70,7 @@ func TestDiscoverMatchesBaselineManySeedsPlain(t *testing.T) {
 		card := 1 + int(seed)%4
 		rel := randomRel(m, n, card, seed)
 		want := baseline.MinimalFDs(rel)
-		eng := newPlainEngine(rel)
+		eng := oracle(rel)
 		res, err := Discover(eng, m, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -96,7 +96,7 @@ func TestDiscoverStressManyShapes(t *testing.T) {
 				n := 2 + int(seed*13)%30
 				rel := randomRel(m, n, card, seed)
 				want := baseline.MinimalFDs(rel)
-				res, err := Discover(newPlainEngine(rel), m, nil)
+				res, err := Discover(oracle(rel), m, nil)
 				if err != nil {
 					t.Fatalf("m=%d card=%d seed=%d: %v", m, card, seed, err)
 				}
@@ -111,7 +111,7 @@ func TestDiscoverStressManyShapes(t *testing.T) {
 
 func TestDiscoverRevealsOnlyAllowedLeakage(t *testing.T) {
 	rel := testRelation()
-	eng := newPlainEngine(rel)
+	eng := oracle(rel)
 	defer eng.Close()
 	var revealed []string
 	res, err := Discover(eng, rel.NumAttrs(), &Options{
@@ -134,7 +134,7 @@ func TestDiscoverRevealsOnlyAllowedLeakage(t *testing.T) {
 func TestDiscoverMaxLHS(t *testing.T) {
 	// With MaxLHS=1 only single-attribute determinants may be searched.
 	rel := randomRel(5, 30, 2, 9)
-	eng := newPlainEngine(rel)
+	eng := oracle(rel)
 	defer eng.Close()
 	res, err := Discover(eng, rel.NumAttrs(), &Options{MaxLHS: 1})
 	if err != nil {
@@ -162,7 +162,7 @@ func TestDiscoverMaxLHS(t *testing.T) {
 	keyed := relation.MustFromRows(relation.MustNewSchema("a", "b", "c"), []relation.Row{
 		{"1", "x", "p"}, {"1", "y", "q"}, {"2", "x", "r"}, {"2", "y", "s"},
 	})
-	res, err = Discover(newPlainEngine(keyed), 3, &Options{MaxLHS: 1})
+	res, err = Discover(oracle(keyed), 3, &Options{MaxLHS: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestDiscoverRefusesNegativeMaxLHS(t *testing.T) {
 	rel := relation.MustFromRows(relation.MustNewSchema("a", "b", "c"), []relation.Row{
 		{"1", "x", "p"}, {"2", "x", "p"}, {"3", "y", "q"}, {"4", "y", "r"},
 	})
-	res, err := Discover(newPlainEngine(rel), 3, &Options{MaxLHS: 0})
+	res, err := Discover(oracle(rel), 3, &Options{MaxLHS: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,24 +191,24 @@ func TestDiscoverRefusesNegativeMaxLHS(t *testing.T) {
 		t.Fatalf("MaxLHS=0 minimal = %v, want %v", res.Minimal, want)
 	}
 	for _, bound := range []int{-1, -5} {
-		if res, err := Discover(newPlainEngine(rel), 3, &Options{MaxLHS: bound}); err == nil || !strings.Contains(err.Error(), "MaxLHS") {
+		if res, err := Discover(oracle(rel), 3, &Options{MaxLHS: bound}); err == nil || !strings.Contains(err.Error(), "MaxLHS") {
 			t.Errorf("MaxLHS=%d: Discover = %v, %v; want an error naming MaxLHS", bound, res, err)
 		}
 	}
 }
 
 func TestDiscoverEdgeCases(t *testing.T) {
-	eng := newPlainEngine(randomRel(1, 5, 2, 1))
+	eng := oracle(randomRel(1, 5, 2, 1))
 	if _, err := Discover(eng, 0, nil); err == nil {
 		t.Error("m=0 accepted")
 	}
 	empty := relation.New(relation.MustNewSchema("a"))
-	if _, err := Discover(newPlainEngine(empty), 1, nil); err == nil {
+	if _, err := Discover(oracle(empty), 1, nil); err == nil {
 		t.Error("empty database accepted")
 	}
 	// Single column, n=1: the column is a key and constant; ∅ → a holds.
 	one := relation.MustFromRows(relation.MustNewSchema("a"), []relation.Row{{"x"}})
-	res, err := Discover(newPlainEngine(one), 1, nil)
+	res, err := Discover(oracle(one), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestDiscoverTraversalDeterministic(t *testing.T) {
 	rel := randomRel(6, 40, 2, 77)
 	runOnce := func() []string {
 		var log []string
-		_, err := Discover(newPlainEngine(rel), rel.NumAttrs(), &Options{
+		_, err := Discover(oracle(rel), rel.NumAttrs(), &Options{
 			Reveal: func(decisions []Decision) {
 				for _, d := range decisions {
 					log = append(log, fmt.Sprintf("%v=%v", d.FD, d.Holds))
@@ -267,9 +267,9 @@ func TestAggregateFDs(t *testing.T) {
 
 func TestValidateAgainstOracle(t *testing.T) {
 	rel := randomRel(4, 18, 2, 21)
-	for _, ef := range allEngines() {
-		t.Run(ef.name, func(t *testing.T) {
-			eng := ef.make(t, rel)
+	for _, p := range rows(everyRow) {
+		t.Run(named(p), func(t *testing.T) {
+			eng, _ := openFor[Engine](t, nil, p, rel, opts{workers: 2})
 			defer eng.Close()
 			cases := []struct{ x, y relation.AttrSet }{
 				{relation.NewAttrSet(0), relation.NewAttrSet(1)},
@@ -293,7 +293,7 @@ func TestValidateAgainstOracle(t *testing.T) {
 }
 
 func TestValidateRejectsEmptySets(t *testing.T) {
-	eng := newPlainEngine(testRelation())
+	eng := oracle(testRelation())
 	if _, err := Validate(eng, 0, relation.SingleAttr(1)); err == nil {
 		t.Error("empty X accepted")
 	}
@@ -307,8 +307,7 @@ func TestValidateRejectsEmptySets(t *testing.T) {
 // (here bounded by a small multiple of the last level's size).
 func TestDiscoverReleasesServerState(t *testing.T) {
 	rel := randomRel(4, 24, 2, 33)
-	edb := uploadFor(t, rel)
-	eng := newOrEngine(edb, nil)
+	eng, _ := openFor[*OrEngine](t, nil, ProtocolORAM, rel, opts{})
 	defer eng.Close()
 	if _, err := Discover(eng, rel.NumAttrs(), nil); err != nil {
 		t.Fatal(err)
@@ -317,7 +316,7 @@ func TestDiscoverReleasesServerState(t *testing.T) {
 		t.Errorf("%d partitions still materialized after Discover; release is not working", len(eng.sets))
 	}
 	// With KeepPartitions everything stays.
-	eng2 := newOrEngine(uploadFor(t, rel), nil)
+	eng2, _ := openFor[*OrEngine](t, nil, ProtocolORAM, rel, opts{})
 	defer eng2.Close()
 	res, err := Discover(eng2, rel.NumAttrs(), &Options{KeepPartitions: true})
 	if err != nil {

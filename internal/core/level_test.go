@@ -7,30 +7,11 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/trace"
 )
-
-// oramEngines builds the two engines that step a level record-major.
-var oramEngines = []struct {
-	name string
-	make func(t testing.TB, edb *EncryptedDB) (Engine, *oramCore)
-}{
-	{"or", func(t testing.TB, edb *EncryptedDB) (Engine, *oramCore) {
-		e := newOrEngine(edb, nil)
-		return e, &e.oramCore
-	}},
-	{"ex", func(t testing.TB, edb *EncryptedDB) (Engine, *oramCore) {
-		e, err := newExEngine(edb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, &e.oramCore
-	}},
-}
 
 // onTree reports whether an object is one of the ORAM engines' bucket trees
 // (O^KL, O^KLF, O^IKL): a cell op on one is an ORAM round's fetch or
@@ -233,16 +214,13 @@ func TestLevelClosedForm(t *testing.T) {
 	const m, n = 4, 70 // two chunks: 64 + 6
 	rel := fixedWidthRel(m, n, 5, 3)
 	chunks := (n + obsort.ChunkCells - 1) / obsort.ChunkCells
-	for _, e := range oramEngines {
-		t.Run(e.name, func(t *testing.T) {
+	for _, p := range rows(resumable) {
+		t.Run(short(p), func(t *testing.T) {
 			srv := store.NewServer()
 			rounds := countPathRounds(srv)
-			edb, err := Upload(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, core := e.make(t, edb)
+			eng, _ := openFor[Engine](t, rounds, p, rel, opts{})
 			defer eng.Close()
+			core := oramOf(eng)
 			positional := core.layout.positional
 			buckets := chunkBuckets(n, core.capacity) // a tree's buckets over the n records, each way
 			srv.Trace().Enable()
@@ -431,20 +409,17 @@ func TestLevelWiderThanGroup(t *testing.T) {
 	if len(pairs) <= levelWidth || len(pairs) > 2*levelWidth {
 		t.Fatalf("%d pairs do not make exactly two groups of at most %d", len(pairs), levelWidth)
 	}
-	oracle := newPlainEngine(rel)
+	oracle := oracle(rel)
 	if _, err := oracle.Materialize(append(allSingles(m), pairs...), 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range oramEngines {
-		t.Run(e.name, func(t *testing.T) {
+	for _, p := range rows(resumable) {
+		t.Run(short(p), func(t *testing.T) {
 			srv := store.NewServer()
 			rounds := countPathRounds(srv)
-			edb, err := Upload(rounds, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, core := e.make(t, edb)
+			eng, _ := openFor[Engine](t, rounds, p, rel, opts{})
 			defer eng.Close()
+			core := oramOf(eng)
 			if _, err := eng.Materialize(allSingles(m), 1); err != nil {
 				t.Fatal(err)
 			}
@@ -538,13 +513,13 @@ func failedLevel(t *testing.T) {
 	const m, n = 7, 12 // 21 pairs: a group of levelWidth, then one of 5
 	rel := fixedWidthRel(m, n, 13, 3)
 	pairs := allPairs(m)
-	oracle := newPlainEngine(rel)
+	oracle := oracle(rel)
 	if _, err := oracle.Materialize(append(allSingles(m), pairs...), 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range oramEngines {
+	for _, p := range rows(resumable) {
 		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", e.name, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/workers=%d", short(p), workers), func(t *testing.T) {
 				// n fits one chunk, which is 3 rounds a group, 2 of them led
 				// by a path op. Ex-ORAM: the second group's round that carries
 				// the covers' write-backs with the targets' fetches — after the
@@ -553,17 +528,14 @@ func failedLevel(t *testing.T) {
 				// label cells — after the first group's 2 and the second's
 				// fetches.
 				lost := 3 + 2
-				if e.name == "or" {
+				if p == ProtocolORAM {
 					lost = 2 + 2
 				}
 				srv := store.NewServer()
 				svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindBatch && treeOp(&op.Ops[0]) })
-				edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng, edb := openFor[Engine](t, svc, p, rel, opts{})
 				base, _ := srv.Stats()
-				eng, core := e.make(t, edb)
+				core := oramOf(eng)
 				if _, err := eng.Materialize(allSingles(m), workers); err != nil {
 					t.Fatal(err)
 				}
@@ -657,11 +629,7 @@ func TestLabelADMatchesStoredFormat(t *testing.T) {
 func TestLabelCellsAreLocationBound(t *testing.T) {
 	rel := fixedWidthRel(2, 8, 23, 3)
 	srv := store.NewServer()
-	edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newOrEngine(edb, nil)
+	eng, _ := openFor[*OrEngine](t, srv, ProtocolORAM, rel, opts{})
 	defer eng.Close()
 	a, b := relation.SingleAttr(0), relation.SingleAttr(1)
 	if _, err := eng.Materialize(allSingles(2), 1); err != nil {
@@ -709,8 +677,8 @@ func TestLabelCellsAreLocationBound(t *testing.T) {
 func TestLevelErrorsSayWhere(t *testing.T) {
 	const m, n = 3, 8
 	rel := fixedWidthRel(m, n, 17, 3)
-	for _, e := range oramEngines {
-		t.Run(e.name, func(t *testing.T) {
+	for _, p := range rows(resumable) {
+		t.Run(short(p), func(t *testing.T) {
 			srv := store.NewServer()
 			var victim string // the structure whose fetched paths or cells arrive with a bit flipped
 			tamper := store.Adapt(func(op *store.Op, res *store.Result) error {
@@ -723,24 +691,19 @@ func TestLevelErrorsSayWhere(t *testing.T) {
 				}
 				return err
 			})
-			edb, err := upload(tamper, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, core := e.make(t, edb)
+			eng, _ := openFor[inserter](t, tamper, p, rel, opts{headroom: 1})
 			defer eng.Close()
+			core := oramOf(eng)
 			if _, err := eng.Materialize(allSingles(m), 1); err != nil {
 				t.Fatal(err)
 			}
 			_, victim = treeNames(core.sets[relation.SingleAttr(1)])
-			_, err = eng.Materialize(allPairs(m), 1)
+			_, err := eng.Materialize(allPairs(m), 1)
 			if want := "attribute set {1} as cover of level 2: core: O^" + core.layout.secondary + " read"; !errors.Is(err, store.ErrIntegrity) || !strings.Contains(err.Error(), want) {
 				t.Errorf("level over a tampered cover: %v; want an integrity failure saying %q", err, want)
 			}
 			victim, _ = treeNames(core.sets[relation.SingleAttr(0)])
-			_, err = eng.(interface {
-				Insert(relation.Row) (int, error)
-			}).Insert(relation.Row{"000001", "000001", "000001"})
+			_, err = eng.Insert(relation.Row{"000001", "000001", "000001"})
 			steps := "O^" + core.layout.primary // Or-ORAM's step is one access
 			if !core.layout.positional {
 				steps += "/O^" + core.layout.secondary
@@ -771,10 +734,10 @@ func TestFreshLabelsAcrossPipelinedRecords(t *testing.T) {
 		{"all fresh", func(i, _ int) int { return i }},
 		{"fresh, repeat, fresh", func(i, col int) int { return i / (2 + col) }},
 	}
-	for _, e := range oramEngines {
-		t.Run(e.name, func(t *testing.T) {
+	for _, p := range rows(resumable) {
+		t.Run(short(p), func(t *testing.T) {
 			for _, r := range rels {
-				t.Run(r.name, func(t *testing.T) { freshLabels(t, e.make, r.cell, m, n) })
+				t.Run(r.name, func(t *testing.T) { freshLabels(t, p, r.cell, m, n) })
 			}
 		})
 	}
@@ -782,7 +745,7 @@ func TestFreshLabelsAcrossPipelinedRecords(t *testing.T) {
 
 // freshLabels steps a relation of n rows whose column col holds cell(i, col)
 // through levels 1 and 2 and checks every set against the oracle.
-func freshLabels(t *testing.T, build func(testing.TB, *EncryptedDB) (Engine, *oramCore), cell func(i, col int) int, m, n int) {
+func freshLabels(t *testing.T, p Protocol, cell func(i, col int) int, m, n int) {
 	names := make([]string, m)
 	for col := range names {
 		names[col] = fmt.Sprintf("C%d", col)
@@ -797,13 +760,10 @@ func freshLabels(t *testing.T, build func(testing.TB, *EncryptedDB) (Engine, *or
 			t.Fatal(err)
 		}
 	}
-	oracle := newPlainEngine(rel)
-	edb, err := Upload(store.NewServer(), crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, core := build(t, edb)
+	oracle := oracle(rel)
+	eng, _ := openFor[Engine](t, nil, p, rel, opts{})
 	defer eng.Close()
+	core := oramOf(eng)
 	for level, reqs := range [][]Request{allSingles(m), allPairs(m)} {
 		cards, err := eng.Materialize(reqs, 1)
 		if err != nil {

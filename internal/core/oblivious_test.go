@@ -42,29 +42,8 @@ func fixedWidthRel(m, n int, seed int64, distinct int) *relation.Relation {
 	return rel
 }
 
-// engineKind names the secure engines the leakage tests compare.
-type engineKind = Protocol
-
-const (
-	kindOr   = ProtocolORAM
-	kindEx   = ProtocolDynamicORAM
-	kindSort = ProtocolSort
-)
-
-// openKind builds kind's engine over edb from its row of the protocol table,
-// the one Open and ResumeEngine build from, with the sorting network serial so
-// that each array's accesses come in one order.
-func openKind(t *testing.T, kind engineKind, edb *EncryptedDB) Engine {
-	t.Helper()
-	eng, err := protocols[kind].open(nil, edb, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
 // traceOfPartitionRun records the server-visible trace of materializing, with
-// the given engine kind on the given relation, three single-attribute
+// row p's engine on the given relation, three single-attribute
 // partitions and one pair partition a set per call — two singles are read as
 // the pair's covers, the third single and the pair by nothing so far — and
 // then the other two pairs in one call: a level of width two over three
@@ -73,15 +52,10 @@ func openKind(t *testing.T, kind engineKind, edb *EncryptedDB) Engine {
 // r[ID] order there) — and, for the ORAM engines, one insertion across all
 // six sets. ORAM leaf choices are seeded identically; the shapes must match
 // regardless because ShapeOf strips leaves.
-func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) trace.Shape {
+func traceOfPartitionRun(t *testing.T, p Protocol, rel *relation.Relation) trace.Shape {
 	t.Helper()
 	srv := store.NewServer()
-	cipher := crypto.MustNewCipher(crypto.MustNewKey())
-	edb, err := upload(srv, cipher, "t", rel, rel.NumRows()+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := openKind(t, kind, edb)
+	eng, _ := openFor[Engine](t, srv, p, rel, opts{headroom: 1})
 	defer eng.Close()
 
 	srv.Trace().Reset()
@@ -102,9 +76,7 @@ func traceOfPartitionRun(t *testing.T, kind engineKind, rel *relation.Relation) 
 	if _, err := eng.Materialize([]Request{Union(a0, a2), Union(a1, a2)}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if ins, ok := eng.(interface {
-		Insert(relation.Row) (int, error)
-	}); ok {
+	if ins, ok := eng.(inserter); ok {
 		if _, err := ins.Insert(relation.Row{"111111", "222222", "333333"}); err != nil {
 			t.Fatal(err)
 		}
@@ -124,14 +96,11 @@ func TestPartitionTraceShapeDataIndependent(t *testing.T) {
 		fixedWidthRel(m, n, 2, 2),       // two values, heavy collisions
 		fixedWidthRel(m, n, 3, 1),       // constant columns
 	}
-	for _, kind := range []struct {
-		name string
-		k    engineKind
-	}{{"or-oram", kindOr}, {"ex-oram", kindEx}, {"sort", kindSort}} {
-		t.Run(kind.name, func(t *testing.T) {
-			ref := traceOfPartitionRun(t, kind.k, rels[0])
+	for _, p := range rows(oblivious) {
+		t.Run(p.String(), func(t *testing.T) {
+			ref := traceOfPartitionRun(t, p, rels[0])
 			for i, rel := range rels[1:] {
-				got := traceOfPartitionRun(t, kind.k, rel)
+				got := traceOfPartitionRun(t, p, rel)
 				if !ref.Equal(got) {
 					t.Errorf("trace shape differs for distribution %d:\n%s", i+1, ref.Diff(got))
 				}
@@ -149,14 +118,7 @@ func TestDynamicOpTraceShapeDataIndependent(t *testing.T) {
 	run := func(seed int64, distinct int, doDelete bool) trace.Shape {
 		rel := fixedWidthRel(2, 8, seed, distinct)
 		srv := store.NewServer()
-		edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := newExEngine(edb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, _ := openFor[*ExEngine](t, srv, ProtocolDynamicORAM, rel, opts{headroom: 8})
 		defer eng.Close()
 		materializeAll(t, eng, 2)
 
@@ -195,14 +157,7 @@ func TestDeletionBranchesIndistinguishable(t *testing.T) {
 		schema := relation.MustNewSchema("A0")
 		rel := relation.MustFromRows(schema, rows)
 		srv := store.NewServer()
-		edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := newExEngine(edb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, _ := openFor[*ExEngine](t, srv, ProtocolDynamicORAM, rel, opts{})
 		if _, err := CardinalitySingle(eng, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -272,17 +227,13 @@ func equalLeakagePairs() []leakagePair {
 func TestFullDiscoveryTraceEquality(t *testing.T) {
 	pairs := equalLeakagePairs()
 
-	run := func(rel *relation.Relation, kind engineKind, wrap func(store.Service) store.Service) trace.Shape {
+	run := func(rel *relation.Relation, p Protocol, wrap func(store.Service) store.Service) trace.Shape {
 		srv := store.NewServer()
-		edb, err := Upload(wrap(srv), crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := openKind(t, kind, edb)
+		eng, _ := openFor[Engine](t, wrap(srv), p, rel, opts{})
 		defer eng.Close()
 		srv.Trace().Reset()
 		srv.Trace().Enable()
-		_, err = Discover(eng, rel.NumAttrs(), &Options{
+		_, err := Discover(eng, rel.NumAttrs(), &Options{
 			// Pin the serial path: this test compares full (interleaved)
 			// trace shapes, which are only deterministic with one worker.
 			Workers: 1,
@@ -316,11 +267,11 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 	// is L(DB); TestSortRestoresOrderOnlyForCovers and TestLevelClosedForm
 	// check that nothing else decides it.
 	for _, p := range pairs {
-		fdsA, err := Discover(newPlainEngine(p.a), p.a.NumAttrs(), nil)
+		fdsA, err := Discover(oracle(p.a), p.a.NumAttrs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fdsB, err := Discover(newPlainEngine(p.b), p.b.NumAttrs(), nil)
+		fdsB, err := Discover(oracle(p.b), p.b.NumAttrs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,14 +289,11 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 		}
 	}
 
-	for _, kind := range []struct {
-		name string
-		k    engineKind
-	}{{"or-oram", kindOr}, {"ex-oram", kindEx}, {"sort", kindSort}} {
-		t.Run(kind.name, func(t *testing.T) {
+	for _, proto := range rows(oblivious) {
+		t.Run(proto.String(), func(t *testing.T) {
 			for _, p := range pairs {
-				sA := run(p.a, kind.k, fusing)
-				sB := run(p.b, kind.k, fusing)
+				sA := run(p.a, proto, fusing)
+				sB := run(p.b, proto, fusing)
 				if !sA.Equal(sB) {
 					t.Errorf("%s: full-discovery traces differ:\n%s", p.name, sA.Diff(sB))
 				}
@@ -354,7 +302,7 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 				// the data than the events are. The other database through a
 				// service that takes every op of a round as a call of its own
 				// still shows the same trace.
-				if sC := run(p.b, kind.k, unfusing); !sA.Equal(sC) {
+				if sC := run(p.b, proto, unfusing); !sA.Equal(sC) {
 					t.Errorf("%s: full-discovery trace with rounds unfused differs:\n%s", p.name, sA.Diff(sC))
 				}
 			}
@@ -437,30 +385,27 @@ func (c *sealCapture) keep(name string, idx []int64, cts [][]byte) {
 //     write equally many ciphertexts.
 func TestInvocationFieldsFollowTheSchedule(t *testing.T) {
 	const fixedSize = 8
-	run := func(t *testing.T, rel *relation.Relation, kind engineKind, dynamic bool) []uint32 {
+	run := func(t *testing.T, rel *relation.Relation, p Protocol, dynamic bool) []uint32 {
 		c := newSealCapture(store.NewServer())
-		edb, err := upload(c, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := openKind(t, kind, edb)
+		eng, _ := openFor[Engine](t, c, p, rel, opts{headroom: 1})
 		defer eng.Close()
 		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1, KeepPartitions: dynamic}); err != nil {
 			t.Fatal(err)
 		}
 		if dynamic {
-			ex := eng.(*ExEngine)
 			row := make(relation.Row, rel.NumAttrs())
 			for j := range row {
 				row[j] = "999999"
 			}
-			id, err := ex.Insert(row)
+			id, err := eng.(inserter).Insert(row)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, del := range []int{id, 0} {
-				if err := ex.Delete(del); err != nil {
-					t.Fatal(err)
+			if dyn, ok := eng.(DynamicEngine); ok {
+				for _, del := range []int{id, 0} {
+					if err := dyn.Delete(del); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -499,21 +444,26 @@ func TestInvocationFieldsFollowTheSchedule(t *testing.T) {
 		}
 		return inv
 	}
-	for _, kind := range []struct {
-		name    string
-		k       engineKind
-		dynamic bool
-	}{{"sort", kindSort, false}, {"or-oram", kindOr, false}, {"ex-oram", kindEx, false}, {"ex-oram dynamic", kindEx, true}} {
-		t.Run(kind.name, func(t *testing.T) {
-			for _, p := range equalLeakagePairs() {
-				a, b := run(t, p.a, kind.k, kind.dynamic), run(t, p.b, kind.k, kind.dynamic)
-				if len(a) != len(b) {
-					t.Errorf("%s: %d and %d ciphertexts written", p.name, len(a), len(b))
-				} else if kind.k == kindSort && !slices.Equal(a, b) {
-					t.Errorf("%s: invocation fields differ from ciphertext %d on", p.name, firstDifference(a, b))
+	for _, proto := range rows(oblivious) {
+		for _, dynamic := range []bool{false, true} {
+			name := proto.String()
+			if dynamic {
+				if !resumable(proto) { // only the ORAM engines take mutations
+					continue
 				}
+				name += " dynamic"
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				for _, p := range equalLeakagePairs() {
+					a, b := run(t, p.a, proto, dynamic), run(t, p.b, proto, dynamic)
+					if len(a) != len(b) {
+						t.Errorf("%s: %d and %d ciphertexts written", p.name, len(a), len(b))
+					} else if proto == ProtocolSort && !slices.Equal(a, b) {
+						t.Errorf("%s: invocation fields differ from ciphertext %d on", p.name, firstDifference(a, b))
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -568,14 +518,7 @@ func TestDynamicAccessCounts(t *testing.T) {
 	rel := fixedWidthRel(2, 8, 5, 4)
 	srv := store.NewServer()
 	rc := store.WithRoundCounter(srv)
-	edb, err := upload(rc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := newExEngine(edb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, _ := openFor[*ExEngine](t, rc, ProtocolDynamicORAM, rel, opts{headroom: 8})
 	defer eng.Close()
 	materializeAll(t, eng, 2) // sets {0}, {1}, {0,1}
 
@@ -626,11 +569,7 @@ func TestDynamicAccessCounts(t *testing.T) {
 func TestOrStepAccessCountFixed(t *testing.T) {
 	rel := fixedWidthRel(1, 16, 9, 2)
 	srv := store.NewServer()
-	edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newOrEngine(edb, nil)
+	eng, _ := openFor[*OrEngine](t, srv, ProtocolORAM, rel, opts{})
 	defer eng.Close()
 	srv.Trace().Reset()
 	if _, err := CardinalitySingle(eng, 0); err != nil {
@@ -725,13 +664,9 @@ func TestBatchFramingIgnoresDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run := func(t *testing.T, e func(testing.TB, *EncryptedDB) (Engine, *oramCore), rel *relation.Relation) []string {
+	run := func(t *testing.T, p Protocol, rel *relation.Relation) []string {
 		log := newRoundLog(store.NewServer())
-		edb, err := upload(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, n+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, _ := e(t, edb)
+		eng, _ := openFor[inserter](t, log, p, rel, opts{headroom: 1})
 		defer eng.Close()
 		log.rounds = log.rounds[:0]
 		for _, reqs := range [][]Request{allSingles(3), allPairs(3)} {
@@ -739,9 +674,7 @@ func TestBatchFramingIgnoresDuplicates(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		id, err := eng.(interface {
-			Insert(relation.Row) (int, error)
-		}).Insert(relation.Row{"000001", "999999", "000001"})
+		id, err := eng.Insert(relation.Row{"000001", "999999", "000001"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -754,9 +687,9 @@ func TestBatchFramingIgnoresDuplicates(t *testing.T) {
 		}
 		return log.rounds
 	}
-	for _, e := range oramEngines {
-		t.Run(e.name, func(t *testing.T) {
-			a, b := run(t, e.make, together), run(t, e.make, apart)
+	for _, p := range rows(resumable) {
+		t.Run(short(p), func(t *testing.T) {
+			a, b := run(t, p, together), run(t, p, apart)
 			if len(a) == 0 {
 				t.Fatal("no rounds recorded")
 			}
@@ -788,26 +721,22 @@ func TestFillFramingDataIndependent(t *testing.T) {
 		{name: "histograms, wide level", a: histogramRel([4]int{64, 64, 64, 64}, true), b: histogramRel([4]int{192, 1, 62, 1}, true)},
 		{name: "cardinalities", a: histogramRel([4]int{64, 64, 64, 64}, true), b: histogramRel([4]int{86, 85, 85, 0}, true)},
 	}
-	discover := func(t *testing.T, e func(testing.TB, *EncryptedDB) (Engine, *oramCore), rel *relation.Relation) []string {
+	discover := func(t *testing.T, p Protocol, rel *relation.Relation) []string {
 		log := newRoundLog(store.NewServer())
-		edb, err := Upload(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, _ := e(t, edb)
+		eng, _ := openFor[Engine](t, log, p, rel, opts{})
 		defer eng.Close()
 		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		return log.rounds
 	}
-	for _, e := range oramEngines {
-		t.Run(e.name, func(t *testing.T) {
+	for _, proto := range rows(resumable) {
+		t.Run(short(proto), func(t *testing.T) {
 			for _, p := range pairs {
 				if p.a.NumRows() < 4*obsort.ChunkCells || p.a.NumRows() != p.b.NumRows() {
 					t.Fatalf("%s: %d and %d records, want equal and at least 4 chunks", p.name, p.a.NumRows(), p.b.NumRows())
 				}
-				a, b := discover(t, e.make, p.a), discover(t, e.make, p.b)
+				a, b := discover(t, proto, p.a), discover(t, proto, p.b)
 				if len(a) != len(b) {
 					t.Fatalf("%s: %d calls against %d", p.name, len(a), len(b))
 				}
@@ -848,7 +777,7 @@ func TestSetupFramingDataIndependent(t *testing.T) {
 			return k == store.KindCreateArray || k == store.KindCreateTree || k == store.KindReveal
 		})
 	}
-	discover := func(t *testing.T, rel *relation.Relation, kind engineKind) run {
+	discover := func(t *testing.T, rel *relation.Relation, p Protocol) run {
 		var r run
 		srv := store.NewServer()
 		log := newRoundLog(store.Adapt(func(op *store.Op, res *store.Result) error {
@@ -857,13 +786,9 @@ func TestSetupFramingDataIndependent(t *testing.T) {
 			}
 			return store.Invoke(srv, op, res)
 		}))
-		edb, err := Upload(log, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.capacity = edb.Capacity()
-		eng := openKind(t, kind, edb)
+		eng, edb := openFor[Engine](t, log, p, rel, opts{})
 		defer eng.Close()
+		r.capacity = edb.Capacity()
 		groups := &requestLog{Engine: eng, seen: make(map[relation.AttrSet]bool)}
 		res, err := Discover(groups, rel.NumAttrs(), &Options{Workers: 1, Reveal: func(decisions []Decision) {
 			r.reveals = append(r.reveals, len(decisions))
@@ -900,13 +825,10 @@ func TestSetupFramingDataIndependent(t *testing.T) {
 		}
 		return strings.Join(out, " ")
 	}
-	for _, kind := range []struct {
-		name string
-		k    engineKind
-	}{{"or-oram", kindOr}, {"ex-oram", kindEx}, {"sort", kindSort}} {
-		t.Run(kind.name, func(t *testing.T) {
+	for _, proto := range rows(oblivious) {
+		t.Run(proto.String(), func(t *testing.T) {
 			for _, p := range equalLeakagePairs() {
-				a, b := discover(t, p.a, kind.k), discover(t, p.b, kind.k)
+				a, b := discover(t, p.a, proto), discover(t, p.b, proto)
 				if !slices.Equal(a.lines, b.lines) {
 					for i := range min(len(a.lines), len(b.lines)) {
 						if a.lines[i] != b.lines[i] {
@@ -940,7 +862,7 @@ func TestSetupFramingDataIndependent(t *testing.T) {
 						t.Errorf("%s: reveal batch %d is %s, want %d reveals", p.name, i, kinds(ops), a.reveals[i])
 					}
 				}
-				if kind.k == kindSort {
+				if proto == ProtocolSort {
 					if len(setUps) != a.sets {
 						t.Errorf("%s: %d array creates for %d sets", p.name, len(setUps), a.sets)
 					}
@@ -956,7 +878,7 @@ func TestSetupFramingDataIndependent(t *testing.T) {
 				}
 				for i, g := range a.groups {
 					trees, want := int(g.w), ""
-					if kind.k == kindOr {
+					if proto == ProtocolORAM {
 						want = strings.Repeat("CreateArray ", trees)
 					} else {
 						trees *= 2

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/trace"
@@ -132,21 +131,16 @@ type parallelRun struct {
 	shape trace.Shape // whole trace, cross-object order included
 }
 
-// discoverWithWorkers runs a full discovery with the given engine kind and
+// discoverWithWorkers runs a full discovery with row p's engine and
 // worker count on a fresh server, returning the result and the whole trace
 // shape.
-func discoverWithWorkers(t *testing.T, kind engineKind, rel *relation.Relation, workers int) parallelRun {
+func discoverWithWorkers(t *testing.T, p Protocol, rel *relation.Relation, workers int) parallelRun {
 	t.Helper()
 	srv := store.NewServer()
-	cipher := crypto.MustNewCipher(crypto.MustNewKey())
-	edb, err := Upload(srv, cipher, "t", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The sorting network stays serial, so each array's own access sequence
 	// is deterministic; the parallelism under test is the lattice-level batch
 	// scheduler.
-	eng := openKind(t, kind, edb)
+	eng, _ := openFor[Engine](t, srv, p, rel, opts{workers: 1})
 	defer eng.Close()
 
 	srv.Trace().Reset()
@@ -178,32 +172,24 @@ func parallelTestRel(n int) *relation.Relation {
 	return rel
 }
 
-// TestSerialParallelEquivalence: for every secure engine, discovery under any
+// TestSerialParallelEquivalence: for every engine, discovery under any
 // worker count produces the serial run's minimal FD set, cardinalities and
-// work counters. What the server sees is, for the ORAM engines, the serial
-// run's *whole trace in order* — they take a level at a time on one goroutine,
-// so nothing of it is left to scheduling — and for the sort engine, whose
-// set-level waves do run side by side, the same multiset of per-structure
-// access sequences. Run under -race (CI uses -cpu 1,4) to also exercise memory
+// work counters. What the server sees is the serial run's *whole trace in
+// order* — the ORAM engines take a level at a time on one goroutine and the
+// deterministic engine a set at a time, so nothing of it is left to
+// scheduling — but for the sort engine, whose set-level waves do run side by
+// side: there it is the same multiset of per-structure access sequences. Run under -race (CI uses -cpu 1,4) to also exercise memory
 // safety.
 func TestSerialParallelEquivalence(t *testing.T) {
 	rel := parallelTestRel(24)
-	kinds := []struct {
-		name string
-		kind engineKind
-	}{
-		{"or", kindOr},
-		{"ex", kindEx},
-		{"sort", kindSort},
-	}
-	for _, k := range kinds {
-		t.Run(k.name, func(t *testing.T) {
-			serial := discoverWithWorkers(t, k.kind, rel, 1)
+	for _, p := range rows(everyRow) {
+		t.Run(short(p), func(t *testing.T) {
+			serial := discoverWithWorkers(t, p, rel, 1)
 			if len(serial.res.Minimal) == 0 {
 				t.Fatalf("test relation yields no FDs; equivalence would be vacuous")
 			}
 			for _, workers := range []int{4, 8} {
-				par := discoverWithWorkers(t, k.kind, rel, workers)
+				par := discoverWithWorkers(t, p, rel, workers)
 				if !relation.FDSetEqual(par.res.Minimal, serial.res.Minimal) {
 					t.Errorf("workers=%d: FDs = %v, want %v", workers, par.res.Minimal, serial.res.Minimal)
 				}
@@ -222,7 +208,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 					}
 				}
 				want, got, what := serial.shape.Canonical(), par.shape.Canonical(), "ordered whole trace"
-				if k.kind == kindSort {
+				if p == ProtocolSort {
 					want, got, what = serial.shape.CanonicalPerStructure(), par.shape.CanonicalPerStructure(), "per-structure trace"
 				}
 				if !got.Equal(want) {
@@ -239,12 +225,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 func TestParallelBatchDirect(t *testing.T) {
 	rel := fixedWidthRel(3, 16, 5, 2)
 	srv := store.NewServer()
-	cipher := crypto.MustNewCipher(crypto.MustNewKey())
-	edb, err := Upload(srv, cipher, "t", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newOrEngine(edb, nil)
+	eng, _ := openFor[Engine](t, srv, ProtocolORAM, rel, opts{})
 	defer eng.Close()
 
 	// Pre-materialize attribute 0 so the batch sees a cache hit.
@@ -276,7 +257,7 @@ func TestParallelBatchDirect(t *testing.T) {
 	// One batch naming a cached attribute and the same new attribute twice
 	// builds one array and draws one name, as three serial calls would (the
 	// sort engine's batch path used to draw a name per job).
-	se := newSort(t, edb, 1)
+	se, _ := openFor[*SortEngine](t, srv, ProtocolSort, rel, opts{name: "sort"})
 	defer se.Close()
 	if _, err := CardinalitySingle(se, 0); err != nil {
 		t.Fatal(err)
@@ -294,7 +275,7 @@ func TestParallelBatchDirect(t *testing.T) {
 
 	// A union whose operands were never materialized must fail cleanly —
 	// use a fresh engine so nothing is cached.
-	eng2 := newOrEngine(edb, nil)
+	eng2, _ := openFor[Engine](t, nil, ProtocolORAM, rel, opts{})
 	defer eng2.Close()
 	if _, err := eng2.Materialize([]Request{Union(a, b)}, 4); !errors.Is(err, ErrNotMaterialized) {
 		t.Errorf("union of unmaterialized parents: err = %v, want ErrNotMaterialized", err)
@@ -309,21 +290,10 @@ func TestParallelBatchDirect(t *testing.T) {
 // while partitions that existed beforehand must survive.
 func TestValidateReleasesPartitions(t *testing.T) {
 	rel := fixedWidthRel(3, 16, 9, 2)
-	for _, k := range []struct {
-		name string
-		mk   func(t *testing.T, edb *EncryptedDB) Engine
-	}{
-		{"or", func(_ *testing.T, edb *EncryptedDB) Engine { return newOrEngine(edb, nil) }},
-		{"sort", func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
-	} {
-		t.Run(k.name, func(t *testing.T) {
+	for _, p := range rows(everyRow) {
+		t.Run(short(p), func(t *testing.T) {
 			srv := store.NewServer()
-			cipher := crypto.MustNewCipher(crypto.MustNewKey())
-			edb, err := Upload(srv, cipher, "t", rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := k.mk(t, edb)
+			eng, _ := openFor[Engine](t, srv, p, rel, opts{})
 			defer eng.Close()
 
 			// Pre-materialize π_0: Validate must not release state it

@@ -89,7 +89,7 @@ func TestLatticeStateGolden(t *testing.T) {
 				lines = append(lines, renderLatticeState(t, run, ls, rel)...)
 				return nil
 			}
-			if _, err := Discover(newPlainEngine(rel), rel.NumAttrs(), &opts); err != nil {
+			if _, err := Discover(oracle(rel), rel.NumAttrs(), &opts); err != nil {
 				t.Fatalf("%s: %v", run, err)
 			}
 		}
@@ -159,30 +159,12 @@ func replayPlan(t *testing.T, rel *relation.Relation, maxLHS int, keep bool) *di
 
 // TestPlanReplaysEveryEngine: the plan alone, replayed on cardinalities
 // counted from the plaintext relation, asks for exactly what a real
-// discovery asks of each engine — the same Materialize requests and Release
+// discovery asks of each engine, at one worker and at four — the same
+// Materialize requests and Release
 // calls in the same order, the same reveals and checkpoints — and comes to
 // the same Result, on random relations of up to six attributes, with and
 // without MaxLHS, keeping partitions or not.
 func TestPlanReplaysEveryEngine(t *testing.T) {
-	engines := []struct {
-		name    string
-		workers int
-		make    func(t *testing.T, rel *relation.Relation) Engine
-	}{
-		{"plain", 1, func(t *testing.T, rel *relation.Relation) Engine { return newPlainEngine(rel) }},
-		{"deterministic", 1, func(t *testing.T, rel *relation.Relation) Engine { return newDetEngine(uploadFor(t, rel)) }},
-		{"enclave", 1, func(t *testing.T, rel *relation.Relation) Engine { return newEnclaveEngine(rel, 1) }},
-		{"sort/w=1", 1, func(t *testing.T, rel *relation.Relation) Engine { return newSort(t, uploadFor(t, rel), 1) }},
-		{"sort/w=4", 4, func(t *testing.T, rel *relation.Relation) Engine { return newSort(t, uploadFor(t, rel), 4) }},
-		{"or-oram", 1, func(t *testing.T, rel *relation.Relation) Engine { return newOrEngine(uploadFor(t, rel), nil) }},
-		{"ex-oram", 1, func(t *testing.T, rel *relation.Relation) Engine {
-			e, err := newExEngine(uploadFor(t, rel), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}},
-	}
 	rels := []struct{ m, n, card int }{{3, 9, 2}, {4, 12, 3}, {5, 10, 2}, {5, 20, 4}, {6, 12, 2}, {6, 8, 3}, {6, 16, 3}}
 	for i, r := range rels {
 		rel := randomRel(r.m, r.n, r.card, int64(100+i))
@@ -192,29 +174,31 @@ func TestPlanReplaysEveryEngine(t *testing.T) {
 				if oracle := baseline.MinimalFDs(rel); maxLHS == 0 && !relation.FDSetEqual(want.res.Minimal, oracle) {
 					t.Errorf("m=%d seed %d: the plan alone finds %v, the oracle %v", r.m, 100+i, want.res.Minimal, oracle)
 				}
-				for _, e := range engines {
-					name := fmt.Sprintf("m=%d/seed=%d/maxlhs=%d/keep=%t/%s", r.m, 100+i, maxLHS, keep, e.name)
-					got := &discoveryLog{}
-					eng := e.make(t, rel)
-					res, err := Discover(engineLog{eng, got}, r.m, &Options{
-						MaxLHS:         maxLHS,
-						KeepPartitions: keep,
-						Workers:        e.workers,
-						Reveal:         func(d []Decision) { got.reveals = append(got.reveals, d) },
-						Checkpoint: func(ls *LatticeState) error {
-							got.states = append(got.states, renderLatticeState(t, "", ls, rel)...)
-							return nil
-						},
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if err := eng.Close(); err != nil {
-						t.Fatalf("%s: Close: %v", name, err)
-					}
-					got.res = res
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: the discovery and the plan's replay differ\n got  %v\n want %v", name, got, want)
+				for _, p := range rows(everyRow) {
+					for _, workers := range []int{1, 4} {
+						name := fmt.Sprintf("m=%d/seed=%d/maxlhs=%d/keep=%t/%v/w=%d", r.m, 100+i, maxLHS, keep, p, workers)
+						got := &discoveryLog{}
+						eng, _ := openFor[Engine](t, nil, p, rel, opts{workers: workers})
+						res, err := Discover(engineLog{eng, got}, r.m, &Options{
+							MaxLHS:         maxLHS,
+							KeepPartitions: keep,
+							Workers:        workers,
+							Reveal:         func(d []Decision) { got.reveals = append(got.reveals, d) },
+							Checkpoint: func(ls *LatticeState) error {
+								got.states = append(got.states, renderLatticeState(t, "", ls, rel)...)
+								return nil
+							},
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if err := eng.Close(); err != nil {
+							t.Fatalf("%s: Close: %v", name, err)
+						}
+						got.res = res
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s: the discovery and the plan's replay differ\n got  %v\n want %v", name, got, want)
+						}
 					}
 				}
 			}

@@ -144,11 +144,15 @@ var dbNames atomic.Int64
 // and return a nil handle. workers is the Sort and enclave sorting networks'
 // parallelism.
 func Open(svc store.Service, rel *relation.Relation, p Protocol, workers, headroom int, reg *telemetry.Registry) (Engine, *EncryptedDB, error) {
-	name := fmt.Sprintf("fd%d", dbNames.Add(1))
+	return open(svc, fmt.Sprintf("fd%d", dbNames.Add(1)), rel, p, workers, headroom, reg)
+}
+
+// open is Open with the database name given.
+func open(svc store.Service, name string, rel *relation.Relation, p Protocol, workers, headroom int, reg *telemetry.Registry) (Engine, *EncryptedDB, error) {
 	if !p.known() {
 		return nil, nil, fmt.Errorf("core: unknown protocol %v", p)
 	}
-	row := protocols[p]
+	row := &protocols[p]
 	var edb *EncryptedDB
 	if row.encrypted {
 		key, err := crypto.NewKey()

@@ -51,16 +51,6 @@ func (s *coverSpy) Release(x relation.AttrSet) error {
 	return s.Engine.Release(x)
 }
 
-// newSort builds a Sort engine over edb, failing tb if it is refused.
-func newSort(tb testing.TB, edb *EncryptedDB, workers int) *SortEngine {
-	tb.Helper()
-	e, err := newSortEngine(edb, workers, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return e
-}
-
 // TestSortEngineRowBound: a relation of maxLabel rows is the largest whose
 // ids fit r[ID]'s labelWidth bytes and whose labels keep unionKey injective;
 // one row more is refused. attachEDB uploads nothing, so neither handle
@@ -74,11 +64,11 @@ func TestSortEngineRowBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := newSortEngine(edb, 1, nil)
+		e, err := protocols[ProtocolSort].open(nil, edb, 1, nil) // the row Open calls once it has uploaded
 		if got := err == nil; got != c.ok {
-			t.Errorf("newSortEngine over %d rows: err = %v, want accepted = %v", c.n, err, c.ok)
+			t.Errorf("opening Sort over %d rows: err = %v, want accepted = %v", c.n, err, c.ok)
 		}
-		if e != nil {
+		if err == nil {
 			e.Close()
 		}
 	}
@@ -111,11 +101,7 @@ func TestSortRunLayout(t *testing.T) {
 		runs, stages := p/run, networkStages(p)
 		srv := store.NewServer()
 		rel := fixedWidthRel(3, n, 5, 3)
-		edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := newSort(t, edb, 1)
+		eng, _ := openFor[*SortEngine](t, srv, ProtocolSort, rel, opts{})
 		srv.Trace().Reset()
 		srv.Trace().Enable()
 		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1}); err != nil {
@@ -205,14 +191,8 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				srv := store.NewServer()
-				edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, err := newSortEngine(edb, 1, telemetry.New()) // one network worker: each array's own sequence is deterministic
-				if err != nil {
-					t.Fatal(err)
-				}
+				// One network worker: each array's own sequence is deterministic.
+				eng, _ := openFor[*SortEngine](t, srv, ProtocolSort, rel, opts{workers: 1, reg: telemetry.New()})
 				spy := &coverSpy{Engine: eng, current: make(map[relation.AttrSet]int)}
 				srv.Trace().Reset()
 				srv.Trace().Enable()
@@ -294,7 +274,7 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 func TestFailedRestoreIsRerunWhole(t *testing.T) {
 	rel := fixedWidthRel(3, 24, 2, 2)
 	a, b := relation.SingleAttr(0), relation.SingleAttr(1)
-	oracle := newPlainEngine(rel)
+	oracle := oracle(rel)
 	if _, err := oracle.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +285,7 @@ func TestFailedRestoreIsRerunWhole(t *testing.T) {
 
 	srv := store.NewServer()
 	svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindWriteCells })
-	edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newSort(t, edb, 1)
+	eng, _ := openFor[*SortEngine](t, svc, ProtocolSort, rel, opts{})
 	defer eng.Close()
 	if _, err := eng.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
 		t.Fatal(err)
@@ -365,8 +341,7 @@ func TestFailedRestoreIsRerunWhole(t *testing.T) {
 func TestFailedLabellingPassLeavesNothing(t *testing.T) {
 	const n = 130
 	rel := fixedWidthRel(3, n, 5, 3)
-	oracle := newPlainEngine(rel)
-	want, err := CardinalitySingle(oracle, 0)
+	want, err := CardinalitySingle(oracle(rel), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,11 +356,7 @@ func TestFailedLabellingPassLeavesNothing(t *testing.T) {
 			return labelWrite(&sub)
 		})
 	})
-	edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newSort(t, edb, 1)
+	eng, _ := openFor[*SortEngine](t, svc, ProtocolSort, rel, opts{})
 	defer eng.Close()
 	uploaded, _ := srv.Stats()
 

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
 )
@@ -41,22 +40,6 @@ func newFailNth(svc store.Service, match func(*store.Op) bool) *failNth {
 
 func (f *failNth) arm(k int)   { f.left.Store(int64(k)) }
 func (f *failNth) fired() bool { return f.left.Load() <= 0 }
-
-// secureEngines builds each engine the orphan and Close tests run against.
-var secureEngines = []struct {
-	name string
-	make func(t *testing.T, edb *EncryptedDB) Engine
-}{
-	{"or", func(t *testing.T, edb *EncryptedDB) Engine { return newOrEngine(edb, nil) }},
-	{"ex", func(t *testing.T, edb *EncryptedDB) Engine {
-		eng, err := newExEngine(edb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}},
-	{"sort", func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
-}
 
 // TestFailedMaterializationLeavesNoOrphans: whichever storage operation of a
 // materialization fails — during set-up, mid-traversal, in the first job of a
@@ -101,27 +84,23 @@ func TestFailedMaterializationLeavesNoOrphans(t *testing.T) {
 			return err
 		}},
 	}
-	for _, e := range secureEngines {
+	for _, p := range rows(encrypted) {
 		for _, sc := range scenarios {
-			t.Run(e.name+"/"+sc.name, func(t *testing.T) {
+			t.Run(short(p)+"/"+sc.name, func(t *testing.T) {
 				// Every third operation of a run: no engine's operations repeat
 				// with a period of 3.
 				for k := 1; ; k += 3 {
 					srv := store.NewServer()
 					svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind != store.KindDelete })
-					edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-					if err != nil {
-						t.Fatal(err)
-					}
+					eng, _ := openFor[Engine](t, svc, p, rel, opts{})
 					base, _ := srv.Stats()
-					eng := e.make(t, edb)
 					if sc.setup != nil {
 						if err := sc.setup(eng); err != nil {
 							t.Fatal(err)
 						}
 					}
 					svc.arm(k)
-					err = sc.run(eng)
+					err := sc.run(eng)
 					if svc.fired() && !errors.Is(err, errInjected) {
 						t.Fatalf("operation %d failed, run returned %v", k, err)
 					}
@@ -152,16 +131,12 @@ func TestFailedMaterializationLeavesNoOrphans(t *testing.T) {
 // object, not every set Close had not reached yet.
 func TestCloseAttemptsEverySet(t *testing.T) {
 	rel := fixedWidthRel(3, 8, 4, 3)
-	for _, e := range secureEngines {
-		t.Run(e.name, func(t *testing.T) {
+	for _, p := range rows(encrypted) {
+		t.Run(short(p), func(t *testing.T) {
 			srv := store.NewServer()
 			svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindDelete })
-			edb, err := Upload(svc, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng, _ := openFor[Engine](t, svc, p, rel, opts{})
 			base, _ := srv.Stats()
-			eng := e.make(t, edb)
 			if _, err := eng.Materialize([]Request{Single(0), Single(1), Single(2)}, 1); err != nil {
 				t.Fatal(err)
 			}

@@ -13,17 +13,14 @@ import (
 	"github.com/oblivfd/oblivfd/internal/trace"
 )
 
-// discoverObserved runs a full Discover over a small fixed relation with the
-// given engine kind, registry and tracer (nil = off), returning the
+// discoverObserved runs a full Discover over a small fixed relation with row
+// p's engine and the given registry and tracer (nil = off), returning the
 // canonical server-visible trace shape and the discovered FDs.
-func discoverObserved(t *testing.T, kind engineKind, reg *telemetry.Registry, otr *otrace.Tracer) (trace.Shape, []relation.FD) {
+func discoverObserved(t *testing.T, p Protocol, reg *telemetry.Registry, otr *otrace.Tracer) (trace.Shape, []relation.FD) {
 	t.Helper()
 	rel := fixedWidthRel(4, 16, 7, 3)
 	srv := store.NewServer()
-	eng, _, err := Open(srv, rel, kind, 1, 0, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, _ := openFor[Engine](t, srv, p, rel, opts{workers: 1, reg: reg})
 	defer eng.Close()
 
 	srv.Trace().Reset()
@@ -44,9 +41,9 @@ func discoverObserved(t *testing.T, kind engineKind, reg *telemetry.Registry, ot
 // sizes and timings; if one ever issues an extra storage operation, this
 // test catches it.
 func TestTelemetryDoesNotPerturbTrace(t *testing.T) {
-	for _, tc := range perturbCases {
-		t.Run(tc.name, func(t *testing.T) {
-			offShape, offFDs := discoverObserved(t, tc.kind, nil, nil)
+	for _, p := range rows(everyRow) {
+		t.Run(p.String(), func(t *testing.T) {
+			offShape, offFDs := discoverObserved(t, p, nil, nil)
 			for _, obs := range []struct {
 				name string
 				otr  bool
@@ -55,7 +52,7 @@ func TestTelemetryDoesNotPerturbTrace(t *testing.T) {
 				{"both", true},
 			} {
 				t.Run(obs.name, func(t *testing.T) {
-					checkObservedRun(t, tc.kind, offShape, offFDs, true, obs.otr)
+					checkObservedRun(t, p, offShape, offFDs, true, obs.otr)
 				})
 			}
 		})
@@ -66,27 +63,18 @@ func TestTelemetryDoesNotPerturbTrace(t *testing.T) {
 // recorder alone: spans only ever observe identities and timings, and the
 // traced run must still produce the full causal tree.
 func TestTracingDoesNotPerturbTrace(t *testing.T) {
-	for _, tc := range perturbCases {
-		t.Run(tc.name, func(t *testing.T) {
-			offShape, offFDs := discoverObserved(t, tc.kind, nil, nil)
-			checkObservedRun(t, tc.kind, offShape, offFDs, false, true)
+	for _, p := range rows(everyRow) {
+		t.Run(p.String(), func(t *testing.T) {
+			offShape, offFDs := discoverObserved(t, p, nil, nil)
+			checkObservedRun(t, p, offShape, offFDs, false, true)
 		})
 	}
-}
-
-var perturbCases = []struct {
-	name string
-	kind engineKind
-}{
-	{"sort", kindSort},
-	{"or-oram", kindOr},
-	{"ex-oram", kindEx},
 }
 
 // checkObservedRun repeats the discovery with a registry and/or a tracer
 // attached and asserts it matches the unobserved run, then checks what the
 // attached observers recorded.
-func checkObservedRun(t *testing.T, kind engineKind, offShape trace.Shape, offFDs []relation.FD, registry, tracer bool) {
+func checkObservedRun(t *testing.T, p Protocol, offShape trace.Shape, offFDs []relation.FD, registry, tracer bool) {
 	t.Helper()
 	var reg *telemetry.Registry
 	var otr *otrace.Tracer
@@ -96,7 +84,7 @@ func checkObservedRun(t *testing.T, kind engineKind, offShape trace.Shape, offFD
 	if tracer {
 		otr = otrace.New(otrace.Config{Service: "test", SampleEvery: 1})
 	}
-	onShape, onFDs := discoverObserved(t, kind, reg, otr)
+	onShape, onFDs := discoverObserved(t, p, reg, otr)
 	if !reflect.DeepEqual(offFDs, onFDs) {
 		t.Fatalf("FD sets diverge: off=%v on=%v", offFDs, onFDs)
 	}
@@ -106,10 +94,10 @@ func checkObservedRun(t *testing.T, kind engineKind, offShape trace.Shape, offFD
 	}
 	if reg != nil {
 		// The widest group an ORAM engine stepped together: the four
-		// single attributes of level 1, or a wider level above it. The
-		// sort engine builds a set at a time and never sets it.
+		// single attributes of level 1, or a wider level above it. No
+		// other engine steps a group, and none sets it.
 		width := reg.Gauge("oblivfd_level_width").Value()
-		if kind == kindSort && width != 0 || kind != kindSort && (width < 4 || width > levelWidth) {
+		if !resumable(p) && width != 0 || resumable(p) && (width < 4 || width > levelWidth) {
 			t.Errorf("oblivfd_level_width = %d", width)
 		}
 	}
@@ -167,7 +155,7 @@ func checkDiscoverSpans(t *testing.T, otr *otrace.Tracer) {
 // singleton pass and the loop's first level used to share level-01.
 func TestLevelSpanOncePerLevel(t *testing.T) {
 	otr := otrace.New(otrace.Config{Service: "test", SampleEvery: 1})
-	if _, err := Discover(newPlainEngine(fixedWidthRel(5, 32, 3, 4)), 5, &Options{Trace: otr}); err != nil {
+	if _, err := Discover(oracle(fixedWidthRel(5, 32, 3, 4)), 5, &Options{Trace: otr}); err != nil {
 		t.Fatal(err)
 	}
 	var levels []string
@@ -197,8 +185,8 @@ func TestLevelSpanOncePerLevel(t *testing.T) {
 func TestResumedEngineIsInstrumented(t *testing.T) {
 	rel := fixedWidthRel(3, 8, 3, 2)
 	exact := []string{"oblivfd_oram_accesses_total", "oblivfd_oram_path_reads_total", "oblivfd_oram_path_writes_total"}
-	for _, kind := range []engineKind{kindOr, kindEx} {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, p := range rows(resumable) {
+		t.Run(p.String(), func(t *testing.T) {
 			// run builds two singles and then, resumed from a checkpoint if
 			// resume is set, a union and an insertion; it returns what the
 			// last two added to each counter, integrity checks last.
@@ -208,15 +196,13 @@ func TestResumedEngineIsInstrumented(t *testing.T) {
 				if !resume {
 					atOpen = reg
 				}
-				eng, edb, err := Open(srv, rel, kind, 1, 1, atOpen)
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng, edb := openFor[Engine](t, srv, p, rel, opts{workers: 1, headroom: 1, reg: atOpen})
 				if _, err := eng.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
 					t.Fatal(err)
 				}
 				if resume {
 					cp := &Checkpoint{EDB: edb.State(), Engine: eng.(CheckpointableEngine).CheckpointState()}
+					var err error
 					if eng, _, _, err = ResumeEngine(srv, cp, reg); err != nil {
 						t.Fatal(err)
 					}
@@ -230,9 +216,7 @@ func TestResumedEngineIsInstrumented(t *testing.T) {
 				if _, err := CardinalityUnion(eng, relation.SingleAttr(0), relation.SingleAttr(1)); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := eng.(interface {
-					Insert(relation.Row) (int, error)
-				}).Insert(relation.Row{"x", "y", "z"}); err != nil {
+				if _, err := eng.(inserter).Insert(relation.Row{"x", "y", "z"}); err != nil {
 					t.Fatal(err)
 				}
 				for i, name := range names {

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/obsort"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -272,11 +271,12 @@ func TestEngineTraceGolden(t *testing.T) {
 			}
 		}
 	}
-	type inserter interface {
-		Insert(relation.Row) (int, error)
-	}
-	insertTail := func(t *testing.T, eng inserter, oracle *PlainEngine) {
+	// tail inserts goldenTailRows into an engine that takes insertions and,
+	// if it takes deletions, deletes an original record and then the first
+	// inserted one, giving the oracle the same script.
+	tail := func(t *testing.T, eng inserter, res *Result) {
 		t.Helper()
+		oracle := oracle(rel)
 		for _, row := range goldenTailRows {
 			if _, err := eng.Insert(row); err != nil {
 				t.Fatal(err)
@@ -285,71 +285,41 @@ func TestEngineTraceGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-
-	cases := []struct {
-		name string
-		keep bool
-		make func(t *testing.T, edb *EncryptedDB) Engine
-		tail func(t *testing.T, eng Engine, res *Result)
-	}{
-		{name: "sort", make: func(t *testing.T, edb *EncryptedDB) Engine { return newSort(t, edb, 1) }},
-		{name: "or", keep: true,
-			make: func(t *testing.T, edb *EncryptedDB) Engine { return newOrEngine(edb, nil) },
-			tail: func(t *testing.T, eng Engine, res *Result) {
-				oracle := newPlainEngine(rel)
-				insertTail(t, eng.(*OrEngine), oracle)
-				revalidate(t, eng, oracle, res.Cardinalities)
-			}},
-		{name: "ex", keep: true,
-			make: func(t *testing.T, edb *EncryptedDB) Engine {
-				eng, err := newExEngine(edb, nil)
-				if err != nil {
+		if dyn, ok := eng.(DynamicEngine); ok {
+			for _, id := range []int{3, rel.NumRows()} {
+				if err := dyn.Delete(id); err != nil {
 					t.Fatal(err)
 				}
-				return eng
-			},
-			tail: func(t *testing.T, eng Engine, res *Result) {
-				oracle := newPlainEngine(rel)
-				ex := eng.(*ExEngine)
-				insertTail(t, ex, oracle)
-				for _, id := range []int{3, rel.NumRows()} { // an original record, then the first inserted one
-					if err := ex.Delete(id); err != nil {
-						t.Fatal(err)
-					}
-					if err := oracle.Delete(id); err != nil {
-						t.Fatal(err)
-					}
+				if err := oracle.Delete(id); err != nil {
+					t.Fatal(err)
 				}
-				revalidate(t, eng, oracle, res.Cardinalities)
-			}},
+			}
+		}
+		revalidate(t, eng, oracle, res.Cardinalities)
 	}
 
 	var got, order []string
-	for _, c := range cases {
+	for _, p := range rows(oblivious) {
 		for _, workers := range []int{1, 4} {
 			srv := store.NewServer()
-			edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel, rel.NumRows()+len(goldenTailRows))
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := c.make(t, edb)
+			eng, _ := openFor[Engine](t, srv, p, rel, opts{headroom: len(goldenTailRows)})
+			ins, dynamic := eng.(inserter)
 			srv.Trace().Reset()
 			srv.Trace().Enable()
-			res, err := Discover(eng, m, &Options{Workers: workers, KeepPartitions: c.keep})
+			res, err := Discover(eng, m, &Options{Workers: workers, KeepPartitions: dynamic})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.tail != nil {
-				c.tail(t, eng, res)
+			if dynamic {
+				tail(t, ins, res)
 			}
 			if workers == 1 { // before Close, which releases kept sets in map order
-				order = append(order, sequenceDigest(c.name, srv.Trace().Events()))
+				order = append(order, sequenceDigest(short(p), srv.Trace().Events()))
 			}
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, fmt.Sprintf("# %s workers=%d", c.name, workers))
+			got = append(got, fmt.Sprintf("# %s workers=%d", short(p), workers))
 			got = append(got, structureDigests(srv.Trace().Events())...)
 		}
 	}
@@ -372,13 +342,9 @@ const engineTraceChunkedGolden = "engine-trace-chunked-golden.txt"
 func TestEngineTraceGoldenChunked(t *testing.T) {
 	rel := parallelTestRel(4 * obsort.ChunkCells)
 	var got []string
-	for _, e := range oramEngines {
+	for _, p := range rows(resumable) {
 		srv := store.NewServer()
-		edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "t", rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, _ := e.make(t, edb)
+		eng, _ := openFor[Engine](t, srv, p, rel, opts{})
 		srv.Trace().Reset()
 		srv.Trace().Enable()
 		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1}); err != nil {
@@ -387,7 +353,7 @@ func TestEngineTraceGoldenChunked(t *testing.T) {
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, "# "+e.name)
+		got = append(got, "# "+short(p))
 		got = append(got, structureDigests(srv.Trace().Events())...)
 	}
 	compareGolden(t, engineTraceChunkedGolden, got)
@@ -413,18 +379,19 @@ func TestParentCheckpointResumes(t *testing.T) {
 	rel := relation.MustFromRows(relation.MustNewSchema("A", "B", "C"), []relation.Row{
 		{"a1", "b1", "c1"}, {"a1", "b1", "c2"}, {"a2", "b2", "c1"}, {"a2", "b2", "c3"}, {"a3", "b1", "c2"}, {"a3", "b1", "c1"},
 	})
-	want, err := Discover(newPlainEngine(rel), rel.NumAttrs(), nil)
+	want, err := Discover(oracle(rel), rel.NumAttrs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fixtures := filepath.Join("testdata", "narrow-blocks")
-	for _, kind := range []string{"or", "ex"} {
-		if _, err := os.Stat(filepath.Join(fixtures, kind+".ckpt")); errors.Is(err, os.ErrNotExist) {
-			writeResumeFixture(t, rel, fixtures, kind)
-			t.Fatalf("wrote %s's %s pair; run the test again", fixtures, kind)
+	for _, p := range rows(resumable) {
+		if _, err := os.Stat(filepath.Join(fixtures, short(p)+".ckpt")); errors.Is(err, os.ErrNotExist) {
+			writeResumeFixture(t, rel, fixtures, p)
+			t.Fatalf("wrote %s's %s pair; run the test again", fixtures, short(p))
 		}
 	}
-	for _, kind := range []string{"or", "ex"} {
+	for _, p := range rows(resumable) {
+		kind := short(p)
 		t.Run(kind, func(t *testing.T) {
 			dir := copyDir(t, filepath.Join(fixtures, kind+"-state")) // opening at an epoch discards what is newer
 			eng, cp, err := resumeFixture(t, dir, filepath.Join(fixtures, kind+".ckpt"))
@@ -438,9 +405,7 @@ func TestParentCheckpointResumes(t *testing.T) {
 			if !relation.FDSetEqual(got.Minimal, want.Minimal) {
 				t.Errorf("resumed FDs = %v, want %v", got.Minimal, want.Minimal)
 			}
-			id, err := eng.(interface {
-				Insert(relation.Row) (int, error)
-			}).Insert(relation.Row{"a9", "b9", "c9"})
+			id, err := eng.(inserter).Insert(relation.Row{"a9", "b9", "c9"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -550,26 +515,18 @@ func readFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// writeResumeFixture writes one engine's resume fixture into dir: a
-// durable server directory (<kind>-state) and a checkpoint file (<kind>.ckpt)
-// as a discovery that marked epoch 2, after lattice level 1, and then crashed
-// leaves them.
-func writeResumeFixture(t *testing.T, rel *relation.Relation, dir, kind string) {
+// writeResumeFixture writes row p's resume fixture into dir: a durable
+// server directory (<kind>-state) and a checkpoint file (<kind>.ckpt), kind
+// being short(p), as a discovery that marked epoch 2, after lattice level 1,
+// and then crashed leaves them.
+func writeResumeFixture(t *testing.T, rel *relation.Relation, dir string, p Protocol) {
+	kind := short(p)
 	srv, err := store.OpenDir(filepath.Join(dir, kind+"-state"), store.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	edb, err := upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "fixture-"+kind, rel, rel.NumRows()+2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eng CheckpointableEngine = newOrEngine(edb, nil)
-	if kind == "ex" {
-		if eng, err = newExEngine(edb, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
+	eng, edb := openFor[CheckpointableEngine](t, srv, p, rel, opts{name: "fixture-" + kind, headroom: 2})
 	_, err = Discover(eng, rel.NumAttrs(), &Options{KeepPartitions: true, Checkpoint: func(ls *LatticeState) error {
 		if ls.NextLevel < 2 {
 			return nil
