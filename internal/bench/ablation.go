@@ -155,16 +155,17 @@ func rawCardinality(svc store.Service, cipher *crypto.Cipher, edb *core.Encrypte
 		}
 	}
 	// A = [r[X] | pad | r[ID]].
-	wide, err := obsort.CreateStreamed(svc, cipher, fmt.Sprintf("raw:%x", uint64(x)), n, projWidth+8,
-		func(i int) ([]byte, error) {
-			proj, err := projFor(i)
-			if err != nil {
-				return nil, err
+	wide, err := obsort.CreateStreamed(svc, cipher, fmt.Sprintf("raw:%x", uint64(x)), n, projWidth+8, nil,
+		func(lo int, recs [][]byte) error {
+			for k, rec := range recs {
+				proj, err := projFor(lo + k)
+				if err != nil {
+					return err
+				}
+				clear(rec[copy(rec, proj):projWidth])
+				binary.BigEndian.PutUint64(rec[projWidth:], uint64(lo+k))
 			}
-			rec := make([]byte, projWidth+8)
-			copy(rec, proj)
-			binary.BigEndian.PutUint64(rec[projWidth:], uint64(i))
-			return rec, nil
+			return nil
 		})
 	if err != nil {
 		return 0, fmt.Errorf("bench: building raw A for %v: %w", x, err)

@@ -161,14 +161,16 @@ func BenchmarkEngineLevelLoopback(b *testing.B) {
 // sort, labelling pass), cover is one that a union reads (the same, then the
 // by-ID network on its first read). comparators/partition and
 // rounds/partition are counts, the same on every run: 1 : 2 in networks, so
-// 159 744 : 319 488 comparators, and 10 242 : 20 226 rounds (a network is
-// 9 984 of them; creation, the column read, the pass and the delete are 258).
-// bytes/partition is the ciphertext both ways, from store.WithMetrics'
-// counters: 8 507 904 : 14 178 816. The key network moves 8 226 816 of them —
-// 78 stages × 128 runs of 412 bytes, read and written — and creation, the
-// labelling pass (128 runs read at 412 bytes, written at 284) and the column
-// read the other 281 088; the by-ID network moves 128 runs of 284 bytes,
-// 5 670 912.
+// 159 744 : 319 488 comparators, and 5 498 : 10 802 rounds. A network is
+// 78 sub-stages of 64 blocks in 4 chains, 64 + 4 calls each, 5 304 rounds;
+// the other 194 are creation's 64 column reads and 64 writes, the labelling
+// pass's 65 calls and the delete. The benchmark fails when its rounds leave
+// this closed form. bytes/partition is the ciphertext both ways, from
+// store.WithMetrics' counters: 8 507 904 : 14 178 816. The key network moves
+// 8 226 816 of them — 78 stages × 128 runs of 412 bytes, read and written —
+// and creation, the labelling pass (128 runs read at 412 bytes, written at
+// 284) and the column read the other 281 088; the by-ID network moves 128
+// runs of 284 bytes, 5 670 912.
 func BenchmarkSortPartition(b *testing.B) {
 	const n = 4096
 	rounds := store.WithRoundCounter(store.NewServer())
@@ -203,6 +205,14 @@ func BenchmarkSortPartition(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			const network, other = 78 * (64 + 4), 3*64 + 2
+			networks := int64(1)
+			if c.cover {
+				networks = 2
+			}
+			if got, want := rounds.Rounds()-r0, int64(b.N)*(networks*network+other); got != want {
+				b.Fatalf("%d rounds for %d partitions, want %d: %d network(s) of %d and %d other calls each", got, b.N, want, networks, network, other)
+			}
 			b.ReportMetric(float64(rounds.Rounds()-r0)/float64(b.N), "rounds/partition")
 			b.ReportMetric(float64(comparators)/float64(b.N), "comparators/partition")
 			b.ReportMetric(float64(moved()-m0)/float64(b.N), "bytes/partition")

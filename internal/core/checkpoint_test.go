@@ -471,6 +471,11 @@ func TestResumeEngineKindMismatch(t *testing.T) {
 		if _, _, _, err := ResumeEngine(svc, &Checkpoint{EDB: edb.State(), Engine: es}, nil); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Errorf("%+v: err = %v, want ErrCorruptCheckpoint", es, err)
 		}
+		if p, err := ParseProtocol(es.Kind); err == nil && resumable(p) {
+			if e, err := protocols[p].resume(edb, es, nil); e != nil || err == nil {
+				t.Errorf("%+v: the %v row resumes a %T beside err = %v, want a nil engine and an error", es, p, e, err)
+			}
+		}
 	}
 }
 

@@ -49,12 +49,12 @@ func upload(svc store.Service, cipher *crypto.Cipher, name string, rel *relation
 	}
 	// A column is one batch: its create, then its cells.
 	for j := 0; j < rel.NumAttrs(); j++ {
-		col := e.columnName(j)
+		col, ad := e.columnName(j), e.cellPlace(j)
 		ops := []store.BatchOp{store.CreateArrayOp(col, capacity)}
 		if n := rel.NumRows(); n > 0 {
 			write := store.BatchOp{Write: true, Name: col, Idx: make([]int64, n), Cts: make([][]byte, n)}
 			for i := range n {
-				ct, err := cipher.Seal([]byte(rel.Value(i, j)), e.cellAD(i, j))
+				ct, err := cipher.Seal([]byte(rel.Value(i, j)), ad.At(int64(i)))
 				if err != nil {
 					return nil, fmt.Errorf("core: encrypting cell (%d,%d): %w", i, j, err)
 				}
@@ -83,7 +83,7 @@ func (e *EncryptedDB) AppendRow(row relation.Row) (int, error) {
 	idx := []int64{int64(id)}
 	ops := make([]store.BatchOp, len(row))
 	for j, v := range row {
-		ct, err := e.cipher.Seal([]byte(v), e.cellAD(id, j))
+		ct, err := e.cipher.Seal([]byte(v), e.cellPlace(j).At(int64(id)))
 		if err != nil {
 			return 0, fmt.Errorf("core: encrypting appended cell %d: %w", j, err)
 		}
@@ -103,12 +103,12 @@ func (e *EncryptedDB) columnName(j int) string {
 	return fmt.Sprintf("db:%s:col%d", e.name, j)
 }
 
-// cellAD binds a cell ciphertext to its (column, row) location. The column
-// arrays are append-only — a cell is written once and never moves — so
-// location binding alone makes cross-cell substitution detectable; there is
-// no version to track.
-func (e *EncryptedDB) cellAD(i, j int) []byte {
-	return []byte(fmt.Sprintf("cell:%s:%d", e.columnName(j), i))
+// cellPlace binds a cell ciphertext of column j to its row, as
+// "cell:<column name>:<i>". The column arrays are append-only — a cell is
+// written once and never moves — so location binding alone makes cross-cell
+// substitution detectable; there is no version to track.
+func (e *EncryptedDB) cellPlace(j int) crypto.Place {
+	return crypto.NewPlace("cell:" + e.columnName(j) + ":")
 }
 
 // Name returns the database name.
@@ -130,7 +130,7 @@ func (e *EncryptedDB) CellValue(i, j int) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("core: reading cell (%d,%d): %w", i, j, err)
 	}
-	pt, err := e.cipher.Open(cts[0], e.cellAD(i, j))
+	pt, err := e.cipher.Open(cts[0], e.cellPlace(j).At(int64(i)))
 	if err != nil {
 		return "", fmt.Errorf("core: cell (%d,%d) of %q failed verification: %v: %w", i, j, e.name, err, store.ErrIntegrity)
 	}
@@ -159,9 +159,10 @@ func (e *EncryptedDB) CellValues(lo, hi, j int) ([]string, error) {
 // not be adjacent.
 func (e *EncryptedDB) openCells(cts [][]byte, rows []int64, j int) ([]string, error) {
 	out := make([]string, len(cts))
+	ad := e.cellPlace(j)
 	for k, ct := range cts {
 		i := int(rows[k])
-		pt, err := e.cipher.Open(ct, e.cellAD(i, j))
+		pt, err := e.cipher.Open(ct, ad.At(rows[k]))
 		if err != nil {
 			return nil, fmt.Errorf("core: cell (%d,%d) of %q failed verification: %v: %w", i, j, e.name, err, store.ErrIntegrity)
 		}

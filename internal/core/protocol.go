@@ -61,7 +61,7 @@ var protocols = [...]struct {
 }{
 	ProtocolSort: {name: "sort", paper: "Sort", encrypted: true,
 		open: func(_ *relation.Relation, edb *EncryptedDB, workers int, reg *telemetry.Registry) (Engine, error) {
-			return newSortEngine(edb, workers, reg)
+			return asEngine(newSortEngine(edb, workers, reg))
 		}},
 	ProtocolORAM: {name: "or-oram", paper: "Or-ORAM", encrypted: true,
 		open: func(_ *relation.Relation, edb *EncryptedDB, _ int, reg *telemetry.Registry) (Engine, error) {
@@ -69,15 +69,15 @@ var protocols = [...]struct {
 		},
 		resume: func(edb *EncryptedDB, es *EngineState, reg *telemetry.Registry) (Engine, error) {
 			e := new(OrEngine)
-			return e, e.resume(edb, es, orLayout, reg)
+			return asEngine(e, e.resume(edb, es, orLayout, reg))
 		}},
 	ProtocolDynamicORAM: {name: "ex-oram", paper: "Ex-ORAM", encrypted: true,
 		open: func(_ *relation.Relation, edb *EncryptedDB, _ int, reg *telemetry.Registry) (Engine, error) {
-			return newExEngine(edb, reg)
+			return asEngine(newExEngine(edb, reg))
 		},
 		resume: func(edb *EncryptedDB, es *EngineState, reg *telemetry.Registry) (Engine, error) {
 			e := new(ExEngine)
-			return e, e.resume(edb, es, exLayout, reg)
+			return asEngine(e, e.resume(edb, es, exLayout, reg))
 		}},
 	ProtocolPlaintext: {name: "plaintext", paper: "Plaintext",
 		open: func(rel *relation.Relation, _ *EncryptedDB, _ int, _ *telemetry.Registry) (Engine, error) {
@@ -91,6 +91,15 @@ var protocols = [...]struct {
 		open: func(_ *relation.Relation, edb *EncryptedDB, _ int, _ *telemetry.Registry) (Engine, error) {
 			return newDetEngine(edb), nil
 		}},
+}
+
+// asEngine is a row's engine e, or a nil Engine beside err: e itself would
+// be a non-nil Engine holding a nil or half-built engine.
+func asEngine[E Engine](e E, err error) (Engine, error) {
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // ProtocolNames lists every name ParseProtocol accepts, separated by "|", for

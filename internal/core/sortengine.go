@@ -29,8 +29,8 @@ import (
 // B_X lives on the server as sealed runs of obsort.RunRecords records, one
 // ciphertext each, at the width of the phase (DESIGN.md §11, "Sealed runs"):
 // sortRecWidth bytes a record until the labelling pass, labelRecWidth after.
-// The method needs O(1) client memory (one obsort.ChunkCells block, two runs,
-// in flight per worker), is static only, and parallelizes inside the bitonic
+// The method needs O(1) client memory (one obsort block, two runs, in flight
+// per worker), is static only, and parallelizes inside the bitonic
 // network — the workers parameter controls the degree (Fig. 6a).
 type SortEngine struct {
 	setTable[*sortState]
@@ -171,34 +171,25 @@ func (e *SortEngine) fill(group []target[*sortState]) error {
 	return fillEach(group, e.fillSingle, e.fillUnion)
 }
 
-// fillSingle materializes B_{attr}. Cell values are prefetched one
-// ChunkCells-sized column range per storage round; the per-cell accesses the
-// server records are the same ascending scan as a one-at-a-time read.
+// fillSingle materializes B_{attr}. Each block CreateStreamed hands over is
+// filled from one column read of the block's records; the per-cell accesses
+// the server records are the same ascending scan as a one-at-a-time read.
 func (e *SortEngine) fillSingle(st *sortState, attr int) error {
-	var vals []string
-	var base int
-	rec := make([]byte, sortRecWidth) // CreateStreamed copies each record out
-	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, st.name, e.n, sortRecWidth,
-		func(i int) ([]byte, error) {
-			if i%obsort.ChunkCells == 0 {
-				hi := i + obsort.ChunkCells
-				if hi > e.n {
-					hi = e.n
-				}
-				v, err := e.edb.CellValues(i, hi, attr)
-				if err != nil {
-					return nil, err
-				}
-				vals, base = v, i
+	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, st.name, e.n, sortRecWidth, e.metrics,
+		func(lo int, recs [][]byte) error {
+			vals, err := e.edb.CellValues(lo, lo+len(recs), attr)
+			if err != nil {
+				return err
 			}
-			binary.BigEndian.PutUint64(rec, singleKey(e.edb.cipher, vals[i-base]))
-			putLabel(rec[keyWidth:], uint64(i))
-			return rec, nil
+			for k, rec := range recs {
+				binary.BigEndian.PutUint64(rec, singleKey(e.edb.cipher, vals[k]))
+				putLabel(rec[keyWidth:], uint64(lo+k))
+			}
+			return nil
 		})
 	if err != nil {
 		return fmt.Errorf("core: building A for attr %d: %w", attr, err)
 	}
-	arr.SetTelemetry(e.metrics)
 	st.arr = arr
 	return e.materialize(st)
 }
@@ -206,41 +197,32 @@ func (e *SortEngine) fillSingle(st *sortState, attr int) error {
 // fillUnion materializes B_{x1∪x2} from the covers' arrays. Labels are
 // extracted positionally: both B arrays are put in r[ID] order, if no earlier
 // union has done so, and then B_X1[i] and B_X2[i] describe the same record
-// (§IV-D's extraction). Both covers' label records are prefetched one
-// ChunkCells-sized range — the runs that hold it — at a time, fused into a
-// single batched round when the storage service supports it.
+// (§IV-D's extraction). Each block CreateStreamed hands over is filled from
+// both covers' label records of the block's range — the runs that hold it —
+// fused into a single batched round when the storage service supports it.
 func (e *SortEngine) fillUnion(st *sortState, x relation.AttrSet, st1, st2 *sortState) error {
 	for _, c := range []*sortState{st1, st2} {
 		if err := e.restoreOrder(c); err != nil {
 			return err
 		}
 	}
-	var recs [][][]byte
-	var base int
 	covers := []*obsort.Array{st1.arr, st2.arr}
-	rec := make([]byte, sortRecWidth) // CreateStreamed copies each record out
-	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, st.name, e.n, sortRecWidth,
-		func(i int) ([]byte, error) {
-			if i%obsort.ChunkCells == 0 {
-				hi := i + obsort.ChunkCells
-				if hi > e.n {
-					hi = e.n
-				}
-				r, err := obsort.GetRanges(covers, i, hi)
-				if err != nil {
-					return nil, err
-				}
-				recs, base = r, i
+	arr, err := obsort.CreateStreamed(e.edb.svc, e.edb.cipher, st.name, e.n, sortRecWidth, e.metrics,
+		func(lo int, recs [][]byte) error {
+			labels, err := obsort.GetRanges(covers, lo, lo+len(recs))
+			if err != nil {
+				return err
 			}
-			r1, r2 := recs[0][i-base], recs[1][i-base]
-			binary.BigEndian.PutUint64(rec, unionKey(decodeLabel(r1), decodeLabel(r2)))
-			copy(rec[keyWidth:], r1[labelWidth:labelRecWidth]) // r[ID], identical in both inputs
-			return rec, nil
+			for k, rec := range recs {
+				r1, r2 := labels[0][k], labels[1][k]
+				binary.BigEndian.PutUint64(rec, unionKey(decodeLabel(r1), decodeLabel(r2)))
+				copy(rec[keyWidth:], r1[labelWidth:labelRecWidth]) // r[ID], identical in both inputs
+			}
+			return nil
 		})
 	if err != nil {
 		return fmt.Errorf("core: building A for %v: %w", x, err)
 	}
-	arr.SetTelemetry(e.metrics)
 	st.arr = arr
 	return e.materialize(st)
 }

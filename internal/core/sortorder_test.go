@@ -68,6 +68,9 @@ func TestSortEngineRowBound(t *testing.T) {
 		if got := err == nil; got != c.ok {
 			t.Errorf("opening Sort over %d rows: err = %v, want accepted = %v", c.n, err, c.ok)
 		}
+		if (e == nil) != (err != nil) {
+			t.Errorf("opening Sort over %d rows returns a %T beside err = %v, want an engine or an error", c.n, e, err)
+		}
 		if err == nil {
 			e.Close()
 		}

@@ -12,9 +12,9 @@
 // rather than silently corrupting partition cardinalities (DESIGN.md §10).
 //
 // Seal/Open accept an associated-data slot that binds a ciphertext to its
-// logical location (array name, cell index, ORAM tree); a ciphertext moved
-// to a different location fails to open even though it authenticates under
-// the same key.
+// logical location, which Place builds (object name, then place number); a
+// ciphertext moved to a different location fails to open even though it
+// authenticates under the same key.
 //
 // Nonces follow GCM's deterministic construction (NIST SP 800-38D §8.2.1):
 // 64 bits of crypto/rand output drawn once per Cipher as a fixed field, then
@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -160,8 +161,8 @@ func (s *nonceSource) renew(old *nonceField) error {
 // use: the AEAD is stateless after construction and a nonce is one atomic
 // add on the current fixed field. It must not be copied after first use.
 // SetTelemetry must not race with Seal/Open (attach the registry before
-// handing the cipher to worker goroutines, as securefd.Outsource and the
-// engine SetTelemetry paths do).
+// handing the cipher to worker goroutines, as core.Open and
+// core.ResumeEngine do).
 type Cipher struct {
 	key    Key // retained so client-side checkpoints can rebuild the cipher
 	aead   cipher.AEAD
@@ -264,6 +265,28 @@ func (c *Cipher) OpenTo(dst, ciphertext, ad []byte) ([]byte, error) {
 	}
 	return pt, nil
 }
+
+// Place is the location binding every sealed structure uses: the associated
+// data of place k of one stored object is the object's prefix, then k in
+// decimal — "sort:<name>:r<k>" for a sort array's runs, "oram:<name>:<b>" for
+// a PathORAM tree's buckets, "lab:<name>:<id>" for an Or-ORAM label array's
+// cells and "cell:db:<db>:col<j>:<i>" for a column's cells. A ciphertext
+// moved to another place, or into another object, then fails to open
+// (DESIGN.md §10). A Place and its copies build the bytes in one buffer they
+// reuse, so none of them is safe for concurrent use.
+type Place struct {
+	prefix []byte // with room behind it for any int64 in decimal
+}
+
+// NewPlace returns the binding of the object whose places' associated data
+// begin with prefix.
+func NewPlace(prefix string) Place {
+	return Place{append(make([]byte, 0, len(prefix)+20), prefix...)}
+}
+
+// At returns place k's associated data, valid until the next call on p or a
+// copy of it.
+func (p Place) At(k int64) []byte { return strconv.AppendInt(p.prefix, k, 10) }
 
 // PRF evaluates a pseudorandom function (HMAC-SHA256, truncated to 8 bytes)
 // on the given message. The client uses it to derive fixed-width block

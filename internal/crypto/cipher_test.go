@@ -129,6 +129,31 @@ func TestAssociatedDataBindsLocation(t *testing.T) {
 	}
 }
 
+// TestPlaceMatchesStoredFormats: ciphertexts already on a server were sealed
+// under the associated data of the four sealed structures — sort runs, ORAM
+// buckets, Or-ORAM label cells and column cells. Place must produce those
+// bytes exactly, or stored ciphertexts stop opening: checked for each
+// prefix where the digit count changes, and after a longer position has
+// been through the same buffer.
+func TestPlaceMatchesStoredFormats(t *testing.T) {
+	for _, c := range []struct {
+		prefix string
+		want   []string // at 1<<31, 0, 9, 10, then 1<<31 again
+	}{
+		{"sort:sort3:12:B:r", []string{"sort:sort3:12:B:r2147483648", "sort:sort3:12:B:r0", "sort:sort3:12:B:r9", "sort:sort3:12:B:r10", "sort:sort3:12:B:r2147483648"}},
+		{"oram:or3:12:KL:", []string{"oram:or3:12:KL:2147483648", "oram:or3:12:KL:0", "oram:or3:12:KL:9", "oram:or3:12:KL:10", "oram:or3:12:KL:2147483648"}},
+		{"lab:or3:12:IL:", []string{"lab:or3:12:IL:2147483648", "lab:or3:12:IL:0", "lab:or3:12:IL:9", "lab:or3:12:IL:10", "lab:or3:12:IL:2147483648"}},
+		{"cell:db:fd1:col3:", []string{"cell:db:fd1:col3:2147483648", "cell:db:fd1:col3:0", "cell:db:fd1:col3:9", "cell:db:fd1:col3:10", "cell:db:fd1:col3:2147483648"}},
+	} {
+		p := NewPlace(c.prefix)
+		for i, k := range []int64{1 << 31, 0, 9, 10, 1 << 31} {
+			if got := p.At(k); string(got) != c.want[i] {
+				t.Errorf("NewPlace(%q).At(%d) = %q, stored ciphertexts use %q", c.prefix, k, got, c.want[i])
+			}
+		}
+	}
+}
+
 func TestNonceUniquenessAcrossReEncryptions(t *testing.T) {
 	// Guards the semantic-security claim of §III-C: every write back to the
 	// server must carry a fresh IV. Re-encrypt the same cell many times and

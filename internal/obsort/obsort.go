@@ -12,16 +12,18 @@
 // per worker at a time.
 //
 // Records are stored in sealed runs: RunRecords consecutive records under one
-// AEAD ciphertext, bound to (array, run index). Records move in blocks of
-// ChunkCells, two runs, and a block of the network covers whole runs at every
-// stride, so a stage maps runs to runs (DESIGN.md §11, "Sealed runs"). What
-// the client does to a fetched block is compute on memory it already holds:
-// each worker opens the block's runs into a reused scratch, compares and
-// swaps there, and seals the runs into one slab allocated for that block's
-// write (the in-process server keeps the slices it is handed, so a slab is
-// never written twice). That write rides with the next block's read of the
-// same chain. Which runs are transferred, in which calls, and what is
-// authenticated does not depend on any of this.
+// AEAD ciphertext, bound to (array, run index) by crypto.Place. Records move
+// in blocks of ChunkCells, two runs, and a block of the network covers whole
+// runs at every stride, so a stage maps runs to runs (DESIGN.md §11, "Sealed
+// runs"). CreateStreamed owns the blocks of an upload too: it hands its
+// caller each block's records to fill in place. What the client does to a
+// fetched block is compute on memory it already holds: each worker opens the
+// block's runs into a reused scratch, compares and swaps there, and seals the
+// runs into one slab allocated for that block's write (the in-process server
+// keeps the slices it is handed, so a slab is never written twice). That
+// write rides with the next block's read of the same chain. Which runs are
+// transferred, in which calls, and what is authenticated does not depend on
+// any of this.
 //
 // A record is as wide as the phase needs: its payload, behind a padding flag
 // only in an array that holds padding (p > n), and Reseal changes the payload
@@ -31,7 +33,6 @@ package obsort
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -92,9 +93,9 @@ type Array struct {
 
 	comparisons atomic.Int64
 
-	// Telemetry, nil when disabled. The comparison positions are a pure
-	// function of the padded length, so counting them observes only
-	// Size(DB) (DESIGN.md §9).
+	// Telemetry, nil when disabled; CreateStreamed attaches it. The
+	// comparison positions are a pure function of the padded length, so
+	// counting them observes only Size(DB) (DESIGN.md §9).
 	compCtr  *telemetry.Counter
 	stageCtr *telemetry.Counter
 }
@@ -133,10 +134,16 @@ func (l layout) put(rec, r []byte) {
 		clear(rec[1:])
 		return
 	}
+	copy(l.payload(rec), r)
+}
+
+// payload marks rec, as recordAt returns it, as a real record and returns its
+// payload bytes.
+func (l layout) payload(rec []byte) []byte {
 	if l.flag == 1 {
 		rec[0] = 0
 	}
-	copy(rec[l.flag:], r)
+	return rec[l.flag:]
 }
 
 // isPadding reports whether rec, as recordAt returns it, is a padding record.
@@ -173,20 +180,22 @@ func padFlag(n int) int {
 // array holds padding.
 func RecordBytes(n, width int) int { return padFlag(n) + width }
 
-// SetTelemetry attaches (or, with nil, detaches) a metrics registry.
-func (a *Array) SetTelemetry(reg *telemetry.Registry) {
-	a.compCtr = reg.Counter("oblivfd_sort_comparisons_total")
-	a.stageCtr = reg.Counter("oblivfd_sort_stages_total")
-}
-
 // Create encrypts records (all of identical width) into a fresh server array
-// named name, padded to the next power of two.
+// named name, padded to the next power of two and not instrumented.
 func Create(svc store.Service, cipher *crypto.Cipher, name string, records [][]byte) (*Array, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("obsort: empty input")
 	}
-	return CreateStreamed(svc, cipher, name, len(records), len(records[0]), func(i int) ([]byte, error) {
-		return records[i], nil
+	width := len(records[0])
+	return CreateStreamed(svc, cipher, name, len(records), width, nil, func(lo int, recs [][]byte) error {
+		for k, rec := range recs {
+			r := records[lo+k]
+			if len(r) != width {
+				return fmt.Errorf("obsort: record %d has %d bytes, want %d", lo+k, len(r), width)
+			}
+			copy(rec, r)
+		}
+		return nil
 	})
 }
 
@@ -199,12 +208,15 @@ func (a *Array) abandon(err error) (*Array, error) {
 }
 
 // CreateStreamed builds an encrypted array of n records of the given width,
-// obtaining records one at a time from next and uploading them a block of
-// ChunkCells at a time, so the client never holds more than one block — the
-// O(1) client memory property the sorting protocol claims (§IV-D). A record
-// is copied out before next is called again, so next may return the same
-// buffer every time.
-func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, width int, next func(i int) ([]byte, error)) (*Array, error) {
+// its comparisons and stages counted in reg (nil: not instrumented), and
+// uploads it a block of ChunkCells records at a time, so the client never
+// holds more than one block — the O(1) client memory property the sorting
+// protocol claims (§IV-D). For each block that holds real records, fill is
+// handed the block's first record index lo and one slot of width bytes per
+// real record in it, recs[k] for record lo+k, and must write every byte of
+// every slot: the slots are the block's plaintext, reused from block to
+// block. The block is sealed and written when fill returns.
+func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, width int, reg *telemetry.Registry, fill func(lo int, recs [][]byte) error) (*Array, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("obsort: empty input")
 	}
@@ -213,7 +225,9 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 	}
 	p := padded(n)
 	a := &Array{svc: svc, cipher: cipher, name: name, n: n, p: p,
-		layout: layout{run: min(p, RunRecords), width: width, flag: padFlag(n)}}
+		layout:   layout{run: min(p, RunRecords), width: width, flag: padFlag(n)},
+		compCtr:  reg.Counter("oblivfd_sort_comparisons_total"),
+		stageCtr: reg.Counter("oblivfd_sort_stages_total")}
 	// The create rides with the first block's write; until it is sent there
 	// is nothing to abandon.
 	create := []store.BatchOp{store.CreateArrayOp(name, p/a.run)}
@@ -224,25 +238,26 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 		return a.abandon(err)
 	}
 	sc := a.newScratch()
+	recs := make([][]byte, 0, min(ChunkCells, n))
 	for lo := 0; lo < p; lo += ChunkCells {
 		hi := min(lo+ChunkCells, p)
 		sc.runs = a.appendRuns(sc.runs[:0], lo, hi)
 		rb := a.runBytes()
 		pt := sc.pt[:len(sc.runs)*rb]
+		recs = recs[:0]
 		for i := lo; i < hi; i++ {
-			var r []byte
-			if i < n {
-				var err error
-				if r, err = next(i); err != nil {
-					return fail(err)
-				}
-				if len(r) != width {
-					return fail(fmt.Errorf("obsort: record %d has %d bytes, want %d", i, len(r), width))
-				}
+			if rec := a.recordAt(pt, i-lo); i < n {
+				recs = append(recs, a.payload(rec))
+			} else {
+				a.put(rec, nil)
 			}
-			a.put(a.recordAt(pt, i-lo), r)
 		}
-		err := a.writeRuns(&sc.runAD, rb, sc.runs, pt, create...)
+		if len(recs) > 0 {
+			if err := fill(lo, recs); err != nil {
+				return fail(err)
+			}
+		}
+		err := a.writeRuns(sc.ad, rb, sc.runs, pt, create...)
 		create = nil
 		if err != nil {
 			return fail(err)
@@ -280,8 +295,7 @@ func GetRanges(arrays []*Array, lo, hi int) ([][][]byte, error) {
 		runs := ops[j].Idx
 		rb := a.runBytes()
 		pt := make([]byte, len(runs)*rb)
-		ad := a.newRunAD()
-		if err := a.openRuns(&ad, rb, pt, res[j], runs); err != nil {
+		if err := a.openRuns(a.runPlace(), rb, pt, res[j], runs); err != nil {
 			return nil, err
 		}
 		out[j] = make([][]byte, 0, hi-lo)
@@ -314,30 +328,14 @@ func (a *Array) appendRuns(dst []int64, lo, hi int) []int64 {
 	return dst
 }
 
-// runAD builds the associated data that binds a run's ciphertext to (array,
-// run index), "sort:<name>:r<k>", in place. Every read and write addresses a
-// run by its index and every write re-seals the whole run, so the binding
-// holds across the whole sort: a server that swaps two runs, or splices in a
-// run of another array, is detected at the next read. (Replaying an *older*
-// ciphertext of the same run is the one substitution this layer cannot see —
-// the sort protocols have no per-run version state; DESIGN.md §10 discusses
-// the residual window.)
-type runAD struct {
-	buf    []byte
-	prefix int
-}
-
-func (a *Array) newRunAD() runAD {
-	buf := make([]byte, 0, len("sort:")+len(a.name)+len(":r")+20)
-	buf = append(append(append(buf, "sort:"...), a.name...), ":r"...)
-	return runAD{buf: buf, prefix: len(buf)}
-}
-
-// at returns run k's associated data, valid until the next call.
-func (ad *runAD) at(k int64) []byte {
-	ad.buf = strconv.AppendInt(ad.buf[:ad.prefix], k, 10)
-	return ad.buf
-}
+// runPlace binds a run's ciphertext to (array, run index), as
+// "sort:<name>:r<k>". Every read and write addresses a run by its index and
+// every write re-seals the whole run, so the binding holds across the whole
+// sort: a server that swaps two runs, or splices in a run of another array,
+// is detected at the next read. (Replaying an *older* ciphertext of the same
+// run is the one substitution this layer cannot see — the sort protocols have
+// no per-run version state; DESIGN.md §10 discusses the residual window.)
+func (a *Array) runPlace() crypto.Place { return crypto.NewPlace("sort:" + a.name + ":r") }
 
 // scratch is the client memory one worker reuses from block to block: the
 // runs of the block in hand, their plaintexts back to back, one record for a
@@ -345,7 +343,7 @@ func (ad *runAD) at(k int64) []byte {
 // it, held back to ride with the next call. It is not safe for concurrent
 // use.
 type scratch struct {
-	runAD
+	ad   crypto.Place
 	runs []int64
 	pt   []byte
 	tmp  []byte
@@ -359,7 +357,7 @@ func (a *Array) newScratch() *scratch {
 	const perCall = ChunkCells / RunRecords
 	runs := make([]int64, 0, 2*perCall)
 	return &scratch{
-		runAD: a.newRunAD(),
+		ad:    a.runPlace(),
 		runs:  runs[:0:perCall],
 		spare: runs[perCall:perCall],
 		pt:    make([]byte, min(ChunkCells, a.p)*a.stride()),
@@ -387,13 +385,13 @@ func (a *Array) fetch(sc *scratch, rb int, pt []byte) error {
 	if err != nil {
 		return fmt.Errorf("obsort: %w", err)
 	}
-	return a.openRuns(&sc.runAD, rb, pt, cts, sc.runs)
+	return a.openRuns(sc.ad, rb, pt, cts, sc.runs)
 }
 
 // hold seals sc.runs' plaintexts, rb bytes each back to back in pt, and keeps
 // their write back for the next call; sc.runs is free for the next block.
 func (a *Array) hold(sc *scratch, rb int, pt []byte) error {
-	cts, err := a.sealRuns(&sc.runAD, rb, sc.runs, pt)
+	cts, err := a.sealRuns(sc.ad, rb, sc.runs, pt)
 	if err != nil {
 		return err
 	}
@@ -422,12 +420,12 @@ func (a *Array) flush(sc *scratch) error {
 // of rb bytes — a run sealed at the other phase's width among them — fails
 // with store.ErrIntegrity: a slot left unopened would be re-sealed with
 // whatever it held.
-func (a *Array) openRuns(ad *runAD, rb int, pt []byte, cts [][]byte, runs []int64) error {
+func (a *Array) openRuns(ad crypto.Place, rb int, pt []byte, cts [][]byte, runs []int64) error {
 	if len(cts) != len(runs) {
 		return fmt.Errorf("obsort %q: %d ciphertexts for %d runs: %w", a.name, len(cts), len(runs), store.ErrIntegrity)
 	}
 	for j, ct := range cts {
-		got, err := a.cipher.OpenTo(pt[j*rb:j*rb:(j+1)*rb], ct, ad.at(runs[j]))
+		got, err := a.cipher.OpenTo(pt[j*rb:j*rb:(j+1)*rb], ct, ad.At(runs[j]))
 		if err != nil {
 			return fmt.Errorf("obsort %q: run %d authentication failed: %v: %w", a.name, runs[j], err, store.ErrIntegrity)
 		}
@@ -442,13 +440,13 @@ func (a *Array) openRuns(ad *runAD, rb int, pt []byte, cts [][]byte, runs []int6
 // pt, each under a fresh nonce. The ciphertexts share a slab allocated for
 // their write and never written afterwards, because the in-process server
 // retains the slices it is handed.
-func (a *Array) sealRuns(ad *runAD, rb int, runs []int64, pt []byte) ([][]byte, error) {
+func (a *Array) sealRuns(ad crypto.Place, rb int, runs []int64, pt []byte) ([][]byte, error) {
 	slab := make([]byte, 0, len(runs)*(rb+crypto.Overhead))
 	cts := make([][]byte, len(runs))
 	for j, k := range runs {
 		start := len(slab)
 		var err error
-		if slab, err = a.cipher.SealTo(slab, pt[j*rb:(j+1)*rb], ad.at(k)); err != nil {
+		if slab, err = a.cipher.SealTo(slab, pt[j*rb:(j+1)*rb], ad.At(k)); err != nil {
 			return nil, err
 		}
 		cts[j] = slab[start:len(slab):len(slab)]
@@ -458,7 +456,7 @@ func (a *Array) sealRuns(ad *runAD, rb int, runs []int64, pt []byte) ([][]byte, 
 
 // writeRuns seals the named runs and writes them in one call, behind lead in
 // one batch when there is a lead (CreateStreamed's create).
-func (a *Array) writeRuns(ad *runAD, rb int, runs []int64, pt []byte, lead ...store.BatchOp) error {
+func (a *Array) writeRuns(ad crypto.Place, rb int, runs []int64, pt []byte, lead ...store.BatchOp) error {
 	cts, err := a.sealRuns(ad, rb, runs, pt)
 	if err != nil {
 		return err

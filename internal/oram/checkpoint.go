@@ -6,6 +6,7 @@ import (
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/store"
+	"github.com/oblivfd/oblivfd/internal/telemetry"
 )
 
 // State is the serializable client state of a PathORAM handle — its position
@@ -72,15 +73,16 @@ func (o *ORAM) State() *State {
 	}
 }
 
-// Resume rebuilds a PathORAM handle from captured state, attaching to the
-// existing server-side tree (no creation, no re-initialization). The
+// Resume rebuilds a PathORAM handle from captured state, instrumented with reg
+// (nil: not instrumented) as Config.Metrics instruments a new one, attaching
+// to the existing server-side tree (no creation, no re-initialization). The
 // server's tree must be in exactly the state it had when State was captured;
-// the caller is responsible for that invariant (see core.Resume).
-func Resume(svc store.Service, cipher *crypto.Cipher, st *State) (*ORAM, error) {
+// the caller is responsible for that invariant (see core.ResumeEngine).
+func Resume(svc store.Service, cipher *crypto.Cipher, st *State, reg *telemetry.Registry) (*ORAM, error) {
 	if err := st.validate(); err != nil {
 		return nil, err
 	}
-	o, err := New(svc, cipher, st.Name, Config{Capacity: st.Capacity, KeyWidth: st.KeyWidth, ValueWidth: st.ValueWidth, Seed: st.Seed})
+	o, err := New(svc, cipher, st.Name, Config{Capacity: st.Capacity, KeyWidth: st.KeyWidth, ValueWidth: st.ValueWidth, Seed: st.Seed, Metrics: reg})
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func TestPathORAMStateResume(t *testing.T) {
 		t.Fatal("state shares slots or slab with the live handle")
 	}
 
-	r, err := Resume(svc, cipher, st)
+	r, err := Resume(svc, cipher, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestResumeStateValidation(t *testing.T) {
 		{"no stash", &State{Name: "x", Capacity: 4, Z: 4, KeyWidth: 1, ValueWidth: 1}},
 	}
 	for _, c := range cases {
-		if _, err := Resume(svc, cipher, c.st); err == nil {
+		if _, err := Resume(svc, cipher, c.st, nil); err == nil {
 			t.Errorf("%s: resume accepted", c.name)
 		}
 	}
@@ -160,7 +160,7 @@ func TestSetupRefusesWhatResumeRefuses(t *testing.T) {
 			t.Errorf("%s: Setup accepted", c.name)
 		}
 		st := &State{Name: "x", Capacity: c.capacity, Z: 4, KeyWidth: c.keyWidth, ValueWidth: c.valueWidth, StashLimit: 10}
-		if _, err := Resume(store.NewServer(), cipher, st); err == nil {
+		if _, err := Resume(store.NewServer(), cipher, st, nil); err == nil {
 			t.Errorf("%s: Resume accepted", c.name)
 		}
 	}
@@ -189,7 +189,7 @@ func TestVersionWrapRefused(t *testing.T) {
 	}
 	st := o.State()
 	st.Accesses = math.MaxUint32 - 1
-	r, err := Resume(srv, cipher, st)
+	r, err := Resume(srv, cipher, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 			Values: []byte{1, 2, 0, 0},
 		}
 	}
-	if _, err := Resume(svc, cipher, base()); err != nil {
+	if _, err := Resume(svc, cipher, base(), nil); err != nil {
 		t.Fatalf("well-formed state refused: %v", err)
 	}
 	cases := []struct {
@@ -311,7 +311,7 @@ func TestResumeRefusesStateSlotsCannotHold(t *testing.T) {
 	for _, c := range cases {
 		st := base()
 		c.spoil(st)
-		_, err := Resume(svc, cipher, st)
+		_, err := Resume(svc, cipher, st, nil)
 		switch {
 		case err == nil:
 			t.Errorf("%s: resume accepted", c.name)
@@ -418,7 +418,7 @@ func TestClientStateMatchesMapEra(t *testing.T) {
 					t.Fatalf("step %d: %d live keys, oracle %d", step, len(st.Slots), len(oracle))
 				}
 				if step%250 == 249 {
-					r, err := Resume(svc, cipher, st)
+					r, err := Resume(svc, cipher, st, nil)
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}

@@ -54,7 +54,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -105,14 +104,6 @@ func checkShape(name string, capacity, keyWidth, valueWidth int) error {
 	return nil
 }
 
-// treeAD returns the associated-data prefix shared by every bucket of a tree,
-// "oram:<name>:", with room behind it for a bucket index. bucketAD completes
-// it; a handle builds it once.
-func treeAD(name string) []byte {
-	ad := make([]byte, 0, len("oram:")+len(name)+len(":")+10)
-	return append(append(append(ad, "oram:"...), name...), ':')
-}
-
 // Config parameterizes Setup.
 type Config struct {
 	// Capacity is the maximum number of live key-value pairs (the paper's
@@ -158,12 +149,11 @@ type ORAM struct {
 	values  []byte
 	pl      placer
 
-	// ad is "oram:<name>:" followed by the heap index of the bucket being
-	// sealed or opened (bucketAD rewrites the tail in place): a bucket
-	// authenticates only at its own place in its own tree, so it can be
-	// transplanted neither between ORAMs sharing a key nor within one.
-	ad       []byte
-	adPrefix int
+	// ad binds a bucket to its heap index in this tree (root = 0), as
+	// "oram:<name>:<b>": a bucket authenticates only at its own place in its
+	// own tree, so it can be transplanted neither between ORAMs sharing a key
+	// nor within one.
+	ad crypto.Place
 
 	maxStash int
 	accesses int64
@@ -215,18 +205,6 @@ type ORAM struct {
 	integrityFailures *telemetry.Counter
 }
 
-// SetTelemetry attaches (or, with nil, detaches) a telemetry registry.
-// core.ResumeEngine uses it to instrument the handles it rebuilds from a
-// checkpoint.
-func (o *ORAM) SetTelemetry(reg *telemetry.Registry) {
-	o.pathReads = reg.Counter("oblivfd_oram_path_reads_total")
-	o.pathWrites = reg.Counter("oblivfd_oram_path_writes_total")
-	o.accessCtr = reg.Counter("oblivfd_oram_accesses_total")
-	o.stashGauge = reg.Gauge("oblivfd_oram_stash_blocks")
-	o.prevStash = 0
-	o.integrityFailures = reg.Counter("oblivfd_integrity_failures_total")
-}
-
 // Setup creates an empty ORAM named name on the server (Definition 4's
 // Setup: client state out, encrypted memory to S): New, then SetupAll for the
 // one tree.
@@ -258,15 +236,17 @@ func New(svc store.Service, cipher *crypto.Cipher, name string, cfg Config) (*OR
 		valueWidth: cfg.ValueWidth,
 		index:      make(map[string]int32),
 		blockSize:  blockHeader + cfg.KeyWidth + cfg.ValueWidth,
-		ad:         treeAD(name),
+		ad:         crypto.NewPlace("oram:" + name + ":"),
 		pl:         newPlacer(cfg.Capacity, cfg.Seed),
+
+		pathReads:         cfg.Metrics.Counter("oblivfd_oram_path_reads_total"),
+		pathWrites:        cfg.Metrics.Counter("oblivfd_oram_path_writes_total"),
+		accessCtr:         cfg.Metrics.Counter("oblivfd_oram_accesses_total"),
+		stashGauge:        cfg.Metrics.Gauge("oblivfd_oram_stash_blocks"),
+		integrityFailures: cfg.Metrics.Counter("oblivfd_integrity_failures_total"),
 	}
-	o.adPrefix = len(o.ad)
 	o.openBuf = make([]byte, 0, o.pl.z*o.blockSize)
 	o.sealBuf = make([]byte, o.pl.z*o.blockSize)
-	if cfg.Metrics != nil {
-		o.SetTelemetry(cfg.Metrics)
-	}
 	return o, nil
 }
 
@@ -310,19 +290,11 @@ func (o *ORAM) drop(i int32) {
 	o.values = o.values[:int(last)*o.valueWidth]
 }
 
-// bucketAD binds a ciphertext to one bucket of this tree, named by its index
-// in the server's heap layout (root = 0). The result is valid until the next
-// call.
-func (o *ORAM) bucketAD(bucket int) []byte {
-	o.ad = strconv.AppendInt(o.ad[:o.adPrefix], int64(bucket), 10)
-	return o.ad
-}
-
 // sealBucket seals the staged bucket plaintext for the given place in the
 // tree. The ciphertext is an allocation of its own (see the scratch comment
 // on ORAM).
 func (o *ORAM) sealBucket(bucket int) ([]byte, error) {
-	return o.cipher.Seal(o.sealBuf, o.bucketAD(bucket))
+	return o.cipher.Seal(o.sealBuf, o.ad.At(int64(bucket)))
 }
 
 // setupFrameBytes bounds the ciphertext bytes one set-up batch carries, so
@@ -654,7 +626,7 @@ func (o *ORAM) absorbBucket(ct []byte, j int, repeat bool) error {
 		// dropped a ciphertext.
 		return o.integrityErr(fmt.Sprintf("bucket %d is empty", o.idx[j]), nil)
 	}
-	pt, err := o.cipher.OpenTo(o.openBuf[:0], ct, o.bucketAD(int(o.idx[j])))
+	pt, err := o.cipher.OpenTo(o.openBuf[:0], ct, o.ad.At(o.idx[j]))
 	if err != nil {
 		return o.integrityErr(fmt.Sprintf("bucket %d failed authentication", o.idx[j]), err)
 	}
