@@ -56,6 +56,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"runtime"
@@ -184,13 +185,16 @@ func runResume(o options) error {
 	if err != nil {
 		return err
 	}
-	reg := o.newRegistry()
-	tr := o.newTracer()
-	db, srv, err := securefd.ResumeFromDir(o.dataDir, o.resume, securefd.DurableOptions{Trace: tr}, reg, tr)
+	reg, tr := o.newRegistry(), o.newTracer()
+	st, err := o.openStorage(cp, reg, tr, log)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
+	defer st.close()
+	db, err := securefd.Resume(st.svc, o.resume, reg, tr)
+	if err != nil {
+		return err
+	}
 	if !o.quiet {
 		log.Info("resumed from checkpoint", "path", o.resume, "epoch", cp.Epoch,
 			"completed_levels", cp.Epoch, "data_dir", o.dataDir)
@@ -204,33 +208,7 @@ func runResume(o options) error {
 	if err != nil {
 		return err
 	}
-	printReport(db, report, o, start, log)
-	if err := reportTelemetry(o, reg, tr, time.Since(start), log); err != nil {
-		return err
-	}
-	if err := writeTrace(o, tr, nil, log); err != nil {
-		return err
-	}
-	if err := srv.Snapshot(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// printReport prints the discovered FDs and, unless -quiet, the run summary.
-func printReport(db *securefd.Database, report *securefd.Report, o options, start time.Time, log *slog.Logger) {
-	fds := report.Minimal
-	if o.aggregate {
-		fds = report.Aggregated
-	}
-	for _, fd := range fds {
-		fmt.Println(fd.Format(db.Schema()))
-	}
-	if !o.quiet {
-		log.Info("discovery complete", "minimal_fds", len(report.Minimal),
-			"elapsed", time.Since(start).Round(time.Millisecond).String(),
-			"partitions", report.SetsMaterialized, "checks", report.Checks)
-	}
+	return o.finish(st, db, report, start, reg, tr, log)
 }
 
 // reportTelemetry prints the tracer's phase table and the registry's
@@ -319,20 +297,6 @@ func writeTrace(o options, tr *securefd.Tracer, dump func(string) ([]securefd.Sp
 }
 
 func run(path string, o options) error {
-	switch {
-	case !(o.faultRate >= 0 && o.faultRate <= 1):
-		return fmt.Errorf("-fault-rate must be between 0 and 1, got %v", o.faultRate)
-	case !(o.corruptRate >= 0 && o.corruptRate <= 1):
-		return fmt.Errorf("-corrupt-rate must be between 0 and 1, got %v", o.corruptRate)
-	case o.workers < 0:
-		return fmt.Errorf("-workers must be at least 0 (0 = one per core), got %d", o.workers)
-	case o.retries < 0:
-		return fmt.Errorf("-retries must be at least 0 (0 = default policy), got %d", o.retries)
-	case o.rtt < 0:
-		return fmt.Errorf("-rtt must be at least 0, got %v", o.rtt)
-	case o.maxLHS < 0:
-		return fmt.Errorf("-max-lhs must be at least 0 (0 = unbounded), got %d", o.maxLHS)
-	}
 	if o.workers == 0 {
 		o.workers = runtime.GOMAXPROCS(0) // one per core: the pool's connections and the engine's workers alike
 	}
@@ -349,89 +313,13 @@ func run(path string, o options) error {
 		log.Info("loaded csv", "path", path, "rows", rel.NumRows(), "attrs", rel.NumAttrs())
 	}
 
-	reg := o.newRegistry()
-	tr := o.newTracer()
-	// dumpTrace, when remote, fetches the servers' span rings so the
-	// artifact holds both halves of every trace.
-	var dumpTrace func(string) ([]securefd.SpanRecord, error)
-	var svc securefd.Service
-	var durable *securefd.DurableServer
-	cfg := securefd.DefaultClientConfig() // for the two remote arms
-	cfg.Metrics = reg
-	cfg.Database = o.db
-	cfg.Token = o.token
-	cfg.Trace = tr
-	switch {
-	case o.servers != "":
-		if o.connect != "" {
-			return fmt.Errorf("-connect and -servers are mutually exclusive")
-		}
-		if o.dataDir != "" {
-			return fmt.Errorf("-servers and -data-dir are mutually exclusive (the remote fdservers own their storage)")
-		}
-		addrs := splitAddrs(o.servers)
-		if len(addrs) == 0 {
-			return fmt.Errorf("-servers: no addresses given")
-		}
-		fo, err := securefd.DialTCPFailover(addrs, o.workers, cfg)
-		if err != nil {
-			return fmt.Errorf("connecting to %v: %w", addrs, err)
-		}
-		defer fo.Close()
-		if !o.quiet {
-			addr, fence := fo.Primary()
-			log.Info("connected to replicated servers", "primary", addr,
-				"fence", fence, "servers", len(addrs), "connections", o.workers)
-		}
-		svc = fo
-		dumpTrace = fo.TraceDump
-	case o.connect != "":
-		if o.dataDir != "" {
-			return fmt.Errorf("-connect and -data-dir are mutually exclusive (the remote fdserver owns its storage)")
-		}
-		pool, err := securefd.DialTCPPool(o.connect, o.workers, cfg)
-		if err != nil {
-			return fmt.Errorf("connecting to %s: %w", o.connect, err)
-		}
-		defer pool.Close()
-		if !o.quiet {
-			log.Info("connected to remote server", "addr", o.connect, "connections", o.workers)
-		}
-		svc = pool
-		dumpTrace = pool.TraceDump
-	case o.dataDir != "":
-		durable, err = securefd.OpenDir(o.dataDir, securefd.DurableOptions{Trace: tr})
-		if err != nil {
-			return err
-		}
-		defer durable.Close()
-		svc = durable
-	default:
-		svc = securefd.NewServer()
+	reg, tr := o.newRegistry(), o.newTracer()
+	st, err := o.openStorage(nil, reg, tr, log)
+	if err != nil {
+		return err
 	}
-	if o.rtt > 0 {
-		svc = securefd.WithLatency(svc, o.rtt)
-	}
-	var faulty *securefd.FaultService
-	if o.faultRate > 0 || o.corruptRate > 0 {
-		faulty = securefd.WithFaults(svc, securefd.FaultConfig{
-			Seed:        o.faultSeed,
-			ErrorRate:   o.faultRate,
-			CorruptRate: o.corruptRate,
-			Metrics:     reg,
-		})
-		svc = faulty
-	}
-	var retried *securefd.RetryService
-	if o.connect != "" || o.servers != "" || o.faultRate > 0 || o.retries > 0 {
-		retried = securefd.WithRetry(svc, securefd.RetryPolicy{MaxAttempts: o.retries, Metrics: reg})
-		svc = retried
-	}
-	// Client-side per-op latency histograms: with -connect they measure
-	// the full round trip the protocol actually waits on.
-	svc = securefd.WithTelemetry(svc, reg)
-
-	db, err := securefd.Outsource(svc, rel, securefd.Options{
+	defer st.close()
+	db, err := securefd.Outsource(st.svc, rel, securefd.Options{
 		Protocol:  protocol,
 		Workers:   o.workers,
 		MaxLHS:    o.maxLHS,
@@ -453,26 +341,150 @@ func run(path string, o options) error {
 	if err != nil {
 		return err
 	}
-	printReport(db, report, o, start, log)
+	return o.finish(st, db, report, start, reg, tr, log)
+}
+
+// storage is the service stack a run talks to.
+type storage struct {
+	svc       securefd.Service
+	durable   *securefd.DurableServer                     // -data-dir: snapshotted when the run ends
+	dumpTrace func(string) ([]securefd.SpanRecord, error) // remote: the servers' span rings, for the artifact
+	tolerant  bool                                        // faults injected or calls retried: the run logs their counts
+	conn      io.Closer                                   // the durable server or the connections, if any
+}
+
+func (st *storage) close() {
+	if st.conn != nil {
+		st.conn.Close()
+	}
+}
+
+// openStorage refuses an out-of-range flag by name, never clamping it, and
+// builds the service stack: the server — in-process, durable under -data-dir
+// (rolled back to cp's epoch when resuming cp), or remote under -connect or
+// -servers — then -rtt, -fault-rate and -corrupt-rate, the retry layer and
+// client telemetry. A fresh run and a resumed one build it here alike.
+func (o options) openStorage(cp *securefd.Checkpoint, reg *securefd.Registry, tr *securefd.Tracer, log *slog.Logger) (*storage, error) {
+	switch {
+	case !(o.faultRate >= 0 && o.faultRate <= 1):
+		return nil, fmt.Errorf("-fault-rate must be between 0 and 1, got %v", o.faultRate)
+	case !(o.corruptRate >= 0 && o.corruptRate <= 1):
+		return nil, fmt.Errorf("-corrupt-rate must be between 0 and 1, got %v", o.corruptRate)
+	case o.workers < 0:
+		return nil, fmt.Errorf("-workers must be at least 0 (0 = one per core), got %d", o.workers)
+	case o.retries < 0:
+		return nil, fmt.Errorf("-retries must be at least 0 (0 = default policy), got %d", o.retries)
+	case o.rtt < 0:
+		return nil, fmt.Errorf("-rtt must be at least 0, got %v", o.rtt)
+	case o.maxLHS < 0:
+		return nil, fmt.Errorf("-max-lhs must be at least 0 (0 = unbounded), got %d", o.maxLHS)
+	}
+	st := &storage{}
+	cfg := securefd.DefaultClientConfig() // for the two remote arms
+	cfg.Metrics = reg
+	cfg.Database = o.db
+	cfg.Token = o.token
+	cfg.Trace = tr
+	switch {
+	case o.servers != "":
+		if o.connect != "" {
+			return nil, fmt.Errorf("-connect and -servers are mutually exclusive")
+		}
+		if o.dataDir != "" {
+			return nil, fmt.Errorf("-servers and -data-dir are mutually exclusive (the remote fdservers own their storage)")
+		}
+		addrs := splitAddrs(o.servers)
+		if len(addrs) == 0 {
+			return nil, fmt.Errorf("-servers: no addresses given")
+		}
+		fo, err := securefd.DialTCPFailover(addrs, o.workers, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("connecting to %v: %w", addrs, err)
+		}
+		if !o.quiet {
+			addr, fence := fo.Primary()
+			log.Info("connected to replicated servers", "primary", addr,
+				"fence", fence, "servers", len(addrs), "connections", o.workers)
+		}
+		st.svc, st.dumpTrace, st.conn = fo, fo.TraceDump, fo
+	case o.connect != "":
+		if o.dataDir != "" {
+			return nil, fmt.Errorf("-connect and -data-dir are mutually exclusive (the remote fdserver owns its storage)")
+		}
+		pool, err := securefd.DialTCPPool(o.connect, o.workers, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("connecting to %s: %w", o.connect, err)
+		}
+		if !o.quiet {
+			log.Info("connected to remote server", "addr", o.connect, "connections", o.workers)
+		}
+		st.svc, st.dumpTrace, st.conn = pool, pool.TraceDump, pool
+	case o.dataDir != "":
+		var err error
+		if cp != nil {
+			st.durable, err = securefd.OpenDirAtEpoch(o.dataDir, cp.Epoch, securefd.DurableOptions{Trace: tr})
+		} else {
+			st.durable, err = securefd.OpenDir(o.dataDir, securefd.DurableOptions{Trace: tr})
+		}
+		if err != nil {
+			return nil, err
+		}
+		st.svc, st.conn = st.durable, st.durable
+	default:
+		st.svc = securefd.NewServer()
+	}
+	if o.rtt > 0 {
+		st.svc = securefd.WithLatency(st.svc, o.rtt)
+	}
+	if o.faultRate > 0 || o.corruptRate > 0 {
+		st.svc = securefd.WithFaults(st.svc, securefd.FaultConfig{
+			Seed:        o.faultSeed,
+			ErrorRate:   o.faultRate,
+			CorruptRate: o.corruptRate,
+			Metrics:     reg,
+		})
+		st.tolerant = true
+	}
+	if o.connect != "" || o.servers != "" || o.faultRate > 0 || o.retries > 0 {
+		st.svc = securefd.WithRetry(st.svc, securefd.RetryPolicy{MaxAttempts: o.retries, Metrics: reg})
+		st.tolerant = true
+	}
+	// Client-side per-op latency histograms: with -connect they measure
+	// the full round trip the protocol actually waits on.
+	st.svc = securefd.WithTelemetry(st.svc, reg)
+	return st, nil
+}
+
+// finish reports a completed discovery — the FDs and, unless -quiet, the
+// summary and fault counts; telemetry and the trace artifact — and snapshots
+// a durable server.
+func (o options) finish(st *storage, db *securefd.Database, report *securefd.Report, start time.Time, reg *securefd.Registry, tr *securefd.Tracer, log *slog.Logger) error {
+	fds := report.Minimal
+	if o.aggregate {
+		fds = report.Aggregated
+	}
+	for _, fd := range fds {
+		fmt.Println(fd.Format(db.Schema()))
+	}
 	if !o.quiet {
-		if faulty != nil || retried != nil {
-			st, err := svc.Stats()
-			if err == nil {
-				log.Info("fault tolerance", "faults_injected", st.FaultsInjected, "retries", st.Retries,
-					"reconnects", st.Reconnects)
-			}
+		log.Info("discovery complete", "minimal_fds", len(report.Minimal),
+			"elapsed", time.Since(start).Round(time.Millisecond).String(),
+			"partitions", report.SetsMaterialized, "checks", report.Checks)
+	}
+	if !o.quiet && st.tolerant {
+		if s, err := st.svc.Stats(); err == nil {
+			log.Info("fault tolerance", "faults_injected", s.FaultsInjected, "retries", s.Retries,
+				"reconnects", s.Reconnects)
 		}
 	}
 	if err := reportTelemetry(o, reg, tr, time.Since(start), log); err != nil {
 		return err
 	}
-	if err := writeTrace(o, tr, dumpTrace, log); err != nil {
+	if err := writeTrace(o, tr, st.dumpTrace, log); err != nil {
 		return err
 	}
-	if durable != nil {
-		if err := durable.Snapshot(); err != nil {
-			return err
-		}
+	if st.durable != nil {
+		return st.durable.Snapshot()
 	}
 	return nil
 }

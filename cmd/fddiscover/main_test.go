@@ -257,6 +257,42 @@ func TestRunResumeWithTelemetry(t *testing.T) {
 	}
 }
 
+// TestRunResumeAppliesServiceFlags: -resume builds a fresh run's service
+// stack, so -fault-rate injects faults the retry layer rides out — the
+// resumed run reports them and still prints the plaintext FD set — and an
+// out-of-range rate is refused by name, as a fresh run refuses it.
+func TestRunResumeAppliesServiceFlags(t *testing.T) {
+	path, want := rndWithReference(t)
+	o := quietOpts("or-oram")
+	o.dataDir, o.ckptPath = t.TempDir(), filepath.Join(t.TempDir(), "run.ckpt")
+	if _, err := captureStdout(t, func() error { return run(path, o) }); err != nil {
+		t.Fatal(err)
+	}
+	r := quietOpts("")
+	r.dataDir, r.resume, r.telemetry = o.dataDir, o.ckptPath, true
+	r.faultRate = 2
+	if err := runResume(r); err == nil || !strings.Contains(err.Error(), "-fault-rate must be") {
+		t.Errorf("-resume -fault-rate 2 = %v, want the fresh run's refusal", err)
+	}
+	r.faultRate, r.faultSeed = 0.05, 3
+	out, err := captureStdout(t, func() error { return runResume(r) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, want) {
+		t.Errorf("resumed run printed\n%s\nwant the plaintext FD set\n%s", out, want)
+	}
+	var faults int64
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "oblivfd_faults_injected_total" {
+			faults, _ = strconv.ParseInt(f[1], 10, 64)
+		}
+	}
+	if faults == 0 {
+		t.Errorf("-resume -fault-rate 0.05 injected no faults:\n%s", out)
+	}
+}
+
 // captureStdout runs fn and returns what it printed to stdout (the FD lines).
 func captureStdout(t *testing.T, fn func() error) (string, error) {
 	t.Helper()

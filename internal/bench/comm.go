@@ -70,7 +70,7 @@ func Comm(sizes []int, seed int64) (*CommResult, error) {
 					if c.unions == 0 {
 						_, err = s.timeSingle(0)
 					} else {
-						_, err = s.eng.Materialize(level[:c.unions], 1)
+						_, err = s.eng.Materialize(level[:c.unions])
 					}
 				}
 				if err != nil {

@@ -243,7 +243,7 @@ func fig7Run(engines []fig7Engine, rel *relation.Relation) error {
 			return err
 		}
 		e.eng = s.eng.(core.DynamicEngine)
-		if _, err := e.eng.Materialize(keep, 1); err != nil {
+		if _, err := e.eng.Materialize(keep); err != nil {
 			return err
 		}
 	}

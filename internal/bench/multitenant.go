@@ -149,12 +149,12 @@ func multiTenantClient(addr, db string, n, m int, seed int64) error {
 		Seed:           seed,
 	})
 	rel := dataset.RND(m, n, seed)
-	s, err := newSetupOn(svc, rel, core.ProtocolSort, 1, 0)
+	s, err := newSetupOn(svc, rel, core.ProtocolSort, 2, 0)
 	if err != nil {
 		return err
 	}
 	defer s.close()
-	_, err = core.Discover(s.eng, m, &core.Options{Workers: 2, MaxLHS: 2})
+	_, err = core.Discover(s.eng, m, &core.Options{MaxLHS: 2})
 	return err
 }
 

@@ -103,7 +103,7 @@ func BenchmarkEngineStepLoopback(b *testing.B) {
 	rel := fixedWidthRel(2, n, 7, 64)
 	overLoopback(b, rel, func(r *loopbackRig) {
 		a0, a1 := relation.SingleAttr(0), relation.SingleAttr(1)
-		if _, err := r.eng.Materialize([]Request{Single(0), Single(1), Union(a0, a1)}, 1); err != nil {
+		if _, err := r.eng.Materialize([]Request{Single(0), Single(1), Union(a0, a1)}); err != nil {
 			b.Fatal(err)
 		}
 		single, union := r.levelOf(a0), r.levelOf(a0.Union(a1))
@@ -146,7 +146,7 @@ func BenchmarkEngineLevelLoopback(b *testing.B) {
 				reqs, pairs = append(reqs, u), append(pairs, u.Set)
 			}
 		}
-		if _, err := r.eng.Materialize(reqs, 1); err != nil {
+		if _, err := r.eng.Materialize(reqs); err != nil {
 			b.Fatal(err)
 		}
 		for _, w := range []int{1, 3, 6} {

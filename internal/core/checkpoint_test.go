@@ -255,10 +255,22 @@ func TestDiscoverResumeMatchesFullRun(t *testing.T) {
 // engine resumed from it on the same server.
 func crashAfterLevel1(t *testing.T, rel *relation.Relation, o Options) (*Checkpoint, Engine) {
 	t.Helper()
+	cp, eng, _ := crashBefore(t, rel, o, 1)
+	return cp, eng
+}
+
+// crashBefore runs an Or-ORAM discovery of rel with opts until its checkpoint
+// before level next, and returns the checkpoint, a fresh engine resumed from
+// it and the server both share.
+func crashBefore(t *testing.T, rel *relation.Relation, o Options, next int) (*Checkpoint, Engine, *store.Server) {
+	t.Helper()
 	svc := store.NewServer()
 	eng, edb := openFor[*OrEngine](t, svc, ProtocolORAM, rel, opts{})
 	var cp *Checkpoint
 	o.Checkpoint = func(ls *LatticeState) error {
+		if ls.NextLevel < next {
+			return nil
+		}
 		epoch := int64(ls.NextLevel)
 		if err := svc.Checkpoint(epoch); err != nil {
 			return err
@@ -269,14 +281,34 @@ func crashAfterLevel1(t *testing.T, rel *relation.Relation, o Options) (*Checkpo
 	if _, err := Discover(eng, rel.NumAttrs(), &o); !errors.Is(err, errSimulatedCrash) {
 		t.Fatalf("Discover err = %v, want simulated crash", err)
 	}
-	if cp.Lattice.NextLevel != 1 {
-		t.Fatalf("first checkpoint at level %d, want 1", cp.Lattice.NextLevel)
+	if cp.Lattice.NextLevel != next {
+		t.Fatalf("checkpoint at level %d, want %d", cp.Lattice.NextLevel, next)
 	}
 	eng2, _, _, err := ResumeEngine(svc, cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cp, eng2
+	return cp, eng2, svc
+}
+
+// TestResumeWithoutKeepingReleasesTheRest: a keep-on checkpoint holds every
+// set its run built, not only its level. Resumed without keeping, the run
+// releases the rest before its first check, and when Discover returns the
+// server holds the database's column arrays alone.
+func TestResumeWithoutKeepingReleasesTheRest(t *testing.T) {
+	rel := ckptRelation(t)
+	cp, eng, svc := crashBefore(t, rel, Options{KeepPartitions: true}, 3)
+	cp.Lattice.KeepPartitions = false
+	got, err := Discover(eng, rel.NumAttrs(), &Options{Resume: cp.Lattice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := baseline.MinimalFDs(rel); !relation.FDSetEqual(got.Minimal, want) {
+		t.Errorf("resumed FDs = %v, want %v", got.Minimal, want)
+	}
+	if st, _ := svc.Stats(); st.Objects != rel.NumAttrs() {
+		t.Errorf("after the resumed Discover the server holds %d objects, want the %d column arrays", st.Objects, rel.NumAttrs())
+	}
 }
 
 // TestResumeLeavesOptionsAlone: a resumed run takes MaxLHS and KeepPartitions

@@ -340,7 +340,7 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 				return op.Kind == store.KindBatch && !op.Ops[0].Write && treeOp(&op.Ops[0])
 			})
 			eng, edb := openFor[inserter](t, svc, p, rel, opts{headroom: 4})
-			if _, err := eng.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
+			if _, err := eng.Materialize([]Request{Single(0), Single(1)}); err != nil {
 				t.Fatal(err)
 			}
 			svc.arm(1)
@@ -659,7 +659,7 @@ func TestMutationRoundsClosedForm(t *testing.T) {
 				defer eng.Close()
 				var widths []int
 				for _, reqs := range allLevels(m) {
-					if _, err := eng.Materialize(reqs, 1); err != nil {
+					if _, err := eng.Materialize(reqs); err != nil {
 						t.Fatal(err)
 					}
 					widths = append(widths, len(reqs))
@@ -725,7 +725,7 @@ func TestMutationFramingDataIndependent(t *testing.T) {
 		eng, _ := openFor[inserter](t, log, p, rel, opts{headroom: 1})
 		defer eng.Close()
 		for _, reqs := range allLevels(3) {
-			if _, err := eng.Materialize(reqs, 1); err != nil {
+			if _, err := eng.Materialize(reqs); err != nil {
 				t.Fatal(err)
 			}
 		}

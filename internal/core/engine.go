@@ -21,12 +21,12 @@ type Engine interface {
 	NumRows() int
 	// Materialize answers the requests in order with |π_Set| of each,
 	// building the partitions that are not cached (Algorithms 1–4). The sort
-	// engine builds at most workers of them at a time, one by one in request
-	// order with workers ≤ 1; the ORAM engines build the sets of one lattice
-	// level together, a group at a time, whatever workers is; the others
-	// build one set at a time. A request's covers must be materialized,
-	// before the call or by an earlier request of it.
-	Materialize(reqs []Request, workers int) ([]int, error)
+	// engine builds as many at a time as the workers it was opened with, one
+	// by one in request order with one; the ORAM engines build the sets of
+	// one lattice level together, a group at a time; the others build one set
+	// at a time. A request's covers must be materialized, before the call or
+	// by an earlier request of it.
+	Materialize(reqs []Request) ([]int, error)
 	// Cardinality returns the cached |π_x| of a materialized set.
 	Cardinality(x relation.AttrSet) (int, bool)
 	// Release frees the server-side state backing π_x.
@@ -64,7 +64,7 @@ func CardinalityUnion(e Engine, x1, x2 relation.AttrSet) (int, error) {
 }
 
 func materializeOne(e Engine, r Request) (int, error) {
-	cards, err := e.Materialize([]Request{r}, 1)
+	cards, err := e.Materialize([]Request{r})
 	if err != nil {
 		return 0, err
 	}

@@ -176,14 +176,14 @@ func TestEngineContract(t *testing.T) {
 			eng, _ := openFor[Engine](t, srv, p, rel, opts{})
 			base, _ := srv.Stats()
 			reqs := []Request{Single(0), Single(1), Union(a, b)}
-			first, err := eng.Materialize(reqs, 1)
+			first, err := eng.Materialize(reqs)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			srv.Trace().Reset()
 			srv.Trace().Enable()
-			again, err := eng.Materialize(reqs, 1)
+			again, err := eng.Materialize(reqs)
 			if err != nil || !reflect.DeepEqual(again, first) {
 				t.Errorf("cached sets requested again = %v, %v; want %v", again, err, first)
 			}
@@ -199,7 +199,7 @@ func TestEngineContract(t *testing.T) {
 				"pair without cover": {Set: ab},
 				"empty set":          {},
 			} {
-				if _, err := eng.Materialize([]Request{r}, 1); !errors.Is(err, ErrBadUnion) {
+				if _, err := eng.Materialize([]Request{r}); !errors.Is(err, ErrBadUnion) {
 					t.Errorf("%s: err = %v, want ErrBadUnion", what, err)
 				}
 			}

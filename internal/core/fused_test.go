@@ -39,7 +39,7 @@ type requestLog struct {
 	groups []fill
 }
 
-func (l *requestLog) Materialize(reqs []Request, workers int) ([]int, error) {
+func (l *requestLog) Materialize(reqs []Request) ([]int, error) {
 	var covers map[relation.AttrSet]bool
 	for _, r := range reqs {
 		if l.seen[r.Set] {
@@ -58,7 +58,7 @@ func (l *requestLog) Materialize(reqs []Request, workers int) ([]int, error) {
 			}
 		}
 	}
-	return l.Engine.Materialize(reqs, workers)
+	return l.Engine.Materialize(reqs)
 }
 
 // runFused uploads rel through wrap(server), discovers with the given ORAM
@@ -88,7 +88,7 @@ func runFused(t *testing.T, p Protocol, rel *relation.Relation, wrap func(store.
 	base := rc.Rounds()
 	run.setupBatches, run.pathBatches, run.extraOps = 0, 0, 0 // the upload's column batches are not the engine's
 	log := &requestLog{Engine: eng, seen: make(map[relation.AttrSet]bool)}
-	res, err := Discover(log, rel.NumAttrs(), &Options{Workers: 1, KeepPartitions: true})
+	res, err := Discover(log, rel.NumAttrs(), &Options{KeepPartitions: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,10 @@ func describeSet(err error, where string) error {
 
 // Options configures Discover.
 type Options struct {
-	// KeepPartitions retains every materialized partition on the server
-	// instead of releasing levels as the search ascends. Required when the
-	// engine will be used dynamically (insert/delete) afterwards.
+	// KeepPartitions retains every materialized partition on the server;
+	// without it each set is released once the level above it is built, and
+	// nothing Discover built outlives it (a later Validate builds and releases
+	// its own chain). Required for dynamic use (insert/delete) afterwards.
 	KeepPartitions bool
 	// MaxLHS bounds the size of left-hand sides searched; 0 means no
 	// bound (search the full lattice).
@@ -60,7 +61,7 @@ type Options struct {
 	// nothing makes no call.
 	Reveal func(decisions []Decision)
 	// Checkpoint, if non-nil, is invoked at every lattice level boundary
-	// (after the level's partitions are materialized and obsolete ones
+	// (after the level's partitions are materialized and the level below
 	// released) with the traversal's parameters and cardinalities so far, a
 	// state the run no longer touches. The callback typically captures the
 	// engine state alongside, marks the recovery epoch on the server, and
@@ -72,9 +73,10 @@ type Options struct {
 	// frontier, replayed from the state's cardinalities, instead of starting
 	// at level 1. The engine must hold the frontier's partitions
 	// (core.ResumeEngine rebuilds it) at those cardinalities, or the state is
-	// refused as ErrCorruptCheckpoint. MaxLHS and KeepPartitions are taken
-	// from the state, not from this Options value, so the resumed run cannot
-	// diverge from the original; the caller's Options is not modified.
+	// refused as ErrCorruptCheckpoint; keeping nothing, it releases the other
+	// sets it holds. MaxLHS and KeepPartitions are taken from the state, not
+	// from this Options value, so the resumed run cannot diverge from the
+	// original; the caller's Options is not modified.
 	Resume *LatticeState
 	// Trace, if non-nil, records causal spans for the traversal: one root
 	// "discover" span, a child "lattice/level-NN" per level, and under it
@@ -90,15 +92,6 @@ type Options struct {
 	// time over server-visible work — no oblivious accesses of their own and
 	// no change to any frame's size (DESIGN.md §9, §14).
 	Trace *otrace.Tracer
-	// Workers is passed to the engine with every level: the sort engine
-	// builds up to that many of the level's partitions concurrently, which
-	// changes only the interleaving of accesses across arrays, never any
-	// single array's sequence — see DESIGN.md §11. The ORAM engines take a
-	// level at a time on one goroutine and show the server the same ordered
-	// trace whatever it is; plain, deterministic and enclave build a set at a
-	// time. The zero value, like 1, is serial (as in securefd.Options): a
-	// caller that wants one worker per core asks for runtime.GOMAXPROCS(0).
-	Workers int
 }
 
 // Decision is one set-level decision: a candidate FD and whether it holds.
@@ -123,8 +116,9 @@ type Result struct {
 }
 
 // Discover runs secure FD discovery over an engine covering m attributes.
-// The engine's partitions are materialized level by level; unless
-// opts.KeepPartitions is set, levels are released once no longer needed.
+// The engine is handed the plan's requests and releases and nothing else:
+// partitions are materialized level by level and, unless
+// opts.KeepPartitions is set, each set is released once no request needs it.
 func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -162,7 +156,6 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		dsp.End()
 	}()
 
-	workers := max(opts.Workers, 1)
 	release := func(sets []relation.AttrSet) error {
 		for _, x := range sets {
 			if err := engine.Release(x); err != nil {
@@ -176,7 +169,7 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 		lsp := otr.Start(fmt.Sprintf("lattice/level-%02d", l))
 		otr.SetCurrent(lsp.Context())
 		s := p.check()
-		if err := release(s.pruned); err != nil {
+		if err := release(s.before); err != nil {
 			return nil, err
 		}
 		if opts.Reveal != nil && len(s.decided) > 0 {
@@ -189,7 +182,7 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 			}
 			csp := otr.Start("candidate/" + kind)
 			otr.SetCurrent(csp.Context())
-			cards, err := engine.Materialize(s.reqs, workers)
+			cards, err := engine.Materialize(s.reqs)
 			otr.SetCurrent(lsp.Context())
 			csp.End()
 			if err != nil {
@@ -197,15 +190,15 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 			}
 			p.record(cards)
 		}
-		if err := release(s.stale); err != nil {
+		if err := release(s.after); err != nil {
 			return nil, err
 		}
 		otr.SetCurrent(dsp.Context())
 		lsp.End()
 
-		// Level boundary: partitions for the plan's level are materialized,
-		// obsolete ones released — the engine state matches the frontier
-		// exactly, so this is the one safe moment to checkpoint.
+		// Level boundary: the plan's level is materialized and, keeping
+		// nothing, the engine holds that level alone — its state matches the
+		// frontier exactly, so this is the one safe moment to checkpoint.
 		if opts.Checkpoint != nil && !p.done() {
 			if err := opts.Checkpoint(p.state()); err != nil {
 				return nil, fmt.Errorf("core: checkpoint before level %d: %w", p.nextLevel, err)
@@ -216,30 +209,29 @@ func Discover(engine Engine, m int, opts *Options) (*Result, error) {
 }
 
 // plan is the levelwise search with no engine: the traversal state, and the
-// decisions, drops and requests that follow from it and from the answers the
-// executor hands back. A checkpoint (state) keeps its parameters and answers.
+// decisions, releases and requests that follow from it and from the answers
+// the executor hands back. A checkpoint (state) keeps parameters and answers.
 type plan struct {
 	m, n, maxLHS int
 	keep         bool
-	// nextLevel is the level the next check decides, level its sets and prev
-	// the survivors of the level below, their covers. Before the singletons
-	// are requested nextLevel is 0 and both are empty.
+	// nextLevel is the level the next check decides and level its sets.
+	// Before the singletons are requested nextLevel is 0 and level empty.
 	nextLevel    int
-	level, prev  []relation.AttrSet
+	level, extra []relation.AttrSet // extra: held beyond level on resuming, released by the next check
 	cplus        map[relation.AttrSet]relation.AttrSet
 	cards        map[relation.AttrSet]int // every answer recorded
 	minimal      []relation.FD
 	sets, checks int
 }
 
-// levelStep is what one check asks of the executor, in order: release pruned,
+// levelStep is what one check asks of the executor, in order: release before,
 // reveal decided, materialize reqs and hand their cardinalities to record,
-// release stale.
+// release after.
 type levelStep struct {
 	decided []Decision
-	pruned  []relation.AttrSet // the checked level's nodes no later level needs
+	before  []relation.AttrSet // the checked level's sets no request reads
 	reqs    []Request          // the next level, each from its Property 1 cover
-	stale   []relation.AttrSet // the level below the checked one: no longer anyone's cover
+	after   []relation.AttrSet // the checked level's sets some request reads
 }
 
 func newPlan(m, n, maxLHS int, keep bool) *plan {
@@ -251,9 +243,10 @@ func newPlan(m, n, maxLHS int, keep bool) *plan {
 // resumePlan rebuilds the plan a checkpointed state was taken from, over n
 // records, by replay: every check up to the state's level, each request
 // answered from the state's cardinalities. cardOf reports the cardinality of
-// a set the engine holds. Every set the next check reads or releases — the
-// level, its parents and the previous level — must be held at its replayed
-// cardinality, or the resumed run would decide on numbers no partition backs.
+// a set the engine holds. Every set of the level, all the next requests read,
+// must be held at its replayed cardinality, or the resumed run would build on
+// numbers no partition backs. Any other set a keep-off state holds (it was
+// kept, or the level below) becomes extra.
 func resumePlan(ls *LatticeState, m, n int, cardOf func(relation.AttrSet) (int, bool)) (*plan, error) {
 	switch {
 	case ls.M != m:
@@ -283,17 +276,19 @@ func resumePlan(ls *LatticeState, m, n int, cardOf func(relation.AttrSet) (int, 
 		p.record(cards)
 	}
 
-	frontier := slices.Concat(p.prev, p.level)
 	for _, x := range p.level {
-		if x.Size() > 1 {
-			x.Subsets(func(sub relation.AttrSet) { frontier = append(frontier, sub) })
-		}
-	}
-	for _, x := range frontier {
 		if got, held := cardOf(x); !held || got != p.cards[x] {
 			return nil, fmt.Errorf("%w: frontier set %v: |π| is %d replayed, %d in the engine (held: %t)",
 				ErrCorruptCheckpoint, x, p.cards[x], got, held)
 		}
+	}
+	if !p.keep {
+		for x := range p.cards {
+			if _, held := cardOf(x); held && !slices.Contains(p.level, x) {
+				p.extra = append(p.extra, x)
+			}
+		}
+		slices.Sort(p.extra)
 	}
 	return p, nil
 }
@@ -316,7 +311,8 @@ func (p *plan) done() bool { return p.nextLevel > 0 && len(p.level) == 0 }
 // check decides level nextLevel, prunes it and generates the level above
 // (ComputeDependencies, Prune and GenerateNextLevel), then moves up to it:
 // the requested sets become the level, pending record. Once MaxLHS bounds the
-// search it requests nothing and the plan is done.
+// search it requests nothing and the plan is done. Keeping nothing, a set of
+// the checked level is released before the requests, or after if one reads it.
 func (p *plan) check() levelStep {
 	var s levelStep
 	universe := relation.FullSet(p.m)
@@ -366,16 +362,10 @@ func (p *plan) check() levelStep {
 		default:
 			kept = append(kept, x)
 			inLevel[x] = true
-			continue
-		}
-		if !p.keep {
-			s.pruned = append(s.pruned, x)
 		}
 	}
-
 	if p.maxLHS > 0 && p.nextLevel > p.maxLHS {
-		p.level = nil // LHS at the next level would exceed the bound
-		return s
+		kept = nil // LHS at the next level would exceed the bound
 	}
 
 	// GenerateNextLevel: from ∅, the singletons; above, TANE's prefix-bucket
@@ -418,12 +408,21 @@ func (p *plan) check() levelStep {
 			}
 		}
 	}
-	// Sets two levels down are no longer anyone's cover.
 	if !p.keep {
-		s.stale = p.prev
+		read := make(map[relation.AttrSet]bool, 2*len(s.reqs))
+		for _, r := range s.reqs {
+			read[r.Cover[0]], read[r.Cover[1]] = true, true
+		}
+		for _, x := range slices.Concat(p.extra, p.level) {
+			if read[x] {
+				s.after = append(s.after, x)
+			} else {
+				s.before = append(s.before, x)
+			}
+		}
 	}
 	p.nextLevel++
-	p.prev, p.level = kept, next
+	p.level, p.extra = next, nil
 	return s
 }
 

@@ -232,7 +232,7 @@ func TestLevelClosedForm(t *testing.T) {
 				t.Helper()
 				srv.Trace().Reset()
 				r0, reads0, writes0 := rounds.n, rounds.cellReads, rounds.cellWrites
-				if _, err := eng.Materialize(reqs, 4); err != nil {
+				if _, err := eng.Materialize(reqs); err != nil {
 					t.Fatal(err)
 				}
 				events = withoutDummies(srv.Trace().Events())
@@ -410,7 +410,7 @@ func TestLevelWiderThanGroup(t *testing.T) {
 		t.Fatalf("%d pairs do not make exactly two groups of at most %d", len(pairs), levelWidth)
 	}
 	oracle := oracle(rel)
-	if _, err := oracle.Materialize(append(allSingles(m), pairs...), 1); err != nil {
+	if _, err := oracle.Materialize(append(allSingles(m), pairs...)); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range rows(resumable) {
@@ -420,13 +420,13 @@ func TestLevelWiderThanGroup(t *testing.T) {
 			eng, _ := openFor[Engine](t, rounds, p, rel, opts{})
 			defer eng.Close()
 			core := oramOf(eng)
-			if _, err := eng.Materialize(allSingles(m), 1); err != nil {
+			if _, err := eng.Materialize(allSingles(m)); err != nil {
 				t.Fatal(err)
 			}
 			srv.Trace().Reset()
 			srv.Trace().Enable()
 			r0 := rounds.n
-			cards, err := eng.Materialize(pairs, 1)
+			cards, err := eng.Materialize(pairs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -514,7 +514,7 @@ func failedLevel(t *testing.T) {
 	rel := fixedWidthRel(m, n, 13, 3)
 	pairs := allPairs(m)
 	oracle := oracle(rel)
-	if _, err := oracle.Materialize(append(allSingles(m), pairs...), 1); err != nil {
+	if _, err := oracle.Materialize(append(allSingles(m), pairs...)); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range rows(resumable) {
@@ -533,14 +533,14 @@ func failedLevel(t *testing.T) {
 				}
 				srv := store.NewServer()
 				svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindBatch && treeOp(&op.Ops[0]) })
-				eng, edb := openFor[Engine](t, svc, p, rel, opts{})
+				eng, edb := openFor[Engine](t, svc, p, rel, opts{workers: workers})
 				base, _ := srv.Stats()
 				core := oramOf(eng)
-				if _, err := eng.Materialize(allSingles(m), workers); err != nil {
+				if _, err := eng.Materialize(allSingles(m)); err != nil {
 					t.Fatal(err)
 				}
 				svc.arm(lost)
-				if _, err := eng.Materialize(pairs, workers); !errors.Is(err, errInjected) {
+				if _, err := eng.Materialize(pairs); !errors.Is(err, errInjected) {
 					t.Fatalf("Materialize with round %d of the level lost: %v", lost, err)
 				}
 				for i, p := range pairs {
@@ -591,7 +591,7 @@ func failedLevel(t *testing.T) {
 				if end, _ := srv.Stats(); end.Objects != base.Objects || end.StoredBytes != base.StoredBytes {
 					t.Errorf("server holds %d objects / %d bytes after Close, %d / %d after upload", end.Objects, end.StoredBytes, base.Objects, base.StoredBytes)
 				}
-				cards, err := eng.Materialize(append(allSingles(m), pairs...), workers)
+				cards, err := eng.Materialize(append(allSingles(m), pairs...))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -618,7 +618,7 @@ func TestLabelCellsAreLocationBound(t *testing.T) {
 	eng, _ := openFor[*OrEngine](t, srv, ProtocolORAM, rel, opts{})
 	defer eng.Close()
 	a, b := relation.SingleAttr(0), relation.SingleAttr(1)
-	if _, err := eng.Materialize(allSingles(2), 1); err != nil {
+	if _, err := eng.Materialize(allSingles(2)); err != nil {
 		t.Fatal(err)
 	}
 	cell := func(name string, id int64) []byte {
@@ -680,11 +680,11 @@ func TestLevelErrorsSayWhere(t *testing.T) {
 			eng, _ := openFor[inserter](t, tamper, p, rel, opts{headroom: 1})
 			defer eng.Close()
 			core := oramOf(eng)
-			if _, err := eng.Materialize(allSingles(m), 1); err != nil {
+			if _, err := eng.Materialize(allSingles(m)); err != nil {
 				t.Fatal(err)
 			}
 			_, victim = treeNames(core.sets[relation.SingleAttr(1)])
-			_, err := eng.Materialize(allPairs(m), 1)
+			_, err := eng.Materialize(allPairs(m))
 			if want := "attribute set {1} as cover of level 2: core: O^" + core.layout.secondary + " read"; !errors.Is(err, store.ErrIntegrity) || !strings.Contains(err.Error(), want) {
 				t.Errorf("level over a tampered cover: %v; want an integrity failure saying %q", err, want)
 			}
@@ -751,11 +751,11 @@ func freshLabels(t *testing.T, p Protocol, cell func(i, col int) int, m, n int) 
 	defer eng.Close()
 	core := oramOf(eng)
 	for level, reqs := range [][]Request{allSingles(m), allPairs(m)} {
-		cards, err := eng.Materialize(reqs, 1)
+		cards, err := eng.Materialize(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracle.Materialize(reqs, 1)
+		want, err := oracle.Materialize(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,7 +73,7 @@ func traceOfPartitionRun(t *testing.T, p Protocol, rel *relation.Relation) trace
 	if _, err := CardinalityUnion(eng, a0, a1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Materialize([]Request{Union(a0, a2), Union(a1, a2)}, 1); err != nil {
+	if _, err := eng.Materialize([]Request{Union(a0, a2), Union(a1, a2)}); err != nil {
 		t.Fatal(err)
 	}
 	if ins, ok := eng.(inserter); ok {
@@ -229,14 +229,13 @@ func TestFullDiscoveryTraceEquality(t *testing.T) {
 
 	run := func(rel *relation.Relation, p Protocol, wrap func(store.Service) store.Service) trace.Shape {
 		srv := store.NewServer()
-		eng, _ := openFor[Engine](t, wrap(srv), p, rel, opts{})
+		// Pin the serial path: this test compares full (interleaved) trace
+		// shapes, which are only deterministic with one worker.
+		eng, _ := openFor[Engine](t, wrap(srv), p, rel, opts{workers: 1})
 		defer eng.Close()
 		srv.Trace().Reset()
 		srv.Trace().Enable()
 		_, err := Discover(eng, rel.NumAttrs(), &Options{
-			// Pin the serial path: this test compares full (interleaved)
-			// trace shapes, which are only deterministic with one worker.
-			Workers: 1,
 			Reveal: func(decisions []Decision) {
 				ops := make([]store.BatchOp, len(decisions))
 				for i, d := range decisions {
@@ -389,7 +388,7 @@ func TestInvocationFieldsFollowTheSchedule(t *testing.T) {
 		c := newSealCapture(store.NewServer())
 		eng, _ := openFor[Engine](t, c, p, rel, opts{headroom: 1})
 		defer eng.Close()
-		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1, KeepPartitions: dynamic}); err != nil {
+		if _, err := Discover(eng, rel.NumAttrs(), &Options{KeepPartitions: dynamic}); err != nil {
 			t.Fatal(err)
 		}
 		if dynamic {
@@ -670,7 +669,7 @@ func TestBatchFramingIgnoresDuplicates(t *testing.T) {
 		defer eng.Close()
 		log.rounds = log.rounds[:0]
 		for _, reqs := range [][]Request{allSingles(3), allPairs(3)} {
-			if _, err := eng.Materialize(reqs, 1); err != nil {
+			if _, err := eng.Materialize(reqs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -725,7 +724,7 @@ func TestFillFramingDataIndependent(t *testing.T) {
 		log := newRoundLog(store.NewServer())
 		eng, _ := openFor[Engine](t, log, p, rel, opts{})
 		defer eng.Close()
-		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1}); err != nil {
+		if _, err := Discover(eng, rel.NumAttrs(), nil); err != nil {
 			t.Fatal(err)
 		}
 		return log.rounds
@@ -790,7 +789,7 @@ func TestSetupFramingDataIndependent(t *testing.T) {
 		defer eng.Close()
 		r.capacity = edb.Capacity()
 		groups := &requestLog{Engine: eng, seen: make(map[relation.AttrSet]bool)}
-		res, err := Discover(groups, rel.NumAttrs(), &Options{Workers: 1, Reveal: func(decisions []Decision) {
+		res, err := Discover(groups, rel.NumAttrs(), &Options{Reveal: func(decisions []Decision) {
 			r.reveals = append(r.reveals, len(decisions))
 			ops := make([]store.BatchOp, len(decisions))
 			for i, d := range decisions {

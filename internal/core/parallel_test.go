@@ -137,15 +137,15 @@ type parallelRun struct {
 func discoverWithWorkers(t *testing.T, p Protocol, rel *relation.Relation, workers int) parallelRun {
 	t.Helper()
 	srv := store.NewServer()
-	// The sorting network stays serial, so each array's own access sequence
-	// is deterministic; the parallelism under test is the lattice-level batch
-	// scheduler.
-	eng, _ := openFor[Engine](t, srv, p, rel, opts{workers: 1})
+	// At this n a network stage is one chain, which one worker takes whole,
+	// so each array's own access sequence is deterministic; the parallelism
+	// under test is the lattice-level batch scheduler.
+	eng, _ := openFor[Engine](t, srv, p, rel, opts{workers: workers})
 	defer eng.Close()
 
 	srv.Trace().Reset()
 	srv.Trace().Enable()
-	res, err := Discover(eng, rel.NumAttrs(), &Options{Workers: workers})
+	res, err := Discover(eng, rel.NumAttrs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 func TestParallelBatchDirect(t *testing.T) {
 	rel := fixedWidthRel(3, 16, 5, 2)
 	srv := store.NewServer()
-	eng, _ := openFor[Engine](t, srv, ProtocolORAM, rel, opts{})
+	eng, _ := openFor[Engine](t, srv, ProtocolORAM, rel, opts{workers: 4})
 	defer eng.Close()
 
 	// Pre-materialize attribute 0 so the batch sees a cache hit.
@@ -233,7 +233,7 @@ func TestParallelBatchDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cards, err := eng.Materialize([]Request{Single(0), Single(1), Single(2)}, 4)
+	cards, err := eng.Materialize([]Request{Single(0), Single(1), Single(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestParallelBatchDirect(t *testing.T) {
 
 	a, b, c := relation.SingleAttr(0), relation.SingleAttr(1), relation.SingleAttr(2)
 	jobs := []Request{Union(a, b), Union(a, c), Union(b, c)}
-	got, err := eng.Materialize(jobs, 4)
+	got, err := eng.Materialize(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,13 +257,13 @@ func TestParallelBatchDirect(t *testing.T) {
 	// One batch naming a cached attribute and the same new attribute twice
 	// builds one array and draws one name, as three serial calls would (the
 	// sort engine's batch path used to draw a name per job).
-	se, _ := openFor[*SortEngine](t, srv, ProtocolSort, rel, opts{name: "sort"})
+	se, _ := openFor[*SortEngine](t, srv, ProtocolSort, rel, opts{name: "sort", workers: 4})
 	defer se.Close()
 	if _, err := CardinalitySingle(se, 0); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := srv.Stats()
-	dup, err := se.Materialize([]Request{Single(0), Single(1), Single(1)}, 4)
+	dup, err := se.Materialize([]Request{Single(0), Single(1), Single(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestParallelBatchDirect(t *testing.T) {
 	// use a fresh engine so nothing is cached.
 	eng2, _ := openFor[Engine](t, nil, ProtocolORAM, rel, opts{})
 	defer eng2.Close()
-	if _, err := eng2.Materialize([]Request{Union(a, b)}, 4); !errors.Is(err, ErrNotMaterialized) {
+	if _, err := eng2.Materialize([]Request{Union(a, b)}); !errors.Is(err, ErrNotMaterialized) {
 		t.Errorf("union of unmaterialized parents: err = %v, want ErrNotMaterialized", err)
 	}
 }

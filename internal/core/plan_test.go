@@ -41,7 +41,6 @@ func renderLatticeState(t *testing.T, run string, ls *LatticeState, rel *relatio
 	return []string{
 		fmt.Sprintf("%s m=%d maxlhs=%d keep=%t sets=%d checks=%d", head, p.m, p.maxLHS, p.keep, p.sets, p.checks),
 		fmt.Sprintf("%s level %v", head, p.level),
-		fmt.Sprintf("%s prev %v", head, p.prev),
 		fmt.Sprintf("%s cplus %s", head, strings.Join(cp, " ")),
 		fmt.Sprintf("%s minimal %s", head, strings.Join(mn, ", ")),
 		fmt.Sprintf("%s cards %s", head, strings.Join(cd, " ")),
@@ -113,9 +112,9 @@ type engineLog struct {
 	log *discoveryLog
 }
 
-func (e engineLog) Materialize(reqs []Request, workers int) ([]int, error) {
+func (e engineLog) Materialize(reqs []Request) ([]int, error) {
 	e.log.calls = append(e.log.calls, fmt.Sprint("materialize ", reqs))
-	return e.Engine.Materialize(reqs, workers)
+	return e.Engine.Materialize(reqs)
 }
 
 func (e engineLog) Release(x relation.AttrSet) error {
@@ -136,7 +135,7 @@ func replayPlan(t *testing.T, rel *relation.Relation, maxLHS int, keep bool) *di
 	}
 	for !p.done() {
 		s := p.check()
-		releases(s.pruned)
+		releases(s.before)
 		if len(s.decided) > 0 {
 			log.reveals = append(log.reveals, s.decided)
 		}
@@ -148,7 +147,7 @@ func replayPlan(t *testing.T, rel *relation.Relation, maxLHS int, keep bool) *di
 			}
 			p.record(cards)
 		}
-		releases(s.stale)
+		releases(s.after)
 		if !p.done() {
 			log.states = append(log.states, renderLatticeState(t, "", p.state(), rel)...)
 		}
@@ -163,7 +162,9 @@ func replayPlan(t *testing.T, rel *relation.Relation, maxLHS int, keep bool) *di
 // Materialize requests and Release
 // calls in the same order, the same reveals and checkpoints — and comes to
 // the same Result, on random relations of up to six attributes, with and
-// without MaxLHS, keeping partitions or not.
+// without MaxLHS, keeping partitions or not. Keeping none, the engine holds
+// exactly the state's level at every checkpoint and nothing the run built
+// once Discover returns.
 func TestPlanReplaysEveryEngine(t *testing.T) {
 	rels := []struct{ m, n, card int }{{3, 9, 2}, {4, 12, 3}, {5, 10, 2}, {5, 20, 4}, {6, 12, 2}, {6, 8, 3}, {6, 16, 3}}
 	for i, r := range rels {
@@ -182,15 +183,31 @@ func TestPlanReplaysEveryEngine(t *testing.T) {
 						res, err := Discover(engineLog{eng, got}, r.m, &Options{
 							MaxLHS:         maxLHS,
 							KeepPartitions: keep,
-							Workers:        workers,
 							Reveal:         func(d []Decision) { got.reveals = append(got.reveals, d) },
 							Checkpoint: func(ls *LatticeState) error {
 								got.states = append(got.states, renderLatticeState(t, "", ls, rel)...)
+								if !keep {
+									p, err := resumePlan(ls, r.m, r.n, plaintextCards(rel))
+									if err != nil {
+										t.Fatal(err)
+									}
+									for _, c := range ls.Cardinalities {
+										if _, held := eng.Cardinality(c.Set); held != slices.Contains(p.level, c.Set) {
+											t.Errorf("%s: checkpoint before level %d: %v is held: %t, in the level: %t",
+												name, ls.NextLevel, c.Set, held, !held)
+										}
+									}
+								}
 								return nil
 							},
 						})
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
+						}
+						for x := range res.Cardinalities {
+							if _, held := eng.Cardinality(x); held && !keep {
+								t.Errorf("%s: %v is still held after Discover", name, x)
+							}
 						}
 						if err := eng.Close(); err != nil {
 							t.Fatalf("%s: Close: %v", name, err)

@@ -31,13 +31,12 @@ import (
 // sortRecWidth bytes a record until the labelling pass, labelRecWidth after.
 // The method needs O(1) client memory (one obsort block, two runs, in flight
 // per worker), is static only, and parallelizes inside the bitonic
-// network — the workers parameter controls the degree (Fig. 6a).
+// network and across the sets of a level — the workers it is opened with
+// (its grouping's) set both degrees (Fig. 6a).
 type SortEngine struct {
 	setTable[*sortState]
 	edb      *EncryptedDB
 	instance string
-	// workers is the parallelism degree for the bitonic network; minimum 1.
-	workers int
 	// metrics, if non-nil, instruments every working array the engine
 	// creates (comparison/stage counters and sort-pass spans).
 	metrics *telemetry.Registry
@@ -75,17 +74,13 @@ func newSortEngine(edb *EncryptedDB, workers int, reg *telemetry.Registry) (*Sor
 	if edb.NumRows() > maxLabel {
 		return nil, fmt.Errorf("core: %d rows exceed the sort engine's id space of %d", edb.NumRows(), maxLabel)
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	e := &SortEngine{
 		edb:      edb,
 		instance: fmt.Sprintf("sort%d", sortEngines.Add(1)),
-		workers:  workers,
 		metrics:  reg,
 		n:        edb.NumRows(),
 	}
-	e.setTable = newSetTable[*sortState](e, setsInParallel)
+	e.setTable = newSetTable[*sortState](e, grouping{width: 1, workers: workers})
 	return e, nil
 }
 

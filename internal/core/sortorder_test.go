@@ -30,7 +30,7 @@ type spiedBuild struct {
 	children int
 }
 
-func (s *coverSpy) Materialize(reqs []Request, workers int) ([]int, error) {
+func (s *coverSpy) Materialize(reqs []Request) ([]int, error) {
 	for _, r := range reqs {
 		if _, live := s.current[r.Set]; live {
 			continue // cached: no array is made and no cover is read
@@ -43,7 +43,7 @@ func (s *coverSpy) Materialize(reqs []Request, workers int) ([]int, error) {
 			}
 		}
 	}
-	return s.Engine.Materialize(reqs, workers)
+	return s.Engine.Materialize(reqs)
 }
 
 func (s *coverSpy) Release(x relation.AttrSet) error {
@@ -107,7 +107,7 @@ func TestSortRunLayout(t *testing.T) {
 		eng, _ := openFor[*SortEngine](t, srv, ProtocolSort, rel, opts{})
 		srv.Trace().Reset()
 		srv.Trace().Enable()
-		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1}); err != nil {
+		if _, err := Discover(eng, rel.NumAttrs(), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Close(); err != nil {
@@ -194,12 +194,13 @@ func TestSortRestoresOrderOnlyForCovers(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				srv := store.NewServer()
-				// One network worker: each array's own sequence is deterministic.
-				eng, _ := openFor[*SortEngine](t, srv, ProtocolSort, rel, opts{workers: 1, reg: telemetry.New()})
+				// At these n a network stage is one chain, which one worker
+				// takes whole, so each array's own sequence is deterministic.
+				eng, _ := openFor[*SortEngine](t, srv, ProtocolSort, rel, opts{workers: workers, reg: telemetry.New()})
 				spy := &coverSpy{Engine: eng, current: make(map[relation.AttrSet]int)}
 				srv.Trace().Reset()
 				srv.Trace().Enable()
-				if _, err := Discover(spy, rel.NumAttrs(), &Options{Workers: workers}); err != nil {
+				if _, err := Discover(spy, rel.NumAttrs(), nil); err != nil {
 					t.Fatal(err)
 				}
 				if err := eng.Close(); err != nil {
@@ -278,7 +279,7 @@ func TestFailedRestoreIsRerunWhole(t *testing.T) {
 	rel := fixedWidthRel(3, 24, 2, 2)
 	a, b := relation.SingleAttr(0), relation.SingleAttr(1)
 	oracle := oracle(rel)
-	if _, err := oracle.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
+	if _, err := oracle.Materialize([]Request{Single(0), Single(1)}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := CardinalityUnion(oracle, a, b)
@@ -290,7 +291,7 @@ func TestFailedRestoreIsRerunWhole(t *testing.T) {
 	svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindWriteCells })
 	eng, _ := openFor[*SortEngine](t, svc, ProtocolSort, rel, opts{})
 	defer eng.Close()
-	if _, err := eng.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
+	if _, err := eng.Materialize([]Request{Single(0), Single(1)}); err != nil {
 		t.Fatal(err)
 	}
 	withCovers, _ := srv.Stats()

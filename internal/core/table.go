@@ -54,14 +54,11 @@ type group[S setState] struct {
 
 // grouping is how an engine lets the table hand it the sets of one call.
 type grouping struct {
-	width      int  // the most targets one fill takes
-	concurrent bool // fills of disjoint groups may run at the same time
+	width   int // the most targets one fill takes
+	workers int // the most fills of disjoint groups run at the same time; ≤ 1 is serial
 }
 
-var (
-	oneSetAtATime  = grouping{width: 1}
-	setsInParallel = grouping{width: 1, concurrent: true}
-)
+var oneSetAtATime = grouping{width: 1}
 
 // fillEach is fill for an engine that builds a set at a time, and where an
 // integrity failure of such an engine gets its attribute set.
@@ -98,7 +95,7 @@ func newSetTable[S setState](f fills[S], g grouping) setTable[S] {
 // has sets of its size and room for one more; otherwise it opens the next
 // group. A cover is a proper subset, so never in its target's group. The
 // groups are filled under runBatch's wave schedule and committed in request
-// order, so with groups of one, workers ≤ 1 and one request this *is* the
+// order, so with groups of one, one worker and one request this *is* the
 // serial algorithm: prepare, fill, cache.
 //
 // Jobs sharing a target or a cover never share a wave. For the sort engine
@@ -107,20 +104,17 @@ func newSetTable[S setState](f fills[S], g grouping) setTable[S] {
 // middle of. An engine whose fills are not concurrent (the ORAM engines: one
 // pipeline sends every group's rounds, reading a cover's ID ORAM in Ex-ORAM is
 // a mutating access on a handle that is not goroutine-safe, and the groups of
-// a level share their covers) has its groups run one after the other whatever
-// workers is.
+// a level share their covers) has no workers, and its groups run one after
+// the other.
 //
 // When the batch stops on an error, every state that was prepared and not
 // committed is destroyed, best effort: it is in no map, so nothing else could
 // ever free it, and the caller is owed the error that stopped the batch.
-func (t *setTable[S]) Materialize(reqs []Request, workers int) ([]int, error) {
+func (t *setTable[S]) Materialize(reqs []Request) ([]int, error) {
 	for _, r := range reqs {
 		if err := validateCover(r); err != nil {
 			return nil, err
 		}
-	}
-	if !t.concurrent {
-		workers = 1
 	}
 	cards := make([]int, len(reqs))
 	var jobs []batchJob
@@ -192,7 +186,7 @@ func (t *setTable[S]) Materialize(reqs []Request, workers int) ([]int, error) {
 			job.resources = append(job.resources, r.Cover[0], r.Cover[1])
 		}
 	}
-	if err := runBatch(jobs, workers); err != nil {
+	if err := runBatch(jobs, t.workers); err != nil {
 		return abandon(err)
 	}
 	return cards, nil

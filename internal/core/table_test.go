@@ -54,35 +54,31 @@ func TestFailedMaterializationLeavesNoOrphans(t *testing.T) {
 	singleReqs := []Request{Single(0), Single(1), Single(2)}
 	unionReqs := []Request{Union(a, b), Union(a, c), Union(b, c)}
 	singles := func(eng Engine) error {
-		_, err := eng.Materialize(singleReqs, 1)
+		_, err := eng.Materialize(singleReqs)
+		return err
+	}
+	unions := func(eng Engine) error {
+		_, err := eng.Materialize(unionReqs)
 		return err
 	}
 	scenarios := []struct {
-		name  string
-		setup func(eng Engine) error // runs before the fault is armed
-		run   func(eng Engine) error
+		name    string
+		workers int
+		setup   func(eng Engine) error // runs before the fault is armed
+		run     func(eng Engine) error
 	}{
-		{"single", nil, func(eng Engine) error {
+		{"single", 1, nil, func(eng Engine) error {
 			_, err := CardinalitySingle(eng, 0)
 			return err
 		}},
-		{"union", singles, func(eng Engine) error {
+		{"union", 1, singles, func(eng Engine) error {
 			_, err := CardinalityUnion(eng, a, b)
 			return err
 		}},
-		{"single-batch/workers=1", nil, singles},
-		{"single-batch/workers=4", nil, func(eng Engine) error {
-			_, err := eng.Materialize(singleReqs, 4)
-			return err
-		}},
-		{"union-batch/workers=1", singles, func(eng Engine) error {
-			_, err := eng.Materialize(unionReqs, 1)
-			return err
-		}},
-		{"union-batch/workers=4", singles, func(eng Engine) error {
-			_, err := eng.Materialize(unionReqs, 4)
-			return err
-		}},
+		{"single-batch/workers=1", 1, nil, singles},
+		{"single-batch/workers=4", 4, nil, singles},
+		{"union-batch/workers=1", 1, singles, unions},
+		{"union-batch/workers=4", 4, singles, unions},
 	}
 	for _, p := range rows(encrypted) {
 		for _, sc := range scenarios {
@@ -92,7 +88,7 @@ func TestFailedMaterializationLeavesNoOrphans(t *testing.T) {
 				for k := 1; ; k += 3 {
 					srv := store.NewServer()
 					svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind != store.KindDelete })
-					eng, _ := openFor[Engine](t, svc, p, rel, opts{})
+					eng, _ := openFor[Engine](t, svc, p, rel, opts{workers: sc.workers})
 					base, _ := srv.Stats()
 					if sc.setup != nil {
 						if err := sc.setup(eng); err != nil {
@@ -137,7 +133,7 @@ func TestCloseAttemptsEverySet(t *testing.T) {
 			svc := newFailNth(srv, func(op *store.Op) bool { return op.Kind == store.KindDelete })
 			eng, _ := openFor[Engine](t, svc, p, rel, opts{})
 			base, _ := srv.Stats()
-			if _, err := eng.Materialize([]Request{Single(0), Single(1), Single(2)}, 1); err != nil {
+			if _, err := eng.Materialize([]Request{Single(0), Single(1), Single(2)}); err != nil {
 				t.Fatal(err)
 			}
 			svc.arm(1)

@@ -20,14 +20,14 @@ func discoverObserved(t *testing.T, p Protocol, reg *telemetry.Registry, otr *ot
 	t.Helper()
 	rel := fixedWidthRel(4, 16, 7, 3)
 	srv := store.NewServer()
+	// One worker pins the serial path: full trace shapes are only
+	// deterministic without concurrent materialization.
 	eng, _ := openFor[Engine](t, srv, p, rel, opts{workers: 1, reg: reg})
 	defer eng.Close()
 
 	srv.Trace().Reset()
 	srv.Trace().Enable()
-	// Workers: 1 pins the serial path: full trace shapes are only
-	// deterministic without concurrent materialization.
-	res, err := Discover(eng, 4, &Options{Trace: otr, Workers: 1})
+	res, err := Discover(eng, 4, &Options{Trace: otr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestResumedEngineIsInstrumented(t *testing.T) {
 					atOpen = reg
 				}
 				eng, edb := openFor[Engine](t, srv, p, rel, opts{workers: 1, headroom: 1, reg: atOpen})
-				if _, err := eng.Materialize([]Request{Single(0), Single(1)}, 1); err != nil {
+				if _, err := eng.Materialize([]Request{Single(0), Single(1)}); err != nil {
 					t.Fatal(err)
 				}
 				if resume {

@@ -302,11 +302,11 @@ func TestEngineTraceGolden(t *testing.T) {
 	for _, p := range rows(oblivious) {
 		for _, workers := range []int{1, 4} {
 			srv := store.NewServer()
-			eng, _ := openFor[Engine](t, srv, p, rel, opts{headroom: len(goldenTailRows)})
+			eng, _ := openFor[Engine](t, srv, p, rel, opts{headroom: len(goldenTailRows), workers: workers})
 			ins, dynamic := eng.(inserter)
 			srv.Trace().Reset()
 			srv.Trace().Enable()
-			res, err := Discover(eng, m, &Options{Workers: workers, KeepPartitions: dynamic})
+			res, err := Discover(eng, m, &Options{KeepPartitions: dynamic})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +347,7 @@ func TestEngineTraceGoldenChunked(t *testing.T) {
 		eng, _ := openFor[Engine](t, srv, p, rel, opts{})
 		srv.Trace().Reset()
 		srv.Trace().Enable()
-		if _, err := Discover(eng, rel.NumAttrs(), &Options{Workers: 1}); err != nil {
+		if _, err := Discover(eng, rel.NumAttrs(), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Close(); err != nil {

@@ -430,7 +430,6 @@ func (db *Database) discoverOptions() *core.Options {
 		MaxLHS:         db.opts.MaxLHS,
 		Resume:         db.resume,
 		Trace:          db.opts.Trace,
-		Workers:        db.opts.Workers,
 		Reveal: func(decisions []core.Decision) {
 			db.revealed.Add(int64(len(decisions)))
 			if db.svc == nil {
