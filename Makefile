@@ -36,7 +36,8 @@ test-race:
 	$(GO) test -race -shuffle=on ./...
 
 # Crash-injection suite: kill the server at seeded WAL offsets and the
-# client between lattice levels of an Or-ORAM run over PathORAM, recover, and
+# client between lattice levels of an Or-ORAM run over PathORAM and of a Sort
+# run on two workers, recover, and
 # require identical results; plus the per-layer WAL, snapshot, kill-point,
 # checkpoint and resume tests (the rest of these packages runs under `test`).
 # -count=1 forces real (uncached) runs — these tests exercise the filesystem.

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,6 +58,9 @@ var (
 	sortOpts = securefd.Options{Protocol: securefd.ProtocolSort, Workers: 2, MaxLHS: 2}
 	// crashOpts is the Or-ORAM discovery the crash and tamper scenarios run.
 	crashOpts = securefd.Options{Protocol: securefd.ProtocolORAM}
+	// crashRuns are the discoveries the crash scenarios kill and resume:
+	// crashOpts, and Sort on two workers, which a checkpoint records.
+	crashRuns = []securefd.Options{crashOpts, {Protocol: securefd.ProtocolSort, Workers: 2}}
 )
 
 // oracles memoizes the oracle per relation: it walks the whole lattice,
@@ -357,8 +361,9 @@ var writes = []store.Kind{store.KindWriteCells, store.KindWritePath}
 // that never checkpointed has nothing to resume).
 type meter struct {
 	store.Adapter
+	opts           securefd.Options // the discovery measured
 	srv            *securefd.DurableServer
-	writes         int64
+	writes         atomic.Int64 // a Sort run's workers write concurrently
 	appendsAtEpoch map[int64]int64
 	writesAtEpoch  map[int64]int64
 }
@@ -366,27 +371,28 @@ type meter struct {
 func newMeter(srv *securefd.DurableServer) *meter {
 	m := &meter{srv: srv, appendsAtEpoch: make(map[int64]int64), writesAtEpoch: make(map[int64]int64)}
 	m.Adapter = store.Adapt(func(op *store.Op, res *store.Result) error {
-		m.writes += count(op, writes...)
+		m.writes.Add(count(op, writes...))
 		if err := store.Invoke(srv, op, res); err != nil || op.Kind != store.KindCheckpoint {
 			return err
 		}
 		m.appendsAtEpoch[op.Value] = srv.WALAppends()
-		m.writesAtEpoch[op.Value] = m.writes
+		m.writesAtEpoch[op.Value] = m.writes.Load()
 		return nil
 	})
 	return m
 }
 
-// measure runs a clean resumable Or-ORAM discovery on a durable server
+// measure runs a clean resumable discovery with opts on a durable server
 // through a meter: the report a crashed run must reproduce, and the
 // coordinates to crash it at.
-func measure(t *testing.T) (*securefd.Report, *meter) {
+func measure(t *testing.T, opts securefd.Options) (*securefd.Report, *meter) {
 	t.Helper()
 	dir := t.TempDir()
 	srv := openDir(t, dir, securefd.DurableOptions{})
 	defer srv.Close()
 	m := newMeter(srv)
-	rep, err := scenario{opts: crashOpts, ckpt: filepath.Join(dir, "run.ckpt")}.run(t, m)
+	m.opts = opts
+	rep, err := scenario{opts: opts, ckpt: filepath.Join(dir, "run.ckpt")}.run(t, m)
 	if err != nil {
 		t.FailNow()
 	}
@@ -400,11 +406,13 @@ var errClientCrash = errors.New("simulated client crash")
 // process died after the server applied them but before the ack was
 // processed) and then reported as errClientCrash, aborting the discovery.
 func dying(svc store.Service, n int64) store.Service {
+	var left atomic.Int64 // a Sort run's workers write concurrently
+	left.Store(n)
 	return store.Adapt(func(op *store.Op, res *store.Result) error {
 		if err := store.Invoke(svc, op, res); err != nil {
 			return err
 		}
-		if n -= count(op, writes...); n <= 0 {
+		if left.Add(-count(op, writes...)) <= 0 {
 			return errClientCrash
 		}
 		return nil

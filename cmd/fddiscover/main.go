@@ -46,10 +46,10 @@
 //
 // Long runs can survive crashes on both sides. -data-dir makes the
 // in-process server durable (WAL + snapshots); -checkpoint makes the client
-// write a recovery file at every completed lattice level (ORAM protocols
-// only). After a crash, -resume continues from the last completed level:
+// write a recovery file at every completed lattice level (sort, or-oram and
+// ex-oram). After a crash, -resume continues from the last completed level:
 //
-//	fddiscover -protocol or-oram -data-dir state -checkpoint run.ckpt data.csv
+//	fddiscover -data-dir state -checkpoint run.ckpt data.csv
 //	fddiscover -data-dir state -resume run.ckpt
 package main
 
@@ -106,7 +106,7 @@ type options struct {
 // registerFlags binds fddiscover's flags to o.
 func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.protoName, "protocol", "sort", securefd.ProtocolNames())
-	fs.IntVar(&o.workers, "workers", 1, "parallelism degree of the sort protocol: sorting-network workers and partitions of one lattice level built concurrently (the ORAM protocols take a level at a time on one goroutine whatever it is)")
+	fs.IntVar(&o.workers, "workers", 1, "parallelism degree of the sort protocol: sorting-network workers and partitions of one lattice level built concurrently (the ORAM protocols take a level at a time on one goroutine whatever it is); a resumed run keeps the checkpoint's count")
 	fs.IntVar(&o.maxLHS, "max-lhs", 0, "bound determinant size (0 = unbounded)")
 	fs.BoolVar(&o.aggregate, "aggregate", false, "merge FDs per determinant")
 	fs.BoolVar(&o.quiet, "quiet", false, "print only the FDs")
@@ -116,7 +116,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault schedule")
 	fs.IntVar(&o.retries, "retries", 0, "max attempts per storage call (0 = default policy, 1 = no retry)")
 	fs.StringVar(&o.dataDir, "data-dir", "", "durable server state directory (WAL + snapshots); survives crashes")
-	fs.StringVar(&o.ckptPath, "checkpoint", "", "write a client recovery file here at every completed lattice level (or-oram/ex-oram only)")
+	fs.StringVar(&o.ckptPath, "checkpoint", "", "write a client recovery file here at every completed lattice level")
 	fs.StringVar(&o.resume, "resume", "", "continue a crashed run from this checkpoint file (requires -data-dir; no CSV argument)")
 	fs.StringVar(&o.connect, "connect", "", "address of a running fdserver to use instead of the in-process server")
 	fs.StringVar(&o.servers, "servers", "", "comma-separated addresses of a replicated fdserver group; the client follows the primary across failures (excludes -connect)")

@@ -184,18 +184,17 @@ func TestRunWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunResumeWithTelemetry: a -checkpoint run that a tampered read aborts
-// part-way up the lattice leaves a checkpoint behind, and -resume …
-// -telemetry finishes it from there with the plaintext FD set and prints
-// non-zero ORAM and integrity counters: the resumed run's accesses, among
-// them those to the ORAMs the checkpoint rebuilt.
-func TestRunResumeWithTelemetry(t *testing.T) {
+// domCSV writes a 24×4 relation of small domains — three lattice levels,
+// FDs at each — and returns its path and the FD lines the plaintext protocol
+// prints for it.
+func domCSV(t *testing.T) (path, want string) {
+	t.Helper()
 	var csv strings.Builder
 	csv.WriteString("A,B,C,D\n")
-	for i := range 24 { // small domains: three lattice levels, FDs at each
+	for i := range 24 {
 		fmt.Fprintf(&csv, "%d,%d,%d,%d\n", i%2, i%3, i/2%3, i%4)
 	}
-	path := filepath.Join(t.TempDir(), "dom.csv")
+	path = filepath.Join(t.TempDir(), "dom.csv")
 	if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +202,29 @@ func TestRunResumeWithTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// checkpointed runs ex-oram with -checkpoint into a fresh data directory,
-	// reading through corruption seeded by seed when it is not zero, and
-	// returns the options it ran with and the epoch its checkpoint holds.
+	return path, want
+}
+
+// stoppedPartWay runs fddiscover over path with args, -data-dir and
+// -checkpoint, reading through corruption seeded by one fault seed after
+// another until a run stops between its first and its last checkpoint, and
+// returns the options of that run: its data directory and checkpoint are
+// what -resume continues from.
+func stoppedPartWay(t *testing.T, path string, args ...string) options {
+	t.Helper()
+	// checkpointed runs with corruption at rate 0.03 seeded by seed, or
+	// none for seed 0, and returns the options and the epoch its checkpoint
+	// holds, or -1 when the run did not end as asked or left no checkpoint.
 	checkpointed := func(seed int64) (options, int64) {
-		o := quietOpts("ex-oram")
-		o.dataDir, o.ckptPath = t.TempDir(), filepath.Join(t.TempDir(), "run.ckpt")
+		var o options
+		fs := flag.NewFlagSet("fddiscover", flag.ContinueOnError)
+		registerFlags(fs, &o)
+		argv := append([]string{"-data-dir", t.TempDir(), "-checkpoint", filepath.Join(t.TempDir(), "run.ckpt")}, args...)
 		if seed != 0 {
-			o.corruptRate, o.faultSeed = 0.03, seed
+			argv = append(argv, "-corrupt-rate", "0.03", "-fault-seed", strconv.FormatInt(seed, 10))
+		}
+		if err := fs.Parse(argv); err != nil {
+			t.Fatal(err)
 		}
 		if _, err := captureStdout(t, func() error { return run(path, o) }); (err != nil) != (seed != 0) {
 			return o, -1
@@ -225,35 +239,70 @@ func TestRunResumeWithTelemetry(t *testing.T) {
 	if last < 2 {
 		t.Fatalf("an uninterrupted run's last checkpoint is at epoch %d, want a lattice of several levels", last)
 	}
-	for seed := int64(1); ; seed++ {
-		if seed > 64 {
-			t.Fatal("no fault seed aborts the run between its first and its last checkpoint")
+	for seed := int64(1); seed <= 64; seed++ {
+		if o, epoch := checkpointed(seed); epoch >= 1 && epoch < last {
+			return o
 		}
-		o, epoch := checkpointed(seed)
-		if epoch < 1 || epoch >= last {
-			continue
-		}
-		r := quietOpts("")
-		r.dataDir, r.resume, r.telemetry = o.dataDir, o.ckptPath, true
-		out, err := captureStdout(t, func() error { return runResume(r) })
-		if err != nil {
-			t.Fatalf("resuming seed %d's run from epoch %d: %v", seed, epoch, err)
-		}
-		if !strings.HasPrefix(out, want) {
-			t.Errorf("resumed run printed\n%s\nwant the plaintext FD set\n%s", out, want)
-		}
-		for _, name := range []string{"oblivfd_oram_path_reads_total", "oblivfd_integrity_checks_total"} {
-			var v int64
-			for _, line := range strings.Split(out, "\n") {
-				if f := strings.Fields(line); len(f) == 2 && f[0] == name {
-					v, _ = strconv.ParseInt(f[1], 10, 64)
-				}
+	}
+	t.Fatal("no fault seed aborts the run between its first and its last checkpoint")
+	return options{}
+}
+
+// resumed continues o's run with -resume from its data directory and
+// checkpoint, -telemetry on, and returns what it printed.
+func resumed(t *testing.T, o options) string {
+	t.Helper()
+	r := quietOpts("")
+	r.dataDir, r.resume, r.telemetry = o.dataDir, o.ckptPath, true
+	out, err := captureStdout(t, func() error { return runResume(r) })
+	if err != nil {
+		t.Fatalf("resuming %s: %v", o.protoName, err)
+	}
+	return out
+}
+
+// TestRunResumeWithTelemetry: a -checkpoint run that a tampered read aborts
+// part-way up the lattice leaves a checkpoint behind, and -resume …
+// -telemetry finishes it from there with the plaintext FD set and prints
+// non-zero ORAM and integrity counters: the resumed run's accesses, among
+// them those to the ORAMs the checkpoint rebuilt.
+func TestRunResumeWithTelemetry(t *testing.T) {
+	path, want := domCSV(t)
+	out := resumed(t, stoppedPartWay(t, path, "-protocol", "ex-oram", "-workers", "2", "-quiet"))
+	if !strings.HasPrefix(out, want) {
+		t.Errorf("resumed run printed\n%s\nwant the plaintext FD set\n%s", out, want)
+	}
+	for _, name := range []string{"oblivfd_oram_path_reads_total", "oblivfd_integrity_checks_total"} {
+		var v int64
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+				v, _ = strconv.ParseInt(f[1], 10, 64)
 			}
-			if v == 0 {
-				t.Errorf("-resume -telemetry printed no non-zero %s:\n%s", name, out)
-			}
 		}
-		return
+		if v == 0 {
+			t.Errorf("-resume -telemetry printed no non-zero %s:\n%s", name, out)
+		}
+	}
+}
+
+// TestRunResumeDefaultProtocol: a run with the default protocol, Sort, and
+// -data-dir and -checkpoint, stopped part-way up the lattice, continues with
+// -resume to the plaintext FD set, on the two workers it was started with.
+func TestRunResumeDefaultProtocol(t *testing.T) {
+	path, want := domCSV(t)
+	o := stoppedPartWay(t, path, "-workers", "2", "-quiet")
+	if o.protoName != "sort" {
+		t.Fatalf("the default protocol is %q; this test is about sort", o.protoName)
+	}
+	cp, err := securefd.ReadCheckpointFile(o.ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Engine.Kind != "sort" || cp.Engine.Workers != 2 {
+		t.Errorf("the checkpoint holds a %q engine on %d workers, want sort on 2", cp.Engine.Kind, cp.Engine.Workers)
+	}
+	if out := resumed(t, o); !strings.HasPrefix(out, want) {
+		t.Errorf("resumed run printed\n%s\nwant the plaintext FD set\n%s", out, want)
 	}
 }
 

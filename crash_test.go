@@ -17,13 +17,22 @@ import (
 )
 
 // resume restarts the server from dir rolled back to the epoch the client's
-// checkpoint names, resumes the client against it, and requires the oracle's
-// FD set and the access accounting of the uninterrupted run want.
+// checkpoint names, resumes the client against it as fddiscover -resume does,
+// and requires the oracle's FD set and the access accounting of the
+// uninterrupted run want.
 func resume(t *testing.T, dir, ckpt string, want *securefd.Report) {
 	t.Helper()
-	db, srv, err := securefd.ResumeFromDir(dir, ckpt, securefd.DurableOptions{}, nil, nil)
+	cp, err := securefd.ReadCheckpointFile(ckpt)
 	if err != nil {
-		t.Fatalf("ResumeFromDir: %v", err)
+		t.Fatal(err)
+	}
+	srv, err := securefd.OpenDirAtEpoch(dir, cp.Epoch, securefd.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := securefd.Resume(srv, ckpt, nil, nil)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
 	}
 	rep, err := db.DiscoverResumable(ckpt)
 	if err != nil {
@@ -48,55 +57,65 @@ func resume(t *testing.T, dir, ckpt string, want *securefd.Report) {
 // TestCrashRecoveryServerKill crashes the server at three seeded WAL offsets
 // mid-discovery, restarts it from the data directory rolled back to the
 // checkpoint's epoch, resumes the client, and requires the exact baseline FD
-// set and access accounting.
+// set and access accounting — for each of crashRuns.
 func TestCrashRecoveryServerKill(t *testing.T) {
-	want, m := measure(t)
-	total, first := m.srv.WALAppends(), m.appendsAtEpoch[1]
-	if first == 0 || first >= total {
-		t.Fatalf("epoch 1 at append %d of %d; cannot place kill points", first, total)
-	}
-	// Three kill points strictly after the first checkpoint.
-	for _, kill := range []int64{first + (total-first)/4, first + (total-first)/2, first + 3*(total-first)/4} {
-		dir := t.TempDir()
-		ckpt := filepath.Join(dir, "run.ckpt")
-		srv := openDir(t, dir, securefd.DurableOptions{KillAfterAppends: kill})
-		scenario{opts: crashOpts, ckpt: ckpt, want: securefd.ErrServerKilled}.run(t, srv)
-		srv.Close() // killed; error is expected and irrelevant
-		resume(t, dir, ckpt, want)
+	for _, opts := range crashRuns {
+		t.Run(opts.Protocol.String(), func(t *testing.T) {
+			want, m := measure(t, opts)
+			total, first := m.srv.WALAppends(), m.appendsAtEpoch[1]
+			if first == 0 || first >= total {
+				t.Fatalf("epoch 1 at append %d of %d; cannot place kill points", first, total)
+			}
+			// Three kill points strictly after the first checkpoint.
+			for _, kill := range []int64{first + (total-first)/4, first + (total-first)/2, first + 3*(total-first)/4} {
+				dir := t.TempDir()
+				ckpt := filepath.Join(dir, "run.ckpt")
+				srv := openDir(t, dir, securefd.DurableOptions{KillAfterAppends: kill})
+				scenario{opts: opts, ckpt: ckpt, want: securefd.ErrServerKilled}.run(t, srv)
+				srv.Close() // killed; error is expected and irrelevant
+				resume(t, dir, ckpt, want)
+			}
+		})
 	}
 }
 
 // TestCrashRecoveryClientKill crashes the client mid-level (after its write
 // already reached the server), shows that a naive resume against the drifted
 // server is refused with ErrEpochMismatch, then recovers by rolling the
-// server back to the checkpoint's epoch and requires the baseline result.
+// server back to the checkpoint's epoch and requires the baseline result —
+// for each of crashRuns.
 func TestCrashRecoveryClientKill(t *testing.T) {
-	want, m := measure(t)
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "run.ckpt")
-	srv := killClient(t, m, dir, ckpt)
-	// The server applied mutations after the checkpointed epoch, so resuming
-	// the checkpoint's ORAM client state against it must be refused.
-	if _, err := securefd.Resume(srv, ckpt, nil, nil); !errors.Is(err, securefd.ErrEpochMismatch) {
-		t.Fatalf("Resume against drifted server = %v, want ErrEpochMismatch", err)
+	for _, opts := range crashRuns {
+		t.Run(opts.Protocol.String(), func(t *testing.T) {
+			want, m := measure(t, opts)
+			dir := t.TempDir()
+			ckpt := filepath.Join(dir, "run.ckpt")
+			srv := killClient(t, m, dir, ckpt)
+			// The server applied mutations after the checkpointed epoch, so
+			// resuming the checkpoint's client state against it must be
+			// refused.
+			if _, err := securefd.Resume(srv, ckpt, nil, nil); !errors.Is(err, securefd.ErrEpochMismatch) {
+				t.Fatalf("Resume against drifted server = %v, want ErrEpochMismatch", err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			resume(t, dir, ckpt, want)
+		})
 	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	resume(t, dir, ckpt, want)
 }
 
-// killClient runs a resumable discovery on a durable server in dir that dies
-// on a write strictly after the first checkpoint, so the server has drifted
-// past the epoch when the client comes back, and returns the server.
+// killClient runs m's resumable discovery on a durable server in dir that
+// dies on a write strictly after the first checkpoint, so the server has
+// drifted past the epoch when the client comes back, and returns the server.
 func killClient(t *testing.T, m *meter, dir, ckpt string) *securefd.DurableServer {
 	t.Helper()
-	total, first := m.writes, m.writesAtEpoch[1]
+	total, first := m.writes.Load(), m.writesAtEpoch[1]
 	if first == 0 || first >= total {
 		t.Fatalf("epoch 1 at write %d of %d; cannot place a client kill point", first, total)
 	}
 	srv := openDir(t, dir, securefd.DurableOptions{})
-	scenario{opts: crashOpts, ckpt: ckpt, want: errClientCrash}.run(t, dying(srv, first+(total-first)/2))
+	scenario{opts: m.opts, ckpt: ckpt, want: errClientCrash}.run(t, dying(srv, first+(total-first)/2))
 	return srv
 }
 
@@ -195,7 +214,7 @@ func TestCrashRecoveryTwoTenants(t *testing.T) {
 // server behind the real TCP transport: the typed kill/corruption errors must
 // survive the wire and the recovered run must still match.
 func TestCrashRecoveryOverTCP(t *testing.T) {
-	want, m := measure(t)
+	want, m := measure(t, crashOpts)
 	total, first := m.srv.WALAppends(), m.appendsAtEpoch[1]
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "run.ckpt")

@@ -23,7 +23,7 @@ type loopbackRig struct {
 // overLoopback uploads rel over a fresh loopback connection for Or-ORAM and
 // then for Ex-ORAM and hands each engine to fn.
 func overLoopback(b *testing.B, rel *relation.Relation, fn func(r *loopbackRig)) {
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		backend := store.NewServer()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -18,18 +18,18 @@ import (
 
 // Client-side checkpointing. A Checkpoint bundles everything the client
 // needs to continue a discovery run after a crash: the encryption key, the
-// engine's per-set ORAM client states (stash + position map — the secrets),
-// and the lattice traversal frontier. It is written to a client-local file
-// and NEVER crosses the wire: the server-side counterpart is just the
-// recovery epoch number passed to store.Service.Checkpoint, so the leakage
-// profile is unchanged (the adversary learns that — and when — the client
-// checkpointed, which is timing it already observes).
+// engine's per-set state (ORAM stashes and position maps — the secrets — or
+// Sort's array names), and the lattice traversal frontier. It is written to a
+// client-local file and NEVER crosses the wire: the server-side counterpart is
+// just the recovery epoch number passed to store.Service.Checkpoint, so the
+// leakage profile is unchanged (the adversary learns that — and when — the
+// client checkpointed, which is timing it already observes).
 //
 // Consistency contract: a checkpoint at epoch E is valid only against a
 // server whose storage is exactly as it was when E was marked. PathORAM
-// reads mutate the server (leaf remap + path rewrite), so resuming an old
-// client state against a newer server state silently corrupts the
-// partitions. Resume therefore verifies Stats().Epoch == E and
+// reads mutate the server (leaf remap + path rewrite), as does a by-ID sort,
+// so resuming an old client state against a newer server state silently
+// corrupts the partitions. Resume therefore verifies Stats().Epoch == E and
 // Stats().MutationsSinceEpoch == 0 before touching anything.
 
 // Checkpoint sentinels.
@@ -44,7 +44,7 @@ var (
 )
 
 // checkpointMagic identifies the framed checkpoint format — and, because a
-// checkpoint is only half of a resumable state, what its ORAM handles expect
+// checkpoint is only half of a resumable state, what its handles expect
 // to find on the server. OFDCKPT6 holds each ORAM's client state as the handle
 // holds it: slots with 4-byte versions, value slab, counters (oram.State), for
 // a tree of half the next power of two ≥ capacity leaves whose blocks are
@@ -117,36 +117,36 @@ func attachEDB(svc store.Service, st *EDBState) (*EncryptedDB, error) {
 	}, nil
 }
 
-// SetState is the checkpoint form of one materialized attribute set:
-// cardinality, covering subsets, and the client states of its ORAMs — KL and
-// the name of the IL label array for OrEngine, KLF and IKL for ExEngine. An
-// Or-ORAM state with a Secondary was written by a build that kept IL as an
-// ORAM, and is refused.
+// SetState is the checkpoint form of one materialized attribute set: its
+// cardinality, covers and server structures — KL and IL for OrEngine, KLF and
+// IKL for ExEngine, B_X for SortEngine. An Or-ORAM state with a Secondary was
+// written by a build that kept IL as an ORAM, and is refused.
 type SetState struct {
 	Set       relation.AttrSet
 	Card      uint64
-	NextLabel uint64 // ExEngine's monotone label source; unused by OrEngine
+	NextLabel uint64 // ExEngine's monotone label source; unused by the others
 	Cover     [2]relation.AttrSet
 	Primary   *oram.State // KL or KLF
-	Secondary *oram.State // IKL; nil for OrEngine
-	Labels    string      // IL; empty for ExEngine
+	Secondary *oram.State // IKL; nil for the others
+	Labels    string      // IL or B_X; empty for ExEngine
+	ByID      bool        // B_X is in r[ID] order; SortEngine only
 }
 
 // EngineState is the serializable client state of an attribute-level engine.
 type EngineState struct {
 	Kind     string // the protocol's name (Protocol.String)
-	Instance string // ORAM name prefix; preserved so names keep matching
-	Seq      int64  // ORAM-name counter; preserved so new names stay unique
+	Instance string // object-name prefix; preserved so names keep matching
+	Seq      int64  // object-name counter; preserved so new names stay unique
+	Workers  int    // the count Open was given; SortEngine's, resumed as ≥ 1
 	Dead     []int  // ids of the database's rows never to traverse, ascending
 	Sets     []SetState
 }
 
-// CheckpointableEngine is implemented by engines that can capture and later
-// resume their client state.
-type CheckpointableEngine interface {
-	Engine
-	CheckpointState() *EngineState
-}
+// stateful is an engine of a row with a resume column (TestResumableRowsRoundTrip).
+type stateful interface{ engineState() *EngineState }
+
+// CaptureState is what ResumeEngine rebuilds eng, of a Resumable protocol, from.
+func CaptureState(eng Engine) *EngineState { return eng.(stateful).engineState() }
 
 // LatticeState is the serializable frontier of a Discover run, captured at
 // a level boundary: what the plan cannot derive — its parameters and every

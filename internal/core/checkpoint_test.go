@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -14,8 +15,10 @@ import (
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/baseline"
+	"github.com/oblivfd/oblivfd/internal/oram"
 	"github.com/oblivfd/oblivfd/internal/relation"
 	"github.com/oblivfd/oblivfd/internal/store"
+	"github.com/oblivfd/oblivfd/internal/trace"
 )
 
 // ckptRelation returns a small relation with a known FD structure.
@@ -53,7 +56,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	cp := &Checkpoint{
 		Epoch:  1,
 		EDB:    edb.State(),
-		Engine: eng.CheckpointState(),
+		Engine: CaptureState(eng),
 		Lattice: &LatticeState{
 			M:             4,
 			NextLevel:     1,
@@ -167,105 +170,118 @@ func TestIDORAMCheckpointIsRefused(t *testing.T) {
 	}
 }
 
-// crashAfter aborts a discovery run from inside the checkpoint callback once
-// the requested level boundary is reached, capturing the full checkpoint the
-// way securefd.DiscoverResumable does.
+// errSimulatedCrash aborts a discovery run from inside the checkpoint
+// callback once the requested level boundary is reached, after the full
+// checkpoint is captured the way securefd.DiscoverResumable does.
 var errSimulatedCrash = errors.New("simulated client crash")
 
-// TestDiscoverResumeMatchesFullRun is the client-side recovery core: crash at
+// TestDiscoverResumeMatchesFullRun is the client-side recovery core, for every
+// resumable row, keeping partitions and not, on one worker and two: crash at
 // every level boundary, resume from the captured checkpoint on the same
-// server, and require the identical FD set, counters, and cardinalities.
+// server, and require the uninterrupted run's FD set, counters and
+// cardinalities — and, from the epoch on, what the server sees of each
+// structure. The runs end with what a keep-on caller may ask of the
+// partitions left (reread), so a resumed set that forgot what its run had done
+// to it shows there.
 func TestDiscoverResumeMatchesFullRun(t *testing.T) {
 	rel := ckptRelation(t)
 	m := rel.NumAttrs()
-
-	baseEng, _ := openFor[Engine](t, nil, ProtocolORAM, rel, opts{})
-	want, err := Discover(baseEng, m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Find how many level boundaries a full run has.
-	probeEng, _ := openFor[Engine](t, nil, ProtocolORAM, rel, opts{})
-	boundaries := 0
-	if _, err := Discover(probeEng, m, &Options{
-		Checkpoint: func(*LatticeState) error { boundaries++; return nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if boundaries < 2 {
-		t.Fatalf("test relation yields %d level boundaries; need ≥ 2 to exercise resume", boundaries)
-	}
-
-	for crashAt := 1; crashAt <= boundaries; crashAt++ {
-		svc := store.NewServer()
-		eng, edb := openFor[*OrEngine](t, svc, ProtocolORAM, rel, opts{})
-
-		var cp *Checkpoint
-		seen := 0
-		_, err := Discover(eng, m, &Options{
-			Checkpoint: func(ls *LatticeState) error {
-				seen++
-				if seen == crashAt {
-					epoch := int64(ls.NextLevel)
-					if err := svc.Checkpoint(epoch); err != nil {
-						return err
+	for _, p := range rows(resumable) {
+		for _, keep := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%v/keep=%t/workers=%d", p, keep, workers), func(t *testing.T) {
+					o := opts{workers: workers}
+					// The uninterrupted run, its trace cut at each boundary.
+					srv := store.NewServer()
+					srv.Trace().Enable()
+					eng, _ := openFor[Engine](t, srv, p, rel, o)
+					var cuts []int
+					want, err := Discover(eng, m, &Options{KeepPartitions: keep, Checkpoint: func(ls *LatticeState) error {
+						cuts = append(cuts, len(srv.Trace().Events()))
+						return nil
+					}})
+					if err != nil {
+						t.Fatal(err)
 					}
-					cp = &Checkpoint{Epoch: epoch, EDB: edb.State(), Engine: eng.CheckpointState(), Lattice: ls}
-					return errSimulatedCrash
-				}
-				return nil
-			},
-		})
-		if !errors.Is(err, errSimulatedCrash) {
-			t.Fatalf("crash %d: Discover err = %v, want simulated crash", crashAt, err)
-		}
-
-		// Resume: same server (its state is exactly the epoch's, nothing
-		// mutated since the callback), fresh engine from the checkpoint.
-		if err := VerifyEpoch(svc, cp.Epoch); err != nil {
-			t.Fatalf("crash %d: %v", crashAt, err)
-		}
-		eng2, _, _, err := ResumeEngine(svc, cp, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Discover(eng2, m, &Options{Resume: cp.Lattice})
-		if err != nil {
-			t.Fatalf("crash %d: resumed Discover: %v", crashAt, err)
-		}
-
-		if !relation.FDSetEqual(got.Minimal, want.Minimal) {
-			t.Errorf("crash %d: resumed FDs = %v, want %v", crashAt, got.Minimal, want.Minimal)
-		}
-		if got.SetsMaterialized != want.SetsMaterialized || got.Checks != want.Checks {
-			t.Errorf("crash %d: counters = %d sets/%d checks, want %d/%d",
-				crashAt, got.SetsMaterialized, got.Checks, want.SetsMaterialized, want.Checks)
-		}
-		for x, card := range want.Cardinalities {
-			if got.Cardinalities[x] != card {
-				t.Errorf("crash %d: |π_%v| = %d, want %d", crashAt, x, got.Cardinalities[x], card)
+					reread(t, eng, want)
+					full := srv.Trace().Events()
+					if len(cuts) < 2 {
+						t.Fatalf("test relation yields %d level boundaries; need ≥ 2 to exercise resume", len(cuts))
+					}
+					for i, cut := range cuts {
+						crashAt := i + 1 // the level the resumed run starts at
+						cp, eng2, svc := crashBefore(t, p, rel, o, Options{KeepPartitions: keep}, crashAt)
+						svc.Trace().Reset()
+						svc.Trace().Enable()
+						got, err := Discover(eng2, m, &Options{Resume: cp.Lattice})
+						if err != nil {
+							t.Fatalf("crash %d: resumed Discover: %v", crashAt, err)
+						}
+						reread(t, eng2, got)
+						if !relation.FDSetEqual(got.Minimal, want.Minimal) {
+							t.Errorf("crash %d: resumed FDs = %v, want %v", crashAt, got.Minimal, want.Minimal)
+						}
+						if got.SetsMaterialized != want.SetsMaterialized || got.Checks != want.Checks {
+							t.Errorf("crash %d: counters = %d sets/%d checks, want %d/%d",
+								crashAt, got.SetsMaterialized, got.Checks, want.SetsMaterialized, want.Checks)
+						}
+						for x, card := range want.Cardinalities {
+							if got.Cardinalities[x] != card {
+								t.Errorf("crash %d: |π_%v| = %d, want %d", crashAt, x, got.Cardinalities[x], card)
+							}
+						}
+						a := trace.ShapeOf(full[cut:]).CanonicalPerStructure()
+						b := trace.ShapeOf(svc.Trace().Events()).CanonicalPerStructure()
+						if !a.Equal(b) {
+							t.Errorf("crash %d: from the epoch on, the resumed run shows the server %d events, the uninterrupted one %d, per structure not the same",
+								crashAt, len(b), len(a))
+						}
+					}
+				})
 			}
 		}
 	}
 }
 
-// crashAfterLevel1 runs an Or-ORAM discovery of rel with opts until its first
+// reread asks eng, once a discovery is over, for π_{X∪Y} of every two sets X
+// and Y it still holds, neither holding the other, each pair read as a
+// Property 1 cover: what a caller that kept the partitions may ask of them.
+func reread(t *testing.T, eng Engine, res *Result) {
+	t.Helper()
+	var held []relation.AttrSet
+	for x := range res.Cardinalities {
+		if _, ok := eng.Cardinality(x); ok {
+			held = append(held, x)
+		}
+	}
+	sortSets(held)
+	for i, x := range held {
+		for _, y := range held[i+1:] {
+			if u := x.Union(y); u != x && u != y {
+				if _, err := CardinalityUnion(eng, x, y); err != nil {
+					t.Fatalf("π of %v ∪ %v: %v", x, y, err)
+				}
+			}
+		}
+	}
+}
+
+// crashAfterLevel1 runs row p's discovery of rel with opts until its first
 // checkpoint — the singletons built — and returns the checkpoint and a fresh
 // engine resumed from it on the same server.
-func crashAfterLevel1(t *testing.T, rel *relation.Relation, o Options) (*Checkpoint, Engine) {
+func crashAfterLevel1(t *testing.T, p Protocol, rel *relation.Relation, o Options) (*Checkpoint, Engine) {
 	t.Helper()
-	cp, eng, _ := crashBefore(t, rel, o, 1)
+	cp, eng, _ := crashBefore(t, p, rel, opts{}, o, 1)
 	return cp, eng
 }
 
-// crashBefore runs an Or-ORAM discovery of rel with opts until its checkpoint
-// before level next, and returns the checkpoint, a fresh engine resumed from
-// it and the server both share.
-func crashBefore(t *testing.T, rel *relation.Relation, o Options, next int) (*Checkpoint, Engine, *store.Server) {
+// crashBefore runs row p's discovery of rel, its engine opened with eo, with
+// opts o until its checkpoint before level next, and returns the checkpoint, a
+// fresh engine resumed from it and the server both share.
+func crashBefore(t *testing.T, p Protocol, rel *relation.Relation, eo opts, o Options, next int) (*Checkpoint, Engine, *store.Server) {
 	t.Helper()
 	svc := store.NewServer()
-	eng, edb := openFor[*OrEngine](t, svc, ProtocolORAM, rel, opts{})
+	eng, edb := openFor[Engine](t, svc, p, rel, eo)
 	var cp *Checkpoint
 	o.Checkpoint = func(ls *LatticeState) error {
 		if ls.NextLevel < next {
@@ -275,7 +291,7 @@ func crashBefore(t *testing.T, rel *relation.Relation, o Options, next int) (*Ch
 		if err := svc.Checkpoint(epoch); err != nil {
 			return err
 		}
-		cp = &Checkpoint{Epoch: epoch, EDB: edb.State(), Engine: eng.CheckpointState(), Lattice: ls}
+		cp = &Checkpoint{Epoch: epoch, EDB: edb.State(), Engine: CaptureState(eng), Lattice: ls}
 		return errSimulatedCrash
 	}
 	if _, err := Discover(eng, rel.NumAttrs(), &o); !errors.Is(err, errSimulatedCrash) {
@@ -283,6 +299,11 @@ func crashBefore(t *testing.T, rel *relation.Relation, o Options, next int) (*Ch
 	}
 	if cp.Lattice.NextLevel != next {
 		t.Fatalf("checkpoint at level %d, want %d", cp.Lattice.NextLevel, next)
+	}
+	// Same server: its state is exactly the epoch's, nothing mutated since
+	// the callback.
+	if err := VerifyEpoch(svc, cp.Epoch); err != nil {
+		t.Fatal(err)
 	}
 	eng2, _, _, err := ResumeEngine(svc, cp, nil)
 	if err != nil {
@@ -297,17 +318,21 @@ func crashBefore(t *testing.T, rel *relation.Relation, o Options, next int) (*Ch
 // server holds the database's column arrays alone.
 func TestResumeWithoutKeepingReleasesTheRest(t *testing.T) {
 	rel := ckptRelation(t)
-	cp, eng, svc := crashBefore(t, rel, Options{KeepPartitions: true}, 3)
-	cp.Lattice.KeepPartitions = false
-	got, err := Discover(eng, rel.NumAttrs(), &Options{Resume: cp.Lattice})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := baseline.MinimalFDs(rel); !relation.FDSetEqual(got.Minimal, want) {
-		t.Errorf("resumed FDs = %v, want %v", got.Minimal, want)
-	}
-	if st, _ := svc.Stats(); st.Objects != rel.NumAttrs() {
-		t.Errorf("after the resumed Discover the server holds %d objects, want the %d column arrays", st.Objects, rel.NumAttrs())
+	for _, p := range rows(resumable) {
+		t.Run(p.String(), func(t *testing.T) {
+			cp, eng, svc := crashBefore(t, p, rel, opts{}, Options{KeepPartitions: true}, 3)
+			cp.Lattice.KeepPartitions = false
+			got, err := Discover(eng, rel.NumAttrs(), &Options{Resume: cp.Lattice})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := baseline.MinimalFDs(rel); !relation.FDSetEqual(got.Minimal, want) {
+				t.Errorf("resumed FDs = %v, want %v", got.Minimal, want)
+			}
+			if st, _ := svc.Stats(); st.Objects != rel.NumAttrs() {
+				t.Errorf("after the resumed Discover the server holds %d objects, want the %d column arrays", st.Objects, rel.NumAttrs())
+			}
+		})
 	}
 }
 
@@ -319,18 +344,22 @@ func TestResumeLeavesOptionsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, eng := crashAfterLevel1(t, rel, Options{MaxLHS: 2, KeepPartitions: true})
-	opts := &Options{Resume: cp.Lattice}
-	got, err := Discover(eng, rel.NumAttrs(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relation.FDSetEqual(got.Minimal, want.Minimal) {
-		t.Errorf("resumed FDs = %v, want the MaxLHS = 2 run's %v", got.Minimal, want.Minimal)
-	}
-	if opts.MaxLHS != 0 || opts.KeepPartitions {
-		t.Errorf("after the resumed run the caller's Options read MaxLHS %d, KeepPartitions %t; it passed 0, false",
-			opts.MaxLHS, opts.KeepPartitions)
+	for _, p := range rows(resumable) {
+		t.Run(p.String(), func(t *testing.T) {
+			cp, eng := crashAfterLevel1(t, p, rel, Options{MaxLHS: 2, KeepPartitions: true})
+			opts := &Options{Resume: cp.Lattice}
+			got, err := Discover(eng, rel.NumAttrs(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relation.FDSetEqual(got.Minimal, want.Minimal) {
+				t.Errorf("resumed FDs = %v, want the MaxLHS = 2 run's %v", got.Minimal, want.Minimal)
+			}
+			if opts.MaxLHS != 0 || opts.KeepPartitions {
+				t.Errorf("after the resumed run the caller's Options read MaxLHS %d, KeepPartitions %t; it passed 0, false",
+					opts.MaxLHS, opts.KeepPartitions)
+			}
+		})
 	}
 }
 
@@ -355,11 +384,15 @@ func TestResumeRefusesUnbackedCardinality(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cp, eng := crashAfterLevel1(t, rel, Options{KeepPartitions: true})
-			cp.Lattice.Cardinalities = edit(cp.Lattice.Cardinalities)
-			res, err := Discover(eng, rel.NumAttrs(), &Options{Resume: cp.Lattice})
-			if !errors.Is(err, ErrCorruptCheckpoint) {
-				t.Fatalf("resumed Discover = %v, %v; want ErrCorruptCheckpoint", res, err)
+			for _, p := range rows(resumable) {
+				t.Run(p.String(), func(t *testing.T) {
+					cp, eng := crashAfterLevel1(t, p, rel, Options{KeepPartitions: true})
+					cp.Lattice.Cardinalities = edit(cp.Lattice.Cardinalities)
+					res, err := Discover(eng, rel.NumAttrs(), &Options{Resume: cp.Lattice})
+					if !errors.Is(err, ErrCorruptCheckpoint) {
+						t.Fatalf("resumed Discover = %v, %v; want ErrCorruptCheckpoint", res, err)
+					}
+				})
 			}
 		})
 	}
@@ -375,49 +408,53 @@ func TestResumeRefusesUnbackedCardinality(t *testing.T) {
 // FDs.
 func TestResumeReplaysParentFrontier(t *testing.T) {
 	rel := ckptRelation(t)
-	cp, eng := crashAfterLevel1(t, rel, Options{})
-	type parentLattice struct {
-		M, NextLevel                     int
-		Level, PrevLevel                 []relation.AttrSet
-		CPlus                            [][2]relation.AttrSet
-		Minimal                          []relation.FD
-		Cardinalities                    []SetCard
-		SetsMaterialized, Checks, MaxLHS int
-		KeepPartitions                   bool
-	}
-	a, b := relation.SingleAttr(0), relation.SingleAttr(1)
-	parent := struct {
-		Epoch   int64
-		EDB     *EDBState
-		Engine  *EngineState
-		Lattice *parentLattice
-	}{cp.Epoch, cp.EDB, cp.Engine, &parentLattice{
-		M:                cp.Lattice.M,
-		NextLevel:        cp.Lattice.NextLevel,
-		Level:            relation.AllSingletons(rel.NumAttrs() - 1),
-		CPlus:            [][2]relation.AttrSet{{0, relation.FullSet(rel.NumAttrs())}, {a, 0}},
-		Minimal:          []relation.FD{{LHS: b, RHS: a}},
-		Cardinalities:    cp.Lattice.Cardinalities,
-		SetsMaterialized: rel.NumAttrs(),
-		MaxLHS:           cp.Lattice.MaxLHS,
-		KeepPartitions:   cp.Lattice.KeepPartitions,
-	}}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(parent); err != nil {
-		t.Fatal(err)
-	}
-	file := binary.LittleEndian.AppendUint64([]byte("OFDCKPT5"), uint64(payload.Len()))
-	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload.Bytes()))
-	read, err := readCheckpoint(bytes.NewReader(append(file, payload.Bytes()...)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Discover(eng, rel.NumAttrs(), &Options{Resume: read.Lattice})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := baseline.MinimalFDs(rel); !relation.FDSetEqual(got.Minimal, want) {
-		t.Errorf("resumed FDs = %v, want %v", got.Minimal, want)
+	for _, p := range rows(resumable) {
+		t.Run(p.String(), func(t *testing.T) {
+			cp, eng := crashAfterLevel1(t, p, rel, Options{})
+			type parentLattice struct {
+				M, NextLevel                     int
+				Level, PrevLevel                 []relation.AttrSet
+				CPlus                            [][2]relation.AttrSet
+				Minimal                          []relation.FD
+				Cardinalities                    []SetCard
+				SetsMaterialized, Checks, MaxLHS int
+				KeepPartitions                   bool
+			}
+			a, b := relation.SingleAttr(0), relation.SingleAttr(1)
+			parent := struct {
+				Epoch   int64
+				EDB     *EDBState
+				Engine  *EngineState
+				Lattice *parentLattice
+			}{cp.Epoch, cp.EDB, cp.Engine, &parentLattice{
+				M:                cp.Lattice.M,
+				NextLevel:        cp.Lattice.NextLevel,
+				Level:            relation.AllSingletons(rel.NumAttrs() - 1),
+				CPlus:            [][2]relation.AttrSet{{0, relation.FullSet(rel.NumAttrs())}, {a, 0}},
+				Minimal:          []relation.FD{{LHS: b, RHS: a}},
+				Cardinalities:    cp.Lattice.Cardinalities,
+				SetsMaterialized: rel.NumAttrs(),
+				MaxLHS:           cp.Lattice.MaxLHS,
+				KeepPartitions:   cp.Lattice.KeepPartitions,
+			}}
+			var payload bytes.Buffer
+			if err := gob.NewEncoder(&payload).Encode(parent); err != nil {
+				t.Fatal(err)
+			}
+			file := binary.LittleEndian.AppendUint64([]byte("OFDCKPT5"), uint64(payload.Len()))
+			file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload.Bytes()))
+			read, err := readCheckpoint(bytes.NewReader(append(file, payload.Bytes()...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Discover(eng, rel.NumAttrs(), &Options{Resume: read.Lattice})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := baseline.MinimalFDs(rel); !relation.FDSetEqual(got.Minimal, want) {
+				t.Errorf("resumed FDs = %v, want %v", got.Minimal, want)
+			}
+		})
 	}
 }
 
@@ -458,7 +495,7 @@ func TestResumeExEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.(CheckpointableEngine).CheckpointState()
+	st := CaptureState(eng)
 	if st.Kind != ProtocolDynamicORAM.String() {
 		t.Fatalf("kind = %q", st.Kind)
 	}
@@ -488,13 +525,19 @@ func TestResumeExEngine(t *testing.T) {
 }
 
 // TestResumeEngineKindMismatch: a checkpoint resumes only as an engine this
-// build has, and only over the rows its dead ids can name.
+// build has, only over the rows its dead ids can name, and a Sort state only
+// with no dead ids and every set an array at a cardinality in [1, n].
 func TestResumeEngineKindMismatch(t *testing.T) {
 	svc := store.NewServer()
 	_, edb := openFor[Engine](t, svc, ProtocolORAM, ckptRelation(t), opts{})
+	a, sort := relation.SingleAttr(0), ProtocolSort.String()
 	for _, es := range []*EngineState{
 		{Kind: "bogus"},
-		{Kind: "sort"},
+		{Kind: ProtocolDeterministic.String()},
+		{Kind: sort, Dead: []int{0}},
+		{Kind: sort, Sets: []SetState{{Set: a, Card: 1}}},
+		{Kind: sort, Sets: []SetState{{Set: a, Card: 0, Labels: "t:1:B"}}},
+		{Kind: sort, Sets: []SetState{{Set: a, Card: uint64(edb.NumRows()) + 1, Labels: "t:1:B"}}},
 		{Kind: ProtocolORAM.String(), Dead: []int{edb.NumRows()}},
 		{Kind: ProtocolDynamicORAM.String(), Dead: []int{-1}},
 		{Kind: ProtocolDynamicORAM.String(), Dead: []int{2, 1}},
@@ -570,26 +613,75 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
-// fuzzCheckpoints returns an Or-ORAM and an Ex-ORAM checkpoint taken after a
-// full discovery and an insertion (and, in Ex, the deletion of the inserted
-// record), so both carry slots, stashes, unions and the Ex one a dead id.
+// fuzzCheckpoints returns a checkpoint of every resumable row taken after a
+// full discovery that kept its partitions and, for an ORAM row, an insertion
+// (and, in Ex, the deletion of the inserted record), so the ORAM ones carry
+// slots, stashes, unions and the Ex one a dead id, and the Sort one arrays in
+// both orders.
 func fuzzCheckpoints(f *testing.F) []*Checkpoint {
 	rel := ckptRelation(f)
 	var cps []*Checkpoint
 	for _, p := range rows(resumable) {
-		eng, edb := openFor[CheckpointableEngine](f, nil, p, rel, opts{name: "fuzz", headroom: 1})
+		eng, edb := openFor[Engine](f, nil, p, rel, opts{name: "fuzz", workers: 2, headroom: 1})
 		var ls *LatticeState
 		if _, err := Discover(eng, rel.NumAttrs(), &Options{KeepPartitions: true, Checkpoint: func(s *LatticeState) error { ls = s; return nil }}); err != nil {
 			f.Fatal(err)
 		}
-		id, err := eng.(inserter).Insert(relation.Row{"a9", "b9", "c9", "d9"})
-		if dyn, ok := eng.(DynamicEngine); ok && err == nil {
-			err = dyn.Delete(id)
+		if ins, ok := eng.(inserter); ok {
+			id, err := ins.Insert(relation.Row{"a9", "b9", "c9", "d9"})
+			if dyn, ok := eng.(DynamicEngine); ok && err == nil {
+				err = dyn.Delete(id)
+			}
+			if err != nil {
+				f.Fatal(err)
+			}
 		}
-		if err != nil {
-			f.Fatal(err)
-		}
-		cps = append(cps, &Checkpoint{Epoch: 1, EDB: edb.State(), Engine: eng.CheckpointState(), Lattice: ls})
+		cps = append(cps, &Checkpoint{Epoch: 1, EDB: edb.State(), Engine: CaptureState(eng), Lattice: ls})
 	}
 	return cps
+}
+
+// TestResumableRowsRoundTrip pins the table's resume column to the engines:
+// over every row, after a discovery that kept its partitions, an engine of a
+// row with the column captures a state that resumes to an engine capturing
+// the same state again, and an engine of a row without it captures nothing.
+func TestResumableRowsRoundTrip(t *testing.T) {
+	rel := ckptRelation(t)
+	for _, p := range rows(everyRow) {
+		t.Run(p.String(), func(t *testing.T) {
+			svc := store.NewServer()
+			eng, edb := openFor[Engine](t, svc, p, rel, opts{workers: 2})
+			if _, err := Discover(eng, rel.NumAttrs(), &Options{KeepPartitions: true}); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := eng.(stateful); ok != resumable(p) {
+				t.Fatalf("the engine captures a state: %t; the row has a resume column: %t", ok, resumable(p))
+			}
+			if !resumable(p) {
+				return
+			}
+			es := CaptureState(eng)
+			if es.Kind != p.String() || len(es.Sets) == 0 {
+				t.Fatalf("captured kind %q with %d sets, want %q with every kept set", es.Kind, len(es.Sets), p)
+			}
+			resumed, _, got, err := ResumeEngine(svc, &Checkpoint{EDB: edb.State(), Engine: es}, nil)
+			if err != nil || got != p {
+				t.Fatalf("ResumeEngine = %v, %v; want the %v row's engine", got, err, p)
+			}
+			// A capture draws each ORAM's next leaf-choice seed afresh.
+			again := CaptureState(resumed)
+			for _, st := range [][]SetState{es.Sets, again.Sets} {
+				for _, s := range st {
+					for _, o := range []*oram.State{s.Primary, s.Secondary} {
+						if o != nil {
+							o.Seed = 0
+						}
+					}
+				}
+			}
+			if !reflect.DeepEqual(again, es) {
+				t.Errorf("capture → resume → capture:\n%+v\nwant\n%+v", again, es)
+			}
+		})
+	}
 }

@@ -334,7 +334,7 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 	}
 	want := func(x relation.AttrSet) int { return relation.PartitionOf(after, x).Classes }
 
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		t.Run(short(p), func(t *testing.T) {
 			svc := newFailNth(store.NewServer(), func(op *store.Op) bool {
 				return op.Kind == store.KindBatch && !op.Ops[0].Write && treeOp(&op.Ops[0])
@@ -364,7 +364,7 @@ func TestFailedInsertIsNeverTraversed(t *testing.T) {
 			}
 
 			// The hole round-trips through a checkpoint.
-			es := eng.(CheckpointableEngine).CheckpointState()
+			es := CaptureState(eng)
 			if want := []int{6}; !reflect.DeepEqual(es.Dead, want) {
 				t.Errorf("checkpointed dead ids %v, want %v", es.Dead, want)
 			}
@@ -651,7 +651,7 @@ const deleteRounds = 3
 // deletion 3 rounds and an update (a deletion, then an insertion) their sum.
 func TestMutationRoundsClosedForm(t *testing.T) {
 	for _, m := range []int{3, 4, 6} {
-		for _, p := range rows(resumable) {
+		for _, p := range rows(oramRow) {
 			t.Run(fmt.Sprintf("%s/m=%d", short(p), m), func(t *testing.T) {
 				rel := fixedWidthRel(m, 8, int64(m), 3)
 				rounds := store.WithRoundCounter(store.NewServer())
@@ -758,7 +758,7 @@ func TestMutationFramingDataIndependent(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		t.Run(short(p), func(t *testing.T) {
 			same(t, "insertion of new keys against seen ones",
 				mutate(t, p, insert(relation.Row{"888881", "888882", "888883"})), mutate(t, p, insert(recs[0])))

@@ -147,7 +147,7 @@ func TestFusedRoundsAreFramingOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		t.Run(p.String(), func(t *testing.T) {
 			fused := runFused(t, p, rel, fusing)
 			split := runFused(t, p, rel, unfusing)
@@ -272,7 +272,7 @@ func TestFusedRoundRetriedWhole(t *testing.T) {
 	writeBack := func(op *store.Op) bool {
 		return op.Kind == store.KindBatch && len(op.Ops) > 0 && op.Ops[0].Write && onTree(op.Ops[0].Name)
 	}
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		t.Run(p.String(), func(t *testing.T) {
 			clean := runFused(t, p, rel, fusing)
 

@@ -214,7 +214,7 @@ func TestLevelClosedForm(t *testing.T) {
 	const m, n = 4, 70 // two chunks: 64 + 6
 	rel := fixedWidthRel(m, n, 5, 3)
 	chunks := (n + obsort.ChunkCells - 1) / obsort.ChunkCells
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		t.Run(short(p), func(t *testing.T) {
 			srv := store.NewServer()
 			rounds := countPathRounds(srv)
@@ -413,7 +413,7 @@ func TestLevelWiderThanGroup(t *testing.T) {
 	if _, err := oracle.Materialize(append(allSingles(m), pairs...)); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		t.Run(short(p), func(t *testing.T) {
 			srv := store.NewServer()
 			rounds := countPathRounds(srv)
@@ -517,7 +517,7 @@ func failedLevel(t *testing.T) {
 	if _, err := oracle.Materialize(append(allSingles(m), pairs...)); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", short(p), workers), func(t *testing.T) {
 				// n fits one chunk, which is 3 rounds a group, 2 of them led
@@ -663,7 +663,7 @@ func TestLabelCellsAreLocationBound(t *testing.T) {
 func TestLevelErrorsSayWhere(t *testing.T) {
 	const m, n = 3, 8
 	rel := fixedWidthRel(m, n, 17, 3)
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		t.Run(short(p), func(t *testing.T) {
 			srv := store.NewServer()
 			var victim string // the structure whose fetched paths or cells arrive with a bit flipped
@@ -720,7 +720,7 @@ func TestFreshLabelsAcrossPipelinedRecords(t *testing.T) {
 		{"all fresh", func(i, _ int) int { return i }},
 		{"fresh, repeat, fresh", func(i, col int) int { return i / (2 + col) }},
 	}
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		t.Run(short(p), func(t *testing.T) {
 			for _, r := range rels {
 				t.Run(r.name, func(t *testing.T) { freshLabels(t, p, r.cell, m, n) })

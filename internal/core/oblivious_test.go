@@ -447,7 +447,7 @@ func TestInvocationFieldsFollowTheSchedule(t *testing.T) {
 		for _, dynamic := range []bool{false, true} {
 			name := proto.String()
 			if dynamic {
-				if !resumable(proto) { // only the ORAM engines take mutations
+				if !oramRow(proto) { // only the ORAM engines take mutations
 					continue
 				}
 				name += " dynamic"
@@ -686,7 +686,7 @@ func TestBatchFramingIgnoresDuplicates(t *testing.T) {
 		}
 		return log.rounds
 	}
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		t.Run(short(p), func(t *testing.T) {
 			a, b := run(t, p, together), run(t, p, apart)
 			if len(a) == 0 {
@@ -729,7 +729,7 @@ func TestFillFramingDataIndependent(t *testing.T) {
 		}
 		return log.rounds
 	}
-	for _, proto := range rows(resumable) {
+	for _, proto := range rows(oramRow) {
 		t.Run(short(proto), func(t *testing.T) {
 			for _, p := range pairs {
 				if p.a.NumRows() < 4*obsort.ChunkCells || p.a.NumRows() != p.b.NumRows() {

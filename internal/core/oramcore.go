@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"github.com/oblivfd/oblivfd/internal/crypto"
@@ -676,24 +675,20 @@ func (c *oramCore) Insert(row relation.Row) (int, error) {
 	return id, nil
 }
 
-// CheckpointState implements CheckpointableEngine: every materialized set's
-// cardinality, cover, ORAM client states and label array, deep-captured in
-// cover-before-union order so resume can rebuild dependencies in sequence,
-// and the dead ids.
-func (c *oramCore) CheckpointState() *EngineState {
-	es := &EngineState{Kind: c.layout.proto.String(), Instance: c.instance, Seq: c.seq.Load()}
-	for id := range c.dead {
-		es.Dead = append(es.Dead, id)
-	}
-	sort.Ints(es.Dead)
-	for _, x := range c.setsBySize() {
-		st := c.sets[x]
-		s := SetState{Set: x, Card: st.card, NextLabel: st.nextLabel, Cover: st.cover, Primary: st.primary.State(), Labels: st.labels}
+// engineState is the state resume rebuilds from: every materialized set's
+// cover, ORAM client states, deep-captured, and label array, and the dead ids.
+func (c *oramCore) engineState() *EngineState {
+	es := c.state(c.layout.proto, c.instance, c.seq.Load(), func(st *oramState) SetState {
+		s := SetState{NextLabel: st.nextLabel, Cover: st.cover, Primary: st.primary.State(), Labels: st.labels}
 		if st.secondary != nil {
 			s.Secondary = st.secondary.State()
 		}
-		es.Sets = append(es.Sets, s)
+		return s
+	})
+	for id := range c.dead {
+		es.Dead = append(es.Dead, id)
 	}
+	slices.Sort(es.Dead)
 	return es
 }
 

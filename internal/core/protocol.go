@@ -55,14 +55,15 @@ var protocols = [...]struct {
 	// runs; the other engines work on rel in (client or enclave) memory.
 	encrypted bool
 	open      func(rel *relation.Relation, edb *EncryptedDB, workers int, reg *telemetry.Registry) (Engine, error)
-	// resume rebuilds the engine from a checkpoint; nil for a protocol whose
-	// state has nothing stable to persist.
+	// resume rebuilds the engine from what CaptureState took; nil where no
+	// partition is on the server, deterministic's labels being client-side.
 	resume func(edb *EncryptedDB, es *EngineState, reg *telemetry.Registry) (Engine, error)
 }{
 	ProtocolSort: {name: "sort", paper: "Sort", encrypted: true,
 		open: func(_ *relation.Relation, edb *EncryptedDB, workers int, reg *telemetry.Registry) (Engine, error) {
 			return asEngine(newSortEngine(edb, workers, reg))
-		}},
+		},
+		resume: resumeSortEngine},
 	ProtocolORAM: {name: "or-oram", paper: "Or-ORAM", encrypted: true,
 		open: func(_ *relation.Relation, edb *EncryptedDB, _ int, reg *telemetry.Registry) (Engine, error) {
 			return newOrEngine(edb, reg), nil
@@ -131,6 +132,9 @@ func (p Protocol) Paper() string {
 	return protocols[p].paper
 }
 
+// Resumable reports whether p's row has a resume column: its runs checkpoint.
+func (p Protocol) Resumable() bool { return p.known() && protocols[p].resume != nil }
+
 // ParseProtocol parses a protocol name as printed by String.
 func ParseProtocol(s string) (Protocol, error) {
 	for p, row := range protocols {
@@ -192,7 +196,7 @@ func open(svc store.Service, name string, rel *relation.Relation, p Protocol, wo
 // taken (VerifyEpoch; see oramCore.resume).
 func ResumeEngine(svc store.Service, cp *Checkpoint, reg *telemetry.Registry) (Engine, *EncryptedDB, Protocol, error) {
 	p, err := ParseProtocol(cp.Engine.Kind)
-	if err != nil || protocols[p].resume == nil {
+	if err != nil || !p.Resumable() {
 		return nil, nil, 0, fmt.Errorf("%w: no engine of kind %q resumes", ErrCorruptCheckpoint, cp.Engine.Kind)
 	}
 	edb, err := attachEDB(svc, cp.EDB)

@@ -77,9 +77,13 @@ func encrypted(p Protocol) bool { return protocols[p].encrypted }
 // (TestFrequencyAttackBreaksDeterministicTags).
 func oblivious(p Protocol) bool { return encrypted(p) && p != ProtocolDeterministic }
 
-// resumable rows are the ORAM engines, whose client state a checkpoint
-// carries: they step a lattice level record by record and take insertions.
-func resumable(p Protocol) bool { return protocols[p].resume != nil }
+// resumable rows have a resume column: a checkpoint carries their engine's
+// client state.
+func resumable(p Protocol) bool { return p.Resumable() }
+
+// oramRow rows are the ORAM engines: they step a lattice level record by
+// record and take insertions.
+func oramRow(p Protocol) bool { return p == ProtocolORAM || p == ProtocolDynamicORAM }
 
 // named is row p's subtest name where the tests ranged over every engine
 // before the table named them: its String, but "plain" for plaintext.
@@ -94,7 +98,7 @@ func named(p Protocol) string {
 // level step: its String without "-oram".
 func short(p Protocol) string { return strings.TrimSuffix(p.String(), "-oram") }
 
-// oramOf is the ORAM core of a resumable row's engine.
+// oramOf is the ORAM core of an oramRow's engine.
 func oramOf(eng Engine) *oramCore {
 	switch e := eng.(type) {
 	case *OrEngine:
@@ -105,7 +109,7 @@ func oramOf(eng Engine) *oramCore {
 	panic(fmt.Sprintf("%T has no ORAM core", eng))
 }
 
-// inserter is an engine that takes insertions: the resumable rows'.
+// inserter is an engine that takes insertions: the oramRows'.
 type inserter interface {
 	Engine
 	Insert(relation.Row) (int, error)

@@ -84,6 +84,34 @@ func newSortEngine(edb *EncryptedDB, workers int, reg *telemetry.Registry) (*Sor
 	return e, nil
 }
 
+// resumeSortEngine is newSortEngine on es's workers, each held B_X reattached.
+func resumeSortEngine(edb *EncryptedDB, es *EngineState, reg *telemetry.Registry) (Engine, error) {
+	e, err := newSortEngine(edb, max(es.Workers, 1), reg)
+	if err != nil {
+		return nil, err
+	}
+	if len(es.Dead) > 0 {
+		return nil, fmt.Errorf("%w: dead ids %v in a sort engine", ErrCorruptCheckpoint, es.Dead)
+	}
+	e.instance = es.Instance
+	e.seq.Store(es.Seq)
+	for _, s := range es.Sets {
+		if s.Labels == "" || s.Card < 1 || s.Card > uint64(e.n) {
+			return nil, fmt.Errorf("%w: %v is array %q of |π| %d over %d rows", ErrCorruptCheckpoint, s.Set, s.Labels, s.Card, e.n)
+		}
+		e.sets[s.Set] = &sortState{name: s.Labels, arr: obsort.Attach(edb.svc, edb.cipher, s.Labels, e.n, labelRecWidth, reg), byID: s.ByID, card: s.Card}
+	}
+	return e, nil
+}
+
+// engineState is each held set's array name and order: past its labelling
+// pass, the array holds n records of labelRecWidth bytes, which go unstored.
+func (e *SortEngine) engineState() *EngineState {
+	return e.state(ProtocolSort, e.instance, e.seq.Load(), func(st *sortState) SetState {
+		return SetState{Labels: st.name, ByID: st.byID}
+	})
+}
+
 // NumRows implements Engine.
 func (e *SortEngine) NumRows() int { return e.n }
 

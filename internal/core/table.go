@@ -224,6 +224,18 @@ func (t *setTable[S]) Close() error {
 	return errors.Join(errs...)
 }
 
+// state is the table's checkpoint form: every materialized set, covers before
+// unions, with its cardinality and what set adds of its state.
+func (t *setTable[S]) state(p Protocol, instance string, seq int64, set func(S) SetState) *EngineState {
+	es := &EngineState{Kind: p.String(), Instance: instance, Seq: seq, Workers: t.workers}
+	for _, x := range t.setsBySize() {
+		s := set(t.sets[x])
+		s.Set, s.Card = x, uint64(t.sets[x].cardinality())
+		es.Sets = append(es.Sets, s)
+	}
+	return es
+}
+
 // setsBySize returns the materialized sets ordered by |X| then value, so
 // covers always precede their unions.
 func (t *setTable[S]) setsBySize() []relation.AttrSet {

@@ -97,7 +97,7 @@ func checkObservedRun(t *testing.T, p Protocol, offShape trace.Shape, offFDs []r
 		// single attributes of level 1, or a wider level above it. No
 		// other engine steps a group, and none sets it.
 		width := reg.Gauge("oblivfd_level_width").Value()
-		if !resumable(p) && width != 0 || resumable(p) && (width < 4 || width > levelWidth) {
+		if !oramRow(p) && width != 0 || oramRow(p) && (width < 4 || width > levelWidth) {
 			t.Errorf("oblivfd_level_width = %d", width)
 		}
 	}
@@ -185,7 +185,7 @@ func TestLevelSpanOncePerLevel(t *testing.T) {
 func TestResumedEngineIsInstrumented(t *testing.T) {
 	rel := fixedWidthRel(3, 8, 3, 2)
 	exact := []string{"oblivfd_oram_accesses_total", "oblivfd_oram_path_reads_total", "oblivfd_oram_path_writes_total"}
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		t.Run(p.String(), func(t *testing.T) {
 			// run builds two singles and then, resumed from a checkpoint if
 			// resume is set, a union and an insertion; it returns what the
@@ -201,7 +201,7 @@ func TestResumedEngineIsInstrumented(t *testing.T) {
 					t.Fatal(err)
 				}
 				if resume {
-					cp := &Checkpoint{EDB: edb.State(), Engine: eng.(CheckpointableEngine).CheckpointState()}
+					cp := &Checkpoint{EDB: edb.State(), Engine: CaptureState(eng)}
 					var err error
 					if eng, _, _, err = ResumeEngine(srv, cp, reg); err != nil {
 						t.Fatal(err)

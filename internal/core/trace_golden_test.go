@@ -342,7 +342,7 @@ const engineTraceChunkedGolden = "engine-trace-chunked-golden.txt"
 func TestEngineTraceGoldenChunked(t *testing.T) {
 	rel := parallelTestRel(4 * obsort.ChunkCells)
 	var got []string
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		srv := store.NewServer()
 		eng, _ := openFor[Engine](t, srv, p, rel, opts{})
 		srv.Trace().Reset()
@@ -384,13 +384,13 @@ func TestParentCheckpointResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixtures := filepath.Join("testdata", "narrow-blocks")
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		if _, err := os.Stat(filepath.Join(fixtures, short(p)+".ckpt")); errors.Is(err, os.ErrNotExist) {
 			writeResumeFixture(t, rel, fixtures, p)
 			t.Fatalf("wrote %s's %s pair; run the test again", fixtures, short(p))
 		}
 	}
-	for _, p := range rows(resumable) {
+	for _, p := range rows(oramRow) {
 		kind := short(p)
 		t.Run(kind, func(t *testing.T) {
 			dir := copyDir(t, filepath.Join(fixtures, kind+"-state")) // opening at an epoch discards what is newer
@@ -526,7 +526,7 @@ func writeResumeFixture(t *testing.T, rel *relation.Relation, dir string, p Prot
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	eng, edb := openFor[CheckpointableEngine](t, srv, p, rel, opts{name: "fixture-" + kind, headroom: 2})
+	eng, edb := openFor[Engine](t, srv, p, rel, opts{name: "fixture-" + kind, headroom: 2})
 	_, err = Discover(eng, rel.NumAttrs(), &Options{KeepPartitions: true, Checkpoint: func(ls *LatticeState) error {
 		if ls.NextLevel < 2 {
 			return nil
@@ -534,7 +534,7 @@ func writeResumeFixture(t *testing.T, rel *relation.Relation, dir string, p Prot
 		if err := srv.Checkpoint(int64(ls.NextLevel)); err != nil {
 			return err
 		}
-		cp := &Checkpoint{Epoch: int64(ls.NextLevel), EDB: edb.State(), Engine: eng.CheckpointState(), Lattice: ls}
+		cp := &Checkpoint{Epoch: int64(ls.NextLevel), EDB: edb.State(), Engine: CaptureState(eng), Lattice: ls}
 		if err := WriteCheckpointFile(filepath.Join(dir, kind+".ckpt"), cp); err != nil {
 			return err
 		}

@@ -93,7 +93,7 @@ type Array struct {
 
 	comparisons atomic.Int64
 
-	// Telemetry, nil when disabled; CreateStreamed attaches it. The
+	// Telemetry, nil when disabled; Attach wires it. The
 	// comparison positions are a pure function of the padded length, so
 	// counting them observes only Size(DB) (DESIGN.md §9).
 	compCtr  *telemetry.Counter
@@ -223,14 +223,10 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 	if width < 1 {
 		return nil, fmt.Errorf("obsort: record width %d < 1", width)
 	}
-	p := padded(n)
-	a := &Array{svc: svc, cipher: cipher, name: name, n: n, p: p,
-		layout:   layout{run: min(p, RunRecords), width: width, flag: padFlag(n)},
-		compCtr:  reg.Counter("oblivfd_sort_comparisons_total"),
-		stageCtr: reg.Counter("oblivfd_sort_stages_total")}
+	a := Attach(svc, cipher, name, n, width, reg)
 	// The create rides with the first block's write; until it is sent there
 	// is nothing to abandon.
-	create := []store.BatchOp{store.CreateArrayOp(name, p/a.run)}
+	create := []store.BatchOp{store.CreateArrayOp(name, a.p/a.run)}
 	fail := func(err error) (*Array, error) {
 		if create != nil {
 			return nil, err
@@ -239,8 +235,8 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 	}
 	sc := a.newScratch()
 	recs := make([][]byte, 0, min(ChunkCells, n))
-	for lo := 0; lo < p; lo += ChunkCells {
-		hi := min(lo+ChunkCells, p)
+	for lo := 0; lo < a.p; lo += ChunkCells {
+		hi := min(lo+ChunkCells, a.p)
 		sc.runs = a.appendRuns(sc.runs[:0], lo, hi)
 		rb := a.runBytes()
 		pt := sc.pt[:len(sc.runs)*rb]
@@ -264,6 +260,16 @@ func CreateStreamed(svc store.Service, cipher *crypto.Cipher, name string, n, wi
 		}
 	}
 	return a, nil
+}
+
+// Attach is CreateStreamed's handle to an existing array of n records of
+// width bytes; it sends nothing, and a wrong handle fails its first read.
+func Attach(svc store.Service, cipher *crypto.Cipher, name string, n, width int, reg *telemetry.Registry) *Array {
+	p := padded(n)
+	return &Array{svc: svc, cipher: cipher, name: name, n: n, p: p,
+		layout:   layout{run: min(p, RunRecords), width: width, flag: padFlag(n)},
+		compCtr:  reg.Counter("oblivfd_sort_comparisons_total"),
+		stageCtr: reg.Counter("oblivfd_sort_stages_total")}
 }
 
 // GetRanges fetches the same logical range [lo, hi) from several arrays —

@@ -15,8 +15,9 @@ import (
 //     append-only WAL and takes an atomic snapshot at each client-marked
 //     epoch. After a crash it recovers to the last acknowledged operation.
 //   - Client side: DiscoverResumable periodically writes a client-local
-//     checkpoint file — encryption key, ORAM stashes and position maps, and
-//     the lattice frontier — and marks the matching epoch on the server.
+//     checkpoint file — encryption key, ORAM stashes and position maps or
+//     the names of Sort's arrays, and the lattice frontier — and marks the
+//     matching epoch on the server.
 //     Resume continues the run from the last completed lattice level.
 //
 // The checkpoint file contains the database secrets and must never leave
@@ -84,17 +85,16 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 // rewrites the checkpoint file at path. After a crash, Resume(svc, path, reg, tr)
 // continues from the last completed level.
 //
-// Only the ORAM protocols support checkpointing — their per-set client state
-// is serializable. ProtocolSort holds transient sorting state with no stable
-// intermediate to persist; restart those runs instead.
+// Every protocol that keeps its partitions on the server checkpoints (see
+// Protocol.Resumable); the plaintext and enclave comparators keep nothing
+// there, and the deterministic one keeps its labels in client memory alone,
+// so those are refused.
 //
 // On a handle built by Resume, the run continues from the checkpointed
 // frontier, and keeps checkpointing to path.
 func (db *Database) DiscoverResumable(path string) (*Report, error) {
-	eng, ok := db.engine.(core.CheckpointableEngine)
-	if !ok || db.edb == nil {
-		return nil, fmt.Errorf("securefd: protocol %v does not support checkpointing (want %v or %v)",
-			db.opts.Protocol, ProtocolORAM, ProtocolDynamicORAM)
+	if !db.opts.Protocol.Resumable() {
+		return nil, fmt.Errorf("securefd: protocol %v does not support checkpointing", db.opts.Protocol)
 	}
 	opts := db.discoverOptions()
 	opts.Checkpoint = func(ls *core.LatticeState) error {
@@ -111,7 +111,7 @@ func (db *Database) DiscoverResumable(path string) (*Report, error) {
 		return core.WriteCheckpointFile(path, &core.Checkpoint{
 			Epoch:   epoch,
 			EDB:     db.edb.State(),
-			Engine:  eng.CheckpointState(),
+			Engine:  core.CaptureState(db.engine),
 			Lattice: ls,
 		})
 	}
@@ -128,39 +128,14 @@ func (db *Database) DiscoverResumable(path string) (*Report, error) {
 // recovered snapshot's epoch tag is verified before anything is rebuilt; on
 // mismatch Resume returns an error matching both ErrEpochMismatch and
 // ErrIntegrity instead of proceeding — recover the server to that epoch
-// first, e.g. with OpenDirAtEpoch or ResumeFromDir. The next Discover or
-// DiscoverResumable call on the returned handle continues from the
-// checkpointed lattice level.
+// first: OpenDirAtEpoch at the epoch ReadCheckpointFile reports. The next
+// Discover or DiscoverResumable call on the returned handle continues from
+// the checkpointed lattice level.
 func Resume(svc Service, path string, reg *Registry, tr *Tracer) (*Database, error) {
 	cp, err := core.ReadCheckpointFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("securefd: %w", err)
 	}
-	return resumeFrom(svc, cp, reg, tr)
-}
-
-// ResumeFromDir recovers both sides at once: it reads the checkpoint, opens
-// the server's data directory rolled back to the checkpoint's epoch, and
-// resumes the client against it as Resume does. The caller owns the returned
-// server (Snapshot + Close on shutdown).
-func ResumeFromDir(dir, ckptPath string, opts DurableOptions, reg *Registry, tr *Tracer) (*Database, *DurableServer, error) {
-	cp, err := core.ReadCheckpointFile(ckptPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("securefd: %w", err)
-	}
-	srv, err := store.OpenDirAtEpoch(dir, cp.Epoch, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("securefd: %w", err)
-	}
-	db, err := resumeFrom(srv, cp, reg, tr)
-	if err != nil {
-		srv.Close()
-		return nil, nil, err
-	}
-	return db, srv, nil
-}
-
-func resumeFrom(svc Service, cp *core.Checkpoint, reg *Registry, tr *Tracer) (*Database, error) {
 	if err := core.VerifyEpoch(svc, cp.Epoch); err != nil {
 		return nil, fmt.Errorf("securefd: %w", err)
 	}

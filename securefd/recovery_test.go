@@ -3,7 +3,9 @@ package securefd
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/oblivfd/oblivfd/internal/store"
@@ -78,11 +80,17 @@ func TestResumedHandleIsInstrumented(t *testing.T) {
 			}
 			srv.Close()
 			resumedReg := NewRegistry()
-			db, srv, err = ResumeFromDir(dir, ckpt, DurableOptions{}, resumedReg, nil)
+			cp, err := ReadCheckpointFile(ckpt)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if srv, err = OpenDirAtEpoch(dir, cp.Epoch, DurableOptions{}); err != nil {
+				t.Fatal(err)
+			}
 			defer srv.Close()
+			if db, err = Resume(srv, ckpt, resumedReg, nil); err != nil {
+				t.Fatal(err)
+			}
 			got, err := db.DiscoverResumable(ckpt)
 			if err != nil {
 				t.Fatal(err)
@@ -102,5 +110,45 @@ func TestResumedHandleIsInstrumented(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDiscoverResumableFollowsTheTable: every protocol that Resumable admits
+// checkpoints a discovery, and every other one — plaintext, enclave and
+// deterministic — is refused by name before anything is discovered.
+func TestDiscoverResumableFollowsTheTable(t *testing.T) {
+	schema, err := NewSchema("A", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := FromRows(schema, []Row{{"a1", "b1"}, {"a1", "b1"}, {"a2", "b1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := 0
+	for _, name := range strings.Split(ProtocolNames(), "|") {
+		p, err := ParseProtocol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := Outsource(NewServer(), rel, Options{Protocol: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		_, err = db.DiscoverResumable(ckpt)
+		db.Close()
+		_, statErr := os.Stat(ckpt)
+		switch {
+		case p.Resumable() && (err != nil || statErr != nil):
+			t.Errorf("%v: DiscoverResumable = %v, checkpoint file: %v", p, err, statErr)
+		case !p.Resumable() && (err == nil || !strings.Contains(err.Error(), name) || statErr == nil):
+			t.Errorf("%v: DiscoverResumable = %v, checkpoint file: %v; want it refused by name, no file", p, err, statErr)
+		case !p.Resumable():
+			refused++
+		}
+	}
+	if refused != 3 {
+		t.Errorf("%d protocols refused, want plaintext, enclave and deterministic", refused)
 	}
 }

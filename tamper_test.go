@@ -277,7 +277,7 @@ func TestTamperSnapshotDetected(t *testing.T) {
 // resumed run must match the oracle exactly. Either way: never a silent
 // wrong FD set.
 func TestTamperWALNeverSilentlyWrong(t *testing.T) {
-	_, m := measure(t)
+	_, m := measure(t, crashOpts)
 	// Crash the client mid-level so wal.log holds mutations past the
 	// epoch-1 snapshot, then flip a bit in that tail.
 	dir := t.TempDir()
